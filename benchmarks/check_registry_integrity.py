@@ -9,9 +9,15 @@ Asserts, without running a single trial:
 * every backend declares ``obs`` — observability is engine-independent;
 * transport flags are coherent (a deterministic medium cannot be paced;
   socket-fabric media must declare a frame boundary to inject at);
+* the static built-in tables (``BUILTIN``: name → module, imported per
+  name) agree with reality: each entry's module registers exactly that
+  name, and no module of the built-in packages registers a name the
+  table lacks (it would be unreachable until something else imported it);
 * no per-engine ``if engine ==`` / ``elif engine ==`` dispatch chain has
   crept back into ``src/repro/analysis/`` — the registry is the only
-  dispatcher (the grep guard for the PR-10 refactor).
+  dispatcher (the grep guard for the PR-10 refactor) — and nothing under
+  ``src/repro/engine/`` or ``src/repro/core/`` imports from
+  ``repro.net.cluster`` (that dragged asyncio into every serial trial).
 
 Usage::
 
@@ -20,13 +26,20 @@ Usage::
 
 from __future__ import annotations
 
+import pkgutil
 import re
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from repro.engine import backends, engine_names
+import repro.engine.backends
+import repro.net.transport
 from repro.engine.base import AXES
+from repro.engine.registry import BUILTIN as BUILTIN_ENGINES
+from repro.engine.registry import backends, engine_names
+from repro.errors import SpecError
 from repro.net.transport import resolve_transport, transport_names
+from repro.net.transport.base import BUILTIN as BUILTIN_TRANSPORTS
 
 EXPECTED_ENGINES = ("async", "cluster", "serial", "sharded")
 EXPECTED_TRANSPORTS = ("loopback", "tcp", "udp")
@@ -39,6 +52,9 @@ _CAPABILITY = re.compile(
 )
 
 _DISPATCH = re.compile(r"^\s*(el)?if\s+.*\bengine\s*==")
+_CLUSTER_IMPORT = re.compile(r"^\s*from\s+repro\.net\.cluster\s+import\b")
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def check_registries() -> list[str]:
@@ -74,21 +90,56 @@ def check_registries() -> list[str]:
     return problems
 
 
-def check_no_dispatch_chains() -> list[str]:
+def _transport_home(name: str) -> str | None:
+    try:
+        return resolve_transport(name).channel_factory.__module__
+    except SpecError:
+        return None
+
+
+def check_builtin_tables() -> list[str]:
+    """Each table entry's module registers exactly that name; importing
+    every module of the built-in packages registers nothing else."""
     problems: list[str] = []
-    analysis = Path(__file__).resolve().parent.parent / "src/repro/analysis"
-    for path in sorted(analysis.rglob("*.py")):
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if _DISPATCH.match(line):
+    for package in (repro.engine.backends, repro.net.transport):
+        for info in pkgutil.iter_modules(package.__path__):
+            import_module(f"{package.__name__}.{info.name}")
+    engines = {name: type(b).__module__ for name, b in backends().items()}
+    transports = {name: _transport_home(name) for name in transport_names()}
+    for label, table, homes in (("engine", BUILTIN_ENGINES, engines),
+                                ("transport", BUILTIN_TRANSPORTS, transports)):
+        for name in sorted(table.keys() | homes.keys()):
+            if table.get(name) != homes.get(name):
                 problems.append(
-                    f"{path.relative_to(analysis.parent.parent.parent)}:"
-                    f"{lineno}: per-engine dispatch chain: {line.strip()}"
-                )
+                    f"{label} {name!r}: table says {table.get(name)}, "
+                    f"registered by {homes.get(name)}")
     return problems
 
 
+def _grep(subdir: str, pattern: re.Pattern[str], what: str,
+          exempt: str | None = None) -> list[str]:
+    return [
+        f"{path.relative_to(_SRC.parent)}:{lineno}: {what}: {line.strip()}"
+        for path in sorted((_SRC / subdir).rglob("*.py"))
+        if path.name != exempt
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.match(line)
+    ]
+
+
+def check_source_guards() -> list[str]:
+    return (
+        _grep("repro/analysis", _DISPATCH, "per-engine dispatch chain")
+        # The cluster backend is the one module entitled to the runtime.
+        + _grep("repro/engine", _CLUSTER_IMPORT, "imports the cluster runtime",
+                exempt="cluster.py")
+        + _grep("repro/core", _CLUSTER_IMPORT, "imports the cluster runtime")
+    )
+
+
 def main() -> int:
-    problems = check_registries() + check_no_dispatch_chains()
+    problems = (check_registries() + check_builtin_tables()
+                + check_source_guards())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

@@ -17,34 +17,40 @@ Quickstart::
     sim.run(max_time=2_000)
 """
 
-from repro.core import (
-    IdlLayer,
-    MutexLayer,
-    PifClient,
-    PifLayer,
-    PifMessage,
-    RequestDriver,
-)
-from repro.errors import ReproError, SpecificationViolation
-from repro.sim import (
-    BernoulliLoss,
-    Clustered,
-    Complete,
-    EventKind,
-    Grid2D,
-    Network,
-    NoLoss,
-    RandomGnp,
-    Ring,
-    Simulator,
-    Star,
-    Topology,
-    Trace,
-    topology_from_spec,
-)
-from repro.types import ProcessId, RequestState, Time
+from typing import TYPE_CHECKING
 
-__version__ = "1.0.0"
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
+    from repro.core import (
+        IdlLayer,
+        MutexLayer,
+        PifClient,
+        PifLayer,
+        PifMessage,
+        RequestDriver,
+    )
+    from repro.errors import ReproError, SpecificationViolation
+    from repro.sim import (
+        BernoulliLoss,
+        Clustered,
+        Complete,
+        EventKind,
+        Grid2D,
+        Network,
+        NoLoss,
+        RandomGnp,
+        Ring,
+        Simulator,
+        Star,
+        Topology,
+        Trace,
+        topology_from_spec,
+    )
+    from repro.types import ProcessId, RequestState, Time
+
+#: The one place the version is written (pyproject.toml reads it from here).
+__version__ = "0.7.0"
 
 __all__ = [
     "BernoulliLoss",
@@ -74,3 +80,17 @@ __all__ = [
     "Trace",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "IdlLayer", "MutexLayer", "PifClient", "PifLayer", "PifMessage",
+        "RequestDriver",
+    ),
+    "errors": ("ReproError", "SpecificationViolation"),
+    "sim": (
+        "BernoulliLoss", "Clustered", "Complete", "EventKind", "Grid2D",
+        "Network", "NoLoss", "RandomGnp", "Ring", "Simulator", "Star",
+        "Topology", "Trace", "topology_from_spec",
+    ),
+    "types": ("ProcessId", "RequestState", "Time"),
+})

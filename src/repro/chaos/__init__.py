@@ -12,15 +12,20 @@ in :mod:`repro.net.cluster`; see ``docs/robustness.md`` for the protocol
 and its determinism argument.
 """
 
-from repro.chaos.backoff import Backoff, retry_async
-from repro.chaos.plan import (
-    CrashWorker,
-    CutLink,
-    FaultPlan,
-    ShipFault,
-    StallWorker,
-    parse_fault_plan,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
+    from repro.chaos.backoff import Backoff, retry_async
+    from repro.chaos.plan import (
+        CrashWorker,
+        CutLink,
+        FaultPlan,
+        ShipFault,
+        StallWorker,
+        parse_fault_plan,
+    )
 
 __all__ = [
     "Backoff",
@@ -32,3 +37,11 @@ __all__ = [
     "parse_fault_plan",
     "retry_async",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "backoff": ("Backoff", "retry_async"),
+    "plan": (
+        "CrashWorker", "CutLink", "FaultPlan", "ShipFault", "StallWorker",
+        "parse_fault_plan",
+    ),
+})

@@ -23,81 +23,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from repro.engine import TrialSpec, engine_names
 from repro.errors import HorizonExceeded, SimulationError
-from repro.net.transport import transport_names
-from repro.analysis.ablations import (
-    run_flag_ablation,
-    run_modulus_ablation,
-    run_naive_ablation,
-)
-from repro.analysis.compare import aggregate_comparison, compare_mutex_protocols
-from repro.analysis.experiments import (
-    run_capacity_sweep,
-    run_figure1,
-    run_impossibility_experiment,
-    run_property1_check,
-    run_topology_matrix,
-)
-from repro.applications.aggregation import run_aggregation_demo
-from repro.analysis.runner import (
-    pif_scaling_row,
-    run_idl_trial,
-    run_mutex_trial,
-    run_pif_trial,
-)
-from repro.analysis.tables import render_table
+
+# Every ``python -m repro ...`` process — each cluster worker among them
+# — imports this module first, so it imports nothing else of the program
+# at module scope: a subcommand's flags and handler import what they use.
 
 __all__ = ["main", "build_parser"]
 
-_EXPERIMENTS = (
-    "figure1", "impossibility", "pif", "idl", "mutex",
-    "compare", "scaling", "ablations", "property1", "capacity",
-    "matrix", "aggregate", "topology", "obs",
-)
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Snap-stabilization in message-passing systems — experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
-
-    p = sub.add_parser("figure1", help="E1: Figure 1 worst-case handshake")
+def _flags_figure1(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
 
-    p = sub.add_parser("impossibility", help="E2: Theorem 1 construction")
+
+def _flags_impossibility(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
 
-    for name, helptext in (
-        ("pif", "E3: PIF snap-stabilization trials"),
-        ("idl", "E4: IDs-Learning trials"),
-        ("mutex", "E5: mutual-exclusion trials"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--loss", type=float, default=0.1)
-        p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-        p.add_argument("--requests", type=int, default=2)
-        if name == "mutex":
-            p.add_argument(
-                "--round-budget", type=int, default=None, metavar="R",
-                help="abort (HorizonExceeded) once more than R CS grants "
-                     "were spent without serving every request — the cheap "
-                     "failure mode for slow-converging rings; a completing "
-                     "trial uses about (requests+1)*n grants (serial engine "
-                     "only, see docs/engine.md)",
-            )
-        _add_topology_arg(p)
-        _add_engine_args(p)
 
-    p = sub.add_parser("compare", help="E6: snap vs self-stabilization")
+def _flags_trials(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--loss", type=float, default=0.1)
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    p.add_argument("--requests", type=int, default=2)
+    _add_topology_arg(p)
+    _add_engine_args(p)
+
+
+def _flags_mutex(p: argparse.ArgumentParser) -> None:
+    _flags_trials(p)
+    p.add_argument(
+        "--round-budget", type=int, default=None, metavar="R",
+        help="abort (HorizonExceeded) once more than R CS grants "
+             "were spent without serving every request — the cheap "
+             "failure mode for slow-converging rings; a completing "
+             "trial uses about (requests+1)*n grants (serial engine "
+             "only, see docs/engine.md)",
+    )
+
+
+def _flags_compare(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(6)))
     p.add_argument(
@@ -106,20 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
              "or ring (the token baseline needs the pid-order ring embedded)",
     )
 
-    p = sub.add_parser("scaling", help="E7: wave cost vs system size")
+
+def _flags_scaling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ns", type=int, nargs="+", default=[2, 3, 5, 8])
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     _add_topology_arg(p)
 
-    sub.add_parser("ablations", help="E8: flag domain / modulus / naive PIF")
 
-    p = sub.add_parser("property1", help="E9a: channel flushing")
+def _flags_property1(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4)
 
-    p = sub.add_parser("capacity", help="E9b: capacity-c extension")
+
+def _flags_capacity(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capacities", type=int, nargs="+", default=[1, 2, 4])
 
-    p = sub.add_parser("matrix", help="E11: topology x fault scenario matrix")
+
+def _flags_matrix(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument(
@@ -130,17 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["pif", "mutex"], default="pif")
     _add_engine_args(p)
 
-    p = sub.add_parser("aggregate", help="application demo: PIF aggregation wave")
+
+def _flags_aggregate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--op", choices=["sum", "min", "max"], default="sum")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     _add_topology_arg(p)
 
-    p = sub.add_parser(
-        "cluster-worker",
-        help="serve one shard of a multi-host trial (launched by the "
-             "engine=cluster coordinator, or by hand on a remote machine)",
-    )
+
+def _flags_cluster_worker(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--registry", required=True, metavar="HOST:PORT",
         help="the coordinator's rendezvous address (its --cluster-listen, "
@@ -163,21 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
              "worker at that point (internal; set by the chaos harness)",
     )
 
-    p = sub.add_parser(
-        "obs",
-        help="summarize obs files written with --metrics/--timeline "
-             "(metrics snapshots and Chrome-trace timelines)",
-    )
+
+def _flags_obs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "paths", nargs="+", metavar="PATH",
         help="obs JSON files; each is auto-detected as a metrics snapshot "
              "or a Chrome-trace timeline",
     )
 
-    p = sub.add_parser(
-        "topology",
-        help="inspect a topology: structure, edge-weight stats, shard lookahead",
-    )
+
+def _flags_topology(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -191,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
              "back to (default 1 3)",
     )
     _add_topology_arg(p)
-
-    return parser
 
 
 def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
@@ -217,6 +177,9 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    from repro.engine.registry import engine_names
+    from repro.net.transport.base import transport_names
+
     parser.add_argument(
         "--horizon", type=int, default=None, metavar="TICKS",
         help="time budget per trial in ticks (default: the runner's; over "
@@ -224,8 +187,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "prefer an explicit budget there)",
     )
     parser.add_argument(
-        "--engine", choices=list(engine_names()),
-        default="serial",
+        "--engine", choices=engine_names(), default="serial",
         help="execution backend (from the repro.engine registry): one "
              "in-process scheduler (serial), the topology partitioned "
              "across worker processes (sharded), the asyncio runtime with "
@@ -264,7 +226,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "the latency lower bound (default: exactly that bound)",
     )
     parser.add_argument(
-        "--transport", choices=list(transport_names()), default="loopback",
+        "--transport", choices=transport_names(), default="loopback",
         help="channel medium for --engine async (from the transport "
              "registry): in-process asyncio queues (loopback, "
              "deterministic), real localhost TCP sockets (tcp), or loopback "
@@ -336,6 +298,9 @@ def _weighted_topology(args, n: int, seed: int):
 
 
 def _cmd_figure1(args) -> str:
+    from repro.analysis.experiments import run_figure1
+    from repro.analysis.tables import render_table
+
     results = [run_figure1(seed=s) for s in args.seeds]
     return render_table(
         ["seed", "spurious", "brd@q", "fck@p", "decide", "spec_ok"],
@@ -346,6 +311,9 @@ def _cmd_figure1(args) -> str:
 
 
 def _cmd_impossibility(args) -> str:
+    from repro.analysis.experiments import run_impossibility_experiment
+    from repro.analysis.tables import render_table
+
     row = run_impossibility_experiment(n=args.n, seed=args.seed)
     return render_table(
         list(row.keys()), [list(row.values())],
@@ -360,14 +328,28 @@ def _fault_plan_arg(args):
     return resolve_fault_plan(getattr(args, "fault_plan", None))
 
 
-def _cmd_trials(args, runner, title: str) -> str:
+#: Trial subcommand → (its ``repro.analysis.runner`` wrapper, table title).
+_TRIALS = {
+    "pif": ("run_pif_trial", "E3 — PIF trials"),
+    "idl": ("run_idl_trial", "E4 — IDL trials"),
+    "mutex": ("run_mutex_trial", "E5 — ME trials"),
+}
+
+
+def _cmd_trials(args) -> str:
+    from dataclasses import replace
+
+    from repro.analysis import runner as runners
+    from repro.analysis.tables import render_table
+    from repro.engine.spec import TrialSpec
+
+    runner_name, title = _TRIALS[args.command]
+    runner = getattr(runners, runner_name)
     # One spec for the whole command (the TrialSpec codec reads every
     # engine/topology flag); per-trial variation is seed + obs paths.
     base = TrialSpec.from_cli_args(args)
 
     def per_seed(seed: int) -> TrialSpec:
-        from dataclasses import replace
-
         spec = replace(base, seed=seed)
         if len(args.seeds) > 1 and spec.obs.active:
             # One file per trial: multi-seed runs suffix each path by seed.
@@ -408,6 +390,12 @@ def _cmd_trials(args, runner, title: str) -> str:
 
 
 def _cmd_compare(args) -> str:
+    from repro.analysis.compare import (
+        aggregate_comparison,
+        compare_mutex_protocols,
+    )
+    from repro.analysis.tables import render_table
+
     results = compare_mutex_protocols(n=args.n, seeds=args.seeds,
                                       horizon=800_000,
                                       topology=args.topology)
@@ -422,6 +410,9 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_scaling(args) -> str:
+    from repro.analysis.runner import pif_scaling_row
+    from repro.analysis.tables import render_table
+
     if args.latency_map:
         raise SimulationError(
             "--latency-map names explicit pids, which a multi-n scaling "
@@ -440,6 +431,13 @@ def _cmd_scaling(args) -> str:
 
 
 def _cmd_ablations(_args) -> str:
+    from repro.analysis.ablations import (
+        run_flag_ablation,
+        run_modulus_ablation,
+        run_naive_ablation,
+    )
+    from repro.analysis.tables import render_table
+
     flag_rows = [run_flag_ablation(k).row() for k in (1, 2, 3, 4, 5)]
     parts = [
         render_table(
@@ -461,6 +459,9 @@ def _cmd_ablations(_args) -> str:
 
 
 def _cmd_property1(args) -> str:
+    from repro.analysis.experiments import run_property1_check
+    from repro.analysis.tables import render_table
+
     row = run_property1_check(n=args.n)
     return render_table(
         list(row.keys()), [list(row.values())],
@@ -469,6 +470,9 @@ def _cmd_property1(args) -> str:
 
 
 def _cmd_matrix(args) -> str:
+    from repro.analysis.experiments import run_topology_matrix
+    from repro.analysis.tables import render_table
+
     rows = run_topology_matrix(
         n=args.n, topologies=args.topologies, losses=args.losses,
         seeds=args.seeds, protocol=args.protocol,
@@ -486,6 +490,9 @@ def _cmd_matrix(args) -> str:
 
 
 def _cmd_aggregate(args) -> str:
+    from repro.analysis.tables import render_table
+    from repro.applications.aggregation import run_aggregation_demo
+
     topology = _weighted_topology(args, args.n, args.seeds[0])
     rows = [
         run_aggregation_demo(args.n, topology=topology, op=args.op, seed=s)
@@ -499,6 +506,7 @@ def _cmd_aggregate(args) -> str:
 
 def _cmd_topology(args) -> str:
     """Structure + edge-weight stats + the sharded engine's lookahead."""
+    from repro.analysis.tables import render_table
     from repro.sim.partition import partition_topology
     from repro.sim.topology import topology_from_spec
 
@@ -535,6 +543,9 @@ def _cmd_obs(args) -> str:
 
 
 def _cmd_capacity(args) -> str:
+    from repro.analysis.experiments import run_capacity_sweep
+    from repro.analysis.tables import render_table
+
     rows = run_capacity_sweep(args.capacities)
     return render_table(
         ["capacity", "max_state", "trials", "ok", "violations"],
@@ -544,11 +555,91 @@ def _cmd_capacity(args) -> str:
     )
 
 
+def _cmd_list(_args) -> str:
+    return "\n".join(
+        name for name in _SUBCOMMANDS if name not in ("list", "cluster-worker"))
+
+
+def _cmd_cluster_worker(args) -> int:
+    # A worker interpreter serves exactly one shard then exits; its
+    # stdout belongs to the hosted simulator slice, not to a table.
+    from repro.net.cluster_worker import run_cluster_worker
+
+    return run_cluster_worker(
+        args.registry, args.shard, args.advertise_host, chaos=args.chaos,
+    )
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    #: Declares the subcommand's flags on its parser (None: it has none).
+    flags: Callable[[argparse.ArgumentParser], None] | None
+    #: Runs it: the text to print, or (``cluster-worker``) an exit code.
+    run: Callable[[argparse.Namespace], str | int]
+
+
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "list": _Subcommand("list available experiments", None, _cmd_list),
+    "figure1": _Subcommand(
+        "E1: Figure 1 worst-case handshake", _flags_figure1, _cmd_figure1),
+    "impossibility": _Subcommand(
+        "E2: Theorem 1 construction", _flags_impossibility,
+        _cmd_impossibility),
+    "pif": _Subcommand(
+        "E3: PIF snap-stabilization trials", _flags_trials, _cmd_trials),
+    "idl": _Subcommand("E4: IDs-Learning trials", _flags_trials, _cmd_trials),
+    "mutex": _Subcommand(
+        "E5: mutual-exclusion trials", _flags_mutex, _cmd_trials),
+    "compare": _Subcommand(
+        "E6: snap vs self-stabilization", _flags_compare, _cmd_compare),
+    "scaling": _Subcommand(
+        "E7: wave cost vs system size", _flags_scaling, _cmd_scaling),
+    "ablations": _Subcommand(
+        "E8: flag domain / modulus / naive PIF", None, _cmd_ablations),
+    "property1": _Subcommand(
+        "E9a: channel flushing", _flags_property1, _cmd_property1),
+    "capacity": _Subcommand(
+        "E9b: capacity-c extension", _flags_capacity, _cmd_capacity),
+    "matrix": _Subcommand(
+        "E11: topology x fault scenario matrix", _flags_matrix, _cmd_matrix),
+    "aggregate": _Subcommand(
+        "application demo: PIF aggregation wave", _flags_aggregate,
+        _cmd_aggregate),
+    "cluster-worker": _Subcommand(
+        "serve one shard of a multi-host trial (launched by the "
+        "engine=cluster coordinator, or by hand on a remote machine)",
+        _flags_cluster_worker, _cmd_cluster_worker),
+    "topology": _Subcommand(
+        "inspect a topology: structure, edge-weight stats, shard lookahead",
+        _flags_topology, _cmd_topology),
+    "obs": _Subcommand(
+        "summarize obs files written with --metrics/--timeline "
+        "(metrics snapshots and Chrome-trace timelines)",
+        _flags_obs, _cmd_obs),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  With ``command`` (what :func:`main` passes:
+    the subcommand about to run) only that subcommand's flags are
+    declared — the engine flags enumerate the registries, which a
+    ``cluster-worker`` or ``list`` process has no reason to import."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Snap-stabilization in message-passing systems — experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, subcommand in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand.help)
+        if subcommand.flags is not None and command in (None, name):
+            subcommand.flags(p)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        print("\n".join(_EXPERIMENTS))
-        return 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _dispatch(args)
     except HorizonExceeded as exc:
@@ -583,45 +674,9 @@ def _dispatch(args) -> int:
 
 
 def _run_command(args) -> int:
-    if args.command == "cluster-worker":
-        # A worker interpreter serves exactly one shard then exits; its
-        # stdout belongs to the hosted simulator slice, not to a table.
-        from repro.net.cluster import run_cluster_worker
-
-        return run_cluster_worker(
-            args.registry, args.shard, args.advertise_host,
-            chaos=args.chaos,
-        )
-    if args.command == "figure1":
-        output = _cmd_figure1(args)
-    elif args.command == "impossibility":
-        output = _cmd_impossibility(args)
-    elif args.command == "pif":
-        output = _cmd_trials(args, run_pif_trial, "E3 — PIF trials")
-    elif args.command == "idl":
-        output = _cmd_trials(args, run_idl_trial, "E4 — IDL trials")
-    elif args.command == "mutex":
-        output = _cmd_trials(args, run_mutex_trial, "E5 — ME trials")
-    elif args.command == "compare":
-        output = _cmd_compare(args)
-    elif args.command == "scaling":
-        output = _cmd_scaling(args)
-    elif args.command == "ablations":
-        output = _cmd_ablations(args)
-    elif args.command == "property1":
-        output = _cmd_property1(args)
-    elif args.command == "capacity":
-        output = _cmd_capacity(args)
-    elif args.command == "matrix":
-        output = _cmd_matrix(args)
-    elif args.command == "aggregate":
-        output = _cmd_aggregate(args)
-    elif args.command == "topology":
-        output = _cmd_topology(args)
-    elif args.command == "obs":
-        output = _cmd_obs(args)
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
+    output = _SUBCOMMANDS[args.command].run(args)
+    if isinstance(output, int):
+        return output
     print(output)
     return 0
 

@@ -1,6 +1,3 @@
-"""Built-in engine backends.  Importing this package registers all of
-them (:mod:`repro.engine.registry` bootstraps by importing it)."""
-
-from repro.engine.backends import async_, cluster, serial, sharded
-
-__all__ = ["serial", "sharded", "async_", "cluster"]
+"""Built-in engine backends, one module each.  A module registers its
+backend at import; :data:`repro.engine.registry.BUILTIN` names them and
+the registry imports one only when its name is resolved."""

@@ -90,7 +90,7 @@ def normalized_driver(spec: TrialSpec, *, picklable: bool = False) -> dict[str, 
     """
     driver = dict(spec.driver)
     if not picklable and "payload_fmt" in driver:
-        from repro.net.cluster import payload_from_fmt
+        from repro.core.protocols import payload_from_fmt
 
         driver["payload"] = payload_from_fmt(driver.pop("payload_fmt"))
     return driver

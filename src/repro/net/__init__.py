@@ -12,9 +12,9 @@ Runs the paper's protocol layers, unmodified, over real transports:
   under sender-owned channel accounting.
 * :mod:`repro.net.wire` — the length-prefixed frame format.
 * :mod:`repro.net.cluster` — the multi-host runtime: per-shard worker
-  interpreters (own OS processes) behind the TCP fabric, coordinated
-  through BARRIER frames in ``windowed`` mode or free-running under the
-  online monitors.
+  interpreters (own OS processes, :mod:`repro.net.cluster_worker`) behind
+  the TCP fabric, coordinated through BARRIER frames in ``windowed`` mode
+  or free-running under the online monitors.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
 * :mod:`repro.net.monitors` — online specification monitors over the
@@ -24,42 +24,47 @@ See ``docs/async.md`` for the transport protocol and the determinism
 argument.
 """
 
-from repro.net.clock import PacedClock, VirtualClock
-from repro.net.cluster import (
-    ClusterRunResult,
-    ClusterSimulator,
-    SYNC_MODES,
-    run_cluster_worker,
-)
-from repro.net.engine import (
-    DEFAULT_TICK_SECONDS,
-    AsyncSimulator,
-    NetRunResult,
-    ProcessActor,
-    TRANSPORTS,
-)
-from repro.net.monitors import (
-    LiveTrace,
-    MonitorReport,
-    MutexExclusionMonitor,
-    OnlineMonitor,
-    PifWaveMonitor,
-    RequestLivenessMonitor,
-    default_monitors,
-)
-from repro.net.registry import RegistryClient, RegistryServer
-from repro.net.transport import (
-    LoopbackTransport,
-    TcpFabric,
-    TcpTransport,
-    Transport,
-    TransportKind,
-    UdpFabric,
-    UdpTransport,
-    register_transport,
-    resolve_transport,
-    transport_names,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
+    from repro.net.clock import PacedClock, VirtualClock
+    from repro.net.cluster import (
+        ClusterRunResult,
+        ClusterSimulator,
+        SYNC_MODES,
+    )
+    from repro.net.cluster_worker import run_cluster_worker
+    from repro.net.engine import (
+        DEFAULT_TICK_SECONDS,
+        AsyncSimulator,
+        NetRunResult,
+        ProcessActor,
+        TRANSPORTS,
+    )
+    from repro.net.monitors import (
+        LiveTrace,
+        MonitorReport,
+        MutexExclusionMonitor,
+        OnlineMonitor,
+        PifWaveMonitor,
+        RequestLivenessMonitor,
+        default_monitors,
+    )
+    from repro.net.registry import RegistryClient, RegistryServer
+    from repro.net.transport import (
+        LoopbackTransport,
+        TcpFabric,
+        TcpTransport,
+        Transport,
+        TransportKind,
+        UdpFabric,
+        UdpTransport,
+        register_transport,
+        resolve_transport,
+        transport_names,
+    )
 
 __all__ = [
     "AsyncSimulator",
@@ -93,3 +98,23 @@ __all__ = [
     "MutexExclusionMonitor",
     "default_monitors",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "clock": ("PacedClock", "VirtualClock"),
+    "cluster": ("ClusterRunResult", "ClusterSimulator", "SYNC_MODES"),
+    "cluster_worker": ("run_cluster_worker",),
+    "engine": (
+        "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",
+        "ProcessActor", "TRANSPORTS",
+    ),
+    "monitors": (
+        "LiveTrace", "MonitorReport", "MutexExclusionMonitor", "OnlineMonitor",
+        "PifWaveMonitor", "RequestLivenessMonitor", "default_monitors",
+    ),
+    "registry": ("RegistryClient", "RegistryServer"),
+    "transport": (
+        "LoopbackTransport", "TcpFabric", "TcpTransport", "Transport",
+        "TransportKind", "UdpFabric", "UdpTransport", "register_transport",
+        "resolve_transport", "transport_names",
+    ),
+})

@@ -71,8 +71,13 @@ algorithm, two fabrics.
 
 Worker interpreters cannot inherit closures, so trials are described by
 picklable *specs*: a protocol spec (``{"kind": "pif", ...}`` —
-:func:`build_protocol`) and a driver config whose payload is a format
-string (``payload_fmt="msg-{pid}-{k}"``) rather than a callable.
+:func:`repro.core.protocols.build_protocol`) and a driver config whose
+payload is a format string (``payload_fmt="msg-{pid}-{k}"``) rather than
+a callable.
+
+This module is the coordinator; the worker interpreter it launches lives
+in :mod:`repro.net.cluster_worker`, which imports none of this — every
+worker pays for its imports before it can REGISTER.
 """
 
 from __future__ import annotations
@@ -84,33 +89,24 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.chaos import FaultPlan
-from repro.chaos.backoff import Backoff, retry_async
-from repro.core.idl import IdlLayer
-from repro.core.mutex import MutexLayer
-from repro.core.pif import PifLayer
-from repro.core.requests import CompletedRequest, RequestDriver
+from repro.chaos.plan import FaultPlan
+from repro.core.protocols import build_protocol
+from repro.core.requests import CompletedRequest
 from repro.errors import SimulationError, WorkerCrashed
-from repro.net import wire
-from repro.net.engine import AsyncSimulator
-from repro.net.registry import RegistryClient, RegistryServer
+from repro.net.cluster_worker import parse_hostport, run_cluster_worker
+from repro.net.registry import RegistryServer
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import SpanRecorder, wall
 from repro.sim.channel import LossModel
 from repro.sim.partition import Partition, partition_topology
-from repro.sim.runtime import BuildFn
 from repro.sim.sharded import (
-    _KeyedTrace,
     _SHARDABLE_LOSS,
     merge_completions,
     merge_worker_traces,
-    scramble_shard,
-    shard_result_payload,
 )
 from repro.sim.stats import SimStats
 from repro.sim.topology import Topology, topology_from_spec
@@ -122,8 +118,6 @@ __all__ = [
     "ClusterRunResult",
     "SYNC_MODES",
     "FREERUN_WINDOW",
-    "build_protocol",
-    "payload_from_fmt",
     "run_cluster_worker",
     "parse_hostport",
 ]
@@ -138,21 +132,6 @@ FREERUN_WINDOW = 64
 #: control frame — the crash-detection latency bound.
 _CRASH_POLL_S = 0.25
 
-#: Exit code of an injected ``crash worker`` fault (distinct from 1, the
-#: generic worker-error exit, so tests can tell them apart).
-_CHAOS_EXIT = 70
-
-
-def parse_hostport(spec: str) -> tuple[str, int]:
-    """Parse ``host:port`` (the form every cluster CLI flag uses)."""
-    host, sep, port = spec.rpartition(":")
-    if not sep or not host:
-        raise SimulationError(f"expected HOST:PORT, got {spec!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SimulationError(f"bad port in {spec!r}") from None
-
 
 def _stderr_tail(path: str | None, limit: int = 4000) -> str:
     """The last ``limit`` bytes of a worker's captured stderr."""
@@ -163,71 +142,6 @@ def _stderr_tail(path: str | None, limit: int = 4000) -> str:
     except OSError:
         return ""
     return data[-limit:].decode("utf-8", "replace").strip()
-
-
-# -- picklable trial specs -------------------------------------------------
-
-
-def _build_pif(*, tag: str = "pif", max_state: int = 4) -> BuildFn:
-    def build(host) -> None:
-        host.register(PifLayer(tag, max_state=max_state))
-
-    return build
-
-
-def _build_idl(
-    *, tag: str = "idl", idents: dict[int, int] | None = None
-) -> BuildFn:
-    def build(host) -> None:
-        ident = idents[host.pid] if idents else None
-        host.register(IdlLayer(tag, ident=ident))
-
-    return build
-
-
-def _build_me(
-    *, tag: str = "me", cs_duration: int = 3, use_paper_modulus: bool = False
-) -> BuildFn:
-    def build(host) -> None:
-        host.register(
-            MutexLayer(
-                tag, cs_duration=cs_duration, use_paper_modulus=use_paper_modulus
-            )
-        )
-
-    return build
-
-
-#: Named protocol builders: worker interpreters reconstruct the build
-#: closure from a picklable ``{"kind": ..., **params}`` spec.
-BUILDERS: dict[str, Callable[..., BuildFn]] = {
-    "pif": _build_pif,
-    "idl": _build_idl,
-    "me": _build_me,
-}
-
-
-def build_protocol(spec: dict[str, Any]) -> BuildFn:
-    """Turn a protocol spec into a build function (worker side)."""
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    factory = BUILDERS.get(kind)
-    if factory is None:
-        raise SimulationError(
-            f"unknown protocol kind {kind!r}; expected one of {sorted(BUILDERS)}"
-        )
-    return factory(**params)
-
-
-def payload_from_fmt(fmt: str) -> Callable[[int, int], str]:
-    """The picklable replacement for driver payload callables: a format
-    string over ``pid``/``k`` (``"msg-{pid}-{k}"`` reproduces the serial
-    runners' payloads byte for byte)."""
-
-    def payload(pid: int, k: int) -> str:
-        return fmt.format(pid=pid, k=k)
-
-    return payload
 
 
 def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
@@ -291,11 +205,12 @@ class ClusterSimulator:
 
     Constructor arguments mirror :class:`~repro.sim.sharded.ShardedSimulator`
     where they are meaningful across hosts; ``protocol`` is a picklable
-    protocol spec (see :data:`BUILDERS`) instead of a build closure, and
-    ``hosts`` fixes the worker count (default: one per arbitration-cluster
-    group).  With ``listen="host:port"`` the coordinator binds its registry
-    there and waits for hand-launched ``repro cluster-worker`` processes
-    instead of spawning localhost workers itself.
+    protocol spec (see :data:`repro.core.protocols.BUILDERS`) instead of a
+    build closure, and ``hosts`` fixes the worker count (default: one per
+    arbitration-cluster group).  With ``listen="host:port"`` the
+    coordinator binds its registry there and waits for hand-launched
+    ``repro cluster-worker`` processes instead of spawning localhost
+    workers itself.
 
     ``fault_plan`` (a :class:`~repro.chaos.FaultPlan` or its DSL text)
     injects deterministic runtime faults; ``recover`` enables the
@@ -572,12 +487,13 @@ class ClusterSimulator:
                 await handles[peer].send(("resend", nak_from, round_no))
 
         async def recv(
-            handle, expected: str, *, phase: str, round_no: int | None = None
+            handle, *expected: str, phase: str, round_no: int | None = None
         ):
-            """Await one control frame, polling the worker's Popen so its
-            death surfaces as :class:`WorkerCrashed` within
-            :data:`_CRASH_POLL_S` instead of the worker timeout.  NAK
-            frames may arrive on any await; they are relayed inline."""
+            """Await one control frame (one of the ``expected`` ops),
+            polling the worker's Popen so its death surfaces as
+            :class:`WorkerCrashed` within :data:`_CRASH_POLL_S` instead of
+            the worker timeout.  NAK frames may arrive on any await; they
+            are relayed inline."""
             shard = handle.shard
             loop = asyncio.get_running_loop()
             deadline = loop.time() + self.worker_timeout
@@ -603,10 +519,10 @@ class ClusterSimulator:
                                 f"cluster worker shard {shard} failed:\n"
                                 f"{message[1]}"
                             )
-                        if message[0] != expected:
+                        if message[0] not in expected:
                             raise SimulationError(
                                 "cluster worker protocol error: expected "
-                                f"{expected!r}, got {message[0]!r}"
+                                f"{expected[0]!r}, got {message[0]!r}"
                             )
                         return message
                     popen = procs.get(shard)
@@ -615,7 +531,7 @@ class ClusterSimulator:
                     if loop.time() > deadline:
                         raise SimulationError(
                             f"cluster worker shard {shard} sent no "
-                            f"{expected!r} within {self.worker_timeout:.0f}s"
+                            f"{expected[0]!r} within {self.worker_timeout:.0f}s"
                         )
             finally:
                 if not task.done():
@@ -803,12 +719,20 @@ class ClusterSimulator:
                 done_ticks: dict[int, int | None] = {}
                 slowest = 0.0
                 crash = None
+                blocked: list[int] = []
+
+                def note_ack(shard: int, ack: tuple) -> None:
+                    nonlocal slowest
+                    _, done_ticks[shard], compute_s = ack
+                    worker_wall[shard] = worker_wall.get(shard, 0.0) + compute_s
+                    slowest = max(slowest, compute_s)
+
                 for shard in sorted(handles):
                     if shard in send_dead:
                         continue
                     try:
-                        _, worker_done, compute_s = await recv(
-                            handles[shard], "adv-ok",
+                        message = await recv(
+                            handles[shard], "adv-ok", "adv-blocked",
                             phase="barrier", round_no=round_no,
                         )
                     except WorkerCrashed as exc:
@@ -816,21 +740,36 @@ class ClusterSimulator:
                             raise
                         crash = exc
                         continue
-                    done_ticks[shard] = worker_done
-                    worker_wall[shard] = worker_wall.get(shard, 0.0) + compute_s
-                    if compute_s > slowest:
-                        slowest = compute_s
+                    if message[0] == "adv-blocked":
+                        blocked.append(shard)
+                        continue
+                    note_ack(shard, message)
                 for shard in send_dead:
                     exc = crash_error(shard, "barrier", round_no)
                     if crash is not None:
                         raise exc
                     crash = exc
                 if crash is not None:
-                    # Every survivor has acked this round (the dead shard
-                    # acked all earlier rounds, and acks follow ship
-                    # drains, so survivors held every barrier they
-                    # needed).  Safe point: recover now.
+                    # Every survivor has acked this round or handed it
+                    # back.  The dead shard acked all earlier rounds, and
+                    # acks follow ship drains, so a survivor held every
+                    # barrier it needed — unless a ship of the dead
+                    # shard's was lost and it died owing the resend: that
+                    # survivor reports adv-blocked instead of waiting for
+                    # a barrier only the replacement's re-ships complete.
+                    # Safe point: recover now.
                     done_ticks[crash.shard] = await recover(crash.shard, crash)
+                elif blocked:
+                    raise SimulationError(
+                        f"cluster worker shard(s) {blocked} lost a peer "
+                        f"link in round {round_no}, but no worker died"
+                    )
+                for shard in blocked:
+                    await handles[shard].send(("adv", target))
+                    note_ack(shard, await recv(
+                        handles[shard], "adv-ok",
+                        phase="barrier", round_no=round_no,
+                    ))
                 barriers += 1
                 round_wait = max(
                     0.0, time.perf_counter() - round_start - slowest
@@ -866,10 +805,16 @@ class ClusterSimulator:
                     ConnectionResetError, BrokenPipeError, OSError
                 ):
                     await handle.send(("stop",))
+            # Reap in a thread: an untimed wait blocks in waitpid, whereas
+            # Popen.wait(timeout=) busy-polls with doubling sleeps and
+            # would hold the event loop for a quantised 32 or 64 ms.
+            loop = asyncio.get_running_loop()
             for proc in procs.values():
                 try:
-                    proc.wait(timeout=30)
-                except subprocess.TimeoutExpired:
+                    await asyncio.wait_for(
+                        loop.run_in_executor(None, proc.wait), 30
+                    )
+                except asyncio.TimeoutError:
                     proc.terminate()
         finally:
             await registry.close()
@@ -933,699 +878,3 @@ class ClusterSimulator:
             recoveries=respawns,
             replayed_rounds=replayed_rounds_total,
         )
-
-
-# -- the worker interpreter ------------------------------------------------
-
-
-class _ClusterWorker:
-    """One shard's interpreter: an AsyncSimulator slice behind the fabric.
-
-    Fault machinery riding the fabric:
-
-    * Every outbound ship is logged per (peer shard, round) before any
-      fault or link state can eat it — the log feeds NAK resends and
-      crash-recovery replay.
-    * BARRIER frames carry the round's ship count; receivers tally unique
-      decodable ships per (peer, round) and NAK a shortfall over CONTROL.
-    * ``cut link`` buffers a link's frames in order (ships *and*
-      barriers) and flushes them after a wall-clock hold — pure delay.
-    * ``--chaos`` argv names a crash point; the worker ``os._exit``\\ s
-      there after one stderr line (the coordinator's diagnosis).
-    """
-
-    def __init__(
-        self,
-        shard: int,
-        registry_host: str,
-        registry_port: int,
-        advertise_host: str,
-        chaos: str | None = None,
-    ) -> None:
-        self.shard = shard
-        self.client = RegistryClient(registry_host, registry_port)
-        self.advertise_host = advertise_host
-        self.engine: AsyncSimulator | None = None
-        self.sync = "windowed"
-        self.timeout = 120.0
-        self.peers: tuple[int, ...] = ()
-        self._peer_writers: dict[int, asyncio.StreamWriter] = {}
-        self._peer_server: asyncio.Server | None = None
-        self._pumps: list[asyncio.Task] = []
-        #: Latest barrier round seen per in-peer (-1 = none yet).
-        self._barrier_round: dict[int, int] = {}
-        self._barrier_event = asyncio.Event()
-        #: Inbound frames wait on this: a fast peer can ship round 0
-        #: while this worker is still building its engine, and a BARRIER
-        #: processed before ``_connect_peers`` seeds ``_barrier_round``
-        #: would be overwritten (a lost barrier deadlocks the round
-        #: loop).  TCP buffers the frames until the trial state exists.
-        self._frames_ready = asyncio.Event()
-        self._errors: list[BaseException] = []
-        # Crash fault ("phase" or "phase:round", from --chaos argv).
-        phase, _, round_s = (chaos or "").partition(":")
-        self._crash_phase = phase or None
-        self._crash_round = int(round_s) if round_s else 0
-        #: Outbound ship log: peer shard -> round -> ships in send order.
-        self._ship_log: dict[int, dict[int, list[tuple]]] = {}
-        self._last_ship_round = -1
-        #: Ships already delivered locally, by (src, dst, entry_seq) —
-        #: entry seqs are monotone per channel, so the key is unique and
-        #: replayed/duplicated frames are absorbed exactly once.
-        self._seen: set[tuple[int, int, int]] = set()
-        #: Unique decodable ships received per (peer shard, round).
-        self._recv_counts: dict[tuple[int, int], int] = {}
-        #: Counted barriers whose ships have not all arrived yet.
-        self._pending_barriers: dict[int, deque] = {}
-        self._nakked: set[tuple[int, int]] = set()
-        #: Peers whose link is down (dead worker); recovery rewires them.
-        self._broken_links: set[int] = set()
-        #: peer shard -> (start round, hold seconds) for planned cuts.
-        self._cut_plan: dict[int, tuple[int, float]] = {}
-        #: Active cut buffers (frames withheld, in order).
-        self._cut_buffers: dict[int, list[bytes]] = {}
-        self._cut_tasks: list[asyncio.Task] = []
-        self._ship_faults: list[dict[str, Any]] = []
-        self._stalls: dict[int, float] = {}
-        self._fault_counts: dict[str, int] = {}
-
-    def _count(self, name: str, n: int = 1) -> None:
-        self._fault_counts[name] = self._fault_counts.get(name, 0) + n
-
-    def _maybe_crash(self, phase: str, round_no: int = 0) -> None:
-        if self._crash_phase != phase:
-            return
-        if phase in ("barrier", "round") and round_no != self._crash_round:
-            return
-        at = f"{phase} {round_no}" if round_no else phase
-        print(
-            f"chaos: injected crash at {at} (shard {self.shard})",
-            file=sys.stderr,
-            flush=True,
-        )
-        os._exit(_CHAOS_EXIT)
-
-    async def run(self) -> None:
-        # The peer server opens before registration: the PEERS broadcast
-        # must only ever name live, dialable endpoints.
-        local = self.advertise_host in ("127.0.0.1", "localhost")
-        self._peer_server = await asyncio.start_server(
-            self._accept_peer,
-            host="127.0.0.1" if local else None,
-            port=0,
-        )
-        port = self._peer_server.sockets[0].getsockname()[1]
-        try:
-            self._maybe_crash("rendezvous")
-            peers = await self.client.register(
-                self.shard, self.advertise_host, port, timeout=self.timeout
-            )
-            op, spec = await asyncio.wait_for(
-                self.client.recv(), timeout=self.timeout
-            )
-            if op != "spec":
-                raise SimulationError(f"expected the trial spec, got {op!r}")
-            await self._trial(spec, peers)
-        finally:
-            await self._teardown()
-
-    # -- fabric ----------------------------------------------------------
-
-    async def _dial_peer(
-        self, peer: int, host: str, port: int, *, timeout: float
-    ) -> None:
-        async def dial() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_connection(host, port)
-
-        _reader, writer = await retry_async(
-            dial,
-            backoff=Backoff(initial=0.05, cap=0.5),
-            timeout=timeout,
-            describe=f"peer dial shard {self.shard}->{peer}",
-            on_retry=lambda _delay: self._count("backoff.retries"),
-        )
-        writer.write(wire.encode_hello(self.shard))
-        await writer.drain()
-        self._peer_writers[peer] = writer
-
-    async def _connect_peers(self, peers: dict[int, tuple[str, int]]) -> None:
-        for peer in self.peers:
-            self._barrier_round.setdefault(peer, -1)
-            host, port = peers[peer]
-            try:
-                await self._dial_peer(peer, host, port, timeout=2.0)
-            except (SimulationError, OSError):
-                # The peer died between registering and opening for
-                # business (a peering-phase crash).  Mark the link broken
-                # and carry on: crash recovery rewires it via peer-update
-                # once the replacement is up, and the trial cannot pass
-                # its ready phase until the coordinator has dealt with
-                # the death anyway.
-                self._broken_links.add(peer)
-
-    async def _rewire_peer(self, peer: int, host: str, port: int) -> None:
-        """Point this worker's outbound link at a respawned peer.
-
-        The re-announcement barrier (:data:`wire.BARRIER_SKIP_COUNT`)
-        tells the replacement which rounds this shard already finished,
-        so its replay never waits on barriers that predate it.
-        """
-        old = self._peer_writers.pop(peer, None)
-        if old is not None:
-            old.close()
-        self._broken_links.discard(peer)
-        self._cut_buffers.pop(peer, None)
-        await self._dial_peer(peer, host, port, timeout=self.timeout)
-        writer = self._peer_writers[peer]
-        writer.write(
-            wire.encode_barrier(
-                self.shard, self._last_ship_round, wire.BARRIER_SKIP_COUNT
-            )
-        )
-        await writer.drain()
-
-    async def _accept_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._pumps.append(task)
-        try:
-            kind, payload = await wire.read_frame(reader)
-            if kind != wire.HELLO:
-                raise wire.WireError("peer link did not open with a HELLO frame")
-            src_shard = wire.decode_hello(payload)
-            await self._frames_ready.wait()
-            while True:
-                kind, payload = await wire.read_frame(reader)
-                if kind == wire.SHIP:
-                    try:
-                        src, dst, msg, when, entry_seq, round_no = (
-                            wire.decode_ship(payload)
-                        )
-                    except wire.WireError:
-                        # An injected corruption keeps the framing intact
-                        # but kills the pickle.  Count it and move on:
-                        # the round's barrier count will come up short
-                        # and the NAK path re-ships the message.
-                        self._count("ship.corrupt_received")
-                        continue
-                    key = (src, dst, entry_seq)
-                    if key in self._seen:
-                        self._count("ship.duplicate_dropped")
-                        continue
-                    self._seen.add(key)
-                    self._recv_counts[(src_shard, round_no)] = (
-                        self._recv_counts.get((src_shard, round_no), 0) + 1
-                    )
-                    self._on_ship(src, dst, msg, when, entry_seq)
-                    self._drain_barriers(src_shard)
-                elif kind == wire.BARRIER:
-                    shard, round_no, ships = wire.decode_barrier(payload)
-                    if shard != src_shard:
-                        raise wire.WireError(
-                            f"barrier names shard {shard} on shard "
-                            f"{src_shard}'s link"
-                        )
-                    self._on_barrier(shard, round_no, ships)
-                else:
-                    raise wire.WireError(
-                        f"unexpected frame kind 0x{kind:02x} on a peer link"
-                    )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            asyncio.CancelledError,
-        ):
-            return  # peer closed (or died — recovery rewires), or teardown
-        except Exception as exc:  # noqa: BLE001 - surfaced at the next barrier
-            self._errors.append(exc)
-            self._barrier_event.set()
-        finally:
-            writer.close()
-
-    def _on_barrier(self, peer: int, round_no: int, ships: int) -> None:
-        if ships == wire.BARRIER_SKIP_COUNT:
-            # Link re-announcement after a crash rewire: trust the round
-            # outright and drop any per-round accounting it obsoletes.
-            self._pending_barriers.pop(peer, None)
-            for key in [
-                k for k in self._recv_counts
-                if k[0] == peer and k[1] <= round_no
-            ]:
-                del self._recv_counts[key]
-            if round_no > self._barrier_round.get(peer, -1):
-                self._barrier_round[peer] = round_no
-            self._barrier_event.set()
-            return
-        if round_no <= self._barrier_round.get(peer, -1):
-            # Stale: a replacement re-announcing rounds it replayed (its
-            # re-ships were deduped, so the count would never be met).
-            self._recv_counts.pop((peer, round_no), None)
-            return
-        self._pending_barriers.setdefault(peer, deque()).append(
-            (round_no, ships)
-        )
-        self._drain_barriers(peer)
-
-    def _drain_barriers(self, peer: int) -> None:
-        """Accept pending counted barriers whose ships have all arrived;
-        NAK (once) the first that has not."""
-        pending = self._pending_barriers.get(peer)
-        while pending:
-            round_no, ships = pending[0]
-            if self._recv_counts.get((peer, round_no), 0) < ships:
-                if (peer, round_no) not in self._nakked:
-                    self._nakked.add((peer, round_no))
-                    self._count("ship.nak_sent")
-                    asyncio.ensure_future(
-                        self.client.send(("nak", self.shard, peer, round_no))
-                    )
-                return
-            pending.popleft()
-            self._recv_counts.pop((peer, round_no), None)
-            if round_no > self._barrier_round.get(peer, -1):
-                self._barrier_round[peer] = round_no
-            self._barrier_event.set()
-
-    def _on_ship(
-        self, src: int, dst: int, msg: Any, when: int, entry_seq: int
-    ) -> None:
-        engine = self.engine
-        assert engine is not None
-        if self.sync == "freerun":
-            # Best-effort: a late frame lands in the receiver's local
-            # future instead of violating the clock.  TCP keeps each
-            # link FIFO and the clamp is monotone, so per-channel
-            # delivery order still holds.
-            when = max(when, engine.now + 1)
-        # In windowed mode the protocol guarantees `when` lies beyond the
-        # current window; Scheduler.post_at's past-time check stays active
-        # as a causality assertion.
-        engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
-
-    # -- outbound faults --------------------------------------------------
-
-    def _frames_for_ship(self, ship: tuple, round_no: int) -> list[bytes]:
-        """Encode one ship, applying the first matching budgeted fault."""
-        src, dst, msg, when, entry_seq = ship
-        frame = wire.encode_ship(src, dst, msg, when, entry_seq, round_no)
-        for fault in self._ship_faults:
-            if fault["left"] <= 0:
-                continue
-            if fault["src"] is not None and src != fault["src"]:
-                continue
-            if fault["dst"] is not None and dst != fault["dst"]:
-                continue
-            rounds = fault["rounds"]
-            if rounds is not None and not rounds[0] <= round_no <= rounds[1]:
-                continue
-            fault["left"] -= 1
-            action = fault["action"]
-            self._count(f"fault.injected.{action}")
-            if action == "drop":
-                return []
-            if action == "duplicate":
-                return [frame, frame]
-            return [wire.truncate_frame(frame)]
-        return [frame]
-
-    def _outbound_sink(self, peer: int, round_no: int) -> list[bytes] | None:
-        """The link's cut buffer, activating a planned cut on first use."""
-        plan = self._cut_plan.get(peer)
-        if plan is not None and round_no >= plan[0]:
-            del self._cut_plan[peer]
-            buffer: list[bytes] = []
-            self._cut_buffers[peer] = buffer
-            self._count("fault.injected.cut")
-            self._cut_tasks.append(
-                asyncio.ensure_future(self._heal_cut(peer, plan[1]))
-            )
-            return buffer
-        return self._cut_buffers.get(peer)
-
-    async def _heal_cut(self, peer: int, seconds: float) -> None:
-        await asyncio.sleep(seconds)
-        # Pop before the first await below so concurrent writes go direct.
-        buffer = self._cut_buffers.pop(peer, None)
-        if not buffer or peer in self._broken_links:
-            return
-        writer = self._peer_writers.get(peer)
-        if writer is None:
-            return
-        try:
-            for frame in buffer:
-                writer.write(frame)
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            self._broken_links.add(peer)
-
-    def _write_frames(
-        self, peer: int, frames: list[bytes], round_no: int
-    ) -> None:
-        if not frames or peer in self._broken_links:
-            return
-        sink = self._outbound_sink(peer, round_no)
-        if sink is not None:
-            sink.extend(frames)
-            return
-        writer = self._peer_writers.get(peer)
-        if writer is None:
-            self._broken_links.add(peer)
-            return
-        try:
-            for frame in frames:
-                writer.write(frame)
-        except (ConnectionResetError, OSError):
-            self._broken_links.add(peer)
-
-    async def _drain_peers(self) -> None:
-        for peer, writer in list(self._peer_writers.items()):
-            if peer in self._broken_links:
-                continue
-            try:
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                self._broken_links.add(peer)
-
-    async def _ship_round(self, round_no: int) -> None:
-        """Ship the round's outbox, then a counted barrier per peer link.
-
-        Every ship is logged *before* faults or link state apply — the
-        log is the ground truth NAK resends and crash replay draw from,
-        and the barrier count states what the log holds, not what the
-        wire saw.
-        """
-        engine = self.engine
-        assert engine is not None
-        shard_of = self.partition.shard_of
-        counts: dict[int, int] = {}
-        for ship in engine.drain_outbox():
-            peer = shard_of[ship[1]]
-            self._ship_log.setdefault(peer, {}).setdefault(
-                round_no, []
-            ).append(ship)
-            counts[peer] = counts.get(peer, 0) + 1
-            self._write_frames(
-                peer, self._frames_for_ship(ship, round_no), round_no
-            )
-        for peer in self.peers:
-            self._write_frames(
-                peer,
-                [wire.encode_barrier(self.shard, round_no, counts.get(peer, 0))],
-                round_no,
-            )
-        self._last_ship_round = round_no
-        await self._drain_peers()
-
-    async def _resend_round(self, dst_shard: int, round_no: int) -> None:
-        """Re-ship a logged round verbatim (NAK response).  No faults
-        apply — their budgets were spent on the first pass — and the
-        receiver's dedup absorbs whatever did arrive the first time."""
-        entries = self._ship_log.get(dst_shard, {}).get(round_no, [])
-        frames = [
-            wire.encode_ship(src, dst, msg, when, entry_seq, round_no)
-            for src, dst, msg, when, entry_seq in entries
-        ]
-        if frames:
-            self._count("ship.resent", len(frames))
-        self._write_frames(dst_shard, frames, round_no)
-        await self._drain_peers()
-
-    async def _await_barriers(self, round_no: int) -> None:
-        """Block until every in-peer has announced ``round_no``."""
-        while True:
-            if self._errors:
-                raise SimulationError(
-                    f"peer link failed: {self._errors[0]}"
-                ) from self._errors[0]
-            if all(r >= round_no for r in self._barrier_round.values()):
-                return
-            self._barrier_event.clear()
-            try:
-                await asyncio.wait_for(
-                    self._barrier_event.wait(), timeout=self.timeout
-                )
-            except asyncio.TimeoutError:
-                lagging = sorted(
-                    peer
-                    for peer, r in self._barrier_round.items()
-                    if r < round_no
-                )
-                raise SimulationError(
-                    f"shard {self.shard} waited {self.timeout:.0f}s for "
-                    f"barrier {round_no} from peers {lagging}"
-                ) from None
-
-    # -- the trial -------------------------------------------------------
-
-    def _load_faults(self, faults: dict[str, Any] | None) -> None:
-        if not faults:
-            return
-        for dst, start, seconds in faults.get("cuts", ()):
-            self._cut_plan[dst] = (start, seconds)
-        for action, src, dst, rounds, count in faults.get("ships", ()):
-            self._ship_faults.append(
-                {
-                    "action": action,
-                    "src": src,
-                    "dst": dst,
-                    "rounds": rounds,
-                    "left": count,
-                }
-            )
-        for round_no, seconds in faults.get("stalls", ()):
-            self._stalls[round_no] = self._stalls.get(round_no, 0.0) + seconds
-
-    async def _trial(
-        self, spec: dict[str, Any], peers: dict[int, tuple[str, int]]
-    ) -> None:
-        self.sync = spec["sync"]
-        self.timeout = spec.get("timeout", self.timeout)
-        self._load_faults(spec.get("faults"))
-        replay = spec.get("replay")
-        shards = spec["shards"]
-        shard_pids = shards[self.shard]
-        self.partition = Partition(topology=spec["topology"], shards=shards)
-        self.peers = self.partition.peer_shards(self.shard)
-        engine = AsyncSimulator(
-            build=build_protocol(spec["protocol"]),
-            topology=spec["topology"],
-            hosts_for=shard_pids,
-            transport="loopback",
-            seed=spec["seed"],
-            capacity=spec["capacity"],
-            latency=spec["latency"],
-            loss=spec["loss"],
-            activation_period=spec["activation_period"],
-            activation_jitter=spec["activation_jitter"],
-        )
-        trace = _KeyedTrace(engine.scheduler)
-        engine.trace = trace
-        self.engine = engine
-        self._maybe_crash("peering")
-        await self._connect_peers(peers)
-        self._frames_ready.set()
-        engine.start_actors()
-        try:
-            injected, proc_len, chan_len = scramble_shard(
-                engine, trace, spec["scramble_seed"], spec["fill_channels"]
-            )
-            driver_cfg = spec["driver"]
-            driver: RequestDriver | None = None
-            if driver_cfg is not None:
-                cfg = dict(driver_cfg)
-                fmt = cfg.pop("payload_fmt", None)
-                if fmt is not None:
-                    cfg["payload"] = payload_from_fmt(fmt)
-                driver = RequestDriver(engine, pids=shard_pids, **cfg)
-            clock = engine.scheduler
-            round_no = 0
-            if replay is not None:
-                # Crash-recovery replay: the first incarnation's
-                # cross-shard inputs arrive via the spec (the survivors'
-                # ship logs), not the wire — its own dead sockets took
-                # the live copies with it.  Seed the dedup set so any
-                # frames that *do* straggle in are dropped, inject the
-                # logged ships, then re-execute the same advance targets.
-                # Determinism (per-entity RNG streams, canonical
-                # scheduler keys, sender-computed delivery times) makes
-                # the re-execution — including its outbound ships —
-                # byte-identical to the lost one.
-                for _rnd, ship in replay["ships"]:
-                    src, dst, msg, when, entry_seq = ship
-                    key = (src, dst, entry_seq)
-                    if key in self._seen:
-                        continue
-                    self._seen.add(key)
-                    engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
-                await self._ship_round(0)
-                for target in replay["targets"]:
-                    round_no += 1
-                    if self.sync == "windowed":
-                        await self._await_barriers(round_no - 1)
-                    await clock.drive(target, engine._route)
-                    engine._raise_net_errors()
-                    await self._ship_round(round_no)
-                done_at = driver.done_at if driver is not None else 0
-                await self.client.send(("ready", injected, done_at))
-            else:
-                # Round 0: the scramble's cross-shard injections ship
-                # before the coordinator ever advances anyone — by the
-                # time a peer passes its round-0 barrier wait, these are
-                # in its heap.
-                await self._ship_round(0)
-                await self.client.send(("ready", injected))
-            obs: ObsRecorder | None = None
-            if spec.get("obs"):
-                # Coordinator lane is pid 0; worker lanes follow shard order.
-                obs = ObsRecorder(
-                    pid=self.shard + 1, name=f"shard{self.shard}"
-                )
-            while True:
-                message = await asyncio.wait_for(
-                    self.client.recv(), timeout=self.timeout
-                )
-                op = message[0]
-                if op == "adv":
-                    _, target = message
-                    round_no += 1
-                    self._maybe_crash("barrier", round_no)
-                    if self.sync == "windowed":
-                        if obs is not None:
-                            w0 = wall()
-                            await self._await_barriers(round_no - 1)
-                            w1 = wall()
-                            obs.spans.record(
-                                "barrier_wait", "round", w0, w1,
-                                args={"round": round_no - 1},
-                            )
-                            obs.metrics.observe(
-                                "sync.barrier_wait_s", w1 - w0
-                            )
-                        else:
-                            await self._await_barriers(round_no - 1)
-                    w0 = wall() if obs is not None else 0.0
-                    t0 = time.perf_counter()
-                    await clock.drive(target, engine._route)
-                    compute_s = time.perf_counter() - t0
-                    if obs is not None:
-                        obs.record_round(
-                            "compute", w0, wall(),
-                            round=round_no, target=target,
-                        )
-                    engine._raise_net_errors()
-                    if self._errors:
-                        raise SimulationError(
-                            f"peer link failed: {self._errors[0]}"
-                        ) from self._errors[0]
-                    self._maybe_crash("round", round_no)
-                    await self._ship_round(round_no)
-                    stall = self._stalls.pop(round_no, None)
-                    if stall:
-                        self._count("fault.injected.stall")
-                        await asyncio.sleep(stall)
-                    done_at = driver.done_at if driver is not None else 0
-                    await self.client.send(("adv-ok", done_at, compute_s))
-                elif op == "resend":
-                    _, nak_from, nak_round = message
-                    await self._resend_round(nak_from, nak_round)
-                elif op == "peer-update":
-                    _, peer, host, port = message
-                    await self._rewire_peer(peer, host, port)
-                    await self.client.send(("peer-ok",))
-                elif op == "ship-log":
-                    _, target_shard = message
-                    log = self._ship_log.get(target_shard, {})
-                    entries = [
-                        (rnd, ship)
-                        for rnd in sorted(log)
-                        for ship in log[rnd]
-                    ]
-                    await self.client.send(("ship-log", entries))
-                elif op == "result":
-                    if self.client.dial_retries:
-                        self._count("backoff.retries", self.client.dial_retries)
-                    if obs is not None:
-                        # Fresh interpreter: absolute wire counts are this
-                        # trial's (no baseline needed).
-                        obs.collect_wire()
-                        for name, n in self._fault_counts.items():
-                            obs.metrics.inc(name, n)
-                    tag = driver_cfg["tag"] if driver_cfg else None
-                    payload = shard_result_payload(
-                        engine, trace, proc_len, chan_len,
-                        shard_pids, driver, tag, obs=obs,
-                    )
-                    if self._fault_counts:
-                        payload["fault_counts"] = dict(self._fault_counts)
-                    await self.client.send(("result", payload))
-                elif op == "stop":
-                    return
-                else:
-                    raise SimulationError(
-                        f"unknown coordinator op {op!r}"
-                    )
-        finally:
-            await engine._teardown()
-
-    async def _teardown(self) -> None:
-        for task in self._cut_tasks:
-            task.cancel()
-        if self._cut_tasks:
-            await asyncio.gather(*self._cut_tasks, return_exceptions=True)
-        for writer in self._peer_writers.values():
-            writer.close()
-        for pump in self._pumps:
-            pump.cancel()
-        if self._pumps:
-            await asyncio.gather(*self._pumps, return_exceptions=True)
-        if self._peer_server is not None:
-            self._peer_server.close()
-            await self._peer_server.wait_closed()
-        self.client.close()
-
-
-async def _worker_async(
-    shard: int,
-    registry_host: str,
-    registry_port: int,
-    advertise_host: str,
-    chaos: str | None,
-) -> int:
-    worker = _ClusterWorker(
-        shard, registry_host, registry_port, advertise_host, chaos
-    )
-    try:
-        await worker.run()
-        return 0
-    except Exception:  # noqa: BLE001 - forwarded to the coordinator
-        import traceback
-
-        tb = traceback.format_exc()
-        try:
-            await worker.client.send(("error", tb))
-        except Exception:  # noqa: BLE001 - coordinator may be gone
-            print(tb, file=sys.stderr)
-        return 1
-
-
-def run_cluster_worker(
-    registry: str,
-    shard: int,
-    advertise_host: str = "127.0.0.1",
-    chaos: str | None = None,
-) -> int:
-    """Entry point of ``repro cluster-worker``: serve one shard.
-
-    ``registry`` is the coordinator's rendezvous address (``host:port``);
-    ``advertise_host`` is the address *peers* should dial this worker on —
-    set it to this machine's reachable address when launching on a remote
-    host.  ``chaos`` is an injected crash-fault token (``phase`` or
-    ``phase:round``) the coordinator threads through argv.  Returns a
-    process exit code.
-    """
-    host, port = parse_hostport(registry)
-    if shard < 0:
-        raise SimulationError(f"shard must be >= 0, got {shard}")
-    return asyncio.run(_worker_async(shard, host, port, advertise_host, chaos))

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Coroutine, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Sequence
 
-from repro.chaos.plan import FaultPlan
 from repro.core.requests import CompletedRequest, RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
@@ -59,11 +58,14 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
 from repro.types import RequestState
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.plan import FaultPlan
+
 __all__ = ["AsyncSimulator", "NetRunResult", "ProcessActor", "TRANSPORTS"]
 
-#: Registered transport names (importing repro.net.transport registered
-#: the built-in media).  Kept as a module attribute for backward compat;
-#: new media registered later naturally appear via transport_names().
+#: Transport names known when this module was imported (the built-in
+#: table plus media registered by then).  Kept as a module attribute for
+#: backward compat; media registered later appear via transport_names().
 TRANSPORTS = transport_names()
 
 #: Default wall-clock tick length for the paced transports: 1 ms, so the
@@ -179,10 +181,11 @@ class AsyncSimulator(Simulator):
             raise SimulationError(
                 "'auto' is not configurable on the async engine"
             )
-        # ``hosts_for`` *is* allowed: a cluster worker (repro.net.cluster)
-        # hosts one shard's slice of the system on this engine — sends to
-        # non-hosted pids fall through to the base engine's cross-shard
-        # outbox, which the worker ships over the socket fabric.
+        # ``hosts_for`` *is* allowed: a cluster worker
+        # (repro.net.cluster_worker) hosts one shard's slice of the system
+        # on this engine — sends to non-hosted pids fall through to the
+        # base engine's cross-shard outbox, which the worker ships over
+        # the socket fabric.
         self.transport = transport
         self.tick = tick
         # Read by _make_scheduler/_make_trace during super().__init__.
@@ -202,6 +205,10 @@ class AsyncSimulator(Simulator):
         # a framed transport.  Crash/cut/stall faults need the cluster
         # runtime.
         if isinstance(fault_plan, str):
+            # Cluster workers host this engine fault-free: the parser is
+            # imported by the trials that hand over plan text.
+            from repro.chaos.plan import FaultPlan
+
             fault_plan = FaultPlan.parse(fault_plan)
         if fault_plan is not None:
             fault_plan.validate_for_async(transport)

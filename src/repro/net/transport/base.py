@@ -20,14 +20,16 @@ determinism/pacing/framing contract, and the factories the engine calls —
 so the :class:`~repro.net.engine.AsyncSimulator` (and the chaos plan
 validator, and the async backend's capability set) never name a medium:
 they read the declared flags.  Adding a transport is one leaf module that
-calls :func:`register_transport`; see :mod:`repro.net.transport.udp` for
-the worked example.
+calls :func:`register_transport` (a built-in one also gets its line in
+:data:`BUILTIN`, so it is imported only when named); see
+:mod:`repro.net.transport.udp` for the worked example.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SpecError
@@ -37,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.engine import AsyncSimulator
 
 __all__ = [
+    "BUILTIN",
     "Transport",
     "TransportKind",
     "register_transport",
@@ -89,15 +92,30 @@ class TransportKind:
     summary: str = ""
 
 
+#: Built-in media: name → the leaf module that registers it.  A module
+#: is imported when its name is first resolved, never before — a
+#: loopback trial loads no socket fabric.
+BUILTIN: dict[str, str] = {
+    "loopback": "repro.net.transport.loopback",
+    "tcp": "repro.net.transport.tcp",
+    "udp": "repro.net.transport.udp",
+}
+
 _KINDS: dict[str, TransportKind] = {}
 
 
+def _load_builtin(name: str) -> None:
+    if name in BUILTIN and name not in _KINDS:
+        import_module(BUILTIN[name])
+
+
 def register_transport(kind: TransportKind) -> TransportKind:
-    """Register a channel medium under its name (flat namespace; a
-    collision is an error — two media answering ``transport=x`` would
-    make provenance ambiguous)."""
+    """Register a channel medium under its name (flat namespace shared
+    with the built-ins; a collision is an error — two media answering
+    ``transport=x`` would make provenance ambiguous)."""
     if not kind.name:
         raise SpecError("transport declares no name", field="transport")
+    _load_builtin(kind.name)  # no-op while that built-in itself registers
     if kind.name in _KINDS:
         raise SpecError(
             f"transport name {kind.name!r} is already registered",
@@ -109,6 +127,7 @@ def register_transport(kind: TransportKind) -> TransportKind:
 def resolve_transport(name: str) -> TransportKind:
     """The medium answering ``transport=name``; :class:`SpecError` if
     none is registered under that name."""
+    _load_builtin(name)
     try:
         return _KINDS[name]
     except KeyError:
@@ -118,5 +137,6 @@ def resolve_transport(name: str) -> TransportKind:
 
 
 def transport_names() -> tuple[str, ...]:
-    """Registered transport names, sorted (CLI choices, capability sets)."""
-    return tuple(sorted(_KINDS))
+    """Built-in and registered transport names, sorted (CLI choices,
+    capability sets); imports no medium."""
+    return tuple(sorted(BUILTIN.keys() | _KINDS.keys()))

@@ -47,11 +47,14 @@ peers.
 
 from __future__ import annotations
 
-import asyncio
 import pickle
 import struct
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -17,20 +17,25 @@ and worker payloads ride the existing result channel (pipe or pickled
 CONTROL frame) back to the coordinator for merging.
 """
 
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetrics,
-)
-from repro.obs.recorder import (
-    ObsRecorder,
-    summarize_obs_file,
-)
-from repro.obs.spans import (
-    SpanRecorder,
-    chrome_trace,
-    validate_chrome_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
+    from repro.obs.metrics import (
+        NULL_METRICS,
+        MetricsRegistry,
+        NullMetrics,
+    )
+    from repro.obs.recorder import (
+        ObsRecorder,
+        summarize_obs_file,
+    )
+    from repro.obs.spans import (
+        SpanRecorder,
+        chrome_trace,
+        validate_chrome_trace,
+    )
 
 __all__ = [
     "NULL_METRICS",
@@ -42,3 +47,9 @@ __all__ = [
     "summarize_obs_file",
     "validate_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": ("NULL_METRICS", "MetricsRegistry", "NullMetrics"),
+    "recorder": ("ObsRecorder", "summarize_obs_file"),
+    "spans": ("SpanRecorder", "chrome_trace", "validate_chrome_trace"),
+})

@@ -16,6 +16,7 @@ outside the draw paths (the same contract provenance already obeys).
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,11 +31,11 @@ COORDINATOR_PID = 0
 
 
 def _wire_snapshot() -> dict:
-    # Imported lazily so the sim layer can build worker recorders
-    # without paying for (or depending on) the net layer.
-    from repro.net import wire
-
-    return wire.STATS.snapshot()
+    # Looked up, never imported: the sim layer builds recorders without
+    # depending on the net layer, and a process that has not loaded the
+    # wire module has framed nothing.
+    wire = sys.modules.get("repro.net.wire")
+    return wire.STATS.snapshot() if wire is not None else {}
 
 
 class ObsRecorder:

@@ -13,46 +13,51 @@ Public surface:
 * traces (:mod:`repro.sim.trace`) and stats (:mod:`repro.sim.stats`).
 """
 
-from repro.sim.channel import (
-    BernoulliLoss,
-    BoundedChannel,
-    DropFirstK,
-    LossModel,
-    NoLoss,
-    UnboundedChannel,
-)
-from repro.sim.faults import (
-    GilbertElliottLoss,
-    HeaderCorruption,
-    PeriodicLoss,
-    TargetedLoss,
-)
-from repro.sim.configuration import (
-    AbstractConfiguration,
-    Configuration,
-    capture,
-    capture_abstract,
-    restore,
-    sequence_projection,
-    state_projection,
-)
-from repro.sim.network import Network
-from repro.sim.process import Action, Layer, ProcessHost
-from repro.sim.runtime import Simulator
-from repro.sim.scheduler import Scheduler
-from repro.sim.stats import SimStats
-from repro.sim.topology import (
-    Clustered,
-    Complete,
-    Grid2D,
-    RandomGnp,
-    Ring,
-    Star,
-    Topology,
-    arbitration_clusters,
-    topology_from_spec,
-)
-from repro.sim.trace import EventKind, Trace, TraceEvent
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
+    from repro.sim.channel import (
+        BernoulliLoss,
+        BoundedChannel,
+        DropFirstK,
+        LossModel,
+        NoLoss,
+        UnboundedChannel,
+    )
+    from repro.sim.faults import (
+        GilbertElliottLoss,
+        HeaderCorruption,
+        PeriodicLoss,
+        TargetedLoss,
+    )
+    from repro.sim.configuration import (
+        AbstractConfiguration,
+        Configuration,
+        capture,
+        capture_abstract,
+        restore,
+        sequence_projection,
+        state_projection,
+    )
+    from repro.sim.network import Network
+    from repro.sim.process import Action, Layer, ProcessHost
+    from repro.sim.runtime import Simulator
+    from repro.sim.scheduler import Scheduler
+    from repro.sim.stats import SimStats
+    from repro.sim.topology import (
+        Clustered,
+        Complete,
+        Grid2D,
+        RandomGnp,
+        Ring,
+        Star,
+        Topology,
+        arbitration_clusters,
+        topology_from_spec,
+    )
+    from repro.sim.trace import EventKind, Trace, TraceEvent
 
 __all__ = [
     "Action",
@@ -92,3 +97,29 @@ __all__ = [
     "state_projection",
     "topology_from_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "channel": (
+        "BernoulliLoss", "BoundedChannel", "DropFirstK", "LossModel", "NoLoss",
+        "UnboundedChannel",
+    ),
+    "faults": (
+        "GilbertElliottLoss", "HeaderCorruption", "PeriodicLoss",
+        "TargetedLoss",
+    ),
+    "configuration": (
+        "AbstractConfiguration", "Configuration", "capture",
+        "capture_abstract", "restore", "sequence_projection",
+        "state_projection",
+    ),
+    "network": ("Network",),
+    "process": ("Action", "Layer", "ProcessHost"),
+    "runtime": ("Simulator",),
+    "scheduler": ("Scheduler",),
+    "stats": ("SimStats",),
+    "topology": (
+        "Clustered", "Complete", "Grid2D", "RandomGnp", "Ring", "Star",
+        "Topology", "arbitration_clusters", "topology_from_spec",
+    ),
+    "trace": ("EventKind", "Trace", "TraceEvent"),
+})

@@ -41,7 +41,6 @@ shards; :class:`ShardedSimulator` validates and refuses those up front.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -325,11 +324,17 @@ class ShardedSimulator:
             raise SimulationError(
                 f"latency bounds must satisfy 1 <= lo <= hi, got {latency}"
             )
-        if "fork" not in multiprocessing.get_all_start_methods():
+        # Imported here, not at module scope: cluster worker interpreters
+        # import this module for the shard/merge helpers and never fork.
+        import multiprocessing
+
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:
             raise SimulationError(
                 "the sharded engine needs the 'fork' start method (workers "
                 "inherit build closures); this platform does not provide it"
-            )
+            ) from None
         self.topology = topology
         self.partition = partition_topology(topology, shards)
         #: The engine's conservative lookahead: the minimum latency lower
@@ -401,9 +406,9 @@ class ShardedSimulator:
             raise SimulationError(
                 f"drain ({drain}) must be >= window ({self.window})"
             )
-        ctx = multiprocessing.get_context("fork")
+        ctx = self._ctx
         shard_of = self.partition.shard_of
-        workers: list[multiprocessing.Process] = []
+        workers: list[Any] = []
         conns = []
         try:
             for shard_index, shard_pids in enumerate(self.partition.shards):

@@ -335,6 +335,22 @@ def test_crash_plus_link_cut_compose():
     assert trial.provenance["recoveries"] == 1
 
 
+def test_crash_of_a_worker_owing_a_resend_recovers():
+    """The crashed worker dies before answering the NAK for a ship it
+    dropped, so the survivor's barrier can only be completed by the
+    replacement's re-ships: the survivor hands the round back
+    (``adv-blocked``) instead of waiting out the worker timeout."""
+    serial = _serial(0)
+    trial = run_pif_trial(
+        6, seed=0, engine="cluster", hosts=2,
+        fault_plan="crash worker 0 at round 1; drop ship from 1 count 2",
+    )
+    assert trial.ok
+    assert trial.measurements == serial.measurements
+    assert trial.provenance["recoveries"] == 1
+    assert trial.provenance["fault_counts"]["ship.nak_sent"] == 1
+
+
 def test_fault_free_plan_machinery_keeps_canonical_hash():
     """An *empty* fault plan arms the chaos machinery (dedup sets,
     tolerant pumps) without injecting anything: the trace hash must not
@@ -375,7 +391,7 @@ def test_async_tcp_ship_faults_count_and_monitors_hold():
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -406,6 +422,9 @@ def fault_schedules(draw) -> str:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(plan_text=fault_schedules(), seed=st.integers(min_value=0, max_value=3))
+# Found by this test: crash + unanswered NAK deadlocked until PR 14.
+@example(plan_text="crash worker 0 at round 1\ndrop ship from 1 count 2", seed=1)
+@example(plan_text="crash worker 0 at round 1\ndrop ship from 3 count 2", seed=0)
 def test_fault_schedule_fuzz_preserves_serial_identity(plan_text, seed):
     serial = _serial(seed)
     trial = run_pif_trial(6, seed=seed, engine="cluster", hosts=2,

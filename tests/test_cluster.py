@@ -14,13 +14,9 @@ import pytest
 
 from repro.analysis.runner import execute_trial, run_mutex_trial, run_pif_trial
 from repro.core.pif import PifLayer
+from repro.core.protocols import build_protocol, payload_from_fmt
 from repro.errors import SimulationError
-from repro.net.cluster import (
-    ClusterSimulator,
-    build_protocol,
-    parse_hostport,
-    payload_from_fmt,
-)
+from repro.net.cluster import ClusterSimulator, parse_hostport
 from repro.sim.partition import partition_topology
 from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash

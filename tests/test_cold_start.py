@@ -1,0 +1,111 @@
+"""Cold start: a process imports only what its trial uses.
+
+Checked by module set, not by stopwatch: each case runs a snippet in a
+fresh interpreter and reads back ``sys.modules``.  A name in a ``HEAVY``
+list stands for itself and everything under it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _loaded_after(snippet: str) -> set[str]:
+    """Run ``snippet`` in a fresh interpreter; the modules it left loaded."""
+    code = snippet + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _present(loaded: set[str], names: tuple[str, ...]) -> list[str]:
+    return sorted(
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".") for name in names)
+    )
+
+
+def test_import_repro_loads_only_leaves():
+    loaded = _loaded_after("import repro")
+    ours = {m for m in loaded if m == "repro" or m.startswith("repro.")}
+    assert ours <= {"repro", "repro._lazy", "repro.errors", "repro.types"}
+    # ...and from that cold state the whole surface is one attribute away.
+    loaded = _loaded_after(
+        "import repro\n"
+        "assert repro.sim.Simulator.__module__ == 'repro.sim.runtime'\n"
+        "assert repro.net.ClusterSimulator.__module__ == 'repro.net.cluster'\n"
+        "assert repro.PifLayer is repro.core.pif.PifLayer\n"
+    )
+    assert "repro.net.cluster" in loaded
+
+
+_SERIAL_HEAVY = (
+    "asyncio", "ssl", "multiprocessing", "repro.net.cluster",
+    "repro.net.engine", "repro.sim.sharded", "repro.analysis.experiments",
+    "repro.analysis.ablations", "repro.baselines", "repro.applications",
+    "repro.impossibility", "repro.viz",
+)
+
+
+def test_serial_trial_process_loads_no_other_engine():
+    trial = ("import repro.engine, repro.analysis.runner\n"
+             "repro.engine.resolve('serial')\n")
+    assert _present(_loaded_after(trial), _SERIAL_HEAVY) == []
+    sharded = _loaded_after(trial + "repro.engine.resolve('sharded')\n")
+    assert "repro.sim.sharded" in sharded
+    assert _present(sharded, ("asyncio", "ssl", "repro.net.cluster")) == []
+
+
+def test_cluster_worker_boot_imports_only_the_worker_closure():
+    # Everything ``python -m repro cluster-worker`` imports before
+    # run_cluster_worker takes over (the stub stands in for serving).
+    loaded = _loaded_after(
+        "import repro.net.cluster_worker\n"
+        "repro.net.cluster_worker.run_cluster_worker = lambda *a, **k: 0\n"
+        "from repro.cli import main\n"
+        "assert main(['cluster-worker', '--registry', '127.0.0.1:9',\n"
+        "             '--shard', '0']) == 0\n"
+    )
+    assert "repro.net.cluster_worker" in loaded
+    assert _present(loaded, (
+        "repro.net.cluster", "repro.chaos.plan",
+        "repro.analysis", "repro.engine", "repro.spec", "repro.applications",
+        "repro.baselines", "repro.impossibility", "multiprocessing",
+        "tempfile", "repro.net.transport.tcp", "repro.net.transport.udp",
+    )) == []
+
+
+def test_registry_names_import_nothing_and_see_plugins():
+    loaded = _loaded_after(
+        "from repro.engine import EngineBackend, engine_names, register\n"
+        "from repro.net.transport import (\n"
+        "    TransportKind, register_transport, transport_names)\n"
+        "assert engine_names() == ('async', 'cluster', 'serial', 'sharded')\n"
+        "assert transport_names() == ('loopback', 'tcp', 'udp')\n"
+        "class Plugin(EngineBackend):\n"
+        "    name = 'plugin'\n"
+        "    capabilities = prepare = run = None\n"
+        "register(Plugin())\n"
+        "register_transport(TransportKind(\n"
+        "    name='pigeon', deterministic=False, paced=True,\n"
+        "    frame_boundary=False, channel_factory=None))\n"
+        "assert 'plugin' in engine_names(), engine_names()\n"
+        "assert 'pigeon' in transport_names(), transport_names()\n"
+    )
+    assert _present(loaded, (
+        "repro.engine.backends.serial", "repro.engine.backends.sharded",
+        "repro.engine.backends.async_", "repro.engine.backends.cluster",
+        "repro.net.transport.loopback", "repro.net.transport.tcp",
+        "repro.net.transport.udp", "repro.net.engine", "repro.sim.sharded",
+        "asyncio",
+    )) == []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -20,24 +23,35 @@ from repro.types import RequestState
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "1.0.0"
+        # Written once, in repro/__init__.py; pyproject reads it from there.
+        assert repro.__version__ == "0.7.0"
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        assert 'version = {attr = "repro.__version__"}' in text
+        assert "\nversion = \"" not in text
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
     def test_subpackage_exports_resolve(self):
-        import repro.analysis
-        import repro.applications
-        import repro.baselines
-        import repro.core
-        import repro.sim
-        import repro.spec
-
-        for module in (repro.analysis, repro.applications, repro.baselines,
-                       repro.core, repro.sim, repro.spec):
+        """The lazy package surfaces (repro._lazy) offer exactly what the
+        eager ones did: every ``__all__`` name resolves, is listed by
+        ``dir``, survives a star import, and a miss is AttributeError."""
+        for package in ("repro", "repro.analysis", "repro.applications",
+                        "repro.baselines", "repro.chaos", "repro.core",
+                        "repro.engine", "repro.net", "repro.net.transport",
+                        "repro.obs", "repro.sim", "repro.spec"):
+            module = importlib.import_module(package)
+            listed = dir(module)
             for name in module.__all__:
-                assert hasattr(module, name), f"{module.__name__}.{name}"
+                assert hasattr(module, name), f"{package}.{name}"
+                assert name in listed, f"dir({package}) misses {name}"
+            namespace: dict = {}
+            exec(f"from {package} import *", namespace)
+            assert set(module.__all__) <= set(namespace), package
+            with pytest.raises(AttributeError):
+                module.no_such_name
 
 
 class TestErrors:
