@@ -10,6 +10,7 @@ from conftest import report
 
 from repro.analysis.runner import run_idl_trial
 from repro.analysis.tables import render_table
+from repro.engine import TrialSpec
 
 
 def run_experiment():
@@ -18,12 +19,13 @@ def run_experiment():
         for loss in (0.0, 0.2):
             for seed in (0, 1, 2):
                 trials.append(
-                    run_idl_trial(n, seed=seed, loss=loss, requests_per_process=2)
+                    run_idl_trial(TrialSpec(n=n, seed=seed, loss=loss))
                 )
     # Non-pid identities: leadership must follow identities.
     trials.append(
         run_idl_trial(
-            3, seed=7, idents={1: 300, 2: 10, 3: 200}, requests_per_process=1
+            TrialSpec(n=3, seed=7), idents={1: 300, 2: 10, 3: 200},
+            requests_per_process=1,
         )
     )
     return trials

@@ -20,6 +20,7 @@ from conftest import report
 
 from repro.analysis.experiments import run_topology_matrix
 from repro.analysis.tables import render_table
+from repro.engine import TrialSpec
 
 TOPOLOGIES = ["complete", "ring", "star", "grid", "gnp:0.35", "clustered:2",
               "wan:2"]
@@ -29,13 +30,14 @@ SEEDS = [0, 1, 2]
 
 def run_pif_matrix():
     return run_topology_matrix(
-        n=8, topologies=TOPOLOGIES, losses=LOSSES, seeds=SEEDS, protocol="pif"
+        TrialSpec(n=8), topologies=TOPOLOGIES, losses=LOSSES, seeds=SEEDS,
+        protocol="pif",
     )
 
 
 def run_mutex_matrix():
     return run_topology_matrix(
-        n=6, topologies=["complete", "ring", "star", "clustered:2", "wan:2"],
+        TrialSpec(n=6), topologies=["complete", "ring", "star", "clustered:2", "wan:2"],
         losses=[0.0, 0.1], seeds=[0, 1], protocol="mutex",
     )
 

@@ -33,115 +33,60 @@ import sys
 import time
 from dataclasses import replace
 
+from equivalence import bit_identity, compare_metrics, finish, pif_probe, report
+
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.core.pif import PifLayer
 from repro.engine import TransportOpts, TrialSpec, execute
-from repro.sim.trace import canonical_trace_hash
+
+_ASYNC = dict(engine="async")
 
 CASES = [
     ("E3 pif  complete   n=16", run_pif_trial,
-     TrialSpec(n=16, topology=None, seed=0, loss=0.1)),
+     TrialSpec(n=16, topology=None, seed=0, loss=0.1), _ASYNC),
     ("E3 pif  ring       n=16", run_pif_trial,
-     TrialSpec(n=16, topology="ring", seed=0, loss=0.1)),
+     TrialSpec(n=16, topology="ring", seed=0, loss=0.1), _ASYNC),
     ("E3 pif  clustered  n=16", run_pif_trial,
-     TrialSpec(n=16, topology="clustered:4", seed=0, loss=0.1)),
+     TrialSpec(n=16, topology="clustered:4", seed=0, loss=0.1), _ASYNC),
     ("E5 me   complete   n=8 ", run_mutex_trial,
-     TrialSpec(n=8, topology=None, seed=1, loss=0.0)),
+     TrialSpec(n=8, topology=None, seed=1, loss=0.0), _ASYNC),
     ("E5 me   ring       n=8 ", run_mutex_trial,
-     TrialSpec(n=8, topology="ring", seed=1, loss=0.0)),
+     TrialSpec(n=8, topology="ring", seed=1, loss=0.0), _ASYNC),
     ("E5 me   clustered  n=16", run_mutex_trial,
-     TrialSpec(n=16, topology="clustered:4", seed=3, loss=0.1)),
+     TrialSpec(n=16, topology="clustered:4", seed=3, loss=0.1), _ASYNC),
     ("E3 pif  wan        n=32", run_pif_trial,
-     TrialSpec(n=32, topology="wan:4", seed=0, loss=0.1)),
+     TrialSpec(n=32, topology="wan:4", seed=0, loss=0.1), _ASYNC),
 ]
 
 
-def check_metrics() -> bool:
-    ok = True
-    for name, runner, base in CASES:
-        t0 = time.perf_counter()
-        serial = runner(spec=replace(base, engine="serial"),
-                        requests_per_process=1)
-        t1 = time.perf_counter()
-        loopback = runner(spec=replace(base, engine="async"),
-                          requests_per_process=1)
-        t2 = time.perf_counter()
-        same = (
-            serial.ok == loopback.ok
-            and serial.violations == loopback.violations
-            and serial.measurements == loopback.measurements
-            and loopback.provenance.get("monitors_ok", False) == loopback.ok
-        )
-        ok &= same
-        verdict = "OK " if same else "DIVERGED"
-        print(f"{verdict} {name}  serial={t1 - t0:.1f}s loopback={t2 - t1:.1f}s "
-              f"metrics={serial.measurements}")
-        if not same:
-            print(f"     serial  : ok={serial.ok} violations={serial.violations} "
-                  f"{serial.measurements}")
-            print(f"     loopback: ok={loopback.ok} violations={loopback.violations} "
-                  f"{loopback.measurements} monitors={loopback.provenance}")
-    return ok
-
-
-def _pif_spec(n: int, *, topology: str | None, horizon: int = 2_000_000,
-              transport: str = "loopback") -> TrialSpec:
-    return TrialSpec(
-        n=n,
-        build=lambda h: h.register(PifLayer("pif")),
-        topology=topology,
-        seed=0,
-        loss=0.1,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload=lambda pid, k: f"m-{pid}-{k}"),
-        horizon=horizon,
-        transport=TransportOpts(transport=transport),
-    )
+def _monitors_agree(loopback, _spec) -> bool:
+    return loopback.provenance.get("monitors_ok", False) == loopback.ok
 
 
 def check_bit_identity(topology: str, n: int) -> bool:
-    spec = _pif_spec(n, topology=topology)
-    runs = {
-        engine: execute(replace(spec, engine=engine))
-        for engine in ("serial", "async")
-    }
-    serial_events = [(e.time, e.kind, e.process, e.data)
-                     for e in runs["serial"].trace]
-    loopback_events = [(e.time, e.kind, e.process, e.data)
-                       for e in runs["async"].trace]
-    hashes = (
-        canonical_trace_hash(runs["serial"].trace),
-        canonical_trace_hash(runs["async"].trace),
-    )
-    same = (
-        serial_events == loopback_events
-        and hashes[0] == hashes[1]
-        and runs["serial"].stats.as_dict() == runs["async"].stats.as_dict()
-        and runs["serial"].final_time == runs["async"].final_time
-        and runs["serial"].completions == runs["async"].completions
-    )
-    print(("OK " if same else "DIVERGED")
-          + f" bit-identity {topology} n={n} ({len(serial_events)} trace "
-          f"events, hash {hashes[0][:16]}.. vs {hashes[1][:16]}..)")
-    return same
+    same, runs, hashes = bit_identity(pif_probe(n, topology), {"async": _ASYNC})
+    return report(
+        same,
+        f"bit-identity {topology} n={n} ({len(runs['serial'].trace)} trace "
+        f"events, hash {hashes['serial'][:16]}.. vs {hashes['async'][:16]}..)")
 
 
 def socket_smoke(transport: str) -> bool:
     """One E3 trial at n=8 over real sockets; every monitor must pass."""
     t0 = time.perf_counter()
     run = execute(replace(
-        _pif_spec(8, topology=None, horizon=60_000, transport=transport),
-        engine="async",
+        pif_probe(8, None), horizon=60_000, engine="async",
+        transport=TransportOpts(transport=transport),
     ))
     wall = time.perf_counter() - t0
-    ok = run.completed and run.monitors_ok
-    print(("OK " if ok else "FAILED")
-          + f" {transport} smoke E3 n=8: completed={run.completed} "
-          f"wall={wall:.1f}s final_time={run.final_time} ticks "
-          f"monitors={[r.summary() for r in run.monitor_reports]}")
-    for report in run.monitor_reports:
-        for violation in report.violations[:5]:
-            print(f"     {report.name}: {violation}")
+    ok = report(
+        run.completed and run.monitors_ok,
+        f"{transport} smoke E3 n=8: completed={run.completed} "
+        f"wall={wall:.1f}s final_time={run.final_time} ticks "
+        f"monitors={[r.summary() for r in run.monitor_reports]}",
+        bad="FAILED")
+    for monitor in run.monitor_reports:
+        for violation in monitor.violations[:5]:
+            print(f"     {monitor.name}: {violation}")
     return ok
 
 
@@ -150,15 +95,14 @@ def main() -> int:
     only = "--tcp-only" in args or "--udp-only" in args
     ok = True
     if not only:
-        ok = check_metrics()
+        ok = compare_metrics(CASES, "loopback", agrees=_monitors_agree)
         ok &= check_bit_identity("clustered:4", 16)
         ok &= check_bit_identity("wan:4", 32)
     if "--tcp-smoke" in args or "--tcp-only" in args:
         ok &= socket_smoke("tcp")
     if "--udp-smoke" in args or "--udp-only" in args:
         ok &= socket_smoke("udp")
-    print("async-equivalence:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return finish("async-equivalence", ok)
 
 
 if __name__ == "__main__":

@@ -32,136 +32,97 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.core.pif import PifLayer
-from repro.engine import ChaosOpts, ClusterOpts, TrialSpec, execute
-from repro.engine.spec import resolve_fault_plan
-from repro.obs.spans import validate_chrome_trace
-from repro.sim.trace import canonical_trace_hash
+from equivalence import (
+    bit_identity,
+    compare_metrics,
+    finish,
+    flag_value,
+    pif_probe,
+    report,
+)
 
-#: (label, runner, n, hosts, fault plan, trial kwargs) — every case
+from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.engine import ClusterOpts, ObsOpts, TrialSpec
+from repro.obs.spans import validate_chrome_trace
+
+
+def _chaotic(hosts: int, plan: str, **more) -> dict:
+    return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts),
+                chaos=plan, **more)
+
+
+#: (label, trial, serial spec, cluster + fault-plan axes) — every case
 #: crashes one worker mid-trial; some add the cheaper fault families on
 #: top (cuts, ship drops, stalls) to exercise NAK/resend and cut-heal
 #: alongside the replay recovery.
 CASES = [
-    ("E3 pif  complete n=8  hosts=2 crash@b3+drop", run_pif_trial, 8, 2,
-     "crash worker 1 at barrier 3\ndrop ship from 1 round 2..9 count 2",
-     dict(topology=None, seed=0, loss=0.1, requests_per_process=1)),
-    ("E3 pif  ring     n=12 hosts=3 crash@r2+cut", run_pif_trial, 12, 3,
-     "crash worker 2 at round 2\ncut link 0->1 for rounds 2..3",
-     dict(topology="ring", seed=0, loss=0.1, requests_per_process=1)),
-    ("E3 pif  wan      n=16 hosts=4 crash@b2", run_pif_trial, 16, 4,
-     "crash worker 3 at barrier 2",
-     dict(topology="wan:4", seed=0, loss=0.1, requests_per_process=1)),
-    ("E5 me   complete n=6  hosts=2 crash@b4+stall", run_mutex_trial, 6, 2,
-     "crash worker 0 at barrier 4\nstall worker 1 at round 2 for 0.2s",
-     dict(topology=None, seed=1, loss=0.0, requests_per_process=1)),
-    ("E5 me   ring     n=8  hosts=2 crash@r3+corrupt", run_mutex_trial, 8, 2,
-     "crash worker 1 at round 3\ncorrupt ship from 1 count 1",
-     dict(topology="ring", seed=1, loss=0.0, requests_per_process=1)),
-    ("E5 me   wan      n=8  hosts=4 crash@b3", run_mutex_trial, 8, 4,
-     "crash worker 2 at barrier 3",
-     dict(topology="wan:4", seed=3, loss=0.0, requests_per_process=1)),
+    ("E3 pif  complete n=8  hosts=2 crash@b3+drop", run_pif_trial,
+     TrialSpec(n=8, topology=None, seed=0, loss=0.1),
+     _chaotic(2, "crash worker 1 at barrier 3\n"
+                 "drop ship from 1 round 2..9 count 2")),
+    ("E3 pif  ring     n=12 hosts=3 crash@r2+cut", run_pif_trial,
+     TrialSpec(n=12, topology="ring", seed=0, loss=0.1),
+     _chaotic(3, "crash worker 2 at round 2\ncut link 0->1 for rounds 2..3")),
+    ("E3 pif  wan      n=16 hosts=4 crash@b2", run_pif_trial,
+     TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1),
+     _chaotic(4, "crash worker 3 at barrier 2")),
+    ("E5 me   complete n=6  hosts=2 crash@b4+stall", run_mutex_trial,
+     TrialSpec(n=6, topology=None, seed=1, loss=0.0),
+     _chaotic(2, "crash worker 0 at barrier 4\n"
+                 "stall worker 1 at round 2 for 0.2s")),
+    ("E5 me   ring     n=8  hosts=2 crash@r3+corrupt", run_mutex_trial,
+     TrialSpec(n=8, topology="ring", seed=1, loss=0.0),
+     _chaotic(2, "crash worker 1 at round 3\ncorrupt ship from 1 count 1")),
+    ("E5 me   wan      n=8  hosts=4 crash@b3", run_mutex_trial,
+     TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0),
+     _chaotic(4, "crash worker 2 at barrier 3")),
 ]
 
 
-def check_metrics() -> bool:
-    ok = True
-    for name, runner, n, hosts, plan, kwargs in CASES:
-        t0 = time.perf_counter()
-        serial = runner(n, engine="serial", **kwargs)
-        t1 = time.perf_counter()
-        chaotic = runner(n, engine="cluster", hosts=hosts, fault_plan=plan,
-                         **kwargs)
-        t2 = time.perf_counter()
-        counts = chaotic.provenance.get("fault_counts") or {}
-        same = (
-            serial.ok == chaotic.ok
-            and serial.violations == chaotic.violations
-            and serial.measurements == chaotic.measurements
-            and chaotic.provenance.get("monitors_ok", False) == chaotic.ok
-            and chaotic.provenance.get("recoveries") == 1
-            and counts.get("worker.crashed") == 1
-            and counts.get("fault.injected.crash") == 1
-        )
-        ok &= same
-        verdict = "OK " if same else "DIVERGED"
-        print(f"{verdict} {name}  serial={t1 - t0:.1f}s "
-              f"chaos={t2 - t1:.1f}s "
-              f"replayed={chaotic.provenance.get('replayed_rounds')} "
-              f"faults={counts}")
-        if not same:
-            print(f"     serial : ok={serial.ok} "
-                  f"violations={serial.violations} {serial.measurements}")
-            print(f"     chaotic: ok={chaotic.ok} "
-                  f"violations={chaotic.violations} {chaotic.measurements} "
-                  f"provenance={chaotic.provenance}")
-    return ok
-
-
-def _probe(engine: str, n: int, *, hosts: int | None = None,
-           fault_plan: str | None = None, timeline: str | None = None):
-    spec = TrialSpec(
-        n=n,
-        build=lambda h: h.register(PifLayer("pif")),
-        topology=None,
-        seed=0,
-        loss=0.1,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        horizon=2_000_000,
-        engine=engine,
-        protocol={"kind": "pif"},
-        cluster=ClusterOpts(hosts=hosts),
-        chaos=ChaosOpts(plan=resolve_fault_plan(fault_plan)),
+def _recovered_once(chaotic, _spec) -> bool:
+    counts = chaotic.provenance.get("fault_counts") or {}
+    return (
+        chaotic.provenance.get("monitors_ok", False) == chaotic.ok
+        and chaotic.provenance.get("recoveries") == 1
+        and counts.get("worker.crashed") == 1
+        and counts.get("fault.injected.crash") == 1
     )
-    if timeline is not None:
-        spec = spec.with_obs(None, timeline)
-    return execute(spec)
+
+
+def _replay_and_faults(_serial, chaotic) -> str:
+    return (f"replayed={chaotic.provenance.get('replayed_rounds')} "
+            f"faults={chaotic.provenance.get('fault_counts') or {}}")
 
 
 def check_hash_identity(n: int, hosts: int, timeline_out: str) -> bool:
     """Canonical-hash probe: serial vs armed-but-empty plan vs
     crash-recovered, all on one case; the recovered run also exports the
     chaos timeline."""
-    serial = _probe("serial", n)
-    armed = _probe("cluster", n, hosts=hosts,
-                   fault_plan="")  # machinery armed, nothing injected
-    recovered = _probe("cluster", n, hosts=hosts,
-                       fault_plan="crash worker 1 at barrier 3",
-                       timeline=timeline_out)
-    hashes = [canonical_trace_hash(run.trace)
-              for run in (serial, armed, recovered)]
-    same = len(set(hashes)) == 1
-    events_same = (
-        [(e.time, e.kind, e.process, e.data) for e in serial.trace]
-        == [(e.time, e.kind, e.process, e.data) for e in recovered.trace]
-    )
-    ok = (
-        same
-        and events_same
-        and serial.stats.as_dict() == recovered.stats.as_dict()
-        and serial.completions == recovered.completions
-        and armed.fault_counts == {}
-        and recovered.recoveries == 1
-    )
-    print(("OK " if ok else "DIVERGED")
-          + f" hash-identity complete n={n} hosts={hosts} "
-          f"(serial/armed/recovered hashes equal={same}, "
-          f"recovered replayed {recovered.replayed_rounds} rounds, "
-          f"hash {hashes[0][:16]}..)")
+    same, runs, hashes = bit_identity(pif_probe(n, None), {
+        "armed": _chaotic(hosts, ""),  # machinery armed, nothing injected
+        "recovered": _chaotic(hosts, "crash worker 1 at barrier 3",
+                              obs=ObsOpts(timeline=timeline_out)),
+    })
+    recovered = runs["recovered"]
+    ok = report(
+        same and runs["armed"].fault_counts == {}
+        and recovered.recoveries == 1,
+        f"hash-identity complete n={n} hosts={hosts} "
+        f"(serial/armed/recovered hashes equal={same}, "
+        f"recovered replayed {recovered.replayed_rounds} rounds, "
+        f"hash {hashes['serial'][:16]}..)")
 
     doc = json.loads(Path(timeline_out).read_text())
     problems = validate_chrome_trace(doc)
     spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
     recovery = [e for e in spans if e["name"] == "recovery"]
-    timeline_ok = not problems and len(recovery) == 1
     if problems:
         print(f"     timeline invalid: {problems[:5]}")
-    print(("OK " if timeline_ok else "FAILED")
-          + f" chaos timeline: {len(spans)} spans, "
-          f"{len(recovery)} recovery span(s) -> {timeline_out}")
-    return ok and timeline_ok
+    return ok & report(
+        not problems and len(recovery) == 1,
+        f"chaos timeline: {len(spans)} spans, "
+        f"{len(recovery)} recovery span(s) -> {timeline_out}",
+        bad="FAILED")
 
 
 def check_detection_latency() -> bool:
@@ -171,28 +132,26 @@ def check_detection_latency() -> bool:
 
     t0 = time.perf_counter()
     try:
-        run_pif_trial(6, seed=0, engine="cluster", hosts=2,
-                      fault_plan="crash worker 0 at rendezvous")
+        run_pif_trial(TrialSpec(
+            n=6, seed=0, **_chaotic(2, "crash worker 0 at rendezvous")))
     except WorkerCrashed as crash:
         wall = time.perf_counter() - t0
-        ok = wall < 5.0 and crash.shard == 0 and bool(crash.stderr_tail)
-        print(("OK " if ok else "FAILED")
-              + f" detection latency: WorkerCrashed(shard 0) in {wall:.1f}s")
-        return ok
+        return report(
+            wall < 5.0 and crash.shard == 0 and bool(crash.stderr_tail),
+            f"detection latency: WorkerCrashed(shard 0) in {wall:.1f}s",
+            bad="FAILED")
     print("FAILED detection latency: rendezvous crash did not raise")
     return False
 
 
 def main() -> int:
-    args = sys.argv[1:]
-    timeline_out = "BENCH_chaos_timeline.json"
-    if "--timeline-out" in args:
-        timeline_out = args[args.index("--timeline-out") + 1]
-    ok = check_metrics()
+    timeline_out = flag_value(
+        sys.argv[1:], "--timeline-out", "BENCH_chaos_timeline.json")
+    ok = compare_metrics(CASES, "chaos", agrees=_recovered_once,
+                         tail=_replay_and_faults)
     ok &= check_hash_identity(8, 2, timeline_out)
     ok &= check_detection_latency()
-    print("chaos-equivalence:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return finish("chaos-equivalence", ok)
 
 
 if __name__ == "__main__":

@@ -37,111 +37,69 @@ import json
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.core.pif import PifLayer
-from repro.engine import ClusterOpts, TrialSpec, execute
-from repro.obs.spans import validate_chrome_trace
-from repro.sim.trace import canonical_trace_hash
+from equivalence import (
+    bit_identity,
+    compare_metrics,
+    finish,
+    flag_value,
+    pif_probe,
+    report,
+)
 
-#: (label, runner, n, hosts, trial kwargs) — every topology family the
+from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.engine import ClusterOpts, ObsOpts, TrialSpec
+from repro.obs.spans import validate_chrome_trace
+
+
+def _cluster(hosts: int, **opts) -> dict:
+    return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts, **opts))
+
+
+#: (label, trial, serial spec, cluster axes) — every topology family the
 #: partition layer distinguishes (complete: all-pairs cut; ring: two
 #: neighbour arcs per shard; wan:4: weighted cross-cluster edges that
 #: widen the sync window), each small enough for a laptop or CI runner.
 CASES = [
-    ("E3 pif  complete n=8  hosts=2", run_pif_trial, 8, 2,
-     dict(topology=None, seed=0, loss=0.1, requests_per_process=1)),
-    ("E3 pif  ring     n=12 hosts=3", run_pif_trial, 12, 3,
-     dict(topology="ring", seed=0, loss=0.1, requests_per_process=1)),
-    ("E3 pif  wan      n=16 hosts=4", run_pif_trial, 16, 4,
-     dict(topology="wan:4", seed=0, loss=0.1, requests_per_process=1)),
-    ("E5 me   complete n=6  hosts=2", run_mutex_trial, 6, 2,
-     dict(topology=None, seed=1, loss=0.0, requests_per_process=1)),
-    ("E5 me   ring     n=8  hosts=2", run_mutex_trial, 8, 2,
-     dict(topology="ring", seed=1, loss=0.0, requests_per_process=1)),
-    ("E5 me   wan      n=8  hosts=4", run_mutex_trial, 8, 4,
-     dict(topology="wan:4", seed=3, loss=0.0, requests_per_process=1)),
+    ("E3 pif  complete n=8  hosts=2", run_pif_trial,
+     TrialSpec(n=8, topology=None, seed=0, loss=0.1), _cluster(2)),
+    ("E3 pif  ring     n=12 hosts=3", run_pif_trial,
+     TrialSpec(n=12, topology="ring", seed=0, loss=0.1), _cluster(3)),
+    ("E3 pif  wan      n=16 hosts=4", run_pif_trial,
+     TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1), _cluster(4)),
+    ("E5 me   complete n=6  hosts=2", run_mutex_trial,
+     TrialSpec(n=6, topology=None, seed=1, loss=0.0), _cluster(2)),
+    ("E5 me   ring     n=8  hosts=2", run_mutex_trial,
+     TrialSpec(n=8, topology="ring", seed=1, loss=0.0), _cluster(2)),
+    ("E5 me   wan      n=8  hosts=4", run_mutex_trial,
+     TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0), _cluster(4)),
 ]
 
 
-def check_metrics() -> bool:
-    ok = True
-    for name, runner, n, hosts, kwargs in CASES:
-        t0 = time.perf_counter()
-        serial = runner(n, engine="serial", **kwargs)
-        t1 = time.perf_counter()
-        cluster = runner(n, engine="cluster", hosts=hosts, **kwargs)
-        t2 = time.perf_counter()
-        same = (
-            serial.ok == cluster.ok
-            and serial.violations == cluster.violations
-            and serial.measurements == cluster.measurements
-            and cluster.provenance.get("monitors_ok", False) == cluster.ok
-            and cluster.provenance.get("hosts") == hosts
-        )
-        ok &= same
-        verdict = "OK " if same else "DIVERGED"
-        print(f"{verdict} {name}  serial={t1 - t0:.1f}s cluster={t2 - t1:.1f}s "
-              f"barriers={cluster.provenance.get('barriers')} "
-              f"metrics={serial.measurements}")
-        if not same:
-            print(f"     serial : ok={serial.ok} violations={serial.violations} "
-                  f"{serial.measurements}")
-            print(f"     cluster: ok={cluster.ok} violations={cluster.violations} "
-                  f"{cluster.measurements} provenance={cluster.provenance}")
-    return ok
-
-
-def _probe_spec(topology: str | None, n: int, hosts: int) -> TrialSpec:
-    """The PIF probe as one spec; only the engine axis varies per run."""
-    return TrialSpec(
-        n=n,
-        build=lambda h: h.register(PifLayer("pif")),
-        topology=topology,
-        seed=0,
-        loss=0.1,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        horizon=2_000_000,
-        protocol={"kind": "pif"},
-        cluster=ClusterOpts(hosts=hosts),
+def _cluster_agrees(cluster, spec: TrialSpec) -> bool:
+    return (
+        cluster.provenance.get("monitors_ok", False) == cluster.ok
+        and cluster.provenance.get("hosts") == spec.cluster.hosts
     )
+
+
+def _barriers_and_metrics(serial, cluster) -> str:
+    return (f"barriers={cluster.provenance.get('barriers')} "
+            f"metrics={serial.measurements}")
 
 
 def check_bit_identity(topology: str | None, n: int, hosts: int) -> bool:
     """The probe case: the merged cluster trace must equal the serial
     trace event for event, and hash identically under the canonical
     trace hash."""
-    spec = _probe_spec(topology, n, hosts)
-    runs = {
-        engine: execute(replace(
-            spec, engine=engine,
-            cluster=spec.cluster if engine == "cluster" else ClusterOpts(),
-        ))
-        for engine in ("serial", "cluster")
-    }
-    serial_events = [(e.time, e.kind, e.process, e.data)
-                     for e in runs["serial"].trace]
-    cluster_events = [(e.time, e.kind, e.process, e.data)
-                      for e in runs["cluster"].trace]
-    hashes = (
-        canonical_trace_hash(runs["serial"].trace),
-        canonical_trace_hash(runs["cluster"].trace),
-    )
-    same = (
-        serial_events == cluster_events
-        and hashes[0] == hashes[1]
-        and runs["serial"].stats.as_dict() == runs["cluster"].stats.as_dict()
-        and runs["serial"].final_time == runs["cluster"].final_time
-        and runs["serial"].completions == runs["cluster"].completions
-    )
-    print(("OK " if same else "DIVERGED")
-          + f" bit-identity {topology or 'complete'} n={n} hosts={hosts} "
-          f"({len(serial_events)} trace events, hash {hashes[0][:16]}.. vs "
-          f"{hashes[1][:16]}..)")
-    return same
+    same, runs, hashes = bit_identity(
+        pif_probe(n, topology), {"cluster": _cluster(hosts)})
+    return report(
+        same,
+        f"bit-identity {topology or 'complete'} n={n} hosts={hosts} "
+        f"({len(runs['serial'].trace)} trace events, "
+        f"hash {hashes['serial'][:16]}.. vs {hashes['cluster'][:16]}..)")
 
 
 def check_obs_identity(
@@ -151,23 +109,18 @@ def check_obs_identity(
 
     Runs the PIF probe twice on the cluster engine — plain, then with
     metrics and timeline enabled — plus the serial reference, and
-    requires all three canonical hashes to be equal: turning the
-    instruments on must not perturb a deterministic run.  The exported
-    timeline must validate as Chrome trace-event JSON and cover the
-    coordinator plus one lane per worker, each with barrier-wait spans.
+    requires all three runs to be identical: turning the instruments on
+    must not perturb a deterministic run.  The exported timeline must
+    validate as Chrome trace-event JSON and cover the coordinator plus
+    one lane per worker, each with barrier-wait spans.
     """
-    spec = _probe_spec(topology, n, hosts)
     with tempfile.TemporaryDirectory() as tmp:
-        serial = execute(replace(spec, engine="serial",
-                                 cluster=ClusterOpts()))
-        plain = execute(replace(spec, engine="cluster"))
-        observed = execute(
-            replace(spec, engine="cluster")
-            .with_obs(str(Path(tmp) / "metrics.json"), timeline_out)
-        )
-    hashes = [canonical_trace_hash(run.trace)
-              for run in (serial, plain, observed)]
-    same = len(set(hashes)) == 1
+        obs = ObsOpts(metrics=str(Path(tmp) / "metrics.json"),
+                      timeline=timeline_out)
+        same = bit_identity(pif_probe(n, topology), {
+            "plain": _cluster(hosts),
+            "observed": dict(_cluster(hosts), obs=obs),
+        }).same
 
     doc = json.loads(Path(timeline_out).read_text())
     problems = validate_chrome_trace(doc)
@@ -183,44 +136,43 @@ def check_obs_identity(
         and lanes == set(range(hosts + 1))
         and barrier_lanes == set(range(1, hosts + 1))
     )
-    ok = same and timeline_ok
-    print(("OK " if ok else "DIVERGED")
-          + f" obs-identity {topology or 'complete'} n={n} hosts={hosts} "
-          f"(hashes equal={same}, timeline {len(spans)} spans over lanes "
-          f"{sorted(lanes)}, barrier lanes {sorted(barrier_lanes)}) "
-          f"-> {timeline_out}")
-    return ok
+    return report(
+        same and timeline_ok,
+        f"obs-identity {topology or 'complete'} n={n} hosts={hosts} "
+        f"(hashes equal={same}, timeline {len(spans)} spans over lanes "
+        f"{sorted(lanes)}, barrier lanes {sorted(barrier_lanes)}) "
+        f"-> {timeline_out}")
 
 
 def freerun_smoke() -> bool:
     """One E3 trial in freerun mode; every online monitor must pass."""
     t0 = time.perf_counter()
-    trial = run_pif_trial(8, engine="cluster", hosts=2, sync="freerun",
-                          seed=0, loss=0.1, requests_per_process=1)
+    trial = run_pif_trial(
+        TrialSpec(n=8, seed=0, loss=0.1, **_cluster(2, sync="freerun")),
+        requests_per_process=1)
     wall = time.perf_counter() - t0
-    ok = bool(trial.ok and trial.provenance.get("monitors_ok"))
-    print(("OK " if ok else "FAILED")
-          + f" freerun smoke E3 n=8 hosts=2: ok={trial.ok} wall={wall:.1f}s "
-          f"monitors_ok={trial.provenance.get('monitors_ok')} "
-          f"metrics={trial.measurements}")
-    return ok
+    return report(
+        bool(trial.ok and trial.provenance.get("monitors_ok")),
+        f"freerun smoke E3 n=8 hosts=2: ok={trial.ok} wall={wall:.1f}s "
+        f"monitors_ok={trial.provenance.get('monitors_ok')} "
+        f"metrics={trial.measurements}",
+        bad="FAILED")
 
 
 def main() -> int:
     args = sys.argv[1:]
-    timeline_out = "BENCH_cluster_timeline.json"
-    if "--timeline-out" in args:
-        timeline_out = args[args.index("--timeline-out") + 1]
+    timeline_out = flag_value(
+        args, "--timeline-out", "BENCH_cluster_timeline.json")
     ok = True
     if "--freerun-only" not in args:
-        ok = check_metrics()
+        ok = compare_metrics(CASES, "cluster", agrees=_cluster_agrees,
+                             tail=_barriers_and_metrics)
         ok &= check_bit_identity(None, 8, 2)
         ok &= check_bit_identity("wan:4", 16, 4)
         ok &= check_obs_identity(None, 8, 2, timeline_out)
     if "--freerun-smoke" in args or "--freerun-only" in args:
         ok &= freerun_smoke()
-    print("cluster-equivalence:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return finish("cluster-equivalence", ok)
 
 
 if __name__ == "__main__":

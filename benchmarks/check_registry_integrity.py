@@ -14,10 +14,15 @@ Asserts, without running a single trial:
   name, and no module of the built-in packages registers a name the
   table lacks (it would be unreachable until something else imported it);
 * no per-engine ``if engine ==`` / ``elif engine ==`` dispatch chain has
-  crept back into ``src/repro/analysis/`` — the registry is the only
-  dispatcher (the grep guard for the PR-10 refactor) — and nothing under
-  ``src/repro/engine/`` or ``src/repro/core/`` imports from
-  ``repro.net.cluster`` (that dragged asyncio into every serial trial).
+  crept back into ``src/repro/analysis/`` or ``src/repro/cli.py`` — the
+  registry is the only dispatcher (the grep guard for the PR-10
+  refactor) — and nothing under ``src/repro/engine/`` or
+  ``src/repro/core/`` imports from ``repro.net.cluster`` (that dragged
+  asyncio into every serial trial);
+* :class:`~repro.engine.TrialSpec` stays the only way in: it has no
+  ``build`` field (``protocol`` is the one protocol description), and
+  neither of the two keyword adapters PR 15 deleted is named anywhere
+  under ``src/``.
 
 Usage::
 
@@ -26,6 +31,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import pkgutil
 import re
 import sys
@@ -37,6 +43,7 @@ import repro.net.transport
 from repro.engine.base import AXES
 from repro.engine.registry import BUILTIN as BUILTIN_ENGINES
 from repro.engine.registry import backends, engine_names
+from repro.engine.spec import TrialSpec
 from repro.errors import SpecError
 from repro.net.transport import resolve_transport, transport_names
 from repro.net.transport.base import BUILTIN as BUILTIN_TRANSPORTS
@@ -53,6 +60,10 @@ _CAPABILITY = re.compile(
 
 _DISPATCH = re.compile(r"^\s*(el)?if\s+.*\bengine\s*==")
 _CLUSTER_IMPORT = re.compile(r"^\s*from\s+repro\.net\.cluster\s+import\b")
+# The deleted keyword adapters, spelled in halves so a repo-wide grep for
+# either name finds nothing — not even this guard.
+_LEGACY_ADAPTER = re.compile(
+    r".*\b(" + "execute" + "_trial|_base" + r"_spec)\b")
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -116,11 +127,13 @@ def check_builtin_tables() -> list[str]:
     return problems
 
 
-def _grep(subdir: str, pattern: re.Pattern[str], what: str,
+def _grep(where: str, pattern: re.Pattern[str], what: str,
           exempt: str | None = None) -> list[str]:
+    """Lines matching ``pattern`` in one file, or every file of a tree."""
+    root = _SRC / where
     return [
         f"{path.relative_to(_SRC.parent)}:{lineno}: {what}: {line.strip()}"
-        for path in sorted((_SRC / subdir).rglob("*.py"))
+        for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
         if path.name != exempt
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if pattern.match(line)
@@ -128,8 +141,15 @@ def _grep(subdir: str, pattern: re.Pattern[str], what: str,
 
 
 def check_source_guards() -> list[str]:
+    problems: list[str] = []
+    if "build" in {f.name for f in dataclasses.fields(TrialSpec)}:
+        problems.append("TrialSpec has a 'build' field again; 'protocol' "
+                        "is the one protocol description")
     return (
-        _grep("repro/analysis", _DISPATCH, "per-engine dispatch chain")
+        problems
+        + _grep("repro", _LEGACY_ADAPTER, "deleted keyword adapter")
+        + _grep("repro/analysis", _DISPATCH, "per-engine dispatch chain")
+        + _grep("repro/cli.py", _DISPATCH, "per-engine dispatch chain")
         # The cluster backend is the one module entitled to the runtime.
         + _grep("repro/engine", _CLUSTER_IMPORT, "imports the cluster runtime",
                 exempt="cluster.py")

@@ -17,101 +17,45 @@ Usage::
 from __future__ import annotations
 
 import sys
-import time
 
-from dataclasses import replace
+from equivalence import bit_identity, compare_metrics, finish, pif_probe, report
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.core.pif import PifLayer
-from repro.engine import TrialSpec, execute
-from repro.sim.trace import canonical_trace_hash
+from repro.engine import ShardingOpts, TrialSpec
 
 N = 32
 
+
+def _case(name, trial, topology, loss, shards=None):
+    return (name, trial, TrialSpec(n=N, topology=topology, seed=0, loss=loss),
+            dict(engine="sharded", sharding=ShardingOpts(shards=shards)))
+
+
 CASES = [
-    ("E3 pif  complete   n=32", run_pif_trial,
-     dict(topology=None, seed=0, loss=0.1, requests_per_process=1), dict(shards=4)),
-    ("E3 pif  clustered  n=32", run_pif_trial,
-     dict(topology="clustered:4", seed=0, loss=0.1, requests_per_process=1), dict()),
-    ("E5 me   complete   n=32", run_mutex_trial,
-     dict(topology=None, seed=0, loss=0.0, requests_per_process=1), dict(shards=4)),
-    ("E5 me   clustered  n=32", run_mutex_trial,
-     dict(topology="clustered:4", seed=0, loss=0.0, requests_per_process=1), dict()),
-    ("E3 pif  wan        n=32", run_pif_trial,
-     dict(topology="wan:4", seed=0, loss=0.1, requests_per_process=1), dict()),
-    ("E5 me   wan        n=32", run_mutex_trial,
-     dict(topology="wan:4", seed=0, loss=0.0, requests_per_process=1), dict()),
+    _case("E3 pif  complete   n=32", run_pif_trial, None, 0.1, shards=4),
+    _case("E3 pif  clustered  n=32", run_pif_trial, "clustered:4", 0.1),
+    _case("E5 me   complete   n=32", run_mutex_trial, None, 0.0, shards=4),
+    _case("E5 me   clustered  n=32", run_mutex_trial, "clustered:4", 0.0),
+    _case("E3 pif  wan        n=32", run_pif_trial, "wan:4", 0.1),
+    _case("E5 me   wan        n=32", run_mutex_trial, "wan:4", 0.0),
 ]
 
 
-def check_metrics() -> bool:
-    ok = True
-    for name, runner, kwargs, shard_kwargs in CASES:
-        t0 = time.perf_counter()
-        serial = runner(N, engine="serial", **kwargs)
-        t1 = time.perf_counter()
-        sharded = runner(N, engine="sharded", **shard_kwargs, **kwargs)
-        t2 = time.perf_counter()
-        same = (
-            serial.ok == sharded.ok
-            and serial.violations == sharded.violations
-            and serial.measurements == sharded.measurements
-        )
-        ok &= same
-        verdict = "OK " if same else "DIVERGED"
-        print(f"{verdict} {name}  serial={t1 - t0:.1f}s sharded={t2 - t1:.1f}s "
-              f"metrics={serial.measurements}")
-        if not same:
-            print(f"     serial : ok={serial.ok} violations={serial.violations} "
-                  f"{serial.measurements}")
-            print(f"     sharded: ok={sharded.ok} violations={sharded.violations} "
-                  f"{sharded.measurements}")
-    return ok
-
-
 def check_bit_identity(topology: str) -> bool:
-    spec = TrialSpec(
-        n=N,
-        build=lambda h: h.register(PifLayer("pif")),
-        topology=topology,
-        seed=0,
-        loss=0.1,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload=lambda pid, k: f"m-{pid}-{k}"),
-        horizon=2_000_000,
-    )
-    runs = {
-        engine: execute(replace(spec, engine=engine))
-        for engine in ("serial", "sharded")
-    }
-    serial_events = [(e.time, e.kind, e.process, e.data)
-                     for e in runs["serial"].trace]
-    sharded_events = [(e.time, e.kind, e.process, e.data)
-                      for e in runs["sharded"].trace]
-    hashes = (
-        canonical_trace_hash(runs["serial"].trace),
-        canonical_trace_hash(runs["sharded"].trace),
-    )
-    same = (
-        serial_events == sharded_events
-        and hashes[0] == hashes[1]
-        and runs["serial"].stats.as_dict() == runs["sharded"].stats.as_dict()
-        and runs["serial"].final_time == runs["sharded"].final_time
-    )
-    window = runs["sharded"].window
-    print(("OK " if same else "DIVERGED")
-          + f" bit-identity {topology} n=32 window={window} "
-          f"({len(serial_events)} trace events, "
-          f"hash {hashes[0][:16]}.. vs {hashes[1][:16]}..)")
-    return same
+    same, runs, hashes = bit_identity(
+        pif_probe(N, topology), {"sharded": dict(engine="sharded")})
+    return report(
+        same,
+        f"bit-identity {topology} n=32 window={runs['sharded'].window} "
+        f"({len(runs['serial'].trace)} trace events, "
+        f"hash {hashes['serial'][:16]}.. vs {hashes['sharded'][:16]}..)")
 
 
 def main() -> int:
-    ok = check_metrics()
+    ok = compare_metrics(CASES, "sharded")
     ok &= check_bit_identity("clustered:4")
     ok &= check_bit_identity("wan:4")
-    print("shard-equivalence:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return finish("shard-equivalence", ok)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,131 @@
+"""The skeleton the four ``check_*_equivalence.py`` gates share.
+
+Each gate is a table of cases plus an entry point; the two comparisons
+they all make live here:
+
+* :func:`compare_metrics` — run every case through its ``run_*_trial``
+  wrapper on the serial engine and again with the case's engine axes
+  replaced, and require the same verdict, violation count and
+  trace-derived measurements;
+* :func:`bit_identity` — execute one spec on the serial engine and once
+  per named variant, and require the same events, canonical trace hash,
+  stats, final time and completions.
+
+Both go through :func:`repro.engine.execute` and the backend registry,
+exactly as the CLI does.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import replace
+from typing import Any, Callable, NamedTuple
+
+from repro.engine import EngineRun, TrialSpec, execute
+from repro.sim.trace import canonical_trace_hash
+
+
+def report(ok: bool, text: str, *, bad: str = "DIVERGED") -> bool:
+    """Print one verdict line (``OK  ...`` / ``DIVERGED ...``)."""
+    print(("OK " if ok else bad) + " " + text)
+    return ok
+
+
+def finish(gate: str, ok: bool) -> int:
+    """The gate's last line and its exit code."""
+    print(f"{gate}:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def flag_value(args: list[str], flag: str, default: str) -> str:
+    return args[args.index(flag) + 1] if flag in args else default
+
+
+def compare_metrics(
+    cases,
+    label: str,
+    *,
+    agrees: Callable[[Any, TrialSpec], bool] | None = None,
+    tail: Callable[[Any, Any], str] | None = None,
+) -> bool:
+    """Serial vs one other engine configuration, case by case.
+
+    ``cases`` rows are ``(name, trial, spec, axes)``: ``trial(spec)`` is
+    the serial reference and ``trial(replace(spec, **axes))`` the run
+    under test (one request per process).  ``agrees(other, other_spec)``
+    adds the gate's own provenance conditions; ``tail(serial, other)``
+    is the end of the printed line (default: the measurements).
+    """
+    ok = True
+    for name, trial, spec, axes in cases:
+        other_spec = replace(spec, **axes)
+        t0 = time.perf_counter()
+        serial = trial(spec, requests_per_process=1)
+        t1 = time.perf_counter()
+        other = trial(other_spec, requests_per_process=1)
+        t2 = time.perf_counter()
+        same = (
+            serial.ok == other.ok
+            and serial.violations == other.violations
+            and serial.measurements == other.measurements
+            and (agrees is None or agrees(other, other_spec))
+        )
+        ok &= report(
+            same,
+            f"{name}  serial={t1 - t0:.1f}s {label}={t2 - t1:.1f}s "
+            + (tail(serial, other) if tail is not None
+               else f"metrics={serial.measurements}"))
+        if not same:
+            for who, result in (("serial", serial), (label, other)):
+                print(f"     {who}: ok={result.ok} "
+                      f"violations={result.violations} "
+                      f"{result.measurements} provenance={result.provenance}")
+    return ok
+
+
+class Identity(NamedTuple):
+    #: Every variant matched the serial run (events, hash, stats, final
+    #: time, completions).
+    same: bool
+    #: ``"serial"`` plus one run per variant name.
+    runs: dict[str, EngineRun]
+    hashes: dict[str, str]
+
+
+def bit_identity(spec: TrialSpec, variants: dict[str, dict[str, Any]]) -> Identity:
+    """Execute ``spec`` (the serial reference) and once per variant (its
+    axes replaced in ``spec``); compare every run with the serial one."""
+    runs = {"serial": execute(spec)}
+    for name, axes in variants.items():
+        runs[name] = execute(replace(spec, **axes))
+
+    def fingerprint(run: EngineRun):
+        return (
+            [(e.time, e.kind, e.process, e.data) for e in run.trace],
+            canonical_trace_hash(run.trace),
+            run.stats.as_dict(),
+            run.final_time,
+            run.completions,
+        )
+
+    prints = {name: fingerprint(run) for name, run in runs.items()}
+    return Identity(
+        same=all(p == prints["serial"] for p in prints.values()),
+        runs=runs,
+        hashes={name: p[1] for name, p in prints.items()},
+    )
+
+
+def pif_probe(n: int, topology: str | None, **axes: Any) -> TrialSpec:
+    """The PIF probe every gate re-executes for its bit-identity check."""
+    return TrialSpec(
+        n=n,
+        protocol={"kind": "pif"},
+        topology=topology,
+        seed=0,
+        loss=0.1,
+        driver=dict(tag="pif", requests_per_process=1,
+                    payload_fmt="m-{pid}-{k}"),
+        horizon=2_000_000,
+        **axes,
+    )

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     from repro.types import ProcessId, RequestState, Time
 
 #: The one place the version is written (pyproject.toml reads it from here).
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BernoulliLoss",

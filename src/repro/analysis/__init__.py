@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     )
     from repro.analysis.metrics import Summary, summarize
     from repro.analysis.runner import (
+        TRIALS,
         TrialResult,
         pif_scaling_row,
         run_idl_trial,
@@ -40,6 +41,7 @@ __all__ = [
     "FlagAblationResult",
     "MutexComparison",
     "Summary",
+    "TRIALS",
     "TrialResult",
     "aggregate_comparison",
     "compare_mutex_protocols",
@@ -74,8 +76,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "metrics": ("Summary", "summarize"),
     "runner": (
-        "TrialResult", "pif_scaling_row", "run_idl_trial", "run_mutex_trial",
-        "run_pif_trial", "sweep_mutex", "sweep_pif",
+        "TRIALS", "TrialResult", "pif_scaling_row", "run_idl_trial",
+        "run_mutex_trial", "run_pif_trial", "sweep_mutex", "sweep_pif",
     ),
     "tables": ("render_table",),
 })

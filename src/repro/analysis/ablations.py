@@ -129,16 +129,16 @@ def run_modulus_ablation(
 ) -> dict[str, Any]:
     """Paper's literal ``mod (n+1)`` vs the corrected ``mod n`` (E8b)."""
     from repro.analysis.runner import run_mutex_trial
+    from repro.engine.spec import TrialSpec
 
+    spec = TrialSpec(n=n, seed=seed, scramble=False, horizon=horizon)
     paper = run_mutex_trial(
-        n, seed=seed, requests_per_process=requests_per_process,
-        scramble=False, use_paper_modulus=True, horizon=horizon,
-        require_completion=False,
+        spec, requests_per_process=requests_per_process,
+        use_paper_modulus=True, require_completion=False,
     )
     fixed = run_mutex_trial(
-        n, seed=seed, requests_per_process=requests_per_process,
-        scramble=False, use_paper_modulus=False, horizon=horizon,
-        require_completion=False,
+        spec, requests_per_process=requests_per_process,
+        use_paper_modulus=False, require_completion=False,
     )
     return {
         "n": n,

@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.pif import PifLayer
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 from repro.impossibility.construction import (
     ImpossibilityResult,
     attempt_on_bounded,
@@ -27,6 +27,9 @@ from repro.sim.runtime import Simulator
 from repro.sim.trace import EventKind
 from repro.spec.pif_spec import check_pif
 from repro.types import RequestState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.spec import TrialSpec
 
 __all__ = [
     "Figure1Result",
@@ -258,49 +261,36 @@ def run_fault_model_sweep(
 
 
 def run_topology_matrix(
+    base: TrialSpec,
     *,
-    n: int = 8,
     topologies: list[str] | None = None,
     losses: list[float] | None = None,
     seeds: list[int] | None = None,
     protocol: str = "pif",
-    engine: str = "serial",
-    shards: int | None = None,
-    window: int | None = None,
-    transport: str = "loopback",
-    tick: float | None = None,
-    horizon: int | None = None,
-    latency: tuple[int, int] = (1, 3),
-    hosts: int | None = None,
-    sync: str | None = None,
-    fault_plan: Any = None,
-    metrics: str | None = None,
-    timeline: str | None = None,
 ) -> list[dict[str, Any]]:
     """E11: the topology × fault scenario matrix.
 
-    Runs scrambled PIF (or ME) trials for every combination of topology
-    spec and loss rate, checking the topology-generalized specification,
-    and returns one aggregate row per scenario.  This is the sweep the
-    ``--topology`` axis exists for: every cell must report zero violations.
-    Weighted specs (``"wan:K"``) ride the same axis — a row's ``weighted``
-    flag marks cells whose edges carry their own latency bounds, so uniform
-    vs WAN cells of the same graph sit side by side.
-    ``engine`` selects the execution backend (``serial``/``sharded``/
-    ``async``/``cluster``); serial, sharded, async-loopback and
-    cluster-windowed produce identical rows for the same seeds.
+    Runs scrambled trials of ``protocol`` (a key of
+    :data:`repro.analysis.runner.TRIALS`) for every combination of
+    topology spec and loss rate, checking the topology-generalized
+    specification, and returns one aggregate row per scenario.  This is
+    the sweep the ``--topology`` axis exists for: every cell must report
+    zero violations.  Weighted specs (``"wan:K"``) ride the same axis — a
+    row's ``weighted`` flag marks cells whose edges carry their own
+    latency bounds, so uniform vs WAN cells of the same graph sit side by
+    side.
 
-    ``metrics``/``timeline`` write one obs file per cell trial, suffixed
-    with the cell's topology/loss/seed (see
+    ``base`` carries every axis the cells share — system size, engine and
+    its option sections, latency, horizon; each cell trial replaces only
+    topology/seed/loss.  Serial, sharded, async-loopback and
+    cluster-windowed produce identical rows for the same seeds.  With
+    ``base.obs`` set, each cell trial writes its own files, suffixed with
+    the cell's topology/loss/seed (see
     :func:`repro.obs.recorder.indexed_path`).
     """
     from dataclasses import replace
 
-    from repro.analysis.runner import run_mutex_trial, run_pif_trial
-    from repro.engine import (
-        ChaosOpts, ClusterOpts, ShardingOpts, TransportOpts, TrialSpec,
-    )
-    from repro.engine.spec import resolve_fault_plan
+    from repro.analysis.runner import TRIALS
     from repro.obs.recorder import indexed_path
     from repro.sim.topology import topology_from_spec
 
@@ -310,27 +300,18 @@ def run_topology_matrix(
         losses = [0.0, 0.2]
     if seeds is None:
         seeds = [0, 1, 2]
-    if protocol not in ("pif", "mutex"):
-        raise SimulationError(f"unknown matrix protocol {protocol!r}")
-    runner = run_pif_trial if protocol == "pif" else run_mutex_trial
-    # One spec for the whole matrix; each cell trial replaces only the
-    # axes that vary (topology/seed/loss, plus per-cell obs paths).
-    base = TrialSpec(
-        n=n,
-        latency=latency,
-        horizon=horizon,
-        engine=engine,
-        sharding=ShardingOpts(shards=shards, window=window),
-        transport=TransportOpts(transport=transport, tick=tick),
-        cluster=ClusterOpts(hosts=hosts, sync=sync),
-        chaos=ChaosOpts(plan=resolve_fault_plan(fault_plan)),
-    )
+    if protocol not in TRIALS:
+        raise SpecError(
+            f"unknown matrix protocol {protocol!r}; expected one of "
+            f"{sorted(TRIALS)}", field="protocol")
+    runner = TRIALS[protocol]
+    metrics, timeline = base.obs.metrics, base.obs.timeline
     rows: list[dict[str, Any]] = []
     for spec in topologies:
         # One graph instance per scenario: a seeded random family (gnp)
         # must present every trial seed with the same topology the row's
         # metadata describes — only the protocol randomness varies.
-        top = topology_from_spec(spec, n, seed=seeds[0])
+        top = topology_from_spec(spec, base.n, seed=seeds[0])
         meta = top.describe()
         for loss in losses:
             ok = 0
@@ -339,7 +320,7 @@ def run_topology_matrix(
             final_time = 0
             for seed in seeds:
                 cell = replace(base, topology=top, seed=seed, loss=loss)
-                if metrics is not None or timeline is not None:
+                if base.obs.active:
                     label = (
                         f"{spec}-loss{loss}-seed{seed}"
                         .replace(":", "_").replace(".", "_")
@@ -350,7 +331,7 @@ def run_topology_matrix(
                         str(indexed_path(timeline, label))
                         if timeline is not None else None,
                     )
-                trial = runner(spec=cell, requests_per_process=1)
+                trial = runner(cell, requests_per_process=1)
                 ok += 1 if trial.ok else 0
                 violations += trial.violations
                 messages += trial.measurements["messages"]
@@ -358,7 +339,7 @@ def run_topology_matrix(
             rows.append(
                 {
                     "topology": meta["topology"],
-                    "engine": engine,
+                    "engine": base.engine,
                     # A weighted spec ("wan:K", or an explicit latency map)
                     # changes per-edge delivery times, not the graph — the
                     # flag lets matrix rows compare uniform vs WAN cells.
@@ -384,6 +365,7 @@ def run_capacity_sweep(
 ) -> list[dict[str, Any]]:
     """E9b: capacity-c channels with flag domain {0..c+3} stay correct."""
     from repro.analysis.runner import run_pif_trial
+    from repro.engine.spec import TrialSpec
 
     if capacities is None:
         capacities = [1, 2, 4]
@@ -395,8 +377,8 @@ def run_capacity_sweep(
         violations = 0
         for seed in seeds:
             trial = run_pif_trial(
-                n, seed=seed, capacity=c, max_state=c + 3,
-                requests_per_process=1,
+                TrialSpec(n=n, seed=seed, capacity=c),
+                requests_per_process=1, max_state=c + 3,
             )
             ok += 1 if trial.ok else 0
             violations += trial.violations

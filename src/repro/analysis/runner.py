@@ -1,12 +1,19 @@
 """Experiment runners: one function per trial type, plus parameter sweeps.
 
-Each trial builds a :class:`~repro.engine.TrialSpec`, hands it to the
+Each ``run_*_trial(spec, ...)`` takes a :class:`~repro.engine.TrialSpec`
+naming the trial's axes (size, topology, seed, loss, engine and its
+option sections — built by hand, or once per command by
+:meth:`TrialSpec.from_cli_args`), fills in the experiment part — the
+``protocol`` description, the request-driver config and the
+per-experiment horizon default — and hands it to the
 :func:`repro.engine.execute` pipeline (spec → registry → backend → trace
-→ specs/monitors → provenance), checks the relevant specification over
-the returned trace and returns a flat result dict ready for table
-rendering (experiments E3, E4, E5, E7 of DESIGN.md).
+→ specs/monitors → provenance).  It then checks the relevant
+specification over the returned trace and returns a flat
+:class:`TrialResult` ready for table rendering (experiments E3, E4, E5,
+E7 of DESIGN.md).  A variation of a trial is a
+:func:`dataclasses.replace` of its spec.
 
-Every trial accepts an ``engine`` axis answered by the backend registry
+The ``engine`` axis is answered by the backend registry
 (:mod:`repro.engine.registry`): ``serial``, ``sharded``, ``async`` and
 ``cluster`` are built in, and all execute the *same* trial shape —
 build, scramble, drive requests until served, drain
@@ -16,37 +23,16 @@ build, scramble, drive requests until served, drain
 seed, so every specification check and measurement below is
 engine-agnostic; best-effort configurations (paced transports, cluster
 freerun) carry their correctness in the online monitor verdicts.
-
-The ``run_*_trial`` wrappers take either the legacy keyword axes or a
-ready ``spec=`` (built once, e.g. by the CLI via
-:meth:`TrialSpec.from_cli_args`) and fill in the experiment part:
-``build``, ``protocol``, the driver config and the per-experiment
-horizon default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.idl import IdlLayer
-from repro.core.mutex import MutexLayer
-from repro.core.pif import PifLayer
-from repro.engine import (
-    DRAIN_TICKS,
-    ChaosOpts,
-    ClusterOpts,
-    EngineRun,
-    ObsOpts,
-    ShardingOpts,
-    TransportOpts,
-    TrialSpec,
-    execute,
-)
+from repro.engine import DRAIN_TICKS, EngineRun, TrialSpec, execute
 from repro.engine.base import resolve_topology as _resolve_topology
-from repro.engine.spec import resolve_fault_plan
 from repro.errors import HorizonExceeded, SimulationError
-from repro.sim.runtime import Simulator
 from repro.sim.topology import Topology, arbitration_clusters
 from repro.sim.trace import EventKind, Trace
 from repro.spec.idl_spec import check_idl
@@ -59,7 +45,7 @@ __all__ = [
     "TrialResult",
     "EngineRun",
     "DRAIN_TICKS",
-    "execute_trial",
+    "TRIALS",
     "run_pif_trial",
     "run_idl_trial",
     "run_mutex_trial",
@@ -68,8 +54,8 @@ __all__ = [
     "pif_scaling_row",
 ]
 
-#: Per-experiment horizon defaults, applied when neither the caller nor
-#: the spec names one (the ME budget is larger: convergence on rings).
+#: Per-experiment horizon defaults, applied when the spec names none
+#: (the ME budget is larger: convergence on rings).
 PIF_HORIZON = 2_000_000
 IDL_HORIZON = 2_000_000
 MUTEX_HORIZON = 6_000_000
@@ -128,189 +114,86 @@ def _count_cs_grants(trace: Trace, tag: str) -> int:
     )
 
 
-def execute_trial(
-    n: int,
-    build: Callable,
-    *,
-    topology: Topology | str | None = None,
-    seed: int = 0,
-    loss: float = 0.0,
-    capacity: int = 1,
-    latency: tuple[int, int] = (1, 3),
-    scramble: bool = True,
-    driver: dict[str, Any],
-    horizon: int,
-    engine: str = "serial",
-    shards: int | None = None,
-    window: int | None = None,
-    transport: str = "loopback",
-    tick: float | None = None,
-    round_budget: int | None = None,
-    hosts: int | None = None,
-    sync: str | None = None,
-    cluster_listen: str | None = None,
-    protocol: dict[str, Any] | None = None,
-    fault_plan: Any = None,
-    metrics: str | None = None,
-    timeline: str | None = None,
-) -> EngineRun:
-    """Run one driven trial on the selected engine.
-
-    Deprecated keyword spelling: this adapter folds the flat keyword axes
-    into a :class:`~repro.engine.TrialSpec` and delegates to
-    :func:`repro.engine.execute` — new code should build the spec
-    directly.  Behaviour is identical (same trace, stats, finals,
-    completions and provenance); unsupported axis/engine combinations now
-    raise :class:`~repro.errors.SpecError` via the backend's capability
-    declaration instead of ad-hoc guards.
-
-    See :func:`repro.engine.execute` for the pipeline contract and
-    docs/architecture.md for the layer map.
-    """
-    spec = TrialSpec(
-        n=n,
-        build=build,
-        protocol=protocol,
-        topology=topology,
-        seed=seed,
-        loss=loss,
-        capacity=capacity,
-        latency=latency,
-        scramble=scramble,
-        driver=driver,
-        horizon=horizon,
-        round_budget=round_budget,
-        engine=engine,
-        sharding=ShardingOpts(shards=shards, window=window),
-        transport=TransportOpts(transport=transport, tick=tick),
-        cluster=ClusterOpts(hosts=hosts, sync=sync, listen=cluster_listen),
-        chaos=ChaosOpts(plan=resolve_fault_plan(fault_plan)),
-        obs=ObsOpts(metrics=metrics, timeline=timeline),
-    )
-    return execute(spec)
-
-
-def _base_spec(
-    spec: TrialSpec | None,
-    n: int | None,
-    *,
-    seed: int,
-    loss: float,
-    capacity: int,
-    topology: Topology | str | None,
-    latency: tuple[int, int],
-    scramble: bool,
-    engine: str,
-    shards: int | None,
-    window: int | None,
-    transport: str,
-    tick: float | None,
-    round_budget: int | None,
-    hosts: int | None,
-    sync: str | None,
-    cluster_listen: str | None,
-    fault_plan: Any,
-    metrics: str | None,
-    timeline: str | None,
-    horizon: int | None,
+def _drive(
+    spec: TrialSpec,
+    label: str,
+    protocol: dict[str, Any],
     default_horizon: int,
-) -> TrialSpec:
-    """The axis part of a wrapper's spec: the caller's ready ``spec=`` or
-    one folded from the legacy keywords, with the experiment's horizon
-    default applied."""
-    if spec is None:
-        if n is None:
-            raise SimulationError("trial needs n= (or a ready spec=)")
-        spec = TrialSpec(
-            n=n,
-            topology=topology,
-            seed=seed,
-            loss=loss,
-            capacity=capacity,
-            latency=latency,
-            scramble=scramble,
-            horizon=horizon,
-            round_budget=round_budget,
-            engine=engine,
-            sharding=ShardingOpts(shards=shards, window=window),
-            transport=TransportOpts(transport=transport, tick=tick),
-            cluster=ClusterOpts(hosts=hosts, sync=sync, listen=cluster_listen),
-            chaos=ChaosOpts(plan=resolve_fault_plan(fault_plan)),
-            obs=ObsOpts(metrics=metrics, timeline=timeline),
-        )
-    if spec.horizon is None:
-        spec = replace(spec, horizon=default_horizon)
-    return spec
-
-
-def run_pif_trial(
-    n: int | None = None,
+    requests_per_process: int,
     *,
-    spec: TrialSpec | None = None,
-    seed: int = 0,
-    loss: float = 0.0,
-    requests_per_process: int = 2,
-    scramble: bool = True,
-    capacity: int = 1,
-    max_state: int | None = None,
-    topology: Topology | str | None = None,
-    horizon: int | None = None,
-    latency: tuple[int, int] = (1, 3),
-    engine: str = "serial",
-    shards: int | None = None,
-    window: int | None = None,
-    transport: str = "loopback",
-    tick: float | None = None,
-    hosts: int | None = None,
-    sync: str | None = None,
-    cluster_listen: str | None = None,
-    fault_plan: Any = None,
-    metrics: str | None = None,
-    timeline: str | None = None,
-) -> TrialResult:
-    """One PIF trial (E3): all processes broadcast; Specification 1 checked."""
-    spec = _base_spec(
-        spec, n, seed=seed, loss=loss, capacity=capacity, topology=topology,
-        latency=latency, scramble=scramble, engine=engine, shards=shards,
-        window=window, transport=transport, tick=tick, round_budget=None,
-        hosts=hosts, sync=sync, cluster_listen=cluster_listen,
-        fault_plan=fault_plan, metrics=metrics, timeline=timeline,
-        horizon=horizon, default_horizon=PIF_HORIZON,
-    )
-    if max_state is None:
-        max_state = spec.capacity + 3
+    require_completion: bool = True,
+    **driver: Any,
+) -> tuple[TrialSpec, EngineRun]:
+    """The body every trial shares: fill in the experiment part of
+    ``spec`` (protocol, driver, horizon default), execute it, and insist
+    on completion.  Returns the spec that ran and its outcome."""
+    tag = protocol["kind"]
     spec = replace(
         spec,
-        build=lambda h: h.register(PifLayer("pif", max_state=max_state)),
-        protocol={"kind": "pif", "max_state": max_state},
-        driver=dict(
-            tag="pif",
-            requests_per_process=requests_per_process,
-            payload_fmt="msg-{pid}-{k}",
-        ),
+        protocol=protocol,
+        driver=dict(tag=tag, requests_per_process=requests_per_process,
+                    **driver),
+        horizon=default_horizon if spec.horizon is None else spec.horizon,
     )
     run = execute(spec)
-    if not run.completed:
+    if require_completion and not run.completed:
         raise HorizonExceeded(
-            "PIF trial did not finish",
+            f"{label} trial did not finish",
             horizon=spec.horizon,
             served=len(run.completions),
             requested=requests_per_process * len(run.pids),
+            # Only ME traces carry critical-section entries.
+            rounds=_count_cs_grants(run.trace, tag) or None,
             window=run.window,
         )
+    return spec, run
+
+
+def _result(
+    spec: TrialSpec,
+    run: EngineRun,
+    ok: bool,
+    violations: list,
+    measurements: dict[str, Any],
+    **params: Any,
+) -> TrialResult:
+    return TrialResult(
+        params={"n": len(run.pids), "seed": spec.seed, "loss": spec.loss,
+                **params, "topology": run.topology.name,
+                "engine": spec.engine},
+        ok=ok,
+        violations=len(violations),
+        measurements=measurements,
+        provenance=run.provenance(),
+    )
+
+
+def run_pif_trial(
+    spec: TrialSpec,
+    *,
+    requests_per_process: int = 2,
+    max_state: int | None = None,
+) -> TrialResult:
+    """One PIF trial (E3): all processes broadcast; Specification 1 checked.
+
+    ``max_state`` is the top of the handshake flag domain (default
+    ``spec.capacity + 3``, the paper's bound for capacity-c channels).
+    """
+    if max_state is None:
+        max_state = spec.capacity + 3
+    spec, run = _drive(
+        spec, "PIF", {"kind": "pif", "max_state": max_state}, PIF_HORIZON,
+        requests_per_process, payload_fmt="msg-{pid}-{k}",
+    )
     verdict = check_pif(
         run.trace, "pif", run.pids, final_requests=run.finals,
         neighbors=_neighbor_map(run),
     )
     waves = [w for w in extract_waves(run.trace, "pif") if w.decided]
     durations = [w.duration for w in waves if w.duration is not None]
-    return TrialResult(
-        params={"n": len(run.pids), "seed": spec.seed, "loss": spec.loss,
-                "capacity": spec.capacity, "topology": run.topology.name,
-                "engine": spec.engine},
-        ok=verdict.ok,
-        violations=len(verdict.violations),
-        measurements={
+    return _result(
+        spec, run, verdict.ok, verdict.violations,
+        {
             "waves": len(waves),
             "messages": run.stats.sent,
             "msg_per_wave": round(run.stats.sent / max(1, len(waves)), 1),
@@ -318,117 +201,52 @@ def run_pif_trial(
             "wave_p95": summarize(durations).p95 if durations else 0,
             "final_time": run.final_time,
         },
-        provenance=run.provenance(),
+        capacity=spec.capacity,
     )
 
 
 def run_idl_trial(
-    n: int | None = None,
+    spec: TrialSpec,
     *,
-    spec: TrialSpec | None = None,
-    seed: int = 0,
-    loss: float = 0.0,
     requests_per_process: int = 2,
-    scramble: bool = True,
     idents: dict[int, int] | None = None,
-    topology: Topology | str | None = None,
-    horizon: int | None = None,
-    latency: tuple[int, int] = (1, 3),
-    engine: str = "serial",
-    shards: int | None = None,
-    window: int | None = None,
-    transport: str = "loopback",
-    tick: float | None = None,
-    hosts: int | None = None,
-    sync: str | None = None,
-    cluster_listen: str | None = None,
-    fault_plan: Any = None,
-    metrics: str | None = None,
-    timeline: str | None = None,
 ) -> TrialResult:
     """One IDL trial (E4): Specification 2 checked against ground truth."""
-
-    def build(host) -> None:
-        ident = idents[host.pid] if idents else None
-        host.register(IdlLayer("idl", ident=ident))
-
-    spec = _base_spec(
-        spec, n, seed=seed, loss=loss, capacity=1, topology=topology,
-        latency=latency, scramble=scramble, engine=engine, shards=shards,
-        window=window, transport=transport, tick=tick, round_budget=None,
-        hosts=hosts, sync=sync, cluster_listen=cluster_listen,
-        fault_plan=fault_plan, metrics=metrics, timeline=timeline,
-        horizon=horizon, default_horizon=IDL_HORIZON,
+    spec, run = _drive(
+        spec, "IDL", {"kind": "idl", "idents": idents}, IDL_HORIZON,
+        requests_per_process,
     )
-    spec = replace(
-        spec,
-        build=build,
-        protocol={"kind": "idl", "idents": idents},
-        driver=dict(tag="idl", requests_per_process=requests_per_process),
-    )
-    run = execute(spec)
-    if not run.completed:
-        raise HorizonExceeded(
-            "IDL trial did not finish",
-            horizon=spec.horizon,
-            served=len(run.completions),
-            requested=requests_per_process * len(run.pids),
-            window=run.window,
-        )
     truth = {p: (idents[p] if idents else p) for p in run.pids}
     verdict = check_idl(
         run.trace, "idl", truth, final_requests=run.finals,
         neighborhoods=_neighbor_map(run),
     )
     latencies = run.latencies()
-    return TrialResult(
-        params={"n": len(run.pids), "seed": spec.seed, "loss": spec.loss,
-                "topology": run.topology.name, "engine": spec.engine},
-        ok=verdict.ok,
-        violations=len(verdict.violations),
-        measurements={
+    return _result(
+        spec, run, verdict.ok, verdict.violations,
+        {
             "computations": verdict.info.get("computations", 0),
             "messages": run.stats.sent,
             "latency_p50": summarize(latencies).p50 if latencies else 0,
             "final_time": run.final_time,
         },
-        provenance=run.provenance(),
     )
 
 
 def run_mutex_trial(
-    n: int | None = None,
+    spec: TrialSpec,
     *,
-    spec: TrialSpec | None = None,
-    seed: int = 0,
-    loss: float = 0.0,
     requests_per_process: int = 2,
-    scramble: bool = True,
     cs_duration: int = 3,
     use_paper_modulus: bool = False,
-    topology: Topology | str | None = None,
-    horizon: int | None = None,
     require_completion: bool = True,
-    latency: tuple[int, int] = (1, 3),
-    engine: str = "serial",
-    shards: int | None = None,
-    window: int | None = None,
-    transport: str = "loopback",
-    tick: float | None = None,
-    round_budget: int | None = None,
-    hosts: int | None = None,
-    sync: str | None = None,
-    cluster_listen: str | None = None,
-    fault_plan: Any = None,
-    metrics: str | None = None,
-    timeline: str | None = None,
 ) -> TrialResult:
     """One ME trial (E5): Specification 3 checked over the full trace.
 
     On a non-complete topology the Correctness check runs per leader
     cluster (the generalized guarantee — see :mod:`repro.core.mutex`).
 
-    ``round_budget`` bounds convergence cost: the trial aborts with
+    ``spec.round_budget`` bounds convergence cost: the trial aborts with
     :class:`~repro.errors.HorizonExceeded` once more than that many CS
     grants happened without serving every request.  A completing trial
     uses about ``(requests_per_process + 1) * n`` grants (measured across
@@ -437,35 +255,13 @@ def run_mutex_trial(
     steeply with ring size, making the plain horizon an expensive way to
     detect impractical configurations.
     """
-    spec = _base_spec(
-        spec, n, seed=seed, loss=loss, capacity=1, topology=topology,
-        latency=latency, scramble=scramble, engine=engine, shards=shards,
-        window=window, transport=transport, tick=tick,
-        round_budget=round_budget, hosts=hosts, sync=sync,
-        cluster_listen=cluster_listen, fault_plan=fault_plan,
-        metrics=metrics, timeline=timeline,
-        horizon=horizon, default_horizon=MUTEX_HORIZON,
+    spec, run = _drive(
+        spec, "ME",
+        {"kind": "me", "cs_duration": cs_duration,
+         "use_paper_modulus": use_paper_modulus},
+        MUTEX_HORIZON, requests_per_process,
+        require_completion=require_completion,
     )
-    spec = replace(
-        spec,
-        build=lambda h: h.register(
-            MutexLayer("me", cs_duration=cs_duration,
-                       use_paper_modulus=use_paper_modulus)
-        ),
-        protocol={"kind": "me", "cs_duration": cs_duration,
-                  "use_paper_modulus": use_paper_modulus},
-        driver=dict(tag="me", requests_per_process=requests_per_process),
-    )
-    run = execute(spec)
-    if require_completion and not run.completed:
-        raise HorizonExceeded(
-            "ME trial did not finish",
-            horizon=spec.horizon,
-            served=len(run.completions),
-            requested=requests_per_process * len(run.pids),
-            rounds=_count_cs_grants(run.trace, "me"),
-            window=run.window,
-        )
     clusters = (
         None
         if run.topology.is_complete
@@ -476,12 +272,11 @@ def run_mutex_trial(
         require_all_served=run.completed, clusters=clusters,
     )
     latencies = run.latencies()
-    return TrialResult(
-        params={"n": len(run.pids), "seed": spec.seed, "loss": spec.loss,
-                "topology": run.topology.name, "engine": spec.engine},
-        ok=verdict.ok and (run.completed or not require_completion),
-        violations=len(verdict.violations),
-        measurements={
+    return _result(
+        spec, run,
+        verdict.ok and (run.completed or not require_completion),
+        verdict.violations,
+        {
             "served": len(run.completions),
             "requested": requests_per_process * len(run.pids),
             "completed": run.completed,
@@ -491,38 +286,39 @@ def run_mutex_trial(
             "latency_p95": summarize(latencies).p95 if latencies else 0,
             "final_time": run.final_time,
         },
-        provenance=run.provenance(),
     )
 
 
-def sweep_pif(
-    ns: list[int],
-    losses: list[float],
-    seeds: list[int],
-    **kwargs: Any,
-) -> list[TrialResult]:
-    """E3 sweep: PIF across system sizes, loss rates and scrambles."""
+#: Trial name → wrapper: the one table behind the CLI's trial
+#: subcommands and the topology matrix's ``protocol`` axis.
+TRIALS = {
+    "pif": run_pif_trial,
+    "idl": run_idl_trial,
+    "mutex": run_mutex_trial,
+}
+
+
+def _sweep(trial, ns, losses, seeds, kwargs) -> list[TrialResult]:
     return [
-        run_pif_trial(n, seed=seed, loss=loss, **kwargs)
+        trial(TrialSpec(n=n, seed=seed, loss=loss), **kwargs)
         for n in ns
         for loss in losses
         for seed in seeds
     ]
+
+
+def sweep_pif(
+    ns: list[int], losses: list[float], seeds: list[int], **kwargs: Any
+) -> list[TrialResult]:
+    """E3 sweep: PIF across system sizes, loss rates and scrambles."""
+    return _sweep(run_pif_trial, ns, losses, seeds, kwargs)
 
 
 def sweep_mutex(
-    ns: list[int],
-    losses: list[float],
-    seeds: list[int],
-    **kwargs: Any,
+    ns: list[int], losses: list[float], seeds: list[int], **kwargs: Any
 ) -> list[TrialResult]:
     """E5 sweep: ME across system sizes, loss rates and scrambles."""
-    return [
-        run_mutex_trial(n, seed=seed, loss=loss, **kwargs)
-        for n in ns
-        for loss in losses
-        for seed in seeds
-    ]
+    return _sweep(run_mutex_trial, ns, losses, seeds, kwargs)
 
 
 def pif_scaling_row(
@@ -538,6 +334,10 @@ def pif_scaling_row(
     per resend round and a constant number (max_state) of round trips —
     Θ(n) per round on the paper's complete graph.
     """
+    from repro.core.pif import PifLayer
+    from repro.sim.runtime import Simulator
+    from repro.types import RequestState
+
     msg_counts: list[int] = []
     per_peer: list[float] = []
     durations: list[int] = []
@@ -554,8 +354,6 @@ def pif_scaling_row(
         name = sim.topology.name
         layer = sim.layer(initiator, "pif")
         layer.request_broadcast("scale")
-        from repro.types import RequestState
-
         done = sim.run(500_000, until=lambda s: layer.request is RequestState.DONE)
         if not done:
             raise SimulationError(f"scaling wave (n={n}, seed={seed}) never decided")

@@ -96,7 +96,10 @@ def _flags_matrix(p: argparse.ArgumentParser) -> None:
         default=["complete", "ring", "star", "grid", "gnp:0.35", "clustered:2"],
     )
     p.add_argument("--losses", type=float, nargs="+", default=[0.0, 0.2])
-    p.add_argument("--protocol", choices=["pif", "mutex"], default="pif")
+    p.add_argument(
+        "--protocol", default="pif", metavar="NAME",
+        help="which trial fills the cells: pif (default), idl or mutex",
+    )
     _add_engine_args(p)
 
 
@@ -321,30 +324,29 @@ def _cmd_impossibility(args) -> str:
     )
 
 
-def _fault_plan_arg(args):
-    """Resolve --fault-plan: inline statements, or @FILE contents."""
-    from repro.engine.spec import resolve_fault_plan
-
-    return resolve_fault_plan(getattr(args, "fault_plan", None))
-
-
-#: Trial subcommand → (its ``repro.analysis.runner`` wrapper, table title).
-_TRIALS = {
-    "pif": ("run_pif_trial", "E3 — PIF trials"),
-    "idl": ("run_idl_trial", "E4 — IDL trials"),
-    "mutex": ("run_mutex_trial", "E5 — ME trials"),
+#: Table title per trial subcommand (the wrappers themselves are
+#: :data:`repro.analysis.runner.TRIALS`).
+_TRIAL_TITLES = {
+    "pif": "E3 — PIF trials",
+    "idl": "E4 — IDL trials",
+    "mutex": "E5 — ME trials",
 }
+
+
+def _scalar_keys(record: dict) -> list[str]:
+    """The table-ready keys of a measurements/provenance record."""
+    return [k for k, v in record.items()
+            if isinstance(v, (int, float, bool, str))]
 
 
 def _cmd_trials(args) -> str:
     from dataclasses import replace
 
-    from repro.analysis import runner as runners
+    from repro.analysis.runner import TRIALS
     from repro.analysis.tables import render_table
     from repro.engine.spec import TrialSpec
 
-    runner_name, title = _TRIALS[args.command]
-    runner = getattr(runners, runner_name)
+    runner = TRIALS[args.command]
     # One spec for the whole command (the TrialSpec codec reads every
     # engine/topology flag); per-trial variation is seed + obs paths.
     base = TrialSpec.from_cli_args(args)
@@ -363,29 +365,17 @@ def _cmd_trials(args) -> str:
             )
         return spec
 
-    trials = [runner(spec=per_seed(s), requests_per_process=args.requests)
+    trials = [runner(per_seed(s), requests_per_process=args.requests)
               for s in args.seeds]
     keys = ["n", "topology", "engine", "seed", "loss", "ok", "violations"]
-    extra = sorted(
-        k for k in trials[0].measurements if isinstance(
-            trials[0].measurements[k], (int, float, bool))
-    )
-    prov = ["wall_clock_s"]
-    if args.engine == "sharded":
-        prov += ["window", "barriers", "sync_wall_s"]
-    if args.engine == "async":
-        prov += ["transport", "monitors_ok"]
-    if args.engine == "cluster":
-        prov += ["hosts", "sync", "window", "barriers", "sync_wall_s",
-                 "worker_wall_spread_s", "registry_round_trips",
-                 "monitors_ok"]
-    if getattr(args, "fault_plan", None) is not None:
-        prov += ["recoveries", "replayed_rounds"] \
-            if args.engine == "cluster" else []
+    extra = sorted(_scalar_keys(trials[0].measurements))
+    # Whatever scalar provenance the backend reported (the engine name
+    # is already a column), so a newly registered backend prints its own.
+    prov = [k for k in _scalar_keys(trials[0].provenance) if k != "engine"]
     return render_table(
         keys + extra + prov,
         [t.row(*(keys + extra + prov)) for t in trials],
-        title=title,
+        title=_TRIAL_TITLES[args.command],
     )
 
 
@@ -472,16 +462,11 @@ def _cmd_property1(args) -> str:
 def _cmd_matrix(args) -> str:
     from repro.analysis.experiments import run_topology_matrix
     from repro.analysis.tables import render_table
+    from repro.engine.spec import TrialSpec
 
     rows = run_topology_matrix(
-        n=args.n, topologies=args.topologies, losses=args.losses,
-        seeds=args.seeds, protocol=args.protocol,
-        engine=args.engine, shards=args.shards, window=args.window,
-        transport=args.transport, tick=args.tick, horizon=args.horizon,
-        latency=tuple(args.latency),
-        hosts=args.hosts, sync=args.sync,
-        fault_plan=_fault_plan_arg(args),
-        metrics=args.metrics, timeline=args.timeline,
+        TrialSpec.from_cli_args(args), topologies=args.topologies,
+        losses=args.losses, seeds=args.seeds, protocol=args.protocol,
     )
     return render_table(
         list(rows[0].keys()), [list(r.values()) for r in rows],

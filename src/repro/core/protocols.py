@@ -1,18 +1,18 @@
-"""Picklable protocol and payload descriptions.
+"""The one protocol description: ``{"kind": ..., **params}``.
 
-Worker interpreters cannot inherit closures, so a trial that crosses an
-interpreter boundary describes its protocol as a ``{"kind": ..., **params}``
-dict (:func:`build_protocol` turns it back into a build function on the
-far side) and its request payloads as a format string
-(:func:`payload_from_fmt`).  In-process engines accept the same
-spellings, so one spec runs everywhere.
+A :class:`~repro.engine.TrialSpec` describes its protocol as a plain
+dict and its request payloads as a format string, so every spec is
+picklable and JSON-codable.  Each engine — and each cluster worker
+interpreter — turns the dict into a build function with
+:func:`build_protocol` and the format into a payload callable with
+:func:`payload_from_fmt`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import SimulationError
+from repro.errors import SpecError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runtime import BuildFn
@@ -56,8 +56,7 @@ def _build_me(
     return build
 
 
-#: Named protocol builders: worker interpreters reconstruct the build
-#: closure from a picklable ``{"kind": ..., **params}`` spec.
+#: Named protocol builders, keyed by the spec's ``kind``.
 BUILDERS: dict[str, Callable[..., BuildFn]] = {
     "pif": _build_pif,
     "idl": _build_idl,
@@ -66,14 +65,14 @@ BUILDERS: dict[str, Callable[..., BuildFn]] = {
 
 
 def build_protocol(spec: dict[str, Any]) -> BuildFn:
-    """Turn a protocol spec into a build function (worker side)."""
+    """Turn a protocol spec into the per-host build function."""
     params = dict(spec)
     kind = params.pop("kind", None)
     factory = BUILDERS.get(kind)
     if factory is None:
-        raise SimulationError(
-            f"unknown protocol kind {kind!r}; expected one of {sorted(BUILDERS)}"
-        )
+        raise SpecError(
+            f"unknown protocol kind {kind!r}; expected one of "
+            f"{sorted(BUILDERS)}", field="protocol")
     return factory(**params)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.protocols import build_protocol
 from repro.net.engine import AsyncSimulator
 from repro.net.monitors import default_monitors
 from repro.net.transport import resolve_transport, transport_names
@@ -43,10 +44,6 @@ class AsyncBackend(EngineBackend):
         )
 
     def validate(self, spec: TrialSpec) -> None:
-        if spec.build is None:
-            raise SpecError(
-                "the async backend needs a build callable (spec.build)",
-                backend=self.name, field="build")
         kind = resolve_transport(spec.transport.transport)
         if spec.transport.tick is not None and not kind.paced:
             raise SpecError(
@@ -70,7 +67,7 @@ class AsyncBackend(EngineBackend):
         tick = spec.transport.tick
         sim = AsyncSimulator(
             spec.n if top is None else None,
-            spec.build,
+            build_protocol(spec.protocol),
             topology=top,
             seed=spec.seed,
             loss=loss_model(spec.loss),

@@ -18,7 +18,6 @@ from repro.engine.base import (
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
-from repro.errors import SpecError
 
 
 class ClusterBackend(EngineBackend):
@@ -34,13 +33,6 @@ class ClusterBackend(EngineBackend):
             {"obs", "hosts", "sync", "cluster_listen", "window",
              "fault_plan"}
         )
-
-    def validate(self, spec: TrialSpec) -> None:
-        if spec.protocol is None:
-            raise SpecError(
-                "the cluster backend needs a picklable protocol spec "
-                "(spec.protocol) — build closures cannot cross worker "
-                "interpreters", backend=self.name, field="protocol")
 
     def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
         top = resolve_topology(spec.n, spec.topology, spec.seed)

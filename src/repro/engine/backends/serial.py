@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
-from repro.errors import HorizonExceeded, SpecError
+from repro.errors import HorizonExceeded
 from repro.sim.runtime import Simulator
 from repro.sim.trace import EventKind, Trace
 from repro.engine.base import (
@@ -59,18 +60,12 @@ class SerialBackend(EngineBackend):
     def capabilities(self) -> frozenset[str]:
         return frozenset({"obs", "round_budget"})
 
-    def validate(self, spec: TrialSpec) -> None:
-        if spec.build is None:
-            raise SpecError(
-                "the serial backend needs a build callable (spec.build)",
-                backend=self.name, field="build")
-
     def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
         top = resolve_topology(spec.n, spec.topology, spec.seed)
         driver = normalized_driver(spec)
         sim = Simulator(
             spec.n if top is None else None,
-            spec.build,
+            build_protocol(spec.protocol),
             topology=top,
             seed=spec.seed,
             loss=loss_model(spec.loss),

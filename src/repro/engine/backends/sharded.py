@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.protocols import build_protocol
 from repro.sim.sharded import ShardedSimulator
 from repro.engine.base import (
     DRAIN_TICKS,
@@ -18,7 +19,6 @@ from repro.engine.base import (
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
-from repro.errors import SpecError
 
 
 class ShardedBackend(EngineBackend):
@@ -31,18 +31,12 @@ class ShardedBackend(EngineBackend):
     def capabilities(self) -> frozenset[str]:
         return frozenset({"obs", "shards", "window"})
 
-    def validate(self, spec: TrialSpec) -> None:
-        if spec.build is None:
-            raise SpecError(
-                "the sharded backend needs a build callable (spec.build)",
-                backend=self.name, field="build")
-
     def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
         top = resolve_topology(spec.n, spec.topology, spec.seed)
         driver = normalized_driver(spec)
         sim = ShardedSimulator(
             spec.n if top is None else None,
-            spec.build,
+            build_protocol(spec.protocol),
             topology=top,
             seed=spec.seed,
             shards=spec.sharding.shards,

@@ -49,6 +49,11 @@ def execute(spec: TrialSpec) -> EngineRun:
         raise SpecError(
             "spec names no driver config (which layer serves requests, "
             "and how many)", field="driver")
+    if not spec.protocol:
+        raise SpecError(
+            "spec names no protocol; set protocol={'kind': ..., **params} "
+            "(or run through a trial wrapper, which fills in its own)",
+            field="protocol")
     backend = resolve(spec.engine)
     check_capabilities(spec, backend)
     backend.validate(spec)

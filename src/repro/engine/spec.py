@@ -1,30 +1,30 @@
 """The declarative trial description: :class:`TrialSpec` and its codecs.
 
-A trial used to be ~20 keyword arguments threaded by hand through
-``execute_trial``, every ``run_*_trial`` wrapper, the topology matrix and
-the CLI.  :class:`TrialSpec` freezes that surface into one value: the
-universal axes (topology/seed/loss/capacity/latency/scramble/driver/
-horizon) plus one small options record per engine family —
-:class:`ShardingOpts`, :class:`TransportOpts`, :class:`ClusterOpts`,
-:class:`ChaosOpts`, :class:`ObsOpts`.  Backends declare which sections
-they understand (:meth:`repro.engine.base.EngineBackend.capabilities`);
-a populated section a backend does not understand is one uniform
+A :class:`TrialSpec` is the only way to describe a trial: the universal
+axes (topology/seed/loss/capacity/latency/scramble/horizon), the
+protocol as a ``{"kind": ..., **params}`` dict
+(:data:`repro.core.protocols.BUILDERS`), the request-driver config, and
+one small options record per engine family — :class:`ShardingOpts`,
+:class:`TransportOpts`, :class:`ClusterOpts`, :class:`ChaosOpts`,
+:class:`ObsOpts`.  Backends declare which sections they understand
+(:meth:`repro.engine.base.EngineBackend.capabilities`); a populated
+section a backend does not understand is one uniform
 :class:`~repro.errors.SpecError`.
 
-Codecs:
+An axis is declared once, as a dataclass field; the codecs walk the
+fields:
 
 * :meth:`TrialSpec.from_cli_args` — build the axis part of a spec from an
   argparse namespace (any subset of the CLI's engine/topology flags);
 * :meth:`TrialSpec.as_provenance` / :meth:`TrialSpec.from_provenance` —
-  a JSON-ready record and its lossless inverse for *codable* specs
-  (callables — ``build``, a ``payload`` closure — cannot cross a JSON
-  boundary and are dropped; see :meth:`TrialSpec.codable`).
+  a JSON-ready record and its inverse, lossless unless the spec carries
+  a pre-built topology object (see :meth:`TrialSpec.codable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any
 
 from repro.chaos.plan import FaultPlan
 from repro.errors import SpecError
@@ -81,7 +81,8 @@ class ChaosOpts:
     and parses it at construction, so a spec never carries raw plan text.
     """
 
-    plan: FaultPlan | None = None
+    plan: FaultPlan | None = field(
+        default=None, metadata={"record_key": "fault_plan"})
 
     def __post_init__(self) -> None:
         if isinstance(self.plan, str):
@@ -105,17 +106,16 @@ class ObsOpts:
 class TrialSpec:
     """One driven trial, fully described.
 
-    ``build`` registers the protocol layers on each process host (any
-    in-process engine); ``protocol`` is the picklable equivalent for
-    engines whose workers live in other interpreters.  Either may be
-    None — each backend validates that the form it needs is present.
-    ``horizon`` may be left None by axis-only specs (e.g. from the CLI);
-    the ``run_*_trial`` wrappers fill in their per-experiment default and
-    :func:`repro.engine.pipeline.execute` requires it to be set.
+    ``protocol`` names the layers every process host registers, as a
+    ``{"kind": ..., **params}`` dict resolved through
+    :func:`repro.core.protocols.build_protocol` on every engine.
+    ``protocol``, ``driver`` and ``horizon`` may be left unset by
+    axis-only specs (e.g. from the CLI): the ``run_*_trial`` wrappers
+    fill in their experiment's values, and
+    :func:`repro.engine.pipeline.execute` requires all three.
     """
 
     n: int = 0
-    build: Callable | None = None
     protocol: dict[str, Any] | None = None
     topology: Topology | str | None = None
     seed: int = 0
@@ -183,91 +183,26 @@ class TrialSpec:
     # -- codecs ---------------------------------------------------------
 
     def codable(self) -> bool:
-        """True when :meth:`as_provenance` loses nothing: no callables in
-        the driver, no ``build`` closure, no pre-built topology object."""
-        return (
-            self.build is None
-            and (self.topology is None or isinstance(self.topology, str))
-            and not any(callable(v) for v in self.driver.values())
-        )
+        """True when :meth:`as_provenance` loses nothing: the topology is
+        a spec string (or the default), not a pre-built object."""
+        return self.topology is None or isinstance(self.topology, str)
 
     def as_provenance(self) -> dict[str, Any]:
-        """JSON-ready record of this spec (bench artifacts, obs context).
-
-        Lossless for codable specs (:meth:`from_provenance` inverts it);
-        callables are dropped and a pre-built topology collapses to its
-        name.
-        """
-        if isinstance(self.topology, str) or self.topology is None:
-            topology: str | None = self.topology
-        else:
-            topology = self.topology.name
-        plan = self.chaos.plan
-        return {
-            "spec_version": SPEC_VERSION,
-            "n": self.n,
-            "topology": topology,
-            "seed": self.seed,
-            "loss": self.loss,
-            "capacity": self.capacity,
-            "latency": list(self.latency),
-            "scramble": self.scramble,
-            "driver": {k: v for k, v in self.driver.items()
-                       if not callable(v)},
-            "protocol": self.protocol,
-            "horizon": self.horizon,
-            "round_budget": self.round_budget,
-            "engine": self.engine,
-            "sharding": {"shards": self.sharding.shards,
-                         "window": self.sharding.window},
-            "transport": {"transport": self.transport.transport,
-                          "tick": self.transport.tick},
-            "cluster": {"hosts": self.cluster.hosts,
-                        "sync": self.cluster.sync,
-                        "listen": self.cluster.listen},
-            "chaos": {"fault_plan": plan.source if plan is not None else None},
-            "obs": {"metrics": self.obs.metrics,
-                    "timeline": self.obs.timeline},
-        }
+        """JSON-ready record of this spec (bench artifacts, obs context,
+        the golden-hash corpus): one key per field, one sub-record per
+        options section.  A pre-built topology collapses to its name."""
+        return {"spec_version": SPEC_VERSION, **_encode(self)}
 
     @classmethod
     def from_provenance(cls, record: dict[str, Any]) -> "TrialSpec":
-        """Rebuild a spec from an :meth:`as_provenance` record."""
+        """Rebuild a spec from an :meth:`as_provenance` record (absent
+        keys keep the field's default)."""
         version = record.get("spec_version")
         if version != SPEC_VERSION:
             raise SpecError(
                 f"provenance record speaks spec_version {version!r}, "
                 f"expected {SPEC_VERSION}", field="spec_version")
-        plan_text = (record.get("chaos") or {}).get("fault_plan")
-        sharding = record.get("sharding") or {}
-        transport = record.get("transport") or {}
-        cluster = record.get("cluster") or {}
-        obs = record.get("obs") or {}
-        return cls(
-            n=record["n"],
-            topology=record.get("topology"),
-            seed=record.get("seed", 0),
-            loss=record.get("loss", 0.0),
-            capacity=record.get("capacity", 1),
-            latency=tuple(record.get("latency", (1, 3))),
-            scramble=record.get("scramble", True),
-            driver=dict(record.get("driver") or {}),
-            protocol=record.get("protocol"),
-            horizon=record.get("horizon"),
-            round_budget=record.get("round_budget"),
-            engine=record.get("engine", "serial"),
-            sharding=ShardingOpts(shards=sharding.get("shards"),
-                                  window=sharding.get("window")),
-            transport=TransportOpts(
-                transport=transport.get("transport", "loopback"),
-                tick=transport.get("tick")),
-            cluster=ClusterOpts(hosts=cluster.get("hosts"),
-                                sync=cluster.get("sync"),
-                                listen=cluster.get("listen")),
-            chaos=ChaosOpts(plan=plan_text),
-            obs=ObsOpts(metrics=obs.get("metrics"),
-                        timeline=obs.get("timeline")),
-        )
+        return _decode(cls, record)
 
     @classmethod
     def from_cli_args(
@@ -278,8 +213,8 @@ class TrialSpec:
         Reads whichever of the CLI's engine/topology flags the namespace
         carries (``--engine``, ``--shards``, ``--transport``, ``--hosts``,
         ``--fault-plan``, ``--metrics``, ``--wan``, ``--latency-map``, …)
-        and leaves the experiment part — ``build``/``driver``/
-        ``protocol``/``horizon`` defaults — to the trial wrappers.
+        and leaves the experiment part — ``protocol``/``driver``/the
+        ``horizon`` default — to the trial wrappers.
         ``seed`` defaults to the first of ``--seeds`` (or ``--seed``);
         multi-seed commands :func:`dataclasses.replace` the seed per
         trial.
@@ -320,6 +255,41 @@ class TrialSpec:
     def with_obs(self, metrics: str | None, timeline: str | None) -> "TrialSpec":
         """Copy with different obs paths (per-seed / per-cell suffixing)."""
         return replace(self, obs=ObsOpts(metrics=metrics, timeline=timeline))
+
+
+# -- the provenance codec: one walk over the dataclass fields -----------
+
+
+def _record_key(f) -> str:
+    return f.metadata.get("record_key", f.name)
+
+
+def _encode(value: Any) -> Any:
+    if is_dataclass(value):
+        return {_record_key(f): _encode(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, FaultPlan):
+        return value.source
+    if isinstance(value, Topology):
+        return value.name
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _decode(cls: type, record: dict[str, Any]) -> Any:
+    kwargs = {}
+    for f in fields(cls):
+        key = _record_key(f)
+        if key not in record:
+            continue
+        value = record[key]
+        if is_dataclass(f.default):  # an options section
+            value = _decode(type(f.default), value or {})
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 # -- CLI helpers (shared by from_cli_args and repro.cli) ----------------

@@ -1,7 +1,8 @@
 """Per-trial observability funnel: one :class:`ObsRecorder` per process.
 
-The coordinator (``execute_trial`` / the sharded or cluster driver
-loop) owns the primary recorder.  Each worker — a forked sharded worker
+The coordinator (:func:`repro.engine.execute`, switched on by a spec's
+``obs`` section, and the sharded or cluster driver loop it runs) owns
+the primary recorder.  Each worker — a forked sharded worker
 or a cluster worker interpreter — owns its own recorder with a distinct
 Chrome-trace ``pid`` lane, and ships :meth:`ObsRecorder.worker_payload`
 back over its existing result channel (the sharded pipe, or the pickled

@@ -24,6 +24,7 @@ from repro.analysis.runner import (
     run_pif_trial,
 )
 from repro.analysis.tables import format_value, render_table
+from repro.engine import TrialSpec
 
 
 class TestTables:
@@ -62,20 +63,20 @@ class TestMetrics:
 
 class TestTrials:
     def test_pif_trial_ok(self):
-        trial = run_pif_trial(3, seed=0, requests_per_process=1)
+        trial = run_pif_trial(TrialSpec(n=3), requests_per_process=1)
         assert trial.ok
         assert trial.measurements["waves"] >= 3
 
     def test_pif_trial_row(self):
-        trial = run_pif_trial(2, seed=1, requests_per_process=1)
+        trial = run_pif_trial(TrialSpec(n=2, seed=1), requests_per_process=1)
         row = trial.row("n", "ok", "messages")
         assert row[0] == 2 and row[1] is True and row[2] > 0
 
     def test_idl_trial_ok(self):
-        assert run_idl_trial(3, seed=0, requests_per_process=1).ok
+        assert run_idl_trial(TrialSpec(n=3), requests_per_process=1).ok
 
     def test_mutex_trial_ok(self):
-        trial = run_mutex_trial(3, seed=0, requests_per_process=1)
+        trial = run_mutex_trial(TrialSpec(n=3), requests_per_process=1)
         assert trial.ok
         assert trial.measurements["served"] == 3
 

@@ -21,12 +21,19 @@ from __future__ import annotations
 
 import asyncio
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.runner import execute_trial, run_pif_trial
+from repro.analysis.runner import run_pif_trial
 from repro.chaos import Backoff, FaultPlan, parse_fault_plan, retry_async
-from repro.core.pif import PifLayer
+from repro.engine import (
+    ChaosOpts,
+    ClusterOpts,
+    TransportOpts,
+    TrialSpec,
+    execute,
+)
 from repro.errors import ConfigurationError, SimulationError, WorkerCrashed
 from repro.sim.trace import canonical_trace_hash
 
@@ -232,14 +239,13 @@ def test_validate_for_async_rejects_cluster_only_faults():
     parse_fault_plan("drop ship from 1").validate_for_async("tcp")
 
 
-def test_execute_trial_guards_fault_plan_engine_axis():
+def test_execute_guards_fault_plan_engine_axis():
     with pytest.raises(SimulationError, match="fault_plan requires"):
-        execute_trial(
-            4, lambda h: h.register(PifLayer("pif")),
+        execute(TrialSpec(
+            n=4, protocol={"kind": "pif"},
             driver=dict(tag="pif", requests_per_process=1),
-            horizon=100_000, engine="serial",
-            fault_plan="drop ship from 1",
-        )
+            horizon=100_000, engine="serial", chaos="drop ship from 1",
+        ))
 
 
 # -- cluster integration: kill a real worker at every phase ---------------
@@ -249,8 +255,15 @@ SERIAL_ORACLE: dict = {}
 
 def _serial(seed: int):
     if seed not in SERIAL_ORACLE:
-        SERIAL_ORACLE[seed] = run_pif_trial(6, seed=seed, engine="serial")
+        SERIAL_ORACLE[seed] = run_pif_trial(TrialSpec(n=6, seed=seed))
     return SERIAL_ORACLE[seed]
+
+
+def _cluster_trial(seed: int, plan):
+    """One n=6 PIF trial on two cluster workers under ``plan``."""
+    return run_pif_trial(TrialSpec(
+        n=6, seed=seed, engine="cluster", cluster=ClusterOpts(hosts=2),
+        chaos=ChaosOpts(plan=plan)))
 
 
 @pytest.mark.parametrize("phase, plan", [
@@ -260,8 +273,7 @@ def _serial(seed: int):
 ])
 def test_worker_crash_recovers_bit_identically(phase, plan):
     serial = _serial(3)
-    trial = run_pif_trial(6, seed=3, engine="cluster", hosts=2,
-                          fault_plan=plan)
+    trial = _cluster_trial(3, plan)
     assert trial.ok
     assert trial.measurements == serial.measurements
     assert trial.provenance["recoveries"] == 1
@@ -272,8 +284,7 @@ def test_worker_crash_recovers_bit_identically(phase, plan):
 def test_rendezvous_crash_surfaces_diagnostic_fast_not_timeout():
     started = time.monotonic()
     with pytest.raises(WorkerCrashed) as excinfo:
-        run_pif_trial(6, seed=3, engine="cluster", hosts=2,
-                      fault_plan="crash worker 0 at rendezvous")
+        _cluster_trial(3, "crash worker 0 at rendezvous")
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"diagnosis took {elapsed:.1f}s (timeout path?)"
     crash = excinfo.value
@@ -305,13 +316,11 @@ def test_crash_with_recovery_disabled_is_a_fast_diagnostic():
 
 def test_ship_faults_and_cuts_recover_bit_identically():
     serial = _serial(3)
-    trial = run_pif_trial(
-        6, seed=3, engine="cluster", hosts=2,
-        fault_plan=(
-            "drop ship from 1 round 2..9 count 2\n"
-            "corrupt ship from 4 count 1\n"
-            "cut link 0->1 for rounds 2..3"
-        ),
+    trial = _cluster_trial(
+        3,
+        "drop ship from 1 round 2..9 count 2\n"
+        "corrupt ship from 4 count 1\n"
+        "cut link 0->1 for rounds 2..3",
     )
     assert trial.ok
     assert trial.measurements == serial.measurements
@@ -323,13 +332,8 @@ def test_ship_faults_and_cuts_recover_bit_identically():
 
 def test_crash_plus_link_cut_compose():
     serial = _serial(5)
-    trial = run_pif_trial(
-        6, seed=5, engine="cluster", hosts=2,
-        fault_plan=(
-            "crash worker 1 at barrier 2\n"
-            "cut link 0->1 for rounds 4..5"
-        ),
-    )
+    trial = _cluster_trial(
+        5, "crash worker 1 at barrier 2\ncut link 0->1 for rounds 4..5")
     assert trial.ok
     assert trial.measurements == serial.measurements
     assert trial.provenance["recoveries"] == 1
@@ -341,10 +345,8 @@ def test_crash_of_a_worker_owing_a_resend_recovers():
     replacement's re-ships: the survivor hands the round back
     (``adv-blocked``) instead of waiting out the worker timeout."""
     serial = _serial(0)
-    trial = run_pif_trial(
-        6, seed=0, engine="cluster", hosts=2,
-        fault_plan="crash worker 0 at round 1; drop ship from 1 count 2",
-    )
+    trial = _cluster_trial(
+        0, "crash worker 0 at round 1; drop ship from 1 count 2")
     assert trial.ok
     assert trial.measurements == serial.measurements
     assert trial.provenance["recoveries"] == 1
@@ -355,17 +357,14 @@ def test_fault_free_plan_machinery_keeps_canonical_hash():
     """An *empty* fault plan arms the chaos machinery (dedup sets,
     tolerant pumps) without injecting anything: the trace hash must not
     move."""
-    driver = dict(tag="pif", requests_per_process=1,
-                  payload_fmt="m-{pid}-{k}")
-    base = execute_trial(
-        6, lambda h: h.register(PifLayer("pif")), seed=0, driver=dict(driver),
-        horizon=2_000_000, engine="cluster", hosts=2, protocol={"kind": "pif"},
+    spec = TrialSpec(
+        n=6, protocol={"kind": "pif"}, seed=0,
+        driver=dict(tag="pif", requests_per_process=1,
+                    payload_fmt="m-{pid}-{k}"),
+        horizon=2_000_000, engine="cluster", cluster=ClusterOpts(hosts=2),
     )
-    armed = execute_trial(
-        6, lambda h: h.register(PifLayer("pif")), seed=0, driver=dict(driver),
-        horizon=2_000_000, engine="cluster", hosts=2, protocol={"kind": "pif"},
-        fault_plan=FaultPlan.parse(""),
-    )
+    base = execute(spec)
+    armed = execute(replace(spec, chaos=FaultPlan.parse("")))
     assert canonical_trace_hash(base.trace) == canonical_trace_hash(armed.trace)
     assert armed.fault_counts == {}
 
@@ -374,10 +373,11 @@ def test_fault_free_plan_machinery_keeps_canonical_hash():
 
 
 def test_async_tcp_ship_faults_count_and_monitors_hold():
-    trial = run_pif_trial(
-        6, seed=3, engine="async", transport="tcp", horizon=60_000,
-        fault_plan="duplicate ship from 1 count 2; corrupt ship from 2 count 1",
-    )
+    trial = run_pif_trial(TrialSpec(
+        n=6, seed=3, engine="async", transport=TransportOpts(transport="tcp"),
+        horizon=60_000,
+        chaos="duplicate ship from 1 count 2; corrupt ship from 2 count 1",
+    ))
     assert trial.ok
     assert trial.provenance["monitors_ok"]
     counts = trial.provenance["fault_counts"]
@@ -427,7 +427,6 @@ def fault_schedules(draw) -> str:
 @example(plan_text="crash worker 0 at round 1\ndrop ship from 3 count 2", seed=0)
 def test_fault_schedule_fuzz_preserves_serial_identity(plan_text, seed):
     serial = _serial(seed)
-    trial = run_pif_trial(6, seed=seed, engine="cluster", hosts=2,
-                          fault_plan=plan_text or None)
+    trial = _cluster_trial(seed, plan_text or None)
     assert trial.ok
     assert trial.measurements == serial.measurements

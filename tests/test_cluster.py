@@ -10,11 +10,13 @@ and :meth:`Partition.peer_shards`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.runner import execute_trial, run_mutex_trial, run_pif_trial
-from repro.core.pif import PifLayer
+from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.core.protocols import build_protocol, payload_from_fmt
+from repro.engine import ClusterOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator, parse_hostport
 from repro.sim.partition import partition_topology
@@ -22,21 +24,23 @@ from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash
 
 
+def _pif_spec(n, **axes) -> TrialSpec:
+    return TrialSpec(
+        n=n, protocol={"kind": "pif"},
+        driver=dict(tag="pif", requests_per_process=1,
+                    payload_fmt="m-{pid}-{k}"),
+        **axes)
+
+
 # -- serial equivalence (the tentpole property) ---------------------------
 
 
 def test_windowed_cluster_is_bit_identical_to_serial():
-    driver = dict(tag="pif", requests_per_process=1,
-                  payload_fmt="m-{pid}-{k}")
-    runs = {}
-    for engine, extra in (("serial", {}), ("cluster", {"hosts": 2})):
-        runs[engine] = execute_trial(
-            6, lambda h: h.register(PifLayer("pif")),
-            topology="complete", seed=0, loss=0.1,
-            driver=dict(driver), horizon=2_000_000, engine=engine,
-            protocol={"kind": "pif"}, **extra,
-        )
-    serial, cluster = runs["serial"], runs["cluster"]
+    spec = _pif_spec(6, topology="complete", seed=0, loss=0.1,
+                     horizon=2_000_000)
+    serial = execute(spec)
+    cluster = execute(replace(
+        spec, engine="cluster", cluster=ClusterOpts(hosts=2)))
     assert [(e.time, e.kind, e.process, e.data) for e in serial.trace] == \
            [(e.time, e.kind, e.process, e.data) for e in cluster.trace]
     assert canonical_trace_hash(serial.trace) == \
@@ -47,9 +51,10 @@ def test_windowed_cluster_is_bit_identical_to_serial():
 
 
 def test_cluster_mutex_trial_matches_serial_metrics():
-    serial = run_mutex_trial(5, loss=0.0, requests_per_process=1)
-    cluster = run_mutex_trial(5, loss=0.0, requests_per_process=1,
-                              engine="cluster", hosts=2)
+    serial = run_mutex_trial(TrialSpec(n=5), requests_per_process=1)
+    cluster = run_mutex_trial(
+        TrialSpec(n=5, engine="cluster", cluster=ClusterOpts(hosts=2)),
+        requests_per_process=1)
     assert cluster.ok
     assert cluster.measurements == serial.measurements
     assert cluster.provenance["hosts"] == 2
@@ -60,8 +65,10 @@ def test_cluster_mutex_trial_matches_serial_metrics():
 
 
 def test_freerun_cluster_passes_online_monitors():
-    trial = run_pif_trial(6, loss=0.1, requests_per_process=1,
-                          engine="cluster", hosts=2, sync="freerun")
+    trial = run_pif_trial(
+        TrialSpec(n=6, loss=0.1, engine="cluster",
+                  cluster=ClusterOpts(hosts=2, sync="freerun")),
+        requests_per_process=1)
     assert trial.ok
     assert trial.provenance["sync"] == "freerun"
     assert trial.provenance["monitors_ok"]
@@ -110,21 +117,15 @@ def test_cluster_drain_must_cover_window():
         sim.run_trial(horizon=100, drain=0)
 
 
-def test_execute_trial_rejects_hosts_without_cluster_engine():
-    driver = dict(tag="pif", requests_per_process=1,
-                  payload_fmt="m-{pid}-{k}")
+def test_execute_rejects_hosts_without_cluster_engine():
     with pytest.raises(SimulationError, match="engine='cluster'"):
-        execute_trial(4, lambda h: h.register(PifLayer("pif")),
-                      driver=driver, horizon=100, hosts=2)
+        execute(_pif_spec(4, horizon=100, cluster=ClusterOpts(hosts=2)))
 
 
-def test_execute_trial_rejects_shards_with_cluster_engine():
-    driver = dict(tag="pif", requests_per_process=1,
-                  payload_fmt="m-{pid}-{k}")
+def test_execute_rejects_shards_with_cluster_engine():
     with pytest.raises(SimulationError, match="shards requires engine='sharded'"):
-        execute_trial(4, lambda h: h.register(PifLayer("pif")),
-                      driver=driver, horizon=100,
-                      engine="cluster", shards=2, protocol={"kind": "pif"})
+        execute(_pif_spec(4, horizon=100, engine="cluster",
+                          sharding=ShardingOpts(shards=2)))
 
 
 # -- picklable specs ------------------------------------------------------

@@ -1,12 +1,11 @@
 """TrialSpec, the backend registry, and the capability gate.
 
-The PR-10 refactor contracts under test:
+The contracts under test:
 
-* the deprecated keyword spelling of ``execute_trial`` and a directly
-  built :class:`TrialSpec` produce *identical* runs — same canonical
-  trace hash, same provenance record;
 * every unsupported axis/engine combination raises one uniform
-  :class:`SpecError` naming the backend and the offending field;
+  :class:`SpecError` naming the backend and the offending field, and a
+  missing or unknown ``protocol`` is one ``SpecError(field="protocol")``
+  on every engine;
 * the spec codecs round-trip: ``from_cli_args`` → ``as_provenance`` →
   ``from_provenance`` is lossless for codable specs (hypothesis-fuzzed);
 * every engine's provenance record validates against the one shared
@@ -18,14 +17,11 @@ The PR-10 refactor contracts under test:
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.runner import execute_trial
-from repro.core.pif import PifLayer
 from repro.engine import (
     ChaosOpts,
     ClusterOpts,
@@ -41,46 +37,15 @@ from repro.engine import (
     validate_run_provenance,
 )
 from repro.errors import SpecError
-from repro.sim.trace import canonical_trace_hash
 
-BUILD = lambda h: h.register(PifLayer("pif"))  # noqa: E731
 DRIVER = dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}")
 
 
 def _spec(**over) -> TrialSpec:
-    base = dict(n=5, build=BUILD, protocol={"kind": "pif"}, seed=3,
+    base = dict(n=5, protocol={"kind": "pif"}, seed=3,
                 loss=0.1, driver=dict(DRIVER), horizon=50_000)
     base.update(over)
     return TrialSpec(**base)
-
-
-# -- kwargs adapter == spec pipeline --------------------------------------
-
-
-@pytest.mark.parametrize("engine,extra", [
-    ("serial", {}),
-    ("sharded", {"shards": 2}),
-    ("async", {}),
-])
-def test_execute_trial_kwargs_equals_spec(engine, extra):
-    via_kwargs = execute_trial(
-        5, BUILD, seed=3, loss=0.1, driver=dict(DRIVER),
-        horizon=50_000, engine=engine, protocol={"kind": "pif"}, **extra,
-    )
-    via_spec = execute(_spec(
-        engine=engine,
-        sharding=ShardingOpts(shards=extra.get("shards")),
-    ))
-    assert (canonical_trace_hash(via_kwargs.trace)
-            == canonical_trace_hash(via_spec.trace))
-
-    def comparable(run):
-        record = run.provenance()
-        record.pop("wall_clock_s")
-        record.pop("sync_wall_s", None)  # wall clock too
-        return record
-
-    assert comparable(via_kwargs) == comparable(via_spec)
 
 
 # -- the uniform capability error -----------------------------------------
@@ -120,6 +85,23 @@ def test_unsupported_axis_is_one_uniform_spec_error(engine, axes, fieldname):
     message = str(err.value)
     assert f"the {engine!r} backend" in message
     assert "requires engine=" in message
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("protocol,complaint", [
+    (None, "names no protocol"),
+    ({"kind": "gossip"}, "unknown protocol kind 'gossip'"),
+], ids=["missing", "unknown-kind"])
+def test_protocol_errors_name_the_field_on_every_engine(
+        engine, protocol, complaint):
+    with pytest.raises(SpecError, match=complaint) as err:
+        execute(_spec(engine=engine, protocol=protocol))
+    assert err.value.field == "protocol"
+
+
+def test_validate_alone_accepts_a_spec_without_protocol():
+    # Axis-only specs (from the CLI) get their protocol from a wrapper.
+    TrialSpec(n=4).validate()
 
 
 def test_unknown_engine_names_the_registry():
@@ -181,11 +163,18 @@ def test_cli_spec_provenance_round_trip_is_lossless(fields):
     assert rebuilt.as_provenance() == record
 
 
-def test_round_trip_drops_callables_but_keeps_axes():
+def test_round_trip_keeps_protocol_driver_and_axes():
     spec = _spec(engine="sharded", sharding=ShardingOpts(shards=2, window=8))
-    assert not spec.codable()  # build + payload-capable driver intact
-    rebuilt = TrialSpec.from_provenance(spec.as_provenance())
-    assert rebuilt == replace(spec, build=None)
+    assert spec.codable()
+    assert TrialSpec.from_provenance(spec.as_provenance()) == spec
+
+
+def test_prebuilt_topology_collapses_to_its_name():
+    from repro.sim.topology import Ring
+
+    spec = _spec(topology=Ring(5))
+    assert not spec.codable()
+    assert spec.as_provenance()["topology"] == "ring(5)"
 
 
 def test_provenance_version_gate():

@@ -1,0 +1,48 @@
+"""Absolute anchors: recorded specs must keep producing recorded traces.
+
+``tests/data/golden_hashes.json`` holds ``{"spec": TrialSpec.as_provenance(),
+"hash": canonical_trace_hash}`` entries — PIF / IDL / ME × complete / ring /
+wan:2 × loss 0 / 0.1 × capacity 1 / 2 at n ≤ 8 on the serial engine —
+recorded through the ``run_*_trial`` wrappers at the commit before
+``TrialSpec.build`` was removed.  The equivalence gates compare engines
+with each other at HEAD; this corpus is what catches a change that moves
+all of them together.  Regenerate it only for an intended change of the
+simulation semantics, and say so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.engine import TrialSpec, execute
+from repro.sim.trace import canonical_trace_hash
+
+CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "golden_hashes.json").read_text())
+
+
+def _label(entry) -> str:
+    spec = entry["spec"]
+    return (f"{spec['protocol']['kind']}-{spec['topology']}-n{spec['n']}"
+            f"-loss{spec['loss']}-cap{spec['capacity']}")
+
+
+def test_corpus_covers_the_protocols_and_topologies():
+    kinds = {e["spec"]["protocol"]["kind"] for e in CORPUS}
+    topologies = {e["spec"]["topology"] for e in CORPUS}
+    assert kinds == {"pif", "idl", "me"}
+    assert topologies == {"complete", "ring", "wan:2"}
+    assert {e["spec"]["loss"] for e in CORPUS} == {0.0, 0.1}
+    assert {e["spec"]["capacity"] for e in CORPUS} == {1, 2}
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=_label)
+def test_recorded_spec_reproduces_its_hash(entry):
+    spec = TrialSpec.from_provenance(entry["spec"])
+    assert spec.codable()
+    # The codec round-trip is exact, so the record alone re-executes.
+    assert spec.as_provenance() == entry["spec"]
+    assert canonical_trace_hash(execute(spec).trace) == entry["hash"]

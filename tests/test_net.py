@@ -16,12 +16,19 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.runner import EngineRun, execute_trial
-from repro.core.mutex import MutexLayer
+from repro.analysis.runner import run_mutex_trial
 from repro.core.pif import PifLayer
+from repro.engine import (
+    EngineRun,
+    ShardingOpts,
+    TransportOpts,
+    TrialSpec,
+    execute,
+)
 from repro.errors import HorizonExceeded, SimulationError
 from repro.net.clock import PacedClock, VirtualClock
 from repro.net.engine import AsyncSimulator
@@ -39,27 +46,28 @@ def _pif_build(host) -> None:
     host.register(PifLayer("pif"))
 
 
-def _me_build(host) -> None:
-    host.register(MutexLayer("me", cs_duration=3))
-
-
 _PIF_DRIVER = dict(
     tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
 )
-_ME_DRIVER = dict(tag="me", requests_per_process=1)
 
 
-def _both(n, build, driver, *, topology, seed, loss=0.0,
-          horizon=4_000_000) -> tuple[EngineRun, EngineRun]:
-    runs = []
-    for engine in ("serial", "async"):
-        runs.append(
-            execute_trial(
-                n, build, topology=topology, seed=seed, loss=loss,
-                driver=driver, horizon=horizon, engine=engine,
-            )
-        )
-    return runs[0], runs[1]
+def _pif_spec(n, **axes) -> TrialSpec:
+    return TrialSpec(
+        n=n, protocol={"kind": "pif"},
+        driver=dict(tag="pif", requests_per_process=1,
+                    payload_fmt="m-{pid}-{k}"),
+        **axes)
+
+
+def _me_spec(n, **axes) -> TrialSpec:
+    return TrialSpec(
+        n=n, protocol={"kind": "me", "cs_duration": 3},
+        driver=dict(tag="me", requests_per_process=1), **axes)
+
+
+def _both(spec: TrialSpec) -> tuple[EngineRun, EngineRun]:
+    return (execute(replace(spec, engine="serial")),
+            execute(replace(spec, engine="async")))
 
 
 def _assert_bit_identical(serial: EngineRun, loopback: EngineRun) -> None:
@@ -83,9 +91,8 @@ class TestLoopbackBitIdentity:
         ids=["complete", "ring", "clustered"],
     )
     def test_pif_trace_bit_identical(self, n, topology):
-        serial, loopback = _both(
-            n, _pif_build, _PIF_DRIVER, topology=topology, seed=0, loss=0.1,
-        )
+        serial, loopback = _both(_pif_spec(
+            n, topology=topology, seed=0, loss=0.1, horizon=4_000_000))
         _assert_bit_identical(serial, loopback)
 
     @pytest.mark.parametrize(
@@ -98,23 +105,22 @@ class TestLoopbackBitIdentity:
         # dispatches — the paths where a coroutine runtime could diverge.
         # Ring/Complete run at n=8 (ME ring convergence cost grows steeply
         # with n — see docs/engine.md); Clustered covers n=16.
-        serial, loopback = _both(
-            n, _me_build, _ME_DRIVER, topology=topology, seed=1, loss=0.1,
-        )
+        serial, loopback = _both(_me_spec(
+            n, topology=topology, seed=1, loss=0.1, horizon=4_000_000))
         _assert_bit_identical(serial, loopback)
 
     def test_loopback_monitors_pass_when_spec_passes(self):
-        _, loopback = _both(
-            8, _pif_build, _PIF_DRIVER, topology="clustered:2", seed=2, loss=0.2,
-        )
+        _, loopback = _both(_pif_spec(
+            8, topology="clustered:2", seed=2, loss=0.2, horizon=4_000_000))
         assert loopback.monitor_reports
         assert loopback.monitors_ok
         assert loopback.engine == "async"
         assert loopback.transport == "loopback"
 
     def test_different_seeds_differ(self):
-        _, run_a = _both(8, _pif_build, _PIF_DRIVER, topology="ring", seed=0)
-        _, run_b = _both(8, _pif_build, _PIF_DRIVER, topology="ring", seed=1)
+        ring = _pif_spec(8, topology="ring", horizon=4_000_000)
+        _, run_a = _both(replace(ring, seed=0))
+        _, run_b = _both(replace(ring, seed=1))
         a = [(e.time, e.kind, e.process, e.data) for e in run_a.trace]
         b = [(e.time, e.kind, e.process, e.data) for e in run_b.trace]
         assert a != b
@@ -138,16 +144,9 @@ class TestSeededFuzzOracle:
         loss = self.LOSSES[case % len(self.LOSSES)]
         scramble = case % 2 == 0
         n = 4 + (case * 3) % 5  # 4..8
-        runs = []
-        for engine in ("serial", "async"):
-            runs.append(
-                execute_trial(
-                    n, _pif_build, topology=topology, seed=case,
-                    loss=loss, scramble=scramble, driver=_PIF_DRIVER,
-                    horizon=2_000_000, engine=engine,
-                )
-            )
-        _assert_bit_identical(runs[0], runs[1])
+        _assert_bit_identical(*_both(_pif_spec(
+            n, topology=topology, seed=case, loss=loss, scramble=scramble,
+            horizon=2_000_000)))
 
 
 class TestTcpTransport:
@@ -155,10 +154,9 @@ class TestTcpTransport:
 
     def test_e3_over_tcp_completes_with_monitors_passing(self):
         try:
-            run = execute_trial(
-                4, _pif_build, seed=0, driver=_PIF_DRIVER,
-                horizon=30_000, engine="async", transport="tcp",
-            )
+            run = execute(_pif_spec(
+                4, seed=0, horizon=30_000, engine="async",
+                transport=TransportOpts(transport="tcp")))
         except OSError as exc:  # pragma: no cover - sandboxed networking
             pytest.skip(f"cannot bind localhost sockets here: {exc}")
         assert run.completed
@@ -171,10 +169,9 @@ class TestTcpTransport:
         from repro.spec.pif_spec import check_pif
 
         try:
-            run = execute_trial(
-                4, _pif_build, seed=3, loss=0.1, driver=_PIF_DRIVER,
-                horizon=30_000, engine="async", transport="tcp",
-            )
+            run = execute(_pif_spec(
+                4, seed=3, loss=0.1, horizon=30_000, engine="async",
+                transport=TransportOpts(transport="tcp")))
         except OSError as exc:  # pragma: no cover - sandboxed networking
             pytest.skip(f"cannot bind localhost sockets here: {exc}")
         verdict = check_pif(run.trace, "pif", run.pids, final_requests=run.finals)
@@ -261,31 +258,29 @@ class TestValidation:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
-            execute_trial(3, _pif_build, driver=_PIF_DRIVER, horizon=10,
-                          engine="quantum")
+            execute(_pif_spec(3, horizon=10, engine="quantum"))
 
     def test_round_budget_requires_serial(self):
         with pytest.raises(SimulationError):
-            execute_trial(3, _me_build, driver=_ME_DRIVER, horizon=10,
-                          engine="async", round_budget=5)
+            execute(_me_spec(3, horizon=10, engine="async", round_budget=5))
 
     def test_transport_without_async_engine_rejected(self):
         # A tcp transport on the serial engine would silently run in
         # process; refuse instead (the classic forgotten --engine async).
         with pytest.raises(SimulationError):
-            execute_trial(3, _pif_build, driver=_PIF_DRIVER, horizon=10,
-                          engine="serial", transport="tcp")
+            execute(_pif_spec(3, horizon=10,
+                              transport=TransportOpts(transport="tcp")))
         with pytest.raises(SimulationError):
-            execute_trial(3, _pif_build, driver=_PIF_DRIVER, horizon=10,
-                          engine="serial", tick=0.01)
+            execute(_pif_spec(3, horizon=10,
+                              transport=TransportOpts(tick=0.01)))
 
     def test_shards_without_sharded_engine_rejected(self):
         with pytest.raises(SimulationError):
-            execute_trial(3, _pif_build, driver=_PIF_DRIVER, horizon=10,
-                          engine="async", shards=2)
+            execute(_pif_spec(3, horizon=10, engine="async",
+                              sharding=ShardingOpts(shards=2)))
         with pytest.raises(SimulationError):
-            execute_trial(3, _pif_build, driver=_PIF_DRIVER, horizon=10,
-                          engine="serial", window=1)
+            execute(_pif_spec(3, horizon=10,
+                              sharding=ShardingOpts(window=1)))
 
     def test_run_trial_is_single_use(self):
         asim = AsyncSimulator(3, _pif_build, seed=0)
@@ -296,21 +291,17 @@ class TestValidation:
 
 class TestRoundBudget:
     def test_exhausted_budget_raises_horizon_exceeded(self):
-        from repro.analysis.runner import run_mutex_trial
-
         with pytest.raises(HorizonExceeded) as excinfo:
-            run_mutex_trial(8, seed=0, topology="ring",
-                            requests_per_process=1, round_budget=2)
+            run_mutex_trial(TrialSpec(n=8, topology="ring", round_budget=2),
+                            requests_per_process=1)
         err = excinfo.value
         assert err.rounds is not None and err.rounds > 2
         assert err.served is not None and err.requested == 8
 
     def test_generous_budget_completes(self):
-        from repro.analysis.runner import run_mutex_trial
-
         # A completing ring trial uses ~2n grants; 4n is generous.
-        trial = run_mutex_trial(8, seed=0, topology="ring",
-                                requests_per_process=1, round_budget=32)
+        trial = run_mutex_trial(TrialSpec(n=8, topology="ring", round_budget=32),
+                                requests_per_process=1)
         assert trial.ok
         assert trial.measurements["completed"]
 

@@ -26,18 +26,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.runner import execute_trial  # noqa: E402
-from repro.core.pif import PifLayer  # noqa: E402
+from repro.engine import TrialSpec, execute  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.sim.topology import Weighted, topology_from_spec  # noqa: E402
 
-_PIF_DRIVER = dict(
-    tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
-)
-
-
-def _build(host) -> None:
-    host.register(PifLayer("pif"))
+def _serial_and_loopback(n, *, max_state=4, **axes):
+    return [
+        execute(TrialSpec(
+            n=n, protocol={"kind": "pif", "max_state": max_state},
+            driver=dict(tag="pif", requests_per_process=1,
+                        payload_fmt="m-{pid}-{k}"),
+            horizon=2_000_000, engine=engine, **axes))
+        for engine in ("serial", "async")
+    ]
 
 
 def _assert_bit_identical(serial, loopback) -> None:
@@ -73,18 +74,10 @@ def test_loopback_matches_serial_on_fuzzed_axes(
         except SimulationError:
             assume(False)
 
-    def build(host) -> None:
-        # The paper's capacity-c extension: flag domain scales with capacity.
-        host.register(PifLayer("pif", max_state=capacity + 3))
-
-    runs = {}
-    for engine in ("serial", "async"):
-        runs[engine] = execute_trial(
-            n, build, topology=topology, seed=seed, loss=loss,
-            scramble=scramble, capacity=capacity, driver=_PIF_DRIVER,
-            horizon=2_000_000, engine=engine,
-        )
-    _assert_bit_identical(runs["serial"], runs["async"])
+    # The paper's capacity-c extension: flag domain scales with capacity.
+    _assert_bit_identical(*_serial_and_loopback(
+        n, max_state=capacity + 3, topology=topology, seed=seed, loss=loss,
+        scramble=scramble, capacity=capacity))
 
 
 @given(
@@ -107,21 +100,12 @@ def test_capacity_axis_fuzz_serial_oracle(capacity, loss, seed):
     the flag domain is sized for the capacity (``max_state = capacity + 3``).
     """
 
-    def build(host) -> None:
-        host.register(PifLayer("pif", max_state=capacity + 3))
-
-    runs = {}
-    for engine in ("serial", "async"):
-        runs[engine] = execute_trial(
-            5, build, seed=seed, loss=loss, capacity=capacity,
-            scramble=True, driver=_PIF_DRIVER,
-            horizon=2_000_000, engine=engine,
-        )
-    _assert_bit_identical(runs["serial"], runs["async"])
+    serial, loopback = _serial_and_loopback(
+        5, max_state=capacity + 3, seed=seed, loss=loss, capacity=capacity)
+    _assert_bit_identical(serial, loopback)
 
     from repro.spec.pif_spec import check_pif
 
-    serial = runs["serial"]
     verdict = check_pif(
         serial.trace, "pif", serial.pids, final_requests=serial.finals
     )
@@ -170,10 +154,4 @@ def test_per_edge_latency_map_fuzz_serial_oracle(spec, n, seed, directed, data):
         latency[(u, v)] = (lo, hi)
     top = Weighted(base, latency=latency, directed=directed)
 
-    runs = {}
-    for engine in ("serial", "async"):
-        runs[engine] = execute_trial(
-            n, _build, topology=top, seed=seed, scramble=True,
-            driver=_PIF_DRIVER, horizon=2_000_000, engine=engine,
-        )
-    _assert_bit_identical(runs["serial"], runs["async"])
+    _assert_bit_identical(*_serial_and_loopback(n, topology=top, seed=seed))

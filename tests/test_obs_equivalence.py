@@ -20,28 +20,32 @@ import json
 
 import pytest
 
-from repro.analysis.runner import execute_trial
-from repro.core.pif import PifLayer
+from repro.engine import (
+    ClusterOpts,
+    ObsOpts,
+    ShardingOpts,
+    TrialSpec,
+    execute,
+)
 from repro.obs import validate_chrome_trace
 from repro.sim.trace import canonical_trace_hash
 
 ENGINES = [
     ("serial", {}),
-    ("sharded", {"shards": 2}),
-    ("async", {"transport": "loopback"}),
-    ("cluster", {"hosts": 2}),
+    ("sharded", {"sharding": ShardingOpts(shards=2)}),
+    ("async", {}),
+    ("cluster", {"cluster": ClusterOpts(hosts=2)}),
 ]
 
 
 def run_case(engine, extra, metrics=None, timeline=None):
-    driver = dict(tag="pif", requests_per_process=1,
-                  payload_fmt="m-{pid}-{k}")
-    return execute_trial(
-        8, lambda h: h.register(PifLayer("pif")),
-        topology="ring", seed=0, loss=0.1, driver=driver,
-        horizon=2_000_000, engine=engine, protocol={"kind": "pif"},
-        metrics=metrics, timeline=timeline, **extra,
-    )
+    return execute(TrialSpec(
+        n=8, protocol={"kind": "pif"}, topology="ring", seed=0, loss=0.1,
+        driver=dict(tag="pif", requests_per_process=1,
+                    payload_fmt="m-{pid}-{k}"),
+        horizon=2_000_000, engine=engine,
+        obs=ObsOpts(metrics=metrics, timeline=timeline), **extra,
+    ))
 
 
 @pytest.mark.parametrize("engine,extra", ENGINES,
@@ -79,7 +83,7 @@ def test_all_engines_agree_with_observation_on():
 
 def test_cluster_timeline_covers_every_worker_lane(tmp_path):
     timeline = tmp_path / "timeline.json"
-    run_case("cluster", {"hosts": 2},
+    run_case("cluster", {"cluster": ClusterOpts(hosts=2)},
              metrics=str(tmp_path / "metrics.json"), timeline=str(timeline))
     doc = json.loads(timeline.read_text(encoding="utf-8"))
     assert validate_chrome_trace(doc) == []

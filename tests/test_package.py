@@ -24,7 +24,7 @@ from repro.types import RequestState
 class TestPublicApi:
     def test_version(self):
         # Written once, in repro/__init__.py; pyproject reads it from there.
-        assert repro.__version__ == "0.7.0"
+        assert repro.__version__ == "0.8.0"
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         text = pyproject.read_text(encoding="utf-8")
         assert 'version = {attr = "repro.__version__"}' in text

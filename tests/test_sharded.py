@@ -10,11 +10,12 @@ re-asserts it at every push via the trial CLI.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.runner import EngineRun, execute_trial
-from repro.core.mutex import MutexLayer
 from repro.core.pif import PifLayer
+from repro.engine import EngineRun, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
 from repro.sim.channel import DropFirstK
 from repro.sim.sharded import ShardedSimulator
@@ -24,28 +25,23 @@ def _pif_build(host) -> None:
     host.register(PifLayer("pif"))
 
 
-def _me_build(host) -> None:
-    host.register(MutexLayer("me", cs_duration=3))
-
-
 _PIF_DRIVER = dict(
     tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
 )
-_ME_DRIVER = dict(tag="me", requests_per_process=1)
+#: (protocol, driver) of the two trial kinds, in their spec spelling.
+_PIF = ({"kind": "pif"},
+        dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"))
+_ME = ({"kind": "me", "cs_duration": 3},
+       dict(tag="me", requests_per_process=1))
 
 
-def _both(n, build, driver, *, topology, seed, loss=0.0, shards=None,
-          horizon=4_000_000) -> tuple[EngineRun, EngineRun]:
-    runs = []
-    for engine in ("serial", "sharded"):
-        runs.append(
-            execute_trial(
-                n, build, topology=topology, seed=seed, loss=loss,
-                driver=driver, horizon=horizon, engine=engine,
-                shards=shards if engine == "sharded" else None,
-            )
-        )
-    return runs[0], runs[1]
+def _both(n, trial, *, shards=None, horizon=4_000_000,
+          **axes) -> tuple[EngineRun, EngineRun]:
+    protocol, driver = trial
+    spec = TrialSpec(n=n, protocol=protocol, driver=driver, horizon=horizon,
+                     **axes)
+    return execute(spec), execute(replace(
+        spec, engine="sharded", sharding=ShardingOpts(shards=shards)))
 
 
 def _assert_bit_identical(serial: EngineRun, sharded: EngineRun) -> None:
@@ -70,8 +66,7 @@ class TestBitIdenticalAtN32:
     )
     def test_pif_trace_bit_identical(self, topology, shards):
         serial, sharded = _both(
-            32, _pif_build, _PIF_DRIVER,
-            topology=topology, seed=0, loss=0.1, shards=shards,
+            32, _PIF, topology=topology, seed=0, loss=0.1, shards=shards,
         )
         _assert_bit_identical(serial, sharded)
 
@@ -80,9 +75,7 @@ class TestBitIdenticalAtN32:
         # arbitration, many Value rotations), so the busy/timer paths are
         # asserted at n=8 here; the n=32 ME gate runs in CI
         # (benchmarks/check_shard_equivalence.py) on Complete + Clustered.
-        serial, sharded = _both(
-            8, _me_build, _ME_DRIVER, topology="ring", seed=1, shards=4,
-        )
+        serial, sharded = _both(8, _ME, topology="ring", seed=1, shards=4)
         _assert_bit_identical(serial, sharded)
 
 
@@ -91,24 +84,19 @@ class TestBitIdenticalMutex:
         # ME exercises busy windows, call_later timers and cross-cluster
         # EXITCS waves — the hardest paths for shard composition.
         serial, sharded = _both(
-            16, _me_build, _ME_DRIVER, topology="clustered:4", seed=3, loss=0.1,
-        )
+            16, _ME, topology="clustered:4", seed=3, loss=0.1)
         _assert_bit_identical(serial, sharded)
 
     def test_mutex_complete_greedy_shards(self):
         serial, sharded = _both(
-            6, _me_build, _ME_DRIVER, topology=None, seed=1, shards=3,
-            horizon=2_000_000,
-        )
+            6, _ME, topology=None, seed=1, shards=3, horizon=2_000_000)
         _assert_bit_identical(serial, sharded)
 
 
 class TestSingleShard:
     def test_single_shard_run_equals_serial_event_for_event(self):
         serial, sharded = _both(
-            8, _pif_build, _PIF_DRIVER, topology="clustered:2", seed=5,
-            loss=0.2, shards=1,
-        )
+            8, _PIF, topology="clustered:2", seed=5, loss=0.2, shards=1)
         _assert_bit_identical(serial, sharded)
 
 
@@ -139,8 +127,8 @@ class TestScrambleVariants:
 
 class TestSeedSensitivity:
     def test_different_seeds_differ(self):
-        _, run_a = _both(8, _pif_build, _PIF_DRIVER, topology="ring", seed=0)
-        _, run_b = _both(8, _pif_build, _PIF_DRIVER, topology="ring", seed=1)
+        _, run_a = _both(8, _PIF, topology="ring", seed=0)
+        _, run_b = _both(8, _PIF, topology="ring", seed=1)
         a = [(e.time, e.kind, e.process, e.data) for e in run_a.trace]
         b = [(e.time, e.kind, e.process, e.data) for e in run_b.trace]
         assert a != b
@@ -175,16 +163,12 @@ class TestWeightedTopologies:
         # runs 16-tick windows over a global (1, 3) latency — cross-shard
         # handoffs span many engine ticks per barrier and must still land
         # exactly where the serial engine delivers them.
-        serial, sharded = _both(
-            32, _pif_build, _PIF_DRIVER, topology="wan:4", seed=0, loss=0.1,
-        )
+        serial, sharded = _both(32, _PIF, topology="wan:4", seed=0, loss=0.1)
         assert sharded.window == 16
         _assert_bit_identical(serial, sharded)
 
     def test_weighted_run_reports_barrier_provenance(self):
-        _, sharded = _both(
-            32, _pif_build, _PIF_DRIVER, topology="wan:4", seed=0,
-        )
+        _, sharded = _both(32, _PIF, topology="wan:4", seed=0)
         prov = sharded.provenance()
         assert prov["window"] == 16
         assert prov["barriers"] > 0

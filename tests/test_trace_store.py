@@ -22,15 +22,22 @@ from typing import Any, Iterator
 
 import pytest
 
-from repro.analysis.runner import execute_trial
 from repro.core.pif import PifLayer
+from repro.engine import TrialSpec, execute
+from repro.engine.base import normalized_driver
 from repro.sim.runtime import Simulator
 from repro.sim.trace import EventKind, Trace, TraceEvent, canonical_trace_hash
 from repro.spec.pif_spec import check_pif
 
 PIF_DRIVER = dict(
-    tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
+    tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"
 )
+
+
+def _pif_spec(engine, topology) -> TrialSpec:
+    return TrialSpec(
+        n=16, protocol={"kind": "pif"}, topology=topology, seed=0, loss=0.1,
+        driver=PIF_DRIVER, horizon=2_000_000, engine=engine)
 
 TOPOLOGIES = [None, "ring", "clustered:4"]
 
@@ -124,7 +131,7 @@ class LegacySimulator(Simulator):
 
 
 def _run_serial_trial(sim_cls, n, topology, seed):
-    """The execute_trial serial shape, parameterized over the engine class."""
+    """The serial backend's trial shape, parameterized over the engine class."""
     from repro.analysis.runner import DRAIN_TICKS
     from repro.core.requests import RequestDriver
     from repro.sim.channel import BernoulliLoss
@@ -137,7 +144,7 @@ def _run_serial_trial(sim_cls, n, topology, seed):
         loss=BernoulliLoss(0.1),
     )
     sim.scramble(seed=seed ^ 0x5EED)
-    drv = RequestDriver(sim, **PIF_DRIVER)
+    drv = RequestDriver(sim, **normalized_driver(TrialSpec(driver=PIF_DRIVER)))
     assert sim.run(2_000_000, until=lambda s: drv.done)
     sim.run(sim.now + DRAIN_TICKS)
     finals = {p: sim.layer(p, "pif").request for p in sim.pids}
@@ -266,11 +273,7 @@ class TestEngineRegression:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_loopback_hash_matches_legacy(self, topology):
         legacy_sim, _ = _run_serial_trial(LegacySimulator, 16, topology, seed=0)
-        run = execute_trial(
-            16, lambda h: h.register(PifLayer("pif")),
-            topology=topology, seed=0, loss=0.1,
-            driver=PIF_DRIVER, horizon=2_000_000, engine="async",
-        )
+        run = execute(_pif_spec("async", topology))
         assert canonical_trace_hash(run.trace) == canonical_trace_hash(
             legacy_sim.trace
         )
@@ -279,11 +282,7 @@ class TestEngineRegression:
         legacy_sim, _ = _run_serial_trial(
             LegacySimulator, 16, "clustered:4", seed=0
         )
-        run = execute_trial(
-            16, lambda h: h.register(PifLayer("pif")),
-            topology="clustered:4", seed=0, loss=0.1,
-            driver=PIF_DRIVER, horizon=2_000_000, engine="sharded",
-        )
+        run = execute(_pif_spec("sharded", "clustered:4"))
         assert canonical_trace_hash(run.trace) == canonical_trace_hash(
             legacy_sim.trace
         )

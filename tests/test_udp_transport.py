@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.runner import run_pif_trial
-from repro.core.pif import PifLayer
 from repro.engine import TransportOpts, TrialSpec, execute
 from repro.errors import SpecError
 from repro.net import wire
@@ -32,7 +31,7 @@ def test_udp_is_registered_with_socket_flags():
 def test_udp_needs_the_async_engine():
     spec = TrialSpec(
         n=4,
-        build=lambda h: h.register(PifLayer("pif")),
+        protocol={"kind": "pif"},
         driver=dict(tag="pif", requests_per_process=1,
                     payload_fmt="m-{pid}-{k}"),
         horizon=1_000,
@@ -49,9 +48,10 @@ def test_udp_needs_the_async_engine():
 
 
 def test_udp_runs_e3_end_to_end():
-    trial = run_pif_trial(6, seed=2, loss=0.1, engine="async",
-                          transport="udp", requests_per_process=1,
-                          horizon=60_000)
+    trial = run_pif_trial(
+        TrialSpec(n=6, seed=2, loss=0.1, engine="async",
+                  transport=TransportOpts(transport="udp"), horizon=60_000),
+        requests_per_process=1)
     assert trial.ok
     assert trial.provenance["transport"] == "udp"
     assert trial.provenance["monitors_ok"] is True

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.runner import execute_trial
 from repro.core.pif import PifLayer
+from repro.engine import TrialSpec, execute
 from repro.errors import HorizonExceeded, SimulationError
 from repro.sim.runtime import Simulator
 from repro.sim.sharded import ShardedSimulator
@@ -29,11 +29,6 @@ from repro.sim.trace import canonical_trace_hash
 
 def _pif_build(host) -> None:
     host.register(PifLayer("pif"))
-
-
-_PIF_DRIVER = dict(
-    tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
-)
 
 
 class TestWeightedConstruction:
@@ -170,11 +165,13 @@ class TestCrossShardLookahead:
 class TestEngineAgreement:
     """Weighted runs: serial is the oracle for sharded and loopback."""
 
-    def _run(self, engine: str, topology, n: int, **kwargs):
-        return execute_trial(
-            n, _pif_build, topology=topology, seed=0, loss=0.1,
-            driver=_PIF_DRIVER, horizon=2_000_000, engine=engine, **kwargs,
-        )
+    def _run(self, engine: str, topology, n: int):
+        return execute(TrialSpec(
+            n=n, protocol={"kind": "pif"}, topology=topology, seed=0,
+            loss=0.1, horizon=2_000_000, engine=engine,
+            driver=dict(tag="pif", requests_per_process=1,
+                        payload_fmt="m-{pid}-{k}"),
+        ))
 
     @pytest.mark.parametrize("topology,n", [
         (Weighted(Ring(8), latency={(1, 2): (10, 20), (5, 6): (4, 4)}), 8),
