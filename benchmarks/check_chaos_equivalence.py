@@ -76,6 +76,18 @@ CASES = [
     ("E5 me   wan      n=8  hosts=4 crash@b3", run_mutex_trial,
      TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0),
      _chaotic(4, "crash worker 2 at barrier 3")),
+    # The worker that dies is the one owed a resend: its NAK for the
+    # survivor's dropped ships may never be answered before the crash.
+    ("E3 pif  complete n=6  hosts=2 crash@r1+drop(survivor)", run_pif_trial,
+     TrialSpec(n=6, topology=None, seed=0, loss=0.0),
+     _chaotic(2, "crash worker 0 at round 1\n"
+                 "drop ship from 4 count 2")),
+    # A late crash: recovery after several grant extensions, on a ring of
+    # four shards where the survivor not adjacent to the dead shard runs
+    # ahead of the two that are.
+    ("E3 pif  wan      n=16 hosts=4 crash@r40", run_pif_trial,
+     TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1),
+     _chaotic(4, "crash worker 2 at round 40")),
 ]
 
 

@@ -15,7 +15,10 @@ The probe also re-runs the first bit-identity case with the
 asserts (a) the canonical hash is *unchanged* by observation — the
 metrics-on bit-identity claim of docs/observability.md — and (b) the
 exported timeline is structurally valid Chrome trace-event JSON covering
-the coordinator plus every worker lane with barrier-wait spans.  The
+the coordinator plus every worker lane with barrier-wait spans, and (c)
+the CONTROL frames of the whole trial number O(rounds / K), not
+O(rounds) — rounds are granted (:mod:`repro.net.grant`), so a per-round
+coordinator exchange creeping back in fails here by count.  The
 timeline lands at ``--timeline-out`` (default
 ``BENCH_cluster_timeline.json``) so CI can upload it as an artifact.
 
@@ -49,7 +52,8 @@ from equivalence import (
 )
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.engine import ClusterOpts, ObsOpts, TrialSpec
+from repro.engine import DRAIN_TICKS, ClusterOpts, ObsOpts, TrialSpec
+from repro.net.grant import report_every
 from repro.obs.spans import validate_chrome_trace
 
 
@@ -112,15 +116,32 @@ def check_obs_identity(
     requires all three runs to be identical: turning the instruments on
     must not perturb a deterministic run.  The exported timeline must
     validate as Chrome trace-event JSON and cover the coordinator plus
-    one lane per worker, each with barrier-wait spans.
+    one lane per worker, each with barrier-wait spans.  The trial's
+    CONTROL frames (both directions, every process) must stay within
+    what granted rounds need: per worker a fixed handful (spec, ready,
+    result, stop, the park reports around start and finish) plus one
+    report every K rounds, and per report at most one grant to each
+    worker — two orders of magnitude under a per-round exchange.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        obs = ObsOpts(metrics=str(Path(tmp) / "metrics.json"),
-                      timeline=timeline_out)
-        same = bit_identity(pif_probe(n, topology), {
+        metrics_path = Path(tmp) / "metrics.json"
+        obs = ObsOpts(metrics=str(metrics_path), timeline=timeline_out)
+        same, runs, _hashes = bit_identity(pif_probe(n, topology), {
             "plain": _cluster(hosts),
             "observed": dict(_cluster(hosts), obs=obs),
-        }).same
+        })
+        counters = json.loads(metrics_path.read_text())["counters"]
+    observed = runs["observed"]
+    control = counters["wire.frames_out[control]"]
+    reports = hosts * (
+        observed.barriers // report_every(observed.window, DRAIN_TICKS) + 5)
+    control_bound = 6 * hosts + reports * (1 + hosts)
+    control_ok = report(
+        control <= control_bound < 2 * hosts * observed.barriers,
+        f"control frames {topology or 'complete'} n={n} hosts={hosts}: "
+        f"{control} for {observed.barriers} rounds (bound {control_bound}; "
+        f"a per-round exchange costs {2 * hosts * observed.barriers})",
+        bad="FAILED")
 
     doc = json.loads(Path(timeline_out).read_text())
     problems = validate_chrome_trace(doc)
@@ -136,7 +157,7 @@ def check_obs_identity(
         and lanes == set(range(hosts + 1))
         and barrier_lanes == set(range(1, hosts + 1))
     )
-    return report(
+    return control_ok & report(
         same and timeline_ok,
         f"obs-identity {topology or 'complete'} n={n} hosts={hosts} "
         f"(hashes equal={same}, timeline {len(spans)} spans over lanes "

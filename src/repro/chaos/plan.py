@@ -6,7 +6,7 @@ Statements are separated by newlines or ``;``; ``#`` starts a comment:
 
 .. code-block:: text
 
-    crash worker 2 at barrier 5        # _exit(70) on receiving adv 5
+    crash worker 2 at barrier 5        # _exit(70) on entering round 5
     crash worker 1 at round 3          # _exit mid-round: after compute,
                                        #   before shipping round 3
     crash worker 0 at rendezvous       # die before REGISTER
@@ -20,8 +20,8 @@ Statements are separated by newlines or ``;``; ``#`` starts a comment:
     duplicate ship to 9                # re-send one matching SHIP frame
     corrupt ship from 5 count 1        # truncate the payload (receiver
                                        #   counts + drops it)
-    stall worker 2 at round 3 for 1s   # delay the CONTROL ack
-    stall registry 2s                  # every worker stalls its round-1 ack
+    stall worker 2 at round 3 for 1s   # sleep after shipping round 3
+    stall registry 2s                  # every worker stalls after round 1
 
 Semantics that keep the equivalence gates meaningful:
 
@@ -35,7 +35,8 @@ Semantics that keep the equivalence gates meaningful:
   NAK/resend protocol; ``duplicate`` is absorbed by receiver dedup.
   Budgets (``count``, default 1) make every fault finite, so resends
   terminate.
-* ``stall`` faults only delay CONTROL acks (wall time), never virtual time.
+* ``stall`` faults only delay a worker's next round (wall time), never
+  virtual time.
 
 ``crash worker`` / ``cut link`` / ``stall worker`` name **shards**;
 ``from``/``to`` in ship faults name **pids**; ``round`` predicates are the
@@ -130,7 +131,7 @@ class ShipFault:
 class StallWorker:
     """``stall worker <shard> at round <r> for <s>s`` (or
     ``stall registry <s>s`` = every shard, round 1) — the worker sleeps
-    before acking that round's CONTROL advance."""
+    after shipping that round, before it starts the next."""
 
     shard: int | None
     round: int
@@ -357,7 +358,7 @@ def _parse_crash(words: list[str]) -> CrashWorker:
         _done(words, 6)
         if round_no < 1:
             raise ConfigurationError(
-                "crash round must be >= 1 (coordinator rounds are 1-based)"
+                "crash round must be >= 1 (rounds are 1-based; round 0 ships the scramble)"
             )
     else:
         _done(words, 5)

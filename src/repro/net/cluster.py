@@ -16,19 +16,35 @@ receives the full peer map, and dials its peer shards itself (HELLO
 identifies the source shard).  The registry connection doubles as the
 coordinator's control channel.
 
-Two synchronization modes:
+Rounds are *granted*, not driven (:mod:`repro.net.grant`).  Every worker
+runs one fixed round grid on its own — ``t + window``, capped at the
+horizon, then at the final target — and the coordinator only bounds how
+far: a CONTROL ``("grant", limit, final)`` lets a worker run every target
+``<= limit``.  Workers report ``(round, t, done_at, compute_s)`` sparsely
+(when their driver first goes idle, when they reach ``limit``, and every
+``drain // (4 * window)`` rounds); a shard still busy at tick ``t`` proves
+the trial completes after ``t``, so the coordinator extends ``limit`` to
+the slowest busy report plus ``drain``, and sends the final grant
+``max(done_at) + drain`` once every shard has reported done.  The credit
+is the engine's version of the paper's bounded channel: a bound on what
+may be in flight, instead of a round-trip per step.  The control ops are
+``spec/ready/grant/report/resend/ship-log/peer-update/result/stop``
+(plus a worker's ``nak``, ``peer-ok`` and ``error``).
+
+Two synchronization modes share that loop:
 
 * ``sync="windowed"`` — the sharded engine's conservative time-window
-  protocol over sockets.  The coordinator advances all workers in windows
-  of at most :attr:`Partition.latency_floor` ticks; a worker finishes its
-  round, ships its outbox, then sends a ``BARRIER(round, ship_count)``
-  frame on every peer link.  Per-connection FIFO means a barrier certifies
-  every SHIP of that round was already delivered, and the window bound
-  means every shipped delivery time lies strictly beyond the next window —
-  so a worker that has seen round ``r-1`` barriers from all peers can
-  advance round ``r`` with its event heap complete.  The run is therefore
-  **bit-identical to the serial engine** (same trace, same canonical
-  hash), which the ``cluster-equivalence`` CI gate asserts.
+  protocol over sockets, peer to peer.  Windows are at most
+  :attr:`Partition.latency_floor` ticks; a worker finishes its round,
+  ships its outbox, then sends a ``BARRIER(round, ship_count)`` frame on
+  every peer link (one write per link per round).  Per-connection FIFO
+  means a barrier certifies every SHIP of that round was already
+  delivered, and the window bound means every shipped delivery time lies
+  strictly beyond the next window — so a worker that has seen round
+  ``r-1`` barriers from all peers can run round ``r`` with its event heap
+  complete, without asking anyone.  The run is therefore **bit-identical
+  to the serial engine** (same trace, same canonical hash), which the
+  ``cluster-equivalence`` CI gate asserts.
 * ``sync="freerun"`` — best-effort: same frames, no barrier waits, and
   arrival times are clamped to the receiver's local future
   (``max(when, now + 1)``).  Cross-shard timing is no longer reproducible,
@@ -43,7 +59,7 @@ Fault injection and crash recovery (``docs/robustness.md``):
   point, delivered via spawn argv so ``at rendezvous`` works), link cuts
   (sender-side in-order withholding, healed on wall time — pure delay,
   so virtual time is untouched), SHIP drop/duplicate/corrupt at the frame
-  boundary, and CONTROL-ack stalls.
+  boundary, and post-round stalls.
 * The coordinator *detects* worker death by polling each spawned worker's
   ``Popen`` alongside every control-channel await (and treating control
   EOF the same way), raising :class:`~repro.errors.WorkerCrashed` with
@@ -52,17 +68,21 @@ Fault injection and crash recovery (``docs/robustness.md``):
   worker timeout.
 * Under ``sync="windowed"`` with coordinator-spawned workers, a crash is
   *survivable*: every worker keeps a per-peer, per-round log of its
-  outbound ships, so the coordinator can respawn the shard, collect the
-  survivors' logs, and have the replacement deterministically re-execute
-  rounds ``0..r`` from ``(seed, spec)`` plus the logged cross-shard
-  inputs.  Survivors dedup the replayed re-ships by ``(src, dst,
-  entry_seq)`` (channel admission seqs are monotone per channel, so the
-  key is unique); the finished trial's canonical trace hash still equals
-  the serial engine's.
+  outbound ships and serves its control channel beside the round loop.
+  Once every survivor adjacent to the dead shard is parked (blocked on
+  the lost peer, out of credit, or finished) the coordinator collects
+  their logs, respawns the shard and rewires the survivors to it; the
+  replacement runs the *ordinary* round loop from round 1 with the logged
+  ships pre-injected, the survivors' ``BARRIER_SKIP_COUNT``
+  re-announcements standing in for the barriers that predate it.
+  Survivors dedup its re-ships by ``(src, dst, entry_seq)`` (channel
+  admission seqs are monotone per channel, so the key is unique); the
+  finished trial's canonical trace hash still equals the serial engine's.
 * Dropped/corrupted ships are healed without replay: the per-round ship
   count in each BARRIER lets a receiver detect the gap, NAK it over
   CONTROL, and have the sender re-ship that round from its log
-  (duplicates are absorbed by the same dedup set).
+  (duplicates are absorbed by the same dedup set) — at once, even while
+  the sender's round loop waits on a barrier.
 
 Trace merging, completion bookkeeping and scramble segment handling are
 shared with the fork-based sharded engine
@@ -98,6 +118,7 @@ from repro.core.protocols import build_protocol
 from repro.core.requests import CompletedRequest
 from repro.errors import SimulationError, WorkerCrashed
 from repro.net.cluster_worker import parse_hostport, run_cluster_worker
+from repro.net.grant import Grant, GrantLedger
 from repro.net.registry import RegistryServer
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import SpanRecorder, wall
@@ -124,8 +145,8 @@ __all__ = [
 
 SYNC_MODES = ("windowed", "freerun")
 
-#: Advance-round size in freerun mode (no lookahead bound applies — the
-#: round exists only to pace control traffic and completion checks).
+#: Round size in freerun mode (no lookahead bound applies — the round
+#: exists only to pace shipping and progress reports).
 FREERUN_WINDOW = 64
 
 #: How often the coordinator polls worker Popen handles while awaiting a
@@ -178,12 +199,12 @@ class ClusterRunResult:
     final_time: int
     partition: Partition
     sync: str = "windowed"
-    #: Synchronization window (advance-round size in freerun).
+    #: Synchronization window (round size in freerun).
     window: int = 0
-    #: Barriers paid: one advance round per entry.
+    #: Barriers paid: rounds every worker ran.
     barriers: int = 0
-    #: Coordinator-side synchronization wall time: round round-trips minus
-    #: each round's slowest worker compute.
+    #: Synchronization wall time: the rounds phase minus the slowest
+    #: worker's compute.
     sync_wall_s: float = 0.0
     #: Per-shard simulation wall clock (seconds inside ``drive``), as
     #: reported by each worker interpreter.
@@ -196,7 +217,7 @@ class ClusterRunResult:
     fault_counts: dict[str, int] = field(default_factory=dict)
     #: Crash recoveries performed (worker respawn + replay).
     recoveries: int = 0
-    #: Advance rounds deterministically re-executed by replacements.
+    #: Rounds deterministically re-executed by replacements.
     replayed_rounds: int = 0
 
 
@@ -424,457 +445,499 @@ class ClusterSimulator:
         drain: int,
         obs: ObsRecorder | None,
     ) -> ClusterRunResult:
-        plan = self._plan
-        if self.listen is not None:
-            reg_host, reg_port = parse_hostport(self.listen)
-            registry = RegistryServer(self.n_shards, host=reg_host, port=reg_port)
-        else:
-            registry = RegistryServer(self.n_shards)
-        procs: dict[int, subprocess.Popen] = {}
-        stderr_paths: dict[int, str] = {}
-        handles: dict[int, Any] = {}
-        coord_counts: dict[str, int] = {}
-        chaos_spans = (
-            SpanRecorder(pid=self.n_shards + 1) if obs is not None else None
-        )
-        recovering: set[int] = set()
-        respawns = 0
-        replayed_rounds_total = 0
-        injected_by_shard: dict[int, int] = {}
-        targets: list[int] = []
-        spec: dict[str, Any] = {}
-
-        def count(name: str, n: int = 1) -> None:
-            coord_counts[name] = coord_counts.get(name, 0) + n
-
-        def spawn(shard: int, *, chaos: bool = True) -> None:
-            popen, path = self._spawn_worker(registry.address, shard, chaos=chaos)
-            procs[shard] = popen
-            stderr_paths[shard] = path
-
-        def first_dead() -> int | None:
-            for shard in sorted(procs):
-                if procs[shard].poll() is not None:
-                    return shard
-            return None
-
-        def crash_error(
-            shard: int, phase: str, round_no: int | None = None
-        ) -> WorkerCrashed:
-            popen = procs.get(shard)
-            exit_code = popen.poll() if popen is not None else None
-            tail = _stderr_tail(stderr_paths.get(shard))
-            count("worker.crashed")
-            if plan is not None and plan.crash_token(shard) is not None:
-                count("fault.injected.crash")
-            return WorkerCrashed(
-                "cluster worker died",
-                shard=shard,
-                round=round_no,
-                phase=phase,
-                exit_code=exit_code,
-                stderr_tail=tail or None,
-            )
-
-        async def relay_nak(nak_from: int, peer: int, round_no: int) -> None:
-            """A receiver's ship-count mismatch: ask the sender to re-ship
-            the round from its log.  Suppressed while the sender is being
-            recovered — its replacement's live re-ships heal the gap."""
-            count("ship.nak_relayed")
-            if peer in recovering or peer not in handles:
-                return
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
-                await handles[peer].send(("resend", nak_from, round_no))
-
-        async def recv(
-            handle, *expected: str, phase: str, round_no: int | None = None
-        ):
-            """Await one control frame (one of the ``expected`` ops),
-            polling the worker's Popen so its death surfaces as
-            :class:`WorkerCrashed` within :data:`_CRASH_POLL_S` instead of
-            the worker timeout.  NAK frames may arrive on any await; they
-            are relayed inline."""
-            shard = handle.shard
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.worker_timeout
-            task = asyncio.ensure_future(handle.recv())
-            try:
-                while True:
-                    done, _ = await asyncio.wait({task}, timeout=_CRASH_POLL_S)
-                    if done:
-                        try:
-                            message = task.result()
-                        except (
-                            asyncio.IncompleteReadError,
-                            ConnectionResetError,
-                        ):
-                            raise crash_error(shard, phase, round_no) from None
-                        if message[0] == "nak":
-                            _, nak_from, peer, nak_round = message
-                            await relay_nak(nak_from, peer, nak_round)
-                            task = asyncio.ensure_future(handle.recv())
-                            continue
-                        if message[0] == "error":
-                            raise SimulationError(
-                                f"cluster worker shard {shard} failed:\n"
-                                f"{message[1]}"
-                            )
-                        if message[0] not in expected:
-                            raise SimulationError(
-                                "cluster worker protocol error: expected "
-                                f"{expected[0]!r}, got {message[0]!r}"
-                            )
-                        return message
-                    popen = procs.get(shard)
-                    if popen is not None and popen.poll() is not None:
-                        raise crash_error(shard, phase, round_no)
-                    if loop.time() > deadline:
-                        raise SimulationError(
-                            f"cluster worker shard {shard} sent no "
-                            f"{expected[0]!r} within {self.worker_timeout:.0f}s"
-                        )
-            finally:
-                if not task.done():
-                    task.cancel()
-
-        async def guarded(awaitable, *, phase: str):
-            """Run a registry await with the same Popen crash polling."""
-            task = asyncio.ensure_future(awaitable)
-            try:
-                while True:
-                    done, _ = await asyncio.wait({task}, timeout=_CRASH_POLL_S)
-                    if done:
-                        return task.result()
-                    dead = first_dead()
-                    if dead is not None:
-                        raise crash_error(dead, phase)
-            finally:
-                if not task.done():
-                    task.cancel()
-
-        async def recover(crashed_shard: int, crash: WorkerCrashed) -> int | None:
-            """Respawn a crashed shard and replay it back to the barrier.
-
-            Collects the survivors' logged ships *for* the dead shard,
-            respawns it without its crash fault, rewires the survivors to
-            the replacement's fresh peer server, and sends a replay spec:
-            the replacement rebuilds its engine from (seed, spec), seeds
-            its dedup set and event heap with the logged inputs, and
-            re-executes the same advance targets the first incarnation
-            saw — deterministically, so its re-ships are byte-identical
-            and survivors absorb them as duplicates (except the crashed
-            round's, which are new).  Returns the replacement's driver
-            done-tick through the replayed rounds.
-            """
-            nonlocal respawns, replayed_rounds_total
-            recoverable = (
-                self.recover
-                and self.sync == "windowed"
-                and self.listen is None
-                and respawns < self.max_respawns
-                and not recovering
-            )
-            if not recoverable:
-                raise crash
-            recovering.add(crashed_shard)
-            t0 = wall() if chaos_spans is not None else 0.0
-            respawns += 1
-            old = handles.pop(crashed_shard, None)
-            if old is not None:
-                old.close()
-            dead_proc = procs.pop(crashed_shard, None)
-            if dead_proc is not None:
-                with contextlib.suppress(Exception):
-                    dead_proc.wait(timeout=5)
-            replay_ships: list[tuple[int, tuple]] = []
-            for shard in sorted(handles):
-                handle = handles[shard]
-                await handle.send(("ship-log", crashed_shard))
-                _, entries = await recv(handle, "ship-log", phase="recovery")
-                replay_ships.extend(entries)
-            registry.expect_rejoin(crashed_shard)
-            spawn(crashed_shard, chaos=False)
-            new_handle = await guarded(
-                registry.rejoin(self.worker_timeout), phase="respawn"
-            )
-            handles[crashed_shard] = new_handle
-            for shard in sorted(handles):
-                if shard == crashed_shard:
-                    continue
-                if crashed_shard not in self.partition.peer_shards(shard):
-                    # No topology edge between these shards (e.g. opposite
-                    # sides of a wan ring): the survivor never ships to the
-                    # replacement, and dialing it anyway would plant a
-                    # barrier-round entry the replacement waits on forever.
-                    continue
-                handle = handles[shard]
-                await handle.send(
-                    ("peer-update", crashed_shard, new_handle.host, new_handle.port)
-                )
-                await recv(handle, "peer-ok", phase="recovery")
-            await new_handle.send((
-                "spec",
-                {
-                    **spec,
-                    "faults": None,
-                    "replay": {"targets": list(targets), "ships": replay_ships},
-                },
-            ))
-            _, injected, done_tick = await recv(
-                new_handle, "ready", phase="recovery"
-            )
-            recovering.discard(crashed_shard)
-            replayed_rounds_total += len(targets)
-            count("recovery.respawns")
-            if targets:
-                count("recovery.replayed_rounds", len(targets))
-            injected_by_shard[crashed_shard] = injected
-            if chaos_spans is not None:
-                chaos_spans.record(
-                    "recovery", "chaos", t0, wall(),
-                    args={
-                        "shard": crashed_shard,
-                        "replayed_rounds": len(targets),
-                        "round": crash.round,
-                        "phase": crash.phase,
-                    },
-                )
-            return done_tick
-
+        trial = _Coordinator(self, horizon, drain, obs)
+        spec = {
+            "topology": self.topology,
+            "shards": self.partition.shards,
+            "protocol": self.protocol,
+            "sync": self.sync,
+            "window": self.window,
+            "horizon": horizon,
+            "drain": drain,
+            "scramble_seed": scramble_seed,
+            "fill_channels": fill_channels,
+            "driver": driver_cfg,
+            "timeout": self.worker_timeout,
+            "obs": obs is not None,
+            **self._sim_kwargs,
+        }
         try:
-            await registry.start()
-            if self.listen is None:
-                for shard in range(self.n_shards):
-                    spawn(shard)
-            rendezvous_wall = wall() if obs is not None else 0.0
-            handle_list = await guarded(
-                registry.rendezvous(self.worker_timeout), phase="rendezvous"
-            )
-            handles = {handle.shard: handle for handle in handle_list}
-            if obs is not None:
-                obs.spans.record(
-                    "rendezvous", "phase", rendezvous_wall, wall(),
-                    args={"workers": self.n_shards},
-                )
-                obs.metrics.observe(
-                    "registry.rendezvous_wall_s", registry.rendezvous_wall_s
-                )
-            spec = {
-                "topology": self.topology,
-                "shards": self.partition.shards,
-                "protocol": self.protocol,
-                "sync": self.sync,
-                "scramble_seed": scramble_seed,
-                "fill_channels": fill_channels,
-                "driver": driver_cfg,
-                "timeout": self.worker_timeout,
-                "obs": obs is not None,
-                **self._sim_kwargs,
-            }
-            shard_of = self.partition.shard_of
-            for shard in sorted(handles):
-                worker_faults = (
-                    plan.worker_slice(shard, shard_of) if plan is not None else None
-                )
-                await handles[shard].send(
-                    ("spec", {**spec, "faults": worker_faults})
-                )
+            payloads = await trial.run(spec)
+        finally:
+            await trial.close()
+        return trial.result(payloads, scramble_seed is not None, fill_channels)
 
-            crash: WorkerCrashed | None = None
-            for shard in sorted(handles):
-                try:
-                    message = await recv(
-                        handles[shard], "ready", phase="startup"
-                    )
-                except WorkerCrashed as exc:
-                    if crash is not None:
-                        raise
-                    crash = exc
-                    continue
-                injected_by_shard[shard] = message[1]
-            if crash is not None:
-                await recover(crash.shard, crash)
-            injected = sum(injected_by_shard.values())
 
-            completed = False
-            done_at: int | None = None
-            final_target: int | None = None
-            barriers = 0
-            sync_wall = 0.0
-            worker_wall: dict[int, float] = {shard: 0.0 for shard in handles}
-            t = -1
-            while final_target is None or t < final_target:
-                cap = horizon if final_target is None else final_target
-                target = min(t + self.window, cap)
-                targets.append(target)
-                round_no = len(targets)
-                round_wall = wall() if obs is not None else 0.0
-                round_start = time.perf_counter()
-                send_dead: list[int] = []
-                for shard in sorted(handles):
-                    try:
-                        await handles[shard].send(("adv", target))
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        send_dead.append(shard)
-                done_ticks: dict[int, int | None] = {}
-                slowest = 0.0
-                crash = None
-                blocked: list[int] = []
+class _Coordinator:
+    """One trial's coordinator: the worker processes, their control
+    channels, the grant ledger and crash recovery.
 
-                def note_ack(shard: int, ack: tuple) -> None:
-                    nonlocal slowest
-                    _, done_ticks[shard], compute_s = ack
-                    worker_wall[shard] = worker_wall.get(shard, 0.0) + compute_s
-                    slowest = max(slowest, compute_s)
+    Every worker's CONTROL frames funnel into one inbox (a reader task
+    per handle), so the coordinator serves whoever speaks next instead of
+    polling the workers in shard order; :meth:`_next` is the one await
+    every phase sits in, and the one place worker death is noticed.
+    """
 
-                for shard in sorted(handles):
-                    if shard in send_dead:
-                        continue
-                    try:
-                        message = await recv(
-                            handles[shard], "adv-ok", "adv-blocked",
-                            phase="barrier", round_no=round_no,
-                        )
-                    except WorkerCrashed as exc:
-                        if crash is not None:
-                            raise
-                        crash = exc
-                        continue
-                    if message[0] == "adv-blocked":
-                        blocked.append(shard)
-                        continue
-                    note_ack(shard, message)
-                for shard in send_dead:
-                    exc = crash_error(shard, "barrier", round_no)
-                    if crash is not None:
-                        raise exc
-                    crash = exc
-                if crash is not None:
-                    # Every survivor has acked this round or handed it
-                    # back.  The dead shard acked all earlier rounds, and
-                    # acks follow ship drains, so a survivor held every
-                    # barrier it needed — unless a ship of the dead
-                    # shard's was lost and it died owing the resend: that
-                    # survivor reports adv-blocked instead of waiting for
-                    # a barrier only the replacement's re-ships complete.
-                    # Safe point: recover now.
-                    done_ticks[crash.shard] = await recover(crash.shard, crash)
-                elif blocked:
+    def __init__(
+        self,
+        sim: ClusterSimulator,
+        horizon: int,
+        drain: int,
+        obs: ObsRecorder | None,
+    ) -> None:
+        self.sim = sim
+        self.obs = obs
+        n = sim.n_shards
+        if sim.listen is not None:
+            host, port = parse_hostport(sim.listen)
+            self.registry = RegistryServer(n, host=host, port=port)
+        else:
+            self.registry = RegistryServer(n)
+        self.procs: dict[int, subprocess.Popen] = {}
+        self.stderr_paths: dict[int, str] = {}
+        self.handles: dict[int, Any] = {}
+        self.inbox: asyncio.Queue = asyncio.Queue()
+        self.pumps: list[asyncio.Task] = []
+        #: Shards noticed dead and not (yet) replaced.
+        self.dead: set[int] = set()
+        self.counts: dict[str, int] = {}
+        self.chaos_spans = SpanRecorder(pid=n + 1) if obs is not None else None
+        self.respawns = 0
+        self.replayed_rounds = 0
+        self.injected: dict[int, int] = {}
+        self.spec: dict[str, Any] = {}
+        self.ledger = GrantLedger(n, sim.window, drain, horizon)
+        #: Per shard: the last grant sent, the park reason of its last
+        #: report (None = running), the round it reported, its compute.
+        self.sent: dict[int, Grant] = {}
+        self.park: dict[int, tuple | None] = {}
+        self.rounds: dict[int, int] = {}
+        self.worker_wall: dict[int, float] = {}
+        self.rounds_wall = 0.0
+
+    def _count(self, name: str, n: int = 1) -> None:
+        self.counts[name] = self.counts.get(name, 0) + n
+
+    def _phase(self, name: str, **args):
+        """A coordinator-lane phase span; the phases do not overlap."""
+        if self.obs is None:
+            return contextlib.nullcontext()
+        return self.obs.phase(name, **args)
+
+    # -- workers and their control channels -------------------------------
+
+    def _spawn(self, shard: int, *, chaos: bool = True) -> None:
+        popen, path = self.sim._spawn_worker(
+            self.registry.address, shard, chaos=chaos
+        )
+        self.procs[shard] = popen
+        self.stderr_paths[shard] = path
+
+    def _adopt(self, handle) -> None:
+        """Start reading a registered worker's control channel."""
+        self.handles[handle.shard] = handle
+        self.sent[handle.shard] = Grant(-1, None)
+        self.park[handle.shard] = None
+        self.pumps.append(asyncio.ensure_future(self._pump(handle)))
+
+    async def _pump(self, handle) -> None:
+        try:
+            while True:
+                self.inbox.put_nowait((handle, await handle.recv()))
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            self.inbox.put_nowait((handle, ("eof",)))
+        except SimulationError as exc:  # a malformed control frame
+            self.inbox.put_nowait((handle, ("error", f"control channel: {exc}")))
+
+    async def _send(self, shard: int, message: tuple) -> None:
+        """Best-effort send: a dead worker surfaces through :meth:`_next`
+        (control EOF, Popen poll), not through the write that missed it."""
+        with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
+            await self.handles[shard].send(message)
+
+    def _first_dead(self) -> int | None:
+        for shard in sorted(self.procs):
+            if shard not in self.dead and self.procs[shard].poll() is not None:
+                return shard
+        return None
+
+    def _died(
+        self, shard: int, phase: str, round_no: int | None = None
+    ) -> WorkerCrashed:
+        """Note a worker's death (once) and describe it."""
+        if shard not in self.dead:
+            self.dead.add(shard)
+            self._count("worker.crashed")
+            plan = self.sim._plan
+            if plan is not None and plan.crash_token(shard) is not None:
+                self._count("fault.injected.crash")
+        popen = self.procs.get(shard)
+        return WorkerCrashed(
+            "cluster worker died",
+            shard=shard,
+            round=round_no,
+            phase=phase,
+            exit_code=popen.poll() if popen is not None else None,
+            stderr_tail=_stderr_tail(self.stderr_paths.get(shard)) or None,
+        )
+
+    async def _next(self, phase: str) -> tuple[int, tuple]:
+        """The next control message from any live worker.
+
+        Polls the spawned workers' ``Popen`` handles while it waits, so a
+        death surfaces as :class:`WorkerCrashed` within
+        :data:`_CRASH_POLL_S` (control EOF surfaces it at once) instead
+        of the worker timeout.  NAKs are relayed inline; progress reports
+        are folded into the ledger.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.sim.worker_timeout
+        while True:
+            try:
+                handle, message = await asyncio.wait_for(
+                    self.inbox.get(), timeout=_CRASH_POLL_S
+                )
+            except asyncio.TimeoutError:
+                dead = self._first_dead()
+                if dead is not None:
+                    raise self._died(dead, phase) from None
+                if loop.time() > deadline:
                     raise SimulationError(
-                        f"cluster worker shard(s) {blocked} lost a peer "
-                        f"link in round {round_no}, but no worker died"
-                    )
-                for shard in blocked:
-                    await handles[shard].send(("adv", target))
-                    note_ack(shard, await recv(
-                        handles[shard], "adv-ok",
-                        phase="barrier", round_no=round_no,
-                    ))
-                barriers += 1
-                round_wait = max(
-                    0.0, time.perf_counter() - round_start - slowest
+                        f"no cluster worker spoke during {phase} within "
+                        f"{self.sim.worker_timeout:.0f}s"
+                    ) from None
+                continue
+            shard = handle.shard
+            if self.handles.get(shard) is not handle:
+                continue  # a replaced incarnation's straggler
+            op = message[0]
+            if op == "eof":
+                if shard in self.dead:
+                    continue
+                raise self._died(shard, phase)
+            if op == "error":
+                raise SimulationError(
+                    f"cluster worker shard {shard} failed:\n{message[1]}"
                 )
-                sync_wall += round_wait
-                if obs is not None:
-                    obs.record_round(
-                        "round", round_wall, wall(),
-                        round=barriers - 1, target=target,
-                    )
-                    obs.metrics.observe("sync.round_wait_s", round_wait)
-                t = target
-                if final_target is None:
-                    if driver_cfg is not None and len(
-                        done_ticks
-                    ) == self.n_shards and all(
-                        d is not None for d in done_ticks.values()
-                    ):
-                        done_at = max(done_ticks.values(), default=0)
-                        completed = True
-                        final_target = done_at + drain
-                    elif t >= horizon:
-                        final_target = horizon + drain
+            if op == "nak":
+                # A receiver's ship-count mismatch: ask the sender to
+                # re-ship the round from its log — unless the sender is
+                # dead, in which case its replacement's live re-ships
+                # heal the gap.
+                _, nak_from, peer, nak_round = message
+                self._count("ship.nak_relayed")
+                if peer not in self.dead and peer in self.handles:
+                    await self._send(peer, ("resend", nak_from, nak_round))
+                continue
+            if op == "report":
+                _, self.rounds[shard], t, done_at, compute_s, park = message
+                self.ledger.report(shard, t, done_at)
+                self.worker_wall[shard] = (
+                    self.worker_wall.get(shard, 0.0) + compute_s
+                )
+                self.park[shard] = park
+            return shard, message
 
-            payloads = []
-            for shard in sorted(handles):
-                handle = handles[shard]
-                await handle.send(("result",))
-                _, payload = await recv(handle, "result", phase="result")
-                payloads.append(payload)
-            for handle in handles.values():
-                with contextlib.suppress(
-                    ConnectionResetError, BrokenPipeError, OSError
-                ):
-                    await handle.send(("stop",))
+    async def _expect(self, shard: int, op: str, phase: str) -> tuple:
+        """Await ``op`` from ``shard``; other workers' reports pass."""
+        while True:
+            sender, message = await self._next(phase)
+            if message[0] == "report":
+                continue
+            if sender != shard or message[0] != op:
+                raise SimulationError(
+                    f"cluster worker protocol error: expected {op!r} from "
+                    f"shard {shard}, got {message[0]!r} from shard {sender}"
+                )
+            return message
+
+    async def _guarded(self, awaitable, *, phase: str):
+        """Run a registry await with the same Popen crash polling."""
+        task = asyncio.ensure_future(awaitable)
+        try:
+            while True:
+                done, _ = await asyncio.wait({task}, timeout=_CRASH_POLL_S)
+                if done:
+                    return task.result()
+                dead = self._first_dead()
+                if dead is not None:
+                    raise self._died(dead, phase)
+        finally:
+            if not task.done():
+                task.cancel()
+
+    # -- the trial --------------------------------------------------------
+
+    async def run(self, spec: dict[str, Any]) -> list[dict[str, Any]]:
+        sim, obs = self.sim, self.obs
+        self.spec = spec
+        await self.registry.start()
+        if sim.listen is None:
+            with self._phase("spawn", workers=sim.n_shards):
+                for shard in range(sim.n_shards):
+                    self._spawn(shard)
+        with self._phase("rendezvous", workers=sim.n_shards):
+            for handle in await self._guarded(
+                self.registry.rendezvous(sim.worker_timeout), phase="rendezvous"
+            ):
+                self._adopt(handle)
+        if obs is not None:
+            obs.metrics.observe(
+                "registry.rendezvous_wall_s", self.registry.rendezvous_wall_s
+            )
+        with self._phase("startup"):
+            await self._startup()
+        started = time.perf_counter()
+        with self._phase("rounds"):
+            await self._granted_rounds()
+        self.rounds_wall = time.perf_counter() - started
+        with self._phase("result_ship"):
+            for shard in self.handles:
+                await self._send(shard, ("result",))
+            payloads: dict[int, dict[str, Any]] = {}
+            while len(payloads) < sim.n_shards:
+                shard, message = await self._next("result")
+                if message[0] == "result":
+                    payloads[shard] = message[1]
+            for shard in self.handles:
+                await self._send(shard, ("stop",))
+        with self._phase("reap"):
             # Reap in a thread: an untimed wait blocks in waitpid, whereas
             # Popen.wait(timeout=) busy-polls with doubling sleeps and
             # would hold the event loop for a quantised 32 or 64 ms.
             loop = asyncio.get_running_loop()
-            for proc in procs.values():
+            for proc in self.procs.values():
                 try:
                     await asyncio.wait_for(
                         loop.run_in_executor(None, proc.wait), 30
                     )
                 except asyncio.TimeoutError:
                     proc.terminate()
-        finally:
-            await registry.close()
-            for proc in procs.values():
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs.values():
-                if proc.poll() is None:
-                    try:
-                        proc.wait(timeout=5)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-            for path in stderr_paths.values():
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+        return [payloads[shard] for shard in sorted(payloads)]
 
-        trace = merge_worker_traces(
-            payloads, scramble_seed is not None, fill_channels, injected
+    async def _startup(self) -> None:
+        """Ship the spec, await every worker's ``ready``; one crash on
+        the way is recovered (nothing has been granted yet)."""
+        plan = self.sim._plan
+        shard_of = self.sim.partition.shard_of
+        for shard in sorted(self.handles):
+            faults = plan.worker_slice(shard, shard_of) if plan else None
+            await self._send(shard, ("spec", {**self.spec, "faults": faults}))
+        crash: WorkerCrashed | None = None
+        while set(self.handles) - set(self.injected) - self.dead:
+            try:
+                shard, message = await self._next("startup")
+            except WorkerCrashed as exc:
+                if crash is not None:
+                    raise
+                crash = exc
+                continue
+            if message[0] == "ready":
+                self.injected[shard] = message[1]
+        if crash is not None:
+            await self._recover(crash)
+
+    async def _granted_rounds(self) -> None:
+        """Grant credit as reports arrive until every worker has
+        finished; a crash on the way is recovered in place."""
+        shards = range(self.sim.n_shards)
+        while True:
+            grant = self.ledger.grant()
+            for shard in shards:
+                if self.sent[shard] != grant:
+                    self.sent[shard] = grant
+                    await self._send(shard, ("grant", *grant))
+            if all(self._parked(shard) == "final" for shard in shards):
+                return
+            try:
+                shard, message = await self._next("barrier")
+            except WorkerCrashed as crash:
+                await self._recover(crash, in_rounds=True)
+                continue
+            if message[0] != "report":
+                raise SimulationError(
+                    f"cluster worker protocol error: shard {shard} sent "
+                    f"{message[0]!r} during the granted rounds"
+                )
+
+    def _parked(self, shard: int) -> str | None:
+        """Why ``shard`` cannot move until the coordinator acts, or None
+        while it may be running: a worker that reported itself out of
+        credit is parked only if no larger grant is on its way."""
+        park = self.park[shard]
+        if park is None or (park[0] == "limit" and park[1] != self.sent[shard].limit):
+            return None
+        return park[0]
+
+    # -- crash recovery ---------------------------------------------------
+
+    async def _recover(self, crash: WorkerCrashed, in_rounds: bool = False) -> None:
+        """Respawn a crashed shard and let it catch up on its own.
+
+        Waits until every survivor adjacent to the dead shard is parked
+        (blocked on the lost peer, out of credit, or finished — no grant
+        is issued meanwhile, so each gets there), which fixes what their
+        ship logs hold; collects those logs, respawns the shard without
+        its crash fault, rewires the adjacent survivors to the
+        replacement's fresh peer server, and hands the replacement the
+        spec plus the logged ships.  The replacement runs the ordinary
+        round loop from round 1 under the current grant: the survivors'
+        re-announced rounds let it through without waiting, determinism
+        makes its re-ships byte-identical to the lost ones, and survivors
+        absorb them as duplicates — except the rounds they are blocked
+        on, which are new and exactly what they wait for.
+        """
+        sim = self.sim
+        dead = crash.shard
+        adjacent = [
+            shard for shard in sorted(self.handles)
+            if shard != dead and dead in sim.partition.peer_shards(shard)
+        ]
+        if in_rounds:
+            while not all(self._parked(shard) for shard in adjacent):
+                await self._next("recovery")
+            # The dead worker died in the first round whose barrier it
+            # never announced; failing that, the last one it reported.
+            awaited = [
+                self.park[shard][2] for shard in adjacent
+                if self.park[shard][:2] == ("blocked", dead)
+            ]
+            crash = self._died(
+                dead, crash.phase,
+                min(awaited) if awaited else self.rounds.get(dead, 0),
+            )
+        if not (
+            sim.recover
+            and sim.sync == "windowed"
+            and sim.listen is None
+            and self.respawns < sim.max_respawns
+        ):
+            raise crash
+        t0 = wall()
+        self.respawns += 1
+        self.handles.pop(dead).close()
+        with contextlib.suppress(Exception):
+            self.procs.pop(dead).wait(timeout=5)
+        # Its tail is in ``crash``; the respawn opens a new file.
+        with contextlib.suppress(OSError):
+            os.unlink(self.stderr_paths.pop(dead))
+        ships: list[tuple[int, tuple]] = []
+        for shard in adjacent:
+            await self._send(shard, ("ship-log", dead))
+            ships.extend((await self._expect(shard, "ship-log", "recovery"))[1])
+        self.registry.expect_rejoin(dead)
+        self._spawn(dead, chaos=False)
+        replacement = await self._guarded(
+            self.registry.rejoin(sim.worker_timeout), phase="respawn"
         )
-        stats = SimStats()
-        finals: dict[int, RequestState] = {}
-        for payload in payloads:
-            stats.merge(payload["stats"])
-            finals.update(payload["finals"])
-        fault_counts = dict(coord_counts)
+        self._adopt(replacement)
+        # Survivors with no topology edge to the dead shard (e.g. opposite
+        # sides of a wan ring) are left alone: they never ship to the
+        # replacement, and dialing it anyway would plant a barrier-round
+        # entry the replacement waits on forever.
+        for shard in adjacent:
+            await self._send(
+                shard, ("peer-update", dead, replacement.host, replacement.port)
+            )
+            await self._expect(shard, "peer-ok", "recovery")
+            if self.park[shard][0] == "blocked":
+                self.park[shard] = None  # the replacement unblocks it
+        await self._send(
+            dead, ("spec", {**self.spec, "faults": None, "replay": ships})
+        )
+        self.injected[dead] = (await self._expect(dead, "ready", "recovery"))[1]
+        self.dead.discard(dead)
+        replayed = crash.round or 0
+        self.replayed_rounds += replayed
+        self._count("recovery.respawns")
+        if replayed:
+            self._count("recovery.replayed_rounds", replayed)
+        if self.chaos_spans is not None:
+            self.chaos_spans.record(
+                "recovery", "chaos", t0, wall(),
+                args={
+                    "shard": dead,
+                    "replayed_rounds": replayed,
+                    "round": crash.round,
+                    "phase": crash.phase,
+                },
+            )
+
+    # -- teardown and result ----------------------------------------------
+
+    async def close(self) -> None:
+        for pump in self.pumps:
+            pump.cancel()
+        await asyncio.gather(*self.pumps, return_exceptions=True)
+        await self.registry.close()
+        for proc in self.procs.values():
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in self.procs.values():
+            if proc.poll() is None:
+                try:
+                    proc.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+        for path in self.stderr_paths.values():
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+
+    def result(
+        self, payloads: list[dict[str, Any]], scrambled: bool, fill_channels: bool
+    ) -> ClusterRunResult:
+        sim, obs, ledger = self.sim, self.obs, self.ledger
+        with self._phase("merge"):
+            trace = merge_worker_traces(
+                payloads, scrambled, fill_channels, sum(self.injected.values())
+            )
+            stats = SimStats()
+            finals: dict[int, RequestState] = {}
+            for payload in payloads:
+                stats.merge(payload["stats"])
+                finals.update(payload["finals"])
+            completions = merge_completions(payloads)
+        fault_counts = dict(self.counts)
         for payload in payloads:
             for name, n in (payload.get("fault_counts") or {}).items():
                 fault_counts[name] = fault_counts.get(name, 0) + n
+        # Every worker runs the same grid, so they agree on the count.
+        barriers = max(self.rounds.values())
+        #: What the rounds phase cost beyond the slowest worker's compute.
+        sync_wall = max(
+            0.0, self.rounds_wall - max(self.worker_wall.values(), default=0.0)
+        )
         if obs is not None:
             for payload in payloads:
                 if payload.get("obs") is not None:
                     obs.merge_worker(payload["obs"])
             obs.metrics.inc("sync.barriers", barriers)
-            obs.metrics.gauge_max("sync.window", self.window)
+            obs.metrics.gauge_max("sync.window", sim.window)
             obs.metrics.observe("sync.wall_s", sync_wall)
-            obs.metrics.inc("registry.round_trips", registry.round_trips)
-            for name, n in coord_counts.items():
+            obs.metrics.inc("registry.round_trips", self.registry.round_trips)
+            for name, n in self.counts.items():
                 obs.metrics.inc(name, n)
-            if chaos_spans is not None:
-                chaos_payload = chaos_spans.payload()
-                if chaos_payload:
-                    obs.spans.extend(chaos_payload)
-                    obs.process_names[self.n_shards + 1] = "chaos"
-        assert final_target is not None
+            chaos_payload = self.chaos_spans.payload()
+            if chaos_payload:
+                obs.spans.extend(chaos_payload)
+                obs.process_names[sim.n_shards + 1] = "chaos"
+        assert ledger.final is not None
         return ClusterRunResult(
             trace=trace,
             stats=stats,
             finals=finals,
-            completions=merge_completions(payloads),
-            completed=completed,
-            done_at=done_at,
-            final_time=final_target,
-            partition=self.partition,
-            sync=self.sync,
-            window=self.window,
+            completions=completions,
+            completed=ledger.completed,
+            done_at=ledger.done_tick,
+            final_time=ledger.final,
+            partition=sim.partition,
+            sync=sim.sync,
+            window=sim.window,
             barriers=barriers,
             sync_wall_s=sync_wall,
-            worker_wall_s=worker_wall,
-            registry_round_trips=registry.round_trips,
+            worker_wall_s=self.worker_wall,
+            registry_round_trips=self.registry.round_trips,
             fault_counts=fault_counts,
-            recoveries=respawns,
-            replayed_rounds=replayed_rounds_total,
+            recoveries=self.respawns,
+            replayed_rounds=self.replayed_rounds,
         )

@@ -3,9 +3,13 @@
 ``python -m repro cluster-worker`` lands in :func:`run_cluster_worker`:
 the process hosts an :class:`~repro.net.engine.AsyncSimulator` slice for
 its shard, finds its peers through the coordinator's registry, and runs
-the round loop the coordinator (:mod:`repro.net.cluster` — see there for
-the protocol, the synchronization modes and the fault/recovery design)
-drives over the CONTROL channel.
+its rounds on its own under the coordinator's grants (:mod:`repro.net.cluster`
+— see there for the protocol, the synchronization modes and the
+fault/recovery design; :mod:`repro.net.grant` for the arithmetic),
+synchronising with its peers only through ``BARRIER`` frames.  A control
+reader serves the CONTROL channel beside the round loop, so a worker
+blocked on a peer barrier still answers ``resend``, ``ship-log`` and
+``peer-update``.
 
 A fresh interpreter is launched per shard per trial and cannot REGISTER
 before this module is imported, so it imports only what a worker runs:
@@ -29,6 +33,7 @@ from repro.core.requests import RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
 from repro.net.engine import AsyncSimulator
+from repro.net.grant import RoundGrid
 from repro.net.registry import RegistryClient
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
@@ -89,7 +94,13 @@ class _ClusterWorker:
         self._pumps: list[asyncio.Task] = []
         #: Latest barrier round seen per in-peer (-1 = none yet).
         self._barrier_round: dict[int, int] = {}
-        self._barrier_event = asyncio.Event()
+        #: The round loop's barrier wait, resolved by :meth:`_wake` — a
+        #: bare future, because this wait is paid once per round.
+        self._barrier_waiter: asyncio.Future | None = None
+        #: The round grid under the coordinator's latest grant; the
+        #: control reader sets ``_granted`` when a new one arrives.
+        self._grid = RoundGrid(1, 0, 1)
+        self._granted = asyncio.Event()
         #: Inbound frames wait on this: a fast peer can ship round 0
         #: while this worker is still building its engine, and a BARRIER
         #: processed before ``_connect_peers`` seeds ``_barrier_round``
@@ -212,14 +223,15 @@ class _ClusterWorker:
         old = self._peer_writers.pop(peer, None)
         if old is not None:
             old.close()
-        self._broken_links.discard(peer)
         self._cut_buffers.pop(peer, None)
-        # The replacement's own dial may be accepted after the next "adv"
-        # is read, so the peer stops counting as lost here, not at its
-        # HELLO (and a straggling end of the old pump no longer counts).
+        # The replacement's own dial may be accepted after the barrier
+        # wait looks again, so the peer stops counting as lost here, not
+        # at its HELLO (and a straggling end of the old pump no longer
+        # counts).
         self._inbound.pop(peer, None)
         self._lost_peers.discard(peer)
         await self._dial_peer(peer, host, port, timeout=self.timeout)
+        self._broken_links.discard(peer)
         writer = self._peer_writers[peer]
         writer.write(
             wire.encode_barrier(
@@ -286,7 +298,7 @@ class _ClusterWorker:
             return  # peer closed (or died — recovery rewires), or teardown
         except Exception as exc:  # noqa: BLE001 - surfaced at the next barrier
             self._errors.append(exc)
-            self._barrier_event.set()
+            self._wake()
         finally:
             writer.close()
             if self._inbound.get(src_shard) is task:
@@ -294,7 +306,13 @@ class _ClusterWorker:
                 # barrier wait that depends on it.
                 del self._inbound[src_shard]
                 self._lost_peers.add(src_shard)
-                self._barrier_event.set()
+                self._wake()
+
+    def _wake(self, woken: bool = True) -> None:
+        """Have a pending barrier wait look again (False: it timed out)."""
+        waiter = self._barrier_waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(woken)
 
     def _on_barrier(self, peer: int, round_no: int, ships: int) -> None:
         if ships == wire.BARRIER_SKIP_COUNT:
@@ -308,7 +326,7 @@ class _ClusterWorker:
                 del self._recv_counts[key]
             if round_no > self._barrier_round.get(peer, -1):
                 self._barrier_round[peer] = round_no
-            self._barrier_event.set()
+            self._wake()
             return
         if round_no <= self._barrier_round.get(peer, -1):
             # Stale: a replacement re-announcing rounds it replayed (its
@@ -338,7 +356,7 @@ class _ClusterWorker:
             self._recv_counts.pop((peer, round_no), None)
             if round_no > self._barrier_round.get(peer, -1):
                 self._barrier_round[peer] = round_no
-            self._barrier_event.set()
+            self._wake()
 
     def _on_ship(
         self, src: int, dst: int, msg: Any, when: int, entry_seq: int
@@ -426,8 +444,7 @@ class _ClusterWorker:
             self._broken_links.add(peer)
             return
         try:
-            for frame in frames:
-                writer.write(frame)
+            writer.write(b"".join(frames))
         except (ConnectionResetError, OSError):
             self._broken_links.add(peer)
 
@@ -441,7 +458,8 @@ class _ClusterWorker:
                 self._broken_links.add(peer)
 
     async def _ship_round(self, round_no: int) -> None:
-        """Ship the round's outbox, then a counted barrier per peer link.
+        """Ship the round's outbox, then a counted barrier per peer link
+        — one write per link: the round's SHIP frames and its BARRIER.
 
         Every ship is logged *before* faults or link state apply — the
         log is the ground truth NAK resends and crash replay draw from,
@@ -451,22 +469,20 @@ class _ClusterWorker:
         engine = self.engine
         assert engine is not None
         shard_of = self.partition.shard_of
-        counts: dict[int, int] = {}
+        counts = dict.fromkeys(self.peers, 0)
+        frames: dict[int, list[bytes]] = {peer: [] for peer in self.peers}
         for ship in engine.drain_outbox():
             peer = shard_of[ship[1]]
             self._ship_log.setdefault(peer, {}).setdefault(
                 round_no, []
             ).append(ship)
-            counts[peer] = counts.get(peer, 0) + 1
-            self._write_frames(
-                peer, self._frames_for_ship(ship, round_no), round_no
-            )
+            counts[peer] += 1
+            frames[peer] += self._frames_for_ship(ship, round_no)
         for peer in self.peers:
-            self._write_frames(
-                peer,
-                [wire.encode_barrier(self.shard, round_no, counts.get(peer, 0))],
-                round_no,
+            frames[peer].append(
+                wire.encode_barrier(self.shard, round_no, counts[peer])
             )
+            self._write_frames(peer, frames[peer], round_no)
         self._last_ship_round = round_no
         await self._drain_peers()
 
@@ -484,14 +500,17 @@ class _ClusterWorker:
         self._write_frames(dst_shard, frames, round_no)
         await self._drain_peers()
 
-    async def _await_barriers(self, round_no: int) -> bool:
+    async def _await_barriers(self, round_no: int, report) -> None:
         """Block until every in-peer has announced ``round_no``.
 
-        False when that cannot happen on its own: a lagging peer died
-        (its link closed) still owing this round — e.g. a short-counted
-        barrier whose NAK it never answered — so only crash recovery,
-        the replacement's re-ships, can complete it.
+        When that cannot happen on its own — a lagging peer died (its
+        link closed) still owing this round, e.g. a short-counted barrier
+        whose NAK it never answered — the worker reports itself parked
+        (``("blocked", peer, round)`` with the first round the peer never
+        announced) and keeps waiting: crash recovery rewires the link and
+        the replacement's re-ships complete the barrier.
         """
+        reported = False
         while True:
             if self._errors:
                 raise SimulationError(
@@ -501,19 +520,32 @@ class _ClusterWorker:
                 peer for peer, r in self._barrier_round.items() if r < round_no
             }
             if not lagging:
-                return True
-            if lagging & self._lost_peers:
-                return False
-            self._barrier_event.clear()
-            try:
-                await asyncio.wait_for(
-                    self._barrier_event.wait(), timeout=self.timeout
+                return
+            lost = lagging & self._lost_peers
+            if lost and not reported:
+                reported = True
+                peer = min(lost)
+                pending = self._pending_barriers.get(peer)
+                announced = (
+                    pending[-1][0] if pending else self._barrier_round[peer]
                 )
-            except asyncio.TimeoutError:
+                await report(("blocked", peer, announced + 1))
+                continue
+            if not lost:
+                reported = False
+            loop = asyncio.get_running_loop()
+            waiter = self._barrier_waiter = loop.create_future()
+            timer = loop.call_later(self.timeout, self._wake, False)
+            try:
+                woken = await waiter
+            finally:
+                timer.cancel()
+                self._barrier_waiter = None
+            if not woken:
                 raise SimulationError(
                     f"shard {self.shard} waited {self.timeout:.0f}s for "
                     f"barrier {round_no} from peers {sorted(lagging)}"
-                ) from None
+                )
 
     # -- the trial -------------------------------------------------------
 
@@ -541,7 +573,6 @@ class _ClusterWorker:
         self.sync = spec["sync"]
         self.timeout = spec.get("timeout", self.timeout)
         self._load_faults(spec.get("faults"))
-        replay = spec.get("replay")
         shards = spec["shards"]
         shard_pids = shards[self.shard]
         self.partition = Partition(topology=spec["topology"], shards=shards)
@@ -561,6 +592,7 @@ class _ClusterWorker:
         trace = _KeyedTrace(engine.scheduler)
         engine.trace = trace
         self.engine = engine
+        self._grid = RoundGrid(spec["window"], spec["horizon"], spec["drain"])
         self._maybe_crash("peering")
         await self._connect_peers(peers)
         self._frames_ready.set()
@@ -577,106 +609,159 @@ class _ClusterWorker:
                 if fmt is not None:
                     cfg["payload"] = payload_from_fmt(fmt)
                 driver = RequestDriver(engine, pids=shard_pids, **cfg)
-            clock = engine.scheduler
-            round_no = 0
-            if replay is not None:
-                # Crash-recovery replay: the first incarnation's
-                # cross-shard inputs arrive via the spec (the survivors'
-                # ship logs), not the wire — its own dead sockets took
-                # the live copies with it.  Seed the dedup set so any
-                # frames that *do* straggle in are dropped, inject the
-                # logged ships, then re-execute the same advance targets.
-                # Determinism (per-entity RNG streams, canonical
-                # scheduler keys, sender-computed delivery times) makes
-                # the re-execution — including its outbound ships —
-                # byte-identical to the lost one.
-                for _rnd, ship in replay["ships"]:
-                    src, dst, msg, when, entry_seq = ship
-                    key = (src, dst, entry_seq)
-                    if key in self._seen:
-                        continue
-                    self._seen.add(key)
-                    engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
-                await self._ship_round(0)
-                for target in replay["targets"]:
-                    round_no += 1
-                    if self.sync == "windowed" and not (
-                        await self._await_barriers(round_no - 1)
-                    ):
-                        raise SimulationError(
-                            f"shard {self.shard}: a peer died during the "
-                            f"replay of round {round_no} (second fault)"
-                        )
-                    await clock.drive(target, engine._route)
-                    engine._raise_net_errors()
-                    await self._ship_round(round_no)
-                done_at = driver.done_at if driver is not None else 0
-                await self.client.send(("ready", injected, done_at))
-            else:
-                # Round 0: the scramble's cross-shard injections ship
-                # before the coordinator ever advances anyone — by the
-                # time a peer passes its round-0 barrier wait, these are
-                # in its heap.
-                await self._ship_round(0)
-                await self.client.send(("ready", injected))
+            # A crashed shard's replacement: the first incarnation's
+            # cross-shard inputs arrive via the spec (the survivors' ship
+            # logs), not the wire — its own dead sockets took the live
+            # copies with it.  Seed the dedup set so any frames that *do*
+            # straggle in are dropped and inject the logged ships; the
+            # ordinary round loop below then re-executes from round 1.
+            # Determinism (per-entity RNG streams, canonical scheduler
+            # keys, sender-computed delivery times) makes the
+            # re-execution — including its outbound ships —
+            # byte-identical to the lost one.
+            for _rnd, ship in spec.get("replay") or ():
+                src, dst, msg, when, entry_seq = ship
+                key = (src, dst, entry_seq)
+                if key in self._seen:
+                    continue
+                self._seen.add(key)
+                engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
+            # Round 0: the scramble's cross-shard injections ship before
+            # anyone is granted a round — by the time a peer passes its
+            # round-0 barrier wait, these are in its heap.
+            await self._ship_round(0)
+            await self.client.send(("ready", injected))
             obs: ObsRecorder | None = None
             if spec.get("obs"):
                 # Coordinator lane is pid 0; worker lanes follow shard order.
                 obs = ObsRecorder(
                     pid=self.shard + 1, name=f"shard{self.shard}"
                 )
-            while True:
-                message = await asyncio.wait_for(
-                    self.client.recv(), timeout=self.timeout
+            rounds = asyncio.ensure_future(self._rounds(driver, obs))
+            try:
+                await self._serve_control(
+                    rounds,
+                    lambda: self._result_payload(
+                        trace, proc_len, chan_len, shard_pids, driver,
+                        driver_cfg["tag"] if driver_cfg else None, obs,
+                    ),
                 )
-                op = message[0]
-                if op == "adv":
-                    _, target = message
-                    round_no += 1
-                    self._maybe_crash("barrier", round_no)
-                    if self.sync == "windowed":
-                        w0 = wall() if obs is not None else 0.0
-                        met = await self._await_barriers(round_no - 1)
-                        if obs is not None:
-                            w1 = wall()
-                            obs.spans.record(
-                                "barrier_wait", "round", w0, w1,
-                                args={"round": round_no - 1},
-                            )
-                            obs.metrics.observe(
-                                "sync.barrier_wait_s", w1 - w0
-                            )
-                        if not met:
-                            # A dead peer owes this barrier.  Hand the
-                            # round back and return to the control loop
-                            # (recovery needs this worker's ship log and
-                            # rewire); the coordinator re-issues the
-                            # round once the replacement is up.
-                            round_no -= 1
-                            await self.client.send(("adv-blocked",))
-                            continue
-                    w0 = wall() if obs is not None else 0.0
-                    t0 = time.perf_counter()
-                    await clock.drive(target, engine._route)
-                    compute_s = time.perf_counter() - t0
-                    if obs is not None:
-                        obs.record_round(
-                            "compute", w0, wall(),
-                            round=round_no, target=target,
-                        )
-                    engine._raise_net_errors()
-                    if self._errors:
+            finally:
+                rounds.cancel()
+                await asyncio.gather(rounds, return_exceptions=True)
+        finally:
+            await engine._teardown()
+
+    async def _rounds(
+        self, driver: RequestDriver | None, obs: ObsRecorder | None
+    ) -> None:
+        """Run the round grid as far as the grants allow.
+
+        One loop for both sync modes (``freerun`` skips the barrier
+        wait).  The worker reports ``(round, t, done_at, compute_s,
+        park)`` when its driver first goes idle and every ``grid.every``
+        rounds, and — with ``park`` naming why — whenever it cannot go
+        on: out of credit ``("limit", limit)``, waiting on a dead peer
+        ``("blocked", peer, round)``, or finished ``("final", final)``.
+        """
+        engine = self.engine
+        assert engine is not None
+        clock = engine.scheduler
+        grid = self._grid
+        compute_s = 0.0
+
+        def done_at() -> int | None:
+            return driver.done_at if driver is not None else None
+
+        async def report(park: tuple | None) -> None:
+            nonlocal compute_s
+            grid.reported(done_at())
+            spent, compute_s = compute_s, 0.0
+            await self.client.send(
+                ("report", grid.round, grid.t, done_at(), spent, park)
+            )
+
+        while not grid.finished:
+            self._granted.clear()
+            target = grid.next_target()
+            if target is None:
+                await report(("limit", grid.limit))
+                try:
+                    await asyncio.wait_for(
+                        self._granted.wait(), timeout=self.timeout
+                    )
+                except asyncio.TimeoutError:
+                    raise SimulationError(
+                        f"shard {self.shard} waited {self.timeout:.0f}s at "
+                        f"tick {grid.t} for a grant beyond {grid.limit}"
+                    ) from None
+                continue
+            round_no = grid.round + 1
+            self._maybe_crash("barrier", round_no)
+            if self.sync == "windowed":
+                w0 = wall() if obs is not None else 0.0
+                await self._await_barriers(round_no - 1, report)
+                if obs is not None:
+                    w1 = wall()
+                    obs.spans.record(
+                        "barrier_wait", "round", w0, w1,
+                        args={"round": round_no - 1},
+                    )
+                    obs.metrics.observe("sync.barrier_wait_s", w1 - w0)
+            else:
+                await asyncio.sleep(0)  # let inbound frames in
+            w0 = wall() if obs is not None else 0.0
+            t0 = time.perf_counter()
+            await clock.drive(target, engine._route)
+            compute_s += time.perf_counter() - t0
+            if obs is not None:
+                obs.record_round(
+                    "compute", w0, wall(), round=round_no, target=target
+                )
+            engine._raise_net_errors()
+            if self._errors:
+                raise SimulationError(
+                    f"peer link failed: {self._errors[0]}"
+                ) from self._errors[0]
+            self._maybe_crash("round", round_no)
+            await self._ship_round(round_no)
+            stall = self._stalls.pop(round_no, None)
+            if stall:
+                self._count("fault.injected.stall")
+                await asyncio.sleep(stall)
+            grid.advance(target)
+            if grid.report_due(done_at()):
+                await report(None)
+        await report(("final", grid.final))
+
+    async def _serve_control(self, rounds: asyncio.Task, result_payload) -> None:
+        """Serve the coordinator's CONTROL ops until ``stop``, beside the
+        round loop — whose failure surfaces here."""
+        recv = asyncio.ensure_future(self.client.recv())
+        try:
+            while True:
+                # A finished worker only waits to be asked for its result.
+                idle = rounds.done()
+                done, _ = await asyncio.wait(
+                    {recv} if idle else {recv, rounds},
+                    timeout=self.timeout if idle else None,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if rounds in done:
+                    rounds.result()
+                if recv not in done:
+                    if not done:
                         raise SimulationError(
-                            f"peer link failed: {self._errors[0]}"
-                        ) from self._errors[0]
-                    self._maybe_crash("round", round_no)
-                    await self._ship_round(round_no)
-                    stall = self._stalls.pop(round_no, None)
-                    if stall:
-                        self._count("fault.injected.stall")
-                        await asyncio.sleep(stall)
-                    done_at = driver.done_at if driver is not None else 0
-                    await self.client.send(("adv-ok", done_at, compute_s))
+                            f"shard {self.shard} finished its rounds and "
+                            f"heard nothing for {self.timeout:.0f}s"
+                        )
+                    continue
+                message = recv.result()
+                op = message[0]
+                if op == "grant":
+                    _, limit, final = message
+                    self._grid.accept(limit, final)
+                    self._granted.set()
                 elif op == "resend":
                     _, nak_from, nak_round = message
                     await self._resend_round(nak_from, nak_round)
@@ -694,30 +779,38 @@ class _ClusterWorker:
                     ]
                     await self.client.send(("ship-log", entries))
                 elif op == "result":
-                    if self.client.dial_retries:
-                        self._count("backoff.retries", self.client.dial_retries)
-                    if obs is not None:
-                        # Fresh interpreter: absolute wire counts are this
-                        # trial's (no baseline needed).
-                        obs.collect_wire()
-                        for name, n in self._fault_counts.items():
-                            obs.metrics.inc(name, n)
-                    tag = driver_cfg["tag"] if driver_cfg else None
-                    payload = shard_result_payload(
-                        engine, trace, proc_len, chan_len,
-                        shard_pids, driver, tag, obs=obs,
-                    )
-                    if self._fault_counts:
-                        payload["fault_counts"] = dict(self._fault_counts)
-                    await self.client.send(("result", payload))
+                    await rounds
+                    await self.client.send(("result", result_payload()))
                 elif op == "stop":
                     return
                 else:
                     raise SimulationError(
                         f"unknown coordinator op {op!r}"
                     )
+                recv = asyncio.ensure_future(self.client.recv())
         finally:
-            await engine._teardown()
+            recv.cancel()
+
+    def _result_payload(
+        self, trace, proc_len, chan_len, shard_pids, driver, tag, obs
+    ) -> dict[str, Any]:
+        engine = self.engine
+        assert engine is not None
+        if self.client.dial_retries:
+            self._count("backoff.retries", self.client.dial_retries)
+        if obs is not None:
+            # Fresh interpreter: absolute wire counts are this trial's
+            # (no baseline needed).
+            obs.collect_wire()
+            for name, n in self._fault_counts.items():
+                obs.metrics.inc(name, n)
+        payload = shard_result_payload(
+            engine, trace, proc_len, chan_len,
+            shard_pids, driver, tag, obs=obs,
+        )
+        if self._fault_counts:
+            payload["fault_counts"] = dict(self._fault_counts)
+        return payload
 
     async def _teardown(self) -> None:
         for task in self._cut_tasks:

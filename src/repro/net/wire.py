@@ -26,7 +26,7 @@ Frame kinds:
   window protocol of :mod:`repro.sim.sharded`, over sockets), and the
   sender's barrier round (so receivers can account ships per round and
   crash recovery can replay them).
-* ``BARRIER`` — a shard announces it finished advance round ``round`` and
+* ``BARRIER`` — a shard announces it finished round ``round`` and
   how many SHIP frames it sent that round on this link; per-connection
   FIFO means every SHIP of that round precedes it, so a count mismatch at
   the receiver is proof of an injected (or real) frame fault and triggers
@@ -34,7 +34,8 @@ Frame kinds:
   :data:`BARRIER_SKIP_COUNT` re-announces a round without a count check
   (crash-recovery rewiring).
 * ``CONTROL`` — a pickled coordinator<->worker control message
-  (spec/ready/adv/adv-ok/result/stop) on the registry connection.  Result
+  (spec/ready/grant/report/resend/ship-log/peer-update/result/stop —
+  :mod:`repro.net.cluster`) on the registry connection.  Result
   payloads carry whole shard traces, so control channels read frames with
   the larger :data:`CONTROL_MAX_FRAME` bound.
 

@@ -252,18 +252,27 @@ def test_execute_guards_fault_plan_engine_axis():
 
 SERIAL_ORACLE: dict = {}
 
+#: (n, topology, hosts) of the default chaos trial and of the four-shard
+#: WAN ring, where shards 0 and 2 (1 and 3) are not adjacent.
+SMALL = (6, None, 2)
+WAN_RING = (16, "wan:4", 4)
 
-def _serial(seed: int):
-    if seed not in SERIAL_ORACLE:
-        SERIAL_ORACLE[seed] = run_pif_trial(TrialSpec(n=6, seed=seed))
-    return SERIAL_ORACLE[seed]
+
+def _serial(seed: int, shape=SMALL):
+    n, topology, _hosts = shape
+    if (seed, shape) not in SERIAL_ORACLE:
+        SERIAL_ORACLE[seed, shape] = run_pif_trial(
+            TrialSpec(n=n, topology=topology, seed=seed))
+    return SERIAL_ORACLE[seed, shape]
 
 
-def _cluster_trial(seed: int, plan):
-    """One n=6 PIF trial on two cluster workers under ``plan``."""
+def _cluster_trial(seed: int, plan, shape=SMALL):
+    """One PIF trial (n=6 on two cluster workers by default) under
+    ``plan``."""
+    n, topology, hosts = shape
     return run_pif_trial(TrialSpec(
-        n=6, seed=seed, engine="cluster", cluster=ClusterOpts(hosts=2),
-        chaos=ChaosOpts(plan=plan)))
+        n=n, topology=topology, seed=seed, engine="cluster",
+        cluster=ClusterOpts(hosts=hosts), chaos=ChaosOpts(plan=plan)))
 
 
 @pytest.mark.parametrize("phase, plan", [
@@ -311,6 +320,7 @@ def test_crash_with_recovery_disabled_is_a_fast_diagnostic():
     crash = excinfo.value
     assert crash.shard == 1
     assert crash.round == 2
+    assert crash.phase == "barrier"
     assert "chaos: injected crash at barrier 2" in (crash.stderr_tail or "")
 
 
@@ -342,8 +352,8 @@ def test_crash_plus_link_cut_compose():
 def test_crash_of_a_worker_owing_a_resend_recovers():
     """The crashed worker dies before answering the NAK for a ship it
     dropped, so the survivor's barrier can only be completed by the
-    replacement's re-ships: the survivor hands the round back
-    (``adv-blocked``) instead of waiting out the worker timeout."""
+    replacement's re-ships: the survivor reports itself blocked on the
+    lost peer instead of waiting out the worker timeout."""
     serial = _serial(0)
     trial = _cluster_trial(
         0, "crash worker 0 at round 1; drop ship from 1 count 2")
@@ -351,6 +361,73 @@ def test_crash_of_a_worker_owing_a_resend_recovers():
     assert trial.measurements == serial.measurements
     assert trial.provenance["recoveries"] == 1
     assert trial.provenance["fault_counts"]["ship.nak_sent"] == 1
+
+
+def test_blocked_worker_serves_control_without_handing_the_round_back(
+    monkeypatch,
+):
+    """The control reader runs beside the round loop: a survivor blocked
+    on its dead peer's barrier answers ``ship-log`` and ``peer-update``
+    from inside that wait, and the CONTROL transcript of the whole
+    recovered trial holds the granted-round ops only — no per-round
+    advance, ack or hand-back."""
+    from repro.net import registry
+
+    transcript: list[tuple[int, str, tuple]] = []
+    send, recv = registry._WorkerHandle.send, registry._WorkerHandle.recv
+
+    async def logged_send(handle, message):
+        transcript.append((handle.shard, "to", message))
+        await send(handle, message)
+
+    async def logged_recv(handle):
+        message = await recv(handle)
+        transcript.append((handle.shard, "from", message))
+        return message
+
+    monkeypatch.setattr(registry._WorkerHandle, "send", logged_send)
+    monkeypatch.setattr(registry._WorkerHandle, "recv", logged_recv)
+    trial = _cluster_trial(
+        0, "crash worker 0 at round 1; drop ship from 1 count 2")
+    assert trial.ok and trial.provenance["recoveries"] == 1
+
+    ops = {message[0] for _shard, _way, message in transcript}
+    assert ops <= {
+        "spec", "ready", "grant", "report", "nak", "resend", "ship-log",
+        "peer-update", "peer-ok", "result", "stop",
+    }
+    assert {"nak", "ship-log", "peer-update", "grant", "report"} <= ops
+    # Between the survivor's blocked report and its peer-ok it sent the
+    # coordinator nothing but the answers: it never left the wait.
+    survivor = [m for shard, way, m in transcript
+                if shard == 1 and way == "from"]
+    blocked = next(i for i, m in enumerate(survivor)
+                   if m[0] == "report" and m[5] and m[5][0] == "blocked")
+    assert survivor[blocked][5][:2] == ("blocked", 0)
+    assert [m[0] for m in survivor[blocked + 1:blocked + 3]] == [
+        "ship-log", "peer-ok"]
+    # Sparse control traffic: a handful of grants and reports, not one
+    # exchange per round.
+    rounds = trial.provenance["barriers"]
+    per_round = [m for _s, _w, m in transcript if m[0] in ("grant", "report")]
+    assert len(per_round) < rounds
+
+
+def test_no_worker_stderr_file_outlives_a_trial(tmp_path, monkeypatch):
+    """Worker stderr goes to a tempfile so WorkerCrashed can quote it;
+    neither a recovery (which opens a second file for the shard) nor a
+    fatal crash may leave one behind."""
+    import tempfile
+
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    trial = _cluster_trial(3, "crash worker 0 at round 1")
+    assert trial.provenance["recoveries"] == 1
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(WorkerCrashed) as excinfo:
+        _cluster_trial(3, "crash worker 0 at rendezvous")
+    assert excinfo.value.stderr_tail  # read before the file went
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fault_free_plan_machinery_keeps_canonical_hash():
@@ -421,12 +498,25 @@ def fault_schedules(draw) -> str:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(plan_text=fault_schedules(), seed=st.integers(min_value=0, max_value=3))
+@given(
+    plan_text=fault_schedules(),
+    seed=st.integers(min_value=0, max_value=3),
+    shape=st.just(SMALL),
+)
 # Found by this test: crash + unanswered NAK deadlocked until PR 14.
-@example(plan_text="crash worker 0 at round 1\ndrop ship from 1 count 2", seed=1)
-@example(plan_text="crash worker 0 at round 1\ndrop ship from 3 count 2", seed=0)
-def test_fault_schedule_fuzz_preserves_serial_identity(plan_text, seed):
-    serial = _serial(seed)
-    trial = _cluster_trial(seed, plan_text or None)
+@example(plan_text="crash worker 0 at round 1\ndrop ship from 1 count 2",
+         seed=1, shape=SMALL)
+@example(plan_text="crash worker 0 at round 1\ndrop ship from 3 count 2",
+         seed=0, shape=SMALL)
+# The same shape with the drop on the survivor's side: the NAK comes from
+# the worker that dies, the resend is owed to its replacement.
+@example(plan_text="crash worker 0 at round 1\ndrop ship from 4 count 2",
+         seed=0, shape=SMALL)
+# A late crash, after several grant extensions, with a survivor that is
+# not adjacent to the dead shard running ahead of the two that are.
+@example(plan_text="crash worker 2 at round 40", seed=0, shape=WAN_RING)
+def test_fault_schedule_fuzz_preserves_serial_identity(plan_text, seed, shape):
+    serial = _serial(seed, shape)
+    trial = _cluster_trial(seed, plan_text or None, shape)
     assert trial.ok
     assert trial.measurements == serial.measurements

@@ -50,6 +50,25 @@ def test_windowed_cluster_is_bit_identical_to_serial():
     assert serial.completions == cluster.completions
 
 
+@pytest.mark.parametrize("slack", [-1, 0])
+def test_horizon_at_the_completion_tick_keeps_serial_identity(slack):
+    """The round grid's one irregular step: with 16-tick windows the
+    horizon falls between grid points, and whether the trial counts as
+    completed is decided exactly there (``slack`` -1: one tick short)."""
+    spec = _pif_spec(16, topology="wan:4", seed=0, loss=0.1,
+                     horizon=2_000_000)
+    done_at = execute(spec).final_time - 200  # final = done_at + DRAIN_TICKS
+    spec = replace(spec, horizon=done_at + slack)
+    serial = execute(spec)
+    cluster = execute(replace(
+        spec, engine="cluster", cluster=ClusterOpts(hosts=4)))
+    assert cluster.window == 16 and spec.horizon % 16 != 15
+    assert serial.completed == cluster.completed == (slack == 0)
+    assert serial.final_time == cluster.final_time
+    assert canonical_trace_hash(serial.trace) == \
+           canonical_trace_hash(cluster.trace)
+
+
 def test_cluster_mutex_trial_matches_serial_metrics():
     serial = run_mutex_trial(TrialSpec(n=5), requests_per_process=1)
     cluster = run_mutex_trial(
