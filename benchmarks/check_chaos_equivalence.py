@@ -15,6 +15,10 @@ checks both:
   and a *crash-recovered* probe must hash identically to serial too —
   the bit-identity proof obligation extended through a respawn.
 
+The gate also counts the worker interpreters it launched: the engine
+leases warm workers, so the whole table may boot no more than ``max
+hosts + crash-token shards + recoveries``.
+
 A non-gating chaos timeline (``--timeline-out``, default
 ``BENCH_chaos_timeline.json``) exports the recovery spans — the "chaos"
 lane records the respawn/replay interval — for artifact upload.
@@ -39,14 +43,23 @@ from equivalence import (
     flag_value,
     pif_probe,
     report,
+    spawn_guard,
 )
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.chaos import FaultPlan
 from repro.engine import ClusterOpts, ObsOpts, TrialSpec
+from repro.net.cluster import interpreters_spawned
 from repro.obs.spans import validate_chrome_trace
 
 
+#: (hosts, plan) of every chaotic run this gate makes — what
+#: :func:`check_spawn_count` sizes its bound from.
+_PLANS: list[tuple[int, FaultPlan]] = []
+
+
 def _chaotic(hosts: int, plan: str, **more) -> dict:
+    _PLANS.append((hosts, FaultPlan.parse(plan)))
     return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts),
                 chaos=plan, **more)
 
@@ -156,6 +169,21 @@ def check_detection_latency() -> bool:
     return False
 
 
+def check_spawn_count() -> bool:
+    """Warm workers are leased, not respawned: only the widest case's
+    slots, each crash-token shard and each recovery may boot an
+    interpreter (a rendezvous crash is diagnosed, not recovered)."""
+    tokens = [
+        token for hosts, plan in _PLANS
+        for token in map(plan.crash_token, range(hosts)) if token
+    ]
+    return spawn_guard(
+        interpreters_spawned(),
+        hosts=max(hosts for hosts, _plan in _PLANS),
+        crash_tokens=len(tokens),
+        recoveries=sum(token != "rendezvous" for token in tokens))
+
+
 def main() -> int:
     timeline_out = flag_value(
         sys.argv[1:], "--timeline-out", "BENCH_chaos_timeline.json")
@@ -163,6 +191,7 @@ def main() -> int:
                          tail=_replay_and_faults)
     ok &= check_hash_identity(8, 2, timeline_out)
     ok &= check_detection_latency()
+    ok &= check_spawn_count()
     return finish("chaos-equivalence", ok)
 
 

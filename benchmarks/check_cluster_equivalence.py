@@ -18,8 +18,10 @@ exported timeline is structurally valid Chrome trace-event JSON covering
 the coordinator plus every worker lane with barrier-wait spans, and (c)
 the CONTROL frames of the whole trial number O(rounds / K), not
 O(rounds) — rounds are granted (:mod:`repro.net.grant`), so a per-round
-coordinator exchange creeping back in fails here by count.  The
-timeline lands at ``--timeline-out`` (default
+coordinator exchange creeping back in fails here by count.  Last, the
+worker interpreters launched over the whole run are counted: the engine
+leases warm workers from one pool, so every case together may boot no
+more than the widest case has hosts (4).  The timeline lands at ``--timeline-out`` (default
 ``BENCH_cluster_timeline.json``) so CI can upload it as an artifact.
 
 ``--freerun-smoke`` additionally runs one E3 trial in ``sync=freerun``
@@ -49,10 +51,12 @@ from equivalence import (
     flag_value,
     pif_probe,
     report,
+    spawn_guard,
 )
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.engine import DRAIN_TICKS, ClusterOpts, ObsOpts, TrialSpec
+from repro.net.cluster import interpreters_spawned
 from repro.net.grant import report_every
 from repro.obs.spans import validate_chrome_trace
 
@@ -193,6 +197,8 @@ def main() -> int:
         ok &= check_obs_identity(None, 8, 2, timeline_out)
     if "--freerun-smoke" in args or "--freerun-only" in args:
         ok &= freerun_smoke()
+    # Every case leases from one pool: the widest case fills it.
+    ok &= spawn_guard(interpreters_spawned(), hosts=4)
     return finish("cluster-equivalence", ok)
 
 

@@ -9,7 +9,9 @@ they all make live here:
   trace-derived measurements;
 * :func:`bit_identity` — execute one spec on the serial engine and once
   per named variant, and require the same events, canonical trace hash,
-  stats, final time and completions.
+  stats, final time and completions;
+* :func:`spawn_guard` — the cluster and chaos gates bound the worker
+  interpreters their whole case table launched.
 
 Both go through :func:`repro.engine.execute` and the backend registry,
 exactly as the CLI does.
@@ -35,6 +37,22 @@ def finish(gate: str, ok: bool) -> int:
     """The gate's last line and its exit code."""
     print(f"{gate}:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
+
+
+def spawn_guard(spawned: int, hosts: int, crash_tokens: int = 0,
+                recoveries: int = 0) -> bool:
+    """The cluster engine leases warm worker interpreters
+    (``repro.net.cluster``): over a whole case table it may launch one
+    per slot of the widest case, one per crash-token shard (a fault is a
+    fresh interpreter's lifecycle) and one per recovery — a per-trial
+    spawn creeping back in fails here by count."""
+    bound = hosts + crash_tokens + recoveries
+    return report(
+        spawned <= bound,
+        f"interpreters spawned over the whole case table: {spawned} "
+        f"(bound {bound} = max hosts {hosts} + crash-token shards "
+        f"{crash_tokens} + recoveries {recoveries})",
+        bad="FAILED")
 
 
 def flag_value(args: list[str], flag: str, default: str) -> str:

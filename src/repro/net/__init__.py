@@ -12,9 +12,10 @@ Runs the paper's protocol layers, unmodified, over real transports:
   under sender-owned channel accounting.
 * :mod:`repro.net.wire` — the length-prefixed frame format.
 * :mod:`repro.net.cluster` — the multi-host runtime: per-shard worker
-  interpreters (own OS processes, :mod:`repro.net.cluster_worker`) behind
-  the TCP fabric, coordinated through BARRIER frames in ``windowed`` mode
-  or free-running under the online monitors.
+  interpreters (own OS processes, :mod:`repro.net.cluster_worker`, leased
+  from a pool that outlives the trial) behind the TCP fabric, coordinated
+  through BARRIER frames in ``windowed`` mode or free-running under the
+  online monitors.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
 * :mod:`repro.net.monitors` — online specification monitors over the
@@ -34,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         ClusterRunResult,
         ClusterSimulator,
         SYNC_MODES,
+        close_pool,
     )
     from repro.net.cluster_worker import run_cluster_worker
     from repro.net.engine import (
@@ -71,6 +73,7 @@ __all__ = [
     "ClusterSimulator",
     "ClusterRunResult",
     "SYNC_MODES",
+    "close_pool",
     "run_cluster_worker",
     "RegistryServer",
     "RegistryClient",
@@ -101,7 +104,9 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "clock": ("PacedClock", "VirtualClock"),
-    "cluster": ("ClusterRunResult", "ClusterSimulator", "SYNC_MODES"),
+    "cluster": (
+        "ClusterRunResult", "ClusterSimulator", "SYNC_MODES", "close_pool",
+    ),
     "cluster_worker": ("run_cluster_worker",),
     "engine": (
         "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",

@@ -10,11 +10,22 @@ queues; cross-shard sends fall through the base engine's sender-owned
 accounting into the cross-shard outbox and travel as ``SHIP`` frames
 (:mod:`repro.net.wire`) over real sockets, directly worker-to-worker.
 
-Workers find each other through the rendezvous service of
-:mod:`repro.net.registry`: each registers ``(shard_id, host, port)``,
-receives the full peer map, and dials its peer shards itself (HELLO
-identifies the source shard).  The registry connection doubles as the
-coordinator's control channel.
+Worker interpreters **outlive the trial**.  A trial *leases* shard slots
+``0..n_shards-1`` from one process-wide pool (:class:`_WorkerPool`): a
+live idle worker is reused, only the shortfall is spawned, and the pool
+is closed at interpreter exit (or by :func:`close_pool`) — so a seed
+sweep, a matrix or a gate's case table boots ``max hosts`` interpreters,
+not ``hosts`` per trial.  A worker registers once with the rendezvous
+service of :mod:`repro.net.registry` (``(shard_id, host, port)``; that
+connection is the coordinator's control channel for as long as the
+worker lives) and then serves ``spec`` after ``spec``; the peer map of a
+trial rides in its spec, and each worker dials its peer shards per trial
+(HELLO identifies the source shard), closing those links and
+acknowledging ``idle`` before it may be handed the next one.  There is
+no switch: a one-trial process is a pool used once.  The reuse boundary
+is a trial that *returned* — one that raised discards every worker it
+leased — and a shard whose fault plan carries a crash token is always
+spawned fresh (its recovered replacement joins the pool).
 
 Rounds are *granted*, not driven (:mod:`repro.net.grant`).  Every worker
 runs one fixed round grid on its own — ``t + window``, capped at the
@@ -28,8 +39,8 @@ the slowest busy report plus ``drain``, and sends the final grant
 ``max(done_at) + drain`` once every shard has reported done.  The credit
 is the engine's version of the paper's bounded channel: a bound on what
 may be in flight, instead of a round-trip per step.  The control ops are
-``spec/ready/grant/report/resend/ship-log/peer-update/result/stop``
-(plus a worker's ``nak``, ``peer-ok`` and ``error``).
+``spec/ready/grant/report/resend/ship-log/peer-update/result/stop/exit``
+(plus a worker's ``nak``, ``peer-ok``, ``idle`` and ``error``).
 
 Two synchronization modes share that loop:
 
@@ -95,14 +106,15 @@ picklable *specs*: a protocol spec (``{"kind": "pif", ...}`` —
 payload is a format string (``payload_fmt="msg-{pid}-{k}"``) rather than
 a callable.
 
-This module is the coordinator; the worker interpreter it launches lives
-in :mod:`repro.net.cluster_worker`, which imports none of this — every
-worker pays for its imports before it can REGISTER.
+This module is the coordinator and the pool; the worker interpreter it
+launches lives in :mod:`repro.net.cluster_worker`, which imports none of
+this — a worker pays for its imports before it can REGISTER.
 """
 
 from __future__ import annotations
 
 import asyncio
+import atexit
 import contextlib
 import os
 import subprocess
@@ -111,12 +123,13 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import IO, Any, Sequence
 
 from repro.chaos.plan import FaultPlan
 from repro.core.protocols import build_protocol
 from repro.core.requests import CompletedRequest
 from repro.errors import SimulationError, WorkerCrashed
+from repro.net import wire
 from repro.net.cluster_worker import parse_hostport, run_cluster_worker
 from repro.net.grant import Grant, GrantLedger
 from repro.net.registry import RegistryServer
@@ -139,6 +152,8 @@ __all__ = [
     "ClusterRunResult",
     "SYNC_MODES",
     "FREERUN_WINDOW",
+    "close_pool",
+    "interpreters_spawned",
     "run_cluster_worker",
     "parse_hostport",
 ]
@@ -154,15 +169,185 @@ FREERUN_WINDOW = 64
 _CRASH_POLL_S = 0.25
 
 
-def _stderr_tail(path: str | None, limit: int = 4000) -> str:
-    """The last ``limit`` bytes of a worker's captured stderr."""
-    if path is None:
-        return ""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return ""
-    return data[-limit:].decode("utf-8", "replace").strip()
+#: Worker interpreters this process has launched, over its whole life
+#: (pool re-creations included) — see :func:`interpreters_spawned`.
+_SPAWNED = 0
+
+
+def interpreters_spawned() -> int:
+    """How many worker interpreters this process has launched so far.
+
+    The CI gates bound the difference over their case tables by ``max
+    hosts + crash-token shards + recoveries``, so a per-trial spawn
+    cannot quietly return."""
+    return _SPAWNED
+
+
+@dataclass
+class _Worker:
+    """One leased slot: the worker's process and its control channel."""
+
+    shard: int
+    #: None for a hand-launched worker (``listen=``).
+    popen: subprocess.Popen | None = None
+    #: The worker's stderr: an *anonymous* temp file (unlinked at open),
+    #: so nothing can outlive the two processes that hold it.
+    stderr: IO[bytes] | None = None
+    #: None until the worker has registered.
+    handle: Any = None
+
+    def stderr_tail(self, limit: int = 4000) -> str:
+        """The last ``limit`` bytes the worker wrote to stderr.  Read by
+        offset: the child shares the open file description, so a seek
+        here would move its write position."""
+        if self.stderr is None:
+            return ""
+        try:
+            fd = self.stderr.fileno()
+            size = os.fstat(fd).st_size
+            data = os.pread(fd, limit, max(0, size - limit))
+        except (OSError, ValueError):
+            return ""
+        return data.decode("utf-8", "replace").strip()
+
+
+def _worker_env() -> dict[str, str]:
+    """Spawn environment: ``PYTHONPATH`` is threaded through explicitly
+    — the parent may be running from a source tree (pytest sets
+    ``sys.path``, not the environment)."""
+    import repro
+
+    env = os.environ.copy()
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        src_root if not existing else src_root + os.pathsep + existing
+    )
+    return env
+
+
+class _WorkerPool:
+    """Worker interpreters that outlive the trial, and what they are
+    bound to: one event loop (a stream cannot leave the loop it was
+    opened on, and ``asyncio.run`` makes a new one per call), one
+    :class:`~repro.net.registry.RegistryServer`, one slot per shard id.
+
+    A trial *leases* slots ``0..n_shards-1``: a live idle worker is
+    reused, the shortfall is spawned, and the pool only ever grows to
+    the largest ``hosts`` it has seen.  A worker returns to the pool
+    when its trial returned and it acknowledged ``idle``; a trial that
+    raised discards every worker it leased.  The process-wide pool
+    (:func:`_shared_pool`) is closed at interpreter exit; with
+    ``listen=`` a trial gets a pool of its own on that address, whose
+    workers are hand-launched and told to ``exit`` when it ends.
+    """
+
+    def __init__(self, listen: str | None = None) -> None:
+        self.pid = os.getpid()
+        self.spawns = listen is None
+        self.loop = asyncio.new_event_loop()
+        host, port = parse_hostport(listen) if listen else ("127.0.0.1", 0)
+        self.registry = RegistryServer(host=host, port=port)
+        self.workers: dict[int, _Worker] = {}
+
+    def spawn(self, shard: int, chaos: str | None = None) -> _Worker:
+        """Launch one localhost worker interpreter into slot ``shard``.
+
+        Workers are fresh interpreters (``python -m repro cluster-worker``),
+        not forks — the same launch command works on a remote machine, which
+        is the point.  A crash fault rides the argv (``--chaos``): it must
+        exist before the control channel does.
+        """
+        global _SPAWNED
+        argv = [
+            sys.executable, "-m", "repro", "cluster-worker",
+            "--registry", self.registry.address, "--shard", str(shard),
+        ]
+        if chaos is not None:
+            argv += ["--chaos", chaos]
+        stderr = tempfile.TemporaryFile()
+        try:
+            popen = subprocess.Popen(argv, env=_worker_env(), stderr=stderr)
+        except BaseException:
+            stderr.close()
+            raise
+        _SPAWNED += 1
+        worker = self.workers[shard] = _Worker(shard, popen, stderr)
+        return worker
+
+    def retire(self, shards, *, graceful: bool) -> None:
+        """Drop these slots' workers and reap their processes: ``exit``
+        then wait when ``graceful`` (idle workers), else terminate;
+        either way wait(5) and kill what is left."""
+        workers = [
+            self.workers.pop(shard) for shard in list(shards)
+            if shard in self.workers
+        ]
+        for worker in workers:
+            if graceful and worker.handle is not None:
+                # Sent at once (the transport's buffer is empty), so this
+                # works from synchronous code too — interpreter exit.
+                with contextlib.suppress(OSError):
+                    worker.handle.writer.write(wire.encode_control(("exit",)))
+            self.registry.forget(worker.shard)
+            if (
+                not graceful
+                and worker.popen is not None
+                and worker.popen.poll() is None
+            ):
+                worker.popen.terminate()
+        for worker in workers:
+            if worker.popen is not None:
+                try:
+                    worker.popen.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    worker.popen.kill()
+                    worker.popen.wait()
+            if worker.stderr is not None:
+                worker.stderr.close()
+
+    def close(self) -> None:
+        """Retire every worker, then close the registry and the loop
+        (which closes the sockets: control EOF ends a worker that missed
+        its ``exit``)."""
+        self.retire(self.workers, graceful=True)
+        with contextlib.suppress(Exception):
+            self.loop.run_until_complete(self._shutdown())
+        self.loop.close()
+
+    async def _shutdown(self) -> None:
+        await self.registry.close()
+        # What an abandoned trial left cancelled but never awaited.
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+
+_POOL: _WorkerPool | None = None
+
+
+def _shared_pool() -> _WorkerPool:
+    """The process-wide pool, made on first use.  A forked child (the
+    sharded engine forks from this process) sees its parent's pool as
+    empty and makes its own: the inherited handles are the parent's to
+    drive and tear down."""
+    global _POOL
+    if _POOL is None or _POOL.pid != os.getpid():
+        _POOL = _WorkerPool()
+    return _POOL
+
+
+def close_pool() -> None:
+    """Retire the process-wide worker pool (also run at interpreter
+    exit); the next cluster trial starts a new one."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool.pid == os.getpid():
+        pool.close()
+
+
+atexit.register(close_pool)
 
 
 def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
@@ -230,8 +415,8 @@ class ClusterSimulator:
     build closure, and ``hosts`` fixes the worker count (default: one per
     arbitration-cluster group).  With ``listen="host:port"`` the
     coordinator binds its registry there and waits for hand-launched
-    ``repro cluster-worker`` processes instead of spawning localhost
-    workers itself.
+    ``repro cluster-worker`` processes instead of leasing localhost
+    workers from the pool; they are told to ``exit`` when the trial ends.
 
     ``fault_plan`` (a :class:`~repro.chaos.FaultPlan` or its DSL text)
     injects deterministic runtime faults; ``recover`` enables the
@@ -364,7 +549,7 @@ class ClusterSimulator:
         drain: int = 200,
         obs: ObsRecorder | None = None,
     ) -> ClusterRunResult:
-        """Rendezvous the workers, then scramble/serve/drain across shards.
+        """Lease the workers, then scramble/serve/drain across shards.
 
         Same trial shape as every other engine; ``drain`` must be >= the
         window (completion is detected at a round boundary, which can
@@ -378,74 +563,6 @@ class ClusterSimulator:
             raise SimulationError(
                 f"drain ({drain}) must be >= window ({self.window})"
             )
-        driver_cfg = _worker_driver_cfg(driver)
-        return asyncio.run(
-            self._run(
-                horizon, scramble_seed, fill_channels, driver_cfg, drain, obs
-            )
-        )
-
-    def _worker_env(self) -> dict[str, str]:
-        """Spawn environment: ``PYTHONPATH`` is threaded through explicitly
-        — the parent may be running from a source tree (pytest sets
-        ``sys.path``, not the environment)."""
-        import repro
-
-        env = os.environ.copy()
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else src_root + os.pathsep + existing
-        )
-        return env
-
-    def _spawn_worker(
-        self, registry_address: str, shard: int, *, chaos: bool = True
-    ) -> tuple[subprocess.Popen, str]:
-        """Launch one localhost worker interpreter for ``shard``.
-
-        Workers are fresh interpreters (``python -m repro cluster-worker``),
-        not forks — the same launch command works on a remote machine, which
-        is the point.  Crash faults ride the argv (``--chaos``): they must
-        exist before the control channel does.  stderr goes to a tempfile
-        so :class:`WorkerCrashed` can carry its tail.  ``chaos=False``
-        spawns a *replacement*, which must not re-inject its predecessor's
-        crash.
-        """
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster-worker",
-            "--registry",
-            registry_address,
-            "--shard",
-            str(shard),
-        ]
-        token = self._plan.crash_token(shard) if (chaos and self._plan) else None
-        if token is not None:
-            argv += ["--chaos", token]
-        stderr_file = tempfile.NamedTemporaryFile(
-            prefix=f"repro-worker-{shard}-", suffix=".stderr", delete=False
-        )
-        try:
-            popen = subprocess.Popen(
-                argv, env=self._worker_env(), stderr=stderr_file
-            )
-        finally:
-            stderr_file.close()
-        return popen, stderr_file.name
-
-    async def _run(
-        self,
-        horizon: int,
-        scramble_seed: int | None,
-        fill_channels: bool,
-        driver_cfg: dict[str, Any] | None,
-        drain: int,
-        obs: ObsRecorder | None,
-    ) -> ClusterRunResult:
-        trial = _Coordinator(self, horizon, drain, obs)
         spec = {
             "topology": self.topology,
             "shards": self.partition.shards,
@@ -456,20 +573,31 @@ class ClusterSimulator:
             "drain": drain,
             "scramble_seed": scramble_seed,
             "fill_channels": fill_channels,
-            "driver": driver_cfg,
+            "driver": _worker_driver_cfg(driver),
             "timeout": self.worker_timeout,
             "obs": obs is not None,
             **self._sim_kwargs,
         }
+        # The pool is first touched here, never in ``prepare``.
+        pool = _shared_pool() if self.listen is None else _WorkerPool(self.listen)
+        trial = _Coordinator(self, pool, horizon, drain, obs)
+        running = pool.loop.create_task(trial.run(spec))
         try:
-            payloads = await trial.run(spec)
+            payloads = pool.loop.run_until_complete(running)
+        except BaseException:
+            # A worker is reused only after a trial that returned — and
+            # an interrupted coordinator must not wake in the next one.
+            running.cancel()
+            trial.abandon()
+            raise
         finally:
-            await trial.close()
+            if self.listen is not None:
+                pool.close()
         return trial.result(payloads, scramble_seed is not None, fill_channels)
 
 
 class _Coordinator:
-    """One trial's coordinator: the worker processes, their control
+    """One trial's coordinator: the workers it leased, their control
     channels, the grant ledger and crash recovery.
 
     Every worker's CONTROL frames funnel into one inbox (a reader task
@@ -481,21 +609,18 @@ class _Coordinator:
     def __init__(
         self,
         sim: ClusterSimulator,
+        pool: _WorkerPool,
         horizon: int,
         drain: int,
         obs: ObsRecorder | None,
     ) -> None:
         self.sim = sim
+        self.pool = pool
         self.obs = obs
         n = sim.n_shards
-        if sim.listen is not None:
-            host, port = parse_hostport(sim.listen)
-            self.registry = RegistryServer(n, host=host, port=port)
-        else:
-            self.registry = RegistryServer(n)
-        self.procs: dict[int, subprocess.Popen] = {}
-        self.stderr_paths: dict[int, str] = {}
-        self.handles: dict[int, Any] = {}
+        #: The slots this trial leased (a crashed shard's entry is
+        #: replaced by its respawn).
+        self.workers: dict[int, _Worker] = {}
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.pumps: list[asyncio.Task] = []
         #: Shards noticed dead and not (yet) replaced.
@@ -514,6 +639,9 @@ class _Coordinator:
         self.rounds: dict[int, int] = {}
         self.worker_wall: dict[int, float] = {}
         self.rounds_wall = 0.0
+        #: REGISTER/PEERS exchanges before this trial: what it reports
+        #: is what *it* cost (none on a warm lease).
+        self.round_trips_before = pool.registry.round_trips
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + n
@@ -526,19 +654,11 @@ class _Coordinator:
 
     # -- workers and their control channels -------------------------------
 
-    def _spawn(self, shard: int, *, chaos: bool = True) -> None:
-        popen, path = self.sim._spawn_worker(
-            self.registry.address, shard, chaos=chaos
-        )
-        self.procs[shard] = popen
-        self.stderr_paths[shard] = path
-
-    def _adopt(self, handle) -> None:
+    def _adopt(self, worker: _Worker) -> None:
         """Start reading a registered worker's control channel."""
-        self.handles[handle.shard] = handle
-        self.sent[handle.shard] = Grant(-1, None)
-        self.park[handle.shard] = None
-        self.pumps.append(asyncio.ensure_future(self._pump(handle)))
+        self.sent[worker.shard] = Grant(-1, None)
+        self.park[worker.shard] = None
+        self.pumps.append(asyncio.ensure_future(self._pump(worker.handle)))
 
     async def _pump(self, handle) -> None:
         try:
@@ -553,11 +673,15 @@ class _Coordinator:
         """Best-effort send: a dead worker surfaces through :meth:`_next`
         (control EOF, Popen poll), not through the write that missed it."""
         with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
-            await self.handles[shard].send(message)
+            await self.workers[shard].handle.send(message)
 
     def _first_dead(self) -> int | None:
-        for shard in sorted(self.procs):
-            if shard not in self.dead and self.procs[shard].poll() is not None:
+        for shard, worker in sorted(self.workers.items()):
+            if (
+                shard not in self.dead
+                and worker.popen is not None
+                and worker.popen.poll() is not None
+            ):
                 return shard
         return None
 
@@ -571,14 +695,14 @@ class _Coordinator:
             plan = self.sim._plan
             if plan is not None and plan.crash_token(shard) is not None:
                 self._count("fault.injected.crash")
-        popen = self.procs.get(shard)
+        worker = self.workers[shard]
         return WorkerCrashed(
             "cluster worker died",
             shard=shard,
             round=round_no,
             phase=phase,
-            exit_code=popen.poll() if popen is not None else None,
-            stderr_tail=_stderr_tail(self.stderr_paths.get(shard)) or None,
+            exit_code=worker.popen.poll() if worker.popen is not None else None,
+            stderr_tail=worker.stderr_tail() or None,
         )
 
     async def _next(self, phase: str) -> tuple[int, tuple]:
@@ -608,7 +732,7 @@ class _Coordinator:
                     ) from None
                 continue
             shard = handle.shard
-            if self.handles.get(shard) is not handle:
+            if self.workers[shard].handle is not handle:
                 continue  # a replaced incarnation's straggler
             op = message[0]
             if op == "eof":
@@ -626,7 +750,7 @@ class _Coordinator:
                 # heal the gap.
                 _, nak_from, peer, nak_round = message
                 self._count("ship.nak_relayed")
-                if peer not in self.dead and peer in self.handles:
+                if peer not in self.dead:
                     await self._send(peer, ("resend", nak_from, nak_round))
                 continue
             if op == "report":
@@ -670,21 +794,20 @@ class _Coordinator:
 
     async def run(self, spec: dict[str, Any]) -> list[dict[str, Any]]:
         sim, obs = self.sim, self.obs
-        self.spec = spec
-        await self.registry.start()
-        if sim.listen is None:
-            with self._phase("spawn", workers=sim.n_shards):
-                for shard in range(sim.n_shards):
-                    self._spawn(shard)
-        with self._phase("rendezvous", workers=sim.n_shards):
-            for handle in await self._guarded(
-                self.registry.rendezvous(sim.worker_timeout), phase="rendezvous"
-            ):
-                self._adopt(handle)
+        started = time.perf_counter()
+        await self._lease()
         if obs is not None:
+            # The lease wall: interpreter boots when cold, ~30 us warm.
             obs.metrics.observe(
-                "registry.rendezvous_wall_s", self.registry.rendezvous_wall_s
+                "registry.rendezvous_wall_s", time.perf_counter() - started
             )
+        self.spec = {
+            **spec,
+            "peers": {
+                shard: (worker.handle.host, worker.handle.port)
+                for shard, worker in self.workers.items()
+            },
+        }
         with self._phase("startup"):
             await self._startup()
         started = time.perf_counter()
@@ -692,39 +815,88 @@ class _Coordinator:
             await self._granted_rounds()
         self.rounds_wall = time.perf_counter() - started
         with self._phase("result_ship"):
-            for shard in self.handles:
+            for shard in self.workers:
                 await self._send(shard, ("result",))
             payloads: dict[int, dict[str, Any]] = {}
             while len(payloads) < sim.n_shards:
                 shard, message = await self._next("result")
                 if message[0] == "result":
                     payloads[shard] = message[1]
-            for shard in self.handles:
+        with self._phase("release"):
+            # No worker is handed another spec before every worker of
+            # this trial has closed its links and said so.
+            for shard in self.workers:
                 await self._send(shard, ("stop",))
-        with self._phase("reap"):
-            # Reap in a thread: an untimed wait blocks in waitpid, whereas
-            # Popen.wait(timeout=) busy-polls with doubling sleeps and
-            # would hold the event loop for a quantised 32 or 64 ms.
-            loop = asyncio.get_running_loop()
-            for proc in self.procs.values():
-                try:
-                    await asyncio.wait_for(
-                        loop.run_in_executor(None, proc.wait), 30
-                    )
-                except asyncio.TimeoutError:
-                    proc.terminate()
+            idle: set[int] = set()
+            while len(idle) < sim.n_shards:
+                shard, message = await self._next("release")
+                if message[0] == "idle":
+                    idle.add(shard)
+            # Every channel is quiet now, so no read is cut mid-frame.
+            for pump in self.pumps:
+                pump.cancel()
+            await asyncio.gather(*self.pumps, return_exceptions=True)
         return [payloads[shard] for shard in sorted(payloads)]
+
+    async def _lease(self) -> None:
+        """Fill slots ``0..n_shards-1`` from the pool: reuse a live idle
+        worker, spawn the shortfall.  A shard whose plan carries a crash
+        token is always spawned fresh — the fault *is* a fresh
+        interpreter's lifecycle — and a pooled worker found dead is
+        replaced without comment."""
+        sim, pool = self.sim, self.pool
+        shards = range(sim.n_shards)
+        plan = sim._plan
+        await pool.registry.start()
+        pool.registry.slots = max(pool.registry.slots, sim.n_shards)
+        tokens = {
+            shard: plan.crash_token(shard) if plan else None for shard in shards
+        }
+        stale = [
+            shard for shard in shards
+            if shard in pool.workers and (
+                tokens[shard] is not None
+                or pool.workers[shard].popen.poll() is not None
+            )
+        ]
+        if stale:
+            with self._phase("reap", workers=len(stale)):
+                pool.retire(stale, graceful=True)
+        fresh = [shard for shard in shards if shard not in pool.workers]
+        args = {"spawned": len(fresh), "reused": sim.n_shards - len(fresh)}
+        with self._phase("spawn", **args):
+            for shard in fresh:
+                if pool.spawns:
+                    pool.spawn(shard, tokens[shard])
+                else:  # hand-launched: the slot waits for its REGISTER
+                    pool.workers[shard] = _Worker(shard)
+            self.workers = {shard: pool.workers[shard] for shard in shards}
+        with self._phase("rendezvous", **args):
+            joined = await self._guarded(
+                pool.registry.join(fresh, sim.worker_timeout),
+                phase="rendezvous",
+            )
+            for handle in joined:
+                self.workers[handle.shard].handle = handle
+            for worker in self.workers.values():
+                self._adopt(worker)
+
+    def abandon(self) -> None:
+        """The trial raised: nothing it leased goes back to the pool."""
+        for pump in self.pumps:
+            pump.cancel()
+        self.pool.retire(range(self.sim.n_shards), graceful=False)
 
     async def _startup(self) -> None:
         """Ship the spec, await every worker's ``ready``; one crash on
         the way is recovered (nothing has been granted yet)."""
         plan = self.sim._plan
         shard_of = self.sim.partition.shard_of
-        for shard in sorted(self.handles):
+        for shard in sorted(self.workers):
             faults = plan.worker_slice(shard, shard_of) if plan else None
             await self._send(shard, ("spec", {**self.spec, "faults": faults}))
         crash: WorkerCrashed | None = None
-        while set(self.handles) - set(self.injected) - self.dead:
+        while set(self.workers) - set(self.injected) - self.dead:
             try:
                 shard, message = await self._next("startup")
             except WorkerCrashed as exc:
@@ -790,7 +962,7 @@ class _Coordinator:
         sim = self.sim
         dead = crash.shard
         adjacent = [
-            shard for shard in sorted(self.handles)
+            shard for shard in sorted(self.workers)
             if shard != dead and dead in sim.partition.peer_shards(shard)
         ]
         if in_rounds:
@@ -815,22 +987,20 @@ class _Coordinator:
             raise crash
         t0 = wall()
         self.respawns += 1
-        self.handles.pop(dead).close()
-        with contextlib.suppress(Exception):
-            self.procs.pop(dead).wait(timeout=5)
-        # Its tail is in ``crash``; the respawn opens a new file.
-        with contextlib.suppress(OSError):
-            os.unlink(self.stderr_paths.pop(dead))
+        # Its stderr tail is in ``crash``; this closes the file and the
+        # control channel and empties the slot for the respawn.
+        self.pool.retire([dead], graceful=False)
         ships: list[tuple[int, tuple]] = []
         for shard in adjacent:
             await self._send(shard, ("ship-log", dead))
             ships.extend((await self._expect(shard, "ship-log", "recovery"))[1])
-        self.registry.expect_rejoin(dead)
-        self._spawn(dead, chaos=False)
-        replacement = await self._guarded(
-            self.registry.rejoin(sim.worker_timeout), phase="respawn"
+        worker = self.workers[dead] = self.pool.spawn(dead)
+        [replacement] = await self._guarded(
+            self.pool.registry.join([dead], sim.worker_timeout), phase="respawn"
         )
-        self._adopt(replacement)
+        worker.handle = replacement
+        self._adopt(worker)
+        self.spec["peers"][dead] = (replacement.host, replacement.port)
         # Survivors with no topology edge to the dead shard (e.g. opposite
         # sides of a wan ring) are left alone: they never ship to the
         # replacement, and dialing it anyway would plant a barrier-round
@@ -863,25 +1033,7 @@ class _Coordinator:
                 },
             )
 
-    # -- teardown and result ----------------------------------------------
-
-    async def close(self) -> None:
-        for pump in self.pumps:
-            pump.cancel()
-        await asyncio.gather(*self.pumps, return_exceptions=True)
-        await self.registry.close()
-        for proc in self.procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs.values():
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-        for path in self.stderr_paths.values():
-            with contextlib.suppress(OSError):
-                os.unlink(path)
+    # -- result -----------------------------------------------------------
 
     def result(
         self, payloads: list[dict[str, Any]], scrambled: bool, fill_channels: bool
@@ -897,6 +1049,7 @@ class _Coordinator:
                 stats.merge(payload["stats"])
                 finals.update(payload["finals"])
             completions = merge_completions(payloads)
+        round_trips = self.pool.registry.round_trips - self.round_trips_before
         fault_counts = dict(self.counts)
         for payload in payloads:
             for name, n in (payload.get("fault_counts") or {}).items():
@@ -914,7 +1067,7 @@ class _Coordinator:
             obs.metrics.inc("sync.barriers", barriers)
             obs.metrics.gauge_max("sync.window", sim.window)
             obs.metrics.observe("sync.wall_s", sync_wall)
-            obs.metrics.inc("registry.round_trips", self.registry.round_trips)
+            obs.metrics.inc("registry.round_trips", round_trips)
             for name, n in self.counts.items():
                 obs.metrics.inc(name, n)
             chaos_payload = self.chaos_spans.payload()
@@ -936,7 +1089,7 @@ class _Coordinator:
             barriers=barriers,
             sync_wall_s=sync_wall,
             worker_wall_s=self.worker_wall,
-            registry_round_trips=self.registry.round_trips,
+            registry_round_trips=round_trips,
             fault_counts=fault_counts,
             recoveries=self.respawns,
             replayed_rounds=self.replayed_rounds,

@@ -1,26 +1,43 @@
-"""The cluster worker interpreter: one shard of a multi-host trial.
+"""The cluster worker interpreter: one shard slot of a multi-host run.
 
-``python -m repro cluster-worker`` lands in :func:`run_cluster_worker`:
-the process hosts an :class:`~repro.net.engine.AsyncSimulator` slice for
-its shard, finds its peers through the coordinator's registry, and runs
-its rounds on its own under the coordinator's grants (:mod:`repro.net.cluster`
-— see there for the protocol, the synchronization modes and the
-fault/recovery design; :mod:`repro.net.grant` for the arithmetic),
-synchronising with its peers only through ``BARRIER`` frames.  A control
-reader serves the CONTROL channel beside the round loop, so a worker
-blocked on a peer barrier still answers ``resend``, ``ship-log`` and
-``peer-update``.
+``python -m repro cluster-worker`` lands in :func:`run_cluster_worker`.
+The process has one lifecycle, whoever launched it (the coordinator's
+pool, a fault plan's ``--chaos`` spawn, a hand on a remote machine):
+open a peer server, REGISTER once, then serve trials until the control
+channel says ``exit`` or closes::
 
-A fresh interpreter is launched per shard per trial and cannot REGISTER
-before this module is imported, so it imports only what a worker runs:
-nothing of the coordinator (``repro.net.cluster``), the trial pipeline
-(``repro.engine``, ``repro.analysis``, ``repro.spec``) or the fork
-engine's ``multiprocessing``.
+    spec -> ready -> grant/report ... -> result -> stop
+         -> per-trial teardown -> ("idle",) -> wait for the next spec
+
+Within a trial it hosts an :class:`~repro.net.engine.AsyncSimulator`
+slice for its shard, dials the peers named in the spec, and runs its
+rounds on its own under the coordinator's grants
+(:mod:`repro.net.cluster` — see there for the protocol, the
+synchronization modes and the fault/recovery design;
+:mod:`repro.net.grant` for the arithmetic), synchronising with its peers
+only through ``BARRIER`` frames.  A control reader serves the CONTROL
+channel beside the round loop, so a worker blocked on a peer barrier
+still answers ``resend``, ``ship-log`` and ``peer-update`` — and notices
+at once when the coordinator is gone: control EOF ends the process in
+every state (idle between trials, blocked on a barrier, out of credit),
+so a killed coordinator leaves no orphan.
+
+The wait between trials is untimed; everything inside a trial keeps its
+deadline.  What a trial accumulates lives on one :class:`_Trial` per
+``spec`` and goes with it, peer links included (why they are not kept:
+:class:`_ClusterWorker`).
+
+A worker cannot REGISTER before this module is imported, so it imports
+only what a worker runs: nothing of the coordinator
+(``repro.net.cluster``), the trial pipeline (``repro.engine``,
+``repro.analysis``, ``repro.spec``) or the fork engine's
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import sys
 import time
@@ -46,6 +63,9 @@ __all__ = ["run_cluster_worker", "parse_hostport"]
 #: generic worker-error exit, so tests can tell them apart).
 _CHAOS_EXIT = 70
 
+#: How long a booted worker waits for the registry to answer.
+_REGISTER_TIMEOUT_S = 120.0
+
 
 def parse_hostport(spec: str) -> tuple[str, int]:
     """Parse ``host:port`` (the form every cluster CLI flag uses)."""
@@ -58,20 +78,29 @@ def parse_hostport(spec: str) -> tuple[str, int]:
         raise SimulationError(f"bad port in {spec!r}") from None
 
 
+class _CoordinatorGone(Exception):
+    """The control channel closed: the coordinator exited, or died."""
+
+
 class _ClusterWorker:
-    """One shard's interpreter: an AsyncSimulator slice behind the fabric.
+    """One worker interpreter: registers once, then serves trial after
+    trial until the coordinator says ``exit`` or its control channel
+    closes.
 
-    Fault machinery riding the fabric:
+    What outlives a trial is only what the registration names — the
+    control channel and the peer server's port.  Everything a trial
+    touches lives on one fresh :class:`_Trial` per ``spec``; its peer
+    links are dialled at ``spec`` and closed, their pumps cancelled and
+    awaited, *before* the ``idle`` acknowledgement — a peer's last-round
+    SHIP/BARRIER can still be in flight when its receiver finishes, and
+    on a kept link it would seed the next trial's barrier rounds.  The
+    coordinator sends no ``spec`` until every worker of the previous
+    trial has acknowledged, so an inbound link that opens while no trial
+    is up belongs to the next one and waits for it.
 
-    * Every outbound ship is logged per (peer shard, round) before any
-      fault or link state can eat it — the log feeds NAK resends and
-      crash-recovery replay.
-    * BARRIER frames carry the round's ship count; receivers tally unique
-      decodable ships per (peer, round) and NAK a shortfall over CONTROL.
-    * ``cut link`` buffers a link's frames in order (ships *and*
-      barriers) and flushes them after a wall-clock hold — pure delay.
-    * ``--chaos`` argv names a crash point; the worker ``os._exit``\\ s
-      there after one stderr line (the coordinator's diagnosis).
+    ``--chaos`` argv names a crash point of the first trial; the worker
+    ``os._exit``\\ s there after one stderr line (the coordinator's
+    diagnosis).
     """
 
     def __init__(
@@ -85,13 +114,139 @@ class _ClusterWorker:
         self.shard = shard
         self.client = RegistryClient(registry_host, registry_port)
         self.advertise_host = advertise_host
+        self.trial: _Trial | None = None
+        #: Inbound links wait on this: a fast peer can dial and ship
+        #: round 0 before this worker has read its spec or built its
+        #: engine, and a BARRIER processed before the trial seeds its
+        #: barrier rounds would be overwritten (a lost barrier deadlocks
+        #: the round loop).  TCP buffers the frames until the trial
+        #: state exists.
+        self._trial_ready = asyncio.Event()
+        #: Inbound link tasks — all of the current trial (see above).
+        self._pumps: set[asyncio.Task] = set()
+        # Crash fault ("phase" or "phase:round", from --chaos argv).
+        phase, _, round_s = (chaos or "").partition(":")
+        self._crash_phase = phase or None
+        self._crash_round = int(round_s) if round_s else 0
+
+    def _maybe_crash(self, phase: str, round_no: int = 0) -> None:
+        if self._crash_phase != phase:
+            return
+        if phase in ("barrier", "round") and round_no != self._crash_round:
+            return
+        at = f"{phase} {round_no}" if round_no else phase
+        print(
+            f"chaos: injected crash at {at} (shard {self.shard})",
+            file=sys.stderr,
+            flush=True,
+        )
+        os._exit(_CHAOS_EXIT)
+
+    async def recv(self) -> Any:
+        """The next CONTROL message.  Untimed: an idle pooled worker
+        waits as long as its coordinator lives — and no longer."""
+        try:
+            return await self.client.recv()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            raise _CoordinatorGone from None
+
+    async def run(self) -> None:
+        # The peer server opens before registration: the registry must
+        # only ever name live, dialable endpoints.
+        local = self.advertise_host in ("127.0.0.1", "localhost")
+        server = await asyncio.start_server(
+            self._accept_peer,
+            host="127.0.0.1" if local else None,
+            port=0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        try:
+            self._maybe_crash("rendezvous")
+            await self.client.register(
+                self.shard, self.advertise_host, port, timeout=_REGISTER_TIMEOUT_S
+            )
+            while True:
+                op, *args = await self.recv()
+                if op == "exit":
+                    return
+                if op != "spec":
+                    raise SimulationError(f"expected a trial spec, got {op!r}")
+                trial = self.trial = _Trial(self, *args)
+                if self.client.dial_retries:  # once, not once per trial
+                    trial._count("backoff.retries", self.client.dial_retries)
+                    self.client.dial_retries = 0
+                try:
+                    await trial.run()
+                finally:
+                    self._trial_ready.clear()
+                    self.trial = None
+                    await trial.teardown()
+                self._crash_phase = None  # the first trial's fault
+                await self.client.send(("idle",))
+                # An engine, its actors and their tasks are reference
+                # cycles.  Collect them now, while the coordinator
+                # merges: left to the collector's own schedule they pile
+                # up and a long-lived worker's high-water mark climbs
+                # by a third before it levels off.
+                del trial
+                gc.collect()
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    async def _accept_peer(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._pumps.add(task)
+        try:
+            await self._trial_ready.wait()
+            assert self.trial is not None
+            await self.trial.pump(reader, task)
+        except asyncio.CancelledError:
+            return  # teardown
+        finally:
+            writer.close()
+            self._pumps.discard(task)
+
+
+class _Trial:
+    """One trial on one shard: an AsyncSimulator slice behind the fabric,
+    and every piece of state the trial accumulates — built fresh per
+    ``spec``, so nothing needs resetting between trials.
+
+    Fault machinery riding the fabric:
+
+    * Every outbound ship is logged per (peer shard, round) before any
+      fault or link state can eat it — the log feeds NAK resends and
+      crash-recovery replay.
+    * BARRIER frames carry the round's ship count; receivers tally unique
+      decodable ships per (peer, round) and NAK a shortfall over CONTROL.
+    * ``cut link`` buffers a link's frames in order (ships *and*
+      barriers) and flushes them after a wall-clock hold — pure delay.
+    """
+
+    def __init__(self, worker: _ClusterWorker, spec: dict[str, Any]) -> None:
+        self.worker = worker
+        self.shard = worker.shard
+        self.client = worker.client
+        self.spec = spec
+        self.sync: str = spec["sync"]
+        self.timeout: float = spec["timeout"]
+        self.partition = Partition(
+            topology=spec["topology"], shards=spec["shards"]
+        )
+        self.peers = self.partition.peer_shards(self.shard)
         self.engine: AsyncSimulator | None = None
-        self.sync = "windowed"
-        self.timeout = 120.0
-        self.peers: tuple[int, ...] = ()
+        self.obs: ObsRecorder | None = None
+        if spec["obs"]:
+            # Coordinator lane is pid 0; worker lanes follow shard order.
+            # The interpreter has served other trials: count this one's
+            # frames from here.
+            self.obs = ObsRecorder(pid=self.shard + 1, name=f"shard{self.shard}")
+            self.obs.mark_wire_baseline()
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
-        self._peer_server: asyncio.Server | None = None
-        self._pumps: list[asyncio.Task] = []
         #: Latest barrier round seen per in-peer (-1 = none yet).
         self._barrier_round: dict[int, int] = {}
         #: The round loop's barrier wait, resolved by :meth:`_wake` — a
@@ -99,19 +254,9 @@ class _ClusterWorker:
         self._barrier_waiter: asyncio.Future | None = None
         #: The round grid under the coordinator's latest grant; the
         #: control reader sets ``_granted`` when a new one arrives.
-        self._grid = RoundGrid(1, 0, 1)
+        self._grid = RoundGrid(spec["window"], spec["horizon"], spec["drain"])
         self._granted = asyncio.Event()
-        #: Inbound frames wait on this: a fast peer can ship round 0
-        #: while this worker is still building its engine, and a BARRIER
-        #: processed before ``_connect_peers`` seeds ``_barrier_round``
-        #: would be overwritten (a lost barrier deadlocks the round
-        #: loop).  TCP buffers the frames until the trial state exists.
-        self._frames_ready = asyncio.Event()
         self._errors: list[BaseException] = []
-        # Crash fault ("phase" or "phase:round", from --chaos argv).
-        phase, _, round_s = (chaos or "").partition(":")
-        self._crash_phase = phase or None
-        self._crash_round = int(round_s) if round_s else 0
         #: Outbound ship log: peer shard -> round -> ships in send order.
         self._ship_log: dict[int, dict[int, list[tuple]]] = {}
         self._last_ship_round = -1
@@ -138,46 +283,10 @@ class _ClusterWorker:
         self._ship_faults: list[dict[str, Any]] = []
         self._stalls: dict[int, float] = {}
         self._fault_counts: dict[str, int] = {}
+        self._load_faults(spec.get("faults"))
 
     def _count(self, name: str, n: int = 1) -> None:
         self._fault_counts[name] = self._fault_counts.get(name, 0) + n
-
-    def _maybe_crash(self, phase: str, round_no: int = 0) -> None:
-        if self._crash_phase != phase:
-            return
-        if phase in ("barrier", "round") and round_no != self._crash_round:
-            return
-        at = f"{phase} {round_no}" if round_no else phase
-        print(
-            f"chaos: injected crash at {at} (shard {self.shard})",
-            file=sys.stderr,
-            flush=True,
-        )
-        os._exit(_CHAOS_EXIT)
-
-    async def run(self) -> None:
-        # The peer server opens before registration: the PEERS broadcast
-        # must only ever name live, dialable endpoints.
-        local = self.advertise_host in ("127.0.0.1", "localhost")
-        self._peer_server = await asyncio.start_server(
-            self._accept_peer,
-            host="127.0.0.1" if local else None,
-            port=0,
-        )
-        port = self._peer_server.sockets[0].getsockname()[1]
-        try:
-            self._maybe_crash("rendezvous")
-            peers = await self.client.register(
-                self.shard, self.advertise_host, port, timeout=self.timeout
-            )
-            op, spec = await asyncio.wait_for(
-                self.client.recv(), timeout=self.timeout
-            )
-            if op != "spec":
-                raise SimulationError(f"expected the trial spec, got {op!r}")
-            await self._trial(spec, peers)
-        finally:
-            await self._teardown()
 
     # -- fabric ----------------------------------------------------------
 
@@ -240,12 +349,8 @@ class _ClusterWorker:
         )
         await writer.drain()
 
-    async def _accept_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._pumps.append(task)
+    async def pump(self, reader: asyncio.StreamReader, task: asyncio.Task) -> None:
+        """Serve one inbound peer link (``task``) until it closes."""
         src_shard: int | None = None
         try:
             kind, payload = await wire.read_frame(reader)
@@ -253,7 +358,6 @@ class _ClusterWorker:
                 raise wire.WireError("peer link did not open with a HELLO frame")
             src_shard = wire.decode_hello(payload)
             self._inbound[src_shard] = task
-            await self._frames_ready.wait()
             while True:
                 kind, payload = await wire.read_frame(reader)
                 if kind == wire.SHIP:
@@ -290,17 +394,12 @@ class _ClusterWorker:
                     raise wire.WireError(
                         f"unexpected frame kind 0x{kind:02x} on a peer link"
                     )
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            asyncio.CancelledError,
-        ):
-            return  # peer closed (or died — recovery rewires), or teardown
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            return  # peer closed (or died — recovery rewires)
         except Exception as exc:  # noqa: BLE001 - surfaced at the next barrier
             self._errors.append(exc)
             self._wake()
         finally:
-            writer.close()
             if self._inbound.get(src_shard) is task:
                 # Not superseded by a rewire: the peer is gone.  Wake a
                 # barrier wait that depends on it.
@@ -567,16 +666,12 @@ class _ClusterWorker:
         for round_no, seconds in faults.get("stalls", ()):
             self._stalls[round_no] = self._stalls.get(round_no, 0.0) + seconds
 
-    async def _trial(
-        self, spec: dict[str, Any], peers: dict[int, tuple[str, int]]
-    ) -> None:
-        self.sync = spec["sync"]
-        self.timeout = spec.get("timeout", self.timeout)
-        self._load_faults(spec.get("faults"))
-        shards = spec["shards"]
-        shard_pids = shards[self.shard]
-        self.partition = Partition(topology=spec["topology"], shards=shards)
-        self.peers = self.partition.peer_shards(self.shard)
+    async def run(self) -> None:
+        """Serve the trial: build the shard, ship round 0, report
+        ``ready``, then run the granted rounds beside the control reader
+        until ``stop``."""
+        spec = self.spec
+        shard_pids = spec["shards"][self.shard]
         engine = AsyncSimulator(
             build=build_protocol(spec["protocol"]),
             topology=spec["topology"],
@@ -592,10 +687,9 @@ class _ClusterWorker:
         trace = _KeyedTrace(engine.scheduler)
         engine.trace = trace
         self.engine = engine
-        self._grid = RoundGrid(spec["window"], spec["horizon"], spec["drain"])
-        self._maybe_crash("peering")
-        await self._connect_peers(peers)
-        self._frames_ready.set()
+        self.worker._maybe_crash("peering")
+        await self._connect_peers(spec["peers"])
+        self.worker._trial_ready.set()
         engine.start_actors()
         try:
             injected, proc_len, chan_len = scramble_shard(
@@ -631,19 +725,13 @@ class _ClusterWorker:
             # round-0 barrier wait, these are in its heap.
             await self._ship_round(0)
             await self.client.send(("ready", injected))
-            obs: ObsRecorder | None = None
-            if spec.get("obs"):
-                # Coordinator lane is pid 0; worker lanes follow shard order.
-                obs = ObsRecorder(
-                    pid=self.shard + 1, name=f"shard{self.shard}"
-                )
-            rounds = asyncio.ensure_future(self._rounds(driver, obs))
+            rounds = asyncio.ensure_future(self._rounds(driver, self.obs))
             try:
                 await self._serve_control(
                     rounds,
                     lambda: self._result_payload(
                         trace, proc_len, chan_len, shard_pids, driver,
-                        driver_cfg["tag"] if driver_cfg else None, obs,
+                        driver_cfg["tag"] if driver_cfg else None, self.obs,
                     ),
                 )
             finally:
@@ -697,7 +785,7 @@ class _ClusterWorker:
                     ) from None
                 continue
             round_no = grid.round + 1
-            self._maybe_crash("barrier", round_no)
+            self.worker._maybe_crash("barrier", round_no)
             if self.sync == "windowed":
                 w0 = wall() if obs is not None else 0.0
                 await self._await_barriers(round_no - 1, report)
@@ -723,7 +811,7 @@ class _ClusterWorker:
                 raise SimulationError(
                     f"peer link failed: {self._errors[0]}"
                 ) from self._errors[0]
-            self._maybe_crash("round", round_no)
+            self.worker._maybe_crash("round", round_no)
             await self._ship_round(round_no)
             stall = self._stalls.pop(round_no, None)
             if stall:
@@ -737,7 +825,7 @@ class _ClusterWorker:
     async def _serve_control(self, rounds: asyncio.Task, result_payload) -> None:
         """Serve the coordinator's CONTROL ops until ``stop``, beside the
         round loop — whose failure surfaces here."""
-        recv = asyncio.ensure_future(self.client.recv())
+        recv = asyncio.ensure_future(self.worker.recv())
         try:
             while True:
                 # A finished worker only waits to be asked for its result.
@@ -787,7 +875,7 @@ class _ClusterWorker:
                     raise SimulationError(
                         f"unknown coordinator op {op!r}"
                     )
-                recv = asyncio.ensure_future(self.client.recv())
+                recv = asyncio.ensure_future(self.worker.recv())
         finally:
             recv.cancel()
 
@@ -796,14 +884,18 @@ class _ClusterWorker:
     ) -> dict[str, Any]:
         engine = self.engine
         assert engine is not None
-        if self.client.dial_retries:
-            self._count("backoff.retries", self.client.dial_retries)
         if obs is not None:
-            # Fresh interpreter: absolute wire counts are this trial's
-            # (no baseline needed).
+            import resource  # not part of the boot closure
+
             obs.collect_wire()
             for name, n in self._fault_counts.items():
                 obs.metrics.inc(name, n)
+            # Passive, and the only view of a pooled worker's memory:
+            # a live child is not in the coordinator's RUSAGE_CHILDREN.
+            obs.metrics.gauge_max(
+                "process.max_rss_kb",
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            )
         payload = shard_result_payload(
             engine, trace, proc_len, chan_len,
             shard_pids, driver, tag, obs=obs,
@@ -812,21 +904,16 @@ class _ClusterWorker:
             payload["fault_counts"] = dict(self._fault_counts)
         return payload
 
-    async def _teardown(self) -> None:
-        for task in self._cut_tasks:
-            task.cancel()
-        if self._cut_tasks:
-            await asyncio.gather(*self._cut_tasks, return_exceptions=True)
+    async def teardown(self) -> None:
+        """Close this trial's links, both directions, and wait until
+        their tasks are gone — the ``idle`` acknowledgement promises no
+        frame of this trial is read after it."""
         for writer in self._peer_writers.values():
             writer.close()
-        for pump in self._pumps:
-            pump.cancel()
-        if self._pumps:
-            await asyncio.gather(*self._pumps, return_exceptions=True)
-        if self._peer_server is not None:
-            self._peer_server.close()
-            await self._peer_server.wait_closed()
-        self.client.close()
+        tasks = [*self._cut_tasks, *self.worker._pumps]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 async def _worker_async(
@@ -842,6 +929,8 @@ async def _worker_async(
     try:
         await worker.run()
         return 0
+    except _CoordinatorGone:
+        return 0  # nobody left to serve, or to tell
     except Exception:  # noqa: BLE001 - forwarded to the coordinator
         import traceback
 
@@ -851,6 +940,8 @@ async def _worker_async(
         except Exception:  # noqa: BLE001 - coordinator may be gone
             print(tb, file=sys.stderr)
         return 1
+    finally:
+        worker.client.close()
 
 
 def run_cluster_worker(
@@ -859,7 +950,8 @@ def run_cluster_worker(
     advertise_host: str = "127.0.0.1",
     chaos: str | None = None,
 ) -> int:
-    """Entry point of ``repro cluster-worker``: serve one shard.
+    """Entry point of ``repro cluster-worker``: serve one shard slot,
+    trial after trial, until the coordinator says ``exit`` or goes away.
 
     ``registry`` is the coordinator's rendezvous address (``host:port``);
     ``advertise_host`` is the address *peers* should dial this worker on —

@@ -9,20 +9,26 @@ service:
 1. The coordinator opens a :class:`RegistryServer` on a well-known
    address (an ephemeral localhost port when it spawns the workers itself;
    a ``--cluster-listen host:port`` address for hand-launched remote
-   workers).
+   workers).  The server lives as long as the coordinator's worker pool,
+   not one trial.
 2. Each worker opens its *peer server* first (the socket other shards
    will ship cross-shard messages to), then connects to the registry and
-   sends one ``REGISTER (shard_id, host, port)`` frame.
-3. When every expected shard has registered, the registry answers each
-   worker with a ``PEERS`` frame carrying the full ``{shard: (host,
-   port)}`` map.  Workers then dial their peer shards directly (a
+   sends one ``REGISTER (shard_id, host, port)`` frame — once in its
+   life.  The registry fills slot ``shard_id`` and acknowledges with a
+   ``PEERS`` frame (the slots filled so far).
+3. The coordinator *joins* the slots a trial needs
+   (:meth:`RegistryServer.join` — every slot at a cold start, only the
+   freshly launched ones afterwards, one after a crash respawn) and
+   ships the ``{shard: (host, port)}`` map of the trial's workers in the
+   trial spec.  Workers then dial their peer shards directly (a
    ``HELLO`` frame identifying the source shard opens each directed
-   link); the registry connection stays open as the coordinator's
-   control channel (pickled ``CONTROL`` frames — spec, advance rounds,
-   results).
+   link, per trial); the registry connection stays open as the
+   coordinator's control channel (pickled ``CONTROL`` frames — specs,
+   grants, reports, results) for every trial the worker serves.
 
 The registration exchange is counted (:attr:`RegistryServer.round_trips`)
-and reported in trial provenance.
+and reported per trial in provenance: two per freshly joined worker,
+none on a warm lease.
 """
 
 from __future__ import annotations
@@ -84,38 +90,40 @@ class _WorkerHandle:
 
 
 class RegistryServer:
-    """Coordinator-side rendezvous: collect registrations, broadcast peers.
+    """Coordinator-side registry: a table of worker slots.
 
-    ``expected`` is the shard count; :meth:`rendezvous` resolves once every
-    shard 0..expected-1 has registered, returning the worker handles in
-    shard order with the PEERS map already delivered.
+    ``slots`` bounds the shard ids that may register (``0..slots-1``; the
+    owner raises it before launching workers for more).  A worker that
+    registers fills its slot and is answered at once; :meth:`join`
+    resolves when the slots it names are all filled, and :meth:`forget`
+    empties one so a replacement can register.  A second registration
+    for a filled slot, or one out of range, fails the next (or pending)
+    :meth:`join` loudly.
     """
 
     def __init__(
-        self, expected: int, *, host: str = "127.0.0.1", port: int = 0
+        self, slots: int = 0, *, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self.expected = expected
+        self.slots = slots
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        #: REGISTER/PEERS exchanges served (one per worker on a clean run;
+        #: REGISTER/PEERS exchanges served (two per worker that joined;
         #: rejected duplicates count too — they cost a round trip).
         self.round_trips = 0
-        #: Wall seconds :meth:`rendezvous` spent from wait to PEERS
-        #: broadcast complete (repro.obs provenance).
-        self.rendezvous_wall_s = 0.0
         self._server: asyncio.Server | None = None
         self._handles: dict[int, _WorkerHandle] = {}
-        self._complete: asyncio.Event = asyncio.Event()
+        #: Set on every registration and every failed one.
+        self._changed: asyncio.Event = asyncio.Event()
         self._error: BaseException | None = None
-        self._rejoin_shard: int | None = None
-        self._rejoin_future: asyncio.Future[_WorkerHandle] | None = None
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
     async def start(self) -> None:
+        if self._server is not None:
+            return
         self._server = await asyncio.start_server(
             self._accept, host=self.host, port=self._requested_port
         )
@@ -133,51 +141,28 @@ class RegistryServer:
                 )
             shard, host, port = wire.decode_register(payload)
             self.round_trips += 1
-            if not 0 <= shard < self.expected:
+            if not 0 <= shard < self.slots:
                 raise wire.WireError(
-                    f"shard {shard} out of range 0..{self.expected - 1}"
+                    f"shard {shard} out of range 0..{self.slots - 1}"
                 )
-            if shard in self._handles and not self._rejoin_expected(shard):
+            if shard in self._handles:
                 raise wire.WireError(f"shard {shard} registered twice")
         except (asyncio.IncompleteReadError, ConnectionResetError):
             writer.close()
             return
         except wire.WireError as exc:
-            # A malformed registration fails the whole rendezvous loudly:
-            # a worker that cannot register can never reach its barrier,
-            # and a silent drop would hang the run until the timeout.
-            if self._rejoin_future is not None and not self._rejoin_future.done():
-                self._rejoin_future.set_exception(exc)
-            else:
-                self._error = exc
-                self._complete.set()
+            # A malformed registration fails the join loudly: a worker
+            # that cannot register can never reach its barrier, and a
+            # silent drop would hang the run until the timeout.
+            self._error = exc
+            self._changed.set()
             writer.close()
             return
-        handle = _WorkerHandle(shard, host, port, reader, writer)
-        if self._rejoin_expected(shard):
-            # A replacement worker re-registering after crash recovery:
-            # answer its PEERS frame right away (the rendezvous broadcast
-            # already happened) and hand it to the awaiting coordinator.
-            old = self._handles.pop(shard, None)
-            if old is not None:
-                old.close()
-            self._handles[shard] = handle
-            writer.write(wire.encode_peers(self._peer_map()))
-            await writer.drain()
-            self.round_trips += 1
-            assert self._rejoin_future is not None
-            self._rejoin_future.set_result(handle)
-            return
-        self._handles[shard] = handle
-        if len(self._handles) == self.expected:
-            self._complete.set()
-
-    def _rejoin_expected(self, shard: int) -> bool:
-        return (
-            self._rejoin_shard == shard
-            and self._rejoin_future is not None
-            and not self._rejoin_future.done()
-        )
+        self._handles[shard] = _WorkerHandle(shard, host, port, reader, writer)
+        writer.write(wire.encode_peers(self._peer_map()))
+        await writer.drain()
+        self.round_trips += 1
+        self._changed.set()
 
     def _peer_map(self) -> dict[int, tuple[str, int]]:
         return {
@@ -185,71 +170,44 @@ class RegistryServer:
             for shard, handle in self._handles.items()
         }
 
-    def expect_rejoin(self, shard: int) -> None:
-        """Arm a one-shot re-registration slot for ``shard`` (crash
-        recovery respawns it); without this, a duplicate REGISTER is an
-        error.  Await the replacement's handle with :meth:`rejoin`."""
-        if not self._complete.is_set():
-            raise SimulationError(
-                "expect_rejoin before the initial rendezvous completed"
-            )
-        self._rejoin_shard = shard
-        self._rejoin_future = asyncio.get_running_loop().create_future()
+    async def join(self, shards, timeout: float) -> list[_WorkerHandle]:
+        """Wait until every slot in ``shards`` is filled; the handles in
+        shard order.  Raises on duplicate or malformed registrations and
+        on timeout (naming the slots still empty)."""
+        shards = sorted(shards)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while True:
+            if self._error is not None:
+                error, self._error = self._error, None
+                raise SimulationError(
+                    f"registry rendezvous failed: {error}"
+                ) from error
+            missing = [shard for shard in shards if shard not in self._handles]
+            if not missing:
+                return [self._handles[shard] for shard in shards]
+            self._changed.clear()
+            try:
+                await asyncio.wait_for(
+                    self._changed.wait(), timeout=deadline - loop.time()
+                )
+            except asyncio.TimeoutError:
+                raise SimulationError(
+                    f"registry rendezvous timed out after {timeout:.0f}s; "
+                    f"missing shards {missing} (of {self.slots} slots)"
+                ) from None
 
-    async def rejoin(self, timeout: float) -> _WorkerHandle:
-        """Wait for the re-registration armed by :meth:`expect_rejoin`."""
-        if self._rejoin_future is None:
-            raise SimulationError("rejoin without expect_rejoin")
-        try:
-            handle = await asyncio.wait_for(
-                asyncio.shield(self._rejoin_future), timeout=timeout
-            )
-        except asyncio.TimeoutError:
-            raise SimulationError(
-                f"shard {self._rejoin_shard} did not re-register within "
-                f"{timeout:.0f}s of its respawn"
-            ) from None
-        finally:
-            if self._rejoin_future.done():
-                self._rejoin_shard = None
-                self._rejoin_future = None
-        return handle
-
-    async def rendezvous(self, timeout: float) -> list[_WorkerHandle]:
-        """Wait for every shard, then broadcast the PEERS map.
-
-        Returns the handles in shard order.  Raises on duplicate or
-        malformed registrations and on timeout.
-        """
-        started = asyncio.get_running_loop().time()
-        try:
-            await asyncio.wait_for(self._complete.wait(), timeout=timeout)
-        except asyncio.TimeoutError:
-            missing = sorted(set(range(self.expected)) - set(self._handles))
-            raise SimulationError(
-                f"registry rendezvous timed out after {timeout:.0f}s; "
-                f"missing shards {missing} (expected {self.expected})"
-            ) from None
-        if self._error is not None:
-            raise SimulationError(
-                f"registry rendezvous failed: {self._error}"
-            ) from self._error
-        peers = {
-            shard: (handle.host, handle.port)
-            for shard, handle in self._handles.items()
-        }
-        frame = wire.encode_peers(peers)
-        for shard in sorted(self._handles):
-            handle = self._handles[shard]
-            handle.writer.write(frame)
-            await handle.writer.drain()
-            self.round_trips += 1
-        self.rendezvous_wall_s = asyncio.get_running_loop().time() - started
-        return [self._handles[shard] for shard in sorted(self._handles)]
+    def forget(self, shard: int) -> None:
+        """Empty a slot (its worker died or was retired), closing the
+        control channel; a replacement may then register for it."""
+        handle = self._handles.pop(shard, None)
+        if handle is not None:
+            handle.close()
 
     async def close(self) -> None:
         for handle in self._handles.values():
             handle.close()
+        self._handles.clear()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -257,15 +215,14 @@ class RegistryServer:
 
 
 class RegistryClient:
-    """Worker-side rendezvous: register, learn the peer map, keep the
-    connection as the coordinator control channel."""
+    """Worker-side rendezvous: register once, keep the connection as the
+    coordinator control channel."""
 
     def __init__(self, registry_host: str, registry_port: int) -> None:
         self.registry_host = registry_host
         self.registry_port = registry_port
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
-        self.peers: dict[int, tuple[str, int]] = {}
         #: Dial attempts that had to back off and retry (repro.obs).
         self.dial_retries = 0
 
@@ -282,7 +239,8 @@ class RegistryClient:
         backoff: Backoff = Backoff(),
     ) -> dict[int, tuple[str, int]]:
         """Connect (with exponential-backoff retries — the coordinator may
-        still be binding), send REGISTER, await the PEERS broadcast."""
+        still be binding), send REGISTER, await the PEERS acknowledgement
+        (the slots filled so far; a trial's peer map rides in its spec)."""
 
         async def dial() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
             return await asyncio.open_connection(
@@ -307,8 +265,7 @@ class RegistryClient:
             raise wire.WireError(
                 f"expected a PEERS frame after registering, got 0x{kind:02x}"
             )
-        self.peers = wire.decode_peers(payload)
-        return self.peers
+        return wire.decode_peers(payload)
 
     async def recv(self) -> Any:
         assert self.reader is not None

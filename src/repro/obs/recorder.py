@@ -72,9 +72,9 @@ class ObsRecorder:
 
     def mark_wire_baseline(self) -> None:
         """Snapshot the process-wide wire counters so a later
-        :meth:`collect_wire` reports only this trial's frames.  Worker
-        interpreters are born fresh and skip this (absolute counts are
-        the trial's counts)."""
+        :meth:`collect_wire` reports only this trial's frames.  Cluster
+        worker interpreters serve many trials and take theirs at each
+        ``spec``."""
         self._wire_base = _wire_snapshot()
 
     def collect_wire(self) -> None:

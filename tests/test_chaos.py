@@ -392,9 +392,11 @@ def test_blocked_worker_serves_control_without_handing_the_round_back(
     assert trial.ok and trial.provenance["recoveries"] == 1
 
     ops = {message[0] for _shard, _way, message in transcript}
+    # The pooled lifecycle adds the ``idle`` acknowledgement after
+    # ``stop`` (and ``exit``, sent outside a trial) — nothing per round.
     assert ops <= {
         "spec", "ready", "grant", "report", "nak", "resend", "ship-log",
-        "peer-update", "peer-ok", "result", "stop",
+        "peer-update", "peer-ok", "result", "stop", "idle", "exit",
     }
     assert {"nak", "ship-log", "peer-update", "grant", "report"} <= ops
     # Between the survivor's blocked report and its peer-ok it sent the

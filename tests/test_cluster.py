@@ -18,7 +18,7 @@ from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.core.protocols import build_protocol, payload_from_fmt
 from repro.engine import ClusterOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
-from repro.net.cluster import ClusterSimulator, parse_hostport
+from repro.net.cluster import ClusterSimulator, close_pool, parse_hostport
 from repro.sim.partition import partition_topology
 from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash
@@ -71,16 +71,21 @@ def test_horizon_at_the_completion_tick_keeps_serial_identity(slack):
 
 def test_cluster_mutex_trial_matches_serial_metrics():
     serial = run_mutex_trial(TrialSpec(n=5), requests_per_process=1)
-    cluster = run_mutex_trial(
-        TrialSpec(n=5, engine="cluster", cluster=ClusterOpts(hosts=2)),
-        requests_per_process=1)
+    spec = TrialSpec(n=5, engine="cluster", cluster=ClusterOpts(hosts=2))
+    close_pool()
+    cluster = run_mutex_trial(spec, requests_per_process=1)
     assert cluster.ok
     assert cluster.measurements == serial.measurements
     assert cluster.provenance["hosts"] == 2
     assert cluster.provenance["sync"] == "windowed"
     assert cluster.provenance["barriers"] > 0
+    # Per trial, not per pool: REGISTER in + PEERS out for each of the
+    # two workers that just booted, nothing on a warm lease.
     assert cluster.provenance["registry_round_trips"] == 4
     assert cluster.provenance["monitors_ok"]
+    warm = run_mutex_trial(spec, requests_per_process=1)
+    assert warm.measurements == serial.measurements
+    assert warm.provenance["registry_round_trips"] == 0
 
 
 def test_freerun_cluster_passes_online_monitors():

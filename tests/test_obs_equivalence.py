@@ -93,7 +93,10 @@ def test_cluster_timeline_covers_every_worker_lane(tmp_path):
     # barriers, so both worker lanes must show barrier waits.
     assert {e["pid"] for e in spans} == {0, 1, 2}
     assert {e["pid"] for e in spans if e["name"] == "barrier_wait"} == {1, 2}
-    assert any(e["name"] == "rendezvous" for e in spans)
+    # The lease is on the timeline whether it booted interpreters or
+    # found them warm; its span says which.
+    [lease] = [e for e in spans if e["name"] == "rendezvous"]
+    assert lease["args"]["spawned"] + lease["args"]["reused"] == 2
     names = {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
              if e["ph"] == "M"}
     assert names[0] == "coordinator"
@@ -101,7 +104,10 @@ def test_cluster_timeline_covers_every_worker_lane(tmp_path):
 
     metrics = json.loads(
         (tmp_path / "metrics.json").read_text(encoding="utf-8"))
-    assert metrics["counters"]["registry.round_trips"] >= 1
+    # REGISTER + PEERS per interpreter the lease booted; none when warm.
+    assert metrics["counters"].get("registry.round_trips", 0) == \
+        2 * lease["args"]["spawned"]
+    assert metrics["hists"]["registry.rendezvous_wall_s"][0] == 1
     assert metrics["counters"]["sync.barriers"] > 0
     assert any(name.startswith("wire.bytes_out[")
                for name in metrics["counters"])

@@ -227,7 +227,7 @@ def test_control_payload_not_pickle():
 
 def run_registry(scenario) -> None:
     async def main():
-        registry = RegistryServer(expected=2)
+        registry = RegistryServer(slots=2)
         await registry.start()
         try:
             await scenario(registry)
@@ -235,6 +235,15 @@ def run_registry(scenario) -> None:
             await registry.close()
 
     asyncio.run(main())
+
+
+async def _abandon(*tasks) -> None:
+    for pending in tasks:
+        pending.cancel()
+        try:
+            await pending
+        except (asyncio.CancelledError, Exception):
+            pass
 
 
 def test_duplicate_registration_fails_rendezvous():
@@ -249,13 +258,8 @@ def test_duplicate_registration_fails_rendezvous():
             dup.register(0, "127.0.0.1", 4001, timeout=5.0)
         )
         with pytest.raises(SimulationError, match="registered twice"):
-            await registry.rendezvous(timeout=5.0)
-        for pending in (task, dup_task):
-            pending.cancel()
-            try:
-                await pending
-            except (asyncio.CancelledError, Exception):
-                pass
+            await registry.join([0, 1], timeout=5.0)
+        await _abandon(task, dup_task)
         first.close()
         dup.close()
 
@@ -269,12 +273,8 @@ def test_out_of_range_shard_fails_rendezvous():
             client.register(9, "127.0.0.1", 4000, timeout=5.0)
         )
         with pytest.raises(SimulationError, match="out of range"):
-            await registry.rendezvous(timeout=5.0)
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):
-            pass
+            await registry.join([0, 1], timeout=5.0)
+        await _abandon(task)
         client.close()
 
     run_registry(scenario)
@@ -283,17 +283,9 @@ def test_out_of_range_shard_fails_rendezvous():
 def test_rendezvous_timeout_names_missing_shards():
     async def scenario(registry):
         client = RegistryClient(registry.host, registry.port)
-        task = asyncio.ensure_future(
-            client.register(0, "127.0.0.1", 4000, timeout=5.0)
-        )
-        await asyncio.sleep(0.05)
+        await client.register(0, "127.0.0.1", 4000, timeout=5.0)
         with pytest.raises(SimulationError, match=r"missing shards \[1\]"):
-            await registry.rendezvous(timeout=0.2)
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):
-            pass
+            await registry.join([0, 1], timeout=0.2)
         client.close()
 
     run_registry(scenario)
@@ -302,21 +294,43 @@ def test_rendezvous_timeout_names_missing_shards():
 def test_rendezvous_delivers_full_peer_map():
     async def scenario(registry):
         clients = [RegistryClient(registry.host, registry.port) for _ in range(2)]
-        tasks = [
-            asyncio.ensure_future(
-                clients[shard].register(shard, "127.0.0.1", 4000 + shard,
-                                        timeout=5.0)
-            )
-            for shard in range(2)
+        acks = [
+            await client.register(shard, "127.0.0.1", 4000 + shard, timeout=5.0)
+            for shard, client in enumerate(clients)
         ]
-        handles = await registry.rendezvous(timeout=5.0)
-        maps = await asyncio.gather(*tasks)
+        handles = await registry.join([0, 1], timeout=5.0)
+        # The coordinator ships this map in the trial spec; a worker's
+        # PEERS acknowledgement only names the slots filled so far.
         expected = {0: ("127.0.0.1", 4000), 1: ("127.0.0.1", 4001)}
-        assert maps == [expected, expected]
+        assert {h.shard: (h.host, h.port) for h in handles} == expected
+        assert acks == [{0: expected[0]}, expected]
         assert [h.shard for h in handles] == [0, 1]
         # One REGISTER in + one PEERS out per worker.
         assert registry.round_trips == 4
         for client in clients:
             client.close()
+
+    run_registry(scenario)
+
+
+def test_a_forgotten_slot_can_be_joined_again():
+    """What crash recovery and the pool's replacement of a dead worker
+    use: the slot's old channel is closed, a second registration for it
+    is no longer a duplicate, and ``join`` waits for it alone."""
+    async def scenario(registry):
+        old = RegistryClient(registry.host, registry.port)
+        await old.register(1, "127.0.0.1", 4001, timeout=5.0)
+        [handle] = await registry.join([1], timeout=5.0)
+        registry.forget(1)
+        with pytest.raises(asyncio.IncompleteReadError):
+            await old.recv()  # control EOF: what ends an orphaned worker
+        new = RegistryClient(registry.host, registry.port)
+        joining = asyncio.ensure_future(registry.join([1], timeout=5.0))
+        await new.register(1, "127.0.0.1", 4101, timeout=5.0)
+        [replacement] = await joining
+        assert replacement is not handle and replacement.port == 4101
+        assert registry.round_trips == 4
+        old.close()
+        new.close()
 
     run_registry(scenario)
