@@ -22,7 +22,11 @@ Asserts, without running a single trial:
 * :class:`~repro.engine.TrialSpec` stays the only way in: it has no
   ``build`` field (``protocol`` is the one protocol description), and
   neither of the two keyword adapters PR 15 deleted is named anywhere
-  under ``src/``.
+  under ``src/``;
+* a send stays one path: neither the per-channel cache tuple the compiled
+  link (:class:`repro.sim.runtime.Link`) replaced nor a flag / engine-type
+  test selecting an unfused send is named under ``src/repro/sim/`` — the
+  one engine-specific step of a send is chosen when its link is built.
 
 Usage::
 
@@ -64,6 +68,13 @@ _CLUSTER_IMPORT = re.compile(r"^\s*from\s+repro\.net\.cluster\s+import\b")
 # either name finds nothing — not even this guard.
 _LEGACY_ADAPTER = re.compile(
     r".*\b(" + "execute" + "_trial|_base" + r"_spec)\b")
+
+# The send path's retired cache and the switches that would fork it
+# (same halves spelling): a fused/unfused flag, or a test on the engine's
+# own type (``type(self).__name__`` in a repr is fine).
+_SEND_FORK = re.compile(
+    r".*(_chan" + r"_fast\b|\b_fused\b|\btype\(self\)\s+(is|==)"
+    r"|\bisinstance\(self\b)")
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,6 +165,7 @@ def check_source_guards() -> list[str]:
         + _grep("repro/engine", _CLUSTER_IMPORT, "imports the cluster runtime",
                 exempt="cluster.py")
         + _grep("repro/core", _CLUSTER_IMPORT, "imports the cluster runtime")
+        + _grep("repro/sim", _SEND_FORK, "forks the send path")
     )
 
 

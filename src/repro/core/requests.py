@@ -64,6 +64,7 @@ class RequestDriver:
         think_time: int = 2,
         poll: int = 1,
         payload: Callable[[int, int], Any] | None = None,
+        halt_when_done: bool = False,
     ) -> None:
         if requests_per_process < 0:
             raise ProtocolError(
@@ -82,8 +83,8 @@ class RequestDriver:
         # The driven layers never change; look them up once, not per poll.
         self._layers = {pid: sim.layer(pid, tag) for pid in self._per_process}
         # Number of slots still unfinished (requests left to issue or an
-        # outstanding one).  ``done`` sits in the engines' stop predicates —
-        # evaluated after *every* event — so it must be O(1), not a scan.
+        # outstanding one).  ``done`` sits in stop predicates — evaluated
+        # after *every* event — so it must be O(1), not a scan.
         self._open = sum(
             1 for s in self._per_process.values() if s.remaining > 0
         )
@@ -91,6 +92,13 @@ class RequestDriver:
         #: while unfinished) — the sharded engine's global stop time is the
         #: max of this over all shard drivers.
         self.done_at: int | None = None
+        #: The serial backend's stop condition: instead of the engine
+        #: asking ``done`` after every event, the tick that sets
+        #: ``done_at`` halts the scheduler's run.  The backend clears it
+        #: before the drain phase (which must run its full length);
+        #: engines that sync on ``done_at`` across workers run to their
+        #: window targets and leave it off.
+        self.halt_when_done = halt_when_done
         # Driver ticks run first within their tick (canonical class 0) —
         # identically in the serial engine and in every shard worker.
         sim.scheduler.post_at(first_at, self._tick, driver_key())
@@ -124,6 +132,8 @@ class RequestDriver:
             self.sim.scheduler.post_in(self.poll, self._tick, driver_key())
         elif self.done_at is None:
             self.done_at = now
+            if self.halt_when_done:
+                self.sim.scheduler.halt()
 
     def _issue(self, pid: int, layer: Any) -> None:
         count = self._issue_counter[pid]

@@ -88,27 +88,32 @@ class SerialBackend(EngineBackend):
                     sim.scramble(seed=prepared.scramble_seed)
             else:
                 sim.scramble(seed=prepared.scramble_seed)
-        drv = RequestDriver(sim, **prepared.driver)
+        # The driver halts the run itself, in the tick that serves its
+        # last request; only the round-budget guard still needs a
+        # per-event predicate.
+        drv = RequestDriver(sim, halt_when_done=True, **prepared.driver)
         serve_ctx = obs.phase("serve") if obs is not None else None
         if serve_ctx is not None:
             serve_ctx.__enter__()
-        if spec.round_budget is None:
-            completed = sim.run(horizon, until=lambda s: drv.done)
-        else:
+        guard = None
+        if spec.round_budget is not None:
             guard = _RoundBudgetGuard(sim.trace, prepared.tag,
                                       spec.round_budget)
-            sim.run(horizon, until=lambda s: drv.done or guard.exceeded())
-            completed = drv.done
-            if not completed and guard.rounds > spec.round_budget:
-                raise HorizonExceeded(
-                    f"round budget of {spec.round_budget} CS grants "
-                    f"exhausted at t={sim.now} before all requests were "
-                    f"served",
-                    horizon=horizon,
-                    served=drv.total_completed(),
-                    requested=drv.total_planned(),
-                    rounds=guard.rounds,
-                )
+        if not drv.done:
+            sim.run(horizon, until=None if guard is None
+                    else (lambda s: guard.exceeded()))
+        completed = drv.done
+        if guard is not None and not completed and guard.rounds > guard.budget:
+            raise HorizonExceeded(
+                f"round budget of {guard.budget} CS grants "
+                f"exhausted at t={sim.now} before all requests were "
+                f"served",
+                horizon=horizon,
+                served=drv.total_completed(),
+                requested=drv.total_planned(),
+                rounds=guard.rounds,
+            )
+        drv.halt_when_done = False  # a horizon-cut serve: the drain runs on
         if serve_ctx is not None:
             serve_ctx.__exit__(None, None, None)
         if obs is not None:

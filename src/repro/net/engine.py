@@ -240,13 +240,22 @@ class AsyncSimulator(Simulator):
 
     # -- transport plumbing ------------------------------------------------
 
-    def _schedule_delivery(self, channel: ChannelBase, entry) -> None:
+    def _transport_for(self, channel: ChannelBase) -> Transport:
         pair = (channel.src, channel.dst)
         transport = self._transports.get(pair)
         if transport is None:
             transport = self._kind.channel_factory(self, channel)
             self._transports[pair] = transport
-        transport.send(entry)
+        return transport
+
+    def _admitted_step(self, channel: ChannelBase):
+        # An admitted entry travels the channel's medium: the link hands
+        # it straight to the transport, which owns the latency draw (every
+        # medium reads the rule from Simulator.draw_delivery_time).
+        return self._transport_for(channel).send
+
+    def _schedule_delivery(self, channel: ChannelBase, entry) -> None:
+        self._transport_for(channel).send(entry)
 
     def require_fabric(self) -> Any:
         """The trial-scoped medium (sockets/endpoints); channel factories

@@ -38,9 +38,9 @@ class TcpTransport(Transport):
     ) -> None:
         super().__init__(engine, channel)
         self.fabric = fabric
-        # The channel's own stream, bound once (the same caching the
-        # serial engine keeps in ``Simulator._chan_fast``): the emulated
-        # link latency comes from the same per-channel draws.
+        # The channel's own stream, bound once (as the serial engine's
+        # compiled link does): the emulated link latency comes from the
+        # same per-channel draws.
         self._randint = engine.chan_rng(channel.src, channel.dst).randint
         self.frames_sent = 0
         self._outbox: asyncio.Queue[_Entry | None] = asyncio.Queue()

@@ -152,6 +152,11 @@ class _Entry:
 class ChannelBase(abc.ABC):
     """A unidirectional FIFO channel from ``src`` to ``dst``."""
 
+    #: Slot budget of every tag, fixed for the channel's lifetime (None
+    #: means unbounded).  Subclasses set it; a compiled link
+    #: (:class:`repro.sim.runtime.Link`) binds it once.
+    capacity: int | None
+
     def __init__(self, src: int, dst: int) -> None:
         self.src = src
         self.dst = dst
@@ -172,9 +177,9 @@ class ChannelBase(abc.ABC):
 
     # -- capacity ---------------------------------------------------------
 
-    @abc.abstractmethod
     def capacity_for(self, tag: str) -> int | None:
         """Slot budget for ``tag`` (None means unbounded)."""
+        return self.capacity
 
     def occupancy(self, tag: str) -> int:
         """Number of in-flight messages with the given tag."""
@@ -198,7 +203,7 @@ class ChannelBase(abc.ABC):
         """
         tag = msg.tag
         occ = self._occupancy.get(tag, 0)
-        cap = self.capacity_for(tag)
+        cap = self.capacity
         if cap is not None and occ >= cap:
             return None
         occ += 1
@@ -278,15 +283,11 @@ class BoundedChannel(ChannelBase):
         super().__init__(src, dst)
         self.capacity = capacity
 
-    def capacity_for(self, tag: str) -> int | None:
-        return self.capacity
-
 
 class UnboundedChannel(ChannelBase):
     """Finite but unbounded capacity (the Theorem 1 setting)."""
 
-    def capacity_for(self, tag: str) -> int | None:
-        return None
+    capacity = None
 
 
 def total_in_flight(channels: Iterable[ChannelBase]) -> int:

@@ -110,6 +110,15 @@ def key_owner(key: int) -> int:
     return (key >> (_PID_BITS + _SEQ_BITS)) & _PID_MAX
 
 
+def _wrong_bounds(lo: int, hi: int, a: int, b: int) -> ValueError:
+    # Module-level, not a closure of bound_randint: one draw is compiled
+    # per directed channel, and every cell of it is paid per channel.
+    return ValueError(
+        f"bound_randint compiled for ({lo}, {hi}) called with "
+        f"({a}, {b}); rebuild the cached draw for the new bounds"
+    )
+
+
 def bound_randint(rng: "random.Random", lo: int, hi: int) -> Any:
     """A precompiled equivalent of ``rng.randint(lo, hi)``.
 
@@ -135,19 +144,13 @@ def bound_randint(rng: "random.Random", lo: int, hi: int) -> Any:
     bounds.  Falls back to the plain method for ``random.Random``
     subclasses, whose ``randint`` may not be getrandbits-based.
     """
-    def _check(a: int, b: int) -> None:
-        if a != lo or b != hi:
-            raise ValueError(
-                f"bound_randint compiled for ({lo}, {hi}) called with "
-                f"({a}, {b}); rebuild the cached draw for the new bounds"
-            )
-
     if type(rng) is not random.Random or hi - lo + 1 <= 1:
         # Subclass randint may not be getrandbits-based, and randint(lo, lo)
         # still consumes draws (rejection down to 0) — keep the stock path
         # for these cold cases behind the same guarded signature.
         def fallback(a: int = lo, b: int = hi) -> int:
-            _check(a, b)
+            if a != lo or b != hi:
+                raise _wrong_bounds(lo, hi, a, b)
             return rng.randint(lo, hi)
 
         return fallback
@@ -157,7 +160,7 @@ def bound_randint(rng: "random.Random", lo: int, hi: int) -> Any:
 
     def draw(a: int = lo, b: int = hi) -> int:
         if a != lo or b != hi:
-            _check(a, b)
+            raise _wrong_bounds(lo, hi, a, b)
         r = getrandbits(k)
         while r >= width:
             r = getrandbits(k)

@@ -18,6 +18,13 @@ Layers compose: a layer may embed sub-layers (IDL embeds a PIF instance; ME
 embeds an IDL and a PIF instance).  Registration flattens the stack
 depth-first, sub-layers first, so service layers make progress before their
 clients inspect them within the same activation.
+
+The two per-message entry points are kept shallow on purpose (a dense
+trial's cost is call depth): :meth:`ProcessHost.send` is a dict hit into
+the channel's compiled link (:class:`repro.sim.runtime.Link`), and on the
+receive side the engine calls the consuming layer's ``on_message``
+directly — :meth:`ProcessHost.dispatch` is the same lookup, kept for
+``step_deliver``, busy-parked and hooked deliveries.
 """
 
 from __future__ import annotations
@@ -115,6 +122,10 @@ class ProcessHost:
     def __init__(self, sim: "Simulator", pid: int) -> None:
         self.sim = sim
         self.pid = pid
+        #: Neighbour ids in local channel-number order (channels 1..deg).
+        #: A plain attribute: the topology is immutable and every wave
+        #: action walks this tuple.
+        self.others: tuple[int, ...] = sim.network.peers_of(pid)
         self.layers: list[Layer] = []
         self._by_tag: dict[str, Layer] = {}
         # Flattened (guard, statement) table over all layers, cached at
@@ -125,6 +136,9 @@ class ProcessHost:
         self.busy_until: int = -1
         # Monotone counter keying call_later timers (canonical event order).
         self._timer_seq: int = 0
+        # dst -> the compiled link's send (repro.sim.runtime.Link), filled
+        # at the first send to each peer.
+        self._send_to: dict[int, Callable[["TaggedMessage"], bool]] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -155,11 +169,6 @@ class ProcessHost:
     # -- topology -----------------------------------------------------------
 
     @property
-    def others(self) -> tuple[int, ...]:
-        """Neighbour ids in local channel-number order (channels 1..deg)."""
-        return self.sim.network.peers_of(self.pid)
-
-    @property
     def n(self) -> int:
         """Total number of processes in the system (not the degree)."""
         return self.sim.network.n
@@ -183,7 +192,13 @@ class ProcessHost:
     # -- input/output ---------------------------------------------------------
 
     def send(self, dst: int, msg: "TaggedMessage") -> None:
-        self.sim.transmit(self.pid, dst, msg)
+        # Straight into the channel's compiled link: the whole engine side
+        # of a send is that one frame (see repro.sim.runtime).
+        try:
+            send = self._send_to[dst]
+        except KeyError:
+            send = self._send_to[dst] = self.sim.link(self.pid, dst).send
+        send(msg)
 
     def emit(self, kind: str, **data: Any) -> None:
         self.sim.trace.emit(self.sim.now, kind, self.pid, **data)

@@ -38,12 +38,31 @@ full topology stays visible for channel numbering).  Sends to a non-hosted
 pid release their channel slot at the scheduled delivery time and append to
 :attr:`cross_outbox`; the sharded driver exchanges outboxes at time-window
 barriers and re-injects them via :meth:`schedule_remote_arrival`.
+
+The hot path — one compiled link per directed channel.  A dense trial is
+hundreds of thousands of sends through one admission rule, and its profile
+is flat: no layer dominates, what costs is call *depth*.  So the whole send
+— stats, corruption, loss draw, admission, latency draw + FIFO clamp, heap
+push — is one method of one object per channel (:meth:`Link.send`, the
+link built at the channel's first use by :meth:`Simulator.link`), which
+:meth:`ProcessHost.send <repro.sim.process.ProcessHost.send>` calls
+directly: a send is one engine frame.  A delivery is two:
+:meth:`Simulator._deliver` frees the slot, counts the delivery and calls
+the consuming layer's ``on_message`` itself (a busy receiver, delivery
+hooks and ``trace_network`` take the general :meth:`_dispatch_arrival`).
+The step-by-step spelling of the same rules stays public —
+``BoundedChannel.try_admit``, :meth:`Simulator.draw_delivery_time`,
+``Scheduler.post_at``, ``ProcessHost.dispatch`` — for ``inject``,
+``step_deliver``, the transports of :mod:`repro.net` and the property test
+that holds the link's inlined copy to them
+(``tests/test_link_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
@@ -54,6 +73,7 @@ from repro.sim.channel import (
     NoLoss,
     TaggedMessage,
     UnboundedChannel,
+    _Entry,
 )
 from repro.sim.determinism import (
     activation_key,
@@ -76,6 +96,142 @@ BuildFn = Callable[[ProcessHost], None]
 CrossShardSend = tuple[int, int, TaggedMessage, int, int]
 
 
+class Link:
+    """One directed channel, compiled: everything a send on it touches,
+    bound once, and the send itself as one frame.
+
+    Built by :meth:`Simulator.link` at the channel's first use from the
+    channel (occupancy dict, capacity), its random stream, the latency draw
+    precompiled for the channel's own bounds
+    (:func:`~repro.sim.determinism.bound_randint`), the delivery-key base
+    ``delivery_key(dst, src, 0)`` — entry seqs stay within the key's low
+    bits, so ``key_base + seq`` is the packed key —, whether the
+    destination is hosted by this engine, and the engine constants a send
+    would otherwise re-read every time.  A slotted object, not a closure:
+    the attribute reads cost what cell reads cost, and a link weighs what
+    the cache tuple it replaced weighed (``docs/perf.md``).
+
+    :meth:`send` performs every check of the step-by-step path in the same
+    order — count, ``trace_network`` row, corruption, loss draw, admission
+    (:meth:`ChannelBase.try_admit`, inlined), then the engine's own step
+    for an admitted entry (:meth:`Simulator._admitted_step`): on this
+    engine the delivery-time rule (:meth:`Simulator.draw_delivery_time`,
+    inlined) and the heap push (``Scheduler.post_at``, inlined; its
+    past-time check cannot fire, latency lower bounds are >= 1) — so
+    stream consumption, :class:`SimStats`, entry seqs, canonical keys and
+    trace rows are bit-identical to it.
+    """
+
+    __slots__ = (
+        # The channel's own.
+        "channel", "draw", "key_base", "hosted",
+        "_rng", "_cap", "_occupancy", "_forward", "_on_arrival",
+        # The engine's, the same objects on every link of it.
+        "_sim", "_stats", "_sent_by_tag", "_scheduler", "_queue",
+        "_corruption", "_should_drop", "_trace_network",
+    )
+
+    def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
+        channel = sim.network.channel(src, dst)
+        self.channel = channel
+        self._rng = sim.chan_rng(src, dst)
+        self.draw = bound_randint(self._rng, *sim.latency_for(src, dst))
+        self.key_base = delivery_key(dst, src, 0)
+        self.hosted = dst in sim.hosts
+        self._cap = channel.capacity
+        self._occupancy = channel._occupancy
+        self._forward = sim._admitted_step(channel)
+        # A hosted destination gets the delivery; for a cross-shard send
+        # this engine owns only the slot accounting (the slot frees at the
+        # scheduled delivery time, exactly as it would under serial
+        # execution) and the message is handed to the destination shard at
+        # the barrier.
+        self._on_arrival = sim._deliver if self.hosted else sim._release_slot
+        self._sim = sim
+        self._stats = sim.stats
+        self._sent_by_tag = sim.stats.sent_by_tag
+        self._scheduler = sim.scheduler
+        self._queue = sim.scheduler._queue
+        self._corruption = sim.corruption
+        # NoLoss draws no randomness, so skipping the call outright is
+        # behaviour-preserving and saves a method call per send.
+        self._should_drop = (
+            None if type(sim.loss) is NoLoss else sim.loss.should_drop
+        )
+        self._trace_network = sim.trace_network
+
+    def send(self, msg: TaggedMessage) -> bool:
+        """Send ``msg`` down the channel; returns True if admitted."""
+        stats = self._stats
+        stats.sent += 1
+        tag = msg.tag
+        self._sent_by_tag[tag] += 1
+        if self._trace_network:
+            self._emit(EventKind.SEND, tag)
+        if self._corruption is not None:
+            original = msg
+            msg = self._corruption.maybe_corrupt(self._rng, msg)
+            if msg is not original:
+                stats.corrupted += 1
+                tag = msg.tag
+        if self._should_drop is not None and self._should_drop(self._rng, msg):
+            stats.dropped_loss += 1
+            if self._trace_network:
+                self._emit(EventKind.DROP_LOSS, tag)
+            return False
+        occupancy = self._occupancy
+        occ = occupancy.get(tag, 0)
+        cap = self._cap
+        if cap is not None and occ >= cap:
+            stats.dropped_full += 1
+            if self._trace_network:
+                self._emit(EventKind.DROP_FULL, tag)
+            return False
+        occ += 1
+        occupancy[tag] = occ
+        channel = self.channel
+        if occ > channel._occ_high.get(tag, 0):
+            channel._occ_high[tag] = occ
+        channel._admit_seq = seq = channel._admit_seq + 1
+        scheduler = self._scheduler
+        now = scheduler._now
+        entry = _Entry(msg, now, None, seq)
+        channel._entries.append(entry)
+        if self._forward is not None:
+            self._forward(entry)
+            return True
+        time = now + self.draw()
+        last_delivery = channel._last_delivery
+        floor = last_delivery.get(tag, -1) + 1
+        if time < floor:
+            time = floor
+        last_delivery[tag] = entry.delivery_time = time
+        scheduler._seq = order = scheduler._seq + 1
+        heappush(
+            self._queue,
+            (time, self.key_base + seq, order,
+             partial(self._on_arrival, channel, entry)),
+        )
+        if not self.hosted:
+            self._sim.cross_outbox.append(
+                (channel.src, channel.dst, msg, time, seq)
+            )
+        return True
+
+    def _emit(self, kind: str, tag: str) -> None:
+        # Reads sim.trace when it runs: workers install a keyed trace
+        # after construction.
+        channel = self.channel
+        self._sim.trace.emit(
+            self._scheduler._now, kind, channel.src, dst=channel.dst, tag=tag
+        )
+
+
+def _stays_in_channel(entry: _Entry) -> None:
+    """Manual mode's admitted-entry step: nothing is scheduled; the entry
+    waits in its slot for ``step_deliver``."""
+
+
 class Simulator:
     """A deterministic, seeded message-passing system simulator.
 
@@ -85,6 +241,14 @@ class Simulator:
     ``"gnp:0.3"``, ...), or None for the paper's complete graph.  When a
     Topology instance is given its pids define the system and ``pids`` may
     be omitted (or must agree).
+
+    ``loss``, ``corruption``, ``latency``, ``capacity``, ``auto`` and
+    ``trace_network`` are **fixed at construction**: every channel's
+    compiled link (:class:`Link`) binds them once, so assigning to the
+    attributes of the same name afterwards changes nothing a send does.
+    What a link reads when it runs, because drivers do rebind or mutate
+    them: :attr:`trace` (the sharded and cluster workers install a keyed
+    trace after construction), :attr:`cross_outbox`, the hook lists.
     """
 
     def __init__(
@@ -135,9 +299,6 @@ class Simulator:
         self.trace = self._make_trace()
         self.stats = SimStats()
         self.loss: LossModel = loss if loss is not None else NoLoss()
-        # NoLoss draws no randomness, so skipping the call outright in
-        # transmit() is behaviour-preserving and saves a method call per send.
-        self._lossless = type(self.loss) is NoLoss
         #: Optional in-flight corruption model (see repro.sim.faults); must
         #: expose ``maybe_corrupt(rng, msg) -> msg``.
         self.corruption = corruption
@@ -165,19 +326,11 @@ class Simulator:
             self.topology.edge_latency if self.topology.is_weighted else None
         )
 
-        # Per-directed-channel streams (loss, corruption, latency): created
-        # lazily alongside the lazy channel map.  _chan_fast caches, per
-        # channel, everything the send hot path needs — the channel object,
-        # its stream, a precompiled latency draw (bound_randint: identical
-        # values and stream consumption to randint(lo, hi)), the
-        # delivery-key base (delivery_key(dst, src, 0)) and whether the
-        # destination is hosted here — one dict hit per send instead of
-        # channel lookup + stream lookup + method lookup + key packing.
+        # Per-directed-channel streams (loss, corruption, latency) and the
+        # compiled links, both created lazily alongside the lazy channel
+        # map — a wave touching one neighbourhood compiles only its links.
         self._chan_rngs: dict[tuple[int, int], random.Random] = {}
-        self._chan_fast: dict[
-            tuple[int, int],
-            tuple[ChannelBase, random.Random, Callable[..., int], int, bool],
-        ] = {}
+        self._links: dict[tuple[int, int], Link] = {}
 
         #: Observation hooks (recording, instrumentation). ``delivery_hooks``
         #: fire just before a message is dispatched to the receiving process;
@@ -276,67 +429,46 @@ class Simulator:
 
     # -- message transmission --------------------------------------------------
 
-    def _make_chan_fast(
-        self, src: int, dst: int
-    ) -> tuple[ChannelBase, random.Random, Callable[..., int], int, bool]:
-        channel = self.network.channel(src, dst)
-        rng = self.chan_rng(src, dst)
-        lo, hi = self.latency_for(src, dst)
-        fast = (
-            channel,
-            rng,
-            bound_randint(rng, lo, hi),
-            delivery_key(dst, src, 0),
-            dst in self.hosts,
-        )
-        self._chan_fast[(src, dst)] = fast
-        return fast
+    def _admitted_step(
+        self, channel: ChannelBase
+    ) -> Callable[[_Entry], None] | None:
+        """What a send does with an entry the channel admitted — the one
+        engine-specific step, resolved once per channel when its link is
+        compiled.  None: the link draws the delivery time and pushes the
+        delivery onto this engine's heap itself, inline.  A callable takes
+        the entry instead (:class:`~repro.net.engine.AsyncSimulator`
+        returns its transport's ``send``; manual mode leaves the entry in
+        its slot)."""
+        return None if self.auto else _stays_in_channel
+
+    def link(self, src: int, dst: int) -> Link:
+        """The compiled link of the channel ``src -> dst`` (compiled on
+        first use)."""
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = Link(self, src, dst)
+        return link
 
     def transmit(self, src: int, dst: int, msg: TaggedMessage) -> bool:
         """Send ``msg`` from ``src`` to ``dst``; returns True if admitted."""
-        stats = self.stats
-        stats.sent += 1
-        stats.sent_by_tag[msg.tag] += 1
-        fast = self._chan_fast.get((src, dst))
-        if fast is None:
-            fast = self._make_chan_fast(src, dst)
-        channel, rng, _draw, _key_base, _hosted = fast
-        if self.trace_network:
-            self.trace.emit(self.now, EventKind.SEND, src, dst=dst, tag=msg.tag)
-        if self.corruption is not None:
-            original = msg
-            msg = self.corruption.maybe_corrupt(rng, msg)
-            if msg is not original:
-                stats.corrupted += 1
-        if not self._lossless and self.loss.should_drop(rng, msg):
-            stats.dropped_loss += 1
-            if self.trace_network:
-                self.trace.emit(self.now, EventKind.DROP_LOSS, src, dst=dst, tag=msg.tag)
-            return False
-        entry = channel.try_admit(msg, self.scheduler._now)
-        if entry is None:
-            stats.dropped_full += 1
-            if self.trace_network:
-                self.trace.emit(self.now, EventKind.DROP_FULL, src, dst=dst, tag=msg.tag)
-            return False
-        if self.auto:
-            self._schedule_delivery(channel, entry)
-        return True
+        return self.link(src, dst).send(msg)
 
     def draw_delivery_time(self, channel: ChannelBase, entry, randint) -> int:
         """Latency draw from the channel's stream + per-tag FIFO clamp.
 
-        The single source of the delivery-time rule: the serial scheduling
-        path and every transport of the async engine (:mod:`repro.net`)
-        must go through here, so a change to the rule cannot desynchronize
-        the engines.  The bounds are the channel's own — per-edge on
-        :class:`~repro.sim.topology.Weighted` topologies, the engine's
-        global pair otherwise.  ``randint`` is the channel stream's draw
-        for exactly those bounds — either the stream's bound ``randint``
-        method or its precompiled equivalent
-        (:func:`~repro.sim.determinism.bound_randint`, cached in
-        ``_chan_fast``, whose guard rejects mismatched bounds); both
-        consume the stream identically.
+        The single definition of the delivery-time rule: the step-by-step
+        scheduling path (:meth:`_schedule_delivery`) and every transport of
+        the async engine (:mod:`repro.net`) go through here, and the one
+        inlined copy — a link's ``send`` — is held to it by
+        ``tests/test_link_equivalence.py``, so a change to the rule cannot
+        desynchronize the engines.  The bounds are the channel's own —
+        per-edge on :class:`~repro.sim.topology.Weighted` topologies, the
+        engine's global pair otherwise.  ``randint`` is the channel
+        stream's draw for exactly those bounds — either the stream's bound
+        ``randint`` method or its precompiled equivalent
+        (:func:`~repro.sim.determinism.bound_randint`, :attr:`Link.draw`,
+        whose guard rejects mismatched bounds); both consume the stream
+        identically.
         """
         edge_latency = self._edge_latency
         if edge_latency is None:
@@ -348,26 +480,19 @@ class Simulator:
         return entry.delivery_time
 
     def _schedule_delivery(self, channel: ChannelBase, entry) -> None:
-        fast = self._chan_fast.get((channel.src, channel.dst))
-        if fast is None:
-            fast = self._make_chan_fast(channel.src, channel.dst)
-        _channel, _rng, draw, key_base, hosted = fast
-        self.draw_delivery_time(channel, entry, draw)
-        # Key bases are seq-0 keys; entry seqs stay within the key's low
-        # bits (see repro.sim.determinism), so addition == packing.
-        key = key_base + entry.seq
-        if hosted:
-            self.scheduler.post_at(
-                entry.delivery_time, partial(self._deliver, channel, entry), key
-            )
-        else:
-            # Cross-shard send: this engine owns the channel's slot
-            # accounting (the slot frees at the scheduled delivery time,
-            # exactly as it would under serial execution); the message
-            # itself is handed to the destination shard at the barrier.
-            self.scheduler.post_at(
-                entry.delivery_time, partial(self._release_slot, channel, entry), key
-            )
+        """Draw ``entry``'s delivery time and post its delivery — the
+        step-by-step form of a link's last step, for entries admitted
+        outside a send (``inject``, ``configuration.restore``) or handed
+        back by the loopback transport."""
+        link = self.link(channel.src, channel.dst)
+        self.draw_delivery_time(channel, entry, link.draw)
+        on_arrival = self._deliver if link.hosted else self._release_slot
+        self.scheduler.post_at(
+            entry.delivery_time,
+            partial(on_arrival, channel, entry),
+            link.key_base + entry.seq,
+        )
+        if not link.hosted:
             self.cross_outbox.append(
                 (channel.src, channel.dst, entry.msg, entry.delivery_time, entry.seq)
             )
@@ -377,10 +502,33 @@ class Simulator:
             channel.remove(entry)
 
     def _deliver(self, channel: ChannelBase, entry) -> None:
-        if entry not in channel._entries:
+        """A scheduled delivery fires: free the slot, hand the message to
+        the receiver.  The common case — receiver idle, no delivery hook,
+        no network trace — is completed here (``channel.remove``,
+        :meth:`_dispatch_arrival`'s count and ``ProcessHost.dispatch``,
+        inlined); everything else takes :meth:`_dispatch_arrival`."""
+        try:
+            channel._entries.remove(entry)
+        except ValueError:
             return  # channel was cleared/restored under us
-        channel.remove(entry)
-        self._dispatch_arrival(channel.src, channel.dst, entry.msg, entry.seq)
+        msg = entry.msg
+        tag = msg.tag
+        channel._occupancy[tag] -= 1
+        dst = channel.dst
+        host = self.hosts[dst]
+        if (
+            host.busy_until > self.scheduler._now
+            or self.delivery_hooks
+            or self.trace_network
+        ):
+            self._dispatch_arrival(channel.src, dst, msg, entry.seq)
+            return
+        stats = self.stats
+        stats.delivered += 1
+        stats.delivered_by_tag[tag] += 1
+        layer = host._by_tag.get(tag)
+        if layer is not None:
+            layer.on_message(channel.src, msg)
 
     def _dispatch_arrival(
         self, src: int, dst: int, msg: TaggedMessage, entry_seq: int, parked: bool = False
@@ -431,9 +579,14 @@ class Simulator:
         )
 
     def drain_outbox(self) -> list[CrossShardSend]:
-        """Take (and clear) the pending cross-shard sends."""
-        outbox = self.cross_outbox
-        self.cross_outbox = []
+        """Take (and clear) the pending cross-shard sends.
+
+        Hands back a copy and clears in place: :attr:`cross_outbox` stays
+        the one list for the engine's lifetime, so a reference taken to it
+        can never go stale and silently swallow cross-shard sends.
+        """
+        outbox = self.cross_outbox[:]
+        self.cross_outbox.clear()
         return outbox
 
     def inject(self, src: int, dst: int, msg: TaggedMessage, *, schedule: bool | None = None) -> None:

@@ -24,6 +24,16 @@ Engine notes — this loop dominates simulator wall-clock, so it is tuned:
 * ``pending_count`` is O(1) bookkeeping instead of an O(len) scan.
 * :meth:`run_until` drains same-tick batches without re-peeking the heap
   top between events of the same tick.
+* A run can be ended two ways: a ``stop`` predicate the loop *asks* after
+  every event (general; a call per event), or :meth:`Scheduler.halt`,
+  which the one callback that knows the run is over *tells* the loop (an
+  attribute test per event) — the request driver's way, see
+  ``docs/engine.md``.
+* The engine's own deliveries do not come through :meth:`post_at`: a
+  compiled link (:class:`repro.sim.runtime.Link`) pushes its
+  ``(time, key, seq, callback)`` entry itself, one frame less per
+  admitted message.  ``post_at`` stays the definition of that push (same
+  tuple, same ``_seq`` counter).
 """
 
 from __future__ import annotations
@@ -67,12 +77,14 @@ class EventHandle:
 class Scheduler:
     """A priority-queue driven event loop over integer ticks."""
 
-    __slots__ = ("_now", "_seq", "_queue", "_cancelled", "current_key",
-                 "pops", "compactions")
+    __slots__ = ("_now", "_seq", "_queue", "_cancelled", "_halt",
+                 "current_key", "pops", "compactions")
 
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
+        # Raised by a callback (halt()) to end the running run_until.
+        self._halt = False
         #: Passive observability counters (repro.obs): cumulative events
         #: executed and heap compactions.  Updated per run_until batch /
         #: per compaction, never per heap operation, so they cost nothing
@@ -138,6 +150,15 @@ class Scheduler:
         if delay < 0:
             raise SchedulerError(f"negative delay {delay}")
         self.post_at(self._now + delay, callback, key)
+
+    def halt(self) -> None:
+        """End the running :meth:`run_until` once the current event
+        returns — called from inside a callback that knows the run is
+        over (the request driver, in the tick that serves its last
+        request).  Costs the loop one attribute test per event, where a
+        ``stop`` predicate costs a call; outside ``run_until`` (and under
+        the :mod:`repro.net.clock` drive loops) it has no effect."""
+        self._halt = True
 
     def __len__(self) -> int:
         """Number of queue entries, including cancelled ones not yet compacted."""
@@ -206,12 +227,14 @@ class Scheduler:
         max_time: int,
         stop: Callable[[], bool] | None = None,
     ) -> int:
-        """Run events until ``max_time`` (inclusive) or until ``stop()``.
+        """Run events until ``max_time`` (inclusive), until ``stop()``
+        holds, or until a callback calls :meth:`halt`.
 
-        The stop predicate is evaluated after every event.  Returns the
-        number of events executed.
+        Both are checked after every event.  Returns the number of events
+        executed.
         """
         executed = 0
+        self._halt = False
         queue = self._queue
         heappop = heapq.heappop
         while queue:
@@ -238,7 +261,7 @@ class Scheduler:
                     self.current_key = key
                     item()
                 executed += 1
-                if stop is not None and stop():
+                if self._halt or (stop is not None and stop()):
                     halted = True
                     break
             if halted:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.requests import CompletedRequest, RequestDriver
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkerCrashed
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
 from repro.sim.adversary import scramble_channels, scramble_processes
@@ -432,13 +432,33 @@ class ShardedSimulator:
                 conns.append(parent_conn)
 
             inboxes: list[list[CrossShardSend]] = [[] for _ in conns]
+            barriers = 0
+            phase = "ready"
 
             def route(outbox: list[CrossShardSend]) -> None:
-                for send in outbox:
-                    inboxes[shard_of[send[1]]].append(send)
+                for ship in outbox:
+                    inboxes[shard_of[ship[1]]].append(ship)
 
-            def recv(conn, expected: str):
-                message = conn.recv()
+            def crashed(shard: int) -> WorkerCrashed:
+                # A dead worker shows as EOF / a broken pipe on its
+                # connection; give the OS a moment to report the exit code.
+                workers[shard].join(timeout=1)
+                return WorkerCrashed(
+                    "shard worker died", shard=shard, round=barriers,
+                    phase=phase, exit_code=workers[shard].exitcode,
+                )
+
+            def send(shard: int, message: tuple) -> None:
+                try:
+                    conns[shard].send(message)
+                except (BrokenPipeError, ConnectionResetError):
+                    raise crashed(shard) from None
+
+            def recv(shard: int, expected: str):
+                try:
+                    message = conns[shard].recv()
+                except (EOFError, ConnectionResetError, BrokenPipeError):
+                    raise crashed(shard) from None
                 if message[0] == "error":
                     raise SimulationError(f"shard worker failed:\n{message[1]}")
                 if message[0] != expected:
@@ -448,16 +468,17 @@ class ShardedSimulator:
                     )
                 return message
 
+            shards = range(len(conns))
             injected = 0
-            for conn in conns:
-                _, outbox, worker_injected = recv(conn, "ready")
+            for shard in shards:
+                _, outbox, worker_injected = recv(shard, "ready")
                 injected += worker_injected
                 route(outbox)
 
+            phase = "rounds"
             completed = False
             done_at: int | None = None
             final_target: int | None = None
-            barriers = 0
             sync_wall = 0.0
             t = -1
             while final_target is None or t < final_target:
@@ -465,13 +486,13 @@ class ShardedSimulator:
                 target = min(t + self.window, cap)
                 round_start = time.perf_counter()
                 round_wall = wall() if obs is not None else 0.0
-                for conn, inbox in zip(conns, inboxes):
-                    conn.send(("adv", target, inbox))
+                for shard in shards:
+                    send(shard, ("adv", target, inboxes[shard]))
                 inboxes = [[] for _ in conns]
                 done_ticks = []
                 slowest = 0.0
-                for conn in conns:
-                    _, outbox, worker_done, compute_s = recv(conn, "adv-ok")
+                for shard in shards:
+                    _, outbox, worker_done, compute_s = recv(shard, "adv-ok")
                     route(outbox)
                     done_ticks.append(worker_done)
                     if compute_s > slowest:
@@ -496,19 +517,22 @@ class ShardedSimulator:
                     elif t >= horizon:
                         final_target = horizon + drain
 
-            payloads = []
-            for conn in conns:
-                conn.send(("result",))
-                _, payload = recv(conn, "result")
-                payloads.append(payload)
-            for conn in conns:
-                conn.send(("stop",))
+            # Ask every worker first, then collect in shard order: the
+            # workers pickle their traces side by side instead of one
+            # after the other.
+            phase = "result"
+            for shard in shards:
+                send(shard, ("result",))
+            payloads = [recv(shard, "result")[1] for shard in shards]
+            for shard in shards:
+                send(shard, ("stop",))
             for proc in workers:
                 proc.join(timeout=30)
         finally:
             for proc in workers:
                 if proc.is_alive():
                     proc.terminate()
+                    proc.join(timeout=5)
 
         trace = merge_worker_traces(
             payloads, scramble_seed is not None, fill_channels, injected

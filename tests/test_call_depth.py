@@ -1,0 +1,60 @@
+"""Mechanism guard: Python-level calls per sent message, by exact count.
+
+The dense workloads' profile is flat — what a message costs is the number
+of interpreter frames it crosses, and the compiled link
+(:class:`repro.sim.runtime.Link`) exists to keep that number down: one
+engine frame per send, two per delivery, no per-event stop predicate.  A
+wall-clock regression of a few frames per message drowns in ledger noise;
+the frame count does not — for a fixed spec it repeats exactly — so a
+refactor that re-deepens the send or receive path fails here, by name.
+
+Ceilings sit a few percent above the measured value (Python-version
+drift in generator/dataclass internals); the parent of the change that
+introduced the links measured 24.76 and 35.08 on these two trials.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.engine import TrialSpec, execute
+
+_ME = TrialSpec(
+    n=4, seed=5, protocol={"kind": "me", "cs_duration": 3},
+    driver=dict(tag="me", requests_per_process=1), horizon=2_000_000)
+_PIF = TrialSpec(
+    n=16, seed=5, topology="ring", loss=0.1, protocol={"kind": "pif"},
+    driver=dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"),
+    horizon=2_000_000)
+
+
+def _calls_per_sent(spec: TrialSpec) -> float:
+    execute(spec)  # imports and lazy tables are not the trial's calls
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run = execute(spec)
+    finally:
+        sys.setprofile(previous)
+    assert run.completed
+    return calls / run.stats.sent
+
+
+@pytest.mark.parametrize("spec, landed, ceiling", [
+    pytest.param(_ME, 13.23, 13.7, id="me-complete-n4"),
+    pytest.param(_PIF, 23.07, 23.9, id="pif-ring-n16-loss"),
+])
+def test_python_calls_per_sent_message_stay_shallow(spec, landed, ceiling):
+    per_sent = _calls_per_sent(spec)
+    assert per_sent <= ceiling, (
+        f"{per_sent:.2f} Python calls per sent message (landed at {landed}): "
+        "the send/receive path got deeper — see repro.sim.runtime.Link")

@@ -111,6 +111,33 @@ class TestDriver:
         assert driver.done
         assert driver.total_completed() == 0
 
+    def test_halting_driver_stops_the_run_where_the_predicate_would(self):
+        runs = []
+        for halting in (True, False):
+            sim = Simulator(3, build, seed=9)
+            driver = RequestDriver(sim, "pif", requests_per_process=2,
+                                   payload=lambda pid, k: "m",
+                                   halt_when_done=halting)
+            if halting:
+                sim.run(10_000)
+            else:
+                assert sim.run(10_000, until=lambda s: driver.done)
+            assert driver.done and driver.done_at == sim.now
+            runs.append((sim.now, sim.scheduler.pops, len(sim.scheduler),
+                         sim.stats, list(sim.trace)))
+        assert runs[0] == runs[1]
+
+    def test_halting_can_be_switched_off_for_a_drain(self):
+        sim = Simulator(3, build, seed=9)
+        driver = RequestDriver(sim, "pif", requests_per_process=1,
+                               payload=lambda pid, k: "m",
+                               halt_when_done=True)
+        sim.run(3)  # a horizon-cut serve phase
+        assert not driver.done
+        driver.halt_when_done = False
+        sim.run(10_000)
+        assert driver.done and driver.done_at < sim.now == 10_000
+
     def test_latency_property(self):
         r = CompletedRequest(pid=1, issued_at=10, completed_at=35)
         assert r.latency == 25

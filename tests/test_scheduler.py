@@ -207,6 +207,29 @@ class TestRunUntil:
         sched.run_until(100, stop=lambda: len(seen) >= 3)
         assert seen == [1, 2, 3]
 
+    def test_halt_from_a_callback_ends_the_run_like_a_stop_predicate(self):
+        halted, stopped = Scheduler(), Scheduler()
+        seen: list[int] = []
+        for sched in (halted, stopped):
+            for t in (1, 2, 3, 3, 4):
+                sched.post_at(t, lambda: None)
+        # Two events share tick 3: the halt lands between them.
+        halted.post_at(3, lambda: (seen.append(halted.now), halted.halt()), key=-1)
+        stopped.post_at(3, lambda: seen.append(stopped.now), key=-1)
+        assert halted.run_until(100) == \
+            stopped.run_until(100, stop=lambda: len(seen) == 2) == 3
+        assert halted.now == stopped.now == 3
+        assert len(halted) == len(stopped) == 3
+        # The next run picks up where the halt left off, unhalted.
+        assert halted.run_until(100) == 3 and halted.now == 100
+
+    def test_halt_outside_a_run_is_forgotten(self):
+        sched = Scheduler()
+        sched.post_at(1, lambda: None)
+        sched.post_at(2, lambda: None)
+        sched.halt()
+        assert sched.run_until(10) == 2
+
     def test_returns_executed_count(self):
         sched = Scheduler()
         for t in range(1, 6):

@@ -203,3 +203,91 @@ class TestWiderWindows:
         assert serial_events == sharded_events
         assert sim.stats.as_dict() == result.stats.as_dict()
         assert sim.now == result.final_time
+
+
+class TestCrossShardSendsAreNotDropped:
+    def test_tight_horizon_trial_completes(self):
+        # A wave needs every cross-shard handshake message: one send that
+        # never reaches the outbox (a link holding a stale outbox list did
+        # exactly that) and the trial never converges.  The horizon sits
+        # just past the serial completion tick, so that failure is a fast
+        # "not completed", not a run to a far horizon.
+        serial = execute(TrialSpec(
+            n=8, topology="ring", seed=3, protocol=_PIF[0], driver=_PIF[1],
+            horizon=1_000_000))
+        done_at = serial.final_time - 200  # final = done_at + DRAIN_TICKS
+        sharded = ShardedSimulator(8, _pif_build, topology="ring", seed=3,
+                                   shards=2)
+        result = sharded.run_trial(
+            horizon=done_at + 16, scramble_seed=3 ^ 0x5EED,
+            driver=_PIF_DRIVER, drain=200,
+        )
+        assert result.completed and result.done_at == done_at
+        assert result.stats.as_dict() == serial.stats.as_dict()
+
+
+def _kill_self() -> None:
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerCrash:
+    """A forked worker killed in any phase is a named error, promptly,
+    with no child left behind — never a raw ``EOFError``."""
+
+    VICTIM = 5  # hosted by shard 1 of the two ring shards
+
+    def _run(self, build, monkeypatch=None):
+        import multiprocessing
+        import time
+
+        from repro.errors import WorkerCrashed
+
+        sharded = ShardedSimulator(8, build, topology="ring", seed=0, shards=2)
+        assert self.VICTIM in sharded.partition.shards[1]
+        start = time.monotonic()
+        with pytest.raises(WorkerCrashed) as caught:
+            sharded.run_trial(horizon=100_000, scramble_seed=1,
+                              driver=_PIF_DRIVER, drain=200)
+        assert time.monotonic() - start < 5
+        error = caught.value
+        assert isinstance(error, SimulationError)
+        assert error.shard == 1 and "shard 1" in str(error)
+        assert error.exit_code == -9
+        assert multiprocessing.active_children() == []
+        return error
+
+    def test_killed_while_building_its_shard(self):
+        def build(host):
+            _pif_build(host)
+            if host.pid == self.VICTIM:
+                _kill_self()
+
+        error = self._run(build)
+        assert error.phase == "ready" and error.round == 0
+
+    def test_killed_mid_rounds(self):
+        def build(host):
+            _pif_build(host)
+            if host.pid == self.VICTIM:
+                host.call_later(40, _kill_self)
+
+        error = self._run(build)
+        assert error.phase == "rounds" and error.round > 0
+
+    def test_killed_while_shipping_its_result(self, monkeypatch):
+        from repro.sim import sharded as module
+
+        payload = module.shard_result_payload
+
+        def dying_payload(sim, trace, proc_len, chan_len, shard_pids, *rest, **kw):
+            if self.VICTIM in shard_pids:
+                _kill_self()
+            return payload(sim, trace, proc_len, chan_len, shard_pids, *rest, **kw)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(module, "shard_result_payload", dying_payload)
+        error = self._run(_pif_build)
+        assert error.phase == "result" and error.round > 0
