@@ -26,7 +26,13 @@ Asserts, without running a single trial:
 * a send stays one path: neither the per-channel cache tuple the compiled
   link (:class:`repro.sim.runtime.Link`) replaced nor a flag / engine-type
   test selecting an unfused send is named under ``src/repro/sim/`` — the
-  one engine-specific step of a send is chosen when its link is built.
+  one engine-specific step of a send is chosen when its link is built;
+* a specification stays one automaton: ``src/repro/net/monitors.py``
+  defines no class besides ``LiveTrace`` and the ``SpecMonitor`` adapter,
+  no ``tag == "..."`` / ``kind == "..."`` dispatch on a protocol name is
+  spelled under ``src/repro/net/``, ``src/repro/spec/`` or in
+  ``src/repro/analysis/runner.py`` (:data:`repro.spec.table.SPECS` is the
+  only tag → automaton map), and ``repro.spec.temporal`` stays deleted.
 
 Usage::
 
@@ -35,11 +41,13 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import pkgutil
 import re
 import sys
 from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 
 import repro.engine.backends
@@ -75,6 +83,11 @@ _LEGACY_ADAPTER = re.compile(
 _SEND_FORK = re.compile(
     r".*(_chan" + r"_fast\b|\b_fused\b|\btype\(self\)\s+(is|==)"
     r"|\bisinstance\(self\b)")
+
+# A second spelling of a specification starts as a branch on the
+# protocol's name; event kinds are compared as ``EventKind.X`` constants.
+_SPEC_DISPATCH = re.compile(r".*\b(tag|kind)\s*(==|!=)\s*[\"']")
+_MONITOR_CLASSES = {"LiveTrace", "SpecMonitor"}
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,9 +182,28 @@ def check_source_guards() -> list[str]:
     )
 
 
+def check_one_specification() -> list[str]:
+    problems: list[str] = []
+    monitors = ast.parse((_SRC / "repro/net/monitors.py").read_text())
+    extra = sorted(
+        {node.name for node in ast.walk(monitors)
+         if isinstance(node, ast.ClassDef)} - _MONITOR_CLASSES)
+    if extra:
+        problems.append(
+            f"src/repro/net/monitors.py defines {extra}: specification "
+            f"clauses live in repro.spec, monitors.py holds only "
+            f"{sorted(_MONITOR_CLASSES)}")
+    if find_spec("repro.spec.temporal") is not None:
+        problems.append("repro.spec.temporal is importable again")
+    for where in ("repro/net", "repro/spec", "repro/analysis/runner.py"):
+        problems += _grep(where, _SPEC_DISPATCH,
+                          "dispatch on a protocol name")
+    return problems
+
+
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
-                + check_source_guards())
+                + check_source_guards() + check_one_specification())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

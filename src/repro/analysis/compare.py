@@ -19,8 +19,9 @@ from repro.core.mutex import MutexLayer
 from repro.core.requests import RequestDriver
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.runtime import Simulator
-from repro.sim.topology import Topology, arbitration_clusters, topology_from_spec
+from repro.sim.topology import Topology, topology_from_spec
 from repro.spec.mutex_spec import check_mutex
+from repro.spec.table import scope
 
 __all__ = ["MutexComparison", "compare_mutex_protocols", "aggregate_comparison"]
 
@@ -83,14 +84,9 @@ def _run_one(
     # leader cluster (the generalized reading); the token baseline still
     # claims — and, while converging, violates — global exclusion, so it is
     # judged against the stricter global clusters=None reading it targets.
-    clusters = (
-        list(arbitration_clusters(sim.topology).values())
-        if protocol == "snap" and not sim.topology.is_complete
-        else None
-    )
+    scoped = scope("me", sim.topology) if protocol == "snap" else {}
     verdict = check_mutex(
-        sim.trace, "mx", horizon=sim.now, require_all_served=False,
-        clusters=clusters,
+        sim.trace, "mx", horizon=sim.now, require_all_served=False, **scoped
     )
     correctness = verdict.by_property("Correctness")
     last_violation = max(

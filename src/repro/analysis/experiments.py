@@ -204,7 +204,6 @@ def run_fault_model_sweep(
         TargetedLoss,
     )
     from repro.sim.channel import BernoulliLoss
-    from repro.spec.pif_spec import check_pif
 
     if seeds is None:
         seeds = [0, 1, 2]

@@ -33,11 +33,12 @@ from typing import Any
 from repro.engine import DRAIN_TICKS, EngineRun, TrialSpec, execute
 from repro.engine.base import resolve_topology as _resolve_topology
 from repro.errors import HorizonExceeded, SimulationError
-from repro.sim.topology import Topology, arbitration_clusters
+from repro.sim.topology import Topology
 from repro.sim.trace import EventKind, Trace
 from repro.spec.idl_spec import check_idl
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
+from repro.spec.table import scope
 from repro.spec.waves import extract_waves
 from repro.analysis.metrics import summarize
 
@@ -93,14 +94,6 @@ class TrialResult:
             **self.measurements,
             **self.provenance,
         }
-
-
-def _neighbor_map(run: EngineRun) -> dict[int, tuple[int, ...]] | None:
-    """Per-pid neighbour sets for spec checks; None on the complete graph
-    (keeps the paper's original global reading in reports)."""
-    if run.topology.is_complete:
-        return None
-    return {p: run.topology.neighbors(p) for p in run.pids}
 
 
 def _count_cs_grants(trace: Trace, tag: str) -> int:
@@ -187,7 +180,7 @@ def run_pif_trial(
     )
     verdict = check_pif(
         run.trace, "pif", run.pids, final_requests=run.finals,
-        neighbors=_neighbor_map(run),
+        **scope("pif", run.topology),
     )
     waves = [w for w in extract_waves(run.trace, "pif") if w.decided]
     durations = [w.duration for w in waves if w.duration is not None]
@@ -219,7 +212,7 @@ def run_idl_trial(
     truth = {p: (idents[p] if idents else p) for p in run.pids}
     verdict = check_idl(
         run.trace, "idl", truth, final_requests=run.finals,
-        neighborhoods=_neighbor_map(run),
+        **scope("idl", run.topology),
     )
     latencies = run.latencies()
     return _result(
@@ -262,14 +255,9 @@ def run_mutex_trial(
         MUTEX_HORIZON, requests_per_process,
         require_completion=require_completion,
     )
-    clusters = (
-        None
-        if run.topology.is_complete
-        else list(arbitration_clusters(run.topology).values())
-    )
     verdict = check_mutex(
         run.trace, "me", horizon=run.final_time,
-        require_all_served=run.completed, clusters=clusters,
+        require_all_served=run.completed, **scope("me", run.topology),
     )
     latencies = run.latencies()
     return _result(

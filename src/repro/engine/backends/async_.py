@@ -78,8 +78,9 @@ class AsyncBackend(EngineBackend):
             **({} if tick is None else {"tick": tick}),
         )
         tag = driver["tag"]
-        for monitor in default_monitors(tag, sim.topology):
-            sim.attach_monitor(monitor)
+        for monitor in default_monitors(
+                tag, sim.topology, spec.protocol.get("idents")):
+            sim.trace.attach(monitor)
         return PreparedTrial(
             spec=spec, topology=top, driver=driver, tag=tag,
             scramble_seed=scramble_seed_of(spec), obs=obs, sim=sim,

@@ -67,14 +67,16 @@ class ClusterBackend(EngineBackend):
             obs=prepared.obs,
         )
         # The workers ran monitor-free (their slices see only local
-        # emissions); replay the online automata over the merged trace.
-        # Windowed runs merge to the exact serial trace, so the verdicts
-        # agree with the offline checkers; freerun runs make these the
+        # emissions); replay the automata over the merged trace's rows of
+        # their kinds.  Windowed runs merge to the exact serial trace, so
+        # the verdicts are the offline ones; freerun runs make these the
         # correctness claim.
-        monitors = default_monitors(prepared.tag, cluster.topology)
-        for event_time, kind, process, data in result.trace.scan():
-            for monitor in monitors:
-                monitor.observe(event_time, kind, process, data)
+        monitors = default_monitors(
+            prepared.tag, cluster.topology, spec.protocol.get("idents"))
+        for monitor in monitors:
+            for time, kind, process, data in result.trace.scan(
+                    *monitor.automaton.KINDS):
+                monitor.observe(time, kind, process, data)
         chaos = spec.chaos.plan is not None
         return EngineRun(
             trace=result.trace,

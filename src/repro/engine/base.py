@@ -26,11 +26,11 @@ from typing import Any
 
 from repro.core.requests import CompletedRequest
 from repro.errors import SpecError
-from repro.net.monitors import MonitorReport
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.stats import SimStats
 from repro.sim.topology import Topology, topology_from_spec
 from repro.sim.trace import Trace
+from repro.spec.base import SpecVerdict
 from repro.engine.spec import TrialSpec
 from repro.types import RequestState
 
@@ -132,8 +132,8 @@ class EngineRun:
     engine: str = "serial"
     transport: str | None = None
     wall_clock_s: float = 0.0
-    #: Online monitor verdicts (async engine; empty elsewhere).
-    monitor_reports: list[MonitorReport] = field(default_factory=list)
+    #: Online monitor verdicts (async and cluster engines; empty elsewhere).
+    monitor_reports: list[SpecVerdict] = field(default_factory=list)
     #: Sharded/cluster provenance: the active synchronization window, the
     #: barriers paid and the driver-side sync overhead (None elsewhere).
     window: int | None = None
@@ -190,7 +190,7 @@ class EngineRun:
         if self.monitor_reports:
             record["monitors_ok"] = self.monitors_ok
             record["monitors"] = [
-                {"name": r.name, "ok": r.ok, "violations": len(r.violations)}
+                {"name": r.spec, "ok": r.ok, "violations": len(r.violations)}
                 for r in self.monitor_reports
             ]
         return record

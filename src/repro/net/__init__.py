@@ -18,8 +18,8 @@ Runs the paper's protocol layers, unmodified, over real transports:
   online monitors.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
-* :mod:`repro.net.monitors` — online specification monitors over the
-  live trace.
+* :mod:`repro.net.monitors` — the live-trace driver of the specification
+  automata of :mod:`repro.spec` (online monitors).
 
 See ``docs/async.md`` for the transport protocol and the determinism
 argument.
@@ -45,15 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         ProcessActor,
         TRANSPORTS,
     )
-    from repro.net.monitors import (
-        LiveTrace,
-        MonitorReport,
-        MutexExclusionMonitor,
-        OnlineMonitor,
-        PifWaveMonitor,
-        RequestLivenessMonitor,
-        default_monitors,
-    )
+    from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
     from repro.net.registry import RegistryClient, RegistryServer
     from repro.net.transport import (
         LoopbackTransport,
@@ -94,11 +86,7 @@ __all__ = [
     "UdpTransport",
     "UdpFabric",
     "LiveTrace",
-    "OnlineMonitor",
-    "MonitorReport",
-    "RequestLivenessMonitor",
-    "PifWaveMonitor",
-    "MutexExclusionMonitor",
+    "SpecMonitor",
     "default_monitors",
 ]
 
@@ -112,10 +100,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",
         "ProcessActor", "TRANSPORTS",
     ),
-    "monitors": (
-        "LiveTrace", "MonitorReport", "MutexExclusionMonitor", "OnlineMonitor",
-        "PifWaveMonitor", "RequestLivenessMonitor", "default_monitors",
-    ),
+    "monitors": ("LiveTrace", "SpecMonitor", "default_monitors"),
     "registry": ("RegistryClient", "RegistryServer"),
     "transport": (
         "LoopbackTransport", "TcpFabric", "TcpTransport", "Transport",

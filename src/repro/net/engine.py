@@ -48,7 +48,7 @@ from repro.core.requests import CompletedRequest, RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
 from repro.net.clock import PacedClock, VirtualClock
-from repro.net.monitors import LiveTrace, MonitorReport, OnlineMonitor
+from repro.net.monitors import LiveTrace
 from repro.net.transport import Transport, resolve_transport, transport_names
 from repro.sim.adversary import scramble_system
 from repro.sim.channel import ChannelBase
@@ -60,6 +60,7 @@ from repro.types import RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
+    from repro.spec.base import SpecVerdict
 
 __all__ = ["AsyncSimulator", "NetRunResult", "ProcessActor", "TRANSPORTS"]
 
@@ -88,7 +89,7 @@ class NetRunResult:
     done_at: int | None
     final_time: int
     transport: str
-    monitor_reports: list[MonitorReport] = field(default_factory=list)
+    monitor_reports: list[SpecVerdict] = field(default_factory=list)
 
     @property
     def monitors_ok(self) -> bool:
@@ -161,8 +162,9 @@ class AsyncSimulator(Simulator):
 
     Constructor arguments mirror :class:`~repro.sim.runtime.Simulator`;
     ``transport`` names a registered channel medium (:data:`TRANSPORTS`)
-    and ``tick`` the wall-clock tick length for the paced media.
-    ``monitors`` attach online spec automata to the live trace.
+    and ``tick`` the wall-clock tick length for the paced media.  The
+    trace is a :class:`~repro.net.monitors.LiveTrace`: ``sim.trace.attach``
+    puts a specification monitor on it.
     """
 
     def __init__(
@@ -172,7 +174,6 @@ class AsyncSimulator(Simulator):
         *,
         transport: str = "loopback",
         tick: float = DEFAULT_TICK_SECONDS,
-        monitors: Sequence[OnlineMonitor] | None = None,
         fault_plan: "FaultPlan | str | None" = None,
         **sim_kwargs: Any,
     ) -> None:
@@ -220,9 +221,6 @@ class AsyncSimulator(Simulator):
         ]
         self.fault_counts: dict[str, int] = {}
         super().__init__(pids, build, **sim_kwargs)
-        self.monitors: list[OnlineMonitor] = list(monitors or ())
-        for monitor in self.monitors:
-            self.trace.attach(monitor)
 
     # -- engine extension points (see Simulator) ---------------------------
 
@@ -233,10 +231,6 @@ class AsyncSimulator(Simulator):
 
     def _make_trace(self) -> LiveTrace:
         return LiveTrace()
-
-    def attach_monitor(self, monitor: OnlineMonitor) -> None:
-        self.monitors.append(monitor)
-        self.trace.attach(monitor)
 
     # -- transport plumbing ------------------------------------------------
 
@@ -443,7 +437,7 @@ class AsyncSimulator(Simulator):
                 done_at=done_at,
                 final_time=self.now,
                 transport=self.transport,
-                monitor_reports=[m.report() for m in self.monitors],
+                monitor_reports=[m.report() for m in self.trace.observers],
             )
         finally:
             await self._teardown()

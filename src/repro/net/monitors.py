@@ -1,91 +1,61 @@
-"""Online specification monitors over a live trace.
+"""Online specification monitors: the live-trace driver of the automata.
 
-The offline checkers in :mod:`repro.spec` evaluate a *finished* trace.  Over
-a real transport the trace materializes as the system runs, so the async
-runtime follows the automata-as-monitor approach instead: a
-:class:`LiveTrace` notifies a set of :class:`OnlineMonitor` automata at
-every emission, each monitor advances its state machine per event, and
-safety violations are recorded *at the event that commits them* (a decide
-with a missing acknowledgment, a second concurrent critical section).
-Liveness residues — a request never answered, a started wave never decided
-— are judged at :meth:`OnlineMonitor.report` time, once the trial's drain
-window has closed.
+``check_*`` (:mod:`repro.spec`) drives a specification automaton over a
+*finished* trace; over a real transport the trace materializes as the
+system runs, so a :class:`LiveTrace` drives the *same* automaton from the
+other end: every emission goes to the attached :class:`SpecMonitor`
+adapters as raw ``(time, kind, process, data)`` columns (no
+:class:`~repro.sim.trace.TraceEvent` view on the emission hot path), each
+forwards the rows of its automaton's ``KINDS`` and ``tag`` to ``step``, and
+:meth:`SpecMonitor.report` is ``finish`` — read once the trial's drain
+window has closed.  Nothing here is specification-specific: the clauses
+live in :mod:`repro.spec`, the tag → automaton table in
+:mod:`repro.spec.table`.
 
-Monitors consume the trace's *streaming* representation: ``observe`` is fed
-the raw ``(time, kind, process, data)`` columns of each emission, so the
-trace store never has to materialize a :class:`~repro.sim.trace.TraceEvent`
-view on the emission hot path — the loopback engine emits exactly as
-cheaply as the serial engine.
-
-The monitors mirror the offline Specifications (1 and 3) on purpose; for
-deterministic transports the offline checkers remain the authority (the
-trial runners still invoke them), and the monitor verdicts ride along as
-provenance.  Over ``tcp`` — where timing is best-effort and a run is not
-reproducible — the monitors *are* the correctness instrument.
+On deterministic transports the verdicts equal the offline ones by
+construction and ride along as provenance (the gates' ``monitors_ok ==
+ok`` checks the plumbing: right automaton, right scoping); over ``tcp`` /
+``udp`` / cluster freerun, where a run is not reproducible, the monitors
+*are* the correctness instrument.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Any, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.sim.trace import EventKind, Trace
+from repro.sim.trace import Trace
 
-__all__ = [
-    "MonitorReport",
-    "OnlineMonitor",
-    "LiveTrace",
-    "RequestLivenessMonitor",
-    "PifWaveMonitor",
-    "MutexExclusionMonitor",
-    "default_monitors",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spec.base import SpecVerdict
+
+__all__ = ["LiveTrace", "SpecMonitor", "default_monitors"]
 
 
-@dataclass
-class MonitorReport:
-    """Final verdict of one online monitor.
+class SpecMonitor:
+    """One specification automaton fed every trace emission as it happens."""
 
-    ``events_observed`` counts the emissions the automaton actually
-    consumed (after its tag filter) and ``first_violation_time`` is the
-    tick that committed the earliest violation (for liveness residues:
-    the tick the unanswered request / undecided wave started) — the two
-    numbers that make a freerun verdict diagnosable rather than a bare
-    pass/fail.
-    """
+    __slots__ = ("automaton", "events", "_kinds", "_tag", "_step")
 
-    name: str
-    ok: bool
-    violations: list[str]
-    info: dict[str, Any] = field(default_factory=dict)
-    events_observed: int = 0
-    first_violation_time: int | None = None
+    def __init__(self, automaton) -> None:
+        self.automaton = automaton
+        self.events = 0  # emissions fed to the automaton so far
+        self._kinds = frozenset(automaton.KINDS)
+        self._tag = automaton.tag
+        self._step = automaton.step
 
-    def summary(self) -> str:
-        events = f"{self.events_observed} event(s) observed"
-        if self.ok:
-            return f"{self.name}: ok ({events})"
-        state = f"{len(self.violations)} violation(s)"
-        if self.first_violation_time is not None:
-            state += f", first at t={self.first_violation_time}"
-        return f"{self.name}: {state} ({events})"
-
-
-class OnlineMonitor(abc.ABC):
-    """One property automaton fed every trace emission as it happens."""
-
-    name: str = "monitor"
-
-    @abc.abstractmethod
     def observe(
         self, time: int, kind: str, process: int | None, data: Mapping[str, Any]
     ) -> None:
         """Advance on one event (called synchronously from ``Trace.emit``)."""
+        if kind in self._kinds and data.get("tag") == self._tag:
+            self.events += 1
+            self._step(time, kind, process, data)
 
-    @abc.abstractmethod
-    def report(self) -> MonitorReport:
-        """Final verdict, including end-of-run liveness residues."""
+    def report(self, **at_end: Any) -> SpecVerdict:
+        """The automaton's verdict, end-of-run liveness residues included."""
+        verdict = self.automaton.finish(**at_end)
+        verdict.events_observed = self.events
+        return verdict
 
 
 class LiveTrace(Trace):
@@ -100,9 +70,9 @@ class LiveTrace(Trace):
 
     def __init__(self) -> None:
         super().__init__()
-        self.observers: list[OnlineMonitor] = []
+        self.observers: list[SpecMonitor] = []
 
-    def attach(self, monitor: OnlineMonitor) -> None:
+    def attach(self, monitor: SpecMonitor) -> None:
         self.observers.append(monitor)
 
     def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
@@ -111,271 +81,17 @@ class LiveTrace(Trace):
             observer.observe(time, kind, process, data)
 
 
-class RequestLivenessMonitor(OnlineMonitor):
-    """Start/Termination residue: every request is eventually decided.
+def default_monitors(
+    tag: str, topology, idents: Mapping[int, int] | None = None
+) -> list[SpecMonitor]:
+    """The monitor of driver tag ``tag`` on ``topology``: a lookup in
+    :data:`repro.spec.table.SPECS` (``idents`` is the IDL ground truth,
+    default pid); a tag no specification is keyed on is not monitored."""
+    # Imported here: a cluster worker runs monitor-free and loads this
+    # module only for LiveTrace.
+    from repro.spec.table import SPECS, scope
 
-    Applies to all three protocol instances (their request variables share
-    the REQUEST/DECIDE lifecycle); violations can only be judged once the
-    run is over, so they surface in :meth:`report`.
-    """
-
-    def __init__(self, tag: str) -> None:
-        self.name = f"liveness[{tag}]"
-        self.tag = tag
-        self._pending: dict[int, int] = {}
-        self._served = 0
-        self._observed = 0
-
-    def observe(
-        self, time: int, kind: str, process: int | None, data: Mapping[str, Any]
-    ) -> None:
-        if data.get("tag") != self.tag or process is None:
-            return
-        self._observed += 1
-        if kind == EventKind.REQUEST:
-            self._pending.setdefault(process, time)
-        elif kind == EventKind.DECIDE:
-            if self._pending.pop(process, None) is not None:
-                self._served += 1
-
-    def report(self) -> MonitorReport:
-        violations = [
-            f"request at p{pid} (t={t}) never decided"
-            for pid, t in sorted(self._pending.items())
-        ]
-        return MonitorReport(
-            self.name, not violations, violations, {"served": self._served},
-            events_observed=self._observed,
-            first_violation_time=(
-                min(self._pending.values()) if self._pending else None
-            ),
-        )
-
-
-class _WaveState:
-    __slots__ = ("initiator", "payload", "start_time", "decided", "brd_ok",
-                 "bad_payloads", "fck_counts")
-
-    def __init__(self, initiator: int, payload: Any, start_time: int) -> None:
-        self.initiator = initiator
-        self.payload = payload
-        self.start_time = start_time
-        self.decided = False
-        self.brd_ok: set[int] = set()
-        self.bad_payloads: list[str] = []
-        self.fck_counts: dict[int, int] = {}
-
-
-class PifWaveMonitor(OnlineMonitor):
-    """Specification 1 (Correctness/Decision) as an online automaton.
-
-    Tracks every started wave; at its DECIDE event checks that every
-    reachable peer generated receive-brd with the broadcast payload and
-    that the initiator counted exactly one acknowledgment per peer.
-    Receive events outside the wave's [start, decide] window — stale
-    acknowledgments of an already-decided wave — are violations the moment
-    they happen.
-    """
-
-    def __init__(
-        self,
-        tag: str,
-        pids: Sequence[int],
-        neighbors: Mapping[int, Sequence[int]] | None = None,
-    ) -> None:
-        self.name = f"pif[{tag}]"
-        self.tag = tag
-        self.pids = tuple(pids)
-        self.neighbors = neighbors
-        self.violations: list[str] = []
-        self._waves: dict[tuple[int, int], _WaveState] = {}
-        self._decided = 0
-        self._observed = 0
-        self._first_violation_at: int | None = None
-
-    def _others(self, initiator: int) -> tuple[int, ...]:
-        if self.neighbors is not None:
-            return tuple(self.neighbors[initiator])
-        return tuple(q for q in self.pids if q != initiator)
-
-    def _flag(self, time: int, message: str) -> None:
-        if self._first_violation_at is None:
-            self._first_violation_at = time
-        self.violations.append(message)
-
-    def observe(
-        self, time: int, kind: str, process: int | None, data: Mapping[str, Any]
-    ) -> None:
-        if data.get("tag") != self.tag:
-            return
-        self._observed += 1
-        if kind == EventKind.START and "wave" in data:
-            self._waves[data["wave"]] = _WaveState(
-                process, data.get("payload"), time  # type: ignore[arg-type]
-            )
-        elif kind == EventKind.RECEIVE_BRD:
-            wave = self._waves.get(data.get("wave"))
-            if wave is None or wave.decided or data.get("sender") != wave.initiator:
-                return  # garbage or out-of-window broadcast: never counts
-            if data.get("payload") == wave.payload:
-                wave.brd_ok.add(process)  # type: ignore[arg-type]
-            else:
-                wave.bad_payloads.append(
-                    f"p{process} received corrupted payload "
-                    f"{data.get('payload')!r} != {wave.payload!r}"
-                )
-        elif kind == EventKind.RECEIVE_FCK:
-            wid = data.get("wave")
-            wave = self._waves.get(wid)
-            if wave is None:
-                return
-            if wave.decided:
-                self._flag(
-                    time,
-                    f"acknowledgment from {data.get('sender')} at t={time} "
-                    f"arrived after wave {wid} decided",
-                )
-                return
-            sender = data.get("sender")
-            count = wave.fck_counts.get(sender, 0) + 1
-            wave.fck_counts[sender] = count
-            if count > 1:
-                self._flag(
-                    time,
-                    f"{count} acknowledgments from {sender} counted for wave {wid}",
-                )
-        elif kind == EventKind.DECIDE and "wave" in data:
-            wave = self._waves.get(data["wave"])
-            if wave is None or wave.decided:
-                return
-            wave.decided = True
-            self._decided += 1
-            others = self._others(wave.initiator)
-            for bad in wave.bad_payloads:
-                self._flag(time, bad)
-            for q in others:
-                if q not in wave.brd_ok:
-                    self._flag(
-                        time,
-                        f"p{q} never received broadcast of wave {data['wave']} "
-                        f"(payload {wave.payload!r})",
-                    )
-                if wave.fck_counts.get(q, 0) == 0:
-                    self._flag(
-                        time,
-                        f"initiator never received acknowledgment from {q} "
-                        f"for wave {data['wave']}",
-                    )
-
-    def report(self) -> MonitorReport:
-        violations = list(self.violations)
-        first = self._first_violation_at
-        for wid, wave in sorted(self._waves.items()):
-            if not wave.decided:
-                violations.append(
-                    f"wave {wid} started at t={wave.start_time} never decided"
-                )
-                if first is None or wave.start_time < first:
-                    first = wave.start_time
-        return MonitorReport(
-            self.name,
-            not violations,
-            violations,
-            {"waves_started": len(self._waves), "waves_decided": self._decided},
-            events_observed=self._observed,
-            first_violation_time=first,
-        )
-
-
-class MutexExclusionMonitor(OnlineMonitor):
-    """Specification 3 Correctness: requested critical sections are alone.
-
-    Maintains the set of current occupants; a CS entry that overlaps a
-    conflicting occupancy (same arbitration cluster, at least one side a
-    genuinely requested CS — the footnote-1 reading) is flagged at the
-    moment of entry.
-    """
-
-    def __init__(
-        self, tag: str, clusters: Sequence[Collection[int]] | None = None
-    ) -> None:
-        self.name = f"mutex[{tag}]"
-        self.tag = tag
-        self._cluster_sets = (
-            None if clusters is None else [frozenset(c) for c in clusters]
-        )
-        self._occupants: dict[int, tuple[int, bool]] = {}
-        self.violations: list[str] = []
-        self._cs_count = 0
-        self._observed = 0
-        self._first_violation_at: int | None = None
-
-    def _conflict(self, p: int, q: int) -> bool:
-        if self._cluster_sets is None:
-            return True
-        return any(p in c and q in c for c in self._cluster_sets)
-
-    def observe(
-        self, time: int, kind: str, process: int | None, data: Mapping[str, Any]
-    ) -> None:
-        if data.get("tag") != self.tag or process is None:
-            return
-        self._observed += 1
-        pid = process
-        if kind == EventKind.CS_ENTER:
-            requested = bool(data.get("requested", True))
-            for other, (enter, other_requested) in self._occupants.items():
-                if (
-                    other != pid
-                    and (requested or other_requested)
-                    and self._conflict(pid, other)
-                ):
-                    if self._first_violation_at is None:
-                        self._first_violation_at = time
-                    self.violations.append(
-                        f"critical sections overlap at t={time}: "
-                        f"p{pid} (requested={requested}) entered while "
-                        f"p{other} (requested={other_requested}, since t={enter}) "
-                        f"is inside"
-                    )
-            self._occupants[pid] = (time, requested)
-            self._cs_count += 1
-        elif kind == EventKind.CS_EXIT:
-            self._occupants.pop(pid, None)
-
-    def report(self) -> MonitorReport:
-        return MonitorReport(
-            self.name,
-            not self.violations,
-            list(self.violations),
-            {"cs_count": self._cs_count},
-            events_observed=self._observed,
-            first_violation_time=self._first_violation_at,
-        )
-
-
-def default_monitors(tag: str, topology) -> list[OnlineMonitor]:
-    """The monitor suite for a driver tag on a given topology.
-
-    Keyed on the conventional instance tags used throughout the trials
-    (``pif``, ``idl``, ``me``); unknown tags get the generic request
-    liveness automaton only.
-    """
-    monitors: list[OnlineMonitor] = [RequestLivenessMonitor(tag)]
-    if tag == "pif":
-        neighbors = (
-            None
-            if topology.is_complete
-            else {p: topology.neighbors(p) for p in topology.pids}
-        )
-        monitors.append(PifWaveMonitor(tag, topology.pids, neighbors))
-    elif tag == "me":
-        from repro.sim.topology import arbitration_clusters
-
-        clusters = (
-            None
-            if topology.is_complete
-            else list(arbitration_clusters(topology).values())
-        )
-        monitors.append(MutexExclusionMonitor(tag, clusters))
-    return monitors
+    if tag not in SPECS:
+        return []
+    _scoping, automaton = SPECS[tag]
+    return [SpecMonitor(automaton(topology, idents, scope(tag, topology)))]

@@ -1,4 +1,4 @@
-"""Specification 3 — ME-Execution (Section 4.3).
+"""Specification 3 — ME-Execution (Section 4.3), as one streaming automaton.
 
 * **Start** — any process that requests the critical section enters it in
   finite time.
@@ -10,19 +10,19 @@ the critical section (the paper's footnote 1); such occupancies are recorded
 with ``requested=False``.  The paper guarantees exclusivity for requesting
 processes, and the EXIT-wave mechanism in fact prevents a requested CS from
 overlapping *any* other occupancy once the zombie occupant blocks the EXIT
-wave until it leaves — so the checker flags any overlap involving at least
-one requested interval.
+wave until it leaves — so the automaton flags any conflict involving at
+least one requested occupancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 from repro.sim.trace import EventKind, Trace
-from repro.spec.base import SpecVerdict
+from repro.spec.base import Automaton, SpecVerdict, drive
 
-__all__ = ["CsInterval", "cs_intervals", "check_mutex"]
+__all__ = ["CsInterval", "MutexAutomaton", "cs_intervals", "check_mutex", "service_order"]
 
 
 @dataclass(frozen=True)
@@ -34,114 +34,122 @@ class CsInterval:
     exit: int | None  # None when still inside at the end of the trace
     requested: bool
 
-    def overlaps(self, other: "CsInterval", horizon: int) -> bool:
-        end_self = self.exit if self.exit is not None else horizon
-        end_other = other.exit if other.exit is not None else horizon
-        return self.enter < end_other and other.enter < end_self
 
+class MutexAutomaton(Automaton):
+    """Specification 3 for the ME instance ``tag``.
 
-def cs_intervals(trace: Trace, tag: str) -> list[CsInterval]:
-    """Reconstruct every critical-section interval from the trace.
+    Local state: per process the pending request (Start: discharged by the
+    DECIDE that closes its service) and the current occupancy.  The global
+    step is a CS_ENTER, which judges **Correctness** against the set of
+    current occupants.  An execution is a sequence of configurations and
+    two conflicting occupants in one configuration *is* the violation, so
+    **event order decides, not tick comparison**: an entry emitted before
+    the other occupant's exit conflicts with it even when both rows carry
+    the same tick, and an exit emitted first does not.  An occupant that
+    never exits conflicts with every later entry, so no closing time is
+    needed.
 
-    Single forward pass over the CS_ENTER/CS_EXIT kind index — the trace's
-    other events are never visited.
+    ``clusters`` generalizes Correctness to non-complete topologies: ME
+    arbitrates per *leader cluster* (processes sharing the same closed-
+    neighbourhood-minimum leader — see
+    :func:`repro.sim.topology.arbitration_clusters`), so two occupants
+    conflict only inside a common cluster.  Without it every pair
+    conflicts — the paper's complete graph, where the single global leader
+    forms one cluster.
+
+    By-products: :attr:`intervals` (every occupancy) and
+    :attr:`service_order` (pids in the order they entered a requested CS).
     """
-    open_by_pid: dict[int, tuple[int, bool]] = {}
-    intervals: list[CsInterval] = []
-    for time, kind, pid, data in trace.scan(EventKind.CS_ENTER, EventKind.CS_EXIT):
-        if data.get("tag") != tag or pid is None:
-            continue
+
+    NAME = "ME"
+    KINDS = (EventKind.REQUEST, EventKind.DECIDE, EventKind.CS_ENTER, EventKind.CS_EXIT)
+
+    def __init__(
+        self, tag: str, *, clusters: Sequence[Collection[int]] | None = None
+    ) -> None:
+        super().__init__(tag)
+        self._clusters = None if clusters is None else [frozenset(c) for c in clusters]
+        self.service_order: list[int] = []
+        self._closed: list[CsInterval] = []
+        self._occupants: dict[int, tuple[int, bool]] = {}
+
+    @property
+    def intervals(self) -> list[CsInterval]:
+        """Every occupancy, closed or still open, by entry."""
+        still_open = [CsInterval(pid, enter, None, requested)
+                      for pid, (enter, requested) in self._occupants.items()]
+        return sorted(self._closed + still_open, key=lambda i: (i.enter, i.pid))
+
+    def _conflict(self, p: int, q: int) -> bool:
+        if self._clusters is None:
+            return True
+        return any(p in c and q in c for c in self._clusters)
+
+    def step(
+        self, time: int, kind: str, pid: int | None, data: Mapping[str, Any]
+    ) -> None:
+        if pid is None:
+            return
         if kind == EventKind.CS_ENTER:
-            open_by_pid[pid] = (time, bool(data.get("requested", True)))
-        else:
-            opened = open_by_pid.pop(pid, None)
+            requested = bool(data.get("requested", True))
+            for other, (enter, other_requested) in self._occupants.items():
+                if (other != pid and (requested or other_requested)
+                        and self._conflict(pid, other)):
+                    self._flag(
+                        "Correctness",
+                        f"critical sections overlap: p{pid} "
+                        f"(requested={requested}) entered while p{other} "
+                        f"(requested={other_requested}, since t={enter}) "
+                        f"is inside",
+                        time, pid)
+            self._occupants[pid] = (time, requested)
+            if requested:
+                self.service_order.append(pid)
+        elif kind == EventKind.CS_EXIT:
+            opened = self._occupants.pop(pid, None)
             if opened is not None:
-                intervals.append(
-                    CsInterval(pid=pid, enter=opened[0], exit=time,
-                               requested=opened[1])
-                )
-    for pid, (enter, requested) in open_by_pid.items():
-        intervals.append(CsInterval(pid=pid, enter=enter, exit=None,
-                                    requested=requested))
-    intervals.sort(key=lambda i: (i.enter, i.pid))
-    return intervals
+                self._closed.append(CsInterval(pid, opened[0], time, opened[1]))
+        elif kind == EventKind.REQUEST:
+            self._pending.setdefault(pid, time)
+        else:  # DECIDE
+            self._pending.pop(pid, None)
+
+    def finish(self, *, require_all_served: bool = True) -> SpecVerdict:
+        """The verdict so far; with ``require_all_served`` also the Start
+        residue — every REQUEST serviced (decided) by now."""
+        intervals = self.intervals
+        verdict = self._verdict(
+            cs_count=len(intervals),
+            requested_cs_count=sum(1 for i in intervals if i.requested))
+        if require_all_served:
+            verdict.add_unanswered(
+                "Start", self._pending,
+                "request at t={t} never serviced (no CS entry/decide)")
+        return verdict
 
 
 def check_mutex(
     trace: Trace,
     tag: str,
     *,
-    horizon: int,
+    horizon: int | None = None,
     require_all_served: bool = True,
-    clusters: "Sequence[Collection[int]] | None" = None,
+    clusters: Sequence[Collection[int]] | None = None,
 ) -> SpecVerdict:
-    """Check Specification 3 for the ME instance ``tag``.
+    """Specification 3 over a finished trace (see :class:`MutexAutomaton`).
 
-    ``horizon`` is the end-of-run time (used to close still-open intervals).
-    With ``require_all_served`` every REQUEST must be followed by a DECIDE
-    (the request was serviced) before the end of the trace.
-
-    ``clusters`` generalizes Correctness to non-complete topologies: ME
-    arbitrates per *leader cluster* (processes sharing the same closed-
-    neighbourhood-minimum leader — see
-    :func:`repro.sim.topology.arbitration_clusters`), so an overlap is a
-    violation only between processes of a common cluster.  Without it every
-    pair conflicts — the paper's complete graph, where the single global
-    leader forms one cluster.
+    ``horizon`` (the end-of-run time) is accepted and not needed: under the
+    event-order reading a still-open occupancy needs no closing time.
     """
-    verdict = SpecVerdict(spec=f"ME[{tag}]")
-    intervals = cs_intervals(trace, tag)
-    verdict.info["cs_count"] = len(intervals)
-    verdict.info["requested_cs_count"] = sum(1 for i in intervals if i.requested)
-    conflict: Callable[[int, int], bool]
-    if clusters is None:
-        conflict = lambda p, q: True
-    else:
-        cluster_sets = [frozenset(c) for c in clusters]
-        conflict = lambda p, q: any(p in c and q in c for c in cluster_sets)
+    return drive(MutexAutomaton(tag, clusters=clusters), trace).finish(
+        require_all_served=require_all_served)
 
-    # Correctness: a requested interval overlaps nothing it conflicts with.
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            a, b = intervals[i], intervals[j]
-            if (
-                a.pid != b.pid
-                and (a.requested or b.requested)
-                and conflict(a.pid, b.pid)
-                and a.overlaps(b, horizon)
-            ):
-                verdict.add(
-                    "Correctness",
-                    f"critical sections overlap: p{a.pid} [{a.enter}, {a.exit}] "
-                    f"(requested={a.requested}) and p{b.pid} [{b.enter}, {b.exit}] "
-                    f"(requested={b.requested})",
-                    time=max(a.enter, b.enter),
-                )
 
-    # Start/liveness: every request is eventually serviced.
-    if require_all_served:
-        pending: dict[int, int] = {}
-        for time, kind, pid, data in trace.scan(EventKind.REQUEST, EventKind.DECIDE):
-            if data.get("tag") != tag or pid is None:
-                continue
-            if kind == EventKind.REQUEST:
-                pending.setdefault(pid, time)
-            else:
-                pending.pop(pid, None)
-        for pid, t in sorted(pending.items()):
-            verdict.add(
-                "Start",
-                f"request at t={t} never serviced (no CS entry/decide)",
-                time=t,
-                process=pid,
-            )
-    return verdict
+def cs_intervals(trace: Trace, tag: str) -> list[CsInterval]:
+    """Every critical-section occupancy of ``tag``, by entry."""
+    return drive(MutexAutomaton(tag), trace).intervals
 
 
 def service_order(trace: Trace, tag: str) -> list[int]:
     """The order in which processes entered requested critical sections."""
-    return [
-        pid
-        for _time, _kind, pid, data in trace.scan(EventKind.CS_ENTER)
-        if data.get("tag") == tag and data.get("requested", True) and pid is not None
-    ]
+    return drive(MutexAutomaton(tag), trace).service_order

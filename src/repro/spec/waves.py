@@ -1,87 +1,5 @@
-"""Wave extraction: reconstructing PIF computations from a trace.
+"""The historical import path of the Specification 1 automaton's by-product."""
 
-Runs as a **single forward pass** over the trace's kind index
-(:meth:`~repro.sim.trace.Trace.scan`): only START/DECIDE/RECEIVE_BRD/
-RECEIVE_FCK rows are visited and no :class:`~repro.sim.trace.TraceEvent`
-views are materialized — on a multi-million-event trace the extraction cost
-is proportional to the wave traffic, not the trace length.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any
-
-from repro.sim.trace import EventKind, Trace
+from repro.spec.pif_spec import Wave, extract_waves
 
 __all__ = ["Wave", "extract_waves"]
-
-
-@dataclass
-class Wave:
-    """One started PIF computation, as visible in the trace."""
-
-    pid: int
-    wave: tuple[int, int]
-    payload: object
-    start_time: int
-    decide_time: int | None = None
-    #: receive-brd records carrying this wave id, by receiving process:
-    #: ``(time, sender, payload)`` per event, in trace order.
-    brd_events: dict[int, list[tuple[int, int, Any]]] = field(default_factory=dict)
-    #: receive-fck times carrying this wave id at the initiator, by sender.
-    fck_events: dict[int, list[int]] = field(default_factory=dict)
-
-    @property
-    def decided(self) -> bool:
-        return self.decide_time is not None
-
-    @property
-    def duration(self) -> int | None:
-        if self.decide_time is None:
-            return None
-        return self.decide_time - self.start_time
-
-
-def extract_waves(trace: Trace, tag: str) -> list[Wave]:
-    """Reconstruct every started computation of the PIF instance ``tag``.
-
-    Start/decide events pair up per wave id; receive-brd / receive-fck
-    events attach to the wave whose id they carry (``debug_wave`` metadata;
-    garbage messages carry no wave id and attach to nothing).
-    """
-    waves: dict[tuple[int, int], Wave] = {}
-    for time, kind, process, data in trace.scan(
-        EventKind.START,
-        EventKind.DECIDE,
-        EventKind.RECEIVE_BRD,
-        EventKind.RECEIVE_FCK,
-    ):
-        if data.get("tag") != tag:
-            continue
-        if kind == EventKind.RECEIVE_BRD:
-            wid = data.get("wave")
-            wave = waves.get(wid)
-            if wave is not None:
-                wave.brd_events.setdefault(process, []).append(
-                    (time, data.get("sender"), data.get("payload"))
-                )
-        elif kind == EventKind.RECEIVE_FCK:
-            wid = data.get("wave")
-            wave = waves.get(wid)
-            if wave is not None:
-                wave.fck_events.setdefault(data["sender"], []).append(time)
-        elif kind == EventKind.START:
-            if "wave" in data:
-                waves[data["wave"]] = Wave(
-                    pid=process,  # type: ignore[arg-type]
-                    wave=data["wave"],
-                    payload=data.get("payload"),
-                    start_time=time,
-                )
-        else:  # DECIDE
-            if "wave" in data:
-                wave = waves.get(data["wave"])
-                if wave is not None and wave.decide_time is None:
-                    wave.decide_time = time
-    return sorted(waves.values(), key=lambda w: w.start_time)

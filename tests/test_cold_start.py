@@ -51,7 +51,8 @@ def test_import_repro_loads_only_leaves():
 
 _SERIAL_HEAVY = (
     "asyncio", "ssl", "multiprocessing", "repro.net.cluster",
-    "repro.net.engine", "repro.sim.sharded", "repro.analysis.experiments",
+    "repro.net.engine", "repro.net.monitors", "repro.sim.sharded",
+    "repro.analysis.experiments",
     "repro.analysis.ablations", "repro.baselines", "repro.applications",
     "repro.impossibility", "repro.viz",
 )

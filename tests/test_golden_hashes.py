@@ -4,10 +4,16 @@
 "hash": canonical_trace_hash}`` entries — PIF / IDL / ME × complete / ring /
 wan:2 × loss 0 / 0.1 × capacity 1 / 2 at n ≤ 8 on the serial engine —
 recorded through the ``run_*_trial`` wrappers at the commit before
-``TrialSpec.build`` was removed.  The equivalence gates compare engines
-with each other at HEAD; this corpus is what catches a change that moves
-all of them together.  Regenerate it only for an intended change of the
-simulation semantics, and say so in CHANGES.md.
+``TrialSpec.build`` was removed.  Each record also carries what the trial
+wrapper concluded from that trace — ``ok``, ``violations`` and the
+``measurements`` block (waves, ``wave_p50/p95``, ``computations``,
+``cs_count``, ``latency_p50``, ...) — recorded at the commit before
+Specifications 1–3 became one automaton each, so a specification rewrite
+that changes a verdict or a by-product fails here, not only one that
+changes a trace.  The equivalence gates compare engines with each other at
+HEAD; this corpus is what catches a change that moves all of them
+together.  Regenerate it only for an intended change of the simulation
+semantics or of a specification's reading, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.runner import TRIALS
 from repro.engine import TrialSpec, execute
 from repro.sim.trace import canonical_trace_hash
 
@@ -28,6 +35,17 @@ def _label(entry) -> str:
     spec = entry["spec"]
     return (f"{spec['protocol']['kind']}-{spec['topology']}-n{spec['n']}"
             f"-loss{spec['loss']}-cap{spec['capacity']}")
+
+
+def run_trial(entry):
+    """The record's trial through its ``run_*_trial`` wrapper: the wrapper's
+    keywords are the protocol parameters the spec already names."""
+    spec = TrialSpec.from_provenance(entry["spec"])
+    params = {k: v for k, v in spec.protocol.items() if k != "kind"}
+    kind = spec.protocol["kind"]
+    return TRIALS["mutex" if kind == "me" else kind](
+        spec, requests_per_process=spec.driver["requests_per_process"],
+        **params)
 
 
 def test_corpus_covers_the_protocols_and_topologies():
@@ -46,3 +64,11 @@ def test_recorded_spec_reproduces_its_hash(entry):
     # The codec round-trip is exact, so the record alone re-executes.
     assert spec.as_provenance() == entry["spec"]
     assert canonical_trace_hash(execute(spec).trace) == entry["hash"]
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=_label)
+def test_recorded_spec_reproduces_its_verdict_and_measurements(entry):
+    trial = run_trial(entry)
+    assert trial.ok is entry["ok"]
+    assert trial.violations == entry["violations"]
+    assert trial.measurements == entry["measurements"]

@@ -121,3 +121,51 @@ class TestIntegration:
         assert ok
         for p in sim.pids:
             assert sim.layer(p, "idl").min_id == 1
+
+
+class TestMonitoredOnline:
+    """IDL is monitored on the async and cluster engines for free: its
+    automaton is the third entry of ``repro.spec.table.SPECS``."""
+
+    @pytest.mark.parametrize("topology", ["complete", "ring"])
+    @pytest.mark.parametrize(
+        "idents", [None, {1: 50, 2: 7, 3: 31, 4: 12, 5: 90}],
+        ids=["pid-idents", "explicit-idents"])
+    @pytest.mark.parametrize("engine", ["async", "cluster"])
+    def test_trial_carries_the_idl_monitor_verdict(
+        self, engine, idents, topology, monkeypatch
+    ):
+        from repro.analysis import runner
+        from repro.engine import ClusterOpts, TrialSpec
+
+        runs = []
+        execute = runner.execute
+        monkeypatch.setattr(
+            runner, "execute", lambda spec: runs.append(execute(spec)) or runs[-1])
+        trial = runner.run_idl_trial(
+            TrialSpec(n=5, seed=0, loss=0.1, topology=topology, engine=engine,
+                      cluster=ClusterOpts(hosts=2 if engine == "cluster" else None)),
+            requests_per_process=1, idents=idents)
+        [run] = runs
+        [monitor] = run.monitor_reports
+        assert trial.ok and trial.provenance["monitors_ok"] is True
+        assert trial.provenance["monitors"] == [
+            {"name": "IDL[idl]", "ok": True, "violations": 0}]
+        assert monitor.info["computations"] == trial.measurements["computations"] > 0
+        assert monitor.events_observed > 0
+
+    def test_monitor_flags_the_violation_the_offline_check_flags(self):
+        """Not crafted: with identities above the pid range, seed 3 lets a
+        garbage receive-fck of the scrambled, never-started PIF wave lower
+        ``min_id`` between IDL's START and the embedded PIF's (ROADMAP,
+        "IDL start window") — pid identities mask it.  Both drivers see
+        the same single Correctness violation."""
+        from repro.analysis.runner import run_idl_trial
+        from repro.engine import TrialSpec
+
+        trial = run_idl_trial(
+            TrialSpec(n=5, seed=3, loss=0.1, engine="async"),
+            requests_per_process=1, idents={1: 50, 2: 7, 3: 31, 4: 12, 5: 90})
+        assert (trial.ok, trial.violations) == (False, 1)
+        assert trial.provenance["monitors"] == [
+            {"name": "IDL[idl]", "ok": False, "violations": 1}]

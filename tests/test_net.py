@@ -32,12 +32,7 @@ from repro.engine import (
 from repro.errors import HorizonExceeded, SimulationError
 from repro.net.clock import PacedClock, VirtualClock
 from repro.net.engine import AsyncSimulator
-from repro.net.monitors import (
-    LiveTrace,
-    MutexExclusionMonitor,
-    PifWaveMonitor,
-    RequestLivenessMonitor,
-)
+from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
 from repro.net import wire
 from repro.sim.trace import EventKind
 
@@ -307,44 +302,70 @@ class TestRoundBudget:
 
 
 class TestOnlineMonitors:
-    def test_mutex_monitor_flags_overlap(self):
+    """The LiveTrace driver end to end: attach → emit → report.  The rows
+    are cases of the shared table (``tests/spec_corpus.py``), where
+    ``tests/test_spec.py`` also judges them through ``check_*``."""
+
+    @staticmethod
+    def _emitted(name):
+        from spec_corpus import CASES
+        from repro.sim.topology import Complete
+
+        case = CASES[name]
+        [monitor] = default_monitors(case.spec, Complete(4))
         trace = LiveTrace()
-        monitor = MutexExclusionMonitor("me")
         trace.attach(monitor)
-        trace.emit(1, EventKind.CS_ENTER, 1, tag="me", requested=True)
-        trace.emit(2, EventKind.CS_ENTER, 2, tag="me", requested=True)
-        report = monitor.report()
+        for time, kind, process, data in case.rows:
+            trace.emit(time, kind, process, **data)
+        return trace, monitor
+
+    def test_mutex_monitor_flags_overlap(self):
+        _trace, monitor = self._emitted("net-mutex-overlap")
+        report = monitor.report(require_all_served=False)
         assert not report.ok
-        assert "overlap" in report.violations[0]
+        assert "overlap" in report.violations[0].detail
+        assert report.first_violation_time == 2
+        assert report.events_observed == 2
 
     def test_mutex_monitor_ignores_cross_cluster_overlap(self):
-        monitor = MutexExclusionMonitor("me", clusters=[{1, 2}, {3, 4}])
+        from repro.sim.topology import topology_from_spec
+
+        # Leader clusters {1, 2, 3, 4} and {5, 6}.
+        topology = topology_from_spec("clustered:2", 6)
+        [monitor] = default_monitors("me", topology)
         trace = LiveTrace()
         trace.attach(monitor)
         trace.emit(1, EventKind.CS_ENTER, 1, tag="me", requested=True)
-        trace.emit(2, EventKind.CS_ENTER, 3, tag="me", requested=True)
+        trace.emit(2, EventKind.CS_ENTER, 6, tag="me", requested=True)
         assert monitor.report().ok
+        trace.emit(3, EventKind.CS_ENTER, 5, tag="me", requested=True)
+        assert len(monitor.report().violations) == 1
 
     def test_pif_monitor_flags_missing_ack(self):
-        monitor = PifWaveMonitor("pif", pids=(1, 2, 3))
-        trace = LiveTrace()
-        trace.attach(monitor)
-        trace.emit(1, EventKind.START, 1, tag="pif", wave=(1, 1), payload="x")
-        trace.emit(2, EventKind.RECEIVE_BRD, 2, tag="pif", wave=(1, 1),
-                   sender=1, payload="x")
-        trace.emit(3, EventKind.RECEIVE_BRD, 3, tag="pif", wave=(1, 1),
-                   sender=1, payload="x")
-        trace.emit(4, EventKind.RECEIVE_FCK, 1, tag="pif", wave=(1, 1), sender=2)
-        trace.emit(5, EventKind.DECIDE, 1, tag="pif", wave=(1, 1))
+        _trace, monitor = self._emitted("net-pif-missing-ack")
         report = monitor.report()
         assert not report.ok
-        assert any("acknowledgment from 3" in v for v in report.violations)
+        # p4 of the Complete(4) topology heard nothing, p3 never answered.
+        assert any("acknowledgment from 3" in v.detail for v in report.violations)
 
     def test_liveness_monitor_flags_unanswered_request(self):
-        monitor = RequestLivenessMonitor("pif")
-        trace = LiveTrace()
-        trace.attach(monitor)
-        trace.emit(1, EventKind.REQUEST, 1, tag="pif")
-        assert not monitor.report().ok
-        trace.emit(2, EventKind.DECIDE, 1, tag="pif")
-        assert monitor.report().ok
+        """Start/Termination residues are clauses of the specification's
+        own automaton, judged whenever ``report`` is read."""
+        trace, monitor = self._emitted("net-unanswered-request")
+        assert [v.prop for v in monitor.report().violations] == ["Start"]
+        trace.emit(2, EventKind.DECIDE, 1, tag="pif")  # decided, never started
+        assert [v.prop for v in monitor.report().violations] == ["Start"]
+        trace.emit(3, EventKind.START, 1, tag="pif", wave=(1, 1), payload="m")
+        assert [v.prop for v in monitor.report().violations] == ["Termination"]
+
+    def test_unknown_tag_is_not_monitored_and_other_kinds_are_skipped(self):
+        from repro.sim.topology import Complete
+
+        assert default_monitors("abp", Complete(3)) == []
+        [monitor] = default_monitors("idl", Complete(3), {1: 7, 2: 8, 3: 9})
+        assert isinstance(monitor, SpecMonitor)
+        assert monitor.automaton.idents == {1: 7, 2: 8, 3: 9}
+        monitor.observe(1, EventKind.SEND, 1, {"tag": "idl"})
+        monitor.observe(1, EventKind.RECEIVE_BRD, 1, {"tag": "idl"})
+        monitor.observe(1, EventKind.REQUEST, 1, {"tag": "idl/pif"})
+        assert monitor.report().events_observed == 0
