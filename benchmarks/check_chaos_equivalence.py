@@ -49,7 +49,7 @@ from equivalence import (
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.chaos import FaultPlan
 from repro.engine import ClusterOpts, ObsOpts, TrialSpec
-from repro.net.cluster import interpreters_spawned
+from repro.net.coordinator import interpreters_spawned
 from repro.obs.spans import validate_chrome_trace
 
 

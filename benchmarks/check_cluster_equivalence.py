@@ -1,14 +1,20 @@
-"""CI gate: prove the multi-host cluster engine equals the serial engine.
+"""CI gate: prove the window-sync runtime equals the serial engine —
+under both of its names.
 
-Runs E3 (PIF) and E5 (ME) on the Complete, Ring and WAN-weighted
-Clustered topologies at n <= 16 with ``engine=serial`` and
-``engine=cluster`` (2-4 localhost worker interpreters — real OS
-processes, real sockets, BARRIER-synchronized windows) and fails on any
-divergence in the trace-derived metrics.  On top of the metric
-comparison it re-executes one PIF probe case and compares the raw traces
+Runs E3 (PIF) and E5 (ME) with ``engine=serial`` and on 2-4 localhost
+worker interpreters (real OS processes, real sockets,
+BARRIER-synchronized windows) and fails on any divergence in the
+trace-derived metrics: through ``engine=cluster`` on the Complete, Ring
+and WAN-weighted Clustered topologies at n <= 16, and through
+``engine=sharded`` on Complete, Clustered and WAN at n = 32 (the WAN
+rows run 16-tick windows).  On top of the metric comparison it
+re-executes two PIF probe cases per name and compares the raw traces
 event for event plus the canonical trace hash — windowed mode's
-bit-identity proof obligation — and asserts every online monitor agreed
-with the offline verdict.
+bit-identity proof obligation — and holds each name to its declared
+surface: ``cluster`` reports its hosts and every online monitor agreeing
+with the offline verdict, ``sharded`` reports neither.  ``--engine
+cluster`` / ``--engine sharded`` keeps one name's rows (the CI jobs
+``cluster-equivalence`` and ``shard-equivalence``).
 
 The probe also re-runs the first bit-identity case with the
 :mod:`repro.obs` instruments enabled (``--metrics``/``--timeline``) and
@@ -19,9 +25,10 @@ the coordinator plus every worker lane with barrier-wait spans, and (c)
 the CONTROL frames of the whole trial number O(rounds / K), not
 O(rounds) — rounds are granted (:mod:`repro.net.grant`), so a per-round
 coordinator exchange creeping back in fails here by count.  Last, the
-worker interpreters launched over the whole run are counted: the engine
-leases warm workers from one pool, so every case together may boot no
-more than the widest case has hosts (4).  The timeline lands at ``--timeline-out`` (default
+worker interpreters launched over the whole run are counted: both names
+lease warm workers from one pool, so every case of the merged table
+together may boot no more than the widest case has workers (4).  The
+timeline lands at ``--timeline-out`` (default
 ``BENCH_cluster_timeline.json``) so CI can upload it as an artifact.
 
 ``--freerun-smoke`` additionally runs one E3 trial in ``sync=freerun``
@@ -33,7 +40,8 @@ non-gating; the windowed gate is the hard contract.
 Usage::
 
     PYTHONPATH=src python benchmarks/check_cluster_equivalence.py \
-        [--freerun-smoke | --freerun-only] [--timeline-out PATH]
+        [--engine cluster|sharded] [--freerun-smoke | --freerun-only] \
+        [--timeline-out PATH]
 """
 
 from __future__ import annotations
@@ -55,8 +63,14 @@ from equivalence import (
 )
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.engine import DRAIN_TICKS, ClusterOpts, ObsOpts, TrialSpec
-from repro.net.cluster import interpreters_spawned
+from repro.engine import (
+    DRAIN_TICKS,
+    ClusterOpts,
+    ObsOpts,
+    ShardingOpts,
+    TrialSpec,
+)
+from repro.net.coordinator import interpreters_spawned
 from repro.net.grant import report_every
 from repro.obs.spans import validate_chrome_trace
 
@@ -65,10 +79,19 @@ def _cluster(hosts: int, **opts) -> dict:
     return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts, **opts))
 
 
-#: (label, trial, serial spec, cluster axes) — every topology family the
+def _sharded(shards: int | None = None) -> dict:
+    return dict(engine="sharded", sharding=ShardingOpts(shards=shards))
+
+
+def _n32(topology: str | None, loss: float) -> TrialSpec:
+    return TrialSpec(n=32, topology=topology, seed=0, loss=loss)
+
+
+#: (label, trial, serial spec, engine axes) — every topology family the
 #: partition layer distinguishes (complete: all-pairs cut; ring: two
-#: neighbour arcs per shard; wan:4: weighted cross-cluster edges that
-#: widen the sync window), each small enough for a laptop or CI runner.
+#: neighbour arcs per shard; clustered: one shard per arbitration
+#: cluster; wan:4: weighted cross-cluster edges that widen the sync
+#: window), each small enough for a laptop or CI runner.
 CASES = [
     ("E3 pif  complete n=8  hosts=2", run_pif_trial,
      TrialSpec(n=8, topology=None, seed=0, loss=0.1), _cluster(2)),
@@ -82,13 +105,43 @@ CASES = [
      TrialSpec(n=8, topology="ring", seed=1, loss=0.0), _cluster(2)),
     ("E5 me   wan      n=8  hosts=4", run_mutex_trial,
      TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0), _cluster(4)),
+    ("E3 pif  complete   n=32 shards=4", run_pif_trial,
+     _n32(None, 0.1), _sharded(4)),
+    ("E3 pif  clustered  n=32", run_pif_trial,
+     _n32("clustered:4", 0.1), _sharded()),
+    ("E5 me   complete   n=32 shards=4", run_mutex_trial,
+     _n32(None, 0.0), _sharded(4)),
+    ("E5 me   clustered  n=32", run_mutex_trial,
+     _n32("clustered:4", 0.0), _sharded()),
+    ("E3 pif  wan        n=32", run_pif_trial,
+     _n32("wan:4", 0.1), _sharded()),
+    ("E5 me   wan        n=32", run_mutex_trial,
+     _n32("wan:4", 0.0), _sharded()),
 ]
 
+#: (topology, n, engine axes) of the bit-identity probes.
+PROBES = [
+    (None, 8, _cluster(2)),
+    ("wan:4", 16, _cluster(4)),
+    ("clustered:4", 32, _sharded()),
+    ("wan:4", 32, _sharded()),
+]
 
-def _cluster_agrees(cluster, spec: TrialSpec) -> bool:
+#: ``engine=sharded`` keeps the provenance it always had: no cluster
+#: section, no monitor verdicts.
+_SHARDED_PROVENANCE = {
+    "engine", "transport", "wall_clock_s", "window", "barriers",
+    "sync_wall_s",
+}
+
+
+def _surface_agrees(other, spec: TrialSpec) -> bool:
+    """Each name reports exactly what it declares."""
+    if spec.engine == "sharded":
+        return set(other.provenance) == _SHARDED_PROVENANCE
     return (
-        cluster.provenance.get("monitors_ok", False) == cluster.ok
-        and cluster.provenance.get("hosts") == spec.cluster.hosts
+        other.provenance.get("monitors_ok", False) == other.ok
+        and other.provenance.get("hosts") == spec.cluster.hosts
     )
 
 
@@ -97,17 +150,17 @@ def _barriers_and_metrics(serial, cluster) -> str:
             f"metrics={serial.measurements}")
 
 
-def check_bit_identity(topology: str | None, n: int, hosts: int) -> bool:
-    """The probe case: the merged cluster trace must equal the serial
-    trace event for event, and hash identically under the canonical
-    trace hash."""
-    same, runs, hashes = bit_identity(
-        pif_probe(n, topology), {"cluster": _cluster(hosts)})
+def check_bit_identity(topology: str | None, n: int, axes: dict) -> bool:
+    """A probe case: the merged trace must equal the serial trace event
+    for event, and hash identically under the canonical trace hash."""
+    engine = axes["engine"]
+    same, runs, hashes = bit_identity(pif_probe(n, topology), {engine: axes})
     return report(
         same,
-        f"bit-identity {topology or 'complete'} n={n} hosts={hosts} "
+        f"bit-identity {engine} {topology or 'complete'} n={n} "
+        f"window={runs[engine].window} "
         f"({len(runs['serial'].trace)} trace events, "
-        f"hash {hashes['serial'][:16]}.. vs {hashes['cluster'][:16]}..)")
+        f"hash {hashes['serial'][:16]}.. vs {hashes[engine][:16]}..)")
 
 
 def check_obs_identity(
@@ -188,18 +241,27 @@ def main() -> int:
     args = sys.argv[1:]
     timeline_out = flag_value(
         args, "--timeline-out", "BENCH_cluster_timeline.json")
+    only = flag_value(args, "--engine", "")
+    engines = {only} if only else {"cluster", "sharded"}
     ok = True
     if "--freerun-only" not in args:
-        ok = compare_metrics(CASES, "cluster", agrees=_cluster_agrees,
-                             tail=_barriers_and_metrics)
-        ok &= check_bit_identity(None, 8, 2)
-        ok &= check_bit_identity("wan:4", 16, 4)
-        ok &= check_obs_identity(None, 8, 2, timeline_out)
+        for engine in sorted(engines):
+            ok &= compare_metrics(
+                [case for case in CASES if case[3]["engine"] == engine],
+                engine, agrees=_surface_agrees, tail=_barriers_and_metrics)
+        for topology, n, axes in PROBES:
+            if axes["engine"] in engines:
+                ok &= check_bit_identity(topology, n, axes)
+        if "cluster" in engines:
+            ok &= check_obs_identity(None, 8, 2, timeline_out)
     if "--freerun-smoke" in args or "--freerun-only" in args:
         ok &= freerun_smoke()
-    # Every case leases from one pool: the widest case fills it.
+    # Every case of either name leases from one pool, and the widest
+    # case of each has four workers: four interpreters fill it.
     ok &= spawn_guard(interpreters_spawned(), hosts=4)
-    return finish("cluster-equivalence", ok)
+    return finish(
+        "shard-equivalence" if only == "sharded" else "cluster-equivalence",
+        ok)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ Asserts, without running a single trial:
 * transport flags are coherent (a deterministic medium cannot be paced;
   socket-fabric media must declare a frame boundary to inject at);
 * the static built-in tables (``BUILTIN``: name → module, imported per
-  name) agree with reality: each entry's module registers exactly that
-  name, and no module of the built-in packages registers a name the
-  table lacks (it would be unreachable until something else imported it);
+  name) agree with reality: each entry's module, imported alone,
+  registers that name (and nothing the table lacks), and no module of
+  the built-in packages registers a name the table lacks (it would be
+  unreachable until something else imported it);
 * no per-engine ``if engine ==`` / ``elif engine ==`` dispatch chain has
   crept back into ``src/repro/analysis/`` or ``src/repro/cli.py`` — the
   registry is the only dispatcher (the grep guard for the PR-10
@@ -32,7 +33,13 @@ Asserts, without running a single trial:
   no ``tag == "..."`` / ``kind == "..."`` dispatch on a protocol name is
   spelled under ``src/repro/net/``, ``src/repro/spec/`` or in
   ``src/repro/analysis/runner.py`` (:data:`repro.spec.table.SPECS` is the
-  only tag → automaton map), and ``repro.spec.temporal`` stays deleted.
+  only tag → automaton map), and ``repro.spec.temporal`` stays deleted;
+* the window protocol stays one runtime: nothing under ``src/repro``
+  forks or opens a pipe, the deleted lock-step engine is named nowhere
+  under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``, the
+  cluster worker names neither the asyncio engine nor its actor hook,
+  and ``engine/backends/sharded.py`` is a registration — it defines no
+  function or class of its own.
 
 Usage::
 
@@ -43,8 +50,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import pkgutil
 import re
+import subprocess
 import sys
 from importlib import import_module
 from importlib.util import find_spec
@@ -89,6 +98,15 @@ _SEND_FORK = re.compile(
 _SPEC_DISPATCH = re.compile(r".*\b(tag|kind)\s*(==|!=)\s*[\"']")
 _MONITOR_CLASSES = {"LiveTrace", "SpecMonitor"}
 
+# The window protocol's deleted second implementation and what it was
+# made of (halves spelling again: this guard scans its own directory).
+_FORK_FABRIC = re.compile(
+    r".*(\bmulti" + r"processing\b|\bos\.fo" + r"rk\b|\bPi" + r"pe\()")
+_LOCKSTEP_ENGINE = re.compile(
+    r".*\b(Sharded" + r"Simulator|Sharded" + r"RunResult|_worker" + r"_loop"
+    r"|_worker" + r"_main)\b")
+_ASYNC_WORKER = re.compile(r".*\b(Async" + r"Simulator|start" + r"_actors)\b")
+
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -132,14 +150,36 @@ def _transport_home(name: str) -> str | None:
         return None
 
 
+def _engines_registered_by(module: str) -> set[str]:
+    """The engine registry of a fresh interpreter that imported only
+    ``module`` — a backend class may be registered under more than one
+    name, so the class's home does not say which module registers what."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import json, {module}\n"
+         "from repro.engine.registry import _BACKENDS\n"
+         "print(json.dumps(sorted(_BACKENDS)))"],
+        check=True, capture_output=True, text=True, timeout=60)
+    return set(json.loads(done.stdout))
+
+
 def check_builtin_tables() -> list[str]:
-    """Each table entry's module registers exactly that name; importing
-    every module of the built-in packages registers nothing else."""
+    """Each table entry's module registers that name; importing every
+    module of the built-in packages registers nothing else."""
     problems: list[str] = []
     for package in (repro.engine.backends, repro.net.transport):
         for info in pkgutil.iter_modules(package.__path__):
             import_module(f"{package.__name__}.{info.name}")
-    engines = {name: type(b).__module__ for name, b in backends().items()}
+    for name in sorted(backends().keys() - BUILTIN_ENGINES.keys()):
+        problems.append(f"engine {name!r}: registered by a built-in "
+                        f"module, missing from the table")
+    engines = {}
+    for name, module in BUILTIN_ENGINES.items():
+        registered = _engines_registered_by(module)
+        engines[name] = module if name in registered else None
+        for extra in sorted(registered - BUILTIN_ENGINES.keys()):
+            problems.append(f"{module} registers {extra!r}, which the "
+                            f"engine table lacks")
     transports = {name: _transport_home(name) for name in transport_names()}
     for label, table, homes in (("engine", BUILTIN_ENGINES, engines),
                                 ("transport", BUILTIN_TRANSPORTS, transports)):
@@ -153,8 +193,9 @@ def check_builtin_tables() -> list[str]:
 
 def _grep(where: str, pattern: re.Pattern[str], what: str,
           exempt: str | None = None) -> list[str]:
-    """Lines matching ``pattern`` in one file, or every file of a tree."""
-    root = _SRC / where
+    """Lines matching ``pattern`` in one file, or every file of a tree
+    (``where`` is relative to ``src/``)."""
+    root = (_SRC / where).resolve()
     return [
         f"{path.relative_to(_SRC.parent)}:{lineno}: {what}: {line.strip()}"
         for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
@@ -201,9 +242,31 @@ def check_one_specification() -> list[str]:
     return problems
 
 
+def check_one_window_runtime() -> list[str]:
+    problems = _grep("repro", _FORK_FABRIC, "forks or pipes")
+    for tree in ("repro", "../tests", "../benchmarks", "../examples"):
+        problems += _grep(tree, _LOCKSTEP_ENGINE,
+                          "names the deleted lock-step engine")
+    problems += _grep("repro/net/cluster_worker.py", _ASYNC_WORKER,
+                      "the worker hosts a plain Simulator")
+    sharded = ast.parse(
+        (_SRC / "repro/engine/backends/sharded.py").read_text())
+    bodies = sorted(
+        node.name for node in ast.walk(sharded)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)))
+    if bodies:
+        problems.append(
+            f"src/repro/engine/backends/sharded.py defines {bodies}: "
+            f"'sharded' is a second registration of the cluster backend, "
+            f"not a second backend")
+    return problems
+
+
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
-                + check_source_guards() + check_one_specification())
+                + check_source_guards() + check_one_specification()
+                + check_one_window_runtime())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

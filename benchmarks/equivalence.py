@@ -1,4 +1,4 @@
-"""The skeleton the four ``check_*_equivalence.py`` gates share.
+"""The skeleton the three ``check_*_equivalence.py`` gates share.
 
 Each gate is a table of cases plus an entry point; the two comparisons
 they all make live here:
@@ -41,8 +41,8 @@ def finish(gate: str, ok: bool) -> int:
 
 def spawn_guard(spawned: int, hosts: int, crash_tokens: int = 0,
                 recoveries: int = 0) -> bool:
-    """The cluster engine leases warm worker interpreters
-    (``repro.net.cluster``): over a whole case table it may launch one
+    """The window-sync runtime leases warm worker interpreters
+    (``repro.net.coordinator``): over a whole case table it may launch one
     per slot of the widest case, one per crash-token shard (a fault is a
     fresh interpreter's lifecycle) and one per recovery — a per-trial
     spawn creeping back in fails here by count."""

@@ -24,11 +24,13 @@ fields:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.chaos.plan import FaultPlan
 from repro.errors import SpecError
 from repro.sim.topology import Topology, topology_from_spec
+
+if TYPE_CHECKING:  # pragma: no cover - a spec with no plan never loads it
+    from repro.chaos.plan import FaultPlan
 
 __all__ = [
     "SPEC_VERSION",
@@ -82,10 +84,15 @@ class ChaosOpts:
     """
 
     plan: FaultPlan | None = field(
-        default=None, metadata={"record_key": "fault_plan"})
+        default=None, metadata={
+            "record_key": "fault_plan",
+            "encode": lambda plan: None if plan is None else plan.source,
+        })
 
     def __post_init__(self) -> None:
         if isinstance(self.plan, str):
+            from repro.chaos.plan import FaultPlan
+
             object.__setattr__(self, "plan", FaultPlan.parse(self.plan))
 
 
@@ -137,7 +144,7 @@ class TrialSpec:
         # Normalize sequence spellings so == and the codecs are stable.
         if not isinstance(self.latency, tuple):
             object.__setattr__(self, "latency", tuple(self.latency))
-        if isinstance(self.chaos, (FaultPlan, str)):
+        if not isinstance(self.chaos, ChaosOpts):  # a FaultPlan or its text
             object.__setattr__(self, "chaos", ChaosOpts(plan=self.chaos))
 
     # -- structural validation (backend-independent) -------------------
@@ -266,10 +273,9 @@ def _record_key(f) -> str:
 
 def _encode(value: Any) -> Any:
     if is_dataclass(value):
-        return {_record_key(f): _encode(getattr(value, f.name))
+        return {_record_key(f):
+                f.metadata.get("encode", _encode)(getattr(value, f.name))
                 for f in fields(value)}
-    if isinstance(value, FaultPlan):
-        return value.source
     if isinstance(value, Topology):
         return value.name
     if isinstance(value, tuple):
@@ -318,8 +324,10 @@ def parse_latency_map(
 
 def resolve_fault_plan(plan: Any) -> FaultPlan | None:
     """Coerce a fault-plan argument: FaultPlan, DSL text, or ``@FILE``."""
-    if plan is None or isinstance(plan, FaultPlan):
+    if not isinstance(plan, str):
         return plan
+    from repro.chaos.plan import FaultPlan
+
     text = plan
     if text.startswith("@"):
         from pathlib import Path

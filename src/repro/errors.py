@@ -86,11 +86,9 @@ class HorizonExceeded(SimulationError):
 class WorkerCrashed(SimulationError):
     """A worker process of a distributed engine died mid-trial.
 
-    Raised by the cluster coordinator's crash *detection* path (Popen
-    polling + CONTROL-channel EOF, see :mod:`repro.net.cluster`) within a
-    poll interval of the death, and by the sharded driver when a forked
-    worker's pipe reports EOF (:mod:`repro.sim.sharded`, phases ``ready``
-    / ``rounds`` / ``result``) — never by timing out.  Carries the shard id,
+    Raised by the coordinator's crash *detection* path (Popen polling +
+    CONTROL-channel EOF, see :mod:`repro.net.coordinator`) within a poll
+    interval of the death — never by timing out.  Carries the shard id,
     the barrier round being advanced when the death was noticed, the
     process exit code, and a tail of the worker's captured stderr so the
     diagnosis lands in the exception message rather than a hung CI job.

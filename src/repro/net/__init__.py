@@ -11,11 +11,12 @@ Runs the paper's protocol layers, unmodified, over real transports:
   queues, the localhost TCP fabric and the UDP datagram fabric, all
   under sender-owned channel accounting.
 * :mod:`repro.net.wire` — the length-prefixed frame format.
-* :mod:`repro.net.cluster` — the multi-host runtime: per-shard worker
-  interpreters (own OS processes, :mod:`repro.net.cluster_worker`, leased
-  from a pool that outlives the trial) behind the TCP fabric, coordinated
-  through BARRIER frames in ``windowed`` mode or free-running under the
-  online monitors.
+* :mod:`repro.net.cluster` — the window-sync runtime (``engine=sharded``
+  and ``engine=cluster``): per-shard worker interpreters (own OS
+  processes, :mod:`repro.net.cluster_worker`, leased from the pool of
+  :mod:`repro.net.coordinator`, which outlives the trial) behind the TCP
+  fabric, coordinated through BARRIER frames in ``windowed`` mode or
+  free-running under the online monitors.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
 * :mod:`repro.net.monitors` — the live-trace driver of the specification
@@ -35,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         ClusterRunResult,
         ClusterSimulator,
         SYNC_MODES,
-        close_pool,
     )
+    from repro.net.coordinator import close_pool
     from repro.net.cluster_worker import run_cluster_worker
     from repro.net.engine import (
         DEFAULT_TICK_SECONDS,
@@ -92,9 +93,8 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "clock": ("PacedClock", "VirtualClock"),
-    "cluster": (
-        "ClusterRunResult", "ClusterSimulator", "SYNC_MODES", "close_pool",
-    ),
+    "cluster": ("ClusterRunResult", "ClusterSimulator", "SYNC_MODES"),
+    "coordinator": ("close_pool",),
     "cluster_worker": ("run_cluster_worker",),
     "engine": (
         "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",

@@ -1,19 +1,24 @@
-"""Multi-host runtime: per-shard worker interpreters behind the wire format.
+"""The window-sync runtime: per-shard worker interpreters behind the wire format.
 
 :class:`ClusterSimulator` runs one trial across OS processes (or, with
 hand-launched workers, machines): the topology is partitioned into shards
 (:mod:`repro.sim.partition` — Weighted-aware boundaries, cross-shard
 latency floors), and each shard runs inside its own *worker interpreter*
-hosting an :class:`~repro.net.engine.AsyncSimulator` slice
-(``hosts_for=shard_pids``).  Intra-shard channels stay in-process loopback
-queues; cross-shard sends fall through the base engine's sender-owned
-accounting into the cross-shard outbox and travel as ``SHIP`` frames
+hosting a plain :class:`~repro.sim.runtime.Simulator` slice
+(``hosts_for=shard_pids``).  Intra-shard channels are the serial engine's
+own; cross-shard sends fall through the engine's sender-owned accounting
+into the cross-shard outbox and travel as ``SHIP`` frames
 (:mod:`repro.net.wire`) over real sockets, directly worker-to-worker.
+This is the only implementation of the conservative time-window protocol:
+``engine=sharded`` and ``engine=cluster`` are two registrations of it
+(:mod:`repro.engine.backends.cluster`).
 
 Worker interpreters **outlive the trial**.  A trial *leases* shard slots
-``0..n_shards-1`` from one process-wide pool (:class:`_WorkerPool`): a
+``0..n_shards-1`` from one process-wide pool
+(:class:`repro.net.coordinator._WorkerPool`): a
 live idle worker is reused, only the shortfall is spawned, and the pool
-is closed at interpreter exit (or by :func:`close_pool`) — so a seed
+is closed at interpreter exit (or by
+:func:`repro.net.coordinator.close_pool`) — so a seed
 sweep, a matrix or a gate's case table boots ``max hosts`` interpreters,
 not ``hosts`` per trial.  A worker registers once with the rendezvous
 service of :mod:`repro.net.registry` (``(shard_id, host, port)``; that
@@ -44,8 +49,8 @@ may be in flight, instead of a round-trip per step.  The control ops are
 
 Two synchronization modes share that loop:
 
-* ``sync="windowed"`` — the sharded engine's conservative time-window
-  protocol over sockets, peer to peer.  Windows are at most
+* ``sync="windowed"`` — the conservative time-window protocol, peer to
+  peer.  Windows are at most
   :attr:`Partition.latency_floor` ticks; a worker finishes its round,
   ships its outbox, then sends a ``BARRIER(round, ship_count)`` frame on
   every peer link (one write per link per round).  Per-connection FIFO
@@ -75,8 +80,8 @@ Fault injection and crash recovery (``docs/robustness.md``):
   ``Popen`` alongside every control-channel await (and treating control
   EOF the same way), raising :class:`~repro.errors.WorkerCrashed` with
   the shard id, round, exit code and a stderr tail within
-  :data:`_CRASH_POLL_S` seconds of the death instead of waiting out the
-  worker timeout.
+  a quarter second of the death instead of waiting out the worker
+  timeout.
 * Under ``sync="windowed"`` with coordinator-spawned workers, a crash is
   *survivable*: every worker keeps a per-peer, per-round log of its
   outbound ships and serves its control channel beside the round loop.
@@ -95,10 +100,9 @@ Fault injection and crash recovery (``docs/robustness.md``):
   (duplicates are absorbed by the same dedup set) — at once, even while
   the sender's round loop waits on a barrier.
 
-Trace merging, completion bookkeeping and scramble segment handling are
-shared with the fork-based sharded engine
-(:func:`repro.sim.sharded.merge_worker_traces` and friends) — one merge
-algorithm, two fabrics.
+The two halves of the keyed-trace algorithm — workers record a globally
+sortable position per emission, the coordinator merges by it — live in
+:mod:`repro.sim.sharded`.
 
 Worker interpreters cannot inherit closures, so trials are described by
 picklable *specs*: a protocol spec (``{"kind": "pif", ...}`` —
@@ -106,56 +110,39 @@ picklable *specs*: a protocol spec (``{"kind": "pif", ...}`` —
 payload is a format string (``payload_fmt="msg-{pid}-{k}"``) rather than
 a callable.
 
-This module is the coordinator and the pool; the worker interpreter it
-launches lives in :mod:`repro.net.cluster_worker`, which imports none of
-this — a worker pays for its imports before it can REGISTER.
+This module is what ``prepare`` needs — the trial's description and its
+validation, no event loop.  The pool and the coordinator
+(:mod:`repro.net.coordinator`: asyncio, subprocesses, the registry) are
+loaded by the first :meth:`ClusterSimulator.run_trial`; the worker
+interpreter they launch is :mod:`repro.net.cluster_worker`, which imports
+neither.
 """
 
 from __future__ import annotations
 
-import asyncio
-import atexit
-import contextlib
-import os
-import subprocess
-import sys
-import tempfile
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.chaos.plan import FaultPlan
 from repro.core.protocols import build_protocol
 from repro.core.requests import CompletedRequest
-from repro.errors import SimulationError, WorkerCrashed
-from repro.net import wire
-from repro.net.cluster_worker import parse_hostport, run_cluster_worker
-from repro.net.grant import Grant, GrantLedger
-from repro.net.registry import RegistryServer
-from repro.obs.recorder import ObsRecorder
-from repro.obs.spans import SpanRecorder, wall
+from repro.errors import SimulationError
 from repro.sim.channel import LossModel
 from repro.sim.partition import Partition, partition_topology
-from repro.sim.sharded import (
-    _SHARDABLE_LOSS,
-    merge_completions,
-    merge_worker_traces,
-)
+from repro.sim.sharded import _SHARDABLE_LOSS
 from repro.sim.stats import SimStats
 from repro.sim.topology import Topology, topology_from_spec
 from repro.sim.trace import Trace
 from repro.types import RequestState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.plan import FaultPlan
+    from repro.obs.recorder import ObsRecorder
 
 __all__ = [
     "ClusterSimulator",
     "ClusterRunResult",
     "SYNC_MODES",
     "FREERUN_WINDOW",
-    "close_pool",
-    "interpreters_spawned",
-    "run_cluster_worker",
-    "parse_hostport",
 ]
 
 SYNC_MODES = ("windowed", "freerun")
@@ -163,191 +150,6 @@ SYNC_MODES = ("windowed", "freerun")
 #: Round size in freerun mode (no lookahead bound applies — the round
 #: exists only to pace shipping and progress reports).
 FREERUN_WINDOW = 64
-
-#: How often the coordinator polls worker Popen handles while awaiting a
-#: control frame — the crash-detection latency bound.
-_CRASH_POLL_S = 0.25
-
-
-#: Worker interpreters this process has launched, over its whole life
-#: (pool re-creations included) — see :func:`interpreters_spawned`.
-_SPAWNED = 0
-
-
-def interpreters_spawned() -> int:
-    """How many worker interpreters this process has launched so far.
-
-    The CI gates bound the difference over their case tables by ``max
-    hosts + crash-token shards + recoveries``, so a per-trial spawn
-    cannot quietly return."""
-    return _SPAWNED
-
-
-@dataclass
-class _Worker:
-    """One leased slot: the worker's process and its control channel."""
-
-    shard: int
-    #: None for a hand-launched worker (``listen=``).
-    popen: subprocess.Popen | None = None
-    #: The worker's stderr: an *anonymous* temp file (unlinked at open),
-    #: so nothing can outlive the two processes that hold it.
-    stderr: IO[bytes] | None = None
-    #: None until the worker has registered.
-    handle: Any = None
-
-    def stderr_tail(self, limit: int = 4000) -> str:
-        """The last ``limit`` bytes the worker wrote to stderr.  Read by
-        offset: the child shares the open file description, so a seek
-        here would move its write position."""
-        if self.stderr is None:
-            return ""
-        try:
-            fd = self.stderr.fileno()
-            size = os.fstat(fd).st_size
-            data = os.pread(fd, limit, max(0, size - limit))
-        except (OSError, ValueError):
-            return ""
-        return data.decode("utf-8", "replace").strip()
-
-
-def _worker_env() -> dict[str, str]:
-    """Spawn environment: ``PYTHONPATH`` is threaded through explicitly
-    — the parent may be running from a source tree (pytest sets
-    ``sys.path``, not the environment)."""
-    import repro
-
-    env = os.environ.copy()
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing else src_root + os.pathsep + existing
-    )
-    return env
-
-
-class _WorkerPool:
-    """Worker interpreters that outlive the trial, and what they are
-    bound to: one event loop (a stream cannot leave the loop it was
-    opened on, and ``asyncio.run`` makes a new one per call), one
-    :class:`~repro.net.registry.RegistryServer`, one slot per shard id.
-
-    A trial *leases* slots ``0..n_shards-1``: a live idle worker is
-    reused, the shortfall is spawned, and the pool only ever grows to
-    the largest ``hosts`` it has seen.  A worker returns to the pool
-    when its trial returned and it acknowledged ``idle``; a trial that
-    raised discards every worker it leased.  The process-wide pool
-    (:func:`_shared_pool`) is closed at interpreter exit; with
-    ``listen=`` a trial gets a pool of its own on that address, whose
-    workers are hand-launched and told to ``exit`` when it ends.
-    """
-
-    def __init__(self, listen: str | None = None) -> None:
-        self.pid = os.getpid()
-        self.spawns = listen is None
-        self.loop = asyncio.new_event_loop()
-        host, port = parse_hostport(listen) if listen else ("127.0.0.1", 0)
-        self.registry = RegistryServer(host=host, port=port)
-        self.workers: dict[int, _Worker] = {}
-
-    def spawn(self, shard: int, chaos: str | None = None) -> _Worker:
-        """Launch one localhost worker interpreter into slot ``shard``.
-
-        Workers are fresh interpreters (``python -m repro cluster-worker``),
-        not forks — the same launch command works on a remote machine, which
-        is the point.  A crash fault rides the argv (``--chaos``): it must
-        exist before the control channel does.
-        """
-        global _SPAWNED
-        argv = [
-            sys.executable, "-m", "repro", "cluster-worker",
-            "--registry", self.registry.address, "--shard", str(shard),
-        ]
-        if chaos is not None:
-            argv += ["--chaos", chaos]
-        stderr = tempfile.TemporaryFile()
-        try:
-            popen = subprocess.Popen(argv, env=_worker_env(), stderr=stderr)
-        except BaseException:
-            stderr.close()
-            raise
-        _SPAWNED += 1
-        worker = self.workers[shard] = _Worker(shard, popen, stderr)
-        return worker
-
-    def retire(self, shards, *, graceful: bool) -> None:
-        """Drop these slots' workers and reap their processes: ``exit``
-        then wait when ``graceful`` (idle workers), else terminate;
-        either way wait(5) and kill what is left."""
-        workers = [
-            self.workers.pop(shard) for shard in list(shards)
-            if shard in self.workers
-        ]
-        for worker in workers:
-            if graceful and worker.handle is not None:
-                # Sent at once (the transport's buffer is empty), so this
-                # works from synchronous code too — interpreter exit.
-                with contextlib.suppress(OSError):
-                    worker.handle.writer.write(wire.encode_control(("exit",)))
-            self.registry.forget(worker.shard)
-            if (
-                not graceful
-                and worker.popen is not None
-                and worker.popen.poll() is None
-            ):
-                worker.popen.terminate()
-        for worker in workers:
-            if worker.popen is not None:
-                try:
-                    worker.popen.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    worker.popen.kill()
-                    worker.popen.wait()
-            if worker.stderr is not None:
-                worker.stderr.close()
-
-    def close(self) -> None:
-        """Retire every worker, then close the registry and the loop
-        (which closes the sockets: control EOF ends a worker that missed
-        its ``exit``)."""
-        self.retire(self.workers, graceful=True)
-        with contextlib.suppress(Exception):
-            self.loop.run_until_complete(self._shutdown())
-        self.loop.close()
-
-    async def _shutdown(self) -> None:
-        await self.registry.close()
-        # What an abandoned trial left cancelled but never awaited.
-        tasks = asyncio.all_tasks() - {asyncio.current_task()}
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
-_POOL: _WorkerPool | None = None
-
-
-def _shared_pool() -> _WorkerPool:
-    """The process-wide pool, made on first use.  A forked child (the
-    sharded engine forks from this process) sees its parent's pool as
-    empty and makes its own: the inherited handles are the parent's to
-    drive and tear down."""
-    global _POOL
-    if _POOL is None or _POOL.pid != os.getpid():
-        _POOL = _WorkerPool()
-    return _POOL
-
-
-def close_pool() -> None:
-    """Retire the process-wide worker pool (also run at interpreter
-    exit); the next cluster trial starts a new one."""
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None and pool.pid == os.getpid():
-        pool.close()
-
-
-atexit.register(close_pool)
 
 
 def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
@@ -357,14 +159,14 @@ def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
     cfg = dict(driver)
     if callable(cfg.get("payload")):
         raise SimulationError(
-            "engine='cluster' cannot ship payload callables to worker "
-            "interpreters; pass payload_fmt='msg-{pid}-{k}' instead"
+            "payload callables cannot be shipped to worker interpreters; "
+            "pass payload_fmt='msg-{pid}-{k}' instead"
         )
     for key, value in cfg.items():
         if callable(value):
             raise SimulationError(
-                f"driver option {key!r} is a callable; the cluster engine "
-                "needs a picklable driver config"
+                f"driver option {key!r} is a callable; worker interpreters "
+                "need a picklable driver config"
             )
     return cfg
 
@@ -391,7 +193,7 @@ class ClusterRunResult:
     #: Synchronization wall time: the rounds phase minus the slowest
     #: worker's compute.
     sync_wall_s: float = 0.0
-    #: Per-shard simulation wall clock (seconds inside ``drive``), as
+    #: Per-shard simulation wall clock (seconds inside ``run_until``), as
     #: reported by each worker interpreter.
     worker_wall_s: dict[int, float] = field(default_factory=dict)
     #: REGISTER/PEERS exchanges the rendezvous cost.
@@ -409,11 +211,14 @@ class ClusterRunResult:
 class ClusterSimulator:
     """Coordinate one trial across per-shard worker interpreters.
 
-    Constructor arguments mirror :class:`~repro.sim.sharded.ShardedSimulator`
-    where they are meaningful across hosts; ``protocol`` is a picklable
+    Constructor arguments mirror :class:`~repro.sim.runtime.Simulator`
+    where they are meaningful across shards; ``protocol`` is a picklable
     protocol spec (see :data:`repro.core.protocols.BUILDERS`) instead of a
-    build closure, and ``hosts`` fixes the worker count (default: one per
-    arbitration-cluster group).  With ``listen="host:port"`` the
+    build closure, ``hosts`` fixes the worker count (default: one per
+    arbitration-cluster group) and ``window`` the synchronization window
+    (default and, when windowed, maximum: the partition's cross-shard
+    latency floor, :attr:`lookahead` — the global latency lower bound on
+    unweighted topologies).  With ``listen="host:port"`` the
     coordinator binds its registry there and waits for hand-launched
     ``repro cluster-worker`` processes instead of leasing localhost
     workers from the pool; they are told to ``exit`` when the trial ends.
@@ -446,7 +251,7 @@ class ClusterSimulator:
     ) -> None:
         if protocol is None:
             raise SimulationError(
-                "the cluster engine needs a picklable protocol spec "
+                "worker interpreters need a picklable protocol spec "
                 "(e.g. {'kind': 'pif'}); build closures cannot cross "
                 "interpreter boundaries"
             )
@@ -472,7 +277,7 @@ class ClusterSimulator:
         if loss is not None and not isinstance(loss, _SHARDABLE_LOSS):
             raise SimulationError(
                 f"loss model {type(loss).__name__} keeps cross-channel state; "
-                "the cluster engine supports NoLoss/BernoulliLoss"
+                "shards compose only under NoLoss/BernoulliLoss"
             )
         lo, hi = latency
         if not 1 <= lo <= hi:
@@ -482,8 +287,9 @@ class ClusterSimulator:
         self.topology = topology
         self.protocol = dict(protocol)
         self.partition = partition_topology(topology, hosts)
-        #: Conservative lookahead, as on the sharded engine: the minimum
-        #: latency lower bound over cross-shard edges.
+        #: The conservative lookahead: the minimum latency lower bound
+        #: over cross-shard edges (== the global ``lo`` when the topology
+        #: is unweighted or the partition has no cut).
         self.lookahead = self.partition.latency_floor(lo)
         self.sync = sync
         if sync == "windowed":
@@ -509,6 +315,8 @@ class ClusterSimulator:
         self.listen = listen
         self.worker_timeout = worker_timeout
         if isinstance(fault_plan, str):
+            from repro.chaos.plan import FaultPlan
+
             fault_plan = FaultPlan.parse(fault_plan)
         if fault_plan is not None:
             fault_plan.validate_for_cluster(
@@ -536,8 +344,6 @@ class ClusterSimulator:
     @property
     def n_shards(self) -> int:
         return self.partition.n_shards
-
-    # -- the coordinator loop ---------------------------------------------
 
     def run_trial(
         self,
@@ -578,519 +384,9 @@ class ClusterSimulator:
             "obs": obs is not None,
             **self._sim_kwargs,
         }
-        # The pool is first touched here, never in ``prepare``.
-        pool = _shared_pool() if self.listen is None else _WorkerPool(self.listen)
-        trial = _Coordinator(self, pool, horizon, drain, obs)
-        running = pool.loop.create_task(trial.run(spec))
-        try:
-            payloads = pool.loop.run_until_complete(running)
-        except BaseException:
-            # A worker is reused only after a trial that returned — and
-            # an interrupted coordinator must not wake in the next one.
-            running.cancel()
-            trial.abandon()
-            raise
-        finally:
-            if self.listen is not None:
-                pool.close()
-        return trial.result(payloads, scramble_seed is not None, fill_channels)
+        # The pool, the coordinator and what they import (asyncio,
+        # subprocess, the registry) are first touched here, never in
+        # ``prepare``.
+        from repro.net.coordinator import run_trial
 
-
-class _Coordinator:
-    """One trial's coordinator: the workers it leased, their control
-    channels, the grant ledger and crash recovery.
-
-    Every worker's CONTROL frames funnel into one inbox (a reader task
-    per handle), so the coordinator serves whoever speaks next instead of
-    polling the workers in shard order; :meth:`_next` is the one await
-    every phase sits in, and the one place worker death is noticed.
-    """
-
-    def __init__(
-        self,
-        sim: ClusterSimulator,
-        pool: _WorkerPool,
-        horizon: int,
-        drain: int,
-        obs: ObsRecorder | None,
-    ) -> None:
-        self.sim = sim
-        self.pool = pool
-        self.obs = obs
-        n = sim.n_shards
-        #: The slots this trial leased (a crashed shard's entry is
-        #: replaced by its respawn).
-        self.workers: dict[int, _Worker] = {}
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.pumps: list[asyncio.Task] = []
-        #: Shards noticed dead and not (yet) replaced.
-        self.dead: set[int] = set()
-        self.counts: dict[str, int] = {}
-        self.chaos_spans = SpanRecorder(pid=n + 1) if obs is not None else None
-        self.respawns = 0
-        self.replayed_rounds = 0
-        self.injected: dict[int, int] = {}
-        self.spec: dict[str, Any] = {}
-        self.ledger = GrantLedger(n, sim.window, drain, horizon)
-        #: Per shard: the last grant sent, the park reason of its last
-        #: report (None = running), the round it reported, its compute.
-        self.sent: dict[int, Grant] = {}
-        self.park: dict[int, tuple | None] = {}
-        self.rounds: dict[int, int] = {}
-        self.worker_wall: dict[int, float] = {}
-        self.rounds_wall = 0.0
-        #: REGISTER/PEERS exchanges before this trial: what it reports
-        #: is what *it* cost (none on a warm lease).
-        self.round_trips_before = pool.registry.round_trips
-
-    def _count(self, name: str, n: int = 1) -> None:
-        self.counts[name] = self.counts.get(name, 0) + n
-
-    def _phase(self, name: str, **args):
-        """A coordinator-lane phase span; the phases do not overlap."""
-        if self.obs is None:
-            return contextlib.nullcontext()
-        return self.obs.phase(name, **args)
-
-    # -- workers and their control channels -------------------------------
-
-    def _adopt(self, worker: _Worker) -> None:
-        """Start reading a registered worker's control channel."""
-        self.sent[worker.shard] = Grant(-1, None)
-        self.park[worker.shard] = None
-        self.pumps.append(asyncio.ensure_future(self._pump(worker.handle)))
-
-    async def _pump(self, handle) -> None:
-        try:
-            while True:
-                self.inbox.put_nowait((handle, await handle.recv()))
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            self.inbox.put_nowait((handle, ("eof",)))
-        except SimulationError as exc:  # a malformed control frame
-            self.inbox.put_nowait((handle, ("error", f"control channel: {exc}")))
-
-    async def _send(self, shard: int, message: tuple) -> None:
-        """Best-effort send: a dead worker surfaces through :meth:`_next`
-        (control EOF, Popen poll), not through the write that missed it."""
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
-            await self.workers[shard].handle.send(message)
-
-    def _first_dead(self) -> int | None:
-        for shard, worker in sorted(self.workers.items()):
-            if (
-                shard not in self.dead
-                and worker.popen is not None
-                and worker.popen.poll() is not None
-            ):
-                return shard
-        return None
-
-    def _died(
-        self, shard: int, phase: str, round_no: int | None = None
-    ) -> WorkerCrashed:
-        """Note a worker's death (once) and describe it."""
-        if shard not in self.dead:
-            self.dead.add(shard)
-            self._count("worker.crashed")
-            plan = self.sim._plan
-            if plan is not None and plan.crash_token(shard) is not None:
-                self._count("fault.injected.crash")
-        worker = self.workers[shard]
-        return WorkerCrashed(
-            "cluster worker died",
-            shard=shard,
-            round=round_no,
-            phase=phase,
-            exit_code=worker.popen.poll() if worker.popen is not None else None,
-            stderr_tail=worker.stderr_tail() or None,
-        )
-
-    async def _next(self, phase: str) -> tuple[int, tuple]:
-        """The next control message from any live worker.
-
-        Polls the spawned workers' ``Popen`` handles while it waits, so a
-        death surfaces as :class:`WorkerCrashed` within
-        :data:`_CRASH_POLL_S` (control EOF surfaces it at once) instead
-        of the worker timeout.  NAKs are relayed inline; progress reports
-        are folded into the ledger.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.sim.worker_timeout
-        while True:
-            try:
-                handle, message = await asyncio.wait_for(
-                    self.inbox.get(), timeout=_CRASH_POLL_S
-                )
-            except asyncio.TimeoutError:
-                dead = self._first_dead()
-                if dead is not None:
-                    raise self._died(dead, phase) from None
-                if loop.time() > deadline:
-                    raise SimulationError(
-                        f"no cluster worker spoke during {phase} within "
-                        f"{self.sim.worker_timeout:.0f}s"
-                    ) from None
-                continue
-            shard = handle.shard
-            if self.workers[shard].handle is not handle:
-                continue  # a replaced incarnation's straggler
-            op = message[0]
-            if op == "eof":
-                if shard in self.dead:
-                    continue
-                raise self._died(shard, phase)
-            if op == "error":
-                raise SimulationError(
-                    f"cluster worker shard {shard} failed:\n{message[1]}"
-                )
-            if op == "nak":
-                # A receiver's ship-count mismatch: ask the sender to
-                # re-ship the round from its log — unless the sender is
-                # dead, in which case its replacement's live re-ships
-                # heal the gap.
-                _, nak_from, peer, nak_round = message
-                self._count("ship.nak_relayed")
-                if peer not in self.dead:
-                    await self._send(peer, ("resend", nak_from, nak_round))
-                continue
-            if op == "report":
-                _, self.rounds[shard], t, done_at, compute_s, park = message
-                self.ledger.report(shard, t, done_at)
-                self.worker_wall[shard] = (
-                    self.worker_wall.get(shard, 0.0) + compute_s
-                )
-                self.park[shard] = park
-            return shard, message
-
-    async def _expect(self, shard: int, op: str, phase: str) -> tuple:
-        """Await ``op`` from ``shard``; other workers' reports pass."""
-        while True:
-            sender, message = await self._next(phase)
-            if message[0] == "report":
-                continue
-            if sender != shard or message[0] != op:
-                raise SimulationError(
-                    f"cluster worker protocol error: expected {op!r} from "
-                    f"shard {shard}, got {message[0]!r} from shard {sender}"
-                )
-            return message
-
-    async def _guarded(self, awaitable, *, phase: str):
-        """Run a registry await with the same Popen crash polling."""
-        task = asyncio.ensure_future(awaitable)
-        try:
-            while True:
-                done, _ = await asyncio.wait({task}, timeout=_CRASH_POLL_S)
-                if done:
-                    return task.result()
-                dead = self._first_dead()
-                if dead is not None:
-                    raise self._died(dead, phase)
-        finally:
-            if not task.done():
-                task.cancel()
-
-    # -- the trial --------------------------------------------------------
-
-    async def run(self, spec: dict[str, Any]) -> list[dict[str, Any]]:
-        sim, obs = self.sim, self.obs
-        started = time.perf_counter()
-        await self._lease()
-        if obs is not None:
-            # The lease wall: interpreter boots when cold, ~30 us warm.
-            obs.metrics.observe(
-                "registry.rendezvous_wall_s", time.perf_counter() - started
-            )
-        self.spec = {
-            **spec,
-            "peers": {
-                shard: (worker.handle.host, worker.handle.port)
-                for shard, worker in self.workers.items()
-            },
-        }
-        with self._phase("startup"):
-            await self._startup()
-        started = time.perf_counter()
-        with self._phase("rounds"):
-            await self._granted_rounds()
-        self.rounds_wall = time.perf_counter() - started
-        with self._phase("result_ship"):
-            for shard in self.workers:
-                await self._send(shard, ("result",))
-            payloads: dict[int, dict[str, Any]] = {}
-            while len(payloads) < sim.n_shards:
-                shard, message = await self._next("result")
-                if message[0] == "result":
-                    payloads[shard] = message[1]
-        with self._phase("release"):
-            # No worker is handed another spec before every worker of
-            # this trial has closed its links and said so.
-            for shard in self.workers:
-                await self._send(shard, ("stop",))
-            idle: set[int] = set()
-            while len(idle) < sim.n_shards:
-                shard, message = await self._next("release")
-                if message[0] == "idle":
-                    idle.add(shard)
-            # Every channel is quiet now, so no read is cut mid-frame.
-            for pump in self.pumps:
-                pump.cancel()
-            await asyncio.gather(*self.pumps, return_exceptions=True)
-        return [payloads[shard] for shard in sorted(payloads)]
-
-    async def _lease(self) -> None:
-        """Fill slots ``0..n_shards-1`` from the pool: reuse a live idle
-        worker, spawn the shortfall.  A shard whose plan carries a crash
-        token is always spawned fresh — the fault *is* a fresh
-        interpreter's lifecycle — and a pooled worker found dead is
-        replaced without comment."""
-        sim, pool = self.sim, self.pool
-        shards = range(sim.n_shards)
-        plan = sim._plan
-        await pool.registry.start()
-        pool.registry.slots = max(pool.registry.slots, sim.n_shards)
-        tokens = {
-            shard: plan.crash_token(shard) if plan else None for shard in shards
-        }
-        stale = [
-            shard for shard in shards
-            if shard in pool.workers and (
-                tokens[shard] is not None
-                or pool.workers[shard].popen.poll() is not None
-            )
-        ]
-        if stale:
-            with self._phase("reap", workers=len(stale)):
-                pool.retire(stale, graceful=True)
-        fresh = [shard for shard in shards if shard not in pool.workers]
-        args = {"spawned": len(fresh), "reused": sim.n_shards - len(fresh)}
-        with self._phase("spawn", **args):
-            for shard in fresh:
-                if pool.spawns:
-                    pool.spawn(shard, tokens[shard])
-                else:  # hand-launched: the slot waits for its REGISTER
-                    pool.workers[shard] = _Worker(shard)
-            self.workers = {shard: pool.workers[shard] for shard in shards}
-        with self._phase("rendezvous", **args):
-            joined = await self._guarded(
-                pool.registry.join(fresh, sim.worker_timeout),
-                phase="rendezvous",
-            )
-            for handle in joined:
-                self.workers[handle.shard].handle = handle
-            for worker in self.workers.values():
-                self._adopt(worker)
-
-    def abandon(self) -> None:
-        """The trial raised: nothing it leased goes back to the pool."""
-        for pump in self.pumps:
-            pump.cancel()
-        self.pool.retire(range(self.sim.n_shards), graceful=False)
-
-    async def _startup(self) -> None:
-        """Ship the spec, await every worker's ``ready``; one crash on
-        the way is recovered (nothing has been granted yet)."""
-        plan = self.sim._plan
-        shard_of = self.sim.partition.shard_of
-        for shard in sorted(self.workers):
-            faults = plan.worker_slice(shard, shard_of) if plan else None
-            await self._send(shard, ("spec", {**self.spec, "faults": faults}))
-        crash: WorkerCrashed | None = None
-        while set(self.workers) - set(self.injected) - self.dead:
-            try:
-                shard, message = await self._next("startup")
-            except WorkerCrashed as exc:
-                if crash is not None:
-                    raise
-                crash = exc
-                continue
-            if message[0] == "ready":
-                self.injected[shard] = message[1]
-        if crash is not None:
-            await self._recover(crash)
-
-    async def _granted_rounds(self) -> None:
-        """Grant credit as reports arrive until every worker has
-        finished; a crash on the way is recovered in place."""
-        shards = range(self.sim.n_shards)
-        while True:
-            grant = self.ledger.grant()
-            for shard in shards:
-                if self.sent[shard] != grant:
-                    self.sent[shard] = grant
-                    await self._send(shard, ("grant", *grant))
-            if all(self._parked(shard) == "final" for shard in shards):
-                return
-            try:
-                shard, message = await self._next("barrier")
-            except WorkerCrashed as crash:
-                await self._recover(crash, in_rounds=True)
-                continue
-            if message[0] != "report":
-                raise SimulationError(
-                    f"cluster worker protocol error: shard {shard} sent "
-                    f"{message[0]!r} during the granted rounds"
-                )
-
-    def _parked(self, shard: int) -> str | None:
-        """Why ``shard`` cannot move until the coordinator acts, or None
-        while it may be running: a worker that reported itself out of
-        credit is parked only if no larger grant is on its way."""
-        park = self.park[shard]
-        if park is None or (park[0] == "limit" and park[1] != self.sent[shard].limit):
-            return None
-        return park[0]
-
-    # -- crash recovery ---------------------------------------------------
-
-    async def _recover(self, crash: WorkerCrashed, in_rounds: bool = False) -> None:
-        """Respawn a crashed shard and let it catch up on its own.
-
-        Waits until every survivor adjacent to the dead shard is parked
-        (blocked on the lost peer, out of credit, or finished — no grant
-        is issued meanwhile, so each gets there), which fixes what their
-        ship logs hold; collects those logs, respawns the shard without
-        its crash fault, rewires the adjacent survivors to the
-        replacement's fresh peer server, and hands the replacement the
-        spec plus the logged ships.  The replacement runs the ordinary
-        round loop from round 1 under the current grant: the survivors'
-        re-announced rounds let it through without waiting, determinism
-        makes its re-ships byte-identical to the lost ones, and survivors
-        absorb them as duplicates — except the rounds they are blocked
-        on, which are new and exactly what they wait for.
-        """
-        sim = self.sim
-        dead = crash.shard
-        adjacent = [
-            shard for shard in sorted(self.workers)
-            if shard != dead and dead in sim.partition.peer_shards(shard)
-        ]
-        if in_rounds:
-            while not all(self._parked(shard) for shard in adjacent):
-                await self._next("recovery")
-            # The dead worker died in the first round whose barrier it
-            # never announced; failing that, the last one it reported.
-            awaited = [
-                self.park[shard][2] for shard in adjacent
-                if self.park[shard][:2] == ("blocked", dead)
-            ]
-            crash = self._died(
-                dead, crash.phase,
-                min(awaited) if awaited else self.rounds.get(dead, 0),
-            )
-        if not (
-            sim.recover
-            and sim.sync == "windowed"
-            and sim.listen is None
-            and self.respawns < sim.max_respawns
-        ):
-            raise crash
-        t0 = wall()
-        self.respawns += 1
-        # Its stderr tail is in ``crash``; this closes the file and the
-        # control channel and empties the slot for the respawn.
-        self.pool.retire([dead], graceful=False)
-        ships: list[tuple[int, tuple]] = []
-        for shard in adjacent:
-            await self._send(shard, ("ship-log", dead))
-            ships.extend((await self._expect(shard, "ship-log", "recovery"))[1])
-        worker = self.workers[dead] = self.pool.spawn(dead)
-        [replacement] = await self._guarded(
-            self.pool.registry.join([dead], sim.worker_timeout), phase="respawn"
-        )
-        worker.handle = replacement
-        self._adopt(worker)
-        self.spec["peers"][dead] = (replacement.host, replacement.port)
-        # Survivors with no topology edge to the dead shard (e.g. opposite
-        # sides of a wan ring) are left alone: they never ship to the
-        # replacement, and dialing it anyway would plant a barrier-round
-        # entry the replacement waits on forever.
-        for shard in adjacent:
-            await self._send(
-                shard, ("peer-update", dead, replacement.host, replacement.port)
-            )
-            await self._expect(shard, "peer-ok", "recovery")
-            if self.park[shard][0] == "blocked":
-                self.park[shard] = None  # the replacement unblocks it
-        await self._send(
-            dead, ("spec", {**self.spec, "faults": None, "replay": ships})
-        )
-        self.injected[dead] = (await self._expect(dead, "ready", "recovery"))[1]
-        self.dead.discard(dead)
-        replayed = crash.round or 0
-        self.replayed_rounds += replayed
-        self._count("recovery.respawns")
-        if replayed:
-            self._count("recovery.replayed_rounds", replayed)
-        if self.chaos_spans is not None:
-            self.chaos_spans.record(
-                "recovery", "chaos", t0, wall(),
-                args={
-                    "shard": dead,
-                    "replayed_rounds": replayed,
-                    "round": crash.round,
-                    "phase": crash.phase,
-                },
-            )
-
-    # -- result -----------------------------------------------------------
-
-    def result(
-        self, payloads: list[dict[str, Any]], scrambled: bool, fill_channels: bool
-    ) -> ClusterRunResult:
-        sim, obs, ledger = self.sim, self.obs, self.ledger
-        with self._phase("merge"):
-            trace = merge_worker_traces(
-                payloads, scrambled, fill_channels, sum(self.injected.values())
-            )
-            stats = SimStats()
-            finals: dict[int, RequestState] = {}
-            for payload in payloads:
-                stats.merge(payload["stats"])
-                finals.update(payload["finals"])
-            completions = merge_completions(payloads)
-        round_trips = self.pool.registry.round_trips - self.round_trips_before
-        fault_counts = dict(self.counts)
-        for payload in payloads:
-            for name, n in (payload.get("fault_counts") or {}).items():
-                fault_counts[name] = fault_counts.get(name, 0) + n
-        # Every worker runs the same grid, so they agree on the count.
-        barriers = max(self.rounds.values())
-        #: What the rounds phase cost beyond the slowest worker's compute.
-        sync_wall = max(
-            0.0, self.rounds_wall - max(self.worker_wall.values(), default=0.0)
-        )
-        if obs is not None:
-            for payload in payloads:
-                if payload.get("obs") is not None:
-                    obs.merge_worker(payload["obs"])
-            obs.metrics.inc("sync.barriers", barriers)
-            obs.metrics.gauge_max("sync.window", sim.window)
-            obs.metrics.observe("sync.wall_s", sync_wall)
-            obs.metrics.inc("registry.round_trips", round_trips)
-            for name, n in self.counts.items():
-                obs.metrics.inc(name, n)
-            chaos_payload = self.chaos_spans.payload()
-            if chaos_payload:
-                obs.spans.extend(chaos_payload)
-                obs.process_names[sim.n_shards + 1] = "chaos"
-        assert ledger.final is not None
-        return ClusterRunResult(
-            trace=trace,
-            stats=stats,
-            finals=finals,
-            completions=completions,
-            completed=ledger.completed,
-            done_at=ledger.done_tick,
-            final_time=ledger.final,
-            partition=sim.partition,
-            sync=sim.sync,
-            window=sim.window,
-            barriers=barriers,
-            sync_wall_s=sync_wall,
-            worker_wall_s=self.worker_wall,
-            registry_round_trips=round_trips,
-            fault_counts=fault_counts,
-            recoveries=self.respawns,
-            replayed_rounds=self.replayed_rounds,
-        )
+        return run_trial(self, spec, obs)

@@ -9,9 +9,10 @@ channel says ``exit`` or closes::
     spec -> ready -> grant/report ... -> result -> stop
          -> per-trial teardown -> ("idle",) -> wait for the next spec
 
-Within a trial it hosts an :class:`~repro.net.engine.AsyncSimulator`
-slice for its shard, dials the peers named in the spec, and runs its
-rounds on its own under the coordinator's grants
+Within a trial it hosts a plain :class:`~repro.sim.runtime.Simulator`
+slice for its shard (a round is ``scheduler.run_until(target)``, the
+serial engine's own loop), dials the peers named in the spec, and runs
+its rounds on its own under the coordinator's grants
 (:mod:`repro.net.cluster` — see there for the protocol, the
 synchronization modes and the fault/recovery design;
 :mod:`repro.net.grant` for the arithmetic), synchronising with its peers
@@ -29,9 +30,9 @@ deadline.  What a trial accumulates lives on one :class:`_Trial` per
 
 A worker cannot REGISTER before this module is imported, so it imports
 only what a worker runs: nothing of the coordinator
-(``repro.net.cluster``), the trial pipeline (``repro.engine``,
-``repro.analysis``, ``repro.spec``) or the fork engine's
-``multiprocessing``.
+(``repro.net.coordinator``), the trial pipeline (``repro.engine``,
+``repro.analysis``, ``repro.spec``) or the asyncio engine
+(``repro.net.engine``, its clocks, transports and monitors).
 """
 
 from __future__ import annotations
@@ -49,15 +50,15 @@ from repro.core.protocols import build_protocol, payload_from_fmt
 from repro.core.requests import RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
-from repro.net.engine import AsyncSimulator
 from repro.net.grant import RoundGrid
 from repro.net.registry import RegistryClient
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
 from repro.sim.partition import Partition
+from repro.sim.runtime import Simulator
 from repro.sim.sharded import _KeyedTrace, scramble_shard, shard_result_payload
 
-__all__ = ["run_cluster_worker", "parse_hostport"]
+__all__ = ["run_cluster_worker"]
 
 #: Exit code of an injected ``crash worker`` fault (distinct from 1, the
 #: generic worker-error exit, so tests can tell them apart).
@@ -66,16 +67,13 @@ _CHAOS_EXIT = 70
 #: How long a booted worker waits for the registry to answer.
 _REGISTER_TIMEOUT_S = 120.0
 
-
-def parse_hostport(spec: str) -> tuple[str, int]:
-    """Parse ``host:port`` (the form every cluster CLI flag uses)."""
-    host, sep, port = spec.rpartition(":")
-    if not sep or not host:
-        raise SimulationError(f"expected HOST:PORT, got {spec!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SimulationError(f"bad port in {spec!r}") from None
+#: How long a barrier wait polls its links before it sleeps.  The peers
+#: compute the same round at the same time, so a barrier is usually a
+#: fraction of a millisecond away — and what a sleep that short costs is
+#: set by the host (an idle virtual core comes back when the other guests
+#: let it).  Each poll yields the core first: a peer that shares it
+#: (more workers than cores) runs instead of the poll.
+_BARRIER_POLL_S = 0.0005
 
 
 class _CoordinatorGone(Exception):
@@ -117,7 +115,7 @@ class _ClusterWorker:
         self.trial: _Trial | None = None
         #: Inbound links wait on this: a fast peer can dial and ship
         #: round 0 before this worker has read its spec or built its
-        #: engine, and a BARRIER processed before the trial seeds its
+        #: shard, and a BARRIER processed before the trial seeds its
         #: barrier rounds would be overwritten (a lost barrier deadlocks
         #: the round loop).  TCP buffers the frames until the trial
         #: state exists.
@@ -183,7 +181,7 @@ class _ClusterWorker:
                     await trial.teardown()
                 self._crash_phase = None  # the first trial's fault
                 await self.client.send(("idle",))
-                # An engine, its actors and their tasks are reference
+                # A simulator, its hosts and their links are reference
                 # cycles.  Collect them now, while the coordinator
                 # merges: left to the collector's own schedule they pile
                 # up and a long-lived worker's high-water mark climbs
@@ -212,8 +210,8 @@ class _ClusterWorker:
 
 
 class _Trial:
-    """One trial on one shard: an AsyncSimulator slice behind the fabric,
-    and every piece of state the trial accumulates — built fresh per
+    """One trial on one shard: a Simulator slice behind the fabric, and
+    every piece of state the trial accumulates — built fresh per
     ``spec``, so nothing needs resetting between trials.
 
     Fault machinery riding the fabric:
@@ -238,7 +236,21 @@ class _Trial:
             topology=spec["topology"], shards=spec["shards"]
         )
         self.peers = self.partition.peer_shards(self.shard)
-        self.engine: AsyncSimulator | None = None
+        self.shard_pids = spec["shards"][self.shard]
+        #: The shard itself: the serial engine hosting this slice, under
+        #: a trace that records each emission's merge position.
+        self.sim = Simulator(
+            build=build_protocol(spec["protocol"]),
+            topology=spec["topology"],
+            hosts_for=self.shard_pids,
+            seed=spec["seed"],
+            capacity=spec["capacity"],
+            latency=spec["latency"],
+            loss=spec["loss"],
+            activation_period=spec["activation_period"],
+            activation_jitter=spec["activation_jitter"],
+        )
+        self.trace = self.sim.trace = _KeyedTrace(self.sim.scheduler)
         self.obs: ObsRecorder | None = None
         if spec["obs"]:
             # Coordinator lane is pid 0; worker lanes follow shard order.
@@ -460,18 +472,17 @@ class _Trial:
     def _on_ship(
         self, src: int, dst: int, msg: Any, when: int, entry_seq: int
     ) -> None:
-        engine = self.engine
-        assert engine is not None
+        sim = self.sim
         if self.sync == "freerun":
             # Best-effort: a late frame lands in the receiver's local
             # future instead of violating the clock.  TCP keeps each
             # link FIFO and the clamp is monotone, so per-channel
             # delivery order still holds.
-            when = max(when, engine.now + 1)
+            when = max(when, sim.now + 1)
         # In windowed mode the protocol guarantees `when` lies beyond the
         # current window; Scheduler.post_at's past-time check stays active
         # as a causality assertion.
-        engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
+        sim.schedule_remote_arrival(src, dst, msg, when, entry_seq)
 
     # -- outbound faults --------------------------------------------------
 
@@ -565,12 +576,10 @@ class _Trial:
         and the barrier count states what the log holds, not what the
         wire saw.
         """
-        engine = self.engine
-        assert engine is not None
         shard_of = self.partition.shard_of
         counts = dict.fromkeys(self.peers, 0)
         frames: dict[int, list[bytes]] = {peer: [] for peer in self.peers}
-        for ship in engine.drain_outbox():
+        for ship in self.sim.drain_outbox():
             peer = shard_of[ship[1]]
             self._ship_log.setdefault(peer, {}).setdefault(
                 round_no, []
@@ -610,6 +619,7 @@ class _Trial:
         the replacement's re-ships complete the barrier.
         """
         reported = False
+        poll_until = time.perf_counter() + _BARRIER_POLL_S
         while True:
             if self._errors:
                 raise SimulationError(
@@ -632,6 +642,10 @@ class _Trial:
                 continue
             if not lost:
                 reported = False
+            if time.perf_counter() < poll_until:
+                os.sched_yield()
+                await asyncio.sleep(0)  # one pass of the loop: read the links
+                continue
             loop = asyncio.get_running_loop()
             waiter = self._barrier_waiter = loop.create_future()
             timer = loop.call_later(self.timeout, self._wake, False)
@@ -667,78 +681,58 @@ class _Trial:
             self._stalls[round_no] = self._stalls.get(round_no, 0.0) + seconds
 
     async def run(self) -> None:
-        """Serve the trial: build the shard, ship round 0, report
-        ``ready``, then run the granted rounds beside the control reader
-        until ``stop``."""
-        spec = self.spec
-        shard_pids = spec["shards"][self.shard]
-        engine = AsyncSimulator(
-            build=build_protocol(spec["protocol"]),
-            topology=spec["topology"],
-            hosts_for=shard_pids,
-            transport="loopback",
-            seed=spec["seed"],
-            capacity=spec["capacity"],
-            latency=spec["latency"],
-            loss=spec["loss"],
-            activation_period=spec["activation_period"],
-            activation_jitter=spec["activation_jitter"],
-        )
-        trace = _KeyedTrace(engine.scheduler)
-        engine.trace = trace
-        self.engine = engine
+        """Serve the trial: dial the peers, scramble, ship round 0,
+        report ``ready``, then run the granted rounds beside the control
+        reader until ``stop``."""
+        spec, sim, trace = self.spec, self.sim, self.trace
         self.worker._maybe_crash("peering")
         await self._connect_peers(spec["peers"])
         self.worker._trial_ready.set()
-        engine.start_actors()
+        injected, proc_len, chan_len = scramble_shard(
+            sim, trace, spec["scramble_seed"], spec["fill_channels"]
+        )
+        driver_cfg = spec["driver"]
+        driver: RequestDriver | None = None
+        if driver_cfg is not None:
+            cfg = dict(driver_cfg)
+            fmt = cfg.pop("payload_fmt", None)
+            if fmt is not None:
+                cfg["payload"] = payload_from_fmt(fmt)
+            driver = RequestDriver(sim, pids=self.shard_pids, **cfg)
+        # A crashed shard's replacement: the first incarnation's
+        # cross-shard inputs arrive via the spec (the survivors' ship
+        # logs), not the wire — its own dead sockets took the live
+        # copies with it.  Seed the dedup set so any frames that *do*
+        # straggle in are dropped and inject the logged ships; the
+        # ordinary round loop below then re-executes from round 1.
+        # Determinism (per-entity RNG streams, canonical scheduler
+        # keys, sender-computed delivery times) makes the
+        # re-execution — including its outbound ships —
+        # byte-identical to the lost one.
+        for _rnd, ship in spec.get("replay") or ():
+            src, dst, msg, when, entry_seq = ship
+            key = (src, dst, entry_seq)
+            if key in self._seen:
+                continue
+            self._seen.add(key)
+            sim.schedule_remote_arrival(src, dst, msg, when, entry_seq)
+        # Round 0: the scramble's cross-shard injections ship before
+        # anyone is granted a round — by the time a peer passes its
+        # round-0 barrier wait, these are in its heap.
+        await self._ship_round(0)
+        await self.client.send(("ready", injected))
+        rounds = asyncio.ensure_future(self._rounds(driver, self.obs))
         try:
-            injected, proc_len, chan_len = scramble_shard(
-                engine, trace, spec["scramble_seed"], spec["fill_channels"]
+            await self._serve_control(
+                rounds,
+                lambda: self._result_payload(
+                    proc_len, chan_len, driver,
+                    driver_cfg["tag"] if driver_cfg else None,
+                ),
             )
-            driver_cfg = spec["driver"]
-            driver: RequestDriver | None = None
-            if driver_cfg is not None:
-                cfg = dict(driver_cfg)
-                fmt = cfg.pop("payload_fmt", None)
-                if fmt is not None:
-                    cfg["payload"] = payload_from_fmt(fmt)
-                driver = RequestDriver(engine, pids=shard_pids, **cfg)
-            # A crashed shard's replacement: the first incarnation's
-            # cross-shard inputs arrive via the spec (the survivors' ship
-            # logs), not the wire — its own dead sockets took the live
-            # copies with it.  Seed the dedup set so any frames that *do*
-            # straggle in are dropped and inject the logged ships; the
-            # ordinary round loop below then re-executes from round 1.
-            # Determinism (per-entity RNG streams, canonical scheduler
-            # keys, sender-computed delivery times) makes the
-            # re-execution — including its outbound ships —
-            # byte-identical to the lost one.
-            for _rnd, ship in spec.get("replay") or ():
-                src, dst, msg, when, entry_seq = ship
-                key = (src, dst, entry_seq)
-                if key in self._seen:
-                    continue
-                self._seen.add(key)
-                engine.schedule_remote_arrival(src, dst, msg, when, entry_seq)
-            # Round 0: the scramble's cross-shard injections ship before
-            # anyone is granted a round — by the time a peer passes its
-            # round-0 barrier wait, these are in its heap.
-            await self._ship_round(0)
-            await self.client.send(("ready", injected))
-            rounds = asyncio.ensure_future(self._rounds(driver, self.obs))
-            try:
-                await self._serve_control(
-                    rounds,
-                    lambda: self._result_payload(
-                        trace, proc_len, chan_len, shard_pids, driver,
-                        driver_cfg["tag"] if driver_cfg else None, self.obs,
-                    ),
-                )
-            finally:
-                rounds.cancel()
-                await asyncio.gather(rounds, return_exceptions=True)
         finally:
-            await engine._teardown()
+            rounds.cancel()
+            await asyncio.gather(rounds, return_exceptions=True)
 
     async def _rounds(
         self, driver: RequestDriver | None, obs: ObsRecorder | None
@@ -752,9 +746,7 @@ class _Trial:
         on: out of credit ``("limit", limit)``, waiting on a dead peer
         ``("blocked", peer, round)``, or finished ``("final", final)``.
         """
-        engine = self.engine
-        assert engine is not None
-        clock = engine.scheduler
+        scheduler = self.sim.scheduler
         grid = self._grid
         compute_s = 0.0
 
@@ -800,13 +792,14 @@ class _Trial:
                 await asyncio.sleep(0)  # let inbound frames in
             w0 = wall() if obs is not None else 0.0
             t0 = time.perf_counter()
-            await clock.drive(target, engine._route)
+            # The serial engine's loop: nothing else on this event loop
+            # runs until the round is done.
+            scheduler.run_until(target)
             compute_s += time.perf_counter() - t0
             if obs is not None:
                 obs.record_round(
                     "compute", w0, wall(), round=round_no, target=target
                 )
-            engine._raise_net_errors()
             if self._errors:
                 raise SimulationError(
                     f"peer link failed: {self._errors[0]}"
@@ -879,11 +872,8 @@ class _Trial:
         finally:
             recv.cancel()
 
-    def _result_payload(
-        self, trace, proc_len, chan_len, shard_pids, driver, tag, obs
-    ) -> dict[str, Any]:
-        engine = self.engine
-        assert engine is not None
+    def _result_payload(self, proc_len, chan_len, driver, tag) -> dict[str, Any]:
+        obs = self.obs
         if obs is not None:
             import resource  # not part of the boot closure
 
@@ -897,8 +887,8 @@ class _Trial:
                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             )
         payload = shard_result_payload(
-            engine, trace, proc_len, chan_len,
-            shard_pids, driver, tag, obs=obs,
+            self.sim, self.trace, proc_len, chan_len,
+            self.shard_pids, driver, tag, obs=obs,
         )
         if self._fault_counts:
             payload["fault_counts"] = dict(self._fault_counts)
@@ -960,7 +950,7 @@ def run_cluster_worker(
     ``phase:round``) the coordinator threads through argv.  Returns a
     process exit code.
     """
-    host, port = parse_hostport(registry)
+    host, port = wire.parse_hostport(registry)
     if shard < 0:
         raise SimulationError(f"shard must be >= 0, got {shard}")
     return asyncio.run(_worker_async(shard, host, port, advertise_host, chaos))

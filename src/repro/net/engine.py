@@ -178,15 +178,11 @@ class AsyncSimulator(Simulator):
         **sim_kwargs: Any,
     ) -> None:
         self._kind = resolve_transport(transport)
-        if "auto" in sim_kwargs:
-            raise SimulationError(
-                "'auto' is not configurable on the async engine"
-            )
-        # ``hosts_for`` *is* allowed: a cluster worker
-        # (repro.net.cluster_worker) hosts one shard's slice of the system
-        # on this engine — sends to non-hosted pids fall through to the
-        # base engine's cross-shard outbox, which the worker ships over
-        # the socket fabric.
+        for reserved in ("auto", "hosts_for"):
+            if reserved in sim_kwargs:
+                raise SimulationError(
+                    f"{reserved!r} is not configurable on the async engine"
+                )
         self.transport = transport
         self.tick = tick
         # Read by _make_scheduler/_make_trace during super().__init__.
@@ -206,8 +202,8 @@ class AsyncSimulator(Simulator):
         # a framed transport.  Crash/cut/stall faults need the cluster
         # runtime.
         if isinstance(fault_plan, str):
-            # Cluster workers host this engine fault-free: the parser is
-            # imported by the trials that hand over plan text.
+            # The parser is imported by the trials that hand over plan
+            # text, not by every async trial.
             from repro.chaos.plan import FaultPlan
 
             fault_plan = FaultPlan.parse(fault_plan)
@@ -311,18 +307,6 @@ class AsyncSimulator(Simulator):
         actor = self._actors[dst]
         actor.post(lambda: self._dispatch_arrival(src, dst, msg, entry_seq))
 
-    def start_actors(self) -> None:
-        """Spawn one :class:`ProcessActor` per hosted pid (needs a running
-        event loop).  ``run_trial`` does this itself; external drivers —
-        the cluster worker loop, which owns its own advance protocol —
-        call it before the first ``drive`` and :meth:`_teardown` after
-        the last."""
-        self._actors = {
-            pid: ProcessActor(pid, self._net_errors) for pid in self.hosts
-        }
-        for actor in self._actors.values():
-            actor.start()
-
     async def _route(self, key: int, fn: Callable[[], None]) -> None:
         """Execute one clock event (or batched run) at its owner.
 
@@ -394,7 +378,11 @@ class AsyncSimulator(Simulator):
         driver: dict[str, Any] | None,
         drain: int,
     ) -> NetRunResult:
-        self.start_actors()
+        self._actors = {
+            pid: ProcessActor(pid, self._net_errors) for pid in self.hosts
+        }
+        for actor in self._actors.values():
+            actor.start()
         clock = self.scheduler
         try:
             if self._kind.fabric_factory is not None:

@@ -2,7 +2,7 @@
 
 A *transport* carries one directed channel ``src -> dst``.  Whatever the
 medium, the paper's Section 4 channel semantics are enforced on the
-**sender's side** — the invariant inherited from the sharded engine's
+**sender's side** — the invariant inherited from sharded runs'
 sender-owned accounting (:mod:`repro.sim.sharded`):
 
 * *admission* — the sender's :class:`~repro.sim.channel.BoundedChannel`

@@ -23,7 +23,7 @@ Frame kinds:
   map once every expected worker has registered.
 * ``SHIP`` — one cross-shard message on a cluster peer link, carrying the
   *sender-computed* delivery time, channel entry seq (the conservative
-  window protocol of :mod:`repro.sim.sharded`, over sockets), and the
+  window protocol of :mod:`repro.net.cluster`), and the
   sender's barrier round (so receivers can account ships per round and
   crash recovery can replay them).
 * ``BARRIER`` — a shard announces it finished round ``round`` and
@@ -92,6 +92,7 @@ __all__ = [
     "encode_control",
     "decode_control",
     "truncate_frame",
+    "parse_hostport",
 ]
 
 #: Bump on any incompatible frame-layout change.  Version 2: SHIP frames
@@ -372,3 +373,14 @@ def decode_control(payload: bytes) -> object:
         return pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - normalized for callers
         raise WireError(f"undecodable control frame: {exc}") from exc
+
+
+def parse_hostport(spec: str) -> tuple[str, int]:
+    """Parse ``host:port`` (the form every cluster CLI flag uses)."""
+    host, sep, port = spec.rpartition(":")
+    if not sep or not host:
+        raise SimulationError(f"expected HOST:PORT, got {spec!r}")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise SimulationError(f"bad port in {spec!r}") from None

@@ -14,7 +14,7 @@ Collection code can therefore run unconditionally against
 :data:`NULL_METRICS` when a pillar is disabled instead of branching.
 
 Snapshots are plain JSON-ready dicts so they pickle cheaply across the
-sharded pipe / cluster CONTROL channel; :meth:`MetricsRegistry.merge`
+workers' CONTROL channel; :meth:`MetricsRegistry.merge`
 folds a worker snapshot into the coordinator registry the same way
 ``SimStats.merge`` folds worker stats.
 """

@@ -1,12 +1,10 @@
 """Per-trial observability funnel: one :class:`ObsRecorder` per process.
 
 The coordinator (:func:`repro.engine.execute`, switched on by a spec's
-``obs`` section, and the sharded or cluster driver loop it runs) owns
-the primary recorder.  Each worker — a forked sharded worker
-or a cluster worker interpreter — owns its own recorder with a distinct
+``obs`` section, and the coordinator it runs) owns the primary
+recorder.  Each worker interpreter owns its own recorder with a distinct
 Chrome-trace ``pid`` lane, and ships :meth:`ObsRecorder.worker_payload`
-back over its existing result channel (the sharded pipe, or the pickled
-CONTROL frame for cluster workers).  :meth:`ObsRecorder.merge_worker`
+back in its pickled RESULT control frame.  :meth:`ObsRecorder.merge_worker`
 folds those payloads into the coordinator's registry and timeline.
 
 Nothing here touches the deterministic core: collection reads passive

@@ -1,6 +1,6 @@
 """Execution-order determinism primitives shared by the serial and sharded engines.
 
-The sharded engine (:mod:`repro.sim.sharded`) must produce **bit-identical**
+A sharded run (:mod:`repro.sim.sharded`) must produce **bit-identical**
 traces to the serial engine for the same seed.  Two things make that possible,
 and both live here because the *serial* engine has to play by the same rules:
 

@@ -1,7 +1,8 @@
-"""Topology partitioning for the sharded engine.
+"""Topology partitioning for the window-sync runtime.
 
 A :class:`Partition` splits a topology's processes into disjoint *shards*,
-each simulated by one worker process of :class:`repro.sim.sharded.ShardedSimulator`.
+each simulated by one worker interpreter of
+:class:`repro.net.cluster.ClusterSimulator` (``engine=sharded|cluster``).
 Edges whose endpoints land in different shards become *cross-shard channels*,
 synchronized by the conservative time-window protocol; everything else stays
 worker-local.  Good partitions therefore minimize the cut.

@@ -23,8 +23,8 @@ a per-entity stream (per-process activation jitter, per-directed-channel
 loss/corruption/latency) and every engine event carries a canonical
 content-derived scheduler key.  Runs are therefore reproducible for a given
 seed *and* independent of how events of unrelated entities interleave — the
-property the sharded engine (:mod:`repro.sim.sharded`) relies on to be
-bit-identical with serial execution.
+property the window-sync runtime (:mod:`repro.net.cluster`) relies on to
+be bit-identical with serial execution.
 
 Two driving styles:
 
@@ -36,8 +36,8 @@ Two driving styles:
 Sharding hooks: ``hosts_for`` restricts which pids this engine *hosts* (the
 full topology stays visible for channel numbering).  Sends to a non-hosted
 pid release their channel slot at the scheduled delivery time and append to
-:attr:`cross_outbox`; the sharded driver exchanges outboxes at time-window
-barriers and re-injects them via :meth:`schedule_remote_arrival`.
+:attr:`cross_outbox`; the shard's worker ships its outbox at time-window
+barriers and peers re-inject it via :meth:`schedule_remote_arrival`.
 
 The hot path — one compiled link per directed channel.  A dense trial is
 hundreds of thousands of sends through one admission rule, and its profile

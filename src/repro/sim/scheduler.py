@@ -5,7 +5,7 @@ Time is an integer tick counter.  Events scheduled for the same tick run in
 :mod:`repro.sim.determinism`) and ``seq`` is a monotone insertion counter that
 breaks remaining ties.  Engine events (activations, timers, deliveries) pass
 canonical keys, so same-tick ordering is a function of simulation state rather
-than heap insertion history — the property that lets the sharded engine
+than heap insertion history — the property that lets sharded runs
 (:mod:`repro.sim.sharded`) reproduce serial runs bit-for-bit.  Unkeyed events
 (key 0) keep the classic insertion order among themselves and run first in
 their tick.

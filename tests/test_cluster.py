@@ -1,4 +1,4 @@
-"""Tests for the multi-host cluster runtime (repro.net.cluster).
+"""Tests for the window-sync runtime (repro.net.cluster).
 
 The expensive property — windowed cluster trials reproduce serial trace
 metrics and the canonical trace hash bit-for-bit — is checked here on one
@@ -18,7 +18,9 @@ from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.core.protocols import build_protocol, payload_from_fmt
 from repro.engine import ClusterOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
-from repro.net.cluster import ClusterSimulator, close_pool, parse_hostport
+from repro.net.cluster import ClusterSimulator
+from repro.net.coordinator import close_pool
+from repro.net.wire import parse_hostport
 from repro.sim.partition import partition_topology
 from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash

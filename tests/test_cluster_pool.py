@@ -1,4 +1,4 @@
-"""The worker pool of the cluster engine (repro.net.cluster).
+"""The worker pool of the window-sync runtime (repro.net.coordinator).
 
 Worker interpreters outlive the trial: a trial leases slots
 ``0..hosts-1`` from one process-wide pool, reusing live idle workers and
@@ -36,8 +36,9 @@ from repro.engine import (
     execute,
 )
 from repro.errors import WorkerCrashed
-from repro.net import cluster
-from repro.net.cluster import ClusterSimulator, close_pool, interpreters_spawned
+from repro.net import coordinator
+from repro.net.cluster import ClusterSimulator
+from repro.net.coordinator import close_pool, interpreters_spawned
 from repro.sim.trace import canonical_trace_hash
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -128,14 +129,20 @@ def test_one_pool_serves_changing_shapes(tmp_path, monkeypatch):
 
 
 def test_cluster_then_sharded_then_cluster_in_one_process():
-    """The sharded engine forks from the process that holds the pool."""
+    """``sharded`` is the same runtime under another name: after
+    ``cluster`` at the same worker count it boots no interpreter."""
     spec = _pif_spec(8, seed=3)
     serial = _hash(spec)
     close_pool()
     before = interpreters_spawned()
     assert _hash(_on_cluster(spec, 2)) == serial
-    assert _hash(replace(spec, engine="sharded",
-                         sharding=ShardingOpts(shards=2))) == serial
+    assert interpreters_spawned() - before == 2
+    sharded = execute(replace(spec, engine="sharded",
+                              sharding=ShardingOpts(shards=2)))
+    assert canonical_trace_hash(sharded.trace) == serial
+    assert set(sharded.provenance()) == {
+        "engine", "transport", "wall_clock_s", "window", "barriers",
+        "sync_wall_s"}
     assert _hash(_on_cluster(spec, 2)) == serial
     assert interpreters_spawned() - before == 2
 
@@ -154,7 +161,7 @@ def test_close_pool_then_a_trial_respawns():
 def test_dead_pooled_worker_is_replaced_silently():
     spec = _pif_spec(6, seed=4)
     execute(_on_cluster(spec, 2))
-    victim = cluster._shared_pool().workers[0].popen
+    victim = coordinator._shared_pool().workers[0].popen
     victim.kill()
     victim.wait()
     before = interpreters_spawned()
@@ -169,7 +176,7 @@ def test_failed_trial_discards_every_worker_it_leased():
     driver = dict(tag="pif", requests_per_process=2,
                   payload_fmt="m-{pid}-{k}")
     execute(_on_cluster(_pif_spec(6, seed=3), 2))  # a warm pool
-    leased = [w.popen for w in cluster._shared_pool().workers.values()]
+    leased = [w.popen for w in coordinator._shared_pool().workers.values()]
     sim = ClusterSimulator(
         6, {"kind": "pif"}, seed=3, hosts=2,
         fault_plan="crash worker 1 at barrier 2", recover=False)
@@ -181,7 +188,7 @@ def test_failed_trial_discards_every_worker_it_leased():
     # worker it reused, not the one it spawned with the crash token.
     assert all(popen.poll() is not None for popen in leased)
     assert _live_worker_children() == []
-    assert cluster._shared_pool().workers == {}
+    assert coordinator._shared_pool().workers == {}
     before = interpreters_spawned()
     spec = _pif_spec(6, seed=3)
     assert _hash(_on_cluster(spec, 2)) == _hash(spec)
@@ -200,11 +207,39 @@ def test_recovered_replacement_is_leased_to_the_next_trial():
     # Two boots, one respawn — each a REGISTER + PEERS exchange.
     assert interpreters_spawned() - before == 3
     assert crashed.provenance["registry_round_trips"] == 6
-    replacement = cluster._shared_pool().workers[1].popen.pid
+    replacement = coordinator._shared_pool().workers[1].popen.pid
     clean = run_pif_trial(spec)
     assert clean.measurements == serial.measurements
     assert interpreters_spawned() - before == 3
-    assert cluster._shared_pool().workers[1].popen.pid == replacement
+    assert coordinator._shared_pool().workers[1].popen.pid == replacement
+
+
+def test_worker_killed_with_its_result_unshipped_is_a_named_error(
+    monkeypatch,
+):
+    """The one phase no crash token names: the worker finished its
+    rounds and dies as its result is asked for.  Through either engine
+    name that is a prompt :class:`WorkerCrashed` — shard, phase, exit
+    code — and nothing of the trial stays leased."""
+    execute(_on_cluster(_pif_spec(6, seed=3), 2))  # a warm pool
+    send = coordinator._Coordinator._send
+
+    async def kill_then_send(self, shard, message):
+        if message == ("result",) and shard == 1:
+            self.workers[1].popen.kill()
+        await send(self, shard, message)
+
+    monkeypatch.setattr(coordinator._Coordinator, "_send", kill_then_send)
+    started = time.monotonic()
+    with pytest.raises(WorkerCrashed) as excinfo:
+        execute(replace(_pif_spec(6, seed=3), engine="sharded",
+                        sharding=ShardingOpts(shards=2)))
+    assert time.monotonic() - started < 10
+    crash = excinfo.value
+    assert crash.shard == 1 and crash.phase == "result"
+    assert crash.exit_code == -signal.SIGKILL and "shard 1" in str(crash)
+    assert _live_worker_children() == []
+    assert coordinator._shared_pool().workers == {}
 
 
 # -- a long-lived worker stays small and truthful -------------------------
@@ -311,13 +346,13 @@ def test_killed_coordinator_leaves_no_orphan_worker(state):
 def test_forked_child_treats_the_inherited_pool_as_empty():
     spec = _on_cluster(_pif_spec(6, seed=0), 2)
     execute(spec)
-    pool = cluster._shared_pool()
+    pool = coordinator._shared_pool()
     pid = os.fork()
     if pid == 0:  # the child: must neither drive nor tear down
         code = 1
         try:
             close_pool()  # not ours: a no-op
-            fresh = cluster._shared_pool()
+            fresh = coordinator._shared_pool()
             if fresh is not pool and fresh.workers == {}:
                 code = 0
         finally:

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -52,19 +54,44 @@ def test_import_repro_loads_only_leaves():
 _SERIAL_HEAVY = (
     "asyncio", "ssl", "multiprocessing", "repro.net.cluster",
     "repro.net.engine", "repro.net.monitors", "repro.sim.sharded",
-    "repro.analysis.experiments",
+    "repro.chaos.plan", "repro.analysis.experiments",
     "repro.analysis.ablations", "repro.baselines", "repro.applications",
     "repro.impossibility", "repro.viz",
 )
 
+_TRIAL = "import repro.engine, repro.analysis.runner\n"
+
 
 def test_serial_trial_process_loads_no_other_engine():
-    trial = ("import repro.engine, repro.analysis.runner\n"
-             "repro.engine.resolve('serial')\n")
+    trial = _TRIAL + "repro.engine.resolve('serial')\n"
     assert _present(_loaded_after(trial), _SERIAL_HEAVY) == []
-    sharded = _loaded_after(trial + "repro.engine.resolve('sharded')\n")
-    assert "repro.sim.sharded" in sharded
-    assert _present(sharded, ("asyncio", "ssl", "repro.net.cluster")) == []
+
+
+#: What ``prepare`` must not pay for: the pool, the coordinator and the
+#: worker are first touched in ``run_trial``.
+_PREPARE_HEAVY = (
+    "asyncio", "ssl", "subprocess", "multiprocessing", "repro.chaos.plan",
+    "repro.net.coordinator", "repro.net.registry", "repro.net.cluster_worker",
+    "repro.net.engine",
+)
+
+
+@pytest.mark.parametrize("engine", ["sharded", "cluster"])
+def test_window_sync_prepare_loads_no_event_loop(engine):
+    """Both names of the one runtime: resolving the backend and running
+    ``prepare`` loads the trial description (``repro.net.cluster``, the
+    keyed-trace halves) and nothing that needs an event loop."""
+    loaded = _loaded_after(
+        _TRIAL +
+        "from repro.engine import TrialSpec\n"
+        f"backend = repro.engine.resolve({engine!r})\n"
+        "backend.prepare(TrialSpec(\n"
+        f"    n=8, topology='ring', engine={engine!r},\n"
+        "    protocol={'kind': 'pif'}, horizon=1000,\n"
+        "    driver=dict(tag='pif', requests_per_process=1)))\n"
+    )
+    assert {"repro.net.cluster", "repro.sim.sharded"} <= loaded
+    assert _present(loaded, _PREPARE_HEAVY) == []
 
 
 def test_cluster_worker_boot_imports_only_the_worker_closure():
@@ -79,10 +106,11 @@ def test_cluster_worker_boot_imports_only_the_worker_closure():
     )
     assert "repro.net.cluster_worker" in loaded
     assert _present(loaded, (
-        "repro.net.cluster", "repro.chaos.plan",
+        "repro.net.cluster", "repro.net.coordinator", "repro.chaos.plan",
         "repro.analysis", "repro.engine", "repro.spec", "repro.applications",
         "repro.baselines", "repro.impossibility", "multiprocessing",
-        "tempfile", "repro.net.transport.tcp", "repro.net.transport.udp",
+        "tempfile", "repro.net.engine", "repro.net.clock",
+        "repro.net.transport", "repro.net.monitors",
     )) == []
 
 

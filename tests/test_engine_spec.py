@@ -17,6 +17,7 @@ The contracts under test:
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,7 +158,7 @@ def test_cli_spec_provenance_round_trip_is_lossless(fields):
     spec = TrialSpec.from_cli_args(args)
     assert spec.codable()
     record = spec.as_provenance()
-    rebuilt = TrialSpec.from_provenance(record)
+    rebuilt = TrialSpec.from_provenance(json.loads(json.dumps(record)))
     assert rebuilt == spec
     # A second encode must be byte-for-byte stable, too.
     assert rebuilt.as_provenance() == record

@@ -251,7 +251,7 @@ class TestObsRecorder:
     def test_write_and_summarize(self, tmp_path):
         rec = ObsRecorder()
         rec.metrics.inc("channel.sends", 42)
-        rec.metrics.observe("sync.round_wait_s", 0.01)
+        rec.metrics.observe("sync.barrier_wait_s", 0.01)
         rec.spans.record("serve", "phase", 1.0, 2.0)
         metrics_path = tmp_path / "metrics.json"
         timeline_path = tmp_path / "timeline.json"
@@ -260,7 +260,7 @@ class TestObsRecorder:
         metrics_text = summarize_obs_file(metrics_path)
         assert "channel.sends" in metrics_text
         assert "engine=serial" in metrics_text
-        assert "sync.round_wait_s" in metrics_text
+        assert "sync.barrier_wait_s" in metrics_text
         timeline_text = summarize_obs_file(timeline_path)
         assert "1 spans" in timeline_text
         assert "serve" in timeline_text

@@ -8,9 +8,9 @@ docs/observability.md promises — is that a trial with ``--metrics`` and
 ``--timeline`` enabled produces the *same canonical trace hash* as the
 bare trial, on every engine.
 
-One small PIF case (n=8, ring, loss=0.1) is enough to exercise all four
-engines' obs plumbing: serial phases, sharded fork-worker payloads over
-the pipe, async loopback handoff counters, and cluster worker payloads
+One small PIF case (n=8, ring, loss=0.1) is enough to exercise every
+engine name's obs plumbing: serial phases, async loopback handoff
+counters, and — under both ``sharded`` and ``cluster`` — worker payloads
 shipped in the RESULT control frame.
 """
 

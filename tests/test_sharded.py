@@ -1,11 +1,14 @@
-"""Shard/serial equivalence: the sharded engine's defining property.
+"""Shard/serial equivalence: the window-sync runtime's defining property.
 
 The conservative time-window protocol plus per-entity random streams and
 canonical event keys must make a sharded run **bit-identical** to the serial
 engine for the same seed: same trace (event for event, including payload
 data), same stats, same final states, same request completions, same final
-time.  These tests assert exactly that — the ``shard-equivalence`` CI job
-re-asserts it at every push via the trial CLI.
+time.  These tests assert exactly that through ``engine="sharded"`` — one
+of the two names of the one runtime (:mod:`repro.net.cluster`) — and, where
+a case needs an axis no spec carries (``fill_channels``, a bare latency
+band), through its constructor; the ``shard-equivalence`` CI job re-asserts
+it at n=32 at every push.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import pytest
 from repro.core.pif import PifLayer
 from repro.engine import EngineRun, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
+from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
-from repro.sim.sharded import ShardedSimulator
 
 
 def _pif_build(host) -> None:
@@ -114,10 +117,10 @@ class TestScrambleVariants:
         assert sim.run(1_000_000, until=lambda s: driver.done)
         sim.run(sim.now + 200)
 
-        sharded = ShardedSimulator(8, _pif_build, topology="clustered:2", seed=seed)
+        sharded = ClusterSimulator(8, _PIF[0], topology="clustered:2", seed=seed)
         result = sharded.run_trial(
             horizon=1_000_000, scramble_seed=seed ^ 0x5EED,
-            fill_channels=False, driver=_PIF_DRIVER, drain=200,
+            fill_channels=False, driver=_PIF[1], drain=200,
         )
         serial_events = [(e.time, e.kind, e.process, e.data) for e in sim.trace]
         sharded_events = [(e.time, e.kind, e.process, e.data) for e in result.trace]
@@ -137,24 +140,24 @@ class TestSeedSensitivity:
 class TestValidation:
     def test_window_beyond_lookahead_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedSimulator(8, _pif_build, latency=(2, 5), window=3)
+            ClusterSimulator(8, _PIF[0], latency=(2, 5), window=3)
 
     def test_window_within_lookahead_accepted(self):
-        sharded = ShardedSimulator(8, _pif_build, latency=(2, 5), window=2)
+        sharded = ClusterSimulator(8, _PIF[0], latency=(2, 5), window=2)
         assert sharded.window == 2
 
     def test_window_defaults_to_latency_floor(self):
-        sharded = ShardedSimulator(8, _pif_build, latency=(4, 9))
+        sharded = ClusterSimulator(8, _PIF[0], latency=(4, 9))
         assert sharded.window == 4
 
     def test_stateful_loss_model_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedSimulator(8, _pif_build, loss=DropFirstK(2))
+            ClusterSimulator(8, _PIF[0], loss=DropFirstK(2))
 
     def test_drain_below_window_rejected(self):
-        sharded = ShardedSimulator(8, _pif_build, latency=(4, 9))
+        sharded = ClusterSimulator(8, _PIF[0], latency=(4, 9))
         with pytest.raises(SimulationError):
-            sharded.run_trial(horizon=100, driver=_PIF_DRIVER, drain=2)
+            sharded.run_trial(horizon=100, driver=_PIF[1], drain=2)
 
 
 class TestWeightedTopologies:
@@ -179,30 +182,10 @@ class TestWiderWindows:
     def test_wide_latency_wide_window_still_bit_identical(self):
         # window = lookahead = 6: several ticks per barrier, cross-shard
         # messages span multiple windows.
-        from repro.sim.runtime import Simulator
-        from repro.core.requests import RequestDriver
-
-        latency = (6, 14)
-        seed = 2
-        sim = Simulator(16, _pif_build, topology="clustered:4", seed=seed,
-                        latency=latency)
-        sim.scramble(seed=seed ^ 0x5EED)
-        driver = RequestDriver(sim, **_PIF_DRIVER)
-        assert sim.run(500_000, until=lambda s: driver.done)
-        sim.run(sim.now + 200)
-
-        sharded = ShardedSimulator(16, _pif_build, topology="clustered:4",
-                                   seed=seed, latency=latency)
+        serial, sharded = _both(16, _PIF, topology="clustered:4", seed=2,
+                                latency=(6, 14), horizon=500_000)
         assert sharded.window == 6
-        result = sharded.run_trial(
-            horizon=500_000, scramble_seed=seed ^ 0x5EED,
-            driver=_PIF_DRIVER, drain=200,
-        )
-        serial_events = [(e.time, e.kind, e.process, e.data) for e in sim.trace]
-        sharded_events = [(e.time, e.kind, e.process, e.data) for e in result.trace]
-        assert serial_events == sharded_events
-        assert sim.stats.as_dict() == result.stats.as_dict()
-        assert sim.now == result.final_time
+        _assert_bit_identical(serial, sharded)
 
 
 class TestCrossShardSendsAreNotDropped:
@@ -212,82 +195,12 @@ class TestCrossShardSendsAreNotDropped:
         # exactly that) and the trial never converges.  The horizon sits
         # just past the serial completion tick, so that failure is a fast
         # "not completed", not a run to a far horizon.
-        serial = execute(TrialSpec(
-            n=8, topology="ring", seed=3, protocol=_PIF[0], driver=_PIF[1],
-            horizon=1_000_000))
+        spec = TrialSpec(n=8, topology="ring", seed=3, protocol=_PIF[0],
+                         driver=_PIF[1], horizon=1_000_000)
+        serial = execute(spec)
         done_at = serial.final_time - 200  # final = done_at + DRAIN_TICKS
-        sharded = ShardedSimulator(8, _pif_build, topology="ring", seed=3,
-                                   shards=2)
-        result = sharded.run_trial(
-            horizon=done_at + 16, scramble_seed=3 ^ 0x5EED,
-            driver=_PIF_DRIVER, drain=200,
-        )
-        assert result.completed and result.done_at == done_at
-        assert result.stats.as_dict() == serial.stats.as_dict()
-
-
-def _kill_self() -> None:
-    import os
-    import signal
-
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestWorkerCrash:
-    """A forked worker killed in any phase is a named error, promptly,
-    with no child left behind — never a raw ``EOFError``."""
-
-    VICTIM = 5  # hosted by shard 1 of the two ring shards
-
-    def _run(self, build, monkeypatch=None):
-        import multiprocessing
-        import time
-
-        from repro.errors import WorkerCrashed
-
-        sharded = ShardedSimulator(8, build, topology="ring", seed=0, shards=2)
-        assert self.VICTIM in sharded.partition.shards[1]
-        start = time.monotonic()
-        with pytest.raises(WorkerCrashed) as caught:
-            sharded.run_trial(horizon=100_000, scramble_seed=1,
-                              driver=_PIF_DRIVER, drain=200)
-        assert time.monotonic() - start < 5
-        error = caught.value
-        assert isinstance(error, SimulationError)
-        assert error.shard == 1 and "shard 1" in str(error)
-        assert error.exit_code == -9
-        assert multiprocessing.active_children() == []
-        return error
-
-    def test_killed_while_building_its_shard(self):
-        def build(host):
-            _pif_build(host)
-            if host.pid == self.VICTIM:
-                _kill_self()
-
-        error = self._run(build)
-        assert error.phase == "ready" and error.round == 0
-
-    def test_killed_mid_rounds(self):
-        def build(host):
-            _pif_build(host)
-            if host.pid == self.VICTIM:
-                host.call_later(40, _kill_self)
-
-        error = self._run(build)
-        assert error.phase == "rounds" and error.round > 0
-
-    def test_killed_while_shipping_its_result(self, monkeypatch):
-        from repro.sim import sharded as module
-
-        payload = module.shard_result_payload
-
-        def dying_payload(sim, trace, proc_len, chan_len, shard_pids, *rest, **kw):
-            if self.VICTIM in shard_pids:
-                _kill_self()
-            return payload(sim, trace, proc_len, chan_len, shard_pids, *rest, **kw)
-
-        # Patched before the fork, so the workers inherit it.
-        monkeypatch.setattr(module, "shard_result_payload", dying_payload)
-        error = self._run(_pif_build)
-        assert error.phase == "result" and error.round > 0
+        sharded = execute(replace(
+            spec, horizon=done_at + 16, engine="sharded",
+            sharding=ShardingOpts(shards=2)))
+        assert sharded.completed and sharded.final_time == serial.final_time
+        assert sharded.stats.as_dict() == serial.stats.as_dict()

@@ -16,8 +16,8 @@ import pytest
 from repro.core.pif import PifLayer
 from repro.engine import TrialSpec, execute
 from repro.errors import HorizonExceeded, SimulationError
+from repro.net.cluster import ClusterSimulator
 from repro.sim.runtime import Simulator
-from repro.sim.sharded import ShardedSimulator
 from repro.sim.topology import (
     Clustered,
     Ring,
@@ -134,21 +134,21 @@ class TestEnginePlumbing:
 
 class TestCrossShardLookahead:
     def test_wan_widens_default_window(self):
-        sharded = ShardedSimulator(32, _pif_build, topology="wan:4",
-                                   latency=(1, 3), shards=4)
+        sharded = ClusterSimulator(32, {"kind": "pif"}, topology="wan:4",
+                                   latency=(1, 3), hosts=4)
         assert sharded.lookahead == 16
         assert sharded.window == 16
 
     def test_unweighted_window_unchanged(self):
-        sharded = ShardedSimulator(32, _pif_build, topology="clustered:4",
-                                   latency=(1, 3))
+        sharded = ClusterSimulator(32, {"kind": "pif"},
+                                   topology="clustered:4", latency=(1, 3))
         assert sharded.lookahead == 1
         assert sharded.window == 1
 
     def test_window_error_reports_effective_floor(self):
         with pytest.raises(SimulationError) as excinfo:
-            ShardedSimulator(32, _pif_build, topology="wan:4",
-                             latency=(1, 3), shards=4, window=20)
+            ClusterSimulator(32, {"kind": "pif"}, topology="wan:4",
+                             latency=(1, 3), hosts=4, window=20)
         message = str(excinfo.value)
         assert "1..16" in message
         assert "cross-shard latency floor" in message
@@ -157,8 +157,8 @@ class TestCrossShardLookahead:
     def test_intra_shard_weights_do_not_widen(self):
         # Slow edges *inside* a shard leave the cut floor at the global lo.
         top = Weighted(Clustered(2, 4), latency={(1, 2): (16, 32)})
-        sharded = ShardedSimulator(8, _pif_build, topology=top,
-                                   latency=(1, 3), shards=2)
+        sharded = ClusterSimulator(8, {"kind": "pif"}, topology=top,
+                                   latency=(1, 3), hosts=2)
         assert sharded.window == 1
 
 
