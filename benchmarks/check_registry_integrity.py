@@ -39,7 +39,13 @@ Asserts, without running a single trial:
   under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``, the
   cluster worker names neither the asyncio engine nor its actor hook,
   and ``engine/backends/sharded.py`` is a registration — it defines no
-  function or class of its own.
+  function or class of its own;
+* a shard's result stays columns end to end: nothing under
+  ``src/repro/net/`` or in ``src/repro/sim/sharded.py`` materializes a
+  trace (``list(trace)``, ``trace.events``), constructs a ``TraceEvent``
+  or re-appends one event by event (``trace.extend(``), and no record
+  under ``src/`` is keyed ``"events"`` — the object round trip the
+  columnar payload replaced cannot creep back in unnoticed.
 
 Usage::
 
@@ -106,6 +112,16 @@ _LOCKSTEP_ENGINE = re.compile(
     r".*\b(Sharded" + r"Simulator|Sharded" + r"RunResult|_worker" + r"_loop"
     r"|_worker" + r"_main)\b")
 _ASYNC_WORKER = re.compile(r".*\b(Async" + r"Simulator|start" + r"_actors)\b")
+
+# The result path's deleted object round trip: a shard trace materialized
+# to ship it, rebuilt on arrival or re-appended event by event, and the
+# old payload key (as a dict key or a subscript; a ``__slots__`` name is
+# not a record key).
+_TRACE_OBJECTS = re.compile(
+    r".*(\blist\((\w+\.)*trace\)|\btrace\.events\b|\bTraceEvent\("
+    r"|\btrace\.extend\()")
+_EVENTS_KEY = re.compile(
+    r""".*((\[|\.get\()["']events["']|["']events["']\s*:)""")
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -263,10 +279,19 @@ def check_one_window_runtime() -> list[str]:
     return problems
 
 
+def check_columnar_result_path() -> list[str]:
+    problems: list[str] = []
+    for where in ("repro/net", "repro/sim/sharded.py"):
+        problems += _grep(where, _TRACE_OBJECTS,
+                          "builds event objects on the result path")
+    return problems + _grep("repro", _EVENTS_KEY,
+                            "a record keyed by an event list")
+
+
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
                 + check_source_guards() + check_one_specification()
-                + check_one_window_runtime())
+                + check_one_window_runtime() + check_columnar_result_path())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

@@ -76,7 +76,7 @@ class LiveTrace(Trace):
         self.observers.append(monitor)
 
     def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
-        self._append(time, kind, process, data, None)
+        self._append(time, kind, process, data)
         for observer in self.observers:
             observer.observe(time, kind, process, data)
 

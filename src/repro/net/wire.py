@@ -35,9 +35,10 @@ Frame kinds:
   (crash-recovery rewiring).
 * ``CONTROL`` — a pickled coordinator<->worker control message
   (spec/ready/grant/report/resend/ship-log/peer-update/result/stop —
-  :mod:`repro.net.cluster`) on the registry connection.  Result
-  payloads carry whole shard traces, so control channels read frames with
-  the larger :data:`CONTROL_MAX_FRAME` bound.
+  :mod:`repro.net.cluster`) on the registry connection.  A result
+  payload carries a whole shard trace — its columns, not an event list
+  (:func:`repro.sim.sharded.shard_result_payload`) — so control channels
+  read frames with the larger :data:`CONTROL_MAX_FRAME` bound.
 
 Message objects are serialized with :mod:`pickle`.  The transports only
 ever connect endpoints of the *same* trial — every worker is launched by
@@ -98,7 +99,9 @@ __all__ = [
 #: Bump on any incompatible frame-layout change.  Version 2: SHIP frames
 #: carry the sender's barrier round; BARRIER frames carry a per-round
 #: ship count (the fault-detection/recovery protocol of repro.chaos).
-PROTOCOL_VERSION = 2
+#: Version 3: a ``result`` carries the shard trace as columns — a mixed
+#: checkout fails at the first frame (:class:`WireError`), not in the merge.
+PROTOCOL_VERSION = 3
 
 #: BARRIER ``ships`` value meaning "no count check" — used when a link is
 #: rewired after a crash recovery and the sender re-announces its last
@@ -132,7 +135,7 @@ _HEADER = struct.Struct(">BBI")
 #: hundred bytes; anything near this is a corrupt or hostile length prefix).
 MAX_FRAME = 1 << 20
 #: Bound for control/result frames: a shard's result payload carries its
-#: whole keyed trace, which dwarfs any single protocol message.
+#: whole keyed trace (five columns), which dwarfs any single protocol message.
 CONTROL_MAX_FRAME = 1 << 28
 
 _I64 = struct.Struct(">q")
@@ -149,10 +152,10 @@ class WireStats:
 
     ``pack_frame`` / ``read_frame`` are the two choke points every frame
     passes through, so two dict probes per frame here cover every
-    transport.  Cumulative for the life of the process: trial-scoped
-    consumers snapshot at trial start and diff at the end (worker
-    interpreters are born fresh, so their absolute counts *are* the
-    trial's).
+    transport.  Cumulative for the life of the process, and a pooled
+    worker interpreter serves many trials: trial-scoped consumers mark a
+    baseline at trial start and report the difference
+    (:meth:`repro.obs.recorder.ObsRecorder.mark_wire_baseline`).
     """
 
     __slots__ = ("frames_out", "bytes_out", "frames_in", "bytes_in")
@@ -177,7 +180,7 @@ class WireStats:
         }
 
 
-#: The process-wide counters (one interpreter = one trial participant).
+#: The process-wide counters (one interpreter = one participant, trial after trial).
 STATS = WireStats()
 
 

@@ -25,11 +25,17 @@ Combined with per-entity random streams and canonical event keys
 the serial engine**.  This module holds the two halves of that merge,
 shared by every worker and the coordinator:
 
-* worker side — :class:`_KeyedTrace` records a globally sortable position
-  per emission, :func:`scramble_shard` scrambles one slice with the setup
-  segments marked, :func:`shard_result_payload` is the record shipped back;
+* worker side — :class:`_KeyedTrace` records one sortable key per
+  emission, :func:`scramble_shard` scrambles one slice with the setup
+  segments marked, :func:`shard_result_payload` is the record shipped
+  back: the trace's columns and the key column, as they sit in memory;
 * coordinator side — :func:`merge_worker_traces` and
-  :func:`merge_completions` reassemble the serial append order.
+  :func:`merge_completions` reassemble the serial append order, the
+  former by picking rows out of the shipped columns.
+
+No :class:`~repro.sim.trace.TraceEvent` exists on a worker, on the wire
+or in the coordinator until a caller indexes or iterates the merged trace
+(``tests/test_sharded.py`` counts them).
 
 Scope: *trial-shaped* runs (scramble, request driver, run-until-served,
 drain).  Mid-run channel clears and loss models with cross-channel
@@ -38,6 +44,7 @@ mutable state do not compose across shards (:data:`_SHARDABLE_LOSS`).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Sequence
 
 from repro.core.requests import CompletedRequest, RequestDriver
@@ -46,7 +53,7 @@ from repro.sim.adversary import scramble_channels, scramble_processes
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.runtime import Simulator
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import EventKind, Trace, TraceEvent
+from repro.sim.trace import EventKind, Trace
 
 __all__ = [
     "scramble_shard",
@@ -63,12 +70,14 @@ _SHARDABLE_LOSS: tuple[type, ...] = (NoLoss, BernoulliLoss)
 class _KeyedTrace(Trace):
     """A trace that records, per event, a globally sortable position.
 
-    The position is ``(time, key, emit_index)`` where ``key`` is the
-    canonical scheduler key of the event being executed when the emission
-    happened, *monotonized* within the tick: an event scheduled mid-tick
-    with a lower key (e.g. a zero-delay timer) executes after its creator,
-    so its emissions inherit the creator's rank.  Sorting all workers'
-    events by position reproduces exactly the serial engine's append order.
+    The position is ``(time, key, row)`` where ``key`` is the canonical
+    scheduler key of the event being executed when the emission happened,
+    *monotonized* within the tick: an event scheduled mid-tick with a
+    lower key (e.g. a zero-delay timer) executes after its creator, so
+    its emissions inherit the creator's rank.  Only ``key`` is stored, one
+    plain int per row in :attr:`keys`; ``time`` and the row index are read
+    from the trace columns at merge time.  Sorting all workers' rows by
+    position reproduces exactly the serial engine's append order.
     """
 
     __slots__ = ("_scheduler", "keys", "_last_time", "_last_key")
@@ -76,27 +85,18 @@ class _KeyedTrace(Trace):
     def __init__(self, scheduler: Scheduler) -> None:
         super().__init__()
         self._scheduler = scheduler
-        self.keys: list[tuple[int, int, int]] = []
+        self.keys: list[int] = []
         self._last_time = -1
         self._last_key = 0
 
     def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
-        super().emit(time, kind, process, **data)
+        self._append(time, kind, process, data)
         key = self._scheduler.current_key
         if time == self._last_time and key < self._last_key:
             key = self._last_key
         self._last_time = time
         self._last_key = key
-        self.keys.append((time, key, len(self.keys)))
-
-
-def _merge_rank(event: TraceEvent, key: int) -> int:
-    # Class-0 (driver) emissions carry no entity in their key; the serial
-    # driver walks its processes in ascending pid order, so the process id
-    # is the cross-worker rank.  Entity-keyed classes are already total.
-    if key == 0 and event.process is not None:
-        return event.process
-    return -1
+        self.keys.append(key)
 
 
 def scramble_shard(
@@ -137,9 +137,12 @@ def shard_result_payload(
 ) -> dict[str, Any]:
     """The per-shard result record a worker ships back.
 
-    When the worker carries an :class:`~repro.obs.recorder.ObsRecorder`,
-    the shard's metric snapshot and spans ride along in the same record
-    (one pickled CONTROL frame).
+    The trace travels as it sits in the store: its four
+    :meth:`~repro.sim.trace.Trace.columns` plus the ``keys`` column, row
+    for row — no event object is built to ship it.  When the worker
+    carries an :class:`~repro.obs.recorder.ObsRecorder`, the shard's
+    metric snapshot and spans ride along in the same record (one pickled
+    CONTROL frame).
     """
     finals = {
         pid: sim.layer(pid, tag).request for pid in shard_pids
@@ -147,8 +150,8 @@ def shard_result_payload(
     if obs is not None:
         obs.collect_sim(sim)
     return {
-        "events": list(trace),
-        "keys": list(trace.keys),
+        "columns": trace.columns(),
+        "keys": trace.keys,
         "proc_len": proc_len,
         "chan_len": chan_len,
         "stats": sim.stats,
@@ -166,49 +169,59 @@ def merge_worker_traces(
 ) -> Trace:
     """Merge per-shard keyed traces back into the serial append order.
 
-    Each payload is a :func:`shard_result_payload` record carrying the
-    shard's events and their ``(time, key, emit_index)`` positions.
+    Each payload is a :func:`shard_result_payload` record.  The shards'
+    columns are laid back to back, one sort record per row says where the
+    serial engine appended it, and the rows enter the merged trace in
+    that order through one :meth:`~repro.sim.trace.Trace.append_columns`.
     """
-    trace = Trace()
+    times, kinds, procs, data = columns = [], [], [], []
+    # The serial scramble emits: (0) per-host scramble emissions in pid
+    # order (e.g. a scrambled-in CS occupant's cs-enter), (1) the
+    # process-scramble marker, (2) one INJECT per garbage message in
+    # (src asc, dst asc) channel order, (3) the channel summary; then (4)
+    # the run, by (time, key, rank, row).  A record is its phase, its
+    # place in the phase, and last its flat row number — shards are laid
+    # out in worker order, so that is also the worker tiebreak.
+    records: list[tuple[int, ...]] = []
+    for payload in payloads:
+        base = len(times)
+        shard_times, _kinds, shard_procs, shard_data = payload["columns"]
+        for column, part in zip(columns, payload["columns"]):
+            column += part
+        proc_len, chan_len = payload["proc_len"], payload["chan_len"]
+        records += [
+            (0, -1 if pid is None else pid, index, base + index)
+            for index, pid in enumerate(shard_procs[:proc_len])
+        ]
+        records += [
+            (2, d.get("src", -1), d.get("dst", -1), index, base + proc_len + index)
+            for index, d in enumerate(shard_data[proc_len:chan_len])
+        ]
+        # Class-0 (driver) emissions carry no entity in their key; the
+        # serial driver walks its processes in ascending pid order, so the
+        # process id is the cross-worker rank.  Entity-keyed classes are
+        # already total.
+        keys = payload["keys"][chan_len:]
+        ranks = [
+            pid if key == 0 and pid is not None else -1
+            for key, pid in zip(keys, shard_procs[chan_len:])
+        ]
+        records += zip(
+            repeat(4), shard_times[chan_len:], keys, ranks,
+            range(chan_len, len(shard_times)), range(base + chan_len, len(times)),
+        )
     if scrambled:
-        # The serial scramble emits: per-host scramble emissions in pid
-        # order (e.g. a scrambled-in CS occupant's cs-enter), the
-        # process-scramble marker, one INJECT per garbage message in
-        # (src asc, dst asc) channel order, then the channel summary.
-        # Workers suppressed their markers; reconstruct the sequence.
-        proc_setup: list[tuple[int, int, TraceEvent]] = []
-        chan_setup: list[tuple[int, int, int, TraceEvent]] = []
-        for payload in payloads:
-            events = payload["events"]
-            for index, event in enumerate(events[: payload["proc_len"]]):
-                pid = event.process if event.process is not None else -1
-                proc_setup.append((pid, index, event))
-            for index, event in enumerate(
-                events[payload["proc_len"]: payload["chan_len"]]
-            ):
-                chan_setup.append(
-                    (event.get("src", -1), event.get("dst", -1), index, event)
-                )
-        proc_setup.sort(key=lambda item: item[:2])
-        chan_setup.sort(key=lambda item: item[:3])
-        trace.extend(event for *_rank, event in proc_setup)
-        trace.emit(0, EventKind.SCRAMBLE, None, what="processes")
+        # Workers suppressed their markers: they are two rows more.
+        records.append((1, len(times)))
         if fill_channels:
-            trace.extend(event for *_rank, event in chan_setup)
-            trace.emit(
-                0, EventKind.SCRAMBLE, None, what="channels", injected=injected
-            )
-    merged: list[tuple[int, int, int, int, int, TraceEvent]] = []
-    for worker_index, payload in enumerate(payloads):
-        setup_len = payload["chan_len"]
-        events = payload["events"][setup_len:]
-        keys = payload["keys"][setup_len:]
-        for event, (time, key, emit_index) in zip(events, keys):
-            merged.append(
-                (time, key, _merge_rank(event, key), emit_index, worker_index, event)
-            )
-    merged.sort(key=lambda item: item[:5])
-    trace.extend(item[5] for item in merged)
+            records.append((3, len(times) + 1))
+        times += (0, 0)
+        kinds += (EventKind.SCRAMBLE, EventKind.SCRAMBLE)
+        procs += (None, None)
+        data += ({"what": "processes"}, {"what": "channels", "injected": injected})
+    pick = [record[-1] for record in sorted(records)]
+    trace = Trace()
+    trace.append_columns(*([column[row] for row in pick] for column in columns))
     return trace
 
 

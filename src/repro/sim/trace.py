@@ -144,15 +144,10 @@ class Trace:
 
     def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
         """Append one event.  The engine's hottest trace operation."""
-        self._append(time, kind, process, data, None)
+        self._append(time, kind, process, data)
 
     def _append(
-        self,
-        time: int,
-        kind: str,
-        process: int | None,
-        data: dict[str, Any],
-        view: TraceEvent | None,
+        self, time: int, kind: str, process: int | None, data: dict[str, Any]
     ) -> None:
         times = self._times
         row = len(times)
@@ -165,7 +160,7 @@ class Trace:
         self._kind_ids.append(kid)
         self._procs.append(process)
         self._data.append(data)
-        self._views.append(view)
+        self._views.append(None)
         rows = self._kind_rows.get(kid)
         if rows is None:
             self._kind_rows[kid] = rows = []
@@ -177,10 +172,54 @@ class Trace:
             prows.append(row)
         self._events_cache = None
 
+    def columns(self) -> tuple[list[int], list[str], list[int | None], list[dict[str, Any]]]:
+        """The store as ``(times, kinds, procs, data)`` columns.
+
+        Kinds go **by name**: the interned ids are a process-local,
+        append-only table and mean nothing in another interpreter.  The
+        other three are the live lists — read or pickle, do not mutate.
+        """
+        names = _KIND_NAMES
+        return self._times, [names[kid] for kid in self._kind_ids], self._procs, self._data
+
+    def append_columns(
+        self, times: list[int], kinds: list[str], procs: list[int | None],
+        data: list[dict[str, Any]],
+    ) -> None:
+        """Append whole :meth:`columns`-shaped columns (trace merging).
+
+        Equivalent to one :meth:`emit` per row — kinds interned here, both
+        indices and the monotone flag maintained — but the columns are
+        extended in bulk, the indices rebuilt in a single pass, and no
+        :class:`TraceEvent` is built: views stay lazy.
+        """
+        row = len(self._times)
+        if self._monotone and (
+            times != sorted(times) or (row and times and times[0] < self._times[-1])
+        ):
+            self._monotone = False
+        for kind in set(kinds):
+            self.kind_rows(kind)  # interns the name, opens its index
+        for process in set(procs) - {None}:
+            self._proc_rows.setdefault(process, [])
+        kind_ids = list(map(_KIND_IDS.__getitem__, kinds))
+        self._times += times
+        self._kind_ids += kind_ids
+        self._procs += procs
+        self._data += data
+        self._views += [None] * len(times)
+        kind_rows, proc_rows = self._kind_rows, self._proc_rows
+        for row, (kid, process) in enumerate(zip(kind_ids, procs), row):
+            kind_rows[kid].append(row)
+            if process is not None:
+                proc_rows[process].append(row)
+        self._events_cache = None
+
     def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Append pre-built events (trace merging); views are reused."""
+        """Append pre-built events; views are reused."""
         for e in events:
-            self._append(e.time, e.kind, e.process, e.data, e)
+            self._append(e.time, e.kind, e.process, e.data)
+            self._views[-1] = e
 
     # -- view materialization ---------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.trace as trace_module
 from repro.core.idl import IdlLayer
 from repro.core.mutex import MutexLayer
 from repro.core.pif import PifLayer
@@ -42,3 +43,19 @@ def idl_sim() -> Simulator:
 @pytest.fixture
 def me_sim() -> Simulator:
     return Simulator(4, build_me, seed=0)
+
+
+@pytest.fixture
+def built_events(monkeypatch) -> list:
+    """Every :class:`~repro.sim.trace.TraceEvent` built while the test
+    runs — by a lazy view (``Trace._event``) or by unpickling one off the
+    wire; both look the class up in its module."""
+    built: list = []
+
+    class Counted(trace_module.TraceEvent):
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(trace_module, "TraceEvent", Counted)
+    return built

@@ -13,15 +13,27 @@ it at n=32 at every push.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.pif import PifLayer
+from repro.core.protocols import build_protocol, payload_from_fmt
+from repro.core.requests import RequestDriver
 from repro.engine import EngineRun, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
+from repro.sim.determinism import (
+    activation_key, delivery_key, key_owner, timer_key)
+from repro.sim.runtime import Simulator
+from repro.sim.sharded import (
+    _KeyedTrace, merge_worker_traces, scramble_shard, shard_result_payload)
+from repro.sim.trace import EventKind, Trace
 
 
 def _pif_build(host) -> None:
@@ -204,3 +216,145 @@ class TestCrossShardSendsAreNotDropped:
             sharding=ShardingOpts(shards=2)))
         assert sharded.completed and sharded.final_time == serial.final_time
         assert sharded.stats.as_dict() == serial.stats.as_dict()
+
+
+# -- the keyed merge, from the serial order down ----------------------------
+
+_PIDS = range(6)
+_RUN_KINDS = (EventKind.RECEIVE_BRD, EventKind.DELIVER, EventKind.DECIDE,
+              "custom-kind")
+
+_entity_keys = st.one_of(
+    st.builds(activation_key, st.sampled_from(_PIDS)),
+    st.builds(timer_key, st.sampled_from(_PIDS), st.integers(0, 3)),
+    st.builds(delivery_key, st.sampled_from(_PIDS), st.sampled_from(_PIDS),
+              st.integers(0, 3)),
+)
+
+
+@st.composite
+def _serial_rows(draw, scrambled: bool, fill_channels: bool):
+    """A trial's rows in serial append order, each with the shard that
+    emits it and the *raw* scheduler key it is emitted under:
+    ``(phase, shard, raw_key, time, kind, process)``."""
+    n_shards = draw(st.integers(1, 4))
+    shard_of = {pid: draw(st.integers(0, n_shards - 1)) for pid in _PIDS}
+    few = st.integers(0, 2)
+    rows = []
+    if scrambled:
+        # Per-host scramble emissions in pid order, then one INJECT per
+        # garbage message in (src, dst) channel order, owned by src.
+        for pid in _PIDS:
+            rows += [("proc", shard_of[pid], 0, 0, EventKind.CS_ENTER, pid, {})
+                     ] * draw(few)
+        if fill_channels:
+            for src in _PIDS:
+                for dst in _PIDS:
+                    if src != dst:
+                        rows += [("chan", shard_of[src], 0, 0, EventKind.INJECT,
+                                  None, {"src": src, "dst": dst})] * draw(few)
+    for time in sorted(draw(st.lists(st.integers(0, 40), unique=True, max_size=5))):
+        # Class 0: every shard's driver polls its own pids, ascending.
+        for pid in _PIDS:
+            rows += [("run", shard_of[pid], 0, time, EventKind.REQUEST, pid, {})
+                     ] * draw(few)
+        # Entity-keyed events in key order, each at its owner's shard.
+        for key in sorted(draw(st.lists(_entity_keys, unique=True, max_size=6))):
+            owner = key_owner(key)
+            shard = shard_of[owner]
+            for _ in range(draw(st.integers(1, 3))):
+                rows.append(("run", shard, key, time, draw(st.sampled_from(_RUN_KINDS)),
+                             draw(st.sampled_from((owner, None))), {}))
+            # A lower-keyed event scheduled mid-tick (zero-delay timer,
+            # user post) runs right after its creator; the keyed trace
+            # must file its emissions under the creator's key.
+            lower = draw(st.sampled_from((None, 0, timer_key(owner, 0))))
+            if lower is not None and lower < key:
+                rows += [("run", shard, lower, time, EventKind.NOTE, owner, {})
+                         ] * draw(st.integers(1, 2))
+    return n_shards, rows
+
+
+class TestKeyedMergeRebuildsTheSerialOrder:
+    """Split a serial row sequence over shards by owner, ship each shard's
+    record through pickle, merge: the serial sequence comes back."""
+
+    @pytest.mark.parametrize("fill_channels", [True, False])
+    @pytest.mark.parametrize("scrambled", [True, False])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_merge_equals_serial(self, scrambled, fill_channels, data):
+        n_shards, rows = data.draw(_serial_rows(scrambled, fill_channels))
+        schedulers = [SimpleNamespace(current_key=0) for _ in range(n_shards)]
+        traces = [_KeyedTrace(scheduler) for scheduler in schedulers]
+        serial = Trace()
+        injected = sum(row[0] == "chan" for row in rows)
+        lens = {}
+        for phase in ("proc", "chan", "run"):
+            for index, (row_phase, shard, raw_key, time, kind, process,
+                        extra) in enumerate(rows):
+                if row_phase == phase:
+                    fields = {"tag": "pif", "i": index, **extra}
+                    serial.emit(time, kind, process, **fields)
+                    schedulers[shard].current_key = raw_key
+                    traces[shard].emit(time, kind, process, **fields)
+            lens[phase] = [len(trace) for trace in traces]
+            # The serial scramble's own two rows, where it emits them.
+            if scrambled and phase == "proc":
+                serial.emit(0, EventKind.SCRAMBLE, None, what="processes")
+            if scrambled and fill_channels and phase == "chan":
+                serial.emit(0, EventKind.SCRAMBLE, None, what="channels",
+                            injected=injected)
+
+        no_sim = SimpleNamespace(stats=None)
+        payloads = [
+            pickle.loads(pickle.dumps(shard_result_payload(
+                no_sim, trace, lens["proc"][shard], lens["chan"][shard],
+                (), None, None)))
+            for shard, trace in enumerate(traces)
+        ]
+        merged = merge_worker_traces(payloads, scrambled, fill_channels, injected)
+        assert list(merged.scan()) == list(serial.scan())
+        assert merged.canonical_hash() == serial.canonical_hash()
+        assert ([d for _t, _k, _p, d in merged.scan(EventKind.SCRAMBLE)]
+                == [d for _t, _k, _p, d in serial.scan(EventKind.SCRAMBLE)])
+        assert merged.count(EventKind.SCRAMBLE) == (
+            (1 + fill_channels) if scrambled else 0)
+
+
+_NO_EVENTS = ("a TraceEvent was built on the result path: a shard's trace "
+              "ships and merges as columns (repro.sim.sharded), views stay "
+              "lazy until the merged trace is indexed or iterated")
+
+
+class TestResultPathBuildsNoEventObjects:
+    def test_two_shard_execute(self, built_events):
+        run = execute(TrialSpec(
+            n=8, topology="ring", seed=3, protocol=_PIF[0], driver=_PIF[1],
+            horizon=1_000_000, engine="sharded",
+            sharding=ShardingOpts(shards=2)))
+        assert run.completed and run.trace.count(EventKind.DECIDE) >= 8
+        assert run.trace.canonical_hash()
+        assert built_events == [], _NO_EVENTS
+        assert run.trace[0].kind == EventKind.SCRAMBLE
+        assert len(built_events) == 1
+
+    def test_shard_result_payload_of_a_simulator_slice(self, built_events):
+        pids = (1, 2, 3, 4)
+        sim = Simulator(8, build_protocol(_PIF[0]), topology="ring", seed=3,
+                        hosts_for=pids)
+        trace = sim.trace = _KeyedTrace(sim.scheduler)
+        _injected, proc_len, chan_len = scramble_shard(sim, trace, 3 ^ 0x5EED, True)
+        driver = RequestDriver(
+            sim, pids=pids, tag="pif", requests_per_process=1,
+            payload=payload_from_fmt("m-{pid}-{k}"))
+        sim.run(200)
+        payload = shard_result_payload(
+            sim, trace, proc_len, chan_len, pids, driver, "pif")
+        assert len(payload["keys"]) == len(trace) > chan_len > 0
+        assert built_events == [], _NO_EVENTS
+        shipped = pickle.loads(pickle.dumps(payload))
+        merged = merge_worker_traces([shipped], True, True, _injected)
+        assert len(merged) == len(trace) + 2
+        assert built_events == [], _NO_EVENTS
