@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.analysis.runner import sweep_pif
+from repro.analysis.runner import sweep
 from repro.analysis.tables import render_table
 
 
 def run_experiment():
-    return sweep_pif(
+    return sweep(
+        "pif",
         ns=[2, 3, 5],
         losses=[0.0, 0.1, 0.3],
         seeds=[0, 1, 2],

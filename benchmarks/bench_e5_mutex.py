@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.analysis.runner import sweep_mutex
+from repro.analysis.runner import sweep
 from repro.analysis.tables import render_table
 
 
 def run_experiment():
-    return sweep_mutex(
+    return sweep(
+        "me",
         ns=[2, 3, 4],
         losses=[0.0, 0.1],
         seeds=[0, 1],

@@ -35,25 +35,24 @@ from dataclasses import replace
 
 from equivalence import bit_identity, compare_metrics, finish, pif_probe, report
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.engine import TransportOpts, TrialSpec, execute
 
 _ASYNC = dict(engine="async")
 
 CASES = [
-    ("E3 pif  complete   n=16", run_pif_trial,
+    ("E3 pif  complete   n=16", "pif",
      TrialSpec(n=16, topology=None, seed=0, loss=0.1), _ASYNC),
-    ("E3 pif  ring       n=16", run_pif_trial,
+    ("E3 pif  ring       n=16", "pif",
      TrialSpec(n=16, topology="ring", seed=0, loss=0.1), _ASYNC),
-    ("E3 pif  clustered  n=16", run_pif_trial,
+    ("E3 pif  clustered  n=16", "pif",
      TrialSpec(n=16, topology="clustered:4", seed=0, loss=0.1), _ASYNC),
-    ("E5 me   complete   n=8 ", run_mutex_trial,
+    ("E5 me   complete   n=8 ", "me",
      TrialSpec(n=8, topology=None, seed=1, loss=0.0), _ASYNC),
-    ("E5 me   ring       n=8 ", run_mutex_trial,
+    ("E5 me   ring       n=8 ", "me",
      TrialSpec(n=8, topology="ring", seed=1, loss=0.0), _ASYNC),
-    ("E5 me   clustered  n=16", run_mutex_trial,
+    ("E5 me   clustered  n=16", "me",
      TrialSpec(n=16, topology="clustered:4", seed=3, loss=0.1), _ASYNC),
-    ("E3 pif  wan        n=32", run_pif_trial,
+    ("E3 pif  wan        n=32", "pif",
      TrialSpec(n=32, topology="wan:4", seed=0, loss=0.1), _ASYNC),
 ]
 

@@ -46,7 +46,7 @@ from equivalence import (
     spawn_guard,
 )
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.analysis.runner import run_trial
 from repro.chaos import FaultPlan
 from repro.engine import ClusterOpts, ObsOpts, TrialSpec
 from repro.net.coordinator import interpreters_spawned
@@ -64,41 +64,41 @@ def _chaotic(hosts: int, plan: str, **more) -> dict:
                 chaos=plan, **more)
 
 
-#: (label, trial, serial spec, cluster + fault-plan axes) — every case
+#: (label, kind, serial spec, cluster + fault-plan axes) — every case
 #: crashes one worker mid-trial; some add the cheaper fault families on
 #: top (cuts, ship drops, stalls) to exercise NAK/resend and cut-heal
 #: alongside the replay recovery.
 CASES = [
-    ("E3 pif  complete n=8  hosts=2 crash@b3+drop", run_pif_trial,
+    ("E3 pif  complete n=8  hosts=2 crash@b3+drop", "pif",
      TrialSpec(n=8, topology=None, seed=0, loss=0.1),
      _chaotic(2, "crash worker 1 at barrier 3\n"
                  "drop ship from 1 round 2..9 count 2")),
-    ("E3 pif  ring     n=12 hosts=3 crash@r2+cut", run_pif_trial,
+    ("E3 pif  ring     n=12 hosts=3 crash@r2+cut", "pif",
      TrialSpec(n=12, topology="ring", seed=0, loss=0.1),
      _chaotic(3, "crash worker 2 at round 2\ncut link 0->1 for rounds 2..3")),
-    ("E3 pif  wan      n=16 hosts=4 crash@b2", run_pif_trial,
+    ("E3 pif  wan      n=16 hosts=4 crash@b2", "pif",
      TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1),
      _chaotic(4, "crash worker 3 at barrier 2")),
-    ("E5 me   complete n=6  hosts=2 crash@b4+stall", run_mutex_trial,
+    ("E5 me   complete n=6  hosts=2 crash@b4+stall", "me",
      TrialSpec(n=6, topology=None, seed=1, loss=0.0),
      _chaotic(2, "crash worker 0 at barrier 4\n"
                  "stall worker 1 at round 2 for 0.2s")),
-    ("E5 me   ring     n=8  hosts=2 crash@r3+corrupt", run_mutex_trial,
+    ("E5 me   ring     n=8  hosts=2 crash@r3+corrupt", "me",
      TrialSpec(n=8, topology="ring", seed=1, loss=0.0),
      _chaotic(2, "crash worker 1 at round 3\ncorrupt ship from 1 count 1")),
-    ("E5 me   wan      n=8  hosts=4 crash@b3", run_mutex_trial,
+    ("E5 me   wan      n=8  hosts=4 crash@b3", "me",
      TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0),
      _chaotic(4, "crash worker 2 at barrier 3")),
     # The worker that dies is the one owed a resend: its NAK for the
     # survivor's dropped ships may never be answered before the crash.
-    ("E3 pif  complete n=6  hosts=2 crash@r1+drop(survivor)", run_pif_trial,
+    ("E3 pif  complete n=6  hosts=2 crash@r1+drop(survivor)", "pif",
      TrialSpec(n=6, topology=None, seed=0, loss=0.0),
      _chaotic(2, "crash worker 0 at round 1\n"
                  "drop ship from 4 count 2")),
     # A late crash: recovery after several grant extensions, on a ring of
     # four shards where the survivor not adjacent to the dead shard runs
     # ahead of the two that are.
-    ("E3 pif  wan      n=16 hosts=4 crash@r40", run_pif_trial,
+    ("E3 pif  wan      n=16 hosts=4 crash@r40", "pif",
      TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1),
      _chaotic(4, "crash worker 2 at round 40")),
 ]
@@ -157,8 +157,8 @@ def check_detection_latency() -> bool:
 
     t0 = time.perf_counter()
     try:
-        run_pif_trial(TrialSpec(
-            n=6, seed=0, **_chaotic(2, "crash worker 0 at rendezvous")))
+        run_trial(pif_probe(
+            6, None, **_chaotic(2, "crash worker 0 at rendezvous")))
     except WorkerCrashed as crash:
         wall = time.perf_counter() - t0
         return report(

@@ -62,7 +62,7 @@ from equivalence import (
     spawn_guard,
 )
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.analysis.runner import run_trial
 from repro.engine import (
     DRAIN_TICKS,
     ClusterOpts,
@@ -87,35 +87,35 @@ def _n32(topology: str | None, loss: float) -> TrialSpec:
     return TrialSpec(n=32, topology=topology, seed=0, loss=loss)
 
 
-#: (label, trial, serial spec, engine axes) — every topology family the
+#: (label, kind, serial spec, engine axes) — every topology family the
 #: partition layer distinguishes (complete: all-pairs cut; ring: two
 #: neighbour arcs per shard; clustered: one shard per arbitration
 #: cluster; wan:4: weighted cross-cluster edges that widen the sync
 #: window), each small enough for a laptop or CI runner.
 CASES = [
-    ("E3 pif  complete n=8  hosts=2", run_pif_trial,
+    ("E3 pif  complete n=8  hosts=2", "pif",
      TrialSpec(n=8, topology=None, seed=0, loss=0.1), _cluster(2)),
-    ("E3 pif  ring     n=12 hosts=3", run_pif_trial,
+    ("E3 pif  ring     n=12 hosts=3", "pif",
      TrialSpec(n=12, topology="ring", seed=0, loss=0.1), _cluster(3)),
-    ("E3 pif  wan      n=16 hosts=4", run_pif_trial,
+    ("E3 pif  wan      n=16 hosts=4", "pif",
      TrialSpec(n=16, topology="wan:4", seed=0, loss=0.1), _cluster(4)),
-    ("E5 me   complete n=6  hosts=2", run_mutex_trial,
+    ("E5 me   complete n=6  hosts=2", "me",
      TrialSpec(n=6, topology=None, seed=1, loss=0.0), _cluster(2)),
-    ("E5 me   ring     n=8  hosts=2", run_mutex_trial,
+    ("E5 me   ring     n=8  hosts=2", "me",
      TrialSpec(n=8, topology="ring", seed=1, loss=0.0), _cluster(2)),
-    ("E5 me   wan      n=8  hosts=4", run_mutex_trial,
+    ("E5 me   wan      n=8  hosts=4", "me",
      TrialSpec(n=8, topology="wan:4", seed=3, loss=0.0), _cluster(4)),
-    ("E3 pif  complete   n=32 shards=4", run_pif_trial,
+    ("E3 pif  complete   n=32 shards=4", "pif",
      _n32(None, 0.1), _sharded(4)),
-    ("E3 pif  clustered  n=32", run_pif_trial,
+    ("E3 pif  clustered  n=32", "pif",
      _n32("clustered:4", 0.1), _sharded()),
-    ("E5 me   complete   n=32 shards=4", run_mutex_trial,
+    ("E5 me   complete   n=32 shards=4", "me",
      _n32(None, 0.0), _sharded(4)),
-    ("E5 me   clustered  n=32", run_mutex_trial,
+    ("E5 me   clustered  n=32", "me",
      _n32("clustered:4", 0.0), _sharded()),
-    ("E3 pif  wan        n=32", run_pif_trial,
+    ("E3 pif  wan        n=32", "pif",
      _n32("wan:4", 0.1), _sharded()),
-    ("E5 me   wan        n=32", run_mutex_trial,
+    ("E5 me   wan        n=32", "me",
      _n32("wan:4", 0.0), _sharded()),
 ]
 
@@ -225,9 +225,7 @@ def check_obs_identity(
 def freerun_smoke() -> bool:
     """One E3 trial in freerun mode; every online monitor must pass."""
     t0 = time.perf_counter()
-    trial = run_pif_trial(
-        TrialSpec(n=8, seed=0, loss=0.1, **_cluster(2, sync="freerun")),
-        requests_per_process=1)
+    trial = run_trial(pif_probe(8, None, **_cluster(2, sync="freerun")))
     wall = time.perf_counter() - t0
     return report(
         bool(trial.ok and trial.provenance.get("monitors_ok")),

@@ -30,10 +30,19 @@ Asserts, without running a single trial:
   one engine-specific step of a send is chosen when its link is built;
 * a specification stays one automaton: ``src/repro/net/monitors.py``
   defines no class besides ``LiveTrace`` and the ``SpecMonitor`` adapter,
-  no ``tag == "..."`` / ``kind == "..."`` dispatch on a protocol name is
-  spelled under ``src/repro/net/``, ``src/repro/spec/`` or in
-  ``src/repro/analysis/runner.py`` (:data:`repro.spec.table.SPECS` is the
-  only tag → automaton map), and ``repro.spec.temporal`` stays deleted;
+  and ``repro.spec.temporal`` stays deleted;
+* a protocol is declared once, as a row of
+  :data:`repro.core.protocols.PROTOCOLS`: every row's builder registers a
+  layer under the row's ``kind``, its automaton carries that tag, the
+  runner's judge map has exactly the table's keys and the CLI a
+  subcommand per row; the per-aspect tables the row replaced, and the
+  module that held the specifications' one, are named nowhere under
+  ``src/``, ``tests/``, ``benchmarks/`` (the frozen ledger aside) or
+  ``examples/``;
+  and no ``tag == "..."`` / ``kind == "..."`` dispatch on a protocol
+  name, nor a ``"mutex"`` ↔ ``"me"`` translation, is spelled under
+  ``src/repro/net/``, ``spec/``, ``analysis/``, ``engine/``, in
+  ``core/protocols.py`` or ``cli.py``;
 * the window protocol stays one runtime: nothing under ``src/repro``
   forks or opens a pipe, the deleted lock-step engine is named nowhere
   under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``, the
@@ -65,8 +74,11 @@ from importlib import import_module
 from importlib.util import find_spec
 from pathlib import Path
 
+import repro.cli
 import repro.engine.backends
 import repro.net.transport
+from repro.analysis.runner import _JUDGES
+from repro.core.protocols import PROTOCOLS
 from repro.engine.base import AXES
 from repro.engine.registry import BUILTIN as BUILTIN_ENGINES
 from repro.engine.registry import backends, engine_names
@@ -74,6 +86,7 @@ from repro.engine.spec import TrialSpec
 from repro.errors import SpecError
 from repro.net.transport import resolve_transport, transport_names
 from repro.net.transport.base import BUILTIN as BUILTIN_TRANSPORTS
+from repro.sim.runtime import Simulator
 
 EXPECTED_ENGINES = ("async", "cluster", "serial", "sharded")
 EXPECTED_TRANSPORTS = ("loopback", "tcp", "udp")
@@ -99,10 +112,17 @@ _SEND_FORK = re.compile(
     r".*(_chan" + r"_fast\b|\b_fused\b|\btype\(self\)\s+(is|==)"
     r"|\bisinstance\(self\b)")
 
-# A second spelling of a specification starts as a branch on the
-# protocol's name; event kinds are compared as ``EventKind.X`` constants.
-_SPEC_DISPATCH = re.compile(r".*\b(tag|kind)\s*(==|!=)\s*[\"']")
+# A second spelling of a protocol starts as a branch on its name (event
+# kinds are compared as ``EventKind.X`` constants) or as a translation
+# between its command name and its kind.
+_SPEC_DISPATCH = re.compile(
+    r".*(\b(tag|kind)\s*(==|!=)\s*[\"']"
+    r"|[\"']mutex[\"']\s+if\b.*[\"']me[\"']|[\"']me[\"']\s+if\b.*[\"']mutex[\"'])")
 _MONITOR_CLASSES = {"LiveTrace", "SpecMonitor"}
+# The per-aspect protocol tables the one table replaced (halves spelling).
+_OLD_TABLES = re.compile(
+    r".*\b(BUIL" + r"DERS|SP" + r"ECS|TRI" + r"ALS|_TRIAL" + r"_TITLES"
+    r"|(PIF|IDL|MUTEX)_HOR" + r"IZON|spec\.ta" + r"ble)\b")
 
 # The window protocol's deleted second implementation and what it was
 # made of (halves spelling again: this guard scans its own directory).
@@ -210,12 +230,13 @@ def check_builtin_tables() -> list[str]:
 def _grep(where: str, pattern: re.Pattern[str], what: str,
           exempt: str | None = None) -> list[str]:
     """Lines matching ``pattern`` in one file, or every file of a tree
-    (``where`` is relative to ``src/``)."""
+    (``where`` is relative to ``src/``); ``exempt`` names a file or a
+    directory to skip."""
     root = (_SRC / where).resolve()
     return [
         f"{path.relative_to(_SRC.parent)}:{lineno}: {what}: {line.strip()}"
         for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
-        if path.name != exempt
+        if exempt not in path.relative_to(_SRC.parent).parts
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
         if pattern.match(line)
     ]
@@ -252,7 +273,33 @@ def check_one_specification() -> list[str]:
             f"{sorted(_MONITOR_CLASSES)}")
     if find_spec("repro.spec.temporal") is not None:
         problems.append("repro.spec.temporal is importable again")
-    for where in ("repro/net", "repro/spec", "repro/analysis/runner.py"):
+    return problems
+
+
+def check_one_protocol_table() -> list[str]:
+    problems: list[str] = []
+    for kind, row in PROTOCOLS.items():
+        sim = Simulator(2, row.build())
+        if not all(sim.host(pid).has_layer(kind) for pid in sim.pids):
+            problems.append(f"protocol {kind!r}: its builder registers no "
+                            f"layer tagged {kind!r}")
+        tag = row.automaton(sim.topology).tag
+        if tag != kind:
+            problems.append(
+                f"protocol {kind!r}: its automaton is tagged {tag!r}")
+        if row.command not in repro.cli._SUBCOMMANDS:
+            problems.append(f"protocol {kind!r}: the CLI has no "
+                            f"{row.command!r} subcommand")
+    if _JUDGES.keys() != PROTOCOLS.keys():
+        problems.append(f"runner judges {sorted(_JUDGES)} != protocol "
+                        f"table {sorted(PROTOCOLS)}")
+    if find_spec("repro.spec." + "table") is not None:
+        problems.append("the specifications' own table is importable again")
+    for tree in ("repro", "../tests", "../benchmarks", "../examples"):
+        problems += _grep(tree, _OLD_TABLES, "names a deleted protocol table",
+                          exempt="ledger")
+    for where in ("repro/net", "repro/spec", "repro/analysis", "repro/engine",
+                  "repro/core/protocols.py", "repro/cli.py"):
         problems += _grep(where, _SPEC_DISPATCH,
                           "dispatch on a protocol name")
     return problems
@@ -291,6 +338,7 @@ def check_columnar_result_path() -> list[str]:
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
                 + check_source_guards() + check_one_specification()
+                + check_one_protocol_table()
                 + check_one_window_runtime() + check_columnar_result_path())
     for problem in problems:
         print("FAILED", problem)

@@ -3,10 +3,10 @@
 Each gate is a table of cases plus an entry point; the two comparisons
 they all make live here:
 
-* :func:`compare_metrics` — run every case through its ``run_*_trial``
-  wrapper on the serial engine and again with the case's engine axes
-  replaced, and require the same verdict, violation count and
-  trace-derived measurements;
+* :func:`compare_metrics` — run every case through ``run_trial`` on the
+  serial engine and again with the case's engine axes replaced, and
+  require the same verdict, violation count and trace-derived
+  measurements;
 * :func:`bit_identity` — execute one spec on the serial engine and once
   per named variant, and require the same events, canonical trace hash,
   stats, final time and completions;
@@ -23,6 +23,8 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, NamedTuple
 
+from repro.analysis.runner import run_trial
+from repro.core.protocols import PROTOCOLS
 from repro.engine import EngineRun, TrialSpec, execute
 from repro.sim.trace import canonical_trace_hash
 
@@ -68,19 +70,20 @@ def compare_metrics(
 ) -> bool:
     """Serial vs one other engine configuration, case by case.
 
-    ``cases`` rows are ``(name, trial, spec, axes)``: ``trial(spec)`` is
-    the serial reference and ``trial(replace(spec, **axes))`` the run
-    under test (one request per process).  ``agrees(other, other_spec)``
+    ``cases`` rows are ``(name, kind, spec, axes)``: the ``kind`` trial of
+    ``spec`` is the serial reference and that of ``replace(spec, **axes)``
+    the run under test (one request per process).  ``agrees(other, other_spec)``
     adds the gate's own provenance conditions; ``tail(serial, other)``
     is the end of the printed line (default: the measurements).
     """
     ok = True
-    for name, trial, spec, axes in cases:
+    for name, kind, spec, axes in cases:
+        spec = PROTOCOLS[kind].describe(spec, requests_per_process=1)
         other_spec = replace(spec, **axes)
         t0 = time.perf_counter()
-        serial = trial(spec, requests_per_process=1)
+        serial = run_trial(spec)
         t1 = time.perf_counter()
-        other = trial(other_spec, requests_per_process=1)
+        other = run_trial(other_spec)
         t2 = time.perf_counter()
         same = (
             serial.ok == other.ok
@@ -136,14 +139,9 @@ def bit_identity(spec: TrialSpec, variants: dict[str, dict[str, Any]]) -> Identi
 
 def pif_probe(n: int, topology: str | None, **axes: Any) -> TrialSpec:
     """The PIF probe every gate re-executes for its bit-identity check."""
-    return TrialSpec(
-        n=n,
-        protocol={"kind": "pif"},
-        topology=topology,
-        seed=0,
-        loss=0.1,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        horizon=2_000_000,
-        **axes,
-    )
+    # Its own payload spelling, so the hashes the gates print stay
+    # comparable with the ones earlier commits printed.
+    return PROTOCOLS["pif"].describe(
+        TrialSpec(n=n, topology=topology, seed=0, loss=0.1,
+                  driver=dict(payload_fmt="m-{pid}-{k}"), **axes),
+        requests_per_process=1)

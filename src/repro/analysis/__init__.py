@@ -25,14 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     )
     from repro.analysis.metrics import Summary, summarize
     from repro.analysis.runner import (
-        TRIALS,
         TrialResult,
         pif_scaling_row,
         run_idl_trial,
         run_mutex_trial,
         run_pif_trial,
-        sweep_mutex,
-        sweep_pif,
+        run_trial,
+        sweep,
     )
     from repro.analysis.tables import render_table
 
@@ -41,7 +40,6 @@ __all__ = [
     "FlagAblationResult",
     "MutexComparison",
     "Summary",
-    "TRIALS",
     "TrialResult",
     "aggregate_comparison",
     "compare_mutex_protocols",
@@ -57,9 +55,9 @@ __all__ = [
     "run_naive_ablation",
     "run_pif_trial",
     "run_property1_check",
+    "run_trial",
     "summarize",
-    "sweep_mutex",
-    "sweep_pif",
+    "sweep",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -76,8 +74,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "metrics": ("Summary", "summarize"),
     "runner": (
-        "TRIALS", "TrialResult", "pif_scaling_row", "run_idl_trial",
-        "run_mutex_trial", "run_pif_trial", "sweep_mutex", "sweep_pif",
+        "TrialResult", "pif_scaling_row", "run_idl_trial",
+        "run_mutex_trial", "run_pif_trial", "run_trial", "sweep",
     ),
     "tables": ("render_table",),
 })

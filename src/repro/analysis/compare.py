@@ -16,12 +16,12 @@ from typing import Any
 
 from repro.baselines.self_stab_mutex import TokenMutexLayer
 from repro.core.mutex import MutexLayer
+from repro.core.protocols import PROTOCOLS
 from repro.core.requests import RequestDriver
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.runtime import Simulator
 from repro.sim.topology import Topology, topology_from_spec
 from repro.spec.mutex_spec import check_mutex
-from repro.spec.table import scope
 
 __all__ = ["MutexComparison", "compare_mutex_protocols", "aggregate_comparison"]
 
@@ -84,7 +84,7 @@ def _run_one(
     # leader cluster (the generalized reading); the token baseline still
     # claims — and, while converging, violates — global exclusion, so it is
     # judged against the stricter global clusters=None reading it targets.
-    scoped = scope("me", sim.topology) if protocol == "snap" else {}
+    scoped = PROTOCOLS["me"].scope(sim.topology) if protocol == "snap" else {}
     verdict = check_mutex(
         sim.trace, "mx", horizon=sim.now, require_all_served=False, **scoped
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.pif import PifLayer
-from repro.errors import SimulationError, SpecError
+from repro.errors import SimulationError
 from repro.impossibility.construction import (
     ImpossibilityResult,
     attempt_on_bounded,
@@ -269,8 +269,8 @@ def run_topology_matrix(
 ) -> list[dict[str, Any]]:
     """E11: the topology × fault scenario matrix.
 
-    Runs scrambled trials of ``protocol`` (a key of
-    :data:`repro.analysis.runner.TRIALS`) for every combination of
+    Runs scrambled trials of ``protocol`` (a kind or command name of
+    :data:`repro.core.protocols.PROTOCOLS`) for every combination of
     topology spec and loss rate, checking the topology-generalized
     specification, and returns one aggregate row per scenario.  This is
     the sweep the ``--topology`` axis exists for: every cell must report
@@ -289,7 +289,8 @@ def run_topology_matrix(
     """
     from dataclasses import replace
 
-    from repro.analysis.runner import TRIALS
+    from repro.analysis.runner import run_trial
+    from repro.core.protocols import protocol_named
     from repro.obs.recorder import indexed_path
     from repro.sim.topology import topology_from_spec
 
@@ -299,11 +300,7 @@ def run_topology_matrix(
         losses = [0.0, 0.2]
     if seeds is None:
         seeds = [0, 1, 2]
-    if protocol not in TRIALS:
-        raise SpecError(
-            f"unknown matrix protocol {protocol!r}; expected one of "
-            f"{sorted(TRIALS)}", field="protocol")
-    runner = TRIALS[protocol]
+    row = protocol_named(protocol)
     metrics, timeline = base.obs.metrics, base.obs.timeline
     rows: list[dict[str, Any]] = []
     for spec in topologies:
@@ -330,7 +327,7 @@ def run_topology_matrix(
                         str(indexed_path(timeline, label))
                         if timeline is not None else None,
                     )
-                trial = runner(cell, requests_per_process=1)
+                trial = run_trial(row.describe(cell, requests_per_process=1))
                 ok += 1 if trial.ok else 0
                 violations += trial.violations
                 messages += trial.measurements["messages"]

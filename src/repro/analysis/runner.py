@@ -1,17 +1,16 @@
-"""Experiment runners: one function per trial type, plus parameter sweeps.
+"""Experiment runners: the one trial body, plus parameter sweeps.
 
-Each ``run_*_trial(spec, ...)`` takes a :class:`~repro.engine.TrialSpec`
-naming the trial's axes (size, topology, seed, loss, engine and its
-option sections — built by hand, or once per command by
-:meth:`TrialSpec.from_cli_args`), fills in the experiment part — the
-``protocol`` description, the request-driver config and the
-per-experiment horizon default — and hands it to the
+:func:`run_trial` takes a :class:`~repro.engine.TrialSpec` that names at
+least its ``protocol`` kind, lets that kind's row of
+:data:`repro.core.protocols.PROTOCOLS` fill in what the spec leaves open
+(driver config, horizon default), hands it to the
 :func:`repro.engine.execute` pipeline (spec → registry → backend → trace
-→ specs/monitors → provenance).  It then checks the relevant
-specification over the returned trace and returns a flat
-:class:`TrialResult` ready for table rendering (experiments E3, E4, E5,
-E7 of DESIGN.md).  A variation of a trial is a
-:func:`dataclasses.replace` of its spec.
+→ specs/monitors → provenance), judges the returned trace against the
+kind's specification and returns a flat :class:`TrialResult` ready for
+table rendering (experiments E3, E4, E5, E7 of DESIGN.md).  A variation
+of a trial is a :func:`dataclasses.replace` of its spec; a recorded spec
+replays as ``run_trial(TrialSpec.from_provenance(record))``.  The
+``run_*_trial`` functions are keyword spellings of the same call.
 
 The ``engine`` axis is answered by the backend registry
 (:mod:`repro.engine.registry`): ``serial``, ``sharded``, ``async`` and
@@ -27,9 +26,10 @@ freerun) carry their correctness in the online monitor verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.protocols import PROTOCOLS, ProtocolKind, protocol_of
 from repro.engine import DRAIN_TICKS, EngineRun, TrialSpec, execute
 from repro.engine.base import resolve_topology as _resolve_topology
 from repro.errors import HorizonExceeded, SimulationError
@@ -38,7 +38,6 @@ from repro.sim.trace import EventKind, Trace
 from repro.spec.idl_spec import check_idl
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
-from repro.spec.table import scope
 from repro.spec.waves import extract_waves
 from repro.analysis.metrics import summarize
 
@@ -46,20 +45,13 @@ __all__ = [
     "TrialResult",
     "EngineRun",
     "DRAIN_TICKS",
-    "TRIALS",
+    "run_trial",
     "run_pif_trial",
     "run_idl_trial",
     "run_mutex_trial",
-    "sweep_pif",
-    "sweep_mutex",
+    "sweep",
     "pif_scaling_row",
 ]
-
-#: Per-experiment horizon defaults, applied when the spec names none
-#: (the ME budget is larger: convergence on rings).
-PIF_HORIZON = 2_000_000
-IDL_HORIZON = 2_000_000
-MUTEX_HORIZON = 6_000_000
 
 
 @dataclass
@@ -107,56 +99,96 @@ def _count_cs_grants(trace: Trace, tag: str) -> int:
     )
 
 
-def _drive(
-    spec: TrialSpec,
-    label: str,
-    protocol: dict[str, Any],
-    default_horizon: int,
-    requests_per_process: int,
-    *,
-    require_completion: bool = True,
-    **driver: Any,
-) -> tuple[TrialSpec, EngineRun]:
-    """The body every trial shares: fill in the experiment part of
-    ``spec`` (protocol, driver, horizon default), execute it, and insist
-    on completion.  Returns the spec that ran and its outcome."""
-    tag = protocol["kind"]
-    spec = replace(
-        spec,
-        protocol=protocol,
-        driver=dict(tag=tag, requests_per_process=requests_per_process,
-                    **driver),
-        horizon=default_horizon if spec.horizon is None else spec.horizon,
+def _judge_pif(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
+    """Specification 1, and the decided waves' cost."""
+    verdict = check_pif(
+        run.trace, row.kind, run.pids, final_requests=run.finals,
+        **row.scope(run.topology),
     )
+    waves = [w for w in extract_waves(run.trace, row.kind) if w.decided]
+    durations = [w.duration for w in waves if w.duration is not None]
+    return verdict, {
+        "waves": len(waves),
+        "msg_per_wave": round(run.stats.sent / max(1, len(waves)), 1),
+        "wave_p50": summarize(durations).p50 if durations else 0,
+        "wave_p95": summarize(durations).p95 if durations else 0,
+    }
+
+
+def _judge_idl(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
+    """Specification 2 against the ground-truth identities."""
+    idents = spec.protocol.get("idents")
+    truth = {p: (idents[p] if idents else p) for p in run.pids}
+    verdict = check_idl(
+        run.trace, row.kind, truth, final_requests=run.finals,
+        **row.scope(run.topology),
+    )
+    latencies = run.latencies()
+    return verdict, {
+        "computations": verdict.info.get("computations", 0),
+        "latency_p50": summarize(latencies).p50 if latencies else 0,
+    }
+
+
+def _judge_me(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
+    """Specification 3 over the full trace; on a non-complete topology
+    Correctness is per leader cluster (see :mod:`repro.core.mutex`)."""
+    verdict = check_mutex(
+        run.trace, row.kind, horizon=run.final_time,
+        require_all_served=run.completed, **row.scope(run.topology),
+    )
+    latencies = run.latencies()
+    return verdict, {
+        "served": len(run.completions),
+        "requested": spec.driver["requests_per_process"] * len(run.pids),
+        "completed": run.completed,
+        "cs_count": verdict.info.get("cs_count", 0),
+        "latency_p50": summarize(latencies).p50 if latencies else 0,
+        "latency_p95": summarize(latencies).p95 if latencies else 0,
+    }
+
+
+#: The per-kind half of a trial, ``(row, spec, run) -> (verdict,
+#: measurements)``; the integrity gate holds its keys to PROTOCOLS'.
+_JUDGES = {"pif": _judge_pif, "idl": _judge_idl, "me": _judge_me}
+
+
+def run_trial(
+    spec: TrialSpec, *, require_completion: bool = True
+) -> TrialResult:
+    """One trial of ``spec.protocol["kind"]``: execute, judge, measure.
+
+    ``spec.round_budget`` bounds an ME trial's convergence cost: it aborts
+    with :class:`~repro.errors.HorizonExceeded` once more than that many
+    CS grants happened without serving every request.  A completing trial
+    uses about ``(requests_per_process + 1) * n`` grants (measured across
+    topologies — see docs/engine.md), so small multiples of that are
+    generous budgets; the guard exists because per-grant *time* grows
+    steeply with ring size, making the plain horizon an expensive way to
+    detect impractical configurations.
+    """
+    row = protocol_of(spec.protocol)
+    spec = row.describe(spec)
     run = execute(spec)
     if require_completion and not run.completed:
         raise HorizonExceeded(
-            f"{label} trial did not finish",
+            f"{row.kind.upper()} trial did not finish",
             horizon=spec.horizon,
             served=len(run.completions),
-            requested=requests_per_process * len(run.pids),
+            requested=spec.driver["requests_per_process"] * len(run.pids),
             # Only ME traces carry critical-section entries.
-            rounds=_count_cs_grants(run.trace, tag) or None,
+            rounds=_count_cs_grants(run.trace, row.kind) or None,
             window=run.window,
         )
-    return spec, run
-
-
-def _result(
-    spec: TrialSpec,
-    run: EngineRun,
-    ok: bool,
-    violations: list,
-    measurements: dict[str, Any],
-    **params: Any,
-) -> TrialResult:
+    verdict, measurements = _JUDGES[row.kind](row, spec, run)
     return TrialResult(
         params={"n": len(run.pids), "seed": spec.seed, "loss": spec.loss,
-                **params, "topology": run.topology.name,
+                "capacity": spec.capacity, "topology": run.topology.name,
                 "engine": spec.engine},
-        ok=ok,
-        violations=len(violations),
-        measurements=measurements,
+        ok=verdict.ok and (run.completed or not require_completion),
+        violations=len(verdict.violations),
+        measurements={**measurements, "messages": run.stats.sent,
+                      "final_time": run.final_time},
         provenance=run.provenance(),
     )
 
@@ -172,30 +204,8 @@ def run_pif_trial(
     ``max_state`` is the top of the handshake flag domain (default
     ``spec.capacity + 3``, the paper's bound for capacity-c channels).
     """
-    if max_state is None:
-        max_state = spec.capacity + 3
-    spec, run = _drive(
-        spec, "PIF", {"kind": "pif", "max_state": max_state}, PIF_HORIZON,
-        requests_per_process, payload_fmt="msg-{pid}-{k}",
-    )
-    verdict = check_pif(
-        run.trace, "pif", run.pids, final_requests=run.finals,
-        **scope("pif", run.topology),
-    )
-    waves = [w for w in extract_waves(run.trace, "pif") if w.decided]
-    durations = [w.duration for w in waves if w.duration is not None]
-    return _result(
-        spec, run, verdict.ok, verdict.violations,
-        {
-            "waves": len(waves),
-            "messages": run.stats.sent,
-            "msg_per_wave": round(run.stats.sent / max(1, len(waves)), 1),
-            "wave_p50": summarize(durations).p50 if durations else 0,
-            "wave_p95": summarize(durations).p95 if durations else 0,
-            "final_time": run.final_time,
-        },
-        capacity=spec.capacity,
-    )
+    return run_trial(PROTOCOLS["pif"].describe(
+        spec, requests_per_process=requests_per_process, max_state=max_state))
 
 
 def run_idl_trial(
@@ -205,25 +215,8 @@ def run_idl_trial(
     idents: dict[int, int] | None = None,
 ) -> TrialResult:
     """One IDL trial (E4): Specification 2 checked against ground truth."""
-    spec, run = _drive(
-        spec, "IDL", {"kind": "idl", "idents": idents}, IDL_HORIZON,
-        requests_per_process,
-    )
-    truth = {p: (idents[p] if idents else p) for p in run.pids}
-    verdict = check_idl(
-        run.trace, "idl", truth, final_requests=run.finals,
-        **scope("idl", run.topology),
-    )
-    latencies = run.latencies()
-    return _result(
-        spec, run, verdict.ok, verdict.violations,
-        {
-            "computations": verdict.info.get("computations", 0),
-            "messages": run.stats.sent,
-            "latency_p50": summarize(latencies).p50 if latencies else 0,
-            "final_time": run.final_time,
-        },
-    )
+    return run_trial(PROTOCOLS["idl"].describe(
+        spec, requests_per_process=requests_per_process, idents=idents))
 
 
 def run_mutex_trial(
@@ -234,79 +227,27 @@ def run_mutex_trial(
     use_paper_modulus: bool = False,
     require_completion: bool = True,
 ) -> TrialResult:
-    """One ME trial (E5): Specification 3 checked over the full trace.
-
-    On a non-complete topology the Correctness check runs per leader
-    cluster (the generalized guarantee — see :mod:`repro.core.mutex`).
-
-    ``spec.round_budget`` bounds convergence cost: the trial aborts with
-    :class:`~repro.errors.HorizonExceeded` once more than that many CS
-    grants happened without serving every request.  A completing trial
-    uses about ``(requests_per_process + 1) * n`` grants (measured across
-    topologies — see docs/engine.md), so small multiples of that are
-    generous budgets; the guard exists because per-grant *time* grows
-    steeply with ring size, making the plain horizon an expensive way to
-    detect impractical configurations.
-    """
-    spec, run = _drive(
-        spec, "ME",
-        {"kind": "me", "cs_duration": cs_duration,
-         "use_paper_modulus": use_paper_modulus},
-        MUTEX_HORIZON, requests_per_process,
-        require_completion=require_completion,
-    )
-    verdict = check_mutex(
-        run.trace, "me", horizon=run.final_time,
-        require_all_served=run.completed, **scope("me", run.topology),
-    )
-    latencies = run.latencies()
-    return _result(
-        spec, run,
-        verdict.ok and (run.completed or not require_completion),
-        verdict.violations,
-        {
-            "served": len(run.completions),
-            "requested": requests_per_process * len(run.pids),
-            "completed": run.completed,
-            "cs_count": verdict.info.get("cs_count", 0),
-            "messages": run.stats.sent,
-            "latency_p50": summarize(latencies).p50 if latencies else 0,
-            "latency_p95": summarize(latencies).p95 if latencies else 0,
-            "final_time": run.final_time,
-        },
-    )
+    """One ME trial (E5): Specification 3 checked over the full trace."""
+    return run_trial(
+        PROTOCOLS["me"].describe(
+            spec, requests_per_process=requests_per_process,
+            cs_duration=cs_duration, use_paper_modulus=use_paper_modulus),
+        require_completion=require_completion)
 
 
-#: Trial name → wrapper: the one table behind the CLI's trial
-#: subcommands and the topology matrix's ``protocol`` axis.
-TRIALS = {
-    "pif": run_pif_trial,
-    "idl": run_idl_trial,
-    "mutex": run_mutex_trial,
-}
-
-
-def _sweep(trial, ns, losses, seeds, kwargs) -> list[TrialResult]:
+def sweep(
+    kind: str, ns: list[int], losses: list[float], seeds: list[int],
+    **keywords: Any,
+) -> list[TrialResult]:
+    """E3/E5 sweeps: ``kind`` trials across system sizes, loss rates and
+    scrambles (``keywords`` as for the row's ``describe``)."""
+    row = PROTOCOLS[kind]
     return [
-        trial(TrialSpec(n=n, seed=seed, loss=loss), **kwargs)
+        run_trial(row.describe(TrialSpec(n=n, seed=seed, loss=loss), **keywords))
         for n in ns
         for loss in losses
         for seed in seeds
     ]
-
-
-def sweep_pif(
-    ns: list[int], losses: list[float], seeds: list[int], **kwargs: Any
-) -> list[TrialResult]:
-    """E3 sweep: PIF across system sizes, loss rates and scrambles."""
-    return _sweep(run_pif_trial, ns, losses, seeds, kwargs)
-
-
-def sweep_mutex(
-    ns: list[int], losses: list[float], seeds: list[int], **kwargs: Any
-) -> list[TrialResult]:
-    """E5 sweep: ME across system sizes, loss rates and scrambles."""
-    return _sweep(run_mutex_trial, ns, losses, seeds, kwargs)
 
 
 def pif_scaling_row(

@@ -98,7 +98,8 @@ def _flags_matrix(p: argparse.ArgumentParser) -> None:
     p.add_argument("--losses", type=float, nargs="+", default=[0.0, 0.2])
     p.add_argument(
         "--protocol", default="pif", metavar="NAME",
-        help="which trial fills the cells: pif (default), idl or mutex",
+        help="which trial fills the cells: pif (default), idl or mutex "
+             "(= me)",
     )
     _add_engine_args(p)
 
@@ -324,15 +325,6 @@ def _cmd_impossibility(args) -> str:
     )
 
 
-#: Table title per trial subcommand (the wrappers themselves are
-#: :data:`repro.analysis.runner.TRIALS`).
-_TRIAL_TITLES = {
-    "pif": "E3 — PIF trials",
-    "idl": "E4 — IDL trials",
-    "mutex": "E5 — ME trials",
-}
-
-
 def _scalar_keys(record: dict) -> list[str]:
     """The table-ready keys of a measurements/provenance record."""
     return [k for k, v in record.items()
@@ -342,11 +334,12 @@ def _scalar_keys(record: dict) -> list[str]:
 def _cmd_trials(args) -> str:
     from dataclasses import replace
 
-    from repro.analysis.runner import TRIALS
+    from repro.analysis.runner import run_trial
     from repro.analysis.tables import render_table
+    from repro.core.protocols import protocol_named
     from repro.engine.spec import TrialSpec
 
-    runner = TRIALS[args.command]
+    row = protocol_named(args.command)
     # One spec for the whole command (the TrialSpec codec reads every
     # engine/topology flag); per-trial variation is seed + obs paths.
     base = TrialSpec.from_cli_args(args)
@@ -365,8 +358,10 @@ def _cmd_trials(args) -> str:
             )
         return spec
 
-    trials = [runner(per_seed(s), requests_per_process=args.requests)
-              for s in args.seeds]
+    trials = [
+        run_trial(row.describe(
+            per_seed(s), requests_per_process=args.requests))
+        for s in args.seeds]
     keys = ["n", "topology", "engine", "seed", "loss", "ok", "violations"]
     extra = sorted(_scalar_keys(trials[0].measurements))
     # Whatever scalar provenance the backend reported (the engine name
@@ -375,7 +370,7 @@ def _cmd_trials(args) -> str:
     return render_table(
         keys + extra + prov,
         [t.row(*(keys + extra + prov)) for t in trials],
-        title=_TRIAL_TITLES[args.command],
+        title=row.title,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.protocols import protocol_of
 from repro.errors import SpecError
 from repro.engine.base import EngineRun, check_capabilities
 from repro.engine.registry import resolve
@@ -42,8 +43,8 @@ def execute(spec: TrialSpec) -> EngineRun:
     spec.validate()
     if spec.horizon is None:
         raise SpecError(
-            "spec names no horizon; set one (or run through a trial "
-            "wrapper, which fills in its experiment default)",
+            "spec names no horizon; set one (or run it through "
+            "run_trial, which fills in its protocol's default)",
             field="horizon")
     if not spec.driver:
         raise SpecError(
@@ -51,9 +52,14 @@ def execute(spec: TrialSpec) -> EngineRun:
             "and how many)", field="driver")
     if not spec.protocol:
         raise SpecError(
-            "spec names no protocol; set protocol={'kind': ..., **params} "
-            "(or run through a trial wrapper, which fills in its own)",
+            "spec names no protocol; set protocol={'kind': ..., **params}",
             field="protocol")
+    kind = protocol_of(spec.protocol).kind
+    if spec.driver["tag"] != kind:
+        raise SpecError(
+            f"driver tag {spec.driver['tag']!r} is not a layer of protocol "
+            f"{kind!r}; its requests are served by tag {kind!r}",
+            field="driver")
     backend = resolve(spec.engine)
     check_capabilities(spec, backend)
     backend.validate(spec)

@@ -3,7 +3,7 @@
 A :class:`TrialSpec` is the only way to describe a trial: the universal
 axes (topology/seed/loss/capacity/latency/scramble/horizon), the
 protocol as a ``{"kind": ..., **params}`` dict
-(:data:`repro.core.protocols.BUILDERS`), the request-driver config, and
+(:data:`repro.core.protocols.PROTOCOLS`), the request-driver config, and
 one small options record per engine family — :class:`ShardingOpts`,
 :class:`TransportOpts`, :class:`ClusterOpts`, :class:`ChaosOpts`,
 :class:`ObsOpts`.  Backends declare which sections they understand
@@ -116,9 +116,9 @@ class TrialSpec:
     ``protocol`` names the layers every process host registers, as a
     ``{"kind": ..., **params}`` dict resolved through
     :func:`repro.core.protocols.build_protocol` on every engine.
-    ``protocol``, ``driver`` and ``horizon`` may be left unset by
-    axis-only specs (e.g. from the CLI): the ``run_*_trial`` wrappers
-    fill in their experiment's values, and
+    ``driver`` and ``horizon`` may be left unset (and ``protocol`` by
+    axis-only specs, e.g. from the CLI): the protocol's row of
+    :data:`repro.core.protocols.PROTOCOLS` fills them in ``describe``, and
     :func:`repro.engine.pipeline.execute` requires all three.
     """
 
@@ -221,7 +221,7 @@ class TrialSpec:
         carries (``--engine``, ``--shards``, ``--transport``, ``--hosts``,
         ``--fault-plan``, ``--metrics``, ``--wan``, ``--latency-map``, …)
         and leaves the experiment part — ``protocol``/``driver``/the
-        ``horizon`` default — to the trial wrappers.
+        ``horizon`` default — to the protocol's ``describe``.
         ``seed`` defaults to the first of ``--seeds`` (or ``--seed``);
         multi-seed commands :func:`dataclasses.replace` the seed per
         trial.
@@ -294,6 +294,12 @@ def _decode(cls: type, record: dict[str, Any]) -> Any:
         value = record[key]
         if is_dataclass(f.default):  # an options section
             value = _decode(type(f.default), value or {})
+        elif f.name == "protocol" and value:
+            # JSON stringified the keys of pid-keyed parameters (``idents``).
+            value = {
+                name: {int(pid): v for pid, v in param.items()}
+                if isinstance(param, dict) else param
+                for name, param in value.items()}
         kwargs[f.name] = value
     return cls(**kwargs)
 

@@ -213,7 +213,7 @@ class ClusterSimulator:
 
     Constructor arguments mirror :class:`~repro.sim.runtime.Simulator`
     where they are meaningful across shards; ``protocol`` is a picklable
-    protocol spec (see :data:`repro.core.protocols.BUILDERS`) instead of a
+    protocol spec (see :data:`repro.core.protocols.PROTOCOLS`) instead of a
     build closure, ``hosts`` fixes the worker count (default: one per
     arbitration-cluster group) and ``window`` the synchronization window
     (default and, when windowed, maximum: the partition's cross-shard

@@ -9,8 +9,8 @@ adapters as raw ``(time, kind, process, data)`` columns (no
 forwards the rows of its automaton's ``KINDS`` and ``tag`` to ``step``, and
 :meth:`SpecMonitor.report` is ``finish`` — read once the trial's drain
 window has closed.  Nothing here is specification-specific: the clauses
-live in :mod:`repro.spec`, the tag → automaton table in
-:mod:`repro.spec.table`.
+live in :mod:`repro.spec`, the tag → automaton table is
+:data:`repro.core.protocols.PROTOCOLS`.
 
 On deterministic transports the verdicts equal the offline ones by
 construction and ride along as provenance (the gates' ``monitors_ok ==
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.core.protocols import PROTOCOLS
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,14 +85,10 @@ class LiveTrace(Trace):
 def default_monitors(
     tag: str, topology, idents: Mapping[int, int] | None = None
 ) -> list[SpecMonitor]:
-    """The monitor of driver tag ``tag`` on ``topology``: a lookup in
-    :data:`repro.spec.table.SPECS` (``idents`` is the IDL ground truth,
-    default pid); a tag no specification is keyed on is not monitored."""
-    # Imported here: a cluster worker runs monitor-free and loads this
-    # module only for LiveTrace.
-    from repro.spec.table import SPECS, scope
-
-    if tag not in SPECS:
+    """The monitor of driver tag ``tag`` on ``topology``: the automaton
+    of that row of :data:`repro.core.protocols.PROTOCOLS` (``idents`` is
+    the IDL ground truth, default pid); a tag no protocol is keyed on is
+    not monitored."""
+    if tag not in PROTOCOLS:
         return []
-    _scoping, automaton = SPECS[tag]
-    return [SpecMonitor(automaton(topology, idents, scope(tag, topology)))]
+    return [SpecMonitor(PROTOCOLS[tag].automaton(topology, idents=idents))]

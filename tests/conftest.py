@@ -8,6 +8,8 @@ import repro.sim.trace as trace_module
 from repro.core.idl import IdlLayer
 from repro.core.mutex import MutexLayer
 from repro.core.pif import PifLayer
+from repro.core.protocols import PROTOCOLS
+from repro.engine import TrialSpec
 from repro.sim.runtime import Simulator
 
 
@@ -21,6 +23,13 @@ def build_idl(host) -> None:
 
 def build_me(host) -> None:
     host.register(MutexLayer("me"))
+
+
+def trial_spec(kind: str, n: int, **axes) -> TrialSpec:
+    """A one-request-per-process trial of ``kind``: ``axes`` are
+    :class:`TrialSpec` fields, the experiment half is the protocol row's."""
+    return PROTOCOLS[kind].describe(
+        TrialSpec(n=n, **axes), requests_per_process=1)
 
 
 @pytest.fixture

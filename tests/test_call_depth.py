@@ -18,16 +18,12 @@ from __future__ import annotations
 import sys
 
 import pytest
+from conftest import trial_spec
 
 from repro.engine import TrialSpec, execute
 
-_ME = TrialSpec(
-    n=4, seed=5, protocol={"kind": "me", "cs_duration": 3},
-    driver=dict(tag="me", requests_per_process=1), horizon=2_000_000)
-_PIF = TrialSpec(
-    n=16, seed=5, topology="ring", loss=0.1, protocol={"kind": "pif"},
-    driver=dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"),
-    horizon=2_000_000)
+_ME = trial_spec("me", 4, seed=5)
+_PIF = trial_spec("pif", 16, seed=5, topology="ring", loss=0.1)
 
 
 def _calls_per_sent(spec: TrialSpec) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from conftest import trial_spec
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.core.protocols import build_protocol, payload_from_fmt
@@ -26,19 +27,11 @@ from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash
 
 
-def _pif_spec(n, **axes) -> TrialSpec:
-    return TrialSpec(
-        n=n, protocol={"kind": "pif"},
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        **axes)
-
-
 # -- serial equivalence (the tentpole property) ---------------------------
 
 
 def test_windowed_cluster_is_bit_identical_to_serial():
-    spec = _pif_spec(6, topology="complete", seed=0, loss=0.1,
+    spec = trial_spec("pif", 6, topology="complete", seed=0, loss=0.1,
                      horizon=2_000_000)
     serial = execute(spec)
     cluster = execute(replace(
@@ -57,7 +50,7 @@ def test_horizon_at_the_completion_tick_keeps_serial_identity(slack):
     """The round grid's one irregular step: with 16-tick windows the
     horizon falls between grid points, and whether the trial counts as
     completed is decided exactly there (``slack`` -1: one tick short)."""
-    spec = _pif_spec(16, topology="wan:4", seed=0, loss=0.1,
+    spec = trial_spec("pif", 16, topology="wan:4", seed=0, loss=0.1,
                      horizon=2_000_000)
     done_at = execute(spec).final_time - 200  # final = done_at + DRAIN_TICKS
     spec = replace(spec, horizon=done_at + slack)
@@ -145,12 +138,12 @@ def test_cluster_drain_must_cover_window():
 
 def test_execute_rejects_hosts_without_cluster_engine():
     with pytest.raises(SimulationError, match="engine='cluster'"):
-        execute(_pif_spec(4, horizon=100, cluster=ClusterOpts(hosts=2)))
+        execute(trial_spec("pif", 4, horizon=100, cluster=ClusterOpts(hosts=2)))
 
 
 def test_execute_rejects_shards_with_cluster_engine():
     with pytest.raises(SimulationError, match="shards requires engine='sharded'"):
-        execute(_pif_spec(4, horizon=100, engine="cluster",
+        execute(trial_spec("pif", 4, horizon=100, engine="cluster",
                           sharding=ShardingOpts(shards=2)))
 
 

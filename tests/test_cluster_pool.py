@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import trial_spec
 
 import repro
 from repro.analysis import runner
@@ -45,11 +46,7 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 def _pif_spec(n, **axes) -> TrialSpec:
-    return TrialSpec(
-        n=n, protocol={"kind": "pif"}, loss=0.1, horizon=2_000_000,
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        **axes)
+    return trial_spec("pif", n, loss=0.1, **axes)
 
 
 def _on_cluster(spec: TrialSpec, hosts: int, **opts) -> TrialSpec:

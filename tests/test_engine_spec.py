@@ -4,10 +4,14 @@ The contracts under test:
 
 * every unsupported axis/engine combination raises one uniform
   :class:`SpecError` naming the backend and the offending field, and a
-  missing or unknown ``protocol`` is one ``SpecError(field="protocol")``
-  on every engine;
+  missing or unknown ``protocol``, or an unknown protocol parameter, is
+  one ``SpecError(field="protocol")`` on every engine — raised, like a
+  driver tag that is not the protocol's kind, before anything is spawned;
 * the spec codecs round-trip: ``from_cli_args`` → ``as_provenance`` →
   ``from_provenance`` is lossless for codable specs (hypothesis-fuzzed);
+* the protocol table (:data:`repro.core.protocols.PROTOCOLS`) fills a
+  spec the same way for ``run_trial``, the ``run_*_trial`` keyword
+  spellings and a record read back from JSON text;
 * every engine's provenance record validates against the one shared
   schema (:func:`validate_run_provenance`);
 * the registry is a flat namespace: unknown engines fail with the
@@ -18,11 +22,20 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import run_topology_matrix
+from repro.analysis.runner import (
+    run_idl_trial,
+    run_mutex_trial,
+    run_pif_trial,
+    run_trial,
+)
+from repro.core.protocols import PROTOCOLS
 from repro.engine import (
     ChaosOpts,
     ClusterOpts,
@@ -37,7 +50,8 @@ from repro.engine import (
     unregister,
     validate_run_provenance,
 )
-from repro.errors import SpecError
+from repro.errors import HorizonExceeded, SpecError
+from repro.net.coordinator import interpreters_spawned
 
 DRIVER = dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}")
 
@@ -98,6 +112,24 @@ def test_protocol_errors_name_the_field_on_every_engine(
     with pytest.raises(SpecError, match=complaint) as err:
         execute(_spec(engine=engine, protocol=protocol))
     assert err.value.field == "protocol"
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("over,fieldname,complaint", [
+    (dict(protocol={"kind": "pif", "bogus": 1}), "protocol",
+     r"'pif' takes no parameter \['bogus'\]; it accepts \['max_state'\]"),
+    (dict(protocol={"kind": "me", "tag": "w"}), "protocol",
+     r"'me' takes no parameter \['tag'\]"),
+    (dict(driver=dict(DRIVER, tag="idl")), "driver",
+     "driver tag 'idl' is not a layer of protocol 'pif'"),
+], ids=["unknown-parameter", "tag-parameter", "driver-tag"])
+def test_protocol_mismatches_fail_before_anything_is_spawned(
+        engine, over, fieldname, complaint):
+    spawned = interpreters_spawned()
+    with pytest.raises(SpecError, match=complaint) as err:
+        execute(_spec(engine=engine, **over))
+    assert err.value.field == fieldname
+    assert interpreters_spawned() == spawned
 
 
 def test_validate_alone_accepts_a_spec_without_protocol():
@@ -170,6 +202,38 @@ def test_round_trip_keeps_protocol_driver_and_axes():
     assert TrialSpec.from_provenance(spec.as_provenance()) == spec
 
 
+#: One protocol dict per kind, every parameter its builder takes set.
+_FULL_PROTOCOLS = [
+    {"kind": "pif", "max_state": 5},
+    {"kind": "idl", "idents": {1: 50, 2: 7, 3: 9}},
+    {"kind": "me", "cs_duration": 4, "use_paper_modulus": True},
+]
+
+
+def _through_json_text(spec: TrialSpec) -> TrialSpec:
+    return TrialSpec.from_provenance(
+        json.loads(json.dumps(spec.as_provenance())))
+
+
+@pytest.mark.parametrize("protocol", _FULL_PROTOCOLS, ids=lambda p: p["kind"])
+def test_every_protocol_parameter_survives_json_text(protocol):
+    row = PROTOCOLS[protocol["kind"]]
+    assert protocol.keys() - {"kind"} == row.build.__kwdefaults__.keys()
+    spec = row.describe(TrialSpec(n=3, seed=1, protocol=protocol))
+    assert spec.codable()
+    assert _through_json_text(spec) == spec
+
+
+def test_idl_identities_replay_from_the_record():
+    # JSON stringifies the pid keys; the decoded spec must build the same
+    # layers and be judged against the same ground truth.
+    spec = TrialSpec(n=3, seed=1, loss=0.1, protocol=_FULL_PROTOCOLS[1])
+    direct = run_trial(spec)
+    replayed = run_trial(_through_json_text(PROTOCOLS["idl"].describe(spec)))
+    assert direct.ok and replayed.ok
+    assert replayed.measurements == direct.measurements
+
+
 def test_prebuilt_topology_collapses_to_its_name():
     from repro.sim.topology import Ring
 
@@ -198,6 +262,75 @@ def test_spec_validation_rejects_bad_axes():
         with pytest.raises(SpecError) as err:
             _spec(**over).validate()
         assert err.value.field == fieldname
+
+
+# -- the protocol table ---------------------------------------------------
+
+
+def _verdict(trial):
+    return trial.params, trial.ok, trial.violations, trial.measurements
+
+
+_WRAPPERS = {"pif": run_pif_trial, "idl": run_idl_trial,
+             "me": run_mutex_trial}
+
+
+@pytest.mark.parametrize("kind", PROTOCOLS)
+def test_a_spec_naming_only_its_protocol_is_the_wrappers_default_call(kind):
+    axes = TrialSpec(n=3, seed=2, loss=0.1, capacity=2)
+    direct = run_trial(replace(axes, protocol={"kind": kind}))
+    assert _verdict(direct) == _verdict(_WRAPPERS[kind](axes))
+    assert direct.ok and direct.params["capacity"] == 2
+    # ...and so is its described record, read back from JSON text.
+    described = PROTOCOLS[kind].describe(axes)
+    assert described.driver["requests_per_process"] == 2
+    assert described.horizon == PROTOCOLS[kind].horizon
+    assert _verdict(run_trial(_through_json_text(described))) == \
+        _verdict(direct)
+
+
+def test_what_the_spec_names_wins_over_the_rows_default():
+    spec = TrialSpec(n=3, protocol={"kind": "me"},
+                     driver=dict(tag="me", requests_per_process=1))
+    assert run_trial(spec).measurements["requested"] == 3
+    with pytest.raises(HorizonExceeded, match="ME trial did not finish") as err:
+        run_trial(replace(spec, horizon=40))
+    assert "horizon=40" in str(err.value)
+    # A wrapper keyword is an explicit override of the spec's own value.
+    assert run_mutex_trial(
+        spec, requests_per_process=2).measurements["requested"] == 6
+    with pytest.raises(SpecError, match="driver tag 'me' is not") as err:
+        run_pif_trial(spec)  # a described ME spec is not a PIF trial
+    assert err.value.field == "driver"
+
+
+def test_a_horizon_cut_trial_can_be_judged_as_far_as_it_got():
+    axes = TrialSpec(n=3, horizon=40)
+    cut = run_trial(replace(axes, protocol={"kind": "me"}),
+                    require_completion=False)
+    # Unserved requests are not held against a run that was cut short.
+    assert cut.measurements["completed"] is False and cut.ok
+    assert _verdict(cut) == _verdict(
+        run_mutex_trial(axes, require_completion=False))
+
+
+def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
+    from repro.cli import main
+
+    def rows(protocol):
+        return run_topology_matrix(
+            TrialSpec(n=3), topologies=["ring"], losses=[0.0], seeds=[0],
+            protocol=protocol)
+
+    assert rows("me") == rows("mutex")
+    with pytest.raises(SpecError, match="unknown protocol kind 'gossip'") as err:
+        rows("gossip")
+    assert err.value.field == "protocol"
+    cell = ["matrix", "--n", "3", "--topologies", "ring", "--losses", "0",
+            "--seeds", "0", "--protocol"]
+    assert main(cell + ["me"]) == main(cell + ["mutex"]) == 0
+    assert main(cell + ["gossip"]) == 1
+    assert "unknown protocol kind 'gossip'" in capsys.readouterr().err
 
 
 # -- one provenance schema for every engine -------------------------------

@@ -3,9 +3,10 @@
 ``tests/data/golden_hashes.json`` holds ``{"spec": TrialSpec.as_provenance(),
 "hash": canonical_trace_hash}`` entries — PIF / IDL / ME × complete / ring /
 wan:2 × loss 0 / 0.1 × capacity 1 / 2 at n ≤ 8 on the serial engine —
-recorded through the ``run_*_trial`` wrappers at the commit before
-``TrialSpec.build`` was removed.  Each record also carries what the trial
-wrapper concluded from that trace — ``ok``, ``violations`` and the
+recorded at the commit before ``TrialSpec.build`` was removed.  A record
+replays with no per-protocol code: ``run_trial(TrialSpec.from_provenance(
+entry["spec"]))``.  Each record also carries what the trial concluded
+from that trace — ``ok``, ``violations`` and the
 ``measurements`` block (waves, ``wave_p50/p95``, ``computations``,
 ``cs_count``, ``latency_p50``, ...) — recorded at the commit before
 Specifications 1–3 became one automaton each, so a specification rewrite
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.runner import TRIALS
+from repro.analysis.runner import run_trial
 from repro.engine import TrialSpec, execute
 from repro.sim.trace import canonical_trace_hash
 
@@ -35,17 +36,6 @@ def _label(entry) -> str:
     spec = entry["spec"]
     return (f"{spec['protocol']['kind']}-{spec['topology']}-n{spec['n']}"
             f"-loss{spec['loss']}-cap{spec['capacity']}")
-
-
-def run_trial(entry):
-    """The record's trial through its ``run_*_trial`` wrapper: the wrapper's
-    keywords are the protocol parameters the spec already names."""
-    spec = TrialSpec.from_provenance(entry["spec"])
-    params = {k: v for k, v in spec.protocol.items() if k != "kind"}
-    kind = spec.protocol["kind"]
-    return TRIALS["mutex" if kind == "me" else kind](
-        spec, requests_per_process=spec.driver["requests_per_process"],
-        **params)
 
 
 def test_corpus_covers_the_protocols_and_topologies():
@@ -68,7 +58,7 @@ def test_recorded_spec_reproduces_its_hash(entry):
 
 @pytest.mark.parametrize("entry", CORPUS, ids=_label)
 def test_recorded_spec_reproduces_its_verdict_and_measurements(entry):
-    trial = run_trial(entry)
+    trial = run_trial(TrialSpec.from_provenance(entry["spec"]))
     assert trial.ok is entry["ok"]
     assert trial.violations == entry["violations"]
     assert trial.measurements == entry["measurements"]

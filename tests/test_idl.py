@@ -125,7 +125,7 @@ class TestIntegration:
 
 class TestMonitoredOnline:
     """IDL is monitored on the async and cluster engines for free: its
-    automaton is the third entry of ``repro.spec.table.SPECS``."""
+    automaton is on its row of ``repro.core.protocols.PROTOCOLS``."""
 
     @pytest.mark.parametrize("topology", ["complete", "ring"])
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from conftest import trial_spec
 
 from repro.analysis.runner import run_mutex_trial
 from repro.core.pif import PifLayer
@@ -44,20 +45,6 @@ def _pif_build(host) -> None:
 _PIF_DRIVER = dict(
     tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
 )
-
-
-def _pif_spec(n, **axes) -> TrialSpec:
-    return TrialSpec(
-        n=n, protocol={"kind": "pif"},
-        driver=dict(tag="pif", requests_per_process=1,
-                    payload_fmt="m-{pid}-{k}"),
-        **axes)
-
-
-def _me_spec(n, **axes) -> TrialSpec:
-    return TrialSpec(
-        n=n, protocol={"kind": "me", "cs_duration": 3},
-        driver=dict(tag="me", requests_per_process=1), **axes)
 
 
 def _both(spec: TrialSpec) -> tuple[EngineRun, EngineRun]:
@@ -86,7 +73,7 @@ class TestLoopbackBitIdentity:
         ids=["complete", "ring", "clustered"],
     )
     def test_pif_trace_bit_identical(self, n, topology):
-        serial, loopback = _both(_pif_spec(
+        serial, loopback = _both(trial_spec("pif", 
             n, topology=topology, seed=0, loss=0.1, horizon=4_000_000))
         _assert_bit_identical(serial, loopback)
 
@@ -100,12 +87,12 @@ class TestLoopbackBitIdentity:
         # dispatches — the paths where a coroutine runtime could diverge.
         # Ring/Complete run at n=8 (ME ring convergence cost grows steeply
         # with n — see docs/engine.md); Clustered covers n=16.
-        serial, loopback = _both(_me_spec(
+        serial, loopback = _both(trial_spec("me", 
             n, topology=topology, seed=1, loss=0.1, horizon=4_000_000))
         _assert_bit_identical(serial, loopback)
 
     def test_loopback_monitors_pass_when_spec_passes(self):
-        _, loopback = _both(_pif_spec(
+        _, loopback = _both(trial_spec("pif", 
             8, topology="clustered:2", seed=2, loss=0.2, horizon=4_000_000))
         assert loopback.monitor_reports
         assert loopback.monitors_ok
@@ -113,7 +100,7 @@ class TestLoopbackBitIdentity:
         assert loopback.transport == "loopback"
 
     def test_different_seeds_differ(self):
-        ring = _pif_spec(8, topology="ring", horizon=4_000_000)
+        ring = trial_spec("pif", 8, topology="ring", horizon=4_000_000)
         _, run_a = _both(replace(ring, seed=0))
         _, run_b = _both(replace(ring, seed=1))
         a = [(e.time, e.kind, e.process, e.data) for e in run_a.trace]
@@ -139,7 +126,7 @@ class TestSeededFuzzOracle:
         loss = self.LOSSES[case % len(self.LOSSES)]
         scramble = case % 2 == 0
         n = 4 + (case * 3) % 5  # 4..8
-        _assert_bit_identical(*_both(_pif_spec(
+        _assert_bit_identical(*_both(trial_spec("pif", 
             n, topology=topology, seed=case, loss=loss, scramble=scramble,
             horizon=2_000_000)))
 
@@ -149,7 +136,7 @@ class TestTcpTransport:
 
     def test_e3_over_tcp_completes_with_monitors_passing(self):
         try:
-            run = execute(_pif_spec(
+            run = execute(trial_spec("pif", 
                 4, seed=0, horizon=30_000, engine="async",
                 transport=TransportOpts(transport="tcp")))
         except OSError as exc:  # pragma: no cover - sandboxed networking
@@ -164,7 +151,7 @@ class TestTcpTransport:
         from repro.spec.pif_spec import check_pif
 
         try:
-            run = execute(_pif_spec(
+            run = execute(trial_spec("pif", 
                 4, seed=3, loss=0.1, horizon=30_000, engine="async",
                 transport=TransportOpts(transport="tcp")))
         except OSError as exc:  # pragma: no cover - sandboxed networking
@@ -253,28 +240,28 @@ class TestValidation:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
-            execute(_pif_spec(3, horizon=10, engine="quantum"))
+            execute(trial_spec("pif", 3, horizon=10, engine="quantum"))
 
     def test_round_budget_requires_serial(self):
         with pytest.raises(SimulationError):
-            execute(_me_spec(3, horizon=10, engine="async", round_budget=5))
+            execute(trial_spec("me", 3, horizon=10, engine="async", round_budget=5))
 
     def test_transport_without_async_engine_rejected(self):
         # A tcp transport on the serial engine would silently run in
         # process; refuse instead (the classic forgotten --engine async).
         with pytest.raises(SimulationError):
-            execute(_pif_spec(3, horizon=10,
+            execute(trial_spec("pif", 3, horizon=10,
                               transport=TransportOpts(transport="tcp")))
         with pytest.raises(SimulationError):
-            execute(_pif_spec(3, horizon=10,
+            execute(trial_spec("pif", 3, horizon=10,
                               transport=TransportOpts(tick=0.01)))
 
     def test_shards_without_sharded_engine_rejected(self):
         with pytest.raises(SimulationError):
-            execute(_pif_spec(3, horizon=10, engine="async",
+            execute(trial_spec("pif", 3, horizon=10, engine="async",
                               sharding=ShardingOpts(shards=2)))
         with pytest.raises(SimulationError):
-            execute(_pif_spec(3, horizon=10,
+            execute(trial_spec("pif", 3, horizon=10,
                               sharding=ShardingOpts(window=1)))
 
     def test_run_trial_is_single_use(self):

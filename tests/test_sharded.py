@@ -18,13 +18,15 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from conftest import trial_spec
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pif import PifLayer
 from repro.core.protocols import build_protocol, payload_from_fmt
 from repro.core.requests import RequestDriver
-from repro.engine import EngineRun, ShardingOpts, TrialSpec, execute
+from repro.engine import EngineRun, ShardingOpts, execute
+from repro.engine.base import normalized_driver
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
@@ -40,21 +42,14 @@ def _pif_build(host) -> None:
     host.register(PifLayer("pif"))
 
 
-_PIF_DRIVER = dict(
-    tag="pif", requests_per_process=1, payload=lambda pid, k: f"m-{pid}-{k}"
-)
-#: (protocol, driver) of the two trial kinds, in their spec spelling.
-_PIF = ({"kind": "pif"},
-        dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"))
-_ME = ({"kind": "me", "cs_duration": 3},
-       dict(tag="me", requests_per_process=1))
+#: The two trial kinds (size and axes are replaced per test).
+_PIF = trial_spec("pif", 8)
+_ME = trial_spec("me", 8)
 
 
 def _both(n, trial, *, shards=None, horizon=4_000_000,
           **axes) -> tuple[EngineRun, EngineRun]:
-    protocol, driver = trial
-    spec = TrialSpec(n=n, protocol=protocol, driver=driver, horizon=horizon,
-                     **axes)
+    spec = replace(trial, n=n, horizon=horizon, **axes)
     return execute(spec), execute(replace(
         spec, engine="sharded", sharding=ShardingOpts(shards=shards)))
 
@@ -125,14 +120,14 @@ class TestScrambleVariants:
         seed = 4
         sim = Simulator(8, _pif_build, topology="clustered:2", seed=seed)
         sim.scramble(seed=seed ^ 0x5EED, fill_channels=False)
-        driver = RequestDriver(sim, **_PIF_DRIVER)
+        driver = RequestDriver(sim, **normalized_driver(_PIF))
         assert sim.run(1_000_000, until=lambda s: driver.done)
         sim.run(sim.now + 200)
 
-        sharded = ClusterSimulator(8, _PIF[0], topology="clustered:2", seed=seed)
+        sharded = ClusterSimulator(8, _PIF.protocol, topology="clustered:2", seed=seed)
         result = sharded.run_trial(
             horizon=1_000_000, scramble_seed=seed ^ 0x5EED,
-            fill_channels=False, driver=_PIF[1], drain=200,
+            fill_channels=False, driver=_PIF.driver, drain=200,
         )
         serial_events = [(e.time, e.kind, e.process, e.data) for e in sim.trace]
         sharded_events = [(e.time, e.kind, e.process, e.data) for e in result.trace]
@@ -152,24 +147,24 @@ class TestSeedSensitivity:
 class TestValidation:
     def test_window_beyond_lookahead_rejected(self):
         with pytest.raises(SimulationError):
-            ClusterSimulator(8, _PIF[0], latency=(2, 5), window=3)
+            ClusterSimulator(8, _PIF.protocol, latency=(2, 5), window=3)
 
     def test_window_within_lookahead_accepted(self):
-        sharded = ClusterSimulator(8, _PIF[0], latency=(2, 5), window=2)
+        sharded = ClusterSimulator(8, _PIF.protocol, latency=(2, 5), window=2)
         assert sharded.window == 2
 
     def test_window_defaults_to_latency_floor(self):
-        sharded = ClusterSimulator(8, _PIF[0], latency=(4, 9))
+        sharded = ClusterSimulator(8, _PIF.protocol, latency=(4, 9))
         assert sharded.window == 4
 
     def test_stateful_loss_model_rejected(self):
         with pytest.raises(SimulationError):
-            ClusterSimulator(8, _PIF[0], loss=DropFirstK(2))
+            ClusterSimulator(8, _PIF.protocol, loss=DropFirstK(2))
 
     def test_drain_below_window_rejected(self):
-        sharded = ClusterSimulator(8, _PIF[0], latency=(4, 9))
+        sharded = ClusterSimulator(8, _PIF.protocol, latency=(4, 9))
         with pytest.raises(SimulationError):
-            sharded.run_trial(horizon=100, driver=_PIF[1], drain=2)
+            sharded.run_trial(horizon=100, driver=_PIF.driver, drain=2)
 
 
 class TestWeightedTopologies:
@@ -207,8 +202,7 @@ class TestCrossShardSendsAreNotDropped:
         # exactly that) and the trial never converges.  The horizon sits
         # just past the serial completion tick, so that failure is a fast
         # "not completed", not a run to a far horizon.
-        spec = TrialSpec(n=8, topology="ring", seed=3, protocol=_PIF[0],
-                         driver=_PIF[1], horizon=1_000_000)
+        spec = replace(_PIF, topology="ring", seed=3, horizon=1_000_000)
         serial = execute(spec)
         done_at = serial.final_time - 200  # final = done_at + DRAIN_TICKS
         sharded = execute(replace(
@@ -330,10 +324,9 @@ _NO_EVENTS = ("a TraceEvent was built on the result path: a shard's trace "
 
 class TestResultPathBuildsNoEventObjects:
     def test_two_shard_execute(self, built_events):
-        run = execute(TrialSpec(
-            n=8, topology="ring", seed=3, protocol=_PIF[0], driver=_PIF[1],
-            horizon=1_000_000, engine="sharded",
-            sharding=ShardingOpts(shards=2)))
+        run = execute(replace(
+            _PIF, topology="ring", seed=3, horizon=1_000_000,
+            engine="sharded", sharding=ShardingOpts(shards=2)))
         assert run.completed and run.trace.count(EventKind.DECIDE) >= 8
         assert run.trace.canonical_hash()
         assert built_events == [], _NO_EVENTS
@@ -342,7 +335,7 @@ class TestResultPathBuildsNoEventObjects:
 
     def test_shard_result_payload_of_a_simulator_slice(self, built_events):
         pids = (1, 2, 3, 4)
-        sim = Simulator(8, build_protocol(_PIF[0]), topology="ring", seed=3,
+        sim = Simulator(8, build_protocol(_PIF.protocol), topology="ring", seed=3,
                         hosts_for=pids)
         trace = sim.trace = _KeyedTrace(sim.scheduler)
         _injected, proc_len, chan_len = scramble_shard(sim, trace, 3 ^ 0x5EED, True)

@@ -18,26 +18,20 @@ the ``_make_trace`` extension point, and asserts:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterator
 
 import pytest
+from conftest import trial_spec
 
 from repro.core.pif import PifLayer
-from repro.engine import TrialSpec, execute
+from repro.engine import execute
 from repro.engine.base import normalized_driver
 from repro.sim.runtime import Simulator
 from repro.sim.trace import EventKind, Trace, TraceEvent, canonical_trace_hash
 from repro.spec.pif_spec import check_pif
 
-PIF_DRIVER = dict(
-    tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}"
-)
-
-
-def _pif_spec(engine, topology) -> TrialSpec:
-    return TrialSpec(
-        n=16, protocol={"kind": "pif"}, topology=topology, seed=0, loss=0.1,
-        driver=PIF_DRIVER, horizon=2_000_000, engine=engine)
+PIF = trial_spec("pif", 16, seed=0, loss=0.1)
 
 TOPOLOGIES = [None, "ring", "clustered:4"]
 
@@ -144,7 +138,7 @@ def _run_serial_trial(sim_cls, n, topology, seed):
         loss=BernoulliLoss(0.1),
     )
     sim.scramble(seed=seed ^ 0x5EED)
-    drv = RequestDriver(sim, **normalized_driver(TrialSpec(driver=PIF_DRIVER)))
+    drv = RequestDriver(sim, **normalized_driver(PIF))
     assert sim.run(2_000_000, until=lambda s: drv.done)
     sim.run(sim.now + DRAIN_TICKS)
     finals = {p: sim.layer(p, "pif").request for p in sim.pids}
@@ -273,7 +267,7 @@ class TestEngineRegression:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_loopback_hash_matches_legacy(self, topology):
         legacy_sim, _ = _run_serial_trial(LegacySimulator, 16, topology, seed=0)
-        run = execute(_pif_spec("async", topology))
+        run = execute(replace(PIF, topology=topology, engine="async"))
         assert canonical_trace_hash(run.trace) == canonical_trace_hash(
             legacy_sim.trace
         )
@@ -282,7 +276,7 @@ class TestEngineRegression:
         legacy_sim, _ = _run_serial_trial(
             LegacySimulator, 16, "clustered:4", seed=0
         )
-        run = execute(_pif_spec("sharded", "clustered:4"))
+        run = execute(replace(PIF, topology="clustered:4", engine="sharded"))
         assert canonical_trace_hash(run.trace) == canonical_trace_hash(
             legacy_sim.trace
         )
