@@ -46,9 +46,14 @@ Asserts, without running a single trial:
 * the window protocol stays one runtime: nothing under ``src/repro``
   forks or opens a pipe, the deleted lock-step engine is named nowhere
   under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``, the
-  cluster worker names neither the asyncio engine nor its actor hook,
-  and ``engine/backends/sharded.py`` is a registration — it defines no
+  cluster worker does not name the asyncio engine, and
+  ``engine/backends/sharded.py`` is a registration — it defines no
   function or class of its own;
+* there is one event loop: under ``src/repro/`` only the scheduler
+  (``sim/scheduler.py``) and its wall-clock-paced subclass
+  (``net/clock.py``) pop the event heap, and the virtual-time second
+  spelling of ``run_until``, the actor per process, its router and their
+  handoff counters are named nowhere under ``src/``;
 * a shard's result stays columns end to end: nothing under
   ``src/repro/net/`` or in ``src/repro/sim/sharded.py`` materializes a
   trace (``list(trace)``, ``trace.events``), constructs a ``TraceEvent``
@@ -131,7 +136,15 @@ _FORK_FABRIC = re.compile(
 _LOCKSTEP_ENGINE = re.compile(
     r".*\b(Sharded" + r"Simulator|Sharded" + r"RunResult|_worker" + r"_loop"
     r"|_worker" + r"_main)\b")
-_ASYNC_WORKER = re.compile(r".*\b(Async" + r"Simulator|start" + r"_actors)\b")
+_ASYNC_WORKER = re.compile(r".*\bAsync" + r"Simulator\b")
+
+# The event loop's deleted second spelling and the actor layer it fed
+# (halves spelling), and the call only a scheduler loop makes.
+_ACTOR_LAYER = re.compile(
+    r".*(\bVirtual" + r"Clock\b|\bProcess" + r"Actor\b|\bRoute" + r"Fn\b"
+    r"|handoffs" + r"_|\bdef _ro" + r"ute\b)")
+_HEAP_POP = re.compile(r".*\bheap" + r"pop\b")
+_EVENT_LOOPS = ("src/repro/sim/scheduler.py:", "src/repro/net/clock.py:")
 
 # The result path's deleted object round trip: a shard trace materialized
 # to ship it, rebuilt on arrival or re-appended event by event, and the
@@ -326,6 +339,14 @@ def check_one_window_runtime() -> list[str]:
     return problems
 
 
+def check_one_event_loop() -> list[str]:
+    return _grep("repro", _ACTOR_LAYER, "names the deleted actor layer") + [
+        problem
+        for problem in _grep("repro", _HEAP_POP, "a second event loop")
+        if not problem.startswith(_EVENT_LOOPS)
+    ]
+
+
 def check_columnar_result_path() -> list[str]:
     problems: list[str] = []
     for where in ("repro/net", "repro/sim/sharded.py"):
@@ -339,7 +360,8 @@ def main() -> int:
     problems = (check_registries() + check_builtin_tables()
                 + check_source_guards() + check_one_specification()
                 + check_one_protocol_table()
-                + check_one_window_runtime() + check_columnar_result_path())
+                + check_one_window_runtime() + check_one_event_loop()
+                + check_columnar_result_path())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

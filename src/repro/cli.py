@@ -195,7 +195,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="execution backend (from the repro.engine registry): one "
              "in-process scheduler (serial), the topology partitioned "
              "across worker processes (sharded), the asyncio runtime with "
-             "one coroutine per process (async), or per-shard worker "
+             "one transport per channel (async), or per-shard worker "
              "interpreters behind real sockets (cluster); serial, sharded, "
              "async --transport loopback and cluster --sync windowed "
              "produce identical trace metrics for the same seed",
@@ -232,7 +232,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--transport", choices=transport_names(), default="loopback",
         help="channel medium for --engine async (from the transport "
-             "registry): in-process asyncio queues (loopback, "
+             "registry): in-process scheduler events (loopback, "
              "deterministic), real localhost TCP sockets (tcp), or loopback "
              "UDP datagrams where the network itself is the adversary "
              "(udp); tcp and udp are wall-clock best-effort, spec-checked "

@@ -30,9 +30,10 @@ from repro.errors import SpecError
 
 
 class AsyncBackend(EngineBackend):
-    """One coroutine per process, one transport per channel; loopback is
-    bit-identical to serial, paced transports are wall-clock best-effort
-    with online monitors carrying the correctness claim."""
+    """One event loop, one transport per channel; loopback runs the
+    serial scheduler and is bit-identical to serial, paced transports are
+    wall-clock best-effort with online monitors carrying the correctness
+    claim."""
 
     name = "async"
     summary = "asyncio runtime; transport registry selects the medium"
@@ -89,16 +90,7 @@ class AsyncBackend(EngineBackend):
     def run(self, prepared: PreparedTrial) -> EngineRun:
         spec = prepared.spec
         sim: AsyncSimulator = prepared.sim
-        obs = prepared.obs
-        if obs is not None:
-            with obs.phase("trial", transport=spec.transport.transport):
-                result = sim.run_trial(
-                    horizon=spec.horizon,
-                    scramble_seed=prepared.scramble_seed,
-                    driver=prepared.driver,
-                    drain=DRAIN_TICKS,
-                )
-        else:
+        with prepared.phase("trial", transport=spec.transport.transport):
             result = sim.run_trial(
                 horizon=spec.horizon,
                 scramble_seed=prepared.scramble_seed,

@@ -80,46 +80,35 @@ class SerialBackend(EngineBackend):
     def run(self, prepared: PreparedTrial) -> EngineRun:
         spec = prepared.spec
         sim: Simulator = prepared.sim
-        obs = prepared.obs
         horizon: int = spec.horizon  # type: ignore[assignment]
         if prepared.scramble_seed is not None:
-            if obs is not None:
-                with obs.phase("scramble"):
-                    sim.scramble(seed=prepared.scramble_seed)
-            else:
+            with prepared.phase("scramble"):
                 sim.scramble(seed=prepared.scramble_seed)
         # The driver halts the run itself, in the tick that serves its
         # last request; only the round-budget guard still needs a
         # per-event predicate.
         drv = RequestDriver(sim, halt_when_done=True, **prepared.driver)
-        serve_ctx = obs.phase("serve") if obs is not None else None
-        if serve_ctx is not None:
-            serve_ctx.__enter__()
-        guard = None
-        if spec.round_budget is not None:
-            guard = _RoundBudgetGuard(sim.trace, prepared.tag,
-                                      spec.round_budget)
-        if not drv.done:
-            sim.run(horizon, until=None if guard is None
-                    else (lambda s: guard.exceeded()))
-        completed = drv.done
-        if guard is not None and not completed and guard.rounds > guard.budget:
-            raise HorizonExceeded(
-                f"round budget of {guard.budget} CS grants "
-                f"exhausted at t={sim.now} before all requests were "
-                f"served",
-                horizon=horizon,
-                served=drv.total_completed(),
-                requested=drv.total_planned(),
-                rounds=guard.rounds,
-            )
-        drv.halt_when_done = False  # a horizon-cut serve: the drain runs on
-        if serve_ctx is not None:
-            serve_ctx.__exit__(None, None, None)
-        if obs is not None:
-            with obs.phase("drain"):
-                sim.run(sim.now + DRAIN_TICKS)
-        else:
+        with prepared.phase("serve"):
+            guard = None
+            if spec.round_budget is not None:
+                guard = _RoundBudgetGuard(sim.trace, prepared.tag,
+                                          spec.round_budget)
+            if not drv.done:
+                sim.run(horizon, until=None if guard is None
+                        else (lambda s: guard.exceeded()))
+            completed = drv.done
+            if guard is not None and not completed and guard.rounds > guard.budget:
+                raise HorizonExceeded(
+                    f"round budget of {guard.budget} CS grants "
+                    f"exhausted at t={sim.now} before all requests were "
+                    f"served",
+                    horizon=horizon,
+                    served=drv.total_completed(),
+                    requested=drv.total_planned(),
+                    rounds=guard.rounds,
+                )
+            drv.halt_when_done = False  # a horizon-cut serve: the drain runs on
+        with prepared.phase("drain"):
             sim.run(sim.now + DRAIN_TICKS)
         return EngineRun(
             trace=sim.trace,

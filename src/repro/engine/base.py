@@ -21,6 +21,7 @@ field — there is no per-engine ``if``/``elif`` anywhere above this line.
 from __future__ import annotations
 
 import abc
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -113,6 +114,13 @@ class PreparedTrial:
     obs: Any = None
     #: The constructed engine object (backend-specific).
     sim: Any = None
+
+    def phase(self, name: str, **args: Any):
+        """The recorder's span over one whole phase of the run; a no-op
+        context when observability is off."""
+        if self.obs is None:
+            return contextlib.nullcontext()
+        return self.obs.phase(name, **args)
 
 
 @dataclass

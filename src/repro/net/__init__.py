@@ -2,14 +2,15 @@
 
 Runs the paper's protocol layers, unmodified, over real transports:
 
-* :mod:`repro.net.engine` — :class:`AsyncSimulator`: one coroutine per
-  process, one transport per channel, trial loop on an asyncio event loop.
-* :mod:`repro.net.clock` — the deterministic :class:`VirtualClock`
-  (loopback bit-identity with ``engine=serial``) and the wall-clock
-  :class:`PacedClock` (tcp best-effort pacing).
-* :mod:`repro.net.transport` — the channel-medium registry: loopback
-  queues, the localhost TCP fabric and the UDP datagram fabric, all
-  under sender-owned channel accounting.
+* :mod:`repro.net.engine` — :class:`AsyncSimulator`: one event loop, one
+  scheduler, one transport per channel.  Over loopback the scheduler is
+  the serial :class:`~repro.sim.scheduler.Scheduler` and the trial is
+  ``run_until`` (bit-identity with ``engine=serial``).
+* :mod:`repro.net.clock` — the wall-clock :class:`PacedClock` (tcp / udp
+  best-effort pacing).
+* :mod:`repro.net.transport` — the channel-medium registry: the
+  in-process loopback, the localhost TCP fabric and the UDP datagram
+  fabric, all under sender-owned channel accounting.
 * :mod:`repro.net.wire` — the length-prefixed frame format.
 * :mod:`repro.net.cluster` — the window-sync runtime (``engine=sharded``
   and ``engine=cluster``): per-shard worker interpreters (own OS
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
-    from repro.net.clock import PacedClock, VirtualClock
+    from repro.net.clock import PacedClock
     from repro.net.cluster import (
         ClusterRunResult,
         ClusterSimulator,
@@ -43,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         DEFAULT_TICK_SECONDS,
         AsyncSimulator,
         NetRunResult,
-        ProcessActor,
-        TRANSPORTS,
     )
     from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
     from repro.net.registry import RegistryClient, RegistryServer
@@ -71,10 +70,7 @@ __all__ = [
     "RegistryServer",
     "RegistryClient",
     "NetRunResult",
-    "ProcessActor",
-    "TRANSPORTS",
     "DEFAULT_TICK_SECONDS",
-    "VirtualClock",
     "PacedClock",
     "Transport",
     "TransportKind",
@@ -92,13 +88,12 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "clock": ("PacedClock", "VirtualClock"),
+    "clock": ("PacedClock",),
     "cluster": ("ClusterRunResult", "ClusterSimulator", "SYNC_MODES"),
     "coordinator": ("close_pool",),
     "cluster_worker": ("run_cluster_worker",),
     "engine": (
         "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",
-        "ProcessActor", "TRANSPORTS",
     ),
     "monitors": ("LiveTrace", "SpecMonitor", "default_monitors"),
     "registry": ("RegistryClient", "RegistryServer"),

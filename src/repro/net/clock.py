@@ -1,151 +1,33 @@
-"""Clocks driving the asyncio runtime (:mod:`repro.net.engine`).
+"""The wall clock of the asyncio runtime (:mod:`repro.net.engine`).
 
-Both clocks keep the simulator's event-queue discipline — a heap of
-``(time, key, seq, item)`` with canonical content-derived keys
-(:mod:`repro.sim.determinism`) — but instead of executing callbacks inline
-like :class:`~repro.sim.scheduler.Scheduler.run_until`, their ``drive``
-coroutine *routes* popped events to the coroutine of the process that owns
-them — in batched same-owner runs under the :class:`VirtualClock` — and
-completes each event before popping the next.
+An unpaced medium (``loopback``) needs no clock of its own: the engine
+runs the serial :class:`~repro.sim.scheduler.Scheduler` and a trial's
+serve and drain are ``run_until`` — virtual time, the serial order, which
+is what makes a loopback run bit-identical to ``engine=serial`` for the
+same seed.
 
-* :class:`VirtualClock` — deterministic virtual time.  Events run as fast
-  as the machine allows in exactly the (time, key, seq) order the serial
-  engine would execute them, which is what makes a loopback run
-  bit-identical to ``engine=serial`` for the same seed.
-* :class:`PacedClock` — best-effort wall-clock pacing for real transports.
-  A tick lasts ``tick_seconds``; an event scheduled for tick ``T`` fires no
-  earlier than ``T * tick_seconds`` after :meth:`PacedClock.start`.  Time
-  read off the clock is the wall tick, so trace timestamps approximate real
-  elapsed time (and are *not* reproducible — the spec monitors, not the
-  timeline, carry the correctness claim over real transports).
+:class:`PacedClock` is that scheduler paced against wall time, for real
+transports.  It keeps the event-queue discipline — a heap of ``(time,
+key, seq, item)`` with canonical content-derived keys
+(:mod:`repro.sim.determinism`) — and executes each due event inline, but
+a tick lasts ``tick_seconds``: an event scheduled for tick ``T`` fires no
+earlier than ``T * tick_seconds`` after :meth:`PacedClock.start`, and
+between events the ``drive`` coroutine yields to the transport I/O
+tasks.  Time read off the clock is the wall tick, so trace timestamps
+approximate real elapsed time (and are *not* reproducible — the spec
+monitors, not the timeline, carry the correctness claim over real
+transports).
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-from functools import partial
-from typing import Awaitable, Callable
+from typing import Callable
 
-from repro.sim.determinism import key_owner
 from repro.sim.scheduler import EventHandle, Scheduler
 
-__all__ = ["RouteFn", "VirtualClock", "PacedClock"]
-
-#: Routes one popped event (or a same-tick same-owner batch thunk):
-#: ``await route(key, callback)`` must execute ``callback`` (inline or
-#: inside the owning process coroutine) and return only when it has
-#: completed.
-RouteFn = Callable[[int, Callable[[], None]], Awaitable[None]]
-
-
-class VirtualClock(Scheduler):
-    """Deterministic virtual-time clock: the serial scheduler, driveable.
-
-    :meth:`drive` mirrors :meth:`Scheduler.run_until` — same same-tick batch
-    draining, same lazy-cancellation handling, same trailing advance of
-    ``_now`` to the horizon — with one difference: events execute inside
-    process coroutines, reached through ``route``.
-
-    **Batched handoff**: awaiting one future round-trip per event made
-    loopback pay ~2x serial, so ``drive`` routes a *run* of events per
-    handoff instead.  The routed thunk executes the popped event and then
-    keeps draining the heap while the top event has the same owning pid
-    (``key_owner``) and lies within the horizon.  Because the thunk pops
-    strictly *after* each callback completes, it always executes the
-    current heap minimum next — which is exactly the event the serial
-    engine would run — so bit-identity is preserved while a burst of
-    same-process deliveries costs one actor round-trip instead of one per
-    message.  Runs owned by no process (canonical class 0: request
-    drivers, harness posts) execute inline in the drive coroutine without
-    touching the event loop at all, so idle polling stretches cost what
-    they cost the serial engine.
-    """
-
-    #: Passive obs counter: same-owner runs dispatched by drive (inline
-    #: or routed) — the unit the batched-handoff optimization amortizes
-    #: over.  Accumulated once per drive call, not per run.
-    runs = 0
-
-    async def drive(
-        self,
-        max_time: int,
-        route: RouteFn,
-        stop: Callable[[], bool] | None = None,
-    ) -> bool:
-        """Advance virtual time to ``max_time`` (or until ``stop()``).
-
-        Mirrors ``Simulator.run``'s contract: the stop predicate is
-        evaluated up front and after every event; returns True iff it was
-        satisfied (always False when no predicate is given).
-        """
-        if stop is not None and stop():
-            return True
-        halted = False
-        runs = 0
-        queue = self._queue
-        heappop = heapq.heappop
-        owner_of = key_owner  # called twice per event; bind once
-
-        def drain(first_fn: Callable[[], None], first_key: int) -> None:
-            """Execute one event, then the rest of its same-owner run —
-            called inside the owning process's coroutine (or inline for
-            ownerless runs).  ``self._now`` already sits on the run's
-            first tick."""
-            nonlocal halted
-            owner = owner_of(first_key)
-            self.current_key = first_key
-            first_fn()
-            if stop is not None and stop():
-                halted = True
-                return
-            while (
-                queue
-                and queue[0][0] <= max_time
-                and owner_of(queue[0][1]) == owner
-            ):
-                time, key, _seq, item = heappop(queue)
-                if item.__class__ is EventHandle:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    item.fired = True
-                    fn = item.callback
-                else:
-                    fn = item
-                self._now = time
-                self.current_key = key
-                fn()
-                if stop is not None and stop():
-                    halted = True
-                    return
-
-        while queue:
-            tick = queue[0][0]
-            if tick > max_time:
-                break
-            _time, key, _seq, item = heappop(queue)
-            if item.__class__ is EventHandle:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                item.fired = True
-                fn = item.callback
-            else:
-                fn = item
-            self._now = tick
-            runs += 1
-            if owner_of(key) == 0:
-                drain(fn, key)
-            else:
-                await route(key, partial(drain, fn, key))
-            if halted:
-                break
-        self.current_key = 0
-        self.runs += runs
-        if self._now < max_time and (not queue or queue[0][0] > max_time):
-            self._now = max_time
-        return halted
+__all__ = ["PacedClock"]
 
 
 class PacedClock(Scheduler):
@@ -163,9 +45,6 @@ class PacedClock(Scheduler):
         if tick_seconds <= 0:
             raise ValueError(f"tick_seconds must be > 0, got {tick_seconds}")
         self.tick_seconds = tick_seconds
-        #: Passive obs counter: events routed by drive (tcp is wall-clock
-        #: paced, so one increment per event is noise).
-        self.runs = 0
         self._t0: float | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
 
@@ -205,10 +84,10 @@ class PacedClock(Scheduler):
     async def drive(
         self,
         max_time: int,
-        route: RouteFn,
         stop: Callable[[], bool] | None = None,
-    ) -> bool:
-        """Run due events, paced by the wall clock, until ``max_time`` ticks.
+    ) -> None:
+        """Run due events, paced by the wall clock, until ``max_time`` ticks
+        (or until ``stop()`` holds).
 
         An event scheduled for tick ``T`` executes once the wall tick has
         reached ``T``; between due events the coroutine sleeps, letting
@@ -224,7 +103,7 @@ class PacedClock(Scheduler):
             if wall > self._now:
                 self._now = wall
             if stop is not None and stop():
-                return True
+                return
             # Due-ness is capped at max_time: if the wall clock overtook the
             # horizon (scheduling stall, loaded runner), events scheduled
             # past the budget must stay queued for the next drive call, not
@@ -237,25 +116,21 @@ class PacedClock(Scheduler):
                     if item.cancelled:
                         self._cancelled -= 1
                         continue
-                    if tick > self._now:
-                        self._now = tick
-                    self.current_key = key
                     item.fired = True
-                    await route(key, item.callback)
-                else:
-                    if tick > self._now:
-                        self._now = tick
-                    self.current_key = key
-                    await route(key, item)
+                    item = item.callback
+                if tick > self._now:
+                    self._now = tick
+                self.current_key = key
+                item()
                 self.current_key = 0
-                self.runs += 1
+                self.pops += 1
                 # Yield so transport I/O interleaves even under bursts.
                 await asyncio.sleep(0)
                 continue
             if wall >= max_time:
                 if self._now < max_time:
                     self._now = max_time
-                return False
+                return
             # Nothing due: sleep to the next event (capped at one tick so
             # the stop predicate and freshly shipped frames stay responsive).
             horizon = queue[0][0] if queue else max_time

@@ -486,30 +486,6 @@ class _Trial:
 
     # -- outbound faults --------------------------------------------------
 
-    def _frames_for_ship(self, ship: tuple, round_no: int) -> list[bytes]:
-        """Encode one ship, applying the first matching budgeted fault."""
-        src, dst, msg, when, entry_seq = ship
-        frame = wire.encode_ship(src, dst, msg, when, entry_seq, round_no)
-        for fault in self._ship_faults:
-            if fault["left"] <= 0:
-                continue
-            if fault["src"] is not None and src != fault["src"]:
-                continue
-            if fault["dst"] is not None and dst != fault["dst"]:
-                continue
-            rounds = fault["rounds"]
-            if rounds is not None and not rounds[0] <= round_no <= rounds[1]:
-                continue
-            fault["left"] -= 1
-            action = fault["action"]
-            self._count(f"fault.injected.{action}")
-            if action == "drop":
-                return []
-            if action == "duplicate":
-                return [frame, frame]
-            return [wire.truncate_frame(frame)]
-        return [frame]
-
     def _outbound_sink(self, peer: int, round_no: int) -> list[bytes] | None:
         """The link's cut buffer, activating a planned cut on first use."""
         plan = self._cut_plan.get(peer)
@@ -579,13 +555,20 @@ class _Trial:
         shard_of = self.partition.shard_of
         counts = dict.fromkeys(self.peers, 0)
         frames: dict[int, list[bytes]] = {peer: [] for peer in self.peers}
+        faults = self._ship_faults
         for ship in self.sim.drain_outbox():
             peer = shard_of[ship[1]]
             self._ship_log.setdefault(peer, {}).setdefault(
                 round_no, []
             ).append(ship)
             counts[peer] += 1
-            frames[peer] += self._frames_for_ship(ship, round_no)
+            frame = wire.encode_ship(*ship, round_no)
+            if faults:
+                frames[peer] += wire.apply_ship_faults(
+                    faults, self._count, ship[0], ship[1], frame, round_no
+                )
+            else:
+                frames[peer].append(frame)
         for peer in self.peers:
             frames[peer].append(
                 wire.encode_barrier(self.shard, round_no, counts[peer])

@@ -1,41 +1,46 @@
 """The asyncio runtime: protocol layers, unmodified, over real transports.
 
 :class:`AsyncSimulator` runs the same build/scramble/drive trial shape as
-the serial and sharded engines, but executes it on an asyncio event loop:
+the serial and window-sync engines, but owns an asyncio event loop for
+the trial:
 
-* **each process is a coroutine** (:class:`ProcessActor`) — every event a
-  process owns (its activations, its timers, the dispatch of messages
-  addressed to it) executes inside that process's coroutine, fed through
-  its inbox queue;
-* **each channel is a transport** (:mod:`repro.net.transport`) — loopback
-  asyncio queues or real localhost TCP sockets carrying the
-  length-prefixed wire format of :mod:`repro.net.wire`;
+* **one event loop, one scheduler** — every event (an activation, a
+  timer, the dispatch of a message) is a synchronous callback popped off
+  the engine's scheduler and executed where it is popped; an execution is
+  an interleaving of atomic steps, and one thread running callbacks that
+  never await already is one (``docs/async.md``, "Why there is no actor
+  per process");
+* **each channel is a transport** (:mod:`repro.net.transport`) — the
+  loopback medium or real localhost sockets carrying the length-prefixed
+  wire format of :mod:`repro.net.wire`;
 * **specs run online** — the engine's trace is a
   :class:`~repro.net.monitors.LiveTrace`; attached monitor automata advance
   at every emission.
 
 Protocol layers need no changes: :class:`~repro.sim.process.ProcessHost`
 is reused as the adapter between the layers' guarded-action /
-``on_message`` / timer API and the coroutine world — the host's sends,
-timers and busy windows land on the engine exactly as they do on the
-serial simulator, and the engine turns them into transport traffic and
-clock events.
+``on_message`` / timer API and the engine — the host's sends, timers and
+busy windows land on the engine exactly as they do on the serial
+simulator, and the engine turns them into transport traffic and clock
+events.
 
 The medium itself comes from the transport registry
 (:mod:`repro.net.transport`): the engine reads the resolved
 :class:`~repro.net.transport.TransportKind`'s declared flags — never a
 transport name — to pick its clock, build per-channel transports and
-start/stop the trial-scoped fabric.  Under a deterministic, unpaced
-medium (``loopback``) the engine is driven by a
-:class:`~repro.net.clock.VirtualClock` and inherits the serial engine's
-entire decision surface — per-entity RNG streams, canonical event keys,
-sender-owned channel accounting (:mod:`repro.sim.determinism`).  The drive
-loop awaits each routed event before popping the next, so the execution
-order is the serial order and a loopback run is **bit-identical** to
-``engine=serial`` for the same seed (asserted by ``tests/test_net.py`` and
-the ``async-equivalence`` CI gate).  On a wall-clock-paced medium (``tcp``,
-``udp``) timing is best-effort — socket scheduling is not reproducible —
-and the online monitors carry the correctness claim instead.
+start/stop the trial-scoped fabric.  Under an unpaced medium
+(``loopback``) the scheduler is the serial
+:class:`~repro.sim.scheduler.Scheduler` itself and serve and drain are
+``run_until``: the engine inherits the serial engine's entire decision
+surface — per-entity RNG streams, canonical event keys, sender-owned
+channel accounting (:mod:`repro.sim.determinism`) — *and* its loop, so a
+loopback run is **bit-identical** to ``engine=serial`` for the same seed
+(asserted by ``tests/test_net.py`` and the ``async-equivalence`` CI
+gate).  On a wall-clock-paced medium (``tcp``, ``udp``) a
+:class:`~repro.net.clock.PacedClock` runs the same events against wall
+time, a frame is dispatched where it lands, timing is best-effort —
+socket scheduling is not reproducible — and the online monitors carry the
+correctness claim instead.
 """
 
 from __future__ import annotations
@@ -46,13 +51,11 @@ from typing import TYPE_CHECKING, Any, Callable, Coroutine, Sequence
 
 from repro.core.requests import CompletedRequest, RequestDriver
 from repro.errors import SimulationError
-from repro.net import wire
-from repro.net.clock import PacedClock, VirtualClock
+from repro.net.clock import PacedClock
 from repro.net.monitors import LiveTrace
-from repro.net.transport import Transport, resolve_transport, transport_names
+from repro.net.transport import Transport, resolve_transport
 from repro.sim.adversary import scramble_system
 from repro.sim.channel import ChannelBase
-from repro.sim.determinism import key_owner
 from repro.sim.runtime import BuildFn, Simulator
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
@@ -62,12 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
     from repro.spec.base import SpecVerdict
 
-__all__ = ["AsyncSimulator", "NetRunResult", "ProcessActor", "TRANSPORTS"]
-
-#: Transport names known when this module was imported (the built-in
-#: table plus media registered by then).  Kept as a module attribute for
-#: backward compat; media registered later appear via transport_names().
-TRANSPORTS = transport_names()
+__all__ = ["AsyncSimulator", "NetRunResult"]
 
 #: Default wall-clock tick length for the paced transports: 1 ms, so the
 #: default (1, 3)-tick latency band emulates a 1-3 ms link — an order of
@@ -96,73 +94,13 @@ class NetRunResult:
         return all(r.ok for r in self.monitor_reports)
 
 
-class ProcessActor:
-    """One process as a coroutine: executes every event its pid owns.
-
-    The inbox is an asyncio queue of ``(callback, future)`` pairs.  Clock-
-    routed events carry a future the drive loop awaits (sequential, which
-    is what preserves determinism under the virtual clock); transport
-    arrivals over tcp are fire-and-forget (``future=None``) — their
-    failures are reported to the engine's error sink instead of a waiter.
-    """
-
-    __slots__ = ("pid", "inbox", "task", "_error_sink")
-
-    def __init__(self, pid: int, error_sink: list[BaseException]) -> None:
-        self.pid = pid
-        self.inbox: asyncio.Queue[
-            tuple[Callable[[], None] | None, asyncio.Future | None]
-        ] = asyncio.Queue()
-        self.task: asyncio.Task | None = None
-        self._error_sink = error_sink
-
-    def start(self) -> None:
-        self.task = asyncio.get_running_loop().create_task(
-            self._run(), name=f"proc-{self.pid}"
-        )
-
-    async def _run(self) -> None:
-        while True:
-            fn, fut = await self.inbox.get()
-            if fn is None:
-                if fut is not None:
-                    fut.set_result(None)
-                return
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - forwarded to waiter/sink
-                if fut is not None and not fut.cancelled():
-                    fut.set_exception(exc)
-                else:
-                    self._error_sink.append(exc)
-            else:
-                if fut is not None and not fut.cancelled():
-                    fut.set_result(None)
-
-    async def execute(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` inside this process's coroutine and await completion."""
-        fut = asyncio.get_running_loop().create_future()
-        self.inbox.put_nowait((fn, fut))
-        await fut
-
-    def post(self, fn: Callable[[], None]) -> None:
-        """Queue ``fn`` without waiting (transport arrival path)."""
-        self.inbox.put_nowait((fn, None))
-
-    async def stop(self) -> None:
-        fut = asyncio.get_running_loop().create_future()
-        self.inbox.put_nowait((None, fut))
-        await fut
-        if self.task is not None:
-            await self.task
-
-
 class AsyncSimulator(Simulator):
     """Asyncio-driven runtime behind the ``engine=async`` axis.
 
     Constructor arguments mirror :class:`~repro.sim.runtime.Simulator`;
-    ``transport`` names a registered channel medium (:data:`TRANSPORTS`)
-    and ``tick`` the wall-clock tick length for the paced media.  The
+    ``transport`` names a registered channel medium
+    (:func:`~repro.net.transport.transport_names`) and ``tick`` the
+    wall-clock tick length for the paced media.  The
     trace is a :class:`~repro.net.monitors.LiveTrace`: ``sim.trace.attach``
     puts a specification monitor on it.
     """
@@ -187,16 +125,11 @@ class AsyncSimulator(Simulator):
         self.tick = tick
         # Read by _make_scheduler/_make_trace during super().__init__.
         self._transports: dict[tuple[int, int], Transport] = {}
-        self._actors: dict[int, ProcessActor] = {}
         self._net_errors: list[BaseException] = []
         self._tasks: set[asyncio.Task] = set()
         self._fabric: Any | None = None
         self._fabric_obs: dict[str, int] = {}
         self._consumed = False
-        # Passive obs counters (harvested by collect_obs): actor handoffs
-        # the router paid vs elided via the empty-inbox fast path.
-        self._handoffs_taken = 0
-        self._handoffs_elided = 0
         # Chaos fault injection (repro.chaos): only pid-keyed ship faults
         # apply here — they rewrite MESSAGE frames at the frame boundary of
         # a framed transport.  Crash/cut/stall faults need the cluster
@@ -223,7 +156,7 @@ class AsyncSimulator(Simulator):
     def _make_scheduler(self) -> Scheduler:
         if self._kind.paced:
             return PacedClock(self.tick)
-        return VirtualClock()
+        return Scheduler()
 
     def _make_trace(self) -> LiveTrace:
         return LiveTrace()
@@ -280,56 +213,15 @@ class AsyncSimulator(Simulator):
     def _count_fault(self, name: str) -> None:
         self.fault_counts[name] = self.fault_counts.get(name, 0) + 1
 
-    def _fault_frames(self, src: int, dst: int, frame: bytes) -> list[bytes]:
-        """Apply the first matching budgeted ship fault to one encoded
-        MESSAGE frame; the identity list when no fault (or no plan)
-        matches."""
-        for fault in self._ship_faults:
-            if fault["left"] <= 0:
-                continue
-            if fault["src"] is not None and src != fault["src"]:
-                continue
-            if fault["dst"] is not None and dst != fault["dst"]:
-                continue
-            fault["left"] -= 1
-            action = fault["action"]
-            self._count_fault(f"fault.injected.{action}")
-            if action == "drop":
-                return []
-            if action == "duplicate":
-                return [frame, frame]
-            return [wire.truncate_frame(frame)]
-        return [frame]
-
     def _socket_arrival(self, src: int, dst: int, msg, entry_seq: int) -> None:
-        """A frame arrived for ``dst``: dispatch inside its coroutine."""
+        """A frame arrived for ``dst``: dispatch it where it lands.  The
+        caller is fabric I/O, not the trial, so a failure goes to the
+        error sink the drive loop's stop predicate watches."""
         self.scheduler.touch()  # arrival timestamps/busy checks read wall time
-        actor = self._actors[dst]
-        actor.post(lambda: self._dispatch_arrival(src, dst, msg, entry_seq))
-
-    async def _route(self, key: int, fn: Callable[[], None]) -> None:
-        """Execute one clock event (or batched run) at its owner.
-
-        Events whose canonical key names no process (drivers, harness
-        posts) run inline.  Owned events run inline too when the owner's
-        inbox is empty: callbacks are synchronous, so the actor coroutine
-        is never mid-item while the drive loop runs, and an empty inbox
-        means the actor's serialization guarantee holds vacuously — the
-        handoff future round-trip (two event-loop hops per run) would buy
-        nothing.  Only contended events — a tcp frame arrival already
-        queued at the owner — pay the actor queue, which is exactly when
-        the serialization matters.  Loopback transports never post to
-        inboxes, so under the virtual clock this fast path, together with
-        the clock's same-owner run batching, is what closes the
-        loopback-vs-serial hot-path gap.
-        """
-        actor = self._actors.get(key_owner(key))
-        if actor is None or not actor.inbox.qsize():
-            self._handoffs_elided += 1
-            fn()
-        else:
-            self._handoffs_taken += 1
-            await actor.execute(fn)
+        try:
+            self._dispatch_arrival(src, dst, msg, entry_seq)
+        except Exception as exc:  # noqa: BLE001 - reported through the sink
+            self._net_error(exc)
 
     def _raise_net_errors(self) -> None:
         if self._net_errors:
@@ -370,6 +262,19 @@ class AsyncSimulator(Simulator):
             self._run_trial(horizon, scramble_seed, fill_channels, driver, drain)
         )
 
+    async def _advance(
+        self, max_time: int, stop: Callable[[], bool] | None = None
+    ) -> None:
+        """Run the clock to ``max_time`` or until ``stop()``, then surface
+        transport failures.  An unpaced medium has nothing to await: it
+        is ``Scheduler.run_until`` (stop asked up front, as
+        ``Simulator.run`` does), the loop of the serial engine."""
+        if self._kind.paced:
+            await self.scheduler.drive(max_time, stop)
+        elif stop is None or not stop():
+            self.scheduler.run_until(max_time, stop)
+        self._raise_net_errors()
+
     async def _run_trial(
         self,
         horizon: int,
@@ -378,19 +283,12 @@ class AsyncSimulator(Simulator):
         driver: dict[str, Any] | None,
         drain: int,
     ) -> NetRunResult:
-        self._actors = {
-            pid: ProcessActor(pid, self._net_errors) for pid in self.hosts
-        }
-        for actor in self._actors.values():
-            actor.start()
-        clock = self.scheduler
         try:
             if self._kind.fabric_factory is not None:
                 self._fabric = self._kind.fabric_factory(self)
                 await self._fabric.start()
             if self._kind.paced:
-                assert isinstance(clock, PacedClock)
-                clock.start()  # tick 0 excludes fabric setup
+                self.scheduler.start()  # tick 0 excludes fabric setup
             if scramble_seed is not None:
                 scramble_system(self, scramble_seed, fill_channels=fill_channels)
             drv = RequestDriver(self, **driver) if driver is not None else None
@@ -404,12 +302,10 @@ class AsyncSimulator(Simulator):
                 stop = lambda: drv.done or bool(errors)  # noqa: E731
             else:
                 stop = lambda: bool(errors)  # noqa: E731
-            completed = await clock.drive(horizon, self._route, stop=stop)
-            self._raise_net_errors()
-            completed = completed and (drv is None or drv.done)
+            await self._advance(horizon, stop)
+            completed = drv is not None and drv.done
             done_at = self.now if completed else None
-            await clock.drive(self.now + drain, self._route)
-            self._raise_net_errors()
+            await self._advance(self.now + drain)
             tag = driver["tag"] if driver is not None else None
             finals = (
                 {pid: self.layer(pid, tag).request for pid in self.pids}
@@ -431,12 +327,9 @@ class AsyncSimulator(Simulator):
             await self._teardown()
 
     def collect_obs(self, metrics) -> None:
-        """Serial-engine counters plus the async engine's own: actor
-        handoffs and per-transport traffic (see :mod:`repro.obs`)."""
+        """Serial-engine counters plus the async engine's own: injected
+        faults and per-transport traffic (see :mod:`repro.obs`)."""
         super().collect_obs(metrics)
-        metrics.inc("actor.handoffs_taken", self._handoffs_taken)
-        metrics.inc("actor.handoffs_elided", self._handoffs_elided)
-        metrics.inc("clock.runs", getattr(self.scheduler, "runs", 0))
         for name, value in sorted(self.fault_counts.items()):
             metrics.inc(name, value)
         frames = sum(
@@ -449,12 +342,6 @@ class AsyncSimulator(Simulator):
     async def _teardown(self) -> None:
         for transport in self._transports.values():
             transport.close()
-        for actor in self._actors.values():
-            try:
-                await asyncio.wait_for(actor.stop(), timeout=5)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                if actor.task is not None:
-                    actor.task.cancel()
         for task in list(self._tasks):
             task.cancel()
         if self._tasks:

@@ -71,11 +71,12 @@ class Transport(abc.ABC):
 class TransportKind:
     """One registered channel medium and its contract.
 
-    ``deterministic`` — a run reproduces the serial engine bit for bit
-    (drives the engine's clock choice: deterministic media run on the
-    :class:`~repro.net.clock.VirtualClock`).  ``paced`` — events are
-    paced against wall time (:class:`~repro.net.clock.PacedClock`; the
-    ``tick`` axis applies).  ``frame_boundary`` — messages cross the
+    ``deterministic`` — a run reproduces the serial engine bit for bit.
+    ``paced`` — events are paced against wall time (drives the engine's
+    clock choice: a paced medium runs on the
+    :class:`~repro.net.clock.PacedClock` and the ``tick`` axis applies,
+    an unpaced one on the serial :class:`~repro.sim.scheduler.Scheduler`
+    in virtual time).  ``frame_boundary`` — messages cross the
     medium as wire frames, giving chaos ship faults an injection point.
     ``channel_factory(engine, channel)`` builds the per-channel
     transport; ``fabric_factory(engine)``, when set, builds the

@@ -1,12 +1,11 @@
-"""The loopback medium: in-process delivery through asyncio queues.
+"""The loopback medium: in-process delivery through the engine's scheduler.
 
 The message never leaves the process: its delivery is posted to the
-engine's clock under the canonical delivery key and travels through the
-receiving coroutine's asyncio queue.  Under the
-:class:`~repro.net.clock.VirtualClock` this reproduces the serial
-engine's delivery schedule *exactly* (same stream, same draw, same FIFO
-clamp, same key), which is the transport half of the loopback
-bit-identity guarantee.
+engine's scheduler under the canonical delivery key, exactly as the
+serial engine schedules it (same stream, same draw, same FIFO clamp,
+same key) — the transport half of the loopback bit-identity guarantee,
+and the deterministic exercise of the per-channel transport hook every
+medium goes through.
 """
 
 from __future__ import annotations
@@ -23,16 +22,14 @@ __all__ = ["LoopbackTransport"]
 
 
 class LoopbackTransport(Transport):
-    """In-process transport: deliveries travel through asyncio queues."""
+    """In-process transport: a delivery is a scheduler event."""
 
     def send(self, entry: _Entry) -> None:
         # Delegate to the serial engine's scheduling — the latency draw,
         # FIFO clamp and canonical delivery key are determinism-critical
         # and must stay single-sourced (the explicit base-class call is
         # what breaks the override recursion; every pid is hosted here, so
-        # the cross-shard branch is dead).  The clock then routes the
-        # posted delivery into the destination coroutine's inbox queue —
-        # the "loopback medium" — at the canonical position.
+        # the cross-shard branch is dead).
         Simulator._schedule_delivery(self.engine, self.channel, entry)
 
 
@@ -42,5 +39,5 @@ register_transport(TransportKind(
     paced=False,
     frame_boundary=False,
     channel_factory=LoopbackTransport,
-    summary="in-process asyncio queues, bit-identical to serial",
+    summary="in-process scheduler events, bit-identical to serial",
 ))

@@ -4,7 +4,7 @@ The message crosses a :class:`TcpFabric` connection as a length-prefixed
 frame (:mod:`repro.net.wire`).  A per-channel writer coroutine ships
 frames in admission order, each no earlier than its drawn delivery tick,
 so per-tag FIFO survives on the wire; the receiving fabric dispatches
-frames into the destination coroutine as they arrive.  Timing is
+each frame at its destination process as it arrives.  Timing is
 wall-clock best-effort — the online monitors carry the correctness
 claim.
 """
@@ -62,8 +62,9 @@ class TcpTransport(Transport):
         its drawn delivery tick (a cross-tag head-of-line wait can push a
         frame past its own tick); the slot frees when the frame is on the
         wire."""
-        clock = self.engine.scheduler
-        writer = self.fabric.writer(self.channel.src, self.channel.dst)
+        engine, clock = self.engine, self.engine.scheduler
+        src, dst = self.channel.src, self.channel.dst
+        writer = self.fabric.writer(src, dst)
         while True:
             entry = await self._outbox.get()
             if entry is None:
@@ -77,8 +78,8 @@ class TcpTransport(Transport):
             # [] (drop), [frame, frame] (duplicate), [truncated] (corrupt).
             # The slot release below is unconditional — a chaos-dropped
             # message behaves like channel loss, not like back-pressure.
-            for out in self.engine._fault_frames(
-                self.channel.src, self.channel.dst, frame
+            for out in wire.apply_ship_faults(
+                engine._ship_faults, engine._count_fault, src, dst, frame
             ):
                 writer.write(out)
                 self.frames_sent += 1
@@ -86,7 +87,7 @@ class TcpTransport(Transport):
             # Sender-owned slot release, same guarded rule as the serial
             # engine's cross-shard path (ship time stands in for the
             # scheduled delivery time).
-            self.engine._release_slot(self.channel, entry)
+            engine._release_slot(self.channel, entry)
 
     def close(self) -> None:
         self._outbox.put_nowait(None)
@@ -98,8 +99,8 @@ class TcpFabric:
 
     Connection setup happens before the trial clock starts; each accepted
     connection identifies its source via a HELLO frame, after which a pump
-    coroutine decodes MESSAGE frames and hands them to the engine for
-    dispatch into the destination process coroutine.
+    coroutine decodes MESSAGE frames and hands them to the engine, which
+    dispatches each at its destination process where it lands.
     """
 
     def __init__(self, engine: "AsyncSimulator") -> None:

@@ -66,7 +66,7 @@ class UdpTransport(Transport):
         that is the point — and the slot frees when the datagram leaves,
         so an in-flight drop behaves like channel loss, never like
         back-pressure."""
-        clock = self.engine.scheduler
+        engine, clock = self.engine, self.engine.scheduler
         src, dst = self.channel.src, self.channel.dst
         while True:
             entry = await self._outbox.get()
@@ -79,10 +79,12 @@ class UdpTransport(Transport):
             frame = wire.encode_message(entry.seq, entry.msg)
             # Chaos ship faults rewrite the frame list here exactly as on
             # tcp: [] (drop), [frame, frame] (duplicate), [truncated].
-            for out in self.engine._fault_frames(src, dst, frame):
+            for out in wire.apply_ship_faults(
+                engine._ship_faults, engine._count_fault, src, dst, frame
+            ):
                 self.fabric.send_datagram(src, dst, out)
                 self.frames_sent += 1
-            self.engine._release_slot(self.channel, entry)
+            engine._release_slot(self.channel, entry)
 
     def close(self) -> None:
         self._outbox.put_nowait(None)

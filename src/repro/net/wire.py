@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
 
@@ -93,6 +93,7 @@ __all__ = [
     "encode_control",
     "decode_control",
     "truncate_frame",
+    "apply_ship_faults",
     "parse_hostport",
 ]
 
@@ -321,6 +322,45 @@ def truncate_frame(frame: bytes) -> bytes:
     if length == 0:
         return frame
     return _HEADER.pack(kind, version, length - 1) + frame[_HEADER.size:-1]
+
+
+def apply_ship_faults(
+    faults: list[dict[str, Any]],
+    count: Callable[[str], None],
+    src: int,
+    dst: int,
+    frame: bytes,
+    round_no: int | None = None,
+) -> list[bytes]:
+    """Apply the first matching budgeted ship fault to one encoded frame
+    (``[]`` drop, ``[frame, frame]`` duplicate, ``[truncated]`` corrupt);
+    the identity list when none matches.
+
+    A fault record is ``{"action", "src", "dst", "left"}`` — ``None``
+    matches any pid — plus, on a round-structured runtime, ``"rounds"``:
+    the inclusive ``(first, last)`` window ``round_no`` must lie in.
+    ``left`` is spent in place; ``count`` is told
+    ``fault.injected.<action>``.
+    """
+    for fault in faults:
+        if fault["left"] <= 0:
+            continue
+        if fault["src"] is not None and src != fault["src"]:
+            continue
+        if fault["dst"] is not None and dst != fault["dst"]:
+            continue
+        rounds = fault.get("rounds")
+        if rounds is not None and not rounds[0] <= round_no <= rounds[1]:
+            continue
+        fault["left"] -= 1
+        action = fault["action"]
+        count(f"fault.injected.{action}")
+        if action == "drop":
+            return []
+        if action == "duplicate":
+            return [frame, frame]
+        return [truncate_frame(frame)]
+    return [frame]
 
 
 def encode_register(shard: int, host: str, port: int) -> bytes:

@@ -2,7 +2,7 @@
 
 The registry is a *sink*, not a hot-path participant.  Engines keep
 plain integer counters on their own objects (``Scheduler.pops``,
-``AsyncSimulator._handoffs_taken``, channel occupancy high-waters, …)
+``Transport.frames_sent``, channel occupancy high-waters, …)
 and fold them into a registry exactly once per trial through
 ``collect_obs(metrics)``.  That keeps the metrics-off overhead at the
 cost of a handful of passive integer increments, and it keeps every

@@ -103,9 +103,7 @@ def key_owner(key: int) -> int:
 
     Timers and activations execute at their own process, deliveries at the
     destination.  Class-0 (driver) keys carry no entity and return 0 — never
-    a valid pid, so routers treat it as "no owning process".  The async
-    engine (:mod:`repro.net`) uses this to hand each popped event to the
-    coroutine of the process that owns it.
+    a valid pid, so it reads as "no owning process".
     """
     return (key >> (_PID_BITS + _SEQ_BITS)) & _PID_MAX
 

@@ -374,8 +374,8 @@ class Simulator:
     # -- engine extension points ---------------------------------------------
 
     def _make_scheduler(self) -> Scheduler:
-        """The event queue; subclasses substitute driveable clocks
-        (:mod:`repro.net.clock`) with the same ordering discipline."""
+        """The event queue; a wall-clock-paced medium substitutes
+        :class:`repro.net.clock.PacedClock`, same ordering discipline."""
         return Scheduler()
 
     def _make_trace(self) -> Trace:

@@ -157,7 +157,7 @@ class Scheduler:
         over (the request driver, in the tick that serves its last
         request).  Costs the loop one attribute test per event, where a
         ``stop`` predicate costs a call; outside ``run_until`` (and under
-        the :mod:`repro.net.clock` drive loops) it has no effect."""
+        :meth:`repro.net.clock.PacedClock.drive`) it has no effect."""
         self._halt = True
 
     def __len__(self) -> int:

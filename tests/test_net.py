@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import time
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import trial_spec
 
 from repro.analysis.runner import run_mutex_trial
 from repro.core.pif import PifLayer
+from repro.core.requests import RequestDriver
 from repro.engine import (
     EngineRun,
     ShardingOpts,
@@ -31,10 +33,12 @@ from repro.engine import (
     execute,
 )
 from repro.errors import HorizonExceeded, SimulationError
-from repro.net.clock import PacedClock, VirtualClock
+from repro.net.clock import PacedClock
 from repro.net.engine import AsyncSimulator
 from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
 from repro.net import wire
+from repro.sim.runtime import Simulator
+from repro.sim.scheduler import Scheduler
 from repro.sim.trace import EventKind
 
 
@@ -218,19 +222,62 @@ class TestClocks:
         clock.post_at(10, lambda: None)  # would raise on the base Scheduler
         assert clock._queue[0][0] == 50
 
-    def test_virtual_clock_mirrors_run_until_time_advance(self):
-        clock = VirtualClock()
-        fired = []
-        clock.post_at(5, lambda: fired.append(clock.now))
 
-        async def drive():
-            async def route(key, fn):
-                fn()
-            return await clock.drive(100, route)
+class _BoomLayer(PifLayer):
+    def on_message(self, sender, msg) -> None:
+        raise RuntimeError("boom in on_message")
 
-        asyncio.run(drive())
-        assert fired == [5]
-        assert clock.now == 100  # trailing advance, like Scheduler.run_until
+
+def _boom_build(host) -> None:
+    host.register(_BoomLayer("pif"))
+
+
+class TestErrorSink:
+    """A failure raised where a frame lands reaches the trial through the
+    error sink; on an unpaced medium it is simply the exception."""
+
+    @pytest.mark.parametrize("transport", ["tcp", "udp"])
+    def test_dispatch_failure_fails_a_socket_trial_promptly(self, transport):
+        asim = AsyncSimulator(
+            3, _boom_build, seed=0, transport=transport, tick=0.001)
+        started = time.perf_counter()
+        try:
+            with pytest.raises(SimulationError) as excinfo:
+                asim.run_trial(horizon=60_000, driver=_PIF_DRIVER, drain=200)
+        except OSError as exc:  # pragma: no cover - sandboxed networking
+            pytest.skip(f"cannot bind localhost sockets here: {exc}")
+        assert time.perf_counter() - started < 10  # not the 60 s horizon
+        assert "transport failure(s); first: RuntimeError: boom in on_message" \
+            in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    def test_dispatch_failure_on_loopback_raises_as_on_serial(self):
+        sim = Simulator(3, _boom_build, seed=0)
+        RequestDriver(sim, **_PIF_DRIVER)
+        with pytest.raises(RuntimeError, match="boom in on_message"):
+            sim.run(60_000)
+        asim = AsyncSimulator(3, _boom_build, seed=0)
+        with pytest.raises(RuntimeError, match="boom in on_message"):
+            asim.run_trial(horizon=60_000, driver=_PIF_DRIVER, drain=200)
+
+    def test_loopback_runs_the_serial_scheduler_and_no_process_tasks(
+            self, monkeypatch):
+        sims, task_names = [], set()
+        real_run_trial = AsyncSimulator.run_trial
+
+        def spy(sim, **kwargs):
+            sims.append(sim)
+            sim.delivery_hooks.append(lambda src, dst, msg: task_names.update(
+                task.get_name() for task in asyncio.all_tasks()))
+            return real_run_trial(sim, **kwargs)
+
+        monkeypatch.setattr(AsyncSimulator, "run_trial", spy)
+        run = execute(trial_spec("pif", 4, seed=0, horizon=30_000,
+                                 engine="async"))
+        assert run.completed
+        assert type(sims[0].scheduler) is Scheduler
+        assert task_names  # sampled mid-run, at every delivery
+        assert not [name for name in task_names if name.startswith("proc-")]
 
 
 class TestValidation:

@@ -9,9 +9,10 @@ docs/observability.md promises — is that a trial with ``--metrics`` and
 bare trial, on every engine.
 
 One small PIF case (n=8, ring, loss=0.1) is enough to exercise every
-engine name's obs plumbing: serial phases, async loopback handoff
-counters, and — under both ``sharded`` and ``cluster`` — worker payloads
-shipped in the RESULT control frame.
+engine name's obs plumbing: serial phases, the async engine's counters
+(over loopback it runs the serial scheduler, so its ``scheduler.pops``
+is the serial run's), and — under both ``sharded`` and ``cluster`` —
+worker payloads shipped in the RESULT control frame.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def test_metrics_and_timeline_do_not_change_the_hash(
     # scheduler.pops only exists on the tick engines; channel.sent is
     # the counter every engine's collect_obs records.
     assert doc["counters"]["channel.sent"] > 0
+    if engine == "async":
+        run_case("serial", {}, metrics=str(tmp_path / "serial.json"))
+        serial = json.loads(
+            (tmp_path / "serial.json").read_text(encoding="utf-8"))
+        assert doc["counters"]["scheduler.pops"] == \
+            serial["counters"]["scheduler.pops"]
     assert validate_chrome_trace(
         json.loads((tmp_path / "timeline.json").read_text(encoding="utf-8"))
     ) == []
