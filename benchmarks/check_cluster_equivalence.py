@@ -178,7 +178,10 @@ def check_obs_identity(
     what granted rounds need: per worker a fixed handful (spec, ready,
     result, stop, the park reports around start and finish) plus one
     report every K rounds, and per report at most one grant to each
-    worker — two orders of magnitude under a per-round exchange.
+    worker — two orders of magnitude under a per-round exchange.  Its
+    SHIP frames must stay within one per directed peer link per round
+    (the BARRIER frames count exactly those), under the cross-shard
+    messages they carried.
     """
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path = Path(tmp) / "metrics.json"
@@ -193,11 +196,20 @@ def check_obs_identity(
     reports = hosts * (
         observed.barriers // report_every(observed.window, DRAIN_TICKS) + 5)
     control_bound = 6 * hosts + reports * (1 + hosts)
-    control_ok = report(
+    frames_ok = report(
         control <= control_bound < 2 * hosts * observed.barriers,
         f"control frames {topology or 'complete'} n={n} hosts={hosts}: "
         f"{control} for {observed.barriers} rounds (bound {control_bound}; "
         f"a per-round exchange costs {2 * hosts * observed.barriers})",
+        bad="FAILED")
+    ship_frames = counters["wire.frames_out[ship]"]
+    ship_bound = counters["wire.frames_out[barrier]"]
+    ships = counters["ship.messages_out"]
+    frames_ok &= report(
+        ship_frames <= ship_bound and ship_frames < ships,
+        f"ship frames {topology or 'complete'} n={n} hosts={hosts}: "
+        f"{ship_frames} for {observed.barriers} rounds (bound {ship_bound}: "
+        f"rounds x links; a per-message wire costs {ships})",
         bad="FAILED")
 
     doc = json.loads(Path(timeline_out).read_text())
@@ -214,7 +226,7 @@ def check_obs_identity(
         and lanes == set(range(hosts + 1))
         and barrier_lanes == set(range(1, hosts + 1))
     )
-    return control_ok & report(
+    return frames_ok & report(
         same and timeline_ok,
         f"obs-identity {topology or 'complete'} n={n} hosts={hosts} "
         f"(hashes equal={same}, timeline {len(spans)} spans over lanes "

@@ -59,7 +59,11 @@ Asserts, without running a single trial:
   trace (``list(trace)``, ``trace.events``), constructs a ``TraceEvent``
   or re-appends one event by event (``trace.extend(``), and no record
   under ``src/`` is keyed ``"events"`` — the object round trip the
-  columnar payload replaced cannot creep back in unnoticed.
+  columnar payload replaced cannot creep back in unnoticed;
+* a link's round stays one SHIP frame: nothing under ``src/`` calls the
+  one-ship spellings of the ship codec (``wire.py`` keeps them, defined
+  over the batch codec, for the frozen ledger probe and the wire tests),
+  so a frame per cross-shard message cannot come back through them.
 
 Usage::
 
@@ -155,6 +159,10 @@ _TRACE_OBJECTS = re.compile(
     r"|\btrace\.extend\()")
 _EVENTS_KEY = re.compile(
     r""".*((\[|\.get\()["']events["']|["']events["']\s*:)""")
+
+# The per-message wire: a call (not the definition) of either one-ship
+# codec spelling.
+_ONE_SHIP_CALL = re.compile(r"(?!\s*def ).*\b(en|de)code_ship\(")
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -356,12 +364,19 @@ def check_columnar_result_path() -> list[str]:
                             "a record keyed by an event list")
 
 
+def check_one_ship_frame_per_link_round() -> list[str]:
+    return _grep("repro", _ONE_SHIP_CALL,
+                 "ships one message per frame (use encode_ships / "
+                 "decode_ships on the link's round)")
+
+
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
                 + check_source_guards() + check_one_specification()
                 + check_one_protocol_table()
                 + check_one_window_runtime() + check_one_event_loop()
-                + check_columnar_result_path())
+                + check_columnar_result_path()
+                + check_one_ship_frame_per_link_round())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

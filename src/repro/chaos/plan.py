@@ -17,9 +17,13 @@ Statements are separated by newlines or ``;``; ``#`` starts a comment:
     cut link 1->3 for rounds 4..8      # sugar: duration scales with the
                                        #   round span
     drop ship from 5 to 9 round 2..6 count 2
-    duplicate ship to 9                # re-send one matching SHIP frame
-    corrupt ship from 5 count 1        # truncate the payload (receiver
-                                       #   counts + drops it)
+                                       # leave two matching ships out of
+                                       #   their link-round's SHIP frame
+    duplicate ship to 9                # write one matching ship twice
+    corrupt ship from 5 count 1        # truncate the frame that carries
+                                       #   it (receiver counts + drops
+                                       #   the frame: on a cluster link
+                                       #   the link's whole round)
     stall worker 2 at round 3 for 1s   # sleep after shipping round 3
     stall registry 2s                  # every worker stalls after round 1
 
@@ -33,8 +37,9 @@ Semantics that keep the equivalence gates meaningful:
   untouched by construction.
 * ``drop``/``corrupt`` ship faults are healed by the barrier ship-count
   NAK/resend protocol; ``duplicate`` is absorbed by receiver dedup.
-  Budgets (``count``, default 1) make every fault finite, so resends
-  terminate.
+  Budgets (``count``, default 1) are spent per matching ship and make
+  every fault finite, so resends terminate.  (On async tcp/udp a frame
+  carries one message, so the frame *is* the ship.)
 * ``stall`` faults only delay a worker's next round (wall time), never
   virtual time.
 
@@ -103,9 +108,10 @@ class CutLink:
 @dataclass(frozen=True)
 class ShipFault:
     """``drop|duplicate|corrupt ship [from <pid>] [to <pid>]
-    [round <r>[..<r2>]] [count <n>]`` — applied sender-side at the SHIP
-    frame boundary (or, on the async tcp engine, the MESSAGE frame
-    boundary) to frames matching every given predicate."""
+    [round <r>[..<r2>]] [count <n>]`` — applied sender-side to the ships
+    matching every given predicate, where their link-round is framed (a
+    ship's place in the SHIP frame's list; on the async tcp engine, its
+    MESSAGE frame)."""
 
     action: str
     src: int | None = None

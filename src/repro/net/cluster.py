@@ -7,8 +7,9 @@ latency floors), and each shard runs inside its own *worker interpreter*
 hosting a plain :class:`~repro.sim.runtime.Simulator` slice
 (``hosts_for=shard_pids``).  Intra-shard channels are the serial engine's
 own; cross-shard sends fall through the engine's sender-owned accounting
-into the cross-shard outbox and travel as ``SHIP`` frames
-(:mod:`repro.net.wire`) over real sockets, directly worker-to-worker.
+into the cross-shard outbox and travel — a peer link's whole round to a
+``SHIP`` frame (:mod:`repro.net.wire`) — over real sockets, directly
+worker-to-worker.
 This is the only implementation of the conservative time-window protocol:
 ``engine=sharded`` and ``engine=cluster`` are two registrations of it
 (:mod:`repro.engine.backends.cluster`).
@@ -54,9 +55,9 @@ Two synchronization modes share that loop:
   :attr:`Partition.latency_floor` ticks; a worker finishes its round,
   ships its outbox, then sends a ``BARRIER(round, ship_count)`` frame on
   every peer link (one write per link per round).  Per-connection FIFO
-  means a barrier certifies every SHIP of that round was already
-  delivered, and the window bound means every shipped delivery time lies
-  strictly beyond the next window — so a worker that has seen round
+  means a barrier certifies the link's SHIP frame of that round was
+  already delivered, and the window bound means every shipped delivery
+  time lies strictly beyond the next window — so a worker that has seen round
   ``r-1`` barriers from all peers can run round ``r`` with its event heap
   complete, without asking anyone.  The run is therefore **bit-identical
   to the serial engine** (same trace, same canonical hash), which the
@@ -74,8 +75,8 @@ Fault injection and crash recovery (``docs/robustness.md``):
   through the runtime: worker crashes (``os._exit`` at a named lifecycle
   point, delivered via spawn argv so ``at rendezvous`` works), link cuts
   (sender-side in-order withholding, healed on wall time — pure delay,
-  so virtual time is untouched), SHIP drop/duplicate/corrupt at the frame
-  boundary, and post-round stalls.
+  so virtual time is untouched), ship drop/duplicate/corrupt where a
+  link's round is framed, and post-round stalls.
 * The coordinator *detects* worker death by polling each spawned worker's
   ``Popen`` alongside every control-channel await (and treating control
   EOF the same way), raising :class:`~repro.errors.WorkerCrashed` with

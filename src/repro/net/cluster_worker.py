@@ -216,11 +216,16 @@ class _Trial:
 
     Fault machinery riding the fabric:
 
-    * Every outbound ship is logged per (peer shard, round) before any
-      fault or link state can eat it — the log feeds NAK resends and
-      crash-recovery replay.
+    * A link's round — its ships, in send order — is logged per (peer
+      shard, round) before any fault or link state can eat it; the log
+      feeds NAK resends and crash-recovery replay.  It travels as one
+      SHIP frame.
     * BARRIER frames carry the round's ship count; receivers tally unique
       decodable ships per (peer, round) and NAK a shortfall over CONTROL.
+    * ``drop ship`` leaves a matching ship out of the frame's list,
+      ``duplicate ship`` writes it there twice, ``corrupt ship``
+      truncates the frame that carries it — the whole link-round comes
+      up short and one NAK heals it.
     * ``cut link`` buffers a link's frames in order (ships *and*
       barriers) and flushes them after a wall-clock hold — pure delay.
     """
@@ -270,7 +275,9 @@ class _Trial:
         self._granted = asyncio.Event()
         self._errors: list[BaseException] = []
         #: Outbound ship log: peer shard -> round -> ships in send order.
-        self._ship_log: dict[int, dict[int, list[tuple]]] = {}
+        self._ship_log: dict[int, dict[int, list[tuple]]] = {
+            peer: {} for peer in self.peers
+        }
         self._last_ship_round = -1
         #: Ships already delivered locally, by (src, dst, entry_seq) —
         #: entry seqs are monotone per channel, so the key is unique and
@@ -374,26 +381,29 @@ class _Trial:
                 kind, payload = await wire.read_frame(reader)
                 if kind == wire.SHIP:
                     try:
-                        src, dst, msg, when, entry_seq, round_no = (
-                            wire.decode_ship(payload)
-                        )
+                        round_no, ships = wire.decode_ships(payload)
                     except wire.WireError:
                         # An injected corruption keeps the framing intact
                         # but kills the pickle.  Count it and move on:
                         # the round's barrier count will come up short
-                        # and the NAK path re-ships the message.
+                        # and the NAK path re-ships the round.
                         self._count("ship.corrupt_received")
                         continue
-                    key = (src, dst, entry_seq)
-                    if key in self._seen:
-                        self._count("ship.duplicate_dropped")
-                        continue
-                    self._seen.add(key)
-                    self._recv_counts[(src_shard, round_no)] = (
-                        self._recv_counts.get((src_shard, round_no), 0) + 1
-                    )
-                    self._on_ship(src, dst, msg, when, entry_seq)
-                    self._drain_barriers(src_shard)
+                    fresh = 0
+                    for src, dst, msg, when, entry_seq in ships:
+                        key = (src, dst, entry_seq)
+                        if key in self._seen:
+                            self._count("ship.duplicate_dropped")
+                            continue
+                        self._seen.add(key)
+                        self._on_ship(src, dst, msg, when, entry_seq)
+                        fresh += 1
+                    if fresh:
+                        link_round = (src_shard, round_no)
+                        self._recv_counts[link_round] = (
+                            self._recv_counts.get(link_round, 0) + fresh
+                        )
+                        self._drain_barriers(src_shard)
                 elif kind == wire.BARRIER:
                     shard, round_no, ships = wire.decode_barrier(payload)
                     if shard != src_shard:
@@ -543,37 +553,48 @@ class _Trial:
             except (ConnectionResetError, OSError):
                 self._broken_links.add(peer)
 
-    async def _ship_round(self, round_no: int) -> None:
-        """Ship the round's outbox, then a counted barrier per peer link
-        — one write per link: the round's SHIP frames and its BARRIER.
+    def _ship_frame(self, ships: list[tuple], round_no: int) -> bytes:
+        """A link's round as its SHIP frame, with the fault plan's ship
+        faults applied to what is written (never to the log): a dropped
+        ship is left out of the list, a duplicated one is in it twice,
+        a corrupted one takes the frame that carries it."""
+        corrupt = False
+        if self._ship_faults:
+            written = []
+            for ship in ships:
+                action = wire.match_ship_fault(
+                    self._ship_faults, self._count, ship[0], ship[1], round_no
+                )
+                if action != "drop":
+                    written.append(ship)
+                if action == "duplicate":
+                    written.append(ship)
+                elif action == "corrupt":
+                    corrupt = True
+            ships = written
+        frame = wire.encode_ships(round_no, ships)
+        return wire.truncate_frame(frame) if corrupt else frame
 
-        Every ship is logged *before* faults or link state apply — the
-        log is the ground truth NAK resends and crash replay draw from,
-        and the barrier count states what the log holds, not what the
-        wire saw.
+    async def _ship_round(self, round_no: int) -> None:
+        """Ship the round's outbox — one SHIP frame per peer link with
+        traffic — then a counted barrier per link, in one write.
+
+        A link's ships are logged *before* faults or link state apply —
+        the log is the ground truth NAK resends and crash replay draw
+        from, and the barrier count states what the log holds, not what
+        the wire saw.
         """
         shard_of = self.partition.shard_of
-        counts = dict.fromkeys(self.peers, 0)
-        frames: dict[int, list[bytes]] = {peer: [] for peer in self.peers}
-        faults = self._ship_faults
+        groups: dict[int, list[tuple]] = {peer: [] for peer in self.peers}
         for ship in self.sim.drain_outbox():
-            peer = shard_of[ship[1]]
-            self._ship_log.setdefault(peer, {}).setdefault(
-                round_no, []
-            ).append(ship)
-            counts[peer] += 1
-            frame = wire.encode_ship(*ship, round_no)
-            if faults:
-                frames[peer] += wire.apply_ship_faults(
-                    faults, self._count, ship[0], ship[1], frame, round_no
-                )
-            else:
-                frames[peer].append(frame)
-        for peer in self.peers:
-            frames[peer].append(
-                wire.encode_barrier(self.shard, round_no, counts[peer])
-            )
-            self._write_frames(peer, frames[peer], round_no)
+            groups[shard_of[ship[1]]].append(ship)
+        for peer, ships in groups.items():
+            frames = []
+            if ships:
+                self._ship_log[peer][round_no] = ships
+                frames.append(self._ship_frame(ships, round_no))
+            frames.append(wire.encode_barrier(self.shard, round_no, len(ships)))
+            self._write_frames(peer, frames, round_no)
         self._last_ship_round = round_no
         await self._drain_peers()
 
@@ -581,14 +602,13 @@ class _Trial:
         """Re-ship a logged round verbatim (NAK response).  No faults
         apply — their budgets were spent on the first pass — and the
         receiver's dedup absorbs whatever did arrive the first time."""
-        entries = self._ship_log.get(dst_shard, {}).get(round_no, [])
-        frames = [
-            wire.encode_ship(src, dst, msg, when, entry_seq, round_no)
-            for src, dst, msg, when, entry_seq in entries
-        ]
-        if frames:
-            self._count("ship.resent", len(frames))
-        self._write_frames(dst_shard, frames, round_no)
+        ships = self._ship_log[dst_shard].get(round_no)
+        if not ships:
+            return
+        self._count("ship.resent", len(ships))
+        self._write_frames(
+            dst_shard, [wire.encode_ships(round_no, ships)], round_no
+        )
         await self._drain_peers()
 
     async def _await_barriers(self, round_no: int, report) -> None:
@@ -835,7 +855,7 @@ class _Trial:
                     await self.client.send(("peer-ok",))
                 elif op == "ship-log":
                     _, target_shard = message
-                    log = self._ship_log.get(target_shard, {})
+                    log = self._ship_log[target_shard]
                     entries = [
                         (rnd, ship)
                         for rnd in sorted(log)
@@ -861,6 +881,10 @@ class _Trial:
             import resource  # not part of the boot closure
 
             obs.collect_wire()
+            obs.metrics.inc("ship.messages_out", sum(
+                len(ships)
+                for log in self._ship_log.values() for ships in log.values()
+            ))
             for name, n in self._fault_counts.items():
                 obs.metrics.inc(name, n)
             # Passive, and the only view of a pooled worker's memory:

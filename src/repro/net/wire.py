@@ -21,14 +21,16 @@ Frame kinds:
   runtime (:mod:`repro.net.registry`): a worker announces
   ``(shard_id, host, port)``, the coordinator answers with the full peer
   map once every expected worker has registered.
-* ``SHIP`` — one cross-shard message on a cluster peer link, carrying the
-  *sender-computed* delivery time, channel entry seq (the conservative
-  window protocol of :mod:`repro.net.cluster`), and the
-  sender's barrier round (so receivers can account ships per round and
-  crash recovery can replay them).
+* ``SHIP`` — one link-round on a cluster peer link: the sender's barrier
+  round, carried once (so receivers can account ships per round and
+  crash recovery can replay them), and every cross-shard message — a
+  *ship* — the round produced for this link, each with its
+  *sender-computed* delivery time and channel entry seq (the conservative
+  window protocol of :mod:`repro.net.cluster`).  A round with no traffic
+  on the link writes no SHIP frame.
 * ``BARRIER`` — a shard announces it finished round ``round`` and
-  how many SHIP frames it sent that round on this link; per-connection
-  FIFO means every SHIP of that round precedes it, so a count mismatch at
+  how many ships it sent that round on this link; per-connection
+  FIFO means the round's SHIP frame precedes it, so a count mismatch at
   the receiver is proof of an injected (or real) frame fault and triggers
   the NAK/resend path of :mod:`repro.net.cluster`.  A count of
   :data:`BARRIER_SKIP_COUNT` re-announces a round without a count check
@@ -84,6 +86,8 @@ __all__ = [
     "decode_message",
     "encode_barrier",
     "decode_barrier",
+    "encode_ships",
+    "decode_ships",
     "encode_ship",
     "decode_ship",
     "encode_register",
@@ -93,6 +97,7 @@ __all__ = [
     "encode_control",
     "decode_control",
     "truncate_frame",
+    "match_ship_fault",
     "apply_ship_faults",
     "parse_hostport",
 ]
@@ -102,7 +107,9 @@ __all__ = [
 #: ship count (the fault-detection/recovery protocol of repro.chaos).
 #: Version 3: a ``result`` carries the shard trace as columns — a mixed
 #: checkout fails at the first frame (:class:`WireError`), not in the merge.
-PROTOCOL_VERSION = 3
+#: Version 4: a SHIP frame carries a link's whole round — ``(round,
+#: [ship, …])`` — and BARRIER counts ships, not SHIP frames.
+PROTOCOL_VERSION = 4
 
 #: BARRIER ``ships`` value meaning "no count check" — used when a link is
 #: rewired after a crash recovery and the sender re-announces its last
@@ -275,7 +282,7 @@ def decode_message(payload: bytes) -> tuple[int, object]:
 
 
 def encode_barrier(shard: int, round_no: int, ships: int) -> bytes:
-    """``ships`` = SHIP frames sent on this link for ``round_no`` (or
+    """``ships`` = ships sent on this link for ``round_no`` (or
     :data:`BARRIER_SKIP_COUNT` for a no-check re-announcement)."""
     return pack_frame(BARRIER, _BARRIER.pack(shard, round_no, ships))
 
@@ -289,24 +296,33 @@ def decode_barrier(payload: bytes) -> tuple[int, int, int]:
     return shard, round_no, ships
 
 
-def encode_ship(
-    src: int, dst: int, msg: object, when: int, entry_seq: int, round_no: int
-) -> bytes:
+def encode_ships(round_no: int, ships: list[tuple]) -> bytes:
+    """One link-round: ``ships`` is ``[(src, dst, msg, when, entry_seq), …]``
+    in send order."""
     return pack_frame(
-        SHIP,
-        pickle.dumps(
-            (src, dst, msg, when, entry_seq, round_no),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        ),
+        SHIP, pickle.dumps((round_no, ships), protocol=pickle.HIGHEST_PROTOCOL)
     )
 
 
-def decode_ship(payload: bytes) -> tuple[int, int, object, int, int, int]:
+def decode_ships(payload: bytes) -> tuple[int, list[tuple]]:
     try:
-        src, dst, msg, when, entry_seq, round_no = pickle.loads(payload)
+        round_no, ships = pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - normalized for callers
         raise WireError(f"undecodable ship frame: {exc}") from exc
-    return src, dst, msg, when, entry_seq, round_no
+    return round_no, ships
+
+
+def encode_ship(
+    src: int, dst: int, msg: object, when: int, entry_seq: int, round_no: int
+) -> bytes:
+    """The one-ship spelling of :func:`encode_ships` (probes and tests)."""
+    return encode_ships(round_no, [(src, dst, msg, when, entry_seq)])
+
+
+def decode_ship(payload: bytes) -> tuple[int, int, object, int, int, int]:
+    """The one-ship spelling of :func:`decode_ships`."""
+    round_no, (ship,) = decode_ships(payload)
+    return (*ship, round_no)
 
 
 def truncate_frame(frame: bytes) -> bytes:
@@ -316,7 +332,8 @@ def truncate_frame(frame: bytes) -> bytes:
     receiver still reads a *well-framed* unit — the stream never
     desynchronizes — but the pickle payload is undecodable and raises
     :class:`WireError` at decode.  The receiver counts it as a corrupt
-    arrival and relies on the ship-count NAK path to recover the message.
+    arrival and relies on the ship-count NAK path to recover what the
+    frame carried (on a cluster link: the link's whole round).
     """
     kind, version, length = _HEADER.unpack(frame[: _HEADER.size])
     if length == 0:
@@ -324,17 +341,15 @@ def truncate_frame(frame: bytes) -> bytes:
     return _HEADER.pack(kind, version, length - 1) + frame[_HEADER.size:-1]
 
 
-def apply_ship_faults(
+def match_ship_fault(
     faults: list[dict[str, Any]],
     count: Callable[[str], None],
     src: int,
     dst: int,
-    frame: bytes,
     round_no: int | None = None,
-) -> list[bytes]:
-    """Apply the first matching budgeted ship fault to one encoded frame
-    (``[]`` drop, ``[frame, frame]`` duplicate, ``[truncated]`` corrupt);
-    the identity list when none matches.
+) -> str | None:
+    """Spend the first budgeted ship fault matching one ship; its action
+    (``drop`` / ``duplicate`` / ``corrupt``), ``None`` when none matches.
 
     A fault record is ``{"action", "src", "dst", "left"}`` — ``None``
     matches any pid — plus, on a round-structured runtime, ``"rounds"``:
@@ -353,14 +368,29 @@ def apply_ship_faults(
         if rounds is not None and not rounds[0] <= round_no <= rounds[1]:
             continue
         fault["left"] -= 1
-        action = fault["action"]
-        count(f"fault.injected.{action}")
-        if action == "drop":
-            return []
-        if action == "duplicate":
-            return [frame, frame]
-        return [truncate_frame(frame)]
-    return [frame]
+        count(f"fault.injected.{fault['action']}")
+        return fault["action"]
+    return None
+
+
+def apply_ship_faults(
+    faults: list[dict[str, Any]],
+    count: Callable[[str], None],
+    src: int,
+    dst: int,
+    frame: bytes,
+) -> list[bytes]:
+    """:func:`match_ship_fault` on a frame that carries one message
+    (tcp / udp): ``[]`` drop, ``[frame, frame]`` duplicate,
+    ``[truncated]`` corrupt; the identity list when none matches."""
+    action = match_ship_fault(faults, count, src, dst)
+    if action is None:
+        return [frame]
+    if action == "drop":
+        return []
+    if action == "duplicate":
+        return [frame, frame]
+    return [truncate_frame(frame)]
 
 
 def encode_register(shard: int, host: str, port: int) -> bytes:

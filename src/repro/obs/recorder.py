@@ -166,32 +166,34 @@ def _summarize_metrics(path, doc: dict) -> str:
     if context:
         lines.append("  context: " + " ".join(
             f"{k}={context[k]}" for k in sorted(context)))
-    counters = doc.get("counters", {})
+    counters = dict(doc.get("counters", {}))
     gauges = doc.get("gauges", {})
     hists = doc.get("hists", {})
+
+    def section(title: str, values: dict) -> None:
+        if values:
+            lines.append(f"  {title}:")
+            width = max(len(name) for name in values)
+            for name in sorted(values):
+                lines.append(f"    {name.ljust(width)}  {values[name]:>12g}")
+
+    def take(select) -> dict:
+        return {name: counters.pop(name) for name in list(counters)
+                if select(name)}
+
+    # The wire's frames, bytes and the ships those SHIP frames carried
+    # (`ship.messages_out` is traffic, not a fault: a link-round is one
+    # frame however many ships it holds).
+    wire = take(lambda name: name.startswith("wire.")
+                or name == "ship.messages_out")
     # Chaos counters get their own section: on a fault-injection run the
     # injected/recovered story is the headline, not one row among many.
-    chaos_prefixes = ("fault.", "worker.crashed", "recovery.", "backoff.",
-                      "ship.")
-    chaos = {name: value for name, value in counters.items()
-             if name.startswith(chaos_prefixes)}
-    counters = {name: value for name, value in counters.items()
-                if name not in chaos}
-    if chaos:
-        lines.append("  faults & recovery:")
-        width = max(len(name) for name in chaos)
-        for name in sorted(chaos):
-            lines.append(f"    {name.ljust(width)}  {chaos[name]:>12g}")
-    if counters:
-        lines.append("  counters:")
-        width = max(len(name) for name in counters)
-        for name in sorted(counters):
-            lines.append(f"    {name.ljust(width)}  {counters[name]:>12g}")
-    if gauges:
-        lines.append("  gauges (high-water):")
-        width = max(len(name) for name in gauges)
-        for name in sorted(gauges):
-            lines.append(f"    {name.ljust(width)}  {gauges[name]:>12g}")
+    chaos = take(lambda name: name.startswith(
+        ("fault.", "worker.crashed", "recovery.", "backoff.", "ship.")))
+    section("faults & recovery", chaos)
+    section("wire", wire)
+    section("counters", counters)
+    section("gauges (high-water)", gauges)
     if hists:
         lines.append("  histograms:")
         width = max(len(name) for name in hists)
@@ -200,7 +202,7 @@ def _summarize_metrics(path, doc: dict) -> str:
             mean = total / count if count else 0.0
             lines.append(f"    {name.ljust(width)}  count={count:g} "
                          f"mean={mean:g} min={lo:g} max={hi:g}")
-    if not (chaos or counters or gauges or hists):
+    if not (chaos or wire or counters or gauges or hists):
         lines.append("  (empty)")
     return "\n".join(lines)
 

@@ -340,6 +340,51 @@ def test_ship_faults_and_cuts_recover_bit_identically():
     assert counts["ship.resent"] >= 2  # NAK/resend healed the drops
 
 
+def test_duplicate_ship_is_absorbed_by_receiver_dedup():
+    """``duplicate`` writes the matching ship twice in its link-round's
+    SHIP frame; the receiver's ``_seen`` set drops the second copy and
+    nothing needs healing."""
+    trial = _cluster_trial(3, "duplicate ship from 1 count 2")
+    assert trial.ok
+    assert trial.measurements == _serial(3).measurements
+    counts = trial.provenance["fault_counts"]
+    assert counts["fault.injected.duplicate"] == 2
+    assert counts["ship.duplicate_dropped"] == 2
+    assert "ship.nak_sent" not in counts
+
+
+def test_corrupt_ship_takes_its_frame_and_one_nak_heals_the_round():
+    """``corrupt`` truncates the frame that carries the matching ship:
+    the receiver counts one undecodable frame, the link-round comes up
+    short of its barrier count, and NAK -> resend re-ships the round."""
+    trial = _cluster_trial(3, "corrupt ship from 4 count 1")
+    assert trial.ok
+    assert trial.measurements == _serial(3).measurements
+    counts = trial.provenance["fault_counts"]
+    assert counts["fault.injected.corrupt"] == 1
+    assert counts["ship.corrupt_received"] == 1
+    assert counts["ship.nak_sent"] >= 1
+    assert counts["ship.resent"] >= 1
+
+
+def test_two_faults_in_one_link_round_heal_in_one_nak():
+    """Pid 1 ships to the other shard more than once in round 2: its
+    first ship spends the drop, its second the corrupt — both in the one
+    frame of link 0->1, round 2, which a single NAK re-ships."""
+    trial = _cluster_trial(
+        3,
+        "drop ship from 1 round 2..2 count 1\n"
+        "corrupt ship from 1 round 2..2 count 1",
+    )
+    assert trial.ok
+    assert trial.measurements == _serial(3).measurements
+    counts = trial.provenance["fault_counts"]
+    assert counts["fault.injected.drop"] == 1
+    assert counts["fault.injected.corrupt"] == 1
+    assert counts["ship.corrupt_received"] == 1
+    assert counts["ship.nak_sent"] == 1
+
+
 def test_crash_plus_link_cut_compose():
     serial = _serial(5)
     trial = _cluster_trial(

@@ -10,6 +10,7 @@ and :meth:`Partition.peer_shards`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from conftest import trial_spec
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
 from repro.core.protocols import build_protocol, payload_from_fmt
-from repro.engine import ClusterOpts, ShardingOpts, TrialSpec, execute
+from repro.engine import ClusterOpts, ObsOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
 from repro.net.coordinator import close_pool
@@ -43,6 +44,25 @@ def test_windowed_cluster_is_bit_identical_to_serial():
     assert serial.stats.as_dict() == cluster.stats.as_dict()
     assert serial.final_time == cluster.final_time
     assert serial.completions == cluster.completions
+
+
+def test_a_round_ships_one_frame_per_link_not_one_per_message(tmp_path):
+    """The unit on a peer link is the round: SHIP frames are bounded by
+    rounds x directed links however many messages cross the cut."""
+    metrics = tmp_path / "metrics.json"
+    spec = trial_spec("pif", 12, topology="complete", seed=0, loss=0.1,
+                     horizon=2_000_000)
+    run = execute(replace(
+        spec, engine="cluster", cluster=ClusterOpts(hosts=2),
+        obs=ObsOpts(metrics=str(metrics))))
+    counters = json.loads(metrics.read_text())["counters"]
+    ship_frames = counters["wire.frames_out[ship]"]
+    links = 2  # two shards of a complete graph: 0->1 and 1->0
+    rounds = run.barriers + 1  # round 0 ships the scramble's backlog
+    assert counters["wire.frames_out[barrier]"] == rounds * links
+    assert 0 < ship_frames <= rounds * links
+    # ~1 200 messages cross the cut here: a frame each breaks both bounds.
+    assert ship_frames < counters["ship.messages_out"]
 
 
 @pytest.mark.parametrize("slack", [-1, 0])

@@ -11,11 +11,13 @@ analogue — a shard registering twice — must fail the rendezvous loudly.
 from __future__ import annotations
 
 import asyncio
+import copy
 import pickle
 import struct
 
 import pytest
 
+from repro.core.messages import PifMessage
 from repro.errors import SimulationError
 from repro.net import wire
 from repro.net.registry import RegistryClient, RegistryServer
@@ -75,6 +77,51 @@ def test_ship_round_trip():
     kind, payload = read(feed(frame))
     assert kind == wire.SHIP
     assert wire.decode_ship(payload) == (1, 6, ("pif", "m-1-0"), 17, 4, 2)
+
+
+def _ships(count: int) -> list[tuple]:
+    return [
+        (1, 6 + i, PifMessage("pif", f"m-1-{i}", None, i % 3, 0), 17 + i, i)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_ship_batch_round_trip_keeps_order_and_one_round_no(count):
+    ships = _ships(count)
+    kind, payload = read(feed(wire.encode_ships(9, ships)))
+    assert kind == wire.SHIP
+    assert wire.decode_ships(payload) == (9, ships)
+    # The round is stated once, beside the list — not once per ship.
+    assert pickle.loads(payload) == (9, ships)
+
+
+def test_one_ship_spelling_is_the_batch_of_one_byte_for_byte():
+    (ship,) = _ships(1)
+    assert wire.encode_ship(*ship, 4) == wire.encode_ships(4, [ship])
+
+
+def test_truncated_batch_frame_stays_well_framed_but_undecodable():
+    bad = wire.truncate_frame(wire.encode_ships(3, _ships(5)))
+    (kind, payload), (kind2, payload2) = read(
+        feed(bad, wire.encode_barrier(0, 3, 5)), count=2
+    )
+    assert kind == wire.SHIP
+    with pytest.raises(wire.WireError, match="undecodable ship"):
+        wire.decode_ships(payload)
+    assert kind2 == wire.BARRIER
+    assert wire.decode_barrier(payload2) == (0, 3, 5)
+
+
+def test_pif_message_pickles_as_its_constructor_call():
+    # The ledger probe's message (benchmarks/ledger/probes.py).
+    message = PifMessage("pif", "msg-3-1", "f0", 2, 1, (3, 1))
+    blob = pickle.dumps(message, protocol=5)
+    assert len(blob) < 100  # 148 through copyreg's slots path
+    for clone in (pickle.loads(blob), copy.deepcopy(message)):
+        assert clone == message and clone is not message
+        assert hash(clone) == hash(message)
+        assert clone.debug_wave == (3, 1)
 
 
 def test_register_round_trip():
