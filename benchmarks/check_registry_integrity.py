@@ -14,61 +14,25 @@ Asserts, without running a single trial:
   registers that name (and nothing the table lacks), and no module of
   the built-in packages registers a name the table lacks (it would be
   unreachable until something else imported it);
-* no per-engine ``if engine ==`` / ``elif engine ==`` dispatch chain has
-  crept back into ``src/repro/analysis/`` or ``src/repro/cli.py`` — the
-  registry is the only dispatcher (the grep guard for the PR-10
-  refactor) — and nothing under ``src/repro/engine/`` or
-  ``src/repro/core/`` imports from ``repro.net.cluster`` (that dragged
-  asyncio into every serial trial);
-* :class:`~repro.engine.TrialSpec` stays the only way in: it has no
-  ``build`` field (``protocol`` is the one protocol description), and
-  neither of the two keyword adapters PR 15 deleted is named anywhere
-  under ``src/``;
-* a send stays one path: neither the per-channel cache tuple the compiled
-  link (:class:`repro.sim.runtime.Link`) replaced nor a flag / engine-type
-  test selecting an unfused send is named under ``src/repro/sim/`` — the
-  one engine-specific step of a send is chosen when its link is built;
-* a specification stays one automaton: ``src/repro/net/monitors.py``
-  defines no class besides ``LiveTrace`` and the ``SpecMonitor`` adapter,
-  and ``repro.spec.temporal`` stays deleted;
-* a protocol is declared once, as a row of
-  :data:`repro.core.protocols.PROTOCOLS`: every row's builder registers a
-  layer under the row's ``kind``, its automaton carries that tag, the
-  runner's judge map has exactly the table's keys and the CLI a
-  subcommand per row; the per-aspect tables the row replaced, and the
-  module that held the specifications' one, are named nowhere under
-  ``src/``, ``tests/``, ``benchmarks/`` (the frozen ledger aside) or
-  ``examples/``;
-  and no ``tag == "..."`` / ``kind == "..."`` dispatch on a protocol
-  name, nor a ``"mutex"`` ↔ ``"me"`` translation, is spelled under
-  ``src/repro/net/``, ``spec/``, ``analysis/``, ``engine/``, in
-  ``core/protocols.py`` or ``cli.py``;
-* the window protocol stays one runtime: nothing under ``src/repro``
-  forks or opens a pipe, the deleted lock-step engine is named nowhere
-  under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``, the
-  cluster worker does not name the asyncio engine, and
-  ``engine/backends/sharded.py`` is a registration — it defines no
-  function or class of its own;
-* there is one event loop: under ``src/repro/`` only the scheduler
-  (``sim/scheduler.py``) and its wall-clock-paced subclass
-  (``net/clock.py``) pop the event heap, and the virtual-time second
-  spelling of ``run_until``, the actor per process, its router and their
-  handoff counters are named nowhere under ``src/``;
-* a shard's result stays columns end to end: nothing under
-  ``src/repro/net/`` or in ``src/repro/sim/sharded.py`` materializes a
-  trace (``list(trace)``, ``trace.events``), constructs a ``TraceEvent``
-  or re-appends one event by event (``trace.extend(``), and no record
-  under ``src/`` is keyed ``"events"`` — the object round trip the
-  columnar payload replaced cannot creep back in unnoticed;
-* a link's round stays one SHIP frame: nothing under ``src/`` calls the
-  one-ship spellings of the ship codec (``wire.py`` keeps them, defined
-  over the batch codec, for the frozen ledger probe and the wire tests),
-  so a frame per cross-shard message cannot come back through them;
-* crash recovery stays one path — stop the survivors, respawn the dead
-  slot, run the trial again: nothing under ``src/`` names the repair it
-  replaced (the barrier skip count, the peer rewiring, the three control
-  ops that collected ship logs and rewired a live trial, a spec's replay
-  list).
+* the shapes the refactors left behind hold: :class:`~repro.engine.TrialSpec`
+  has no ``build`` field (``protocol`` is the one protocol description);
+  ``src/repro/net/monitors.py`` defines no class besides ``LiveTrace``
+  and the ``SpecMonitor`` adapter (a specification is one automaton);
+  every row of :data:`repro.core.protocols.PROTOCOLS` builds a layer
+  under its ``kind``, its automaton carries that tag, the runner's judge
+  map has exactly the table's keys and the CLI a subcommand per row;
+  ``engine/backends/sharded.py`` is a registration of the cluster
+  backend, defining no function or class of its own;
+* no line matches a row of :data:`GUARDS` — one table, one loop — and
+  no module a row deleted is importable.  Each row is a pattern, the
+  trees it must not match in and what it means: a per-engine dispatch
+  chain (the registry is the only dispatcher), a second spelling of a
+  protocol, a fork or pipe, a second event loop, an event object on the
+  columnar result path, a frame per cross-shard message, or the name of
+  something a refactor deleted — the keyword adapters, the per-aspect
+  protocol tables, the lock-step engine, the actor layer, the crash
+  repair, the bad-factor spelling of mutual exclusion, the experiments'
+  pytest wrappers whose assertions ``repro claims`` now carries.
 
 Usage::
 
@@ -87,6 +51,7 @@ import sys
 from importlib import import_module
 from importlib.util import find_spec
 from pathlib import Path
+from typing import NamedTuple
 
 import repro.cli
 import repro.engine.backends
@@ -112,72 +77,117 @@ _CAPABILITY = re.compile(
     + r"|transport:\w+)$"
 )
 
-_DISPATCH = re.compile(r"^\s*(el)?if\s+.*\bengine\s*==")
-_CLUSTER_IMPORT = re.compile(r"^\s*from\s+repro\.net\.cluster\s+import\b")
-# The deleted keyword adapters, spelled in halves so a repo-wide grep for
-# either name finds nothing — not even this guard.
-_LEGACY_ADAPTER = re.compile(
-    r".*\b(" + "execute" + "_trial|_base" + r"_spec)\b")
-
-# The send path's retired cache and the switches that would fork it
-# (same halves spelling): a fused/unfused flag, or a test on the engine's
-# own type (``type(self).__name__`` in a repr is fine).
-_SEND_FORK = re.compile(
-    r".*(_chan" + r"_fast\b|\b_fused\b|\btype\(self\)\s+(is|==)"
-    r"|\bisinstance\(self\b)")
-
-# A second spelling of a protocol starts as a branch on its name (event
-# kinds are compared as ``EventKind.X`` constants) or as a translation
-# between its command name and its kind.
-_SPEC_DISPATCH = re.compile(
-    r".*(\b(tag|kind)\s*(==|!=)\s*[\"']"
-    r"|[\"']mutex[\"']\s+if\b.*[\"']me[\"']|[\"']me[\"']\s+if\b.*[\"']mutex[\"'])")
 _MONITOR_CLASSES = {"LiveTrace", "SpecMonitor"}
-# The per-aspect protocol tables the one table replaced (halves spelling).
-_OLD_TABLES = re.compile(
-    r".*\b(BUIL" + r"DERS|SP" + r"ECS|TRI" + r"ALS|_TRIAL" + r"_TITLES"
-    r"|(PIF|IDL|MUTEX)_HOR" + r"IZON|spec\.ta" + r"ble)\b")
-
-# The window protocol's deleted second implementation and what it was
-# made of (halves spelling again: this guard scans its own directory).
-_FORK_FABRIC = re.compile(
-    r".*(\bmulti" + r"processing\b|\bos\.fo" + r"rk\b|\bPi" + r"pe\()")
-_LOCKSTEP_ENGINE = re.compile(
-    r".*\b(Sharded" + r"Simulator|Sharded" + r"RunResult|_worker" + r"_loop"
-    r"|_worker" + r"_main)\b")
-_ASYNC_WORKER = re.compile(r".*\bAsync" + r"Simulator\b")
-
-# The event loop's deleted second spelling and the actor layer it fed
-# (halves spelling), and the call only a scheduler loop makes.
-_ACTOR_LAYER = re.compile(
-    r".*(\bVirtual" + r"Clock\b|\bProcess" + r"Actor\b|\bRoute" + r"Fn\b"
-    r"|handoffs" + r"_|\bdef _ro" + r"ute\b)")
-_HEAP_POP = re.compile(r".*\bheap" + r"pop\b")
-_EVENT_LOOPS = ("src/repro/sim/scheduler.py:", "src/repro/net/clock.py:")
-
-# The result path's deleted object round trip: a shard trace materialized
-# to ship it, rebuilt on arrival or re-appended event by event, and the
-# old payload key (as a dict key or a subscript; a ``__slots__`` name is
-# not a record key).
-_TRACE_OBJECTS = re.compile(
-    r".*(\blist\((\w+\.)*trace\)|\btrace\.events\b|\bTraceEvent\("
-    r"|\btrace\.extend\()")
-_EVENTS_KEY = re.compile(
-    r""".*((\[|\.get\()["']events["']|["']events["']\s*:)""")
-
-# The per-message wire: a call (not the definition) of either one-ship
-# codec spelling.
-_ONE_SHIP_CALL = re.compile(r"(?!\s*def ).*\b(en|de)code_ship\(")
-
-# The surgical crash repair the re-run replaced: its wire constant, the
-# survivor's rewiring, its control ops and the replacement's replay list,
-# quoted as the code spelled them (halves spelling).
-_REPAIR = re.compile(
-    r".*(\bBARRIER_SKIP" + r"_COUNT\b|\b_rewire" + r"_peer\b|[\"']("
-    + "ship" + "-log|peer" + "-update|peer" + "-ok|rep" + "lay"
-    + r")[\"'])")
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Guard(NamedTuple):
+    """No ``*.py`` line under ``trees`` (paths relative to ``src/``, a
+    directory or a file) may match ``pattern``, except under ``exempt``.
+    A deleted name is spelled in halves, so a repo-wide grep for it finds
+    nothing — not even this table."""
+
+    what: str
+    pattern: re.Pattern[str]
+    trees: tuple[str, ...] = ("repro",)
+    exempt: tuple[str, ...] = ()
+    #: The module the deletion removed: it must stay unimportable.
+    module: str | None = None
+
+
+_EVERYWHERE = ("repro", "../tests", "../benchmarks", "../examples")
+_LEDGER = ("../benchmarks/ledger",)
+
+GUARDS: tuple[Guard, ...] = (
+    Guard("per-engine dispatch chain",
+          re.compile(r"^\s*(el)?if\s+.*\bengine\s*=="),
+          ("repro/analysis", "repro/cli.py")),
+    # The cluster backend is the one module entitled to the runtime (it
+    # dragged asyncio into every serial trial).
+    Guard("imports the cluster runtime",
+          re.compile(r"^\s*from\s+repro\.net\.cluster\s+import\b"),
+          ("repro/engine", "repro/core"),
+          ("repro/engine/backends/cluster.py",)),
+    Guard("deleted keyword adapter",
+          re.compile(r".*\b(" + "execute" + "_trial|_base" + r"_spec)\b")),
+    # The send path's retired cache and the switches that would fork it:
+    # a fused/unfused flag, or a test on the engine's own type
+    # (``type(self).__name__`` in a repr is fine).
+    Guard("forks the send path",
+          re.compile(r".*(_chan" + r"_fast\b|\b_fused\b|\btype\(self\)\s+(is|==)"
+                     r"|\bisinstance\(self\b)"),
+          ("repro/sim",)),
+    Guard("names a deleted protocol table",
+          re.compile(r".*\b(BUIL" + r"DERS|SP" + r"ECS|TRI" + r"ALS|_TRIAL"
+                     + r"_TITLES|(PIF|IDL|MUTEX)_HOR" + r"IZON|spec\.ta"
+                     + r"ble)\b"),
+          _EVERYWHERE, _LEDGER, module="repro.spec." + "table"),
+    # A second spelling of a protocol starts as a branch on its name
+    # (event kinds are compared as ``EventKind.X`` constants) or as a
+    # translation between its command name and its kind.
+    Guard("dispatch on a protocol name",
+          re.compile(r".*(\b(tag|kind)\s*(==|!=)\s*[\"']"
+                     r"|[\"']mutex[\"']\s+if\b.*[\"']me[\"']"
+                     r"|[\"']me[\"']\s+if\b.*[\"']mutex[\"'])"),
+          ("repro/net", "repro/spec", "repro/analysis", "repro/engine",
+           "repro/core/protocols.py", "repro/cli.py")),
+    Guard("names the deleted temporal-logic module",
+          re.compile(r".*\bspec\.temp" + r"oral\b"),
+          _EVERYWHERE, _LEDGER, module="repro.spec." + "temporal"),
+    # The window protocol's deleted second implementation and what it
+    # was made of.
+    Guard("forks or pipes",
+          re.compile(r".*(\bmulti" + r"processing\b|\bos\.fo" + r"rk\b"
+                     r"|\bPi" + r"pe\()")),
+    Guard("names the deleted lock-step engine",
+          re.compile(r".*\b(Sharded" + r"Simulator|Sharded" + r"RunResult"
+                     r"|_worker" + r"_loop|_worker" + r"_main)\b"),
+          _EVERYWHERE),
+    Guard("the worker hosts a plain Simulator",
+          re.compile(r".*\bAsync" + r"Simulator\b"),
+          ("repro/net/cluster_worker.py",)),
+    # The event loop's deleted second spelling and the actor layer it
+    # fed; and the call only a scheduler loop makes.
+    Guard("names the deleted actor layer",
+          re.compile(r".*(\bVirtual" + r"Clock\b|\bProcess" + r"Actor\b"
+                     r"|\bRoute" + r"Fn\b|handoffs" + r"_|\bdef _ro"
+                     + r"ute\b)")),
+    Guard("a second event loop", re.compile(r".*\bheap" + r"pop\b"),
+          exempt=("repro/sim/scheduler.py", "repro/net/clock.py")),
+    # The result path's deleted object round trip: a shard trace
+    # materialized to ship it, rebuilt on arrival or re-appended event by
+    # event, and the old payload key (a ``__slots__`` name is not a
+    # record key).
+    Guard("builds event objects on the result path",
+          re.compile(r".*(\blist\((\w+\.)*trace\)|\btrace\.events\b"
+                     r"|\bTraceEvent\(|\btrace\.extend\()"),
+          ("repro/net", "repro/sim/sharded.py")),
+    Guard("a record keyed by an event list",
+          re.compile(r""".*((\[|\.get\()["']events["']|["']events["']\s*:)""")),
+    # ``wire.py`` keeps the one-ship codec, defined over the batch codec,
+    # for the frozen ledger probe and the wire tests; nothing calls it.
+    Guard("ships one message per frame (use encode_ships / decode_ships "
+          "on the link's round)",
+          re.compile(r"(?!\s*def ).*\b(en|de)code_ship\(")),
+    # Theorem 1's construction exports a ``replay`` of its own.
+    Guard("names the deleted crash repair (recovery is a re-run)",
+          re.compile(r".*(\bBARRIER_SKIP" + r"_COUNT\b|\b_rewire" + r"_peer\b"
+                     r"|[\"'](" + "ship" + "-log|peer" + "-update|peer"
+                     + "-ok|rep" + r"lay)[\"'])"),
+          exempt=("repro/impossibility",)),
+    Guard("names the deleted bad-factor spelling of mutual exclusion "
+          "(MutexAutomaton judges Theorem 1's replay)",
+          re.compile(r".*\b(safety" + r"_distributed|Bad" + r"Factor"
+                     r"|SafetyDistributed" + r"Spec|mutual_exclusion" + r"_spec"
+                     r"|concurrent_cs" + r"_count)\b"),
+          _EVERYWHERE, _LEDGER, module="repro.spec.safety" + "_distributed"),
+    Guard("names the deleted experiment wrappers (`repro claims` checks "
+          "their claims)",
+          re.compile(r".*(\bbench" + r"_(e\d|topology)|pytest[-_]bench"
+                     + r"mark\b|\bbenchmark\.ped" + r"antic\b)"),
+          _EVERYWHERE, _LEDGER),
+)
 
 
 def check_registries() -> list[str]:
@@ -261,41 +271,11 @@ def check_builtin_tables() -> list[str]:
     return problems
 
 
-def _grep(where: str, pattern: re.Pattern[str], what: str,
-          exempt: str | None = None) -> list[str]:
-    """Lines matching ``pattern`` in one file, or every file of a tree
-    (``where`` is relative to ``src/``); ``exempt`` names a file or a
-    directory to skip."""
-    root = (_SRC / where).resolve()
-    return [
-        f"{path.relative_to(_SRC.parent)}:{lineno}: {what}: {line.strip()}"
-        for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
-        if exempt not in path.relative_to(_SRC.parent).parts
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if pattern.match(line)
-    ]
-
-
-def check_source_guards() -> list[str]:
+def check_structure() -> list[str]:
     problems: list[str] = []
     if "build" in {f.name for f in dataclasses.fields(TrialSpec)}:
         problems.append("TrialSpec has a 'build' field again; 'protocol' "
                         "is the one protocol description")
-    return (
-        problems
-        + _grep("repro", _LEGACY_ADAPTER, "deleted keyword adapter")
-        + _grep("repro/analysis", _DISPATCH, "per-engine dispatch chain")
-        + _grep("repro/cli.py", _DISPATCH, "per-engine dispatch chain")
-        # The cluster backend is the one module entitled to the runtime.
-        + _grep("repro/engine", _CLUSTER_IMPORT, "imports the cluster runtime",
-                exempt="cluster.py")
-        + _grep("repro/core", _CLUSTER_IMPORT, "imports the cluster runtime")
-        + _grep("repro/sim", _SEND_FORK, "forks the send path")
-    )
-
-
-def check_one_specification() -> list[str]:
-    problems: list[str] = []
     monitors = ast.parse((_SRC / "repro/net/monitors.py").read_text())
     extra = sorted(
         {node.name for node in ast.walk(monitors)
@@ -305,13 +285,6 @@ def check_one_specification() -> list[str]:
             f"src/repro/net/monitors.py defines {extra}: specification "
             f"clauses live in repro.spec, monitors.py holds only "
             f"{sorted(_MONITOR_CLASSES)}")
-    if find_spec("repro.spec.temporal") is not None:
-        problems.append("repro.spec.temporal is importable again")
-    return problems
-
-
-def check_one_protocol_table() -> list[str]:
-    problems: list[str] = []
     for kind, row in PROTOCOLS.items():
         sim = Simulator(2, row.build())
         if not all(sim.host(pid).has_layer(kind) for pid in sim.pids):
@@ -327,25 +300,6 @@ def check_one_protocol_table() -> list[str]:
     if _JUDGES.keys() != PROTOCOLS.keys():
         problems.append(f"runner judges {sorted(_JUDGES)} != protocol "
                         f"table {sorted(PROTOCOLS)}")
-    if find_spec("repro.spec." + "table") is not None:
-        problems.append("the specifications' own table is importable again")
-    for tree in ("repro", "../tests", "../benchmarks", "../examples"):
-        problems += _grep(tree, _OLD_TABLES, "names a deleted protocol table",
-                          exempt="ledger")
-    for where in ("repro/net", "repro/spec", "repro/analysis", "repro/engine",
-                  "repro/core/protocols.py", "repro/cli.py"):
-        problems += _grep(where, _SPEC_DISPATCH,
-                          "dispatch on a protocol name")
-    return problems
-
-
-def check_one_window_runtime() -> list[str]:
-    problems = _grep("repro", _FORK_FABRIC, "forks or pipes")
-    for tree in ("repro", "../tests", "../benchmarks", "../examples"):
-        problems += _grep(tree, _LOCKSTEP_ENGINE,
-                          "names the deleted lock-step engine")
-    problems += _grep("repro/net/cluster_worker.py", _ASYNC_WORKER,
-                      "the worker hosts a plain Simulator")
     sharded = ast.parse(
         (_SRC / "repro/engine/backends/sharded.py").read_text())
     bodies = sorted(
@@ -360,44 +314,29 @@ def check_one_window_runtime() -> list[str]:
     return problems
 
 
-def check_one_event_loop() -> list[str]:
-    return _grep("repro", _ACTOR_LAYER, "names the deleted actor layer") + [
-        problem
-        for problem in _grep("repro", _HEAP_POP, "a second event loop")
-        if not problem.startswith(_EVENT_LOOPS)
-    ]
-
-
-def check_columnar_result_path() -> list[str]:
+def check_guards() -> list[str]:
     problems: list[str] = []
-    for where in ("repro/net", "repro/sim/sharded.py"):
-        problems += _grep(where, _TRACE_OBJECTS,
-                          "builds event objects on the result path")
-    return problems + _grep("repro", _EVENTS_KEY,
-                            "a record keyed by an event list")
-
-
-def check_one_ship_frame_per_link_round() -> list[str]:
-    return _grep("repro", _ONE_SHIP_CALL,
-                 "ships one message per frame (use encode_ships / "
-                 "decode_ships on the link's round)")
-
-
-def check_one_recovery_path() -> list[str]:
-    # Theorem 1's construction exports a ``replay`` of its own.
-    return _grep("repro", _REPAIR,
-                 "names the deleted crash repair (recovery is a re-run)",
-                 exempt="impossibility")
+    for guard in GUARDS:
+        if guard.module is not None and find_spec(guard.module) is not None:
+            problems.append(f"{guard.module} is importable again: {guard.what}")
+        skip = [(_SRC / exempt).resolve() for exempt in guard.exempt]
+        for tree in guard.trees:
+            root = (_SRC / tree).resolve()
+            for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+                if any(path == s or s in path.parents for s in skip):
+                    continue
+                for lineno, line in enumerate(
+                        path.read_text().splitlines(), start=1):
+                    if guard.pattern.match(line):
+                        problems.append(
+                            f"{path.relative_to(_SRC.parent)}:{lineno}: "
+                            f"{guard.what}: {line.strip()}")
+    return problems
 
 
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
-                + check_source_guards() + check_one_specification()
-                + check_one_protocol_table()
-                + check_one_window_runtime() + check_one_event_loop()
-                + check_columnar_result_path()
-                + check_one_ship_frame_per_link_round()
-                + check_one_recovery_path())
+                + check_structure() + check_guards())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

@@ -3,6 +3,7 @@
 Usage::
 
     python -m repro list                      # available experiments
+    python -m repro claims                    # every claim, checked
     python -m repro figure1                   # E1
     python -m repro impossibility --n 3       # E2
     python -m repro pif --n 4 --loss 0.2      # E3-style trial
@@ -535,9 +536,23 @@ def _cmd_capacity(args) -> str:
     )
 
 
+def _cmd_claims(_args) -> int:
+    from repro.analysis.claims import CLAIMS, observe, render
+
+    observed = {claim.id: observe(claim) for claim in CLAIMS}
+    print(render(observed))
+    wrong = [f"{claim.id} (expected {claim.expected}, observed "
+             f"{observed[claim.id]})"
+             for claim in CLAIMS if observed[claim.id] != claim.expected]
+    if wrong:
+        print("unexpected verdict: " + "; ".join(wrong), file=sys.stderr)
+    return 1 if wrong else 0
+
+
 def _cmd_list(_args) -> str:
     return "\n".join(
-        name for name in _SUBCOMMANDS if name not in ("list", "cluster-worker"))
+        name for name in _SUBCOMMANDS
+        if name not in ("list", "claims", "cluster-worker"))
 
 
 def _cmd_cluster_worker(args) -> int:
@@ -554,12 +569,16 @@ class _Subcommand(NamedTuple):
     help: str
     #: Declares the subcommand's flags on its parser (None: it has none).
     flags: Callable[[argparse.ArgumentParser], None] | None
-    #: Runs it: the text to print, or (``cluster-worker``) an exit code.
+    #: Runs it: the text to print, or (``claims``, ``cluster-worker``) an
+    #: exit code.
     run: Callable[[argparse.Namespace], str | int]
 
 
 _SUBCOMMANDS: dict[str, _Subcommand] = {
     "list": _Subcommand("list available experiments", None, _cmd_list),
+    "claims": _Subcommand(
+        "check every claim of the reproduction; exit 1 on an unexpected "
+        "verdict", None, _cmd_claims),
     "figure1": _Subcommand(
         "E1: Figure 1 worst-case handshake", _flags_figure1, _cmd_figure1),
     "impossibility": _Subcommand(

@@ -23,8 +23,11 @@ snap-stabilizing mutual-exclusion protocol (Protocol ME):
    the observation that lets Section 4 escape the impossibility.
 3. :func:`replay` — drive every process through its recorded schedule.
    Determinism guarantees each process repeats its witness behaviour, so
-   *all* processes end up requesting-and-inside the critical section: the
-   abstract-configuration sequence contains the mutual-exclusion bad-factor.
+   *all* processes end up requesting-and-inside the critical section at
+   once — the bad-factor of mutual exclusion.  Specification 3's automaton
+   (:class:`~repro.spec.mutex_spec.MutexAutomaton`) judges the replay's
+   trace: the replayed CS entries count as requested because the request
+   flag is part of the restored local state.
 """
 
 from __future__ import annotations
@@ -36,12 +39,8 @@ from repro.core.mutex import MutexLayer
 from repro.errors import ImpossibilityConstructionError, SimulationError
 from repro.sim.configuration import AbstractConfiguration, capture_abstract
 from repro.sim.runtime import Simulator
-from repro.spec.safety_distributed import (
-    SafetyDistributedSpec,
-    concurrent_cs_count,
-    mutual_exclusion_spec,
-)
-from repro.types import RequestState
+from repro.spec.base import SpecVerdict
+from repro.spec.mutex_spec import check_mutex
 
 __all__ = [
     "Step",
@@ -252,11 +251,15 @@ class ImpossibilityResult:
 
     n: int
     fragments: list[Fragment]
-    violated: bool
     max_concurrency: int
     messages_preloaded: int
     max_channel_depth: int
-    spec: SafetyDistributedSpec
+    #: Specification 3's verdict over the replay's trace.
+    spec: SpecVerdict
+
+    @property
+    def violated(self) -> bool:
+        return not self.spec.ok
 
     def summary(self) -> str:
         status = "VIOLATED" if self.violated else "not violated"
@@ -279,16 +282,15 @@ def demonstrate_impossibility(
     fragments = record_all_fragments(n, build=build, tag=tag, seed=seed)
     sim = build_gamma0(fragments, build=build, unbounded=True, seed=seed)
     configs = replay(sim, fragments, tag=tag)
-    spec = mutual_exclusion_spec(tag=tag, concurrency=2)
-    max_conc = max(concurrent_cs_count(c, tag) for c in configs)
     return ImpossibilityResult(
         n=n,
         fragments=fragments,
-        violated=spec.violated_by(configs),
-        max_concurrency=max_conc,
+        max_concurrency=max(
+            sum(1 for state in c.states.values() if state[tag]["in_cs"])
+            for c in configs),
         messages_preloaded=sum(f.messages_consumed for f in fragments),
         max_channel_depth=max(f.max_per_channel() for f in fragments),
-        spec=spec,
+        spec=check_mutex(sim.trace, tag, require_all_served=False),
     )
 
 

@@ -1,4 +1,4 @@
-"""Specifications 1-3, each one streaming automaton, and Definition 5."""
+"""Specifications 1-3, each one streaming automaton."""
 
 from typing import TYPE_CHECKING
 
@@ -15,31 +15,21 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         service_order,
     )
     from repro.spec.pif_spec import PifAutomaton, check_pif
-    from repro.spec.safety_distributed import (
-        BadFactor,
-        SafetyDistributedSpec,
-        concurrent_cs_count,
-        mutual_exclusion_spec,
-    )
     from repro.spec.waves import Wave, extract_waves
 
 __all__ = [
-    "BadFactor",
     "CsInterval",
     "IdlAutomaton",
     "MutexAutomaton",
     "PifAutomaton",
-    "SafetyDistributedSpec",
     "SpecVerdict",
     "Violation",
     "Wave",
     "check_idl",
     "check_mutex",
     "check_pif",
-    "concurrent_cs_count",
     "cs_intervals",
     "extract_waves",
-    "mutual_exclusion_spec",
     "service_order",
 ]
 
@@ -51,9 +41,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "service_order",
     ),
     "pif_spec": ("PifAutomaton", "check_pif"),
-    "safety_distributed": (
-        "BadFactor", "SafetyDistributedSpec", "concurrent_cs_count",
-        "mutual_exclusion_spec",
-    ),
     "waves": ("Wave", "extract_waves"),
 })

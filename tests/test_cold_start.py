@@ -3,6 +3,12 @@
 Checked by module set, not by stopwatch: each case runs a snippet in a
 fresh interpreter and reads back ``sys.modules``.  A name in a ``HEAVY``
 list stands for itself and everything under it.
+
+Only the snippet is judged, not the interpreter it runs in: ``site`` may
+run ``.pth`` hooks that import, say, ``tempfile`` before any snippet
+line.  So the child first unloads every judged module it already holds —
+whatever start-up loaded on top of a bare ``python -c pass`` — and a
+judged name still loaded at the end is one the snippet imported itself.
 """
 
 from __future__ import annotations
@@ -19,10 +25,19 @@ import repro
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
+_UNLOAD = """\
+import sys
+for _name in [m for m in sys.modules
+              if any(m == j or m.startswith(j + ".") for j in {judged!r})]:
+    del sys.modules[_name]
+"""
 
-def _loaded_after(snippet: str) -> set[str]:
-    """Run ``snippet`` in a fresh interpreter; the modules it left loaded."""
-    code = snippet + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+
+def _loaded_after(snippet: str, judged: tuple[str, ...] = ()) -> set[str]:
+    """Run ``snippet`` in a fresh interpreter; the modules it left loaded,
+    with the ``judged`` ones counted only if the snippet imported them."""
+    code = (_UNLOAD.format(judged=judged) + snippet
+            + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
     done = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True,
         text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
@@ -56,7 +71,7 @@ _SERIAL_HEAVY = (
     "repro.net.engine", "repro.net.monitors", "repro.sim.sharded",
     "repro.chaos.plan", "repro.analysis.experiments",
     "repro.analysis.ablations", "repro.baselines", "repro.applications",
-    "repro.impossibility", "repro.viz",
+    "repro.impossibility", "repro.viz", "repro.analysis.claims",
 )
 
 _TRIAL = "import repro.engine, repro.analysis.runner\n"
@@ -64,7 +79,7 @@ _TRIAL = "import repro.engine, repro.analysis.runner\n"
 
 def test_serial_trial_process_loads_no_other_engine():
     trial = _TRIAL + "repro.engine.resolve('serial')\n"
-    assert _present(_loaded_after(trial), _SERIAL_HEAVY) == []
+    assert _present(_loaded_after(trial, _SERIAL_HEAVY), _SERIAL_HEAVY) == []
 
 
 #: What ``prepare`` must not pay for: the pool, the coordinator and the
@@ -88,10 +103,21 @@ def test_window_sync_prepare_loads_no_event_loop(engine):
         "backend.prepare(TrialSpec(\n"
         f"    n=8, topology='ring', engine={engine!r},\n"
         "    protocol={'kind': 'pif'}, horizon=1000,\n"
-        "    driver=dict(tag='pif', requests_per_process=1)))\n"
+        "    driver=dict(tag='pif', requests_per_process=1)))\n",
+        _PREPARE_HEAVY,
     )
     assert {"repro.net.cluster", "repro.sim.sharded"} <= loaded
     assert _present(loaded, _PREPARE_HEAVY) == []
+
+
+#: What a worker interpreter must not import before it serves its shard.
+_WORKER_HEAVY = (
+    "repro.net.cluster", "repro.net.coordinator", "repro.chaos.plan",
+    "repro.analysis", "repro.engine", "repro.spec", "repro.applications",
+    "repro.baselines", "repro.impossibility", "multiprocessing",
+    "tempfile", "repro.net.engine", "repro.net.clock",
+    "repro.net.transport", "repro.net.monitors",
+)
 
 
 def test_cluster_worker_boot_imports_only_the_worker_closure():
@@ -102,16 +128,21 @@ def test_cluster_worker_boot_imports_only_the_worker_closure():
         "repro.net.cluster_worker.run_cluster_worker = lambda *a, **k: 0\n"
         "from repro.cli import main\n"
         "assert main(['cluster-worker', '--registry', '127.0.0.1:9',\n"
-        "             '--shard', '0']) == 0\n"
+        "             '--shard', '0']) == 0\n",
+        _WORKER_HEAVY,
     )
     assert "repro.net.cluster_worker" in loaded
-    assert _present(loaded, (
-        "repro.net.cluster", "repro.net.coordinator", "repro.chaos.plan",
-        "repro.analysis", "repro.engine", "repro.spec", "repro.applications",
-        "repro.baselines", "repro.impossibility", "multiprocessing",
-        "tempfile", "repro.net.engine", "repro.net.clock",
-        "repro.net.transport", "repro.net.monitors",
-    )) == []
+    assert _present(loaded, _WORKER_HEAVY) == []
+
+
+#: What naming the registries must not import.
+_REGISTRY_HEAVY = (
+    "repro.engine.backends.serial", "repro.engine.backends.sharded",
+    "repro.engine.backends.async_", "repro.engine.backends.cluster",
+    "repro.net.transport.loopback", "repro.net.transport.tcp",
+    "repro.net.transport.udp", "repro.net.engine", "repro.sim.sharded",
+    "asyncio",
+)
 
 
 def test_registry_names_import_nothing_and_see_plugins():
@@ -129,12 +160,7 @@ def test_registry_names_import_nothing_and_see_plugins():
         "    name='pigeon', deterministic=False, paced=True,\n"
         "    frame_boundary=False, channel_factory=None))\n"
         "assert 'plugin' in engine_names(), engine_names()\n"
-        "assert 'pigeon' in transport_names(), transport_names()\n"
+        "assert 'pigeon' in transport_names(), transport_names()\n",
+        _REGISTRY_HEAVY,
     )
-    assert _present(loaded, (
-        "repro.engine.backends.serial", "repro.engine.backends.sharded",
-        "repro.engine.backends.async_", "repro.engine.backends.cluster",
-        "repro.net.transport.loopback", "repro.net.transport.tcp",
-        "repro.net.transport.udp", "repro.net.engine", "repro.sim.sharded",
-        "asyncio",
-    )) == []
+    assert _present(loaded, _REGISTRY_HEAVY) == []

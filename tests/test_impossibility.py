@@ -14,7 +14,7 @@ from repro.impossibility.construction import (
     replay,
 )
 from repro.sim.configuration import capture_abstract
-from repro.spec.safety_distributed import concurrent_cs_count
+from repro.spec.mutex_spec import check_mutex
 from repro.types import RequestState
 
 
@@ -75,8 +75,10 @@ class TestGamma0:
 class TestReplay:
     def test_replay_reaches_bad_factor(self, fragments):
         sim = build_gamma0(fragments, unbounded=True)
-        configs = replay(sim, fragments)
-        assert max(concurrent_cs_count(c, "me") for c in configs) == 3
+        replay(sim, fragments)
+        # Every pair of the three requesting occupants overlaps.
+        verdict = check_mutex(sim.trace, "me", require_all_served=False)
+        assert [v.prop for v in verdict.violations] == ["Correctness"] * 3
 
     def test_all_replayed_processes_are_requesting(self, fragments):
         sim = build_gamma0(fragments, unbounded=True)
@@ -92,6 +94,7 @@ class TestEndToEnd:
     def test_demonstration_violates_safety(self):
         result = demonstrate_impossibility(3, seed=0)
         assert result.violated
+        assert result.spec.spec == "ME[me]"
         assert result.max_concurrency == 3
         assert result.max_channel_depth > 1
         assert "VIOLATED" in result.summary()
