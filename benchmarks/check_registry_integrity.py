@@ -23,6 +23,12 @@ Asserts, without running a single trial:
   map has exactly the table's keys and the CLI a subcommand per row;
   ``engine/backends/sharded.py`` is a registration of the cluster
   backend, defining no function or class of its own;
+* every :class:`~repro.sim.process.Layer` under ``repro.core``,
+  ``repro.baselines`` and ``repro.applications`` declares
+  ``guards_read_clock`` exactly when a guard of its ``actions()`` reads
+  ``.now`` (following ``self.<name>`` into the class's methods and
+  properties): an undeclared clock-reading guard would let its process
+  fall dormant while the guard's value changes;
 * no line matches a row of :data:`GUARDS` — one table, one loop — and
   no module a row deleted is importable.  Each row is a pattern, the
   trees it must not match in and what it means: a per-engine dispatch
@@ -43,11 +49,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import json
 import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from importlib import import_module
 from importlib.util import find_spec
 from pathlib import Path
@@ -65,6 +73,7 @@ from repro.engine.spec import TrialSpec
 from repro.errors import SpecError
 from repro.net.transport import resolve_transport, transport_names
 from repro.net.transport.base import BUILTIN as BUILTIN_TRANSPORTS
+from repro.sim.process import Layer
 from repro.sim.runtime import Simulator
 
 EXPECTED_ENGINES = ("async", "cluster", "serial", "sharded")
@@ -314,6 +323,75 @@ def check_structure() -> list[str]:
     return problems
 
 
+#: The packages whose layers are held to their ``guards_read_clock``.
+_LAYER_PACKAGES = ("repro.core", "repro.baselines", "repro.applications")
+
+
+def _layer_classes() -> list[type]:
+    """Every :class:`Layer` subclass defined under :data:`_LAYER_PACKAGES`."""
+    for package in _LAYER_PACKAGES:
+        path = import_module(package).__path__
+        for info in pkgutil.walk_packages(path, package + "."):
+            import_module(info.name)
+    found: list[type] = []
+    stack: list[type] = [Layer]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.append(sub)
+                stack.append(sub)
+    return [cls for cls in found
+            if cls.__module__.startswith(_LAYER_PACKAGES)]
+
+
+def _source_tree(function) -> ast.AST:
+    return ast.parse(textwrap.dedent(inspect.getsource(function)))
+
+
+def _guards_read_clock(cls: type) -> bool:
+    """Whether a guard of an ``Action(...)`` in ``cls.actions()`` reads
+    ``.now``, following ``self.<name>`` into the class's methods and
+    properties."""
+    pending: list[ast.AST] = []
+    for node in ast.walk(_source_tree(cls.actions)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "Action":
+            pending += node.args[1:2]
+            pending += [kw.value for kw in node.keywords if kw.arg == "guard"]
+    followed: set[str] = set()
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "now":
+                return True
+            if (isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr not in followed):
+                followed.add(node.attr)
+                member = inspect.getattr_static(cls, node.attr, None)
+                if isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    pending.append(_source_tree(member))
+    return False
+
+
+def check_clock_guards() -> list[str]:
+    problems: list[str] = []
+    for cls in _layer_classes():
+        name = f"{cls.__module__}.{cls.__qualname__}"
+        reads = _guards_read_clock(cls)
+        if reads and not cls.guards_read_clock:
+            problems.append(
+                f"{name}: a guard reads .now, but the layer does not declare "
+                f"guards_read_clock — its process would fall dormant while "
+                f"the guard's value changes with time")
+        if cls.__dict__.get("guards_read_clock") and not reads:
+            problems.append(
+                f"{name}: declares guards_read_clock, but no guard of its "
+                f"actions() reads .now")
+    return problems
+
+
 def check_guards() -> list[str]:
     problems: list[str] = []
     for guard in GUARDS:
@@ -336,7 +414,7 @@ def check_guards() -> list[str]:
 
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
-                + check_structure() + check_guards())
+                + check_structure() + check_clock_guards() + check_guards())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

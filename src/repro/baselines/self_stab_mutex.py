@@ -45,6 +45,9 @@ class TokenMutexLayer(Layer):
     physical one).  Attachment fails fast anywhere else.
     """
 
+    # T2's leader timeout reads the clock: the process stays awake.
+    guards_read_clock = True
+
     def __init__(
         self,
         tag: str = "tok",

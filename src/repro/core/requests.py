@@ -138,6 +138,9 @@ class RequestDriver:
     def _issue(self, pid: int, layer: Any) -> None:
         count = self._issue_counter[pid]
         self._issue_counter[pid] = count + 1
+        # The request writes the layer's variables from outside the
+        # process's own events: a dormant process must wake first.
+        layer.host.wake()
         if self.payload is not None:
             layer.external_request(self.payload(pid, count))
         else:

@@ -25,7 +25,7 @@ import asyncio
 import heapq
 from typing import Callable
 
-from repro.sim.scheduler import EventHandle, Scheduler
+from repro.sim.scheduler import END_OF_TICK, EventHandle, Scheduler
 
 __all__ = ["PacedClock"]
 
@@ -94,15 +94,21 @@ class PacedClock(Scheduler):
         transport I/O tasks run.  The stop predicate is polled every
         iteration.  ``_now`` tracks the wall tick (monotonically), so
         ``host.busy`` windows and trace timestamps read elapsed real time.
+        Dormant processes are caught up before it returns, as
+        :meth:`~repro.sim.scheduler.Scheduler.run_until` does: to the last
+        event run on a stop, to the end of ``max_time`` on the horizon.
         """
         self.start()
         queue = self._queue
         heappop = heapq.heappop
+        last = (self._now, 0)
         while True:
             wall = self.wall_tick()
             if wall > self._now:
                 self._now = wall
             if stop is not None and stop():
+                if self.dormant:
+                    self.wake_all(*last)
                 return
             # Due-ness is capped at max_time: if the wall clock overtook the
             # horizon (scheduling stall, loaded runner), events scheduled
@@ -124,10 +130,13 @@ class PacedClock(Scheduler):
                 item()
                 self.current_key = 0
                 self.pops += 1
+                last = (self._now, key)
                 # Yield so transport I/O interleaves even under bursts.
                 await asyncio.sleep(0)
                 continue
             if wall >= max_time:
+                if self.dormant:
+                    self.wake_all(max_time, END_OF_TICK)
                 if self._now < max_time:
                     self._now = max_time
                 return

@@ -193,6 +193,12 @@ def _summarize_metrics(path, doc: dict) -> str:
     section("faults & recovery", chaos)
     section("wire", wire)
     section("counters", counters)
+    activations = counters.get("process.activations")
+    if activations:
+        # Counted by a dormant process's catch-up, never popped or run.
+        dormant = counters.get("process.activations_dormant", 0)
+        lines.append(f"    (activations: {dormant:g} of {activations:g} "
+                     f"dormant, {dormant / activations:.1%})")
     section("gauges (high-water)", gauges)
     if hists:
         lines.append("  histograms:")

@@ -25,6 +25,12 @@ the channel's compiled link (:class:`repro.sim.runtime.Link`), and on the
 receive side the engine calls the consuming layer's ``on_message``
 directly — :meth:`ProcessHost.dispatch` is the same lookup, kept for
 ``step_deliver``, busy-parked and hooked deliveries.
+
+Because guards read only local variables, an activation that executes
+nothing is followed by activations that execute nothing until something
+changes those variables: the engine then takes the process off its event
+heap (*dormant*) and :meth:`ProcessHost.wake` puts it back
+(:meth:`Simulator._make_activation <repro.sim.runtime.Simulator._make_activation>`).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from repro.sim.determinism import timer_key
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.channel import TaggedMessage
     from repro.sim.runtime import Simulator
+    from repro.sim.scheduler import EventHandle
 
 __all__ = ["Action", "Layer", "ProcessHost"]
 
@@ -54,7 +61,28 @@ class Action:
 
 
 class Layer(abc.ABC):
-    """A protocol layer hosted by a process."""
+    """A protocol layer hosted by a process.
+
+    **The invariant the engine relies on:** a guard has no side effect and
+    reads only variables of its own process (any layer of that host), so
+    its value changes only when those variables do.  The variables change
+    only in the process's own events — an activation, a delivery
+    (``on_message``), a ``call_later`` timer — or from outside through a
+    *wake point*: a driver's request (``RequestDriver``), the adversary's
+    :meth:`ProcessHost.scramble`, a :meth:`ProcessHost.restore`.  An idle
+    process is therefore dormant between two of these
+    (:meth:`ProcessHost.wake`); code that writes a layer's variables
+    mid-run by any other route calls ``host.wake()`` first.
+
+    A layer whose guards read the clock (``host.now``) changes value as
+    time passes and declares :attr:`guards_read_clock`, which keeps its
+    process awake at every activation.
+    """
+
+    #: True iff a guard of this layer reads ``host.now``.
+    #: ``benchmarks/check_registry_integrity.py`` holds every layer of
+    #: ``repro.core``, ``repro.baselines`` and ``repro.applications`` to it.
+    guards_read_clock = False
 
     def __init__(self, tag: str) -> None:
         self.tag = tag
@@ -117,6 +145,17 @@ class ProcessHost:
     id, the local channel numbering of its peers, message sending, and time
     (for the simulation harness only — the protocols themselves never read
     the clock).
+
+    **Dormancy.**  A host whose activation executed nothing goes dormant:
+    its next activation leaves the event heap and :attr:`_catch_up` holds
+    what puts it back.  It stays awake instead while an activation hook is
+    attached, while a layer declares :attr:`Layer.guards_read_clock`, and
+    while a ``call_later`` timer of its own is pending — so every timer
+    finds it awake.  The wake points are the events that can change its
+    variables: both delivery paths (``Simulator._deliver``,
+    ``Simulator._dispatch_arrival``), ``RequestDriver._issue``,
+    :meth:`scramble`, :meth:`restore` and :meth:`set_busy_for`; and every
+    scheduler run wakes all hosts as it returns.  See :meth:`wake`.
     """
 
     def __init__(self, sim: "Simulator", pid: int) -> None:
@@ -136,6 +175,16 @@ class ProcessHost:
         self.busy_until: int = -1
         # Monotone counter keying call_later timers (canonical event order).
         self._timer_seq: int = 0
+        # The pending call_later timer that fires last; the host does not
+        # go dormant before it has fired.
+        self._last_timer: EventHandle | None = None
+        #: Any registered layer's Layer.guards_read_clock.
+        self.guards_read_clock = False
+        # Dormancy (repro.sim.runtime.Simulator._make_activation): the
+        # catch-up that puts the next activation back on the heap, and
+        # that activation's tick, while the host is dormant; None awake.
+        self._catch_up: Callable[[int, float], None] | None = None
+        self._next_activation: int = 0
         # dst -> the compiled link's send (repro.sim.runtime.Link), filled
         # at the first send to each peer.
         self._send_to: dict[int, Callable[["TaggedMessage"], bool]] = {}
@@ -153,6 +202,7 @@ class ProcessHost:
         layer.attach(self)
         self.layers.append(layer)
         self._by_tag[layer.tag] = layer
+        self.guards_read_clock = self.guards_read_clock or layer.guards_read_clock
         self._action_table.extend(
             (action.guard, action.statement) for action in layer.actions()
         )
@@ -211,17 +261,40 @@ class ProcessHost:
     def rng(self) -> random.Random:
         return self.sim.rng
 
-    def call_later(self, delay: int, fn: Callable[[], None]):
+    def call_later(self, delay: int, fn: Callable[[], None]) -> EventHandle:
         self._timer_seq += 1
-        return self.sim.scheduler.schedule_in(
+        handle = self.sim.scheduler.schedule_in(
             delay, fn, timer_key(self.pid, self._timer_seq)
         )
+        # Timer keys grow with _timer_seq: of two timers due the same
+        # tick, the later one fires last.
+        last = self._last_timer
+        if last is None or handle.time >= last.time:
+            self._last_timer = handle
+        return handle
 
     def set_busy_for(self, duration: int) -> None:
         """Mark the process busy (atomically occupied) for ``duration`` ticks."""
         if duration < 0:
             raise SimulationError(f"negative busy duration {duration}")
+        if self._catch_up is not None:
+            self.wake()
         self.busy_until = max(self.busy_until, self.now + duration)
+
+    def wake(self) -> None:
+        """Put a dormant host's activation back on the event heap.
+
+        Its catch-up counts and draws every activation ordered before the
+        schedule position — ``(now, key of the running event)``; outside
+        an event the key is 0 — as the eager loop would have run it
+        (executing nothing: the variables it read had not changed), then
+        posts the first one at or after that position.  A no-op on an
+        awake host.
+        """
+        catch_up = self._catch_up
+        if catch_up is not None:
+            scheduler = self.sim.scheduler
+            catch_up(scheduler._now, scheduler.current_key)
 
     @property
     def busy(self) -> bool:
@@ -259,6 +332,7 @@ class ProcessHost:
     # -- adversary / configuration ---------------------------------------------
 
     def scramble(self, rng: random.Random) -> None:
+        self.wake()
         for layer in self.layers:
             layer.scramble(rng)
 
@@ -266,6 +340,7 @@ class ProcessHost:
         return {layer.tag: layer.snapshot() for layer in self.layers}
 
     def restore(self, state: dict[str, dict[str, Any]]) -> None:
+        self.wake()
         for tag, layer_state in state.items():
             self.layer(tag).restore(layer_state)
 

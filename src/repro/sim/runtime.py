@@ -5,7 +5,12 @@ processes.  It implements the paper's asynchronous message-passing semantics:
 
 * **Weakly fair activations** — every process is activated infinitely often
   (every ``activation_period`` ticks, with optional deterministic jitter);
-  an activation atomically executes all enabled guarded actions.
+  an activation atomically executes all enabled guarded actions.  After
+  one that executed nothing the process is *dormant*: its activations are
+  no-ops until an event changes its variables, so they are counted and
+  drawn when that event wakes it (or a run returns) instead of being
+  popped one by one — the same stream, keys and ``stats.activations``
+  (:meth:`Simulator._make_activation`).
 * **Asynchronous, lossy, FIFO channels** — a sent message suffers a random
   latency; it can be lost by the loss model or by arriving at a full channel
   slot (Section 4 semantics); per-tag FIFO order is preserved.
@@ -334,7 +339,9 @@ class Simulator:
 
         #: Observation hooks (recording, instrumentation). ``delivery_hooks``
         #: fire just before a message is dispatched to the receiving process;
-        #: ``activation_hooks`` fire just before a process activation runs.
+        #: ``activation_hooks`` fire just before a process activation runs,
+        #: and keep every process awake (no dormant activations) — attach
+        #: them between runs, when no process is dormant.
         self.delivery_hooks: list[Callable[[int, int, TaggedMessage], None]] = []
         self.activation_hooks: list[Callable[[int], None]] = []
 
@@ -344,6 +351,9 @@ class Simulator:
         #: Messages that left their channel slot but whose dispatch is
         #: parked at a busy receiver (counted so quiescence checks see them).
         self.parked_dispatches = 0
+        #: Passive counter (repro.obs): activations a catch-up counted for
+        #: a dormant process instead of executing them.
+        self.activations_dormant = 0
 
         if hosts_for is None:
             hosted: tuple[int, ...] = self.network.pids
@@ -505,8 +515,9 @@ class Simulator:
         """A scheduled delivery fires: free the slot, hand the message to
         the receiver.  The common case — receiver idle, no delivery hook,
         no network trace — is completed here (``channel.remove``,
-        :meth:`_dispatch_arrival`'s count and ``ProcessHost.dispatch``,
-        inlined); everything else takes :meth:`_dispatch_arrival`."""
+        :meth:`_dispatch_arrival`'s wake, count and
+        ``ProcessHost.dispatch``, inlined); everything else takes
+        :meth:`_dispatch_arrival`."""
         try:
             channel._entries.remove(entry)
         except ValueError:
@@ -516,13 +527,16 @@ class Simulator:
         channel._occupancy[tag] -= 1
         dst = channel.dst
         host = self.hosts[dst]
+        scheduler = self.scheduler
         if (
-            host.busy_until > self.scheduler._now
+            host.busy_until > scheduler._now
             or self.delivery_hooks
             or self.trace_network
         ):
             self._dispatch_arrival(channel.src, dst, msg, entry.seq)
             return
+        if host._catch_up is not None:  # host.wake(), inlined
+            host._catch_up(scheduler._now, scheduler.current_key)
         stats = self.stats
         stats.delivered += 1
         stats.delivered_by_tag[tag] += 1
@@ -550,6 +564,8 @@ class Simulator:
             return
         if parked:
             self.parked_dispatches -= 1
+        if host._catch_up is not None:
+            host.wake()
         stats = self.stats
         stats.delivered += 1
         stats.delivered_by_tag[msg.tag] += 1
@@ -609,40 +625,96 @@ class Simulator:
 
     def _make_activation(self, pid: int, act_rng: random.Random) -> Callable[[], None]:
         # Everything the self-rescheduling loop touches is bound locally:
-        # activations fire every few ticks at every process forever, so this
-        # closure is one of the two hottest paths in the engine.
+        # activations fire every few ticks at every process, so this
+        # closure is one of the two hottest paths in the engine.  The
+        # jitter draw is randint(0, jitter) as bound_randint compiles it
+        # (same values, same stream consumption) and the push is
+        # Scheduler.post_at's, both inlined: the next tick is always
+        # ahead of now, so post_at's past-time check cannot fire.
+        #
+        # Dormancy.  An activation that executes nothing, with no hook
+        # attached, no clock-reading guard and no pending timer, is
+        # counted and draws its successor as ever, but posts nothing: it
+        # leaves the successor's tick on the host and a catch-up with the
+        # scheduler.  Guards read only the host's variables, so until an
+        # event changes them (ProcessHost.wake's callers) or the run
+        # returns (Scheduler.wake_all), every activation would execute
+        # nothing either.  The catch-up counts and draws each one ordered
+        # before the schedule position (time, at), then posts the first
+        # one at or after it: the stream, the keys and stats.activations
+        # are the eager loop's.  A skipped activation cannot be busy:
+        # busy_until changes only inside the host's own events.
         host = self.hosts[pid]
         stats = self.stats
         hooks = self.activation_hooks
         scheduler = self.scheduler
-        post_in = scheduler.post_in
+        queue = scheduler._queue
+        dormant = scheduler.dormant
         period = self.activation_period
-        jitter_max = self.activation_jitter
         key = activation_key(pid)
         activate = host.activate
-        # Precompiled jitter draw: same values, same stream consumption as
-        # randint(0, jitter_max) — see repro.sim.determinism.bound_randint.
-        draw = bound_randint(act_rng, 0, jitter_max) if jitter_max > 0 else None
+        width = self.activation_jitter + 1
+        bits = width.bit_length() if width > 1 else 0
+        getrandbits = act_rng.getrandbits
 
-        if draw is None:
+        def catch_up(time: int, at: float) -> None:
+            del dormant[key]
+            host._catch_up = None
+            t = host._next_activation
+            skipped = 0
+            while t < time or (t == time and key < at):
+                skipped += 1
+                if bits:
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    t += period + r
+                else:
+                    t += period
+            if skipped:
+                stats.activations += skipped
+                self.activations_dormant += skipped
+            scheduler._seq = seq = scheduler._seq + 1
+            heappush(queue, (t, key, seq, fire))
+
+        if not bits:
             def fire() -> None:
+                now = scheduler._now
                 # host.busy, inlined (property + attribute chain per tick).
-                if host.busy_until <= scheduler._now:
+                if host.busy_until <= now:
                     stats.activations += 1
                     if hooks:
                         for hook in hooks:
                             hook(pid)
-                    activate()
-                post_in(period, fire, key)
+                        activate()
+                    elif not activate() and not host.guards_read_clock and (
+                        host._last_timer is None or host._last_timer.fired
+                    ):
+                        host._next_activation = now + period
+                        host._catch_up = dormant[key] = catch_up
+                        return
+                scheduler._seq = seq = scheduler._seq + 1
+                heappush(queue, (now + period, key, seq, fire))
         else:
             def fire() -> None:
-                if host.busy_until <= scheduler._now:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                now = scheduler._now
+                if host.busy_until <= now:
                     stats.activations += 1
                     if hooks:
                         for hook in hooks:
                             hook(pid)
-                    activate()
-                post_in(period + draw(), fire, key)
+                        activate()
+                    elif not activate() and not host.guards_read_clock and (
+                        host._last_timer is None or host._last_timer.fired
+                    ):
+                        host._next_activation = now + period + r
+                        host._catch_up = dormant[key] = catch_up
+                        return
+                scheduler._seq = seq = scheduler._seq + 1
+                heappush(queue, (now + period + r, key, seq, fire))
 
         return fire
 
@@ -772,6 +844,7 @@ class Simulator:
         metrics.inc("channel.dropped_full", stats.dropped_full)
         metrics.inc("channel.corrupted", stats.corrupted)
         metrics.inc("process.activations", stats.activations)
+        metrics.inc("process.activations_dormant", self.activations_dormant)
         for channel in self.network.channels():
             for tag, high in channel.occupancy_high_water().items():
                 metrics.gauge_max(f"channel.occupancy_high[{tag}]", high)

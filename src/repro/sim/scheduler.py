@@ -29,11 +29,19 @@ Engine notes — this loop dominates simulator wall-clock, so it is tuned:
   which the one callback that knows the run is over *tells* the loop (an
   attribute test per event) — the request driver's way, see
   ``docs/engine.md``.
-* The engine's own deliveries do not come through :meth:`post_at`: a
-  compiled link (:class:`repro.sim.runtime.Link`) pushes its
-  ``(time, key, seq, callback)`` entry itself, one frame less per
-  admitted message.  ``post_at`` stays the definition of that push (same
-  tuple, same ``_seq`` counter).
+* The engine's own deliveries and activations do not come through
+  :meth:`post_at`: a compiled link (:class:`repro.sim.runtime.Link`) and
+  an activation closure push their ``(time, key, seq, callback)`` entry
+  themselves, frames less per event.  ``post_at`` stays the definition of
+  that push (same tuple, same ``_seq`` counter).
+* **Dormant activations** are off the heap altogether.  A process whose
+  activation found nothing enabled registers a *catch-up* in
+  :attr:`Scheduler.dormant` instead of its next activation; whatever can
+  change the process's variables calls the catch-up with the position the
+  schedule has reached, and every run calls all pending ones when it
+  returns (:meth:`Scheduler.wake_all`) — between runs every process is
+  awake.  The positions, and why the schedule stays the eager one, are in
+  ``docs/engine.md`` ("Dormant activations").
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ __all__ = ["EventHandle", "Scheduler"]
 
 #: Compaction floor: below this queue size, lazy deletion is always fine.
 _COMPACT_MIN = 64
+
+#: A position key after every event key of its tick: the position of a
+#: run that reached its horizon is ``(max_time, END_OF_TICK)``.
+END_OF_TICK = float("inf")
 
 
 class EventHandle:
@@ -78,7 +90,7 @@ class Scheduler:
     """A priority-queue driven event loop over integer ticks."""
 
     __slots__ = ("_now", "_seq", "_queue", "_cancelled", "_halt",
-                 "current_key", "pops", "compactions")
+                 "current_key", "pops", "compactions", "dormant")
 
     def __init__(self) -> None:
         self._now = 0
@@ -103,6 +115,11 @@ class Scheduler:
         #: The sharded engine's trace merge reads this to give every emitted
         #: trace event a globally sortable position.
         self.current_key = 0
+        #: Catch-ups of the dormant processes, by activation key.  A
+        #: catch-up ``(time, key)`` accounts for the activations its
+        #: process skipped before that schedule position, posts the next
+        #: one and removes itself.
+        self.dormant: dict[int, Callable[[int, float], None]] = {}
 
     @property
     def now(self) -> int:
@@ -159,6 +176,13 @@ class Scheduler:
         ``stop`` predicate costs a call; outside ``run_until`` (and under
         :meth:`repro.net.clock.PacedClock.drive`) it has no effect."""
         self._halt = True
+
+    def wake_all(self, time: int, key: float) -> None:
+        """Catch every dormant process up to the schedule position
+        ``(time, key)``.  Each run calls this as it returns, so between
+        runs no process is dormant and every counter is exact."""
+        for catch_up in list(self.dormant.values()):
+            catch_up(time, key)
 
     def __len__(self) -> int:
         """Number of queue entries, including cancelled ones not yet compacted."""
@@ -219,6 +243,8 @@ class Scheduler:
                 item()
             self.current_key = 0
             self.pops += 1
+            if self.dormant:
+                self.wake_all(time, key)
             return True
         return False
 
@@ -231,12 +257,16 @@ class Scheduler:
         holds, or until a callback calls :meth:`halt`.
 
         Both are checked after every event.  Returns the number of events
-        executed.
+        executed.  Dormant processes are caught up before it returns: to
+        the last event run after a halt or stop, else to the end of
+        ``max_time``.
         """
         executed = 0
         self._halt = False
         queue = self._queue
         heappop = heapq.heappop
+        halted = False
+        key = 0
         while queue:
             tick = queue[0][0]
             if tick > max_time:
@@ -245,7 +275,6 @@ class Scheduler:
             # New events can land on the current tick mid-batch ((key, seq)
             # order keeps later-keyed ones after the entry being executed),
             # so re-check the top's time instead of pre-counting the batch.
-            halted = False
             while queue and queue[0][0] == tick:
                 _time, key, _seq, item = heappop(queue)
                 if item.__class__ is EventHandle:
@@ -268,6 +297,11 @@ class Scheduler:
                 break
         self.current_key = 0
         self.pops += executed
+        if self.dormant:
+            if halted:
+                self.wake_all(self._now, key)
+            else:
+                self.wake_all(max_time, END_OF_TICK)
         # Even if nothing (more) ran, time advances to the horizon so that
         # repeated run_until calls observe monotone time.
         if self._now < max_time and (not queue or queue[0][0] > max_time):

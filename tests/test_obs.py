@@ -137,6 +137,9 @@ class TestNullMetrics:
         assert metrics.counters["scheduler.pops"] > 0
         assert metrics.counters["channel.sent"] > 0
         assert metrics.counters["channel.delivered"] > 0
+        # An idle PIF system spends most of 50 000 ticks dormant.
+        assert 0 < metrics.counters["process.activations_dormant"] \
+            < metrics.counters["process.activations"]
         assert any(name.startswith("channel.occupancy_high[")
                    for name in metrics.gauges)
 
@@ -306,6 +309,8 @@ class TestObsCli:
         assert main(["obs", str(metrics), str(timeline)]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
+        assert "process.activations_dormant" in out
+        assert "(activations: " in out and " dormant, " in out
         assert "timeline" in out
 
     def test_seed_sweep_indexes_files_per_seed(self, tmp_path, capsys):
