@@ -24,7 +24,10 @@ exported timeline is structurally valid Chrome trace-event JSON covering
 the coordinator plus every worker lane with barrier-wait spans, and (c)
 the CONTROL frames of the whole trial number O(rounds / K), not
 O(rounds) — rounds are granted (:mod:`repro.net.grant`), so a per-round
-coordinator exchange creeping back in fails here by count.  Last, the
+coordinator exchange creeping back in fails here by count — and (d) the
+rounds end within three of the round that reached the completion tick:
+the quiet drain is jumped, so a drain stepped tick by tick fails here by
+count.  Last, the
 worker interpreters launched over the whole run are counted: both names
 lease warm workers from one pool, so every case of the merged table
 together may boot no more than the widest case has workers (4).  The
@@ -181,7 +184,9 @@ def check_obs_identity(
     worker — two orders of magnitude under a per-round exchange.  Its
     SHIP frames must stay within one per directed peer link per round
     (the BARRIER frames count exactly those), under the cross-shard
-    messages they carried.
+    messages they carried.  Its rounds must end within three of the
+    round whose target reached the completion tick (the compute spans
+    name each round's target): the drain's quiet ticks are jumped.
     """
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path = Path(tmp) / "metrics.json"
@@ -215,6 +220,22 @@ def check_obs_identity(
     doc = json.loads(Path(timeline_out).read_text())
     problems = validate_chrome_trace(doc)
     spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+    # The drain is quiet but for a few ticks after completion, and a
+    # round whose barrier shows quiet ticks ahead jumps past them.  This
+    # probe's drain holds two event ticks (a last delivery, then the
+    # activation it wakes) and the jump to the final target: three
+    # rounds after the one that reached the completion tick.
+    done_at = observed.final_time - DRAIN_TICKS
+    done_round = min(
+        e["args"]["round"] for e in spans
+        if e["name"] == "compute" and e["args"]["target"] >= done_at)
+    frames_ok &= report(
+        observed.completed and observed.barriers <= done_round + 3,
+        f"rounds {topology or 'complete'} n={n} hosts={hosts}: "
+        f"{observed.barriers}, completion reached in round {done_round} "
+        f"(bound {done_round + 3}; a stepped drain costs "
+        f"{done_round + DRAIN_TICKS // observed.window})",
+        bad="FAILED")
     lanes = {e["pid"] for e in spans}
     barrier_lanes = {e["pid"] for e in spans if e["name"] == "barrier_wait"}
     if problems:

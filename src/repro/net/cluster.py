@@ -34,10 +34,13 @@ leased — and a shard whose fault plan carries a crash token is always
 spawned fresh (a crash's replacement joins the pool).
 
 Rounds are *granted*, not driven (:mod:`repro.net.grant`).  Every worker
-runs one fixed round grid on its own — ``t + window``, capped at the
-horizon, then at the final target — and the coordinator only bounds how
-far: a CONTROL ``("grant", limit, final)`` lets a worker run every target
-``<= limit``.  Workers report ``(round, t, done_at, compute_s)`` sparsely
+runs the same round sequence on its own — ``t + window``, or past the
+quiet ticks ahead when the round's barriers show nothing happening
+anywhere before some tick ``G`` (``G + window - 1``; windowed sync, every
+shard peering with every other), capped at the horizon, then at the final
+target — and the coordinator only bounds how far: a CONTROL ``("grant",
+limit, final)`` lets a worker run every target ``<= limit``.  Workers
+report ``(round, t, done_at, compute_s)`` sparsely
 (when their driver first goes idle, when they reach ``limit``, and every
 ``drain // (4 * window)`` rounds); a shard still busy at tick ``t`` proves
 the trial completes after ``t``, so the coordinator extends ``limit`` to
@@ -53,15 +56,19 @@ Two synchronization modes share that loop:
 * ``sync="windowed"`` — the conservative time-window protocol, peer to
   peer.  Windows are at most
   :attr:`Partition.latency_floor` ticks; a worker finishes its round,
-  ships its outbox, then sends a ``BARRIER(round, ship_count)`` frame on
-  every peer link (one write per link per round).  Per-connection FIFO
-  means a barrier certifies the link's SHIP frame of that round was
-  already delivered, and the window bound means every shipped delivery
-  time lies strictly beyond the next window — so a worker that has seen round
-  ``r-1`` barriers from all peers can run round ``r`` with its event heap
-  complete, without asking anyone.  The run is therefore **bit-identical
-  to the serial engine** (same trace, same canonical hash), which the
-  ``cluster-equivalence`` CI gate asserts.
+  ships its outbox, then sends a ``BARRIER(round, ship_count,
+  next_event)`` frame on every peer link (one write per link per round).
+  Per-connection FIFO means a barrier certifies the link's SHIP frame of
+  that round was already delivered, and the window bound means every
+  shipped delivery time lies strictly beyond the next window — so a worker
+  that has seen round ``r-1`` barriers from all peers can run round ``r``
+  with its event heap complete, without asking anyone.  ``next_event`` is
+  the earliest tick anything can still happen on the sender (its heap, its
+  ships in flight): the minimum over every shard is the bound a round
+  jumps by.  The run is therefore **bit-identical to the serial engine**
+  (same trace, same canonical hash), which the ``cluster-equivalence`` CI
+  gate asserts; only the round count depends on the jumps, and it is a
+  function of the seed too.
 * ``sync="freerun"`` — best-effort: same frames, no barrier waits, and
   arrival times are clamped to the receiver's local future
   (``max(when, now + 1)``).  Cross-shard timing is no longer reproducible,

@@ -57,6 +57,7 @@ from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
 from repro.sim.partition import Partition
 from repro.sim.runtime import Simulator
+from repro.sim.scheduler import END_OF_TICK
 from repro.sim.sharded import _KeyedTrace, scramble_shard, shard_result_payload
 
 __all__ = ["run_cluster_worker"]
@@ -221,7 +222,10 @@ class _Trial:
 
     * A link's round — its ships, in send order — is logged per (peer
       shard, round) before any fault or link state can eat it; the log
-      feeds NAK resends.  It travels as one SHIP frame.
+      feeds NAK resends.  It travels as one SHIP frame.  Under windowed
+      sync a link's rounds ``<= r`` leave the log once the peer's
+      BARRIER(r+1) is accepted: the peer ran round r+1, so it had
+      accepted our barrier r — it will NAK none of them.
     * BARRIER frames carry the round's ship count; receivers tally unique
       decodable ships per (peer, round) and NAK a shortfall over CONTROL.
     * ``drop ship`` leaves a matching ship out of the frame's list,
@@ -275,6 +279,19 @@ class _Trial:
         #: control reader sets ``_granted`` when a new one arrives.
         self._grid = RoundGrid(spec["window"], spec["horizon"], spec["drain"])
         self._granted = asyncio.Event()
+        #: Whether rounds jump past quiet ticks (:mod:`repro.net.grant`):
+        #: only when every shard's barrier reaches every worker, so all
+        #: of them take the same minimum — a worker that missed a shard's
+        #: bound would jump where its peers step.
+        self._jumps = self.sync == "windowed" and self.partition.fully_peered()
+        #: round -> minimum next-event bound over the barriers of that
+        #: round accepted so far, this shard's own included.
+        self._next_event: dict[int, int] = {}
+        #: Passive counters: ships logged, rounds jumped and the quiet
+        #: ticks they skipped.
+        self._ships_out = 0
+        self._rounds_jumped = 0
+        self._ticks_jumped = 0
         self._errors: list[BaseException] = []
         #: Whether the coordinator has this trial's result: what disarms
         #: the worker's crash fault.
@@ -377,13 +394,16 @@ class _Trial:
                         )
                         self._drain_barriers(src_shard)
                 elif kind == wire.BARRIER:
-                    shard, round_no, ships = wire.decode_barrier(payload)
+                    shard, *barrier = wire.decode_barrier(payload)
                     if shard != src_shard:
                         raise wire.WireError(
                             f"barrier names shard {shard} on shard "
                             f"{src_shard}'s link"
                         )
-                    self._on_barrier(shard, round_no, ships)
+                    self._pending_barriers.setdefault(shard, deque()).append(
+                        barrier
+                    )
+                    self._drain_barriers(shard)
                 else:
                     raise wire.WireError(
                         f"unexpected frame kind 0x{kind:02x} on a peer link"
@@ -405,18 +425,12 @@ class _Trial:
         if waiter is not None and not waiter.done():
             waiter.set_result(woken)
 
-    def _on_barrier(self, peer: int, round_no: int, ships: int) -> None:
-        self._pending_barriers.setdefault(peer, deque()).append(
-            (round_no, ships)
-        )
-        self._drain_barriers(peer)
-
     def _drain_barriers(self, peer: int) -> None:
         """Accept pending counted barriers whose ships have all arrived;
         NAK (once) the first that has not."""
         pending = self._pending_barriers.get(peer)
         while pending:
-            round_no, ships = pending[0]
+            round_no, ships, bound = pending[0]
             if self._recv_counts.get((peer, round_no), 0) < ships:
                 if (peer, round_no) not in self._nakked:
                     self._nakked.add((peer, round_no))
@@ -429,7 +443,17 @@ class _Trial:
             self._recv_counts.pop((peer, round_no), None)
             # FIFO: a link's barriers arrive in round order.
             self._barrier_round[peer] = round_no
+            if self.sync == "windowed":
+                log = self._ship_log[peer]
+                for logged in [r for r in log if r < round_no]:
+                    del log[logged]
+            if self._jumps:
+                self._note_bound(round_no, bound)
             self._wake()
+
+    def _note_bound(self, round_no: int, bound: int) -> None:
+        bounds = self._next_event
+        bounds[round_no] = min(bounds.get(round_no, wire.NO_EVENT), bound)
 
     def _on_ship(
         self, src: int, dst: int, msg: Any, when: int, entry_seq: int
@@ -537,14 +561,27 @@ class _Trial:
         """
         shard_of = self.partition.shard_of
         groups: dict[int, list[tuple]] = {peer: [] for peer in self.peers}
-        for ship in self.sim.drain_outbox():
+        outbox = self.sim.drain_outbox()
+        for ship in outbox:
             groups[shard_of[ship[1]]].append(ship)
+        self._ships_out += len(outbox)
+        # The next-event bound: the earliest queued event, or the earliest
+        # delivery this round ships if that is sooner.
+        queued = self.sim.scheduler.next_time()
+        bound = min(
+            wire.NO_EVENT if queued is None else queued,
+            min((ship[3] for ship in outbox), default=wire.NO_EVENT),
+        )
+        if self._jumps:
+            self._note_bound(round_no, bound)
         for peer, ships in groups.items():
             frames = []
             if ships:
                 self._ship_log[peer][round_no] = ships
                 frames.append(self._ship_frame(ships, round_no))
-            frames.append(wire.encode_barrier(self.shard, round_no, len(ships)))
+            frames.append(
+                wire.encode_barrier(self.shard, round_no, len(ships), bound)
+            )
             self._write_frames(peer, frames, round_no)
         await self._drain_peers()
 
@@ -677,10 +714,20 @@ class _Trial:
 
         One loop for both sync modes (``freerun`` skips the barrier
         wait).  The worker reports ``(round, t, done_at, compute_s,
-        park)`` when its driver first goes idle and every ``grid.every``
-        rounds, and — with ``park`` naming why — whenever it cannot go
-        on: out of credit ``("limit", limit)``, waiting on a dead peer
-        ``("blocked", peer, round)``, or finished ``("final", final)``.
+        park)`` — ``t`` being the tick its next round leaves from,
+        :attr:`RoundGrid.reached` — when its driver first goes idle and
+        every ``grid.every`` rounds, and — with ``park`` naming why —
+        whenever it cannot go on: out of credit ``("limit", limit)``,
+        waiting on a dead peer ``("blocked", peer, round)``, or finished
+        ``("final", final)``.
+
+        A round whose barrier shows quiet ticks ahead jumps past them.
+        The worker parks on the plain target *before* the barrier wait
+        (a worker blocked on a peer's barrier never reports, so the
+        coordinator could not extend that peer's credit) and parks again
+        after it only if the jump outran its credit.  Its processes stay
+        dormant across rounds and are caught up once, at the final
+        target — where the serial drain's own ``run_until`` settles them.
         """
         scheduler = self.sim.scheduler
         grid = self._grid
@@ -694,9 +741,11 @@ class _Trial:
             grid.reported(done_at())
             spent, compute_s = compute_s, 0.0
             await self.client.send(
-                ("report", grid.round, grid.t, done_at(), spent, park)
+                ("report", grid.round, grid.reached, done_at(), spent, park)
             )
 
+        #: The last round whose barrier wait is behind the worker.
+        waited = 0
         while not grid.finished:
             self._granted.clear()
             target = grid.next_target()
@@ -713,24 +762,35 @@ class _Trial:
                     ) from None
                 continue
             round_no = grid.round + 1
-            self.worker._maybe_crash("barrier", round_no)
-            if self.sync == "windowed":
-                w0 = wall() if obs is not None else 0.0
-                await self._await_barriers(round_no - 1, report)
-                if obs is not None:
-                    w1 = wall()
-                    obs.spans.record(
-                        "barrier_wait", "round", w0, w1,
-                        args={"round": round_no - 1},
-                    )
-                    obs.metrics.observe("sync.barrier_wait_s", w1 - w0)
-            else:
-                await asyncio.sleep(0)  # let inbound frames in
+            if waited < round_no:
+                waited = round_no
+                self.worker._maybe_crash("barrier", round_no)
+                if self.sync == "windowed":
+                    w0 = wall() if obs is not None else 0.0
+                    await self._await_barriers(round_no - 1, report)
+                    if obs is not None:
+                        w1 = wall()
+                        obs.spans.record(
+                            "barrier_wait", "round", w0, w1,
+                            args={"round": round_no - 1},
+                        )
+                        obs.metrics.observe("sync.barrier_wait_s", w1 - w0)
+                    if self._jumps:
+                        grid.skip_to(self._next_event.pop(round_no - 1))
+                        target = grid.next_target()
+                        if target is None:
+                            continue  # the jump outran the credit: park
+                else:
+                    await asyncio.sleep(0)  # let inbound frames in
+            skipped = target - grid.t - grid.window
+            if skipped > 0:
+                self._rounds_jumped += 1
+                self._ticks_jumped += skipped
             w0 = wall() if obs is not None else 0.0
             t0 = time.perf_counter()
             # The serial engine's loop: nothing else on this event loop
             # runs until the round is done.
-            scheduler.run_until(target)
+            scheduler.run_until(target, keep_dormant=True)
             compute_s += time.perf_counter() - t0
             if obs is not None:
                 obs.record_round(
@@ -749,6 +809,7 @@ class _Trial:
             grid.advance(target)
             if grid.report_due(done_at()):
                 await report(None)
+        scheduler.wake_all(grid.final, END_OF_TICK)
         await report(("final", grid.final))
 
     async def _serve_control(self, rounds: asyncio.Task, result_payload) -> None:
@@ -802,10 +863,9 @@ class _Trial:
             import resource  # not part of the boot closure
 
             obs.collect_wire()
-            obs.metrics.inc("ship.messages_out", sum(
-                len(ships)
-                for log in self._ship_log.values() for ships in log.values()
-            ))
+            obs.metrics.inc("ship.messages_out", self._ships_out)
+            obs.metrics.inc("sync.rounds_jumped", self._rounds_jumped)
+            obs.metrics.inc("sync.ticks_jumped", self._ticks_jumped)
             for name, n in self._fault_counts.items():
                 obs.metrics.inc(name, n)
             # Passive, and the only view of a pooled worker's memory:

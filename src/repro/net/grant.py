@@ -7,24 +7,34 @@ of that contract live here as pure state machines (no sockets, no
 clocks), so the property tests can drive them against the lock-step
 recurrence they replaced:
 
-* :class:`RoundGrid` — a worker's side.  Rounds follow one fixed grid:
-  ``t + window``, capped at ``horizon`` up to the tick that fixes the
-  final target and at the final target afterwards.  A worker runs the next target on
-  its own while it is within the granted ``limit``; otherwise it parks
-  until a larger grant arrives.
+* :class:`RoundGrid` — a worker's side.  A round's target is ``t +
+  window``, capped at ``horizon`` up to the tick that fixes the final
+  target and at the final target afterwards — unless the barrier the
+  round waited on showed the ticks after ``t`` quiet: every BARRIER
+  carries its shard's next-event bound, every worker takes the same
+  minimum ``G`` over all shards, and the round then leaves from ``G - 1``
+  instead of ``t`` (target ``max(t + window, G + window - 1)``, capped
+  the same way).  Nothing anywhere runs before ``G``, and a message sent
+  at or after ``G`` arrives at or after ``G`` plus the latency floor
+  ``>= G + window``, so the jump is as safe as a plain round.  A worker
+  runs the next target on its own while it is within the granted
+  ``limit``; otherwise it parks until a larger grant arrives.
 * :class:`GrantLedger` — the coordinator's side.  Workers report
-  ``(t, done_at)`` sparsely; the ledger turns the reports into the next
-  :class:`Grant`.  A shard whose driver was still busy at ``t`` proves
-  the trial's completion tick lies beyond ``t``, so every worker may run
-  to ``t + drain`` without passing the final target
-  (``max(done_at) + drain``); once every shard has reported its
-  ``done_at`` the final target itself is granted.
+  ``(t, done_at)`` sparsely, ``t`` being the tick their next round leaves
+  from; the ledger turns the reports into the next :class:`Grant`.  A
+  shard whose driver was still busy at ``t`` proves the trial's
+  completion tick lies beyond ``t`` (a driver finishes in one of its own
+  events, and a quiet stretch holds none), so every worker may run to
+  ``t + drain`` without passing the final target (``max(done_at) +
+  drain``); once every shard has reported its ``done_at`` the final
+  target itself is granted.
 
 ``RequestDriver.done_at`` is set once and ``drain >= window`` is enforced
 by the coordinator, so the target sequence, the round count and the final
 target are exactly those of a coordinator that advanced every round in
-lock step — whatever the report delays — and the slowest worker always
-holds at least one round of credit.
+lock step with the same bounds — whatever the report delays — and the
+slowest worker always holds at least one round of credit.  The bounds are
+a function of the trial alone, so the round count stays one too.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ class RoundGrid:
 
     __slots__ = (
         "window", "horizon", "drain", "every", "t", "round", "limit",
-        "final", "_done_reported",
+        "final", "quiet", "_done_reported",
     )
 
     def __init__(self, window: int, horizon: int, drain: int) -> None:
@@ -67,6 +77,10 @@ class RoundGrid:
         self.round = 0
         self.limit = -1
         self.final: int | None = None
+        #: Nothing happens anywhere from ``t + 1`` through this tick: the
+        #: next-event bound minus one, learnt at this round's barrier
+        #: (-1 until then).
+        self.quiet = -1
         self._done_reported = False
 
     def accept(self, limit: int, final: int | None) -> None:
@@ -75,9 +89,22 @@ class RoundGrid:
         if final is not None:
             self.final = final
 
+    def skip_to(self, next_event: int) -> None:
+        """Learn at the barrier that nothing anywhere happens before
+        ``next_event``: the coming round leaves from ``next_event - 1``
+        if that is past ``t``."""
+        self.quiet = next_event - 1
+
+    @property
+    def reached(self) -> int:
+        """The tick the next round leaves from: ``t``, or later when the
+        barrier showed the ticks after it quiet.  What a report states."""
+        return max(self.t, self.quiet)
+
     def next_target(self) -> int | None:
         """The next round's target, or None while out of credit (or at
         the horizon, awaiting the coordinator's verdict) or finished."""
+        step = self.reached + self.window
         if self.final is not None:
             if self.t >= self.final:
                 return None
@@ -88,9 +115,9 @@ class RoundGrid:
             # on the capped grid until then — and, ``drain >= window``,
             # still short of the final target.
             if self.t >= self.final - self.drain:
-                return min(self.t + self.window, self.final)
-            return min(self.t + self.window, self.horizon)
-        target = min(self.t + self.window, self.horizon)
+                return min(step, self.final)
+            return min(step, self.horizon)
+        target = min(step, self.horizon)
         return target if self.t < target <= self.limit else None
 
     @property
@@ -100,6 +127,7 @@ class RoundGrid:
     def advance(self, target: int) -> None:
         self.t = target
         self.round += 1
+        self.quiet = -1
 
     def report_due(self, done_at: int | None) -> bool:
         """Whether a running worker owes a progress report after the
@@ -122,15 +150,11 @@ class GrantLedger:
     def __init__(
         self, n_shards: int, window: int, drain: int, horizon: int
     ) -> None:
+        self.window = window
         self.drain = drain
         self.horizon = horizon
         self.t = [-1] * n_shards
         self.done_at: list[int | None] = [None] * n_shards
-        #: Last grid point strictly before the horizon.  Past it the
-        #: grid depends on whether the trial has completed (the horizon
-        #: cap applies only while it has not), so that one step is
-        #: granted only on a report *from* that point.
-        self._last_grid = horizon // window * window - 1
         self.final: int | None = None
         self.completed = False
         #: Tick at which the last shard's driver went idle.
@@ -158,7 +182,13 @@ class GrantLedger:
             else:
                 slowest = min(busy)
                 limit = min(slowest + self.drain, self.horizon)
-                if limit == self.horizon and slowest < self._last_grid:
-                    limit = self._last_grid
+                # The round that reaches the horizon is capped there only
+                # if the trial has not completed by the tick it leaves
+                # from, so the horizon is granted only on a busy report
+                # from within a window of it: from that tick, or from the
+                # barrier before it (the quiet ticks between hold no
+                # driver's last tick).
+                if limit == self.horizon and slowest + self.window < self.horizon:
+                    limit = self.horizon - 1
                 return Grant(limit, None)
         return Grant(self.final, self.final)

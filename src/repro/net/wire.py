@@ -27,12 +27,14 @@ Frame kinds:
   link, each with its *sender-computed* delivery time and channel entry
   seq (the conservative window protocol of :mod:`repro.net.cluster`).  A
   round with no traffic on the link writes no SHIP frame.
-* ``BARRIER`` — a shard announces it finished round ``round`` and
-  how many ships it sent that round on this link; per-connection
-  FIFO means the round's SHIP frame precedes it, so a count mismatch at
-  the receiver is proof of an injected (or real) frame fault and triggers
-  the NAK/resend path of :mod:`repro.net.cluster`.  A negative count is
-  a :class:`WireError`.
+* ``BARRIER`` — a shard announces it finished round ``round``, how
+  many ships it sent that round on this link, and its *next-event
+  bound*: the earliest tick anything can still happen on it
+  (:data:`NO_EVENT` when nothing can); per-connection FIFO means the
+  round's SHIP frame precedes it, so a count mismatch at the receiver is
+  proof of an injected (or real) frame fault and triggers the NAK/resend
+  path of :mod:`repro.net.cluster`.  A negative count is a
+  :class:`WireError`.
 * ``CONTROL`` — a pickled coordinator<->worker control message
   (spec/ready/grant/report/nak/resend/result/stop/idle —
   :mod:`repro.net.cluster`) on the registry connection.  A result
@@ -60,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "NO_EVENT",
     "HELLO",
     "MESSAGE",
     "BARRIER",
@@ -108,7 +111,12 @@ __all__ = [
 #: [ship, …])`` — and BARRIER counts ships, not SHIP frames.
 #: Version 5: crash recovery re-runs the trial — a BARRIER's ship count is
 #: never negative, and the CONTROL ops that rewired a live trial are gone.
-PROTOCOL_VERSION = 5
+#: Version 6: a BARRIER carries the shard's next-event bound.
+PROTOCOL_VERSION = 6
+
+#: A BARRIER's next-event bound when nothing can happen on the shard any
+#: more (an empty heap, no ships out): the largest tick the frame holds.
+NO_EVENT = (1 << 63) - 1
 
 HELLO = 0x01
 MESSAGE = 0x02
@@ -141,7 +149,7 @@ MAX_FRAME = 1 << 20
 CONTROL_MAX_FRAME = 1 << 28
 
 _I64 = struct.Struct(">q")
-_BARRIER = struct.Struct(">qqq")
+_BARRIER = struct.Struct(">qqqq")
 _REGISTER = struct.Struct(">qI")
 
 
@@ -275,20 +283,21 @@ def decode_message(payload: bytes) -> tuple[int, object]:
     return seq, msg
 
 
-def encode_barrier(shard: int, round_no: int, ships: int) -> bytes:
-    """``ships`` = ships sent on this link for ``round_no``."""
-    return pack_frame(BARRIER, _BARRIER.pack(shard, round_no, ships))
+def encode_barrier(shard: int, round_no: int, ships: int, bound: int) -> bytes:
+    """``ships`` = ships sent on this link for ``round_no``; ``bound`` =
+    the shard's next-event bound after it (:data:`NO_EVENT`: none)."""
+    return pack_frame(BARRIER, _BARRIER.pack(shard, round_no, ships, bound))
 
 
-def decode_barrier(payload: bytes) -> tuple[int, int, int]:
+def decode_barrier(payload: bytes) -> tuple[int, int, int, int]:
     if len(payload) != _BARRIER.size:
         raise WireError(
             f"barrier payload of {len(payload)} bytes, expected {_BARRIER.size}"
         )
-    shard, round_no, ships = _BARRIER.unpack(payload)
+    shard, round_no, ships, bound = _BARRIER.unpack(payload)
     if ships < 0:
         raise WireError(f"barrier for round {round_no} counts {ships} ships")
-    return shard, round_no, ships
+    return shard, round_no, ships, bound
 
 
 def encode_ships(round_no: int, ships: list[tuple]) -> bytes:

@@ -199,6 +199,12 @@ def _summarize_metrics(path, doc: dict) -> str:
         dormant = counters.get("process.activations_dormant", 0)
         lines.append(f"    (activations: {dormant:g} of {activations:g} "
                      f"dormant, {dormant / activations:.1%})")
+    jumped = counters.get("sync.rounds_jumped")
+    if jumped:
+        # Worker counters add up: each worker jumps the same rounds.
+        lines.append(f"    (window sync: {jumped:g} rounds jumped "
+                     f"{counters.get('sync.ticks_jumped', 0):g} quiet ticks, "
+                     f"summed over workers)")
     section("gauges (high-water)", gauges)
     if hists:
         lines.append("  histograms:")

@@ -97,6 +97,20 @@ class Partition:
         peers.discard(shard)
         return tuple(sorted(peers))
 
+    def fully_peered(self) -> bool:
+        """Whether every shard peers with every other one.
+
+        A window-sync worker hears BARRIER frames from its peers only, so
+        only then does each worker's minimum over the next-event bounds
+        cover every shard — the same global bound everywhere, which the
+        lookahead jump of :mod:`repro.net.grant` needs.
+        """
+        others = self.n_shards - 1
+        return all(
+            len(self.peer_shards(shard)) == others
+            for shard in range(self.n_shards)
+        )
+
     def latency_floor(self, default_lo: int) -> int:
         """The sharded engine's effective lookahead under this partition.
 

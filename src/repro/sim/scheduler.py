@@ -40,8 +40,9 @@ Engine notes — this loop dominates simulator wall-clock, so it is tuned:
   change the process's variables calls the catch-up with the position the
   schedule has reached, and every run calls all pending ones when it
   returns (:meth:`Scheduler.wake_all`) — between runs every process is
-  awake.  The positions, and why the schedule stays the eager one, are in
-  ``docs/engine.md`` ("Dormant activations").
+  awake, except between a window-sync worker's rounds
+  (``keep_dormant``).  The positions, and why the schedule stays the
+  eager one, are in ``docs/engine.md`` ("Dormant activations").
 """
 
 from __future__ import annotations
@@ -184,6 +185,14 @@ class Scheduler:
         for catch_up in list(self.dormant.values()):
             catch_up(time, key)
 
+    def next_time(self) -> int | None:
+        """Tick of the earliest queued entry (a cancelled one included:
+        a lower bound on the next event), None when the queue is empty.
+        Dormant processes are not queued: until an event wakes them
+        their activations execute nothing."""
+        queue = self._queue
+        return queue[0][0] if queue else None
+
     def __len__(self) -> int:
         """Number of queue entries, including cancelled ones not yet compacted."""
         return len(self._queue)
@@ -252,6 +261,8 @@ class Scheduler:
         self,
         max_time: int,
         stop: Callable[[], bool] | None = None,
+        *,
+        keep_dormant: bool = False,
     ) -> int:
         """Run events until ``max_time`` (inclusive), until ``stop()``
         holds, or until a callback calls :meth:`halt`.
@@ -259,7 +270,10 @@ class Scheduler:
         Both are checked after every event.  Returns the number of events
         executed.  Dormant processes are caught up before it returns: to
         the last event run after a halt or stop, else to the end of
-        ``max_time``.
+        ``max_time``.  A window-sync worker's round passes
+        ``keep_dormant``: its processes stay dormant from round to round
+        (so a quiet stretch leaves its heap empty) and the worker catches
+        them up once, at its final target.
         """
         executed = 0
         self._halt = False
@@ -297,7 +311,7 @@ class Scheduler:
                 break
         self.current_key = 0
         self.pops += executed
-        if self.dormant:
+        if self.dormant and not keep_dormant:
             if halted:
                 self.wake_all(self._now, key)
             else:

@@ -23,7 +23,8 @@ from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
 from repro.net.coordinator import close_pool
 from repro.net.wire import parse_hostport
-from repro.sim.partition import partition_topology
+from repro.obs.recorder import summarize_obs_file
+from repro.sim.partition import Partition, partition_topology
 from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash
 
@@ -63,6 +64,37 @@ def test_a_round_ships_one_frame_per_link_not_one_per_message(tmp_path):
     assert 0 < ship_frames <= rounds * links
     # ~1 200 messages cross the cut here: a frame each breaks both bounds.
     assert ship_frames < counters["ship.messages_out"]
+
+
+@pytest.mark.parametrize("topology, hosts, jumps", [
+    ("complete", 2, True),
+    ("ring", 4, False),  # shards peer with their two neighbours only
+])
+def test_quiet_rounds_jump_only_on_a_fully_peered_partition(
+    tmp_path, topology, hosts, jumps
+):
+    """A round whose barrier shows nothing happening for a while jumps
+    past it — same trace, fewer rounds — but only when every worker sees
+    every shard's bound.  One-tick windows: a plain run has one round
+    per tick, and every tick a jump skips is a round fewer."""
+    metrics = tmp_path / "metrics.json"
+    spec = trial_spec("pif", 12, topology=topology, seed=0, loss=0.1,
+                      horizon=2_000_000)
+    serial = execute(spec)
+    run = execute(replace(
+        spec, engine="cluster", cluster=ClusterOpts(hosts=hosts),
+        obs=ObsOpts(metrics=str(metrics))))
+    assert canonical_trace_hash(run.trace) == canonical_trace_hash(serial.trace)
+    assert run.stats.as_dict() == serial.stats.as_dict()
+    assert run.final_time == serial.final_time
+    counters = json.loads(metrics.read_text())["counters"]
+    skipped = counters.get("sync.ticks_jumped", 0) // hosts
+    assert run.window == 1
+    assert run.barriers + skipped == run.final_time + 1
+    assert (skipped > 0) == jumps
+    # The drain is quiet but for a few ticks: most of it is one round.
+    assert not jumps or skipped > 100
+    assert ("(window sync: " in summarize_obs_file(metrics)) == jumps
 
 
 @pytest.mark.parametrize("slack", [-1, 0])
@@ -194,8 +226,6 @@ def test_parse_hostport():
 def test_ring_peer_shards_are_neighbours_only():
     # Explicit contiguous blocks on a 12-ring: each shard touches exactly
     # its two neighbouring arcs.
-    from repro.sim.partition import Partition
-
     shards = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
     partition = Partition(topology=Ring(range(1, 13)), shards=shards)
     for shard in range(4):
@@ -216,3 +246,20 @@ def test_peer_shards_rejects_out_of_range():
     partition = partition_topology(topology_from_spec("complete", 6, seed=0), 2)
     with pytest.raises(SimulationError, match="shard must be in"):
         partition.peer_shards(2)
+
+
+def test_only_a_partition_whose_shards_all_peer_can_jump():
+    """The partition-wide condition behind the lookahead jump.  A worker
+    takes the minimum of the bounds its own peers' barriers carry, so on
+    a 4-arc ring shards 1 and 3 would miss each other's bound: checked
+    per shard instead, two shards jumped (to 284) while their neighbours
+    stepped (86 -> 87), and the n=32 ring trial deadlocked."""
+    ring = Ring(range(1, 13))
+    arcs = Partition(topology=ring, shards=(
+        (1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)))
+    assert not arcs.fully_peered()
+    assert Partition(topology=ring, shards=(
+        (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))).fully_peered()
+    complete = topology_from_spec("complete", 8, seed=0)
+    for shards in (1, 2, 3):
+        assert partition_topology(complete, shards).fully_peered()

@@ -57,15 +57,18 @@ def test_message_round_trip():
 
 
 def test_barrier_round_trip():
-    kind, payload = read(feed(wire.encode_barrier(3, 1_000_000, 7)))
+    kind, payload = read(feed(wire.encode_barrier(3, 1_000_000, 7, 1_000_017)))
     assert kind == wire.BARRIER
-    assert wire.decode_barrier(payload) == (3, 1_000_000, 7)
+    assert wire.decode_barrier(payload) == (3, 1_000_000, 7, 1_000_017)
+    # A shard with nothing left to happen says so with the sentinel.
+    _kind, payload = read(feed(wire.encode_barrier(0, 9, 0, wire.NO_EVENT)))
+    assert wire.decode_barrier(payload) == (0, 9, 0, wire.NO_EVENT)
 
 
 def test_barrier_negative_ship_count_rejected():
     # No barrier is exempt from its count: crash recovery re-runs the
     # trial instead of re-announcing rounds on a rewired link.
-    kind, payload = read(feed(wire.encode_barrier(2, 5, -1)))
+    kind, payload = read(feed(wire.encode_barrier(2, 5, -1, 6)))
     assert kind == wire.BARRIER
     with pytest.raises(wire.WireError, match="counts -1 ships"):
         wire.decode_barrier(payload)
@@ -105,13 +108,13 @@ def test_one_ship_spelling_is_the_batch_of_one_byte_for_byte():
 def test_truncated_batch_frame_stays_well_framed_but_undecodable():
     bad = wire.truncate_frame(wire.encode_ships(3, _ships(5)))
     (kind, payload), (kind2, payload2) = read(
-        feed(bad, wire.encode_barrier(0, 3, 5)), count=2
+        feed(bad, wire.encode_barrier(0, 3, 5, 4)), count=2
     )
     assert kind == wire.SHIP
     with pytest.raises(wire.WireError, match="undecodable ship"):
         wire.decode_ships(payload)
     assert kind2 == wire.BARRIER
-    assert wire.decode_barrier(payload2) == (0, 3, 5)
+    assert wire.decode_barrier(payload2) == (0, 3, 5, 4)
 
 
 def test_pif_message_pickles_as_its_constructor_call():
@@ -148,7 +151,7 @@ def test_control_round_trip():
 
 
 def test_multiple_frames_on_one_connection():
-    frames = read(feed(wire.encode_hello(1), wire.encode_barrier(1, 0, 0)),
+    frames = read(feed(wire.encode_hello(1), wire.encode_barrier(1, 0, 0, 0)),
                   count=2)
     assert [kind for kind, _ in frames] == [wire.HELLO, wire.BARRIER]
 
@@ -216,6 +219,15 @@ def test_version_mismatch_rejected():
     header = struct.pack(">BBI", wire.HELLO, wire.PROTOCOL_VERSION + 1, 0)
     with pytest.raises(wire.WireError, match="wire version"):
         read(feed(header))
+    # A version-5 worker's barrier (no next-event bound) is refused by
+    # its version byte, before anyone reads its payload.
+    v5_payload = struct.pack(">qqq", 0, 3, 5)
+    v5_barrier = struct.pack(">BBI", wire.BARRIER, 5, len(v5_payload)) + v5_payload
+    refused = f"wire version 5, expected {wire.PROTOCOL_VERSION}"
+    with pytest.raises(wire.WireError, match=refused):
+        read(feed(v5_barrier))
+    with pytest.raises(wire.WireError, match=refused):
+        wire.split_frame(v5_barrier)
 
 
 def test_unknown_frame_kind_rejected():
@@ -233,8 +245,10 @@ def test_hello_payload_wrong_size():
 
 
 def test_barrier_payload_wrong_size():
-    with pytest.raises(wire.WireError, match="expected 24"):
-        wire.decode_barrier(b"\x00" * 8)
+    # 24 bytes is a version-5 barrier: shard, round, ships, no bound.
+    for short in (b"\x00" * 8, struct.pack(">qqq", 0, 3, 5)):
+        with pytest.raises(wire.WireError, match="expected 32"):
+            wire.decode_barrier(short)
 
 
 def test_ship_payload_not_pickle():
