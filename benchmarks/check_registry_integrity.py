@@ -38,7 +38,8 @@ Asserts, without running a single trial:
   something a refactor deleted — the keyword adapters, the per-aspect
   protocol tables, the lock-step engine, the actor layer, the crash
   repair, the bad-factor spelling of mutual exclusion, the experiments'
-  pytest wrappers whose assertions ``repro claims`` now carries.
+  pytest wrappers whose assertions ``repro claims`` now carries — or a
+  PIF send that builds its message before the link claimed a slot.
 
 Usage::
 
@@ -196,6 +197,10 @@ GUARDS: tuple[Guard, ...] = (
           re.compile(r".*(\bbench" + r"_(e\d|topology)|pytest[-_]bench"
                      + r"mark\b|\bbenchmark\.ped" + r"antic\b)"),
           _EVERYWHERE, _LEDGER),
+    # A lost send builds nothing: PIF claims the slot from the tag, then
+    # builds the message (`if link.claim(tag): link.put(msg)`).
+    Guard("builds a PIF message before the link claimed its slot",
+          re.compile(r".*\bhost\.se" + r"nd\("), ("repro/core/pif.py",)),
 )
 
 

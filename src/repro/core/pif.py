@@ -35,13 +35,16 @@ edge by edge); on the paper's complete graph that is all other processes.
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.messages import PifMessage
 from repro.errors import ProtocolError
 from repro.sim.process import Action, Layer
 from repro.sim.trace import EventKind
 from repro.types import RequestState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.runtime import Link
 
 __all__ = ["PifClient", "PifLayer", "DEFAULT_MAX_STATE"]
 
@@ -100,13 +103,19 @@ class PifLayer(Layer):
         self.f_mes: dict[int, Any] = {}
         self.state: dict[int, int] = {}
         self.neig_state: dict[int, int] = {}
-        # Verification-only: identifies started computations in the trace.
+        # Verification-only: identifies started computations in the trace;
+        # _wave is wave_id, built once per wave for the messages to carry.
         self.wave_seq = 0
+        self._wave: tuple[int, int] | None = None
+        # peer -> the compiled link of the channel to it, filled at the
+        # first send to each peer (repro.sim.runtime.Link).
+        self._links: dict[int, Link] = {}
 
     # -- wiring ---------------------------------------------------------------
 
     def on_attach(self) -> None:
         assert self.host is not None
+        self._wave = self.wave_id
         # Comprehensions instead of per-key setdefault: attach runs for
         # every layer of every host, so this is simulator-construction cost.
         others = self.host.others
@@ -153,6 +162,7 @@ class PifLayer(Layer):
         assert self.host is not None
         self.request = RequestState.IN
         self.wave_seq += 1
+        self._wave = self.wave_id
         for q in self.host.others:
             self.state[q] = 0
         self.host.emit(
@@ -165,27 +175,32 @@ class PifLayer(Layer):
     def _action_a2(self) -> None:
         """A2 :: Request = In -> terminate or (re)send to laggards."""
         assert self.host is not None
-        if all(self.state[q] == self.max_state for q in self.host.others):
+        # One walk: every laggard gets a send; with none left, decide.
+        state, max_state = self.state, self.max_state
+        decided = True
+        for q in self.host.others:
+            if state[q] != max_state:
+                decided = False
+                self._send_to(q)
+        if decided:
             self.request = RequestState.DONE
             self.host.emit(EventKind.DECIDE, tag=self.tag, wave=self.wave_id)
             self.client.on_decide()
-            return
-        for q in self.host.others:
-            if self.state[q] != self.max_state:
-                self._send_to(q)
 
     def _send_to(self, q: int) -> None:
-        host = self.host
-        assert host is not None
-        # The hottest line of a dense trial: positional construction and
-        # wave_id spelled out, one frame less per send each.
-        host.send(
-            q,
-            PifMessage(
+        # The hottest lines of a dense trial.  A resend into a full slot is
+        # lost, so the link decides from the tag first and the message is
+        # built only for a claimed slot (positional: one frame less).
+        try:
+            link = self._links[q]
+        except KeyError:
+            assert self.host is not None
+            link = self._links[q] = self.host.link(q)
+        if link.claim(self.tag):
+            link.put(PifMessage(
                 self.tag, self.b_mes, self.f_mes[q], self.state[q],
-                self.neig_state[q], (host.pid, self.wave_seq),
-            ),
-        )
+                self.neig_state[q], self._wave,
+            ))
 
     # -- receive action (A3) -----------------------------------------------------
 

@@ -57,11 +57,16 @@ class TaggedMessage(Protocol):
 
 
 class LossModel(abc.ABC):
-    """Decides, at send time, whether a message is lost in transit."""
+    """Decides, at send time, whether a message is lost in transit.
+
+    The decision reads the message's tag and nothing else, so a compiled
+    link (:meth:`repro.sim.runtime.Link.claim`) takes it before the
+    message is built.
+    """
 
     @abc.abstractmethod
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
-        """Return True to lose the message."""
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
+        """Return True to lose the next message tagged ``tag``."""
 
     def reset(self) -> None:
         """Forget any internal state (between experiment repetitions)."""
@@ -70,7 +75,7 @@ class LossModel(abc.ABC):
 class NoLoss(LossModel):
     """Reliable transit (capacity overflow can still lose messages)."""
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
         return False
 
 
@@ -86,7 +91,7 @@ class BernoulliLoss(LossModel):
             raise ChannelError(f"loss probability must be in [0, 1), got {p}")
         self.p = p
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
         return rng.random() < self.p
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -105,9 +110,9 @@ class DropFirstK(LossModel):
         self.k = k
         self._seen: dict[str, int] = {}
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
-        count = self._seen.get(msg.tag, 0)
-        self._seen[msg.tag] = count + 1
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
+        count = self._seen.get(tag, 0)
+        self._seen[tag] = count + 1
         return count < self.k
 
     def reset(self) -> None:

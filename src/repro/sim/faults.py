@@ -58,7 +58,7 @@ class GilbertElliottLoss(LossModel):
         self.p_bg = p_bg
         self._bad = False
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
         if self._bad:
             if rng.random() < self.p_bg:
                 self._bad = False
@@ -85,7 +85,7 @@ class PeriodicLoss(LossModel):
         self.period = period
         self._count = 0
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
         self._count += 1
         return self._count % self.period == 0
 
@@ -106,8 +106,8 @@ class TargetedLoss(LossModel):
         self.tags = frozenset(tags)
         self.p = p
 
-    def should_drop(self, rng: random.Random, msg: TaggedMessage) -> bool:
-        return msg.tag in self.tags and rng.random() < self.p
+    def should_drop(self, rng: random.Random, tag: str) -> bool:
+        return tag in self.tags and rng.random() < self.p
 
 
 class HeaderCorruption:

@@ -20,11 +20,16 @@ depth-first, sub-layers first, so service layers make progress before their
 clients inspect them within the same activation.
 
 The two per-message entry points are kept shallow on purpose (a dense
-trial's cost is call depth): :meth:`ProcessHost.send` is a dict hit into
-the channel's compiled link (:class:`repro.sim.runtime.Link`), and on the
-receive side the engine calls the consuming layer's ``on_message``
-directly — :meth:`ProcessHost.dispatch` is the same lookup, kept for
-``step_deliver``, busy-parked and hooked deliveries.
+trial's cost is call depth).  On the send side a layer reaches the
+channel's compiled link (:class:`repro.sim.runtime.Link`) through
+:meth:`ProcessHost.link`: a send's fate is one frame (``link.claim(tag)``),
+its admission a second (``link.put(msg)``), and a lost send builds
+nothing — Protocol PIF builds its message only after a claim;
+:meth:`ProcessHost.send` is a dict hit into ``link.send``, the two in a
+row, for every other sender.  On the receive side the engine calls the
+consuming layer's ``on_message`` directly — :meth:`ProcessHost.dispatch`
+is the same lookup, kept for ``step_deliver``, busy-parked and hooked
+deliveries.
 
 Because guards read only local variables, an activation that executes
 nothing is followed by activations that execute nothing until something
@@ -45,7 +50,7 @@ from repro.sim.determinism import timer_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.channel import TaggedMessage
-    from repro.sim.runtime import Simulator
+    from repro.sim.runtime import Link, Simulator
     from repro.sim.scheduler import EventHandle
 
 __all__ = ["Action", "Layer", "ProcessHost"]
@@ -185,9 +190,9 @@ class ProcessHost:
         # that activation's tick, while the host is dormant; None awake.
         self._catch_up: Callable[[int, float], None] | None = None
         self._next_activation: int = 0
-        # dst -> the compiled link's send (repro.sim.runtime.Link), filled
-        # at the first send to each peer.
-        self._send_to: dict[int, Callable[["TaggedMessage"], bool]] = {}
+        # dst -> the channel's compiled link, filled at the first send to
+        # each peer.
+        self._links: dict[int, Link] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -241,14 +246,23 @@ class ProcessHost:
 
     # -- input/output ---------------------------------------------------------
 
-    def send(self, dst: int, msg: "TaggedMessage") -> None:
-        # Straight into the channel's compiled link: the whole engine side
-        # of a send is that one frame (see repro.sim.runtime).
+    def link(self, dst: int) -> "Link":
+        """The compiled link of the channel to ``dst`` (compiled on first
+        use; see repro.sim.runtime)."""
         try:
-            send = self._send_to[dst]
+            return self._links[dst]
         except KeyError:
-            send = self._send_to[dst] = self.sim.link(self.pid, dst).send
-        send(msg)
+            link = self._links[dst] = self.sim.link(self.pid, dst)
+            return link
+
+    def send(self, dst: int, msg: "TaggedMessage") -> None:
+        # Straight into the channel's compiled link: claim, then put (see
+        # repro.sim.runtime).
+        try:
+            link = self._links[dst]
+        except KeyError:
+            link = self.link(dst)
+        link.send(msg)
 
     def emit(self, kind: str, **data: Any) -> None:
         self.sim.trace.emit(self.sim.now, kind, self.pid, **data)

@@ -46,15 +46,21 @@ barriers and peers re-inject it via :meth:`schedule_remote_arrival`.
 
 The hot path — one compiled link per directed channel.  A dense trial is
 hundreds of thousands of sends through one admission rule, and its profile
-is flat: no layer dominates, what costs is call *depth*.  So the whole send
-— stats, corruption, loss draw, admission, latency draw + FIFO clamp, heap
-push — is one method of one object per channel (:meth:`Link.send`, the
-link built at the channel's first use by :meth:`Simulator.link`), which
-:meth:`ProcessHost.send <repro.sim.process.ProcessHost.send>` calls
-directly: a send is one engine frame.  A delivery is two:
-:meth:`Simulator._deliver` frees the slot, counts the delivery and calls
-the consuming layer's ``on_message`` itself (a busy receiver, delivery
-hooks and ``trace_network`` take the general :meth:`_dispatch_arrival`).
+is flat: no layer dominates, what costs is call *depth*.  So a send is two
+methods of one object per channel (the link built at the channel's first
+use by :meth:`Simulator.link`): :meth:`Link.claim` decides its fate from
+the tag alone — stats, loss draw, capacity check — and :meth:`Link.put`
+admits the message — entry, latency draw + FIFO clamp, heap push.  A
+send's fate is one frame, its admission a second, and a lost send builds
+nothing: Protocol PIF, whose resends to every laggard lose ~45 % of a
+dense trial's sends to a full slot, builds its message only after a claim
+(:meth:`PifLayer._send_to <repro.core.pif.PifLayer._send_to>`); every
+other sender calls :meth:`Link.send`, the two in a row, through
+:meth:`ProcessHost.send <repro.sim.process.ProcessHost.send>`.  A
+delivery is two frames: :meth:`Simulator._deliver` frees the slot, counts
+the delivery and calls the consuming layer's ``on_message`` itself (a busy
+receiver, delivery hooks and ``trace_network`` take the general
+:meth:`_dispatch_arrival`).
 The step-by-step spelling of the same rules stays public —
 ``BoundedChannel.try_admit``, :meth:`Simulator.draw_delivery_time`,
 ``Scheduler.post_at``, ``ProcessHost.dispatch`` — for ``inject``,
@@ -103,12 +109,11 @@ CrossShardSend = tuple[int, int, TaggedMessage, int, int]
 
 class Link:
     """One directed channel, compiled: everything a send on it touches,
-    bound once, and the send itself as one frame.
+    bound once; a send's fate as one frame, its admission as a second.
 
     Built by :meth:`Simulator.link` at the channel's first use from the
-    channel (occupancy dict, capacity), its random stream, the latency draw
-    precompiled for the channel's own bounds
-    (:func:`~repro.sim.determinism.bound_randint`), the delivery-key base
+    channel (occupancy dict, capacity), its random stream, the latency
+    bounds and bit width the draw needs, the delivery-key base
     ``delivery_key(dst, src, 0)`` — entry seqs stay within the key's low
     bits, so ``key_base + seq`` is the packed key —, whether the
     destination is hosted by this engine, and the engine constants a send
@@ -116,31 +121,45 @@ class Link:
     the attribute reads cost what cell reads cost, and a link weighs what
     the cache tuple it replaced weighed (``docs/perf.md``).
 
-    :meth:`send` performs every check of the step-by-step path in the same
-    order — count, ``trace_network`` row, corruption, loss draw, admission
-    (:meth:`ChannelBase.try_admit`, inlined), then the engine's own step
-    for an admitted entry (:meth:`Simulator._admitted_step`): on this
-    engine the delivery-time rule (:meth:`Simulator.draw_delivery_time`,
-    inlined) and the heap push (``Scheduler.post_at``, inlined; its
-    past-time check cannot fire, latency lower bounds are >= 1) — so
-    stream consumption, :class:`SimStats`, entry seqs, canonical keys and
-    trace rows are bit-identical to it.
+    A send is :meth:`claim` then, if it said yes, :meth:`put` (:meth:`send`
+    is the two in a row).  Together they perform every check of the
+    step-by-step path in the same order — count, ``trace_network`` row,
+    loss draw, capacity check (:meth:`ChannelBase.try_admit`'s, inlined),
+    then admission and the engine's own step for an admitted entry
+    (:meth:`Simulator._admitted_step`): on this engine the delivery-time
+    rule (:meth:`Simulator.draw_delivery_time`, with the latency draw of
+    :func:`~repro.sim.determinism.bound_randint`, inlined) and the heap
+    push (``Scheduler.post_at``, inlined; its past-time check cannot fire,
+    latency lower bounds are >= 1) — so stream consumption,
+    :class:`SimStats`, entry seqs, canonical keys and trace rows are
+    bit-identical to it.  Nothing runs between a claim and its put, so the
+    capacity the claim checked is the capacity the put fills.  Under a
+    corruption model the corruption draw comes first, and the link is a
+    :class:`CorruptingLink`.
     """
 
     __slots__ = (
         # The channel's own.
         "channel", "draw", "key_base", "hosted",
-        "_rng", "_cap", "_occupancy", "_forward", "_on_arrival",
+        "_rng", "_getrandbits", "_lo", "_width", "_bits",
+        "_cap", "_occupancy", "_forward", "_on_arrival",
         # The engine's, the same objects on every link of it.
         "_sim", "_stats", "_sent_by_tag", "_scheduler", "_queue",
-        "_corruption", "_should_drop", "_trace_network",
+        "_should_drop", "_trace_network",
     )
 
     def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
         channel = sim.network.channel(src, dst)
         self.channel = channel
-        self._rng = sim.chan_rng(src, dst)
-        self.draw = bound_randint(self._rng, *sim.latency_for(src, dst))
+        rng = self._rng = sim.chan_rng(src, dst)
+        lo, hi = sim.latency_for(src, dst)
+        # The step-by-step draw (_schedule_delivery) and put's inlined copy
+        # of it: randint(lo, hi)'s rejection sampling over getrandbits.
+        self.draw = bound_randint(rng, lo, hi)
+        self._getrandbits = rng.getrandbits
+        self._lo = lo
+        self._width = width = hi - lo + 1
+        self._bits = width.bit_length()
         self.key_base = delivery_key(dst, src, 0)
         self.hosted = dst in sim.hosts
         self._cap = channel.capacity
@@ -157,7 +176,6 @@ class Link:
         self._sent_by_tag = sim.stats.sent_by_tag
         self._scheduler = sim.scheduler
         self._queue = sim.scheduler._queue
-        self._corruption = sim.corruption
         # NoLoss draws no randomness, so skipping the call outright is
         # behaviour-preserving and saves a method call per send.
         self._should_drop = (
@@ -167,33 +185,36 @@ class Link:
 
     def send(self, msg: TaggedMessage) -> bool:
         """Send ``msg`` down the channel; returns True if admitted."""
+        return self.claim(msg.tag) and self.put(msg)
+
+    def claim(self, tag: str) -> bool:
+        """Everything a send of a ``tag`` message does before admission:
+        count, ``trace_network`` rows, loss draw, capacity check.  True:
+        the message will be admitted — :meth:`put` it next."""
         stats = self._stats
         stats.sent += 1
-        tag = msg.tag
         self._sent_by_tag[tag] += 1
         if self._trace_network:
             self._emit(EventKind.SEND, tag)
-        if self._corruption is not None:
-            original = msg
-            msg = self._corruption.maybe_corrupt(self._rng, msg)
-            if msg is not original:
-                stats.corrupted += 1
-                tag = msg.tag
-        if self._should_drop is not None and self._should_drop(self._rng, msg):
+        if self._should_drop is not None and self._should_drop(self._rng, tag):
             stats.dropped_loss += 1
             if self._trace_network:
                 self._emit(EventKind.DROP_LOSS, tag)
             return False
-        occupancy = self._occupancy
-        occ = occupancy.get(tag, 0)
         cap = self._cap
-        if cap is not None and occ >= cap:
+        if cap is not None and self._occupancy.get(tag, 0) >= cap:
             stats.dropped_full += 1
             if self._trace_network:
                 self._emit(EventKind.DROP_FULL, tag)
             return False
-        occ += 1
-        occupancy[tag] = occ
+        return True
+
+    def put(self, msg: TaggedMessage) -> bool:
+        """Admit ``msg``, whose tag this link just claimed, and take the
+        engine's step for it; returns True (admitted)."""
+        tag = msg.tag
+        occupancy = self._occupancy
+        occupancy[tag] = occ = occupancy.get(tag, 0) + 1
         channel = self.channel
         if occ > channel._occ_high.get(tag, 0):
             channel._occ_high[tag] = occ
@@ -205,7 +226,13 @@ class Link:
         if self._forward is not None:
             self._forward(entry)
             return True
-        time = now + self.draw()
+        getrandbits = self._getrandbits
+        bits = self._bits
+        width = self._width
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        time = now + self._lo + r
         last_delivery = channel._last_delivery
         floor = last_delivery.get(tag, -1) + 1
         if time < floor:
@@ -230,6 +257,32 @@ class Link:
         self._sim.trace.emit(
             self._scheduler._now, kind, channel.src, dst=channel.dst, tag=tag
         )
+
+
+class CorruptingLink(Link):
+    """A link under an in-flight corruption model.
+
+    The corruption draw precedes the loss draw on the channel's stream, so
+    a send's fate cannot be decided before its message exists: :meth:`claim`
+    says yes and touches nothing, and :meth:`put` corrupts, then decides
+    (:meth:`Link.claim`) and admits (:meth:`Link.put`) — the step-by-step
+    order.  A corruption model rewrites a message's fields, never its tag.
+    """
+
+    __slots__ = ("_corruption",)
+
+    def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
+        super().__init__(sim, src, dst)
+        self._corruption = sim.corruption
+
+    def claim(self, tag: str) -> bool:
+        return True
+
+    def put(self, msg: TaggedMessage) -> bool:
+        corrupted = self._corruption.maybe_corrupt(self._rng, msg)
+        if corrupted is not msg:
+            self._stats.corrupted += 1
+        return Link.claim(self, msg.tag) and Link.put(self, corrupted)
 
 
 def _stays_in_channel(entry: _Entry) -> None:
@@ -305,7 +358,7 @@ class Simulator:
         self.stats = SimStats()
         self.loss: LossModel = loss if loss is not None else NoLoss()
         #: Optional in-flight corruption model (see repro.sim.faults); must
-        #: expose ``maybe_corrupt(rng, msg) -> msg``.
+        #: expose ``maybe_corrupt(rng, msg) -> msg``, keeping ``msg.tag``.
         self.corruption = corruption
         self.latency = (lo, hi)
         self.activation_period = activation_period
@@ -456,7 +509,8 @@ class Simulator:
         first use)."""
         link = self._links.get((src, dst))
         if link is None:
-            link = self._links[(src, dst)] = Link(self, src, dst)
+            compile_link = Link if self.corruption is None else CorruptingLink
+            link = self._links[(src, dst)] = compile_link(self, src, dst)
         return link
 
     def transmit(self, src: int, dst: int, msg: TaggedMessage) -> bool:
@@ -469,7 +523,7 @@ class Simulator:
         The single definition of the delivery-time rule: the step-by-step
         scheduling path (:meth:`_schedule_delivery`) and every transport of
         the async engine (:mod:`repro.net`) go through here, and the one
-        inlined copy — a link's ``send`` — is held to it by
+        inlined copy — a link's ``put`` — is held to it by
         ``tests/test_link_equivalence.py``, so a change to the rule cannot
         desynchronize the engines.  The bounds are the channel's own —
         per-edge on :class:`~repro.sim.topology.Weighted` topologies, the

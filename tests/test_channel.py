@@ -117,12 +117,12 @@ class TestLossModels:
     def test_no_loss_never_drops(self):
         rng = random.Random(0)
         model = NoLoss()
-        assert not any(model.should_drop(rng, Msg("a")) for _ in range(100))
+        assert not any(model.should_drop(rng, "a") for _ in range(100))
 
     def test_bernoulli_rate_roughly_matches(self):
         rng = random.Random(42)
         model = BernoulliLoss(0.3)
-        drops = sum(model.should_drop(rng, Msg("a")) for _ in range(10_000))
+        drops = sum(model.should_drop(rng, "a") for _ in range(10_000))
         assert 2700 < drops < 3300
 
     def test_bernoulli_rejects_certain_loss(self):
@@ -136,18 +136,18 @@ class TestLossModels:
     def test_drop_first_k_per_tag(self):
         rng = random.Random(0)
         model = DropFirstK(2)
-        results_a = [model.should_drop(rng, Msg("a")) for _ in range(4)]
-        results_b = [model.should_drop(rng, Msg("b")) for _ in range(4)]
+        results_a = [model.should_drop(rng, "a") for _ in range(4)]
+        results_b = [model.should_drop(rng, "b") for _ in range(4)]
         assert results_a == [True, True, False, False]
         assert results_b == [True, True, False, False]
 
     def test_drop_first_k_reset(self):
         rng = random.Random(0)
         model = DropFirstK(1)
-        assert model.should_drop(rng, Msg("a"))
-        assert not model.should_drop(rng, Msg("a"))
+        assert model.should_drop(rng, "a")
+        assert not model.should_drop(rng, "a")
         model.reset()
-        assert model.should_drop(rng, Msg("a"))
+        assert model.should_drop(rng, "a")
 
     def test_drop_first_k_rejects_negative(self):
         with pytest.raises(ChannelError):

@@ -32,21 +32,21 @@ class TestGilbertElliott:
         model = GilbertElliottLoss(p_good=0.0, p_bad=0.99, p_gb=1.0, p_bg=1.0)
         rng = random.Random(0)
         assert not model.in_burst
-        model.should_drop(rng, Msg("a"))  # good -> bad this step
+        model.should_drop(rng, "a")  # good -> bad this step
         assert model.in_burst
-        model.should_drop(rng, Msg("a"))  # bad -> good
+        model.should_drop(rng, "a")  # bad -> good
         assert not model.in_burst
 
     def test_drop_rate_higher_in_bad_state(self):
         rng = random.Random(1)
         model = GilbertElliottLoss(p_good=0.01, p_bad=0.8, p_gb=0.05, p_bg=0.05)
-        drops = sum(model.should_drop(rng, Msg("a")) for _ in range(20_000))
+        drops = sum(model.should_drop(rng, "a") for _ in range(20_000))
         # Stationary distribution is 50/50 -> expected rate ~0.405.
         assert 0.30 < drops / 20_000 < 0.52
 
     def test_reset(self):
         model = GilbertElliottLoss(p_gb=1.0, p_bg=0.0001)
-        model.should_drop(random.Random(0), Msg("a"))
+        model.should_drop(random.Random(0), "a")
         assert model.in_burst
         model.reset()
         assert not model.in_burst
@@ -75,7 +75,7 @@ class TestPeriodicLoss:
     def test_drops_every_kth(self):
         model = PeriodicLoss(3)
         rng = random.Random(0)
-        results = [model.should_drop(rng, Msg("a")) for _ in range(9)]
+        results = [model.should_drop(rng, "a") for _ in range(9)]
         assert results == [False, False, True] * 3
 
     def test_rejects_period_one(self):
@@ -97,8 +97,8 @@ class TestTargetedLoss:
     def test_only_targeted_tags_dropped(self):
         model = TargetedLoss({"victim"}, p=0.9)
         rng = random.Random(0)
-        assert not any(model.should_drop(rng, Msg("other")) for _ in range(100))
-        drops = sum(model.should_drop(rng, Msg("victim")) for _ in range(1000))
+        assert not any(model.should_drop(rng, "other") for _ in range(100))
+        drops = sum(model.should_drop(rng, "victim") for _ in range(1000))
         assert drops > 700
 
     def test_mutex_survives_attack_on_one_instance(self):

@@ -1,15 +1,17 @@
 """The compiled link against the step-by-step path it inlines.
 
 A channel's :class:`~repro.sim.runtime.Link` carries an inlined copy of the
-admission rule (``ChannelBase.try_admit``), of the delivery-time rule
+admission rule (``ChannelBase.try_admit``, split between ``claim``, which
+decides from the tag, and ``put``, which admits), of the delivery-time rule
 (``Simulator.draw_delivery_time`` / ``fifo_delivery_time``) and of the heap
 push (``Scheduler.post_at``); ``Simulator._deliver`` carries one of
 ``channel.remove`` + ``_dispatch_arrival`` + ``ProcessHost.dispatch``.  The
 property here is what holds those copies to their definitions: twin
-simulators with one seed, one driven through the links, the other through
-the public step-by-step methods (the ones ``inject``, the transports and
-the ledger's probes keep alive), must agree on *everything* observable
-after every step.
+simulators with one seed, one driven through the links — ``transmit``,
+``ProcessHost.send`` or Protocol PIF's ``claim``-then-``put`` — the other
+through the public step-by-step methods (the ones ``inject``, the
+transports and the ledger's probes keep alive), must agree on *everything*
+observable after every step.
 
 Also pinned: the engine's configuration is construction-time (a link
 compiled before the first send honours every knob), and the two things a
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.messages import PifMessage
 from repro.sim import configuration
 from repro.sim.channel import BernoulliLoss, DropFirstK
-from repro.sim.faults import HeaderCorruption
+from repro.sim.faults import HeaderCorruption, TargetedLoss
 from repro.sim.process import Layer
 from repro.sim.runtime import Simulator
 from repro.sim.topology import Complete, Weighted
@@ -78,7 +80,7 @@ def _reference_send(sim: Simulator, src: int, dst: int, msg) -> bool:
         msg = sim.corruption.maybe_corrupt(rng, msg)
         if msg is not original:
             stats.corrupted += 1
-    if sim.loss.should_drop(rng, msg):
+    if sim.loss.should_drop(rng, msg.tag):
         stats.dropped_loss += 1
         if sim.trace_network:
             sim.trace.emit(sim.now, EventKind.DROP_LOSS, src, dst=dst, tag=msg.tag)
@@ -141,15 +143,19 @@ def _run_steps(make_kwargs, hooks: bool, steps) -> None:
     count = 0
     for step in steps:
         op = step[0]
-        if op in ("transmit", "send"):
+        if op in ("transmit", "send", "claim"):
             _, src, dst, tag = step
             count += 1
             msg = PifMessage(tag, f"b{count}", "f", count % 5, 0)
             admitted = _reference_send(stepwise, src, dst, msg)
             if op == "transmit":  # the public entry reports admission
                 assert linked.transmit(src, dst, msg) == admitted
-            else:                 # the protocols' entry
+            elif op == "send":    # the protocols' entry
                 linked.host(src).send(dst, msg)
+            else:                 # Protocol PIF's: the fate, then the message
+                link = linked.host(src).link(dst)
+                if link.claim(tag):
+                    link.put(msg)
         elif op == "advance":
             for sim in (linked, stepwise):
                 sim.scheduler.run_until(sim.now + step[1])
@@ -182,7 +188,8 @@ def _pinned_steps():
     steps = []
     for round_no in range(6):
         steps += [("send", 1, 2, "a"), ("transmit", 1, 2, "a"),
-                  ("transmit", 1, 2, "b"), ("send", 2, 3, "a"),
+                  ("claim", 1, 2, "a"), ("transmit", 1, 2, "b"),
+                  ("send", 2, 3, "a"), ("claim", 1, 3, "b"),
                   ("transmit", 1, 3, "b"), ("advance", round_no % 3)]
         if round_no == 1:
             steps += [("busy", 2, 4), ("capture",)]
@@ -207,6 +214,35 @@ def test_link_matches_step_by_step_path_on_a_fixed_walk(
         )
 
     _run_steps(make_kwargs, True, _pinned_steps())
+
+
+_LOSSES = {
+    "none": lambda: None,
+    "bernoulli": lambda: BernoulliLoss(0.3),
+    "drop-first-k": lambda: DropFirstK(2),
+    "targeted": lambda: TargetedLoss({"a"}, 0.5),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(_LOSSES))
+@pytest.mark.parametrize("corruption", [False, True],
+                         ids=["clean", "corrupting"])
+@pytest.mark.parametrize("auto", [True, False], ids=["auto", "manual"])
+def test_claim_then_put_matches_step_by_step_path(loss, corruption, auto):
+    """Every send through the two halves: full slots on 1 -> 2, a
+    non-hosted destination (3), ``trace_network`` rows, each loss model,
+    a corrupting link (whose claim defers to its put), manual mode."""
+    def make_kwargs():
+        return dict(
+            topology=Complete(PIDS), seed=5, hosts_for=(1, 2), capacity=1,
+            loss=_LOSSES[loss](),
+            corruption=HeaderCorruption(0.3) if corruption else None,
+            trace_network=True, auto=auto,
+        )
+
+    steps = [("claim", *step[1:]) if step[0] in ("send", "transmit") else step
+             for step in _pinned_steps()]
+    _run_steps(make_kwargs, False, steps)
 
 
 class TestConfigurationIsConstructionTime:
@@ -311,15 +347,16 @@ def _scenarios(draw):
         unbounded=draw(st.booleans()),
         capacity=draw(st.integers(1, 3)),
         latency=draw(st.sampled_from([(1, 3), (1, 1), (2, 7)])),
-        loss_p=draw(st.sampled_from([None, 0.1])),
+        loss=draw(st.sampled_from(sorted(_LOSSES))),
         corruption_p=draw(st.sampled_from([None, 0.3])),
         trace_network=draw(st.booleans()),
+        auto=draw(st.booleans()),
     )
     # A small pool of edges per scenario, so sends pile up on one channel
     # (full slots, FIFO clamps) instead of spreading over all six.
     any_edge = st.tuples(st.sampled_from(hosted), _pid).filter(lambda e: e[0] != e[1])
     edge = st.sampled_from(draw(st.lists(any_edge, min_size=1, max_size=3)))
-    send = st.tuples(st.sampled_from(["transmit", "send"]), edge,
+    send = st.tuples(st.sampled_from(["transmit", "send", "claim"]), edge,
                      st.sampled_from(TAGS)).map(lambda s: (s[0], *s[1], s[2]))
     step = st.one_of(
         send,
@@ -340,13 +377,13 @@ def _scenarios(draw):
           suppress_health_check=[HealthCheck.too_slow])
 def test_link_matches_step_by_step_path_after_every_step(scenario):
     kwargs, hooks, steps = scenario
-    loss_p = kwargs.pop("loss_p")
+    loss = kwargs.pop("loss")
     corruption_p = kwargs.pop("corruption_p")
 
     def make_kwargs():
         return dict(
             kwargs,
-            loss=None if loss_p is None else BernoulliLoss(loss_p),
+            loss=_LOSSES[loss](),
             corruption=(None if corruption_p is None
                         else HeaderCorruption(corruption_p)),
         )
