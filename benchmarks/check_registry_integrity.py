@@ -38,8 +38,9 @@ Asserts, without running a single trial:
   something a refactor deleted — the keyword adapters, the per-aspect
   protocol tables, the lock-step engine, the actor layer, the crash
   repair, the bad-factor spelling of mutual exclusion, the experiments'
-  pytest wrappers whose assertions ``repro claims`` now carries — or a
-  PIF send that builds its message before the link claimed a slot.
+  pytest wrappers whose assertions ``repro claims`` now carries, the
+  per-engine run-outcome types and payload-format expansions — or a PIF
+  send that builds its message before the link claimed a slot.
 
 Usage::
 
@@ -201,6 +202,15 @@ GUARDS: tuple[Guard, ...] = (
     # builds the message (`if link.claim(tag): link.put(msg)`).
     Guard("builds a PIF message before the link claimed its slot",
           re.compile(r".*\bhost\.se" + r"nd\("), ("repro/core/pif.py",)),
+    # One run outcome (every engine returns EngineRun) and one payload
+    # spelling (RequestDriver takes ``payload_fmt`` itself).
+    Guard("names a deleted run-outcome type or payload-format expansion",
+          re.compile(r".*\b(NetRun" + r"Result|ClusterRun" + r"Result"
+                     r"|normalized" + r"_driver|payload_from" + r"_fmt)\b"),
+          _EVERYWHERE),
+    Guard("a backend writes its own prepare (EngineBackend.prepare is "
+          "the one; a backend supplies engine())",
+          re.compile(r"^\s*def pre" + r"pare\("), ("repro/engine/backends",)),
 )
 
 

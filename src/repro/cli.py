@@ -279,29 +279,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _topology_spec(args) -> str | None:
-    """Fold the --wan shorthand into the --topology spec string."""
-    spec = args.topology
-    if getattr(args, "wan", False):
-        if spec is not None and not spec.startswith("wan"):
-            raise SimulationError(
-                f"--wan conflicts with --topology {spec!r}; use --topology "
-                f"wan:K to pick the cluster count"
-            )
-        spec = spec or "wan"
-    return spec
-
-
-def _weighted_topology(args, n: int, seed: int):
-    """The trial topology argument: a spec string, or — when --latency-map
-    layers explicit per-edge bounds over the graph — a built
-    :class:`~repro.sim.topology.Weighted` instance.  Delegates to the
-    shared :mod:`repro.engine.spec` helper the spec codec uses."""
-    from repro.engine.spec import _topology_from_args
-
-    return _topology_from_args(args, n, seed)
-
-
 def _cmd_figure1(args) -> str:
     from repro.analysis.experiments import run_figure1
     from repro.analysis.tables import render_table
@@ -398,16 +375,16 @@ def _cmd_compare(args) -> str:
 def _cmd_scaling(args) -> str:
     from repro.analysis.runner import pif_scaling_row
     from repro.analysis.tables import render_table
+    from repro.engine.spec import _topology_from_args
 
     if args.latency_map:
         raise SimulationError(
             "--latency-map names explicit pids, which a multi-n scaling "
             "sweep cannot share; use --topology wan[:K] for a weighted sweep"
         )
-    rows = [
-        pif_scaling_row(n, seeds=args.seeds, topology=_topology_spec(args))
-        for n in args.ns
-    ]
+    topology = _topology_from_args(args, args.ns[0], args.seeds[0])
+    rows = [pif_scaling_row(n, seeds=args.seeds, topology=topology)
+            for n in args.ns]
     return render_table(
         ["n", "topology", "messages/wave", "messages/peer", "duration"],
         [[r["n"], r["topology"], r["messages_mean"], r["messages_per_peer"],
@@ -473,8 +450,9 @@ def _cmd_matrix(args) -> str:
 def _cmd_aggregate(args) -> str:
     from repro.analysis.tables import render_table
     from repro.applications.aggregation import run_aggregation_demo
+    from repro.engine.spec import _topology_from_args
 
-    topology = _weighted_topology(args, args.n, args.seeds[0])
+    topology = _topology_from_args(args, args.n, args.seeds[0])
     rows = [
         run_aggregation_demo(args.n, topology=topology, op=args.op, seed=s)
         for s in args.seeds
@@ -488,10 +466,11 @@ def _cmd_aggregate(args) -> str:
 def _cmd_topology(args) -> str:
     """Structure + edge-weight stats + the sharded engine's lookahead."""
     from repro.analysis.tables import render_table
+    from repro.engine.spec import _topology_from_args
     from repro.sim.partition import partition_topology
     from repro.sim.topology import topology_from_spec
 
-    top = _weighted_topology(args, args.n, args.seed)
+    top = _topology_from_args(args, args.n, args.seed)
     if top is None or isinstance(top, str):
         top = topology_from_spec(top or "complete", args.n, seed=args.seed)
     lo, hi = args.latency

@@ -26,7 +26,6 @@ __all__ = [
     "PROTOCOLS",
     "ProtocolKind",
     "build_protocol",
-    "payload_from_fmt",
     "protocol_named",
     "protocol_of",
 ]
@@ -204,13 +203,3 @@ def build_protocol(protocol: Mapping[str, Any]) -> BuildFn:
     row = protocol_of(protocol)
     return row.build(**{k: v for k, v in protocol.items() if k != "kind"})
 
-
-def payload_from_fmt(fmt: str) -> Callable[[int, int], str]:
-    """The picklable replacement for driver payload callables: a format
-    string over ``pid``/``k`` (``"msg-{pid}-{k}"`` reproduces the serial
-    runners' payloads byte for byte)."""
-
-    def payload(pid: int, k: int) -> str:
-        return fmt.format(pid=pid, k=k)
-
-    return payload

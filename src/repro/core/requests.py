@@ -51,6 +51,10 @@ class RequestDriver:
     from an arbitrary initial configuration it first waits out any
     never-started computation the scramble left behind (the Termination
     property guarantees that wait is finite).
+
+    A request's payload is ``payload(pid, k)`` for the process's ``k``-th
+    request, or ``payload_fmt.format(pid=pid, k=k)`` — the picklable
+    spelling trial specs carry, since closures cannot cross interpreters.
     """
 
     def __init__(
@@ -64,6 +68,7 @@ class RequestDriver:
         think_time: int = 2,
         poll: int = 1,
         payload: Callable[[int, int], Any] | None = None,
+        payload_fmt: str | None = None,
         halt_when_done: bool = False,
     ) -> None:
         if requests_per_process < 0:
@@ -74,6 +79,8 @@ class RequestDriver:
         self.tag = tag
         self.think_time = think_time
         self.poll = max(1, poll)
+        if payload_fmt is not None:
+            payload = lambda pid, k: payload_fmt.format(pid=pid, k=k)  # noqa: E731
         self.payload = payload
         self._per_process: dict[int, _PerProcess] = {
             pid: _PerProcess(remaining=requests_per_process, next_issue_at=first_at)

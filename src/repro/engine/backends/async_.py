@@ -8,21 +8,17 @@ without touching this module.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.protocols import build_protocol
 from repro.net.engine import AsyncSimulator
 from repro.net.monitors import default_monitors
 from repro.net.transport import resolve_transport, transport_names
+from repro.sim.topology import Topology
 from repro.engine.base import (
     DRAIN_TICKS,
     EngineBackend,
     EngineRun,
     PreparedTrial,
     loss_model,
-    normalized_driver,
-    resolve_topology,
-    scramble_seed_of,
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
@@ -62,14 +58,14 @@ class AsyncBackend(EngineBackend):
             if resolve_transport(name).paced
         )
 
-    def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
-        top = resolve_topology(spec.n, spec.topology, spec.seed)
-        driver = normalized_driver(spec)
+    def engine(
+        self, spec: TrialSpec, topology: Topology | None
+    ) -> AsyncSimulator:
         tick = spec.transport.tick
         sim = AsyncSimulator(
-            spec.n if top is None else None,
+            spec.n if topology is None else None,
             build_protocol(spec.protocol),
-            topology=top,
+            topology=topology,
             seed=spec.seed,
             loss=loss_model(spec.loss),
             capacity=spec.capacity,
@@ -78,46 +74,20 @@ class AsyncBackend(EngineBackend):
             fault_plan=spec.chaos.plan,
             **({} if tick is None else {"tick": tick}),
         )
-        tag = driver["tag"]
         for monitor in default_monitors(
-                tag, sim.topology, spec.protocol.get("idents")):
+                spec.driver["tag"], sim.topology, spec.protocol.get("idents")):
             sim.trace.attach(monitor)
-        return PreparedTrial(
-            spec=spec, topology=top, driver=driver, tag=tag,
-            scramble_seed=scramble_seed_of(spec), obs=obs, sim=sim,
-        )
+        return sim
 
     def run(self, prepared: PreparedTrial) -> EngineRun:
         spec = prepared.spec
-        sim: AsyncSimulator = prepared.sim
         with prepared.phase("trial", transport=spec.transport.transport):
-            result = sim.run_trial(
+            return prepared.sim.run_trial(
                 horizon=spec.horizon,
                 scramble_seed=prepared.scramble_seed,
-                driver=prepared.driver,
+                driver=spec.driver,
                 drain=DRAIN_TICKS,
             )
-        return EngineRun(
-            trace=result.trace,
-            stats=result.stats,
-            finals=result.finals,
-            completions=result.completions,
-            completed=result.completed,
-            final_time=result.final_time,
-            topology=sim.topology,
-            pids=sim.pids,
-            engine=self.name,
-            transport=spec.transport.transport,
-            monitor_reports=result.monitor_reports,
-            fault_counts=(
-                dict(sim.fault_counts)
-                if spec.chaos.plan is not None else None
-            ),
-        )
-
-    def collect_obs(self, prepared: PreparedTrial, run: EngineRun) -> None:
-        if prepared.obs is not None:
-            prepared.obs.collect_sim(prepared.sim)
 
 
 register(AsyncBackend())

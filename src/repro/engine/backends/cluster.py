@@ -5,18 +5,14 @@ a narrower declared surface, as ``engine=sharded``
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.net.cluster import ClusterSimulator
+from repro.sim.topology import Topology
 from repro.engine.base import (
     DRAIN_TICKS,
     EngineBackend,
     EngineRun,
     PreparedTrial,
     loss_model,
-    normalized_driver,
-    resolve_topology,
-    scramble_seed_of,
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
@@ -45,16 +41,16 @@ class ClusterBackend(EngineBackend):
     def capabilities(self) -> frozenset[str]:
         return self._capabilities
 
-    def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
-        top = resolve_topology(spec.n, spec.topology, spec.seed)
-        driver = normalized_driver(spec, picklable=True)
+    def engine(
+        self, spec: TrialSpec, topology: Topology | None
+    ) -> ClusterSimulator:
         # The worker count rides whichever axis the registration
         # declares; the capability gate left the other one unset.
         hosts = spec.cluster.hosts
-        sim = ClusterSimulator(
-            spec.n if top is None else None,
+        return ClusterSimulator(
+            spec.n if topology is None else None,
             spec.protocol,
-            topology=top,
+            topology=topology,
             seed=spec.seed,
             hosts=hosts if hosts is not None else spec.sharding.shards,
             window=spec.sharding.window,
@@ -65,35 +61,17 @@ class ClusterBackend(EngineBackend):
             listen=spec.cluster.listen,
             fault_plan=spec.chaos.plan,
         )
-        return PreparedTrial(
-            spec=spec, topology=top, driver=driver, tag=driver["tag"],
-            scramble_seed=scramble_seed_of(spec), obs=obs, sim=sim,
-        )
 
     def run(self, prepared: PreparedTrial) -> EngineRun:
         spec = prepared.spec
-        cluster: ClusterSimulator = prepared.sim
-        result = cluster.run_trial(
+        run = prepared.sim.run_trial(
             horizon=spec.horizon,
             scramble_seed=prepared.scramble_seed,
-            driver=prepared.driver,
+            driver=spec.driver,
             drain=DRAIN_TICKS,
             obs=prepared.obs,
         )
-        run = EngineRun(
-            trace=result.trace,
-            stats=result.stats,
-            finals=result.finals,
-            completions=result.completions,
-            completed=result.completed,
-            final_time=result.final_time,
-            topology=cluster.topology,
-            pids=cluster.pids,
-            engine=self.name,
-            window=result.window,
-            barriers=result.barriers,
-            sync_wall_s=result.sync_wall_s,
-        )
+        run.engine = self.name
         if "sync" in self._capabilities:
             # The workers ran monitor-free (their slices see only local
             # emissions); replay the automata over the merged trace's
@@ -103,22 +81,20 @@ class ClusterBackend(EngineBackend):
             from repro.net.monitors import default_monitors
 
             monitors = default_monitors(
-                prepared.tag, cluster.topology, spec.protocol.get("idents"))
+                prepared.tag, run.topology, spec.protocol.get("idents"))
             for monitor in monitors:
-                for time, kind, process, data in result.trace.scan(
+                for time, kind, process, data in run.trace.scan(
                         *monitor.automaton.KINDS):
                     monitor.observe(time, kind, process, data)
             run.monitor_reports = [m.report() for m in monitors]
-        if "hosts" in self._capabilities:
-            run.hosts = cluster.n_shards
-            run.sync = result.sync
-            run.worker_wall_s = result.worker_wall_s
-            run.registry_round_trips = result.registry_round_trips
-        if spec.chaos.plan is not None:
-            run.fault_counts = dict(result.fault_counts)
-            run.recoveries = result.recoveries
-            run.replayed_rounds = result.replayed_rounds
+        if "hosts" not in self._capabilities:
+            run.hosts = run.sync = run.worker_wall_s = None
+            run.registry_round_trips = None
         return run
+
+    def collect_obs(self, prepared: PreparedTrial, run: EngineRun) -> None:
+        """Nothing to harvest: the workers shipped their own counters,
+        merged into the recorder with the result."""
 
 
 register(ClusterBackend(

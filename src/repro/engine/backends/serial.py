@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.errors import HorizonExceeded
 from repro.sim.runtime import Simulator
+from repro.sim.topology import Topology
 from repro.sim.trace import EventKind, Trace
 from repro.engine.base import (
     DRAIN_TICKS,
@@ -15,9 +14,6 @@ from repro.engine.base import (
     EngineRun,
     PreparedTrial,
     loss_model,
-    normalized_driver,
-    resolve_topology,
-    scramble_seed_of,
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
@@ -60,21 +56,15 @@ class SerialBackend(EngineBackend):
     def capabilities(self) -> frozenset[str]:
         return frozenset({"obs", "round_budget"})
 
-    def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
-        top = resolve_topology(spec.n, spec.topology, spec.seed)
-        driver = normalized_driver(spec)
-        sim = Simulator(
-            spec.n if top is None else None,
+    def engine(self, spec: TrialSpec, topology: Topology | None) -> Simulator:
+        return Simulator(
+            spec.n if topology is None else None,
             build_protocol(spec.protocol),
-            topology=top,
+            topology=topology,
             seed=spec.seed,
             loss=loss_model(spec.loss),
             capacity=spec.capacity,
             latency=spec.latency,
-        )
-        return PreparedTrial(
-            spec=spec, topology=top, driver=driver, tag=driver["tag"],
-            scramble_seed=scramble_seed_of(spec), obs=obs, sim=sim,
         )
 
     def run(self, prepared: PreparedTrial) -> EngineRun:
@@ -87,7 +77,7 @@ class SerialBackend(EngineBackend):
         # The driver halts the run itself, in the tick that serves its
         # last request; only the round-budget guard still needs a
         # per-event predicate.
-        drv = RequestDriver(sim, halt_when_done=True, **prepared.driver)
+        drv = RequestDriver(sim, halt_when_done=True, **spec.driver)
         with prepared.phase("serve"):
             guard = None
             if spec.round_budget is not None:
@@ -121,10 +111,6 @@ class SerialBackend(EngineBackend):
             pids=sim.pids,
             engine=self.name,
         )
-
-    def collect_obs(self, prepared: PreparedTrial, run: EngineRun) -> None:
-        if prepared.obs is not None:
-            prepared.obs.collect_sim(prepared.sim)
 
 
 register(SerialBackend())

@@ -3,13 +3,14 @@
 A backend turns a :class:`~repro.engine.spec.TrialSpec` into an
 :class:`EngineRun` in three steps the pipeline drives uniformly:
 
-* :meth:`~EngineBackend.prepare` — resolve the topology, normalize the
-  driver config, construct the engine object (a :class:`PreparedTrial`);
+* :meth:`~EngineBackend.prepare` — resolve the topology and the scramble
+  seed and construct the engine object (a :class:`PreparedTrial`); written
+  once, here — a backend supplies only :meth:`~EngineBackend.engine`;
 * :meth:`~EngineBackend.run` — execute the trial shape every engine
   shares (scramble → serve the request driver → drain
-  :data:`DRAIN_TICKS`) and return the engine-agnostic outcome;
+  :data:`DRAIN_TICKS`) and return the one outcome type, :class:`EngineRun`;
 * :meth:`~EngineBackend.collect_obs` — harvest passive counters into the
-  trial's :class:`~repro.obs.recorder.ObsRecorder` (optional).
+  trial's :class:`~repro.obs.recorder.ObsRecorder`.
 
 Fitness is declarative: :meth:`~EngineBackend.capabilities` names the
 spec axes the backend understands, and :func:`check_capabilities` turns
@@ -43,9 +44,7 @@ __all__ = [
     "EngineRun",
     "check_capabilities",
     "loss_model",
-    "normalized_driver",
     "resolve_topology",
-    "scramble_seed_of",
     "validate_run_provenance",
 ]
 
@@ -71,30 +70,8 @@ def resolve_topology(
     return topology
 
 
-def scramble_seed_of(spec: TrialSpec) -> int | None:
-    """The adversary stream seed (None when the spec skips scrambling)."""
-    return (spec.seed ^ SCRAMBLE_XOR) if spec.scramble else None
-
-
 def loss_model(loss: float):
     return BernoulliLoss(loss) if loss > 0 else NoLoss()
-
-
-def normalized_driver(spec: TrialSpec, *, picklable: bool = False) -> dict[str, Any]:
-    """The spec's driver config in the form the backend needs.
-
-    The picklable ``payload_fmt`` spelling works on every engine; for
-    in-process backends it expands to the equivalent callable here so
-    :class:`~repro.core.requests.RequestDriver` stays format-agnostic.
-    Cross-interpreter backends (``picklable=True``) keep the format
-    string — closures cannot cross interpreters.
-    """
-    driver = dict(spec.driver)
-    if not picklable and "payload_fmt" in driver:
-        from repro.core.protocols import payload_from_fmt
-
-        driver["payload"] = payload_from_fmt(driver.pop("payload_fmt"))
-    return driver
 
 
 @dataclass
@@ -104,16 +81,17 @@ class PreparedTrial:
     spec: TrialSpec
     #: The resolved topology object (None = complete graph via ``spec.n``).
     topology: Topology | None
-    #: Backend-shaped driver config (see :func:`normalized_driver`).
-    driver: dict[str, Any]
-    #: The driver's layer tag (finals/monitors/measurements key).
-    tag: str
     #: Adversary stream seed, or None when the spec skips scrambling.
     scramble_seed: int | None
     #: The trial's recorder, or None when observability is off.
     obs: Any = None
     #: The constructed engine object (backend-specific).
     sim: Any = None
+
+    @property
+    def tag(self) -> str:
+        """The driver's layer tag (finals/monitors/measurements key)."""
+        return self.spec.driver["tag"]
 
     def phase(self, name: str, **args: Any):
         """The recorder's span over one whole phase of the run; a no-op
@@ -208,7 +186,7 @@ class EngineBackend(abc.ABC):
     """One execution engine behind the registry.
 
     Subclasses set :attr:`name`, declare :meth:`capabilities`, and
-    implement :meth:`prepare`/:meth:`run`.  :meth:`validate` hosts any
+    implement :meth:`engine`/:meth:`run`.  :meth:`validate` hosts any
     backend-specific consistency checks the capability table cannot
     express (raise :class:`~repro.errors.SpecError`); :meth:`collect_obs`
     harvests passive counters after the run.
@@ -227,17 +205,27 @@ class EngineBackend(abc.ABC):
         """Backend-specific checks beyond the capability table."""
 
     @abc.abstractmethod
+    def engine(self, spec: TrialSpec, topology: Topology | None) -> Any:
+        """Construct the engine object for ``spec`` over the resolved
+        ``topology`` (None = the complete graph on ``spec.n``)."""
+
     def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
         """Resolve the spec and construct the engine object."""
+        topology = resolve_topology(spec.n, spec.topology, spec.seed)
+        return PreparedTrial(
+            spec=spec, topology=topology,
+            scramble_seed=(spec.seed ^ SCRAMBLE_XOR) if spec.scramble else None,
+            obs=obs, sim=self.engine(spec, topology),
+        )
 
     @abc.abstractmethod
     def run(self, prepared: PreparedTrial) -> EngineRun:
         """Execute the shared trial shape and return the outcome."""
 
     def collect_obs(self, prepared: PreparedTrial, run: EngineRun) -> None:
-        """Harvest engine counters into ``prepared.obs`` (no-op default —
-        backends whose ``run_trial`` already takes the recorder inline
-        need nothing here)."""
+        """Harvest the engine's passive counters into ``prepared.obs``
+        (called only when observability is on)."""
+        prepared.obs.collect_sim(prepared.sim)
 
 
 #: The capability axis table: ``(capability, field name, reader)``.

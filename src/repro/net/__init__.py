@@ -33,18 +33,10 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     from repro.net.clock import PacedClock
-    from repro.net.cluster import (
-        ClusterRunResult,
-        ClusterSimulator,
-        SYNC_MODES,
-    )
+    from repro.net.cluster import ClusterSimulator, SYNC_MODES
     from repro.net.coordinator import close_pool
     from repro.net.cluster_worker import run_cluster_worker
-    from repro.net.engine import (
-        DEFAULT_TICK_SECONDS,
-        AsyncSimulator,
-        NetRunResult,
-    )
+    from repro.net.engine import DEFAULT_TICK_SECONDS, AsyncSimulator
     from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
     from repro.net.registry import RegistryClient, RegistryServer
     from repro.net.transport import (
@@ -63,13 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
 __all__ = [
     "AsyncSimulator",
     "ClusterSimulator",
-    "ClusterRunResult",
     "SYNC_MODES",
     "close_pool",
     "run_cluster_worker",
     "RegistryServer",
     "RegistryClient",
-    "NetRunResult",
     "DEFAULT_TICK_SECONDS",
     "PacedClock",
     "Transport",
@@ -89,12 +79,10 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "clock": ("PacedClock",),
-    "cluster": ("ClusterRunResult", "ClusterSimulator", "SYNC_MODES"),
+    "cluster": ("ClusterSimulator", "SYNC_MODES"),
     "coordinator": ("close_pool",),
     "cluster_worker": ("run_cluster_worker",),
-    "engine": (
-        "DEFAULT_TICK_SECONDS", "AsyncSimulator", "NetRunResult",
-    ),
+    "engine": ("DEFAULT_TICK_SECONDS", "AsyncSimulator"),
     "monitors": ("LiveTrace", "SpecMonitor", "default_monitors"),
     "registry": ("RegistryClient", "RegistryServer"),
     "transport": (

@@ -131,27 +131,22 @@ neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.protocols import build_protocol
-from repro.core.requests import CompletedRequest
 from repro.errors import SimulationError
 from repro.sim.channel import LossModel
-from repro.sim.partition import Partition, partition_topology
+from repro.sim.partition import partition_topology
 from repro.sim.sharded import _SHARDABLE_LOSS
-from repro.sim.stats import SimStats
 from repro.sim.topology import Topology, topology_from_spec
-from repro.sim.trace import Trace
-from repro.types import RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
+    from repro.engine.base import EngineRun
     from repro.obs.recorder import ObsRecorder
 
 __all__ = [
     "ClusterSimulator",
-    "ClusterRunResult",
     "SYNC_MODES",
     "FREERUN_WINDOW",
 ]
@@ -182,45 +177,6 @@ def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
     return cfg
 
 
-@dataclass
-class ClusterRunResult:
-    """Everything a trial needs back from a multi-host run."""
-
-    trace: Trace
-    stats: SimStats
-    #: Driver-tag request state per pid at the final horizon.
-    finals: dict[int, RequestState]
-    completions: list[CompletedRequest]
-    completed: bool
-    #: Tick at which the last shard's driver went idle (None if it never did).
-    done_at: int | None
-    final_time: int
-    partition: Partition
-    sync: str = "windowed"
-    #: Synchronization window (round size in freerun).
-    window: int = 0
-    #: Barriers paid: rounds every worker ran.
-    barriers: int = 0
-    #: Synchronization wall time: the rounds phase minus the slowest
-    #: worker's compute.
-    sync_wall_s: float = 0.0
-    #: Per-shard simulation wall clock (seconds inside ``run_until``), as
-    #: reported by each worker interpreter.
-    worker_wall_s: dict[int, float] = field(default_factory=dict)
-    #: REGISTER/PEERS exchanges the rendezvous cost.
-    registry_round_trips: int = 0
-    #: Injected-fault and recovery counters (coordinator + all workers):
-    #: ``fault.injected.*``, ``worker.crashed``, ``recovery.*``,
-    #: ``ship.*``, ``backoff.retries``.
-    fault_counts: dict[str, int] = field(default_factory=dict)
-    #: Crash recoveries performed (survivors stopped, the dead worker
-    #: respawned, the trial run again).
-    recoveries: int = 0
-    #: Rounds the aborted attempts had reached — the crash rounds, summed
-    #: — which every shard ran again.
-    replayed_rounds: int = 0
-
-
 class ClusterSimulator:
     """Coordinate one trial across per-shard worker interpreters.
 
@@ -238,7 +194,7 @@ class ClusterSimulator:
 
     ``fault_plan`` (a :class:`~repro.chaos.FaultPlan` or its DSL text)
     injects deterministic runtime faults; ``recover`` enables the
-    respawn-and-re-run path for crash faults (``max_respawns`` bounds it).
+    respawn-and-re-run path for crash faults (two per trial).
     """
 
     def __init__(
@@ -254,13 +210,10 @@ class ClusterSimulator:
         capacity: int = 1,
         latency: tuple[int, int] = (1, 3),
         loss: LossModel | None = None,
-        activation_period: int = 2,
-        activation_jitter: int = 1,
         listen: str | None = None,
         worker_timeout: float = 120.0,
         fault_plan: FaultPlan | str | None = None,
         recover: bool = True,
-        max_respawns: int = 2,
     ) -> None:
         if protocol is None:
             raise SimulationError(
@@ -340,14 +293,8 @@ class ClusterSimulator:
             )
         self._plan = fault_plan
         self.recover = recover
-        self.max_respawns = max_respawns
         self._sim_kwargs = dict(
-            seed=seed,
-            capacity=capacity,
-            latency=latency,
-            loss=loss,
-            activation_period=activation_period,
-            activation_jitter=activation_jitter,
+            seed=seed, capacity=capacity, latency=latency, loss=loss
         )
 
     @property
@@ -367,7 +314,7 @@ class ClusterSimulator:
         driver: dict[str, Any] | None = None,
         drain: int = 200,
         obs: ObsRecorder | None = None,
-    ) -> ClusterRunResult:
+    ) -> EngineRun:
         """Lease the workers, then scramble/serve/drain across shards.
 
         Same trial shape as every other engine; ``drain`` must be >= the

@@ -47,7 +47,7 @@ from collections import deque
 from typing import Any
 
 from repro.chaos.backoff import Backoff, retry_async
-from repro.core.protocols import build_protocol, payload_from_fmt
+from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
@@ -258,8 +258,6 @@ class _Trial:
             capacity=spec["capacity"],
             latency=spec["latency"],
             loss=spec["loss"],
-            activation_period=spec["activation_period"],
-            activation_jitter=spec["activation_jitter"],
         )
         self.trace = self.sim.trace = _KeyedTrace(self.sim.scheduler)
         self.obs: ObsRecorder | None = None
@@ -684,11 +682,7 @@ class _Trial:
         driver_cfg = spec["driver"]
         driver: RequestDriver | None = None
         if driver_cfg is not None:
-            cfg = dict(driver_cfg)
-            fmt = cfg.pop("payload_fmt", None)
-            if fmt is not None:
-                cfg["payload"] = payload_from_fmt(fmt)
-            driver = RequestDriver(sim, pids=self.shard_pids, **cfg)
+            driver = RequestDriver(sim, pids=self.shard_pids, **driver_cfg)
         # Round 0: the scramble's cross-shard injections ship before
         # anyone is granted a round — by the time a peer passes its
         # round-0 barrier wait, these are in its heap.

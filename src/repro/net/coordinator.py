@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
+from repro.engine.base import EngineRun
 from repro.errors import SimulationError, WorkerCrashed
 from repro.net import wire
-from repro.net.cluster import ClusterRunResult, ClusterSimulator
+from repro.net.cluster import ClusterSimulator
 from repro.net.grant import Grant, GrantLedger
 from repro.net.registry import RegistryServer
 from repro.obs.recorder import ObsRecorder
@@ -39,6 +40,10 @@ __all__ = ["close_pool", "interpreters_spawned", "run_trial"]
 #: How often the coordinator polls worker Popen handles while awaiting a
 #: control frame — the crash-detection latency bound.
 _CRASH_POLL_S = 0.25
+
+#: Crash recoveries one trial may perform; the next crash re-raises its
+#: :class:`~repro.errors.WorkerCrashed`.
+_MAX_RESPAWNS = 2
 
 
 #: Worker interpreters this process has launched, over its whole life
@@ -222,7 +227,7 @@ atexit.register(close_pool)
 
 def run_trial(
     sim: ClusterSimulator, spec: dict[str, Any], obs: ObsRecorder | None
-) -> ClusterRunResult:
+) -> EngineRun:
     """Lease the workers for ``sim`` and coordinate the one trial
     ``spec`` describes (the body of
     :meth:`~repro.net.cluster.ClusterSimulator.run_trial`)."""
@@ -626,7 +631,7 @@ class _Coordinator:
             sim.recover
             and sim.sync == "windowed"
             and sim.listen is None
-            and self.respawns < sim.max_respawns
+            and self.respawns < _MAX_RESPAWNS
         ):
             raise crash
         t0 = wall()
@@ -660,7 +665,7 @@ class _Coordinator:
 
     # -- result -----------------------------------------------------------
 
-    def result(self, payloads: list[dict[str, Any]]) -> ClusterRunResult:
+    def result(self, payloads: list[dict[str, Any]]) -> EngineRun:
         sim, obs, ledger = self.sim, self.obs, self.ledger
         with self._phase("merge"):
             trace = merge_worker_traces(
@@ -674,10 +679,6 @@ class _Coordinator:
                 finals.update(payload["finals"])
             completions = merge_completions(payloads)
         round_trips = self.pool.registry.round_trips - self.round_trips_before
-        fault_counts = dict(self.counts)
-        for payload in payloads:
-            for name, n in (payload.get("fault_counts") or {}).items():
-                fault_counts[name] = fault_counts.get(name, 0) + n
         # Every worker runs the same grid, so they agree on the count.
         barriers = max(self.rounds.values())
         #: What the rounds phase cost beyond the slowest worker's compute.
@@ -699,22 +700,30 @@ class _Coordinator:
                 obs.spans.extend(chaos_payload)
                 obs.process_names[sim.n_shards + 1] = "chaos"
         assert ledger.final is not None
-        return ClusterRunResult(
+        run = EngineRun(
             trace=trace,
             stats=stats,
             finals=finals,
             completions=completions,
             completed=ledger.completed,
-            done_at=ledger.done_tick,
             final_time=ledger.final,
-            partition=sim.partition,
-            sync=sim.sync,
+            topology=sim.topology,
+            pids=sim.pids,
+            engine="cluster",
             window=sim.window,
             barriers=barriers,
             sync_wall_s=sync_wall,
+            hosts=sim.n_shards,
+            sync=sim.sync,
             worker_wall_s=self.worker_wall,
             registry_round_trips=round_trips,
-            fault_counts=fault_counts,
-            recoveries=self.respawns,
-            replayed_rounds=self.replayed_rounds,
         )
+        if sim._plan is not None:
+            # Injected-fault and recovery counters, coordinator + workers.
+            run.fault_counts = dict(self.counts)
+            for payload in payloads:
+                for name, n in (payload.get("fault_counts") or {}).items():
+                    run.fault_counts[name] = run.fault_counts.get(name, 0) + n
+            run.recoveries = self.respawns
+            run.replayed_rounds = self.replayed_rounds
+        return run

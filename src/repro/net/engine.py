@@ -46,10 +46,10 @@ correctness claim instead.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Coroutine, Sequence
 
-from repro.core.requests import CompletedRequest, RequestDriver
+from repro.core.requests import RequestDriver
+from repro.engine.base import EngineRun
 from repro.errors import SimulationError
 from repro.net.clock import PacedClock
 from repro.net.monitors import LiveTrace
@@ -58,40 +58,16 @@ from repro.sim.adversary import scramble_system
 from repro.sim.channel import ChannelBase
 from repro.sim.runtime import BuildFn, Simulator
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
-from repro.types import RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
-    from repro.spec.base import SpecVerdict
 
-__all__ = ["AsyncSimulator", "NetRunResult"]
+__all__ = ["AsyncSimulator"]
 
 #: Default wall-clock tick length for the paced transports: 1 ms, so the
 #: default (1, 3)-tick latency band emulates a 1-3 ms link — an order of
 #: magnitude above localhost socket jitter, keeping tick timestamps meaningful.
 DEFAULT_TICK_SECONDS = 0.001
-
-
-@dataclass
-class NetRunResult:
-    """Everything a trial needs back from an async run."""
-
-    trace: Trace
-    stats: Any
-    #: Driver-tag request state per pid at the final horizon.
-    finals: dict[int, RequestState]
-    completions: list[CompletedRequest]
-    completed: bool
-    #: Tick at which the request driver went idle (None if it never did).
-    done_at: int | None
-    final_time: int
-    transport: str
-    monitor_reports: list[SpecVerdict] = field(default_factory=list)
-
-    @property
-    def monitors_ok(self) -> bool:
-        return all(r.ok for r in self.monitor_reports)
 
 
 class AsyncSimulator(Simulator):
@@ -241,7 +217,7 @@ class AsyncSimulator(Simulator):
         fill_channels: bool = True,
         driver: dict[str, Any] | None = None,
         drain: int = 200,
-    ) -> NetRunResult:
+    ) -> EngineRun:
         """Scramble, serve the request driver, drain — on the event loop.
 
         Matches the serial trial shape tick for tick: run until the driver
@@ -282,7 +258,7 @@ class AsyncSimulator(Simulator):
         fill_channels: bool,
         driver: dict[str, Any] | None,
         drain: int,
-    ) -> NetRunResult:
+    ) -> EngineRun:
         try:
             if self._kind.fabric_factory is not None:
                 self._fabric = self._kind.fabric_factory(self)
@@ -304,24 +280,26 @@ class AsyncSimulator(Simulator):
                 stop = lambda: bool(errors)  # noqa: E731
             await self._advance(horizon, stop)
             completed = drv is not None and drv.done
-            done_at = self.now if completed else None
             await self._advance(self.now + drain)
             tag = driver["tag"] if driver is not None else None
-            finals = (
-                {pid: self.layer(pid, tag).request for pid in self.pids}
-                if tag is not None
-                else {}
-            )
-            return NetRunResult(
+            return EngineRun(
                 trace=self.trace,
                 stats=self.stats,
-                finals=finals,
+                finals=(
+                    {pid: self.layer(pid, tag).request for pid in self.pids}
+                    if tag is not None else {}
+                ),
                 completions=drv.completed() if drv is not None else [],
                 completed=completed,
-                done_at=done_at,
                 final_time=self.now,
+                topology=self.topology,
+                pids=self.pids,
+                engine="async",
                 transport=self.transport,
                 monitor_reports=[m.report() for m in self.trace.observers],
+                fault_counts=(
+                    None if self._plan is None else dict(self.fault_counts)
+                ),
             )
         finally:
             await self._teardown()

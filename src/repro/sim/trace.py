@@ -320,15 +320,6 @@ class Trace:
             for row in range(len(times)):
                 yield times[row], names[kind_ids[row]], procs[row], data[row]
 
-    def time_at(self, row: int) -> int:
-        return self._times[row]
-
-    def kind_at(self, row: int) -> str:
-        return _KIND_NAMES[self._kind_ids[row]]
-
-    def process_at(self, row: int) -> int | None:
-        return self._procs[row]
-
     def data_at(self, row: int) -> dict[str, Any]:
         return self._data[row]
 

@@ -101,6 +101,11 @@ class TestCli:
         assert main(["scaling", "--ns", "2", "3", "--seeds", "0"]) == 0
         assert "wave cost" in capsys.readouterr().out
 
+    def test_scaling_rejects_wan_beside_another_topology(self, capsys):
+        assert main(["scaling", "--ns", "3", "--seeds", "0",
+                     "--topology", "ring", "--wan"]) == 1
+        assert "--wan conflicts" in capsys.readouterr().err
+
     def test_topology_reports_weight_stats(self, capsys):
         assert main(["topology", "--n", "32", "--topology", "wan:4"]) == 0
         out = capsys.readouterr().out

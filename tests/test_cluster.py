@@ -17,7 +17,8 @@ import pytest
 from conftest import trial_spec
 
 from repro.analysis.runner import run_mutex_trial, run_pif_trial
-from repro.core.protocols import build_protocol, payload_from_fmt
+from repro.core.protocols import build_protocol
+from repro.core.requests import RequestDriver
 from repro.engine import ClusterOpts, ObsOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
@@ -25,6 +26,7 @@ from repro.net.coordinator import close_pool
 from repro.net.wire import parse_hostport
 from repro.obs.recorder import summarize_obs_file
 from repro.sim.partition import Partition, partition_topology
+from repro.sim.runtime import Simulator
 from repro.sim.topology import Ring, topology_from_spec
 from repro.sim.trace import canonical_trace_hash
 
@@ -207,9 +209,18 @@ def test_build_protocol_resolves_builders():
     assert callable(build)
 
 
-def test_payload_from_fmt_matches_lambda_convention():
-    payload = payload_from_fmt("msg-{pid}-{k}")
-    assert payload(3, 1) == "msg-3-1"
+def test_request_driver_payload_fmt_matches_lambda_convention():
+    # The spec's picklable payload spelling issues the payloads the
+    # callable spelling does, byte for byte.
+    def trial(**payload):
+        sim = Simulator(4, build_protocol({"kind": "pif"}), seed=5)
+        RequestDriver(sim, "pif", requests_per_process=2, **payload)
+        sim.run(400)
+        return [e.data.get("payload") for e in sim.trace]
+
+    fmt = trial(payload_fmt="msg-{pid}-{k}")
+    assert fmt == trial(payload=lambda pid, k: f"msg-{pid}-{k}")
+    assert "msg-3-1" in fmt
 
 
 def test_parse_hostport():

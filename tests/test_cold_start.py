@@ -154,7 +154,7 @@ def test_registry_names_import_nothing_and_see_plugins():
         "assert transport_names() == ('loopback', 'tcp', 'udp')\n"
         "class Plugin(EngineBackend):\n"
         "    name = 'plugin'\n"
-        "    capabilities = prepare = run = None\n"
+        "    capabilities = engine = run = None\n"
         "register(Plugin())\n"
         "register_transport(TransportKind(\n"
         "    name='pigeon', deterministic=False, paced=True,\n"

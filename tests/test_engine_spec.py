@@ -336,18 +336,39 @@ def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
 # -- one provenance schema for every engine -------------------------------
 
 
-@pytest.mark.parametrize("engine,axes", [
-    ("serial", {}),
-    ("sharded", dict(sharding=ShardingOpts(shards=2))),
-    ("async", {}),
-    ("async", dict(transport=TransportOpts(transport="udp"))),
-    ("cluster", dict(cluster=ClusterOpts(hosts=2))),
+_SERIAL_KEYS = {"engine", "transport", "wall_clock_s"}
+_WINDOW_KEYS = _SERIAL_KEYS | {"window", "barriers", "sync_wall_s"}
+_MONITOR_KEYS = {"monitors_ok", "monitors"}
+_CLUSTER_KEYS = _WINDOW_KEYS | _MONITOR_KEYS | {
+    "hosts", "sync", "worker_wall_s", "worker_wall_spread_s",
+    "registry_round_trips"}
+
+
+@pytest.mark.parametrize("engine,axes,keys", [
+    pytest.param("serial", {}, _SERIAL_KEYS, id="serial-axes0"),
+    pytest.param("sharded", dict(sharding=ShardingOpts(shards=2)),
+                 _WINDOW_KEYS, id="sharded-axes1"),
+    pytest.param("async", {}, _SERIAL_KEYS | _MONITOR_KEYS, id="async-axes2"),
+    pytest.param("async", dict(transport=TransportOpts(transport="udp")),
+                 _SERIAL_KEYS | _MONITOR_KEYS, id="async-axes3"),
+    pytest.param("cluster", dict(cluster=ClusterOpts(hosts=2)),
+                 _CLUSTER_KEYS, id="cluster-axes4"),
+    # An armed empty plan counts as a plan: its counters are reported.
+    pytest.param("cluster", dict(cluster=ClusterOpts(hosts=2),
+                                 chaos=ChaosOpts(plan="")),
+                 _CLUSTER_KEYS | {"fault_counts", "recoveries",
+                                  "replayed_rounds"}, id="cluster-axes5"),
+    pytest.param("async", dict(transport=TransportOpts(transport="udp"),
+                               chaos=ChaosOpts(plan="")),
+                 _SERIAL_KEYS | _MONITOR_KEYS | {"fault_counts"},
+                 id="async-axes6"),
 ])
-def test_every_engine_fits_the_provenance_schema(engine, axes):
+def test_every_engine_fits_the_provenance_schema(engine, axes, keys):
     run = execute(_spec(engine=engine, **axes))
     record = run.provenance()
     validate_run_provenance(record)
     assert record["engine"] == engine
+    assert set(record) == keys
 
 
 def test_provenance_schema_rejects_malformed_records():
@@ -371,7 +392,7 @@ class _NullBackend(EngineBackend):
     def capabilities(self):
         return frozenset({"obs"})
 
-    def prepare(self, spec, obs=None):
+    def engine(self, spec, topology):
         raise NotImplementedError
 
     def run(self, prepared):

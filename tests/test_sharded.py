@@ -23,10 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pif import PifLayer
-from repro.core.protocols import build_protocol, payload_from_fmt
+from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.engine import EngineRun, ShardingOpts, execute
-from repro.engine.base import normalized_driver
 from repro.errors import SimulationError
 from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
@@ -120,7 +119,7 @@ class TestScrambleVariants:
         seed = 4
         sim = Simulator(8, _pif_build, topology="clustered:2", seed=seed)
         sim.scramble(seed=seed ^ 0x5EED, fill_channels=False)
-        driver = RequestDriver(sim, **normalized_driver(_PIF))
+        driver = RequestDriver(sim, **_PIF.driver)
         assert sim.run(1_000_000, until=lambda s: driver.done)
         sim.run(sim.now + 200)
 
@@ -341,7 +340,7 @@ class TestResultPathBuildsNoEventObjects:
         _injected, proc_len, chan_len = scramble_shard(sim, trace, 3 ^ 0x5EED, True)
         driver = RequestDriver(
             sim, pids=pids, tag="pif", requests_per_process=1,
-            payload=payload_from_fmt("m-{pid}-{k}"))
+            payload_fmt="m-{pid}-{k}")
         sim.run(200)
         payload = shard_result_payload(
             sim, trace, proc_len, chan_len, pids, driver, "pif")

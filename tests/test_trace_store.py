@@ -26,7 +26,6 @@ from conftest import trial_spec
 
 from repro.core.pif import PifLayer
 from repro.engine import execute
-from repro.engine.base import normalized_driver
 from repro.sim.runtime import Simulator
 from repro.sim.trace import EventKind, Trace, TraceEvent, canonical_trace_hash
 from repro.spec.pif_spec import check_pif
@@ -138,7 +137,7 @@ def _run_serial_trial(sim_cls, n, topology, seed):
         loss=BernoulliLoss(0.1),
     )
     sim.scramble(seed=seed ^ 0x5EED)
-    drv = RequestDriver(sim, **normalized_driver(PIF))
+    drv = RequestDriver(sim, **PIF.driver)
     assert sim.run(2_000_000, until=lambda s: drv.done)
     sim.run(sim.now + DRAIN_TICKS)
     finals = {p: sim.layer(p, "pif").request for p in sim.pids}
