@@ -16,8 +16,9 @@ Asserts, without running a single trial:
   unreachable until something else imported it);
 * the shapes the refactors left behind hold: :class:`~repro.engine.TrialSpec`
   has no ``build`` field (``protocol`` is the one protocol description);
-  ``src/repro/net/monitors.py`` defines no class besides ``LiveTrace``
-  and the ``SpecMonitor`` adapter (a specification is one automaton);
+  ``src/repro/net/monitors.py`` defines no class besides the
+  ``SpecMonitor`` per-row adapter (a specification is one automaton, and
+  the runner's pass over the finished trace is a trial's one verdict);
   every row of :data:`repro.core.protocols.PROTOCOLS` builds a layer
   under its ``kind``, its automaton carries that tag, the runner's judge
   map has exactly the table's keys and the CLI a subcommand per row;
@@ -39,8 +40,10 @@ Asserts, without running a single trial:
   protocol tables, the lock-step engine, the actor layer, the crash
   repair, the bad-factor spelling of mutual exclusion, the experiments'
   pytest wrappers whose assertions ``repro claims`` now carries, the
-  per-engine run-outcome types and payload-format expansions — or a PIF
-  send that builds its message before the link claimed a slot.
+  per-engine run-outcome types and payload-format expansions, the
+  monitor copies of a trial's verdict — or a PIF send that builds its
+  message before the link claimed a slot, or an engine that picks its
+  own specification monitor.
 
 Usage::
 
@@ -88,7 +91,7 @@ _CAPABILITY = re.compile(
     + r"|transport:\w+)$"
 )
 
-_MONITOR_CLASSES = {"LiveTrace", "SpecMonitor"}
+_MONITOR_CLASSES = {"SpecMonitor"}
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -211,6 +214,17 @@ GUARDS: tuple[Guard, ...] = (
     Guard("a backend writes its own prepare (EngineBackend.prepare is "
           "the one; a backend supplies engine())",
           re.compile(r"^\s*def pre" + r"pare\("), ("repro/engine/backends",)),
+    # One verdict per trial: run_trial's pass judges every engine; the
+    # live and replayed monitor copies of it, and what fed them, went.
+    Guard("names a deleted monitor copy of the verdict (run_trial's pass "
+          "is the one)",
+          re.compile(r".*\b(Live" + r"Trace|monitor" + r"_reports|monitors"
+                     + r"_ok|_make" + r"_trace|collect" + r"_monitors)\b"),
+          _EVERYWHERE, _LEDGER),
+    Guard("picks a specification monitor outside repro.net.monitors "
+          "(no engine judges its own run)",
+          re.compile(r".*\bdefault_monitors\b"),
+          exempt=("repro/net/monitors.py",)),
 )
 
 

@@ -5,8 +5,9 @@ least its ``protocol`` kind, lets that kind's row of
 :data:`repro.core.protocols.PROTOCOLS` fill in what the spec leaves open
 (driver config, horizon default), hands it to the
 :func:`repro.engine.execute` pipeline (spec → registry → backend → trace
-→ specs/monitors → provenance), judges the returned trace against the
-kind's specification and returns a flat :class:`TrialResult` ready for
+→ provenance), judges the returned trace against the kind's
+specification — once, in :data:`_JUDGES`, the trial's only verdict on
+every engine — and returns a flat :class:`TrialResult` ready for
 table rendering (experiments E3, E4, E5, E7 of DESIGN.md).  A variation
 of a trial is a :func:`dataclasses.replace` of its spec; a recorded spec
 replays as ``run_trial(TrialSpec.from_provenance(record))``.  The
@@ -20,8 +21,8 @@ build, scramble, drive requests until served, drain
 (``serial``, ``sharded``, ``async``+``loopback``,
 ``cluster``+``windowed``) produce bit-identical traces for the same
 seed, so every specification check and measurement below is
-engine-agnostic; best-effort configurations (paced transports, cluster
-freerun) carry their correctness in the online monitor verdicts.
+engine-agnostic; a best-effort configuration (paced transports, cluster
+freerun) produces a trace of its own, judged by the same pass.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class TrialResult:
     ``measurements`` holds trace-derived quantities only — identical
     across engines for the same seed, which is what the equivalence gates
     compare.  Run provenance (which engine/transport executed the trial,
-    its wall-clock cost, online monitor verdicts) lives in ``provenance``
-    so bench artifacts are comparable across engines without perturbing
-    the bit-identity contract.
+    its wall-clock cost) lives in ``provenance`` so bench artifacts are
+    comparable across engines without perturbing the bit-identity
+    contract.
     """
 
     params: dict[str, Any]

@@ -211,8 +211,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--sync", choices=["windowed", "freerun"], default=None,
         help="cluster synchronization mode: conservative time windows with "
              "BARRIER frames (windowed, reproduces serial results) or "
-             "best-effort progress where online spec monitors are the "
-             "verdict (freerun)",
+             "best-effort progress whose merged trace is spec-checked "
+             "like any other (freerun)",
     )
     parser.add_argument(
         "--cluster-listen", default=None, metavar="HOST:PORT",
@@ -236,8 +236,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "registry): in-process scheduler events (loopback, "
              "deterministic), real localhost TCP sockets (tcp), or loopback "
              "UDP datagrams where the network itself is the adversary "
-             "(udp); tcp and udp are wall-clock best-effort, spec-checked "
-             "by online monitors",
+             "(udp); tcp and udp are wall-clock best-effort, their trace "
+             "spec-checked like any other",
     )
     parser.add_argument(
         "--tick", type=float, default=None, metavar="SECONDS",

@@ -5,7 +5,7 @@ sections); one :class:`EngineBackend` registry answers ``engine=name``;
 one :func:`execute` pipeline runs every backend identically:
 
     spec → registry → backend.prepare → backend.run → EngineRun
-         → specs/monitors → provenance
+         → run_trial's one spec check → provenance
 
 Adding an engine is a registry entry plus a capability declaration —
 see docs/architecture.md for the walkthrough (the UDP transport is the

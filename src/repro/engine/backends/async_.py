@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.core.protocols import build_protocol
 from repro.net.engine import AsyncSimulator
-from repro.net.monitors import default_monitors
 from repro.net.transport import resolve_transport, transport_names
 from repro.sim.topology import Topology
 from repro.engine.base import (
@@ -28,8 +27,7 @@ from repro.errors import SpecError
 class AsyncBackend(EngineBackend):
     """One event loop, one transport per channel; loopback runs the
     serial scheduler and is bit-identical to serial, paced transports are
-    wall-clock best-effort with online monitors carrying the correctness
-    claim."""
+    wall-clock best-effort, their trace judged like any other."""
 
     name = "async"
     summary = "asyncio runtime; transport registry selects the medium"
@@ -62,7 +60,7 @@ class AsyncBackend(EngineBackend):
         self, spec: TrialSpec, topology: Topology | None
     ) -> AsyncSimulator:
         tick = spec.transport.tick
-        sim = AsyncSimulator(
+        return AsyncSimulator(
             spec.n if topology is None else None,
             build_protocol(spec.protocol),
             topology=topology,
@@ -74,10 +72,6 @@ class AsyncBackend(EngineBackend):
             fault_plan=spec.chaos.plan,
             **({} if tick is None else {"tick": tick}),
         )
-        for monitor in default_monitors(
-                spec.driver["tag"], sim.topology, spec.protocol.get("idents")):
-            sim.trace.attach(monitor)
-        return sim
 
     def run(self, prepared: PreparedTrial) -> EngineRun:
         spec = prepared.spec

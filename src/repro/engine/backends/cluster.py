@@ -1,7 +1,9 @@
 """The window-sync backend: per-shard worker interpreters over real
 sockets — registered here as ``engine=cluster``, and a second time, with
 a narrower declared surface, as ``engine=sharded``
-(:mod:`repro.engine.backends.sharded`)."""
+(:mod:`repro.engine.backends.sharded`).  A run hands back the merged
+trace and no verdict: :func:`repro.analysis.runner.run_trial` judges it,
+windowed or freerun, as it judges every engine's."""
 
 from __future__ import annotations
 
@@ -21,14 +23,12 @@ from repro.engine.spec import TrialSpec
 class ClusterBackend(EngineBackend):
     """Worker interpreters (own OS processes) behind the wire format;
     ``sync=windowed`` reproduces serial results exactly, ``sync=freerun``
-    is best-effort under the replayed monitor verdicts.
+    is best-effort, its merged trace judged like any other.
 
     One runtime, any number of registrations: a registration is a name
     plus the capabilities it declares, and what a run reports follows
     from those — the ``hosts`` section of the provenance from declaring
-    ``hosts``, the replayed monitor verdicts from declaring ``sync``
-    (without it no run can be freerun, every run merges to the exact
-    serial trace, and the offline check is the verdict).
+    ``hosts``.
     """
 
     def __init__(
@@ -72,21 +72,6 @@ class ClusterBackend(EngineBackend):
             obs=prepared.obs,
         )
         run.engine = self.name
-        if "sync" in self._capabilities:
-            # The workers ran monitor-free (their slices see only local
-            # emissions); replay the automata over the merged trace's
-            # rows of their kinds.  Windowed runs merge to the exact
-            # serial trace, so the verdicts are the offline ones; freerun
-            # runs make these the correctness claim.
-            from repro.net.monitors import default_monitors
-
-            monitors = default_monitors(
-                prepared.tag, run.topology, spec.protocol.get("idents"))
-            for monitor in monitors:
-                for time, kind, process, data in run.trace.scan(
-                        *monitor.automaton.KINDS):
-                    monitor.observe(time, kind, process, data)
-            run.monitor_reports = [m.report() for m in monitors]
         if "hosts" not in self._capabilities:
             run.hosts = run.sync = run.worker_wall_s = None
             run.registry_round_trips = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.requests import CompletedRequest
@@ -32,7 +32,6 @@ from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.stats import SimStats
 from repro.sim.topology import Topology, topology_from_spec
 from repro.sim.trace import Trace
-from repro.spec.base import SpecVerdict
 from repro.engine.spec import TrialSpec
 from repro.types import RequestState
 
@@ -90,7 +89,7 @@ class PreparedTrial:
 
     @property
     def tag(self) -> str:
-        """The driver's layer tag (finals/monitors/measurements key)."""
+        """The driver's layer tag (finals/measurements key)."""
         return self.spec.driver["tag"]
 
     def phase(self, name: str, **args: Any):
@@ -118,8 +117,6 @@ class EngineRun:
     engine: str = "serial"
     transport: str | None = None
     wall_clock_s: float = 0.0
-    #: Online monitor verdicts (async and cluster engines; empty elsewhere).
-    monitor_reports: list[SpecVerdict] = field(default_factory=list)
     #: Sharded/cluster provenance: the active synchronization window, the
     #: barriers paid and the driver-side sync overhead (None elsewhere).
     window: int | None = None
@@ -139,10 +136,6 @@ class EngineRun:
 
     def latencies(self) -> list[int]:
         return [c.latency for c in self.completions]
-
-    @property
-    def monitors_ok(self) -> bool:
-        return all(r.ok for r in self.monitor_reports)
 
     def provenance(self) -> dict[str, Any]:
         """JSON-ready provenance block for bench artifacts."""
@@ -173,12 +166,6 @@ class EngineRun:
             if self.recoveries is not None:
                 record["recoveries"] = self.recoveries
                 record["replayed_rounds"] = self.replayed_rounds
-        if self.monitor_reports:
-            record["monitors_ok"] = self.monitors_ok
-            record["monitors"] = [
-                {"name": r.spec, "ok": r.ok, "violations": len(r.violations)}
-                for r in self.monitor_reports
-            ]
         return record
 
 
@@ -305,7 +292,6 @@ _PROVENANCE_SECTIONS: dict[str, dict[str, type | tuple[type, ...]]] = {
               "worker_wall_spread_s": (int, float),
               "registry_round_trips": int},
     "fault_counts": {"fault_counts": dict},
-    "monitors_ok": {"monitors_ok": bool, "monitors": list},
 }
 
 

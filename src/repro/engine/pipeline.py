@@ -31,9 +31,10 @@ def execute(spec: TrialSpec) -> EngineRun:
     :data:`~repro.engine.base.DRAIN_TICKS` more ticks.  Deterministic
     backends (serial, sharded, async-loopback, cluster-windowed) return
     bit-identical traces, stats, finals and completions for the same
-    spec; run provenance (engine, transport, wall clock, barriers,
-    monitor verdicts) rides on the :class:`EngineRun` without entering
-    the compared state.
+    spec; run provenance (engine, transport, wall clock, barriers)
+    rides on the :class:`EngineRun` without entering the compared state.
+    The run carries no verdict: :func:`repro.analysis.runner.run_trial`
+    judges the returned trace once, whatever the engine.
 
     ``spec.obs`` switches on the :mod:`repro.obs` instruments; they read
     wall clocks and passive counters only, so enabling them never
@@ -81,7 +82,6 @@ def execute(spec: TrialSpec) -> EngineRun:
 
     if obs is not None:
         backend.collect_obs(prepared, run)
-        obs.collect_monitors(run.monitor_reports)
         obs.collect_wire()
         obs.write(
             spec.obs.metrics,

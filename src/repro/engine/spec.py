@@ -203,13 +203,15 @@ class TrialSpec:
     @classmethod
     def from_provenance(cls, record: dict[str, Any]) -> "TrialSpec":
         """Rebuild a spec from an :meth:`as_provenance` record (absent
-        keys keep the field's default)."""
+        keys keep the field's default; a key no field is recorded under
+        is a :class:`~repro.errors.SpecError` naming it)."""
         version = record.get("spec_version")
         if version != SPEC_VERSION:
             raise SpecError(
                 f"provenance record speaks spec_version {version!r}, "
                 f"expected {SPEC_VERSION}", field="spec_version")
-        return _decode(cls, record)
+        return _decode(cls, {k: v for k, v in record.items()
+                             if k != "spec_version"}, "provenance record")
 
     @classmethod
     def from_cli_args(
@@ -285,7 +287,11 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _decode(cls: type, record: dict[str, Any]) -> Any:
+def _decode(cls: type, record: dict[str, Any], where: str) -> Any:
+    unknown = sorted(set(record) - {_record_key(f) for f in fields(cls)})
+    if unknown:
+        raise SpecError(
+            f"{where} carries unknown keys {unknown}", field=unknown[0])
     kwargs = {}
     for f in fields(cls):
         key = _record_key(f)
@@ -293,7 +299,8 @@ def _decode(cls: type, record: dict[str, Any]) -> Any:
             continue
         value = record[key]
         if is_dataclass(f.default):  # an options section
-            value = _decode(type(f.default), value or {})
+            value = _decode(type(f.default), value or {},
+                            f"provenance section {key!r}")
         elif f.name == "protocol" and value:
             # JSON stringified the keys of pid-keyed parameters (``idents``).
             value = {

@@ -17,11 +17,11 @@ Runs the paper's protocol layers, unmodified, over real transports:
   processes, :mod:`repro.net.cluster_worker`, leased from the pool of
   :mod:`repro.net.coordinator`, which outlives the trial) behind the TCP
   fabric, coordinated through BARRIER frames in ``windowed`` mode or
-  free-running under the online monitors.
+  free-running.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
-* :mod:`repro.net.monitors` — the live-trace driver of the specification
-  automata of :mod:`repro.spec` (online monitors).
+* :mod:`repro.net.monitors` — the per-row adapter of the specification
+  automata of :mod:`repro.spec`.
 
 See ``docs/async.md`` for the transport protocol and the determinism
 argument.
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     from repro.net.coordinator import close_pool
     from repro.net.cluster_worker import run_cluster_worker
     from repro.net.engine import DEFAULT_TICK_SECONDS, AsyncSimulator
-    from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
+    from repro.net.monitors import SpecMonitor
     from repro.net.registry import RegistryClient, RegistryServer
     from repro.net.transport import (
         LoopbackTransport,
@@ -72,9 +72,7 @@ __all__ = [
     "TcpFabric",
     "UdpTransport",
     "UdpFabric",
-    "LiveTrace",
     "SpecMonitor",
-    "default_monitors",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -83,7 +81,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "coordinator": ("close_pool",),
     "cluster_worker": ("run_cluster_worker",),
     "engine": ("DEFAULT_TICK_SECONDS", "AsyncSimulator"),
-    "monitors": ("LiveTrace", "SpecMonitor", "default_monitors"),
+    "monitors": ("SpecMonitor",),
     "registry": ("RegistryClient", "RegistryServer"),
     "transport": (
         "LoopbackTransport", "TcpFabric", "TcpTransport", "Transport",

@@ -14,9 +14,9 @@ a tick lasts ``tick_seconds``: an event scheduled for tick ``T`` fires no
 earlier than ``T * tick_seconds`` after :meth:`PacedClock.start`, and
 between events the ``drive`` coroutine yields to the transport I/O
 tasks.  Time read off the clock is the wall tick, so trace timestamps
-approximate real elapsed time (and are *not* reproducible — the spec
-monitors, not the timeline, carry the correctness claim over real
-transports).
+approximate real elapsed time (and are *not* reproducible — the
+specification check of the trace, not the timeline, carries the
+correctness claim over real transports).
 """
 
 from __future__ import annotations

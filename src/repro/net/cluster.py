@@ -72,9 +72,8 @@ Two synchronization modes share that loop:
 * ``sync="freerun"`` — best-effort: same frames, no barrier waits, and
   arrival times are clamped to the receiver's local future
   (``max(when, now + 1)``).  Cross-shard timing is no longer reproducible,
-  so the online spec monitors (:mod:`repro.net.monitors`), replayed over
-  the merged trace, carry the verdict — in the spirit of automata-based
-  distributed runtime checking.
+  so the merged trace is not the serial one; the runner's specification
+  check of that trace is the verdict, as on every engine.
 
 Fault injection and crash recovery (``docs/robustness.md``):
 

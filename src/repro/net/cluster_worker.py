@@ -33,7 +33,7 @@ A worker cannot REGISTER before this module is imported, so it imports
 only what a worker runs: nothing of the coordinator
 (``repro.net.coordinator``), the trial pipeline (``repro.engine``,
 ``repro.analysis``, ``repro.spec``) or the asyncio engine
-(``repro.net.engine``, its clocks, transports and monitors).
+(``repro.net.engine``, its clocks and transports).
 """
 
 from __future__ import annotations

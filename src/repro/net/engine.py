@@ -13,9 +13,9 @@ the trial:
 * **each channel is a transport** (:mod:`repro.net.transport`) — the
   loopback medium or real localhost sockets carrying the length-prefixed
   wire format of :mod:`repro.net.wire`;
-* **specs run online** — the engine's trace is a
-  :class:`~repro.net.monitors.LiveTrace`; attached monitor automata advance
-  at every emission.
+* **one verdict** — the trace is the plain
+  :class:`~repro.sim.trace.Trace`; the trial is judged once, after the
+  drain, by :func:`repro.analysis.runner.run_trial`, as on every engine.
 
 Protocol layers need no changes: :class:`~repro.sim.process.ProcessHost`
 is reused as the adapter between the layers' guarded-action /
@@ -39,8 +39,8 @@ loopback run is **bit-identical** to ``engine=serial`` for the same seed
 gate).  On a wall-clock-paced medium (``tcp``, ``udp``) a
 :class:`~repro.net.clock.PacedClock` runs the same events against wall
 time, a frame is dispatched where it lands, timing is best-effort —
-socket scheduling is not reproducible — and the online monitors carry the
-correctness claim instead.
+socket scheduling is not reproducible — and the specification check of
+the trace the run did produce is the correctness claim.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.core.requests import RequestDriver
 from repro.engine.base import EngineRun
 from repro.errors import SimulationError
 from repro.net.clock import PacedClock
-from repro.net.monitors import LiveTrace
 from repro.net.transport import Transport, resolve_transport
 from repro.sim.adversary import scramble_system
 from repro.sim.channel import ChannelBase
@@ -76,9 +75,7 @@ class AsyncSimulator(Simulator):
     Constructor arguments mirror :class:`~repro.sim.runtime.Simulator`;
     ``transport`` names a registered channel medium
     (:func:`~repro.net.transport.transport_names`) and ``tick`` the
-    wall-clock tick length for the paced media.  The
-    trace is a :class:`~repro.net.monitors.LiveTrace`: ``sim.trace.attach``
-    puts a specification monitor on it.
+    wall-clock tick length for the paced media.
     """
 
     def __init__(
@@ -99,7 +96,7 @@ class AsyncSimulator(Simulator):
                 )
         self.transport = transport
         self.tick = tick
-        # Read by _make_scheduler/_make_trace during super().__init__.
+        # Read by _make_scheduler during super().__init__.
         self._transports: dict[tuple[int, int], Transport] = {}
         self._net_errors: list[BaseException] = []
         self._tasks: set[asyncio.Task] = set()
@@ -133,9 +130,6 @@ class AsyncSimulator(Simulator):
         if self._kind.paced:
             return PacedClock(self.tick)
         return Scheduler()
-
-    def _make_trace(self) -> LiveTrace:
-        return LiveTrace()
 
     # -- transport plumbing ------------------------------------------------
 
@@ -296,7 +290,6 @@ class AsyncSimulator(Simulator):
                 pids=self.pids,
                 engine="async",
                 transport=self.transport,
-                monitor_reports=[m.report() for m in self.trace.observers],
                 fault_counts=(
                     None if self._plan is None else dict(self.fault_counts)
                 ),

@@ -5,8 +5,8 @@ frame (:mod:`repro.net.wire`).  A per-channel writer coroutine ships
 frames in admission order, each no earlier than its drawn delivery tick,
 so per-tag FIFO survives on the wire; the receiving fabric dispatches
 each frame at its destination process as it arrives.  Timing is
-wall-clock best-effort — the online monitors carry the correctness
-claim.
+wall-clock best-effort — the specification check of the trace the run
+produced carries the correctness claim.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ one datagram (``HELLO frame + MESSAGE frame``, so each datagram is
 self-identifying), and whatever the network drops, reorders or
 duplicates is simply what the protocol layers must stabilize against.
 Like ``tcp`` (and the cluster engine's ``freerun`` mode) a udp run is
-wall-clock best-effort: the online spec monitors carry the correctness
-claim.  Sender-side semantics are unchanged — admission, the loss-model
+wall-clock best-effort: the specification check of the trace the run
+produced carries the correctness claim.  Sender-side semantics are unchanged — admission, the loss-model
 draw and the latency draw still happen at the channel, so observed udp
 loss *adds to* the modelled loss rather than replacing its accounting.
 

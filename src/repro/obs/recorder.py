@@ -85,15 +85,6 @@ class ObsRecorder:
                 if delta:
                     self.metrics.inc(f"wire.{group}[{kind}]", delta)
 
-    def collect_monitors(self, reports) -> None:
-        """One counter pair per verdict: ``PIF[pif]`` / ``IDL[idl]`` / ``ME[me]``."""
-        for report in reports:
-            self.metrics.inc(f"monitor.events[{report.spec}]",
-                             report.events_observed)
-            if not report.ok:
-                self.metrics.inc(f"monitor.violations[{report.spec}]",
-                                 len(report.violations))
-
     # -- worker shipping ----------------------------------------------
 
     def worker_payload(self) -> dict:

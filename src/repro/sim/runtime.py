@@ -354,7 +354,7 @@ class Simulator:
         #: from a per-entity derived stream so shard composition is exact.
         self.rng = random.Random(seed)
         self.scheduler = self._make_scheduler()
-        self.trace = self._make_trace()
+        self.trace = Trace()
         self.stats = SimStats()
         self.loss: LossModel = loss if loss is not None else NoLoss()
         #: Optional in-flight corruption model (see repro.sim.faults); must
@@ -440,11 +440,6 @@ class Simulator:
         """The event queue; a wall-clock-paced medium substitutes
         :class:`repro.net.clock.PacedClock`, same ordering discipline."""
         return Scheduler()
-
-    def _make_trace(self) -> Trace:
-        """The event log; subclasses substitute observer-notifying traces
-        (online spec monitors, :mod:`repro.net.monitors`)."""
-        return Trace()
 
     # -- basic accessors -----------------------------------------------------
 

@@ -20,7 +20,7 @@ tuned):
   rows a checker cares about.
 * :class:`TraceEvent` remains the public per-event view.  Views are
   **materialized lazily** (and cached per row), so code that never touches an
-  event object — single-pass spec checkers, online monitors, the canonical
+  event object — single-pass spec checkers, the canonical
   hash — never pays for one, while ``trace[i]``/iteration keep returning the
   exact objects older code expects.
 
@@ -118,7 +118,7 @@ class Trace:
     Queries come in two flavours: the classic :class:`TraceEvent`-returning
     helpers (``of_kind``, ``for_process``, ``first``, ...) and the streaming
     column API (:meth:`scan`, :meth:`rows_of`, :meth:`count`, per-row
-    accessors) used by the single-pass spec checkers and online monitors.
+    accessors) used by the single-pass spec checkers.
     """
 
     __slots__ = (

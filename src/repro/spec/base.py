@@ -17,9 +17,11 @@ trace's ``(time, kind, process, data)`` rows:
   live verdict can be read at any time.
 
 An automaton never inspects protocol internals, so it is an independent
-oracle.  Two thin drivers feed it: :func:`drive` over a finished
-:class:`~repro.sim.trace.Trace` (the ``check_*`` functions), and
-:class:`repro.net.monitors.SpecMonitor` over a live one.
+oracle.  :func:`drive` feeds it a finished :class:`~repro.sim.trace.Trace`
+(the ``check_*`` functions); that pass, made once per trial by
+:func:`repro.analysis.runner.run_trial`, is the verdict on every engine.
+:class:`repro.net.monitors.SpecMonitor` is the same automaton fed one
+row at a time, for a reader that holds no trace.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class SpecVerdict:
     spec: str
     violations: list[Violation] = field(default_factory=list)
     info: dict[str, Any] = field(default_factory=dict)
-    #: Emissions the live-trace driver fed the automaton (0 on a
-    #: finished-trace verdict, which nothing observed).
+    #: Rows a :class:`repro.net.monitors.SpecMonitor` fed the automaton
+    #: (0 on a finished-trace verdict, which nothing observed).
     events_observed: int = 0
 
     @property

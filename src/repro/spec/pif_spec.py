@@ -14,8 +14,8 @@ An execution satisfies the PIF specification iff:
   account.
 
 :class:`PifAutomaton` is the only spelling of these clauses; ``check_pif``
-and ``extract_waves`` drive it over a finished trace, the online monitor
-(:mod:`repro.net.monitors`) over a live one.
+and ``extract_waves`` drive it over a finished trace,
+:class:`repro.net.monitors.SpecMonitor` one row at a time.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Two parts, both consumed by ``tests/test_spec.py`` and by the generator at
 the bottom of this file:
 
 * :data:`CASES` — the crafted row sequences (one table; each is judged
-  through the finished-trace driver, :func:`check_case`, *and* through a
-  :class:`~repro.net.monitors.LiveTrace`, :func:`live_case`);
+  through the finished-trace driver, :func:`check_case`, *and* row by
+  row through a :class:`~repro.net.monitors.SpecMonitor`,
+  :func:`live_case`);
 * :func:`simulated` — recorded runs that, unlike the equivalence gates',
   contain violations: the ``naive_pif`` / ``self_stab_mutex`` baselines
   under their own tags, the ``analysis.ablations`` runs expected to fail,
@@ -180,7 +181,7 @@ CASES: dict[str, Case] = {
         [ev(0, K.REQUEST, 1, tag="me")], finish={}),
     "me-intervals": _me(_cs(
         (1, "enter", 1), (4, "exit", 1), (6, "enter", 1, False))),
-    # The four LiveTrace cases that used to live in tests/test_net.py.
+    # The four per-row monitor cases that used to live in tests/test_net.py.
     "net-mutex-overlap": _me(_cs((1, "enter", 1), (2, "enter", 2))),
     "net-mutex-cross-cluster": _me(
         _cs((1, "enter", 1), (2, "enter", 3)),
@@ -363,32 +364,30 @@ def check_case(case: Case):
     return checker(case.spec)(case.trace(), case.spec, *case.truth, **options)
 
 
-# -- the live-trace driver -----------------------------------------------
+# -- the per-row driver --------------------------------------------------
 
 def _live(spec: str, tag: str, truth, scope: dict, rows, finish: dict):
-    """Judge ``rows`` as they are emitted into a LiveTrace."""
-    from repro.net.monitors import LiveTrace, SpecMonitor
+    """Judge ``rows`` one at a time through a SpecMonitor."""
+    from repro.net.monitors import SpecMonitor
     from repro.spec import IdlAutomaton, MutexAutomaton, PifAutomaton
 
     automaton = {
         "pif": PifAutomaton, "idl": IdlAutomaton, "me": MutexAutomaton,
     }[spec](tag, *truth, **scope)
     monitor = SpecMonitor(automaton)
-    trace = LiveTrace()
-    trace.attach(monitor)
-    for time, kind, process, data in rows:
-        trace.emit(time, kind, process, **data)
+    for row in rows:
+        monitor.observe(*row)
     return monitor.report(**finish)
 
 
 def live_case(case: Case):
-    """The LiveTrace driver over one crafted case."""
+    """The per-row driver over one crafted case."""
     return _live(case.spec, case.spec, case.truth, case.scope, case.rows,
                  case.finish)
 
 
 def live_recorded(call: Recorded):
-    """The LiveTrace driver over one captured ``check_*`` call."""
+    """The per-row driver over one captured ``check_*`` call."""
     tag, *truth = call.args
     scope = {k: v for k, v in call.kwargs.items() if k in SCOPE_KEYS}
     finish = {k: v for k, v in call.kwargs.items()

@@ -131,7 +131,7 @@ def test_cluster_mutex_trial_matches_serial_metrics():
     # Per trial, not per pool: REGISTER in + PEERS out for each of the
     # two workers that just booted, nothing on a warm lease.
     assert cluster.provenance["registry_round_trips"] == 4
-    assert cluster.provenance["monitors_ok"]
+    assert (cluster.ok, cluster.violations) == (serial.ok, serial.violations)
     warm = run_mutex_trial(spec, requests_per_process=1)
     assert warm.measurements == serial.measurements
     assert warm.provenance["registry_round_trips"] == 0
@@ -142,9 +142,8 @@ def test_freerun_cluster_passes_online_monitors():
         TrialSpec(n=6, loss=0.1, engine="cluster",
                   cluster=ClusterOpts(hosts=2, sync="freerun")),
         requests_per_process=1)
-    assert trial.ok
+    assert (trial.ok, trial.violations) == (True, 0)
     assert trial.provenance["sync"] == "freerun"
-    assert trial.provenance["monitors_ok"]
 
 
 # -- coordinator validation ----------------------------------------------

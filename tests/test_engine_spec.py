@@ -249,6 +249,24 @@ def test_provenance_version_gate():
         TrialSpec.from_provenance(record)
 
 
+@pytest.mark.parametrize("section,key", [
+    (None, "sed"),
+    ("cluster", "sinc"),
+    ("transport", "transprt"),
+], ids=["top-level", "cluster-section", "transport-section"])
+def test_provenance_decode_rejects_unknown_keys(section, key):
+    # Skipping it would replay a default: seed 0 for "sed", sync=None
+    # for "sinc".
+    record = _spec().as_provenance()
+    if section is None:
+        record[key] = 3
+    else:
+        record[section] = {**record[section], key: "freerun"}
+    with pytest.raises(SpecError, match="unknown keys") as err:
+        TrialSpec.from_provenance(record)
+    assert err.value.field == key
+
+
 def test_spec_validation_rejects_bad_axes():
     for over, fieldname in [
         (dict(n=0), "n"),
@@ -338,8 +356,7 @@ def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
 
 _SERIAL_KEYS = {"engine", "transport", "wall_clock_s"}
 _WINDOW_KEYS = _SERIAL_KEYS | {"window", "barriers", "sync_wall_s"}
-_MONITOR_KEYS = {"monitors_ok", "monitors"}
-_CLUSTER_KEYS = _WINDOW_KEYS | _MONITOR_KEYS | {
+_CLUSTER_KEYS = _WINDOW_KEYS | {
     "hosts", "sync", "worker_wall_s", "worker_wall_spread_s",
     "registry_round_trips"}
 
@@ -348,9 +365,9 @@ _CLUSTER_KEYS = _WINDOW_KEYS | _MONITOR_KEYS | {
     pytest.param("serial", {}, _SERIAL_KEYS, id="serial-axes0"),
     pytest.param("sharded", dict(sharding=ShardingOpts(shards=2)),
                  _WINDOW_KEYS, id="sharded-axes1"),
-    pytest.param("async", {}, _SERIAL_KEYS | _MONITOR_KEYS, id="async-axes2"),
+    pytest.param("async", {}, _SERIAL_KEYS, id="async-axes2"),
     pytest.param("async", dict(transport=TransportOpts(transport="udp")),
-                 _SERIAL_KEYS | _MONITOR_KEYS, id="async-axes3"),
+                 _SERIAL_KEYS, id="async-axes3"),
     pytest.param("cluster", dict(cluster=ClusterOpts(hosts=2)),
                  _CLUSTER_KEYS, id="cluster-axes4"),
     # An armed empty plan counts as a plan: its counters are reported.
@@ -360,7 +377,7 @@ _CLUSTER_KEYS = _WINDOW_KEYS | _MONITOR_KEYS | {
                                   "replayed_rounds"}, id="cluster-axes5"),
     pytest.param("async", dict(transport=TransportOpts(transport="udp"),
                                chaos=ChaosOpts(plan="")),
-                 _SERIAL_KEYS | _MONITOR_KEYS | {"fault_counts"},
+                 _SERIAL_KEYS | {"fault_counts"},
                  id="async-axes6"),
 ])
 def test_every_engine_fits_the_provenance_schema(engine, axes, keys):

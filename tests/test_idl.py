@@ -124,8 +124,28 @@ class TestIntegration:
 
 
 class TestMonitoredOnline:
-    """IDL is monitored on the async and cluster engines for free: its
-    automaton is on its row of ``repro.core.protocols.PROTOCOLS``."""
+    """IDL is judged on the async and cluster engines for free: its
+    automaton is on its row of ``repro.core.protocols.PROTOCOLS``, and
+    the runner's one pass judges every engine's trace with it.  The
+    per-row adapter (``default_monitors``) fed the same trace agrees."""
+
+    @staticmethod
+    def _judged(spec, idents, monkeypatch):
+        """The trial of ``spec``, and the per-row monitor's verdict on
+        the trace that trial judged."""
+        from repro.analysis import runner
+        from repro.net.monitors import default_monitors
+
+        runs = []
+        execute = runner.execute
+        monkeypatch.setattr(
+            runner, "execute", lambda spec: runs.append(execute(spec)) or runs[-1])
+        trial = runner.run_idl_trial(spec, requests_per_process=1, idents=idents)
+        [run] = runs
+        [monitor] = default_monitors("idl", run.topology, idents)
+        for row in run.trace.scan(*monitor.automaton.KINDS):
+            monitor.observe(*row)
+        return trial, monitor.report(final_requests=run.finals)
 
     @pytest.mark.parametrize("topology", ["complete", "ring"])
     @pytest.mark.parametrize(
@@ -135,37 +155,28 @@ class TestMonitoredOnline:
     def test_trial_carries_the_idl_monitor_verdict(
         self, engine, idents, topology, monkeypatch
     ):
-        from repro.analysis import runner
         from repro.engine import ClusterOpts, TrialSpec
 
-        runs = []
-        execute = runner.execute
-        monkeypatch.setattr(
-            runner, "execute", lambda spec: runs.append(execute(spec)) or runs[-1])
-        trial = runner.run_idl_trial(
+        trial, report = self._judged(
             TrialSpec(n=5, seed=0, loss=0.1, topology=topology, engine=engine,
                       cluster=ClusterOpts(hosts=2 if engine == "cluster" else None)),
-            requests_per_process=1, idents=idents)
-        [run] = runs
-        [monitor] = run.monitor_reports
-        assert trial.ok and trial.provenance["monitors_ok"] is True
-        assert trial.provenance["monitors"] == [
-            {"name": "IDL[idl]", "ok": True, "violations": 0}]
-        assert monitor.info["computations"] == trial.measurements["computations"] > 0
-        assert monitor.events_observed > 0
+            idents, monkeypatch)
+        assert (trial.ok, trial.violations) == (True, 0)
+        assert trial.provenance["engine"] == engine
+        assert (report.spec, report.ok) == ("IDL[idl]", True)
+        assert report.info["computations"] == trial.measurements["computations"] > 0
+        assert report.events_observed > 0
 
-    def test_monitor_flags_the_violation_the_offline_check_flags(self):
+    def test_monitor_flags_the_violation_the_offline_check_flags(self, monkeypatch):
         """Not crafted: with identities above the pid range, seed 3 lets a
         garbage receive-fck of the scrambled, never-started PIF wave lower
         ``min_id`` between IDL's START and the embedded PIF's (ROADMAP,
-        "IDL start window") — pid identities mask it.  Both drivers see
-        the same single Correctness violation."""
-        from repro.analysis.runner import run_idl_trial
+        "IDL start window") — pid identities mask it.  The trial and the
+        per-row monitor see the same single Correctness violation."""
         from repro.engine import TrialSpec
 
-        trial = run_idl_trial(
+        trial, report = self._judged(
             TrialSpec(n=5, seed=3, loss=0.1, engine="async"),
-            requests_per_process=1, idents={1: 50, 2: 7, 3: 31, 4: 12, 5: 90})
+            {1: 50, 2: 7, 3: 31, 4: 12, 5: 90}, monkeypatch)
         assert (trial.ok, trial.violations) == (False, 1)
-        assert trial.provenance["monitors"] == [
-            {"name": "IDL[idl]", "ok": False, "violations": 1}]
+        assert [v.prop for v in report.violations] == ["Correctness"]

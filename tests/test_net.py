@@ -8,8 +8,7 @@
   the serial engine as oracle (the hypothesis-powered variant lives in
   ``tests/test_net_properties.py``).
 * ``--transport tcp`` runs the same protocol layers over real localhost
-  sockets; a smoke trial must complete with every online spec monitor
-  passing.
+  sockets; a smoke trial must complete and pass its specification check.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import replace
 import pytest
 from conftest import trial_spec
 
-from repro.analysis.runner import run_mutex_trial
+from repro.analysis.runner import run_mutex_trial, run_trial
 from repro.core.pif import PifLayer
 from repro.core.requests import RequestDriver
 from repro.engine import (
@@ -35,7 +34,7 @@ from repro.engine import (
 from repro.errors import HorizonExceeded, SimulationError
 from repro.net.clock import PacedClock
 from repro.net.engine import AsyncSimulator
-from repro.net.monitors import LiveTrace, SpecMonitor, default_monitors
+from repro.net.monitors import SpecMonitor, default_monitors
 from repro.net import wire
 from repro.sim.runtime import Simulator
 from repro.sim.scheduler import Scheduler
@@ -96,12 +95,14 @@ class TestLoopbackBitIdentity:
         _assert_bit_identical(serial, loopback)
 
     def test_loopback_monitors_pass_when_spec_passes(self):
-        _, loopback = _both(trial_spec("pif", 
-            8, topology="clustered:2", seed=2, loss=0.2, horizon=4_000_000))
-        assert loopback.monitor_reports
-        assert loopback.monitors_ok
-        assert loopback.engine == "async"
-        assert loopback.transport == "loopback"
+        spec = trial_spec("pif", 8, topology="clustered:2", seed=2, loss=0.2,
+                          horizon=4_000_000)
+        serial = run_trial(spec)
+        loopback = run_trial(replace(spec, engine="async"))
+        assert (loopback.ok, loopback.violations) == (True, 0)
+        assert loopback.measurements == serial.measurements
+        assert loopback.provenance["engine"] == "async"
+        assert loopback.provenance["transport"] == "loopback"
 
     def test_different_seeds_differ(self):
         ring = trial_spec("pif", 8, topology="ring", horizon=4_000_000)
@@ -136,20 +137,18 @@ class TestSeededFuzzOracle:
 
 
 class TestTcpTransport:
-    """Real sockets: best-effort timing, online-monitor-checked."""
+    """Real sockets: best-effort timing, spec-checked like any trial."""
 
     def test_e3_over_tcp_completes_with_monitors_passing(self):
         try:
-            run = execute(trial_spec("pif", 
+            trial = run_trial(trial_spec("pif",
                 4, seed=0, horizon=30_000, engine="async",
                 transport=TransportOpts(transport="tcp")))
         except OSError as exc:  # pragma: no cover - sandboxed networking
             pytest.skip(f"cannot bind localhost sockets here: {exc}")
-        assert run.completed
-        assert run.monitor_reports
-        assert run.monitors_ok, [r.violations for r in run.monitor_reports]
-        assert run.stats.delivered > 0
-        assert run.transport == "tcp"
+        assert (trial.ok, trial.violations) == (True, 0)
+        assert trial.measurements["messages"] > 0
+        assert trial.provenance["transport"] == "tcp"
 
     def test_tcp_trial_is_spec_correct_offline_too(self):
         from repro.spec.pif_spec import check_pif
@@ -336,25 +335,23 @@ class TestRoundBudget:
 
 
 class TestOnlineMonitors:
-    """The LiveTrace driver end to end: attach → emit → report.  The rows
-    are cases of the shared table (``tests/spec_corpus.py``), where
+    """The per-row adapter end to end: observe → report.  The rows are
+    cases of the shared table (``tests/spec_corpus.py``), where
     ``tests/test_spec.py`` also judges them through ``check_*``."""
 
     @staticmethod
-    def _emitted(name):
+    def _observed(name):
         from spec_corpus import CASES
         from repro.sim.topology import Complete
 
         case = CASES[name]
         [monitor] = default_monitors(case.spec, Complete(4))
-        trace = LiveTrace()
-        trace.attach(monitor)
-        for time, kind, process, data in case.rows:
-            trace.emit(time, kind, process, **data)
-        return trace, monitor
+        for row in case.rows:
+            monitor.observe(*row)
+        return monitor
 
     def test_mutex_monitor_flags_overlap(self):
-        _trace, monitor = self._emitted("net-mutex-overlap")
+        monitor = self._observed("net-mutex-overlap")
         report = monitor.report(require_all_served=False)
         assert not report.ok
         assert "overlap" in report.violations[0].detail
@@ -367,16 +364,15 @@ class TestOnlineMonitors:
         # Leader clusters {1, 2, 3, 4} and {5, 6}.
         topology = topology_from_spec("clustered:2", 6)
         [monitor] = default_monitors("me", topology)
-        trace = LiveTrace()
-        trace.attach(monitor)
-        trace.emit(1, EventKind.CS_ENTER, 1, tag="me", requested=True)
-        trace.emit(2, EventKind.CS_ENTER, 6, tag="me", requested=True)
+        enter = {"tag": "me", "requested": True}
+        monitor.observe(1, EventKind.CS_ENTER, 1, enter)
+        monitor.observe(2, EventKind.CS_ENTER, 6, enter)
         assert monitor.report().ok
-        trace.emit(3, EventKind.CS_ENTER, 5, tag="me", requested=True)
+        monitor.observe(3, EventKind.CS_ENTER, 5, enter)
         assert len(monitor.report().violations) == 1
 
     def test_pif_monitor_flags_missing_ack(self):
-        _trace, monitor = self._emitted("net-pif-missing-ack")
+        monitor = self._observed("net-pif-missing-ack")
         report = monitor.report()
         assert not report.ok
         # p4 of the Complete(4) topology heard nothing, p3 never answered.
@@ -385,11 +381,13 @@ class TestOnlineMonitors:
     def test_liveness_monitor_flags_unanswered_request(self):
         """Start/Termination residues are clauses of the specification's
         own automaton, judged whenever ``report`` is read."""
-        trace, monitor = self._emitted("net-unanswered-request")
+        monitor = self._observed("net-unanswered-request")
         assert [v.prop for v in monitor.report().violations] == ["Start"]
-        trace.emit(2, EventKind.DECIDE, 1, tag="pif")  # decided, never started
+        # Decided, never started.
+        monitor.observe(2, EventKind.DECIDE, 1, {"tag": "pif"})
         assert [v.prop for v in monitor.report().violations] == ["Start"]
-        trace.emit(3, EventKind.START, 1, tag="pif", wave=(1, 1), payload="m")
+        monitor.observe(3, EventKind.START, 1,
+                        {"tag": "pif", "wave": (1, 1), "payload": "m"})
         assert [v.prop for v in monitor.report().violations] == ["Termination"]
 
     def test_unknown_tag_is_not_monitored_and_other_kinds_are_skipped(self):

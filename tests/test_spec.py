@@ -4,8 +4,8 @@ A checker that always says OK would vacuously 'verify' the protocols, so
 every property gets a hand-built violating trace.  The traces live in one
 table (``tests/spec_corpus.py``) and every one is judged through both
 drivers of the automaton — ``check_*`` over the finished trace and a
-``SpecMonitor`` on a ``LiveTrace`` — which must return the same violation
-list; ``tests/data/spec_verdicts.json`` pins the per-property counts the
+``SpecMonitor`` fed the rows one at a time — which must return the same
+violation list; ``tests/data/spec_verdicts.json`` pins the per-property counts the
 hand-coded checkers returned before the automata replaced them.
 """
 

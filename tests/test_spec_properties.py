@@ -4,7 +4,7 @@ Generates row sequences over each specification's alphabet — pids 1–4, at
 most three wave ids, same-tick rows in every emission order, garbage rows
 without a ``wave``, rows of a foreign tag, the odd row without a process —
 and asserts that ``check_*`` over the finished trace and a ``SpecMonitor``
-on a ``LiveTrace`` return the same verdict, violation for violation, on
+fed the rows one at a time return the same verdict, violation for violation, on
 the complete-graph reading and on the ``neighbors`` / ``clusters``-scoped
 one.  The crafted table lives in ``tests/test_spec.py``.
 """

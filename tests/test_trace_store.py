@@ -6,8 +6,9 @@ event content, the canonical trace hash and every spec verdict have to be
 identical to the historical list-of-frozen-dataclasses store.  This module
 keeps a faithful copy of that legacy store (`LegacyTrace`, storage and cost
 model of the pre-overhaul implementation, plus linear-scan shims for the
-streaming API the checkers now use), injects it into a serial engine via
-the ``_make_trace`` extension point, and asserts:
+streaming API the checkers now use), installs it on a serial engine by
+assigning ``sim.trace`` after construction (every emitter reads
+``sim.trace`` at emit time), and asserts:
 
 * query-by-query equivalence on a synthetic trace,
 * canonical hash + spec verdict equality on full E3 trials over
@@ -119,8 +120,9 @@ class LegacyTrace:
 class LegacySimulator(Simulator):
     """Serial engine wired to the legacy trace store."""
 
-    def _make_trace(self):  # type: ignore[override]
-        return LegacyTrace()
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.trace = LegacyTrace()
 
 
 def _run_serial_trial(sim_cls, n, topology, seed):
