@@ -9,8 +9,8 @@ and WAN-weighted Clustered topologies at n <= 16, and through
 ``engine=sharded`` on Complete, Clustered and WAN at n = 32 (the WAN
 rows run 16-tick windows).  On top of the metric comparison it
 re-executes two PIF probe cases per name and compares the raw traces
-event for event plus the canonical trace hash — windowed mode's
-bit-identity proof obligation — and holds each name to its declared
+event for event plus the canonical trace hash — the window-sync
+runtime's bit-identity proof obligation — and holds each name to its declared
 surface: ``cluster`` reports its hosts, ``sharded`` does not.  ``--engine
 cluster`` / ``--engine sharded`` keeps one name's rows (the CI jobs
 ``cluster-equivalence`` and ``shard-equivalence``).
@@ -33,18 +33,10 @@ together may boot no more than the widest case has workers (4).  The
 timeline lands at ``--timeline-out`` (default
 ``BENCH_cluster_timeline.json``) so CI can upload it as an artifact.
 
-``--freerun-smoke`` additionally runs one E3 trial in ``sync=freerun``
-mode (best-effort progress; ``run_trial`` judges the merged trace like
-any other) and requires it to complete and pass Specification 1;
-``--freerun-only`` runs just that smoke.  Freerun is wall-clock
-dependent, so CI keeps it non-gating; the windowed gate is the hard
-contract.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/check_cluster_equivalence.py \
-        [--engine cluster|sharded] [--freerun-smoke | --freerun-only] \
-        [--timeline-out PATH]
+        [--engine cluster|sharded] [--timeline-out PATH]
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from equivalence import (
@@ -65,7 +56,6 @@ from equivalence import (
     spawn_guard,
 )
 
-from repro.analysis.runner import run_trial
 from repro.engine import (
     DRAIN_TICKS,
     ClusterOpts,
@@ -78,8 +68,8 @@ from repro.net.grant import report_every
 from repro.obs.spans import validate_chrome_trace
 
 
-def _cluster(hosts: int, **opts) -> dict:
-    return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts, **opts))
+def _cluster(hosts: int) -> dict:
+    return dict(engine="cluster", cluster=ClusterOpts(hosts=hosts))
 
 
 def _sharded(shards: int | None = None) -> dict:
@@ -238,7 +228,7 @@ def check_obs_identity(
     if problems:
         print(f"     timeline invalid: {problems[:5]}")
     # Lane 0 is the coordinator; every worker shard k gets lane k+1 and
-    # must have recorded barrier waits (windowed mode always barriers).
+    # must have recorded barrier waits (every round barriers).
     timeline_ok = (
         not problems
         and lanes == set(range(hosts + 1))
@@ -252,19 +242,6 @@ def check_obs_identity(
         f"-> {timeline_out}")
 
 
-def freerun_smoke() -> bool:
-    """One E3 trial in freerun mode; it must pass Specification 1."""
-    t0 = time.perf_counter()
-    trial = run_trial(pif_probe(8, None, **_cluster(2, sync="freerun")))
-    wall = time.perf_counter() - t0
-    return report(
-        trial.ok,
-        f"freerun smoke E3 n=8 hosts=2: ok={trial.ok} "
-        f"violations={trial.violations} wall={wall:.1f}s "
-        f"metrics={trial.measurements}",
-        bad="FAILED")
-
-
 def main() -> int:
     args = sys.argv[1:]
     timeline_out = flag_value(
@@ -272,18 +249,15 @@ def main() -> int:
     only = flag_value(args, "--engine", "")
     engines = {only} if only else {"cluster", "sharded"}
     ok = True
-    if "--freerun-only" not in args:
-        for engine in sorted(engines):
-            ok &= compare_metrics(
-                [case for case in CASES if case[3]["engine"] == engine],
-                engine, agrees=_surface_agrees, tail=_barriers_and_metrics)
-        for topology, n, axes in PROBES:
-            if axes["engine"] in engines:
-                ok &= check_bit_identity(topology, n, axes)
-        if "cluster" in engines:
-            ok &= check_obs_identity(None, 8, 2, timeline_out)
-    if "--freerun-smoke" in args or "--freerun-only" in args:
-        ok &= freerun_smoke()
+    for engine in sorted(engines):
+        ok &= compare_metrics(
+            [case for case in CASES if case[3]["engine"] == engine],
+            engine, agrees=_surface_agrees, tail=_barriers_and_metrics)
+    for topology, n, axes in PROBES:
+        if axes["engine"] in engines:
+            ok &= check_bit_identity(topology, n, axes)
+    if "cluster" in engines:
+        ok &= check_obs_identity(None, 8, 2, timeline_out)
     # Every case of either name leases from one pool, and the widest
     # case of each has four workers: four interpreters fill it.
     ok &= spawn_guard(interpreters_spawned(), hosts=4)

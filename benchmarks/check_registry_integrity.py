@@ -41,7 +41,8 @@ Asserts, without running a single trial:
   repair, the bad-factor spelling of mutual exclusion, the experiments'
   pytest wrappers whose assertions ``repro claims`` now carries, the
   per-engine run-outcome types and payload-format expansions, the
-  monitor copies of a trial's verdict — or a PIF send that builds its
+  monitor copies of a trial's verdict, the best-effort window-sync
+  mode — or a PIF send that builds its
   message before the link claimed a slot, or an engine that picks its
   own specification monitor.
 
@@ -221,6 +222,11 @@ GUARDS: tuple[Guard, ...] = (
           re.compile(r".*\b(Live" + r"Trace|monitor" + r"_reports|monitors"
                      + r"_ok|_make" + r"_trace|collect" + r"_monitors)\b"),
           _EVERYWHERE, _LEDGER),
+    # One window-sync protocol: the barrier-free mode, its round size and
+    # its mode table went (async tcp/udp are the nondeterministic runs).
+    Guard("names the deleted best-effort sync mode (windows are the "
+          "one protocol)",
+          re.compile(r".*(free" + r"run|FREE" + r"RUN_WINDOW|SYNC" + r"_MODES)")),
     Guard("picks a specification monitor outside repro.net.monitors "
           "(no engine judges its own run)",
           re.compile(r".*\bdefault_monitors\b"),

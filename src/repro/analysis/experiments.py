@@ -282,7 +282,7 @@ def run_topology_matrix(
     ``base`` carries every axis the cells share — system size, engine and
     its option sections, latency, horizon; each cell trial replaces only
     topology/seed/loss.  Serial, sharded, async-loopback and
-    cluster-windowed produce identical rows for the same seeds.  With
+    cluster produce identical rows for the same seeds.  With
     ``base.obs`` set, each cell trial writes its own files, suffixed with
     the cell's topology/loss/seed (see
     :func:`repro.obs.recorder.indexed_path`).

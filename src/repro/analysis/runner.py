@@ -18,11 +18,11 @@ The ``engine`` axis is answered by the backend registry
 ``cluster`` are built in, and all execute the *same* trial shape —
 build, scramble, drive requests until served, drain
 :data:`~repro.engine.DRAIN_TICKS`.  Deterministic configurations
-(``serial``, ``sharded``, ``async``+``loopback``,
-``cluster``+``windowed``) produce bit-identical traces for the same
-seed, so every specification check and measurement below is
-engine-agnostic; a best-effort configuration (paced transports, cluster
-freerun) produces a trace of its own, judged by the same pass.
+(``serial``, ``sharded``, ``cluster``, ``async``+``loopback``) produce
+bit-identical traces for the same seed, so every specification check
+and measurement below is engine-agnostic; a best-effort configuration
+(the paced ``tcp``/``udp`` transports) produces a trace of its own,
+judged by the same pass.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ Statements are separated by newlines or ``;``; ``#`` starts a comment:
 
 Semantics that keep the equivalence gates meaningful:
 
-* ``crash`` faults are *recoverable* under ``sync=windowed`` with
-  coordinator-spawned workers: the coordinator stops the survivors,
-  respawns the dead shard and runs the trial again
+* ``crash`` faults are *recoverable* with coordinator-spawned workers:
+  the coordinator stops the survivors, respawns the dead shard and runs
+  the trial again
   (:mod:`repro.net.cluster`), so the finished run is the serial engine's.
   A crash point a shard has not reached when another shard's crash
   aborts the attempt stays armed for the re-run.
@@ -240,7 +240,7 @@ class FaultPlan:
     # -- validation ----------------------------------------------------
 
     def validate_for_cluster(
-        self, n_shards: int, pids: Sequence[int], *, sync: str, spawned: bool
+        self, n_shards: int, pids: Sequence[int], *, spawned: bool
     ) -> None:
         pid_set = set(pids)
         crashed: set[int] = set()
@@ -253,11 +253,6 @@ class FaultPlan:
                         "crash per shard is supported"
                     )
                 crashed.add(fault.shard)
-                if sync != "windowed":
-                    raise ConfigurationError(
-                        "crash faults need sync='windowed' (recovery "
-                        f"is undefined under sync={sync!r})"
-                    )
                 if not spawned:
                     raise ConfigurationError(
                         "crash faults need coordinator-spawned workers "

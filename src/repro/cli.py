@@ -171,7 +171,8 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
         "--wan", action="store_true",
         help="shorthand for --topology wan: the WAN-clustered preset "
              "(intra-cluster latency 1-3, cross-cluster 16-32); widens the "
-             "sharded engine's sync window to the cross-shard latency floor",
+             "sharded and cluster engines' sync window to the cross-shard "
+             "latency floor",
     )
     parser.add_argument(
         "--latency-map", nargs="+", default=None, metavar="SRC-DST=LO:HI",
@@ -198,21 +199,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "across worker processes (sharded), the asyncio runtime with "
              "one transport per channel (async), or per-shard worker "
              "interpreters behind real sockets (cluster); serial, sharded, "
-             "async --transport loopback and cluster --sync windowed "
-             "produce identical trace metrics for the same seed",
+             "cluster and async --transport loopback produce identical "
+             "trace metrics for the same seed",
     )
     parser.add_argument(
         "--hosts", type=int, default=None, metavar="N",
         help="worker-interpreter count for --engine cluster (default: one "
              "per arbitration-cluster group); each hosts one shard of the "
              "partition in its own OS process",
-    )
-    parser.add_argument(
-        "--sync", choices=["windowed", "freerun"], default=None,
-        help="cluster synchronization mode: conservative time windows with "
-             "BARRIER frames (windowed, reproduces serial results) or "
-             "best-effort progress whose merged trace is spec-checked "
-             "like any other (freerun)",
     )
     parser.add_argument(
         "--cluster-listen", default=None, metavar="HOST:PORT",
@@ -227,8 +221,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--window", type=int, default=None, metavar="W",
-        help="time-window size (ticks) for --engine sharded; must not exceed "
-             "the latency lower bound (default: exactly that bound)",
+        help="time-window size (ticks) for --engine sharded or cluster; must "
+             "not exceed the cross-shard latency lower bound (default: "
+             "exactly that bound)",
     )
     parser.add_argument(
         "--transport", choices=transport_names(), default="loopback",
@@ -248,8 +243,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--latency", type=int, nargs=2, default=(1, 3), metavar=("LO", "HI"),
         help="message latency bounds in ticks (default 1 3); the lower bound "
-             "is the sharded engine's lookahead, so raising it allows wider "
-             "--window values (fewer barriers)",
+             "is the sharded and cluster engines' lookahead, so raising it "
+             "allows wider --window values (fewer barriers)",
     )
     parser.add_argument(
         "--fault-plan", default=None, metavar="PLAN",

@@ -2,8 +2,8 @@
 sockets — registered here as ``engine=cluster``, and a second time, with
 a narrower declared surface, as ``engine=sharded``
 (:mod:`repro.engine.backends.sharded`).  A run hands back the merged
-trace and no verdict: :func:`repro.analysis.runner.run_trial` judges it,
-windowed or freerun, as it judges every engine's."""
+trace and no verdict: :func:`repro.analysis.runner.run_trial` judges it
+as it judges every engine's."""
 
 from __future__ import annotations
 
@@ -18,12 +18,13 @@ from repro.engine.base import (
 )
 from repro.engine.registry import register
 from repro.engine.spec import TrialSpec
+from repro.errors import SpecError
 
 
 class ClusterBackend(EngineBackend):
-    """Worker interpreters (own OS processes) behind the wire format;
-    ``sync=windowed`` reproduces serial results exactly, ``sync=freerun``
-    is best-effort, its merged trace judged like any other.
+    """Worker interpreters (own OS processes) behind the wire format,
+    synchronised by time windows: a run reproduces serial results
+    exactly.
 
     One runtime, any number of registrations: a registration is a name
     plus the capabilities it declares, and what a run reports follows
@@ -46,15 +47,22 @@ class ClusterBackend(EngineBackend):
     ) -> ClusterSimulator:
         # The worker count rides whichever axis the registration
         # declares; the capability gate left the other one unset.
-        hosts = spec.cluster.hosts
+        axis = "hosts" if "hosts" in self._capabilities else "shards"
+        hosts = spec.cluster.hosts if axis == "hosts" else spec.sharding.shards
+        n = spec.n if topology is None else topology.n
+        if hosts is not None and not 1 <= hosts <= n:
+            raise SpecError(
+                f"{axis} must be in 1..{n} (a shard hosts at least one "
+                f"process), got {hosts}",
+                backend=self.name, field=axis,
+            )
         return ClusterSimulator(
             spec.n if topology is None else None,
             spec.protocol,
             topology=topology,
             seed=spec.seed,
-            hosts=hosts if hosts is not None else spec.sharding.shards,
+            hosts=hosts,
             window=spec.sharding.window,
-            sync=spec.cluster.sync or "windowed",
             loss=loss_model(spec.loss),
             capacity=spec.capacity,
             latency=spec.latency,
@@ -73,7 +81,7 @@ class ClusterBackend(EngineBackend):
         )
         run.engine = self.name
         if "hosts" not in self._capabilities:
-            run.hosts = run.sync = run.worker_wall_s = None
+            run.hosts = run.worker_wall_s = None
             run.registry_round_trips = None
         return run
 

@@ -1,6 +1,6 @@
 """The sharded backend: the window-sync runtime
 (:mod:`repro.engine.backends.cluster`) registered a second time — worker
-interpreters on this machine, windowed only, the worker count on the
+interpreters on this machine, the worker count on the
 ``shards`` axis — because the CLI, the benchmark and the gates spell
 ``engine="sharded"``.  It is bit-identical to serial for the same seed
 (``shard-equivalence`` CI gate)."""

@@ -122,10 +122,9 @@ class EngineRun:
     window: int | None = None
     barriers: int | None = None
     sync_wall_s: float | None = None
-    #: Cluster provenance: worker-interpreter count, sync mode, per-shard
-    #: simulation wall clock and rendezvous round trips (None elsewhere).
+    #: Cluster provenance: worker-interpreter count, per-shard simulation
+    #: wall clock and rendezvous round trips (None elsewhere).
     hosts: int | None = None
-    sync: str | None = None
     worker_wall_s: dict[int, float] | None = None
     registry_round_trips: int | None = None
     #: Chaos provenance (repro.chaos): injected-fault / recovery counters
@@ -150,7 +149,6 @@ class EngineRun:
             record["sync_wall_s"] = round(self.sync_wall_s or 0.0, 4)
         if self.hosts is not None:
             record["hosts"] = self.hosts
-            record["sync"] = self.sync
             walls = self.worker_wall_s or {}
             record["worker_wall_s"] = {
                 shard: round(seconds, 4) for shard, seconds in walls.items()
@@ -248,7 +246,7 @@ def check_capabilities(spec: TrialSpec, backend: EngineBackend) -> None:
 
     Raises :class:`~repro.errors.SpecError` naming the backend and the
     offending field when the spec populates an axis the backend does not
-    declare — ``--fault-plan`` on serial, ``--sync`` on async,
+    declare — ``--fault-plan`` on serial, ``--window`` on async,
     ``--hosts`` on sharded, a non-loopback transport off the async
     engine, all through this single gate.
     """
@@ -288,7 +286,7 @@ _PROVENANCE_REQUIRED: dict[str, type | tuple[type, ...]] = {
 }
 _PROVENANCE_SECTIONS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "window": {"window": int, "barriers": int, "sync_wall_s": (int, float)},
-    "hosts": {"hosts": int, "sync": str, "worker_wall_s": dict,
+    "hosts": {"hosts": int, "worker_wall_s": dict,
               "worker_wall_spread_s": (int, float),
               "registry_round_trips": int},
     "fault_counts": {"fault_counts": dict},

@@ -29,7 +29,7 @@ def execute(spec: TrialSpec) -> EngineRun:
     it into an arbitrary initial configuration, let the request driver
     issue and await every request (up to ``spec.horizon``), then drain
     :data:`~repro.engine.base.DRAIN_TICKS` more ticks.  Deterministic
-    backends (serial, sharded, async-loopback, cluster-windowed) return
+    backends (serial, sharded, async-loopback, cluster) return
     bit-identical traces, stats, finals and completions for the same
     spec; run provenance (engine, transport, wall clock, barriers)
     rides on the :class:`EngineRun` without entering the compared state.

@@ -67,8 +67,10 @@ class TransportOpts:
 
 @dataclass(frozen=True)
 class ClusterOpts:
-    """``engine=cluster`` axes: worker-interpreter count, sync mode, and
-    the rendezvous listen address for hand-launched workers."""
+    """``engine=cluster`` axes: worker-interpreter count, sync mode
+    (``None`` or ``"windowed"``, the runtime's one protocol; recorded
+    specs name it), and the rendezvous listen address for hand-launched
+    workers."""
 
     hosts: int | None = None
     sync: str | None = None
@@ -182,6 +184,10 @@ class TrialSpec:
             raise SpecError(
                 "driver config names no 'tag' (which layer serves the "
                 "requests)", field="driver")
+        if self.cluster.sync not in (None, "windowed"):
+            raise SpecError(
+                f"sync must be None or 'windowed', got {self.cluster.sync!r}",
+                field="sync")
         if self.transport.tick is not None and self.transport.tick <= 0:
             raise SpecError(
                 f"tick must be > 0 seconds, got {self.transport.tick!r}",
@@ -253,7 +259,6 @@ class TrialSpec:
                 tick=getattr(args, "tick", None)),
             cluster=ClusterOpts(
                 hosts=getattr(args, "hosts", None),
-                sync=getattr(args, "sync", None),
                 listen=getattr(args, "cluster_listen", None)),
             chaos=ChaosOpts(
                 plan=resolve_fault_plan(getattr(args, "fault_plan", None))),

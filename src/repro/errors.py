@@ -19,7 +19,7 @@ class SpecError(SimulationError):
     """A :class:`~repro.engine.TrialSpec` cannot be executed as written.
 
     The uniform error for every axis/backend mismatch — ``--fault-plan``
-    on serial, ``--sync`` on async, ``--hosts`` on sharded, an unknown
+    on serial, ``--window`` on async, ``--hosts`` on sharded, an unknown
     engine or transport name, an out-of-range axis value.  Carries the
     offending ``field`` and the ``backend`` that rejected it so callers
     (and tests) never have to pattern-match free-form prose.

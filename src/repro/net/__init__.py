@@ -16,8 +16,7 @@ Runs the paper's protocol layers, unmodified, over real transports:
   and ``engine=cluster``): per-shard worker interpreters (own OS
   processes, :mod:`repro.net.cluster_worker`, leased from the pool of
   :mod:`repro.net.coordinator`, which outlives the trial) behind the TCP
-  fabric, coordinated through BARRIER frames in ``windowed`` mode or
-  free-running.
+  fabric, coordinated through BARRIER frames.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
   workers use to find each other's peer servers.
 * :mod:`repro.net.monitors` — the per-row adapter of the specification
@@ -33,7 +32,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
     from repro.net.clock import PacedClock
-    from repro.net.cluster import ClusterSimulator, SYNC_MODES
+    from repro.net.cluster import ClusterSimulator
     from repro.net.coordinator import close_pool
     from repro.net.cluster_worker import run_cluster_worker
     from repro.net.engine import DEFAULT_TICK_SECONDS, AsyncSimulator
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
 __all__ = [
     "AsyncSimulator",
     "ClusterSimulator",
-    "SYNC_MODES",
     "close_pool",
     "run_cluster_worker",
     "RegistryServer",
@@ -77,7 +75,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "clock": ("PacedClock",),
-    "cluster": ("ClusterSimulator", "SYNC_MODES"),
+    "cluster": ("ClusterSimulator",),
     "coordinator": ("close_pool",),
     "cluster_worker": ("run_cluster_worker",),
     "engine": ("DEFAULT_TICK_SECONDS", "AsyncSimulator"),

@@ -36,8 +36,8 @@ spawned fresh (a crash's replacement joins the pool).
 Rounds are *granted*, not driven (:mod:`repro.net.grant`).  Every worker
 runs the same round sequence on its own — ``t + window``, or past the
 quiet ticks ahead when the round's barriers show nothing happening
-anywhere before some tick ``G`` (``G + window - 1``; windowed sync, every
-shard peering with every other), capped at the horizon, then at the final
+anywhere before some tick ``G`` (``G + window - 1``; every shard peering
+with every other), capped at the horizon, then at the final
 target — and the coordinator only bounds how far: a CONTROL ``("grant",
 limit, final)`` lets a worker run every target ``<= limit``.  Workers
 report ``(round, t, done_at, compute_s)`` sparsely
@@ -51,29 +51,24 @@ may be in flight, instead of a round-trip per step.  The control ops are
 ``spec/ready/grant/report/resend/result/stop/exit`` (plus a worker's
 ``nak``, ``idle`` and ``error``).
 
-Two synchronization modes share that loop:
-
-* ``sync="windowed"`` — the conservative time-window protocol, peer to
-  peer.  Windows are at most
-  :attr:`Partition.latency_floor` ticks; a worker finishes its round,
-  ships its outbox, then sends a ``BARRIER(round, ship_count,
-  next_event)`` frame on every peer link (one write per link per round).
-  Per-connection FIFO means a barrier certifies the link's SHIP frame of
-  that round was already delivered, and the window bound means every
-  shipped delivery time lies strictly beyond the next window — so a worker
-  that has seen round ``r-1`` barriers from all peers can run round ``r``
-  with its event heap complete, without asking anyone.  ``next_event`` is
-  the earliest tick anything can still happen on the sender (its heap, its
-  ships in flight): the minimum over every shard is the bound a round
-  jumps by.  The run is therefore **bit-identical to the serial engine**
-  (same trace, same canonical hash), which the ``cluster-equivalence`` CI
-  gate asserts; only the round count depends on the jumps, and it is a
-  function of the seed too.
-* ``sync="freerun"`` — best-effort: same frames, no barrier waits, and
-  arrival times are clamped to the receiver's local future
-  (``max(when, now + 1)``).  Cross-shard timing is no longer reproducible,
-  so the merged trace is not the serial one; the runner's specification
-  check of that trace is the verdict, as on every engine.
+One synchronization protocol runs that loop: the conservative
+time-window protocol, peer to peer.  Windows are at most
+:attr:`Partition.latency_floor` ticks; a worker finishes its round,
+ships its outbox, then sends a ``BARRIER(round, ship_count,
+next_event)`` frame on every peer link (one write per link per round).
+Per-connection FIFO means a barrier certifies the link's SHIP frame of
+that round was already delivered, and the window bound means every
+shipped delivery time lies strictly beyond the next window — so a worker
+that has seen round ``r-1`` barriers from all peers can run round ``r``
+with its event heap complete, without asking anyone.  ``next_event`` is
+the earliest tick anything can still happen on the sender (its heap, its
+ships in flight): the minimum over every shard is the bound a round
+jumps by.  The run is therefore **bit-identical to the serial engine**
+(same trace, same canonical hash), which the ``cluster-equivalence`` CI
+gate asserts; only the round count depends on the jumps, and it is a
+function of the seed too.  A nondeterministic run over a real network
+is the async engine's ``tcp``/``udp`` transports, judged by the same
+runner pass.
 
 Fault injection and crash recovery (``docs/robustness.md``):
 
@@ -89,7 +84,7 @@ Fault injection and crash recovery (``docs/robustness.md``):
   the shard id, round, exit code and a stderr tail within
   a quarter second of the death instead of waiting out the worker
   timeout.
-* Under ``sync="windowed"`` with coordinator-spawned workers, a crash is
+* With coordinator-spawned workers, a crash is
   *survivable*, the way the paper's protocols survive one: not by
   repairing the half-finished computation but by starting it again.
   Once every survivor adjacent to the dead shard is parked (blocked on
@@ -133,7 +128,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.protocols import build_protocol
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 from repro.sim.channel import LossModel
 from repro.sim.partition import partition_topology
 from repro.sim.sharded import _SHARDABLE_LOSS
@@ -144,17 +139,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.base import EngineRun
     from repro.obs.recorder import ObsRecorder
 
-__all__ = [
-    "ClusterSimulator",
-    "SYNC_MODES",
-    "FREERUN_WINDOW",
-]
-
-SYNC_MODES = ("windowed", "freerun")
-
-#: Round size in freerun mode (no lookahead bound applies — the round
-#: exists only to pace shipping and progress reports).
-FREERUN_WINDOW = 64
+__all__ = ["ClusterSimulator"]
 
 
 def _worker_driver_cfg(driver: dict[str, Any] | None) -> dict[str, Any] | None:
@@ -184,7 +169,7 @@ class ClusterSimulator:
     protocol spec (see :data:`repro.core.protocols.PROTOCOLS`) instead of a
     build closure, ``hosts`` fixes the worker count (default: one per
     arbitration-cluster group) and ``window`` the synchronization window
-    (default and, when windowed, maximum: the partition's cross-shard
+    (default and maximum: the partition's cross-shard
     latency floor, :attr:`lookahead` — the global latency lower bound on
     unweighted topologies).  With ``listen="host:port"`` the
     coordinator binds its registry there and waits for hand-launched
@@ -205,7 +190,6 @@ class ClusterSimulator:
         seed: int = 0,
         hosts: int | None = None,
         window: int | None = None,
-        sync: str = "windowed",
         capacity: int = 1,
         latency: tuple[int, int] = (1, 3),
         loss: LossModel | None = None,
@@ -221,10 +205,6 @@ class ClusterSimulator:
                 "interpreter boundaries"
             )
         build_protocol(protocol)  # validate early, coordinator-side
-        if sync not in SYNC_MODES:
-            raise SimulationError(
-                f"unknown sync mode {sync!r}; expected one of {SYNC_MODES}"
-            )
         if isinstance(pids, int):
             pids = list(range(1, pids + 1))
         if topology is None:
@@ -256,25 +236,19 @@ class ClusterSimulator:
         #: over cross-shard edges (== the global ``lo`` when the topology
         #: is unweighted or the partition has no cut).
         self.lookahead = self.partition.latency_floor(lo)
-        self.sync = sync
-        if sync == "windowed":
-            if window is None:
-                window = self.lookahead
-            if not 1 <= window <= self.lookahead:
-                detail = (
-                    "the latency lower bound"
-                    if self.lookahead == lo
-                    else f"the cross-shard latency floor; global lower bound {lo}"
-                )
-                raise SimulationError(
-                    f"window must be in 1..{self.lookahead} ({detail} — the "
-                    f"engine's conservative lookahead), got {window}"
-                )
-        else:
-            if window is None:
-                window = FREERUN_WINDOW
-            if window < 1:
-                raise SimulationError(f"window must be >= 1, got {window}")
+        if window is None:
+            window = self.lookahead
+        if not 1 <= window <= self.lookahead:
+            detail = (
+                "the latency lower bound"
+                if self.lookahead == lo
+                else f"the cross-shard latency floor; global lower bound {lo}"
+            )
+            raise SpecError(
+                f"window must be in 1..{self.lookahead} ({detail} — the "
+                f"engine's conservative lookahead), got {window}",
+                field="window",
+            )
         self.window = window
         self.seed = seed
         self.listen = listen
@@ -287,7 +261,6 @@ class ClusterSimulator:
             fault_plan.validate_for_cluster(
                 self.partition.n_shards,
                 self.topology.pids,
-                sync=sync,
                 spawned=listen is None,
             )
         self._plan = fault_plan
@@ -332,7 +305,6 @@ class ClusterSimulator:
             "topology": self.topology,
             "shards": self.partition.shards,
             "protocol": self.protocol,
-            "sync": self.sync,
             "window": self.window,
             "horizon": horizon,
             "drain": drain,

@@ -13,8 +13,8 @@ Within a trial it hosts a plain :class:`~repro.sim.runtime.Simulator`
 slice for its shard (a round is ``scheduler.run_until(target)``, the
 serial engine's own loop), dials the peers named in the spec, and runs
 its rounds on its own under the coordinator's grants
-(:mod:`repro.net.cluster` — see there for the protocol, the
-synchronization modes and the fault/recovery design;
+(:mod:`repro.net.cluster` — see there for the protocol and the
+fault/recovery design;
 :mod:`repro.net.grant` for the arithmetic), synchronising with its peers
 only through ``BARRIER`` frames.  A control reader serves the CONTROL
 channel beside the round loop, so a worker blocked on a peer barrier
@@ -222,10 +222,10 @@ class _Trial:
 
     * A link's round — its ships, in send order — is logged per (peer
       shard, round) before any fault or link state can eat it; the log
-      feeds NAK resends.  It travels as one SHIP frame.  Under windowed
-      sync a link's rounds ``<= r`` leave the log once the peer's
-      BARRIER(r+1) is accepted: the peer ran round r+1, so it had
-      accepted our barrier r — it will NAK none of them.
+      feeds NAK resends.  It travels as one SHIP frame.  A link's rounds
+      ``<= r`` leave the log once the peer's BARRIER(r+1) is accepted:
+      the peer ran round r+1, so it had accepted our barrier r — it will
+      NAK none of them.  Every ship log is therefore bounded.
     * BARRIER frames carry the round's ship count; receivers tally unique
       decodable ships per (peer, round) and NAK a shortfall over CONTROL.
     * ``drop ship`` leaves a matching ship out of the frame's list,
@@ -241,7 +241,6 @@ class _Trial:
         self.shard = worker.shard
         self.client = worker.client
         self.spec = spec
-        self.sync: str = spec["sync"]
         self.timeout: float = spec["timeout"]
         self.partition = Partition(
             topology=spec["topology"], shards=spec["shards"]
@@ -281,7 +280,7 @@ class _Trial:
         #: only when every shard's barrier reaches every worker, so all
         #: of them take the same minimum — a worker that missed a shard's
         #: bound would jump where its peers step.
-        self._jumps = self.sync == "windowed" and self.partition.fully_peered()
+        self._jumps = self.partition.fully_peered()
         #: round -> minimum next-event bound over the barriers of that
         #: round accepted so far, this shard's own included.
         self._next_event: dict[int, int] = {}
@@ -383,7 +382,12 @@ class _Trial:
                             self._count("ship.duplicate_dropped")
                             continue
                         self._seen.add(key)
-                        self._on_ship(src, dst, msg, when, entry_seq)
+                        # The window bound puts `when` beyond the
+                        # current window; post_at's past-time check stays
+                        # active as a causality assertion.
+                        self.sim.schedule_remote_arrival(
+                            src, dst, msg, when, entry_seq
+                        )
                         fresh += 1
                     if fresh:
                         link_round = (src_shard, round_no)
@@ -441,10 +445,9 @@ class _Trial:
             self._recv_counts.pop((peer, round_no), None)
             # FIFO: a link's barriers arrive in round order.
             self._barrier_round[peer] = round_no
-            if self.sync == "windowed":
-                log = self._ship_log[peer]
-                for logged in [r for r in log if r < round_no]:
-                    del log[logged]
+            log = self._ship_log[peer]
+            for logged in [r for r in log if r < round_no]:
+                del log[logged]
             if self._jumps:
                 self._note_bound(round_no, bound)
             self._wake()
@@ -452,21 +455,6 @@ class _Trial:
     def _note_bound(self, round_no: int, bound: int) -> None:
         bounds = self._next_event
         bounds[round_no] = min(bounds.get(round_no, wire.NO_EVENT), bound)
-
-    def _on_ship(
-        self, src: int, dst: int, msg: Any, when: int, entry_seq: int
-    ) -> None:
-        sim = self.sim
-        if self.sync == "freerun":
-            # Best-effort: a late frame lands in the receiver's local
-            # future instead of violating the clock.  TCP keeps each
-            # link FIFO and the clamp is monotone, so per-channel
-            # delivery order still holds.
-            when = max(when, sim.now + 1)
-        # In windowed mode the protocol guarantees `when` lies beyond the
-        # current window; Scheduler.post_at's past-time check stays active
-        # as a causality assertion.
-        sim.schedule_remote_arrival(src, dst, msg, when, entry_seq)
 
     # -- outbound faults --------------------------------------------------
 
@@ -706,9 +694,8 @@ class _Trial:
     ) -> None:
         """Run the round grid as far as the grants allow.
 
-        One loop for both sync modes (``freerun`` skips the barrier
-        wait).  The worker reports ``(round, t, done_at, compute_s,
-        park)`` — ``t`` being the tick its next round leaves from,
+        The worker reports ``(round, t, done_at, compute_s, park)`` —
+        ``t`` being the tick its next round leaves from,
         :attr:`RoundGrid.reached` — when its driver first goes idle and
         every ``grid.every`` rounds, and — with ``park`` naming why —
         whenever it cannot go on: out of credit ``("limit", limit)``,
@@ -759,23 +746,20 @@ class _Trial:
             if waited < round_no:
                 waited = round_no
                 self.worker._maybe_crash("barrier", round_no)
-                if self.sync == "windowed":
-                    w0 = wall() if obs is not None else 0.0
-                    await self._await_barriers(round_no - 1, report)
-                    if obs is not None:
-                        w1 = wall()
-                        obs.spans.record(
-                            "barrier_wait", "round", w0, w1,
-                            args={"round": round_no - 1},
-                        )
-                        obs.metrics.observe("sync.barrier_wait_s", w1 - w0)
-                    if self._jumps:
-                        grid.skip_to(self._next_event.pop(round_no - 1))
-                        target = grid.next_target()
-                        if target is None:
-                            continue  # the jump outran the credit: park
-                else:
-                    await asyncio.sleep(0)  # let inbound frames in
+                w0 = wall() if obs is not None else 0.0
+                await self._await_barriers(round_no - 1, report)
+                if obs is not None:
+                    w1 = wall()
+                    obs.spans.record(
+                        "barrier_wait", "round", w0, w1,
+                        args={"round": round_no - 1},
+                    )
+                    obs.metrics.observe("sync.barrier_wait_s", w1 - w0)
+                if self._jumps:
+                    grid.skip_to(self._next_event.pop(round_no - 1))
+                    target = grid.next_target()
+                    if target is None:
+                        continue  # the jump outran the credit: park
             skipped = target - grid.t - grid.window
             if skipped > 0:
                 self._rounds_jumped += 1

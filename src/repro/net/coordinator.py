@@ -5,7 +5,7 @@ Everything here needs an event loop, subprocesses or the registry, so
 nothing imports it before the first
 :meth:`~repro.net.cluster.ClusterSimulator.run_trial` — ``prepare`` (and
 a ``setup_s`` measurement) never pays for it.  The protocol itself —
-leases, grants, synchronization modes, fault injection and crash
+leases, grants, barriers, fault injection and crash
 recovery — is described in :mod:`repro.net.cluster`.
 """
 
@@ -629,7 +629,6 @@ class _Coordinator:
         )
         if not (
             sim.recover
-            and sim.sync == "windowed"
             and sim.listen is None
             and self.respawns < _MAX_RESPAWNS
         ):
@@ -714,7 +713,6 @@ class _Coordinator:
             barriers=barriers,
             sync_wall_s=sync_wall,
             hosts=sim.n_shards,
-            sync=sim.sync,
             worker_wall_s=self.worker_wall,
             registry_round_trips=round_trips,
         )

@@ -7,9 +7,9 @@ the adversary instead of emulating one: every admitted entry leaves as
 one datagram (``HELLO frame + MESSAGE frame``, so each datagram is
 self-identifying), and whatever the network drops, reorders or
 duplicates is simply what the protocol layers must stabilize against.
-Like ``tcp`` (and the cluster engine's ``freerun`` mode) a udp run is
-wall-clock best-effort: the specification check of the trace the run
-produced carries the correctness claim.  Sender-side semantics are unchanged — admission, the loss-model
+Like ``tcp`` a udp run is wall-clock best-effort: the specification
+check of the trace the run produced carries the correctness claim.
+Sender-side semantics are unchanged — admission, the loss-model
 draw and the latency draw still happen at the channel, so observed udp
 loss *adds to* the modelled loss rather than replacing its accounting.
 

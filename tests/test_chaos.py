@@ -217,19 +217,13 @@ def test_worker_slice_routes_faults_to_owning_shard():
 def test_validate_for_cluster_rejects_bad_targets():
     plan = parse_fault_plan("crash worker 5 at barrier 1")
     with pytest.raises(ConfigurationError, match="shard 5"):
-        plan.validate_for_cluster(2, (1, 2, 3, 4), sync="windowed",
-                                  spawned=True)
+        plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=True)
     plan = parse_fault_plan("crash worker 0 at barrier 1")
-    with pytest.raises(ConfigurationError, match="windowed"):
-        plan.validate_for_cluster(2, (1, 2, 3, 4), sync="freerun",
-                                  spawned=True)
     with pytest.raises(ConfigurationError, match="hand-launched"):
-        plan.validate_for_cluster(2, (1, 2, 3, 4), sync="windowed",
-                                  spawned=False)
+        plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=False)
     plan = parse_fault_plan("drop ship from 9")
     with pytest.raises(ConfigurationError, match="pid 9"):
-        plan.validate_for_cluster(2, (1, 2, 3, 4), sync="windowed",
-                                  spawned=True)
+        plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=True)
 
 
 def test_validate_for_async_rejects_cluster_only_faults():

@@ -16,11 +16,11 @@ from dataclasses import replace
 import pytest
 from conftest import trial_spec
 
-from repro.analysis.runner import run_mutex_trial, run_pif_trial
+from repro.analysis.runner import run_mutex_trial, run_trial
 from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.engine import ClusterOpts, ObsOpts, ShardingOpts, TrialSpec, execute
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 from repro.net.cluster import ClusterSimulator
 from repro.net.coordinator import close_pool
 from repro.net.wire import parse_hostport
@@ -126,7 +126,6 @@ def test_cluster_mutex_trial_matches_serial_metrics():
     assert cluster.ok
     assert cluster.measurements == serial.measurements
     assert cluster.provenance["hosts"] == 2
-    assert cluster.provenance["sync"] == "windowed"
     assert cluster.provenance["barriers"] > 0
     # Per trial, not per pool: REGISTER in + PEERS out for each of the
     # two workers that just booted, nothing on a warm lease.
@@ -135,15 +134,6 @@ def test_cluster_mutex_trial_matches_serial_metrics():
     warm = run_mutex_trial(spec, requests_per_process=1)
     assert warm.measurements == serial.measurements
     assert warm.provenance["registry_round_trips"] == 0
-
-
-def test_freerun_cluster_passes_online_monitors():
-    trial = run_pif_trial(
-        TrialSpec(n=6, loss=0.1, engine="cluster",
-                  cluster=ClusterOpts(hosts=2, sync="freerun")),
-        requests_per_process=1)
-    assert (trial.ok, trial.violations) == (True, 0)
-    assert trial.provenance["sync"] == "freerun"
 
 
 # -- coordinator validation ----------------------------------------------
@@ -160,8 +150,13 @@ def test_cluster_rejects_unknown_protocol_kind():
 
 
 def test_cluster_rejects_unknown_sync_mode():
-    with pytest.raises(SimulationError, match="sync mode"):
-        ClusterSimulator(6, {"kind": "pif"}, sync="lockstep")
+    # "windowed" is the one protocol; any other name is a SpecError.
+    for sync in ("lockstep", "freerun"):
+        spec = TrialSpec(n=6, protocol={"kind": "pif"}, engine="cluster",
+                         cluster=ClusterOpts(sync=sync))
+        with pytest.raises(SpecError, match="sync must be") as err:
+            run_trial(spec)
+        assert err.value.field == "sync"
 
 
 def test_cluster_window_bounded_by_lookahead():

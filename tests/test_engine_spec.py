@@ -77,7 +77,7 @@ UNSUPPORTED = [
      "fault_plan"),
     ("sharded", dict(round_budget=4), "round_budget"),
     ("sharded", dict(transport=TransportOpts(transport="udp")), "transport"),
-    ("sharded", dict(cluster=ClusterOpts(sync="freerun")), "sync"),
+    ("sharded", dict(cluster=ClusterOpts(sync="windowed")), "sync"),
     ("sharded", dict(chaos=ChaosOpts(plan="crash worker 0 at barrier 1")),
      "fault_plan"),
     ("async", dict(round_budget=4), "round_budget"),
@@ -100,6 +100,23 @@ def test_unsupported_axis_is_one_uniform_spec_error(engine, axes, fieldname):
     message = str(err.value)
     assert f"the {engine!r} backend" in message
     assert "requires engine=" in message
+
+
+@pytest.mark.parametrize("engine,axes,fieldname", [
+    ("cluster", dict(cluster=ClusterOpts(hosts=0)), "hosts"),
+    ("sharded", dict(sharding=ShardingOpts(shards=9)), "shards"),
+    ("cluster", dict(sharding=ShardingOpts(window=5)), "window"),
+    ("cluster", dict(cluster=ClusterOpts(sync="freerun")), "sync"),
+], ids=["hosts", "shards", "window", "sync"])
+def test_bad_window_sync_axis_names_the_field_it_rides(
+        engine, axes, fieldname):
+    # n=6 on a complete graph: 1..6 workers, a lookahead of one tick.
+    spawned = interpreters_spawned()
+    spec = TrialSpec(n=6, protocol={"kind": "pif"}, engine=engine, **axes)
+    with pytest.raises(SpecError) as err:
+        run_trial(spec)
+    assert err.value.field == fieldname
+    assert interpreters_spawned() == spawned
 
 
 @pytest.mark.parametrize("engine", engine_names())
@@ -174,7 +191,6 @@ _NAMESPACES = st.fixed_dictionaries({
     "transport": st.sampled_from(["loopback", "tcp", "udp"]),
     "tick": st.one_of(st.none(), st.floats(0.001, 1.0, allow_nan=False)),
     "hosts": st.one_of(st.none(), st.integers(1, 8)),
-    "sync": st.sampled_from([None, "windowed", "freerun"]),
     "cluster_listen": st.sampled_from([None, "127.0.0.1:0"]),
     "fault_plan": _PLANS,
     "metrics": st.sampled_from([None, "m.json"]),
@@ -261,10 +277,19 @@ def test_provenance_decode_rejects_unknown_keys(section, key):
     if section is None:
         record[key] = 3
     else:
-        record[section] = {**record[section], key: "freerun"}
+        record[section] = {**record[section], key: "windowed"}
     with pytest.raises(SpecError, match="unknown keys") as err:
         TrialSpec.from_provenance(record)
     assert err.value.field == key
+
+
+def test_a_recorded_freerun_sync_replays_as_a_spec_error():
+    # A record decodes whatever sync it names; its replay names the field.
+    record = _spec(engine="cluster").as_provenance()
+    record["cluster"] = {**record["cluster"], "sync": "freerun"}
+    with pytest.raises(SpecError) as err:
+        run_trial(TrialSpec.from_provenance(record))
+    assert err.value.field == "sync"
 
 
 def test_spec_validation_rejects_bad_axes():
@@ -357,7 +382,7 @@ def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
 _SERIAL_KEYS = {"engine", "transport", "wall_clock_s"}
 _WINDOW_KEYS = _SERIAL_KEYS | {"window", "barriers", "sync_wall_s"}
 _CLUSTER_KEYS = _WINDOW_KEYS | {
-    "hosts", "sync", "worker_wall_s", "worker_wall_spread_s",
+    "hosts", "worker_wall_s", "worker_wall_spread_s",
     "registry_round_trips"}
 
 

@@ -190,7 +190,7 @@ def check_against_lockstep(done_ticks, window, drain, horizon, barriers, choose,
 def test_report_every_is_a_quarter_of_the_credit():
     assert report_every(1, 200) == 50
     assert report_every(16, 200) == 3
-    assert report_every(64, 200) == 1  # freerun: every round
+    assert report_every(64, 200) == 1
     assert report_every(5, 5) == 1
 
 
