@@ -43,8 +43,10 @@ Asserts, without running a single trial:
   per-engine run-outcome types and payload-format expansions, the
   monitor copies of a trial's verdict, the best-effort window-sync
   mode — or a PIF send that builds its
-  message before the link claimed a slot, or an engine that picks its
-  own specification monitor.
+  message before the link claimed a slot, an engine that picks its
+  own specification monitor, or a call that drives the cyclic collector
+  (a finished run is freed by reference counting: ``close()`` cuts its
+  cycles).
 
 Usage::
 
@@ -231,6 +233,11 @@ GUARDS: tuple[Guard, ...] = (
           "(no engine judges its own run)",
           re.compile(r".*\bdefault_monitors\b"),
           exempt=("repro/net/monitors.py",)),
+    # A finished trial frees itself: an engine's close() cuts the cycles
+    # its run built, and the collector is not something to tune.
+    Guard("drives the cyclic collector (a run is freed by reference "
+          "counting; cut a new cycle in close())",
+          re.compile(r".*\bgc\.(col" + r"lect|dis" + r"able|fre" + r"eze)\(")),
 )
 
 

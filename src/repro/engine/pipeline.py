@@ -4,9 +4,9 @@
 runner used to carry: validate the spec → resolve the backend from the
 registry → check the spec against the backend's capability declaration
 (one uniform :class:`~repro.errors.SpecError` for any unsupported axis)
-→ prepare → run → harvest observability → return the
-:class:`~repro.engine.base.EngineRun`.  Nothing in this module knows any
-backend by name.
+→ prepare → run → harvest observability → close the engine → return
+the :class:`~repro.engine.base.EngineRun`.  Nothing in this module knows
+any backend by name.
 """
 
 from __future__ import annotations
@@ -77,24 +77,29 @@ def execute(spec: TrialSpec) -> EngineRun:
 
     start_clock = time.perf_counter()
     prepared = backend.prepare(spec, obs)
-    run = backend.run(prepared)
-    run.wall_clock_s = time.perf_counter() - start_clock
+    try:
+        run = backend.run(prepared)
+        run.wall_clock_s = time.perf_counter() - start_clock
 
-    if obs is not None:
-        backend.collect_obs(prepared, run)
-        obs.collect_wire()
-        obs.write(
-            spec.obs.metrics,
-            spec.obs.timeline,
-            context={
-                "engine": spec.engine,
-                "n": len(run.pids),
-                "seed": spec.seed,
-                "loss": spec.loss,
-                "topology": run.topology.name,
-                "tag": prepared.tag,
-                "transport": run.transport,
-                "wall_clock_s": round(run.wall_clock_s, 4),
-            },
-        )
+        if obs is not None:
+            backend.collect_obs(prepared, run)
+            obs.collect_wire()
+            obs.write(
+                spec.obs.metrics,
+                spec.obs.timeline,
+                context={
+                    "engine": spec.engine,
+                    "n": len(run.pids),
+                    "seed": spec.seed,
+                    "loss": spec.loss,
+                    "topology": run.topology.name,
+                    "tag": prepared.tag,
+                    "transport": run.transport,
+                    "wall_clock_s": round(run.wall_clock_s, 4),
+                },
+            )
+    finally:
+        # A finished trial frees itself: with its cycles cut, the engine
+        # goes by reference counting when the caller drops the run.
+        prepared.sim.close()
     return run

@@ -321,3 +321,9 @@ class ClusterSimulator:
         from repro.net.coordinator import run_trial
 
         return run_trial(self, spec, obs)
+
+    def close(self) -> None:
+        """Nothing to cut: the coordinator and the shards' engines live
+        only inside :meth:`run_trial`, and each frees its own (the
+        coordinator drops its control pumps, a worker closes its shard's
+        :class:`~repro.sim.runtime.Simulator`)."""

@@ -39,7 +39,6 @@ only what a worker runs: nothing of the coordinator
 from __future__ import annotations
 
 import asyncio
-import gc
 import os
 import sys
 import time
@@ -185,13 +184,7 @@ class _ClusterWorker:
                 if trial.result_shipped:
                     self._crash_phase = None  # a finished trial's fault
                 await self.client.send(("idle",))
-                # A simulator, its hosts and their links are reference
-                # cycles.  Collect them now, while the coordinator
-                # merges: left to the collector's own schedule they pile
-                # up and a long-lived worker's high-water mark climbs
-                # by a third before it levels off.
-                del trial
-                gc.collect()
+                trial.close()
         finally:
             server.close()
             await server.wait_closed()
@@ -859,6 +852,12 @@ class _Trial:
         if self._fault_counts:
             payload["fault_counts"] = dict(self._fault_counts)
         return payload
+
+    def close(self) -> None:
+        """Free the shard's engine and its trace — after ``idle``, so the
+        deallocation overlaps the coordinator's merge."""
+        self.sim.close()
+        del self.sim, self.trace
 
     async def teardown(self) -> None:
         """Close this trial's links, both directions, and wait until

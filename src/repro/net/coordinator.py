@@ -490,6 +490,9 @@ class _Coordinator:
             for pump in self.pumps:
                 pump.cancel()
             await asyncio.gather(*self.pumps, return_exceptions=True)
+            # A cancelled pump keeps its CancelledError, whose traceback
+            # holds the pump's frame, whose self is this coordinator.
+            self.pumps = []
         return [payloads[shard] for shard in sorted(payloads)]
 
     async def _lease(self) -> None:
@@ -539,6 +542,7 @@ class _Coordinator:
         """The trial raised: nothing it leased goes back to the pool."""
         for pump in self.pumps:
             pump.cancel()
+        self.pumps = []  # the pool's next loop pass finishes them
         self.pool.retire(range(self.sim.n_shards), graceful=False)
 
     async def _startup(self) -> None:

@@ -310,6 +310,14 @@ class AsyncSimulator(Simulator):
         for name, value in sorted(self._fabric_obs.items()):
             metrics.inc(name, value)
 
+    def close(self) -> None:
+        """The serial engine's cuts (:meth:`Simulator.close`), plus the
+        transports and the transport failures: every transport points
+        back at this engine, and so does a failure's traceback."""
+        super().close()
+        self._transports.clear()
+        self._net_errors.clear()
+
     async def _teardown(self) -> None:
         for transport in self._transports.values():
             transport.close()

@@ -44,7 +44,7 @@ class TcpTransport(Transport):
         self._randint = engine.chan_rng(channel.src, channel.dst).randint
         self.frames_sent = 0
         self._outbox: asyncio.Queue[_Entry | None] = asyncio.Queue()
-        self._writer_task = engine._spawn(
+        engine._spawn(
             self._writer_loop(), name=f"ship-{channel.src}-{channel.dst}"
         )
 
@@ -190,6 +190,10 @@ class TcpFabric:
             server.close()
         for server in self._servers:
             await server.wait_closed()
+        # asyncio's stream objects point at each other and, through the
+        # servers' accept callbacks, at this fabric: left to the collector,
+        # so is the fabric.  It lets go of the engine instead.
+        del self.engine
 
 
 def _tcp_channel(engine: "AsyncSimulator", channel: ChannelBase) -> TcpTransport:

@@ -49,7 +49,7 @@ class UdpTransport(Transport):
         self._randint = engine.chan_rng(channel.src, channel.dst).randint
         self.frames_sent = 0
         self._outbox: asyncio.Queue[_Entry | None] = asyncio.Queue()
-        self._writer_task = engine._spawn(
+        engine._spawn(
             self._writer_loop(), name=f"dgram-{channel.src}-{channel.dst}"
         )
 

@@ -12,7 +12,7 @@ neighbourhood allocates only those channels, which keeps large-n simulator
 construction O(n) instead of O(n^2).  Passing a plain pid sequence keeps the
 historical behaviour (a :class:`~repro.sim.topology.Complete` topology).
 
-The default (and :meth:`Network.bounded`) channel factories size each
+The default channel factory (:meth:`Network.bounded`'s) sizes each
 channel from the topology's per-edge capacity map
 (:meth:`~repro.sim.topology.Topology.edge_capacity`) when one exists,
 falling back to the uniform capacity otherwise — so a
@@ -31,20 +31,6 @@ from repro.sim.topology import Complete, Topology
 __all__ = ["Network"]
 
 
-def _bounded_factory(
-    topology: Topology, capacity: int
-) -> Callable[[int, int], ChannelBase]:
-    """Bounded channels sized per edge (weighted maps win over the uniform
-    capacity).  ``edge_capacity`` is None on unweighted edges, so plain
-    topologies get exactly the uniform-capacity channels they always had."""
-    def factory(src: int, dst: int) -> ChannelBase:
-        return BoundedChannel(
-            src, dst, capacity=topology.edge_capacity(src, dst) or capacity
-        )
-
-    return factory
-
-
 class Network:
     """Channels and channel numbering over a pluggable topology."""
 
@@ -52,13 +38,25 @@ class Network:
         self,
         topology: Topology | Sequence[int],
         channel_factory: Callable[[int, int], ChannelBase] | None = None,
+        capacity: int = 1,
     ) -> None:
+        """``channel_factory`` builds the channel ``src -> dst``; None
+        means bounded channels of ``capacity`` slots, or of the edge's
+        own capacity where the topology carries one (weighted maps win;
+        ``edge_capacity`` is None on unweighted edges, and ``Weighted``
+        rejects capacities below 1)."""
         if not isinstance(topology, Topology):
             topology = Complete(topology)
         self.topology: Topology = topology
         self.pids: tuple[int, ...] = topology.pids
         if channel_factory is None:
-            channel_factory = _bounded_factory(topology, 1)
+            def bounded(src: int, dst: int) -> ChannelBase:
+                return BoundedChannel(
+                    src, dst,
+                    capacity=topology.edge_capacity(src, dst) or capacity,
+                )
+
+            channel_factory = bounded
         self._channel_factory = channel_factory
         self._channels: dict[tuple[int, int], ChannelBase] = {}
 
@@ -68,9 +66,7 @@ class Network:
     def bounded(
         cls, topology: Topology | Sequence[int], capacity: int = 1
     ) -> "Network":
-        if not isinstance(topology, Topology):
-            topology = Complete(topology)
-        return cls(topology, _bounded_factory(topology, capacity))
+        return cls(topology, capacity=capacity)
 
     @classmethod
     def unbounded(cls, topology: Topology | Sequence[int]) -> "Network":

@@ -78,7 +78,6 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.channel import (
-    BoundedChannel,
     ChannelBase,
     LossModel,
     NoLoss,
@@ -370,12 +369,10 @@ class Simulator:
 
         graph = topology if topology is not None else pids
         assert graph is not None
-        if unbounded:
-            self.network = Network(graph, UnboundedChannel)
-        else:
-            # Channels are lazy, so the factory may consult self.topology
-            # (set just below) for per-edge capacities at creation time.
-            self.network = Network(graph, self._make_channel)
+        self.network = (
+            Network(graph, UnboundedChannel) if unbounded
+            else Network(graph, capacity=capacity)
+        )
         self.topology: Topology = self.network.topology
         # Per-edge latency resolution (Weighted topologies).  None on
         # unweighted topologies, so the send hot path keeps its straight
@@ -407,6 +404,9 @@ class Simulator:
         #: Passive counter (repro.obs): activations a catch-up counted for
         #: a dormant process instead of executing them.
         self.activations_dormant = 0
+        # Each process's self-rescheduling activation (close() empties
+        # its closure cells).
+        self._activations: list[Callable[[], None]] = []
 
         if hosts_for is None:
             hosted: tuple[int, ...] = self.network.pids
@@ -467,14 +467,6 @@ class Simulator:
             rng = random.Random(derive_seed(self.seed, "chan", src, dst))
             self._chan_rngs[(src, dst)] = rng
         return rng
-
-    def _make_channel(self, src: int, dst: int) -> ChannelBase:
-        """Bounded channel sized by the edge's own capacity when the
-        topology carries one (Weighted), else the global capacity."""
-        cap = self.topology.edge_capacity(src, dst)
-        return BoundedChannel(
-            src, dst, capacity=self.capacity if cap is None else cap
-        )
 
     def latency_for(self, src: int, dst: int) -> tuple[int, int]:
         """The latency bounds governing the channel ``src -> dst``: the
@@ -765,6 +757,7 @@ class Simulator:
                 scheduler._seq = seq = scheduler._seq + 1
                 heappush(queue, (now + period + r, key, seq, fire))
 
+        self._activations.append(fire)
         return fire
 
     def activate(self, pid: int) -> int:
@@ -873,6 +866,39 @@ class Simulator:
         return {
             (c.src, c.dst): c.contents() for c in self.network.channels()
         }
+
+    # -- teardown ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Cut the reference cycles the run built, so that the engine is
+        freed by reference counting as soon as its last outside reference
+        goes, not by the collector.
+
+        The cycles: every queued event and dormant catch-up points back
+        at the engine or a host; each activation's ``fire`` and
+        ``catch_up`` point at each other and at themselves through their
+        closure cells, and through them at the host and this engine; a
+        host and the engine point at each other, and so do a host and its
+        layers, a layer and the layer embedding it (a PIF instance's
+        client), every compiled link and the engine.  The trace, the
+        stats, the topology and the channels stay as they are — a run's
+        outcome keeps them; the layers are emptied, and the engine
+        cannot run again.  Called once per trial, after the
+        observability harvest (:func:`repro.engine.pipeline.execute`).
+        One frame, whatever the system's size: ``tests/test_call_depth.py``
+        counts a trial's calls, teardown included.
+        """
+        scheduler = self.scheduler
+        scheduler._queue.clear()
+        scheduler.dormant.clear()
+        for fire in self._activations:
+            for cell in fire.__closure__ or ():
+                cell.cell_contents = None
+        for host in self.hosts.values():
+            for layer in host.layers:
+                vars(layer).clear()
+        self.hosts.clear()
+        self._links.clear()
 
     # -- observability -------------------------------------------------------------
 
