@@ -29,6 +29,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import replace
@@ -88,16 +89,22 @@ def socket_smoke(transport: str) -> bool:
 
 
 def main() -> int:
-    args = sys.argv[1:]
-    only = "--tcp-only" in args or "--udp-only" in args
+    parser = argparse.ArgumentParser(
+        description="Async loopback engine vs the serial engine.")
+    for transport in ("tcp", "udp"):
+        parser.add_argument(f"--{transport}-smoke", action="store_true",
+                            help=f"also run the {transport} smoke")
+        parser.add_argument(f"--{transport}-only", action="store_true",
+                            help=f"run only the {transport} smoke")
+    args = parser.parse_args()
     ok = True
-    if not only:
+    if not (args.tcp_only or args.udp_only):
         ok = compare_metrics(CASES, "loopback")
         ok &= check_bit_identity("clustered:4", 16)
         ok &= check_bit_identity("wan:4", 32)
-    if "--tcp-smoke" in args or "--tcp-only" in args:
+    if args.tcp_smoke or args.tcp_only:
         ok &= socket_smoke("tcp")
-    if "--udp-smoke" in args or "--udp-only" in args:
+    if args.udp_smoke or args.udp_only:
         ok &= socket_smoke("udp")
     return finish("async-equivalence", ok)
 

@@ -34,6 +34,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
@@ -43,7 +44,6 @@ from equivalence import (
     bit_identity,
     compare_metrics,
     finish,
-    flag_value,
     pif_probe,
     report,
     spawn_guard,
@@ -187,8 +187,11 @@ def check_spawn_count() -> bool:
 
 
 def main() -> int:
-    timeline_out = flag_value(
-        sys.argv[1:], "--timeline-out", "BENCH_chaos_timeline.json")
+    parser = argparse.ArgumentParser(
+        description="Fault-injected cluster runs vs the serial engine.")
+    parser.add_argument("--timeline-out", default="BENCH_chaos_timeline.json",
+                        metavar="PATH", help="where the recovery timeline lands")
+    timeline_out = parser.parse_args().timeline_out
     ok = compare_metrics(CASES, "chaos", agrees=_recovered_once,
                          tail=_rerun_and_faults)
     ok &= check_hash_identity(8, 2, timeline_out)

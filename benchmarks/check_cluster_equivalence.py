@@ -41,6 +41,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
@@ -50,7 +51,6 @@ from equivalence import (
     bit_identity,
     compare_metrics,
     finish,
-    flag_value,
     pif_probe,
     report,
     spawn_guard,
@@ -243,11 +243,14 @@ def check_obs_identity(
 
 
 def main() -> int:
-    args = sys.argv[1:]
-    timeline_out = flag_value(
-        args, "--timeline-out", "BENCH_cluster_timeline.json")
-    only = flag_value(args, "--engine", "")
-    engines = {only} if only else {"cluster", "sharded"}
+    parser = argparse.ArgumentParser(
+        description="Window-sync runtime vs the serial engine.")
+    parser.add_argument("--engine", choices=("cluster", "sharded"),
+                        help="keep one name's rows (default: both)")
+    parser.add_argument("--timeline-out", default="BENCH_cluster_timeline.json",
+                        metavar="PATH", help="where the obs probe's timeline lands")
+    args = parser.parse_args()
+    engines = {args.engine} if args.engine else {"cluster", "sharded"}
     ok = True
     for engine in sorted(engines):
         ok &= compare_metrics(
@@ -257,12 +260,12 @@ def main() -> int:
         if axes["engine"] in engines:
             ok &= check_bit_identity(topology, n, axes)
     if "cluster" in engines:
-        ok &= check_obs_identity(None, 8, 2, timeline_out)
+        ok &= check_obs_identity(None, 8, 2, args.timeline_out)
     # Every case of either name leases from one pool, and the widest
     # case of each has four workers: four interpreters fill it.
     ok &= spawn_guard(interpreters_spawned(), hosts=4)
     return finish(
-        "shard-equivalence" if only == "sharded" else "cluster-equivalence",
+        "shard-equivalence" if args.engine == "sharded" else "cluster-equivalence",
         ok)
 
 

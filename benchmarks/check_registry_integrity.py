@@ -44,9 +44,11 @@ Asserts, without running a single trial:
   monitor copies of a trial's verdict, the best-effort window-sync
   mode — or a PIF send that builds its
   message before the link claimed a slot, an engine that picks its
-  own specification monitor, or a call that drives the cyclic collector
+  own specification monitor, a call that drives the cyclic collector
   (a finished run is freed by reference counting: ``close()`` cuts its
-  cycles).
+  cycles), or a part of the trace store beyond its four columns and kind
+  index (the kind-interning table, the process index, the monotone flag,
+  the vendored pre-columnar store).
 
 Usage::
 
@@ -238,6 +240,15 @@ GUARDS: tuple[Guard, ...] = (
     Guard("drives the cyclic collector (a run is freed by reference "
           "counting; cut a new cycle in close())",
           re.compile(r".*\bgc\.(col" + r"lect|dis" + r"able|fre" + r"eze)\(")),
+    # One event store: four columns and a kind index.  The kind-interning
+    # table, the process index, the monotone flag and the vendored
+    # pre-columnar store went.
+    Guard("names a deleted trace-store part (a trace is four columns and "
+          "a kind index)",
+          re.compile(r".*\b(_KIND" + r"_IDS|_intern" + r"_kind|_proc" + r"_rows"
+                     r"|_mono" + r"tone|for" + r"_process|Legacy" + r"Trace"
+                     r"|Legacy" + r"Simulator)\b"),
+          _EVERYWHERE),
 )
 
 

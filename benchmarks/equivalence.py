@@ -57,10 +57,6 @@ def spawn_guard(spawned: int, hosts: int, crash_tokens: int = 0,
         bad="FAILED")
 
 
-def flag_value(args: list[str], flag: str, default: str) -> str:
-    return args[args.index(flag) + 1] if flag in args else default
-
-
 def compare_metrics(
     cases,
     label: str,

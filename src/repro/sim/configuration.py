@@ -47,14 +47,6 @@ class AbstractConfiguration:
         except KeyError:
             raise ConfigurationError(f"no state for process {pid}") from None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbstractConfiguration):
-            return NotImplemented
-        return self.states == other.states
-
-    def __hash__(self) -> int:  # frozen dataclass with dict field
-        return hash(repr(sorted(self.states)))
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -57,7 +57,7 @@ def me_sim() -> Simulator:
 @pytest.fixture
 def built_events(monkeypatch) -> list:
     """Every :class:`~repro.sim.trace.TraceEvent` built while the test
-    runs — by a lazy view (``Trace._event``) or by unpickling one off the
+    runs — by a view (``Trace._event``) or by unpickling one off the
     wire; both look the class up in its module."""
     built: list = []
 

@@ -141,7 +141,7 @@ def test_a_poke_from_outside_matches_the_hooked_run(poke):
     assert sim.activations_dormant > 0
     if poke is _request_mid_run:
         assert sim.layer(3, "pif").request is RequestState.DONE
-        assert sim.trace.for_process(3, EventKind.DECIDE)
+        assert any(e.process == 3 for e in sim.trace.of_kind(EventKind.DECIDE))
 
 
 # -- the absolute anchor ----------------------------------------------------

@@ -83,7 +83,8 @@ class TestBitIdenticalAtN32:
         # ME convergence on a ring is slow at n=32 (per-neighbourhood
         # arbitration, many Value rotations), so the busy/timer paths are
         # asserted at n=8 here; the n=32 ME gate runs in CI
-        # (benchmarks/check_shard_equivalence.py) on Complete + Clustered.
+        # (benchmarks/check_cluster_equivalence.py --engine sharded) on
+        # Complete + Clustered.
         serial, sharded = _both(8, _ME, topology="ring", seed=1, shards=4)
         _assert_bit_identical(serial, sharded)
 

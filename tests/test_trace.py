@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pickle
 
-import repro.sim.trace as trace_module
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
 
@@ -32,41 +31,19 @@ class TestEmitAndQuery:
         assert len(trace.of_kind(EventKind.START)) == 1
         assert len(trace.of_kind(EventKind.START, EventKind.DECIDE)) == 2
 
-    def test_for_process(self):
-        trace = make_trace()
-        assert len(trace.for_process(1)) == 4
-        assert len(trace.for_process(2)) == 1
-        assert len(trace.for_process(1, EventKind.DECIDE)) == 1
-
-    def test_between(self):
-        trace = make_trace()
-        assert [e.kind for e in trace.between(2, 8)] == [
-            EventKind.START, EventKind.RECEIVE_BRD, EventKind.RECEIVE_FCK,
-        ]
-
-    def test_where(self):
-        trace = make_trace()
-        assert len(trace.where(sender=1)) == 1
-        assert len(trace.where(tag="pif")) == 5
-        assert trace.where(sender=99) == []
-
-    def test_first_and_last(self):
+    def test_first(self):
         trace = make_trace()
         first = trace.first(EventKind.START)
         assert first is not None and first.time == 2
         assert trace.first(EventKind.CS_ENTER) is None
-        last = trace.last(EventKind.DECIDE, wave=(1, 1))
-        assert last is not None and last.time == 9
+        assert trace.first(EventKind.DECIDE, wave=(1, 1)).time == 9
+        assert trace.first(EventKind.DECIDE, wave=(2, 1)) is None
 
     def test_getitem_and_data_access(self):
         trace = make_trace()
         event = trace[2]
         assert event["sender"] == 1
         assert event.get("missing", "default") == "default"
-
-    def test_events_property_is_tuple(self):
-        trace = make_trace()
-        assert isinstance(trace.events, tuple)
 
     def test_slicing(self):
         trace = make_trace()
@@ -76,10 +53,10 @@ class TestEmitAndQuery:
         assert [e.time for e in trace[-2:]] == [8, 9]
         assert trace[-1].kind == EventKind.DECIDE
 
-    def test_extend(self):
-        trace = Trace()
-        trace.extend([TraceEvent(0, EventKind.NOTE, None)])
-        assert len(trace) == 1
+    def test_a_view_is_built_per_read(self, built_events):
+        trace = make_trace()
+        assert trace[0] == trace[0] and trace[0] is not trace[0]
+        assert len(built_events) == 4
 
 
 class TestColumns:
@@ -91,11 +68,11 @@ class TestColumns:
         copy.append_columns(*pickle.loads(pickle.dumps(source.columns())))
         assert list(copy.scan()) == list(source.scan())
         assert copy.canonical_hash() == source.canonical_hash()
-        assert copy.events == source.events
+        assert list(copy) == list(source)
 
-    def test_kinds_interned_in_another_order_map_on_arrival(self, monkeypatch):
-        # Another interpreter's kind table: ids follow *its* first-use
-        # order, and "foreign-kind" is a vocabulary this process never saw.
+    def test_a_kind_never_emitted_here_arrives_indexed(self):
+        # "foreign-kind" is no EventKind: the receiving trace meets it
+        # first in the shipped columns.
         def emit_all(trace: Trace) -> None:
             trace.emit(1, "foreign-kind", 3, note="custom")
             trace.emit(2, EventKind.DECIDE, 1, tag="pif")
@@ -103,14 +80,9 @@ class TestColumns:
             trace.emit(4, "foreign-kind", 1)
             trace.emit(5, EventKind.DECIDE, 3, tag="pif")
 
-        with monkeypatch.context() as foreign:
-            foreign.setattr(trace_module, "_KIND_IDS", {})
-            foreign.setattr(trace_module, "_KIND_NAMES", [])
-            theirs = Trace()
-            emit_all(theirs)
-            assert theirs._kind_ids == [0, 1, 2, 0, 1]
-            shipped = pickle.dumps(theirs.columns())
-        assert "foreign-kind" not in trace_module._KIND_IDS
+        theirs = Trace()
+        emit_all(theirs)
+        shipped = pickle.dumps(theirs.columns())
 
         arrived = Trace()
         arrived.emit(0, EventKind.NOTE, None)
@@ -119,40 +91,27 @@ class TestColumns:
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
         assert arrived.canonical_hash() == ours.canonical_hash()
+        assert arrived.kind_rows("foreign-kind") == [1, 4]
         for kinds in (("foreign-kind",), (EventKind.DECIDE,),
                       ("foreign-kind", EventKind.REQUEST), (EventKind.START,)):
             assert arrived.rows_of(*kinds) == ours.rows_of(*kinds)
             assert arrived.count(*kinds) == ours.count(*kinds)
+            assert list(arrived.scan(*kinds)) == list(ours.scan(*kinds))
             assert arrived.of_kind(*kinds) == ours.of_kind(*kinds)
-        for pid in (1, 3, 7):
-            assert arrived.for_process(pid) == ours.for_process(pid)
-        assert arrived.for_process(1, "foreign-kind") == ours.for_process(1, "foreign-kind")
+        assert arrived.first("foreign-kind", note="custom") == TraceEvent(
+            1, "foreign-kind", 3, {"note": "custom"})
 
-    def test_bulk_append_keeps_cache_and_monotone_flag_honest(self):
+    def test_bulk_append_keeps_the_rows_in_append_order(self):
         trace = make_trace()
-        assert len(trace.events) == 5  # fills the cache
         # A merged trace's shape: time-0 markers after later rows.
         trace.append_columns(
             [0, 0], [EventKind.SCRAMBLE, EventKind.INJECT], [None, None],
             [{"what": "processes"}, {"src": 1, "dst": 2}])
-        assert len(trace.events) == 7
-        assert trace.events[5].kind == EventKind.SCRAMBLE
-        assert not trace._monotone
-        assert [e.kind for e in trace.between(0, 0)] == [
-            EventKind.REQUEST, EventKind.SCRAMBLE, EventKind.INJECT]
-
-    def test_bulk_append_of_sorted_times_stays_monotone(self):
-        trace = make_trace()
-        trace.append_columns([9, 9, 12], [EventKind.NOTE] * 3, [None] * 3,
-                             [{}, {}, {}])
-        assert trace._monotone
-        assert len(trace.between(9, 9)) == 3
-        late = Trace()
-        late.append_columns([3, 2], [EventKind.NOTE] * 2, [None] * 2, [{}, {}])
-        assert not late._monotone
-        stale = make_trace()
-        stale.append_columns([8], [EventKind.NOTE], [None], [{}])
-        assert not stale._monotone  # 8 after the 9 already stored
+        assert [e.time for e in trace] == [0, 2, 5, 8, 9, 0, 0]
+        assert trace[5].kind == EventKind.SCRAMBLE
+        assert trace.rows_of(EventKind.INJECT, EventKind.REQUEST) == [0, 6]
+        trace.emit(10, EventKind.SCRAMBLE, None)
+        assert trace.rows_of(EventKind.SCRAMBLE) == [5, 7]
 
     def test_bulk_append_builds_no_event(self, built_events):
         trace = Trace()
@@ -160,13 +119,6 @@ class TestColumns:
         assert list(trace.scan(EventKind.START)) and trace.canonical_hash()
         assert built_events == []
         assert trace[0].kind == EventKind.REQUEST and len(built_events) == 1
-
-    def test_extend_reuses_the_given_views(self):
-        events = [TraceEvent(0, EventKind.NOTE, None), TraceEvent(1, "my-kind", 2)]
-        trace = Trace()
-        trace.extend(iter(events))
-        assert trace[0] is events[0] and trace[1] is events[1]
-        assert trace.rows_of("my-kind") == [1]
 
 
 class TestStats:
