@@ -48,7 +48,7 @@ Asserts, without running a single trial:
   (a finished run is freed by reference counting: ``close()`` cuts its
   cycles), or a part of the trace store beyond its four columns and kind
   index (the kind-interning table, the process index, the monotone flag,
-  the vendored pre-columnar store).
+  the vendored pre-columnar store, the column-wise bulk append).
 
 Usage::
 
@@ -248,6 +248,12 @@ GUARDS: tuple[Guard, ...] = (
           re.compile(r".*\b(_KIND" + r"_IDS|_intern" + r"_kind|_proc" + r"_rows"
                      r"|_mono" + r"tone|for" + r"_process|Legacy" + r"Trace"
                      r"|Legacy" + r"Simulator)\b"),
+          _EVERYWHERE),
+    # The shard merge streams rows into the merged trace; the column-wise
+    # bulk append it replaced went with its copies.
+    Guard("names the deleted column-wise trace append (a merge streams "
+          "rows: Trace.append_rows)",
+          re.compile(r".*\bappend" + r"_columns\b"),
           _EVERYWHERE),
 )
 

@@ -104,7 +104,8 @@ class PifLayer(Layer):
         self.state: dict[int, int] = {}
         self.neig_state: dict[int, int] = {}
         # Verification-only: identifies started computations in the trace;
-        # _wave is wave_id, built once per wave for the messages to carry.
+        # _wave is wave_id, built once per wave for the messages and every
+        # trace row of the wave to share.
         self.wave_seq = 0
         self._wave: tuple[int, int] | None = None
         # peer -> the compiled link of the channel to it, filled at the
@@ -166,7 +167,7 @@ class PifLayer(Layer):
         for q in self.host.others:
             self.state[q] = 0
         self.host.emit(
-            EventKind.START, tag=self.tag, wave=self.wave_id, payload=self.b_mes
+            EventKind.START, tag=self.tag, wave=self._wave, payload=self.b_mes
         )
 
     def _guard_a2(self) -> bool:
@@ -184,7 +185,7 @@ class PifLayer(Layer):
                 self._send_to(q)
         if decided:
             self.request = RequestState.DONE
-            self.host.emit(EventKind.DECIDE, tag=self.tag, wave=self.wave_id)
+            self.host.emit(EventKind.DECIDE, tag=self.tag, wave=self._wave)
             self.client.on_decide()
 
     def _send_to(self, q: int) -> None:
@@ -236,7 +237,7 @@ class PifLayer(Layer):
                     tag=self.tag,
                     sender=q,
                     payload=msg.feedback,
-                    wave=self.wave_id,
+                    wave=self._wave,
                 )
                 self.client.on_feedback(q, msg.feedback)
 

@@ -127,7 +127,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.protocols import build_protocol
+from repro.core.protocols import protocol_of
 from repro.errors import SimulationError, SpecError
 from repro.sim.channel import LossModel
 from repro.sim.partition import partition_topology
@@ -204,7 +204,9 @@ class ClusterSimulator:
                 "(e.g. {'kind': 'pif'}); build closures cannot cross "
                 "interpreter boundaries"
             )
-        build_protocol(protocol)  # validate early, coordinator-side
+        # Validate early, coordinator-side, by name: building it would
+        # load the layer, which only a worker runs.
+        protocol_of(protocol)
         if isinstance(pids, int):
             pids = list(range(1, pids + 1))
         if topology is None:

@@ -21,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from repro.engine.base import EngineRun
 from repro.errors import SimulationError, WorkerCrashed
@@ -29,11 +29,13 @@ from repro.net import wire
 from repro.net.cluster import ClusterSimulator
 from repro.net.grant import Grant, GrantLedger
 from repro.net.registry import RegistryServer
-from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import SpanRecorder, wall
 from repro.sim.sharded import merge_completions, merge_worker_traces
 from repro.sim.stats import SimStats
 from repro.types import RequestState
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import ObsRecorder
 
 __all__ = ["close_pool", "interpreters_spawned", "run_trial"]
 

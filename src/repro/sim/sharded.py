@@ -31,11 +31,14 @@ shared by every worker and the coordinator:
   back: the trace's columns and the key column, as they sit in memory;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
-  former by picking rows out of the shipped columns.
+  former as one k-way merge of the shards' already-sorted runs, streamed
+  row by row into the merged trace: the coordinator holds each row once.
 
 No :class:`~repro.sim.trace.TraceEvent` exists on a worker, on the wire
 or in the coordinator until a caller indexes or iterates the merged trace
-(``tests/test_sharded.py`` counts them).
+(``tests/test_sharded.py`` counts them).  The coordinator imports this
+module for the merge alone, so the worker-side names (simulator,
+adversary, recorder) are loaded only where a shard runs.
 
 Scope: *trial-shaped* runs (scramble, request driver, run-until-served,
 drain).  Mid-run channel clears and loss models with cross-channel
@@ -44,16 +47,19 @@ mutable state do not compose across shards (:data:`_SHARDABLE_LOSS`).
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Sequence
+from heapq import merge
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.core.requests import CompletedRequest, RequestDriver
-from repro.obs.recorder import ObsRecorder
-from repro.sim.adversary import scramble_channels, scramble_processes
+from repro.errors import SimulationError
 from repro.sim.channel import BernoulliLoss, NoLoss
-from repro.sim.runtime import Simulator
-from repro.sim.scheduler import Scheduler
 from repro.sim.trace import EventKind, Trace
+
+if TYPE_CHECKING:
+    from repro.core.requests import CompletedRequest, RequestDriver
+    from repro.obs.recorder import ObsRecorder
+    from repro.sim.runtime import Simulator
+    from repro.sim.scheduler import Scheduler
 
 __all__ = [
     "scramble_shard",
@@ -114,6 +120,9 @@ def scramble_shard(
     reconstructs the markers once, globally.  Returns
     ``(injected, proc_len, chan_len)``.
     """
+    # Worker side only: the coordinator's merge never loads the adversary.
+    from repro.sim.adversary import scramble_channels, scramble_processes
+
     injected = 0
     proc_len = chan_len = 0
     if scramble_seed is not None:
@@ -169,60 +178,96 @@ def merge_worker_traces(
 ) -> Trace:
     """Merge per-shard keyed traces back into the serial append order.
 
-    Each payload is a :func:`shard_result_payload` record.  The shards'
-    columns are laid back to back, one sort record per row says where the
-    serial engine appended it, and the rows enter the merged trace in
-    that order through one :meth:`~repro.sim.trace.Trace.append_columns`.
+    Each payload is a :func:`shard_result_payload` record.  The serial
+    scramble emits: (0) per-host scramble emissions in pid order (e.g. a
+    scrambled-in CS occupant's cs-enter), (1) the process-scramble
+    marker, (2) one INJECT per garbage message in (src asc, dst asc)
+    channel order, (3) the channel summary; then (4) the run, by
+    ``(time, key, rank, row)``.  A shard's rows of one phase are a
+    subsequence of that order, so each is already a sorted run: the
+    phase is one k-way merge of the shards' runs, the shard index the
+    last tiebreak, and every merged row goes straight into the trace
+    (:meth:`~repro.sim.trace.Trace.append_rows`) — nothing is sorted,
+    no column is copied.  A run found out of order raises
+    :class:`~repro.errors.SimulationError`.
     """
-    times, kinds, procs, data = columns = [], [], [], []
-    # The serial scramble emits: (0) per-host scramble emissions in pid
-    # order (e.g. a scrambled-in CS occupant's cs-enter), (1) the
-    # process-scramble marker, (2) one INJECT per garbage message in
-    # (src asc, dst asc) channel order, (3) the channel summary; then (4)
-    # the run, by (time, key, rank, row).  A record is its phase, its
-    # place in the phase, and last its flat row number — shards are laid
-    # out in worker order, so that is also the worker tiebreak.
-    records: list[tuple[int, ...]] = []
-    for payload in payloads:
-        base = len(times)
-        shard_times, _kinds, shard_procs, shard_data = payload["columns"]
-        for column, part in zip(columns, payload["columns"]):
-            column += part
-        proc_len, chan_len = payload["proc_len"], payload["chan_len"]
-        records += [
-            (0, -1 if pid is None else pid, index, base + index)
-            for index, pid in enumerate(shard_procs[:proc_len])
-        ]
-        records += [
-            (2, d.get("src", -1), d.get("dst", -1), index, base + proc_len + index)
-            for index, d in enumerate(shard_data[proc_len:chan_len])
-        ]
+    trace = Trace()
+    trace.append_rows(map(_ROW, merge(*[
+        _scramble_records(shard, payload) for shard, payload in enumerate(payloads)
+    ])))
+    if scrambled:
+        # Workers suppressed their markers: they are two rows more.
+        trace.emit(0, EventKind.SCRAMBLE, None, what="processes")
+    trace.append_rows(map(_ROW, merge(*[
+        _inject_records(shard, payload) for shard, payload in enumerate(payloads)
+    ])))
+    if scrambled and fill_channels:
+        trace.emit(0, EventKind.SCRAMBLE, None, what="channels", injected=injected)
+    trace.append_rows(map(_ROW, merge(*[
+        _run_records(shard, payload) for shard, payload in enumerate(payloads)
+    ])))
+    return trace
+
+
+# A record is a row's place in its phase, its shard, then the row itself:
+# ``(*place, shard, time, kind, process, data)``.  Within one shard the
+# places differ (each ends in the row number), so no comparison ever
+# reaches a row's own fields.  Each generator checks its shard's run in
+# order as it streams: the merge cannot reorder a run, and a payload
+# comes from another interpreter.
+_ROW = itemgetter(slice(-4, None))
+
+
+def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
+    return SimulationError(
+        f"shard merge: shard {shard}'s {phase} rows are out of serial "
+        f"order at its row {row} (a worker payload the merge cannot reorder)"
+    )
+
+
+def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
+    times, kinds, procs, data = payload["columns"]
+    last: tuple = ()
+    for row in range(payload["proc_len"]):
+        pid = procs[row]
+        record = (-1 if pid is None else pid, row, shard,
+                  times[row], kinds[row], pid, data[row])
+        if record < last:
+            raise _out_of_order(shard, "scramble", row)
+        last = record
+        yield record
+
+
+def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
+    times, kinds, procs, data = payload["columns"]
+    last: tuple = ()
+    start = payload["proc_len"]
+    for row in range(start, payload["chan_len"]):
+        d = data[row]
+        record = (d.get("src", -1), d.get("dst", -1), row - start, shard,
+                  times[row], kinds[row], procs[row], d)
+        if record < last:
+            raise _out_of_order(shard, "inject", row)
+        last = record
+        yield record
+
+
+def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
+    times, kinds, procs, data = payload["columns"]
+    keys = payload["keys"]
+    last: tuple = ()
+    for row in range(payload["chan_len"], len(times)):
+        time, key, pid = times[row], keys[row], procs[row]
         # Class-0 (driver) emissions carry no entity in their key; the
         # serial driver walks its processes in ascending pid order, so the
         # process id is the cross-worker rank.  Entity-keyed classes are
         # already total.
-        keys = payload["keys"][chan_len:]
-        ranks = [
-            pid if key == 0 and pid is not None else -1
-            for key, pid in zip(keys, shard_procs[chan_len:])
-        ]
-        records += zip(
-            repeat(4), shard_times[chan_len:], keys, ranks,
-            range(chan_len, len(shard_times)), range(base + chan_len, len(times)),
-        )
-    if scrambled:
-        # Workers suppressed their markers: they are two rows more.
-        records.append((1, len(times)))
-        if fill_channels:
-            records.append((3, len(times) + 1))
-        times += (0, 0)
-        kinds += (EventKind.SCRAMBLE, EventKind.SCRAMBLE)
-        procs += (None, None)
-        data += ({"what": "processes"}, {"what": "channels", "injected": injected})
-    pick = [record[-1] for record in sorted(records)]
-    trace = Trace()
-    trace.append_columns(*([column[row] for row in pick] for column in columns))
-    return trace
+        record = (time, key, pid if key == 0 and pid is not None else -1, row,
+                  shard, time, kinds[row], pid, data[row])
+        if record < last:
+            raise _out_of_order(shard, "run", row)
+        last = record
+        yield record
 
 
 def merge_completions(payloads: list[dict[str, Any]]) -> list[CompletedRequest]:

@@ -12,8 +12,10 @@ message, and the spec automata re-read the log, so both sides are tuned):
 * Events live in **four parallel columns** — ``time``, ``kind``, ``process``
   and the payload dict — instead of a list of :class:`TraceEvent` objects,
   so ``emit`` costs a few list appends.  A kind is stored as its string:
-  :meth:`Trace.columns` ships the kind column as it is and
-  :meth:`Trace.append_columns` merges it as it is, in any interpreter.
+  :meth:`Trace.columns` ships the kind column as it is, in any
+  interpreter, and :meth:`Trace.append_rows` takes a stream of
+  ``(time, kind, process, data)`` rows — the shard merge appends each
+  merged row straight from the shipped columns, keeping its dict.
 * **One kind index** (kind → rows, in emission order) is kept on every
   append, so :meth:`Trace.scan` streams exactly the rows a checker reads
   and :meth:`Trace.count` / :meth:`Trace.kind_rows` are lookups.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = ["EventKind", "TraceEvent", "Trace", "canonical_trace_hash"]
 
@@ -124,24 +126,25 @@ class Trace:
         """
         return self._times, self._kinds, self._procs, self._data
 
-    def append_columns(
-        self, times: list[int], kinds: list[str], procs: list[int | None],
-        data: list[dict[str, Any]],
+    def append_rows(
+        self, rows: Iterable[tuple[int, str, int | None, dict[str, Any]]]
     ) -> None:
-        """Append whole :meth:`columns`-shaped columns (trace merging).
-
-        Equivalent to one :meth:`emit` per row, but the columns are
-        extended in bulk and no :class:`TraceEvent` is built.
-        """
+        """Append a stream of ``(time, kind, process, data)`` rows (the
+        shard merge): one :meth:`emit` per row, without the keyword
+        round trip — each row's ``data`` dict is kept, not copied."""
         kind_rows = self._kind_rows
-        for kind in set(kinds).difference(kind_rows):
-            kind_rows[kind] = []
-        for row, kind in enumerate(kinds, len(self._times)):
-            kind_rows[kind].append(row)
-        self._times += times
-        self._kinds += kinds
-        self._procs += procs
-        self._data += data
+        times, kinds, procs, data = self._times, self._kinds, self._procs, self._data
+        row = len(times)
+        for time, kind, process, fields in rows:
+            index = kind_rows.get(kind)
+            if index is None:
+                kind_rows[kind] = index = []
+            index.append(row)
+            row += 1
+            times.append(time)
+            kinds.append(kind)
+            procs.append(process)
+            data.append(fields)
 
     # -- event views ---------------------------------------------------------
 

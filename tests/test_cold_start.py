@@ -110,6 +110,33 @@ def test_window_sync_prepare_loads_no_event_loop(engine):
     assert _present(loaded, _PREPARE_HEAVY) == []
 
 
+#: What a window-sync coordinator never runs: the simulator, the
+#: adversary and the obs recorder live in the workers.
+_COORDINATOR_HEAVY = (
+    "repro.sim.runtime", "repro.sim.process", "repro.sim.scheduler",
+    "repro.sim.network", "repro.sim.adversary", "repro.obs.recorder",
+    "repro.obs.metrics",
+)
+
+
+def test_window_sync_trial_coordinator_loads_no_simulator():
+    """A whole tiny ``sharded`` trial, not ``prepare`` alone: the merge is
+    imported at run time, and the workers run every shard's simulator."""
+    loaded = _loaded_after(
+        _TRIAL +
+        "from repro.engine import TrialSpec\n"
+        "run = repro.engine.execute(TrialSpec(\n"
+        "    n=8, topology='ring', engine='sharded',\n"
+        "    protocol={'kind': 'pif'}, horizon=100_000,\n"
+        "    driver=dict(tag='pif', requests_per_process=1,\n"
+        "                payload_fmt='m-{pid}-{k}')))\n"
+        "assert run.completed, run\n",
+        _COORDINATOR_HEAVY,
+    )
+    assert {"repro.net.coordinator", "repro.sim.sharded"} <= loaded
+    assert _present(loaded, _COORDINATOR_HEAVY) == []
+
+
 #: What a worker interpreter must not import before it serves its shard.
 _WORKER_HEAVY = (
     "repro.net.cluster", "repro.net.coordinator", "repro.chaos.plan",

@@ -116,6 +116,23 @@ class TestConcurrentWaves:
         assert verdict.ok, verdict.summary()
         assert verdict.info["waves_decided"] == 9
 
+    def test_rows_of_one_wave_share_its_tuple(self):
+        """START, RECEIVE_BRD, RECEIVE_FCK and DECIDE rows of one wave
+        carry the one ``(pid, seq)`` tuple the wave's messages carry."""
+        sim = Simulator(4, build, seed=5)
+        driver = RequestDriver(
+            sim, "pif", requests_per_process=2,
+            payload=lambda pid, k: f"{pid}/{k}",
+        )
+        assert sim.run(1_000_000, until=lambda s: driver.done)
+        kinds = (EventKind.START, EventKind.RECEIVE_BRD,
+                 EventKind.RECEIVE_FCK, EventKind.DECIDE)
+        objects: dict[tuple[int, int], set[int]] = {}
+        for _t, _kind, _p, data in sim.trace.scan(*kinds):
+            objects.setdefault(data["wave"], set()).add(id(data["wave"]))
+        assert len(objects) == 8
+        assert all(len(ids) == 1 for ids in objects.values()), objects
+
 
 class TestLossyChannels:
     @pytest.mark.parametrize("loss", [0.1, 0.3, 0.5])

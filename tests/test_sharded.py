@@ -13,7 +13,9 @@ it at n=32 at every push.
 
 from __future__ import annotations
 
+import copy
 import pickle
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -27,6 +29,7 @@ from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.engine import EngineRun, ShardingOpts, execute
 from repro.errors import SimulationError
+from repro.net import coordinator
 from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
 from repro.sim.determinism import (
@@ -351,3 +354,58 @@ class TestResultPathBuildsNoEventObjects:
         merged = merge_worker_traces([shipped], True, True, _injected)
         assert len(merged) == len(trace) + 2
         assert built_events == [], _NO_EVENTS
+
+
+@pytest.fixture(scope="module")
+def two_shard_payloads():
+    """The ``merge_worker_traces`` arguments of one real two-shard trial
+    (a WAN-weighted PIF run), as the coordinator received them."""
+    captured = []
+
+    def grab(*args):
+        captured.append(args)
+        return merge_worker_traces(*args)
+
+    coordinator.merge_worker_traces = grab
+    try:
+        run = execute(replace(
+            _PIF, n=64, topology="wan:4", seed=1, horizon=1_000_000,
+            engine="sharded", sharding=ShardingOpts(shards=2)))
+    finally:
+        coordinator.merge_worker_traces = merge_worker_traces
+    assert run.completed and len(captured) == 1
+    payloads = captured[0][0]
+    assert len(payloads) == 2 and all(
+        len(payload["keys"]) > 1000 for payload in payloads)
+    return captured[0], run.trace.canonical_hash()
+
+
+class TestTheMergeStreams:
+    """The merge is a k-way merge of sorted runs: it holds each row once,
+    and a run it cannot merge in order is an error, never a reorder."""
+
+    def test_the_merge_holds_each_row_once(self, two_shard_payloads):
+        args, digest = two_shard_payloads
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            merged = merge_worker_traces(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert merged.canonical_hash() == digest
+        # The payloads' row dicts are shared, not counted: what the merge
+        # allocates is the merged store, plus the transient of its growth.
+        assert peak - before <= 1.5 * (retained - before), (
+            f"merge peak {peak - before} B against a retained merged trace "
+            f"of {retained - before} B: the merge holds a row twice")
+
+    def test_a_run_out_of_order_is_an_error(self, two_shard_payloads):
+        (payloads, *flags), _digest = two_shard_payloads
+        shard = copy.deepcopy(payloads[1])
+        first, last = shard["chan_len"], len(shard["keys"]) - 1
+        for column in (*shard["columns"], shard["keys"]):
+            column[first], column[last] = column[last], column[first]
+        with pytest.raises(SimulationError,
+                           match="shard 1's run rows are out of serial order"):
+            merge_worker_traces([payloads[0], shard], *flags)

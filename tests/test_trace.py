@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import pickle
 
 from repro.sim.trace import EventKind, Trace, TraceEvent
@@ -60,13 +61,17 @@ class TestEmitAndQuery:
 
 
 class TestColumns:
-    """``columns`` / ``append_columns``: the bulk path a trace merge uses."""
+    """``columns`` out, ``append_rows`` in: the store a shard ships and the
+    row stream a trace merge appends."""
 
     def test_round_trip_equals_the_source(self):
         source = make_trace()
         copy = Trace()
-        copy.append_columns(*pickle.loads(pickle.dumps(source.columns())))
+        shipped = pickle.loads(pickle.dumps(source.columns()))
+        copy.append_rows(zip(*shipped))
         assert list(copy.scan()) == list(source.scan())
+        # A row's payload dict is kept, not copied.
+        assert all(map(operator.is_, copy.columns()[3], shipped[3]))
         assert copy.canonical_hash() == source.canonical_hash()
         assert list(copy) == list(source)
 
@@ -86,7 +91,7 @@ class TestColumns:
 
         arrived = Trace()
         arrived.emit(0, EventKind.NOTE, None)
-        arrived.append_columns(*pickle.loads(shipped))
+        arrived.append_rows(zip(*pickle.loads(shipped)))
         ours = Trace()
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
@@ -104,9 +109,9 @@ class TestColumns:
     def test_bulk_append_keeps_the_rows_in_append_order(self):
         trace = make_trace()
         # A merged trace's shape: time-0 markers after later rows.
-        trace.append_columns(
+        trace.append_rows(zip(
             [0, 0], [EventKind.SCRAMBLE, EventKind.INJECT], [None, None],
-            [{"what": "processes"}, {"src": 1, "dst": 2}])
+            [{"what": "processes"}, {"src": 1, "dst": 2}]))
         assert [e.time for e in trace] == [0, 2, 5, 8, 9, 0, 0]
         assert trace[5].kind == EventKind.SCRAMBLE
         assert trace.rows_of(EventKind.INJECT, EventKind.REQUEST) == [0, 6]
@@ -115,7 +120,7 @@ class TestColumns:
 
     def test_bulk_append_builds_no_event(self, built_events):
         trace = Trace()
-        trace.append_columns(*make_trace().columns())
+        trace.append_rows(zip(*make_trace().columns()))
         assert list(trace.scan(EventKind.START)) and trace.canonical_hash()
         assert built_events == []
         assert trace[0].kind == EventKind.REQUEST and len(built_events) == 1
