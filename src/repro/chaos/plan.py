@@ -122,19 +122,6 @@ class ShipFault:
     rounds: tuple[int, int] | None = None
     count: int = 1
 
-    def matches(self, src: int, dst: int, round_no: int | None) -> bool:
-        if self.src is not None and src != self.src:
-            return False
-        if self.dst is not None and dst != self.dst:
-            return False
-        if self.rounds is not None:
-            if round_no is None:
-                return False
-            lo, hi = self.rounds
-            if not lo <= round_no <= hi:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class StallWorker:

@@ -118,11 +118,15 @@ class IdlLayer(Layer, PifClient):
     def on_feedback(self, sender: int, payload: Any) -> None:
         """A4 :: receive-fck⟨qID⟩ from q -> record it, update the minimum.
 
-        Feedback payloads are identities (integers); anything else is
+        Applies only inside a started computation (the embedded PIF is
+        ``In``): Specification 1 guarantees a ``receive-fck`` only there,
+        and between IDL's A1 and PIF's A1 a scrambled flag can complete
+        one whose garbage the running ``min_id`` would keep.  Feedback
+        payloads are identities (integers); anything else is
         initial-configuration garbage outside the instance's alphabet and is
         ignored.
         """
-        if isinstance(payload, int):
+        if self.pif.request is RequestState.IN and isinstance(payload, int):
             self.id_tab[sender] = payload
             self.min_id = min(self.min_id, payload)
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.runner import run_idl_trial
 from repro.core.idl import IDL_PAYLOAD, IdlLayer
 from repro.core.requests import RequestDriver
+from repro.engine import TrialSpec
 from repro.sim.channel import BernoulliLoss
 from repro.sim.runtime import Simulator
 from repro.spec.idl_spec import check_idl
@@ -50,10 +54,20 @@ class TestUnit:
         assert layer.on_broadcast(1, IDL_PAYLOAD) == 2
         assert layer.on_broadcast(1, "garbage") is None
 
+    @staticmethod
+    def _started(sim, pid) -> IdlLayer:
+        """``pid``'s IDL layer inside a started computation: IDL's A1 and
+        the embedded PIF's A1 have run, so the PIF is ``In``."""
+        layer: IdlLayer = sim.layer(pid, "idl")
+        layer.request_learn()
+        sim.activate(pid)
+        sim.activate(pid)
+        assert layer.pif.request is RequestState.IN
+        return layer
+
     def test_on_feedback_tracks_minimum(self):
         sim = Simulator(3, build, auto=False)
-        layer: IdlLayer = sim.layer(3, "idl")
-        layer.min_id = 3
+        layer = self._started(sim, 3)
         layer.on_feedback(1, 1)
         layer.on_feedback(2, 2)
         assert layer.min_id == 1
@@ -61,10 +75,25 @@ class TestUnit:
 
     def test_on_feedback_ignores_non_int_garbage(self):
         sim = Simulator(2, build, auto=False)
-        layer: IdlLayer = sim.layer(1, "idl")
+        layer = self._started(sim, 1)
         layer.on_feedback(2, None)
         layer.on_feedback(2, "junk")
         assert layer.id_tab[2] == 0  # untouched default
+
+    def test_on_feedback_before_the_pif_starts_is_ignored(self):
+        """The start window: IDL's A1 has run, the embedded PIF is still
+        ``Wait``, so a ``receive-fck`` belongs to no started computation
+        and must not lower ``min_id`` (Specification 1 guarantees one
+        only inside a computation)."""
+        sim = Simulator(3, build, auto=False)
+        layer: IdlLayer = sim.layer(3, "idl")
+        layer.request_learn()
+        sim.activate(3)
+        assert layer.request is RequestState.IN
+        assert layer.pif.request is RequestState.WAIT
+        layer.on_feedback(1, 0)
+        layer.on_feedback(2, 1)
+        assert (layer.min_id, layer.id_tab) == (3, {1: 0, 2: 0})
 
     def test_scramble_and_restore(self):
         sim = Simulator(3, build, auto=False)
@@ -155,7 +184,7 @@ class TestMonitoredOnline:
     def test_trial_carries_the_idl_monitor_verdict(
         self, engine, idents, topology, monkeypatch
     ):
-        from repro.engine import ClusterOpts, TrialSpec
+        from repro.engine import ClusterOpts
 
         trial, report = self._judged(
             TrialSpec(n=5, seed=0, loss=0.1, topology=topology, engine=engine,
@@ -167,16 +196,33 @@ class TestMonitoredOnline:
         assert report.info["computations"] == trial.measurements["computations"] > 0
         assert report.events_observed > 0
 
-    def test_monitor_flags_the_violation_the_offline_check_flags(self, monkeypatch):
-        """Not crafted: with identities above the pid range, seed 3 lets a
-        garbage receive-fck of the scrambled, never-started PIF wave lower
-        ``min_id`` between IDL's START and the embedded PIF's (ROADMAP,
-        "IDL start window") — pid identities mask it.  The trial and the
-        per-row monitor see the same single Correctness violation."""
-        from repro.engine import TrialSpec
+    def test_monitor_and_trial_agree_the_start_window_is_shut(self, monkeypatch):
+        """Not crafted: with identities above the pid range, seeds 3, 5
+        and 6 let a garbage receive-fck of the scrambled, never-started
+        PIF wave arrive between IDL's START and the embedded PIF's.  A4
+        applies only inside a started computation, so ``min_id`` keeps no
+        garbage: the trial and the per-row monitor agree that
+        Specification 2 holds."""
+        for seed in (3, 5, 6):
+            trial, report = self._judged(
+                TrialSpec(n=5, seed=seed, loss=0.1, engine="async"),
+                {1: 50, 2: 7, 3: 31, 4: 12, 5: 90}, monkeypatch)
+            assert (trial.ok, trial.violations) == (True, 0), seed
+            assert (report.ok, len(report.violations)) == (True, 0), seed
 
-        trial, report = self._judged(
-            TrialSpec(n=5, seed=3, loss=0.1, engine="async"),
-            {1: 50, 2: 7, 3: 31, 4: 12, 5: 90}, monkeypatch)
-        assert (trial.ok, trial.violations) == (False, 1)
-        assert [v.prop for v in report.violations] == ["Correctness"]
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    idents=st.integers(2, 6).flatmap(lambda n: st.lists(
+        st.integers(1, 199), min_size=n, max_size=n, unique=True)),
+    seed=st.integers(0, 7),
+    loss=st.sampled_from([0.0, 0.1, 0.2]),
+)
+def test_idl_meets_specification_2_under_any_identity_map(idents, seed, loss):
+    """Theorem 3 over random identity maps: garbage feedback of a
+    scrambled, never-started wave can undercut any identity, so only a
+    started computation's feedback may reach ``min_id``."""
+    trial = run_idl_trial(
+        TrialSpec(n=len(idents), seed=seed, loss=loss), requests_per_process=1,
+        idents=dict(enumerate(idents, start=1)))
+    assert trial.ok, trial
