@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SpecError
+from repro.sim.determinism import SEMANTICS_EPOCH
 from repro.sim.topology import Topology, topology_from_spec
 
 if TYPE_CHECKING:  # pragma: no cover - a spec with no plan never loads it
@@ -203,21 +204,32 @@ class TrialSpec:
     def as_provenance(self) -> dict[str, Any]:
         """JSON-ready record of this spec (bench artifacts, obs context,
         the golden-hash corpus): one key per field, one sub-record per
-        options section.  A pre-built topology collapses to its name."""
-        return {"spec_version": SPEC_VERSION, **_encode(self)}
+        options section, and the semantics epoch whose draws it names.
+        A pre-built topology collapses to its name."""
+        return {"spec_version": SPEC_VERSION, "epoch": SEMANTICS_EPOCH,
+                **_encode(self)}
 
     @classmethod
     def from_provenance(cls, record: dict[str, Any]) -> "TrialSpec":
         """Rebuild a spec from an :meth:`as_provenance` record (absent
         keys keep the field's default; a key no field is recorded under
-        is a :class:`~repro.errors.SpecError` naming it)."""
+        is a :class:`~repro.errors.SpecError` naming it).  A record from
+        another semantics epoch is one too (``field="epoch"``): its seed
+        names other draws here; a record with no epoch predates the key
+        and is epoch 1."""
         version = record.get("spec_version")
         if version != SPEC_VERSION:
             raise SpecError(
                 f"provenance record speaks spec_version {version!r}, "
                 f"expected {SPEC_VERSION}", field="spec_version")
+        epoch = record.get("epoch", 1)
+        if epoch != SEMANTICS_EPOCH:
+            raise SpecError(
+                f"provenance record was recorded under epoch {epoch!r}, "
+                f"running {SEMANTICS_EPOCH}", field="epoch")
         return _decode(cls, {k: v for k, v in record.items()
-                             if k != "spec_version"}, "provenance record")
+                             if k not in ("spec_version", "epoch")},
+                       "provenance record")
 
     @classmethod
     def from_cli_args(

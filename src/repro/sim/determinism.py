@@ -24,6 +24,12 @@ and both live here because the *serial* engine has to play by the same rules:
    (2) < message deliveries (3).
 
 Keys are packed into plain ints so heap comparisons stay at C speed.
+
+Which draws a seed yields is versioned: :data:`SEMANTICS_EPOCH` names
+the stream layout (and any other hash-moving rule) this checkout runs.
+A recorded trial carries it (``TrialSpec.as_provenance``), so a record
+from another epoch is refused by name instead of replaying into a bare
+hash mismatch; ``docs/architecture.md`` keeps the epoch log.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import random
 from typing import Any
 
 __all__ = [
+    "SEMANTICS_EPOCH",
     "derive_seed",
     "bound_randint",
     "driver_key",
@@ -42,6 +49,11 @@ __all__ = [
     "key_class",
     "key_owner",
 ]
+
+#: The semantics epoch: bumped, in one commit with the regenerated
+#: ``tests/data`` files (``tests/data/regenerate.py``) and an entry in
+#: the epoch log, by any change that moves a seed's trace.
+SEMANTICS_EPOCH = 1
 
 # Key layout:  (((cls << PID_BITS | a) << PID_BITS | b) << SEQ_BITS) | c
 # pids must fit PID_BITS; per-entity counters (timer seq, channel admission

@@ -15,18 +15,18 @@ the bottom of this file:
   ``(trace, arguments)`` of the ``check_*`` calls those scenarios make.
 
 ``tests/data/spec_verdicts.json`` holds, per entry, the per-property
-violation counts and ``info`` of the *offline* ``check_*``.  It was
-generated with this file at the commit before Specifications 1–3 became
-one automaton each (``PYTHONPATH=<that checkout>/src python
-tests/spec_corpus.py``); regenerate it only for an intended change of a
-specification's reading, and say so in CHANGES.md.
+violation counts and ``info`` of the *offline* ``check_*``.  Its crafted
+part was recorded at the commit before Specifications 1–3 became one
+automaton each and stays as recorded (``tests/test_spec.py`` states the
+deliberate drifts against it); its simulated part names one semantics
+epoch's draws and is re-recorded by ``tests/data/regenerate.py`` when the
+epoch moves.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
-import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple
@@ -393,21 +393,3 @@ def live_recorded(call: Recorded):
     finish = {k: v for k, v in call.kwargs.items()
               if k not in SCOPE_KEYS and k != "horizon"}
     return _live(call.spec, tag, truth, scope, call.trace.scan(), finish)
-
-
-def main() -> None:
-    doc = {"crafted": {}, "simulated": {}}
-    for name, case in CASES.items():
-        doc["crafted"][name] = record(check_case(case))
-    for name, call in simulated():
-        doc["simulated"][name] = {
-            "spec": call.spec, "rows": len(call.trace),
-            **record(checker(call.spec)(call.trace, *call.args, **call.kwargs)),
-        }
-    VERDICTS_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {VERDICTS_PATH} "
-          f"({len(doc['crafted'])} crafted, {len(doc['simulated'])} simulated)")
-
-
-if __name__ == "__main__":
-    main()

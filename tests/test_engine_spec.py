@@ -265,6 +265,19 @@ def test_provenance_version_gate():
         TrialSpec.from_provenance(record)
 
 
+def test_a_record_with_no_epoch_predates_the_key(monkeypatch):
+    import repro.engine.spec as spec_module
+
+    record = _spec().as_provenance()
+    del record["epoch"]
+    monkeypatch.setattr(spec_module, "SEMANTICS_EPOCH", 1)
+    assert TrialSpec.from_provenance(record) == _spec()
+    monkeypatch.setattr(spec_module, "SEMANTICS_EPOCH", 2)
+    with pytest.raises(SpecError, match="recorded under epoch 1, running 2") as err:
+        TrialSpec.from_provenance(record)
+    assert err.value.field == "epoch"
+
+
 @pytest.mark.parametrize("section,key", [
     (None, "sed"),
     ("cluster", "sinc"),

@@ -1,20 +1,20 @@
 """Absolute anchors: recorded specs must keep producing recorded traces.
 
 ``tests/data/golden_hashes.json`` holds ``{"spec": TrialSpec.as_provenance(),
-"hash": canonical_trace_hash}`` entries — PIF / IDL / ME × complete / ring /
+"hash": canonical_trace_hash}`` records — PIF / IDL / ME × complete / ring /
 wan:2 × loss 0 / 0.1 × capacity 1 / 2 at n ≤ 8 on the serial engine —
-recorded at the commit before ``TrialSpec.build`` was removed.  A record
-replays with no per-protocol code: ``run_trial(TrialSpec.from_provenance(
-entry["spec"]))``.  Each record also carries what the trial concluded
-from that trace — ``ok``, ``violations`` and the
-``measurements`` block (waves, ``wave_p50/p95``, ``computations``,
-``cs_count``, ``latency_p50``, ...) — recorded at the commit before
-Specifications 1–3 became one automaton each, so a specification rewrite
-that changes a verdict or a by-product fails here, not only one that
-changes a trace.  The equivalence gates compare engines with each other at
-HEAD; this corpus is what catches a change that moves all of them
-together.  Regenerate it only for an intended change of the simulation
-semantics or of a specification's reading, and say so in CHANGES.md.
+under a header naming the semantics epoch they were drawn in
+(``repro.sim.determinism.SEMANTICS_EPOCH``).  A record replays with no
+per-protocol code: ``run_trial(TrialSpec.from_provenance(entry["spec"]))``.
+Each record also carries what the trial concluded from that trace —
+``ok``, ``violations`` and the ``measurements`` block (waves,
+``wave_p50/p95``, ``computations``, ``cs_count``, ``latency_p50``, ...) —
+so a specification rewrite that changes a verdict or a by-product fails
+here, not only one that changes a trace.  The equivalence gates compare
+engines with each other at HEAD; this corpus is what catches a change
+that moves all of them together.  It is re-recorded only by a semantics
+epoch bump, with ``tests/data/regenerate.py`` (docs/architecture.md,
+"Semantics epochs"), and the per-record diff goes into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ import pytest
 
 from repro.analysis.runner import run_trial
 from repro.engine import TrialSpec, execute
+from repro.errors import SpecError
+from repro.sim.determinism import SEMANTICS_EPOCH
 from repro.sim.trace import canonical_trace_hash
 
-CORPUS = json.loads(
-    (Path(__file__).parent / "data" / "golden_hashes.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_hashes.json").read_text())
+CORPUS = GOLDEN["records"]
 
 
 def _label(entry) -> str:
@@ -45,6 +48,23 @@ def test_corpus_covers_the_protocols_and_topologies():
     assert topologies == {"complete", "ring", "wan:2"}
     assert {e["spec"]["loss"] for e in CORPUS} == {0.0, 0.1}
     assert {e["spec"]["capacity"] for e in CORPUS} == {1, 2}
+
+
+def test_the_data_files_are_recorded_under_the_running_epoch():
+    verdicts = json.loads((DATA / "spec_verdicts.json").read_text())
+    assert GOLDEN["epoch"] == verdicts["epoch"] == SEMANTICS_EPOCH
+    assert {e["spec"]["epoch"] for e in CORPUS} == {SEMANTICS_EPOCH}
+
+
+def test_a_record_from_another_epoch_is_refused_by_name():
+    other = SEMANTICS_EPOCH + 1
+    record = {**CORPUS[0]["spec"], "epoch": other}
+    with pytest.raises(
+            SpecError,
+            match=f"recorded under epoch {other}, running {SEMANTICS_EPOCH}",
+    ) as err:
+        TrialSpec.from_provenance(record)
+    assert err.value.field == "epoch"
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=_label)
