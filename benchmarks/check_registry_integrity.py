@@ -255,6 +255,12 @@ GUARDS: tuple[Guard, ...] = (
           "rows: Trace.append_rows)",
           re.compile(r".*\bappend" + r"_columns\b"),
           _EVERYWHERE),
+    # A channel draws from its sender's stream (semantics epoch 2): the
+    # per-channel streams and their accessor went.
+    Guard("names the deleted per-channel random stream (a link draws "
+          "from Simulator.send_rng(src))",
+          re.compile(r".*(\bchan" + r"_rng\(|\b_chan" + r"_rngs\b)"),
+          _EVERYWHERE),
 )
 
 

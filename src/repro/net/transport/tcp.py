@@ -38,10 +38,10 @@ class TcpTransport(Transport):
     ) -> None:
         super().__init__(engine, channel)
         self.fabric = fabric
-        # The channel's own stream, bound once (as the serial engine's
+        # The sender's send stream, bound once (as the serial engine's
         # compiled link does): the emulated link latency comes from the
-        # same per-channel draws.
-        self._randint = engine.chan_rng(channel.src, channel.dst).randint
+        # same draws as the link's loss and corruption.
+        self._randint = engine.send_rng(channel.src).randint
         self.frames_sent = 0
         self._outbox: asyncio.Queue[_Entry | None] = asyncio.Queue()
         engine._spawn(

@@ -46,7 +46,7 @@ class UdpTransport(Transport):
     ) -> None:
         super().__init__(engine, channel)
         self.fabric = fabric
-        self._randint = engine.chan_rng(channel.src, channel.dst).randint
+        self._randint = engine.send_rng(channel.src).randint
         self.frames_sent = 0
         self._outbox: asyncio.Queue[_Entry | None] = asyncio.Queue()
         engine._spawn(

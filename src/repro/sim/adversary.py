@@ -6,14 +6,16 @@ channel, up to the capacity bound.  :func:`scramble_system` implements that
 adversary; :func:`figure1_configuration` builds the paper's Figure 1 worst
 case for the two-process PIF handshake.
 
-The scramble is *per-entity seeded*: every process and every directed channel
-is rewritten from its own stream derived from the scramble seed (see
-:mod:`repro.sim.determinism`).  The configuration a given entity receives is
-therefore independent of how many other entities were scrambled before it —
-which is what lets a shard worker hosting a subset of the processes
-reproduce exactly its slice of the global arbitrary configuration.  Passing
-a ``random.Random`` instead of an int seed keeps the historical API: one
-64-bit draw from it becomes the base seed.
+The scramble is *per-process seeded*: every process's variables are
+rewritten from its own stream, and the garbage of all its out-channels is
+drawn from a second stream of its own, channel by channel in ``(dst,
+layer)`` order (see :mod:`repro.sim.determinism`).  The configuration a
+given process and its out-channels receive is therefore independent of how
+many other processes were scrambled before it — which is what lets a shard
+worker hosting a subset of the processes reproduce exactly its slice of the
+global arbitrary configuration.  Passing a ``random.Random`` instead of an
+int seed keeps the historical API: one 64-bit draw from it becomes the base
+seed.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def scramble_channels(
     base = _base_seed(rng_or_seed)
     injected = 0
     for src, src_host in sim.hosts.items():
+        rng = random.Random(derive_seed(base, "chanfill", src))
         for dst in sim.network.peers_of(src):
             channel = sim.network.channel(src, dst)
-            rng = random.Random(derive_seed(base, "chanfill", src, dst))
             for layer in src_host.layers:
                 cap = channel.capacity_for(layer.tag)
                 budget = cap if cap is not None else (max_per_tag or 3)

@@ -4,14 +4,17 @@ A sharded run (:mod:`repro.sim.sharded`) must produce **bit-identical**
 traces to the serial engine for the same seed.  Two things make that possible,
 and both live here because the *serial* engine has to play by the same rules:
 
-1. **Per-entity random streams** (:func:`derive_seed`).  Every random draw the
-   engine makes is taken from a stream owned by the entity it concerns — one
-   stream per process for activation stagger/jitter, one stream per directed
-   channel for loss/corruption/latency, one per entity for the scramble
-   adversary.  Draw values then depend only on (root seed, entity, how many
-   draws that entity made before), never on how events of *different* entities
-   interleave — so a shard that hosts a subset of the entities reproduces
-   exactly the draws the serial engine would have made for them.
+1. **Per-process random streams** (:func:`derive_seed`).  Every random draw
+   the engine makes is taken from a stream owned by the process it concerns —
+   an ``"act"`` stream for activation stagger/jitter, a ``"send"`` stream for
+   the loss/corruption/latency draws of every channel out of the process, and
+   for the scramble adversary a ``"proc"`` stream (its variables) and a
+   ``"chanfill"`` stream (the garbage of its out-channels).  Each draw on a
+   process's stream happens inside one of that process's own events, so draw
+   values depend only on (root seed, process, how many draws that process
+   made before), never on how events of *different* processes interleave —
+   and a shard that hosts a subset of the processes reproduces exactly the
+   draws the serial engine would have made for them.
 
 2. **Canonical event keys** (:func:`driver_key` .. :func:`delivery_key`).
    The scheduler orders same-tick events by ``(key, seq)``.  Engine events
@@ -53,7 +56,7 @@ __all__ = [
 #: The semantics epoch: bumped, in one commit with the regenerated
 #: ``tests/data`` files (``tests/data/regenerate.py``) and an entry in
 #: the epoch log, by any change that moves a seed's trace.
-SEMANTICS_EPOCH = 1
+SEMANTICS_EPOCH = 2
 
 # Key layout:  (((cls << PID_BITS | a) << PID_BITS | b) << SEQ_BITS) | c
 # pids must fit PID_BITS; per-entity counters (timer seq, channel admission

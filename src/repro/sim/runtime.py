@@ -24,12 +24,13 @@ processes.  It implements the paper's asynchronous message-passing semantics:
   quiescence checks count parked arrivals via :meth:`Simulator.in_transit`.
 
 Determinism (see :mod:`repro.sim.determinism`): every random draw comes from
-a per-entity stream (per-process activation jitter, per-directed-channel
-loss/corruption/latency) and every engine event carries a canonical
-content-derived scheduler key.  Runs are therefore reproducible for a given
-seed *and* independent of how events of unrelated entities interleave — the
-property the window-sync runtime (:mod:`repro.net.cluster`) relies on to
-be bit-identical with serial execution.
+a per-process stream (activation stagger/jitter; the sender's loss,
+corruption and latency draws for all its out-channels) and every engine
+event carries a canonical content-derived scheduler key.  Runs are
+therefore reproducible for a given seed *and* independent of how events of
+unrelated processes interleave — the property the window-sync runtime
+(:mod:`repro.net.cluster`) relies on to be bit-identical with serial
+execution.
 
 Two driving styles:
 
@@ -72,7 +73,7 @@ that holds the link's inlined copy to them
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cached_property, partial
 from heapq import heappush
 from typing import Any, Callable, Sequence
 
@@ -150,7 +151,7 @@ class Link:
     def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
         channel = sim.network.channel(src, dst)
         self.channel = channel
-        rng = self._rng = sim.chan_rng(src, dst)
+        rng = self._rng = sim.send_rng(src)
         lo, hi = sim.latency_for(src, dst)
         # The step-by-step draw (_schedule_delivery) and put's inlined copy
         # of it: randint(lo, hi)'s rejection sampling over getrandbits.
@@ -261,7 +262,7 @@ class Link:
 class CorruptingLink(Link):
     """A link under an in-flight corruption model.
 
-    The corruption draw precedes the loss draw on the channel's stream, so
+    The corruption draw precedes the loss draw on the sender's stream, so
     a send's fate cannot be decided before its message exists: :meth:`claim`
     says yes and touches nothing, and :meth:`put` corrupts, then decides
     (:meth:`Link.claim`) and admits (:meth:`Link.put`) — the step-by-step
@@ -348,10 +349,6 @@ class Simulator:
             raise SimulationError(f"activation_period must be >= 1, got {activation_period}")
 
         self.seed = seed
-        #: General-purpose stream for callers (tests, ad-hoc experiments).
-        #: The engine itself never draws from it — every engine draw comes
-        #: from a per-entity derived stream so shard composition is exact.
-        self.rng = random.Random(seed)
         self.scheduler = self._make_scheduler()
         self.trace = Trace()
         self.stats = SimStats()
@@ -381,10 +378,10 @@ class Simulator:
             self.topology.edge_latency if self.topology.is_weighted else None
         )
 
-        # Per-directed-channel streams (loss, corruption, latency) and the
+        # Per-sender send streams (loss, corruption, latency) and the
         # compiled links, both created lazily alongside the lazy channel
         # map — a wave touching one neighbourhood compiles only its links.
-        self._chan_rngs: dict[tuple[int, int], random.Random] = {}
+        self._send_rngs: dict[int, random.Random] = {}
         self._links: dict[tuple[int, int], Link] = {}
 
         #: Observation hooks (recording, instrumentation). ``delivery_hooks``
@@ -443,6 +440,14 @@ class Simulator:
 
     # -- basic accessors -----------------------------------------------------
 
+    @cached_property
+    def rng(self) -> random.Random:
+        """General-purpose stream for callers (tests, ad-hoc experiments),
+        seeded from the root seed at first use.  The engine itself never
+        draws from it — every engine draw comes from a per-process derived
+        stream so shard composition is exact."""
+        return random.Random(self.seed)
+
     @property
     def now(self) -> int:
         return self.scheduler._now
@@ -460,12 +465,16 @@ class Simulator:
     def layer(self, pid: int, tag: str):
         return self.host(pid).layer(tag)
 
-    def chan_rng(self, src: int, dst: int) -> random.Random:
-        """The random stream owned by the directed channel ``src -> dst``."""
-        rng = self._chan_rngs.get((src, dst))
+    def send_rng(self, src: int) -> random.Random:
+        """``src``'s send stream: the loss, corruption and latency draws
+        of every channel out of ``src``.  Each draw happens inside one of
+        ``src``'s own events (the time-0 scramble, an activation, a
+        delivery at ``src``), which every engine runs in canonical order —
+        so the shard hosting ``src`` draws what the serial engine draws."""
+        rng = self._send_rngs.get(src)
         if rng is None:
-            rng = random.Random(derive_seed(self.seed, "chan", src, dst))
-            self._chan_rngs[(src, dst)] = rng
+            rng = self._send_rngs[src] = random.Random(
+                derive_seed(self.seed, "send", src))
         return rng
 
     def latency_for(self, src: int, dst: int) -> tuple[int, int]:
@@ -505,7 +514,7 @@ class Simulator:
         return self.link(src, dst).send(msg)
 
     def draw_delivery_time(self, channel: ChannelBase, entry, randint) -> int:
-        """Latency draw from the channel's stream + per-tag FIFO clamp.
+        """Latency draw from the sender's stream + per-tag FIFO clamp.
 
         The single definition of the delivery-time rule: the step-by-step
         scheduling path (:meth:`_schedule_delivery`) and every transport of
@@ -514,7 +523,7 @@ class Simulator:
         ``tests/test_link_equivalence.py``, so a change to the rule cannot
         desynchronize the engines.  The bounds are the channel's own —
         per-edge on :class:`~repro.sim.topology.Weighted` topologies, the
-        engine's global pair otherwise.  ``randint`` is the channel
+        engine's global pair otherwise.  ``randint`` is the sender's send
         stream's draw for exactly those bounds — either the stream's bound
         ``randint`` method or its precompiled equivalent
         (:func:`~repro.sim.determinism.bound_randint`, :attr:`Link.draw`,
@@ -624,7 +633,7 @@ class Simulator:
         """Schedule dispatch of a message admitted on a remote shard.
 
         The source shard computed ``time`` (and the channel entry seq) at
-        send time from the channel's own stream, so scheduling it here
+        send time from the sender's send stream, so scheduling it here
         reproduces exactly the delivery the serial engine would perform.
         """
         if dst not in self.hosts:

@@ -68,8 +68,8 @@ __all__ = [
     "merge_completions",
 ]
 
-#: Loss models whose draws depend only on the per-channel stream (no mutable
-#: state shared across channels) — the ones shard composition preserves.
+#: Loss models whose draws depend only on the sender's send stream (no
+#: mutable state of their own) — the ones shard composition preserves.
 _SHARDABLE_LOSS: tuple[type, ...] = (NoLoss, BernoulliLoss)
 
 

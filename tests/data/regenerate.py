@@ -105,8 +105,8 @@ def regenerate_golden() -> None:
 
 def _verdict_flat(entry: dict[str, Any]) -> dict[str, Any]:
     return {"rows": entry["rows"], **entry["info"],
-            **{f"violations.{prop}": count
-               for prop, count in entry["violations"].items()}}
+            **{f"violations.{prop}": entry["violations"].get(prop, 0)
+               for prop in spec_corpus.PROPERTIES}}
 
 
 def regenerate_verdicts() -> None:

@@ -104,7 +104,7 @@ def test_horizon_at_the_completion_tick_keeps_serial_identity(slack):
     """The round grid's one irregular step: with 16-tick windows the
     horizon falls between grid points, and whether the trial counts as
     completed is decided exactly there (``slack`` -1: one tick short)."""
-    spec = trial_spec("pif", 16, topology="wan:4", seed=0, loss=0.1,
+    spec = trial_spec("pif", 16, topology="wan:4", seed=1, loss=0.1,
                      horizon=2_000_000)
     done_at = execute(spec).final_time - 200  # final = done_at + DRAIN_TICKS
     spec = replace(spec, horizon=done_at + slack)

@@ -72,7 +72,7 @@ def _reference_send(sim: Simulator, src: int, dst: int, msg) -> bool:
     stats = sim.stats
     stats.record_send(msg.tag)
     channel = sim.network.channel(src, dst)
-    rng = sim.chan_rng(src, dst)
+    rng = sim.send_rng(src)
     if sim.trace_network:
         sim.trace.emit(sim.now, EventKind.SEND, src, dst=dst, tag=msg.tag)
     if sim.corruption is not None:
@@ -119,7 +119,7 @@ def _observable(sim: Simulator):
         "heap": sorted(item[:3] for item in sim.scheduler._queue),
         "now": sim.now,
         "outbox": list(sim.cross_outbox),
-        "streams": {pair: rng.getstate() for pair, rng in sim._chan_rngs.items()},
+        "streams": {src: rng.getstate() for src, rng in sim._send_rngs.items()},
         "trace": [(e.time, e.kind, e.process, e.data) for e in sim.trace],
         "got": {(pid, tag): list(host.layer(tag).got)
                 for pid, host in sim.hosts.items() for tag in TAGS},
@@ -389,3 +389,23 @@ def test_link_matches_step_by_step_path_after_every_step(scenario):
         )
 
     _run_steps(make_kwargs, hooks, steps)
+
+
+def test_a_senders_links_share_its_send_stream():
+    """Every link out of ``p`` draws loss, corruption and latency from
+    ``p``'s one send stream; a link into ``p`` draws from its sender's."""
+    import random
+
+    from repro.sim.determinism import derive_seed
+
+    sim = _twin(pids=PIDS, seed=5)
+    p, q, r = PIDS
+    assert random.Random(derive_seed(5, "send", p)).getstate() == \
+        sim.send_rng(p).getstate()
+    pq, pr, qp = sim.link(p, q), sim.link(p, r), sim.link(q, p)
+    assert pq._rng is pr._rng is sim.send_rng(p)
+    assert qp._rng is sim.send_rng(q) and qp._rng is not pq._rng
+    # One stream: a draw on p -> q moves where p -> r draws next.
+    before = pr._rng.getstate()
+    pq.draw()
+    assert pr._rng.getstate() != before

@@ -275,7 +275,7 @@ class TestBoundRandint:
             ], (lo, hi)
             # ...and the underlying stream is left in the identical state,
             # so interleaving with other draws (loss, corruption) on the
-            # same per-channel stream stays bit-identical.
+            # same per-sender stream stays bit-identical.
             assert subject.getstate() == reference.getstate(), (lo, hi)
 
     def test_accepts_randint_style_positional_args(self):

@@ -137,6 +137,36 @@ class TestScrambleVariants:
         assert serial_events == sharded_events
         assert sim.stats.as_dict() == result.stats.as_dict()
 
+    def test_a_shard_seeds_four_streams_per_hosted_process(self, monkeypatch):
+        """A ``wan_sharded``-sized shard (wan:4, n=128, one of two shards)
+        built and scrambled seeds an ``act``, a ``proc``, a ``send`` and a
+        ``chanfill`` stream per hosted pid, and nothing per channel.  With
+        two streams per directed channel (epoch 1) it seeded 3 507: a
+        scramble stream for each of its 1 988 out-channels and a stream
+        for each of the 1 390 the scramble filled (4 105 by the end of
+        a trial, once every out-channel had sent)."""
+        import random
+
+        from repro.sim.partition import partition_topology
+        from repro.sim.topology import topology_from_spec
+
+        topology = topology_from_spec("wan:4", 128, seed=0)
+        shard = partition_topology(topology, 2).shards[0]
+        seeded = []
+        seed = random.Random.seed
+
+        def counted(rng, *args, **kwargs):
+            seeded.append(args)
+            return seed(rng, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counted)
+        sim = Simulator(build=_pif_build, topology=topology,
+                        hosts_for=shard, seed=0)
+        trace = sim.trace = _KeyedTrace(sim.scheduler)
+        injected, _, _ = scramble_shard(sim, trace, 0x5EED, True)
+        assert injected > len(shard)
+        assert len(seeded) <= 4 * len(shard)
+
 
 class TestSeedSensitivity:
     def test_different_seeds_differ(self):
