@@ -46,9 +46,10 @@ Asserts, without running a single trial:
   message before the link claimed a slot, an engine that picks its
   own specification monitor, a call that drives the cyclic collector
   (a finished run is freed by reference counting: ``close()`` cuts its
-  cycles), or a part of the trace store beyond its four columns and kind
+  cycles), or a part of the trace store beyond its five columns and kind
   index (the kind-interning table, the process index, the monotone flag,
-  the vendored pre-columnar store, the column-wise bulk append).
+  the vendored pre-columnar store, the column-wise bulk append, the
+  per-row payload-dict column).
 
 Usage::
 
@@ -240,14 +241,22 @@ GUARDS: tuple[Guard, ...] = (
     Guard("drives the cyclic collector (a run is freed by reference "
           "counting; cut a new cycle in close())",
           re.compile(r".*\bgc\.(col" + r"lect|dis" + r"able|fre" + r"eze)\(")),
-    # One event store: four columns and a kind index.  The kind-interning
-    # table, the process index, the monotone flag and the vendored
-    # pre-columnar store went.
-    Guard("names a deleted trace-store part (a trace is four columns and "
-          "a kind index)",
+    # One event store: five columns (a payload is an interned keys tuple
+    # and a values tuple) and a kind index.  The kind-interning table,
+    # the process index, the monotone flag and the vendored pre-columnar
+    # store went; the one intern table is the payload shapes' ``_schemas``.
+    Guard("names a deleted trace-store part (a trace is five columns — "
+          "time, kind, process, payload keys, payload values — and a kind "
+          "index)",
           re.compile(r".*\b(_KIND" + r"_IDS|_intern" + r"_kind|_proc" + r"_rows"
                      r"|_mono" + r"tone|for" + r"_process|Legacy" + r"Trace"
                      r"|Legacy" + r"Simulator)\b"),
+          _EVERYWHERE),
+    # A row's payload is a values tuple under a shared keys tuple: the
+    # per-row payload-dict column went (a reader rebuilds the dict).
+    Guard("names the deleted per-row payload-dict column (a payload is "
+          "Trace._keys + Trace._values)",
+          re.compile(r".*\b_da" + r"ta\b"),
           _EVERYWHERE),
     # The shard merge streams rows into the merged trace; the column-wise
     # bulk append it replaced went with its copies.

@@ -101,12 +101,13 @@ def _count_cs_grants(trace: Trace, tag: str) -> int:
 
 
 def _judge_pif(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
-    """Specification 1, and the decided waves' cost."""
+    """Specification 1, and the decided waves' cost: one automaton pass,
+    whose waves are read off the verdict."""
     verdict = check_pif(
         run.trace, row.kind, run.pids, final_requests=run.finals,
         **row.scope(run.topology),
     )
-    waves = [w for w in extract_waves(run.trace, row.kind) if w.decided]
+    waves = [w for w in extract_waves(verdict) if w.decided]
     durations = [w.duration for w in waves if w.duration is not None]
     return verdict, {
         "waves": len(waves),

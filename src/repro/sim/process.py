@@ -265,7 +265,8 @@ class ProcessHost:
         link.send(msg)
 
     def emit(self, kind: str, **data: Any) -> None:
-        self.sim.trace.emit(self.sim.now, kind, self.pid, **data)
+        # The keyword dict is the row's payload: handed over, not re-expanded.
+        self.sim.trace.append(self.sim.now, kind, self.pid, data)
 
     @property
     def now(self) -> int:

@@ -28,7 +28,9 @@ shared by every worker and the coordinator:
 * worker side — :class:`_KeyedTrace` records one sortable key per
   emission, :func:`scramble_shard` scrambles one slice with the setup
   segments marked, :func:`shard_result_payload` is the record shipped
-  back: the trace's columns and the key column, as they sit in memory;
+  back: the trace's five columns (a row's payload as its interned keys
+  tuple and its values tuple) and the merge-key column, as they sit in
+  memory;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
   former as one k-way merge of the shards' already-sorted runs, streamed
@@ -83,7 +85,10 @@ class _KeyedTrace(Trace):
     its emissions inherit the creator's rank.  Only ``key`` is stored, one
     plain int per row in :attr:`keys`; ``time`` and the row index are read
     from the trace columns at merge time.  Sorting all workers' rows by
-    position reproduces exactly the serial engine's append order.
+    position reproduces exactly the serial engine's append order.  The
+    key is recorded in :meth:`append`, the row-append every emission
+    path (:meth:`~repro.sim.trace.Trace.emit`, ``ProcessHost.emit``)
+    goes through.
     """
 
     __slots__ = ("_scheduler", "keys", "_last_time", "_last_key")
@@ -95,8 +100,10 @@ class _KeyedTrace(Trace):
         self._last_time = -1
         self._last_key = 0
 
-    def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
-        self._append(time, kind, process, data)
+    def append(
+        self, time: int, kind: str, process: int | None, data: dict[str, Any]
+    ) -> None:
+        Trace.append(self, time, kind, process, data)
         key = self._scheduler.current_key
         if time == self._last_time and key < self._last_key:
             key = self._last_key
@@ -146,12 +153,12 @@ def shard_result_payload(
 ) -> dict[str, Any]:
     """The per-shard result record a worker ships back.
 
-    The trace travels as it sits in the store: its four
-    :meth:`~repro.sim.trace.Trace.columns` plus the ``keys`` column, row
-    for row — no event object is built to ship it.  When the worker
-    carries an :class:`~repro.obs.recorder.ObsRecorder`, the shard's
-    metric snapshot and spans ride along in the same record (one pickled
-    CONTROL frame).
+    The trace travels as it sits in the store: its five
+    :meth:`~repro.sim.trace.Trace.columns` plus the ``keys`` column of
+    merge keys, row for row — no event object or payload dict is built
+    to ship it.  When the worker carries an
+    :class:`~repro.obs.recorder.ObsRecorder`, the shard's metric snapshot
+    and spans ride along in the same record (one pickled CONTROL frame).
     """
     finals = {
         pid: sim.layer(pid, tag).request for pid in shard_pids
@@ -210,12 +217,12 @@ def merge_worker_traces(
 
 
 # A record is a row's place in its phase, its shard, then the row itself:
-# ``(*place, shard, time, kind, process, data)``.  Within one shard the
-# places differ (each ends in the row number), so no comparison ever
-# reaches a row's own fields.  Each generator checks its shard's run in
-# order as it streams: the merge cannot reorder a run, and a payload
+# ``(*place, shard, time, kind, process, keys, values)``.  Within one
+# shard the places differ (each ends in the row number), so no comparison
+# ever reaches a row's own fields.  Each generator checks its shard's run
+# in order as it streams: the merge cannot reorder a run, and a payload
 # comes from another interpreter.
-_ROW = itemgetter(slice(-4, None))
+_ROW = itemgetter(slice(-5, None))
 
 
 def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
@@ -226,12 +233,12 @@ def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
 
 
 def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, data = payload["columns"]
+    times, kinds, procs, keys, values = payload["columns"]
     last: tuple = ()
     for row in range(payload["proc_len"]):
         pid = procs[row]
         record = (-1 if pid is None else pid, row, shard,
-                  times[row], kinds[row], pid, data[row])
+                  times[row], kinds[row], pid, keys[row], values[row])
         if record < last:
             raise _out_of_order(shard, "scramble", row)
         last = record
@@ -239,13 +246,14 @@ def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, data = payload["columns"]
+    times, kinds, procs, keys, values = payload["columns"]
     last: tuple = ()
     start = payload["proc_len"]
     for row in range(start, payload["chan_len"]):
-        d = data[row]
-        record = (d.get("src", -1), d.get("dst", -1), row - start, shard,
-                  times[row], kinds[row], procs[row], d)
+        fields = dict(zip(keys[row], values[row]))
+        record = (fields.get("src", -1), fields.get("dst", -1), row - start,
+                  shard, times[row], kinds[row], procs[row], keys[row],
+                  values[row])
         if record < last:
             raise _out_of_order(shard, "inject", row)
         last = record
@@ -253,7 +261,7 @@ def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, data = payload["columns"]
+    times, kinds, procs, names, values = payload["columns"]
     keys = payload["keys"]
     last: tuple = ()
     for row in range(payload["chan_len"], len(times)):
@@ -263,7 +271,7 @@ def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
         # process id is the cross-worker rank.  Entity-keyed classes are
         # already total.
         record = (time, key, pid if key == 0 and pid is not None else -1, row,
-                  shard, time, kinds[row], pid, data[row])
+                  shard, time, kinds[row], pid, names[row], values[row])
         if record < last:
             raise _out_of_order(shard, "run", row)
         last = record

@@ -7,28 +7,39 @@ by peeking at protocol internals, so a protocol cannot "pass" by accident of
 implementation details.
 
 Storage layout (the trial hot path emits one event per delivered protocol
-message, and the spec automata re-read the log, so both sides are tuned):
+message, the trace is the one per-trial structure that grows with run
+length, and the spec automata re-read it, so all three sides are tuned):
 
-* Events live in **four parallel columns** — ``time``, ``kind``, ``process``
-  and the payload dict — instead of a list of :class:`TraceEvent` objects,
-  so ``emit`` costs a few list appends.  A kind is stored as its string:
-  :meth:`Trace.columns` ships the kind column as it is, in any
-  interpreter, and :meth:`Trace.append_rows` takes a stream of
-  ``(time, kind, process, data)`` rows — the shard merge appends each
-  merged row straight from the shipped columns, keeping its dict.
-* **One kind index** (kind → rows, in emission order) is kept on every
+* Events live in **five parallel columns** — ``time``, ``kind``,
+  ``process``, the payload's field names (``keys``) and its field values
+  (``values``) — instead of a list of :class:`TraceEvent` objects, so
+  ``emit`` costs a few list appends.  A kind is stored as its string.  A
+  payload is stored as two tuples, not a dict: an emitted row's keys
+  tuple is interned in the trace's ``_schemas`` table (one object per
+  emit-site shape, a handful per trial), its values tuple is the row's
+  own — together about half the bytes of a dict.  :meth:`Trace.columns` ships the columns as they
+  are, in any interpreter, and :meth:`Trace.append_rows` takes a stream
+  of ``(time, kind, process, keys, values)`` rows — the shard merge
+  appends each merged row straight from the shipped columns, keeping its
+  two tuples.
+* **One kind index** (kind → rows, in emission order, an ``array("l")``
+  of row numbers rather than a list of int objects) is kept on every
   append, so :meth:`Trace.scan` streams exactly the rows a checker reads
   and :meth:`Trace.count` / :meth:`Trace.kind_rows` are lookups.
-* :class:`TraceEvent` is the per-event view that ``trace[i]``, iteration,
-  :meth:`Trace.of_kind` and :meth:`Trace.first` return.  A view is **built
-  on demand and never cached**: the spec checkers, the canonical hash and
-  the shard merge read rows and never build one.
+* A reader sees a payload as a dict: :meth:`Trace.scan`,
+  :meth:`Trace.data_at` and the :class:`TraceEvent` views rebuild one per
+  row read.  :class:`TraceEvent` is the per-event view that ``trace[i]``,
+  iteration, :meth:`Trace.of_kind` and :meth:`Trace.first` return.  A
+  view is **built on demand and never cached**: the spec checkers, the
+  canonical hash and the shard merge read rows and never build one.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 __all__ = ["EventKind", "TraceEvent", "Trace", "canonical_trace_hash"]
@@ -85,72 +96,90 @@ class TraceEvent:
 
 
 class Trace:
-    """Append-only event log: four columns and a kind index.
+    """Append-only event log: five columns and a kind index.
 
     The streaming API (:meth:`scan`, :meth:`rows_of`, :meth:`kind_rows`,
     :meth:`data_at`, :meth:`count`) reads rows; :meth:`of_kind`,
     :meth:`first`, indexing and iteration return :class:`TraceEvent` views.
+    A payload is held as an interned keys tuple and a values tuple; every
+    reader gets it back as a fresh dict.
     """
 
-    __slots__ = ("_times", "_kinds", "_procs", "_data", "_kind_rows")
+    __slots__ = ("_times", "_kinds", "_procs", "_keys", "_values", "_schemas",
+                 "_kind_rows")
 
     def __init__(self) -> None:
         self._times: list[int] = []
         self._kinds: list[str] = []
         self._procs: list[int | None] = []
-        self._data: list[dict[str, Any]] = []
-        self._kind_rows: dict[str, list[int]] = {}
+        self._keys: list[tuple[str, ...]] = []
+        self._values: list[tuple[Any, ...]] = []
+        #: Every payload shape seen, each keys tuple mapped to itself.
+        self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._kind_rows: dict[str, array[int]] = {}
 
     # -- appending ---------------------------------------------------------
 
     def emit(self, time: int, kind: str, process: int | None, **data: Any) -> None:
-        """Append one event.  The engine's hottest trace operation."""
-        self._append(time, kind, process, data)
+        """Append one event."""
+        self.append(time, kind, process, data)
 
-    def _append(
+    def append(
         self, time: int, kind: str, process: int | None, data: dict[str, Any]
     ) -> None:
+        """Append one event whose payload is ``data``: the engine's hottest
+        trace operation, and the one every emission goes through."""
         rows = self._kind_rows.get(kind)
         if rows is None:
-            self._kind_rows[kind] = rows = []
+            self._kind_rows[kind] = rows = array("l")
         rows.append(len(self._times))
         self._times.append(time)
         self._kinds.append(kind)
         self._procs.append(process)
-        self._data.append(data)
+        keys = tuple(data)
+        self._keys.append(self._schemas.setdefault(keys, keys))
+        self._values.append(tuple(data.values()))
 
-    def columns(self) -> tuple[list[int], list[str], list[int | None], list[dict[str, Any]]]:
-        """The store as its ``(times, kinds, procs, data)`` columns.
+    def columns(self) -> tuple[
+        list[int], list[str], list[int | None], list[tuple[str, ...]],
+        list[tuple[Any, ...]],
+    ]:
+        """The store as its ``(times, kinds, procs, keys, values)`` columns.
 
         These are the live lists — read or pickle, do not mutate.
         """
-        return self._times, self._kinds, self._procs, self._data
+        return self._times, self._kinds, self._procs, self._keys, self._values
 
     def append_rows(
-        self, rows: Iterable[tuple[int, str, int | None, dict[str, Any]]]
+        self,
+        rows: Iterable[tuple[int, str, int | None, tuple[str, ...], tuple[Any, ...]]],
     ) -> None:
-        """Append a stream of ``(time, kind, process, data)`` rows (the
-        shard merge): one :meth:`emit` per row, without the keyword
-        round trip — each row's ``data`` dict is kept, not copied."""
+        """Append a stream of ``(time, kind, process, keys, values)`` rows
+        (the shard merge): one :meth:`append` per row, without building a
+        dict — each row's ``keys`` and ``values`` tuples are kept, not
+        copied.  Shipped columns arrive with their keys tuples still shared
+        (pickle keeps one object per shape), so they are not re-interned."""
         kind_rows = self._kind_rows
-        times, kinds, procs, data = self._times, self._kinds, self._procs, self._data
+        times, kinds, procs = self._times, self._kinds, self._procs
+        keys_col, values_col = self._keys, self._values
         row = len(times)
-        for time, kind, process, fields in rows:
+        for time, kind, process, keys, values in rows:
             index = kind_rows.get(kind)
             if index is None:
-                kind_rows[kind] = index = []
+                kind_rows[kind] = index = array("l")
             index.append(row)
             row += 1
             times.append(time)
             kinds.append(kind)
             procs.append(process)
-            data.append(fields)
+            keys_col.append(keys)
+            values_col.append(values)
 
     # -- event views ---------------------------------------------------------
 
     def _event(self, row: int) -> TraceEvent:
         return TraceEvent(
-            self._times[row], self._kinds[row], self._procs[row], self._data[row]
+            self._times[row], self._kinds[row], self._procs[row], self.data_at(row)
         )
 
     def __len__(self) -> int:
@@ -170,20 +199,17 @@ class Trace:
 
     # -- streaming column API ----------------------------------------------
 
-    def rows_of(self, *kinds: str) -> list[int]:
-        """Row indices of the given kinds, in emission order."""
-        lists = [rows for kind in kinds if (rows := self._kind_rows.get(kind))]
-        if not lists:
-            return []
-        if len(lists) == 1:
-            return lists[0][:]
-        merged: list[int] = []
-        for rows in lists:
-            merged.extend(rows)
-        merged.sort()
-        return merged
+    def _indexes(self, kinds: tuple[str, ...]) -> list[array[int]]:
+        """The non-empty row indexes of ``kinds``, each kind once."""
+        get = self._kind_rows.get
+        return [rows for kind in dict.fromkeys(kinds) if (rows := get(kind))]
 
-    def kind_rows(self, kind: str) -> list[int]:
+    def rows_of(self, *kinds: str) -> list[int]:
+        """Row indices of the given kinds, in emission order (a kind
+        named twice is read once)."""
+        return sorted(chain.from_iterable(self._indexes(kinds)))
+
+    def kind_rows(self, kind: str) -> array[int]:
         """The *live* (append-only) row index of one kind.
 
         Callers may hold on to it and poll ``len()`` to watch for new events
@@ -192,29 +218,34 @@ class Trace:
         """
         rows = self._kind_rows.get(kind)
         if rows is None:
-            self._kind_rows[kind] = rows = []
+            self._kind_rows[kind] = rows = array("l")
         return rows
 
     def count(self, *kinds: str) -> int:
         """Number of events of the given kinds (index lookup, no scan)."""
-        return sum(len(self._kind_rows.get(kind, ())) for kind in kinds)
+        return sum(map(len, self._indexes(kinds)))
 
     def scan(self, *kinds: str) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
         """Stream ``(time, kind, process, data)`` rows in emission order.
 
         With ``kinds`` given, only those rows are visited (via the kind
         index); without, the whole log streams.  No :class:`TraceEvent` is
-        built — this is the spec checkers' single-pass primitive.
+        built — this is the spec checkers' single-pass primitive; ``data``
+        is a fresh dict per row.
         """
-        times, kind_col, procs, data = self._times, self._kinds, self._procs, self._data
+        times, kind_col, procs = self._times, self._kinds, self._procs
+        keys, values = self._keys, self._values
         if kinds:
             for row in self.rows_of(*kinds):
-                yield times[row], kind_col[row], procs[row], data[row]
+                yield (times[row], kind_col[row], procs[row],
+                       dict(zip(keys[row], values[row])))
         else:
-            yield from zip(times, kind_col, procs, data)
+            for t, kind, p, k, v in zip(times, kind_col, procs, keys, values):
+                yield t, kind, p, dict(zip(k, v))
 
     def data_at(self, row: int) -> dict[str, Any]:
-        return self._data[row]
+        """Row ``row``'s payload, as a fresh dict."""
+        return dict(zip(self._keys[row], self._values[row]))
 
     # -- event queries -------------------------------------------------------
 
@@ -224,10 +255,9 @@ class Trace:
 
     def first(self, kind: str, **fields: Any) -> TraceEvent | None:
         """The earliest event of ``kind`` matching ``fields``, or None."""
-        data = self._data
         items = list(fields.items())
         for row in self._kind_rows.get(kind, ()):
-            d = data[row]
+            d = self.data_at(row)
             if all(d.get(k) == v for k, v in items):
                 return self._event(row)
         return None
@@ -238,13 +268,16 @@ class Trace:
         """Canonical digest of the trace (order, times, kinds, payloads).
 
         Computed straight off the columns; the byte stream is the exact one
-        the equivalence CI gates have always hashed, so digests are
-        comparable across engines, store versions and processes.
+        the equivalence CI gates have always hashed (a payload as its
+        sorted ``(key, value)`` pairs), so digests are comparable across
+        engines, store versions and processes.
         """
         h = hashlib.blake2b(digest_size=16)
         update = h.update
-        for t, kind, p, d in zip(self._times, self._kinds, self._procs, self._data):
-            update(repr((t, kind, p, sorted(d.items()))).encode())
+        for t, kind, p, k, v in zip(
+            self._times, self._kinds, self._procs, self._keys, self._values
+        ):
+            update(repr((t, kind, p, sorted(zip(k, v)))).encode())
             update(b"\x1e")
         return h.hexdigest()
 

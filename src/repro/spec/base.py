@@ -71,6 +71,10 @@ class SpecVerdict:
     #: Rows a :class:`repro.net.monitors.SpecMonitor` fed the automaton
     #: (0 on a finished-trace verdict, which nothing observed).
     events_observed: int = 0
+    #: The automaton whose ``finish`` built this verdict, so a by-product
+    #: of the same pass (PIF's waves) is read off it instead of driving
+    #: the trace again.  Not part of the verdict's value.
+    automaton: Any = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -150,4 +154,5 @@ class Automaton:
         self.violations.append(Violation(prop, detail, time, process))
 
     def _verdict(self, **info: Any) -> SpecVerdict:
-        return SpecVerdict(f"{self.NAME}[{self.tag}]", list(self.violations), info)
+        return SpecVerdict(f"{self.NAME}[{self.tag}]", list(self.violations), info,
+                           automaton=self)

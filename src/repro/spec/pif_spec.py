@@ -15,7 +15,9 @@ An execution satisfies the PIF specification iff:
 
 :class:`PifAutomaton` is the only spelling of these clauses; ``check_pif``
 and ``extract_waves`` drive it over a finished trace,
-:class:`repro.net.monitors.SpecMonitor` one row at a time.
+:class:`repro.net.monitors.SpecMonitor` one row at a time.  A trial's
+runner drives it once: ``extract_waves(verdict)`` reads the waves of the
+``check_pif`` pass that built ``verdict``.
 """
 
 from __future__ import annotations
@@ -223,7 +225,12 @@ def check_pif(
         final_requests=final_requests, require_all_decided=require_all_decided)
 
 
-def extract_waves(trace: Trace, tag: str) -> list[Wave]:
-    """Every started computation of the PIF instance ``tag``: the
-    automaton's by-product, judged against nobody."""
-    return drive(PifAutomaton(tag, ()), trace).waves
+def extract_waves(source: Trace | SpecVerdict, tag: str | None = None) -> list[Wave]:
+    """Every started computation of a PIF instance: the automaton's
+    by-product.  From a trace, a fresh automaton of instance ``tag``
+    (judged against nobody) is driven over it; from a :func:`check_pif`
+    verdict, the waves of the pass that judged it are read — no row is
+    visited again."""
+    if isinstance(source, SpecVerdict):
+        return source.automaton.waves
+    return drive(PifAutomaton(tag, ()), source).waves

@@ -424,7 +424,7 @@ class TestTheMergeStreams:
         finally:
             tracemalloc.stop()
         assert merged.canonical_hash() == digest
-        # The payloads' row dicts are shared, not counted: what the merge
+        # The payloads' row tuples are shared, not counted: what the merge
         # allocates is the merged store, plus the transient of its growth.
         assert peak - before <= 1.5 * (retained - before), (
             f"merge peak {peak - before} B against a retained merged trace "

@@ -173,6 +173,14 @@ class TestWaveExtraction:
         assert not wave.decided
         assert wave.duration is None
 
+    @pytest.mark.parametrize("name", ["pif-good", "pif-unfinished-wave"])
+    def test_a_verdict_carries_the_waves_of_its_pass(self, name):
+        # The runner's one pass: the waves read off a check_pif verdict
+        # are the ones a second drive over the trace would extract.
+        case = CASES[name]
+        waves = extract_waves(check_case(case))
+        assert waves and waves == extract_waves(case.trace(), "pif")
+
 
 class TestIdlChecker:
     def test_good_trace_passes(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 import pickle
+import tracemalloc
 
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
@@ -59,6 +60,23 @@ class TestEmitAndQuery:
         assert trace[0] == trace[0] and trace[0] is not trace[0]
         assert len(built_events) == 4
 
+    def test_a_read_payload_is_a_fresh_dict(self):
+        trace = make_trace()
+        data = trace.data_at(2)
+        assert data == {"tag": "pif", "sender": 1, "payload": "m"}
+        data["sender"] = 9
+        assert trace.data_at(2)["sender"] == 1 and trace[2]["sender"] == 1
+
+    def test_a_repeated_kind_reads_a_row_once(self):
+        trace = make_trace()
+        assert trace.rows_of(EventKind.DECIDE, EventKind.DECIDE) == [4]
+        assert trace.rows_of(EventKind.START, EventKind.DECIDE,
+                             EventKind.START) == [1, 4]
+        assert trace.count(EventKind.DECIDE, EventKind.DECIDE) == 1
+        assert [row[0] for row in trace.scan(
+            EventKind.DECIDE, EventKind.DECIDE)] == [9]
+        assert len(trace.of_kind(EventKind.START, EventKind.START)) == 1
+
 
 class TestColumns:
     """``columns`` out, ``append_rows`` in: the store a shard ships and the
@@ -68,10 +86,14 @@ class TestColumns:
         source = make_trace()
         copy = Trace()
         shipped = pickle.loads(pickle.dumps(source.columns()))
+        assert len(shipped) == 5  # times, kinds, procs, keys, values
         copy.append_rows(zip(*shipped))
         assert list(copy.scan()) == list(source.scan())
-        # A row's payload dict is kept, not copied.
-        assert all(map(operator.is_, copy.columns()[3], shipped[3]))
+        # A row's values tuple is kept, not copied ...
+        assert all(map(operator.is_, copy.columns()[4], shipped[4]))
+        # ... and the keys tuples stay shared: one object per payload shape.
+        keys = copy.columns()[3]
+        assert len({id(k) for k in keys}) == len(set(keys)) == 3
         assert copy.canonical_hash() == source.canonical_hash()
         assert list(copy) == list(source)
 
@@ -96,7 +118,7 @@ class TestColumns:
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
         assert arrived.canonical_hash() == ours.canonical_hash()
-        assert arrived.kind_rows("foreign-kind") == [1, 4]
+        assert list(arrived.kind_rows("foreign-kind")) == [1, 4]
         for kinds in (("foreign-kind",), (EventKind.DECIDE,),
                       ("foreign-kind", EventKind.REQUEST), (EventKind.START,)):
             assert arrived.rows_of(*kinds) == ours.rows_of(*kinds)
@@ -111,19 +133,40 @@ class TestColumns:
         # A merged trace's shape: time-0 markers after later rows.
         trace.append_rows(zip(
             [0, 0], [EventKind.SCRAMBLE, EventKind.INJECT], [None, None],
-            [{"what": "processes"}, {"src": 1, "dst": 2}]))
+            [("what",), ("src", "dst")], [("processes",), (1, 2)]))
         assert [e.time for e in trace] == [0, 2, 5, 8, 9, 0, 0]
         assert trace[5].kind == EventKind.SCRAMBLE
+        assert trace.data_at(6) == {"src": 1, "dst": 2}
         assert trace.rows_of(EventKind.INJECT, EventKind.REQUEST) == [0, 6]
         trace.emit(10, EventKind.SCRAMBLE, None)
         assert trace.rows_of(EventKind.SCRAMBLE) == [5, 7]
 
     def test_bulk_append_builds_no_event(self, built_events):
         trace = Trace()
-        trace.append_rows(zip(*make_trace().columns()))
+        times, kinds, procs, keys, values = make_trace().columns()
+        trace.append_rows(zip(times, kinds, procs, keys, values))
         assert list(trace.scan(EventKind.START)) and trace.canonical_hash()
         assert built_events == []
         assert trace[0].kind == EventKind.REQUEST and len(built_events) == 1
+
+    def test_a_row_costs_at_most_140_bytes(self):
+        # A receive-brd row whose values (tick, tag, sender, payload, wave)
+        # are shared objects, as in a trial: what is measured is the store.
+        # A row kept as a payload dict costs about 254 bytes.
+        rows = 10_000
+        now, wave = 10_000, (2, 7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = Trace()
+            for t in range(rows):
+                trace.emit(now, EventKind.RECEIVE_BRD, 1 + (t & 7), tag="pif",
+                           sender=2, payload="m", wave=wave)
+            per_row = (tracemalloc.get_traced_memory()[0] - before) / rows
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == rows
+        assert per_row <= 140, f"{per_row:.0f} B a trace row"
 
 
 class TestStats:
