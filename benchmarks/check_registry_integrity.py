@@ -270,6 +270,15 @@ GUARDS: tuple[Guard, ...] = (
           "from Simulator.send_rng(src))",
           re.compile(r".*(\bchan" + r"_rng\(|\b_chan" + r"_rngs\b)"),
           _EVERYWHERE),
+    # Manual mode has one transition relation (Configuration.key,
+    # successors, step); Theorem 1's replay runs on it, and the abstract
+    # configurations it used to collect went.
+    Guard("names the deleted abstract-configuration API (a configuration's "
+          "process part is Configuration.states; replay returns its peak)",
+          re.compile(r".*\b(Abstract" + r"Configuration|capture" + r"_abstract"
+                     r"|state" + r"_projection|sequence" + r"_projection"
+                     r"|capture" + r"_every)\b"),
+          _EVERYWHERE),
 )
 
 

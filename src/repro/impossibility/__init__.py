@@ -3,7 +3,6 @@
 from repro.impossibility.construction import (
     Fragment,
     ImpossibilityResult,
-    Step,
     attempt_on_bounded,
     build_gamma0,
     demonstrate_impossibility,
@@ -15,7 +14,6 @@ from repro.impossibility.construction import (
 __all__ = [
     "Fragment",
     "ImpossibilityResult",
-    "Step",
     "attempt_on_bounded",
     "build_gamma0",
     "demonstrate_impossibility",

@@ -21,29 +21,30 @@ snap-stabilizing mutual-exclusion protocol (Protocol ME):
    on bounded channels the injection overflows and raises
    :class:`~repro.errors.ImpossibilityConstructionError` — which is exactly
    the observation that lets Section 4 escape the impossibility.
-3. :func:`replay` — drive every process through its recorded schedule.
-   Determinism guarantees each process repeats its witness behaviour, so
-   *all* processes end up requesting-and-inside the critical section at
-   once — the bad-factor of mutual exclusion.  Specification 3's automaton
-   (:class:`~repro.spec.mutex_spec.MutexAutomaton`) judges the replay's
-   trace: the replayed CS entries count as requested because the request
-   flag is part of the restored local state.
+3. :func:`replay` — drive every process through its recorded schedule, a
+   list of manual-mode choices (:mod:`repro.sim.configuration`), checking
+   each is open.  Determinism guarantees each process repeats its witness
+   behaviour, so *all* processes end up requesting-and-inside the critical
+   section at once — the bad-factor of mutual exclusion.  Specification
+   3's automaton (:class:`~repro.spec.mutex_spec.MutexAutomaton`) judges
+   the replay's trace: the replayed CS entries count as requested because
+   the request flag is part of the restored local state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Any, Callable, Sequence
 
 from repro.core.mutex import MutexLayer
-from repro.errors import ImpossibilityConstructionError, SimulationError
-from repro.sim.configuration import AbstractConfiguration, capture_abstract
+from repro.errors import ChannelError, ImpossibilityConstructionError, SimulationError
+from repro.sim.configuration import Choice, step, successors
 from repro.sim.runtime import Simulator
 from repro.spec.base import SpecVerdict
 from repro.spec.mutex_spec import check_mutex
 
 __all__ = [
-    "Step",
     "Fragment",
     "ImpossibilityResult",
     "record_fragment",
@@ -56,15 +57,6 @@ __all__ = [
 BuildFn = Callable[..., None]
 
 
-@dataclass(frozen=True)
-class Step:
-    """One local step of a process schedule."""
-
-    kind: str  # "activate" | "receive"
-    src: int | None = None  # sender, for receive steps
-    tag: str | None = None  # message tag, for receive steps
-
-
 @dataclass
 class Fragment:
     """The witness fragment e¹_p of one process (proof of Theorem 1)."""
@@ -74,20 +66,20 @@ class Fragment:
     #: MesSeq^q_p — ordered messages consumed from each peer q.
     received: dict[int, list[Any]] = field(default_factory=dict)
     #: p's local schedule from the request to (and including) CS entry.
-    schedule: list[Step] = field(default_factory=list)
+    schedule: list[Choice] = field(default_factory=list)
 
     @property
     def messages_consumed(self) -> int:
         return sum(len(v) for v in self.received.values())
 
+    def depth(self, src: int, tag: str) -> int:
+        """Slots the channel ``src -> pid`` needs for ``tag``."""
+        return sum(1 for msg in self.received.get(src, ()) if msg.tag == tag)
+
     def max_per_channel(self) -> int:
         """The deepest single-channel message sequence (capacity needed)."""
-        per_channel_per_tag: dict[tuple[int, str], int] = {}
-        for src, msgs in self.received.items():
-            for msg in msgs:
-                key = (src, msg.tag)
-                per_channel_per_tag[key] = per_channel_per_tag.get(key, 0) + 1
-        return max(per_channel_per_tag.values(), default=0)
+        return max((self.depth(src, msg.tag) for src, msgs in self.received.items()
+                    for msg in msgs), default=0)
 
 
 def _default_build(host) -> None:
@@ -124,13 +116,13 @@ def record_fragment(
     def on_activate(apid: int) -> None:
         if apid != pid or layer.in_cs:
             return
-        fragment.schedule.append(Step(kind="activate"))
+        fragment.schedule.append(Choice.activate(pid))
 
     def on_deliver(src: int, dst: int, msg: Any) -> None:
         if dst != pid or layer.in_cs:
             return
         fragment.received[src].append(msg)
-        fragment.schedule.append(Step(kind="receive", src=src, tag=msg.tag))
+        fragment.schedule.append(Choice.deliver(src, pid, msg.tag))
 
     sim.activation_hooks.append(on_activate)
     sim.delivery_hooks.append(on_deliver)
@@ -141,9 +133,6 @@ def record_fragment(
             f"process {pid} never entered the CS within t={horizon} "
             "(cannot record a witness fragment)"
         )
-    # Trim trailing no-op activations after the entering one (none are
-    # recorded post-entry thanks to the in_cs guard, but the entering
-    # activation itself is legitimately the last step).
     return fragment
 
 
@@ -156,10 +145,10 @@ def record_all_fragments(
     horizon: int = 500_000,
 ) -> list[Fragment]:
     """One witness fragment per process (point (2) of Definition 5)."""
-    sim = Simulator(n, build, seed=seed)
     return [
-        record_fragment(pid, n, build=build, tag=tag, seed=seed + i, horizon=horizon)
-        for i, pid in enumerate(sim.pids)
+        record_fragment(pid, n, build=build, tag=tag, seed=seed + pid - 1,
+                        horizon=horizon)
+        for pid in range(1, n + 1)
     ]
 
 
@@ -188,8 +177,8 @@ def build_gamma0(
             for msg in msgs:
                 try:
                     sim.inject(src, fragment.pid, msg, schedule=False)
-                except Exception as exc:  # ChannelError on bounded channels
-                    needed = fragment.max_per_channel()
+                except ChannelError as exc:
+                    needed = fragment.depth(src, msg.tag)
                     raise ImpossibilityConstructionError(
                         f"gamma_0 does not exist with capacity {capacity}: "
                         f"channel {src}->{fragment.pid} needs >= {needed} "
@@ -198,51 +187,29 @@ def build_gamma0(
     return sim
 
 
-def replay(
-    sim: Simulator,
-    fragments: Sequence[Fragment],
-    *,
-    tag: str = "me",
-    capture_every: int = 1,
-) -> list[AbstractConfiguration]:
-    """Replay every fragment schedule from γ₀; return the abstract configs.
+def replay(sim: Simulator, fragments: Sequence[Fragment], *, tag: str = "me") -> int:
+    """Replay every fragment's schedule from γ₀, one choice per process
+    per round in pid order; return the peak number of processes in the
+    critical section after a round.
 
-    Processes advance round-robin, one local step per round.  Each receive
-    step consumes the oldest pre-loaded message of the recorded tag from the
-    recorded sender — determinism makes every process repeat its witness
-    behaviour exactly.
+    Each ``deliver`` consumes the oldest pre-loaded message of the recorded
+    tag from the recorded sender, so every process repeats its witness
+    behaviour exactly.  A choice not among :func:`successors` is a desync:
+    :class:`ImpossibilityConstructionError`.
     """
-    cursors = {f.pid: 0 for f in fragments}
-    by_pid = {f.pid: f for f in fragments}
-    configs: list[AbstractConfiguration] = [capture_abstract(sim)]
-    rounds = 0
-    while any(cursors[pid] < len(by_pid[pid].schedule) for pid in cursors):
-        progressed = False
-        for pid in sorted(cursors):
-            fragment = by_pid[pid]
-            i = cursors[pid]
-            if i >= len(fragment.schedule):
+    ordered = sorted(fragments, key=lambda f: f.pid)
+    peak = 0
+    for i, choices in enumerate(zip_longest(*(f.schedule for f in ordered))):
+        for choice in choices:
+            if choice is None:
                 continue
-            step = fragment.schedule[i]
-            if step.kind == "activate":
-                sim.activate(pid)
-            else:
-                assert step.src is not None
-                delivered = sim.step_deliver(step.src, pid, tag=step.tag)
-                if delivered is None:
-                    raise ImpossibilityConstructionError(
-                        f"replay desync: no message of tag {step.tag!r} in "
-                        f"channel {step.src}->{pid} at step {i}"
-                    )
-            cursors[pid] = i + 1
-            progressed = True
-        rounds += 1
-        if rounds % capture_every == 0:
-            configs.append(capture_abstract(sim))
-        if not progressed:  # pragma: no cover - defensive
-            break
-    configs.append(capture_abstract(sim))
-    return configs
+            if choice not in successors(sim):
+                raise ImpossibilityConstructionError(
+                    f"replay desync: {choice} is not open at step {i}"
+                )
+            step(sim, choice)
+        peak = max(peak, sum(sim.layer(f.pid, tag).in_cs for f in ordered))
+    return peak
 
 
 @dataclass
@@ -281,13 +248,11 @@ def demonstrate_impossibility(
     """End-to-end Theorem 1 demonstration on unbounded channels."""
     fragments = record_all_fragments(n, build=build, tag=tag, seed=seed)
     sim = build_gamma0(fragments, build=build, unbounded=True, seed=seed)
-    configs = replay(sim, fragments, tag=tag)
+    peak = replay(sim, fragments, tag=tag)
     return ImpossibilityResult(
         n=n,
         fragments=fragments,
-        max_concurrency=max(
-            sum(1 for state in c.states.values() if state[tag]["in_cs"])
-            for c in configs),
+        max_concurrency=peak,
         messages_preloaded=sum(f.messages_consumed for f in fragments),
         max_channel_depth=max(f.max_per_channel() for f in fragments),
         spec=check_mutex(sim.trace, tag, require_all_served=False),

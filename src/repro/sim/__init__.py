@@ -8,7 +8,7 @@ Public surface:
 * topologies (:mod:`repro.sim.topology`) — the pluggable communication
   graphs the network and protocols run over;
 * channels and loss models (:mod:`repro.sim.channel`);
-* configurations and projections (:mod:`repro.sim.configuration`);
+* configurations and manual-mode steps (:mod:`repro.sim.configuration`);
 * adversaries (:mod:`repro.sim.adversary`);
 * traces (:mod:`repro.sim.trace`) and stats (:mod:`repro.sim.stats`).
 """
@@ -33,13 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         TargetedLoss,
     )
     from repro.sim.configuration import (
-        AbstractConfiguration,
+        Choice,
         Configuration,
         capture,
-        capture_abstract,
         restore,
-        sequence_projection,
-        state_projection,
+        step,
+        successors,
     )
     from repro.sim.network import Network
     from repro.sim.process import Action, Layer, ProcessHost
@@ -61,9 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
 
 __all__ = [
     "Action",
-    "AbstractConfiguration",
     "BernoulliLoss",
     "BoundedChannel",
+    "Choice",
     "Clustered",
     "Complete",
     "Configuration",
@@ -91,10 +90,9 @@ __all__ = [
     "UnboundedChannel",
     "arbitration_clusters",
     "capture",
-    "capture_abstract",
     "restore",
-    "sequence_projection",
-    "state_projection",
+    "step",
+    "successors",
     "topology_from_spec",
 ]
 
@@ -108,9 +106,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "TargetedLoss",
     ),
     "configuration": (
-        "AbstractConfiguration", "Configuration", "capture",
-        "capture_abstract", "restore", "sequence_projection",
-        "state_projection",
+        "Choice", "Configuration", "capture", "restore", "step", "successors",
     ),
     "network": ("Network",),
     "process": ("Action", "Layer", "ProcessHost"),

@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.errors import ChannelError
 
@@ -67,9 +67,6 @@ class LossModel(abc.ABC):
     @abc.abstractmethod
     def should_drop(self, rng: random.Random, tag: str) -> bool:
         """Return True to lose the next message tagged ``tag``."""
-
-    def reset(self) -> None:
-        """Forget any internal state (between experiment repetitions)."""
 
 
 class NoLoss(LossModel):
@@ -114,9 +111,6 @@ class DropFirstK(LossModel):
         count = self._seen.get(tag, 0)
         self._seen[tag] = count + 1
         return count < self.k
-
-    def reset(self) -> None:
-        self._seen.clear()
 
 
 class _Entry:
@@ -293,8 +287,3 @@ class UnboundedChannel(ChannelBase):
     """Finite but unbounded capacity (the Theorem 1 setting)."""
 
     capacity = None
-
-
-def total_in_flight(channels: Iterable[ChannelBase]) -> int:
-    """Total number of messages in flight over the given channels."""
-    return sum(len(c) for c in channels)

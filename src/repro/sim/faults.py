@@ -72,9 +72,6 @@ class GilbertElliottLoss(LossModel):
     def in_burst(self) -> bool:
         return self._bad
 
-    def reset(self) -> None:
-        self._bad = False
-
 
 class PeriodicLoss(LossModel):
     """Drops every ``period``-th message (deterministic, fair for period>1)."""
@@ -88,9 +85,6 @@ class PeriodicLoss(LossModel):
     def should_drop(self, rng: random.Random, tag: str) -> bool:
         self._count += 1
         return self._count % self.period == 0
-
-    def reset(self) -> None:
-        self._count = 0
 
 
 class TargetedLoss(LossModel):

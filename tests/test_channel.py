@@ -141,14 +141,6 @@ class TestLossModels:
         assert results_a == [True, True, False, False]
         assert results_b == [True, True, False, False]
 
-    def test_drop_first_k_reset(self):
-        rng = random.Random(0)
-        model = DropFirstK(1)
-        assert model.should_drop(rng, "a")
-        assert not model.should_drop(rng, "a")
-        model.reset()
-        assert model.should_drop(rng, "a")
-
     def test_drop_first_k_rejects_negative(self):
         with pytest.raises(ChannelError):
             DropFirstK(-1)

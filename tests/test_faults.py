@@ -44,13 +44,6 @@ class TestGilbertElliott:
         # Stationary distribution is 50/50 -> expected rate ~0.405.
         assert 0.30 < drops / 20_000 < 0.52
 
-    def test_reset(self):
-        model = GilbertElliottLoss(p_gb=1.0, p_bg=0.0001)
-        model.should_drop(random.Random(0), "a")
-        assert model.in_burst
-        model.reset()
-        assert not model.in_burst
-
     def test_parameter_validation(self):
         with pytest.raises(ChannelError):
             GilbertElliottLoss(p_bad=1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ImpossibilityConstructionError
@@ -13,7 +15,8 @@ from repro.impossibility.construction import (
     record_fragment,
     replay,
 )
-from repro.sim.configuration import capture_abstract
+from repro.sim.configuration import Choice, capture
+from repro.sim.runtime import Simulator
 from repro.spec.mutex_spec import check_mutex
 from repro.types import RequestState
 
@@ -29,7 +32,7 @@ class TestFragmentRecording:
         for fragment in fragments:
             assert fragment.messages_consumed > 0
             assert fragment.schedule
-            assert fragment.schedule[-1].kind in ("activate", "receive")
+            assert fragment.schedule[-1].kind in ("activate", "deliver")
 
     def test_initial_state_is_requesting(self, fragments):
         for fragment in fragments:
@@ -71,6 +74,23 @@ class TestGamma0:
         assert isinstance(err, ImpossibilityConstructionError)
         assert "gamma_0 does not exist" in str(err)
 
+    def test_overflow_names_its_own_channel_depth(self, fragments):
+        """The first overflow is on 2->1's IDL wave: its own depth, not the
+        fragment's deepest channel."""
+        err = attempt_on_bounded(fragments, capacity=1)
+        assert "'me/idl/pif'" in str(err)
+        needed = fragments[0].depth(2, "me/idl/pif")
+        assert needed < fragments[0].max_per_channel()
+        assert f"channel 2->1 needs >= {needed} slots" in str(err)
+
+    def test_only_a_full_channel_is_the_escape_hatch(self, fragments, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a capacity bound")
+
+        monkeypatch.setattr(Simulator, "inject", broken)
+        with pytest.raises(TypeError, match="not a capacity bound"):
+            attempt_on_bounded(fragments, capacity=1)
+
 
 class TestReplay:
     def test_replay_reaches_bad_factor(self, fragments):
@@ -83,11 +103,27 @@ class TestReplay:
     def test_all_replayed_processes_are_requesting(self, fragments):
         sim = build_gamma0(fragments, unbounded=True)
         replay(sim, fragments)
-        final = capture_abstract(sim)
+        final = capture(sim)
         for pid in sim.pids:
             me = final.projection(pid)["me"]
             assert me["in_cs"]
             assert me["request"] is RequestState.IN
+
+    def test_replay_returns_the_peak_in_the_cs(self, fragments):
+        sim = build_gamma0(fragments, unbounded=True)
+        assert replay(sim, fragments) == len(fragments)
+
+    def test_tampered_schedule_is_a_desync(self, fragments):
+        """One deliver re-pointed at an empty channel (ME's own tag carries
+        no messages) is not among the successors."""
+        first = fragments[0]
+        i = next(i for i, c in enumerate(first.schedule) if c.kind == "deliver")
+        schedule = list(first.schedule)
+        schedule[i] = Choice.deliver(schedule[i].src, first.pid, "me")
+        tampered = [dataclasses.replace(first, schedule=schedule), *fragments[1:]]
+        sim = build_gamma0(tampered, unbounded=True)
+        with pytest.raises(ImpossibilityConstructionError, match="replay desync"):
+            replay(sim, tampered)
 
 
 class TestEndToEnd:
