@@ -30,6 +30,12 @@ Asserts, without running a single trial:
   ``.now`` (following ``self.<name>`` into the class's methods and
   properties): an undeclared clock-reading guard would let its process
   fall dormant while the guard's value changes;
+* every such layer's :attr:`~repro.sim.process.Layer.STATE` names each
+  ``self.<name>`` its ``scramble`` assigns, directly or by subscript: a
+  variable the adversary writes is one a snapshot must carry, or a
+  restored configuration keeps the overwritten value;
+* every backticked dotted ``repro.…`` name in ``docs/*.md`` and
+  ``README.md`` resolves by import plus ``getattr``;
 * no line matches a row of :data:`GUARDS` — one table, one loop — and
   no module a row deleted is importable.  Each row is a pattern, the
   trees it must not match in and what it means: a per-engine dispatch
@@ -42,7 +48,8 @@ Asserts, without running a single trial:
   pytest wrappers whose assertions ``repro claims`` now carries, the
   per-engine run-outcome types and payload-format expansions, the
   monitor copies of a trial's verdict, the best-effort window-sync
-  mode — or a PIF send that builds its
+  mode, a layer's own snapshot/restore pair and the configuration's
+  copies — or a PIF send that builds its
   message before the link claimed a slot, an engine that picks its
   own specification monitor, a call that drives the cyclic collector
   (a finished run is freed by reference counting: ``close()`` cuts its
@@ -279,6 +286,15 @@ GUARDS: tuple[Guard, ...] = (
                      r"|state" + r"_projection|sequence" + r"_projection"
                      r"|capture" + r"_every)\b"),
           _EVERYWHERE),
+    # A layer names its variables in STATE and Layer writes the one
+    # snapshot/restore pair; a configuration holds those frozen tuples as
+    # they are, so it neither copies nor re-freezes them.
+    Guard("a layer's own snapshot/restore pair, or a configuration that "
+          "copies or re-freezes its states (Layer.STATE is the one spelling)",
+          re.compile(r"^\s+def (snap" + r"shot|rest" + r"ore)\(|.*\b(_fre"
+                     + r"eze\b|copy\.deep" + r"copy\b)"),
+          ("repro/core", "repro/baselines", "repro/applications",
+           "repro/sim/configuration.py")),
 )
 
 
@@ -475,6 +491,70 @@ def check_clock_guards() -> list[str]:
     return problems
 
 
+def _scramble_writes(cls: type) -> set[str]:
+    """Every ``self.<name>`` that ``cls.scramble`` assigns, directly or by
+    subscript."""
+    names: set[str] = set()
+    for node in ast.walk(_source_tree(cls.scramble)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names.update(
+            sub.attr for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "self")
+    return names
+
+
+def check_layer_state() -> list[str]:
+    problems: list[str] = []
+    for cls in _layer_classes():
+        missing = sorted(_scramble_writes(cls) - set(cls.STATE))
+        if missing:
+            problems.append(
+                f"{cls.__module__}.{cls.__qualname__}: scramble writes "
+                f"{missing}, which STATE lacks — a snapshot would not carry "
+                f"them, and a restore would keep the overwritten values")
+    return problems
+
+
+#: A backticked dotted name under ``repro``, optionally called: ``repro.x.f()``.
+_DOC_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is a module, or an attribute path under the
+    longest importable module prefix of it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_doc_names() -> list[str]:
+    problems: list[str] = []
+    root = _SRC.parent
+    for path in sorted(root.glob("docs/*.md")) + [root / "README.md"]:
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for name in _DOC_NAME.findall(line):
+                if not _resolves(name):
+                    problems.append(
+                        f"{path.relative_to(root)}:{lineno}: `{name}` does "
+                        f"not resolve (renamed or deleted?)")
+    return problems
+
+
 def check_guards() -> list[str]:
     problems: list[str] = []
     for guard in GUARDS:
@@ -497,7 +577,8 @@ def check_guards() -> list[str]:
 
 def main() -> int:
     problems = (check_registries() + check_builtin_tables()
-                + check_structure() + check_clock_guards() + check_guards())
+                + check_structure() + check_clock_guards()
+                + check_layer_state() + check_doc_names() + check_guards())
     for problem in problems:
         print("FAILED", problem)
     print(f"registries: engines={engine_names()} "

@@ -33,6 +33,8 @@ ValueProvider = Callable[[], float]
 class AggregationLayer(Layer, PifClient):
     """Computes a global reduction in one confirmed wave."""
 
+    STATE = ("request", "collected", "result")
+
     def __init__(
         self,
         tag: str = "agg",
@@ -129,18 +131,6 @@ class AggregationLayer(Layer, PifClient):
             if rng.random() < 0.5
         }
         self.result = rng.uniform(-100, 100) if rng.random() < 0.5 else None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "collected": dict(self.collected),
-            "result": self.result,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.collected = dict(state["collected"])
-        self.result = state["result"]
 
 
 _OPS: dict[str, Callable[[float, float], float]] = {

@@ -10,7 +10,7 @@ leader regardless of the initial configuration.
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.idl import IdlLayer
 from repro.sim.process import Action, Layer
@@ -22,6 +22,8 @@ __all__ = ["LeaderElectionLayer"]
 
 class LeaderElectionLayer(Layer):
     """One-wave leader election: leader = process with the minimum identity."""
+
+    STATE = ("request", "leader")
 
     def __init__(self, tag: str = "elect", ident: int | None = None) -> None:
         super().__init__(tag)
@@ -81,10 +83,3 @@ class LeaderElectionLayer(Layer):
         assert self.host is not None
         self.request = rng.choice(list(RequestState))
         self.leader = rng.choice(list(self.host.sim.pids) + [None, -1])
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"request": self.request, "leader": self.leader}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.leader = state["leader"]

@@ -25,6 +25,8 @@ BAR = "BAR"
 class BarrierLayer(Layer, PifClient):
     """All-to-all phase barrier built from per-process PIF waves."""
 
+    STATE = ("request", "phase", "peer_phase")
+
     def __init__(self, tag: str = "bar") -> None:
         super().__init__(tag)
         self.pif = PifLayer(f"{tag}/pif", client=self)
@@ -115,15 +117,3 @@ class BarrierLayer(Layer, PifClient):
         self.phase = rng.randint(0, 3)
         for q in self.host.others:
             self.peer_phase[q] = rng.randint(0, 3)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "phase": self.phase,
-            "peer_phase": dict(self.peer_phase),
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.phase = state["phase"]
-        self.peer_phase = dict(state["peer_phase"])

@@ -26,6 +26,8 @@ ResetHandler = Callable[[], None]
 class ResetLayer(Layer, PifClient):
     """Resets every process's application state in one confirmed wave."""
 
+    STATE = ("request", "reset_count")
+
     def __init__(
         self,
         tag: str = "reset",
@@ -105,10 +107,3 @@ class ResetLayer(Layer, PifClient):
 
     def scramble(self, rng: random.Random) -> None:
         self.request = rng.choice(list(RequestState))
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"request": self.request, "reset_count": self.reset_count}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.reset_count = state["reset_count"]

@@ -28,6 +28,8 @@ StateProvider = Callable[[], Any]
 class SnapshotLayer(Layer, PifClient):
     """Collects one state per process via a single PIF wave."""
 
+    STATE = ("request", "collected", "snapshot_result")
+
     def __init__(
         self,
         tag: str = "snap",
@@ -40,8 +42,9 @@ class SnapshotLayer(Layer, PifClient):
         )
         self.request: RequestState = RequestState.DONE
         self.collected: dict[int, Any] = {}
-        #: The last completed snapshot: pid -> state (including self).
-        self.snapshot_result: dict[int, Any] | None = None
+        #: The last completed snapshot: pid -> state (including self);
+        #: empty before the first.
+        self.snapshot_result: dict[int, Any] = {}
 
     def sublayers(self) -> Sequence[Layer]:
         return (self.pif,)
@@ -114,19 +117,4 @@ class SnapshotLayer(Layer, PifClient):
             for q in self.host.others
             if rng.random() < 0.5
         }
-        self.snapshot_result = None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "collected": dict(self.collected),
-            "snapshot_result": (
-                dict(self.snapshot_result) if self.snapshot_result else None
-            ),
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.collected = dict(state["collected"])
-        result = state["snapshot_result"]
-        self.snapshot_result = dict(result) if result else None
+        self.snapshot_result = {}

@@ -42,6 +42,9 @@ class ObservedComputation:
 class TerminationDetectorLayer(Layer, PifClient):
     """Announces termination after two identical all-idle collections."""
 
+    STATE = ("request", "detecting", "terminated", "waves_used",
+             "_collected", "_previous_round")
+
     def __init__(
         self,
         tag: str = "td",
@@ -157,17 +160,3 @@ class TerminationDetectorLayer(Layer, PifClient):
         self.terminated = rng.random() < 0.5
         self._previous_round = None
         self._collected = {}
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "detecting": self.detecting,
-            "terminated": self.terminated,
-            "waves_used": self.waves_used,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.detecting = state["detecting"]
-        self.terminated = state["terminated"]
-        self.waves_used = state["waves_used"]

@@ -37,6 +37,8 @@ class AbpMessage:
 class AbpSenderLayer(Layer):
     """Sends a queue of payloads reliably to one peer."""
 
+    STATE = ("queue", "current_label", "acked_count", "request")
+
     def __init__(self, tag: str, peer: int, label_space: int = 2**31) -> None:
         super().__init__(tag)
         self.peer = peer
@@ -85,21 +87,11 @@ class AbpSenderLayer(Layer):
         return AbpMessage(tag=self.tag, kind=rng.choice(["data", "ack"]),
                           label=rng.randrange(self.label_space), payload="garbage")
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "queue": list(self.queue),
-            "current_label": self.current_label,
-            "acked_count": self.acked_count,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.queue = list(state["queue"])
-        self.current_label = state["current_label"]
-        self.acked_count = state["acked_count"]
-
 
 class AbpReceiverLayer(Layer):
     """Receives, deduplicates by label, and acknowledges."""
+
+    STATE = ("delivered", "last_label")
 
     def __init__(self, tag: str, peer: int) -> None:
         super().__init__(tag)
@@ -119,10 +111,3 @@ class AbpReceiverLayer(Layer):
 
     def scramble(self, rng: random.Random) -> None:
         self.last_label = rng.randrange(2**31) if rng.random() < 0.5 else None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"delivered": list(self.delivered), "last_label": self.last_label}
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.delivered = list(state["delivered"])
-        self.last_label = state["last_label"]

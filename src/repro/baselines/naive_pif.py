@@ -40,6 +40,8 @@ class NaiveMessage:
 class NaivePifLayer(Layer):
     """Broadcast once, count feedbacks, decide at n-1 — no handshake."""
 
+    STATE = ("request", "b_mes", "acked")
+
     def __init__(self, tag: str, client: PifClient | None = None) -> None:
         super().__init__(tag)
         self.client = client if client is not None else PifClient()
@@ -158,15 +160,3 @@ class NaivePifLayer(Layer):
         )
         return NaiveMessage(tag=self.tag, kind=kind,
                             payload=rng.choice(list(domain)), debug_wave=None)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "b_mes": self.b_mes,
-            "acked": dict(self.acked),
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.b_mes = state["b_mes"]
-        self.acked = dict(state["acked"])

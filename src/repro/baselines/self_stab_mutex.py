@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ProtocolError
 from repro.sim.process import Action, Layer
@@ -47,6 +47,12 @@ class TokenMutexLayer(Layer):
 
     # T2's leader timeout reads the clock: the process stays awake.
     guards_read_clock = True
+
+    #: ``last_token_seen`` is an absolute sim time, and :meth:`restore`
+    #: does not rewind the clock: a restored leader's timeout runs from
+    #: the captured sighting to the current time.
+    STATE = ("request", "have_token", "token_epoch", "epoch",
+             "last_token_seen", "in_cs")
 
     def __init__(
         self,
@@ -190,19 +196,3 @@ class TokenMutexLayer(Layer):
 
     def garbage_message(self, rng: random.Random) -> TokenMessage:
         return TokenMessage(tag=self.tag, epoch=rng.randint(0, 5))
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "have_token": self.have_token,
-            "token_epoch": self.token_epoch,
-            "epoch": self.epoch,
-            "in_cs": self.in_cs,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.have_token = state["have_token"]
-        self.token_epoch = state["token_epoch"]
-        self.epoch = state["epoch"]
-        self.in_cs = state["in_cs"]

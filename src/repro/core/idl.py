@@ -30,6 +30,9 @@ IDL_PAYLOAD = "IDL"
 class IdlLayer(Layer, PifClient):
     """One instance of Protocol IDL (Algorithm 2)."""
 
+    #: The variables of Algorithm 2.
+    STATE = ("request", "min_id", "id_tab")
+
     def __init__(
         self,
         tag: str,
@@ -148,15 +151,3 @@ class IdlLayer(Layer, PifClient):
         self.min_id = rng.choice(candidates)
         for q in self.host.others:
             self.id_tab[q] = rng.choice(candidates)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "min_id": self.min_id,
-            "id_tab": dict(self.id_tab),
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.min_id = state["min_id"]
-        self.id_tab = dict(state["id_tab"])

@@ -81,6 +81,10 @@ OK = "OK"
 class MutexLayer(Layer, PifClient):
     """One instance of Protocol ME (Algorithm 3)."""
 
+    #: The variables of Algorithm 3, the CS occupancy and whether the
+    #: current computation was requested in this run.
+    STATE = ("request", "_request_started", "phase", "value", "privileges", "in_cs")
+
     def __init__(
         self,
         tag: str = "me",
@@ -352,21 +356,3 @@ class MutexLayer(Layer, PifClient):
         self.in_cs = False
         assert self.host is not None
         self.host.emit(EventKind.CS_EXIT, tag=self.tag)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "request_started": self._request_started,
-            "phase": self.phase,
-            "value": self.value,
-            "privileges": dict(self.privileges),
-            "in_cs": self.in_cs,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self._request_started = state.get("request_started", False)
-        self.phase = state["phase"]
-        self.value = state["value"]
-        self.privileges = dict(state["privileges"])
-        self.in_cs = state["in_cs"]

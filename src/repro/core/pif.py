@@ -85,6 +85,9 @@ class PifClient:
 class PifLayer(Layer):
     """One instance of Protocol PIF (Algorithm 1)."""
 
+    #: The variables of Algorithm 1.
+    STATE = ("request", "b_mes", "f_mes", "state", "neig_state")
+
     def __init__(
         self,
         tag: str,
@@ -264,19 +267,3 @@ class PifLayer(Layer):
             echo=rng.randint(0, self.max_state),
             debug_wave=None,
         )
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "request": self.request,
-            "b_mes": self.b_mes,
-            "f_mes": dict(self.f_mes),
-            "state": dict(self.state),
-            "neig_state": dict(self.neig_state),
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.request = state["request"]
-        self.b_mes = state["b_mes"]
-        self.f_mes = dict(state["f_mes"])
-        self.state = dict(state["state"])
-        self.neig_state = dict(state["neig_state"])

@@ -39,7 +39,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.mutex import MutexLayer
 from repro.errors import ChannelError, ImpossibilityConstructionError, SimulationError
-from repro.sim.configuration import Choice, step, successors
+from repro.sim.configuration import Choice, ProcessState, step, successors
 from repro.sim.runtime import Simulator
 from repro.spec.base import SpecVerdict
 from repro.spec.mutex_spec import check_mutex
@@ -62,7 +62,7 @@ class Fragment:
     """The witness fragment e¹_p of one process (proof of Theorem 1)."""
 
     pid: int
-    initial_state: dict[str, dict[str, Any]]
+    initial_state: ProcessState
     #: MesSeq^q_p — ordered messages consumed from each peer q.
     received: dict[int, list[Any]] = field(default_factory=dict)
     #: p's local schedule from the request to (and including) CS entry.

@@ -12,7 +12,6 @@ replay runs on them, and so can a search over configurations.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -24,21 +23,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Choice", "Configuration", "capture", "restore", "step", "successors"]
 
-#: One process's local state: layer tag -> variable name -> value.
-ProcessState = dict[str, dict[str, Any]]
-
-
-def _freeze(value: Any) -> Any:
-    """``value`` made hashable: dicts become sorted item tuples."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    return value
+#: One process's local state, as :meth:`ProcessHost.snapshot
+#: <repro.sim.process.ProcessHost.snapshot>` returns it: a ``(tag, values)``
+#: pair per layer, ``values`` the layer's :attr:`~repro.sim.process.Layer.STATE`
+#: frozen.  Immutable, so configurations share it.
+ProcessState = tuple[tuple[str, tuple[Any, ...]], ...]
 
 
 def _message_key(msg: "TaggedMessage") -> tuple:
+    # Every message class is an immutable value: its fields enter as they are.
     names = getattr(type(msg), "__slots__", None) or vars(msg)
     return (type(msg).__name__,) + tuple(
-        _freeze(getattr(msg, name)) for name in names if name != "debug_wave"
+        getattr(msg, name) for name in names if name != "debug_wave"
     )
 
 
@@ -64,10 +60,13 @@ class Configuration:
     def key(self) -> tuple:
         """A hashable canonical key: equal iff the configurations are.
 
-        Every process state, deep-frozen, by pid; the in-flight messages
-        per ``(src, dst, tag)`` as a FIFO tuple — delivery order and
-        capacity are per tag, so the interleaving of tags within a channel
-        is not state; then the busy processes.  A message enters without
+        Every process state as it is, by pid; the in-flight messages per
+        ``(src, dst, tag)`` as a FIFO tuple — delivery order and capacity
+        are per tag, so the interleaving of tags within a channel is not
+        state; then the busy processes.  A frozen map keeps its own order,
+        canonical for a per-peer map (built in ``host.others`` order); a
+        map whose insertion order varies can give one configuration two
+        keys, never two configurations one.  A message enters without
         its verification-only ``debug_wave``: a restored process does not
         restore its wave counter, and that counter is unbounded.
         """
@@ -76,16 +75,19 @@ class Configuration:
             for msg in msgs:
                 fifos.setdefault((src, dst, msg.tag), []).append(_message_key(msg))
         return (
-            tuple((pid, _freeze(state)) for pid, state in sorted(self.states.items())),
+            tuple(sorted(self.states.items())),
             tuple((where, tuple(msgs)) for where, msgs in sorted(fifos.items())),
             tuple(sorted(self.busy.items())),
         )
 
 
 def capture(sim: "Simulator") -> Configuration:
-    """Snapshot the simulator's global state as a :class:`Configuration`."""
+    """Snapshot the simulator's global state as a :class:`Configuration`.
+
+    The process states are the hosts' snapshots, immutable, held as they
+    are."""
     return Configuration(
-        states=copy.deepcopy(sim.snapshot_states()),
+        states=sim.snapshot_states(),
         channels=sim.channel_contents(),
         busy={pid: host.busy_until - sim.now
               for pid, host in sim.hosts.items() if host.busy},
@@ -105,7 +107,7 @@ def restore(sim: "Simulator", config: Configuration) -> None:
     """
     for pid, state in config.states.items():
         host = sim.host(pid)
-        host.restore(copy.deepcopy(state))
+        host.restore(state)
         host.busy_until = sim.now + config.busy[pid] if pid in config.busy else -1
     sim.network.clear_channels()
     for (src, dst), msgs in config.channels.items():

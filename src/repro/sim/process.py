@@ -12,7 +12,9 @@ Here a process is a :class:`ProcessHost` carrying a stack of
   (weakly fair) activation,
 * consumes the messages whose ``tag`` equals the layer's tag,
 * can be *scrambled* by the adversary (arbitrary initial configuration),
-* can snapshot/restore its local state (configuration capture, Definition 2).
+* names its algorithm's variables in :attr:`Layer.STATE`, which
+  :meth:`Layer.snapshot` freezes into a tuple and :meth:`Layer.restore`
+  writes back (configuration capture, Definition 2).
 
 Layers compose: a layer may embed sub-layers (IDL embeds a PIF instance; ME
 embeds an IDL and a PIF instance).  Registration flattens the stack
@@ -50,6 +52,7 @@ from repro.sim.determinism import timer_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.channel import TaggedMessage
+    from repro.sim.configuration import ProcessState
     from repro.sim.runtime import Link, Simulator
     from repro.sim.scheduler import EventHandle
 
@@ -82,12 +85,24 @@ class Layer(abc.ABC):
     A layer whose guards read the clock (``host.now``) changes value as
     time passes and declares :attr:`guards_read_clock`, which keeps its
     process awake at every activation.
+
+    **Local state.**  :attr:`STATE` names the algorithm's variables once;
+    :meth:`snapshot` and :meth:`restore` are written here for every layer.
+    A variable that holds a container keeps its type for the layer's
+    lifetime (a dict stays a dict, a list a list), so :meth:`restore`
+    rebuilds the container the live attribute holds.
     """
 
     #: True iff a guard of this layer reads ``host.now``.
     #: ``benchmarks/check_registry_integrity.py`` holds every layer of
     #: ``repro.core``, ``repro.baselines`` and ``repro.applications`` to it.
     guards_read_clock = False
+
+    #: The algorithm's variables, as instance attributes: what a guard
+    #: reads and ``scramble`` writes (``benchmarks/check_registry_integrity.py``
+    #: holds every layer of the three packages to the second).  Caches and
+    #: verification-only counters stay out.
+    STATE: tuple[str, ...] = ()
 
     def __init__(self, tag: str) -> None:
         self.tag = tag
@@ -131,12 +146,26 @@ class Layer(abc.ABC):
         """An arbitrary in-flight message for this layer's tag, or None."""
         return None
 
-    def snapshot(self) -> dict[str, Any]:
-        """A deep-enough copy of the local state (Definition 3 projection)."""
-        return {}
+    def snapshot(self) -> tuple[Any, ...]:
+        """The :attr:`STATE` variables' values as an immutable tuple
+        (Definition 3 projection).  A dict becomes its items in the dict's
+        own order (a per-peer map is built in ``host.others`` order), a
+        list a tuple."""
+        variables = vars(self)
+        frozen = []
+        for name in self.STATE:
+            value = variables[name]
+            kind = type(value)
+            frozen.append(tuple(value.items()) if kind is dict
+                          else tuple(value) if kind is list else value)
+        return tuple(frozen)
 
-    def restore(self, state: dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot`."""
+    def restore(self, state: tuple[Any, ...]) -> None:
+        """Inverse of :meth:`snapshot` (see the class's type-stability rule)."""
+        variables = vars(self)
+        for name, value in zip(self.STATE, state):
+            kind = type(variables[name])
+            variables[name] = kind(value) if kind is dict or kind is list else value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pid = self.host.pid if self.host is not None else "?"
@@ -351,12 +380,12 @@ class ProcessHost:
         for layer in self.layers:
             layer.scramble(rng)
 
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        return {layer.tag: layer.snapshot() for layer in self.layers}
+    def snapshot(self) -> "ProcessState":
+        return tuple([(layer.tag, layer.snapshot()) for layer in self.layers])
 
-    def restore(self, state: dict[str, dict[str, Any]]) -> None:
+    def restore(self, state: "ProcessState") -> None:
         self.wake()
-        for tag, layer_state in state.items():
+        for tag, layer_state in state:
             self.layer(tag).restore(layer_state)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -75,7 +75,7 @@ from __future__ import annotations
 import random
 from functools import cached_property, partial
 from heapq import heappush
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.channel import (
@@ -867,8 +867,9 @@ class Simulator:
         base = self.rng.getrandbits(64) if seed is None else seed
         scramble_system(self, base, fill_channels=fill_channels)
 
-    def snapshot_states(self) -> dict[int, dict[str, dict[str, Any]]]:
-        """State of every process (an *abstract configuration*, Def. 2)."""
+    def snapshot_states(self) -> dict[int, tuple]:
+        """State of every process (an *abstract configuration*, Def. 2),
+        each as :meth:`ProcessHost.snapshot` returns it."""
         return {pid: host.snapshot() for pid, host in self.hosts.items()}
 
     def channel_contents(self) -> dict[tuple[int, int], tuple[TaggedMessage, ...]]:

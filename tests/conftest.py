@@ -25,6 +25,12 @@ def build_me(host) -> None:
     host.register(MutexLayer("me"))
 
 
+def layer_vars(state, tag: str, cls: type) -> dict:
+    """The variables of layer ``tag`` (a ``cls``) in a process snapshot
+    (``ProcessHost.snapshot``), by their ``cls.STATE`` names."""
+    return dict(zip(cls.STATE, dict(state)[tag]))
+
+
 def trial_spec(kind: str, n: int, **axes) -> TrialSpec:
     """A one-request-per-process trial of ``kind``: ``axes`` are
     :class:`TrialSpec` fields, the experiment half is the protocol row's."""

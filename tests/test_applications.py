@@ -93,7 +93,7 @@ class TestSnapshot:
         layer = sim.layer(3, "s")
         layer.request_snapshot()
         assert sim.run(1_000_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.snapshot_result is not None
+        assert layer.snapshot_result == {1: 7, 2: 7, 3: 7}
 
 
 class TestReset:

@@ -9,6 +9,7 @@ from repro.baselines.naive_pif import NaivePifLayer
 from repro.baselines.self_stab_mutex import TokenMessage, TokenMutexLayer
 from repro.core.requests import RequestDriver
 from repro.sim.channel import BernoulliLoss, DropFirstK
+from repro.sim.configuration import capture, restore
 from repro.sim.runtime import Simulator
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
@@ -177,6 +178,15 @@ class TestAbp:
         assert sender.request is RequestState.IN
         sim.run(100_000, until=lambda s: sender.request is RequestState.DONE)
         assert sender.request is RequestState.DONE
+
+    def test_restore_brings_a_transfer_back_in_progress(self):
+        sim = self.make(seed=3)
+        sender: AbpSenderLayer = sim.layer(1, "abp")
+        sender.send_payloads(["a", "b", "c"])
+        config = capture(sim)
+        assert sim.run(200_000, until=lambda s: sender.acked_count == 3)
+        restore(sim, config)
+        assert (sender.queue, sender.request) == (["a", "b", "c"], RequestState.IN)
 
 
 class TestTokenMutexOnRing:

@@ -49,7 +49,7 @@ class TestMultipleIndependentInstances:
         sim = Simulator(2, self.build, seed=2, auto=False)
         sim.scramble(seed=3)
         config = capture(sim)
-        assert "app-a" in config.states[1] and "app-b" in config.states[1]
+        assert [tag for tag, _ in config.states[1]] == ["app-a", "app-b"]
 
 
 class TestMutexOnWiderChannels:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import layer_vars
 
 from repro.baselines.naive_pif import NaiveMessage
 from repro.core.idl import IdlLayer
@@ -27,7 +28,7 @@ class TestCapture:
         sim = Simulator(3, build, auto=False)
         config = capture(sim)
         assert set(config.states) == {1, 2, 3}
-        assert "pif" in config.states[1]
+        assert [tag for tag, _ in config.states[1]] == ["pif"]
 
     def test_capture_includes_channels(self):
         sim = Simulator(2, build, auto=False)
@@ -42,7 +43,7 @@ class TestCapture:
         sim = Simulator(2, build, auto=False)
         config = capture(sim)
         sim.layer(1, "pif").state[2] = 0
-        assert config.states[1]["pif"]["state"][2] == 4
+        assert dict(layer_vars(config.states[1], "pif", PifLayer)["state"])[2] == 4
 
 
 class TestRestore:
@@ -89,9 +90,9 @@ class TestProjections:
         c1 = capture(sim)
         sim.layer(1, "pif").request = RequestState.IN
         c2 = capture(sim)
-        seq = [c.projection(1) for c in (c1, c2)]
-        assert seq[0]["pif"]["request"] is RequestState.DONE
-        assert seq[1]["pif"]["request"] is RequestState.IN
+        seq = [layer_vars(c.projection(1), "pif", PifLayer) for c in (c1, c2)]
+        assert seq[0]["request"] is RequestState.DONE
+        assert seq[1]["request"] is RequestState.IN
 
     def test_abstract_equality(self):
         """The abstract configuration (Definition 2) is the key's process part."""

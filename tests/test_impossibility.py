@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from conftest import layer_vars
 
+from repro.core.mutex import MutexLayer
 from repro.errors import ImpossibilityConstructionError
 from repro.impossibility.construction import (
     attempt_on_bounded,
@@ -36,8 +38,9 @@ class TestFragmentRecording:
 
     def test_initial_state_is_requesting(self, fragments):
         for fragment in fragments:
-            assert fragment.initial_state["me"]["request"] is RequestState.WAIT
-            assert not fragment.initial_state["me"]["in_cs"]
+            me = layer_vars(fragment.initial_state, "me", MutexLayer)
+            assert me["request"] is RequestState.WAIT
+            assert not me["in_cs"]
 
     def test_channel_depth_exceeds_capacity_one(self, fragments):
         # The whole point: the fragments need far more channel space than
@@ -105,7 +108,7 @@ class TestReplay:
         replay(sim, fragments)
         final = capture(sim)
         for pid in sim.pids:
-            me = final.projection(pid)["me"]
+            me = layer_vars(final.projection(pid), "me", MutexLayer)
             assert me["in_cs"]
             assert me["request"] is RequestState.IN
 

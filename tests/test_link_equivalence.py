@@ -42,18 +42,14 @@ TAGS = ("a", "b")
 class _Sink(Layer):
     """Consumes one tag; its local state is the list of what arrived."""
 
+    STATE = ("got",)
+
     def __init__(self, tag: str) -> None:
         super().__init__(tag)
         self.got: list[tuple[int, PifMessage]] = []
 
     def on_message(self, sender, msg) -> None:
         self.got.append((sender, msg))
-
-    def snapshot(self):
-        return {"got": list(self.got)}
-
-    def restore(self, state) -> None:
-        self.got = list(state["got"])
 
 
 def _build(host) -> None:

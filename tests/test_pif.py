@@ -228,7 +228,7 @@ class TestAdversaryInterface:
         sim, lp, _ = make_pair()
         snap = lp.snapshot()
         lp.state[2] = 0
-        assert snap["state"][2] == 4
+        assert dict(snap[PifLayer.STATE.index("state")])[2] == 4
 
 
 class TestCustomMaxState:

@@ -22,6 +22,8 @@ class Ping:
 class RecorderLayer(Layer):
     """Minimal layer for exercising the host machinery."""
 
+    STATE = ("x", "remaining")
+
     def __init__(self, tag: str, fire_times: int = 0) -> None:
         super().__init__(tag)
         self.remaining = fire_times
@@ -44,13 +46,6 @@ class RecorderLayer(Layer):
 
     def scramble(self, rng: random.Random) -> None:
         self.x = rng.randint(0, 100)
-
-    def snapshot(self):
-        return {"x": self.x, "remaining": self.remaining}
-
-    def restore(self, state):
-        self.x = state["x"]
-        self.remaining = state["remaining"]
 
 
 class ParentLayer(Layer):

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import ast
+import copy
+import inspect
 import random
+import textwrap
 from dataclasses import dataclass
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.applications.termination_detection import TerminationDetectorLayer
+from repro.baselines.naive_pif import NaivePifLayer
+from repro.baselines.self_stab_mutex import TokenMutexLayer
+from repro.core.idl import IdlLayer
 from repro.core.messages import PifMessage
+from repro.core.mutex import MutexLayer
 from repro.core.pif import PifLayer
 from repro.core.requests import RequestDriver
 from repro.sim.channel import BoundedChannel, UnboundedChannel
+from repro.sim.configuration import capture, restore
 from repro.sim.runtime import Simulator
 from repro.sim.scheduler import Scheduler
 from repro.spec.pif_spec import check_pif
@@ -196,16 +206,63 @@ def test_scramble_always_yields_valid_domains(seed):
             assert 0 <= layer.neig_state[q] <= layer.max_state
 
 
-@given(st.integers(min_value=0, max_value=100_000))
-def test_snapshot_restore_is_identity(seed):
-    sim = Simulator(3, lambda h: h.register(PifLayer("pif")), auto=False)
-    rng = random.Random(seed)
-    for host in sim.hosts.values():
-        host.scramble(rng)
-    before = sim.snapshot_states()
-    for pid, state in before.items():
-        sim.host(pid).restore(state)
-    assert sim.snapshot_states() == before
+#: (layer, n): PIF, IDL, ME, the naive PIF, the token mutex and an
+#: application over PIF; IDL and ME bring their embedded instances.
+_RESTORED = (
+    (PifLayer, 3), (IdlLayer, 3), (MutexLayer, 3), (NaivePifLayer, 3),
+    (TokenMutexLayer, 4), (TerminationDetectorLayer, 3),
+)
+
+
+def _scramble_writes(cls) -> set[str]:
+    """Every ``self.<name>`` that ``cls.scramble`` assigns, directly or
+    by subscript."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls.scramble)))):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names |= {sub.attr for target in targets for sub in ast.walk(target)
+                  if isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+    return names
+
+
+def _variables(sim: Simulator) -> dict:
+    """Every layer's STATE and scramble-written attributes, by value (a
+    dict as its items, so a restored map must keep its order)."""
+    variables = {}
+    for pid, host in sim.hosts.items():
+        for layer in host.layers:
+            for name in set(layer.STATE) | _scramble_writes(type(layer)):
+                value = copy.deepcopy(getattr(layer, name))
+                variables[pid, layer.tag, name] = (
+                    type(value),
+                    list(value.items()) if isinstance(value, dict) else value)
+    return variables
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_RESTORED), st.integers(min_value=0, max_value=10_000))
+def test_snapshot_restore_is_identity(case, seed):
+    """Auto mode: scramble, capture, run, restore — every live variable
+    is back at its value at capture."""
+    cls, n = case
+    sim = Simulator(n, lambda h: h.register(cls(cls.__name__)), seed=seed)
+    sim.scramble(seed=seed)
+    config = capture(sim)
+    before = _variables(sim)
+    hash(config.key())
+    for state in config.states.values():
+        for _, values in state:
+            assert not any(isinstance(v, (dict, list)) for v in values)
+    sim.run(sim.now + 3_000)
+    restore(sim, config)
+    assert _variables(sim) == before
 
 
 # ---------------------------------------------------------------------------
