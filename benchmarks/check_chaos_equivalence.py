@@ -21,15 +21,13 @@ leases warm workers and a recovery respawns only the dead shard, so the
 whole table may boot no more than ``max hosts + crash-token shards +
 recoveries``.
 
-A non-gating chaos timeline (``--timeline-out``, default
-``BENCH_chaos_timeline.json``) exports the recovery spans — the "chaos"
-lane records the stop-and-respawn interval before the re-run — for
-artifact upload.
+A chaos timeline (``BENCH_chaos_timeline.json``) exports the recovery
+spans — the "chaos" lane records the stop-and-respawn interval before
+the re-run — for artifact upload.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_chaos_equivalence.py \
-        [--timeline-out PATH]
+    PYTHONPATH=src python benchmarks/check_chaos_equivalence.py
 """
 
 from __future__ import annotations
@@ -55,6 +53,8 @@ from repro.engine import ClusterOpts, ObsOpts, TrialSpec
 from repro.net.coordinator import interpreters_spawned
 from repro.obs.spans import validate_chrome_trace
 
+#: Where the recovered probe's timeline lands (git-ignored).
+TIMELINE = "BENCH_chaos_timeline.json"
 
 #: (hosts, plan) of every chaotic run this gate makes — what
 #: :func:`check_spawn_count` sizes its bound from.
@@ -187,14 +187,11 @@ def check_spawn_count() -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="Fault-injected cluster runs vs the serial engine.")
-    parser.add_argument("--timeline-out", default="BENCH_chaos_timeline.json",
-                        metavar="PATH", help="where the recovery timeline lands")
-    timeline_out = parser.parse_args().timeline_out
+    argparse.ArgumentParser(
+        description="Fault-injected cluster runs vs the serial engine.").parse_args()
     ok = compare_metrics(CASES, "chaos", agrees=_recovered_once,
                          tail=_rerun_and_faults)
-    ok &= check_hash_identity(8, 2, timeline_out)
+    ok &= check_hash_identity(8, 2, TIMELINE)
     ok &= check_detection_latency()
     ok &= check_spawn_count()
     return finish("chaos-equivalence", ok)

@@ -34,8 +34,11 @@ Asserts, without running a single trial:
   ``self.<name>`` its ``scramble`` assigns, directly or by subscript: a
   variable the adversary writes is one a snapshot must carry, or a
   restored configuration keeps the overwritten value;
-* every backticked dotted ``repro.…`` name in ``docs/*.md`` and
-  ``README.md`` resolves by import plus ``getattr``;
+* every backticked dotted ``repro.…`` name in ``docs/*.md``,
+  ``README.md`` and the verify skill resolves by import plus ``getattr``,
+  every backticked ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
+  ``docs/`` path there exists, and so does every ``check_*.py`` /
+  ``test_*.py`` file it names;
 * no line matches a row of :data:`GUARDS` — one table, one loop — and
   no module a row deleted is importable.  Each row is a pattern, the
   trees it must not match in and what it means: a per-engine dispatch
@@ -542,16 +545,33 @@ def _resolves(name: str) -> bool:
     return False
 
 
+#: A backticked path under a top-level tree, up to its first space or
+#: colon (so ``path --flag``, ``path:line`` and ``path::test`` name a file).
+_DOC_PATH = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[^`\s:]*)")
+#: A gate or test file, backticked or not, named with or without its
+#: directory.
+_DOC_FILE = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*(?:check|test)_\w+\.py)\b")
+_TREES = ("src", "tests", "benchmarks", "examples", "docs")
+
+
 def check_doc_names() -> list[str]:
     problems: list[str] = []
     root = _SRC.parent
-    for path in sorted(root.glob("docs/*.md")) + [root / "README.md"]:
+    files = {p.name for tree in _TREES for p in (root / tree).rglob("*.py")}
+    docs = (sorted(root.glob("docs/*.md")) + [root / "README.md"]
+            + [root / ".claude/skills/verify/SKILL.md"])
+    for path in docs:
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            for name in _DOC_NAME.findall(line):
-                if not _resolves(name):
-                    problems.append(
-                        f"{path.relative_to(root)}:{lineno}: `{name}` does "
-                        f"not resolve (renamed or deleted?)")
+            stale = [name for name in _DOC_NAME.findall(line)
+                     if not _resolves(name)]
+            stale += [ref for ref in _DOC_PATH.findall(line)
+                      if not any(root.glob(ref.rstrip("/")))]
+            stale += [ref for ref in _DOC_FILE.findall(line)
+                      if not ((root / ref).is_file() if "/" in ref
+                              else ref in files)]
+            problems.extend(
+                f"{path.relative_to(root)}:{lineno}: `{name}` does not "
+                f"resolve (renamed or deleted?)" for name in dict.fromkeys(stale))
     return problems
 
 

@@ -1,19 +1,17 @@
-"""The skeleton the three ``check_*_equivalence.py`` gates share.
-
-Each gate is a table of cases plus an entry point; the two comparisons
-they all make live here:
+"""The skeleton the two ``check_*_equivalence.py`` gates share.
 
 * :func:`compare_metrics` — run every case through ``run_trial`` on the
   serial engine and again with the case's engine axes replaced, and
   require the same verdict, violation count and trace-derived
-  measurements;
+  measurements plus the gate's own provenance conditions;
 * :func:`bit_identity` — execute one spec on the serial engine and once
   per named variant, and require the same events, canonical trace hash,
-  stats, final time and completions;
-* :func:`spawn_guard` — the cluster and chaos gates bound the worker
-  interpreters their whole case table launched.
+  stats, final time, completions, final request states and completion
+  flag;
+* :func:`spawn_guard` — both gates bound the worker interpreters their
+  whole run launched.
 
-Both go through :func:`repro.engine.execute` and the backend registry,
+All go through :func:`repro.engine.execute` and the backend registry,
 exactly as the CLI does.
 """
 
@@ -61,8 +59,8 @@ def compare_metrics(
     cases,
     label: str,
     *,
-    agrees: Callable[[Any, TrialSpec], bool] | None = None,
-    tail: Callable[[Any, Any], str] | None = None,
+    agrees: Callable[[Any, TrialSpec], bool],
+    tail: Callable[[Any, Any], str],
 ) -> bool:
     """Serial vs one other engine configuration, case by case.
 
@@ -70,7 +68,7 @@ def compare_metrics(
     ``spec`` is the serial reference and that of ``replace(spec, **axes)``
     the run under test (one request per process).  ``agrees(other, other_spec)``
     adds the gate's own provenance conditions; ``tail(serial, other)``
-    is the end of the printed line (default: the measurements).
+    is the end of the printed line.
     """
     ok = True
     for name, kind, spec, axes in cases:
@@ -85,13 +83,12 @@ def compare_metrics(
             serial.ok == other.ok
             and serial.violations == other.violations
             and serial.measurements == other.measurements
-            and (agrees is None or agrees(other, other_spec))
+            and agrees(other, other_spec)
         )
         ok &= report(
             same,
             f"{name}  serial={t1 - t0:.1f}s {label}={t2 - t1:.1f}s "
-            + (tail(serial, other) if tail is not None
-               else f"metrics={serial.measurements}"))
+            + tail(serial, other))
         if not same:
             for who, result in (("serial", serial), (label, other)):
                 print(f"     {who}: ok={result.ok} "
@@ -102,7 +99,7 @@ def compare_metrics(
 
 class Identity(NamedTuple):
     #: Every variant matched the serial run (events, hash, stats, final
-    #: time, completions).
+    #: time, completions, final request states, completion flag).
     same: bool
     #: ``"serial"`` plus one run per variant name.
     runs: dict[str, EngineRun]
@@ -123,6 +120,8 @@ def bit_identity(spec: TrialSpec, variants: dict[str, dict[str, Any]]) -> Identi
             run.stats.as_dict(),
             run.final_time,
             run.completions,
+            run.finals,
+            run.completed,
         )
 
     prints = {name: fingerprint(run) for name, run in runs.items()}

@@ -2,8 +2,8 @@
 
 The expensive property — windowed cluster trials reproduce serial trace
 metrics and the canonical trace hash bit-for-bit — is checked here on one
-small case per protocol (the full matrix lives in
-``benchmarks/check_cluster_equivalence.py``).  The rest exercises the
+small case per protocol (``benchmarks/check_engine_equivalence.py`` replays
+every claims trial on it).  The rest exercises the
 coordinator's validation surface, the picklable protocol/driver specs,
 and :meth:`Partition.peer_shards`.
 """

@@ -1,9 +1,11 @@
 """The equivalence gates reject a bad command line before running a case.
 
-A gate that misreads its flags must not print ``PASS``: a misspelt
-``--engine`` used to select no rows and pass vacuously, and a flag given
-without its value used to die in a raw ``IndexError``.  Each gate parses
-its argv with ``argparse``, so both end in a usage error (exit 2).
+A gate that misreads its command line must not print ``PASS``: a misspelt
+``--engine`` once selected no rows and passed vacuously, and a flag given
+without its value died in a raw ``IndexError``.  Neither gate takes a
+flag any more, and each still parses its argv with an empty ``argparse``
+parser, so any argument — a former flag, with or without its value —
+ends in a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("gate, args", [
-    ("check_cluster_equivalence.py", ["--engine", "clsuter"]),
-    ("check_cluster_equivalence.py", ["--engine"]),
+    ("check_engine_equivalence.py", ["--engine", "clsuter"]),
+    ("check_engine_equivalence.py", ["--engine"]),
     ("check_chaos_equivalence.py", ["--timeline-out"]),
 ], ids=["cluster-misspelt-engine", "cluster-engine-without-value",
         "chaos-timeline-out-without-value"])

@@ -7,8 +7,9 @@ data), same stats, same final states, same request completions, same final
 time.  These tests assert exactly that through ``engine="sharded"`` — one
 of the two names of the one runtime (:mod:`repro.net.cluster`) — and, where
 a case needs an axis no spec carries (``fill_channels``, a bare latency
-band), through its constructor; the ``shard-equivalence`` CI job re-asserts
-it at n=32 at every push.
+band), through its constructor.  The large-n cases live here (n=32); the
+``engine-equivalence`` CI job replays every claims trial (n <= 8) on the
+runtime at every push.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class TestBitIdenticalAtN32:
     def test_mutex_trace_bit_identical_on_ring(self):
         # ME convergence on a ring is slow at n=32 (per-neighbourhood
         # arbitration, many Value rotations), so the busy/timer paths are
-        # asserted at n=8 here; the n=32 ME gate runs in CI
-        # (benchmarks/check_cluster_equivalence.py --engine sharded) on
-        # Complete + Clustered.
+        # asserted at n=8 here; the engine gate replays the claims' ME
+        # trials on complete, ring, star, clustered and wan topologies.
         serial, sharded = _both(8, _ME, topology="ring", seed=1, shards=4)
         _assert_bit_identical(serial, sharded)
 
