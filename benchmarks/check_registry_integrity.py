@@ -51,8 +51,8 @@ Asserts, without running a single trial:
   pytest wrappers whose assertions ``repro claims`` now carries, the
   per-engine run-outcome types and payload-format expansions, the
   monitor copies of a trial's verdict, the best-effort window-sync
-  mode, a layer's own snapshot/restore pair and the configuration's
-  copies — or a PIF send that builds its
+  mode, a layer's own snapshot/restore pair, the configuration's copies
+  and the per-engine CI jobs — or a PIF send that builds its
   message before the link claimed a slot, an engine that picks its
   own specification monitor, a call that drives the cyclic collector
   (a finished run is freed by reference counting: ``close()`` cuts its
@@ -292,6 +292,12 @@ GUARDS: tuple[Guard, ...] = (
     # A layer names its variables in STATE and Layer writes the one
     # snapshot/restore pair; a configuration holds those frozen tuples as
     # they are, so it neither copies nor re-freezes them.
+    # One engine gate replays every claims trial on every engine: the
+    # per-engine CI jobs it replaced are gone, and so are their names.
+    Guard("names a deleted per-engine CI job (the engine-equivalence gate "
+          "replays every engine)",
+          re.compile(r".*\b(cluster|async|shard)-equi" + r"valence\b"),
+          _EVERYWHERE),
     Guard("a layer's own snapshot/restore pair, or a configuration that "
           "copies or re-freezes its states (Layer.STATE is the one spelling)",
           re.compile(r"^\s+def (snap" + r"shot|rest" + r"ore)\(|.*\b(_fre"

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         PifMessage,
         RequestDriver,
     )
-    from repro.errors import ReproError, SpecificationViolation
+    from repro.errors import ReproError
     from repro.sim import (
         BernoulliLoss,
         Clustered,
@@ -75,7 +75,6 @@ __all__ = [
     "RequestDriver",
     "RequestState",
     "Simulator",
-    "SpecificationViolation",
     "Time",
     "Trace",
     "__version__",
@@ -86,7 +85,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "IdlLayer", "MutexLayer", "PifClient", "PifLayer", "PifMessage",
         "RequestDriver",
     ),
-    "errors": ("ReproError", "SpecificationViolation"),
+    "errors": ("ReproError",),
     "sim": (
         "BernoulliLoss", "Clustered", "Complete", "EventKind", "Grid2D",
         "Network", "NoLoss", "RandomGnp", "Ring", "Simulator", "Star",

@@ -56,15 +56,6 @@ class Figure1Result:
     decide_time: int
     spec_ok: bool
 
-    def row(self) -> list[Any]:
-        return [
-            self.spurious_level,
-            self.brd_time,
-            self.fck_time,
-            self.decide_time,
-            self.spec_ok,
-        ]
-
 
 def run_figure1(seed: int = 0, horizon: int = 50_000) -> Figure1Result:
     """Reproduce the Figure 1 worst case on a two-process system.

@@ -20,16 +20,6 @@ class Summary:
     minimum: float
     maximum: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": round(self.mean, 2),
-            "p50": self.p50,
-            "p95": self.p95,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
     """Nearest-rank percentile on a pre-sorted sample."""

@@ -78,16 +78,6 @@ class TrialResult:
                   "ok": self.ok, "violations": self.violations}
         return [merged.get(k) for k in keys]
 
-    def as_dict(self) -> dict[str, Any]:
-        """Flat JSON-ready record (bench artifacts, aggregation)."""
-        return {
-            **self.params,
-            "ok": self.ok,
-            "violations": self.violations,
-            **self.measurements,
-            **self.provenance,
-        }
-
 
 def _count_cs_grants(trace: Trace, tag: str) -> int:
     """Arbitration rounds spent: critical-section entries of ``tag``.

@@ -43,11 +43,6 @@ class LeaderElectionLayer(Layer):
 
     external_request = request_election
 
-    @property
-    def is_leader(self) -> bool:
-        """True iff the last completed election elected this process."""
-        return self.leader == self.idl.ident
-
     # -- actions -------------------------------------------------------------------
 
     def actions(self) -> Sequence[Action]:

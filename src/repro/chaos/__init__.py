@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         FaultPlan,
         ShipFault,
         StallWorker,
-        parse_fault_plan,
     )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "FaultPlan",
     "ShipFault",
     "StallWorker",
-    "parse_fault_plan",
     "retry_async",
 ]
 
@@ -42,6 +40,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "backoff": ("Backoff", "retry_async"),
     "plan": (
         "CrashWorker", "CutLink", "FaultPlan", "ShipFault", "StallWorker",
-        "parse_fault_plan",
     ),
 })

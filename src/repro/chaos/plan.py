@@ -64,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "ShipFault",
     "StallWorker",
-    "parse_fault_plan",
 ]
 
 CRASH_PHASES = ("rendezvous", "peering", "barrier", "round")
@@ -163,9 +162,6 @@ class FaultPlan:
         if not isinstance(other, FaultPlan):
             return NotImplemented
         return self.faults == other.faults
-
-    def __hash__(self) -> int:
-        return hash(self.faults)
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -292,11 +288,6 @@ def _check_shard(shard: int, n_shards: int, what: str) -> None:
             f"{what} names shard {shard}, but the partition has "
             f"{n_shards} shard(s)"
         )
-
-
-def parse_fault_plan(text: str) -> FaultPlan:
-    """Module-level convenience mirroring :meth:`FaultPlan.parse`."""
-    return FaultPlan.parse(text)
 
 
 # -- parser ------------------------------------------------------------

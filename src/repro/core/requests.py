@@ -153,9 +153,6 @@ class RequestDriver:
         else:
             layer.external_request()
 
-    def _unfinished(self) -> bool:
-        return self._open > 0
-
     # -- results ------------------------------------------------------------------
 
     @property
@@ -182,6 +179,3 @@ class RequestDriver:
             len(s.completed) + s.remaining + (1 if s.issued_at is not None else 0)
             for s in self._per_process.values()
         )
-
-    def latencies(self) -> list[int]:
-        return [r.latency for r in self.completed()]

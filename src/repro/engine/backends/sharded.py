@@ -3,7 +3,7 @@
 interpreters on this machine, the worker count on the
 ``shards`` axis — because the CLI, the benchmark and the gates spell
 ``engine="sharded"``.  It is bit-identical to serial for the same seed
-(``shard-equivalence`` CI gate)."""
+(``engine-equivalence`` CI gate)."""
 
 from __future__ import annotations
 

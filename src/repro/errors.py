@@ -127,19 +127,6 @@ class ProtocolError(ReproError):
     """A protocol layer was misused (bad wiring, bad request sequence)."""
 
 
-class SpecificationViolation(ReproError):
-    """A specification checker found a violated property.
-
-    Checkers normally *return* verdict objects; this exception is raised only
-    by the ``require_*`` convenience wrappers.
-    """
-
-    def __init__(self, property_name: str, detail: str) -> None:
-        super().__init__(f"{property_name}: {detail}")
-        self.property_name = property_name
-        self.detail = detail
-
-
 class ImpossibilityConstructionError(ReproError):
     """The Theorem-1 adversary construction could not be carried out.
 

@@ -119,9 +119,6 @@ class PacedClock(Scheduler):
             if due:
                 tick, key, _seq, item = heappop(queue)
                 if item.__class__ is EventHandle:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
                     item.fired = True
                     item = item.callback
                 if tick > self._now:

@@ -64,7 +64,7 @@ with its event heap complete, without asking anyone.  ``next_event`` is
 the earliest tick anything can still happen on the sender (its heap, its
 ships in flight): the minimum over every shard is the bound a round
 jumps by.  The run is therefore **bit-identical to the serial engine**
-(same trace, same canonical hash), which the ``cluster-equivalence`` CI
+(same trace, same canonical hash), which the ``engine-equivalence`` CI
 gate asserts; only the round count depends on the jumps, and it is a
 function of the seed too.  A nondeterministic run over a real network
 is the async engine's ``tcp``/``udp`` transports, judged by the same

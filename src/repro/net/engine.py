@@ -35,7 +35,7 @@ start/stop the trial-scoped fabric.  Under an unpaced medium
 surface — per-entity RNG streams, canonical event keys, sender-owned
 channel accounting (:mod:`repro.sim.determinism`) — *and* its loop, so a
 loopback run is **bit-identical** to ``engine=serial`` for the same seed
-(asserted by ``tests/test_net.py`` and the ``async-equivalence`` CI
+(asserted by ``tests/test_net.py`` and the ``engine-equivalence`` CI
 gate).  On a wall-clock-paced medium (``tcp``, ``udp``) a
 :class:`~repro.net.clock.PacedClock` runs the same events against wall
 time, a frame is dispatched where it lands, timing is best-effort —

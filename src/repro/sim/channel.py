@@ -91,9 +91,6 @@ class BernoulliLoss(LossModel):
     def should_drop(self, rng: random.Random, tag: str) -> bool:
         return rng.random() < self.p
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BernoulliLoss({self.p})"
-
 
 class DropFirstK(LossModel):
     """Adversarially lose the first ``k`` messages of each tag.
@@ -265,12 +262,6 @@ class ChannelBase(abc.ABC):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}({self.src}->{self.dst}, "
-            f"{len(self._entries)} in flight)"
-        )
 
 
 class BoundedChannel(ChannelBase):

@@ -87,8 +87,8 @@ def capture(sim: "Simulator") -> Configuration:
     The process states are the hosts' snapshots, immutable, held as they
     are."""
     return Configuration(
-        states=sim.snapshot_states(),
-        channels=sim.channel_contents(),
+        states={pid: host.snapshot() for pid, host in sim.hosts.items()},
+        channels={(c.src, c.dst): c.contents() for c in sim.network.channels()},
         busy={pid: host.busy_until - sim.now
               for pid, host in sim.hosts.items() if host.busy},
     )

@@ -49,7 +49,6 @@ __all__ = [
     "timer_key",
     "activation_key",
     "delivery_key",
-    "key_class",
     "key_owner",
 ]
 
@@ -106,11 +105,6 @@ def delivery_key(dst: int, src: int, entry_seq: int) -> int:
     both sides of a shard boundary.
     """
     return _pack(DELIVERY_CLASS, dst, src, entry_seq)
-
-
-def key_class(key: int) -> int:
-    """The event class (DRIVER/TIMER/ACTIVATION/DELIVERY) packed into ``key``."""
-    return key >> (2 * _PID_BITS + _SEQ_BITS)
 
 
 def key_owner(key: int) -> int:

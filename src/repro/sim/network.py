@@ -12,7 +12,7 @@ neighbourhood allocates only those channels, which keeps large-n simulator
 construction O(n) instead of O(n^2).  Passing a plain pid sequence keeps the
 historical behaviour (a :class:`~repro.sim.topology.Complete` topology).
 
-The default channel factory (:meth:`Network.bounded`'s) sizes each
+The default channel factory (a bounded channel) sizes each
 channel from the topology's per-edge capacity map
 (:meth:`~repro.sim.topology.Topology.edge_capacity`) when one exists,
 falling back to the uniform capacity otherwise — so a
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.channel import BoundedChannel, ChannelBase, UnboundedChannel
+from repro.sim.channel import BoundedChannel, ChannelBase
 from repro.sim.topology import Complete, Topology
 
 __all__ = ["Network"]
@@ -61,16 +61,6 @@ class Network:
         self._channels: dict[tuple[int, int], ChannelBase] = {}
 
     # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def bounded(
-        cls, topology: Topology | Sequence[int], capacity: int = 1
-    ) -> "Network":
-        return cls(topology, capacity=capacity)
-
-    @classmethod
-    def unbounded(cls, topology: Topology | Sequence[int]) -> "Network":
-        return cls(topology, UnboundedChannel)
 
     # -- topology ----------------------------------------------------------
 

@@ -167,10 +167,6 @@ class Layer(abc.ABC):
             kind = type(variables[name])
             variables[name] = kind(value) if kind is dict or kind is list else value
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        pid = self.host.pid if self.host is not None else "?"
-        return f"{type(self).__name__}(tag={self.tag!r}, pid={pid})"
-
 
 class ProcessHost:
     """A process: local layers plus input/output capabilities.
@@ -301,10 +297,6 @@ class ProcessHost:
     def now(self) -> int:
         return self.sim.now
 
-    @property
-    def rng(self) -> random.Random:
-        return self.sim.rng
-
     def call_later(self, delay: int, fn: Callable[[], None]) -> EventHandle:
         self._timer_seq += 1
         handle = self.sim.scheduler.schedule_in(
@@ -387,6 +379,3 @@ class ProcessHost:
         self.wake()
         for tag, layer_state in state:
             self.layer(tag).restore(layer_state)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessHost(pid={self.pid}, layers={[l.tag for l in self.layers]})"

@@ -4,7 +4,7 @@
 processes.  It implements the paper's asynchronous message-passing semantics:
 
 * **Weakly fair activations** — every process is activated infinitely often
-  (every ``activation_period`` ticks, with optional deterministic jitter);
+  (every ``activation_period`` ticks plus a drawn jitter of 0 or 1);
   an activation atomically executes all enabled guarded actions.  After
   one that executed nothing the process is *dormant*: its activations are
   no-ops until an event changes its variables, so they are counted and
@@ -102,6 +102,10 @@ from repro.sim.trace import EventKind, Trace
 __all__ = ["Simulator", "CrossShardSend"]
 
 BuildFn = Callable[[ProcessHost], None]
+
+#: An activation's successor comes ``activation_period + randint(0,
+#: _JITTER)`` ticks after it, so processes do not run in lockstep.
+_JITTER = 1
 
 #: One cross-shard message: (src, dst, msg, delivery_time, channel entry seq).
 CrossShardSend = tuple[int, int, TaggedMessage, int, int]
@@ -322,7 +326,6 @@ class Simulator:
         loss: LossModel | None = None,
         corruption: "object | None" = None,
         activation_period: int = 2,
-        activation_jitter: int = 1,
         auto: bool = True,
         trace_network: bool = False,
         hosts_for: Sequence[int] | None = None,
@@ -358,7 +361,6 @@ class Simulator:
         self.corruption = corruption
         self.latency = (lo, hi)
         self.activation_period = activation_period
-        self.activation_jitter = activation_jitter
         self.auto = auto
         self.trace_network = trace_network
         self.capacity = capacity
@@ -677,7 +679,7 @@ class Simulator:
         # Everything the self-rescheduling loop touches is bound locally:
         # activations fire every few ticks at every process, so this
         # closure is one of the two hottest paths in the engine.  The
-        # jitter draw is randint(0, jitter) as bound_randint compiles it
+        # jitter draw is randint(0, _JITTER) as bound_randint compiles it
         # (same values, same stream consumption) and the push is
         # Scheduler.post_at's, both inlined: the next tick is always
         # ahead of now, so post_at's past-time check cannot fire.
@@ -703,8 +705,8 @@ class Simulator:
         period = self.activation_period
         key = activation_key(pid)
         activate = host.activate
-        width = self.activation_jitter + 1
-        bits = width.bit_length() if width > 1 else 0
+        width = _JITTER + 1
+        bits = width.bit_length()
         getrandbits = act_rng.getrandbits
 
         def catch_up(time: int, at: float) -> None:
@@ -714,57 +716,35 @@ class Simulator:
             skipped = 0
             while t < time or (t == time and key < at):
                 skipped += 1
-                if bits:
+                r = getrandbits(bits)
+                while r >= width:
                     r = getrandbits(bits)
-                    while r >= width:
-                        r = getrandbits(bits)
-                    t += period + r
-                else:
-                    t += period
+                t += period + r
             if skipped:
                 stats.activations += skipped
                 self.activations_dormant += skipped
             scheduler._seq = seq = scheduler._seq + 1
             heappush(queue, (t, key, seq, fire))
 
-        if not bits:
-            def fire() -> None:
-                now = scheduler._now
-                # host.busy, inlined (property + attribute chain per tick).
-                if host.busy_until <= now:
-                    stats.activations += 1
-                    if hooks:
-                        for hook in hooks:
-                            hook(pid)
-                        activate()
-                    elif not activate() and not host.guards_read_clock and (
-                        host._last_timer is None or host._last_timer.fired
-                    ):
-                        host._next_activation = now + period
-                        host._catch_up = dormant[key] = catch_up
-                        return
-                scheduler._seq = seq = scheduler._seq + 1
-                heappush(queue, (now + period, key, seq, fire))
-        else:
-            def fire() -> None:
+        def fire() -> None:
+            r = getrandbits(bits)
+            while r >= width:
                 r = getrandbits(bits)
-                while r >= width:
-                    r = getrandbits(bits)
-                now = scheduler._now
-                if host.busy_until <= now:
-                    stats.activations += 1
-                    if hooks:
-                        for hook in hooks:
-                            hook(pid)
-                        activate()
-                    elif not activate() and not host.guards_read_clock and (
-                        host._last_timer is None or host._last_timer.fired
-                    ):
-                        host._next_activation = now + period + r
-                        host._catch_up = dormant[key] = catch_up
-                        return
-                scheduler._seq = seq = scheduler._seq + 1
-                heappush(queue, (now + period + r, key, seq, fire))
+            now = scheduler._now
+            if host.busy_until <= now:
+                stats.activations += 1
+                if hooks:
+                    for hook in hooks:
+                        hook(pid)
+                    activate()
+                elif not activate() and not host.guards_read_clock and (
+                    host._last_timer is None or host._last_timer.fired
+                ):
+                    host._next_activation = now + period + r
+                    host._catch_up = dormant[key] = catch_up
+                    return
+            scheduler._seq = seq = scheduler._seq + 1
+            heappush(queue, (now + period + r, key, seq, fire))
 
         self._activations.append(fire)
         return fire
@@ -867,16 +847,6 @@ class Simulator:
         base = self.rng.getrandbits(64) if seed is None else seed
         scramble_system(self, base, fill_channels=fill_channels)
 
-    def snapshot_states(self) -> dict[int, tuple]:
-        """State of every process (an *abstract configuration*, Def. 2),
-        each as :meth:`ProcessHost.snapshot` returns it."""
-        return {pid: host.snapshot() for pid, host in self.hosts.items()}
-
-    def channel_contents(self) -> dict[tuple[int, int], tuple[TaggedMessage, ...]]:
-        return {
-            (c.src, c.dst): c.contents() for c in self.network.channels()
-        }
-
     # -- teardown ------------------------------------------------------------------
 
     def close(self) -> None:
@@ -921,7 +891,6 @@ class Simulator:
         """
         scheduler = self.scheduler
         metrics.inc("scheduler.pops", scheduler.pops)
-        metrics.inc("scheduler.compactions", scheduler.compactions)
         stats = self.stats
         metrics.inc("channel.sent", stats.sent)
         metrics.inc("channel.delivered", stats.delivered)

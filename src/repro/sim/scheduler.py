@@ -15,13 +15,6 @@ Engine notes — this loop dominates simulator wall-clock, so it is tuned:
 * Heap entries are plain ``(time, key, seq, handle)`` tuples: tuple comparison
   runs at C speed, which benchmarks ~3x faster than ordered dataclass or
   ``__slots__`` entry objects (pooled or not) under heapq churn.
-* Cancellation is lazy (the classic heapq idiom), but the queue *compacts*:
-  when cancelled entries exceed half the queue (past a small floor), they
-  are dropped and the heap is rebuilt in one O(len) pass.  Long runs with
-  many cancelled timers therefore no longer grow the heap unboundedly.
-  Compaction preserves the (time, key, seq) order, so determinism is
-  unaffected.
-* ``pending_count`` is O(1) bookkeeping instead of an O(len) scan.
 * :meth:`run_until` drains same-tick batches without re-peeking the heap
   top between events of the same tick.
 * A run can be ended two ways: a ``stop`` predicate the loop *asks* after
@@ -54,64 +47,43 @@ from repro.errors import SchedulerError
 
 __all__ = ["EventHandle", "Scheduler"]
 
-#: Compaction floor: below this queue size, lazy deletion is always fine.
-_COMPACT_MIN = 64
-
 #: A position key after every event key of its tick: the position of a
 #: run that reached its horizon is ``(max_time, END_OF_TICK)``.
 END_OF_TICK = float("inf")
 
 
 class EventHandle:
-    """Cancelable handle for a scheduled callback."""
+    """Handle for a scheduled callback: when it runs and whether it has."""
 
-    __slots__ = ("callback", "time", "cancelled", "fired", "_scheduler")
+    __slots__ = ("callback", "time", "fired")
 
-    def __init__(
-        self, callback: Callable[[], None], time: int, scheduler: "Scheduler"
-    ) -> None:
+    def __init__(self, callback: Callable[[], None], time: int) -> None:
         self.callback = callback
         self.time = time
-        self.cancelled = False
         self.fired = False
-        self._scheduler = scheduler
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if already fired)."""
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            self._scheduler._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        return not self.cancelled and not self.fired
 
 
 class Scheduler:
     """A priority-queue driven event loop over integer ticks."""
 
-    __slots__ = ("_now", "_seq", "_queue", "_cancelled", "_halt",
-                 "current_key", "pops", "compactions", "dormant")
+    __slots__ = ("_now", "_seq", "_queue", "_halt", "current_key", "pops",
+                 "dormant")
 
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
         # Raised by a callback (halt()) to end the running run_until.
         self._halt = False
-        #: Passive observability counters (repro.obs): cumulative events
-        #: executed and heap compactions.  Updated per run_until batch /
-        #: per compaction, never per heap operation, so they cost nothing
-        #: measurable on the hot loop.
+        #: Passive observability counter (repro.obs): cumulative events
+        #: executed.  Updated per run_until batch, never per heap
+        #: operation, so it costs nothing measurable on the hot loop.
         self.pops = 0
-        self.compactions = 0
         # Heap of (time, key, seq, item) where item is an EventHandle
-        # (cancelable, from schedule_*) or a bare callback (fire-and-forget,
-        # from post_*).  seq is unique, so comparisons never reach the item.
+        # (from schedule_*) or a bare callback (from post_*).  seq is
+        # unique, so comparisons never reach the item.
         self._queue: list[
             tuple[int, int, int, "EventHandle | Callable[[], None]"]
         ] = []
-        # Cancelled-but-not-yet-popped entries currently in the heap.
-        self._cancelled = 0
         #: Canonical key of the event currently executing (0 outside events).
         #: The sharded engine's trace merge reads this to give every emitted
         #: trace event a globally sortable position.
@@ -135,7 +107,7 @@ class Scheduler:
             raise SchedulerError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        handle = EventHandle(callback, time, self)
+        handle = EventHandle(callback, time)
         self._seq += 1
         heapq.heappush(self._queue, (time, key, self._seq, handle))
         return handle
@@ -149,7 +121,7 @@ class Scheduler:
         return self.schedule_at(self._now + delay, callback, key)
 
     def post_at(self, time: int, callback: Callable[[], None], key: int = 0) -> None:
-        """Fast path: schedule a *non-cancelable* callback at tick ``time``.
+        """Fast path: schedule a callback at tick ``time`` with no handle.
 
         Same ordering semantics as :meth:`schedule_at`, but no
         :class:`EventHandle` is allocated — the engine's own events
@@ -164,7 +136,7 @@ class Scheduler:
         heapq.heappush(self._queue, (time, key, self._seq, callback))
 
     def post_in(self, delay: int, callback: Callable[[], None], key: int = 0) -> None:
-        """Fast path: non-cancelable callback ``delay`` ticks from now."""
+        """Fast path: a callback ``delay`` ticks from now, no handle."""
         if delay < 0:
             raise SchedulerError(f"negative delay {delay}")
         self.post_at(self._now + delay, callback, key)
@@ -186,76 +158,11 @@ class Scheduler:
             catch_up(time, key)
 
     def next_time(self) -> int | None:
-        """Tick of the earliest queued entry (a cancelled one included:
-        a lower bound on the next event), None when the queue is empty.
+        """Tick of the earliest queued entry, None when the queue is empty.
         Dormant processes are not queued: until an event wakes them
         their activations execute nothing."""
         queue = self._queue
         return queue[0][0] if queue else None
-
-    def __len__(self) -> int:
-        """Number of queue entries, including cancelled ones not yet compacted."""
-        return len(self._queue)
-
-    @property
-    def pending_count(self) -> int:
-        """Number of live (non-cancelled) scheduled events."""
-        return len(self._queue) - self._cancelled
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if (
-            self._cancelled > _COMPACT_MIN
-            and self._cancelled * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and rebuild the heap in one pass.
-
-        Entries keep their (time, key, seq) keys, so heapify restores exactly
-        the order a pristine heap would have produced — determinism preserved.
-        Compacts *in place*: run_until/run_next hold a local alias to the
-        queue list while callbacks (which may cancel handles and trigger
-        this) are executing, and rebinding would leave them iterating a
-        stale snapshot, double-running its events.
-        """
-        self._queue[:] = [
-            e
-            for e in self._queue
-            if not (e[3].__class__ is EventHandle and e[3].cancelled)
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-        self.compactions += 1
-
-    def run_next(self) -> bool:
-        """Run the next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        Cancelled events are discarded silently.
-        """
-        queue = self._queue
-        while queue:
-            time, key, _seq, item = heapq.heappop(queue)
-            if item.__class__ is EventHandle:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._now = time
-                self.current_key = key
-                item.fired = True
-                item.callback()
-            else:
-                self._now = time
-                self.current_key = key
-                item()
-            self.current_key = 0
-            self.pops += 1
-            if self.dormant:
-                self.wake_all(time, key)
-            return True
-        return False
 
     def run_until(
         self,
@@ -291,17 +198,12 @@ class Scheduler:
             # so re-check the top's time instead of pre-counting the batch.
             while queue and queue[0][0] == tick:
                 _time, key, _seq, item = heappop(queue)
+                self._now = tick
+                self.current_key = key
                 if item.__class__ is EventHandle:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = tick
-                    self.current_key = key
                     item.fired = True
                     item.callback()
                 else:
-                    self._now = tick
-                    self.current_key = key
                     item()
                 executed += 1
                 if self._halt or (stop is not None and stop()):

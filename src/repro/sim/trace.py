@@ -25,7 +25,7 @@ length, and the spec automata re-read it, so all three sides are tuned):
 * **One kind index** (kind → rows, in emission order, an ``array("l")``
   of row numbers rather than a list of int objects) is kept on every
   append, so :meth:`Trace.scan` streams exactly the rows a checker reads
-  and :meth:`Trace.count` / :meth:`Trace.kind_rows` are lookups.
+  and :meth:`Trace.kind_rows` is a lookup.
 * A reader sees a payload as a dict: :meth:`Trace.scan`,
   :meth:`Trace.data_at` and the :class:`TraceEvent` views rebuild one per
   row read.  :class:`TraceEvent` is the per-event view that ``trace[i]``,
@@ -99,7 +99,7 @@ class Trace:
     """Append-only event log: five columns and a kind index.
 
     The streaming API (:meth:`scan`, :meth:`rows_of`, :meth:`kind_rows`,
-    :meth:`data_at`, :meth:`count`) reads rows; :meth:`of_kind`,
+    :meth:`data_at`) reads rows; :meth:`of_kind`,
     :meth:`first`, indexing and iteration return :class:`TraceEvent` views.
     A payload is held as an interned keys tuple and a values tuple; every
     reader gets it back as a fresh dict.
@@ -220,10 +220,6 @@ class Trace:
         if rows is None:
             self._kind_rows[kind] = rows = array("l")
         return rows
-
-    def count(self, *kinds: str) -> int:
-        """Number of events of the given kinds (index lookup, no scan)."""
-        return sum(map(len, self._indexes(kinds)))
 
     def scan(self, *kinds: str) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
         """Stream ``(time, kind, process, data)`` rows in emission order.

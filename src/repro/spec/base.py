@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.errors import SpecificationViolation
 from repro.types import RequestState
 
 __all__ = ["Violation", "SpecVerdict", "Automaton", "drive"]
@@ -113,16 +112,6 @@ class SpecVerdict:
 
     def property_ok(self, prop: str) -> bool:
         return not self.by_property(prop)
-
-    def require(self) -> "SpecVerdict":
-        """Raise :class:`SpecificationViolation` unless the verdict is clean."""
-        if not self.ok:
-            first = self.violations[0]
-            raise SpecificationViolation(
-                f"{self.spec}/{first.prop}",
-                f"{first.detail} (+{len(self.violations) - 1} more)",
-            )
-        return self
 
     def summary(self) -> str:
         if self.ok:

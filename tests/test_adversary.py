@@ -15,6 +15,7 @@ from repro.sim.adversary import (
     scramble_processes,
     scramble_system,
 )
+from repro.sim.configuration import capture
 from repro.sim.runtime import Simulator
 from repro.types import RequestState
 
@@ -89,7 +90,7 @@ class TestScrambleSystem:
         def states(seed):
             sim = Simulator(3, build_pif, auto=False)
             sim.scramble(seed=seed)
-            return sim.snapshot_states()
+            return capture(sim).states
 
         assert states(4) == states(4)
         assert states(4) != states(5)

@@ -56,10 +56,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_as_dict(self):
-        d = summarize([1]).as_dict()
-        assert d["count"] == 1
-
 
 class TestTrials:
     def test_pif_trial_ok(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.applications.leader_election import LeaderElectionLayer
-from repro.applications.phase_sync import BarrierLayer
 from repro.applications.reset import ResetLayer
 from repro.applications.snapshot import SnapshotLayer
 from repro.applications.termination_detection import (
@@ -24,7 +23,7 @@ class TestLeaderElection:
         layer.request_election()
         assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
         assert layer.leader == 1
-        assert not layer.is_leader
+        assert layer.leader != layer.idl.ident
 
     def test_custom_identities(self):
         idents = {1: 99, 2: 5, 3: 42}
@@ -37,7 +36,7 @@ class TestLeaderElection:
         layer.request_election()
         assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
         assert layer.leader == 5
-        assert layer.is_leader
+        assert layer.leader == layer.idl.ident
 
     def test_snap_stabilizing_from_scramble(self):
         sim = Simulator(3, lambda h: h.register(LeaderElectionLayer("e")), seed=2)
@@ -172,44 +171,3 @@ class TestTerminationDetection:
         assert not layer.terminated
         comps[2].idle = True
         assert sim.run(500_000, until=lambda s: layer.terminated)
-
-
-class TestBarrier:
-    def test_all_cross_together(self):
-        sim = Simulator(3, lambda h: h.register(BarrierLayer("b")), seed=0)
-        for p in sim.pids:
-            sim.layer(p, "b").request_barrier()
-        ok = sim.run(
-            500_000,
-            until=lambda s: all(s.layer(p, "b").phase == 1 for p in s.pids),
-        )
-        assert ok
-
-    def test_nobody_crosses_alone(self):
-        sim = Simulator(3, lambda h: h.register(BarrierLayer("b")), seed=1)
-        sim.layer(1, "b").request_barrier()  # others never arrive
-        sim.run(30_000)
-        assert sim.layer(1, "b").phase == 0
-        assert sim.layer(1, "b").request is RequestState.IN
-
-    def test_multiple_rounds(self):
-        sim = Simulator(3, lambda h: h.register(BarrierLayer("b")), seed=2)
-
-        def all_at(k):
-            return lambda s: all(s.layer(p, "b").phase == k for p in s.pids)
-
-        for round_no in (1, 2, 3):
-            for p in sim.pids:
-                sim.layer(p, "b").request_barrier()
-            assert sim.run(1_000_000, until=all_at(round_no))
-
-    def test_laggard_released_by_feedback(self):
-        sim = Simulator(2, lambda h: h.register(BarrierLayer("b")), seed=3)
-        sim.layer(1, "b").request_barrier()
-        sim.run(5_000)
-        sim.layer(2, "b").request_barrier()  # late arrival
-        ok = sim.run(
-            500_000,
-            until=lambda s: all(s.layer(p, "b").phase == 1 for p in s.pids),
-        )
-        assert ok

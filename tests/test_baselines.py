@@ -1,15 +1,13 @@
-"""Tests for the baselines: naive PIF, self-stabilizing token mutex, ABP."""
+"""Tests for the baselines: naive PIF, self-stabilizing token mutex."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines.abp import AbpReceiverLayer, AbpSenderLayer
 from repro.baselines.naive_pif import NaivePifLayer
 from repro.baselines.self_stab_mutex import TokenMessage, TokenMutexLayer
 from repro.core.requests import RequestDriver
-from repro.sim.channel import BernoulliLoss, DropFirstK
-from repro.sim.configuration import capture, restore
+from repro.sim.channel import DropFirstK
 from repro.sim.runtime import Simulator
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
@@ -126,67 +124,6 @@ class TestTokenMutex:
         leader.on_message(2, TokenMessage("tok", epoch=5))
         assert leader.have_token
         assert leader.epoch == 6
-
-
-class TestAbp:
-    def make(self, seed=0, loss=0.0, scramble=False):
-        def build(host):
-            if host.pid == 1:
-                host.register(AbpSenderLayer("abp", peer=2))
-            else:
-                host.register(AbpReceiverLayer("abp", peer=1))
-
-        sim = Simulator(
-            2, build, seed=seed,
-            loss=BernoulliLoss(loss) if loss else None,
-        )
-        if scramble:
-            sim.scramble(seed=seed)
-        return sim
-
-    def test_reliable_in_order_delivery(self):
-        sim = self.make(seed=3)
-        sender: AbpSenderLayer = sim.layer(1, "abp")
-        sender.send_payloads(["a", "b", "c"])
-        ok = sim.run(200_000, until=lambda s: sender.acked_count == 3)
-        assert ok
-        assert sim.layer(2, "abp").delivered == ["a", "b", "c"]
-
-    def test_survives_heavy_loss(self):
-        sim = self.make(seed=4, loss=0.4)
-        sim.layer(1, "abp").send_payloads(list(range(5)))
-        ok = sim.run(
-            500_000, until=lambda s: s.layer(2, "abp").delivered == list(range(5))
-        )
-        assert ok
-
-    def test_self_stabilizes_from_scramble(self):
-        """Random labels make stale channel garbage harmless (w.h.p.)."""
-        sim = self.make(seed=5, scramble=True)
-        sim.layer(1, "abp").send_payloads(["x", "y"])
-        ok = sim.run(
-            500_000,
-            until=lambda s: s.layer(2, "abp").delivered[-2:] == ["x", "y"],
-        )
-        assert ok
-
-    def test_request_state_reflects_queue(self):
-        sim = self.make(seed=6)
-        sender: AbpSenderLayer = sim.layer(1, "abp")
-        assert sender.request is RequestState.DONE
-        sender.send_payloads(["only"])
-        assert sender.request is RequestState.IN
-        sim.run(100_000, until=lambda s: sender.request is RequestState.DONE)
-        assert sender.request is RequestState.DONE
-
-    def test_restore_brings_a_transfer_back_in_progress(self):
-        sim = self.make(seed=3)
-        sender: AbpSenderLayer = sim.layer(1, "abp")
-        sender.send_payloads(["a", "b", "c"])
-        config = capture(sim)
-        assert sim.run(200_000, until=lambda s: sender.acked_count == 3)
-        restore(sim, config)
-        assert (sender.queue, sender.request) == (["a", "b", "c"], RequestState.IN)
 
 
 class TestTokenMutexOnRing:

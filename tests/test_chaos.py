@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.runner import run_pif_trial
-from repro.chaos import Backoff, FaultPlan, parse_fault_plan, retry_async
+from repro.chaos import Backoff, FaultPlan, retry_async
 from repro.engine import (
     ChaosOpts,
     ClusterOpts,
@@ -150,7 +150,7 @@ def test_retry_async_passes_through_non_retryable():
 
 
 def test_parse_every_statement_form():
-    plan = parse_fault_plan(
+    plan = FaultPlan.parse(
         """
         # a comment line
         crash worker 2 at barrier 5
@@ -175,7 +175,7 @@ def test_parse_every_statement_form():
 
 
 def test_parse_cut_round_range_converts_to_seconds():
-    plan = parse_fault_plan("cut link 1->3 for rounds 4..8")
+    plan = FaultPlan.parse("cut link 1->3 for rounds 4..8")
     cut = plan.faults[0]
     assert (cut.src_shard, cut.dst_shard) == (1, 3)
     assert cut.start_round == 4
@@ -192,11 +192,11 @@ def test_parse_cut_round_range_converts_to_seconds():
 ])
 def test_parse_rejects_malformed_statements(bad, match):
     with pytest.raises(ConfigurationError, match=match):
-        parse_fault_plan(bad)
+        FaultPlan.parse(bad)
 
 
 def test_worker_slice_routes_faults_to_owning_shard():
-    plan = parse_fault_plan(
+    plan = FaultPlan.parse(
         "cut link 0->1 at round 2 for 1s\n"
         "drop ship from 3 count 2\n"
         "duplicate ship\n"
@@ -215,23 +215,23 @@ def test_worker_slice_routes_faults_to_owning_shard():
 
 
 def test_validate_for_cluster_rejects_bad_targets():
-    plan = parse_fault_plan("crash worker 5 at barrier 1")
+    plan = FaultPlan.parse("crash worker 5 at barrier 1")
     with pytest.raises(ConfigurationError, match="shard 5"):
         plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=True)
-    plan = parse_fault_plan("crash worker 0 at barrier 1")
+    plan = FaultPlan.parse("crash worker 0 at barrier 1")
     with pytest.raises(ConfigurationError, match="hand-launched"):
         plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=False)
-    plan = parse_fault_plan("drop ship from 9")
+    plan = FaultPlan.parse("drop ship from 9")
     with pytest.raises(ConfigurationError, match="pid 9"):
         plan.validate_for_cluster(2, (1, 2, 3, 4), spawned=True)
 
 
 def test_validate_for_async_rejects_cluster_only_faults():
     with pytest.raises(ConfigurationError, match="cluster"):
-        parse_fault_plan("crash worker 0 at barrier 1").validate_for_async("tcp")
+        FaultPlan.parse("crash worker 0 at barrier 1").validate_for_async("tcp")
     with pytest.raises(ConfigurationError, match="loopback"):
-        parse_fault_plan("drop ship from 1").validate_for_async("loopback")
-    parse_fault_plan("drop ship from 1").validate_for_async("tcp")
+        FaultPlan.parse("drop ship from 1").validate_for_async("loopback")
+    FaultPlan.parse("drop ship from 1").validate_for_async("tcp")
 
 
 def test_execute_guards_fault_plan_engine_axis():

@@ -159,29 +159,12 @@ def test_cluster_rejects_unknown_sync_mode():
         assert err.value.field == "sync"
 
 
-def test_cluster_window_bounded_by_lookahead():
-    with pytest.raises(SimulationError, match="window must be in 1..1"):
-        ClusterSimulator(6, {"kind": "pif"}, hosts=2, window=5)
-
-
-def test_wan_topology_widens_cluster_window():
-    top = topology_from_spec("wan:2", 6, seed=0)
-    sim = ClusterSimulator(None, {"kind": "pif"}, topology=top, hosts=2)
-    assert sim.window == sim.lookahead > 1
-
-
 def test_cluster_rejects_callable_driver_payload():
     sim = ClusterSimulator(6, {"kind": "pif"}, hosts=2)
     driver = dict(tag="pif", requests_per_process=1,
                   payload=lambda pid, k: f"m-{pid}-{k}")
     with pytest.raises(SimulationError, match="payload_fmt"):
         sim.run_trial(horizon=100, driver=driver)
-
-
-def test_cluster_drain_must_cover_window():
-    sim = ClusterSimulator(6, {"kind": "pif"}, hosts=2)
-    with pytest.raises(SimulationError, match="drain"):
-        sim.run_trial(horizon=100, drain=0)
 
 
 def test_execute_rejects_hosts_without_cluster_engine():

@@ -71,7 +71,7 @@ _SERIAL_HEAVY = (
     "repro.net.engine", "repro.net.monitors", "repro.sim.sharded",
     "repro.chaos.plan", "repro.analysis.experiments",
     "repro.analysis.ablations", "repro.baselines", "repro.applications",
-    "repro.impossibility", "repro.viz", "repro.analysis.claims",
+    "repro.impossibility", "repro.analysis.claims",
 )
 
 _TRIAL = "import repro.engine, repro.analysis.runner\n"

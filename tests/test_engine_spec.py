@@ -102,6 +102,12 @@ def test_unsupported_axis_is_one_uniform_spec_error(engine, axes, fieldname):
     assert "requires engine=" in message
 
 
+def test_tick_on_a_virtual_time_transport_names_the_paced_ones():
+    with pytest.raises(SpecError, match="paced transport \\('tcp' or 'udp'\\)") as err:
+        execute(_spec(engine="async", transport=TransportOpts(tick=0.01)))
+    assert err.value.field == "tick"
+
+
 @pytest.mark.parametrize("engine,axes,fieldname", [
     ("cluster", dict(cluster=ClusterOpts(hosts=0)), "hosts"),
     ("sharded", dict(sharding=ShardingOpts(shards=9)), "shards"),

@@ -59,8 +59,7 @@ def _build(host) -> None:
 
 def _twin(**kwargs) -> Simulator:
     # Activations off: every event on the heap is one the steps put there.
-    return Simulator(build=_build, activation_period=10**9,
-                     activation_jitter=0, **kwargs)
+    return Simulator(build=_build, activation_period=10**9, **kwargs)
 
 
 def _reference_send(sim: Simulator, src: int, dst: int, msg) -> bool:
@@ -281,7 +280,7 @@ class TestConfigurationIsConstructionTime:
     def test_auto_off_schedules_nothing(self):
         sim = _twin(pids=3, auto=False)
         assert self._send(sim) == [True]
-        assert len(sim.scheduler) == 0
+        assert sim.scheduler.next_time() is None
         assert sim.network.channel(1, 2).entries()[0].delivery_time is None
         assert sim.step_deliver(1, 2) is not None
 

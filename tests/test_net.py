@@ -220,6 +220,7 @@ class TestClocks:
         clock._now = 50
         clock.post_at(10, lambda: None)  # would raise on the base Scheduler
         assert clock._queue[0][0] == 50
+        assert clock.schedule_at(20, lambda: None).time == 50
 
 
 class _BoomLayer(PifLayer):

@@ -68,12 +68,12 @@ class TestChannelNumbering:
 
 class TestFactoriesAndHelpers:
     def test_bounded_factory(self):
-        net = Network.bounded([1, 2], capacity=3)
+        net = Network([1, 2], capacity=3)
         assert isinstance(net.channel(1, 2), BoundedChannel)
         assert net.channel(1, 2).capacity == 3
 
     def test_unbounded_factory(self):
-        net = Network.unbounded([1, 2])
+        net = Network([1, 2], UnboundedChannel)
         assert isinstance(net.channel(1, 2), UnboundedChannel)
 
     def test_channels_of_covers_both_directions(self):

@@ -16,7 +16,6 @@ from repro.errors import (
     ReproError,
     SchedulerError,
     SimulationError,
-    SpecificationViolation,
 )
 from repro.types import RequestState
 
@@ -57,16 +56,11 @@ class TestPublicApi:
 class TestErrors:
     def test_hierarchy(self):
         for exc in (SimulationError, SchedulerError, ChannelError,
-                    ConfigurationError, ProtocolError, SpecificationViolation,
+                    ConfigurationError, ProtocolError,
                     ImpossibilityConstructionError):
             assert issubclass(exc, ReproError)
         assert issubclass(SchedulerError, SimulationError)
         assert issubclass(ChannelError, SimulationError)
-
-    def test_specification_violation_message(self):
-        exc = SpecificationViolation("PIF/Start", "never started")
-        assert exc.property_name == "PIF/Start"
-        assert "never started" in str(exc)
 
 
 class TestRequestState:

@@ -65,8 +65,8 @@ class TestDriver:
             sim, "pif", requests_per_process=1, payload=lambda pid, k: "m"
         )
         assert sim.run(500_000, until=lambda s: driver.done)
-        assert all(lat > 0 for lat in driver.latencies())
-        assert len(driver.latencies()) == 2
+        latencies = [request.latency for request in driver.completed()]
+        assert len(latencies) == 2 and all(lat > 0 for lat in latencies)
 
     def test_subset_of_processes(self):
         sim = Simulator(3, build, seed=4)
@@ -123,7 +123,7 @@ class TestDriver:
             else:
                 assert sim.run(10_000, until=lambda s: driver.done)
             assert driver.done and driver.done_at == sim.now
-            runs.append((sim.now, sim.scheduler.pops, len(sim.scheduler),
+            runs.append((sim.now, sim.scheduler.pops, len(sim.scheduler._queue),
                          sim.stats, list(sim.trace)))
         assert runs[0] == runs[1]
 

@@ -129,7 +129,7 @@ class TestBusyDeliveryAndActivation:
                 return (Action("t", lambda: True, lambda: fired.append(self.host.now)),)
 
         sim = Simulator(2, lambda h: h.register(Ticker("t")), seed=0,
-                        activation_period=2, activation_jitter=0)
+                        activation_period=2)
         sim.host(1).set_busy_for(20)
         sim.host(2).set_busy_for(20)
         sim.run(19)
@@ -301,3 +301,13 @@ class TestBoundRandint:
 
         draw = bound_randint(Recording(3), 0, 2)
         assert draw() == random.Random(3).randint(0, 2)
+
+    def test_other_bounds_are_refused(self):
+        import random
+
+        from repro.sim.determinism import bound_randint
+
+        for lo, hi in [(1, 3), (5, 5)]:  # fast path and fallback path
+            draw = bound_randint(random.Random(7), lo, hi)
+            with pytest.raises(ValueError, match="rebuild the cached draw"):
+                draw(lo, hi + 1)

@@ -38,6 +38,7 @@ from repro.sim.determinism import (
 from repro.sim.runtime import Simulator
 from repro.sim.sharded import (
     _KeyedTrace, merge_worker_traces, scramble_shard, shard_result_payload)
+from repro.sim.topology import Clustered, Weighted
 from repro.sim.trace import EventKind, Trace
 
 
@@ -177,27 +178,60 @@ class TestSeedSensitivity:
         assert a != b
 
 
-class TestValidation:
-    def test_window_beyond_lookahead_rejected(self):
-        with pytest.raises(SimulationError):
-            ClusterSimulator(8, _PIF.protocol, latency=(2, 5), window=3)
+#: The window-sync runtime's window and lookahead rules, one table for
+#: both engine names (``sharded`` and ``cluster`` are one
+#: ClusterSimulator): the constructor's arguments, the drain a trial runs
+#: with (None: construct only), and the window it settles on — its
+#: lookahead too — or the message its rejection matches.
+_WAN4 = dict(topology="wan:4", latency=(1, 3), hosts=4)
+WINDOW_RULES = {
+    "beyond-lookahead-rejected": (
+        dict(n=8, latency=(2, 5), window=3), None, "window must be in 1..2"),
+    "bounded-by-lookahead-rejected": (
+        dict(n=6, hosts=2, window=5), None, "window must be in 1..1"),
+    "error-reports-effective-floor": (
+        dict(n=32, window=20, **_WAN4), None,
+        r"1\.\.16 \(the cross-shard latency floor; global lower bound 1"),
+    "within-lookahead-accepted": (
+        dict(n=8, latency=(2, 5), window=2), None, 2),
+    "defaults-to-latency-floor": (dict(n=8, latency=(4, 9)), None, 4),
+    "wan-widens-default": (dict(n=32, **_WAN4), None, 16),
+    "wan-widens-two-hosts": (dict(n=6, topology="wan:2", hosts=2), None, 16),
+    "unweighted-unchanged": (
+        dict(n=32, topology="clustered:4", latency=(1, 3)), None, 1),
+    # Slow edges *inside* a shard leave the cut floor at the global lo.
+    "intra-shard-weights-do-not-widen": (
+        dict(n=8, topology=Weighted(Clustered(2, 4),
+                                    latency={(1, 2): (16, 32)}),
+             latency=(1, 3), hosts=2), None, 1),
+    "stateful-loss-rejected": (
+        dict(n=8, loss=DropFirstK(2)), None, "keeps cross-channel state"),
+    "drain-below-window-rejected": (
+        dict(n=8, latency=(4, 9)), 2, r"drain \(2\) must be >= window \(4\)"),
+    "drain-must-cover-window": (
+        dict(n=6, hosts=2), 0, r"drain \(0\) must be >= window \(1\)"),
+}
 
-    def test_window_within_lookahead_accepted(self):
-        sharded = ClusterSimulator(8, _PIF.protocol, latency=(2, 5), window=2)
-        assert sharded.window == 2
 
-    def test_window_defaults_to_latency_floor(self):
-        sharded = ClusterSimulator(8, _PIF.protocol, latency=(4, 9))
-        assert sharded.window == 4
+@pytest.mark.parametrize("args,drain,expect", WINDOW_RULES.values(),
+                         ids=WINDOW_RULES.keys())
+def test_window_rules(args, drain, expect):
+    args = dict(args)
+    n = args.pop("n")
 
-    def test_stateful_loss_model_rejected(self):
-        with pytest.raises(SimulationError):
-            ClusterSimulator(8, _PIF.protocol, loss=DropFirstK(2))
+    def make() -> ClusterSimulator:
+        return ClusterSimulator(n, _PIF.protocol, **args)
 
-    def test_drain_below_window_rejected(self):
-        sharded = ClusterSimulator(8, _PIF.protocol, latency=(4, 9))
-        with pytest.raises(SimulationError):
-            sharded.run_trial(horizon=100, driver=_PIF.driver, drain=2)
+    if isinstance(expect, int):
+        sim = make()
+        assert sim.window == sim.lookahead == expect
+    elif drain is None:
+        with pytest.raises(SimulationError, match=expect):
+            make()
+    else:
+        sim = make()
+        with pytest.raises(SimulationError, match=expect):
+            sim.run_trial(horizon=100, driver=_PIF.driver, drain=drain)
 
 
 class TestWeightedTopologies:
@@ -346,7 +380,7 @@ class TestKeyedMergeRebuildsTheSerialOrder:
         assert merged.canonical_hash() == serial.canonical_hash()
         assert ([d for _t, _k, _p, d in merged.scan(EventKind.SCRAMBLE)]
                 == [d for _t, _k, _p, d in serial.scan(EventKind.SCRAMBLE)])
-        assert merged.count(EventKind.SCRAMBLE) == (
+        assert len(merged.kind_rows(EventKind.SCRAMBLE)) == (
             (1 + fill_channels) if scrambled else 0)
 
 
@@ -360,7 +394,7 @@ class TestResultPathBuildsNoEventObjects:
         run = execute(replace(
             _PIF, topology="ring", seed=3, horizon=1_000_000,
             engine="sharded", sharding=ShardingOpts(shards=2)))
-        assert run.completed and run.trace.count(EventKind.DECIDE) >= 8
+        assert run.completed and len(run.trace.kind_rows(EventKind.DECIDE)) >= 8
         assert run.trace.canonical_hash()
         assert built_events == [], _NO_EVENTS
         assert run.trace[0].kind == EventKind.SCRAMBLE

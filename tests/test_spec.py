@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.errors import SpecificationViolation
 from repro.spec.mutex_spec import cs_intervals, service_order
 from repro.spec.waves import extract_waves
 
@@ -151,10 +150,6 @@ class TestPifChecker:
         assert judged("pif-ring-scoped").ok
         verdict = judged("pif-ring-scoped-missing-neighbour")
         assert len(verdict.by_property("Correctness")) == 2
-
-    def test_require_raises(self):
-        with pytest.raises(SpecificationViolation):
-            judged("pif-missing-start").require()
 
 
 class TestWaveExtraction:

@@ -84,6 +84,12 @@ class TestFamilies:
         assert top.neighbors(2) == (1, 3, 4)
         assert [top.chan_num(2, q) for q in (1, 3, 4)] == [1, 2, 3]
 
+    def test_complete_neighbours_are_its_declared_edges(self):
+        # Complete builds its neighbour map directly; its edge list must
+        # describe the same graph.
+        top = Complete(5)
+        assert sorted(top._edges(top.pids)) == sorted(top.edges())
+
     def test_ring_degrees_and_diameter(self):
         top = Ring(6)
         assert not top.is_complete

@@ -72,7 +72,6 @@ class TestEmitAndQuery:
         assert trace.rows_of(EventKind.DECIDE, EventKind.DECIDE) == [4]
         assert trace.rows_of(EventKind.START, EventKind.DECIDE,
                              EventKind.START) == [1, 4]
-        assert trace.count(EventKind.DECIDE, EventKind.DECIDE) == 1
         assert [row[0] for row in trace.scan(
             EventKind.DECIDE, EventKind.DECIDE)] == [9]
         assert len(trace.of_kind(EventKind.START, EventKind.START)) == 1
@@ -122,7 +121,6 @@ class TestColumns:
         for kinds in (("foreign-kind",), (EventKind.DECIDE,),
                       ("foreign-kind", EventKind.REQUEST), (EventKind.START,)):
             assert arrived.rows_of(*kinds) == ours.rows_of(*kinds)
-            assert arrived.count(*kinds) == ours.count(*kinds)
             assert list(arrived.scan(*kinds)) == list(ours.scan(*kinds))
             assert arrived.of_kind(*kinds) == ours.of_kind(*kinds)
         assert arrived.first("foreign-kind", note="custom") == TraceEvent(

@@ -10,6 +10,8 @@ verdict).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.runner import run_pif_trial
@@ -43,6 +45,16 @@ def test_udp_needs_the_async_engine():
         execute(spec)
     assert err.value.backend == "serial"
     assert err.value.field == "transport"
+
+
+def test_a_socket_error_reaches_the_engine_error_sink():
+    from repro.net.transport.udp import _UdpEndpoint
+
+    errors: list[BaseException] = []
+    fabric = SimpleNamespace(engine=SimpleNamespace(_net_error=errors.append))
+    refused = ConnectionRefusedError("port unreachable")
+    _UdpEndpoint(fabric, 1).error_received(refused)
+    assert errors == [refused]
 
 
 # -- E3 smoke over real datagram sockets ----------------------------------

@@ -16,7 +16,6 @@ import pytest
 from repro.core.pif import PifLayer
 from repro.engine import TrialSpec, execute
 from repro.errors import HorizonExceeded, SimulationError
-from repro.net.cluster import ClusterSimulator
 from repro.sim.runtime import Simulator
 from repro.sim.topology import (
     Clustered,
@@ -130,36 +129,6 @@ class TestEnginePlumbing:
         err = HorizonExceeded("trial did not finish", horizon=100, window=16)
         assert "sync window=16" in str(err)
         assert err.window == 16
-
-
-class TestCrossShardLookahead:
-    def test_wan_widens_default_window(self):
-        sharded = ClusterSimulator(32, {"kind": "pif"}, topology="wan:4",
-                                   latency=(1, 3), hosts=4)
-        assert sharded.lookahead == 16
-        assert sharded.window == 16
-
-    def test_unweighted_window_unchanged(self):
-        sharded = ClusterSimulator(32, {"kind": "pif"},
-                                   topology="clustered:4", latency=(1, 3))
-        assert sharded.lookahead == 1
-        assert sharded.window == 1
-
-    def test_window_error_reports_effective_floor(self):
-        with pytest.raises(SimulationError) as excinfo:
-            ClusterSimulator(32, {"kind": "pif"}, topology="wan:4",
-                             latency=(1, 3), hosts=4, window=20)
-        message = str(excinfo.value)
-        assert "1..16" in message
-        assert "cross-shard latency floor" in message
-        assert "global lower bound 1" in message
-
-    def test_intra_shard_weights_do_not_widen(self):
-        # Slow edges *inside* a shard leave the cut floor at the global lo.
-        top = Weighted(Clustered(2, 4), latency={(1, 2): (16, 32)})
-        sharded = ClusterSimulator(8, {"kind": "pif"}, topology=top,
-                                   latency=(1, 3), hosts=2)
-        assert sharded.window == 1
 
 
 class TestEngineAgreement:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import asyncio
 import copy
 import pickle
+import socket
 import struct
 
 import pytest
 
+from repro.chaos import Backoff
 from repro.core.messages import PifMessage
 from repro.errors import SimulationError
 from repro.net import wire
@@ -306,6 +308,18 @@ async def _abandon(*tasks) -> None:
             await pending
         except (asyncio.CancelledError, Exception):
             pass
+
+
+def test_register_retries_a_refused_dial_until_its_deadline():
+    with socket.socket() as probe:  # a port nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = RegistryClient("127.0.0.1", port)
+    with pytest.raises(SimulationError, match="registry dial"):
+        asyncio.run(client.register(
+            0, "127.0.0.1", 4000, timeout=0.3,
+            backoff=Backoff(initial=0.01, cap=0.05)))
+    assert client.dial_retries > 0
 
 
 def test_duplicate_registration_fails_rendezvous():
