@@ -63,7 +63,7 @@ SRC = ROOT / "src"
 ALLOWLIST: tuple[tuple[str, str], ...] = (
     # Error paths and the validation of outside input.
     ("repro.errors.SpecError.__init__",
-     "tests/test_aggregation_cli.py::TestCli::test_bad_latency_map_entry_rejected"),
+     "tests/test_cli.py::TestCli::test_bad_latency_map_entry_rejected"),
     ("repro.errors.HorizonExceeded.__init__",
      "tests/test_weighted.py::TestEnginePlumbing::test_horizon_exceeded_reports_window"),
     ("repro.analysis.runner._count_cs_grants",
@@ -111,8 +111,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     # The references and oracles tests compare the engine against.
     ("repro.sim.stats.SimStats.record_send",
      "tests/test_link_equivalence.py::test_claim_then_put_matches_step_by_step_path[auto-clean-none]"),
-    ("repro.sim.runtime.Link._emit",
-     "tests/test_link_equivalence.py::TestConfigurationIsConstructionTime::test_trace_network"),
     ("repro.core.messages.PifMessage.__eq__",
      "tests/test_link_equivalence.py::test_claim_then_put_matches_step_by_step_path[auto-clean-none]"),
     ("repro.core.messages.PifMessage.__hash__",
@@ -313,7 +311,9 @@ def roots(scratch: Path) -> list[list[tuple[str, list[str]]]]:
         ("repro matrix", _repro(
             "matrix", "--n", "4", "--seeds", "0", "--topologies", "ring",
             "--losses", "0.0", "--protocol", "me")),
-        ("repro aggregate", _repro("aggregate", "--n", "3", "--op", "max")),
+        ("repro collect async", _repro(
+            "collect", "--n", "4", "--seeds", "0", "--engine", "async",
+            "--topology", "star")),
         ("repro topology", _repro(
             "topology", "--n", "8", "--topology", "clustered:2",
             "--latency-map", "1-5=20:30")),

@@ -5,10 +5,13 @@ The paper motivates PIF as the engine behind Reset, Snapshot, Leader
 Election and Termination Detection.  This example stacks all of them on
 one five-node cluster and runs a realistic operator workflow:
 
-1. elect a leader (minimum identity);
-2. take a global snapshot of per-node load counters;
-3. observe a diffusing computation terminate (termination detection);
-4. issue a cluster-wide reset and verify every node wiped its state.
+1. elect a leader: Protocol IDL's minimum identity;
+2. take a global snapshot of per-node load counters (a collect wave whose
+   value is the load);
+3. observe a diffusing computation terminate (termination detection, a
+   double collect);
+4. issue a cluster-wide reset (a collect wave whose value is the reset
+   handler) and verify every node wiped its state.
 
 Everything runs from a scrambled initial configuration over lossy links.
 
@@ -17,12 +20,10 @@ Run:  python examples/cluster_services.py
 
 from __future__ import annotations
 
-from repro import BernoulliLoss, RequestState, Simulator
+from repro import BernoulliLoss, IdlLayer, RequestState, Simulator
 from repro.applications import (
-    LeaderElectionLayer,
+    CollectLayer,
     ObservedComputation,
-    ResetLayer,
-    SnapshotLayer,
     TerminationDetectorLayer,
 )
 
@@ -37,15 +38,15 @@ def main() -> None:
     def build(host) -> None:
         pid = host.pid
         computations[pid] = ObservedComputation(idle=False, sent=2, received=1)
-        host.register(LeaderElectionLayer("elect"))
-        host.register(SnapshotLayer("snap", state_provider=lambda: loads[pid]))
+        host.register(IdlLayer("elect"))
+        host.register(CollectLayer("snap", value=lambda: loads[pid]))
         host.register(TerminationDetectorLayer("td", computation=computations[pid]))
 
         def wipe() -> None:
             loads[pid] = 0
             reset_log.append(pid)
 
-        host.register(ResetLayer("reset", handler=wipe))
+        host.register(CollectLayer("reset", value=wipe))
 
     sim = Simulator(N, build, seed=11, loss=BernoulliLoss(0.1))
     print("Scrambling the cluster into an arbitrary initial configuration...")
@@ -53,17 +54,17 @@ def main() -> None:
 
     # 1. Leader election.
     elector = sim.layer(2, "elect")
-    elector.request_election()
+    elector.request_learn()
     assert sim.run(1_000_000, until=lambda s: elector.request is RequestState.DONE)
-    print(f"1. leader elected: node {elector.leader}")
-    assert elector.leader == 1
+    print(f"1. leader elected: node {elector.min_id}")
+    assert elector.min_id == 1
 
     # 2. Global snapshot.
     snapper = sim.layer(3, "snap")
-    snapper.request_snapshot()
+    snapper.request_collect()
     assert sim.run(1_000_000, until=lambda s: snapper.request is RequestState.DONE)
-    print(f"2. global load snapshot: {dict(sorted(snapper.snapshot_result.items()))}")
-    assert snapper.snapshot_result == loads
+    print(f"2. global load snapshot: {dict(sorted(snapper.result.items()))}")
+    assert snapper.result == loads
 
     # 3. Termination detection of the fake diffusing computation.
     detector = sim.layer(1, "td")
@@ -79,7 +80,7 @@ def main() -> None:
 
     # 4. Cluster-wide reset.
     resetter = sim.layer(1, "reset")
-    resetter.request_reset()
+    resetter.request_collect()
     assert sim.run(1_000_000, until=lambda s: resetter.request is RequestState.DONE)
     print(f"4. reset wave done: loads = {loads}, nodes reset = {sorted(set(reset_log))}")
     assert all(v == 0 for v in loads.values())

@@ -5,7 +5,8 @@ Tixeuil, *Snap-Stabilization in Message-Passing Systems* (INRIA RR-6446 /
 PODC 2008): the message-passing simulator substrate, the three
 snap-stabilizing protocols (PIF, IDs-Learning, Mutual Exclusion), the
 Theorem 1 impossibility construction, specification checkers, baselines,
-PIF-based applications, and the experiment harness.
+the PIF collect wave and termination detection over it, and the
+experiment harness.
 
 Quickstart::
 

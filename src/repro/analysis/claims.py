@@ -101,6 +101,11 @@ def _idl() -> bool:
     return all(t.ok for t in trials)
 
 
+def _collect() -> bool:
+    return all(t.ok for t in sweep(
+        "collect", ns=[2, 3, 5], losses=[0.0, 0.2], seeds=[0, 1, 2]))
+
+
 def _mutex() -> bool:
     return all(
         t.ok and t.measurements["served"] == t.measurements["requested"]
@@ -245,6 +250,11 @@ CLAIMS: tuple[Claim, ...] = (
           lambda: _matrix(6, "mutex", ["complete", "ring", "star",
                                        "clustered:2", "wan:2"],
                           [0.0, 0.1], [0, 1])),
+    Claim("E12", "Snapshot and reset as one PIF collect wave: from arbitrary "
+          "initial configurations at loss 0 and 0.2, every started collect "
+          "decides each process's true value over the initiator's closed "
+          "neighbourhood.",
+          _sampled("2,3,5", 3), HOLDS, "collect", _collect),
 )
 
 

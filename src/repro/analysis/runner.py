@@ -8,7 +8,7 @@ least its ``protocol`` kind, lets that kind's row of
 → provenance), judges the returned trace against the kind's
 specification — once, in :data:`_JUDGES`, the trial's only verdict on
 every engine — and returns a flat :class:`TrialResult` ready for
-table rendering (experiments E3, E4, E5, E7 of DESIGN.md).  A variation
+table rendering (experiments E3–E5, E11 and E12).  A variation
 of a trial is a :func:`dataclasses.replace` of its spec; a recorded spec
 replays as ``run_trial(TrialSpec.from_provenance(record))``.  The
 ``run_*_trial`` functions are keyword spellings of the same call.
@@ -36,7 +36,7 @@ from repro.engine.base import resolve_topology as _resolve_topology
 from repro.errors import HorizonExceeded, SimulationError
 from repro.sim.topology import Topology
 from repro.sim.trace import EventKind, Trace
-from repro.spec.idl_spec import check_idl
+from repro.spec.base import drive
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
 from repro.spec.waves import extract_waves
@@ -108,13 +108,11 @@ def _judge_pif(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
 
 
 def _judge_idl(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
-    """Specification 2 against the ground-truth identities."""
-    idents = spec.protocol.get("idents")
-    truth = {p: (idents[p] if idents else p) for p in run.pids}
-    verdict = check_idl(
-        run.trace, row.kind, truth, final_requests=run.finals,
-        **row.scope(run.topology),
-    )
+    """Specification 2 against the ground-truth identities, or the
+    collect's against the true values: the row's automaton holds them."""
+    params = {k: v for k, v in spec.protocol.items() if k != "kind"}
+    verdict = drive(row.automaton(run.topology, **params), run.trace).finish(
+        final_requests=run.finals)
     latencies = run.latencies()
     return verdict, {
         "computations": verdict.info.get("computations", 0),
@@ -142,7 +140,8 @@ def _judge_me(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
 
 #: The per-kind half of a trial, ``(row, spec, run) -> (verdict,
 #: measurements)``; the integrity gate holds its keys to PROTOCOLS'.
-_JUDGES = {"pif": _judge_pif, "idl": _judge_idl, "me": _judge_me}
+_JUDGES = {"pif": _judge_pif, "idl": _judge_idl, "collect": _judge_idl,
+           "me": _judge_me}
 
 
 def run_trial(

@@ -13,7 +13,7 @@ Usage::
     python -m repro property1                 # E9a
     python -m repro pif --topology ring       # E3 on a ring
     python -m repro matrix --n 8              # E11 topology x fault matrix
-    python -m repro aggregate --topology star # application demo
+    python -m repro collect --topology star   # E12 collect-wave trials
 
 Every trial-style experiment accepts ``--topology`` (complete, ring, star,
 grid[:RxC], gnp[:P], clustered[:K]) and sweeps the same specification,
@@ -99,17 +99,10 @@ def _flags_matrix(p: argparse.ArgumentParser) -> None:
     p.add_argument("--losses", type=float, nargs="+", default=[0.0, 0.2])
     p.add_argument(
         "--protocol", default="pif", metavar="NAME",
-        help="which trial fills the cells: pif (default), idl or mutex "
-             "(= me)",
+        help="which trial fills the cells: pif (default), idl, mutex "
+             "(= me) or collect",
     )
     _add_engine_args(p)
-
-
-def _flags_aggregate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--op", choices=["sum", "min", "max"], default="sum")
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    _add_topology_arg(p)
 
 
 def _flags_cluster_worker(p: argparse.ArgumentParser) -> None:
@@ -442,22 +435,6 @@ def _cmd_matrix(args) -> str:
     )
 
 
-def _cmd_aggregate(args) -> str:
-    from repro.analysis.tables import render_table
-    from repro.applications.aggregation import run_aggregation_demo
-    from repro.engine.spec import _topology_from_args
-
-    topology = _topology_from_args(args, args.n, args.seeds[0])
-    rows = [
-        run_aggregation_demo(args.n, topology=topology, op=args.op, seed=s)
-        for s in args.seeds
-    ]
-    return render_table(
-        list(rows[0].keys()), [list(r.values()) for r in rows],
-        title="aggregation — one PIF reduce wave",
-    )
-
-
 def _cmd_topology(args) -> str:
     """Structure + edge-weight stats + the sharded engine's lookahead."""
     from repro.analysis.tables import render_table
@@ -575,9 +552,9 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         "E9b: capacity-c extension", _flags_capacity, _cmd_capacity),
     "matrix": _Subcommand(
         "E11: topology x fault scenario matrix", _flags_matrix, _cmd_matrix),
-    "aggregate": _Subcommand(
-        "application demo: PIF aggregation wave", _flags_aggregate,
-        _cmd_aggregate),
+    "collect": _Subcommand(
+        "E12: collect-wave (snapshot, reset) trials", _flags_trials,
+        _cmd_trials),
     "cluster-worker": _Subcommand(
         "serve one shard of a multi-host trial (launched by the "
         "engine=cluster coordinator, or by hand on a remote machine)",

@@ -1,4 +1,4 @@
-"""The one protocol table: what a PIF / IDL / ME trial *is*.
+"""The one protocol table: what a PIF / IDL / ME / collect trial *is*.
 
 A :class:`~repro.engine.TrialSpec` describes its protocol as a plain
 ``{"kind": ..., **params}`` dict and its request payloads as a format
@@ -123,6 +123,22 @@ def _idl_automaton(topology, idents=None, **_params):
     return IdlAutomaton("idl", truth, **_neighbors(topology))
 
 
+def _build_collect() -> BuildFn:
+    from repro.applications.collect import CollectLayer
+
+    def build(host) -> None:
+        host.register(CollectLayer("collect", value=lambda pid=host.pid: pid))
+
+    return build
+
+
+def _collect_automaton(topology, **_params):
+    from repro.spec.idl_spec import CollectAutomaton
+
+    truth = {p: p for p in topology.pids}
+    return CollectAutomaton("collect", truth, **_neighbors(topology))
+
+
 def _build_me(
     *, cs_duration: int = 3, use_paper_modulus: bool = False
 ) -> BuildFn:
@@ -163,6 +179,11 @@ PROTOCOLS: dict[str, ProtocolKind] = {
             scope=_neighbors, automaton=_idl_automaton,
         ),
         ProtocolKind(
+            kind="collect", command="collect",
+            title="E12 — collect trials", build=_build_collect,
+            horizon=2_000_000, scope=_neighbors, automaton=_collect_automaton,
+        ),
+        ProtocolKind(
             # The larger horizon: convergence on rings.
             kind="me", command="mutex", title="E5 — ME trials",
             build=_build_me, horizon=6_000_000,
@@ -181,7 +202,7 @@ def protocol_of(protocol: Mapping[str, Any] | None) -> ProtocolKind:
         raise SpecError(
             f"unknown protocol kind {protocol.get('kind')!r}; expected one "
             f"of {sorted(PROTOCOLS)}", field="protocol")
-    accepted = row.build.__kwdefaults__
+    accepted = row.build.__kwdefaults__ or {}
     unknown = sorted(protocol.keys() - accepted.keys() - {"kind"})
     if unknown:
         raise SpecError(

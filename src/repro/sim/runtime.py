@@ -60,8 +60,7 @@ other sender calls :meth:`Link.send`, the two in a row, through
 :meth:`ProcessHost.send <repro.sim.process.ProcessHost.send>`.  A
 delivery is two frames: :meth:`Simulator._deliver` frees the slot, counts
 the delivery and calls the consuming layer's ``on_message`` itself (a busy
-receiver, delivery hooks and ``trace_network`` take the general
-:meth:`_dispatch_arrival`).
+receiver and delivery hooks take the general :meth:`_dispatch_arrival`).
 The step-by-step spelling of the same rules stays public —
 ``BoundedChannel.try_admit``, :meth:`Simulator.draw_delivery_time`,
 ``Scheduler.post_at``, ``ProcessHost.dispatch`` — for ``inject``,
@@ -127,8 +126,7 @@ class Link:
 
     A send is :meth:`claim` then, if it said yes, :meth:`put` (:meth:`send`
     is the two in a row).  Together they perform every check of the
-    step-by-step path in the same order — count, ``trace_network`` row,
-    loss draw, capacity check (:meth:`ChannelBase.try_admit`'s, inlined),
+    step-by-step path in the same order — count, loss draw, capacity check (:meth:`ChannelBase.try_admit`'s, inlined),
     then admission and the engine's own step for an admitted entry
     (:meth:`Simulator._admitted_step`): on this engine the delivery-time
     rule (:meth:`Simulator.draw_delivery_time`, with the latency draw of
@@ -149,7 +147,7 @@ class Link:
         "_cap", "_occupancy", "_forward", "_on_arrival",
         # The engine's, the same objects on every link of it.
         "_sim", "_stats", "_sent_by_tag", "_scheduler", "_queue",
-        "_should_drop", "_trace_network",
+        "_should_drop",
     )
 
     def __init__(self, sim: "Simulator", src: int, dst: int) -> None:
@@ -185,7 +183,6 @@ class Link:
         self._should_drop = (
             None if type(sim.loss) is NoLoss else sim.loss.should_drop
         )
-        self._trace_network = sim.trace_network
 
     def send(self, msg: TaggedMessage) -> bool:
         """Send ``msg`` down the channel; returns True if admitted."""
@@ -193,23 +190,17 @@ class Link:
 
     def claim(self, tag: str) -> bool:
         """Everything a send of a ``tag`` message does before admission:
-        count, ``trace_network`` rows, loss draw, capacity check.  True:
+        count, loss draw, capacity check.  True:
         the message will be admitted — :meth:`put` it next."""
         stats = self._stats
         stats.sent += 1
         self._sent_by_tag[tag] += 1
-        if self._trace_network:
-            self._emit(EventKind.SEND, tag)
         if self._should_drop is not None and self._should_drop(self._rng, tag):
             stats.dropped_loss += 1
-            if self._trace_network:
-                self._emit(EventKind.DROP_LOSS, tag)
             return False
         cap = self._cap
         if cap is not None and self._occupancy.get(tag, 0) >= cap:
             stats.dropped_full += 1
-            if self._trace_network:
-                self._emit(EventKind.DROP_FULL, tag)
             return False
         return True
 
@@ -254,14 +245,6 @@ class Link:
             )
         return True
 
-    def _emit(self, kind: str, tag: str) -> None:
-        # Reads sim.trace when it runs: workers install a keyed trace
-        # after construction.
-        channel = self.channel
-        self._sim.trace.emit(
-            self._scheduler._now, kind, channel.src, dst=channel.dst, tag=tag
-        )
-
 
 class CorruptingLink(Link):
     """A link under an in-flight corruption model.
@@ -304,13 +287,12 @@ class Simulator:
     Topology instance is given its pids define the system and ``pids`` may
     be omitted (or must agree).
 
-    ``loss``, ``corruption``, ``latency``, ``capacity``, ``auto`` and
-    ``trace_network`` are **fixed at construction**: every channel's
-    compiled link (:class:`Link`) binds them once, so assigning to the
-    attributes of the same name afterwards changes nothing a send does.
-    What a link reads when it runs, because drivers do rebind or mutate
-    them: :attr:`trace` (the sharded and cluster workers install a keyed
-    trace after construction), :attr:`cross_outbox`, the hook lists.
+    ``loss``, ``corruption``, ``latency``, ``capacity`` and ``auto`` are
+    **fixed at construction**: every channel's compiled link
+    (:class:`Link`) binds them once, so assigning to the attributes of the
+    same name afterwards changes nothing a send does.  What a link reads
+    when it runs, because drivers do rebind or mutate them:
+    :attr:`cross_outbox`, the hook lists.
     """
 
     def __init__(
@@ -327,7 +309,6 @@ class Simulator:
         corruption: "object | None" = None,
         activation_period: int = 2,
         auto: bool = True,
-        trace_network: bool = False,
         hosts_for: Sequence[int] | None = None,
     ) -> None:
         if isinstance(pids, int):
@@ -362,7 +343,6 @@ class Simulator:
         self.latency = (lo, hi)
         self.activation_period = activation_period
         self.auto = auto
-        self.trace_network = trace_network
         self.capacity = capacity
         self.unbounded = unbounded
 
@@ -580,11 +560,7 @@ class Simulator:
         dst = channel.dst
         host = self.hosts[dst]
         scheduler = self.scheduler
-        if (
-            host.busy_until > scheduler._now
-            or self.delivery_hooks
-            or self.trace_network
-        ):
+        if host.busy_until > scheduler._now or self.delivery_hooks:
             self._dispatch_arrival(channel.src, dst, msg, entry.seq)
             return
         if host._catch_up is not None:  # host.wake(), inlined
@@ -621,8 +597,6 @@ class Simulator:
         stats = self.stats
         stats.delivered += 1
         stats.delivered_by_tag[msg.tag] += 1
-        if self.trace_network:
-            self.trace.emit(self.now, EventKind.DELIVER, dst, src=src, tag=msg.tag)
         hooks = self.delivery_hooks
         if hooks:
             for hook in hooks:

@@ -57,12 +57,6 @@ class EventKind:
     RECEIVE_BRD = "receive-brd"
     RECEIVE_FCK = "receive-fck"
 
-    # Network-level events.
-    SEND = "send"
-    DELIVER = "deliver"
-    DROP_FULL = "drop-full"    # sent into a full channel slot (paper: lost)
-    DROP_LOSS = "drop-loss"    # lost by the loss model
-
     # Mutual exclusion.
     CS_ENTER = "cs-enter"
     CS_EXIT = "cs-exit"

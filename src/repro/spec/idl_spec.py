@@ -3,7 +3,9 @@
 At the end of any IDs-Learning computation *started* by ``p``:
 ``ID-Tab_p[q] = ID_q`` for every peer ``q`` and
 ``minID_p = min`` of all identities.  Start and Termination mirror
-Specification 1.
+Specification 1.  The collect wave (:mod:`repro.applications.collect`)
+is held to the same bookkeeping with its decided map judged whole
+(:class:`CollectAutomaton`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from repro.sim.trace import EventKind, Trace
 from repro.spec.base import Automaton, SpecVerdict, drive
 from repro.types import RequestState
 
-__all__ = ["IdlAutomaton", "check_idl"]
+__all__ = ["CollectAutomaton", "IdlAutomaton", "check_idl"]
 
 
 class IdlAutomaton(Automaton):
@@ -65,9 +67,10 @@ class IdlAutomaton(Automaton):
             self._started[pid] = time
         elif self._started.pop(pid, None) is not None:  # DECIDE
             self.computations += 1
-            self._judge(time, pid, data.get("min_id"), data.get("id_tab") or {})
+            self._judge(time, pid, data)
 
-    def _judge(self, time: int, pid: int, min_id: Any, id_tab: Mapping) -> None:
+    def _judge(self, time: int, pid: int, data: Mapping[str, Any]) -> None:
+        min_id, id_tab = data.get("min_id"), data.get("id_tab") or {}
         idents = self.idents
         if self.neighbors is not None:
             peers = tuple(self.neighbors[pid])
@@ -100,6 +103,26 @@ class IdlAutomaton(Automaton):
             "computation started at t={t} never decided")
         verdict.add_still_in(final_requests)
         return verdict
+
+
+class CollectAutomaton(IdlAutomaton):
+    """The collect wave's specification: Specification 2's Start and
+    Termination, and the DECIDE of a started computation carries
+    ``result`` equal to ``idents`` (here: each process's true value) over
+    the initiator's closed neighbourhood — every process without
+    ``neighbors``."""
+
+    NAME = "Collect"
+
+    def _judge(self, time: int, pid: int, data: Mapping[str, Any]) -> None:
+        truth = self.idents
+        reach = truth if self.neighbors is None else (pid, *self.neighbors[pid])
+        expected = {q: truth[q] for q in reach}
+        if data.get("result") != expected:
+            self._flag(
+                "Correctness",
+                f"decided {data.get('result')!r}, true values are {expected}",
+                time, pid)
 
 
 def check_idl(

@@ -1,12 +1,9 @@
-"""Tests for the PIF-based applications."""
+"""Tests for the PIF-based applications: the collect wave (snapshot,
+reset) and termination detection over it."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.applications.leader_election import LeaderElectionLayer
-from repro.applications.reset import ResetLayer
-from repro.applications.snapshot import SnapshotLayer
+from repro.applications.collect import CollectLayer
 from repro.applications.termination_detection import (
     ObservedComputation,
     TerminationDetectorLayer,
@@ -16,112 +13,64 @@ from repro.sim.runtime import Simulator
 from repro.types import RequestState
 
 
-class TestLeaderElection:
-    def test_elects_minimum_identity(self):
-        sim = Simulator(4, lambda h: h.register(LeaderElectionLayer("e")), seed=0)
-        layer = sim.layer(3, "e")
-        layer.request_election()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.leader == 1
-        assert layer.leader != layer.idl.ident
-
-    def test_custom_identities(self):
-        idents = {1: 99, 2: 5, 3: 42}
-        sim = Simulator(
-            3,
-            lambda h: h.register(LeaderElectionLayer("e", ident=idents[h.pid])),
-            seed=1,
-        )
-        layer = sim.layer(2, "e")
-        layer.request_election()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.leader == 5
-        assert layer.leader == layer.idl.ident
-
-    def test_snap_stabilizing_from_scramble(self):
-        sim = Simulator(3, lambda h: h.register(LeaderElectionLayer("e")), seed=2)
-        sim.scramble(seed=2)
-        layer = sim.layer(2, "e")
-        layer.request_election()
-        assert sim.run(500_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.leader == 1
-
-    def test_all_elect_concurrently_and_agree(self):
-        sim = Simulator(4, lambda h: h.register(LeaderElectionLayer("e")), seed=3)
-        for p in sim.pids:
-            sim.layer(p, "e").request_election()
-        ok = sim.run(
-            500_000,
-            until=lambda s: all(
-                s.layer(p, "e").request is RequestState.DONE for p in s.pids
-            ),
-        )
-        assert ok
-        assert {sim.layer(p, "e").leader for p in sim.pids} == {1}
+def _collect(sim, pid, horizon=300_000):
+    layer = sim.layer(pid, "c")
+    layer.request_collect()
+    assert sim.run(horizon, until=lambda s: layer.request is RequestState.DONE)
+    return layer.result
 
 
 class TestSnapshot:
+    """A snapshot is a collect whose value is the local state."""
+
     def test_collects_all_states(self):
         def build(host):
-            host.register(
-                SnapshotLayer("s", state_provider=lambda pid=host.pid: pid * 11)
-            )
+            host.register(CollectLayer("c", value=lambda pid=host.pid: pid * 11))
 
         sim = Simulator(4, build, seed=0)
-        layer = sim.layer(2, "s")
-        layer.request_snapshot()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.snapshot_result == {1: 11, 2: 22, 3: 33, 4: 44}
+        assert _collect(sim, 2) == {1: 11, 2: 22, 3: 33, 4: 44}
 
     def test_stale_collected_values_discarded_on_new_wave(self):
         def build(host):
-            host.register(SnapshotLayer("s", state_provider=lambda: "fresh"))
+            host.register(CollectLayer("c", value=lambda: "fresh"))
 
         sim = Simulator(3, build, seed=1)
-        layer: SnapshotLayer = sim.layer(1, "s")
-        layer.collected = {2: "stale", 3: "stale"}
-        layer.request_snapshot()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert set(layer.snapshot_result.values()) == {"fresh"}
+        sim.layer(1, "c").collected = {2: "stale", 3: "stale"}
+        assert set(_collect(sim, 1).values()) == {"fresh"}
 
     def test_snapshot_under_loss(self):
         def build(host):
-            host.register(SnapshotLayer("s", state_provider=lambda: 7))
+            host.register(CollectLayer("c", value=lambda: 7))
 
         sim = Simulator(3, build, seed=2, loss=BernoulliLoss(0.2))
-        layer = sim.layer(3, "s")
-        layer.request_snapshot()
-        assert sim.run(1_000_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.snapshot_result == {1: 7, 2: 7, 3: 7}
+        assert _collect(sim, 3, horizon=1_000_000) == {1: 7, 2: 7, 3: 7}
 
 
 class TestReset:
-    def test_every_process_resets_during_wave(self):
-        counts: dict[int, int] = {}
+    """A reset is a collect whose value is the reset handler: every peer
+    runs it when the broadcast reaches it, while the initiator's PIF is
+    In, and the initiator when it decides."""
+
+    def _runs(self, n, seed):
+        runs: list[tuple[int, str]] = []
 
         def build(host):
-            counts[host.pid] = 0
-
             def handler(pid=host.pid):
-                counts[pid] += 1
+                wave = sim.layer(1, "c").pif.request is RequestState.IN
+                runs.append((pid, "wave" if wave else "decide"))
 
-            host.register(ResetLayer("r", handler=handler))
+            host.register(CollectLayer("c", value=handler))
 
-        sim = Simulator(4, build, seed=0)
-        layer = sim.layer(1, "r")
-        layer.request_reset()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert all(count >= 1 for count in counts.values())
+        sim = Simulator(n, build, seed=seed)
+        _collect(sim, 1)
+        return runs
+
+    def test_every_process_resets_during_wave(self):
+        runs = self._runs(4, seed=0)
+        assert sorted(pid for pid, when in runs if when == "wave") == [2, 3, 4]
 
     def test_initiator_resets_at_decide(self):
-        def build(host):
-            host.register(ResetLayer("r"))
-
-        sim = Simulator(2, build, seed=1)
-        layer: ResetLayer = sim.layer(1, "r")
-        layer.request_reset()
-        assert sim.run(300_000, until=lambda s: layer.request is RequestState.DONE)
-        assert layer.reset_count >= 1
+        assert self._runs(2, seed=1) == [(2, "wave"), (1, "decide")]
 
 
 class TestTerminationDetection:

@@ -1,66 +1,10 @@
-"""Tests for the aggregation application and the experiment CLI."""
+"""Tests for the experiment CLI."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.applications.aggregation import AggregationLayer
 from repro.cli import build_parser, main
-from repro.sim.runtime import Simulator
-from repro.types import RequestState
-
-
-class TestAggregation:
-    def make(self, n=4, op=None, seed=0, scramble=False):
-        values = {pid: float(pid * 10) for pid in range(1, n + 1)}
-
-        def build(host):
-            kwargs = {"op": op} if op else {}
-            host.register(
-                AggregationLayer(
-                    "agg", value_provider=lambda pid=host.pid: values[pid],
-                    **kwargs,
-                )
-            )
-
-        sim = Simulator(n, build, seed=seed)
-        if scramble:
-            sim.scramble(seed=seed)
-        return sim
-
-    def run_one(self, sim, pid=1):
-        layer = sim.layer(pid, "agg")
-        layer.request_aggregate()
-        assert sim.run(500_000, until=lambda s: layer.request is RequestState.DONE)
-        return layer.result
-
-    def test_global_sum(self):
-        assert self.run_one(self.make(4)) == 10.0 + 20.0 + 30.0 + 40.0
-
-    def test_global_max(self):
-        sim = self.make(3, op=max)
-        assert self.run_one(sim) == 30.0
-
-    def test_global_min_generalizes_idl(self):
-        sim = self.make(5, op=min)
-        assert self.run_one(sim) == 10.0
-
-    def test_correct_from_scramble(self):
-        sim = self.make(3, seed=7, scramble=True)
-        assert self.run_one(sim, pid=2) == 60.0
-
-    def test_stale_collected_values_ignored(self):
-        sim = self.make(3)
-        layer: AggregationLayer = sim.layer(1, "agg")
-        layer.collected = {2: 9999.0, 3: -9999.0}
-        assert self.run_one(sim) == 60.0
-
-    def test_garbage_feedback_ignored(self):
-        sim = self.make(2)
-        layer: AggregationLayer = sim.layer(1, "agg")
-        layer.on_feedback(2, "junk")
-        layer.on_feedback(2, ("VAL", "not-a-float"))
-        assert layer.collected == {}
 
 
 class TestCli:
@@ -68,7 +12,7 @@ class TestCli:
         parser = build_parser()
         for command in ("list", "figure1", "impossibility", "pif", "idl",
                         "mutex", "compare", "scaling", "ablations",
-                        "property1", "capacity", "topology"):
+                        "property1", "capacity", "collect", "topology"):
             args = parser.parse_args([command] if command != "pif" else ["pif"])
             assert args.command == command
 
@@ -87,6 +31,12 @@ class TestCli:
                      "--requests", "1"]) == 0
         out = capsys.readouterr().out
         assert "E3" in out and "yes" in out
+
+    def test_collect_trials(self, capsys):
+        assert main(["collect", "--n", "3", "--seeds", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "E12" in out and "computations" in out
+        assert "| yes |" in out
 
     def test_property1(self, capsys):
         assert main(["property1", "--n", "2"]) == 0

@@ -337,7 +337,7 @@ _WRAPPERS = {"pif": run_pif_trial, "idl": run_idl_trial,
              "me": run_mutex_trial}
 
 
-@pytest.mark.parametrize("kind", PROTOCOLS)
+@pytest.mark.parametrize("kind", _WRAPPERS)
 def test_a_spec_naming_only_its_protocol_is_the_wrappers_default_call(kind):
     axes = TrialSpec(n=3, seed=2, loss=0.1, capacity=2)
     direct = run_trial(replace(axes, protocol={"kind": kind}))

@@ -14,8 +14,8 @@ transports and the ledger's probes keep alive), must agree on *everything*
 observable after every step.
 
 Also pinned: the engine's configuration is construction-time (a link
-compiled before the first send honours every knob), and the two things a
-link must read at call time because drivers rebind them.
+compiled before the first send honours every knob), and the outbox a
+link must read at call time because drivers drain it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.sim.faults import HeaderCorruption, TargetedLoss
 from repro.sim.process import Layer
 from repro.sim.runtime import Simulator
 from repro.sim.topology import Complete, Weighted
-from repro.sim.trace import EventKind, Trace
 
 PIDS = (1, 2, 3)
 TAGS = ("a", "b")
@@ -68,8 +67,6 @@ def _reference_send(sim: Simulator, src: int, dst: int, msg) -> bool:
     stats.record_send(msg.tag)
     channel = sim.network.channel(src, dst)
     rng = sim.send_rng(src)
-    if sim.trace_network:
-        sim.trace.emit(sim.now, EventKind.SEND, src, dst=dst, tag=msg.tag)
     if sim.corruption is not None:
         original = msg
         msg = sim.corruption.maybe_corrupt(rng, msg)
@@ -77,14 +74,10 @@ def _reference_send(sim: Simulator, src: int, dst: int, msg) -> bool:
             stats.corrupted += 1
     if sim.loss.should_drop(rng, msg.tag):
         stats.dropped_loss += 1
-        if sim.trace_network:
-            sim.trace.emit(sim.now, EventKind.DROP_LOSS, src, dst=dst, tag=msg.tag)
         return False
     entry = channel.try_admit(msg, sim.now)
     if entry is None:
         stats.dropped_full += 1
-        if sim.trace_network:
-            sim.trace.emit(sim.now, EventKind.DROP_FULL, src, dst=dst, tag=msg.tag)
         return False
     if sim.auto:
         sim._schedule_delivery(channel, entry)
@@ -195,17 +188,14 @@ def _pinned_steps():
 
 @pytest.mark.parametrize("unbounded", [False, True])
 @pytest.mark.parametrize("hosts_for", [None, (1, 2)])
-@pytest.mark.parametrize("trace_network", [False, True])
-def test_link_matches_step_by_step_path_on_a_fixed_walk(
-    unbounded, hosts_for, trace_network
-):
+def test_link_matches_step_by_step_path_on_a_fixed_walk(unbounded, hosts_for):
     def make_kwargs():
         return dict(
             topology=Weighted(Complete(PIDS), latency={(1, 2): (2, 6)},
                               capacity={(2, 3): 2}),
             seed=11, hosts_for=hosts_for, unbounded=unbounded, capacity=1,
             latency=(1, 3), loss=BernoulliLoss(0.1),
-            corruption=HeaderCorruption(0.3), trace_network=trace_network,
+            corruption=HeaderCorruption(0.3),
         )
 
     _run_steps(make_kwargs, True, _pinned_steps())
@@ -225,14 +215,14 @@ _LOSSES = {
 @pytest.mark.parametrize("auto", [True, False], ids=["auto", "manual"])
 def test_claim_then_put_matches_step_by_step_path(loss, corruption, auto):
     """Every send through the two halves: full slots on 1 -> 2, a
-    non-hosted destination (3), ``trace_network`` rows, each loss model,
+    non-hosted destination (3), each loss model,
     a corrupting link (whose claim defers to its put), manual mode."""
     def make_kwargs():
         return dict(
             topology=Complete(PIDS), seed=5, hosts_for=(1, 2), capacity=1,
             loss=_LOSSES[loss](),
             corruption=HeaderCorruption(0.3) if corruption else None,
-            trace_network=True, auto=auto,
+            auto=auto,
         )
 
     steps = [("claim", *step[1:]) if step[0] in ("send", "transmit") else step
@@ -284,27 +274,8 @@ class TestConfigurationIsConstructionTime:
         assert sim.network.channel(1, 2).entries()[0].delivery_time is None
         assert sim.step_deliver(1, 2) is not None
 
-    def test_trace_network(self):
-        sim = _twin(pids=3, trace_network=True)
-        self._send(sim, n=2)
-        sim.run(10)
-        kinds = [e.kind for e in sim.trace]
-        assert kinds == [EventKind.SEND, EventKind.SEND, EventKind.DROP_FULL,
-                         EventKind.DELIVER]
-
 
 class TestWhatALinkReadsAtCallTime:
-    def test_trace_installed_after_construction_gets_the_network_rows(self):
-        # The sharded and cluster workers rebind sim.trace to a keyed trace
-        # after construction — and a link may already be compiled by then.
-        sim = _twin(pids=3, trace_network=True)
-        sim.link(1, 2)
-        first, sim.trace = sim.trace, Trace()
-        sim.transmit(1, 2, PifMessage("a", 0, "f", 0, 0))
-        sim.run(10)
-        assert len(first) == 0
-        assert [e.kind for e in sim.trace] == [EventKind.SEND, EventKind.DELIVER]
-
     def test_drained_outbox_keeps_collecting_cross_shard_sends(self):
         sim = _twin(pids=3, hosts_for=(1, 2))
         outbox = sim.cross_outbox
@@ -344,7 +315,6 @@ def _scenarios(draw):
         latency=draw(st.sampled_from([(1, 3), (1, 1), (2, 7)])),
         loss=draw(st.sampled_from(sorted(_LOSSES))),
         corruption_p=draw(st.sampled_from([None, 0.3])),
-        trace_network=draw(st.booleans()),
         auto=draw(st.booleans()),
     )
     # A small pool of edges per scenario, so sends pile up on one channel

@@ -398,7 +398,7 @@ class TestOnlineMonitors:
         [monitor] = default_monitors("idl", Complete(3), {1: 7, 2: 8, 3: 9})
         assert isinstance(monitor, SpecMonitor)
         assert monitor.automaton.idents == {1: 7, 2: 8, 3: 9}
-        monitor.observe(1, EventKind.SEND, 1, {"tag": "idl"})
+        monitor.observe(1, EventKind.CS_ENTER, 1, {"tag": "idl"})
         monitor.observe(1, EventKind.RECEIVE_BRD, 1, {"tag": "idl"})
         monitor.observe(1, EventKind.REQUEST, 1, {"tag": "idl/pif"})
         assert monitor.report().events_observed == 0

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.applications.collect import CollectLayer
 from repro.applications.termination_detection import TerminationDetectorLayer
 from repro.baselines.naive_pif import NaivePifLayer
 from repro.baselines.self_stab_mutex import TokenMutexLayer
@@ -206,11 +207,12 @@ def test_scramble_always_yields_valid_domains(seed):
             assert 0 <= layer.neig_state[q] <= layer.max_state
 
 
-#: (layer, n): PIF, IDL, ME, the naive PIF, the token mutex and an
-#: application over PIF; IDL and ME bring their embedded instances.
+#: (layer, n): PIF, IDL, ME, the naive PIF, the token mutex and the two
+#: applications over PIF; IDL, ME and the applications bring their
+#: embedded instances.
 _RESTORED = (
     (PifLayer, 3), (IdlLayer, 3), (MutexLayer, 3), (NaivePifLayer, 3),
-    (TokenMutexLayer, 4), (TerminationDetectorLayer, 3),
+    (TokenMutexLayer, 4), (TerminationDetectorLayer, 3), (CollectLayer, 3),
 )
 
 

@@ -282,7 +282,7 @@ class TestCrossShardSendsAreNotDropped:
 # -- the keyed merge, from the serial order down ----------------------------
 
 _PIDS = range(6)
-_RUN_KINDS = (EventKind.RECEIVE_BRD, EventKind.DELIVER, EventKind.DECIDE,
+_RUN_KINDS = (EventKind.RECEIVE_BRD, EventKind.CS_ENTER, EventKind.DECIDE,
               "custom-kind")
 
 _entity_keys = st.one_of(
