@@ -26,7 +26,7 @@ import argparse
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from repro.errors import HorizonExceeded, SimulationError
+from repro.errors import HorizonExceeded, ReproError, SimulationError
 
 # Every ``python -m repro ...`` process — each cluster worker among them
 # — imports this module first, so it imports nothing else of the program
@@ -595,10 +595,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HorizonExceeded as exc:
         print(f"horizon exceeded: {exc}", file=sys.stderr)
         return 1
-    except SimulationError as exc:
+    except ReproError as exc:
         # Engine-axis misuse (--shards without --engine sharded, --tick
-        # without --transport tcp, ...) carries an actionable message; a
-        # one-liner beats a traceback.
+        # without --transport tcp, ...) and a bad protocol argument
+        # (--requests -1) carry an actionable message; a one-liner beats
+        # a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,9 +37,13 @@ hash mismatch; ``docs/architecture.md`` keeps the epoch log.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Any
+
+try:  # hashlib loads OpenSSL's libcrypto (~3.6 MiB RSS) to offer a blake2b CPython builds in
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - an interpreter without the built-in module
+    from hashlib import blake2b
 
 __all__ = [
     "SEMANTICS_EPOCH",
@@ -179,7 +183,7 @@ def bound_randint(rng: "random.Random", lo: int, hi: int) -> Any:
 def derive_seed(*parts: Any) -> int:
     """A stable 64-bit seed from ``parts`` (ints/strings), identical across
     processes and Python invocations (no reliance on ``hash()``)."""
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"\x1f")

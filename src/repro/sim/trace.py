@@ -36,11 +36,12 @@ length, and the spec automata re-read it, so all three sides are tuned):
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterable, Iterator
+
+from repro.sim.determinism import blake2b
 
 __all__ = ["EventKind", "TraceEvent", "Trace", "canonical_trace_hash"]
 
@@ -262,7 +263,7 @@ class Trace:
         sorted ``(key, value)`` pairs), so digests are comparable across
         engines, store versions and processes.
         """
-        h = hashlib.blake2b(digest_size=16)
+        h = blake2b(digest_size=16)
         update = h.update
         for t, kind, p, k, v in zip(
             self._times, self._kinds, self._procs, self._keys, self._values

@@ -56,6 +56,14 @@ class TestCli:
                      "--topology", "ring", "--wan"]) == 1
         assert "--wan conflicts" in capsys.readouterr().err
 
+    def test_named_protocol_error_prints_one_line(self, capsys):
+        assert main(["pif", "--n", "3", "--seeds", "0",
+                     "--requests", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: requests_per_process must be >= 0, got -1"]
+        assert "Traceback" not in err
+
     def test_topology_reports_weight_stats(self, capsys):
         assert main(["topology", "--n", "32", "--topology", "wan:4"]) == 0
         out = capsys.readouterr().out

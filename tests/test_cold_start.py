@@ -13,6 +13,7 @@ judged name still loaded at the end is one the snippet imported itself.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.sim import determinism
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -71,7 +73,7 @@ _SERIAL_HEAVY = (
     "repro.net.engine", "repro.net.monitors", "repro.sim.sharded",
     "repro.chaos.plan", "repro.analysis.experiments",
     "repro.analysis.ablations", "repro.baselines", "repro.applications",
-    "repro.impossibility", "repro.analysis.claims",
+    "repro.impossibility", "repro.analysis.claims", "hashlib", "_hashlib",
 )
 
 _TRIAL = "import repro.engine, repro.analysis.runner\n"
@@ -80,6 +82,12 @@ _TRIAL = "import repro.engine, repro.analysis.runner\n"
 def test_serial_trial_process_loads_no_other_engine():
     trial = _TRIAL + "repro.engine.resolve('serial')\n"
     assert _present(_loaded_after(trial, _SERIAL_HEAVY), _SERIAL_HEAVY) == []
+
+
+def test_trial_hash_is_hashlibs_blake2b():
+    """The built-in constructor a trial hashes with is the very object
+    ``hashlib`` exports, so no seed or digest can drift from it."""
+    assert determinism.blake2b is hashlib.blake2b
 
 
 #: What ``prepare`` must not pay for: the pool, the coordinator and the
@@ -143,7 +151,7 @@ _WORKER_HEAVY = (
     "repro.analysis", "repro.engine", "repro.spec", "repro.applications",
     "repro.baselines", "repro.impossibility", "multiprocessing",
     "tempfile", "repro.net.engine", "repro.net.clock",
-    "repro.net.transport", "repro.net.monitors",
+    "repro.net.transport", "repro.net.monitors", "hashlib", "_hashlib",
 )
 
 
