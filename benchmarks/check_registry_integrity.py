@@ -59,7 +59,7 @@ Asserts, without running a single trial:
   cycles), or a part of the trace store beyond its five columns and kind
   index (the kind-interning table, the process index, the monotone flag,
   the vendored pre-columnar store, the column-wise bulk append, the
-  per-row payload-dict column), or a module-level ``hashlib`` import
+  per-row payload-dict column), or any ``hashlib`` import
   under ``repro`` (it loads OpenSSL's libcrypto for a ``blake2b`` the
   interpreter builds in: ``repro.sim.determinism.blake2b``).
 
@@ -306,10 +306,9 @@ GUARDS: tuple[Guard, ...] = (
                      + r"eze\b|copy\.deep" + r"copy\b)"),
           ("repro/core", "repro/baselines", "repro/applications",
            "repro/sim/configuration.py")),
-    # blake2b comes from the built-in _blake2 (repro.sim.determinism);
-    # only its indented fallback may name hashlib.
+    # blake2b comes from the built-in _blake2 (repro.sim.determinism).
     Guard("loads OpenSSL for a hash the interpreter builds in",
-          re.compile(r"^(import|from)\s+hashlib\b")),
+          re.compile(r"^\s*(import|from)\s+hashlib\b")),
 )
 
 

@@ -40,10 +40,9 @@ from __future__ import annotations
 import random
 from typing import Any
 
-try:  # hashlib loads OpenSSL's libcrypto (~3.6 MiB RSS) to offer a blake2b CPython builds in
-    from _blake2 import blake2b
-except ImportError:  # pragma: no cover - an interpreter without the built-in module
-    from hashlib import blake2b
+# hashlib's blake2b *is* this built-in one; importing hashlib would also
+# load OpenSSL's libcrypto (~3.6 MiB RSS) for nothing.
+from _blake2 import blake2b
 
 __all__ = [
     "SEMANTICS_EPOCH",
