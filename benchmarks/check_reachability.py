@@ -82,14 +82,19 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
      "tests/test_runtime.py::TestBoundRandint::test_other_bounds_are_refused"),
     ("repro.sim.sharded._out_of_order",
      "tests/test_sharded.py::TestTheMergeStreams::test_a_run_out_of_order_is_an_error"),
-    ("repro.net.coordinator._Coordinator.abandon",
-     "tests/test_cluster_pool.py::test_failed_trial_discards_every_worker_it_leased"),
     ("repro.net.engine.AsyncSimulator._net_error",
      "tests/test_net.py::TestErrorSink::test_dispatch_failure_fails_a_socket_trial_promptly[tcp]"),
     ("repro.net.transport.udp._UdpEndpoint.error_received",
      "tests/test_udp_transport.py::test_a_socket_error_reaches_the_engine_error_sink"),
     ("repro.net.registry.RegistryClient._count_retry",
      "tests/test_wire.py::test_register_retries_a_refused_dial_until_its_deadline"),
+    # A send the kernel takes only in part (no root's trial writes more
+    # than a socket buffers), and the blocking flush a failing worker's
+    # last report takes.
+    ("repro.net.registry.Channel.flush",
+     "tests/test_wire.py::test_two_channels_ship_more_than_the_kernel_buffers_to_each_other"),
+    ("repro.net.registry.Channel.drain",
+     "tests/test_wire.py::test_two_channels_ship_more_than_the_kernel_buffers_to_each_other"),
     ("repro.net.clock.PacedClock.schedule_at",
      "tests/test_net.py::TestClocks::test_paced_clock_clamps_past_schedules"),
     # The explorer substrate (ROADMAP 3(b)): configurations, their key,

@@ -61,7 +61,9 @@ Asserts, without running a single trial:
   the vendored pre-columnar store, the column-wise bulk append, the
   per-row payload-dict column), or any ``hashlib`` import
   under ``repro`` (it loads OpenSSL's libcrypto for a ``blake2b`` the
-  interpreter builds in: ``repro.sim.determinism.blake2b``).
+  interpreter builds in: ``repro.sim.determinism.blake2b``), or an
+  ``asyncio`` import in the window-sync runtime (one selectors loop per
+  process; asyncio loads ``ssl``).
 
 Usage::
 
@@ -309,6 +311,13 @@ GUARDS: tuple[Guard, ...] = (
     # blake2b comes from the built-in _blake2 (repro.sim.determinism).
     Guard("loads OpenSSL for a hash the interpreter builds in",
           re.compile(r"^\s*(import|from)\s+hashlib\b")),
+    # The coordinator and every worker run one selectors loop; asyncio
+    # (and the ssl it loads) is the async engine's and its transports'.
+    Guard("the window-sync runtime runs on asyncio",
+          re.compile(r"^\s*(import|from)\s+asyncio\b"),
+          ("repro/net/coordinator.py", "repro/net/cluster_worker.py",
+           "repro/net/registry.py", "repro/net/grant.py", "repro/net/cluster.py",
+           "repro/chaos/backoff.py")),
 )
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
-    from repro.chaos.backoff import Backoff, retry_async
+    from repro.chaos.backoff import Backoff, retry
     from repro.chaos.plan import (
         CrashWorker,
         CutLink,
@@ -33,11 +33,11 @@ __all__ = [
     "FaultPlan",
     "ShipFault",
     "StallWorker",
-    "retry_async",
+    "retry",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "backoff": ("Backoff", "retry_async"),
+    "backoff": ("Backoff", "retry"),
     "plan": (
         "CrashWorker", "CutLink", "FaultPlan", "ShipFault", "StallWorker",
     ),

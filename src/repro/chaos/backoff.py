@@ -15,14 +15,14 @@ how the unit tests pin it down without sleeping.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import time
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.errors import SimulationError
 
-__all__ = ["Backoff", "retry_async"]
+__all__ = ["Backoff", "retry"]
 
 T = TypeVar("T")
 
@@ -67,33 +67,29 @@ class Backoff:
             nominal = min(nominal * self.factor, self.cap)
 
 
-async def retry_async(
-    op: Callable[[], Awaitable[T]],
+def retry(
+    op: Callable[[], T],
     *,
     backoff: Backoff,
     timeout: float,
     describe: str,
     retryable: tuple[type[BaseException], ...] = (OSError,),
-    clock: Callable[[], float] | None = None,
-    sleep: Callable[[float], Awaitable[None]] | None = None,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
     on_retry: Callable[[float], None] | None = None,
 ) -> T:
     """Run ``op`` until it succeeds or ``timeout`` seconds elapse.
 
     Only ``retryable`` exceptions trigger a retry; anything else (and the
-    final timeout) propagates.  ``clock``/``sleep`` default to the running
-    event loop's and exist so tests can drive the schedule with a fake
-    clock; ``on_retry(delay)`` is called before each sleep (retry
-    counters for repro.obs).
+    final timeout) propagates.  ``clock``/``sleep`` exist so tests can
+    drive the schedule with a fake clock; ``on_retry(delay)`` is called
+    before each sleep (retry counters for repro.obs).
     """
-    loop = asyncio.get_running_loop()
-    clock = clock or loop.time
-    sleep = sleep or asyncio.sleep
     deadline = clock() + timeout
     last: BaseException | None = None
     for delay in backoff.delays():
         try:
-            return await op()
+            return op()
         except retryable as exc:
             last = exc
             if clock() + delay > deadline:
@@ -102,5 +98,5 @@ async def retry_async(
                 ) from exc
             if on_retry is not None:
                 on_retry(delay)
-            await sleep(delay)
+            sleep(delay)
     raise SimulationError(f"{describe}: backoff yielded no delays ({last})")

@@ -1,6 +1,8 @@
-"""repro.net — the asyncio socket-backed runtime.
+"""repro.net — the socket-backed runtimes.
 
-Runs the paper's protocol layers, unmodified, over real transports:
+Runs the paper's protocol layers, unmodified, over real transports: the
+async engine on asyncio, the window-sync runtime on one ``selectors``
+loop per process.
 
 * :mod:`repro.net.engine` — :class:`AsyncSimulator`: one event loop, one
   scheduler, one transport per channel.  Over loopback the scheduler is
@@ -15,10 +17,11 @@ Runs the paper's protocol layers, unmodified, over real transports:
 * :mod:`repro.net.cluster` — the window-sync runtime (``engine=sharded``
   and ``engine=cluster``): per-shard worker interpreters (own OS
   processes, :mod:`repro.net.cluster_worker`, leased from the pool of
-  :mod:`repro.net.coordinator`, which outlives the trial) behind the TCP
-  fabric, coordinated through BARRIER frames.
+  :mod:`repro.net.coordinator`, which outlives the trial), linked peer
+  to peer over TCP and coordinated through BARRIER frames.
 * :mod:`repro.net.registry` — the rendezvous / port-registry service
-  workers use to find each other's peer servers.
+  workers use to find each other's peer servers, and the framed
+  non-blocking connection both ends of that runtime run on.
 * :mod:`repro.net.monitors` — the per-row adapter of the specification
   automata of :mod:`repro.spec`.
 

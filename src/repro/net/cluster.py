@@ -79,8 +79,8 @@ Fault injection and crash recovery (``docs/robustness.md``):
   so virtual time is untouched), ship drop/duplicate/corrupt where a
   link's round is framed, and post-round stalls.
 * The coordinator *detects* worker death by polling each spawned worker's
-  ``Popen`` alongside every control-channel await (and treating control
-  EOF the same way), raising :class:`~repro.errors.WorkerCrashed` with
+  ``Popen`` between the selects of every control-channel wait (and
+  treating control EOF the same way), raising :class:`~repro.errors.WorkerCrashed` with
   the shard id, round, exit code and a stderr tail within
   a quarter second of the death instead of waiting out the worker
   timeout.
@@ -116,11 +116,12 @@ payload is a format string (``payload_fmt="msg-{pid}-{k}"``) rather than
 a callable.
 
 This module is what ``prepare`` needs — the trial's description and its
-validation, no event loop.  The pool and the coordinator
-(:mod:`repro.net.coordinator`: asyncio, subprocesses, the registry) are
-loaded by the first :meth:`ClusterSimulator.run_trial`; the worker
-interpreter they launch is :mod:`repro.net.cluster_worker`, which imports
-neither.
+validation, no sockets.  The pool and the coordinator
+(:mod:`repro.net.coordinator`: subprocesses, the registry, one
+``selectors`` loop) are loaded by the first
+:meth:`ClusterSimulator.run_trial`; the worker interpreter they launch is
+:mod:`repro.net.cluster_worker`, which imports neither.  No process of
+this runtime imports asyncio.
 """
 
 from __future__ import annotations
@@ -317,8 +318,8 @@ class ClusterSimulator:
             "obs": obs is not None,
             **self._sim_kwargs,
         }
-        # The pool, the coordinator and what they import (asyncio,
-        # subprocess, the registry) are first touched here, never in
+        # The pool, the coordinator and what they import (subprocess,
+        # sockets, the registry) are first touched here, never in
         # ``prepare``.
         from repro.net.coordinator import run_trial
 
@@ -326,6 +327,5 @@ class ClusterSimulator:
 
     def close(self) -> None:
         """Nothing to cut: the coordinator and the shards' engines live
-        only inside :meth:`run_trial`, and each frees its own (the
-        coordinator drops its control pumps, a worker closes its shard's
-        :class:`~repro.sim.runtime.Simulator`)."""
+        only inside :meth:`run_trial`, and each frees its own (a worker
+        closes its shard's :class:`~repro.sim.runtime.Simulator`)."""

@@ -16,13 +16,18 @@ its rounds on its own under the coordinator's grants
 (:mod:`repro.net.cluster` — see there for the protocol and the
 fault/recovery design;
 :mod:`repro.net.grant` for the arithmetic), synchronising with its peers
-only through ``BARRIER`` frames.  A control reader serves the CONTROL
-channel beside the round loop, so a worker blocked on a peer barrier
-still answers ``resend`` and ``stop`` (a crash recovery ends the trial
-there and runs it again) — and notices at once when the coordinator is
-gone: control EOF ends the process in every state (idle between trials,
-blocked on a barrier, out of credit), so a killed coordinator leaves no
-orphan.
+only through ``BARRIER`` frames.  The process is one thread running one
+``selectors`` loop: every wait — a barrier, a grant beyond the limit, a
+stall fault, the idle time between trials — is one
+:meth:`_ClusterWorker.poll`, which dispatches whatever is ready (peer
+accepts, SHIP/BARRIER frames, CONTROL ops).  So a worker blocked on a
+peer barrier still answers ``resend`` and ``stop`` (a crash recovery
+ends the trial there and runs it again) — and notices at once when the
+coordinator is gone: control EOF ends the process in every state (idle
+between trials, blocked on a barrier, out of credit), so a killed
+coordinator leaves no orphan.  No send blocks: a link's bytes wait in
+its outbound buffer until the loop can flush them
+(:class:`~repro.net.registry.Channel`).
 
 The wait between trials is untimed; everything inside a trial keeps its
 deadline.  What a trial accumulates lives on one :class:`_Trial` per
@@ -32,26 +37,27 @@ deadline.  What a trial accumulates lives on one :class:`_Trial` per
 A worker cannot REGISTER before this module is imported, so it imports
 only what a worker runs: nothing of the coordinator
 (``repro.net.coordinator``), the trial pipeline (``repro.engine``,
-``repro.analysis``, ``repro.spec``) or the asyncio engine
+``repro.analysis``, ``repro.spec``), asyncio or the asyncio engine
 (``repro.net.engine``, its clocks and transports).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
+import selectors
+import socket
 import sys
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
-from repro.chaos.backoff import Backoff, retry_async
+from repro.chaos.backoff import Backoff, retry
 from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.errors import SimulationError
 from repro.net import wire
 from repro.net.grant import RoundGrid
-from repro.net.registry import RegistryClient
+from repro.net.registry import Channel, RegistryClient, serve
 from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
 from repro.sim.partition import Partition
@@ -81,6 +87,10 @@ class _CoordinatorGone(Exception):
     """The control channel closed: the coordinator exited, or died."""
 
 
+class _Stopped(Exception):
+    """The coordinator said ``stop``: unwinds the trial wherever it waits."""
+
+
 class _ClusterWorker:
     """One worker interpreter: registers once, then serves trial after
     trial until the coordinator says ``exit`` or its control channel
@@ -89,13 +99,16 @@ class _ClusterWorker:
     What outlives a trial is only what the registration names — the
     control channel and the peer server's port.  Everything a trial
     touches lives on one fresh :class:`_Trial` per ``spec``; its peer
-    links are dialled at ``spec`` and closed, their pumps cancelled and
-    awaited, *before* the ``idle`` acknowledgement — a peer's last-round
-    SHIP/BARRIER can still be in flight when its receiver finishes, and
-    on a kept link it would seed the next trial's barrier rounds.  The
-    coordinator sends no ``spec`` until every worker of the previous
-    trial has acknowledged, so an inbound link that opens while no trial
-    is up belongs to the next one and waits for it.
+    links are dialled at ``spec`` and closed *before* the ``idle``
+    acknowledgement — a peer's last-round SHIP/BARRIER can still be in
+    flight when its receiver finishes, and on a kept link it would seed
+    the next trial's barrier rounds.  The coordinator sends no ``spec``
+    until every worker of the previous trial has acknowledged, so an
+    inbound link that opens while no trial is up belongs to the next one:
+    its frames wait in its buffer until that trial's state exists (a
+    fast peer can dial and ship round 0 before this worker has read its
+    spec, and a BARRIER taken before the trial seeds its barrier rounds
+    would be overwritten — a lost barrier deadlocks the round loop).
 
     ``--chaos`` argv names a crash point; the worker ``os._exit``\\ s
     there after one stderr line (the coordinator's diagnosis).  It stays
@@ -114,16 +127,15 @@ class _ClusterWorker:
         self.shard = shard
         self.client = RegistryClient(registry_host, registry_port)
         self.advertise_host = advertise_host
+        self.selector = selectors.DefaultSelector()
+        self.listener: socket.socket | None = None
+        self.control: Channel | None = None
         self.trial: _Trial | None = None
-        #: Inbound links wait on this: a fast peer can dial and ship
-        #: round 0 before this worker has read its spec or built its
-        #: shard, and a BARRIER processed before the trial seeds its
-        #: barrier rounds would be overwritten (a lost barrier deadlocks
-        #: the round loop).  TCP buffers the frames until the trial
-        #: state exists.
-        self._trial_ready = asyncio.Event()
-        #: Inbound link tasks — all of the current trial (see above).
-        self._pumps: set[asyncio.Task] = set()
+        #: CONTROL messages read while no trial is up (``spec``, ``exit``).
+        self._between: deque = deque()
+        #: Accepted peer links — all of the current trial, or opened
+        #: while none is up and so of the next one (see above).
+        self.inbound: list[Channel] = []
         # Crash fault ("phase" or "phase:round", from --chaos argv).
         phase, _, round_s = (chaos or "").partition(":")
         self._crash_phase = phase or None
@@ -142,68 +154,93 @@ class _ClusterWorker:
         )
         os._exit(_CHAOS_EXIT)
 
-    async def recv(self) -> Any:
-        """The next CONTROL message.  Untimed: an idle pooled worker
-        waits as long as its coordinator lives — and no longer."""
-        try:
-            return await self.client.recv()
-        except (asyncio.IncompleteReadError, ConnectionError):
-            raise _CoordinatorGone from None
+    def send(self, message: Any) -> None:
+        """Queue one CONTROL message to the coordinator."""
+        self.control.send(wire.encode_control(message))
 
-    async def run(self) -> None:
+    def poll(self, until: float | None) -> None:
+        """The worker's one wait: a select until ``until`` (a
+        ``perf_counter`` time; None: untimed — an idle pooled worker waits
+        as long as its coordinator lives, and no longer) that dispatches
+        whatever is ready, then heals the trial's due link cuts.  A
+        ``stop`` raises :class:`_Stopped` here, control EOF
+        :class:`_CoordinatorGone`."""
+        trial = self.trial
+        if trial is not None and trial.heals:
+            first = min(when for when, _peer in trial.heals)
+            until = first if until is None else min(until, first)
+        serve(self.selector, until)
+        if trial is not None:
+            if trial.heals:
+                trial.heal_cuts()
+            if trial.stopped:
+                raise _Stopped
+
+    def _accept(self, _mask: int = 0) -> None:
+        while True:
+            try:
+                sock, _addr = self.listener.accept()
+            except BlockingIOError:
+                return
+            self.inbound.append(Channel(sock, self.selector, self._on_peer))
+
+    def _on_peer(self, channel: Channel) -> None:
+        channel.fill()
+        if self.trial is not None:
+            self.trial.serve_link(channel)
+
+    def _on_control(self, channel: Channel) -> None:
+        open_ = channel.fill()
+        while (message := channel.message()) is not None:
+            if self.trial is None:
+                self._between.append(message)
+            else:
+                self.trial.control(message)
+        if not open_:
+            raise _CoordinatorGone
+
+    def run(self) -> None:
         # The peer server opens before registration: the registry must
         # only ever name live, dialable endpoints.
         local = self.advertise_host in ("127.0.0.1", "localhost")
-        server = await asyncio.start_server(
-            self._accept_peer,
-            host="127.0.0.1" if local else None,
-            port=0,
-        )
-        port = server.sockets[0].getsockname()[1]
-        try:
-            self._maybe_crash("rendezvous")
-            await self.client.register(
-                self.shard, self.advertise_host, port, timeout=_REGISTER_TIMEOUT_S
-            )
-            while True:
-                op, *args = await self.recv()
-                if op == "exit":
-                    return
-                if op != "spec":
-                    raise SimulationError(f"expected a trial spec, got {op!r}")
-                trial = self.trial = _Trial(self, *args)
-                if self.client.dial_retries:  # once, not once per trial
-                    trial._count("backoff.retries", self.client.dial_retries)
-                    self.client.dial_retries = 0
-                try:
-                    await trial.run()
-                finally:
-                    self._trial_ready.clear()
-                    self.trial = None
-                    await trial.teardown()
-                if trial.result_shipped:
-                    self._crash_phase = None  # a finished trial's fault
-                await self.client.send(("idle",))
-                trial.close()
-        finally:
-            server.close()
-            await server.wait_closed()
+        self.listener = socket.create_server(("127.0.0.1" if local else "", 0), backlog=128)
+        self.listener.setblocking(False)
+        self.selector.register(self.listener, selectors.EVENT_READ, self._accept)
+        port = self.listener.getsockname()[1]
+        self._maybe_crash("rendezvous")
+        self.client.register(self.shard, self.advertise_host, port, timeout=_REGISTER_TIMEOUT_S)
+        self.control = Channel(self.client.sock, self.selector, self._on_control,
+                               max_frame=wire.CONTROL_MAX_FRAME)
+        self.control.inbuf = self.client.pending
+        self._on_control(self.control)  # what arrived behind PEERS
+        while True:
+            while not self._between:
+                self.poll(None)
+            op, *args = self._between.popleft()
+            if op == "exit":
+                return
+            if op != "spec":
+                raise SimulationError(f"expected a trial spec, got {op!r}")
+            trial = self.trial = _Trial(self, *args)
+            if self.client.dial_retries:  # once, not once per trial
+                trial._count("backoff.retries", self.client.dial_retries)
+                self.client.dial_retries = 0
+            try:
+                trial.run()
+            except _Stopped:
+                pass
+            finally:
+                self.trial = None
+                trial.teardown()
+            if trial.result_shipped:
+                self._crash_phase = None  # a finished trial's fault
+            self.send(("idle",))
+            trial.close()
 
-    async def _accept_peer(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._pumps.add(task)
-        try:
-            await self._trial_ready.wait()
-            assert self.trial is not None
-            await self.trial.pump(reader)
-        except asyncio.CancelledError:
-            return  # teardown
-        finally:
-            writer.close()
-            self._pumps.discard(task)
+    def close(self) -> None:
+        self.client.close()
+        if self.listener is not None:
+            self.listener.close()
 
 
 class _Trial:
@@ -232,7 +269,6 @@ class _Trial:
     def __init__(self, worker: _ClusterWorker, spec: dict[str, Any]) -> None:
         self.worker = worker
         self.shard = worker.shard
-        self.client = worker.client
         self.spec = spec
         self.timeout: float = spec["timeout"]
         self.partition = Partition(
@@ -259,16 +295,14 @@ class _Trial:
             # frames from here.
             self.obs = ObsRecorder(pid=self.shard + 1, name=f"shard{self.shard}")
             self.obs.mark_wire_baseline()
-        self._peer_writers: dict[int, asyncio.StreamWriter] = {}
+        #: Outbound peer links, by peer shard.
+        self._outbound: dict[int, Channel] = {}
         #: Latest barrier round seen per in-peer (-1 = none yet).
         self._barrier_round: dict[int, int] = dict.fromkeys(self.peers, -1)
-        #: The round loop's barrier wait, resolved by :meth:`_wake` — a
-        #: bare future, because this wait is paid once per round.
-        self._barrier_waiter: asyncio.Future | None = None
-        #: The round grid under the coordinator's latest grant; the
-        #: control reader sets ``_granted`` when a new one arrives.
+        #: The round grid under the coordinator's latest grant, and how
+        #: many grants have arrived.
         self._grid = RoundGrid(spec["window"], spec["horizon"], spec["drain"])
-        self._granted = asyncio.Event()
+        self._grants = 0
         #: Whether rounds jump past quiet ticks (:mod:`repro.net.grant`):
         #: only when every shard's barrier reaches every worker, so all
         #: of them take the same minimum — a worker that missed a shard's
@@ -282,9 +316,11 @@ class _Trial:
         self._ships_out = 0
         self._rounds_jumped = 0
         self._ticks_jumped = 0
-        self._errors: list[BaseException] = []
-        #: Whether the coordinator has this trial's result: what disarms
-        #: the worker's crash fault.
+        #: What the coordinator asked: ``stop`` (raised out of the next
+        #: poll), ``result``; and whether it has the result — what
+        #: disarms the worker's crash fault.
+        self.stopped = False
+        self.result_asked = False
         self.result_shipped = False
         #: Outbound ship log: peer shard -> round -> ships in send order.
         self._ship_log: dict[int, dict[int, list[tuple]]] = {
@@ -306,9 +342,11 @@ class _Trial:
         self._lost_peers: set[int] = set()
         #: peer shard -> (start round, hold seconds) for planned cuts.
         self._cut_plan: dict[int, tuple[int, float]] = {}
-        #: Active cut buffers (frames withheld, in order).
+        #: Active cut buffers (frames withheld, in order), and when each
+        #: heals: ``(perf_counter time, peer)`` — a few entries, scanned
+        #: on each poll.
         self._cut_buffers: dict[int, list[bytes]] = {}
-        self._cut_tasks: list[asyncio.Task] = []
+        self.heals: list[tuple[float, int]] = []
         self._ship_faults: list[dict[str, Any]] = []
         self._stalls: dict[int, float] = {}
         self._fault_counts: dict[str, int] = {}
@@ -319,28 +357,35 @@ class _Trial:
 
     # -- fabric ----------------------------------------------------------
 
-    async def _dial_peer(
-        self, peer: int, host: str, port: int, *, timeout: float
-    ) -> None:
-        async def dial() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_connection(host, port)
+    def control(self, message: tuple) -> None:
+        """Serve one CONTROL op, wherever the trial waits."""
+        op = message[0]
+        if op == "grant":
+            _, limit, final = message
+            self._grid.accept(limit, final)
+            self._grants += 1
+        elif op == "resend":
+            _, nak_from, nak_round = message
+            self._resend_round(nak_from, nak_round)
+        elif op == "result":
+            self.result_asked = True
+        elif op == "stop":
+            self.stopped = True
+        else:
+            raise SimulationError(f"unknown coordinator op {op!r}")
 
-        _reader, writer = await retry_async(
-            dial,
-            backoff=Backoff(initial=0.05, cap=0.5),
-            timeout=timeout,
-            describe=f"peer dial shard {self.shard}->{peer}",
-            on_retry=lambda _delay: self._count("backoff.retries"),
-        )
-        writer.write(wire.encode_hello(self.shard))
-        await writer.drain()
-        self._peer_writers[peer] = writer
-
-    async def _connect_peers(self, peers: dict[int, tuple[str, int]]) -> None:
+    def _connect_peers(self, peers: dict[int, tuple[str, int]]) -> None:
         for peer in self.peers:
-            host, port = peers[peer]
             try:
-                await self._dial_peer(peer, host, port, timeout=2.0)
+                sock = retry(
+                    lambda: socket.create_connection(peers[peer], timeout=2.0),
+                    backoff=Backoff(initial=0.05, cap=0.5),
+                    timeout=2.0,
+                    describe=f"peer dial shard {self.shard}->{peer}",
+                    on_retry=lambda _delay: self._count("backoff.retries"),
+                )
+                channel = self._outbound[peer] = Channel(sock, self.worker.selector)
+                channel.send(wire.encode_hello(self.shard))
             except (SimulationError, OSError):
                 # The peer died between registering and opening for
                 # business (a peering-phase crash).  Mark the link broken
@@ -348,77 +393,61 @@ class _Trial:
                 # will stop this attempt and run the trial again.
                 self._broken_links.add(peer)
 
-    async def pump(self, reader: asyncio.StreamReader) -> None:
-        """Serve one inbound peer link until it closes."""
-        src_shard: int | None = None
+    def serve_link(self, channel: Channel) -> None:
+        """Take the whole frames one inbound peer link holds; at its EOF
+        the peer is gone (it died — the trial is run again)."""
         try:
-            kind, payload = await wire.read_frame(reader)
-            if kind != wire.HELLO:
-                raise wire.WireError("peer link did not open with a HELLO frame")
-            src_shard = wire.decode_hello(payload)
-            while True:
-                kind, payload = await wire.read_frame(reader)
-                if kind == wire.SHIP:
-                    try:
-                        round_no, ships = wire.decode_ships(payload)
-                    except wire.WireError:
-                        # An injected corruption keeps the framing intact
-                        # but kills the pickle.  Count it and move on:
-                        # the round's barrier count will come up short
-                        # and the NAK path re-ships the round.
-                        self._count("ship.corrupt_received")
-                        continue
-                    fresh = 0
-                    for src, dst, msg, when, entry_seq in ships:
-                        key = (src, dst, entry_seq)
-                        if key in self._seen:
-                            self._count("ship.duplicate_dropped")
-                            continue
-                        self._seen.add(key)
-                        # The window bound puts `when` beyond the
-                        # current window; post_at's past-time check stays
-                        # active as a causality assertion.
-                        self.sim.schedule_remote_arrival(
-                            src, dst, msg, when, entry_seq
-                        )
-                        fresh += 1
-                    if fresh:
-                        link_round = (src_shard, round_no)
-                        self._recv_counts[link_round] = (
-                            self._recv_counts.get(link_round, 0) + fresh
-                        )
-                        self._drain_barriers(src_shard)
+            while (frame := channel.frame()) is not None:
+                kind, payload = frame
+                src_shard = channel.owner
+                if src_shard is None:
+                    if kind != wire.HELLO:
+                        raise wire.WireError("peer link did not open with a HELLO frame")
+                    channel.owner = wire.decode_hello(payload)
+                elif kind == wire.SHIP:
+                    self._take_ships(src_shard, payload)
                 elif kind == wire.BARRIER:
                     shard, *barrier = wire.decode_barrier(payload)
                     if shard != src_shard:
                         raise wire.WireError(
-                            f"barrier names shard {shard} on shard "
-                            f"{src_shard}'s link"
-                        )
-                    self._pending_barriers.setdefault(shard, deque()).append(
-                        barrier
-                    )
+                            f"barrier names shard {shard} on shard {src_shard}'s link")
+                    self._pending_barriers.setdefault(shard, deque()).append(barrier)
                     self._drain_barriers(shard)
                 else:
-                    raise wire.WireError(
-                        f"unexpected frame kind 0x{kind:02x} on a peer link"
-                    )
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return  # peer closed (or died — the trial is run again)
-        except Exception as exc:  # noqa: BLE001 - surfaced at the next barrier
-            self._errors.append(exc)
-            self._wake()
-        finally:
-            if src_shard is not None:
-                # The peer is gone.  Wake a barrier wait that depends on it.
-                self._lost_peers.add(src_shard)
-                self._wake()
+                    raise wire.WireError(f"unexpected frame kind 0x{kind:02x} on a peer link")
+        except Exception as exc:  # noqa: BLE001 - a broken link fails the trial
+            raise SimulationError(f"peer link failed: {exc}") from exc
+        if channel.eof:
+            if channel.owner is not None:
+                self._lost_peers.add(channel.owner)
+            channel.close()
 
-    def _wake(self, woken: bool = True) -> None:
-        """Have a pending barrier wait look again (False: it timed out)."""
-        waiter = self._barrier_waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(woken)
+    def _take_ships(self, src_shard: int, payload: bytes) -> None:
+        try:
+            round_no, ships = wire.decode_ships(payload)
+        except wire.WireError:
+            # An injected corruption keeps the framing intact but kills
+            # the pickle.  Count it and move on: the round's barrier
+            # count will come up short and the NAK path re-ships the
+            # round.
+            self._count("ship.corrupt_received")
+            return
+        fresh = 0
+        for src, dst, msg, when, entry_seq in ships:
+            key = (src, dst, entry_seq)
+            if key in self._seen:
+                self._count("ship.duplicate_dropped")
+                continue
+            self._seen.add(key)
+            # The window bound puts `when` beyond the current window;
+            # post_at's past-time check stays active as a causality
+            # assertion.
+            self.sim.schedule_remote_arrival(src, dst, msg, when, entry_seq)
+            fresh += 1
+        if fresh:
+            link_round = (src_shard, round_no)
+            self._recv_counts[link_round] = self._recv_counts.get(link_round, 0) + fresh
+            self._drain_barriers(src_shard)
 
     def _drain_barriers(self, peer: int) -> None:
         """Accept pending counted barriers whose ships have all arrived;
@@ -430,9 +459,7 @@ class _Trial:
                 if (peer, round_no) not in self._nakked:
                     self._nakked.add((peer, round_no))
                     self._count("ship.nak_sent")
-                    asyncio.ensure_future(
-                        self.client.send(("nak", self.shard, peer, round_no))
-                    )
+                    self.worker.send(("nak", self.shard, peer, round_no))
                 return
             pending.popleft()
             self._recv_counts.pop((peer, round_no), None)
@@ -443,7 +470,6 @@ class _Trial:
                 del log[logged]
             if self._jumps:
                 self._note_bound(round_no, bound)
-            self._wake()
 
     def _note_bound(self, round_no: int, bound: int) -> None:
         bounds = self._next_event
@@ -459,54 +485,34 @@ class _Trial:
             buffer: list[bytes] = []
             self._cut_buffers[peer] = buffer
             self._count("fault.injected.cut")
-            self._cut_tasks.append(
-                asyncio.ensure_future(self._heal_cut(peer, plan[1]))
-            )
+            self.heals.append((time.perf_counter() + plan[1], peer))
             return buffer
         return self._cut_buffers.get(peer)
 
-    async def _heal_cut(self, peer: int, seconds: float) -> None:
-        await asyncio.sleep(seconds)
-        # Pop before the first await below so concurrent writes go direct.
-        buffer = self._cut_buffers.pop(peer, None)
-        if not buffer or peer in self._broken_links:
-            return
-        writer = self._peer_writers.get(peer)
-        if writer is None:
-            return
-        try:
-            for frame in buffer:
-                writer.write(frame)
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            self._broken_links.add(peer)
+    def heal_cuts(self) -> None:
+        """Write out, in order, every cut link's frames whose hold is over."""
+        now = time.perf_counter()
+        for when, peer in [heal for heal in self.heals if heal[0] <= now]:
+            self.heals.remove((when, peer))
+            buffer = self._cut_buffers.pop(peer)
+            if buffer and peer not in self._broken_links:
+                self._send_frames(peer, buffer)
 
-    def _write_frames(
-        self, peer: int, frames: list[bytes], round_no: int
-    ) -> None:
+    def _write_frames(self, peer: int, frames: list[bytes], round_no: int) -> None:
         if not frames or peer in self._broken_links:
             return
         sink = self._outbound_sink(peer, round_no)
         if sink is not None:
             sink.extend(frames)
             return
-        writer = self._peer_writers.get(peer)
-        if writer is None:
-            self._broken_links.add(peer)
-            return
-        try:
-            writer.write(b"".join(frames))
-        except (ConnectionResetError, OSError):
-            self._broken_links.add(peer)
+        self._send_frames(peer, frames)
 
-    async def _drain_peers(self) -> None:
-        for peer, writer in list(self._peer_writers.items()):
-            if peer in self._broken_links:
-                continue
-            try:
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                self._broken_links.add(peer)
+    def _send_frames(self, peer: int, frames: list[bytes]) -> None:
+        channel = self._outbound.get(peer)
+        if channel is not None:
+            channel.send(b"".join(frames))
+        if channel is None or channel.failed:
+            self._broken_links.add(peer)
 
     def _ship_frame(self, ships: list[tuple], round_no: int) -> bytes:
         """A link's round as its SHIP frame, with the fault plan's ship
@@ -530,7 +536,7 @@ class _Trial:
         frame = wire.encode_ships(round_no, ships)
         return wire.truncate_frame(frame) if corrupt else frame
 
-    async def _ship_round(self, round_no: int) -> None:
+    def _ship_round(self, round_no: int) -> None:
         """Ship the round's outbox — one SHIP frame per peer link with
         traffic — then a counted barrier per link, in one write.
 
@@ -562,9 +568,8 @@ class _Trial:
                 wire.encode_barrier(self.shard, round_no, len(ships), bound)
             )
             self._write_frames(peer, frames, round_no)
-        await self._drain_peers()
 
-    async def _resend_round(self, dst_shard: int, round_no: int) -> None:
+    def _resend_round(self, dst_shard: int, round_no: int) -> None:
         """Re-ship a logged round verbatim (NAK response).  No faults
         apply — their budgets were spent on the first pass — and the
         receiver's dedup absorbs whatever did arrive the first time."""
@@ -572,12 +577,9 @@ class _Trial:
         if not ships:
             return
         self._count("ship.resent", len(ships))
-        self._write_frames(
-            dst_shard, [wire.encode_ships(round_no, ships)], round_no
-        )
-        await self._drain_peers()
+        self._write_frames(dst_shard, [wire.encode_ships(round_no, ships)], round_no)
 
-    async def _await_barriers(self, round_no: int, report) -> None:
+    def _await_barriers(self, round_no: int, report) -> None:
         """Block until every in-peer has announced ``round_no``.
 
         When that cannot happen on its own — a lagging peer died (its
@@ -588,12 +590,10 @@ class _Trial:
         crash recovery runs the trial again.
         """
         reported = False
-        poll_until = time.perf_counter() + _BARRIER_POLL_S
+        now = time.perf_counter()
+        poll_until = now + _BARRIER_POLL_S
+        deadline = now + self.timeout
         while True:
-            if self._errors:
-                raise SimulationError(
-                    f"peer link failed: {self._errors[0]}"
-                ) from self._errors[0]
             lagging = {
                 peer for peer, r in self._barrier_round.items() if r < round_no
             }
@@ -604,26 +604,18 @@ class _Trial:
                 reported = True
                 peer = min(lost)
                 pending = self._pending_barriers.get(peer)
-                announced = (
-                    pending[-1][0] if pending else self._barrier_round[peer]
-                )
-                await report(("blocked", peer, announced + 1))
+                announced = pending[-1][0] if pending else self._barrier_round[peer]
+                report(("blocked", peer, announced + 1))
                 continue
             if not lost:
                 reported = False
-            if time.perf_counter() < poll_until:
+            now = time.perf_counter()
+            if now < poll_until:
                 os.sched_yield()
-                await asyncio.sleep(0)  # one pass of the loop: read the links
-                continue
-            loop = asyncio.get_running_loop()
-            waiter = self._barrier_waiter = loop.create_future()
-            timer = loop.call_later(self.timeout, self._wake, False)
-            try:
-                woken = await waiter
-            finally:
-                timer.cancel()
-                self._barrier_waiter = None
-            if not woken:
+                self.worker.poll(0.0)  # a zero-timeout select: read the links
+            elif now < deadline:
+                self.worker.poll(deadline)
+            else:
                 raise SimulationError(
                     f"shard {self.shard} waited {self.timeout:.0f}s for "
                     f"barrier {round_no} from peers {sorted(lagging)}"
@@ -649,14 +641,13 @@ class _Trial:
         for round_no, seconds in faults.get("stalls", ()):
             self._stalls[round_no] = self._stalls.get(round_no, 0.0) + seconds
 
-    async def run(self) -> None:
+    def run(self) -> None:
         """Serve the trial: dial the peers, scramble, ship round 0,
-        report ``ready``, then run the granted rounds beside the control
-        reader until ``stop``."""
+        report ``ready``, run the granted rounds, ship the result when
+        asked, and wait for ``stop`` (which may also come sooner)."""
         spec, sim, trace = self.spec, self.sim, self.trace
         self.worker._maybe_crash("peering")
-        await self._connect_peers(spec["peers"])
-        self.worker._trial_ready.set()
+        self._connect_peers(spec["peers"])
         injected, proc_len, chan_len = scramble_shard(
             sim, trace, spec["scramble_seed"], spec["fill_channels"]
         )
@@ -667,22 +658,31 @@ class _Trial:
         # Round 0: the scramble's cross-shard injections ship before
         # anyone is granted a round — by the time a peer passes its
         # round-0 barrier wait, these are in its heap.
-        await self._ship_round(0)
-        await self.client.send(("ready", injected))
-        rounds = asyncio.ensure_future(self._rounds(driver, self.obs))
-        try:
-            await self._serve_control(
-                rounds,
-                lambda: self._result_payload(
-                    proc_len, chan_len, driver,
-                    driver_cfg["tag"] if driver_cfg else None,
-                ),
-            )
-        finally:
-            rounds.cancel()
-            await asyncio.gather(rounds, return_exceptions=True)
+        self._ship_round(0)
+        self.worker.send(("ready", injected))
+        # Links a fast peer opened before this trial's state existed.
+        for channel in list(self.worker.inbound):
+            self.serve_link(channel)
+        self._rounds(driver, self.obs)
+        # A finished worker only waits to be asked for its result.
+        self._wait(lambda: self.result_asked, "after its rounds for `result`")
+        self.worker.send(("result", self._result_payload(
+            proc_len, chan_len, driver, driver_cfg["tag"] if driver_cfg else None,
+        )))
+        self.result_shipped = True
+        self._wait(lambda: False, "after its result for `stop`")
 
-    async def _rounds(
+    def _wait(self, done: Callable[[], bool], what: str) -> None:
+        """Poll until ``done()``, for at most the worker timeout."""
+        deadline = time.perf_counter() + self.timeout
+        while not done():
+            if time.perf_counter() >= deadline:
+                raise SimulationError(
+                    f"shard {self.shard} waited {self.timeout:.0f}s {what}"
+                )
+            self.worker.poll(deadline)
+
+    def _rounds(
         self, driver: RequestDriver | None, obs: ObsRecorder | None
     ) -> None:
         """Run the round grid as far as the grants allow.
@@ -710,37 +710,30 @@ class _Trial:
         def done_at() -> int | None:
             return driver.done_at if driver is not None else None
 
-        async def report(park: tuple | None) -> None:
+        def report(park: tuple | None) -> None:
             nonlocal compute_s
             grid.reported(done_at())
             spent, compute_s = compute_s, 0.0
-            await self.client.send(
-                ("report", grid.round, grid.reached, done_at(), spent, park)
-            )
+            self.worker.send(("report", grid.round, grid.reached, done_at(), spent, park))
 
         #: The last round whose barrier wait is behind the worker.
         waited = 0
         while not grid.finished:
-            self._granted.clear()
             target = grid.next_target()
             if target is None:
-                await report(("limit", grid.limit))
-                try:
-                    await asyncio.wait_for(
-                        self._granted.wait(), timeout=self.timeout
-                    )
-                except asyncio.TimeoutError:
-                    raise SimulationError(
-                        f"shard {self.shard} waited {self.timeout:.0f}s at "
-                        f"tick {grid.t} for a grant beyond {grid.limit}"
-                    ) from None
+                report(("limit", grid.limit))
+                grants = self._grants
+                self._wait(
+                    lambda: self._grants != grants,
+                    f"at tick {grid.t} for a grant beyond {grid.limit}",
+                )
                 continue
             round_no = grid.round + 1
             if waited < round_no:
                 waited = round_no
                 self.worker._maybe_crash("barrier", round_no)
                 w0 = wall() if obs is not None else 0.0
-                await self._await_barriers(round_no - 1, report)
+                self._await_barriers(round_no - 1, report)
                 if obs is not None:
                     w1 = wall()
                     obs.spans.record(
@@ -759,74 +752,27 @@ class _Trial:
                 self._ticks_jumped += skipped
             w0 = wall() if obs is not None else 0.0
             t0 = time.perf_counter()
-            # The serial engine's loop: nothing else on this event loop
-            # runs until the round is done.
+            # The serial engine's loop: no I/O is served until the round
+            # is done.
             scheduler.run_until(target, keep_dormant=True)
             compute_s += time.perf_counter() - t0
             if obs is not None:
                 obs.record_round(
                     "compute", w0, wall(), round=round_no, target=target
                 )
-            if self._errors:
-                raise SimulationError(
-                    f"peer link failed: {self._errors[0]}"
-                ) from self._errors[0]
             self.worker._maybe_crash("round", round_no)
-            await self._ship_round(round_no)
+            self._ship_round(round_no)
             stall = self._stalls.pop(round_no, None)
             if stall:
                 self._count("fault.injected.stall")
-                await asyncio.sleep(stall)
+                until = time.perf_counter() + stall
+                while time.perf_counter() < until:
+                    self.worker.poll(until)
             grid.advance(target)
             if grid.report_due(done_at()):
-                await report(None)
+                report(None)
         scheduler.wake_all(grid.final, END_OF_TICK)
-        await report(("final", grid.final))
-
-    async def _serve_control(self, rounds: asyncio.Task, result_payload) -> None:
-        """Serve the coordinator's CONTROL ops until ``stop``, beside the
-        round loop — whose failure surfaces here."""
-        recv = asyncio.ensure_future(self.worker.recv())
-        try:
-            while True:
-                # A finished worker only waits to be asked for its result.
-                idle = rounds.done()
-                done, _ = await asyncio.wait(
-                    {recv} if idle else {recv, rounds},
-                    timeout=self.timeout if idle else None,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if rounds in done:
-                    rounds.result()
-                if recv not in done:
-                    if not done:
-                        raise SimulationError(
-                            f"shard {self.shard} finished its rounds and "
-                            f"heard nothing for {self.timeout:.0f}s"
-                        )
-                    continue
-                message = recv.result()
-                op = message[0]
-                if op == "grant":
-                    _, limit, final = message
-                    self._grid.accept(limit, final)
-                    self._granted.set()
-                elif op == "resend":
-                    _, nak_from, nak_round = message
-                    await self._resend_round(nak_from, nak_round)
-                elif op == "result":
-                    await rounds
-                    await self.client.send(("result", result_payload()))
-                    self.result_shipped = True
-                elif op == "stop":
-                    return
-                else:
-                    raise SimulationError(
-                        f"unknown coordinator op {op!r}"
-                    )
-                recv = asyncio.ensure_future(self.worker.recv())
-        finally:
-            recv.cancel()
+        report(("final", grid.final))
 
     def _result_payload(self, proc_len, chan_len, driver, tag) -> dict[str, Any]:
         obs = self.obs
@@ -859,51 +805,20 @@ class _Trial:
         self.sim.close()
         del self.sim, self.trace
 
-    async def teardown(self) -> None:
-        """Close this trial's links, both directions, and wait until
-        their tasks are gone — the ``idle`` acknowledgement promises no
-        frame of this trial is read after it."""
-        for writer in self._peer_writers.values():
-            writer.close()
-        tasks = [*self._cut_tasks, *self.worker._pumps]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
-async def _worker_async(
-    shard: int,
-    registry_host: str,
-    registry_port: int,
-    advertise_host: str,
-    chaos: str | None,
-) -> int:
-    worker = _ClusterWorker(
-        shard, registry_host, registry_port, advertise_host, chaos
-    )
-    try:
-        await worker.run()
-        return 0
-    except _CoordinatorGone:
-        return 0  # nobody left to serve, or to tell
-    except Exception:  # noqa: BLE001 - forwarded to the coordinator
-        import traceback
-
-        tb = traceback.format_exc()
-        try:
-            await worker.client.send(("error", tb))
-        except Exception:  # noqa: BLE001 - coordinator may be gone
-            print(tb, file=sys.stderr)
-        return 1
-    finally:
-        worker.client.close()
+    def teardown(self) -> None:
+        """Close this trial's links, both directions — and any a peer of
+        it opened that still waits in the listen backlog: the ``idle``
+        acknowledgement promises no frame of this trial is read after it."""
+        worker = self.worker
+        worker._accept()
+        for channel in [*self._outbound.values(), *worker.inbound]:
+            channel.close()
+        worker.inbound.clear()
+        self.heals.clear()
 
 
 def run_cluster_worker(
-    registry: str,
-    shard: int,
-    advertise_host: str = "127.0.0.1",
-    chaos: str | None = None,
+    registry: str, shard: int, advertise_host: str = "127.0.0.1", chaos: str | None = None
 ) -> int:
     """Entry point of ``repro cluster-worker``: serve one shard slot,
     trial after trial, until the coordinator says ``exit`` or goes away.
@@ -918,4 +833,21 @@ def run_cluster_worker(
     host, port = wire.parse_hostport(registry)
     if shard < 0:
         raise SimulationError(f"shard must be >= 0, got {shard}")
-    return asyncio.run(_worker_async(shard, host, port, advertise_host, chaos))
+    worker = _ClusterWorker(shard, host, port, advertise_host, chaos)
+    try:
+        worker.run()
+        return 0
+    except _CoordinatorGone:
+        return 0  # nobody left to serve, or to tell
+    except Exception:  # noqa: BLE001 - forwarded to the coordinator
+        import traceback
+
+        tb = traceback.format_exc()
+        try:
+            worker.send(("error", tb))
+            worker.control.drain(timeout=5.0)
+        except Exception:  # noqa: BLE001 - coordinator may be gone
+            print(tb, file=sys.stderr)
+        return 1
+    finally:
+        worker.close()

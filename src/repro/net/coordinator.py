@@ -1,17 +1,19 @@
 """The coordinator side of the window-sync runtime: the worker pool and
 one trial's coordinator.
 
-Everything here needs an event loop, subprocesses or the registry, so
+Everything here needs subprocesses, sockets or the registry, so
 nothing imports it before the first
 :meth:`~repro.net.cluster.ClusterSimulator.run_trial` — ``prepare`` (and
-a ``setup_s`` measurement) never pays for it.  The protocol itself —
-leases, grants, barriers, fault injection and crash
-recovery — is described in :mod:`repro.net.cluster`.
+a ``setup_s`` measurement) never pays for it.  The coordinator is one
+thread: every wait is a select over the pool's control channels and the
+registry's listening socket (:class:`~repro.net.registry.RegistryServer`),
+bounded so that worker ``Popen`` handles are polled between selects.
+The protocol itself — leases, grants, barriers, fault injection and
+crash recovery — is described in :mod:`repro.net.cluster`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import atexit
 import contextlib
 import os
@@ -39,7 +41,7 @@ if TYPE_CHECKING:
 
 __all__ = ["close_pool", "interpreters_spawned", "run_trial"]
 
-#: How often the coordinator polls worker Popen handles while awaiting a
+#: How often the coordinator polls worker Popen handles while waiting for a
 #: control frame — the crash-detection latency bound.
 _CRASH_POLL_S = 0.25
 
@@ -107,9 +109,8 @@ def _worker_env() -> dict[str, str]:
 
 class _WorkerPool:
     """Worker interpreters that outlive the trial, and what they are
-    bound to: one event loop (a stream cannot leave the loop it was
-    opened on, and ``asyncio.run`` makes a new one per call), one
-    :class:`~repro.net.registry.RegistryServer`, one slot per shard id.
+    bound to: one :class:`~repro.net.registry.RegistryServer` (whose
+    selector reads every control channel), one slot per shard id.
 
     A trial *leases* slots ``0..n_shards-1``: a live idle worker is
     reused, the shortfall is spawned, and the pool only ever grows to
@@ -124,7 +125,6 @@ class _WorkerPool:
     def __init__(self, listen: str | None = None) -> None:
         self.pid = os.getpid()
         self.spawns = listen is None
-        self.loop = asyncio.new_event_loop()
         host, port = wire.parse_hostport(listen) if listen else ("127.0.0.1", 0)
         self.registry = RegistryServer(host=host, port=port)
         self.workers: dict[int, _Worker] = {}
@@ -164,10 +164,9 @@ class _WorkerPool:
         ]
         for worker in workers:
             if graceful and worker.handle is not None:
-                # Sent at once (the transport's buffer is empty), so this
-                # works from synchronous code too — interpreter exit.
-                with contextlib.suppress(OSError):
-                    worker.handle.writer.write(wire.encode_control(("exit",)))
+                # Sent at once: an idle worker's channel has nothing
+                # queued, so this works at interpreter exit too.
+                worker.handle.send(("exit",))
             self.registry.forget(worker.shard)
             if (
                 not graceful
@@ -186,21 +185,10 @@ class _WorkerPool:
                 worker.stderr.close()
 
     def close(self) -> None:
-        """Retire every worker, then close the registry and the loop
-        (which closes the sockets: control EOF ends a worker that missed
-        its ``exit``)."""
+        """Retire every worker, then close the registry and its sockets
+        (control EOF ends a worker that missed its ``exit``)."""
         self.retire(self.workers, graceful=True)
-        with contextlib.suppress(Exception):
-            self.loop.run_until_complete(self._shutdown())
-        self.loop.close()
-
-    async def _shutdown(self) -> None:
-        await self.registry.close()
-        # What an abandoned trial left cancelled but never awaited.
-        tasks = asyncio.all_tasks() - {asyncio.current_task()}
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        self.registry.close()
 
 
 _POOL: _WorkerPool | None = None
@@ -235,14 +223,12 @@ def run_trial(
     :meth:`~repro.net.cluster.ClusterSimulator.run_trial`)."""
     pool = _shared_pool() if sim.listen is None else _WorkerPool(sim.listen)
     trial = _Coordinator(sim, pool, spec, obs)
-    running = pool.loop.create_task(trial.run())
     try:
-        payloads = pool.loop.run_until_complete(running)
+        payloads = trial.run()
     except BaseException:
-        # A worker is reused only after a trial that returned — and
-        # an interrupted coordinator must not wake in the next one.
-        running.cancel()
-        trial.abandon()
+        # A worker is reused only after a trial that returned: nothing
+        # this one leased goes back to the pool.
+        pool.retire(range(sim.n_shards), graceful=False)
         raise
     finally:
         if sim.listen is not None:
@@ -254,10 +240,11 @@ class _Coordinator:
     """One trial's coordinator: the workers it leased, their control
     channels, the grant ledger and crash recovery (a re-run).
 
-    Every worker's CONTROL frames funnel into one inbox (a reader task
-    per handle), so the coordinator serves whoever speaks next instead of
-    polling the workers in shard order; :meth:`_next` is the one await
-    every phase sits in, and the one place worker death is noticed.
+    Every worker's CONTROL frames funnel into one inbox (the registry's:
+    its selector reads every control channel), so the coordinator serves
+    whoever speaks next instead of polling the workers in shard order;
+    :meth:`_next` is the one wait every phase sits in, and with
+    :meth:`_join` the one place worker death is noticed.
     """
 
     def __init__(
@@ -274,8 +261,6 @@ class _Coordinator:
         #: The slots this trial leased (a crashed shard's entry is
         #: replaced by its respawn).
         self.workers: dict[int, _Worker] = {}
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.pumps: list[asyncio.Task] = []
         #: Shards noticed dead and not (yet) replaced.
         self.dead: set[int] = set()
         #: Shards sent ``stop`` and not yet their next ``spec``: they are
@@ -324,34 +309,17 @@ class _Coordinator:
 
     # -- workers and their control channels -------------------------------
 
-    def _adopt(self, worker: _Worker) -> None:
-        """Start reading a registered worker's control channel."""
-        self.pumps.append(asyncio.ensure_future(self._pump(worker.handle)))
+    def _send(self, shard: int, message: tuple) -> None:
+        """Best-effort: a dead worker surfaces through :meth:`_next`."""
+        self.workers[shard].handle.send(message)
 
-    async def _pump(self, handle) -> None:
-        try:
-            while True:
-                self.inbox.put_nowait((handle, await handle.recv()))
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            self.inbox.put_nowait((handle, ("eof",)))
-        except SimulationError as exc:  # a malformed control frame
-            self.inbox.put_nowait((handle, ("error", f"control channel: {exc}")))
-
-    async def _send(self, shard: int, message: tuple) -> None:
-        """Best-effort send: a dead worker surfaces through :meth:`_next`
-        (control EOF, Popen poll), not through the write that missed it."""
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
-            await self.workers[shard].handle.send(message)
-
-    def _first_dead(self) -> int | None:
+    def _check_dead(self, phase: str) -> None:
+        """Poll the spawned workers' ``Popen`` handles: the first found
+        dead raises its :class:`WorkerCrashed`."""
         for shard, worker in sorted(self.workers.items()):
-            if (
-                shard not in self.dead
-                and worker.popen is not None
-                and worker.popen.poll() is not None
-            ):
-                return shard
-        return None
+            popen = worker.popen
+            if shard not in self.dead and popen is not None and popen.poll() is not None:
+                raise self._died(shard, phase)
 
     def _died(
         self, shard: int, phase: str, round_no: int | None = None
@@ -379,7 +347,7 @@ class _Coordinator:
             stderr_tail=worker.stderr_tail() or None,
         )
 
-    async def _next(self, phase: str) -> tuple[int, tuple]:
+    def _next(self, phase: str) -> tuple[int, tuple]:
         """The next control message from any live worker.
 
         Polls the spawned workers' ``Popen`` handles while it waits, so a
@@ -388,25 +356,23 @@ class _Coordinator:
         of the worker timeout.  NAKs are relayed inline; progress reports
         are folded into the ledger.
         """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.sim.worker_timeout
+        registry = self.pool.registry
+        inbox = registry.inbox
+        deadline = time.perf_counter() + self.sim.worker_timeout
         while True:
-            try:
-                handle, message = await asyncio.wait_for(
-                    self.inbox.get(), timeout=_CRASH_POLL_S
-                )
-            except asyncio.TimeoutError:
-                dead = self._first_dead()
-                if dead is not None:
-                    raise self._died(dead, phase) from None
-                if loop.time() > deadline:
-                    raise SimulationError(
-                        f"no cluster worker spoke during {phase} within "
-                        f"{self.sim.worker_timeout:.0f}s"
-                    ) from None
-                continue
+            check = time.perf_counter() + _CRASH_POLL_S
+            while not inbox:
+                registry.poll(check)
+                if not inbox and time.perf_counter() >= check:
+                    self._check_dead(phase)
+                    if check > deadline:
+                        raise SimulationError(f"no cluster worker spoke during {phase} "
+                                              f"within {self.sim.worker_timeout:.0f}s")
+                    check += _CRASH_POLL_S
+            handle, message = inbox.popleft()
             shard = handle.shard
-            if self.workers[shard].handle is not handle:
+            worker = self.workers.get(shard)
+            if worker is None or worker.handle is not handle:
                 continue  # a replaced incarnation's straggler
             op = message[0]
             if op == "eof":
@@ -414,9 +380,7 @@ class _Coordinator:
                     continue
                 raise self._died(shard, phase)
             if op == "error":
-                raise SimulationError(
-                    f"cluster worker shard {shard} failed:\n{message[1]}"
-                )
+                raise SimulationError(f"cluster worker shard {shard} failed:\n{message[1]}")
             if op == "nak":
                 # A receiver's ship-count mismatch: ask the sender to
                 # re-ship the round from its log — unless the sender is
@@ -425,7 +389,7 @@ class _Coordinator:
                 _, nak_from, peer, nak_round = message
                 self._count("ship.nak_relayed")
                 if peer not in self.dead and peer not in self.stopped:
-                    await self._send(peer, ("resend", nak_from, nak_round))
+                    self._send(peer, ("resend", nak_from, nak_round))
                 continue
             if op == "report":
                 _, self.rounds[shard], t, done_at, compute_s, park = message
@@ -436,27 +400,18 @@ class _Coordinator:
                 self.park[shard] = park
             return shard, message
 
-    async def _guarded(self, awaitable, *, phase: str):
-        """Run a registry await with the same Popen crash polling."""
-        task = asyncio.ensure_future(awaitable)
-        try:
-            while True:
-                done, _ = await asyncio.wait({task}, timeout=_CRASH_POLL_S)
-                if done:
-                    return task.result()
-                dead = self._first_dead()
-                if dead is not None:
-                    raise self._died(dead, phase)
-        finally:
-            if not task.done():
-                task.cancel()
+    def _join(self, shards, phase: str) -> list:
+        """Join registry slots with the same Popen crash polling."""
+        return self.pool.registry.join(
+            shards, self.sim.worker_timeout, lambda: self._check_dead(phase)
+        )
 
     # -- the trial --------------------------------------------------------
 
-    async def run(self) -> list[dict[str, Any]]:
+    def run(self) -> list[dict[str, Any]]:
         sim, obs = self.sim, self.obs
         started = time.perf_counter()
-        await self._lease()
+        self._lease()
         if obs is not None:
             # The lease wall: interpreter boots when cold, ~30 us warm.
             obs.metrics.observe(
@@ -469,35 +424,28 @@ class _Coordinator:
         while True:
             try:
                 with self._phase("startup"):
-                    await self._startup()
+                    self._startup()
                 started = time.perf_counter()
                 with self._phase("rounds"):
-                    await self._granted_rounds()
+                    self._granted_rounds()
                 self.rounds_wall = time.perf_counter() - started
                 break
             except WorkerCrashed as crash:
-                await self._recover(crash)
+                self._recover(crash)
                 self._new_attempt()
         with self._phase("result_ship"):
             for shard in self.workers:
-                await self._send(shard, ("result",))
+                self._send(shard, ("result",))
             payloads: dict[int, dict[str, Any]] = {}
             while len(payloads) < sim.n_shards:
-                shard, message = await self._next("result")
+                shard, message = self._next("result")
                 if message[0] == "result":
                     payloads[shard] = message[1]
         with self._phase("release"):
-            await self._stop(self.workers, "release")
-            # Every channel is quiet now, so no read is cut mid-frame.
-            for pump in self.pumps:
-                pump.cancel()
-            await asyncio.gather(*self.pumps, return_exceptions=True)
-            # A cancelled pump keeps its CancelledError, whose traceback
-            # holds the pump's frame, whose self is this coordinator.
-            self.pumps = []
+            self._stop(self.workers, "release")
         return [payloads[shard] for shard in sorted(payloads)]
 
-    async def _lease(self) -> None:
+    def _lease(self) -> None:
         """Fill slots ``0..n_shards-1`` from the pool: reuse a live idle
         worker, spawn the shortfall.  A shard whose plan carries a crash
         token is always spawned fresh — the fault *is* a fresh
@@ -506,7 +454,10 @@ class _Coordinator:
         sim, pool = self.sim, self.pool
         shards = range(sim.n_shards)
         plan = sim._plan
-        await pool.registry.start()
+        pool.registry.start()
+        # What an earlier trial's workers said after it ended (a raised
+        # trial's stragglers) is not this trial's.
+        pool.registry.inbox.clear()
         pool.registry.slots = max(pool.registry.slots, sim.n_shards)
         tokens = {
             shard: plan.crash_token(shard) if plan else None for shard in shards
@@ -531,48 +482,35 @@ class _Coordinator:
                     pool.workers[shard] = _Worker(shard)
             self.workers = {shard: pool.workers[shard] for shard in shards}
         with self._phase("rendezvous", **args):
-            joined = await self._guarded(
-                pool.registry.join(fresh, sim.worker_timeout),
-                phase="rendezvous",
-            )
-            for handle in joined:
+            for handle in self._join(fresh, "rendezvous"):
                 self.workers[handle.shard].handle = handle
-            for worker in self.workers.values():
-                self._adopt(worker)
 
-    def abandon(self) -> None:
-        """The trial raised: nothing it leased goes back to the pool."""
-        for pump in self.pumps:
-            pump.cancel()
-        self.pumps = []  # the pool's next loop pass finishes them
-        self.pool.retire(range(self.sim.n_shards), graceful=False)
-
-    async def _startup(self) -> None:
+    def _startup(self) -> None:
         """Ship the spec, with each shard's slice of the fault plan, and
-        await every worker's ``ready``."""
+        wait for every worker's ``ready``."""
         plan = self.sim._plan
         shard_of = self.sim.partition.shard_of
         for shard in sorted(self.workers):
             faults = plan.worker_slice(shard, shard_of) if plan else None
-            await self._send(shard, ("spec", {**self.spec, "faults": faults}))
+            self._send(shard, ("spec", {**self.spec, "faults": faults}))
         while len(self.injected) < self.sim.n_shards:
-            shard, message = await self._next("startup")
+            shard, message = self._next("startup")
             if message[0] == "ready":
                 self.injected[shard] = message[1]
 
-    async def _stop(self, shards, phase: str) -> None:
+    def _stop(self, shards, phase: str) -> None:
         """End the trial on ``shards``: no worker is handed another spec
         before each has closed its links and acknowledged ``idle``."""
         pending = set(shards)
         for shard in sorted(pending):
             self.stopped.add(shard)
-            await self._send(shard, ("stop",))
+            self._send(shard, ("stop",))
         while pending:
-            shard, message = await self._next(phase)
+            shard, message = self._next(phase)
             if message[0] == "idle":
                 pending.discard(shard)
 
-    async def _granted_rounds(self) -> None:
+    def _granted_rounds(self) -> None:
         """Grant credit as reports arrive until every worker has
         finished."""
         shards = range(self.sim.n_shards)
@@ -581,10 +519,10 @@ class _Coordinator:
             for shard in shards:
                 if self.sent[shard] != grant:
                     self.sent[shard] = grant
-                    await self._send(shard, ("grant", *grant))
+                    self._send(shard, ("grant", *grant))
             if all(self._parked(shard) == "final" for shard in shards):
                 return
-            shard, message = await self._next("barrier")
+            shard, message = self._next("barrier")
             if message[0] != "report":
                 raise SimulationError(
                     f"cluster worker protocol error: shard {shard} sent "
@@ -602,7 +540,7 @@ class _Coordinator:
 
     # -- crash recovery ---------------------------------------------------
 
-    async def _recover(self, crash: WorkerCrashed) -> None:
+    def _recover(self, crash: WorkerCrashed) -> None:
         """Respawn a crashed shard so the trial can run again.
 
         Waits until every survivor adjacent to the dead shard is parked
@@ -623,7 +561,7 @@ class _Coordinator:
             if dead in sim.partition.peer_shards(shard)
         ]
         while not all(self._parked(shard) for shard in adjacent):
-            await self._next("recovery")
+            self._next("recovery")
         # The dead worker died in the first round whose barrier it never
         # announced; failing that, the last one it reported.
         awaited = [
@@ -641,15 +579,12 @@ class _Coordinator:
             raise crash
         t0 = wall()
         self.respawns += 1
-        await self._stop(survivors, "recovery")
+        self._stop(survivors, "recovery")
         # Its stderr tail is in ``crash``; this closes the file and the
         # control channel and empties the slot for the respawn.
         self.pool.retire([dead], graceful=False)
         worker = self.workers[dead] = self.pool.spawn(dead)
-        [worker.handle] = await self._guarded(
-            self.pool.registry.join([dead], sim.worker_timeout), phase="respawn"
-        )
-        self._adopt(worker)
+        [worker.handle] = self._join([dead], "respawn")
         self.spec["peers"][dead] = (worker.handle.host, worker.handle.port)
         self.dead.discard(dead)
         replayed = crash.round or 0

@@ -231,18 +231,23 @@ async def read_frame(
 
 
 def split_frame(
-    data: bytes, *, max_frame: int = MAX_FRAME
-) -> tuple[int, bytes, bytes]:
+    data: bytes, *, max_frame: int = MAX_FRAME, partial: bool = False
+) -> tuple[int, bytes, bytes] | None:
     """Split one frame off the front of an in-memory buffer.
 
-    The datagram-side counterpart of :func:`read_frame`: a UDP datagram
-    arrives whole, so framing is a buffer walk, not a stream read.
-    Returns ``(kind, payload, rest)`` where ``rest`` is everything after
-    the frame (a datagram packs HELLO + MESSAGE back to back).  Raises
-    :class:`WireError` on a short buffer, version or kind mismatch, or a
-    length prefix that overruns ``max_frame`` or the buffer itself.
+    The buffer-side counterpart of :func:`read_frame`: a UDP datagram
+    arrives whole, and the window-sync runtime's selectors loop reads a
+    socket into a per-connection buffer, so framing is a buffer walk,
+    not a stream read.  Returns ``(kind, payload, rest)`` where ``rest``
+    is everything after the frame (a datagram packs HELLO + MESSAGE back
+    to back).  Raises :class:`WireError` on a version or kind mismatch
+    or a length prefix that overruns ``max_frame``; a buffer that ends
+    before the frame does is a :class:`WireError` too, or — ``partial``,
+    a stream's buffer — None: the frame is not complete yet.
     """
     if len(data) < _HEADER.size:
+        if partial:
+            return None
         raise WireError(f"buffer of {len(data)} bytes is shorter than a frame header")
     kind, version, length = _HEADER.unpack_from(data)
     if version != PROTOCOL_VERSION:
@@ -253,6 +258,8 @@ def split_frame(
         raise WireError(f"frame length {length} exceeds {max_frame}")
     end = _HEADER.size + length
     if len(data) < end:
+        if partial:
+            return None
         raise WireError(f"frame length {length} overruns a {len(data)}-byte buffer")
     frames = STATS.frames_in
     frames[kind] = frames.get(kind, 0) + 1

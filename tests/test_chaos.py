@@ -20,14 +20,13 @@ Three layers of coverage:
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import replace
 
 import pytest
 
 from repro.analysis.runner import run_pif_trial
-from repro.chaos import Backoff, FaultPlan, retry_async
+from repro.chaos import Backoff, FaultPlan, retry
 from repro.engine import (
     ChaosOpts,
     ClusterOpts,
@@ -75,52 +74,48 @@ def test_backoff_rejects_bad_parameters():
         Backoff(jitter=1.0)
 
 
-def test_retry_async_retries_then_succeeds_without_sleeping():
+def test_retry_retries_then_succeeds_without_sleeping():
     fake_now = [0.0]
     slept: list[float] = []
 
-    async def fake_sleep(delay: float) -> None:
+    def fake_sleep(delay: float) -> None:
         slept.append(delay)
         fake_now[0] += delay
 
     attempts = [0]
 
-    async def op() -> str:
+    def op() -> str:
         attempts[0] += 1
         if attempts[0] < 4:
             raise OSError("connection refused")
         return "connected"
 
     retries: list[float] = []
-
-    async def main():
-        return await retry_async(
-            op,
-            backoff=Backoff(initial=0.05, factor=2.0, cap=2.0, jitter=0.0),
-            timeout=30.0,
-            describe="test dial",
-            clock=lambda: fake_now[0],
-            sleep=fake_sleep,
-            on_retry=retries.append,
-        )
-
-    assert asyncio.run(main()) == "connected"
+    assert retry(
+        op,
+        backoff=Backoff(initial=0.05, factor=2.0, cap=2.0, jitter=0.0),
+        timeout=30.0,
+        describe="test dial",
+        clock=lambda: fake_now[0],
+        sleep=fake_sleep,
+        on_retry=retries.append,
+    ) == "connected"
     assert attempts[0] == 4
     assert slept == [0.05, 0.1, 0.2]
     assert retries == slept
 
 
-def test_retry_async_deadline_raises_simulation_error():
+def test_retry_deadline_raises_simulation_error():
     fake_now = [0.0]
 
-    async def fake_sleep(delay: float) -> None:
+    def fake_sleep(delay: float) -> None:
         fake_now[0] += delay
 
-    async def op() -> None:
+    def op() -> None:
         raise OSError("still down")
 
-    async def main():
-        await retry_async(
+    with pytest.raises(SimulationError, match="doomed dial failed after 5s"):
+        retry(
             op,
             backoff=Backoff(initial=1.0, factor=2.0, cap=8.0, jitter=0.0),
             timeout=5.0,
@@ -129,21 +124,14 @@ def test_retry_async_deadline_raises_simulation_error():
             sleep=fake_sleep,
         )
 
-    with pytest.raises(SimulationError, match="doomed dial failed after 5s"):
-        asyncio.run(main())
 
-
-def test_retry_async_passes_through_non_retryable():
-    async def op() -> None:
+def test_retry_passes_through_non_retryable():
+    def op() -> None:
         raise ValueError("logic bug")
 
-    async def main():
-        await retry_async(
-            op, backoff=Backoff(jitter=0.0), timeout=5.0, describe="dial"
-        )
-
     with pytest.raises(ValueError, match="logic bug"):
-        asyncio.run(main())
+        retry(op, backoff=Backoff(jitter=0.0), timeout=5.0, describe="dial",
+              clock=lambda: 0.0, sleep=lambda _delay: None)
 
 
 # -- FaultPlan DSL: parsing + validation ----------------------------------
@@ -448,7 +436,7 @@ def test_crash_of_a_worker_owing_a_resend_recovers():
 def test_blocked_worker_serves_control_without_handing_the_round_back(
     monkeypatch,
 ):
-    """The control reader runs beside the round loop: a survivor blocked
+    """Every wait of a worker serves its control channel: a survivor blocked
     on its dead peer's barrier answers ``stop`` from inside that wait,
     and the CONTROL transcript of the whole recovered trial holds the
     granted-round ops and the pooled lifecycle only — no per-round
@@ -458,13 +446,14 @@ def test_blocked_worker_serves_control_without_handing_the_round_back(
     transcript: list[tuple[int, str, tuple]] = []
     send, recv = registry._WorkerHandle.send, registry._WorkerHandle.recv
 
-    async def logged_send(handle, message):
+    def logged_send(handle, message):
         transcript.append((handle.shard, "to", message))
-        await send(handle, message)
+        send(handle, message)
 
-    async def logged_recv(handle):
-        message = await recv(handle)
-        transcript.append((handle.shard, "from", message))
+    def logged_recv(handle):
+        message = recv(handle)
+        if message is not None:
+            transcript.append((handle.shard, "from", message))
         return message
 
     monkeypatch.setattr(registry._WorkerHandle, "send", logged_send)

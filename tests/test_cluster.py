@@ -167,6 +167,16 @@ def test_cluster_rejects_callable_driver_payload():
         sim.run_trial(horizon=100, driver=driver)
 
 
+def test_a_failing_worker_names_itself_and_its_traceback():
+    """A worker whose trial raises sends its traceback over CONTROL
+    before it exits; the coordinator raises it by shard, promptly."""
+    sim = ClusterSimulator(6, {"kind": "pif"}, hosts=2)
+    driver = dict(tag="pif", requests_per_process=1, no_such_option=1)
+    with pytest.raises(SimulationError, match=r"cluster worker shard \d failed") as err:
+        sim.run_trial(horizon=100, driver=driver)
+    assert "no_such_option" in str(err.value)
+
+
 def test_execute_rejects_hosts_without_cluster_engine():
     with pytest.raises(SimulationError, match="engine='cluster'"):
         execute(trial_spec("pif", 4, horizon=100, cluster=ClusterOpts(hosts=2)))

@@ -217,10 +217,10 @@ def test_worker_killed_with_its_result_unshipped_is_a_named_error(
     execute(_on_cluster(_pif_spec(6, seed=3), 2))  # a warm pool
     send = coordinator._Coordinator._send
 
-    async def kill_then_send(self, shard, message):
+    def kill_then_send(self, shard, message):
         if message == ("result",) and shard == 1:
             self.workers[1].popen.kill()
-        await send(self, shard, message)
+        send(self, shard, message)
 
     monkeypatch.setattr(coordinator._Coordinator, "_send", kill_then_send)
     started = time.monotonic()

@@ -119,11 +119,12 @@ def test_window_sync_prepare_loads_no_event_loop(engine):
 
 
 #: What a window-sync coordinator never runs: the simulator, the
-#: adversary and the obs recorder live in the workers.
+#: adversary and the obs recorder live in the workers, and its one
+#: selectors loop needs no asyncio (which loads ``ssl``).
 _COORDINATOR_HEAVY = (
     "repro.sim.runtime", "repro.sim.process", "repro.sim.scheduler",
     "repro.sim.network", "repro.sim.adversary", "repro.obs.recorder",
-    "repro.obs.metrics",
+    "repro.obs.metrics", "asyncio", "ssl",
 )
 
 
@@ -152,6 +153,7 @@ _WORKER_HEAVY = (
     "repro.baselines", "repro.impossibility", "multiprocessing",
     "tempfile", "repro.net.engine", "repro.net.clock",
     "repro.net.transport", "repro.net.monitors", "hashlib", "_hashlib",
+    "asyncio", "ssl",
 )
 
 

@@ -13,8 +13,11 @@ from __future__ import annotations
 import asyncio
 import copy
 import pickle
+import selectors
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.chaos import Backoff
 from repro.core.messages import PifMessage
 from repro.errors import SimulationError
 from repro.net import wire
-from repro.net.registry import RegistryClient, RegistryServer
+from repro.net.registry import Channel, RegistryClient, RegistryServer, serve
 
 
 def feed(*chunks: bytes) -> tuple[bytes, ...]:
@@ -287,27 +290,41 @@ def test_control_payload_not_pickle():
 
 
 # -- registry rendezvous faults -------------------------------------------
+#
+# A client's register blocks until the registry answers, and the registry
+# answers from its own loop (``join`` polls it): each registration runs
+# on a thread of its own.
 
 
-def run_registry(scenario) -> None:
-    async def main():
-        registry = RegistryServer(slots=2)
-        await registry.start()
+@pytest.fixture
+def registry():
+    server = RegistryServer(slots=2)
+    server.start()
+    yield server
+    server.close()
+
+
+def registering(client, shard, port, **kwargs) -> threading.Thread:
+    """Start ``client.register`` on a thread; its PEERS map lands in
+    ``thread.acked``."""
+    def run():
         try:
-            await scenario(registry)
-        finally:
-            await registry.close()
+            thread.acked = client.register(
+                shard, "127.0.0.1", port, timeout=5.0, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - the test reads it
+            thread.acked = exc
 
-    asyncio.run(main())
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
 
 
-async def _abandon(*tasks) -> None:
-    for pending in tasks:
-        pending.cancel()
-        try:
-            await pending
-        except (asyncio.CancelledError, Exception):
-            pass
+def test_split_frame_on_a_stream_buffer_says_not_yet():
+    frame = wire.encode_hello(3)
+    for cut in (0, 3, len(frame) - 1):
+        assert wire.split_frame(frame[:cut], partial=True) is None
+    kind, payload, rest = wire.split_frame(frame + frame[:2], partial=True)
+    assert (kind, wire.decode_hello(payload), rest) == (wire.HELLO, 3, frame[:2])
 
 
 def test_register_retries_a_refused_dial_until_its_deadline():
@@ -316,97 +333,131 @@ def test_register_retries_a_refused_dial_until_its_deadline():
         port = probe.getsockname()[1]
     client = RegistryClient("127.0.0.1", port)
     with pytest.raises(SimulationError, match="registry dial"):
-        asyncio.run(client.register(
-            0, "127.0.0.1", 4000, timeout=0.3,
-            backoff=Backoff(initial=0.01, cap=0.05)))
+        client.register(0, "127.0.0.1", 4000, timeout=0.3,
+                        backoff=Backoff(initial=0.01, cap=0.05))
     assert client.dial_retries > 0
 
 
-def test_duplicate_registration_fails_rendezvous():
-    async def scenario(registry):
-        first = RegistryClient(registry.host, registry.port)
-        dup = RegistryClient(registry.host, registry.port)
-        task = asyncio.ensure_future(
-            first.register(0, "127.0.0.1", 4000, timeout=5.0)
-        )
-        await asyncio.sleep(0.05)  # first registration lands...
-        dup_task = asyncio.ensure_future(
-            dup.register(0, "127.0.0.1", 4001, timeout=5.0)
-        )
-        with pytest.raises(SimulationError, match="registered twice"):
-            await registry.join([0, 1], timeout=5.0)
-        await _abandon(task, dup_task)
-        first.close()
-        dup.close()
-
-    run_registry(scenario)
+def test_duplicate_registration_fails_rendezvous(registry):
+    first = RegistryClient(registry.host, registry.port)
+    dup = RegistryClient(registry.host, registry.port)
+    registering(first, 0, 4000)
+    registry.join([0], timeout=5.0)  # the first registration lands...
+    registering(dup, 0, 4001)
+    with pytest.raises(SimulationError, match="registered twice"):
+        registry.join([0, 1], timeout=5.0)
+    first.close()
+    dup.close()
 
 
-def test_out_of_range_shard_fails_rendezvous():
-    async def scenario(registry):
-        client = RegistryClient(registry.host, registry.port)
-        task = asyncio.ensure_future(
-            client.register(9, "127.0.0.1", 4000, timeout=5.0)
-        )
-        with pytest.raises(SimulationError, match="out of range"):
-            await registry.join([0, 1], timeout=5.0)
-        await _abandon(task)
+def test_out_of_range_shard_fails_rendezvous(registry):
+    client = RegistryClient(registry.host, registry.port)
+    registering(client, 9, 4000)
+    with pytest.raises(SimulationError, match="out of range"):
+        registry.join([0, 1], timeout=5.0)
+    client.close()
+
+
+def test_rendezvous_timeout_names_missing_shards(registry):
+    client = RegistryClient(registry.host, registry.port)
+    registering(client, 0, 4000)
+    with pytest.raises(SimulationError, match=r"missing shards \[1\]"):
+        registry.join([0, 1], timeout=0.2)
+    client.close()
+
+
+def test_rendezvous_delivers_full_peer_map(registry):
+    clients = [RegistryClient(registry.host, registry.port) for _ in range(2)]
+    acks = []
+    for shard, client in enumerate(clients):
+        thread = registering(client, shard, 4000 + shard)
+        registry.join([shard], timeout=5.0)
+        thread.join(timeout=5.0)
+        acks.append(thread.acked)
+    handles = registry.join([0, 1], timeout=5.0)
+    # The coordinator ships this map in the trial spec; a worker's
+    # PEERS acknowledgement only names the slots filled so far.
+    expected = {0: ("127.0.0.1", 4000), 1: ("127.0.0.1", 4001)}
+    assert {h.shard: (h.host, h.port) for h in handles} == expected
+    assert acks == [{0: expected[0]}, expected]
+    assert [h.shard for h in handles] == [0, 1]
+    # One REGISTER in + one PEERS out per worker.
+    assert registry.round_trips == 4
+    for client in clients:
         client.close()
 
-    run_registry(scenario)
 
-
-def test_rendezvous_timeout_names_missing_shards():
-    async def scenario(registry):
-        client = RegistryClient(registry.host, registry.port)
-        await client.register(0, "127.0.0.1", 4000, timeout=5.0)
-        with pytest.raises(SimulationError, match=r"missing shards \[1\]"):
-            await registry.join([0, 1], timeout=0.2)
-        client.close()
-
-    run_registry(scenario)
-
-
-def test_rendezvous_delivers_full_peer_map():
-    async def scenario(registry):
-        clients = [RegistryClient(registry.host, registry.port) for _ in range(2)]
-        acks = [
-            await client.register(shard, "127.0.0.1", 4000 + shard, timeout=5.0)
-            for shard, client in enumerate(clients)
-        ]
-        handles = await registry.join([0, 1], timeout=5.0)
-        # The coordinator ships this map in the trial spec; a worker's
-        # PEERS acknowledgement only names the slots filled so far.
-        expected = {0: ("127.0.0.1", 4000), 1: ("127.0.0.1", 4001)}
-        assert {h.shard: (h.host, h.port) for h in handles} == expected
-        assert acks == [{0: expected[0]}, expected]
-        assert [h.shard for h in handles] == [0, 1]
-        # One REGISTER in + one PEERS out per worker.
-        assert registry.round_trips == 4
-        for client in clients:
-            client.close()
-
-    run_registry(scenario)
-
-
-def test_a_forgotten_slot_can_be_joined_again():
+def test_a_forgotten_slot_can_be_joined_again(registry):
     """What crash recovery and the pool's replacement of a dead worker
     use: the slot's old channel is closed, a second registration for it
     is no longer a duplicate, and ``join`` waits for it alone."""
-    async def scenario(registry):
-        old = RegistryClient(registry.host, registry.port)
-        await old.register(1, "127.0.0.1", 4001, timeout=5.0)
-        [handle] = await registry.join([1], timeout=5.0)
-        registry.forget(1)
-        with pytest.raises(asyncio.IncompleteReadError):
-            await old.recv()  # control EOF: what ends an orphaned worker
-        new = RegistryClient(registry.host, registry.port)
-        joining = asyncio.ensure_future(registry.join([1], timeout=5.0))
-        await new.register(1, "127.0.0.1", 4101, timeout=5.0)
-        [replacement] = await joining
-        assert replacement is not handle and replacement.port == 4101
-        assert registry.round_trips == 4
-        old.close()
-        new.close()
+    old = RegistryClient(registry.host, registry.port)
+    thread = registering(old, 1, 4001)
+    [handle] = registry.join([1], timeout=5.0)
+    thread.join(timeout=5.0)
+    registry.forget(1)
+    # Control EOF: what ends an orphaned worker.
+    old.sock.settimeout(5.0)
+    assert old.sock.recv(1) == b""
+    new = RegistryClient(registry.host, registry.port)
+    registering(new, 1, 4101)
+    [replacement] = registry.join([1], timeout=5.0)
+    assert replacement is not handle and replacement.port == 4101
+    assert registry.round_trips == 4
+    old.close()
+    new.close()
 
-    run_registry(scenario)
+
+def test_control_messages_land_in_the_inbox_and_eof_after_them(registry):
+    """The coordinator's one inbox: a worker's CONTROL frames arrive as
+    ``(handle, message)`` in order, then ``("eof",)`` when it closes."""
+    client = RegistryClient(registry.host, registry.port)
+    registering(client, 0, 4000)
+    [handle] = registry.join([0], timeout=5.0)
+    client.sock.sendall(wire.encode_control(("ready", 3))
+                        + wire.encode_control(("idle",)))
+    client.close()
+    deadline = time.perf_counter() + 5.0
+    while len(registry.inbox) < 3 and time.perf_counter() < deadline:
+        registry.poll(deadline)
+    assert list(registry.inbox) == [
+        (handle, ("ready", 3)), (handle, ("idle",)), (handle, ("eof",))]
+
+
+def test_two_channels_ship_more_than_the_kernel_buffers_to_each_other():
+    """The deadlock a blocking send would make: each end writes a frame
+    larger than the socket buffers hold before it reads.  A channel's
+    send never blocks — the rest waits in its outbound buffer — and one
+    selectors loop flushes both and reads both."""
+    selector = selectors.DefaultSelector()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        dialled = socket.create_connection(listener.getsockname())
+        accepted, _addr = listener.accept()
+    ends = [Channel(sock, selector, Channel.fill, max_frame=wire.CONTROL_MAX_FRAME)
+            for sock in (dialled, accepted)]
+    blobs = [bytes([n]) * (8 << 20) for n in (1, 2)]
+    for end, blob in zip(ends, blobs):
+        end.send(wire.encode_control(blob))
+        assert end.outbuf  # the kernel took part of it; nothing blocked
+    got: dict[int, bytes] = {}
+    deadline = time.perf_counter() + 30.0
+    while len(got) < 2 and time.perf_counter() < deadline:
+        serve(selector, deadline)
+        for n, end in enumerate(ends):
+            frame = end.frame()
+            if frame is not None:
+                got[n] = wire.decode_control(frame[1])
+    assert got == {0: blobs[1], 1: blobs[0]}
+    assert not any(end.outbuf or end.failed for end in ends)
+    # A process about to exit has no loop left: drain blocks instead.
+    ends[0].send(wire.encode_control("last words"))
+    ends[0].drain(timeout=5.0)
+    assert not ends[0].outbuf
+    ends[1].sock.settimeout(5.0)
+    ends[1].inbuf += ends[1].sock.recv(1 << 16)
+    assert wire.decode_control(ends[1].frame()[1]) == "last words"
+    for end in ends:
+        end.close()
+    with pytest.raises(OSError):
+        ends[0].drain(timeout=1.0)
+    selector.close()
