@@ -56,10 +56,10 @@ Asserts, without running a single trial:
   message before the link claimed a slot, an engine that picks its
   own specification monitor, a call that drives the cyclic collector
   (a finished run is freed by reference counting: ``close()`` cuts its
-  cycles), or a part of the trace store beyond its five columns and kind
+  cycles), or a part of the trace store beyond its columns and kind
   index (the kind-interning table, the process index, the monotone flag,
   the vendored pre-columnar store, the column-wise bulk append, the
-  per-row payload-dict column), or any ``hashlib`` import
+  per-row payload-dict column, a per-row payload tuple), or any ``hashlib`` import
   under ``repro`` (it loads OpenSSL's libcrypto for a ``blake2b`` the
   interpreter builds in: ``repro.sim.determinism.blake2b``), or an
   ``asyncio`` import in the window-sync runtime (one selectors loop per
@@ -255,23 +255,29 @@ GUARDS: tuple[Guard, ...] = (
     Guard("drives the cyclic collector (a run is freed by reference "
           "counting; cut a new cycle in close())",
           re.compile(r".*\bgc\.(col" + r"lect|dis" + r"able|fre" + r"eze)\(")),
-    # One event store: five columns (a payload is an interned keys tuple
-    # and a values tuple) and a kind index.  The kind-interning table,
-    # the process index, the monotone flag and the vendored pre-columnar
-    # store went; the one intern table is the payload shapes' ``_schemas``.
-    Guard("names a deleted trace-store part (a trace is five columns — "
-          "time, kind, process, payload keys, payload values — and a kind "
-          "index)",
+    # One event store: columns (a payload is an interned keys tuple and
+    # one entry per payload-position column) and a kind index.  The
+    # kind-interning table, the process index, the monotone flag and the
+    # vendored pre-columnar store went; the one intern table is the
+    # payload shapes' ``_schemas``.
+    Guard("names a deleted trace-store part (a trace is columns — time, "
+          "kind, process, payload keys, one per payload position — and a "
+          "kind index)",
           re.compile(r".*\b(_KIND" + r"_IDS|_intern" + r"_kind|_proc" + r"_rows"
                      r"|_mono" + r"tone|for" + r"_process|Legacy" + r"Trace"
                      r"|Legacy" + r"Simulator)\b"),
           _EVERYWHERE),
-    # A row's payload is a values tuple under a shared keys tuple: the
-    # per-row payload-dict column went (a reader rebuilds the dict).
+    # A row's payload is a shared keys tuple and one entry per position
+    # column: the per-row payload-dict column went (a reader rebuilds the
+    # dict), and so did the per-row values tuple.
     Guard("names the deleted per-row payload-dict column (a payload is "
-          "Trace._keys + Trace._values)",
+          "Trace._keys + one entry in each of Trace._fields)",
           re.compile(r".*\b_da" + r"ta\b"),
           _EVERYWHERE),
+    Guard("keeps a per-row payload tuple (a payload's entries go to "
+          "Trace._fields, one column per position)",
+          re.compile(r".*(\b_val" + r"ues\b|\btuple\(\w+\.val" + r"ues\(\)\))"),
+          ("repro/sim/trace.py",)),
     # The shard merge streams rows into the merged trace; the column-wise
     # bulk append it replaced went with its copies.
     Guard("names the deleted column-wise trace append (a merge streams "

@@ -49,7 +49,7 @@ import socket
 import sys
 import time
 from collections import deque
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.chaos.backoff import Backoff, retry
 from repro.core.protocols import build_protocol
@@ -58,12 +58,14 @@ from repro.errors import SimulationError
 from repro.net import wire
 from repro.net.grant import RoundGrid
 from repro.net.registry import Channel, RegistryClient, serve
-from repro.obs.recorder import ObsRecorder
 from repro.obs.spans import wall
 from repro.sim.partition import Partition
 from repro.sim.runtime import Simulator
 from repro.sim.scheduler import END_OF_TICK
 from repro.sim.sharded import _KeyedTrace, scramble_shard, shard_result_payload
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import ObsRecorder
 
 __all__ = ["run_cluster_worker"]
 
@@ -290,6 +292,9 @@ class _Trial:
         self.trace = self.sim.trace = _KeyedTrace(self.sim.scheduler)
         self.obs: ObsRecorder | None = None
         if spec["obs"]:
+            # Only an observed trial pays for the recorder's import.
+            from repro.obs.recorder import ObsRecorder
+
             # Coordinator lane is pid 0; worker lanes follow shard order.
             # The interpreter has served other trials: count this one's
             # frames from here.

@@ -112,7 +112,10 @@ __all__ = [
 #: Version 5: crash recovery re-runs the trial — a BARRIER's ship count is
 #: never negative, and the CONTROL ops that rewired a live trial are gone.
 #: Version 6: a BARRIER carries the shard's next-event bound.
-PROTOCOL_VERSION = 6
+#: Version 7: a ``result``'s trace columns hold one column per payload
+#: position and the process column as an ``array`` — an older worker's
+#: values-tuple column would merge into garbage, not fail.
+PROTOCOL_VERSION = 7
 
 #: A BARRIER's next-event bound when nothing can happen on the shard any
 #: more (an empty heap, no ships out): the largest tick the frame holds.
@@ -145,7 +148,7 @@ _HEADER = struct.Struct(">BBI")
 #: hundred bytes; anything near this is a corrupt or hostile length prefix).
 MAX_FRAME = 1 << 20
 #: Bound for control/result frames: a shard's result payload carries its
-#: whole keyed trace (five columns), which dwarfs any single protocol message.
+#: whole keyed trace (its columns), which dwarfs any single protocol message.
 CONTROL_MAX_FRAME = 1 << 28
 
 _I64 = struct.Struct(">q")

@@ -28,13 +28,15 @@ shared by every worker and the coordinator:
 * worker side — :class:`_KeyedTrace` records one sortable key per
   emission, :func:`scramble_shard` scrambles one slice with the setup
   segments marked, :func:`shard_result_payload` is the record shipped
-  back: the trace's five columns (a row's payload as its interned keys
-  tuple and its values tuple) and the merge-key column, as they sit in
-  memory;
+  back: the trace's columns (a row's payload as its interned keys tuple
+  and one entry per payload-position column; the process column an
+  ``array``, shipped as raw bytes) and the merge-key column, as they sit
+  in memory;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
-  former as one k-way merge of the shards' already-sorted runs, streamed
-  row by row into the merged trace: the coordinator holds each row once.
+  former as one k-way merge of the shards' already-sorted runs whose
+  shard order is streamed into the merged trace, a run of one shard's
+  rows at a time: the coordinator holds each row once.
 
 No :class:`~repro.sim.trace.TraceEvent` exists on a worker, on the wire
 or in the coordinator until a caller indexes or iterates the merged trace
@@ -50,12 +52,13 @@ mutable state do not compose across shards (:data:`_SHARDABLE_LOSS`).
 from __future__ import annotations
 
 from heapq import merge
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.channel import BernoulliLoss, NoLoss
-from repro.sim.trace import EventKind, Trace
+from repro.sim.trace import NO_PROCESS, EventKind, Trace
 
 if TYPE_CHECKING:
     from repro.core.requests import CompletedRequest, RequestDriver
@@ -153,7 +156,7 @@ def shard_result_payload(
 ) -> dict[str, Any]:
     """The per-shard result record a worker ships back.
 
-    The trace travels as it sits in the store: its five
+    The trace travels as it sits in the store: its
     :meth:`~repro.sim.trace.Trace.columns` plus the ``keys`` column of
     merge keys, row for row — no event object or payload dict is built
     to ship it.  When the worker carries an
@@ -193,36 +196,47 @@ def merge_worker_traces(
     ``(time, key, rank, row)``.  A shard's rows of one phase are a
     subsequence of that order, so each is already a sorted run: the
     phase is one k-way merge of the shards' runs, the shard index the
-    last tiebreak, and every merged row goes straight into the trace
-    (:meth:`~repro.sim.trace.Trace.append_rows`) — nothing is sorted,
-    no column is copied.  A run found out of order raises
+    last tiebreak, and the merged shard order goes straight into the
+    trace (:meth:`~repro.sim.trace.Trace.append_rows`), each shard's
+    rows taken first to last — nothing is sorted, no column is copied
+    whole.  A run found out of order raises
     :class:`~repro.errors.SimulationError`.
     """
-    trace = Trace()
-    trace.append_rows(map(_ROW, merge(*[
-        _scramble_records(shard, payload) for shard, payload in enumerate(payloads)
-    ])))
+    # The two markers (1) and (3) are one more source, taken between
+    # the phases.
+    markers = Trace()
     if scrambled:
         # Workers suppressed their markers: they are two rows more.
-        trace.emit(0, EventKind.SCRAMBLE, None, what="processes")
-    trace.append_rows(map(_ROW, merge(*[
-        _inject_records(shard, payload) for shard, payload in enumerate(payloads)
-    ])))
-    if scrambled and fill_channels:
-        trace.emit(0, EventKind.SCRAMBLE, None, what="channels", injected=injected)
-    trace.append_rows(map(_ROW, merge(*[
-        _run_records(shard, payload) for shard, payload in enumerate(payloads)
-    ])))
+        markers.emit(0, EventKind.SCRAMBLE, None, what="processes")
+        if fill_channels:
+            markers.emit(0, EventKind.SCRAMBLE, None, what="channels",
+                         injected=injected)
+    marker = len(payloads)
+    trace = Trace()
+    trace.append_rows(
+        [*(payload["columns"] for payload in payloads), markers.columns()],
+        chain(
+            _phase(_scramble_records, payloads),
+            repeat(marker, int(scrambled)),
+            _phase(_inject_records, payloads),
+            repeat(marker, int(scrambled and fill_channels)),
+            _phase(_run_records, payloads),
+        ))
     return trace
 
 
-# A record is a row's place in its phase, its shard, then the row itself:
-# ``(*place, shard, time, kind, process, keys, values)``.  Within one
-# shard the places differ (each ends in the row number), so no comparison
-# ever reaches a row's own fields.  Each generator checks its shard's run
-# in order as it streams: the merge cannot reorder a run, and a payload
-# comes from another interpreter.
-_ROW = itemgetter(slice(-5, None))
+def _phase(records, payloads: list[dict[str, Any]]) -> Iterator[int]:
+    """The shard of each row of one phase, in merged order."""
+    return map(_SHARD, merge(*[
+        records(shard, payload) for shard, payload in enumerate(payloads)]))
+
+
+# A record is a row's place in its phase, then its shard: ``(*place,
+# shard)``.  Within one shard the places differ (each ends in the row
+# number), so no comparison ever reaches past the shard.  Each generator
+# checks its shard's run in order as it streams: the merge cannot reorder
+# a run, and a payload comes from another interpreter.
+_SHARD = itemgetter(-1)
 
 
 def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
@@ -233,12 +247,11 @@ def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
 
 
 def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, keys, values = payload["columns"]
+    procs = payload["columns"][2]
     last: tuple = ()
     for row in range(payload["proc_len"]):
         pid = procs[row]
-        record = (-1 if pid is None else pid, row, shard,
-                  times[row], kinds[row], pid, keys[row], values[row])
+        record = (-1 if pid == NO_PROCESS else pid, row, shard)
         if record < last:
             raise _out_of_order(shard, "scramble", row)
         last = record
@@ -246,14 +259,14 @@ def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, keys, values = payload["columns"]
+    _times, _kinds, _procs, keys, *fields = payload["columns"]
     last: tuple = ()
     start = payload["proc_len"]
     for row in range(start, payload["chan_len"]):
-        fields = dict(zip(keys[row], values[row]))
-        record = (fields.get("src", -1), fields.get("dst", -1), row - start,
-                  shard, times[row], kinds[row], procs[row], keys[row],
-                  values[row])
+        shape = keys[row]
+        record = (fields[shape.index("src")][row] if "src" in shape else -1,
+                  fields[shape.index("dst")][row] if "dst" in shape else -1,
+                  row - start, shard)
         if record < last:
             raise _out_of_order(shard, "inject", row)
         last = record
@@ -261,7 +274,7 @@ def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, kinds, procs, names, values = payload["columns"]
+    times, _kinds, procs, *_ = payload["columns"]
     keys = payload["keys"]
     last: tuple = ()
     for row in range(payload["chan_len"], len(times)):
@@ -270,8 +283,8 @@ def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
         # serial driver walks its processes in ascending pid order, so the
         # process id is the cross-worker rank.  Entity-keyed classes are
         # already total.
-        record = (time, key, pid if key == 0 and pid is not None else -1, row,
-                  shard, time, kinds[row], pid, names[row], values[row])
+        record = (time, key, pid if key == 0 and pid != NO_PROCESS else -1,
+                  row, shard)
         if record < last:
             raise _out_of_order(shard, "run", row)
         last = record

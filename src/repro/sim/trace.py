@@ -10,25 +10,25 @@ Storage layout (the trial hot path emits one event per delivered protocol
 message, the trace is the one per-trial structure that grows with run
 length, and the spec automata re-read it, so all three sides are tuned):
 
-* Events live in **five parallel columns** — ``time``, ``kind``,
-  ``process``, the payload's field names (``keys``) and its field values
-  (``values``) — instead of a list of :class:`TraceEvent` objects, so
-  ``emit`` costs a few list appends.  A kind is stored as its string.  A
-  payload is stored as two tuples, not a dict: an emitted row's keys
-  tuple is interned in the trace's ``_schemas`` table (one object per
-  emit-site shape, a handful per trial), its values tuple is the row's
-  own — together about half the bytes of a dict.  :meth:`Trace.columns` ships the columns as they
-  are, in any interpreter, and :meth:`Trace.append_rows` takes a stream
-  of ``(time, kind, process, keys, values)`` rows — the shard merge
-  appends each merged row straight from the shipped columns, keeping its
-  two tuples.
-* **One kind index** (kind → rows, in emission order, an ``array("l")``
-  of row numbers rather than a list of int objects) is kept on every
-  append, so :meth:`Trace.scan` streams exactly the rows a checker reads
-  and :meth:`Trace.kind_rows` is a lookup.
+* Events live in **columns**, not :class:`TraceEvent` objects: ``time``,
+  ``kind`` (the string itself), ``process`` (a 4-byte ``array("I")``,
+  ``None`` stored as :data:`NO_PROCESS`), the payload's field names
+  (``keys``: a tuple interned per payload shape in ``_schemas``), then
+  **one column per payload position** — a row keeps no tuple of its
+  own, and a row shorter than the widest payload pads with ``None``.
+  ``emit`` adds a row's payload entries to a flat pending list with one
+  ``list +=``; they move into their columns every few thousand entries
+  and before any read.  :meth:`Trace.columns` ships the columns as they
+  are, and :meth:`Trace.append_rows` takes the shard merge's order, a
+  run of one shard's rows at a time, as column slices.
+* **One kind index** (kind → rows, in emission order, an ``array("I")``
+  of row numbers) is kept on every append, so :meth:`Trace.scan` builds
+  exactly the rows a checker reads and :meth:`Trace.kind_rows` is a
+  lookup.
 * A reader sees a payload as a dict: :meth:`Trace.scan`,
   :meth:`Trace.data_at` and the :class:`TraceEvent` views rebuild one per
-  row read.  :class:`TraceEvent` is the per-event view that ``trace[i]``,
+  row read (``scan`` with C-level ``zip``/``map``, no Python frame a
+  row).  :class:`TraceEvent` is the per-event view that ``trace[i]``,
   iteration, :meth:`Trace.of_kind` and :meth:`Trace.first` return.  A
   view is **built on demand and never cached**: the spec checkers, the
   canonical hash and the shard merge read rows and never build one.
@@ -38,12 +38,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Iterable, Iterator
+from itertools import chain, compress, groupby, islice, repeat
+from operator import call, itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.sim.determinism import blake2b
 
-__all__ = ["EventKind", "TraceEvent", "Trace", "canonical_trace_hash"]
+__all__ = ["EventKind", "TraceEvent", "Trace", "NO_PROCESS", "canonical_trace_hash"]
 
 
 class EventKind:
@@ -90,27 +91,49 @@ class TraceEvent:
         return self.data.get(key, default)
 
 
+#: The process column's spelling of ``None`` (a global harness event): the
+#: column is a 4-byte unsigned ``array`` ("I" appends fastest of the
+#: integer codes), and no process id is this large.
+NO_PROCESS = (1 << 32) - 1
+
+#: Payload entries wait in a trace's flat ``_pending`` list (one row after
+#: another, each padded to the store's width) and move into their columns
+#: once this many have gathered, or when a reader needs them: one
+#: ``list +=`` a row instead of one append per payload position.
+_SETTLE_AT = 4096
+#: ``_process(entry, entry)`` is a process column entry as it was emitted.
+_process = {NO_PROCESS: None}.get
+#: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
+_GATHER = 1024
+#: Rows :meth:`Trace.append_rows` copies per column slice at most.
+_RUN = 4096
+
+
 class Trace:
-    """Append-only event log: five columns and a kind index.
+    """Append-only event log: columns and a kind index.
 
     The streaming API (:meth:`scan`, :meth:`rows_of`, :meth:`kind_rows`,
     :meth:`data_at`) reads rows; :meth:`of_kind`,
     :meth:`first`, indexing and iteration return :class:`TraceEvent` views.
-    A payload is held as an interned keys tuple and a values tuple; every
-    reader gets it back as a fresh dict.
+    A payload is held as an interned keys tuple and one entry in each
+    payload-position column; every reader gets it back as a fresh dict.
     """
 
-    __slots__ = ("_times", "_kinds", "_procs", "_keys", "_values", "_schemas",
-                 "_kind_rows")
+    __slots__ = ("_times", "_kinds", "_procs", "_keys", "_fields", "_pending",
+                 "_schemas", "_kind_rows")
 
     def __init__(self) -> None:
         self._times: list[int] = []
         self._kinds: list[str] = []
-        self._procs: list[int | None] = []
+        self._procs: array[int] = array("I")
         self._keys: list[tuple[str, ...]] = []
-        self._values: list[tuple[Any, ...]] = []
-        #: Every payload shape seen, each keys tuple mapped to itself.
-        self._schemas: dict[tuple[str, ...], tuple[str, ...]] = {}
+        #: One column per payload position; a shorter row pads with None.
+        self._fields: list[list[Any]] = []
+        #: The latest rows' payload entries, not yet in ``_fields``.
+        self._pending: list[Any] = []
+        #: Every payload shape seen: its interned keys tuple and the Nones
+        #: that pad it to the store's width.
+        self._schemas: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[None, ...]]] = {}
         self._kind_rows: dict[str, array[int]] = {}
 
     # -- appending ---------------------------------------------------------
@@ -124,58 +147,111 @@ class Trace:
     ) -> None:
         """Append one event whose payload is ``data``: the engine's hottest
         trace operation, and the one every emission goes through."""
-        rows = self._kind_rows.get(kind)
-        if rows is None:
-            self._kind_rows[kind] = rows = array("l")
-        rows.append(len(self._times))
-        self._times.append(time)
+        times = self._times
+        row = len(times)
+        try:
+            self._kind_rows[kind].append(row)
+        except KeyError:
+            self._kind_rows[kind] = array("I", (row,))
+        times.append(time)
         self._kinds.append(kind)
-        self._procs.append(process)
+        try:
+            self._procs.append(process)
+        except TypeError:
+            if process is not None:
+                raise
+            self._procs.append(NO_PROCESS)
         keys = tuple(data)
-        self._keys.append(self._schemas.setdefault(keys, keys))
-        self._values.append(tuple(data.values()))
+        try:
+            schema, pad = self._schemas[keys]
+        except KeyError:  # a new payload shape: intern it, widen for it
+            width = self._widen(len(keys), row)
+            schema, pad = self._schemas[keys] = (keys, (None,) * (width - len(keys)))
+        self._keys.append(schema)
+        pending = self._pending
+        pending += data.values()
+        pending += pad
+        if len(pending) >= _SETTLE_AT:
+            self._settle()
 
-    def columns(self) -> tuple[
-        list[int], list[str], list[int | None], list[tuple[str, ...]],
-        list[tuple[Any, ...]],
-    ]:
-        """The store as its ``(times, kinds, procs, keys, values)`` columns.
+    def _widen(self, width: int, rows: int) -> int:
+        """Open payload columns up to ``width`` (None for the first
+        ``rows`` rows) and re-pad every shape; the store's width."""
+        fields = self._settle()
+        if width > len(fields):
+            while len(fields) < width:
+                fields.append([None] * rows)
+            schemas = self._schemas
+            for shape, (interned, _pad) in schemas.items():
+                schemas[shape] = (interned, (None,) * (width - len(shape)))
+        return len(fields)
 
-        These are the live lists — read or pickle, do not mutate.
+    def _settle(self) -> list[list[Any]]:
+        """The payload columns, with every pending entry moved in."""
+        pending, fields = self._pending, self._fields
+        if pending:
+            width = len(fields)
+            for position, column in enumerate(fields):
+                column += pending[position::width]
+            pending.clear()
+        return fields
+
+    def columns(self) -> tuple[Any, ...]:
+        """The store as ``(times, kinds, processes, keys, *fields)``.
+
+        These are the live columns — read or pickle, do not mutate.  The
+        process column is an ``array("I")`` with ``None`` as
+        :data:`NO_PROCESS`; ``fields`` holds one column per payload
+        position.
         """
-        return self._times, self._kinds, self._procs, self._keys, self._values
+        return (self._times, self._kinds, self._procs, self._keys,
+                *self._settle())
 
     def append_rows(
-        self,
-        rows: Iterable[tuple[int, str, int | None, tuple[str, ...], tuple[Any, ...]]],
+        self, sources: Sequence[tuple[Any, ...]], order: Iterable[int]
     ) -> None:
-        """Append a stream of ``(time, kind, process, keys, values)`` rows
-        (the shard merge): one :meth:`append` per row, without building a
-        dict — each row's ``keys`` and ``values`` tuples are kept, not
-        copied.  Shipped columns arrive with their keys tuples still shared
-        (pickle keeps one object per shape), so they are not re-interned."""
-        kind_rows = self._kind_rows
-        times, kinds, procs = self._times, self._kinds, self._procs
-        keys_col, values_col = self._keys, self._values
+        """Append rows taken from ``sources`` — other traces'
+        :meth:`columns` — in ``order`` (the shard merge): each entry names
+        a source and takes its next row, so a source's rows are taken
+        first to last.  Consecutive entries naming one source are one run,
+        copied column by column as slices of at most :data:`_RUN` rows:
+        no dict and no per-row tuple is built, and the keys tuples are
+        kept, not copied (shipped columns arrive with them still shared:
+        pickle keeps one object per shape)."""
+        times, kinds, procs, keys = (
+            self._times, self._kinds, self._procs, self._keys)
+        width = self._widen(max([0, *(len(source) - 4 for source in sources)]),
+                            len(times))
+        fields, kind_rows = self._fields, self._kind_rows
+        taken = [0] * len(sources)
         row = len(times)
-        for time, kind, process, keys, values in rows:
-            index = kind_rows.get(kind)
-            if index is None:
-                kind_rows[kind] = index = array("l")
-            index.append(row)
-            row += 1
-            times.append(time)
-            kinds.append(kind)
-            procs.append(process)
-            keys_col.append(keys)
-            values_col.append(values)
+        for source, entries in groupby(order):
+            columns = sources[source]
+            while count := len(list(islice(entries, _RUN))):
+                start = taken[source]
+                end = taken[source] = start + count
+                run_kinds = columns[1][start:end]
+                times += columns[0][start:end]
+                kinds += run_kinds
+                procs += columns[2][start:end]
+                keys += columns[3][start:end]
+                for position in range(width):
+                    fields[position] += (
+                        columns[4 + position][start:end]
+                        if 4 + position < len(columns) else repeat(None, count))
+                for row, kind in enumerate(run_kinds, row):
+                    try:
+                        kind_rows[kind].append(row)
+                    except KeyError:
+                        kind_rows[kind] = array("I", (row,))
+                row += 1
 
     # -- event views ---------------------------------------------------------
 
     def _event(self, row: int) -> TraceEvent:
-        return TraceEvent(
-            self._times[row], self._kinds[row], self._procs[row], self.data_at(row)
-        )
+        p = self._procs[row]
+        return TraceEvent(self._times[row], self._kinds[row], _process(p, p),
+                          self.data_at(row))
 
     def __len__(self) -> int:
         return len(self._times)
@@ -213,30 +289,43 @@ class Trace:
         """
         rows = self._kind_rows.get(kind)
         if rows is None:
-            self._kind_rows[kind] = rows = array("l")
+            self._kind_rows[kind] = rows = array("I")
         return rows
 
     def scan(self, *kinds: str) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
         """Stream ``(time, kind, process, data)`` rows in emission order.
 
-        With ``kinds`` given, only those rows are visited (via the kind
-        index); without, the whole log streams.  No :class:`TraceEvent` is
-        built — this is the spec checkers' single-pass primitive; ``data``
-        is a fresh dict per row.
+        With ``kinds`` given, only those rows are built: each column is
+        gathered through the kind index, a chunk of rows at a time — unless
+        nearly every row is wanted (the PIF automaton's rows), when every
+        row is built and the others dropped.  Either way a row is assembled
+        by C-level ``zip``/``map``, with no Python frame per row and no
+        :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is the
+        spec checkers' single-pass primitive.
         """
-        times, kind_col, procs = self._times, self._kinds, self._procs
-        keys, values = self._keys, self._values
-        if kinds:
-            for row in self.rows_of(*kinds):
-                yield (times[row], kind_col[row], procs[row],
-                       dict(zip(keys[row], values[row])))
-        else:
-            for t, kind, p, k, v in zip(times, kind_col, procs, keys, values):
-                yield t, kind, p, dict(zip(k, v))
+        columns: Sequence[Iterable[Any]] = (
+            self._times, self._kinds, self._procs, self._procs, self._keys,
+            *self._settle())
+        if not kinds:
+            return _rows(*columns)
+        indexes = self._indexes(kinds)
+        if 4 * sum(map(len, indexes)) >= 3 * len(self._times):
+            return compress(_rows(*columns),
+                            map(frozenset(kinds).__contains__, self._kinds))
+        rows = sorted(chain.from_iterable(indexes))
+        # One itemgetter a chunk of rows; of one row, a slice (itemgetter
+        # returns a lone item bare).
+        getters = []
+        for start in range(0, len(rows), _GATHER):
+            chunk = rows[start:start + _GATHER]
+            getters.append(itemgetter(*chunk) if len(chunk) > 1
+                           else itemgetter(slice(chunk[0], chunk[0] + 1)))
+        return _rows(*(chain.from_iterable(map(call, getters, repeat(column)))
+                       for column in columns))
 
     def data_at(self, row: int) -> dict[str, Any]:
         """Row ``row``'s payload, as a fresh dict."""
-        return dict(zip(self._keys[row], self._values[row]))
+        return dict(zip(self._keys[row], map(itemgetter(row), self._settle())))
 
     # -- event queries -------------------------------------------------------
 
@@ -265,12 +354,26 @@ class Trace:
         """
         h = blake2b(digest_size=16)
         update = h.update
+        procs, fields = self._procs, self._settle()
         for t, kind, p, k, v in zip(
-            self._times, self._kinds, self._procs, self._keys, self._values
+            self._times, self._kinds, map(_process, procs, procs), self._keys,
+            zip(*fields) if fields else repeat(()),
         ):
             update(repr((t, kind, p, sorted(zip(k, v)))).encode())
             update(b"\x1e")
         return h.hexdigest()
+
+
+def _rows(
+    times: Iterable[int], kinds: Iterable[str], procs: Iterable[int],
+    procs_again: Iterable[int], keys: Iterable[tuple[str, ...]],
+    *fields: Iterable[Any],
+) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
+    """:meth:`Trace.scan` rows zipped from column iterators (the process
+    column twice: :data:`_process` reads an entry and its default)."""
+    payloads = zip(*fields) if fields else repeat(())
+    return zip(times, kinds, map(_process, procs, procs_again),
+               map(dict, map(zip, keys, payloads)))
 
 
 def canonical_trace_hash(trace: Trace) -> str:

@@ -22,7 +22,7 @@ runner drives it once: ``extract_waves(verdict)`` reads the waves of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.sim.trace import EventKind, Trace
@@ -40,7 +40,7 @@ _BRD = EventKind.RECEIVE_BRD
 _FCK = EventKind.RECEIVE_FCK
 
 
-@dataclass
+@dataclass(slots=True)
 class Wave:
     """One started PIF computation, as visible in the trace."""
 
@@ -49,12 +49,6 @@ class Wave:
     payload: object
     start_time: int
     decide_time: int | None = None
-    #: receive-brd of the initiator's messages carrying this wave id up to
-    #: its decision, by receiving process: ``(time, payload)``, in order.
-    brd_events: dict[int, list[tuple[int, Any]]] = field(default_factory=dict)
-    #: receive-fck times carrying this wave id at the initiator up to its
-    #: decision, by sender.
-    fck_events: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def decided(self) -> bool:
@@ -67,18 +61,37 @@ class Wave:
         return self.decide_time - self.start_time
 
 
+class _Open:
+    """What an undecided wave's DECIDE will judge: who received its
+    broadcast and who acknowledged it (bitmasks over the automaton's
+    process positions), and the rare rows that are flagged at the DECIDE —
+    a receipt of another payload ``(q, time, payload)`` and an
+    acknowledgment beyond a peer's first ``(q, time)``, each in row order."""
+
+    __slots__ = ("wave", "received", "acked", "corrupted", "repeated")
+
+    def __init__(self, wave: Wave) -> None:
+        self.wave = wave
+        self.received = 0
+        self.acked = 0
+        self.corrupted: list[tuple[int, int, Any]] = []
+        self.repeated: list[tuple[Any, int]] = []
+
+
 class PifAutomaton(Automaton):
     """Specification 1 for the PIF instance ``tag``.
 
     Local state: per process the pending request, per wave id the
-    :class:`Wave` record — the by-product — holding the start/decide pair
-    and the receive-brd / receive-fck events whose ``wave`` metadata names
-    it (garbage messages carry no wave id and attach to nothing; rows
-    without a process belong to nobody's computation).  The global step is
-    the DECIDE of a started wave, which judges Correctness and Decision
-    against the initiator's reach: ``neighbors[p]`` when given (the wave's
-    reach on a non-complete topology), every other process of ``pids``
-    otherwise (the paper's complete-graph reading).
+    :class:`Wave` record — the by-product — holding the start/decide pair,
+    and per *undecided* wave its open obligations: who received the
+    broadcast and who acknowledged it, from the receive-brd /
+    receive-fck events whose ``wave`` metadata names it (garbage messages
+    carry no wave id and attach to nothing; rows without a process belong
+    to nobody's computation).  A decided wave keeps no receipts.  The
+    global step is the DECIDE of a started wave, which judges Correctness
+    and Decision against the initiator's reach: ``neighbors[p]`` when
+    given (the wave's reach on a non-complete topology), every other
+    process of ``pids`` otherwise (the paper's complete-graph reading).
 
     An execution is a *sequence* of configurations, so **event order
     decides, not tick equality**: a wave's computation is the rows from its
@@ -110,6 +123,9 @@ class PifAutomaton(Automaton):
         self.pids = tuple(pids)
         self.neighbors = neighbors
         self._waves: dict[tuple[int, int], Wave] = {}
+        self._open: dict[tuple[int, int], _Open] = {}
+        #: Each process's bit in the masks: its place of first sight.
+        self._bit: dict[Any, int] = {}
 
     @property
     def waves(self) -> list[Wave]:
@@ -120,25 +136,37 @@ class PifAutomaton(Automaton):
         """Who a wave of ``pid`` must reach (besides ``pid``, if listed)."""
         return self.pids if self.neighbors is None else self.neighbors[pid]
 
+    def _new_bit(self, process: Any) -> int:
+        bit = self._bit[process] = 1 << len(self._bit)
+        return bit
+
     def step(
         self, time: int, kind: str, process: int | None, data: Mapping[str, Any]
     ) -> None:
         if process is None:
             return
         if kind == _BRD:
-            wave = self._waves.get(data.get("wave"))
-            if (wave is not None and wave.decide_time is None
-                    and data.get("sender") == wave.pid):
-                wave.brd_events.setdefault(process, []).append(
-                    (time, data.get("payload")))
+            state = self._open.get(data.get("wave"))
+            if state is not None and data.get("sender") == state.wave.pid:
+                state.received |= (self._bit.get(process)
+                                   or self._new_bit(process))
+                payload = data.get("payload")
+                if payload != state.wave.payload:
+                    state.corrupted.append((process, time, payload))
         elif kind == _FCK:
-            wave = self._waves.get(data.get("wave"))
-            if wave is None:
-                return
+            wid = data.get("wave")
             sender = data.get("sender")
-            if wave.decide_time is None:
-                wave.fck_events.setdefault(sender, []).append(time)
-            elif sender != wave.pid and sender in self._reach(wave.pid):
+            state = self._open.get(wid)
+            if state is not None:
+                bit = self._bit.get(sender) or self._new_bit(sender)
+                if state.acked & bit:
+                    state.repeated.append((sender, time))
+                else:
+                    state.acked |= bit
+                return
+            wave = self._waves.get(wid)
+            if (wave is not None and sender != wave.pid
+                    and sender in self._reach(wave.pid)):
                 self._flag(
                     "Decision",
                     f"acknowledgment from {sender} at t={time} arrived after "
@@ -148,40 +176,43 @@ class PifAutomaton(Automaton):
             self._pending.pop(process, None)
             wid = data.get("wave")
             if wid is not None:
-                self._waves[wid] = Wave(process, wid, data.get("payload"), time)
+                wave = self._waves[wid] = Wave(process, wid, data.get("payload"), time)
+                self._open[wid] = _Open(wave)
         elif kind == _DECIDE:
-            wave = self._waves.get(data.get("wave"))
-            if wave is not None and wave.decide_time is None:
-                wave.decide_time = time
-                self._judge(wave)
+            state = self._open.pop(data.get("wave"), None)
+            if state is not None:
+                state.wave.decide_time = time
+                self._judge(state)
         else:  # REQUEST
             self._pending.setdefault(process, time)
 
-    def _judge(self, wave: Wave) -> None:
-        """Correctness and Decision of ``wave``, at its DECIDE."""
+    def _judge(self, state: _Open) -> None:
+        """Correctness and Decision of ``state.wave``, at its DECIDE."""
+        wave = state.wave
         flag, wid, decided = self._flag, wave.wave, wave.decide_time
+        bits = self._bit
         for q in self._reach(wave.pid):
             if q == wave.pid:
                 continue
-            brds = wave.brd_events.get(q, ())
-            if not brds:
+            bit = bits.get(q, 0)
+            if not state.received & bit:
                 flag("Correctness",
                      f"process {q} never received broadcast of wave {wid} "
                      f"(payload {wave.payload!r})", decided, q)
-            for time, payload in brds:
-                if payload != wave.payload:
+            for p, time, payload in state.corrupted:
+                if p == q:
                     flag("Correctness",
                          f"process {q} received corrupted payload "
                          f"{payload!r} != {wave.payload!r}", time, q)
-            fcks = wave.fck_events.get(q, ())
-            if not fcks:
+            if not state.acked & bit:
                 flag("Correctness",
                      f"initiator never received acknowledgment from {q} "
                      f"for wave {wid}", decided, wave.pid)
-            for time in fcks[1:]:
-                flag("Decision",
-                     f"acknowledgment from {q} at t={time} counted again for "
-                     f"wave {wid}; expected exactly one", time, wave.pid)
+            for p, time in state.repeated:
+                if p == q:
+                    flag("Decision",
+                         f"acknowledgment from {q} at t={time} counted again for "
+                         f"wave {wid}; expected exactly one", time, wave.pid)
 
     def finish(
         self,

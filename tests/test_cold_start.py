@@ -153,7 +153,7 @@ _WORKER_HEAVY = (
     "repro.baselines", "repro.impossibility", "multiprocessing",
     "tempfile", "repro.net.engine", "repro.net.clock",
     "repro.net.transport", "repro.net.monitors", "hashlib", "_hashlib",
-    "asyncio", "ssl",
+    "asyncio", "ssl", "repro.obs.recorder", "repro.obs.metrics",
 )
 
 

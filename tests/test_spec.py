@@ -12,10 +12,13 @@ hand-coded checkers returned before the automata replaced them.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
+from repro.sim.trace import EventKind as K
 from repro.spec.mutex_spec import cs_intervals, service_order
+from repro.spec.pif_spec import PifAutomaton, check_pif
 from repro.spec.waves import extract_waves
 
 import spec_corpus
@@ -157,11 +160,45 @@ class TestWaveExtraction:
         waves = extract_waves(trace_of(spec_corpus.GOOD_PIF), "pif")
         assert len(waves) == 1
         wave = waves[0]
-        assert wave.pid == 1
+        assert (wave.pid, wave.wave, wave.payload) == (1, spec_corpus.W, "m")
         assert wave.decided
+        assert (wave.start_time, wave.decide_time) == (1, 8)
         assert wave.duration == 7
-        assert set(wave.brd_events) == {2, 3}
-        assert set(wave.fck_events) == {2, 3}
+        # The receipts of 2 and 3 attach to the wave: judged against them,
+        # it holds, and without 3's it names 3 twice.
+        assert check_pif(trace_of(spec_corpus.GOOD_PIF), "pif", (1, 2, 3)).ok
+        verdict = check_pif(trace_of(
+            r for r in spec_corpus.GOOD_PIF if r[2] != 3 and r[3].get("sender") != 3
+        ), "pif", (1, 2, 3))
+        assert [(v.prop, v.process) for v in verdict.violations] == [
+            ("Correctness", 3), ("Correctness", 1)]
+
+    def test_a_decided_wave_keeps_no_receipts(self):
+        # Only undecided waves hold obligations: at n = 64, W decided
+        # waves cost the automaton well under 1 KiB each.
+        n, waves = 64, 400
+        pids = tuple(range(n))
+        automaton = PifAutomaton("pif", pids)
+        step = automaton.step
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for w in range(waves):
+                pid, wid, t = w % n, (w % n, w), 10 * w
+                step(t, K.START, pid, {"tag": "pif", "wave": wid, "payload": "m"})
+                for q in pids:
+                    if q != pid:
+                        step(t + 1, K.RECEIVE_BRD, q,
+                             {"tag": "pif", "sender": pid, "payload": "m", "wave": wid})
+                        step(t + 2, K.RECEIVE_FCK, pid,
+                             {"tag": "pif", "sender": q, "payload": "f", "wave": wid})
+                step(t + 3, K.DECIDE, pid, {"tag": "pif", "wave": wid})
+            per_wave = (tracemalloc.get_traced_memory()[0] - before) / waves
+        finally:
+            tracemalloc.stop()
+        assert automaton.finish().ok
+        assert len(automaton.waves) == waves
+        assert per_wave < 1024, f"{per_wave:.0f} B a decided wave"
 
     def test_undecided_wave(self):
         wave = extract_waves(CASES["pif-unfinished-wave"].trace(), "pif")[0]

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import operator
 import pickle
 import tracemalloc
+
+import pytest
 
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
@@ -77,6 +78,11 @@ class TestEmitAndQuery:
         assert len(trace.of_kind(EventKind.START, EventKind.START)) == 1
 
 
+def every_row(columns: tuple) -> list[int]:
+    """``append_rows``'s order taking every row of one source."""
+    return [0] * len(columns[0])
+
+
 class TestColumns:
     """``columns`` out, ``append_rows`` in: the store a shard ships and the
     row stream a trace merge appends."""
@@ -85,12 +91,14 @@ class TestColumns:
         source = make_trace()
         copy = Trace()
         shipped = pickle.loads(pickle.dumps(source.columns()))
-        assert len(shipped) == 5  # times, kinds, procs, keys, values
-        copy.append_rows(zip(*shipped))
+        copy.append_rows([shipped], every_row(shipped))
+        assert len(copy) == len(source)
         assert list(copy.scan()) == list(source.scan())
-        # A row's values tuple is kept, not copied ...
-        assert all(map(operator.is_, copy.columns()[4], shipped[4]))
-        # ... and the keys tuples stay shared: one object per payload shape.
+        assert [copy.data_at(row) for row in range(len(copy))] == [
+            source.data_at(row) for row in range(len(source))]
+        for kinds in ((EventKind.START,), (EventKind.DECIDE, EventKind.REQUEST)):
+            assert list(copy.scan(*kinds)) == list(source.scan(*kinds))
+        # The keys tuples stay shared: one object per payload shape.
         keys = copy.columns()[3]
         assert len({id(k) for k in keys}) == len(set(keys)) == 3
         assert copy.canonical_hash() == source.canonical_hash()
@@ -108,11 +116,11 @@ class TestColumns:
 
         theirs = Trace()
         emit_all(theirs)
-        shipped = pickle.dumps(theirs.columns())
+        shipped = pickle.loads(pickle.dumps(theirs.columns()))
 
         arrived = Trace()
         arrived.emit(0, EventKind.NOTE, None)
-        arrived.append_rows(zip(*pickle.loads(shipped)))
+        arrived.append_rows([shipped], every_row(shipped))
         ours = Trace()
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
@@ -126,12 +134,36 @@ class TestColumns:
         assert arrived.first("foreign-kind", note="custom") == TraceEvent(
             1, "foreign-kind", 3, {"note": "custom"})
 
+    def test_sources_of_different_widths_interleave(self):
+        # A merged row pads to the widest payload of every source, and a
+        # wider row arriving later opens its columns.
+        narrow, wide, serial = Trace(), Trace(), Trace()
+        narrow.emit(1, EventKind.DECIDE, 2, tag="pif")
+        narrow.emit(3, EventKind.CS_EXIT, None)
+        wide.emit(2, EventKind.RECEIVE_BRD, 1, tag="pif", sender=2,
+                  payload="m", wave=(2, 1))
+        for row in (narrow[0], wide[0], narrow[1]):
+            serial.emit(row.time, row.kind, row.process, **row.data)
+        merged = Trace()
+        merged.emit(0, EventKind.NOTE, None)
+        serial_merged = Trace()
+        serial_merged.emit(0, EventKind.NOTE, None)
+        serial_merged.append_rows([serial.columns()], every_row(serial.columns()))
+        merged.append_rows([narrow.columns(), wide.columns()], [0, 1, 0])
+        assert list(merged.scan()) == list(serial_merged.scan())
+        assert merged.data_at(3) == {}
+        assert merged.canonical_hash() == serial_merged.canonical_hash()
+        merged.emit(4, EventKind.REQUEST, 5, tag="pif", payload="x")
+        assert merged.data_at(4) == {"tag": "pif", "payload": "x"}
+        assert merged[4].process == 5 and merged[3].process is None
+
     def test_bulk_append_keeps_the_rows_in_append_order(self):
         trace = make_trace()
         # A merged trace's shape: time-0 markers after later rows.
-        trace.append_rows(zip(
-            [0, 0], [EventKind.SCRAMBLE, EventKind.INJECT], [None, None],
-            [("what",), ("src", "dst")], [("processes",), (1, 2)]))
+        markers = Trace()
+        markers.emit(0, EventKind.SCRAMBLE, None, what="processes")
+        markers.emit(0, EventKind.INJECT, None, src=1, dst=2)
+        trace.append_rows([markers.columns()], every_row(markers.columns()))
         assert [e.time for e in trace] == [0, 2, 5, 8, 9, 0, 0]
         assert trace[5].kind == EventKind.SCRAMBLE
         assert trace.data_at(6) == {"src": 1, "dst": 2}
@@ -141,17 +173,60 @@ class TestColumns:
 
     def test_bulk_append_builds_no_event(self, built_events):
         trace = Trace()
-        times, kinds, procs, keys, values = make_trace().columns()
-        trace.append_rows(zip(times, kinds, procs, keys, values))
+        columns = make_trace().columns()
+        trace.append_rows([columns], every_row(columns))
         assert list(trace.scan(EventKind.START)) and trace.canonical_hash()
         assert built_events == []
         assert trace[0].kind == EventKind.REQUEST and len(built_events) == 1
 
-    def test_a_row_costs_at_most_140_bytes(self):
+    def test_a_long_trace_reads_back_what_was_emitted(self):
+        # Enough rows to settle the pending payload entries several times
+        # and to gather a sparse scan in several chunks; the widest shape
+        # arrives late, so earlier rows are padded after the fact.
+        shapes = [
+            (EventKind.RECEIVE_BRD, lambda t: {"tag": "pif", "sender": t % 5,
+                                               "payload": "m", "wave": (1, t)}),
+            (EventKind.DECIDE, lambda t: {"tag": "pif", "wave": (1, t)}),
+            (EventKind.CS_EXIT, lambda t: {"tag": "me"}),
+            (EventKind.NOTE, lambda t: {}),
+        ]
+        rows = []
+        for t in range(6000):
+            kind, make = shapes[t % 7 % 4]
+            data = make(t)
+            if t > 4500 and t % 11 == 0:
+                kind, data = EventKind.INJECT, {"src": 1, "dst": 2, "tag": "x",
+                                                "a": t, "b": None}
+            rows.append((t, kind, None if t % 13 == 0 else t % 9, data))
+        trace = Trace()
+        for row in rows:
+            trace.emit(row[0], row[1], row[2], **row[3])
+        assert list(trace.scan()) == rows
+        assert [trace.data_at(i) for i in range(len(rows))] == [r[3] for r in rows]
+        for kinds in ((EventKind.RECEIVE_BRD, EventKind.DECIDE,
+                       EventKind.CS_EXIT),                    # dense
+                      (EventKind.RECEIVE_BRD,),  # sparse, two chunks
+                      (EventKind.INJECT,), (EventKind.NOTE,)):
+            assert list(trace.scan(*kinds)) == [r for r in rows if r[1] in kinds]
+        expected = Trace()
+        for row in rows:
+            expected.emit(row[0], row[1], row[2], **row[3])
+            expected.data_at(0)  # settles after every row
+        assert trace.canonical_hash() == expected.canonical_hash()
+
+    def test_a_process_outside_the_column_is_refused(self):
+        # The process column holds ints and None; anything else is an
+        # emitter's error, never stored as "no process".
+        trace = Trace()
+        with pytest.raises(TypeError):
+            trace.emit(0, EventKind.NOTE, "p1")
+
+    def test_a_row_costs_at_most_80_bytes(self):
         # A receive-brd row whose values (tick, tag, sender, payload, wave)
         # are shared objects, as in a trial: what is measured is the store.
-        # A row kept as a payload dict costs about 254 bytes.
-        rows = 10_000
+        # A row kept as a payload dict costs about 254 bytes, as a keys
+        # tuple plus a values tuple about 155.
+        rows = 20_000
         now, wave = 10_000, (2, 7)
         tracemalloc.start()
         try:
@@ -164,7 +239,7 @@ class TestColumns:
         finally:
             tracemalloc.stop()
         assert len(trace) == rows
-        assert per_row <= 140, f"{per_row:.0f} B a trace row"
+        assert per_row <= 80, f"{per_row:.0f} B a trace row"
 
 
 class TestStats:
