@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice, repeat
-from operator import call, itemgetter
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.sim.determinism import blake2b
@@ -105,8 +105,6 @@ _SETTLE_AT = 4096
 _process = {NO_PROCESS: None}.get
 #: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
 _GATHER = 1024
-#: Rows :meth:`Trace.append_rows` copies per column slice at most.
-_RUN = 4096
 
 
 class Trace:
@@ -147,6 +145,14 @@ class Trace:
     ) -> None:
         """Append one event whose payload is ``data``: the engine's hottest
         trace operation, and the one every emission goes through."""
+        # The process first: a value the column refuses raises before any
+        # other column grows, so no half-written row is left behind.
+        try:
+            self._procs.append(process)
+        except TypeError:
+            if process is not None:
+                raise
+            self._procs.append(NO_PROCESS)
         times = self._times
         row = len(times)
         try:
@@ -155,12 +161,6 @@ class Trace:
             self._kind_rows[kind] = array("I", (row,))
         times.append(time)
         self._kinds.append(kind)
-        try:
-            self._procs.append(process)
-        except TypeError:
-            if process is not None:
-                raise
-            self._procs.append(NO_PROCESS)
         keys = tuple(data)
         try:
             schema, pad = self._schemas[keys]
@@ -214,8 +214,8 @@ class Trace:
         :meth:`columns` — in ``order`` (the shard merge): each entry names
         a source and takes its next row, so a source's rows are taken
         first to last.  Consecutive entries naming one source are one run,
-        copied column by column as slices of at most :data:`_RUN` rows:
-        no dict and no per-row tuple is built, and the keys tuples are
+        copied column by column as one slice each: no dict and no per-row
+        tuple is built, and the keys tuples are
         kept, not copied (shipped columns arrive with them still shared:
         pickle keeps one object per shape)."""
         times, kinds, procs, keys = (
@@ -227,24 +227,23 @@ class Trace:
         row = len(times)
         for source, entries in groupby(order):
             columns = sources[source]
-            while count := len(list(islice(entries, _RUN))):
-                start = taken[source]
-                end = taken[source] = start + count
-                run_kinds = columns[1][start:end]
-                times += columns[0][start:end]
-                kinds += run_kinds
-                procs += columns[2][start:end]
-                keys += columns[3][start:end]
-                for position in range(width):
-                    fields[position] += (
-                        columns[4 + position][start:end]
-                        if 4 + position < len(columns) else repeat(None, count))
-                for row, kind in enumerate(run_kinds, row):
-                    try:
-                        kind_rows[kind].append(row)
-                    except KeyError:
-                        kind_rows[kind] = array("I", (row,))
-                row += 1
+            start = taken[source]
+            end = taken[source] = start + len(list(entries))
+            run_kinds = columns[1][start:end]
+            times += columns[0][start:end]
+            kinds += run_kinds
+            procs += columns[2][start:end]
+            keys += columns[3][start:end]
+            for position in range(width):
+                fields[position] += (
+                    columns[4 + position][start:end]
+                    if 4 + position < len(columns) else repeat(None, end - start))
+            for row, kind in enumerate(run_kinds, row):
+                try:
+                    kind_rows[kind].append(row)
+                except KeyError:
+                    kind_rows[kind] = array("I", (row,))
+            row += 1
 
     # -- event views ---------------------------------------------------------
 
@@ -297,11 +296,13 @@ class Trace:
 
         With ``kinds`` given, only those rows are built: each column is
         gathered through the kind index, a chunk of rows at a time — unless
-        nearly every row is wanted (the PIF automaton's rows), when every
-        row is built and the others dropped.  Either way a row is assembled
-        by C-level ``zip``/``map``, with no Python frame per row and no
-        :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is the
-        spec checkers' single-pass primitive.
+        at least 3/4 of the rows are wanted, when every row is built and the
+        others dropped: the PIF automaton's kinds are 83-96 % of a PIF
+        trial's rows, and ``check_pif`` runs up to ~15 % faster so
+        (docs/perf.md, "Why a payload is stored field-wise").  Either way
+        a row is assembled by C-level ``zip``/``map``, with no Python frame
+        per row and no :class:`TraceEvent`; ``data`` is a fresh dict per
+        row.  This is the spec checkers' single-pass primitive.
         """
         columns: Sequence[Iterable[Any]] = (
             self._times, self._kinds, self._procs, self._procs, self._keys,
@@ -320,8 +321,7 @@ class Trace:
             chunk = rows[start:start + _GATHER]
             getters.append(itemgetter(*chunk) if len(chunk) > 1
                            else itemgetter(slice(chunk[0], chunk[0] + 1)))
-        return _rows(*(chain.from_iterable(map(call, getters, repeat(column)))
-                       for column in columns))
+        return _rows(*(_gathered(column, getters) for column in columns))
 
     def data_at(self, row: int) -> dict[str, Any]:
         """Row ``row``'s payload, as a fresh dict."""
@@ -374,6 +374,12 @@ def _rows(
     payloads = zip(*fields) if fields else repeat(())
     return zip(times, kinds, map(_process, procs, procs_again),
                map(dict, map(zip, keys, payloads)))
+
+
+def _gathered(column: Sequence[Any], getters: list[itemgetter]) -> Iterator[Any]:
+    """``column``'s entries at the rows ``getters`` name, a chunk at a
+    time as the consumer reaches it."""
+    return chain.from_iterable(get(column) for get in getters)
 
 
 def canonical_trace_hash(trace: Trace) -> str:

@@ -217,9 +217,19 @@ class TestColumns:
     def test_a_process_outside_the_column_is_refused(self):
         # The process column holds ints and None; anything else is an
         # emitter's error, never stored as "no process".
+        # A refused row leaves the store as it was: no column grows.
         trace = Trace()
-        with pytest.raises(TypeError):
-            trace.emit(0, EventKind.NOTE, "p1")
+        trace.emit(0, EventKind.NOTE, 1, text="kept")
+        before = list(trace.scan())
+        for process in ("p1", -1, 1 << 32):
+            with pytest.raises((TypeError, OverflowError)):
+                trace.emit(1, EventKind.NOTE, process, text="refused")
+        assert len(trace) == 1
+        assert list(trace.scan()) == before
+        assert list(trace.scan(EventKind.NOTE)) == before
+        assert trace.kind_rows(EventKind.NOTE).tolist() == [0]
+        trace.emit(2, EventKind.NOTE, None, text="next")
+        assert [row[2] for row in trace.scan()] == [1, None]
 
     def test_a_row_costs_at_most_80_bytes(self):
         # A receive-brd row whose values (tick, tag, sender, payload, wave)
