@@ -2,15 +2,15 @@
 reproduction runs, or named in :data:`ALLOWLIST` with the test that
 reaches it.
 
-The gate runs a fixed set of *roots* — ``repro claims``, one smoke per
-``repro`` subcommand (the async engine over tcp, with its instruments on
-and a fault plan, and over udp, then ``repro obs`` on what they wrote; a
-cluster trial under a fault plan; a sharded trial), every
-``examples/*.py``, the chaos gate's smallest case, one claims trial
-replayed from its provenance record on ``async``, ``sharded`` and
-``cluster``, the registry-integrity gate and the perf ledger's smoke —
-each in its own interpreter under a call tracer, and maps what they
-called back to the ``def``s of ``src/``:
+The gate runs a fixed set of *roots* — ``repro claims``, without and
+with row ids, one smoke per other ``repro`` subcommand (the async engine
+over tcp, with its instruments on and a fault plan, and over udp, then
+``repro obs`` on what they wrote; a cluster trial under a fault plan; a
+sharded trial), every ``examples/*.py``, the chaos gate's smallest case,
+one claims trial replayed from its provenance record on ``async``,
+``sharded`` and ``cluster``, the registry-integrity gate and the perf
+ledger's smoke — each in its own interpreter under a call tracer, and
+maps what they called back to the ``def``s of ``src/``:
 
 * the tracer is a ``sitecustomize`` module this gate writes into a
   temporary directory prepended to ``PYTHONPATH``, so every interpreter a
@@ -187,7 +187,7 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
 
 #: The tracer every root's interpreters load (``{out}`` is filled in).
 _SITECUSTOMIZE = '''\
-import atexit, os, sys, threading
+import atexit, os, signal, sys, threading
 
 seen = set()
 #: Per pytest item: what the item's own run reached (reach_plugin).
@@ -200,22 +200,41 @@ def _hook(frame, event, arg):
 
 
 def _dump():
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # one whole dump
     sys.settrace(None)
-    rows = [[path, line, None] for path, line in seen]
+    # A worker a traced test spawned reached these for that test.
+    test = os.environ.get("REACH_TEST")
+    rows = [[path, line, test] for path, line in seen]
     rows += [[path, line, test] for test, reached in tests.items()
              for path, line in reached]
-    fd, _ = __import__("tempfile").mkstemp(suffix=".json", dir={out!r})
+    fd, part = __import__("tempfile").mkstemp(suffix=".part", dir={out!r})
     with os.fdopen(fd, "w") as f:
         f.write(__import__("json").dumps([os.getcwd(), rows]))
+    os.replace(part, part[:-len(".part")] + ".json")
+
+
+def _terminated(signum, frame):
+    # A coordinator ends a failed trial's workers with SIGTERM, which
+    # skips atexit: dump first.
+    _dump()
+    os._exit(128 + signum)
 
 
 sys.settrace(_hook)
 threading.settrace(_hook)
 atexit.register(_dump)
+signal.signal(signal.SIGTERM, _terminated)
 '''
 
-#: A pytest plugin attributing what each test reached to its node id.
+#: A pytest plugin attributing what each test reached to its node id,
+#: in its own interpreter and in every one it spawns (``REACH_TEST``).
+#: A pooled cluster worker outlives the test that booted it, so the pool
+#: is closed as the test ends: the worker dumps under that test's id, and
+#: the next test boots its own.
 _PLUGIN = '''\
+import os
+import sys
+
 import pytest
 import sitecustomize
 
@@ -223,7 +242,12 @@ import sitecustomize
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
     outer, sitecustomize.seen = sitecustomize.seen, set()
+    os.environ["REACH_TEST"] = item.nodeid
     yield
+    coordinator = sys.modules.get("repro.net.coordinator")
+    if coordinator is not None:
+        coordinator.close_pool()
+    del os.environ["REACH_TEST"]
     sitecustomize.tests[item.nodeid] = sitecustomize.seen
     outer |= sitecustomize.seen
     sitecustomize.seen = outer
@@ -284,8 +308,7 @@ def roots(scratch: Path) -> list[list[tuple[str, list[str]]]]:
          [_PY, "benchmarks/check_registry_integrity.py"]),
         *((f"examples/{path.name}", [_PY, f"examples/{path.name}"])
           for path in sorted((ROOT / "examples").glob("*.py"))),
-        ("repro ablations", _repro("ablations")),
-        ("repro compare", _repro("compare", "--n", "3", "--seeds", "1")),
+        ("repro claims with ids", _repro("claims", "E1", "E9a")),
         ("repro pif async tcp", _repro(
             "pif", "--n", "4", "--seeds", "0", "--engine", "async",
             "--transport", "tcp", "--horizon", "3000",
@@ -308,14 +331,6 @@ def roots(scratch: Path) -> list[list[tuple[str, list[str]]]]:
             "mutex", "--n", "3", "--seeds", "0", "--round-budget", "100",
             "--profile", "3")),
         ("repro list", _repro("list")),
-        ("repro figure1", _repro("figure1", "--seeds", "0")),
-        ("repro impossibility", _repro("impossibility", "--n", "2")),
-        ("repro scaling", _repro("scaling", "--ns", "2", "3", "--seeds", "0")),
-        ("repro property1", _repro("property1", "--n", "3")),
-        ("repro capacity", _repro("capacity", "--capacities", "1")),
-        ("repro matrix", _repro(
-            "matrix", "--n", "4", "--seeds", "0", "--topologies", "ring",
-            "--losses", "0.0", "--protocol", "me")),
         ("repro collect async", _repro(
             "collect", "--n", "4", "--seeds", "0", "--engine", "async",
             "--topology", "star")),

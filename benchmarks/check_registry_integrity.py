@@ -37,8 +37,9 @@ Asserts, without running a single trial:
 * every backticked dotted ``repro.…`` name in ``docs/*.md``,
   ``README.md`` and the verify skill resolves by import plus ``getattr``,
   every backticked ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
-  ``docs/`` path there exists, and so does every ``check_*.py`` /
-  ``test_*.py`` file it names;
+  ``docs/`` path there exists, so does every ``check_*.py`` /
+  ``test_*.py`` file it names, and every ``repro X`` / ``python -m repro
+  X`` command line there names a subcommand of ``repro.cli``;
 * no line matches a row of :data:`GUARDS` — one table, one loop — and
   no module a row deleted is importable.  Each row is a pattern, the
   trees it must not match in and what it means: a per-engine dispatch
@@ -578,6 +579,9 @@ _DOC_PATH = re.compile(r"`((?:src|tests|benchmarks|examples|docs)/[^`\s:]*)")
 #: directory.
 _DOC_FILE = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*(?:check|test)_\w+\.py)\b")
 _TREES = ("src", "tests", "benchmarks", "examples", "docs")
+#: A command line: ``repro X`` after a space, a backtick, ``$``, ``(`` or
+#: at the start of a line, ``python -m repro X`` among them.
+_DOC_COMMAND = re.compile(r"(?:^|[\s`$(])repro ([a-z][\w-]*)")
 
 
 def check_doc_names() -> list[str]:
@@ -595,6 +599,9 @@ def check_doc_names() -> list[str]:
             stale += [ref for ref in _DOC_FILE.findall(line)
                       if not ((root / ref).is_file() if "/" in ref
                               else ref in files)]
+            stale += [f"repro {command}"
+                      for command in _DOC_COMMAND.findall(line)
+                      if command not in repro.cli._SUBCOMMANDS]
             problems.extend(
                 f"{path.relative_to(root)}:{lineno}: `{name}` does not "
                 f"resolve (renamed or deleted?)" for name in dict.fromkeys(stale))

@@ -11,11 +11,7 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
         run_modulus_ablation,
         run_naive_ablation,
     )
-    from repro.analysis.compare import (
-        MutexComparison,
-        aggregate_comparison,
-        compare_mutex_protocols,
-    )
+    from repro.analysis.compare import compare_mutex_protocols
     from repro.analysis.experiments import (
         Figure1Result,
         run_capacity_sweep,
@@ -38,10 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - tooling only; names resolve lazily
 __all__ = [
     "Figure1Result",
     "FlagAblationResult",
-    "MutexComparison",
     "Summary",
     "TrialResult",
-    "aggregate_comparison",
     "compare_mutex_protocols",
     "pif_scaling_row",
     "render_table",
@@ -65,9 +59,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "FlagAblationResult", "run_flag_ablation", "run_modulus_ablation",
         "run_naive_ablation",
     ),
-    "compare": (
-        "MutexComparison", "aggregate_comparison", "compare_mutex_protocols",
-    ),
+    "compare": ("compare_mutex_protocols",),
     "experiments": (
         "Figure1Result", "run_capacity_sweep", "run_figure1",
         "run_impossibility_experiment", "run_property1_check",

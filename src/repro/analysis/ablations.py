@@ -24,7 +24,6 @@ from typing import Any
 from repro.baselines.naive_pif import NaivePifLayer
 from repro.core.messages import PifMessage
 from repro.core.pif import PifLayer
-from repro.core.requests import RequestDriver
 from repro.sim.channel import BernoulliLoss
 from repro.sim.runtime import Simulator
 from repro.spec.pif_spec import check_pif
@@ -46,10 +45,6 @@ class FlagAblationResult:
     decided: bool
     spec_ok: bool
     violations: list[str]
-
-    def row(self) -> list[Any]:
-        return [self.max_state, self.decided, self.spec_ok,
-                self.violations[0] if self.violations else ""]
 
 
 def run_flag_ablation(max_state: int) -> FlagAblationResult:
@@ -126,28 +121,26 @@ def run_modulus_ablation(
     requests_per_process: int = 3,
     seed: int = 0,
     horizon: int = 400_000,
-) -> dict[str, Any]:
-    """Paper's literal ``mod (n+1)`` vs the corrected ``mod n`` (E8b)."""
+) -> list[dict[str, Any]]:
+    """Paper's literal ``mod (n+1)`` vs the corrected ``mod n`` (E8b): one
+    row per trial, the paper's first."""
     from repro.analysis.runner import run_mutex_trial
     from repro.engine.spec import TrialSpec
 
     spec = TrialSpec(n=n, seed=seed, scramble=False, horizon=horizon)
-    paper = run_mutex_trial(
-        spec, requests_per_process=requests_per_process,
-        use_paper_modulus=True, require_completion=False,
-    )
-    fixed = run_mutex_trial(
-        spec, requests_per_process=requests_per_process,
-        use_paper_modulus=False, require_completion=False,
-    )
-    return {
-        "n": n,
-        "requested": requests_per_process * n,
-        "paper_mod_served": paper.measurements["served"],
-        "paper_mod_completed": paper.measurements["completed"],
-        "fixed_mod_served": fixed.measurements["served"],
-        "fixed_mod_completed": fixed.measurements["completed"],
-    }
+    rows = []
+    for modulus, paper in (("n+1", True), ("n", False)):
+        trial = run_mutex_trial(
+            spec, requests_per_process=requests_per_process,
+            use_paper_modulus=paper, require_completion=False,
+        )
+        rows.append({
+            "modulus": modulus,
+            "requested": requests_per_process * n,
+            "served": trial.measurements["served"],
+            "completed": trial.measurements["completed"],
+        })
+    return rows
 
 
 def run_naive_ablation(
@@ -156,15 +149,14 @@ def run_naive_ablation(
     seeds: list[int] | None = None,
     loss: float = 0.3,
     horizon: int = 30_000,
-) -> dict[str, Any]:
-    """Naive PIF vs Protocol PIF under loss and arbitrary initial configs."""
+) -> list[dict[str, Any]]:
+    """Naive PIF vs Protocol PIF under loss and arbitrary initial configs:
+    one row per seed, whether each decided and its safety violations."""
     if seeds is None:
         seeds = list(range(10))
-    naive_deadlocks = 0
-    naive_violations = 0
-    pif_deadlocks = 0
-    pif_violations = 0
+    rows: list[dict[str, Any]] = []
     for seed in seeds:
+        row: dict[str, Any] = {"seed": seed}
         for proto, build in (
             ("naive", lambda h: h.register(NaivePifLayer("w"))),
             ("pif", lambda h: h.register(PifLayer("w"))),
@@ -174,26 +166,14 @@ def run_naive_ablation(
             initiator = sim.pids[0]
             sim.layer(initiator, "w").request_broadcast("payload")
             layer = sim.layer(initiator, "w")
-            decided = sim.run(
+            row[f"{proto}_decided"] = sim.run(
                 horizon, until=lambda s: layer.request is RequestState.DONE
             )
             verdict = check_pif(
                 sim.trace, "w", sim.pids, require_all_decided=False
             )
-            bad = sum(
+            row[f"{proto}_safety_violations"] = sum(
                 1 for v in verdict.violations if v.prop in ("Correctness", "Decision")
             )
-            if proto == "naive":
-                naive_deadlocks += 0 if decided else 1
-                naive_violations += bad
-            else:
-                pif_deadlocks += 0 if decided else 1
-                pif_violations += bad
-    return {
-        "configs": len(seeds),
-        "loss": loss,
-        "naive_deadlocks": naive_deadlocks,
-        "naive_safety_violations": naive_violations,
-        "pif_deadlocks": pif_deadlocks,
-        "pif_safety_violations": pif_violations,
-    }
+        rows.append(row)
+    return rows

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.pif import PifLayer
@@ -164,6 +164,7 @@ def run_property1_check(
                 leftovers += 1
     return {
         "n": n,
+        "seed": seed,
         "injected": len(injected),
         "leftover_initial_messages": leftovers,
         "property1_holds": leftovers == 0,
@@ -273,16 +274,12 @@ def run_topology_matrix(
     ``base`` carries every axis the cells share — system size, engine and
     its option sections, latency, horizon; each cell trial replaces only
     topology/seed/loss.  Serial, sharded, async-loopback and
-    cluster produce identical rows for the same seeds.  With
-    ``base.obs`` set, each cell trial writes its own files, suffixed with
-    the cell's topology/loss/seed (see
-    :func:`repro.obs.recorder.indexed_path`).
+    cluster produce identical rows for the same seeds.
     """
     from dataclasses import replace
 
     from repro.analysis.runner import run_trial
     from repro.core.protocols import protocol_named
-    from repro.obs.recorder import indexed_path
     from repro.sim.topology import topology_from_spec
 
     if topologies is None:
@@ -292,7 +289,6 @@ def run_topology_matrix(
     if seeds is None:
         seeds = [0, 1, 2]
     row = protocol_named(protocol)
-    metrics, timeline = base.obs.metrics, base.obs.timeline
     rows: list[dict[str, Any]] = []
     for spec in topologies:
         # One graph instance per scenario: a seeded random family (gnp)
@@ -307,17 +303,6 @@ def run_topology_matrix(
             final_time = 0
             for seed in seeds:
                 cell = replace(base, topology=top, seed=seed, loss=loss)
-                if base.obs.active:
-                    label = (
-                        f"{spec}-loss{loss}-seed{seed}"
-                        .replace(":", "_").replace(".", "_")
-                    )
-                    cell = cell.with_obs(
-                        str(indexed_path(metrics, label))
-                        if metrics is not None else None,
-                        str(indexed_path(timeline, label))
-                        if timeline is not None else None,
-                    )
                 trial = run_trial(row.describe(cell, requests_per_process=1))
                 ok += 1 if trial.ok else 0
                 violations += trial.violations

@@ -32,9 +32,7 @@ from typing import Any
 
 from repro.core.protocols import PROTOCOLS, ProtocolKind, protocol_of
 from repro.engine import DRAIN_TICKS, EngineRun, TrialSpec, execute
-from repro.engine.base import resolve_topology as _resolve_topology
 from repro.errors import HorizonExceeded, SimulationError
-from repro.sim.topology import Topology
 from repro.sim.trace import EventKind, Trace
 from repro.spec.base import drive
 from repro.spec.mutex_spec import check_mutex
@@ -241,13 +239,7 @@ def sweep(
     ]
 
 
-def pif_scaling_row(
-    n: int,
-    *,
-    seeds: list[int],
-    loss: float = 0.0,
-    topology: Topology | str | None = None,
-) -> dict[str, Any]:
+def pif_scaling_row(n: int, *, seeds: list[int]) -> dict[str, Any]:
     """E7: message/latency cost of one wave as a function of n.
 
     One requesting initiator; the cost of a complete wave is Θ(deg) messages
@@ -261,31 +253,19 @@ def pif_scaling_row(
     msg_counts: list[int] = []
     per_peer: list[float] = []
     durations: list[int] = []
-    name = "complete"
     for seed in seeds:
-        top = _resolve_topology(n, topology, seed)
-        sim = Simulator(
-            n if top is None else None,
-            lambda h: h.register(PifLayer("pif")),
-            topology=top,
-            seed=seed,
-        )
-        initiator = sim.pids[0]
-        name = sim.topology.name
-        layer = sim.layer(initiator, "pif")
+        sim = Simulator(n, lambda h: h.register(PifLayer("pif")), seed=seed)
+        layer = sim.layer(sim.pids[0], "pif")
         layer.request_broadcast("scale")
         done = sim.run(500_000, until=lambda s: layer.request is RequestState.DONE)
         if not done:
             raise SimulationError(f"scaling wave (n={n}, seed={seed}) never decided")
         waves = [w for w in extract_waves(sim.trace, "pif") if w.decided]
         msg_counts.append(sim.stats.sent)
-        # Per-seed ratio: a seeded random family (gnp) gives each seed a
-        # different graph, so the initiator's degree varies per trial.
-        per_peer.append(sim.stats.sent / sim.network.degree(initiator))
+        per_peer.append(sim.stats.sent / (n - 1))
         durations.append(waves[0].duration or 0)
     return {
         "n": n,
-        "topology": name,
         "messages_mean": round(sum(msg_counts) / len(msg_counts), 1),
         "messages_per_peer": round(sum(per_peer) / len(per_peer), 1),
         "duration_mean": round(sum(durations) / len(durations), 1),

@@ -1,21 +1,16 @@
-"""Command-line interface: run any experiment and print its table.
+"""Command-line interface: check the paper's claims, run trials.
 
 Usage::
 
-    python -m repro list                      # available experiments
+    python -m repro list                      # the other subcommands
     python -m repro claims                    # every claim, checked
-    python -m repro figure1                   # E1
-    python -m repro impossibility --n 3       # E2
-    python -m repro pif --n 4 --loss 0.2      # E3-style trial
+    python -m repro claims E1 E11a            # those rows' full tables
+    python -m repro pif --n 4 --loss 0.2      # E3-style trials
     python -m repro mutex --n 4 --seeds 0 1 2 # E5-style trials
-    python -m repro compare --seeds 0 1 2 3   # E6
-    python -m repro ablations                 # E8
-    python -m repro property1                 # E9a
     python -m repro pif --topology ring       # E3 on a ring
-    python -m repro matrix --n 8              # E11 topology x fault matrix
     python -m repro collect --topology star   # E12 collect-wave trials
 
-Every trial-style experiment accepts ``--topology`` (complete, ring, star,
+Every trial subcommand accepts ``--topology`` (complete, ring, star,
 grid[:RxC], gnp[:P], clustered[:K]) and sweeps the same specification,
 generalized to the wave's reach on non-complete graphs.
 """
@@ -26,22 +21,13 @@ import argparse
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from repro.errors import HorizonExceeded, ReproError, SimulationError
+from repro.errors import HorizonExceeded, ReproError
 
 # Every ``python -m repro ...`` process — each cluster worker among them
 # — imports this module first, so it imports nothing else of the program
 # at module scope: a subcommand's flags and handler import what they use.
 
 __all__ = ["main", "build_parser"]
-
-
-def _flags_figure1(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-
-
-def _flags_impossibility(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _flags_trials(p: argparse.ArgumentParser) -> None:
@@ -65,44 +51,11 @@ def _flags_mutex(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _flags_compare(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--seeds", type=int, nargs="+", default=list(range(6)))
+def _flags_claims(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help="communication graph for the head-to-head: complete (default) "
-             "or ring (the token baseline needs the pid-order ring embedded)",
+        "ids", nargs="*", metavar="ID",
+        help="print these rows' full tables instead of the summary",
     )
-
-
-def _flags_scaling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ns", type=int, nargs="+", default=[2, 3, 5, 8])
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    _add_topology_arg(p)
-
-
-def _flags_property1(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4)
-
-
-def _flags_capacity(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--capacities", type=int, nargs="+", default=[1, 2, 4])
-
-
-def _flags_matrix(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    p.add_argument(
-        "--topologies", nargs="+",
-        default=["complete", "ring", "star", "grid", "gnp:0.35", "clustered:2"],
-    )
-    p.add_argument("--losses", type=float, nargs="+", default=[0.0, 0.2])
-    p.add_argument(
-        "--protocol", default="pif", metavar="NAME",
-        help="which trial fills the cells: pif (default), idl, mutex "
-             "(= me) or collect",
-    )
-    _add_engine_args(p)
 
 
 def _flags_cluster_worker(p: argparse.ArgumentParser) -> None:
@@ -267,30 +220,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_figure1(args) -> str:
-    from repro.analysis.experiments import run_figure1
-    from repro.analysis.tables import render_table
-
-    results = [run_figure1(seed=s) for s in args.seeds]
-    return render_table(
-        ["seed", "spurious", "brd@q", "fck@p", "decide", "spec_ok"],
-        [[s, r.spurious_level, r.brd_time, r.fck_time, r.decide_time, r.spec_ok]
-         for s, r in zip(args.seeds, results)],
-        title="E1 / Figure 1 — worst-case handshake",
-    )
-
-
-def _cmd_impossibility(args) -> str:
-    from repro.analysis.experiments import run_impossibility_experiment
-    from repro.analysis.tables import render_table
-
-    row = run_impossibility_experiment(n=args.n, seed=args.seed)
-    return render_table(
-        list(row.keys()), [list(row.values())],
-        title="E2 / Theorem 1 — impossibility construction",
-    )
-
-
 def _scalar_keys(record: dict) -> list[str]:
     """The table-ready keys of a measurements/provenance record."""
     return [k for k, v in record.items()
@@ -340,101 +269,6 @@ def _cmd_trials(args) -> str:
     )
 
 
-def _cmd_compare(args) -> str:
-    from repro.analysis.compare import (
-        aggregate_comparison,
-        compare_mutex_protocols,
-    )
-    from repro.analysis.tables import render_table
-
-    results = compare_mutex_protocols(n=args.n, seeds=args.seeds,
-                                      horizon=800_000,
-                                      topology=args.topology)
-    agg = aggregate_comparison(results)
-    table = render_table(
-        ["seed", "snap viol", "snap served", "self viol", "self served",
-         "self last viol"],
-        [r.row() for r in results],
-        title="E6 — snap vs self-stabilization",
-    )
-    return table + f"\naggregate: {agg}"
-
-
-def _cmd_scaling(args) -> str:
-    from repro.analysis.runner import pif_scaling_row
-    from repro.analysis.tables import render_table
-    from repro.engine.spec import _topology_from_args
-
-    if args.latency_map:
-        raise SimulationError(
-            "--latency-map names explicit pids, which a multi-n scaling "
-            "sweep cannot share; use --topology wan[:K] for a weighted sweep"
-        )
-    topology = _topology_from_args(args, args.ns[0], args.seeds[0])
-    rows = [pif_scaling_row(n, seeds=args.seeds, topology=topology)
-            for n in args.ns]
-    return render_table(
-        ["n", "topology", "messages/wave", "messages/peer", "duration"],
-        [[r["n"], r["topology"], r["messages_mean"], r["messages_per_peer"],
-          r["duration_mean"]] for r in rows],
-        title="E7 — PIF wave cost vs n",
-    )
-
-
-def _cmd_ablations(_args) -> str:
-    from repro.analysis.ablations import (
-        run_flag_ablation,
-        run_modulus_ablation,
-        run_naive_ablation,
-    )
-    from repro.analysis.tables import render_table
-
-    flag_rows = [run_flag_ablation(k).row() for k in (1, 2, 3, 4, 5)]
-    parts = [
-        render_table(
-            ["max_state", "decided", "spec_ok", "first violation"],
-            flag_rows, title="E8a — flag-domain ablation",
-        )
-    ]
-    mod = run_modulus_ablation(horizon=120_000)
-    parts.append(render_table(
-        list(mod.keys()), [list(mod.values())],
-        title="E8b — A7 modulus ablation",
-    ))
-    naive = run_naive_ablation(seeds=list(range(6)), horizon=25_000)
-    parts.append(render_table(
-        list(naive.keys()), [list(naive.values())],
-        title="E8c — naive PIF ablation",
-    ))
-    return "\n\n".join(parts)
-
-
-def _cmd_property1(args) -> str:
-    from repro.analysis.experiments import run_property1_check
-    from repro.analysis.tables import render_table
-
-    row = run_property1_check(n=args.n)
-    return render_table(
-        list(row.keys()), [list(row.values())],
-        title="E9a / Property 1 — channel flushing",
-    )
-
-
-def _cmd_matrix(args) -> str:
-    from repro.analysis.experiments import run_topology_matrix
-    from repro.analysis.tables import render_table
-    from repro.engine.spec import TrialSpec
-
-    rows = run_topology_matrix(
-        TrialSpec.from_cli_args(args), topologies=args.topologies,
-        losses=args.losses, seeds=args.seeds, protocol=args.protocol,
-    )
-    return render_table(
-        list(rows[0].keys()), [list(r.values()) for r in rows],
-        title=f"E11 — topology x fault matrix ({args.protocol})",
-    )
-
-
 def _cmd_topology(args) -> str:
     """Structure + edge-weight stats + the sharded engine's lookahead."""
     from repro.analysis.tables import render_table
@@ -474,27 +308,18 @@ def _cmd_obs(args) -> str:
     return "\n\n".join(summarize_obs_file(path) for path in args.paths)
 
 
-def _cmd_capacity(args) -> str:
-    from repro.analysis.experiments import run_capacity_sweep
-    from repro.analysis.tables import render_table
+def _cmd_claims(args) -> int:
+    from repro.analysis.claims import named, observe, render, table
 
-    rows = run_capacity_sweep(args.capacities)
-    return render_table(
-        ["capacity", "max_state", "trials", "ok", "violations"],
-        [[r["capacity"], r["max_state"], r["trials"], r["ok"],
-          r["violations"]] for r in rows],
-        title="E9b — capacity extension",
-    )
-
-
-def _cmd_claims(_args) -> int:
-    from repro.analysis.claims import CLAIMS, observe, render
-
-    observed = {claim.id: observe(claim) for claim in CLAIMS}
-    print(render(observed))
+    rows = named(args.ids)
+    observed = {claim.id: observe(claim) for claim in rows}
+    if args.ids:
+        print("\n\n".join(table(claim, *observed[claim.id]) for claim in rows))
+    else:
+        print(render({id: verdict for id, (verdict, _) in observed.items()}))
     wrong = [f"{claim.id} (expected {claim.expected}, observed "
-             f"{observed[claim.id]})"
-             for claim in CLAIMS if observed[claim.id] != claim.expected]
+             f"{observed[claim.id][0]})"
+             for claim in rows if observed[claim.id][0] != claim.expected]
     if wrong:
         print("unexpected verdict: " + "; ".join(wrong), file=sys.stderr)
     return 1 if wrong else 0
@@ -502,8 +327,7 @@ def _cmd_claims(_args) -> int:
 
 def _cmd_list(_args) -> str:
     return "\n".join(
-        name for name in _SUBCOMMANDS
-        if name not in ("list", "claims", "cluster-worker"))
+        name for name in _SUBCOMMANDS if name not in ("list", "cluster-worker"))
 
 
 def _cmd_cluster_worker(args) -> int:
@@ -526,32 +350,15 @@ class _Subcommand(NamedTuple):
 
 
 _SUBCOMMANDS: dict[str, _Subcommand] = {
-    "list": _Subcommand("list available experiments", None, _cmd_list),
+    "list": _Subcommand("list the subcommands", None, _cmd_list),
     "claims": _Subcommand(
-        "check every claim of the reproduction; exit 1 on an unexpected "
-        "verdict", None, _cmd_claims),
-    "figure1": _Subcommand(
-        "E1: Figure 1 worst-case handshake", _flags_figure1, _cmd_figure1),
-    "impossibility": _Subcommand(
-        "E2: Theorem 1 construction", _flags_impossibility,
-        _cmd_impossibility),
+        "check every claim of the reproduction, or print the named rows' "
+        "tables; exit 1 on an unexpected verdict", _flags_claims, _cmd_claims),
     "pif": _Subcommand(
         "E3: PIF snap-stabilization trials", _flags_trials, _cmd_trials),
     "idl": _Subcommand("E4: IDs-Learning trials", _flags_trials, _cmd_trials),
     "mutex": _Subcommand(
         "E5: mutual-exclusion trials", _flags_mutex, _cmd_trials),
-    "compare": _Subcommand(
-        "E6: snap vs self-stabilization", _flags_compare, _cmd_compare),
-    "scaling": _Subcommand(
-        "E7: wave cost vs system size", _flags_scaling, _cmd_scaling),
-    "ablations": _Subcommand(
-        "E8: flag domain / modulus / naive PIF", None, _cmd_ablations),
-    "property1": _Subcommand(
-        "E9a: channel flushing", _flags_property1, _cmd_property1),
-    "capacity": _Subcommand(
-        "E9b: capacity-c extension", _flags_capacity, _cmd_capacity),
-    "matrix": _Subcommand(
-        "E11: topology x fault scenario matrix", _flags_matrix, _cmd_matrix),
     "collect": _Subcommand(
         "E12: collect-wave (snapshot, reset) trials", _flags_trials,
         _cmd_trials),

@@ -133,8 +133,7 @@ def _dump(path: Path, doc: dict, indent: int | None = 1) -> None:
 
 def indexed_path(path, label) -> Path:
     """``metrics.json`` + label ``seed3`` -> ``metrics.seed3.json`` —
-    keeps multi-trial CLI runs (seed sweeps, matrix cells) from
-    overwriting one another."""
+    keeps a seed sweep's trials from overwriting one another."""
     path = Path(path)
     return path.with_name(f"{path.stem}.{label}{path.suffix or '.json'}")
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, repeat
-from operator import itemgetter
+from operator import eq, getitem, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.sim.determinism import blake2b
@@ -291,18 +291,23 @@ class Trace:
             self._kind_rows[kind] = rows = array("I")
         return rows
 
-    def scan(self, *kinds: str) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
+    def scan(
+        self, *kinds: str, tag: str | None = None
+    ) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
         """Stream ``(time, kind, process, data)`` rows in emission order.
 
-        With ``kinds`` given, only those rows are built: each column is
-        gathered through the kind index, a chunk of rows at a time — unless
-        at least 3/4 of the rows are wanted, when every row is built and the
-        others dropped: the PIF automaton's kinds are 83-96 % of a PIF
-        trial's rows, and ``check_pif`` runs up to ~15 % faster so
-        (docs/perf.md, "Why a payload is stored field-wise").  Either way
-        a row is assembled by C-level ``zip``/``map``, with no Python frame
-        per row and no :class:`TraceEvent`; ``data`` is a fresh dict per
-        row.  This is the spec checkers' single-pass primitive.
+        With ``kinds`` given, only those rows are built, and with ``tag``
+        only those of them whose payload's ``tag`` entry is ``tag``: the
+        rows are picked through the kind index and the tag column before
+        any dict exists.  Each column is gathered at the picked rows, a
+        chunk at a time — unless the picked rows are every row of the
+        kinds and at least 3/4 of the trace, when every row is built and
+        the others dropped: the PIF automaton's rows are 83-96 % of a PIF
+        trial's, and ``check_pif`` runs up to ~15 % faster so
+        (docs/perf.md, "Why a payload is stored field-wise").  Either way a row is assembled by C-level
+        ``zip``/``map``, with no Python frame per row and no
+        :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is
+        the spec checkers' single-pass primitive.
         """
         columns: Sequence[Iterable[Any]] = (
             self._times, self._kinds, self._procs, self._procs, self._keys,
@@ -310,7 +315,11 @@ class Trace:
         if not kinds:
             return _rows(*columns)
         indexes = self._indexes(kinds)
-        if 4 * sum(map(len, indexes)) >= 3 * len(self._times):
+        every = sum(map(len, indexes))
+        if tag is not None:
+            indexes = [self._tagged(rows, tag) for rows in indexes]
+        if (4 * every >= 3 * len(self._times)
+                and sum(map(len, indexes)) == every):
             return compress(_rows(*columns),
                             map(frozenset(kinds).__contains__, self._kinds))
         rows = sorted(chain.from_iterable(indexes))
@@ -322,6 +331,30 @@ class Trace:
             getters.append(itemgetter(*chunk) if len(chunk) > 1
                            else itemgetter(slice(chunk[0], chunk[0] + 1)))
         return _rows(*(_gathered(column, getters) for column in columns))
+
+    def _tagged(self, rows: Sequence[int], tag: str) -> Sequence[int]:
+        """Of one kind's ``rows``, those whose payload's ``tag`` entry is
+        ``tag`` (``rows`` itself when every one's is), read from the
+        column each row's shape keeps it in."""
+        fields, keys = self._settle(), self._keys
+        at = (itemgetter(*rows) if len(rows) > 1
+              else lambda column: (column[rows[0]],))
+        shapes = at(keys)
+        shape = shapes[0]
+        if shapes.count(shape) == len(shapes):
+            # One shape (the rule for a kind): one column holds every tag.
+            if "tag" not in shape:
+                return []
+            tags = at(fields[shape.index("tag")])
+            if tags.count(tag) == len(tags):
+                return rows
+        else:
+            # A shape with no ``tag`` key reads its keys tuple, which
+            # equals no tag string.
+            column_of = {shape: fields[shape.index("tag")] if "tag" in shape
+                         else keys for shape in set(shapes)}
+            tags = map(getitem, map(column_of.__getitem__, shapes), rows)
+        return list(compress(rows, map(eq, repeat(tag), tags)))
 
     def data_at(self, row: int) -> dict[str, Any]:
         """Row ``row``'s payload, as a fresh dict."""

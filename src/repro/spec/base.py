@@ -26,7 +26,9 @@ row at a time, for a reader that holds no trace.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Any, Mapping
 
 from repro.types import RequestState
@@ -36,12 +38,10 @@ __all__ = ["Violation", "SpecVerdict", "Automaton", "drive"]
 
 def drive(automaton, trace):
     """Feed a finished trace's rows of ``automaton.KINDS`` and
-    ``automaton.tag`` to ``automaton`` (the kind index streams them; no
-    other row is visited)."""
-    step, tag = automaton.step, automaton.tag
-    for time, kind, process, data in trace.scan(*automaton.KINDS):
-        if data.get("tag") == tag:
-            step(time, kind, process, data)
+    ``automaton.tag`` to ``automaton`` (the kind index and the tag column
+    pick them; no other row is built)."""
+    deque(starmap(automaton.step,
+                  trace.scan(*automaton.KINDS, tag=automaton.tag)), 0)
     return automaton
 
 

@@ -9,7 +9,7 @@ from repro.analysis.ablations import (
     run_modulus_ablation,
     run_naive_ablation,
 )
-from repro.analysis.compare import aggregate_comparison, compare_mutex_protocols
+from repro.analysis.compare import compare_mutex_protocols
 from repro.analysis.experiments import (
     run_capacity_sweep,
     run_figure1,
@@ -109,18 +109,22 @@ class TestFlagAblation:
 
 class TestModulusAblation:
     def test_paper_modulus_starves_fixed_serves(self):
-        row = run_modulus_ablation(n=3, requests_per_process=3, horizon=120_000)
-        assert not row["paper_mod_completed"]
-        assert row["fixed_mod_completed"]
-        assert row["paper_mod_served"] < row["fixed_mod_served"] == 9
+        paper, fixed = run_modulus_ablation(
+            n=3, requests_per_process=3, horizon=120_000)
+        assert (paper["modulus"], fixed["modulus"]) == ("n+1", "n")
+        assert not paper["completed"]
+        assert fixed["completed"]
+        assert paper["served"] < fixed["served"] == 9
 
 
 class TestNaiveAblation:
     def test_naive_fails_where_pif_does_not(self):
-        row = run_naive_ablation(seeds=list(range(6)), loss=0.3, horizon=20_000)
-        assert row["pif_deadlocks"] == 0
-        assert row["pif_safety_violations"] == 0
-        assert row["naive_deadlocks"] + row["naive_safety_violations"] > 0
+        rows = run_naive_ablation(seeds=list(range(6)), loss=0.3, horizon=20_000)
+        assert [r["seed"] for r in rows] == list(range(6))
+        assert all(r["pif_decided"] for r in rows)
+        assert not any(r["pif_safety_violations"] for r in rows)
+        assert not all(r["naive_decided"] and not r["naive_safety_violations"]
+                       for r in rows)
 
 
 class TestPropertyOne:
@@ -137,12 +141,9 @@ class TestPropertyOne:
 
 class TestComparison:
     def test_snap_never_violates_self_sometimes_does(self):
-        results = compare_mutex_protocols(
-            n=3, seeds=list(range(4)), horizon=500_000
-        )
-        agg = aggregate_comparison(results)
-        assert agg["snap_total_violations"] == 0
-        assert agg["configs"] == 4
+        rows = compare_mutex_protocols(n=3, seeds=list(range(4)), horizon=500_000)
+        assert [r["seed"] for r in rows] == list(range(4))
+        assert not any(r["snap_violations"] for r in rows)
         # The self-stabilizing baseline serves requests too; whether it
         # violates depends on the scramble, so no hard assertion here —
         # the E6 bench aggregates over more seeds.

@@ -10,21 +10,19 @@ from repro.cli import build_parser, main
 class TestCli:
     def test_parser_knows_all_subcommands(self):
         parser = build_parser()
-        for command in ("list", "figure1", "impossibility", "pif", "idl",
-                        "mutex", "compare", "scaling", "ablations",
-                        "property1", "capacity", "collect", "topology"):
-            args = parser.parse_args([command] if command != "pif" else ["pif"])
-            assert args.command == command
+        for command in ("list", "claims", "pif", "idl", "mutex", "collect",
+                        "topology"):
+            assert parser.parse_args([command]).command == command
 
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "figure1" in out and "impossibility" in out
+        out = capsys.readouterr().out.split()
+        assert "claims" in out and "pif" in out and "figure1" not in out
 
     def test_figure1(self, capsys):
-        assert main(["figure1", "--seeds", "0"]) == 0
+        assert main(["claims", "E1"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 1" in out and "spurious" in out
+        assert out.startswith("E1: ") and "spurious" in out
 
     def test_pif_trials(self, capsys):
         assert main(["pif", "--n", "2", "--seeds", "0", "--loss", "0",
@@ -39,20 +37,20 @@ class TestCli:
         assert "| yes |" in out
 
     def test_property1(self, capsys):
-        assert main(["property1", "--n", "2"]) == 0
-        assert "Property 1" in capsys.readouterr().out
+        assert main(["claims", "E9a"]) == 0
+        assert "property1_holds" in capsys.readouterr().out
 
     def test_impossibility(self, capsys):
-        assert main(["impossibility", "--n", "2"]) == 0
+        assert main(["claims", "E2-"]) == 0
         out = capsys.readouterr().out
-        assert "Theorem 1" in out
+        assert "observed violated" in out and "unbounded_violated" in out
 
     def test_scaling(self, capsys):
-        assert main(["scaling", "--ns", "2", "3", "--seeds", "0"]) == 0
-        assert "wave cost" in capsys.readouterr().out
+        assert main(["claims", "E7"]) == 0
+        assert "messages_per_peer" in capsys.readouterr().out
 
-    def test_scaling_rejects_wan_beside_another_topology(self, capsys):
-        assert main(["scaling", "--ns", "3", "--seeds", "0",
+    def test_pif_rejects_wan_beside_another_topology(self, capsys):
+        assert main(["pif", "--n", "3", "--seeds", "0",
                      "--topology", "ring", "--wan"]) == 1
         assert "--wan conflicts" in capsys.readouterr().err
 

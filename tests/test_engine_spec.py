@@ -376,9 +376,7 @@ def test_a_horizon_cut_trial_can_be_judged_as_far_as_it_got():
         run_mutex_trial(axes, require_completion=False))
 
 
-def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
-    from repro.cli import main
-
+def test_the_matrix_takes_a_kind_or_its_command_name():
     def rows(protocol):
         return run_topology_matrix(
             TrialSpec(n=3), topologies=["ring"], losses=[0.0], seeds=[0],
@@ -388,11 +386,6 @@ def test_the_matrix_takes_a_kind_or_its_command_name(capsys):
     with pytest.raises(SpecError, match="unknown protocol kind 'gossip'") as err:
         rows("gossip")
     assert err.value.field == "protocol"
-    cell = ["matrix", "--n", "3", "--topologies", "ring", "--losses", "0",
-            "--seeds", "0", "--protocol"]
-    assert main(cell + ["me"]) == main(cell + ["mutex"]) == 0
-    assert main(cell + ["gossip"]) == 1
-    assert "unknown protocol kind 'gossip'" in capsys.readouterr().err
 
 
 # -- one provenance schema for every engine -------------------------------

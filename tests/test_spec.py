@@ -290,3 +290,33 @@ class TestVerdictApi:
         # Only a live trace observes: the rows of the automaton's kinds and tag.
         assert live_case(CASES["pif-other-tag-invisible"]).events_observed == 7
         assert check_case(CASES["pif-good"]).events_observed == 0
+
+
+def test_drive_is_handed_only_the_rows_it_steps():
+    """Rows of the automaton's kinds that carry another instance's tag
+    (most of them here, as the embedded PIF and IDL rows of an ME trial)
+    never reach ``drive``: the rows the trace hands it are the rows it
+    steps, so no payload dict is built for another instance."""
+    from repro.sim.trace import Trace
+    from repro.spec.base import drive
+    from repro.spec.mutex_spec import MutexAutomaton
+
+    class Handed(Trace):
+        def scan(self, *kinds, **tag):
+            self.handed = list(super().scan(*kinds, **tag))
+            return iter(self.handed)
+
+    trace = Handed()
+    for t in range(60):
+        trace.emit(t, K.REQUEST, t % 4, tag="pif", payload=t)
+        trace.emit(t, K.START, t % 4, tag="idl")
+        if t % 10 == 0:
+            trace.emit(t, K.REQUEST, t % 4, tag="me")
+    stepped = []
+    automaton = MutexAutomaton("me")
+    step = automaton.step
+    automaton.step = lambda *row: stepped.append(row) or step(*row)
+    drive(automaton, trace)
+    assert trace.handed == stepped
+    assert [row[:3] for row in stepped] == [
+        (t, K.REQUEST, t % 4) for t in range(0, 60, 10)]

@@ -214,6 +214,33 @@ class TestColumns:
             expected.data_at(0)  # settles after every row
         assert trace.canonical_hash() == expected.canonical_hash()
 
+    def test_a_tagged_scan_builds_only_that_instances_rows(self):
+        # One kind in one shape (its tag first, or not), one kind in four
+        # shapes (one without a tag, one whose first value looks like the
+        # tag), a lone row, and scans sparse and dense.
+        trace, rows = Trace(), []
+
+        def emit(t, kind, **data):
+            trace.emit(t, kind, t % 3, **data)
+            rows.append((t, kind, t % 3, data))
+
+        for t in range(400):
+            instance = "me" if t % 10 == 0 else "idl"
+            emit(t, EventKind.RECEIVE_BRD, tag=instance, wave=(1, t))
+            emit(t, EventKind.INJECT, src=1, dst=2, tag=instance)
+            emit(t, EventKind.CS_ENTER, **[
+                {"tag": instance}, {"requested": True, "tag": instance},
+                {"requested": False}, {"note": "me", "tag": "idl"}][t % 4])
+        emit(400, EventKind.DECIDE, tag="me")
+        for kinds in ((EventKind.RECEIVE_BRD,), (EventKind.INJECT,),
+                      (EventKind.CS_ENTER,), (EventKind.DECIDE,),
+                      (EventKind.RECEIVE_BRD, EventKind.INJECT,
+                       EventKind.CS_ENTER, EventKind.DECIDE)):
+            for tag in ("me", "idl", "gossip"):
+                assert list(trace.scan(*kinds, tag=tag)) == [
+                    r for r in rows
+                    if r[1] in kinds and r[3].get("tag") == tag], (kinds, tag)
+
     def test_a_process_outside_the_column_is_refused(self):
         # The process column holds ints and None; anything else is an
         # emitter's error, never stored as "no process".
