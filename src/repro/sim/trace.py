@@ -37,6 +37,7 @@ length, and the spec automata re-read it, so all three sides are tuned):
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, repeat
 from operator import eq, getitem, itemgetter
@@ -105,6 +106,9 @@ _SETTLE_AT = 4096
 _process = {NO_PROCESS: None}.get
 #: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
 _GATHER = 1024
+#: :meth:`Trace.scan`'s ``tag`` when no tag is asked for (None is a tag:
+#: that of a payload without one).
+_ANY_TAG = object()
 
 
 class Trace:
@@ -292,22 +296,22 @@ class Trace:
         return rows
 
     def scan(
-        self, *kinds: str, tag: str | None = None
+        self, *kinds: str, tag: Any = _ANY_TAG
     ) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
         """Stream ``(time, kind, process, data)`` rows in emission order.
 
         With ``kinds`` given, only those rows are built, and with ``tag``
-        only those of them whose payload's ``tag`` entry is ``tag``: the
-        rows are picked through the kind index and the tag column before
-        any dict exists.  Each column is gathered at the picked rows, a
-        chunk at a time — unless the picked rows are every row of the
-        kinds and at least 3/4 of the trace, when every row is built and
-        the others dropped: the PIF automaton's rows are 83-96 % of a PIF
-        trial's, and ``check_pif`` runs up to ~15 % faster so
-        (docs/perf.md, "Why a payload is stored field-wise").  Either way a row is assembled by C-level
-        ``zip``/``map``, with no Python frame per row and no
-        :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is
-        the spec checkers' single-pass primitive.
+        only those of them whose ``data.get("tag")`` is ``tag`` (None
+        included): the rows are picked through the kind index and the tag
+        column before any dict exists.  Each column is gathered at the
+        picked rows, a chunk at a time — unless the kinds are at least 3/4
+        of the trace and every row of them is picked, when every row is
+        built and the others dropped: the PIF automaton's rows are 83-96 %
+        of a PIF trial's, and ``check_pif`` runs up to ~15 % faster so
+        (docs/perf.md, "Why a payload is stored field-wise").  Either way a
+        row is assembled by C-level ``zip``/``map``, with no Python frame
+        per row and no :class:`TraceEvent`; ``data`` is a fresh dict per
+        row.  This is the spec checkers' single-pass primitive.
         """
         columns: Sequence[Iterable[Any]] = (
             self._times, self._kinds, self._procs, self._procs, self._keys,
@@ -315,46 +319,39 @@ class Trace:
         if not kinds:
             return _rows(*columns)
         indexes = self._indexes(kinds)
-        every = sum(map(len, indexes))
-        if tag is not None:
-            indexes = [self._tagged(rows, tag) for rows in indexes]
-        if (4 * every >= 3 * len(self._times)
-                and sum(map(len, indexes)) == every):
+        if (4 * sum(map(len, indexes)) >= 3 * len(self._times)
+                and (tag is _ANY_TAG
+                     or all(self._all_tagged(rows, tag) for rows in indexes))):
             return compress(_rows(*columns),
                             map(frozenset(kinds).__contains__, self._kinds))
         rows = sorted(chain.from_iterable(indexes))
-        # One itemgetter a chunk of rows; of one row, a slice (itemgetter
-        # returns a lone item bare).
-        getters = []
-        for start in range(0, len(rows), _GATHER):
-            chunk = rows[start:start + _GATHER]
-            getters.append(itemgetter(*chunk) if len(chunk) > 1
-                           else itemgetter(slice(chunk[0], chunk[0] + 1)))
+        if tag is not _ANY_TAG:
+            rows = self._tagged(rows, tag)
+        getters = _getters(rows)
         return _rows(*(_gathered(column, getters) for column in columns))
 
-    def _tagged(self, rows: Sequence[int], tag: str) -> Sequence[int]:
-        """Of one kind's ``rows``, those whose payload's ``tag`` entry is
-        ``tag`` (``rows`` itself when every one's is), read from the
-        column each row's shape keeps it in."""
-        fields, keys = self._settle(), self._keys
-        at = (itemgetter(*rows) if len(rows) > 1
-              else lambda column: (column[rows[0]],))
-        shapes = at(keys)
-        shape = shapes[0]
-        if shapes.count(shape) == len(shapes):
-            # One shape (the rule for a kind): one column holds every tag.
-            if "tag" not in shape:
-                return []
-            tags = at(fields[shape.index("tag")])
-            if tags.count(tag) == len(tags):
-                return rows
-        else:
-            # A shape with no ``tag`` key reads its keys tuple, which
-            # equals no tag string.
-            column_of = {shape: fields[shape.index("tag")] if "tag" in shape
-                         else keys for shape in set(shapes)}
-            tags = map(getitem, map(column_of.__getitem__, shapes), rows)
+    def _tagged(self, rows: list[int], tag: Any) -> list[int]:
+        """Those of ``rows`` whose payload's ``tag`` entry is ``tag``, each
+        read from the column its row's shape keeps it in."""
+        tags = map(getitem, map(_TagColumns(self._settle()).__getitem__,
+                                _gathered(self._keys, _getters(rows))), rows)
         return list(compress(rows, map(eq, repeat(tag), tags)))
+
+    def _all_tagged(self, rows: Sequence[int], tag: Any) -> bool:
+        """Whether every one of ``rows`` (one kind's) has one payload shape
+        and ``tag`` as its ``tag`` entry: the dense path's test, a few
+        C-level passes where :meth:`_tagged` looks up each row's shape
+        (``check_pif`` ran ~10 % slower through it)."""
+        keys = self._keys
+        shape = keys[rows[0]]
+        if "tag" not in shape:
+            return False
+        column = self._settle()[shape.index("tag")]
+        for get in _getters(rows):
+            shapes, tags = get(keys), get(column)
+            if shapes.count(shape) != len(shapes) or tags.count(tag) != len(tags):
+                return False
+        return True
 
     def data_at(self, row: int) -> dict[str, Any]:
         """Row ``row``'s payload, as a fresh dict."""
@@ -413,6 +410,35 @@ def _gathered(column: Sequence[Any], getters: list[itemgetter]) -> Iterator[Any]
     """``column``'s entries at the rows ``getters`` name, a chunk at a
     time as the consumer reaches it."""
     return chain.from_iterable(get(column) for get in getters)
+
+
+def _getters(rows: Sequence[int]) -> list[itemgetter]:
+    """One itemgetter a :data:`_GATHER`-row chunk of ``rows``; of a lone
+    row, a slice (itemgetter returns a lone item bare)."""
+    getters = []
+    for start in range(0, len(rows), _GATHER):
+        chunk = rows[start:start + _GATHER]
+        getters.append(itemgetter(*chunk) if len(chunk) > 1
+                       else itemgetter(slice(chunk[0], chunk[0] + 1)))
+    return getters
+
+
+class _TagColumns(dict):
+    """Payload shape → the column holding its ``tag`` entry, filled in as
+    shapes are met (a merged trace's shapes are not in ``_schemas``).  A
+    shape without one reads None at every row, as ``data.get("tag")``
+    does: a ``defaultdict`` of None, holding only the rows asked."""
+
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: list[list[Any]]) -> None:
+        super().__init__()
+        self.fields = fields
+
+    def __missing__(self, shape: tuple[str, ...]) -> Any:
+        column = self[shape] = (self.fields[shape.index("tag")]
+                                if "tag" in shape else defaultdict(type(None)))
+        return column
 
 
 def canonical_trace_hash(trace: Trace) -> str:

@@ -320,3 +320,18 @@ def test_drive_is_handed_only_the_rows_it_steps():
     assert trace.handed == stepped
     assert [row[:3] for row in stepped] == [
         (t, K.REQUEST, t % 4) for t in range(0, 60, 10)]
+
+
+def test_extract_waves_without_a_tag_reads_the_untagged_rows():
+    """``extract_waves(trace)`` drives the automaton of tag None, which
+    sees the rows whose ``data.get("tag")`` is None — never the rows of a
+    tagged instance, however many instances share the trace."""
+    from repro.sim.trace import Trace
+
+    trace = Trace()
+    for t, tag in enumerate(("a", "b", None, "a")):
+        tagged = {} if tag is None else {"tag": tag}
+        trace.emit(10 * t, K.START, t, wave=(t, 0), payload=t, **tagged)
+        trace.emit(10 * t + 5, K.DECIDE, t, wave=(t, 0), **tagged)
+    assert [(w.pid, w.decide_time) for w in extract_waves(trace)] == [(2, 25)]
+    assert [w.pid for w in extract_waves(trace, "a")] == [0, 3]

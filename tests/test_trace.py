@@ -232,14 +232,26 @@ class TestColumns:
                 {"tag": instance}, {"requested": True, "tag": instance},
                 {"requested": False}, {"note": "me", "tag": "idl"}][t % 4])
         emit(400, EventKind.DECIDE, tag="me")
-        for kinds in ((EventKind.RECEIVE_BRD,), (EventKind.INJECT,),
-                      (EventKind.CS_ENTER,), (EventKind.DECIDE,),
-                      (EventKind.RECEIVE_BRD, EventKind.INJECT,
-                       EventKind.CS_ENTER, EventKind.DECIDE)):
-            for tag in ("me", "idl", "gossip"):
-                assert list(trace.scan(*kinds, tag=tag)) == [
-                    r for r in rows
-                    if r[1] in kinds and r[3].get("tag") == tag], (kinds, tag)
+        # The same rows arrived from a shard (shapes the store never
+        # interned), and a trace of one instance (the dense path's case).
+        merged = Trace()
+        merged.append_rows([trace.columns()], [0] * len(trace))
+        alone = Trace()
+        for t in range(50):
+            alone.emit(t, EventKind.RECEIVE_BRD, 1, tag="idl", wave=(1, t))
+        alone.emit(50, EventKind.NOTE, None, what="idl")
+        for store, expected in ((trace, rows), (merged, rows),
+                                (alone, [(e.time, e.kind, e.process, e.data)
+                                         for e in alone])):
+            for kinds in ((EventKind.RECEIVE_BRD,), (EventKind.INJECT,),
+                          (EventKind.CS_ENTER,), (EventKind.DECIDE,),
+                          (EventKind.RECEIVE_BRD, EventKind.INJECT,
+                           EventKind.CS_ENTER, EventKind.DECIDE)):
+                # None picks the rows without a tag, as data.get reads them.
+                for tag in ("me", "idl", "gossip", None):
+                    assert list(store.scan(*kinds, tag=tag)) == [
+                        r for r in expected
+                        if r[1] in kinds and r[3].get("tag") == tag], (kinds, tag)
 
     def test_a_process_outside_the_column_is_refused(self):
         # The process column holds ints and None; anything else is an
