@@ -279,11 +279,11 @@ GUARDS: tuple[Guard, ...] = (
           "Trace._fields, one column per position)",
           re.compile(r".*(\b_val" + r"ues\b|\btuple\(\w+\.val" + r"ues\(\)\))"),
           ("repro/sim/trace.py",)),
-    # The shard merge streams rows into the merged trace; the column-wise
-    # bulk append it replaced went with its copies.
-    Guard("names the deleted column-wise trace append (a merge streams "
-          "rows: Trace.append_rows)",
-          re.compile(r".*\bappend" + r"_columns\b"),
+    # The shard merge builds the merged trace a column at a time from the
+    # shards' columns, consuming them; the bulk appends it replaced went.
+    Guard("names a deleted bulk trace append (the merge builds its trace: "
+          "Trace.merged)",
+          re.compile(r".*\bappend" + r"_(columns|rows)\b"),
           _EVERYWHERE),
     # A channel draws from its sender's stream (semantics epoch 2): the
     # per-channel streams and their accessor went.

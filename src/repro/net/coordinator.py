@@ -154,10 +154,12 @@ class _WorkerPool:
         worker = self.workers[shard] = _Worker(shard, popen, stderr)
         return worker
 
-    def retire(self, shards, *, graceful: bool) -> None:
+    def retire(self, shards, *, graceful: bool, exiting=()) -> None:
         """Drop these slots' workers and reap their processes: ``exit``
-        then wait when ``graceful`` (idle workers), else terminate;
-        either way wait(5) and kill what is left."""
+        then wait when ``graceful`` (idle workers), else terminate —
+        except the slots in ``exiting``, whose workers reported an error
+        and exit by themselves; either way wait(5) and kill what is
+        left."""
         workers = [
             self.workers.pop(shard) for shard in list(shards)
             if shard in self.workers
@@ -170,6 +172,7 @@ class _WorkerPool:
             self.registry.forget(worker.shard)
             if (
                 not graceful
+                and worker.shard not in exiting
                 and worker.popen is not None
                 and worker.popen.poll() is None
             ):
@@ -228,7 +231,8 @@ def run_trial(
     except BaseException:
         # A worker is reused only after a trial that returned: nothing
         # this one leased goes back to the pool.
-        pool.retire(range(sim.n_shards), graceful=False)
+        pool.retire(range(sim.n_shards), graceful=False,
+                    exiting=trial.reporters)
         raise
     finally:
         if sim.listen is not None:
@@ -266,6 +270,8 @@ class _Coordinator:
         #: Shards sent ``stop`` and not yet their next ``spec``: they are
         #: sent nothing else.
         self.stopped: set[int] = set()
+        #: Shards whose worker reported an error: it exits by itself.
+        self.reporters: set[int] = set()
         self.counts: dict[str, int] = {}
         self.chaos_spans = SpanRecorder(pid=n + 1) if obs is not None else None
         self.respawns = 0
@@ -380,6 +386,7 @@ class _Coordinator:
                     continue
                 raise self._died(shard, phase)
             if op == "error":
+                self.reporters.add(shard)
                 raise SimulationError(f"cluster worker shard {shard} failed:\n{message[1]}")
             if op == "nak":
                 # A receiver's ship-count mismatch: ask the sender to

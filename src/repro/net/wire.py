@@ -115,7 +115,10 @@ __all__ = [
 #: Version 7: a ``result``'s trace columns hold one column per payload
 #: position and the process column as an ``array`` — an older worker's
 #: values-tuple column would merge into garbage, not fail.
-PROTOCOL_VERSION = 7
+#: Version 8: a ``result``'s time column is an ``array("I")`` and its
+#: merge keys are two ``array("Q")`` columns (upper bits, counter) — an
+#: older worker's one int-keys column must fail, not merge.
+PROTOCOL_VERSION = 8
 
 #: A BARRIER's next-event bound when nothing can happen on the shard any
 #: more (an empty heap, no ships out): the largest tick the frame holds.

@@ -53,6 +53,8 @@ __all__ = [
     "activation_key",
     "delivery_key",
     "key_owner",
+    "SEQ_BITS",
+    "SEQ_MAX",
 ]
 
 #: The semantics epoch: bumped, in one commit with the regenerated
@@ -65,9 +67,12 @@ SEMANTICS_EPOCH = 2
 # seq) fit SEQ_BITS.  Python ints are unbounded so "overflow" would merely
 # break ordering — the packers assert the bounds instead.
 _PID_BITS = 21
-_SEQ_BITS = 42
+#: A key's low ``SEQ_BITS`` bits are its per-entity counter.
+#: ``(key >> SEQ_BITS, key & SEQ_MAX)`` orders as the key does, and each
+#: half fits an unsigned 8-byte ``array`` entry (class and pids are 44 bits).
+SEQ_BITS = 42
+SEQ_MAX = (1 << SEQ_BITS) - 1
 _PID_MAX = (1 << _PID_BITS) - 1
-_SEQ_MAX = (1 << _SEQ_BITS) - 1
 
 #: Key class 0 — external pollers (request drivers) and generic user posts.
 DRIVER_CLASS = 0
@@ -80,9 +85,9 @@ DELIVERY_CLASS = 3
 
 
 def _pack(cls: int, a: int, b: int, c: int) -> int:
-    if not (0 <= a <= _PID_MAX and 0 <= b <= _PID_MAX and 0 <= c <= _SEQ_MAX):
+    if not (0 <= a <= _PID_MAX and 0 <= b <= _PID_MAX and 0 <= c <= SEQ_MAX):
         raise ValueError(f"event key field out of range: cls={cls} a={a} b={b} c={c}")
-    return (((cls << _PID_BITS | a) << _PID_BITS | b) << _SEQ_BITS) | c
+    return (((cls << _PID_BITS | a) << _PID_BITS | b) << SEQ_BITS) | c
 
 
 def driver_key() -> int:
@@ -117,7 +122,7 @@ def key_owner(key: int) -> int:
     destination.  Class-0 (driver) keys carry no entity and return 0 — never
     a valid pid, so it reads as "no owning process".
     """
-    return (key >> (_PID_BITS + _SEQ_BITS)) & _PID_MAX
+    return (key >> (_PID_BITS + SEQ_BITS)) & _PID_MAX
 
 
 def _wrong_bounds(lo: int, hi: int, a: int, b: int) -> ValueError:

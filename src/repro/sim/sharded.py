@@ -29,14 +29,18 @@ shared by every worker and the coordinator:
   emission, :func:`scramble_shard` scrambles one slice with the setup
   segments marked, :func:`shard_result_payload` is the record shipped
   back: the trace's columns (a row's payload as its interned keys tuple
-  and one entry per payload-position column; the process column an
-  ``array``, shipped as raw bytes) and the merge-key column, as they sit
-  in memory;
+  and one entry per payload-position column; the time and process
+  columns ``array("I")``) and the merge key as two ``array("Q")``
+  columns, as they sit in memory — a row's time and key arrive unboxed,
+  as raw bytes;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
-  former as one k-way merge of the shards' already-sorted runs whose
-  shard order is streamed into the merged trace, a run of one shard's
-  rows at a time: the coordinator holds each row once.
+  former as one k-way merge of the shards' already-sorted runs that
+  yields the shard order, then :meth:`~repro.sim.trace.Trace.merged`
+  builds the trace from it a column at a time.  The merge *consumes*
+  its payloads: a shard column is let go as soon as its merged column
+  exists, so the coordinator holds one column twice at a time, never
+  the shards' store and the merged one together.
 
 No :class:`~repro.sim.trace.TraceEvent` exists on a worker, on the wire
 or in the coordinator until a caller indexes or iterates the merged trace
@@ -51,13 +55,15 @@ mutable state do not compose across shards (:data:`_SHARDABLE_LOSS`).
 
 from __future__ import annotations
 
+from array import array
 from heapq import merge
-from itertools import chain, repeat
+from itertools import chain, count, groupby, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.channel import BernoulliLoss, NoLoss
+from repro.sim.determinism import SEQ_BITS, SEQ_MAX
 from repro.sim.trace import NO_PROCESS, EventKind, Trace
 
 if TYPE_CHECKING:
@@ -85,8 +91,10 @@ class _KeyedTrace(Trace):
     scheduler key of the event being executed when the emission happened,
     *monotonized* within the tick: an event scheduled mid-tick with a
     lower key (e.g. a zero-delay timer) executes after its creator, so
-    its emissions inherit the creator's rank.  Only ``key`` is stored, one
-    plain int per row in :attr:`keys`; ``time`` and the row index are read
+    its emissions inherit the creator's rank.  Only ``key`` is stored, as
+    two ``array("Q")`` columns a row: :attr:`key_hi` (class and pids,
+    ``key >> SEQ_BITS``) and :attr:`key_lo` (the per-entity counter), which
+    order as the 86-bit key does; ``time`` and the row index are read
     from the trace columns at merge time.  Sorting all workers' rows by
     position reproduces exactly the serial engine's append order.  The
     key is recorded in :meth:`append`, the row-append every emission
@@ -94,12 +102,13 @@ class _KeyedTrace(Trace):
     goes through.
     """
 
-    __slots__ = ("_scheduler", "keys", "_last_time", "_last_key")
+    __slots__ = ("_scheduler", "key_hi", "key_lo", "_last_time", "_last_key")
 
     def __init__(self, scheduler: Scheduler) -> None:
         super().__init__()
         self._scheduler = scheduler
-        self.keys: list[int] = []
+        self.key_hi: array[int] = array("Q")
+        self.key_lo: array[int] = array("Q")
         self._last_time = -1
         self._last_key = 0
 
@@ -112,7 +121,8 @@ class _KeyedTrace(Trace):
             key = self._last_key
         self._last_time = time
         self._last_key = key
-        self.keys.append(key)
+        self.key_hi.append(key >> SEQ_BITS)
+        self.key_lo.append(key & SEQ_MAX)
 
 
 def scramble_shard(
@@ -170,7 +180,7 @@ def shard_result_payload(
         obs.collect_sim(sim)
     return {
         "columns": trace.columns(),
-        "keys": trace.keys,
+        "keys": (trace.key_hi, trace.key_lo),
         "proc_len": proc_len,
         "chan_len": chan_len,
         "stats": sim.stats,
@@ -196,11 +206,11 @@ def merge_worker_traces(
     ``(time, key, rank, row)``.  A shard's rows of one phase are a
     subsequence of that order, so each is already a sorted run: the
     phase is one k-way merge of the shards' runs, the shard index the
-    last tiebreak, and the merged shard order goes straight into the
-    trace (:meth:`~repro.sim.trace.Trace.append_rows`), each shard's
-    rows taken first to last — nothing is sorted, no column is copied
-    whole.  A run found out of order raises
-    :class:`~repro.errors.SimulationError`.
+    last tiebreak, and the merged shard order, as runs of one shard's
+    rows, builds the trace (:meth:`~repro.sim.trace.Trace.merged`) —
+    nothing is sorted.  A run found out of order raises
+    :class:`~repro.errors.SimulationError`.  The payloads are consumed:
+    they hold no ``columns`` or ``keys`` afterwards.
     """
     # The two markers (1) and (3) are one more source, taken between
     # the phases.
@@ -212,17 +222,20 @@ def merge_worker_traces(
             markers.emit(0, EventKind.SCRAMBLE, None, what="channels",
                          injected=injected)
     marker = len(payloads)
-    trace = Trace()
-    trace.append_rows(
-        [*(payload["columns"] for payload in payloads), markers.columns()],
-        chain(
-            _phase(_scramble_records, payloads),
-            repeat(marker, int(scrambled)),
-            _phase(_inject_records, payloads),
-            repeat(marker, int(scrambled and fill_channels)),
-            _phase(_run_records, payloads),
-        ))
-    return trace
+    runs = [(source, len(list(rows))) for source, rows in groupby(chain(
+        _phase(_scramble_records, payloads),
+        repeat(marker, int(scrambled)),
+        _phase(_inject_records, payloads),
+        repeat(marker, int(scrambled and fill_channels)),
+        _phase(_run_records, payloads),
+    ))]
+    # The order is read; now the payloads' columns are handed over, to
+    # be let go one by one as the merged trace is built.
+    sources = []
+    for payload in payloads:
+        del payload["keys"]
+        sources.append(list(payload.pop("columns")))
+    return Trace.merged([*sources, list(markers.columns())], runs)
 
 
 def _phase(records, payloads: list[dict[str, Any]]) -> Iterator[int]:
@@ -260,13 +273,20 @@ def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
     _times, _kinds, _procs, keys, *fields = payload["columns"]
+    # Per payload shape, the columns its src and dst sit in (None: the
+    # shape has none, read as -1).
+    where: dict[tuple[str, ...], list] = {}
     last: tuple = ()
     start = payload["proc_len"]
-    for row in range(start, payload["chan_len"]):
-        shape = keys[row]
-        record = (fields[shape.index("src")][row] if "src" in shape else -1,
-                  fields[shape.index("dst")][row] if "dst" in shape else -1,
-                  row - start, shard)
+    for row, shape in enumerate(keys[start:payload["chan_len"]], start):
+        try:
+            src, dst = where[shape]
+        except KeyError:
+            src, dst = where[shape] = [
+                fields[shape.index(name)] if name in shape else None
+                for name in ("src", "dst")]
+        record = (-1 if src is None else src[row],
+                  -1 if dst is None else dst[row], row - start, shard)
         if record < last:
             raise _out_of_order(shard, "inject", row)
         last = record
@@ -275,15 +295,16 @@ def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
     times, _kinds, procs, *_ = payload["columns"]
-    keys = payload["keys"]
+    start = payload["chan_len"]
     last: tuple = ()
-    for row in range(payload["chan_len"], len(times)):
-        time, key, pid = times[row], keys[row], procs[row]
+    for row, time, hi, lo, pid in zip(count(start), *(
+            islice(column, start, None)
+            for column in (times, *payload["keys"], procs))):
         # Class-0 (driver) emissions carry no entity in their key; the
         # serial driver walks its processes in ascending pid order, so the
         # process id is the cross-worker rank.  Entity-keyed classes are
         # already total.
-        record = (time, key, pid if key == 0 and pid != NO_PROCESS else -1,
+        record = (time, hi, lo, -1 if hi or lo or pid == NO_PROCESS else pid,
                   row, shard)
         if record < last:
             raise _out_of_order(shard, "run", row)

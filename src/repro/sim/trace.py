@@ -10,17 +10,19 @@ Storage layout (the trial hot path emits one event per delivered protocol
 message, the trace is the one per-trial structure that grows with run
 length, and the spec automata re-read it, so all three sides are tuned):
 
-* Events live in **columns**, not :class:`TraceEvent` objects: ``time``,
-  ``kind`` (the string itself), ``process`` (a 4-byte ``array("I")``,
-  ``None`` stored as :data:`NO_PROCESS`), the payload's field names
-  (``keys``: a tuple interned per payload shape in ``_schemas``), then
-  **one column per payload position** — a row keeps no tuple of its
-  own, and a row shorter than the widest payload pads with ``None``.
-  ``emit`` adds a row's payload entries to a flat pending list with one
-  ``list +=``; they move into their columns every few thousand entries
-  and before any read.  :meth:`Trace.columns` ships the columns as they
-  are, and :meth:`Trace.append_rows` takes the shard merge's order, a
-  run of one shard's rows at a time, as column slices.
+* Events live in **columns**, not :class:`TraceEvent` objects: ``time``
+  and ``process`` (4-byte ``array("I")`` columns, ``None`` stored as
+  :data:`NO_PROCESS`; a row either refuses is not written), ``kind``
+  (the string itself), the payload's field names (``keys``: a tuple
+  interned per payload shape in ``_schemas``), then **one column per
+  payload position** — a row keeps no tuple of its own, and a row
+  shorter than the widest payload pads with ``None``.  ``emit`` adds a
+  row's payload entries to a flat pending list with one ``list +=``;
+  they move into their columns every few thousand entries and before
+  any read.  :meth:`Trace.columns` ships the columns as they are, and
+  :meth:`Trace.merged` builds the shard merge's trace from shipped
+  columns a column at a time, one shard's run of rows as one slice,
+  dropping each shard column as it goes.
 * **One kind index** (kind → rows, in emission order, an ``array("I")``
   of row numbers) is kept on every append, so :meth:`Trace.scan` builds
   exactly the rows a checker reads and :meth:`Trace.kind_rows` is a
@@ -39,7 +41,8 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, repeat
+from functools import partial
+from itertools import chain, compress, repeat
 from operator import eq, getitem, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -125,7 +128,7 @@ class Trace:
                  "_schemas", "_kind_rows")
 
     def __init__(self) -> None:
-        self._times: list[int] = []
+        self._times: array[int] = array("I")
         self._kinds: list[str] = []
         self._procs: array[int] = array("I")
         self._keys: list[tuple[str, ...]] = []
@@ -149,21 +152,27 @@ class Trace:
     ) -> None:
         """Append one event whose payload is ``data``: the engine's hottest
         trace operation, and the one every emission goes through."""
-        # The process first: a value the column refuses raises before any
-        # other column grows, so no half-written row is left behind.
+        # The process and the time first: a value either 4-byte column
+        # refuses raises before any other column grows (a refused time
+        # takes its process entry back), so no half-written row is left.
+        procs = self._procs
         try:
-            self._procs.append(process)
+            procs.append(process)
         except TypeError:
             if process is not None:
                 raise
-            self._procs.append(NO_PROCESS)
+            procs.append(NO_PROCESS)
         times = self._times
         row = len(times)
+        try:
+            times.append(time)
+        except (TypeError, OverflowError):
+            del procs[row]
+            raise
         try:
             self._kind_rows[kind].append(row)
         except KeyError:
             self._kind_rows[kind] = array("I", (row,))
-        times.append(time)
         self._kinds.append(kind)
         keys = tuple(data)
         try:
@@ -211,43 +220,50 @@ class Trace:
         return (self._times, self._kinds, self._procs, self._keys,
                 *self._settle())
 
-    def append_rows(
-        self, sources: Sequence[tuple[Any, ...]], order: Iterable[int]
-    ) -> None:
-        """Append rows taken from ``sources`` — other traces'
-        :meth:`columns` — in ``order`` (the shard merge): each entry names
-        a source and takes its next row, so a source's rows are taken
-        first to last.  Consecutive entries naming one source are one run,
-        copied column by column as one slice each: no dict and no per-row
-        tuple is built, and the keys tuples are
-        kept, not copied (shipped columns arrive with them still shared:
-        pickle keeps one object per shape)."""
-        times, kinds, procs, keys = (
-            self._times, self._kinds, self._procs, self._keys)
-        width = self._widen(max([0, *(len(source) - 4 for source in sources)]),
-                            len(times))
-        fields, kind_rows = self._fields, self._kind_rows
-        taken = [0] * len(sources)
-        row = len(times)
-        for source, entries in groupby(order):
-            columns = sources[source]
-            start = taken[source]
-            end = taken[source] = start + len(list(entries))
-            run_kinds = columns[1][start:end]
-            times += columns[0][start:end]
-            kinds += run_kinds
-            procs += columns[2][start:end]
-            keys += columns[3][start:end]
-            for position in range(width):
-                fields[position] += (
-                    columns[4 + position][start:end]
-                    if 4 + position < len(columns) else repeat(None, end - start))
-            for row, kind in enumerate(run_kinds, row):
-                try:
-                    kind_rows[kind].append(row)
-                except KeyError:
-                    kind_rows[kind] = array("I", (row,))
-            row += 1
+    @classmethod
+    def merged(
+        cls, sources: list[list[Any]], runs: Sequence[tuple[int, int]]
+    ) -> Trace:
+        """A trace of the rows of ``sources`` — other traces'
+        :meth:`columns`, as lists — in the order ``runs`` gives (the shard
+        merge): a run ``(source, rows)`` takes that source's next ``rows``
+        rows, so a source's rows are taken first to last.
+
+        The store is built a column at a time, a run as one slice (no
+        dict and no per-row tuple), then the kind index in one pass over
+        the kind column.  ``sources`` are consumed: each source column is
+        set to None before its merged column is built, so columns the
+        caller handed over alone (a shard's unpickled result) are freed
+        as the merge goes, and its peak holds one column twice, not the
+        store.  The payload keys tuples are kept, not copied (shipped
+        columns arrive with them still shared: pickle keeps one object
+        per shape).
+        """
+        width = max([4, *map(len, sources)])
+        columns = []
+        for position in range(width):
+            pieces = [source[position] if position < len(source) else None
+                      for source in sources]
+            for source in sources:
+                if position < len(source):
+                    source[position] = None
+            column = array("I") if position in (0, 2) else []
+            taken = [0] * len(sources)
+            for source, rows in runs:
+                start = taken[source]
+                end = taken[source] = start + rows
+                column += (repeat(None, rows) if pieces[source] is None
+                           else pieces[source][start:end])
+            del pieces
+            columns.append(column)
+        trace = cls()
+        (trace._times, trace._kinds, trace._procs, trace._keys,
+         *trace._fields) = columns
+        index: defaultdict[str, array[int]] = defaultdict(partial(array, "I"))
+        for row, kind in enumerate(trace._kinds):
+            index[kind].append(row)
+        trace._kind_rows = dict(index)
+        return trace
 
     # -- event views ---------------------------------------------------------
 

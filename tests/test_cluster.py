@@ -11,7 +11,9 @@ and :meth:`Partition.peer_shards`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from typing import Any
 
 import pytest
 from conftest import trial_spec
@@ -21,6 +23,7 @@ from repro.core.protocols import build_protocol
 from repro.core.requests import RequestDriver
 from repro.engine import ClusterOpts, ObsOpts, ShardingOpts, TrialSpec, execute
 from repro.errors import SimulationError, SpecError
+from repro.net import coordinator
 from repro.net.cluster import ClusterSimulator
 from repro.net.coordinator import close_pool
 from repro.net.wire import parse_hostport
@@ -167,14 +170,28 @@ def test_cluster_rejects_callable_driver_payload():
         sim.run_trial(horizon=100, driver=driver)
 
 
-def test_a_failing_worker_names_itself_and_its_traceback():
+def test_a_failing_worker_names_itself_and_its_traceback(monkeypatch):
     """A worker whose trial raises sends its traceback over CONTROL
-    before it exits; the coordinator raises it by shard, promptly."""
+    before it exits; the coordinator raises it by shard, promptly, and
+    lets the reporter exit by itself (code 1) rather than terminate it
+    mid-report."""
+    retired: dict[int, Any] = {}
+    retire = coordinator._WorkerPool.retire
+
+    def spy(pool, shards, **how):
+        shards = list(shards)
+        retired.update((shard, pool.workers[shard]) for shard in shards
+                       if shard in pool.workers)
+        retire(pool, shards, **how)
+
+    monkeypatch.setattr(coordinator._WorkerPool, "retire", spy)
     sim = ClusterSimulator(6, {"kind": "pif"}, hosts=2)
     driver = dict(tag="pif", requests_per_process=1, no_such_option=1)
     with pytest.raises(SimulationError, match=r"cluster worker shard \d failed") as err:
         sim.run_trial(horizon=100, driver=driver)
     assert "no_such_option" in str(err.value)
+    reporter = int(re.match(r"cluster worker shard (\d)", str(err.value))[1])
+    assert retired[reporter].popen.returncode == 1
 
 
 def test_execute_rejects_hosts_without_cluster_engine():

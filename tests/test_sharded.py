@@ -14,9 +14,10 @@ runtime at every push.
 
 from __future__ import annotations
 
-import copy
 import pickle
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from repro.net import coordinator
 from repro.net.cluster import ClusterSimulator
 from repro.sim.channel import DropFirstK
 from repro.sim.determinism import (
-    activation_key, delivery_key, key_owner, timer_key)
+    SEQ_BITS, SEQ_MAX, activation_key, delivery_key, key_owner, timer_key)
 from repro.sim.runtime import Simulator
 from repro.sim.sharded import (
     _KeyedTrace, merge_worker_traces, scramble_shard, shard_result_payload)
@@ -383,6 +384,28 @@ class TestKeyedMergeRebuildsTheSerialOrder:
         assert len(merged.kind_rows(EventKind.SCRAMBLE)) == (
             (1 + fill_channels) if scrambled else 0)
 
+    def test_keys_that_straddle_the_split_merge_in_key_order(self):
+        # A key ships as (key >> SEQ_BITS, key & SEQ_MAX): ``below`` as
+        # (h, SEQ_MAX), ``above = below + 1`` as (h + 1, 0).  The upper
+        # half decides first, though ``below``'s lower half is the larger.
+        below = timer_key(3, SEQ_MAX)
+        above = below + 1
+        schedulers = [SimpleNamespace(current_key=0) for _ in range(3)]
+        traces = [_KeyedTrace(scheduler) for scheduler in schedulers]
+        for shard, key in ((0, above), (1, below), (2, above + SEQ_MAX)):
+            schedulers[shard].current_key = key
+            traces[shard].emit(7, EventKind.NOTE, 3, key=key)
+        payloads = [
+            pickle.loads(pickle.dumps(shard_result_payload(
+                SimpleNamespace(stats=None), trace, 0, 0, (), None, None)))
+            for trace in traces]
+        assert [payload["keys"] for payload in payloads] == [
+            (array("Q", [key >> SEQ_BITS]), array("Q", [key & SEQ_MAX]))
+            for key in (above, below, above + SEQ_MAX)]
+        merged = merge_worker_traces(payloads, False, False, 0)
+        assert [data["key"] for *_, data in merged.scan()] == [
+            below, above, above + SEQ_MAX]
+
 
 _NO_EVENTS = ("a TraceEvent was built on the result path: a shard's trace "
               "ships and merges as columns (repro.sim.sharded), views stay "
@@ -412,7 +435,8 @@ class TestResultPathBuildsNoEventObjects:
         sim.run(200)
         payload = shard_result_payload(
             sim, trace, proc_len, chan_len, pids, driver, "pif")
-        assert len(payload["keys"]) == len(trace) > chan_len > 0
+        assert [len(column) for column in payload["keys"]] == [len(trace)] * 2
+        assert len(trace) > chan_len > 0
         assert built_events == [], _NO_EVENTS
         shipped = pickle.loads(pickle.dumps(payload))
         merged = merge_worker_traces([shipped], True, True, _injected)
@@ -423,11 +447,12 @@ class TestResultPathBuildsNoEventObjects:
 @pytest.fixture(scope="module")
 def two_shard_payloads():
     """The ``merge_worker_traces`` arguments of one real two-shard trial
-    (a WAN-weighted PIF run), as the coordinator received them."""
+    (a WAN-weighted PIF run), pickled as the coordinator received them:
+    the merge consumes its payloads, so each test unpickles its own."""
     captured = []
 
     def grab(*args):
-        captured.append(args)
+        captured.append(pickle.dumps(args))
         return merge_worker_traces(*args)
 
     coordinator.merge_worker_traces = grab
@@ -438,38 +463,45 @@ def two_shard_payloads():
     finally:
         coordinator.merge_worker_traces = merge_worker_traces
     assert run.completed and len(captured) == 1
-    payloads = captured[0][0]
+    payloads = pickle.loads(captured[0])[0]
     assert len(payloads) == 2 and all(
-        len(payload["keys"]) > 1000 for payload in payloads)
+        len(payload["columns"][0]) > 1000 for payload in payloads)
     return captured[0], run.trace.canonical_hash()
 
 
 class TestTheMergeStreams:
-    """The merge is a k-way merge of sorted runs: it holds each row once,
-    and a run it cannot merge in order is an error, never a reorder."""
+    """The merge is a k-way merge of sorted runs that consumes what it
+    merges, and a run it cannot merge in order is an error, never a
+    reorder."""
 
     def test_the_merge_holds_each_row_once(self, two_shard_payloads):
-        args, digest = two_shard_payloads
+        shipped, digest = two_shard_payloads
         tracemalloc.start()
         try:
+            args = pickle.loads(shipped)
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             merged = merge_worker_traces(*args)
-            retained, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert merged.canonical_hash() == digest
-        # The payloads' row tuples are shared, not counted: what the merge
-        # allocates is the merged store, plus the transient of its growth.
-        assert peak - before <= 1.5 * (retained - before), (
-            f"merge peak {peak - before} B against a retained merged trace "
-            f"of {retained - before} B: the merge holds a row twice")
+        # The payloads are traced too, so what they free counts: each
+        # shard column goes as its merged column is built, and the merge
+        # holds one column twice at a time, never the store.
+        widest = max(map(sys.getsizeof, merged.columns()))
+        assert peak - before <= 1.5 * widest, (
+            f"merge peak {peak - before} B over its payloads against a "
+            f"widest merged column of {widest} B: the merge holds a row twice")
+        assert not any("columns" in payload or "keys" in payload
+                       for payload in args[0])
 
     def test_a_run_out_of_order_is_an_error(self, two_shard_payloads):
-        (payloads, *flags), _digest = two_shard_payloads
-        shard = copy.deepcopy(payloads[1])
-        first, last = shard["chan_len"], len(shard["keys"]) - 1
-        for column in (*shard["columns"], shard["keys"]):
+        payloads, *flags = pickle.loads(two_shard_payloads[0])
+        shard = payloads[1]
+        first, last = shard["chan_len"], len(shard["columns"][0]) - 1
+        for column in (*shard["columns"], *shard["keys"]):
             column[first], column[last] = column[last], column[first]
         with pytest.raises(SimulationError,
                            match="shard 1's run rows are out of serial order"):
-            merge_worker_traces([payloads[0], shard], *flags)
+            merge_worker_traces(payloads, *flags)

@@ -78,20 +78,21 @@ class TestEmitAndQuery:
         assert len(trace.of_kind(EventKind.START, EventKind.START)) == 1
 
 
-def every_row(columns: tuple) -> list[int]:
-    """``append_rows``'s order taking every row of one source."""
-    return [0] * len(columns[0])
+def merged(*traces: Trace) -> Trace:
+    """``Trace.merged`` of each trace's rows in turn, as one run each."""
+    return Trace.merged([list(trace.columns()) for trace in traces],
+                        [(source, len(trace)) for source, trace in enumerate(traces)])
 
 
 class TestColumns:
-    """``columns`` out, ``append_rows`` in: the store a shard ships and the
-    row stream a trace merge appends."""
+    """``columns`` out, ``Trace.merged`` in: the store a shard ships and
+    the trace a shard merge builds from the shipped columns."""
 
     def test_round_trip_equals_the_source(self):
         source = make_trace()
-        copy = Trace()
-        shipped = pickle.loads(pickle.dumps(source.columns()))
-        copy.append_rows([shipped], every_row(shipped))
+        shipped = list(pickle.loads(pickle.dumps(source.columns())))
+        copy = Trace.merged([shipped], [(0, len(source))])
+        assert shipped == [None] * len(shipped), "the merge consumes its sources"
         assert len(copy) == len(source)
         assert list(copy.scan()) == list(source.scan())
         assert [copy.data_at(row) for row in range(len(copy))] == [
@@ -116,11 +117,11 @@ class TestColumns:
 
         theirs = Trace()
         emit_all(theirs)
-        shipped = pickle.loads(pickle.dumps(theirs.columns()))
+        shipped = list(pickle.loads(pickle.dumps(theirs.columns())))
 
-        arrived = Trace()
-        arrived.emit(0, EventKind.NOTE, None)
-        arrived.append_rows([shipped], every_row(shipped))
+        note = Trace()
+        note.emit(0, EventKind.NOTE, None)
+        arrived = Trace.merged([list(note.columns()), shipped], [(0, 1), (1, 5)])
         ours = Trace()
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
@@ -144,26 +145,25 @@ class TestColumns:
                   payload="m", wave=(2, 1))
         for row in (narrow[0], wide[0], narrow[1]):
             serial.emit(row.time, row.kind, row.process, **row.data)
-        merged = Trace()
-        merged.emit(0, EventKind.NOTE, None)
-        serial_merged = Trace()
-        serial_merged.emit(0, EventKind.NOTE, None)
-        serial_merged.append_rows([serial.columns()], every_row(serial.columns()))
-        merged.append_rows([narrow.columns(), wide.columns()], [0, 1, 0])
-        assert list(merged.scan()) == list(serial_merged.scan())
-        assert merged.data_at(3) == {}
-        assert merged.canonical_hash() == serial_merged.canonical_hash()
-        merged.emit(4, EventKind.REQUEST, 5, tag="pif", payload="x")
-        assert merged.data_at(4) == {"tag": "pif", "payload": "x"}
-        assert merged[4].process == 5 and merged[3].process is None
+        note = Trace()
+        note.emit(0, EventKind.NOTE, None)
+        serial_merged = merged(note, serial)
+        interleaved = Trace.merged(
+            [list(note.columns()), list(narrow.columns()), list(wide.columns())],
+            [(0, 1), (1, 1), (2, 1), (1, 1)])
+        assert list(interleaved.scan()) == list(serial_merged.scan())
+        assert interleaved.data_at(3) == {}
+        assert interleaved.canonical_hash() == serial_merged.canonical_hash()
+        interleaved.emit(4, EventKind.REQUEST, 5, tag="pif", payload="x")
+        assert interleaved.data_at(4) == {"tag": "pif", "payload": "x"}
+        assert interleaved[4].process == 5 and interleaved[3].process is None
 
     def test_bulk_append_keeps_the_rows_in_append_order(self):
-        trace = make_trace()
         # A merged trace's shape: time-0 markers after later rows.
         markers = Trace()
         markers.emit(0, EventKind.SCRAMBLE, None, what="processes")
         markers.emit(0, EventKind.INJECT, None, src=1, dst=2)
-        trace.append_rows([markers.columns()], every_row(markers.columns()))
+        trace = merged(make_trace(), markers)
         assert [e.time for e in trace] == [0, 2, 5, 8, 9, 0, 0]
         assert trace[5].kind == EventKind.SCRAMBLE
         assert trace.data_at(6) == {"src": 1, "dst": 2}
@@ -172,9 +172,7 @@ class TestColumns:
         assert trace.rows_of(EventKind.SCRAMBLE) == [5, 7]
 
     def test_bulk_append_builds_no_event(self, built_events):
-        trace = Trace()
-        columns = make_trace().columns()
-        trace.append_rows([columns], every_row(columns))
+        trace = merged(make_trace())
         assert list(trace.scan(EventKind.START)) and trace.canonical_hash()
         assert built_events == []
         assert trace[0].kind == EventKind.REQUEST and len(built_events) == 1
@@ -234,13 +232,12 @@ class TestColumns:
         emit(400, EventKind.DECIDE, tag="me")
         # The same rows arrived from a shard (shapes the store never
         # interned), and a trace of one instance (the dense path's case).
-        merged = Trace()
-        merged.append_rows([trace.columns()], [0] * len(trace))
+        arrived = merged(trace)
         alone = Trace()
         for t in range(50):
             alone.emit(t, EventKind.RECEIVE_BRD, 1, tag="idl", wave=(1, t))
         alone.emit(50, EventKind.NOTE, None, what="idl")
-        for store, expected in ((trace, rows), (merged, rows),
+        for store, expected in ((trace, rows), (arrived, rows),
                                 (alone, [(e.time, e.kind, e.process, e.data)
                                          for e in alone])):
             for kinds in ((EventKind.RECEIVE_BRD,), (EventKind.INJECT,),
@@ -269,6 +266,25 @@ class TestColumns:
         assert trace.kind_rows(EventKind.NOTE).tolist() == [0]
         trace.emit(2, EventKind.NOTE, None, text="next")
         assert [row[2] for row in trace.scan()] == [1, None]
+
+    def test_a_time_outside_the_column_is_refused(self):
+        # The time column is a 4-byte array("I") like the process column:
+        # a tick it cannot hold is refused, and the refused row leaves no
+        # column grown (the process column is written first).
+        trace = Trace()
+        trace.emit(0, EventKind.NOTE, 1, text="kept")
+        before = list(trace.scan())
+        for time in (-1, 1 << 32, "t1", 1.5):
+            with pytest.raises((TypeError, OverflowError)):
+                trace.emit(time, EventKind.NOTE, 2, text="refused")
+        assert len(trace) == 1 and trace.columns()[2].tolist() == [1]
+        assert list(trace.scan()) == before
+        assert list(trace.scan(EventKind.NOTE)) == before
+        assert trace.kind_rows(EventKind.NOTE).tolist() == [0]
+        assert trace.canonical_hash() == merged(trace).canonical_hash()
+        trace.emit((1 << 32) - 1, EventKind.NOTE, None, text="next")
+        assert [row[:3] for row in trace.scan()] == [
+            (0, EventKind.NOTE, 1), ((1 << 32) - 1, EventKind.NOTE, None)]
 
     def test_a_row_costs_at_most_80_bytes(self):
         # A receive-brd row whose values (tick, tag, sender, payload, wave)
