@@ -52,8 +52,14 @@ from repro.net import wire
 
 __all__ = ["Channel", "RegistryServer", "RegistryClient", "serve"]
 
-#: What one ``recv`` asks for; a socket is read until it holds no more.
-_RECV_BYTES = 1 << 18
+#: What one ``recv_into`` reads at most; a socket is read until it holds
+#: no more.
+_RECV_BYTES = 1 << 16
+#: The buffer every :meth:`Channel.fill` receives into, then copies what
+#: arrived to the channel's :attr:`~Channel.inbuf`: one per process, whose
+#: channels all run on one thread (``sock.recv(n)`` would build an
+#: ``n``-byte object a call).
+_INBOX = memoryview(bytearray(_RECV_BYTES))
 
 
 def serve(selector: selectors.BaseSelector, until: float | None) -> None:
@@ -171,17 +177,17 @@ class Channel:
         other end has closed (a reset is a close)."""
         while True:
             try:
-                data = self.sock.recv(_RECV_BYTES)
+                size = self.sock.recv_into(_INBOX)
             except BlockingIOError:
                 return True
             except OSError:
-                data = b""
-            if not data:
+                size = 0
+            if not size:
                 self.eof = True
                 self._watch()
                 return False
-            self.inbuf += data
-            if len(data) < _RECV_BYTES:
+            self.inbuf += _INBOX[:size]
+            if size < _RECV_BYTES:
                 return True
 
     def frame(self) -> tuple[int, bytes] | None:
@@ -417,12 +423,14 @@ class RegistryClient:
         )
         sock.settimeout(timeout)
         sock.sendall(wire.encode_register(shard, advertise_host, port))
-        buffer = bytearray()
+        # A buffer of its own, not the inbox: the registry's loop may run
+        # in this process, on another thread, while this call blocks.
+        buffer, chunk = bytearray(), memoryview(bytearray(_RECV_BYTES))
         while (cut := wire.split_frame(buffer, partial=True)) is None:
-            data = sock.recv(_RECV_BYTES)
-            if not data:
+            size = sock.recv_into(chunk)
+            if not size:
                 raise wire.WireError("the registry closed before PEERS")
-            buffer += data
+            buffer += chunk[:size]
         kind, payload, self.pending = cut
         if kind != wire.PEERS:
             raise wire.WireError(f"expected a PEERS frame after registering, got 0x{kind:02x}")

@@ -118,7 +118,11 @@ __all__ = [
 #: Version 8: a ``result``'s time column is an ``array("I")`` and its
 #: merge keys are two ``array("Q")`` columns (upper bits, counter) — an
 #: older worker's one int-keys column must fail, not merge.
-PROTOCOL_VERSION = 8
+#: Version 9: a ``result``'s list columns (kinds, payload keys, payload
+#: positions) are code tables ``(values, codes)`` and its ``key_lo`` is
+#: the narrowest typecode that holds it — an older worker's list columns
+#: must fail at the first frame, not merge.
+PROTOCOL_VERSION = 9
 
 #: A BARRIER's next-event bound when nothing can happen on the shard any
 #: more (an empty heap, no ships out): the largest tick the frame holds.

@@ -28,11 +28,16 @@ shared by every worker and the coordinator:
 * worker side — :class:`_KeyedTrace` records one sortable key per
   emission, :func:`scramble_shard` scrambles one slice with the setup
   segments marked, :func:`shard_result_payload` is the record shipped
-  back: the trace's columns (a row's payload as its interned keys tuple
-  and one entry per payload-position column; the time and process
-  columns ``array("I")``) and the merge key as two ``array("Q")``
-  columns, as they sit in memory — a row's time and key arrive unboxed,
-  as raw bytes;
+  back: the trace's columns, the time and process columns as the
+  ``array("I")`` they sit in, and every list column (kinds, the
+  payload keys tuples, one column per payload position) as a code table
+  (:func:`~repro.sim.trace.code_table`): its distinct objects, by
+  identity, and one code a row in the narrowest unsigned ``array`` that
+  holds them, mostly one byte where a list held an 8-byte pointer; the
+  merge key as two columns, ``key_hi`` an ``array("Q")`` and ``key_lo``
+  (the per-entity counter) in the narrowest typecode that holds its
+  largest value — a row's time, key and codes arrive unboxed, as raw
+  bytes;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
   former as one k-way merge of the shards' already-sorted runs that
@@ -64,7 +69,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from repro.errors import SimulationError
 from repro.sim.channel import BernoulliLoss, NoLoss
 from repro.sim.determinism import SEQ_BITS, SEQ_MAX
-from repro.sim.trace import NO_PROCESS, EventKind, Trace
+from repro.sim.trace import NO_PROCESS, EventKind, Trace, narrowest
 
 if TYPE_CHECKING:
     from repro.core.requests import CompletedRequest, RequestDriver
@@ -166,10 +171,11 @@ def shard_result_payload(
 ) -> dict[str, Any]:
     """The per-shard result record a worker ships back.
 
-    The trace travels as it sits in the store: its
-    :meth:`~repro.sim.trace.Trace.columns` plus the ``keys`` column of
-    merge keys, row for row — no event object or payload dict is built
-    to ship it.  When the worker carries an
+    The trace travels as its
+    :meth:`~repro.sim.trace.Trace.coded_columns` plus the ``keys`` pair
+    of merge-key columns, row for row, ``key_lo`` narrowed to the
+    smallest typecode that holds it — no event object or payload dict is
+    built to ship it.  When the worker carries an
     :class:`~repro.obs.recorder.ObsRecorder`, the shard's metric snapshot
     and spans ride along in the same record (one pickled CONTROL frame).
     """
@@ -178,9 +184,10 @@ def shard_result_payload(
     } if tag else {}
     if obs is not None:
         obs.collect_sim(sim)
+    key_lo = trace.key_lo
     return {
-        "columns": trace.columns(),
-        "keys": (trace.key_hi, trace.key_lo),
+        "columns": trace.coded_columns(),
+        "keys": (trace.key_hi, array(narrowest(max(key_lo, default=0)), key_lo)),
         "proc_len": proc_len,
         "chan_len": chan_len,
         "stats": sim.stats,
@@ -235,7 +242,7 @@ def merge_worker_traces(
     for payload in payloads:
         del payload["keys"]
         sources.append(list(payload.pop("columns")))
-    return Trace.merged([*sources, list(markers.columns())], runs)
+    return Trace.merged([*sources, list(markers.coded_columns())], runs)
 
 
 def _phase(records, payloads: list[dict[str, Any]]) -> Iterator[int]:
@@ -272,21 +279,22 @@ def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    _times, _kinds, _procs, keys, *fields = payload["columns"]
-    # Per payload shape, the columns its src and dst sit in (None: the
-    # shape has none, read as -1).
-    where: dict[tuple[str, ...], list] = {}
+    _times, _kinds, _procs, (shapes, shape_codes), *fields = payload["columns"]
+    # Per payload shape (by its code), the code tables its src and dst
+    # sit in (None: the shape has none, read as -1).
+    where: dict[int, list] = {}
     last: tuple = ()
     start = payload["proc_len"]
-    for row, shape in enumerate(keys[start:payload["chan_len"]], start):
+    for row, code in enumerate(shape_codes[start:payload["chan_len"]], start):
         try:
-            src, dst = where[shape]
+            src, dst = where[code]
         except KeyError:
-            src, dst = where[shape] = [
+            shape = shapes[code]
+            src, dst = where[code] = [
                 fields[shape.index(name)] if name in shape else None
                 for name in ("src", "dst")]
-        record = (-1 if src is None else src[row],
-                  -1 if dst is None else dst[row], row - start, shard)
+        record = (-1 if src is None else src[0][src[1][row]],
+                  -1 if dst is None else dst[0][dst[1][row]], row - start, shard)
         if record < last:
             raise _out_of_order(shard, "inject", row)
         last = record

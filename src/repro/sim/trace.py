@@ -19,10 +19,12 @@ length, and the spec automata re-read it, so all three sides are tuned):
   shorter than the widest payload pads with ``None``.  ``emit`` adds a
   row's payload entries to a flat pending list with one ``list +=``;
   they move into their columns every few thousand entries and before
-  any read.  :meth:`Trace.columns` ships the columns as they are, and
-  :meth:`Trace.merged` builds the shard merge's trace from shipped
-  columns a column at a time, one shard's run of rows as one slice,
-  dropping each shard column as it goes.
+  any read.  :meth:`Trace.coded_columns` ships the columns with each
+  list column as a code table (:func:`code_table`: the column's distinct
+  objects and one narrow integer code a row), and :meth:`Trace.merged`
+  builds the shard merge's trace from shipped columns a column at a
+  time, one shard's run of rows as one slice, dropping each shard column
+  as it goes.
 * **One kind index** (kind → rows, in emission order, an ``array("I")``
   of row numbers) is kept on every append, so :meth:`Trace.scan` builds
   exactly the rows a checker reads and :meth:`Trace.kind_rows` is a
@@ -42,13 +44,16 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import eq, getitem, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.sim.determinism import blake2b
 
-__all__ = ["EventKind", "TraceEvent", "Trace", "NO_PROCESS", "canonical_trace_hash"]
+__all__ = [
+    "EventKind", "TraceEvent", "Trace", "NO_PROCESS", "canonical_trace_hash",
+    "code_table", "narrowest",
+]
 
 
 class EventKind:
@@ -212,49 +217,59 @@ class Trace:
     def columns(self) -> tuple[Any, ...]:
         """The store as ``(times, kinds, processes, keys, *fields)``.
 
-        These are the live columns — read or pickle, do not mutate.  The
-        process column is an ``array("I")`` with ``None`` as
-        :data:`NO_PROCESS`; ``fields`` holds one column per payload
-        position.
+        These are the live columns — read, do not mutate.  The process
+        column is an ``array("I")`` with ``None`` as :data:`NO_PROCESS`;
+        ``fields`` holds one column per payload position.
         """
         return (self._times, self._kinds, self._procs, self._keys,
                 *self._settle())
+
+    def coded_columns(self) -> tuple[Any, ...]:
+        """:meth:`columns` as :meth:`merged` takes them: the two arrays as
+        they are, every list column as its :func:`code_table`."""
+        times, kinds, procs, keys, *fields = self.columns()
+        return (times, code_table(kinds), procs, code_table(keys),
+                *map(code_table, fields))
 
     @classmethod
     def merged(
         cls, sources: list[list[Any]], runs: Sequence[tuple[int, int]]
     ) -> Trace:
         """A trace of the rows of ``sources`` — other traces'
-        :meth:`columns`, as lists — in the order ``runs`` gives (the shard
-        merge): a run ``(source, rows)`` takes that source's next ``rows``
-        rows, so a source's rows are taken first to last.
+        :meth:`coded_columns`, as lists — in the order ``runs`` gives (the
+        shard merge): a run ``(source, rows)`` takes that source's next
+        ``rows`` rows, so a source's rows are taken first to last.
 
-        The store is built a column at a time, a run as one slice (no
-        dict and no per-row tuple), then the kind index in one pass over
-        the kind column.  ``sources`` are consumed: each source column is
-        set to None before its merged column is built, so columns the
-        caller handed over alone (a shard's unpickled result) are freed
-        as the merge goes, and its peak holds one column twice, not the
-        store.  The payload keys tuples are kept, not copied (shipped
-        columns arrive with them still shared: pickle keeps one object
-        per shape).
+        The store is built a column at a time, a source at a time: the
+        source's code table for the column is decoded whole (one C-level
+        pass) and each of its runs is one slice assignment into place
+        (no dict and no per-row tuple; on a 1-tick window a run is a few
+        rows), then the kind index in one pass over the kind column.
+        ``sources`` are consumed: each source column is set to None as it
+        is decoded, so columns the caller handed over alone (a shard's
+        unpickled result) are freed as the merge goes, and its peak
+        holds the merged column and one source's, not the store twice.
+        A merged row holds the very objects its source's table held (the
+        payload keys tuples stay one object per shape).
         """
         width = max([4, *map(len, sources)])
+        # Per source, its runs as (merged row, source row, rows).
+        placed: list[list[tuple[int, int, int]]] = [[] for _ in sources]
+        taken = [0] * len(sources)
+        total = 0
+        for source, rows in runs:
+            placed[source].append((total, taken[source], rows))
+            taken[source] += rows
+            total += rows
         columns = []
         for position in range(width):
-            pieces = [source[position] if position < len(source) else None
-                      for source in sources]
-            for source in sources:
-                if position < len(source):
-                    source[position] = None
-            column = array("I") if position in (0, 2) else []
-            taken = [0] * len(sources)
-            for source, rows in runs:
-                start = taken[source]
-                end = taken[source] = start + rows
-                column += (repeat(None, rows) if pieces[source] is None
-                           else pieces[source][start:end])
-            del pieces
+            column = (array("I", [0]) if position in (0, 2) else [None]) * total
+            for source, its_runs in zip(sources, placed):
+                piece = _taken(source, position)
+                if piece is not None:
+                    for at, start, rows in its_runs:
+                        column[at:at + rows] = piece[start:start + rows]
+                del piece
             columns.append(column)
         trace = cls()
         (trace._times, trace._kinds, trace._procs, trace._keys,
@@ -410,6 +425,19 @@ class Trace:
         return h.hexdigest()
 
 
+def _taken(source: list[Any], position: int) -> Sequence[Any] | None:
+    """Column ``position`` of a :meth:`Trace.merged` source, set to None
+    there (None if the source has no such column); a code table comes
+    back decoded, in one C-level pass."""
+    if position >= len(source):
+        return None
+    column, source[position] = source[position], None
+    if position in (0, 2):
+        return column
+    values, codes = column
+    return list(map(getitem, repeat(values), codes))
+
+
 def _rows(
     times: Iterable[int], kinds: Iterable[str], procs: Iterable[int],
     procs_again: Iterable[int], keys: Iterable[tuple[str, ...]],
@@ -455,6 +483,34 @@ class _TagColumns(dict):
         column = self[shape] = (self.fields[shape.index("tag")]
                                 if "tag" in shape else defaultdict(type(None)))
         return column
+
+
+#: Unsigned ``array`` typecodes, narrowest first, each with its largest value.
+_UNSIGNED = tuple((code, (1 << 8 * array(code).itemsize) - 1) for code in "BHIQ")
+
+
+def narrowest(top: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds ``top``."""
+    return next(code for code, largest in _UNSIGNED if top <= largest)
+
+
+def code_table(column: Sequence[Any]) -> tuple[list[Any], array[int]]:
+    """``column`` as ``(values, codes)``: its distinct objects in first-seen
+    order and, per entry, its object's place there, in the narrowest
+    unsigned ``array`` that holds them (one byte a row for up to 256).
+
+    Distinct by identity, not equality, so ``1``, ``True`` and ``1.0``,
+    or two equal strings, stay the objects they were, and the table is
+    never larger than what pickle's memo would ship of the column.  Each
+    pass is C-level: no Python frame a row.
+    """
+    # An id met for the first time takes the next code.
+    code_of: defaultdict[int, int] = defaultdict(count().__next__)
+    codes = list(map(code_of.__getitem__, map(id, column)))
+    # Keyed by code, the table keeps first-seen order (a later row of a
+    # code holds the same object).
+    values = list(dict(zip(codes, column)).values())
+    return values, array(narrowest(len(values) - 1), codes)
 
 
 def canonical_trace_hash(trace: Trace) -> str:

@@ -407,6 +407,59 @@ class TestKeyedMergeRebuildsTheSerialOrder:
             below, above, above + SEQ_MAX]
 
 
+class TestTheResultShipsCodeTables:
+    """A shard's list columns ship as code tables and its merge-key
+    counter as the narrowest array that holds it; neither changes a row."""
+
+    def test_identity_coding_is_exact(self):
+        first, second = "".join(["pay", "load"]), "".join(["pay", "load"])
+        values = (1, True, 1.0, (1,), (True,), first, second)
+        schedulers = [SimpleNamespace(current_key=0) for _ in range(2)]
+        traces = [_KeyedTrace(scheduler) for scheduler in schedulers]
+        serial = Trace()
+        for row, value in enumerate(values * 2):
+            fields = {"tag": "pif", "v": value, "w": values[-1 - row % 7]}
+            serial.emit(row, EventKind.NOTE, row % 2, **fields)
+            traces[row % 2].emit(row, EventKind.NOTE, row % 2, **fields)
+        payloads = [pickle.loads(pickle.dumps(shard_result_payload(
+            SimpleNamespace(stats=None), trace, 0, 0, (), None, None)))
+            for trace in traces]
+        assert all(isinstance(column, tuple) for payload in payloads
+                   for position, column in enumerate(payload["columns"])
+                   if position not in (0, 2))
+        merged = merge_worker_traces(payloads, False, False, 0)
+        assert list(map(repr, merged.scan())) == list(map(repr, serial.scan()))
+        assert merged.canonical_hash() == serial.canonical_hash()
+        got = [data["v"] for *_, data in merged.scan()]
+        assert [type(value) for value in got] == [type(value) for value in values * 2]
+        # The two equal strings are still two objects, as emitted.
+        assert got[5] == got[6] and got[5] is not got[6]
+
+    def test_the_counter_ships_in_the_narrowest_typecode(self):
+        sim = Simulator(8, build_protocol(_PIF.protocol), topology="ring", seed=3,
+                        hosts_for=(1, 2, 3, 4))
+        trace = sim.trace = _KeyedTrace(sim.scheduler)
+        RequestDriver(sim, pids=(1, 2, 3, 4), tag="pif", requests_per_process=1,
+                      payload_fmt="m-{pid}-{k}")
+        sim.run(200)
+        hi, lo = shard_result_payload(sim, trace, 0, 0, (), None, None)["keys"]
+        assert len(lo) == len(trace) > 0
+        assert (hi.typecode, lo.typecode) == ("Q", "B")
+        for counter, typecode in ((255, "B"), (256, "H"), (65_535, "H"),
+                                  (65_536, "I"), (SEQ_MAX, "Q")):
+            scheduler = SimpleNamespace(current_key=timer_key(3, 0))
+            crafted = _KeyedTrace(scheduler)
+            crafted.emit(7, EventKind.NOTE, 3)
+            scheduler.current_key = timer_key(3, counter)
+            crafted.emit(7, EventKind.NOTE, 3)
+            shipped = pickle.loads(pickle.dumps(shard_result_payload(
+                SimpleNamespace(stats=None), crafted, 0, 0, (), None, None)))
+            hi, lo = shipped["keys"]
+            assert (hi.typecode, lo.typecode) == ("Q", typecode)
+            assert lo.tolist() == [0, counter]
+            assert len(merge_worker_traces([shipped], False, False, 0)) == 2
+
+
 _NO_EVENTS = ("a TraceEvent was built on the result path: a shard's trace "
               "ships and merges as columns (repro.sim.sharded), views stay "
               "lazy until the merged trace is indexed or iterated")
@@ -478,21 +531,22 @@ class TestTheMergeStreams:
         shipped, digest = two_shard_payloads
         tracemalloc.start()
         try:
+            # From before the unpickling: what a payload holds decoded is
+            # part of the cost, however it ships.
             args = pickle.loads(shipped)
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
             merged = merge_worker_traces(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert merged.canonical_hash() == digest
-        # The payloads are traced too, so what they free counts: each
-        # shard column goes as its merged column is built, and the merge
-        # holds one column twice at a time, never the store.
+        # ``held`` is the merged store (and what the payloads keep besides
+        # their columns).  Each shard column goes as its merged column is
+        # built, so decode and merge together never hold more than two
+        # columns beyond it: never both payloads' columns and the store.
         widest = max(map(sys.getsizeof, merged.columns()))
-        assert peak - before <= 1.5 * widest, (
-            f"merge peak {peak - before} B over its payloads against a "
-            f"widest merged column of {widest} B: the merge holds a row twice")
+        assert peak <= held + 2 * widest, (
+            f"decode and merge peak at {peak} B against a merged store of "
+            f"{held} B and a widest column of {widest} B: a row is held twice")
         assert not any("columns" in payload or "keys" in payload
                        for payload in args[0])
 
@@ -500,7 +554,9 @@ class TestTheMergeStreams:
         payloads, *flags = pickle.loads(two_shard_payloads[0])
         shard = payloads[1]
         first, last = shard["chan_len"], len(shard["columns"][0]) - 1
-        for column in (*shard["columns"], *shard["keys"]):
+        times, (_, kinds), procs, (_, keys), *fields = shard["columns"]
+        for column in (times, kinds, procs, keys,
+                       *(codes for _, codes in fields), *shard["keys"]):
             column[first], column[last] = column[last], column[first]
         with pytest.raises(SimulationError,
                            match="shard 1's run rows are out of serial order"):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 import pickle
 import tracemalloc
+from array import array
 
 import pytest
 
-from repro.sim.trace import EventKind, Trace, TraceEvent
+from repro.sim.trace import EventKind, Trace, TraceEvent, code_table, narrowest
 
 
 def make_trace() -> Trace:
@@ -80,17 +82,38 @@ class TestEmitAndQuery:
 
 def merged(*traces: Trace) -> Trace:
     """``Trace.merged`` of each trace's rows in turn, as one run each."""
-    return Trace.merged([list(trace.columns()) for trace in traces],
+    return Trace.merged([list(trace.coded_columns()) for trace in traces],
                         [(source, len(trace)) for source, trace in enumerate(traces)])
 
 
 class TestColumns:
-    """``columns`` out, ``Trace.merged`` in: the store a shard ships and
-    the trace a shard merge builds from the shipped columns."""
+    """``coded_columns`` out, ``Trace.merged`` in: the store a shard
+    ships and the trace a shard merge builds from the shipped columns."""
+
+    def test_a_code_table_holds_each_object_once_by_identity(self):
+        first, second = "".join(["pay", "load"]), "".join(["pay", "load"])
+        assert first == second and first is not second
+        column = [1, True, 1.0, (1,), (True,), first, second, True, first, None]
+        values, codes = code_table(column)
+        assert [values[code] for code in codes] == column
+        assert all(map(operator.is_, map(values.__getitem__, codes), column))
+        assert len(values) == 8 and codes.typecode == "B"
+        assert codes.tolist() == [0, 1, 2, 3, 4, 5, 6, 1, 5, 7]
+        assert code_table([]) == ([], array("B"))
+
+    def test_codes_widen_with_the_table(self):
+        for distinct, typecode in ((256, "B"), (257, "H"), (65_536, "H"),
+                                   (65_537, "I")):
+            values, codes = code_table(list(range(distinct)) + [0])
+            assert len(values) == distinct and codes.typecode == typecode
+            assert codes[-1] == 0 and codes[-2] == distinct - 1
+        assert [narrowest(top) for top in (0, 255, 256, 65_535, 65_536,
+                                           (1 << 32) - 1, 1 << 32)] == [
+            "B", "B", "H", "H", "I", "I", "Q"]
 
     def test_round_trip_equals_the_source(self):
         source = make_trace()
-        shipped = list(pickle.loads(pickle.dumps(source.columns())))
+        shipped = list(pickle.loads(pickle.dumps(source.coded_columns())))
         copy = Trace.merged([shipped], [(0, len(source))])
         assert shipped == [None] * len(shipped), "the merge consumes its sources"
         assert len(copy) == len(source)
@@ -117,11 +140,11 @@ class TestColumns:
 
         theirs = Trace()
         emit_all(theirs)
-        shipped = list(pickle.loads(pickle.dumps(theirs.columns())))
+        shipped = list(pickle.loads(pickle.dumps(theirs.coded_columns())))
 
         note = Trace()
         note.emit(0, EventKind.NOTE, None)
-        arrived = Trace.merged([list(note.columns()), shipped], [(0, 1), (1, 5)])
+        arrived = Trace.merged([list(note.coded_columns()), shipped], [(0, 1), (1, 5)])
         ours = Trace()
         ours.emit(0, EventKind.NOTE, None)
         emit_all(ours)
@@ -149,7 +172,8 @@ class TestColumns:
         note.emit(0, EventKind.NOTE, None)
         serial_merged = merged(note, serial)
         interleaved = Trace.merged(
-            [list(note.columns()), list(narrow.columns()), list(wide.columns())],
+            [list(note.coded_columns()), list(narrow.coded_columns()),
+             list(wide.coded_columns())],
             [(0, 1), (1, 1), (2, 1), (1, 1)])
         assert list(interleaved.scan()) == list(serial_merged.scan())
         assert interleaved.data_at(3) == {}
