@@ -10,6 +10,9 @@ other engines.  It runs in two passes:
   grouped by row.  A row that never reaches ``run_trial`` (it builds its
   simulators by hand) is reported ``serial-only``.  If no trial is
   recorded at all, the seam was bypassed and the gate fails.
+* **round trip** — each recorded spec goes through its provenance
+  record as JSON text and ``TrialSpec.from_provenance``; the decoded spec
+  must equal the recorded one, and it is the decoded spec that replays.
 * **replay** — each recorded spec is executed on the serial engine and
   again on ``async`` (loopback), ``sharded`` and ``cluster``, and
   :func:`equivalence.bit_identity` requires the same events, canonical
@@ -17,9 +20,7 @@ other engines.  It runs in two passes:
   completion flag.  The i-th spec runs on ``min(n, 2 + i % 3)`` workers,
   so 2-, 3- and 4-way partitions all occur.  A divergent trial prints its
   row, index, worker count, per-engine hashes and provenance record, which
-  ``TrialSpec.from_provenance`` replays (E11's pre-built topologies are
-  recorded by display name only, so those trials replay through the
-  gate's own record pass).
+  ``TrialSpec.from_provenance`` replays.
 
 What the claims cannot express stays a probe of its own: the cluster
 engine with its instruments on (metrics-on hash identity, the CONTROL,
@@ -95,6 +96,28 @@ def record() -> dict[str, list[TrialSpec]]:
         finally:
             runner.execute = real
     return recorded
+
+
+def round_trip(
+    recorded: dict[str, list[TrialSpec]],
+) -> tuple[dict[str, list[TrialSpec]], bool]:
+    """Every recorded spec decoded from its provenance record's JSON text,
+    and whether each decoded spec equals the one recorded."""
+    decoded = {row: [TrialSpec.from_provenance(
+                         json.loads(json.dumps(spec.as_provenance())))
+                     for spec in specs]
+               for row, specs in recorded.items()}
+    lost = 0
+    for row, specs in recorded.items():
+        for index, (spec, back) in enumerate(zip(specs, decoded[row])):
+            if back != spec:
+                lost += 1
+                print(f"     {row} spec {index} decodes to another spec: "
+                      f"{json.dumps(spec.as_provenance())}")
+    trials = sum(map(len, recorded.values()))
+    return decoded, report(
+        not lost, f"provenance: {trials - lost} of {trials} specs round-trip",
+        bad="FAILED")
 
 
 def replay(recorded: dict[str, list[TrialSpec]]) -> bool:
@@ -232,7 +255,8 @@ def main() -> int:
         print("FAILED no claims trial went through "
               "repro.analysis.runner.execute: the recording seam is bypassed")
         return finish("engine-equivalence", False)
-    ok = replay(recorded)
+    decoded, ok = round_trip(recorded)
+    ok &= replay(decoded)
     ok &= check_obs_identity(None, 8, 2, TIMELINE)
     # Worker counts cycle through 2-4 and every trial leases from one
     # pool: four interpreters fill it.

@@ -122,8 +122,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
      "tests/test_wire.py::test_pif_message_pickles_as_its_constructor_call"),
     ("repro.chaos.plan.FaultPlan.__eq__",
      "tests/test_engine_spec.py::test_cli_spec_provenance_round_trip_is_lossless"),
-    ("repro.engine.spec.TrialSpec.codable",
-     "tests/test_engine_spec.py::test_prebuilt_topology_collapses_to_its_name"),
     ("repro.engine.base.validate_run_provenance",
      "tests/test_engine_spec.py::test_every_engine_fits_the_provenance_schema[serial-axes0]"),
     ("repro.engine.registry.unregister",

@@ -92,7 +92,6 @@ def _flags_obs(p: argparse.ArgumentParser) -> None:
 
 def _flags_topology(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="partition into N shards (default: one per arbitration-cluster "
@@ -110,8 +109,9 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology", default=None, metavar="SPEC",
         help="communication graph: complete (default), ring, star, grid[:RxC], "
-             "gnp[:P], clustered[:K], wan[:K] (clustered with fast "
-             "intra-cluster and slow cross-cluster edges)",
+             "gnp[:P][@S] (graph seed S, default 0), clustered[:K], wan[:K] "
+             "(clustered with fast intra-cluster and slow cross-cluster "
+             "edges); BASE;SRC-DST=LO:HI;... adds --latency-map entries",
     )
     parser.add_argument(
         "--wan", action="store_true",
@@ -123,7 +123,8 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--latency-map", nargs="+", default=None, metavar="SRC-DST=LO:HI",
         help="per-edge latency bounds layered over the topology, e.g. "
-             "'1-2=16:32 2-3=16:32'; each entry weighs both directions of "
+             "'1-2=16:32 2-3=16:32' (or SRC>DST=LO:HI entries, one direction "
+             "each); each SRC-DST entry weighs both directions of "
              "the edge, unmapped edges keep the global --latency bounds",
     )
 
@@ -276,9 +277,7 @@ def _cmd_topology(args) -> str:
     from repro.sim.partition import partition_topology
     from repro.sim.topology import topology_from_spec
 
-    top = _topology_from_args(args, args.n, args.seed)
-    if top is None or isinstance(top, str):
-        top = topology_from_spec(top or "complete", args.n, seed=args.seed)
+    top = topology_from_spec(_topology_from_args(args) or "complete", args.n)
     lo, hi = args.latency
     partition = partition_topology(top, args.shards)
     cut = partition.describe()

@@ -2,7 +2,7 @@
 
 A :class:`~repro.engine.TrialSpec` describes its protocol as a plain
 ``{"kind": ..., **params}`` dict and its request payloads as a format
-string, so every spec is picklable and JSON-codable.  :data:`PROTOCOLS`
+string, so every spec is picklable and JSON-encodable.  :data:`PROTOCOLS`
 holds one :class:`ProtocolKind` row per ``kind`` — which *is* the layer
 tag, the driver tag and the automaton's tag — pairing the algorithm with
 its one specification, as the paper does.  Whatever a row refers to is

@@ -43,7 +43,6 @@ __all__ = [
     "EngineRun",
     "check_capabilities",
     "loss_model",
-    "resolve_topology",
     "validate_run_provenance",
 ]
 
@@ -58,15 +57,6 @@ DRAIN_TICKS = 200
 #: deriving its seed as ``seed ^ SCRAMBLE_XOR`` — shared by every engine
 #: so scrambled initial configurations are bit-identical across backends.
 SCRAMBLE_XOR = 0x5EED
-
-
-def resolve_topology(
-    n: int, topology: Topology | str | None, seed: int
-) -> Topology | None:
-    """Normalize a spec's topology (None = the complete graph on ``n``)."""
-    if isinstance(topology, str):
-        return topology_from_spec(topology, n, seed=seed)
-    return topology
 
 
 def loss_model(loss: float):
@@ -196,7 +186,8 @@ class EngineBackend(abc.ABC):
 
     def prepare(self, spec: TrialSpec, obs: Any = None) -> PreparedTrial:
         """Resolve the spec and construct the engine object."""
-        topology = resolve_topology(spec.n, spec.topology, spec.seed)
+        topology = (None if spec.topology is None  # the complete graph
+                    else topology_from_spec(spec.topology, spec.n))
         return PreparedTrial(
             spec=spec, topology=topology,
             scramble_seed=(spec.seed ^ SCRAMBLE_XOR) if spec.scramble else None,

@@ -17,8 +17,9 @@ fields:
 * :meth:`TrialSpec.from_cli_args` — build the axis part of a spec from an
   argparse namespace (any subset of the CLI's engine/topology flags);
 * :meth:`TrialSpec.as_provenance` / :meth:`TrialSpec.from_provenance` —
-  a JSON-ready record and its inverse, lossless unless the spec carries
-  a pre-built topology object (see :meth:`TrialSpec.codable`).
+  a JSON-ready record and its inverse, lossless: the topology is a spec
+  string that names the whole graph (family, graph seed, edge weights;
+  :func:`~repro.sim.topology.topology_from_spec`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SpecError
 from repro.sim.determinism import SEMANTICS_EPOCH
-from repro.sim.topology import Topology, topology_from_spec
+from repro.sim.topology import latency_spec
 
 if TYPE_CHECKING:  # pragma: no cover - a spec with no plan never loads it
     from repro.chaos.plan import FaultPlan
@@ -41,7 +42,6 @@ __all__ = [
     "ChaosOpts",
     "ObsOpts",
     "TrialSpec",
-    "parse_latency_map",
     "resolve_fault_plan",
 ]
 
@@ -127,7 +127,7 @@ class TrialSpec:
 
     n: int = 0
     protocol: dict[str, Any] | None = None
-    topology: Topology | str | None = None
+    topology: str | None = None
     seed: int = 0
     loss: float = 0.0
     capacity: int = 1
@@ -189,6 +189,10 @@ class TrialSpec:
             raise SpecError(
                 f"sync must be None or 'windowed', got {self.cluster.sync!r}",
                 field="sync")
+        if self.topology is not None and not isinstance(self.topology, str):
+            raise SpecError(
+                f"topology must be a spec string such as 'ring;1-2=16:32', "
+                f"got a {type(self.topology).__name__}", field="topology")
         if self.transport.tick is not None and self.transport.tick <= 0:
             raise SpecError(
                 f"tick must be > 0 seconds, got {self.transport.tick!r}",
@@ -196,16 +200,10 @@ class TrialSpec:
 
     # -- codecs ---------------------------------------------------------
 
-    def codable(self) -> bool:
-        """True when :meth:`as_provenance` loses nothing: the topology is
-        a spec string (or the default), not a pre-built object."""
-        return self.topology is None or isinstance(self.topology, str)
-
     def as_provenance(self) -> dict[str, Any]:
         """JSON-ready record of this spec (bench artifacts, obs context,
         the golden-hash corpus): one key per field, one sub-record per
-        options section, and the semantics epoch whose draws it names.
-        A pre-built topology collapses to its name."""
+        options section, and the semantics epoch whose draws it names."""
         return {"spec_version": SPEC_VERSION, "epoch": SEMANTICS_EPOCH,
                 **_encode(self)}
 
@@ -259,7 +257,7 @@ class TrialSpec:
             n=n,
             seed=seed,
             loss=getattr(args, "loss", 0.0),
-            topology=_topology_from_args(args, n, seed),
+            topology=_topology_from_args(args),
             latency=tuple(getattr(args, "latency", (1, 3))),
             horizon=getattr(args, "horizon", None),
             round_budget=getattr(args, "round_budget", None),
@@ -295,8 +293,6 @@ def _encode(value: Any) -> Any:
         return {_record_key(f):
                 f.metadata.get("encode", _encode)(getattr(value, f.name))
                 for f in fields(value)}
-    if isinstance(value, Topology):
-        return value.name
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, dict):
@@ -331,27 +327,6 @@ def _decode(cls: type, record: dict[str, Any], where: str) -> Any:
 # -- CLI helpers (shared by from_cli_args and repro.cli) ----------------
 
 
-def parse_latency_map(
-    entries: Any,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Parse ``SRC-DST=LO:HI`` entries into an edge-latency map."""
-    mapping: dict[tuple[int, int], tuple[int, int]] = {}
-    for entry in entries:
-        edge, edge_sep, bounds = entry.partition("=")
-        u, pid_sep, v = edge.partition("-")
-        lo, bound_sep, hi = bounds.partition(":")
-        try:
-            if not (edge_sep and pid_sep and bound_sep):
-                raise ValueError
-            mapping[(int(u), int(v))] = (int(lo), int(hi))
-        except ValueError:
-            raise SpecError(
-                f"bad --latency-map entry {entry!r}; want SRC-DST=LO:HI "
-                f"(e.g. 1-2=16:32)", field="latency_map"
-            ) from None
-    return mapping
-
-
 def resolve_fault_plan(plan: Any) -> FaultPlan | None:
     """Coerce a fault-plan argument: FaultPlan, DSL text, or ``@FILE``."""
     if not isinstance(plan, str):
@@ -371,10 +346,9 @@ def resolve_fault_plan(plan: Any) -> FaultPlan | None:
     return FaultPlan.parse(text)
 
 
-def _topology_from_args(args: Any, n: int, seed: int):
-    """The trial topology from CLI flags: a spec string (with ``--wan``
-    folded in), or a built :class:`~repro.sim.topology.Weighted` when
-    ``--latency-map`` layers explicit per-edge bounds over the graph."""
+def _topology_from_args(args: Any) -> str | None:
+    """The trial topology's spec string from CLI flags: ``--wan`` folded
+    in, ``--latency-map`` entries layered on in canonical order."""
     spec = getattr(args, "topology", None)
     if getattr(args, "wan", False):
         if spec is not None and not spec.startswith("wan"):
@@ -385,11 +359,5 @@ def _topology_from_args(args: Any, n: int, seed: int):
     entries = getattr(args, "latency_map", None)
     if entries is None:
         return spec
-    from repro.sim.topology import Weighted
-
-    base = topology_from_spec(spec or "complete", n, seed=seed)
-    if base.is_weighted:
-        raise SpecError(
-            f"--latency-map cannot layer over the already-weighted spec "
-            f"{spec!r}; weigh the edges in one map", field="latency_map")
-    return Weighted(base, latency=parse_latency_map(entries))
+    base, *given = (spec or "complete").split(";")
+    return latency_spec(base, [*given, *entries])

@@ -133,7 +133,7 @@ from repro.errors import SimulationError, SpecError
 from repro.sim.channel import LossModel
 from repro.sim.partition import partition_topology
 from repro.sim.sharded import _SHARDABLE_LOSS
-from repro.sim.topology import Topology, topology_from_spec
+from repro.sim.topology import Complete, Topology, topology_from_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import FaultPlan
@@ -210,18 +210,12 @@ class ClusterSimulator:
         protocol_of(protocol)
         if isinstance(pids, int):
             pids = list(range(1, pids + 1))
-        if topology is None:
-            if pids is None:
-                raise SimulationError("need a process count, pid list, or topology")
-            from repro.sim.topology import Complete
-
-            topology = Complete(pids)
-        elif isinstance(topology, str):
+        if not isinstance(topology, Topology):
             if pids is None:
                 raise SimulationError(
-                    f"topology spec {topology!r} needs an explicit process count"
-                )
-            topology = topology_from_spec(topology, len(pids), seed=seed)
+                    "need a process count or pid list, or a built topology")
+            topology = (Complete(pids) if topology is None
+                        else topology_from_spec(topology, len(pids)))
         if loss is not None and not isinstance(loss, _SHARDABLE_LOSS):
             raise SimulationError(
                 f"loss model {type(loss).__name__} keeps cross-channel state; "

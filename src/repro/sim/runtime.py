@@ -283,7 +283,7 @@ class Simulator:
     ``topology`` selects the communication graph: a
     :class:`~repro.sim.topology.Topology` instance, a spec string accepted by
     :func:`~repro.sim.topology.topology_from_spec` (``"ring"``,
-    ``"gnp:0.3"``, ...), or None for the paper's complete graph.  When a
+    ``"gnp:0.3@7"``, ...), or None for the paper's complete graph.  When a
     Topology instance is given its pids define the system and ``pids`` may
     be omitted (or must agree).
 
@@ -313,16 +313,14 @@ class Simulator:
     ) -> None:
         if isinstance(pids, int):
             pids = list(range(1, pids + 1))
-        if isinstance(topology, str):
+        if not isinstance(topology, Topology):
             if pids is None:
                 raise SimulationError(
-                    f"topology spec {topology!r} needs an explicit process count"
-                )
-            topology = topology_from_spec(topology, len(pids), seed=seed)
-        if topology is None:
-            if pids is None:
-                raise SimulationError("need a process count, pid list, or topology")
-        elif pids is not None and tuple(sorted(pids)) != topology.pids:
+                    "need a process count or pid list, or a built topology")
+            if topology is not None:
+                topology = topology_from_spec(topology, len(pids))
+        if (topology is not None and pids is not None
+                and tuple(sorted(pids)) != topology.pids):
             raise SimulationError(
                 f"pids {sorted(pids)} do not match topology pids {topology.pids}"
             )

@@ -44,7 +44,7 @@ import abc
 from collections import deque
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 
 __all__ = [
     "Topology",
@@ -56,6 +56,8 @@ __all__ = [
     "Clustered",
     "Weighted",
     "topology_from_spec",
+    "parse_latency_map",
+    "latency_spec",
     "arbitration_clusters",
     "TOPOLOGY_SPECS",
 ]
@@ -608,7 +610,7 @@ class Weighted(Topology):
         return f"{self.kind}[{self.base.name}]"
 
 
-# -- spec strings (CLI / scenario matrix) ----------------------------------
+# -- spec strings (CLI / scenario matrix / trial specs) ---------------------
 
 #: Accepted ``--topology`` spec strings (``name`` or ``name:arg``).
 TOPOLOGY_SPECS = (
@@ -616,9 +618,10 @@ TOPOLOGY_SPECS = (
     "ring",
     "star",
     "grid (or grid:RxC)",
-    "gnp:P (edge probability, default 0.35)",
+    "gnp:P@S (edge probability P, default 0.35; graph seed S, default 0)",
     "clustered:K (K clusters, n divisible by K)",
     "wan:K (clustered:K with fast intra-cluster and slow cross-cluster edges)",
+    "BASE;SRC-DST=LO:HI;... (SRC-DST weighs both directions, SRC>DST one)",
 )
 
 
@@ -633,9 +636,65 @@ def _grid_shape(n: int) -> tuple[int, int]:
     return rows, n // rows
 
 
-def topology_from_spec(spec: str, n: int, seed: int = 0) -> Topology:
-    """Build a topology from a CLI spec string like ``ring`` or ``gnp:0.3``."""
-    name, _, arg = spec.strip().lower().partition(":")
+def topology_from_spec(spec: str, n: int) -> Topology:
+    """Build the graph a spec string names — family, graph seed, latency
+    entries: ``ring``, ``gnp:0.3@7``, ``ring;1-2=16:32``.  The only place
+    a string becomes a graph."""
+    base_spec, *entries = spec.strip().lower().split(";")
+    try:
+        base = _family(base_spec, n)
+    except ValueError:  # an unknown family, or its P, S, K or RxC
+        raise SpecError(f"unknown topology spec {base_spec!r}; one of: "
+                        f"{', '.join(TOPOLOGY_SPECS)}", field="topology") from None
+    if entries and base.is_weighted:
+        raise SpecError(
+            f"latency entries cannot layer over the already-weighted spec "
+            f"{base_spec!r}; weigh the edges in one map", field="latency_map")
+    if not entries:
+        return base
+    latency, directed = parse_latency_map(entries)
+    return Weighted(base, latency=latency, directed=directed)
+
+
+def parse_latency_map(
+    entries: Sequence[str],
+) -> tuple[dict[tuple[int, int], tuple[int, int]], bool]:
+    """Parse ``SRC-DST=LO:HI`` entries (an edge, both directions; keyed
+    low id first) or ``SRC>DST=LO:HI`` ones (one direction) into an
+    edge-latency map and whether it is directed."""
+    directed = ">" in entries[0]
+    mapping: dict[tuple[int, int], tuple[int, int]] = {}
+    for entry in entries:
+        edge, edge_sep, bounds = entry.partition("=")
+        u, pid_sep, v = edge.partition(">" if directed else "-")
+        lo, bound_sep, hi = bounds.partition(":")
+        try:
+            if not (edge_sep and pid_sep and bound_sep):
+                raise ValueError
+            src, dst = int(u), int(v)
+            key = (src, dst) if directed else (min(src, dst), max(src, dst))
+            mapping[key] = (int(lo), int(hi))
+        except ValueError:
+            raise SpecError(
+                f"bad --latency-map entry {entry!r}; want SRC-DST=LO:HI or "
+                f"SRC>DST=LO:HI, one form throughout (e.g. 1-2=16:32)",
+                field="latency_map") from None
+    return mapping, directed
+
+
+def latency_spec(base: str, entries: Sequence[str]) -> str:
+    """The canonical spec string of ``entries`` over the ``base`` spec."""
+    latency, directed = parse_latency_map(entries)
+    return ";".join([base, *(f"{u}{'>' if directed else '-'}{v}={lo}:{hi}"
+                             for (u, v), (lo, hi) in sorted(latency.items()))])
+
+
+def _family(spec: str, n: int) -> Topology:
+    head, at, graph_seed = spec.partition("@")
+    name, _, arg = head.partition(":")
+    if at and name != "gnp":
+        raise SimulationError(
+            f"graph seed in {spec!r}: only gnp draws its graph (gnp:P@S)")
     if name == "complete":
         return Complete(n)
     if name == "ring":
@@ -644,11 +703,8 @@ def topology_from_spec(spec: str, n: int, seed: int = 0) -> Topology:
         return Star(n)
     if name == "grid":
         if arg:
-            try:
-                rows_s, _, cols_s = arg.partition("x")
-                rows, cols = int(rows_s), int(cols_s)
-            except ValueError:
-                raise SimulationError(f"bad grid spec {spec!r}; want grid:RxC") from None
+            rows_s, _, cols_s = arg.partition("x")
+            rows, cols = int(rows_s), int(cols_s)
             if rows * cols != n:
                 raise SimulationError(f"grid {rows}x{cols} does not hold n={n} processes")
         else:
@@ -656,20 +712,14 @@ def topology_from_spec(spec: str, n: int, seed: int = 0) -> Topology:
         return Grid2D(rows, cols)
     if name == "gnp":
         p = float(arg) if arg else 0.35
-        return RandomGnp(n, p=p, seed=seed)
-    if name == "clustered":
+        return RandomGnp(n, p=p, seed=int(graph_seed) if at else 0)
+    if name in ("clustered", "wan"):
         k = int(arg) if arg else 2
-        if n % k != 0:
+        if k < 1 or n % k != 0:
             raise SimulationError(f"n={n} is not divisible into {k} clusters")
-        return Clustered(k, n // k)
-    if name == "wan":
-        k = int(arg) if arg else 2
-        if n % k != 0:
-            raise SimulationError(f"n={n} is not divisible into {k} clusters")
-        return Weighted.wan(Clustered(k, n // k))
-    raise SimulationError(
-        f"unknown topology spec {spec!r}; one of: {', '.join(TOPOLOGY_SPECS)}"
-    )
+        clusters = Clustered(k, n // k)
+        return clusters if name == "clustered" else Weighted.wan(clusters)
+    raise ValueError(name)
 
 
 def arbitration_clusters(

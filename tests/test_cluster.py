@@ -250,7 +250,7 @@ def test_ring_peer_shards_are_neighbours_only():
 
 
 def test_complete_peer_shards_are_everyone_else():
-    partition = partition_topology(topology_from_spec("complete", 8, seed=0), 3)
+    partition = partition_topology(topology_from_spec("complete", 8), 3)
     for shard in range(3):
         assert partition.peer_shards(shard) == tuple(
             s for s in range(3) if s != shard
@@ -258,7 +258,7 @@ def test_complete_peer_shards_are_everyone_else():
 
 
 def test_peer_shards_rejects_out_of_range():
-    partition = partition_topology(topology_from_spec("complete", 6, seed=0), 2)
+    partition = partition_topology(topology_from_spec("complete", 6), 2)
     with pytest.raises(SimulationError, match="shard must be in"):
         partition.peer_shards(2)
 
@@ -275,6 +275,6 @@ def test_only_a_partition_whose_shards_all_peer_can_jump():
     assert not arcs.fully_peered()
     assert Partition(topology=ring, shards=(
         (1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12))).fully_peered()
-    complete = topology_from_spec("complete", 8, seed=0)
+    complete = topology_from_spec("complete", 8)
     for shards in (1, 2, 3):
         assert partition_topology(complete, shards).fully_peered()

@@ -8,7 +8,8 @@ The contracts under test:
   one ``SpecError(field="protocol")`` on every engine — raised, like a
   driver tag that is not the protocol's kind, before anything is spawned;
 * the spec codecs round-trip: ``from_cli_args`` → ``as_provenance`` →
-  ``from_provenance`` is lossless for codable specs (hypothesis-fuzzed);
+  ``from_provenance`` is lossless (hypothesis-fuzzed), and a topology
+  is a spec string, so every recorded trial replays from its record;
 * the protocol table (:data:`repro.core.protocols.PROTOCOLS`) fills a
   spec the same way for ``run_trial``, the ``run_*_trial`` keyword
   spellings and a record read back from JSON text;
@@ -187,7 +188,12 @@ _NAMESPACES = st.fixed_dictionaries({
     "seeds": st.lists(st.integers(0, 2**31), min_size=0, max_size=3),
     "loss": st.floats(0.0, 1.0, allow_nan=False),
     "topology": st.sampled_from(
-        [None, "ring", "clustered:4", "wan:4", "line"]),
+        [None, "ring", "clustered:4", "wan:4", "line", "gnp:0.5@7"]),
+    "latency_map": st.one_of(st.none(), st.sampled_from("->").flatmap(
+        lambda sep: st.lists(st.builds(
+            lambda u, v, lo, extra: f"{u}{sep}{v}={lo}:{lo + extra}",
+            st.integers(1, 64), st.integers(1, 64), st.integers(1, 40),
+            st.integers(0, 40)), min_size=1, max_size=4))),
     "latency": st.tuples(st.integers(1, 4), st.integers(4, 9)),
     "horizon": st.one_of(st.none(), st.integers(1, 10**7)),
     "round_budget": st.one_of(st.none(), st.integers(0, 100)),
@@ -210,7 +216,6 @@ _NAMESPACES = st.fixed_dictionaries({
 def test_cli_spec_provenance_round_trip_is_lossless(fields):
     args = argparse.Namespace(**fields)
     spec = TrialSpec.from_cli_args(args)
-    assert spec.codable()
     record = spec.as_provenance()
     rebuilt = TrialSpec.from_provenance(json.loads(json.dumps(record)))
     assert rebuilt == spec
@@ -220,7 +225,6 @@ def test_cli_spec_provenance_round_trip_is_lossless(fields):
 
 def test_round_trip_keeps_protocol_driver_and_axes():
     spec = _spec(engine="sharded", sharding=ShardingOpts(shards=2, window=8))
-    assert spec.codable()
     assert TrialSpec.from_provenance(spec.as_provenance()) == spec
 
 
@@ -242,7 +246,6 @@ def test_every_protocol_parameter_survives_json_text(protocol):
     row = PROTOCOLS[protocol["kind"]]
     assert protocol.keys() - {"kind"} == row.build.__kwdefaults__.keys()
     spec = row.describe(TrialSpec(n=3, seed=1, protocol=protocol))
-    assert spec.codable()
     assert _through_json_text(spec) == spec
 
 
@@ -256,12 +259,35 @@ def test_idl_identities_replay_from_the_record():
     assert replayed.measurements == direct.measurements
 
 
-def test_prebuilt_topology_collapses_to_its_name():
+def test_a_built_topology_is_a_spec_error():
     from repro.sim.topology import Ring
 
-    spec = _spec(topology=Ring(5))
-    assert not spec.codable()
-    assert spec.as_provenance()["topology"] == "ring(5)"
+    with pytest.raises(SpecError, match="spec string") as err:
+        run_trial(_spec(topology=Ring(5)))
+    assert err.value.field == "topology"
+
+
+def test_recorded_topology_cells_replay_through_json_text(monkeypatch):
+    # An E11a gnp cell at a trial seed other than 0, recorded where the
+    # claim runs it, and a --latency-map spec: each record alone replays.
+    import repro.analysis.runner as runner
+
+    real = runner.execute
+    recorded = []
+    monkeypatch.setattr(runner, "execute",
+                        lambda spec: recorded.append(spec) or real(spec))
+    run_topology_matrix(TrialSpec(n=8), topologies=["gnp:0.35"],
+                        losses=[0.25], seeds=[1], protocol="pif")
+    args = argparse.Namespace(n=8, seeds=[3], loss=0.1, topology="ring",
+                              latency_map=["5-6=4:4", "2-1=16:32"])
+    weighted = PROTOCOLS["pif"].describe(TrialSpec.from_cli_args(args))
+    assert [spec.topology for spec in recorded] == ["gnp:0.35"]
+    assert weighted.topology == "ring;1-2=16:32;5-6=4:4"
+    for spec in (*recorded, weighted):
+        replayed = _through_json_text(spec)
+        assert replayed == spec
+        assert real(replayed).trace.canonical_hash() == \
+            real(spec).trace.canonical_hash()
 
 
 def test_provenance_version_gate():

@@ -28,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.engine import TrialSpec, execute  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
-from repro.sim.topology import Weighted, topology_from_spec  # noqa: E402
+from repro.sim.topology import topology_from_spec  # noqa: E402
 
 def _serial_and_loopback(n, *, max_state=4, **axes):
     return [
@@ -70,7 +70,7 @@ def test_loopback_matches_serial_on_fuzzed_axes(
 ):
     if topology is not None:
         try:  # not every family admits every n (grid needs a rectangle, ...)
-            topology_from_spec(topology, n, seed=seed)
+            topology_from_spec(topology, n)
         except SimulationError:
             assume(False)
 
@@ -128,15 +128,16 @@ def test_per_edge_latency_map_fuzz_serial_oracle(spec, n, seed, directed, data):
     """Per-edge latency-map fuzz: weighted draws are engine-independent.
 
     Draws arbitrary (lo, hi) bounds for a subset of a Ring/Clustered base's
-    edges — undirected (expanded to both directions) or directed (reverse
-    direction falls back to the global latency) — and asserts the loopback
+    edges — ``SRC-DST`` entries (both directions) or ``SRC>DST`` ones (the
+    reverse direction falls back to the global latency) — layered over the
+    base's spec string, and asserts the loopback
     engine reproduces the serial engine bit for bit.  This holds because
     each directed channel owns its RNG stream, so a weighted edge's draw
     sequence depends only on (root seed, channel, draw count), never on
     which engine interleaved the other edges' events around it.
     """
     try:  # clustered:2 needs an even n
-        base = topology_from_spec(spec, n, seed=seed)
+        base = topology_from_spec(spec, n)
     except SimulationError:
         assume(False)
     edges = sorted(base.edges())
@@ -145,13 +146,14 @@ def test_per_edge_latency_map_fuzz_serial_oracle(spec, n, seed, directed, data):
                  min_size=1, max_size=len(edges)),
         label="weighted edges",
     )
-    latency = {}
+    entries = []
     for u, v in picked:
         lo = data.draw(st.integers(min_value=1, max_value=8),
                        label=f"lo {u}-{v}")
         hi = lo + data.draw(st.integers(min_value=0, max_value=8),
                             label=f"hi-lo {u}-{v}")
-        latency[(u, v)] = (lo, hi)
-    top = Weighted(base, latency=latency, directed=directed)
+        entries.append(f"{u}{'>' if directed else '-'}{v}={lo}:{hi}")
+    top = ";".join([spec, *entries])
+    assert topology_from_spec(top, n).directed == directed
 
     _assert_bit_identical(*_serial_and_loopback(n, topology=top, seed=seed))

@@ -152,7 +152,7 @@ class TestScrambleVariants:
         from repro.sim.partition import partition_topology
         from repro.sim.topology import topology_from_spec
 
-        topology = topology_from_spec("wan:4", 128, seed=0)
+        topology = topology_from_spec("wan:4", 128)
         shard = partition_topology(topology, 2).shards[0]
         seeded = []
         seed = random.Random.seed

@@ -23,6 +23,7 @@ from repro.sim.topology import (
     Ring,
     Star,
     Topology,
+    Weighted,
     arbitration_clusters,
     topology_from_spec,
 )
@@ -172,6 +173,57 @@ class TestSpecStrings:
             topology_from_spec("grid:2x5", 6)
         with pytest.raises(SimulationError):
             topology_from_spec("clustered:4", 6)
+        for spec in ("grid:2xq", "gnp:high", "gnp:0.3@x", "clustered:x",
+                     "clustered:0", "wan:x"):
+            with pytest.raises(SimulationError, match="unknown topology spec|into 0"):
+                topology_from_spec(spec, 6)
+
+    def test_gnp_graph_seed_is_part_of_the_string(self):
+        def edges(spec):
+            return sorted(topology_from_spec(spec, 9).edges())
+
+        assert edges("gnp:0.3@2") == sorted(RandomGnp(9, p=0.3, seed=2).edges())
+        assert edges("gnp:0.3") == edges("gnp:0.3@0") != edges("gnp:0.3@2")
+        assert topology_from_spec("gnp@5", 9).p == 0.35
+        with pytest.raises(SimulationError, match="only gnp draws its graph"):
+            topology_from_spec("ring@3", 6)
+
+    def test_latency_entries_weigh_both_directions_or_one(self):
+        both = topology_from_spec("ring;2-1=10:20;5-6=4:4", 8)
+        assert isinstance(both, Weighted) and isinstance(both.base, Ring)
+        assert both.edge_latency(1, 2) == both.edge_latency(2, 1) == (10, 20)
+        assert both.edge_latency(6, 5) == (4, 4)
+        assert both.edge_latency(2, 3) is None
+        one = topology_from_spec("clustered:2;1>5=16:32", 8)
+        assert one.edge_latency(1, 5) == (16, 32)
+        assert one.edge_latency(5, 1) is None
+
+    @pytest.mark.parametrize("spec,complaint", [
+        ("ring;1-3=2:3", "not an edge of ring"),
+        ("ring;1-2=5:3", "1 <= lo <= hi"),
+        ("wan:2;1-2=16:32", "already-weighted spec 'wan:2'"),
+        ("ring;1-2=2:3;2>3=2:3", "one form throughout"),
+        ("ring;1-2", "bad --latency-map entry"),
+    ], ids=["non-edge", "lo-above-hi", "over-wan", "mixed-forms", "no-bounds"])
+    def test_bad_latency_entries_refused(self, spec, complaint):
+        with pytest.raises(SimulationError, match=complaint):
+            topology_from_spec(spec, 8)
+
+    def test_cli_entry_order_canonicalises_to_one_string(self):
+        import argparse
+
+        from repro.engine import TrialSpec
+
+        def spec(*entries, topology="ring"):
+            return TrialSpec.from_cli_args(argparse.Namespace(
+                n=8, topology=topology, latency_map=list(entries))).topology
+
+        canonical = "ring;1-2=16:32;5-6=4:4"
+        assert spec("5-6=4:4", "2-1=16:32") == canonical
+        assert spec("1-2=16:32", "6-5=4:4") == canonical
+        assert spec("6-5=4:4", topology="ring;1-2=16:32") == canonical
+        assert spec("2>1=3:3", "1>2=4:4", topology=None) == \
+            "complete;1>2=4:4;2>1=3:3"
 
 
 class TestArbitrationClusters:

@@ -134,16 +134,35 @@ class TestEnginePlumbing:
 class TestEngineAgreement:
     """Weighted runs: serial is the oracle for sharded and loopback."""
 
-    def _run(self, engine: str, topology, n: int):
-        return execute(TrialSpec(
+    def _spec(self, engine: str, topology, n: int) -> TrialSpec:
+        return TrialSpec(
             n=n, protocol={"kind": "pif"}, topology=topology, seed=0,
             loss=0.1, horizon=2_000_000, engine=engine,
             driver=dict(tag="pif", requests_per_process=1,
                         payload_fmt="m-{pid}-{k}"),
-        ))
+        )
+
+    def _run(self, engine: str, topology, n: int):
+        return execute(self._spec(engine, topology, n))
+
+    def _run_built(self, engine: str, topology: Weighted):
+        """Capacity maps have no spec string: drive the backend over the
+        built topology, as ``prepare`` does over the one a string names."""
+        from repro.engine import PreparedTrial, resolve
+        from repro.engine.base import SCRAMBLE_XOR
+
+        spec = self._spec(engine, None, topology.n)
+        backend = resolve(engine)
+        sim = backend.engine(spec, topology)
+        try:
+            return backend.run(PreparedTrial(
+                spec=spec, topology=topology,
+                scramble_seed=spec.seed ^ SCRAMBLE_XOR, sim=sim))
+        finally:
+            sim.close()
 
     @pytest.mark.parametrize("topology,n", [
-        (Weighted(Ring(8), latency={(1, 2): (10, 20), (5, 6): (4, 4)}), 8),
+        ("ring;1-2=10:20;5-6=4:4", 8),
         ("wan:4", 32),
     ], ids=["weighted-ring", "wan-clustered"])
     def test_three_engines_one_canonical_hash(self, topology, n):
@@ -168,7 +187,7 @@ class TestEngineAgreement:
         # (1, 5) is the bridge edge; (1, 2) is intra-cluster.
         top = Weighted(Clustered(2, 4), capacity={(1, 5): 2, (1, 2): 3})
         runs = {
-            engine: self._run(engine, top, 8)
+            engine: self._run_built(engine, top)
             for engine in ("serial", "sharded", "async")
         }
         base = canonical_trace_hash(runs["serial"].trace)
