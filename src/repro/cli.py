@@ -123,8 +123,7 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--latency-map", nargs="+", default=None, metavar="SRC-DST=LO:HI",
         help="per-edge latency bounds layered over the topology, e.g. "
-             "'1-2=16:32 2-3=16:32' (or SRC>DST=LO:HI entries, one direction "
-             "each); each SRC-DST entry weighs both directions of "
+             "'1-2=16:32 2-3=16:32'; each entry weighs both directions of "
              "the edge, unmapped edges keep the global --latency bounds",
     )
 

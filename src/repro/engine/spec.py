@@ -348,7 +348,8 @@ def resolve_fault_plan(plan: Any) -> FaultPlan | None:
 
 def _topology_from_args(args: Any) -> str | None:
     """The trial topology's spec string from CLI flags: ``--wan`` folded
-    in, ``--latency-map`` entries layered on in canonical order."""
+    in, latency entries (the spec's and ``--latency-map``'s) in canonical
+    order, none over ``wan``."""
     spec = getattr(args, "topology", None)
     if getattr(args, "wan", False):
         if spec is not None and not spec.startswith("wan"):
@@ -356,8 +357,6 @@ def _topology_from_args(args: Any) -> str | None:
                 f"--wan conflicts with --topology {spec!r}; use --topology "
                 f"wan:K to pick the cluster count", field="topology")
         spec = spec or "wan"
-    entries = getattr(args, "latency_map", None)
-    if entries is None:
-        return spec
-    base, *given = (spec or "complete").split(";")
-    return latency_spec(base, [*given, *entries])
+    base, *entries = (spec or "complete").split(";")
+    entries += getattr(args, "latency_map", None) or []
+    return latency_spec(base, entries) if entries else spec

@@ -621,7 +621,7 @@ TOPOLOGY_SPECS = (
     "gnp:P@S (edge probability P, default 0.35; graph seed S, default 0)",
     "clustered:K (K clusters, n divisible by K)",
     "wan:K (clustered:K with fast intra-cluster and slow cross-cluster edges)",
-    "BASE;SRC-DST=LO:HI;... (SRC-DST weighs both directions, SRC>DST one)",
+    "BASE;SRC-DST=LO:HI;... (latency entries, each weighing both directions)",
 )
 
 
@@ -639,62 +639,61 @@ def _grid_shape(n: int) -> tuple[int, int]:
 def topology_from_spec(spec: str, n: int) -> Topology:
     """Build the graph a spec string names — family, graph seed, latency
     entries: ``ring``, ``gnp:0.3@7``, ``ring;1-2=16:32``.  The only place
-    a string becomes a graph."""
+    a string becomes a graph; a string it cannot build is a
+    ``SpecError(field="topology")`` (``"latency_map"`` for an entry)."""
     base_spec, *entries = spec.strip().lower().split(";")
     try:
         base = _family(base_spec, n)
-    except ValueError:  # an unknown family, or its P, S, K or RxC
+    except ValueError:  # its P, S, K or RxC is not a number
+        base = None
+    if base is None:
         raise SpecError(f"unknown topology spec {base_spec!r}; one of: "
-                        f"{', '.join(TOPOLOGY_SPECS)}", field="topology") from None
-    if entries and base.is_weighted:
-        raise SpecError(
-            f"latency entries cannot layer over the already-weighted spec "
-            f"{base_spec!r}; weigh the edges in one map", field="latency_map")
+                        f"{', '.join(TOPOLOGY_SPECS)}", field="topology")
     if not entries:
         return base
-    latency, directed = parse_latency_map(entries)
-    return Weighted(base, latency=latency, directed=directed)
+    return Weighted(base, latency=parse_latency_map(base_spec, entries))
 
 
 def parse_latency_map(
-    entries: Sequence[str],
-) -> tuple[dict[tuple[int, int], tuple[int, int]], bool]:
-    """Parse ``SRC-DST=LO:HI`` entries (an edge, both directions; keyed
-    low id first) or ``SRC>DST=LO:HI`` ones (one direction) into an
-    edge-latency map and whether it is directed."""
-    directed = ">" in entries[0]
+    base: str, entries: Sequence[str],
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Parse ``SRC-DST=LO:HI`` entries layered over the ``base`` spec into
+    an edge-latency map (an edge, both directions; keyed low id first)."""
+    if base.strip().lower().partition(":")[0] == "wan":
+        raise SpecError(
+            f"latency entries cannot layer over the already-weighted spec "
+            f"{base!r}; weigh the edges in one map", field="latency_map")
     mapping: dict[tuple[int, int], tuple[int, int]] = {}
     for entry in entries:
         edge, edge_sep, bounds = entry.partition("=")
-        u, pid_sep, v = edge.partition(">" if directed else "-")
+        u, pid_sep, v = edge.partition("-")
         lo, bound_sep, hi = bounds.partition(":")
         try:
             if not (edge_sep and pid_sep and bound_sep):
                 raise ValueError
             src, dst = int(u), int(v)
-            key = (src, dst) if directed else (min(src, dst), max(src, dst))
-            mapping[key] = (int(lo), int(hi))
+            mapping[(min(src, dst), max(src, dst))] = (int(lo), int(hi))
         except ValueError:
             raise SpecError(
-                f"bad --latency-map entry {entry!r}; want SRC-DST=LO:HI or "
-                f"SRC>DST=LO:HI, one form throughout (e.g. 1-2=16:32)",
-                field="latency_map") from None
-    return mapping, directed
+                f"bad --latency-map entry {entry!r}; want SRC-DST=LO:HI "
+                f"(e.g. 1-2=16:32)", field="latency_map") from None
+    return mapping
 
 
 def latency_spec(base: str, entries: Sequence[str]) -> str:
     """The canonical spec string of ``entries`` over the ``base`` spec."""
-    latency, directed = parse_latency_map(entries)
-    return ";".join([base, *(f"{u}{'>' if directed else '-'}{v}={lo}:{hi}"
-                             for (u, v), (lo, hi) in sorted(latency.items()))])
+    return ";".join([base, *(f"{u}-{v}={lo}:{hi}" for (u, v), (lo, hi)
+                             in sorted(parse_latency_map(base, entries).items()))])
 
 
-def _family(spec: str, n: int) -> Topology:
+def _family(spec: str, n: int) -> Topology | None:
+    """The base graph ``spec`` names, or None for an unknown family."""
     head, at, graph_seed = spec.partition("@")
     name, _, arg = head.partition(":")
     if at and name != "gnp":
-        raise SimulationError(
-            f"graph seed in {spec!r}: only gnp draws its graph (gnp:P@S)")
+        raise SpecError(
+            f"graph seed in {spec!r}: only gnp draws its graph (gnp:P@S)",
+            field="topology")
     if name == "complete":
         return Complete(n)
     if name == "ring":
@@ -706,7 +705,8 @@ def _family(spec: str, n: int) -> Topology:
             rows_s, _, cols_s = arg.partition("x")
             rows, cols = int(rows_s), int(cols_s)
             if rows * cols != n:
-                raise SimulationError(f"grid {rows}x{cols} does not hold n={n} processes")
+                raise SpecError(f"grid {rows}x{cols} does not hold n={n} processes",
+                                field="topology")
         else:
             rows, cols = _grid_shape(n)
         return Grid2D(rows, cols)
@@ -716,10 +716,11 @@ def _family(spec: str, n: int) -> Topology:
     if name in ("clustered", "wan"):
         k = int(arg) if arg else 2
         if k < 1 or n % k != 0:
-            raise SimulationError(f"n={n} is not divisible into {k} clusters")
+            raise SpecError(f"n={n} is not divisible into {k} clusters",
+                            field="topology")
         clusters = Clustered(k, n // k)
         return clusters if name == "clustered" else Weighted.wan(clusters)
-    raise ValueError(name)
+    return None
 
 
 def arbitration_clusters(

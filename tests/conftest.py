@@ -38,6 +38,23 @@ def trial_spec(kind: str, n: int, **axes) -> TrialSpec:
         TrialSpec(n=n, **axes), requests_per_process=1)
 
 
+def execute_over(spec: TrialSpec, topology):
+    """``execute(spec)`` over a built ``topology`` that no spec string
+    names (a capacity or one-direction latency map): the backend's engine
+    over it, as ``prepare`` builds one over the graph a string names."""
+    from repro.engine import PreparedTrial, resolve
+    from repro.engine.base import SCRAMBLE_XOR
+
+    backend = resolve(spec.engine)
+    sim = backend.engine(spec, topology)
+    try:
+        return backend.run(PreparedTrial(
+            spec=spec, topology=topology, sim=sim,
+            scramble_seed=(spec.seed ^ SCRAMBLE_XOR) if spec.scramble else None))
+    finally:
+        sim.close()
+
+
 @pytest.fixture
 def pif_sim() -> Simulator:
     """A three-process system running one PIF instance."""

@@ -122,12 +122,14 @@ class TestSeededFuzzOracle:
     shrinking variant is in test_net_properties.py).
     """
 
-    TOPOLOGIES = [None, "ring", "star", "clustered:2", "gnp:0.5"]
+    TOPOLOGIES = [None, "ring", "star", "clustered:2", "gnp:0.5@{case}"]
     LOSSES = [0.0, 0.1, 0.3]
 
     @pytest.mark.parametrize("case", range(10))
     def test_fuzzed_config_matches_serial(self, case):
         topology = self.TOPOLOGIES[case % len(self.TOPOLOGIES)]
+        if topology is not None:  # each gnp case draws its own graph
+            topology = topology.format(case=case)
         loss = self.LOSSES[case % len(self.LOSSES)]
         scramble = case % 2 == 0
         n = 4 + (case * 3) % 5  # 4..8

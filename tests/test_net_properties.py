@@ -25,20 +25,25 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from conftest import execute_over  # noqa: E402
 
 from repro.engine import TrialSpec, execute  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
-from repro.sim.topology import topology_from_spec  # noqa: E402
+from repro.sim.topology import Weighted, topology_from_spec  # noqa: E402
 
-def _serial_and_loopback(n, *, max_state=4, **axes):
-    return [
-        execute(TrialSpec(
+def _serial_and_loopback(n, *, max_state=4, built=None, **axes):
+    """The serial and loopback runs of one spec; ``built`` is a topology
+    no spec string names, run as it is."""
+    specs = [
+        TrialSpec(
             n=n, protocol={"kind": "pif", "max_state": max_state},
             driver=dict(tag="pif", requests_per_process=1,
                         payload_fmt="m-{pid}-{k}"),
-            horizon=2_000_000, engine=engine, **axes))
+            horizon=2_000_000, engine=engine, **axes)
         for engine in ("serial", "async")
     ]
+    return [execute(spec) if built is None else execute_over(spec, built)
+            for spec in specs]
 
 
 def _assert_bit_identical(serial, loopback) -> None:
@@ -53,7 +58,8 @@ def _assert_bit_identical(serial, loopback) -> None:
 
 
 @given(
-    topology=st.sampled_from([None, "ring", "star", "grid", "clustered:2", "gnp:0.5"]),
+    topology=st.sampled_from(
+        [None, "ring", "star", "grid", "clustered:2", "gnp:0.5@{seed}"]),
     loss=st.sampled_from([0.0, 0.1, 0.25]),
     scramble=st.booleans(),
     capacity=st.sampled_from([1, 2]),
@@ -69,6 +75,7 @@ def test_loopback_matches_serial_on_fuzzed_axes(
     topology, loss, scramble, capacity, n, seed
 ):
     if topology is not None:
+        topology = topology.format(seed=seed)  # each gnp seed its own graph
         try:  # not every family admits every n (grid needs a rectangle, ...)
             topology_from_spec(topology, n)
         except SimulationError:
@@ -128,9 +135,9 @@ def test_per_edge_latency_map_fuzz_serial_oracle(spec, n, seed, directed, data):
     """Per-edge latency-map fuzz: weighted draws are engine-independent.
 
     Draws arbitrary (lo, hi) bounds for a subset of a Ring/Clustered base's
-    edges — ``SRC-DST`` entries (both directions) or ``SRC>DST`` ones (the
-    reverse direction falls back to the global latency) — layered over the
-    base's spec string, and asserts the loopback
+    edges — ``SRC-DST`` entries over the base's spec string (both
+    directions), or a built directed map (the reverse direction falls back
+    to the global latency; no spec string names one) — and asserts the loopback
     engine reproduces the serial engine bit for bit.  This holds because
     each directed channel owns its RNG stream, so a weighted edge's draw
     sequence depends only on (root seed, channel, draw count), never on
@@ -146,14 +153,18 @@ def test_per_edge_latency_map_fuzz_serial_oracle(spec, n, seed, directed, data):
                  min_size=1, max_size=len(edges)),
         label="weighted edges",
     )
-    entries = []
+    latency = {}
     for u, v in picked:
         lo = data.draw(st.integers(min_value=1, max_value=8),
                        label=f"lo {u}-{v}")
         hi = lo + data.draw(st.integers(min_value=0, max_value=8),
                             label=f"hi-lo {u}-{v}")
-        entries.append(f"{u}{'>' if directed else '-'}{v}={lo}:{hi}")
-    top = ";".join([spec, *entries])
-    assert topology_from_spec(top, n).directed == directed
-
-    _assert_bit_identical(*_serial_and_loopback(n, topology=top, seed=seed))
+        latency[(u, v)] = (lo, hi)
+    if directed:
+        runs = _serial_and_loopback(
+            n, seed=seed, built=Weighted(base, latency=latency, directed=True))
+    else:
+        top = ";".join([spec, *(f"{u}-{v}={lo}:{hi}"
+                                for (u, v), (lo, hi) in latency.items())])
+        runs = _serial_and_loopback(n, topology=top, seed=seed)
+    _assert_bit_identical(*runs)

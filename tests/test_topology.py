@@ -13,7 +13,7 @@ import pytest
 from repro.core.mutex import MutexLayer
 from repro.core.pif import PifLayer
 from repro.core.requests import RequestDriver
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 from repro.sim.runtime import Simulator
 from repro.sim.topology import (
     Clustered,
@@ -174,9 +174,10 @@ class TestSpecStrings:
         with pytest.raises(SimulationError):
             topology_from_spec("clustered:4", 6)
         for spec in ("grid:2xq", "gnp:high", "gnp:0.3@x", "clustered:x",
-                     "clustered:0", "wan:x"):
-            with pytest.raises(SimulationError, match="unknown topology spec|into 0"):
+                     "clustered:0", "wan:x", "grid:2x5", "ring@3", "line"):
+            with pytest.raises(SpecError) as err:
                 topology_from_spec(spec, 6)
+            assert err.value.field == "topology"
 
     def test_gnp_graph_seed_is_part_of_the_string(self):
         def edges(spec):
@@ -188,23 +189,20 @@ class TestSpecStrings:
         with pytest.raises(SimulationError, match="only gnp draws its graph"):
             topology_from_spec("ring@3", 6)
 
-    def test_latency_entries_weigh_both_directions_or_one(self):
+    def test_latency_entries_weigh_both_directions(self):
         both = topology_from_spec("ring;2-1=10:20;5-6=4:4", 8)
         assert isinstance(both, Weighted) and isinstance(both.base, Ring)
         assert both.edge_latency(1, 2) == both.edge_latency(2, 1) == (10, 20)
         assert both.edge_latency(6, 5) == (4, 4)
         assert both.edge_latency(2, 3) is None
-        one = topology_from_spec("clustered:2;1>5=16:32", 8)
-        assert one.edge_latency(1, 5) == (16, 32)
-        assert one.edge_latency(5, 1) is None
 
     @pytest.mark.parametrize("spec,complaint", [
         ("ring;1-3=2:3", "not an edge of ring"),
         ("ring;1-2=5:3", "1 <= lo <= hi"),
         ("wan:2;1-2=16:32", "already-weighted spec 'wan:2'"),
-        ("ring;1-2=2:3;2>3=2:3", "one form throughout"),
+        ("ring;1>2=2:3", "bad --latency-map entry"),
         ("ring;1-2", "bad --latency-map entry"),
-    ], ids=["non-edge", "lo-above-hi", "over-wan", "mixed-forms", "no-bounds"])
+    ], ids=["non-edge", "lo-above-hi", "over-wan", "one-direction", "no-bounds"])
     def test_bad_latency_entries_refused(self, spec, complaint):
         with pytest.raises(SimulationError, match=complaint):
             topology_from_spec(spec, 8)
@@ -222,8 +220,11 @@ class TestSpecStrings:
         assert spec("5-6=4:4", "2-1=16:32") == canonical
         assert spec("1-2=16:32", "6-5=4:4") == canonical
         assert spec("6-5=4:4", topology="ring;1-2=16:32") == canonical
-        assert spec("2>1=3:3", "1>2=4:4", topology=None) == \
-            "complete;1>2=4:4;2>1=3:3"
+        assert spec(topology="ring;5-6=4:4;2-1=16:32") == canonical
+        assert spec("2-1=3:3", topology=None) == "complete;1-2=3:3"
+        with pytest.raises(SpecError, match="already-weighted") as err:
+            spec("1-2=16:32", topology="wan:4")
+        assert err.value.field == "latency_map"
 
 
 class TestArbitrationClusters:

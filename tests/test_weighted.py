@@ -12,6 +12,7 @@ and draws within its own edge's bounds.
 from __future__ import annotations
 
 import pytest
+from conftest import execute_over
 
 from repro.core.pif import PifLayer
 from repro.engine import TrialSpec, execute
@@ -145,22 +146,6 @@ class TestEngineAgreement:
     def _run(self, engine: str, topology, n: int):
         return execute(self._spec(engine, topology, n))
 
-    def _run_built(self, engine: str, topology: Weighted):
-        """Capacity maps have no spec string: drive the backend over the
-        built topology, as ``prepare`` does over the one a string names."""
-        from repro.engine import PreparedTrial, resolve
-        from repro.engine.base import SCRAMBLE_XOR
-
-        spec = self._spec(engine, None, topology.n)
-        backend = resolve(engine)
-        sim = backend.engine(spec, topology)
-        try:
-            return backend.run(PreparedTrial(
-                spec=spec, topology=topology,
-                scramble_seed=spec.seed ^ SCRAMBLE_XOR, sim=sim))
-        finally:
-            sim.close()
-
     @pytest.mark.parametrize("topology,n", [
         ("ring;1-2=10:20;5-6=4:4", 8),
         ("wan:4", 32),
@@ -187,7 +172,7 @@ class TestEngineAgreement:
         # (1, 5) is the bridge edge; (1, 2) is intra-cluster.
         top = Weighted(Clustered(2, 4), capacity={(1, 5): 2, (1, 2): 3})
         runs = {
-            engine: self._run_built(engine, top)
+            engine: execute_over(self._spec(engine, None, 8), top)
             for engine in ("serial", "sharded", "async")
         }
         base = canonical_trace_hash(runs["serial"].trace)
