@@ -66,8 +66,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
      "tests/test_cli.py::TestCli::test_bad_latency_map_entry_rejected"),
     ("repro.errors.HorizonExceeded.__init__",
      "tests/test_weighted.py::TestEnginePlumbing::test_horizon_exceeded_reports_window"),
-    ("repro.analysis.runner._count_cs_grants",
-     "tests/test_engine_spec.py::test_what_the_spec_names_wins_over_the_rows_default"),
     ("repro.core.requests.RequestDriver.total_planned",
      "tests/test_net.py::TestRoundBudget::test_exhausted_budget_raises_horizon_exceeded"),
     ("repro.engine.base._alternatives",

@@ -256,23 +256,29 @@ GUARDS: tuple[Guard, ...] = (
     Guard("drives the cyclic collector (a run is freed by reference "
           "counting; cut a new cycle in close())",
           re.compile(r".*\bgc\.(col" + r"lect|dis" + r"able|fre" + r"eze)\(")),
-    # One event store: columns (a payload is an interned keys tuple and
-    # one entry per payload-position column) and a kind index.  The
-    # kind-interning table, the process index, the monotone flag and the
-    # vendored pre-columnar store went; the one intern table is the
-    # payload shapes' ``_schemas``.
-    Guard("names a deleted trace-store part (a trace is columns — time, "
-          "kind, process, payload keys, one per payload position — and a "
-          "kind index)",
+    # One event store: coded columns (a row is a shape code into the
+    # shape table and one code per payload position into the object
+    # table) and a kind index.  The kind-interning table, the process
+    # index, the monotone flag, the vendored pre-columnar store, the
+    # per-row kind and keys list columns, their shape intern table and
+    # the ship-time encode of a shard's columns went.
+    Guard("names a deleted trace-store part (a trace is coded columns — "
+          "time, shape, process, one per payload position — their tables "
+          "and a kind index)",
           re.compile(r".*\b(_KIND" + r"_IDS|_intern" + r"_kind|_proc" + r"_rows"
                      r"|_mono" + r"tone|for" + r"_process|Legacy" + r"Trace"
-                     r"|Legacy" + r"Simulator)\b"),
+                     r"|Legacy" + r"Simulator|_sche" + r"mas|code" + r"_table"
+                     r"|coded" + r"_columns)\b"),
           _EVERYWHERE),
+    Guard("names a deleted per-row trace list column (a row's kind and "
+          "payload keys are its shape code in Trace._shapes)",
+          re.compile(r".*\bself\.(_ki" + r"nds|_ke" + r"ys)\b"),
+          ("repro/sim/trace.py",)),
     # A row's payload is a shared keys tuple and one entry per position
     # column: the per-row payload-dict column went (a reader rebuilds the
     # dict), and so did the per-row values tuple.
     Guard("names the deleted per-row payload-dict column (a payload is "
-          "Trace._keys + one entry in each of Trace._fields)",
+          "a shape's keys + one code in each of Trace._fields)",
           re.compile(r".*\b_da" + r"ta\b"),
           _EVERYWHERE),
     Guard("keeps a per-row payload tuple (a payload's entries go to "

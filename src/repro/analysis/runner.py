@@ -33,7 +33,7 @@ from typing import Any
 from repro.core.protocols import PROTOCOLS, ProtocolKind, protocol_of
 from repro.engine import DRAIN_TICKS, EngineRun, TrialSpec, execute
 from repro.errors import HorizonExceeded, SimulationError
-from repro.sim.trace import EventKind, Trace
+from repro.sim.trace import EventKind
 from repro.spec.base import drive
 from repro.spec.mutex_spec import check_mutex
 from repro.spec.pif_spec import check_pif
@@ -75,17 +75,6 @@ class TrialResult:
         merged = {**self.params, **self.measurements, **self.provenance,
                   "ok": self.ok, "violations": self.violations}
         return [merged.get(k) for k in keys]
-
-
-def _count_cs_grants(trace: Trace, tag: str) -> int:
-    """Arbitration rounds spent: critical-section entries of ``tag``.
-
-    Reads the CS_ENTER kind index — no full-trace scan, no event views.
-    """
-    return sum(
-        1 for row in trace.kind_rows(EventKind.CS_ENTER)
-        if trace.data_at(row).get("tag") == tag
-    )
 
 
 def _judge_pif(row: ProtocolKind, spec: TrialSpec, run: EngineRun):
@@ -166,7 +155,8 @@ def run_trial(
             served=len(run.completions),
             requested=spec.driver["requests_per_process"] * len(run.pids),
             # Only ME traces carry critical-section entries.
-            rounds=_count_cs_grants(run.trace, row.kind) or None,
+            rounds=sum(1 for _ in run.trace.scan(
+                EventKind.CS_ENTER, tag=row.kind)) or None,
             window=run.window,
         )
     verdict, measurements = _JUDGES[row.kind](row, spec, run)

@@ -122,7 +122,10 @@ __all__ = [
 #: positions) are code tables ``(values, codes)`` and its ``key_lo`` is
 #: the narrowest typecode that holds it — an older worker's list columns
 #: must fail at the first frame, not merge.
-PROTOCOL_VERSION = 9
+#: Version 10: a ``result`` ships the trace's coded store as it stands
+#: (shape and object tables, then columns of codes) — an older worker's
+#: code tables must fail, not merge.
+PROTOCOL_VERSION = 10
 
 #: A BARRIER's next-event bound when nothing can happen on the shard any
 #: more (an empty heap, no ships out): the largest tick the frame holds.

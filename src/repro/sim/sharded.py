@@ -28,16 +28,13 @@ shared by every worker and the coordinator:
 * worker side — :class:`_KeyedTrace` records one sortable key per
   emission, :func:`scramble_shard` scrambles one slice with the setup
   segments marked, :func:`shard_result_payload` is the record shipped
-  back: the trace's columns, the time and process columns as the
-  ``array("I")`` they sit in, and every list column (kinds, the
-  payload keys tuples, one column per payload position) as a code table
-  (:func:`~repro.sim.trace.code_table`): its distinct objects, by
-  identity, and one code a row in the narrowest unsigned ``array`` that
-  holds them, mostly one byte where a list held an 8-byte pointer; the
-  merge key as two columns, ``key_hi`` an ``array("Q")`` and ``key_lo``
-  (the per-entity counter) in the narrowest typecode that holds its
-  largest value — a row's time, key and codes arrive unboxed, as raw
-  bytes;
+  back: the trace's store as it stands
+  (:meth:`~repro.sim.trace.Trace.store`: its shape and object tables,
+  and its columns of times, processes and codes, mostly one or two bytes
+  a row where a list held an 8-byte pointer); the merge key as two
+  columns, ``key_hi`` an ``array("Q")`` and ``key_lo`` (the per-entity
+  counter) in the narrowest typecode that holds its largest value — a
+  row's time, key and codes arrive unboxed, as raw bytes;
 * coordinator side — :func:`merge_worker_traces` and
   :func:`merge_completions` reassemble the serial append order, the
   former as one k-way merge of the shards' already-sorted runs that
@@ -172,7 +169,7 @@ def shard_result_payload(
     """The per-shard result record a worker ships back.
 
     The trace travels as its
-    :meth:`~repro.sim.trace.Trace.coded_columns` plus the ``keys`` pair
+    :meth:`~repro.sim.trace.Trace.store` plus the ``keys`` pair
     of merge-key columns, row for row, ``key_lo`` narrowed to the
     smallest typecode that holds it — no event object or payload dict is
     built to ship it.  When the worker carries an
@@ -186,7 +183,7 @@ def shard_result_payload(
         obs.collect_sim(sim)
     key_lo = trace.key_lo
     return {
-        "columns": trace.coded_columns(),
+        "store": trace.store(),
         "keys": (trace.key_hi, array(narrowest(max(key_lo, default=0)), key_lo)),
         "proc_len": proc_len,
         "chan_len": chan_len,
@@ -217,7 +214,7 @@ def merge_worker_traces(
     rows, builds the trace (:meth:`~repro.sim.trace.Trace.merged`) —
     nothing is sorted.  A run found out of order raises
     :class:`~repro.errors.SimulationError`.  The payloads are consumed:
-    they hold no ``columns`` or ``keys`` afterwards.
+    they hold no ``store`` or ``keys`` afterwards.
     """
     # The two markers (1) and (3) are one more source, taken between
     # the phases.
@@ -229,20 +226,25 @@ def merge_worker_traces(
             markers.emit(0, EventKind.SCRAMBLE, None, what="channels",
                          injected=injected)
     marker = len(payloads)
-    runs = [(source, len(list(rows))) for source, rows in groupby(chain(
+    # The runs as two arrays (shard, rows), not a tuple a run: they are
+    # held through the merge.
+    shards, lengths = array("I"), array("I")
+    for source, rows in groupby(chain(
         _phase(_scramble_records, payloads),
         repeat(marker, int(scrambled)),
         _phase(_inject_records, payloads),
         repeat(marker, int(scrambled and fill_channels)),
         _phase(_run_records, payloads),
-    ))]
-    # The order is read; now the payloads' columns are handed over, to
-    # be let go one by one as the merged trace is built.
+    )):
+        shards.append(source)
+        lengths.append(len(list(rows)))
+    # The order is read; now the payloads' stores are handed over, to
+    # be let go column by column as the merged trace is built.
     sources = []
     for payload in payloads:
         del payload["keys"]
-        sources.append(list(payload.pop("columns")))
-    return Trace.merged([*sources, list(markers.coded_columns())], runs)
+        sources.append(list(payload.pop("store")))
+    return Trace.merged([*sources, list(markers.store())], zip(shards, lengths))
 
 
 def _phase(records, payloads: list[dict[str, Any]]) -> Iterator[int]:
@@ -267,7 +269,7 @@ def _out_of_order(shard: int, phase: str, row: int) -> SimulationError:
 
 
 def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    procs = payload["columns"][2]
+    procs = payload["store"][4]
     last: tuple = ()
     for row in range(payload["proc_len"]):
         pid = procs[row]
@@ -279,22 +281,22 @@ def _scramble_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    _times, _kinds, _procs, (shapes, shape_codes), *fields = payload["columns"]
-    # Per payload shape (by its code), the code tables its src and dst
-    # sit in (None: the shape has none, read as -1).
+    table, objects, _times, shapes, _procs, *fields = payload["store"]
+    # Per shape (by its code), the code columns its src and dst sit in
+    # (None: the shape has none, read as -1).
     where: dict[int, list] = {}
     last: tuple = ()
     start = payload["proc_len"]
-    for row, code in enumerate(shape_codes[start:payload["chan_len"]], start):
+    for row, code in enumerate(shapes[start:payload["chan_len"]], start):
         try:
             src, dst = where[code]
         except KeyError:
-            shape = shapes[code]
+            keys = table[code][1]
             src, dst = where[code] = [
-                fields[shape.index(name)] if name in shape else None
+                fields[keys.index(name)] if name in keys else None
                 for name in ("src", "dst")]
-        record = (-1 if src is None else src[0][src[1][row]],
-                  -1 if dst is None else dst[0][dst[1][row]], row - start, shard)
+        record = (-1 if src is None else objects[src[row]],
+                  -1 if dst is None else objects[dst[row]], row - start, shard)
         if record < last:
             raise _out_of_order(shard, "inject", row)
         last = record
@@ -302,7 +304,7 @@ def _inject_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
 
 
 def _run_records(shard: int, payload: dict[str, Any]) -> Iterator[tuple]:
-    times, _kinds, procs, *_ = payload["columns"]
+    _table, _objects, times, _shapes, procs, *_ = payload["store"]
     start = payload["chan_len"]
     last: tuple = ()
     for row, time, hi, lo, pid in zip(count(start), *(

@@ -1,4 +1,4 @@
-"""Execution traces and semantic events — a columnar store with one index.
+"""Execution traces and semantic events — a coded columnar store with one index.
 
 Protocol layers emit *semantic events* (request, start, decide, receive-brd,
 receive-fck, CS enter/exit, ...) into a :class:`Trace`.  Specification
@@ -10,49 +10,53 @@ Storage layout (the trial hot path emits one event per delivered protocol
 message, the trace is the one per-trial structure that grows with run
 length, and the spec automata re-read it, so all three sides are tuned):
 
-* Events live in **columns**, not :class:`TraceEvent` objects: ``time``
-  and ``process`` (4-byte ``array("I")`` columns, ``None`` stored as
-  :data:`NO_PROCESS`; a row either refuses is not written), ``kind``
-  (the string itself), the payload's field names (``keys``: a tuple
-  interned per payload shape in ``_schemas``), then **one column per
-  payload position** — a row keeps no tuple of its own, and a row
-  shorter than the widest payload pads with ``None``.  ``emit`` adds a
-  row's payload entries to a flat pending list with one ``list +=``;
-  they move into their columns every few thousand entries and before
-  any read.  :meth:`Trace.coded_columns` ships the columns with each
-  list column as a code table (:func:`code_table`: the column's distinct
-  objects and one narrow integer code a row), and :meth:`Trace.merged`
-  builds the shard merge's trace from shipped columns a column at a
-  time, one shard's run of rows as one slice, dropping each shard column
-  as it goes.
+* Events live in **columns of codes**, not :class:`TraceEvent` objects:
+  ``time`` and ``process`` (4-byte ``array("I")`` columns, ``None``
+  stored as :data:`NO_PROCESS`), one **shape** code a row
+  (``array("B")``, ``"H"`` past 256 shapes) into the trace's shape table
+  of ``(kind, payload keys, tag value)``, then **one column per payload
+  position** (``array("H")``, ``"I"`` past 65 536 objects) of codes into
+  the trace's one **object table**: every distinct payload object *by
+  identity* (so ``1``, ``True`` and ``1.0``, or two equal strings, stay
+  the objects they were), code 0 being the ``None`` a row shorter than
+  the widest payload pads with.  A row either 4-byte column or its shape
+  key (an unhashable tag) refuses is not written.  ``emit`` adds a row's
+  shape code and payload entries to two pending lists (an ``append`` and
+  a ``list +=``); they are coded into their columns in C-level passes
+  every :data:`_SETTLE_AT` rows and before any read.  A shard ships its
+  store as it stands (:meth:`Trace.store`), and :meth:`Trace.merged`
+  builds the merge's store a column at a time, rebasing each source's
+  codes onto the concatenated tables.
 * **One kind index** (kind → rows, in emission order, an ``array("I")``
   of row numbers) is kept on every append, so :meth:`Trace.scan` builds
   exactly the rows a checker reads and :meth:`Trace.kind_rows` is a
   lookup.
 * A reader sees a payload as a dict: :meth:`Trace.scan`,
-  :meth:`Trace.data_at` and the :class:`TraceEvent` views rebuild one per
-  row read (``scan`` with C-level ``zip``/``map``, no Python frame a
-  row).  :class:`TraceEvent` is the per-event view that ``trace[i]``,
-  iteration, :meth:`Trace.of_kind` and :meth:`Trace.first` return.  A
-  view is **built on demand and never cached**: the spec checkers, the
-  canonical hash and the shard merge read rows and never build one.
+  :meth:`Trace.data_at` and the :class:`TraceEvent` views decode one per
+  row read through the tables (``scan`` with C-level ``zip``/``map``, no
+  Python frame a row).  :class:`TraceEvent` is the per-event view that
+  ``trace[i]``, iteration, :meth:`Trace.of_kind` and :meth:`Trace.first`
+  return.  A view is **built on demand and never cached**: the spec
+  checkers, the canonical hash and the shard merge read rows and never
+  build one.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import eq, getitem, itemgetter
+from operator import add, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.sim.determinism import blake2b
 
 __all__ = [
     "EventKind", "TraceEvent", "Trace", "NO_PROCESS", "canonical_trace_hash",
-    "code_table", "narrowest",
+    "narrowest",
 ]
 
 
@@ -105,11 +109,10 @@ class TraceEvent:
 #: integer codes), and no process id is this large.
 NO_PROCESS = (1 << 32) - 1
 
-#: Payload entries wait in a trace's flat ``_pending`` list (one row after
-#: another, each padded to the store's width) and move into their columns
-#: once this many have gathered, or when a reader needs them: one
-#: ``list +=`` a row instead of one append per payload position.
-_SETTLE_AT = 4096
+#: Rows whose payload entries wait in a trace's pending list before they
+#: are coded into the columns (and the most a read codes at once): one
+#: ``list +=`` a row instead of one coded append per column.
+_SETTLE_AT = 1024
 #: ``_process(entry, entry)`` is a process column entry as it was emitted.
 _process = {NO_PROCESS: None}.get
 #: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
@@ -117,33 +120,45 @@ _GATHER = 1024
 #: :meth:`Trace.scan`'s ``tag`` when no tag is asked for (None is a tag:
 #: that of a payload without one).
 _ANY_TAG = object()
+#: The most objects a two-byte payload column codes.
+_NARROW_OBJECTS = 1 << 16
 
 
 class Trace:
-    """Append-only event log: columns and a kind index.
+    """Append-only event log: coded columns, their tables and a kind index.
 
     The streaming API (:meth:`scan`, :meth:`rows_of`, :meth:`kind_rows`,
     :meth:`data_at`) reads rows; :meth:`of_kind`,
     :meth:`first`, indexing and iteration return :class:`TraceEvent` views.
-    A payload is held as an interned keys tuple and one entry in each
-    payload-position column; every reader gets it back as a fresh dict.
+    A payload is held as its row's shape code and one code in each
+    payload-position column; every reader gets it back as a fresh dict of
+    the very objects emitted.
     """
 
-    __slots__ = ("_times", "_kinds", "_procs", "_keys", "_fields", "_pending",
-                 "_schemas", "_kind_rows")
+    __slots__ = ("_times", "_procs", "_shapes", "_fields", "_pending",
+                 "_settle_at", "_shape_table", "_shape_of", "_objects",
+                 "_code_of", "_kind_rows")
 
     def __init__(self) -> None:
         self._times: array[int] = array("I")
-        self._kinds: list[str] = []
         self._procs: array[int] = array("I")
-        self._keys: list[tuple[str, ...]] = []
-        #: One column per payload position; a shorter row pads with None.
-        self._fields: list[list[Any]] = []
-        #: The latest rows' payload entries, not yet in ``_fields``.
+        self._shapes: array[int] = array("B")
+        #: One code column per payload position; a shorter row pads with
+        #: code 0 (None).
+        self._fields: list[array[int]] = []
+        #: The latest rows, not yet coded: each row's payload values, the
+        #: Nones that pad it to the store's width, then its shape code.
         self._pending: list[Any] = []
-        #: Every payload shape seen: its interned keys tuple and the Nones
-        #: that pad it to the store's width.
-        self._schemas: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[None, ...]]] = {}
+        self._settle_at = _SETTLE_AT
+        #: Every shape, ``(kind, keys, tag)``, by code; and kind → keys →
+        #: tag → the padding and code a row of that shape ends with.
+        self._shape_table: list[tuple[str, tuple[str, ...], Any]] = []
+        self._shape_of: dict[str, dict[tuple[str, ...], dict[Any, tuple]]] = {}
+        #: Every payload object by code, and ``id`` → code (None until a
+        #: merged trace codes a row of its own).  The table holds each
+        #: object, so no id in the map is reused while the trace lives.
+        self._objects: list[Any] = [None]
+        self._code_of: defaultdict[int, int] | None = _code_map(self._objects)
         self._kind_rows: dict[str, array[int]] = {}
 
     # -- appending ---------------------------------------------------------
@@ -157,9 +172,15 @@ class Trace:
     ) -> None:
         """Append one event whose payload is ``data``: the engine's hottest
         trace operation, and the one every emission goes through."""
-        # The process and the time first: a value either 4-byte column
-        # refuses raises before any other column grows (a refused time
-        # takes its process entry back), so no half-written row is left.
+        # The shape, the process and the time first: a tag the shape table
+        # or a value either 4-byte column refuses raises before any other
+        # column grows (a refused time takes its process entry back), so
+        # no half-written row is left.
+        keys = tuple(data)
+        try:
+            tail = self._shape_of[kind][keys][data.get("tag")]
+        except KeyError:  # a new shape: enter it, widen the store for it
+            tail = self._new_shape(kind, keys, data.get("tag"))
         procs = self._procs
         try:
             procs.append(process)
@@ -178,104 +199,163 @@ class Trace:
             self._kind_rows[kind].append(row)
         except KeyError:
             self._kind_rows[kind] = array("I", (row,))
-        self._kinds.append(kind)
-        keys = tuple(data)
-        try:
-            schema, pad = self._schemas[keys]
-        except KeyError:  # a new payload shape: intern it, widen for it
-            width = self._widen(len(keys), row)
-            schema, pad = self._schemas[keys] = (keys, (None,) * (width - len(keys)))
-        self._keys.append(schema)
         pending = self._pending
         pending += data.values()
-        pending += pad
-        if len(pending) >= _SETTLE_AT:
+        pending += tail
+        if len(pending) >= self._settle_at:
             self._settle()
 
-    def _widen(self, width: int, rows: int) -> int:
-        """Open payload columns up to ``width`` (None for the first
-        ``rows`` rows) and re-pad every shape; the store's width."""
+    def _new_shape(self, kind: str, keys: tuple[str, ...], tag: Any) -> tuple:
+        """Enter shape ``(kind, keys, tag)`` in the table, opening payload
+        columns up to its width (code 0, None, for the rows so far); the
+        tail a row of it ends with."""
+        hash(tag)  # an unhashable tag is refused before the store changes
         fields = self._settle()
-        if width > len(fields):
-            while len(fields) < width:
-                fields.append([None] * rows)
-            schemas = self._schemas
-            for shape, (interned, _pad) in schemas.items():
-                schemas[shape] = (interned, (None,) * (width - len(shape)))
-        return len(fields)
+        table = self._shape_table
+        code = len(table)
+        table.append((kind, keys, tag))
+        if narrowest(code) != self._shapes.typecode:
+            self._shapes = array(narrowest(code), self._shapes)
+        if len(keys) > len(fields):
+            blank = array(self._code_type(), [0]) * len(self._times)
+            while len(fields) < len(keys):
+                fields.append(blank[:])
+            self._index_shapes()
+        else:
+            self._shape_of.setdefault(kind, {}).setdefault(keys, {})[tag] = (
+                *(None,) * (len(fields) - len(keys)), code)
+        return self._shape_of[kind][keys][tag]
 
-    def _settle(self) -> list[list[Any]]:
-        """The payload columns, with every pending entry moved in."""
+    def _index_shapes(self) -> None:
+        """Key every shape of the table by kind, keys and tag, each with
+        the tail its rows end with at the store's width."""
+        width = len(self._fields)
+        shape_of: dict[str, dict[tuple[str, ...], dict[Any, tuple]]] = {}
+        for code, (kind, keys, tag) in enumerate(self._shape_table):
+            shape_of.setdefault(kind, {}).setdefault(keys, {})[tag] = (
+                *(None,) * (width - len(keys)), code)
+        self._shape_of = shape_of
+        self._settle_at = _SETTLE_AT * (width + 1)
+
+    def _code_type(self) -> str:
+        """The payload columns' typecode: two bytes while the object
+        table fits them."""
+        return "H" if len(self._objects) <= _NARROW_OBJECTS else "I"
+
+    def _settle(self) -> list[array[int]]:
+        """The payload columns, with every pending row coded in: an object
+        met for the first time (by ``id``) takes the next code and joins
+        the table.  Every pass is C-level."""
         pending, fields = self._pending, self._fields
-        if pending:
-            width = len(fields)
-            for position, column in enumerate(fields):
-                column += pending[position::width]
-            pending.clear()
+        if not pending:
+            return fields
+        width = len(fields) + 1
+        shapes = pending[width - 1::width]
+        if self._shapes.typecode == "B":
+            self._shapes.frombytes(bytes(shapes))
+        else:
+            self._shapes.extend(shapes)
+        if self._code_of is None:
+            self._code_of = _code_map(self._objects)
+        code_of, objects = self._code_of, self._objects
+        for position in range(width - 1):
+            entries = pending[position::width]
+            known = len(code_of)
+            codes = array("I", map(code_of.__getitem__, map(id, entries)))
+            if len(code_of) > known:
+                # The new codes follow the table; keyed by code, a later
+                # entry of a code is the same object.
+                first = dict(zip(codes, entries))
+                objects += map(first.__getitem__, range(
+                    len(objects), len(objects) + len(code_of) - known))
+                if fields[0].typecode != self._code_type():
+                    fields[:] = [array("I", column) for column in fields]
+            fields[position] += _narrowed(codes, fields[position].typecode)
+        pending.clear()
         return fields
 
-    def columns(self) -> tuple[Any, ...]:
-        """The store as ``(times, kinds, processes, keys, *fields)``.
+    def columns(self) -> tuple[array[int], ...]:
+        """The row columns, coded: ``(times, shapes, processes, *fields)``.
 
-        These are the live columns — read, do not mutate.  The process
-        column is an ``array("I")`` with ``None`` as :data:`NO_PROCESS`;
-        ``fields`` holds one column per payload position.
+        These are the live arrays — read, do not mutate.  The process
+        column holds ``None`` as :data:`NO_PROCESS`; a shape code indexes
+        :meth:`store`'s shape table, a ``fields`` code its object table.
         """
-        return (self._times, self._kinds, self._procs, self._keys,
-                *self._settle())
+        return (self._times, self._shapes, self._procs, *self._settle())
 
-    def coded_columns(self) -> tuple[Any, ...]:
-        """:meth:`columns` as :meth:`merged` takes them: the two arrays as
-        they are, every list column as its :func:`code_table`."""
-        times, kinds, procs, keys, *fields = self.columns()
-        return (times, code_table(kinds), procs, code_table(keys),
-                *map(code_table, fields))
+    def store(self) -> tuple[Any, ...]:
+        """The store as it stands, as :meth:`merged` takes it:
+        ``(shape table, object table, *columns())``."""
+        return (self._shape_table, self._objects, *self.columns())
 
     @classmethod
     def merged(
-        cls, sources: list[list[Any]], runs: Sequence[tuple[int, int]]
+        cls, sources: list[list[Any]], runs: Iterable[tuple[int, int]]
     ) -> Trace:
         """A trace of the rows of ``sources`` — other traces'
-        :meth:`coded_columns`, as lists — in the order ``runs`` gives (the
-        shard merge): a run ``(source, rows)`` takes that source's next
-        ``rows`` rows, so a source's rows are taken first to last.
+        :meth:`store`, as lists — in the order ``runs`` gives (the shard
+        merge): a run ``(source, rows)`` takes that source's next ``rows``
+        rows, so a source's rows are taken first to last.
 
-        The store is built a column at a time, a source at a time: the
-        source's code table for the column is decoded whole (one C-level
-        pass) and each of its runs is one slice assignment into place
-        (no dict and no per-row tuple; on a 1-tick window a run is a few
-        rows), then the kind index in one pass over the kind column.
-        ``sources`` are consumed: each source column is set to None as it
-        is decoded, so columns the caller handed over alone (a shard's
-        unpickled result) are freed as the merge goes, and its peak
-        holds the merged column and one source's, not the store twice.
-        A merged row holds the very objects its source's table held (the
-        payload keys tuples stay one object per shape).
+        The tables are the sources' tables one after another, so a
+        source's codes are rebased by the length of the tables before it
+        (one C-level pass a column; the first source's stand as they
+        are).  The store is built a column at a time, a source at a time:
+        each of a source's runs is one slice assignment into a column
+        allocated at its final size, then the kind index in one pass over
+        the shape column.  No column is decoded.  ``sources`` are
+        consumed: each source column is set to None as it is placed, so
+        columns the caller handed over alone (a shard's unpickled result)
+        are freed as the merge goes, and its peak holds the merged column
+        and one source's, not the store twice.  A merged row holds the
+        very objects its source's table held.
         """
-        width = max([4, *map(len, sources)])
-        # Per source, its runs as (merged row, source row, rows).
-        placed: list[list[tuple[int, int, int]]] = [[] for _ in sources]
+        trace = cls()
+        table, objects = trace._shape_table, trace._objects
+        objects.clear()
+        # Per source, the codes before its tables'.
+        bases: list[tuple[int, int]] = []
+        for source in sources:
+            bases.append((len(table), len(objects)))
+            table += source[0]
+            objects += source[1]
+            source[0] = source[1] = None
+        if not objects:
+            objects.append(None)
+        # Per source, its runs as flat (merged row, source row, rows)
+        # triples: an array, not a tuple a run.
+        placed = [array("I") for _ in sources]
         taken = [0] * len(sources)
         total = 0
         for source, rows in runs:
-            placed[source].append((total, taken[source], rows))
+            placed[source].extend((total, taken[source], rows))
             taken[source] += rows
             total += rows
+        # Per store position from the times on: its typecode and which
+        # table its codes index (None: not codes).
+        layout = [("I", None), (narrowest(max(len(table) - 1, 0)), 0), ("I", None)]
+        layout += [(trace._code_type(), 1)] * (max([5, *map(len, sources)]) - 5)
         columns = []
-        for position in range(width):
-            column = (array("I", [0]) if position in (0, 2) else [None]) * total
-            for source, its_runs in zip(sources, placed):
-                piece = _taken(source, position)
-                if piece is not None:
-                    for at, start, rows in its_runs:
-                        column[at:at + rows] = piece[start:start + rows]
+        for position, (typecode, codes) in enumerate(layout, 2):
+            column = array(typecode, [0]) * total
+            for source, its_runs, base in zip(sources, placed, bases):
+                if position >= len(source):
+                    continue  # code 0: None
+                piece, source[position] = source[position], None
+                rebase = 0 if codes is None else base[codes]
+                if rebase or piece.typecode != typecode:
+                    piece = _narrowed(
+                        array("I", map(add, piece, repeat(rebase))), typecode)
+                for at, start, rows in zip(*[iter(its_runs)] * 3):
+                    column[at:at + rows] = piece[start:start + rows]
                 del piece
             columns.append(column)
-        trace = cls()
-        (trace._times, trace._kinds, trace._procs, trace._keys,
-         *trace._fields) = columns
+        trace._times, trace._shapes, trace._procs, *trace._fields = columns
+        trace._index_shapes()
+        trace._code_of = None
+        kinds = [shape[0] for shape in table]
         index: defaultdict[str, array[int]] = defaultdict(partial(array, "I"))
-        for row, kind in enumerate(trace._kinds):
+        for row, kind in enumerate(map(kinds.__getitem__, trace._shapes)):
             index[kind].append(row)
         trace._kind_rows = dict(index)
         return trace
@@ -283,9 +363,10 @@ class Trace:
     # -- event views ---------------------------------------------------------
 
     def _event(self, row: int) -> TraceEvent:
+        data = self.data_at(row)
         p = self._procs[row]
-        return TraceEvent(self._times[row], self._kinds[row], _process(p, p),
-                          self.data_at(row))
+        return TraceEvent(self._times[row], self._shape_table[self._shapes[row]][0],
+                          _process(p, p), data)
 
     def __len__(self) -> int:
         return len(self._times)
@@ -333,60 +414,67 @@ class Trace:
 
         With ``kinds`` given, only those rows are built, and with ``tag``
         only those of them whose ``data.get("tag")`` is ``tag`` (None
-        included): the rows are picked through the kind index and the tag
-        column before any dict exists.  Each column is gathered at the
-        picked rows, a chunk at a time — unless the kinds are at least 3/4
-        of the trace and every row of them is picked, when every row is
-        built and the others dropped: the PIF automaton's rows are 83-96 %
-        of a PIF trial's, and ``check_pif`` runs up to ~15 % faster so
-        (docs/perf.md, "Why a payload is stored field-wise").  Either way a
-        row is assembled by C-level ``zip``/``map``, with no Python frame
-        per row and no :class:`TraceEvent`; ``data`` is a fresh dict per
-        row.  This is the spec checkers' single-pass primitive.
+        included): the rows are picked through the kind index and the
+        shape column before any dict exists.  Each column is gathered at
+        the picked rows, a chunk at a time — unless the kinds are at least
+        3/4 of the trace and each of their shapes is picked, when every
+        row is built and the others dropped by their shape code: the PIF
+        automaton's rows are 83-96 % of a PIF trial's (docs/perf.md, "Why
+        a trace row is codes").  Either way a row is assembled by C-level
+        ``zip``/``map``, with no Python frame per row and no
+        :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is
+        the spec checkers' single-pass primitive.
         """
-        columns: Sequence[Iterable[Any]] = (
-            self._times, self._kinds, self._procs, self._procs, self._keys,
-            *self._settle())
+        fields = self._settle()
         if not kinds:
-            return _rows(*columns)
+            return self._rows(self._times, self._shapes, self._shapes,
+                              self._procs, self._procs, *fields)
         indexes = self._indexes(kinds)
-        if (4 * sum(map(len, indexes)) >= 3 * len(self._times)
-                and (tag is _ANY_TAG
-                     or all(self._all_tagged(rows, tag) for rows in indexes))):
-            return compress(_rows(*columns),
-                            map(frozenset(kinds).__contains__, self._kinds))
+        ours = {code for code, (kind, _keys, _tag) in enumerate(self._shape_table)
+                if kind in kinds}
+        wanted = ours if tag is _ANY_TAG else {
+            code for code in ours if self._shape_table[code][2] == tag}
+        if not wanted:
+            return iter(())
+        if wanted == ours and 4 * sum(map(len, indexes)) >= 3 * len(self._times):
+            return compress(
+                self._rows(self._times, self._shapes, self._shapes,
+                           self._procs, self._procs, *fields),
+                _marks(self._shapes, wanted))
         rows = sorted(chain.from_iterable(indexes))
-        if tag is not _ANY_TAG:
-            rows = self._tagged(rows, tag)
+        if wanted != ours:
+            rows = list(compress(rows, _marks(
+                array(self._shapes.typecode,
+                      _gathered(self._shapes, _getters(rows))), wanted)))
         getters = _getters(rows)
-        return _rows(*(_gathered(column, getters) for column in columns))
+        return self._rows(*(_gathered(column, getters) for column in (
+            self._times, self._shapes, self._shapes, self._procs, self._procs,
+            *fields)))
 
-    def _tagged(self, rows: list[int], tag: Any) -> list[int]:
-        """Those of ``rows`` whose payload's ``tag`` entry is ``tag``, each
-        read from the column its row's shape keeps it in."""
-        tags = map(getitem, map(_TagColumns(self._settle()).__getitem__,
-                                _gathered(self._keys, _getters(rows))), rows)
-        return list(compress(rows, map(eq, repeat(tag), tags)))
-
-    def _all_tagged(self, rows: Sequence[int], tag: Any) -> bool:
-        """Whether every one of ``rows`` (one kind's) has one payload shape
-        and ``tag`` as its ``tag`` entry: the dense path's test, a few
-        C-level passes where :meth:`_tagged` looks up each row's shape
-        (``check_pif`` ran ~10 % slower through it)."""
-        keys = self._keys
-        shape = keys[rows[0]]
-        if "tag" not in shape:
-            return False
-        column = self._settle()[shape.index("tag")]
-        for get in _getters(rows):
-            shapes, tags = get(keys), get(column)
-            if shapes.count(shape) != len(shapes) or tags.count(tag) != len(tags):
-                return False
-        return True
+    def _rows(
+        self, times: Iterable[int], shapes: Iterable[int],
+        shapes_again: Iterable[int], procs: Iterable[int],
+        procs_again: Iterable[int], *fields: Iterable[int],
+    ) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
+        """:meth:`scan` rows zipped from column iterators, decoded through
+        the tables (the shape column twice, for the kind and the keys; the
+        process column twice: :data:`_process` reads an entry and its
+        default)."""
+        kinds, keys = _shape_parts(self._shape_table)
+        decode = self._objects.__getitem__
+        payloads = zip(*[map(decode, column) for column in fields]) if fields \
+            else repeat(())
+        return zip(times, map(kinds.__getitem__, shapes),
+                   map(_process, procs, procs_again),
+                   map(dict, map(zip, map(keys.__getitem__, shapes_again),
+                                 payloads)))
 
     def data_at(self, row: int) -> dict[str, Any]:
         """Row ``row``'s payload, as a fresh dict."""
-        return dict(zip(self._keys[row], map(itemgetter(row), self._settle())))
+        fields = self._settle()
+        keys = self._shape_table[self._shapes[row]][1]
+        return dict(zip(keys, map(self._objects.__getitem__,
+                                  map(itemgetter(row), fields))))
 
     # -- event queries -------------------------------------------------------
 
@@ -415,39 +503,66 @@ class Trace:
         """
         h = blake2b(digest_size=16)
         update = h.update
-        procs, fields = self._procs, self._settle()
+        fields = self._settle()
+        procs, shapes = self._procs, self._shapes
+        kinds, keys = _shape_parts(self._shape_table)
+        decode = self._objects.__getitem__
         for t, kind, p, k, v in zip(
-            self._times, self._kinds, map(_process, procs, procs), self._keys,
-            zip(*fields) if fields else repeat(()),
+            self._times, map(kinds.__getitem__, shapes),
+            map(_process, procs, procs), map(keys.__getitem__, shapes),
+            zip(*[map(decode, column) for column in fields]) if fields
+            else repeat(()),
         ):
             update(repr((t, kind, p, sorted(zip(k, v)))).encode())
             update(b"\x1e")
         return h.hexdigest()
 
 
-def _taken(source: list[Any], position: int) -> Sequence[Any] | None:
-    """Column ``position`` of a :meth:`Trace.merged` source, set to None
-    there (None if the source has no such column); a code table comes
-    back decoded, in one C-level pass."""
-    if position >= len(source):
-        return None
-    column, source[position] = source[position], None
-    if position in (0, 2):
-        return column
-    values, codes = column
-    return list(map(getitem, repeat(values), codes))
+def _code_map(objects: list[Any]) -> defaultdict[int, int]:
+    """``id`` → code of every object of ``objects``, handing an id it
+    has not met the next code."""
+    return defaultdict(count(len(objects)).__next__,
+                       zip(map(id, objects), range(len(objects))))
 
 
-def _rows(
-    times: Iterable[int], kinds: Iterable[str], procs: Iterable[int],
-    procs_again: Iterable[int], keys: Iterable[tuple[str, ...]],
-    *fields: Iterable[Any],
-) -> Iterator[tuple[int, str, int | None, dict[str, Any]]]:
-    """:meth:`Trace.scan` rows zipped from column iterators (the process
-    column twice: :data:`_process` reads an entry and its default)."""
-    payloads = zip(*fields) if fields else repeat(())
-    return zip(times, kinds, map(_process, procs, procs_again),
-               map(dict, map(zip, keys, payloads)))
+def _shape_parts(
+    table: list[tuple[str, tuple[str, ...], Any]]
+) -> tuple[list[str], list[tuple[str, ...]]]:
+    """A shape table's kinds and payload keys, each by shape code."""
+    return [shape[0] for shape in table], [shape[1] for shape in table]
+
+
+#: Where an "I" code's low-order bytes sit in its four.
+_LITTLE = sys.byteorder == "little"
+
+
+def _narrowed(codes: array[int], typecode: str) -> array[int]:
+    """``codes`` (an ``array("I")`` whose entries fit ``typecode``) as an
+    ``array(typecode)``.
+
+    Built from the codes' low-order bytes with strided slices, not one
+    parsed append an entry ("B" and "H" appends go through
+    ``PyArg_Parse``, ~3x the cost of a slice).
+    """
+    out = array(typecode)
+    size = out.itemsize
+    if size == 4:
+        return codes
+    raw, at = codes.tobytes(), 0 if _LITTLE else 4 - size
+    narrow = bytearray(size * len(codes))
+    for byte in range(size):
+        narrow[byte::size] = raw[at + byte::4]
+    out.frombytes(narrow)
+    return out
+
+
+def _marks(shapes: array[int], wanted: set[int]) -> Iterable[int]:
+    """Per entry of ``shapes``, whether its code is ``wanted`` (one
+    ``bytes.translate`` of a one-byte column)."""
+    if shapes.typecode == "B":
+        return shapes.tobytes().translate(
+            bytes(code in wanted for code in range(256)))
+    return map(frozenset(wanted).__contains__, shapes)
 
 
 def _gathered(column: Sequence[Any], getters: list[itemgetter]) -> Iterator[Any]:
@@ -467,24 +582,6 @@ def _getters(rows: Sequence[int]) -> list[itemgetter]:
     return getters
 
 
-class _TagColumns(dict):
-    """Payload shape → the column holding its ``tag`` entry, filled in as
-    shapes are met (a merged trace's shapes are not in ``_schemas``).  A
-    shape without one reads None at every row, as ``data.get("tag")``
-    does: a ``defaultdict`` of None, holding only the rows asked."""
-
-    __slots__ = ("fields",)
-
-    def __init__(self, fields: list[list[Any]]) -> None:
-        super().__init__()
-        self.fields = fields
-
-    def __missing__(self, shape: tuple[str, ...]) -> Any:
-        column = self[shape] = (self.fields[shape.index("tag")]
-                                if "tag" in shape else defaultdict(type(None)))
-        return column
-
-
 #: Unsigned ``array`` typecodes, narrowest first, each with its largest value.
 _UNSIGNED = tuple((code, (1 << 8 * array(code).itemsize) - 1) for code in "BHIQ")
 
@@ -492,25 +589,6 @@ _UNSIGNED = tuple((code, (1 << 8 * array(code).itemsize) - 1) for code in "BHIQ"
 def narrowest(top: int) -> str:
     """The narrowest unsigned ``array`` typecode that holds ``top``."""
     return next(code for code, largest in _UNSIGNED if top <= largest)
-
-
-def code_table(column: Sequence[Any]) -> tuple[list[Any], array[int]]:
-    """``column`` as ``(values, codes)``: its distinct objects in first-seen
-    order and, per entry, its object's place there, in the narrowest
-    unsigned ``array`` that holds them (one byte a row for up to 256).
-
-    Distinct by identity, not equality, so ``1``, ``True`` and ``1.0``,
-    or two equal strings, stay the objects they were, and the table is
-    never larger than what pickle's memo would ship of the column.  Each
-    pass is C-level: no Python frame a row.
-    """
-    # An id met for the first time takes the next code.
-    code_of: defaultdict[int, int] = defaultdict(count().__next__)
-    codes = list(map(code_of.__getitem__, map(id, column)))
-    # Keyed by code, the table keeps first-seen order (a later row of a
-    # code holds the same object).
-    values = list(dict(zip(codes, column)).values())
-    return values, array(narrowest(len(values) - 1), codes)
 
 
 def canonical_trace_hash(trace: Trace) -> str:

@@ -52,6 +52,7 @@ from repro.engine import (
     validate_run_provenance,
 )
 from repro.errors import HorizonExceeded, SpecError
+from repro.sim.trace import EventKind
 from repro.net.coordinator import interpreters_spawned
 
 DRIVER = dict(tag="pif", requests_per_process=1, payload_fmt="m-{pid}-{k}")
@@ -389,6 +390,12 @@ def test_what_the_spec_names_wins_over_the_rows_default():
     with pytest.raises(HorizonExceeded, match="ME trial did not finish") as err:
         run_trial(replace(spec, horizon=40))
     assert "horizon=40" in str(err.value)
+    # The rounds spent are the trace's ME cs-enter rows, counted here
+    # through the event views.
+    cut = execute(PROTOCOLS["me"].describe(replace(spec, horizon=40)))
+    grants = [e for e in cut.trace.of_kind(EventKind.CS_ENTER)
+              if e.get("tag") == "me"]
+    assert err.value.rounds == (len(grants) or None)
     # A wrapper keyword is an explicit override of the spec's own value.
     assert run_mutex_trial(
         spec, requests_per_process=2).measurements["requested"] == 6

@@ -408,8 +408,9 @@ class TestKeyedMergeRebuildsTheSerialOrder:
 
 
 class TestTheResultShipsCodeTables:
-    """A shard's list columns ship as code tables and its merge-key
-    counter as the narrowest array that holds it; neither changes a row."""
+    """A shard's store ships as it stands — its tables and its columns of
+    codes — and its merge-key counter as the narrowest array that holds
+    it; neither changes a row."""
 
     def test_identity_coding_is_exact(self):
         first, second = "".join(["pay", "load"]), "".join(["pay", "load"])
@@ -424,9 +425,8 @@ class TestTheResultShipsCodeTables:
         payloads = [pickle.loads(pickle.dumps(shard_result_payload(
             SimpleNamespace(stats=None), trace, 0, 0, (), None, None)))
             for trace in traces]
-        assert all(isinstance(column, tuple) for payload in payloads
-                   for position, column in enumerate(payload["columns"])
-                   if position not in (0, 2))
+        assert all(isinstance(column, array) for payload in payloads
+                   for column in payload["store"][2:])
         merged = merge_worker_traces(payloads, False, False, 0)
         assert list(map(repr, merged.scan())) == list(map(repr, serial.scan()))
         assert merged.canonical_hash() == serial.canonical_hash()
@@ -518,7 +518,7 @@ def two_shard_payloads():
     assert run.completed and len(captured) == 1
     payloads = pickle.loads(captured[0])[0]
     assert len(payloads) == 2 and all(
-        len(payload["columns"][0]) > 1000 for payload in payloads)
+        len(payload["store"][2]) > 1000 for payload in payloads)
     return captured[0], run.trace.canonical_hash()
 
 
@@ -531,32 +531,37 @@ class TestTheMergeStreams:
         shipped, digest = two_shard_payloads
         tracemalloc.start()
         try:
-            # From before the unpickling: what a payload holds decoded is
-            # part of the cost, however it ships.
+            # From before the unpickling: what a payload holds as it
+            # arrived is part of the cost, however it ships.  The
+            # unpickler's own transient (its memo of each array's bytes)
+            # is the wire's, not the merge's.
             args = pickle.loads(shipped)
+            arrived = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             merged = merge_worker_traces(*args)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert merged.canonical_hash() == digest
         # ``held`` is the merged store (and what the payloads keep besides
-        # their columns).  Each shard column goes as its merged column is
-        # built, so decode and merge together never hold more than two
-        # columns beyond it: never both payloads' columns and the store.
+        # their stores), ``arrived`` the payloads.  Each shard column goes
+        # as its merged column is built, so the merge never holds more
+        # than two columns beyond the larger of the two: never both the
+        # payloads' columns and the store.
         widest = max(map(sys.getsizeof, merged.columns()))
-        assert peak <= held + 2 * widest, (
-            f"decode and merge peak at {peak} B against a merged store of "
-            f"{held} B and a widest column of {widest} B: a row is held twice")
-        assert not any("columns" in payload or "keys" in payload
+        assert peak <= max(arrived, held) + 2 * widest, (
+            f"merge peak at {peak} B against payloads of {arrived} B, a "
+            f"merged store of {held} B and a widest column of {widest} B: "
+            f"a row is held twice")
+        assert not any("store" in payload or "keys" in payload
                        for payload in args[0])
 
     def test_a_run_out_of_order_is_an_error(self, two_shard_payloads):
         payloads, *flags = pickle.loads(two_shard_payloads[0])
         shard = payloads[1]
-        first, last = shard["chan_len"], len(shard["columns"][0]) - 1
-        times, (_, kinds), procs, (_, keys), *fields = shard["columns"]
-        for column in (times, kinds, procs, keys,
-                       *(codes for _, codes in fields), *shard["keys"]):
+        first, last = shard["chan_len"], len(shard["store"][2]) - 1
+        _shapes, _objects, *columns = shard["store"]
+        for column in (*columns, *shard["keys"]):
             column[first], column[last] = column[last], column[first]
         with pytest.raises(SimulationError,
                            match="shard 1's run rows are out of serial order"):
