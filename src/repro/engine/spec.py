@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SpecError
 from repro.sim.determinism import SEMANTICS_EPOCH
-from repro.sim.topology import latency_spec
+from repro.sim.topology import latency_spec, parse_topology
 
 if TYPE_CHECKING:  # pragma: no cover - a spec with no plan never loads it
     from repro.chaos.plan import FaultPlan
@@ -193,6 +193,8 @@ class TrialSpec:
             raise SpecError(
                 f"topology must be a spec string such as 'ring;1-2=16:32', "
                 f"got a {type(self.topology).__name__}", field="topology")
+        if self.topology is not None:
+            parse_topology(self.topology, self.n)  # refuses; builds nothing
         if self.transport.tick is not None and self.transport.tick <= 0:
             raise SpecError(
                 f"tick must be > 0 seconds, got {self.transport.tick!r}",
@@ -253,11 +255,15 @@ class TrialSpec:
         if seed is None:
             seeds = getattr(args, "seeds", None)
             seed = seeds[0] if seeds else getattr(args, "seed", 0)
+        topology = _topology_from_args(args)
+        if topology is not None:
+            # A spec that could never run is refused, not recorded.
+            parse_topology(topology, n)
         return cls(
             n=n,
             seed=seed,
             loss=getattr(args, "loss", 0.0),
-            topology=_topology_from_args(args),
+            topology=topology,
             latency=tuple(getattr(args, "latency", (1, 3))),
             horizon=getattr(args, "horizon", None),
             round_budget=getattr(args, "round_budget", None),

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import SimulationError, SpecError
 
@@ -641,17 +641,26 @@ def topology_from_spec(spec: str, n: int) -> Topology:
     entries: ``ring``, ``gnp:0.3@7``, ``ring;1-2=16:32``.  The only place
     a string becomes a graph; a string it cannot build is a
     ``SpecError(field="topology")`` (``"latency_map"`` for an entry)."""
+    (name, params), latency = parse_topology(spec, n)
+    base = _FAMILIES[name](n, params)
+    return Weighted(base, latency=latency) if latency else base
+
+
+def parse_topology(
+    spec: str, n: int,
+) -> tuple[tuple[str, Any], dict[tuple[int, int], tuple[int, int]]]:
+    """The graph a spec string names at ``n`` processes, parsed but not
+    built: its family and parameters, and its latency entries.  Every
+    refusal of :func:`topology_from_spec` is made here."""
     base_spec, *entries = spec.strip().lower().split(";")
     try:
-        base = _family(base_spec, n)
+        family = _family(base_spec, n)
     except ValueError:  # its P, S, K or RxC is not a number
-        base = None
-    if base is None:
+        family = None
+    if family is None:
         raise SpecError(f"unknown topology spec {base_spec!r}; one of: "
                         f"{', '.join(TOPOLOGY_SPECS)}", field="topology")
-    if not entries:
-        return base
-    return Weighted(base, latency=parse_latency_map(base_spec, entries))
+    return family, parse_latency_map(base_spec, entries) if entries else {}
 
 
 def parse_latency_map(
@@ -686,20 +695,17 @@ def latency_spec(base: str, entries: Sequence[str]) -> str:
                              in sorted(parse_latency_map(base, entries).items()))])
 
 
-def _family(spec: str, n: int) -> Topology | None:
-    """The base graph ``spec`` names, or None for an unknown family."""
+def _family(spec: str, n: int) -> tuple[str, Any] | None:
+    """The family and parameters of the base graph ``spec`` names, or
+    None for an unknown family."""
     head, at, graph_seed = spec.partition("@")
     name, _, arg = head.partition(":")
     if at and name != "gnp":
         raise SpecError(
             f"graph seed in {spec!r}: only gnp draws its graph (gnp:P@S)",
             field="topology")
-    if name == "complete":
-        return Complete(n)
-    if name == "ring":
-        return Ring(n)
-    if name == "star":
-        return Star(n)
+    if name in ("complete", "ring", "star"):
+        return name, None
     if name == "grid":
         if arg:
             rows_s, _, cols_s = arg.partition("x")
@@ -709,18 +715,29 @@ def _family(spec: str, n: int) -> Topology | None:
                                 field="topology")
         else:
             rows, cols = _grid_shape(n)
-        return Grid2D(rows, cols)
+        return name, (rows, cols)
     if name == "gnp":
-        p = float(arg) if arg else 0.35
-        return RandomGnp(n, p=p, seed=int(graph_seed) if at else 0)
+        return name, (float(arg) if arg else 0.35, int(graph_seed) if at else 0)
     if name in ("clustered", "wan"):
         k = int(arg) if arg else 2
         if k < 1 or n % k != 0:
             raise SpecError(f"n={n} is not divisible into {k} clusters",
                             field="topology")
-        clusters = Clustered(k, n // k)
-        return clusters if name == "clustered" else Weighted.wan(clusters)
+        return name, k
     return None
+
+
+#: Family name → the builder of its graph from ``n`` and the parameters
+#: :func:`_family` parsed.
+_FAMILIES: dict[str, Callable[[int, Any], Topology]] = {
+    "complete": lambda n, _: Complete(n),
+    "ring": lambda n, _: Ring(n),
+    "star": lambda n, _: Star(n),
+    "grid": lambda n, shape: Grid2D(*shape),
+    "gnp": lambda n, p_seed: RandomGnp(n, p=p_seed[0], seed=p_seed[1]),
+    "clustered": lambda n, k: Clustered(k, n // k),
+    "wan": lambda n, k: Weighted.wan(Clustered(k, n // k)),
+}
 
 
 def arbitration_clusters(

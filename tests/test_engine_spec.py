@@ -189,7 +189,7 @@ _NAMESPACES = st.fixed_dictionaries({
     "seeds": st.lists(st.integers(0, 2**31), min_size=0, max_size=3),
     "loss": st.floats(0.0, 1.0, allow_nan=False),
     "topology": st.sampled_from(
-        [None, "ring", "clustered:4", "wan:4", "line", "gnp:0.5@7"]),
+        [None, "ring", "clustered:4", "wan:4", "gnp:0.5@7"]),
     "latency_map": st.one_of(st.none(), st.lists(st.builds(
         lambda u, v, lo, extra: f"{u}-{v}={lo}:{lo + extra}",
         st.integers(1, 64), st.integers(1, 64), st.integers(1, 40),
@@ -220,6 +220,11 @@ def test_cli_spec_provenance_round_trip_is_lossless(fields):
         with pytest.raises(SpecError, match="already-weighted") as err:
             TrialSpec.from_cli_args(args)
         assert err.value.field == "latency_map"
+        return
+    if fields["topology"] in ("clustered:4", "wan:4") and fields["n"] % 4:
+        with pytest.raises(SpecError, match="not divisible") as err:
+            TrialSpec.from_cli_args(args)
+        assert err.value.field == "topology"
         return
     spec = TrialSpec.from_cli_args(args)
     record = spec.as_provenance()
@@ -263,6 +268,18 @@ def test_idl_identities_replay_from_the_record():
     replayed = run_trial(_through_json_text(PROTOCOLS["idl"].describe(spec)))
     assert direct.ok and replayed.ok
     assert replayed.measurements == direct.measurements
+
+
+@pytest.mark.parametrize("topology", ["line", "ring@3", "gnp:x", "grid:2x5"])
+def test_a_topology_that_names_no_graph_is_refused_up_front(topology):
+    # Refused by validate and by the CLI constructor, before any graph
+    # is built or any spec recorded.
+    with pytest.raises(SpecError) as err:
+        TrialSpec(n=6, topology=topology).validate()
+    assert err.value.field == "topology"
+    with pytest.raises(SpecError) as err:
+        TrialSpec.from_cli_args(argparse.Namespace(n=6, topology=topology))
+    assert err.value.field == "topology"
 
 
 def test_a_built_topology_is_a_spec_error():
