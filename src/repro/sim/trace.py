@@ -20,13 +20,14 @@ length, and the spec automata re-read it, so all three sides are tuned):
   identity* (so ``1``, ``True`` and ``1.0``, or two equal strings, stay
   the objects they were), code 0 being the ``None`` a row shorter than
   the widest payload pads with.  A row either 4-byte column or its shape
-  key (an unhashable tag) refuses is not written.  ``emit`` adds a row's
-  shape code and payload entries to two pending lists (an ``append`` and
-  a ``list +=``); they are coded into their columns in C-level passes
-  every :data:`_SETTLE_AT` rows and before any read.  A shard ships its
-  store as it stands (:meth:`Trace.store`), and :meth:`Trace.merged`
-  builds the merge's store a column at a time, rebasing each source's
-  codes onto the concatenated tables.
+  key (an unhashable tag) refuses is not written.  ``emit`` adds a row
+  to one pending list with two ``list +=``: its payload values, then its
+  shape's padding and code; they are coded into their columns in C-level
+  passes every :data:`_SETTLE_AT` rows and before any read, and a
+  whole-trace read drops the ``id`` → code map it codes with.  A shard
+  ships its store as it stands (:meth:`Trace.store`), and
+  :meth:`Trace.merged` builds the merge's store a column at a time,
+  rebasing each source's codes onto the concatenated tables.
 * **One kind index** (kind → rows, in emission order, an ``array("I")``
   of row numbers) is kept on every append, so :meth:`Trace.scan` builds
   exactly the rows a checker reads and :meth:`Trace.kind_rows` is a
@@ -154,9 +155,9 @@ class Trace:
         #: tag → the padding and code a row of that shape ends with.
         self._shape_table: list[tuple[str, tuple[str, ...], Any]] = []
         self._shape_of: dict[str, dict[tuple[str, ...], dict[Any, tuple]]] = {}
-        #: Every payload object by code, and ``id`` → code (None until a
-        #: merged trace codes a row of its own).  The table holds each
-        #: object, so no id in the map is reused while the trace lives.
+        #: Every payload object by code, and ``id`` → code (None after a
+        #: whole-trace read or a merge, until a row is coded again).  The
+        #: table holds each object, so no id in the map is reused.
         self._objects: list[Any] = [None]
         self._code_of: defaultdict[int, int] | None = _code_map(self._objects)
         self._kind_rows: dict[str, array[int]] = {}
@@ -274,6 +275,14 @@ class Trace:
         pending.clear()
         return fields
 
+    def _settled(self) -> list[array[int]]:
+        """The payload columns for a whole-trace read: settled, and the
+        ``id`` → code map dropped (about 100 B a distinct object), which
+        the next coded row rebuilds from the object table."""
+        fields = self._settle()
+        self._code_of = None
+        return fields
+
     def columns(self) -> tuple[array[int], ...]:
         """The row columns, coded: ``(times, shapes, processes, *fields)``.
 
@@ -281,7 +290,7 @@ class Trace:
         column holds ``None`` as :data:`NO_PROCESS`; a shape code indexes
         :meth:`store`'s shape table, a ``fields`` code its object table.
         """
-        return (self._times, self._shapes, self._procs, *self._settle())
+        return (self._times, self._shapes, self._procs, *self._settled())
 
     def store(self) -> tuple[Any, ...]:
         """The store as it stands, as :meth:`merged` takes it:
@@ -425,7 +434,7 @@ class Trace:
         :class:`TraceEvent`; ``data`` is a fresh dict per row.  This is
         the spec checkers' single-pass primitive.
         """
-        fields = self._settle()
+        fields = self._settled()
         if not kinds:
             return self._rows(self._times, self._shapes, self._shapes,
                               self._procs, self._procs, *fields)
@@ -503,7 +512,7 @@ class Trace:
         """
         h = blake2b(digest_size=16)
         update = h.update
-        fields = self._settle()
+        fields = self._settled()
         procs, shapes = self._procs, self._shapes
         kinds, keys = _shape_parts(self._shape_table)
         decode = self._objects.__getitem__
