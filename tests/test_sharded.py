@@ -497,6 +497,11 @@ class TestResultPathBuildsNoEventObjects:
         assert built_events == [], _NO_EVENTS
 
 
+#: ``held + 2 * widest`` of ``two_shard_payloads``' merge when a trace row
+#: held references, not codes (bytes, CPython 3.11).
+_REFERENCE_MERGE_BOUND = 342_854
+
+
 @pytest.fixture(scope="module")
 def two_shard_payloads():
     """The ``merge_worker_traces`` arguments of one real two-shard trial
@@ -532,11 +537,10 @@ class TestTheMergeStreams:
         tracemalloc.start()
         try:
             # From before the unpickling: what a payload holds as it
-            # arrived is part of the cost, however it ships.  The
-            # unpickler's own transient (its memo of each array's bytes)
-            # is the wire's, not the merge's.
+            # arrived, and the unpickler's transient (its memo of each
+            # array's bytes), are part of the cost, however it ships.
             args = pickle.loads(shipped)
-            arrived = tracemalloc.get_traced_memory()[0]
+            arrived, received = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             merged = merge_worker_traces(*args)
             held, peak = tracemalloc.get_traced_memory()
@@ -553,6 +557,11 @@ class TestTheMergeStreams:
             f"merge peak at {peak} B against payloads of {arrived} B, a "
             f"merged store of {held} B and a widest column of {widest} B: "
             f"a row is held twice")
+        # Receive and merge together stay within what the store of
+        # references allowed on this trial: its merged store plus two of
+        # its columns.
+        assert max(received, peak) <= _REFERENCE_MERGE_BOUND, (
+            f"receive and merge peak at {max(received, peak)} B")
         assert not any("store" in payload or "keys" in payload
                        for payload in args[0])
 

@@ -108,6 +108,13 @@ class TestColumns:
             for got in (scanned, read):
                 assert all(map(operator.is_, got, values)), got
         assert len(trace.store()[1]) == len(values) - 1  # None is code 0
+        # A whole-trace read dropped the id → code map: rows after it
+        # code the same objects with the codes they had.
+        for t, value in enumerate(values):
+            trace.emit(t, EventKind.NOTE, 1, tag="x", v=value)
+        assert len(trace.store()[1]) == len(values) - 1
+        scanned = [data["v"] for *_, data in trace.scan(EventKind.NOTE)]
+        assert all(map(operator.is_, scanned, values * 2)), scanned
 
     def test_codes_widen_with_the_table(self):
         # Two bytes a code while the table holds 65 536 objects, four past
@@ -124,6 +131,26 @@ class TestColumns:
             assert codes[-1] == codes[0] == 1 and codes[-2] == distinct - 1
             got = [data["v"] for *_, data in trace.scan()]
             assert all(map(operator.is_, got, values + values[:1]))
+        # A shape a tag: past 256 shapes the shape column widens to two
+        # bytes, in a trace and in a merge whose tables pass 256 together;
+        # a tag scan and data_at read every row back.
+        tags = [f"t{i}" for i in range(300)]
+        trace, low, high = Trace(), Trace(), Trace()
+        for t, tag in enumerate(tags * 2):
+            trace.emit(t, EventKind.NOTE, 1, tag=tag, v=t)
+            (low if t % 300 < 150 else high).emit(t, EventKind.NOTE, 1, tag=tag, v=t)
+        copy = merged(low, high)
+        assert [store.columns()[1].typecode for store in (trace, low, copy)] == [
+            "H", "B", "H"]
+        for store, order in ((trace, range(600)),
+                             (copy, [*range(150), *range(300, 450),
+                                     *range(150, 300), *range(450, 600)])):
+            rows = [store.data_at(row) for row in range(len(store))]
+            assert rows == [{"tag": tags[t % 300], "v": t} for t in order]
+            for tag in tags:
+                assert [data["v"] for *_, data in store.scan(
+                    EventKind.NOTE, tag=tag)] == [
+                    t for t in order if tags[t % 300] == tag]
         assert [narrowest(top) for top in (0, 255, 256, 65_535, 65_536,
                                            (1 << 32) - 1, 1 << 32)] == [
             "B", "B", "H", "H", "I", "I", "Q"]
@@ -336,16 +363,18 @@ class TestColumns:
         # ~23 B a row of codes.  A row kept as a payload dict costs about
         # 254 bytes, as a keys tuple plus a values tuple about 155, as
         # per-position columns of references about 66.
-        per_row = _bytes_a_row(lambda t: (2, 7))
+        per_row, _ = _bytes_a_row(lambda t: (2, 7))
         assert per_row <= 28, f"{per_row:.0f} B a trace row"
 
     def test_a_row_of_fresh_objects_is_reported(self, record_property):
         # A new wave tuple a row: the table holds every one of them, and
-        # their codes, so such a row costs more than a column of
-        # references would (~206 B against ~153).  Reported, not bounded.
-        per_row = _bytes_a_row(lambda t: (2, t))
+        # the id → code map their codes, so such a row costs more than a
+        # column of references would (~206 B against ~153) until a
+        # whole-trace read drops the map (~117 B).  Reported, not bounded.
+        per_row, read = _bytes_a_row(lambda t: (2, t))
         record_property("fresh_wave_bytes_a_row", round(per_row))
-        print(f"a row with a fresh wave tuple: {per_row:.0f} B")
+        record_property("fresh_wave_bytes_a_row_read", round(read))
+        print(f"a row with a fresh wave tuple: {per_row:.0f} B, {read:.0f} B read")
 
     def test_an_unhashable_tag_is_refused_whole(self):
         # The tag keys the row's shape: a tag the shape table cannot key
@@ -363,9 +392,10 @@ class TestColumns:
         assert trace.rows_of("new-kind") == []
 
 
-def _bytes_a_row(wave) -> float:
+def _bytes_a_row(wave) -> tuple[float, float]:
     """Traced bytes a receive-brd row of 20 000 costs, ``wave(t)`` its
-    wave entry (the other values shared, as in a trial)."""
+    wave entry (the other values shared, as in a trial): as emitted, and
+    after a whole-trace read (which drops the ``id`` → code map)."""
     rows = 20_000
     now = 10_000
     tracemalloc.start()
@@ -376,10 +406,12 @@ def _bytes_a_row(wave) -> float:
             trace.emit(now, EventKind.RECEIVE_BRD, 1 + (t & 7), tag="pif",
                        sender=2, payload="m", wave=wave(t))
         per_row = (tracemalloc.get_traced_memory()[0] - before) / rows
+        trace.columns()
+        read = (tracemalloc.get_traced_memory()[0] - before) / rows
     finally:
         tracemalloc.stop()
     assert len(trace) == rows
-    return per_row
+    return per_row, read
 
 
 class TestStats:
