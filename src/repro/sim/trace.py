@@ -23,7 +23,7 @@ length, and the spec automata re-read it, so all three sides are tuned):
   key (an unhashable tag) refuses is not written.  ``emit`` adds a row
   to one pending list with two ``list +=``: its payload values, then its
   shape's padding and code; they are coded into their columns in C-level
-  passes every :data:`_SETTLE_AT` rows and before any read, and a
+  passes every :data:`_SETTLE_AT` entries and before any read, and a
   whole-trace read drops the ``id`` → code map it codes with.  A shard
   ships its store as it stands (:meth:`Trace.store`), and
   :meth:`Trace.merged` builds the merge's store a column at a time,
@@ -110,10 +110,10 @@ class TraceEvent:
 #: integer codes), and no process id is this large.
 NO_PROCESS = (1 << 32) - 1
 
-#: Rows whose payload entries wait in a trace's pending list before they
-#: are coded into the columns (and the most a read codes at once): one
-#: ``list +=`` a row instead of one coded append per column.
-_SETTLE_AT = 1024
+#: Pending entries (a row's values, padding and shape code) a trace holds
+#: before they are coded into the columns: two ``list +=`` a row instead
+#: of one coded append per column.
+_SETTLE_AT = 4096
 #: ``_process(entry, entry)`` is a process column entry as it was emitted.
 _process = {NO_PROCESS: None}.get
 #: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
@@ -137,8 +137,8 @@ class Trace:
     """
 
     __slots__ = ("_times", "_procs", "_shapes", "_fields", "_pending",
-                 "_settle_at", "_shape_table", "_shape_of", "_objects",
-                 "_code_of", "_kind_rows")
+                 "_shape_table", "_shape_of", "_objects", "_code_of",
+                 "_kind_rows")
 
     def __init__(self) -> None:
         self._times: array[int] = array("I")
@@ -150,7 +150,6 @@ class Trace:
         #: The latest rows, not yet coded: each row's payload values, the
         #: Nones that pad it to the store's width, then its shape code.
         self._pending: list[Any] = []
-        self._settle_at = _SETTLE_AT
         #: Every shape, ``(kind, keys, tag)``, by code; and kind → keys →
         #: tag → the padding and code a row of that shape ends with.
         self._shape_table: list[tuple[str, tuple[str, ...], Any]] = []
@@ -203,7 +202,7 @@ class Trace:
         pending = self._pending
         pending += data.values()
         pending += tail
-        if len(pending) >= self._settle_at:
+        if len(pending) >= _SETTLE_AT:
             self._settle()
 
     def _new_shape(self, kind: str, keys: tuple[str, ...], tag: Any) -> tuple:
@@ -217,14 +216,10 @@ class Trace:
         table.append((kind, keys, tag))
         if narrowest(code) != self._shapes.typecode:
             self._shapes = array(narrowest(code), self._shapes)
-        if len(keys) > len(fields):
-            blank = array(self._code_type(), [0]) * len(self._times)
-            while len(fields) < len(keys):
-                fields.append(blank[:])
-            self._index_shapes()
-        else:
-            self._shape_of.setdefault(kind, {}).setdefault(keys, {})[tag] = (
-                *(None,) * (len(fields) - len(keys)), code)
+        blank = array(self._code_type(), [0]) * len(self._times)
+        while len(fields) < len(keys):
+            fields.append(blank[:])
+        self._index_shapes()
         return self._shape_of[kind][keys][tag]
 
     def _index_shapes(self) -> None:
@@ -236,7 +231,6 @@ class Trace:
             shape_of.setdefault(kind, {}).setdefault(keys, {})[tag] = (
                 *(None,) * (width - len(keys)), code)
         self._shape_of = shape_of
-        self._settle_at = _SETTLE_AT * (width + 1)
 
     def _code_type(self) -> str:
         """The payload columns' typecode: two bytes while the object
