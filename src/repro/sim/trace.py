@@ -23,7 +23,7 @@ length, and the spec automata re-read it, so all three sides are tuned):
   key (an unhashable tag) refuses is not written.  ``emit`` adds a row
   to one pending list with two ``list +=``: its payload values, then its
   shape's padding and code; they are coded into their columns in C-level
-  passes every :data:`_SETTLE_AT` entries and before any read, and a
+  passes every :data:`_SETTLE_AT` rows and before any read, and a
   whole-trace read drops the ``id`` → code map it codes with.  A shard
   ships its store as it stands (:meth:`Trace.store`), and
   :meth:`Trace.merged` builds the merge's store a column at a time,
@@ -110,10 +110,10 @@ class TraceEvent:
 #: integer codes), and no process id is this large.
 NO_PROCESS = (1 << 32) - 1
 
-#: Pending entries (a row's values, padding and shape code) a trace holds
-#: before they are coded into the columns: two ``list +=`` a row instead
-#: of one coded append per column.
-_SETTLE_AT = 4096
+#: Rows whose entries (values, padding and shape code) wait in a trace's
+#: pending list before they are coded into the columns: two ``list +=``
+#: a row instead of one coded append per column.
+_SETTLE_AT = 1024
 #: ``_process(entry, entry)`` is a process column entry as it was emitted.
 _process = {NO_PROCESS: None}.get
 #: Rows a sparse :meth:`Trace.scan` gathers per column at a time.
@@ -202,7 +202,7 @@ class Trace:
         pending = self._pending
         pending += data.values()
         pending += tail
-        if len(pending) >= _SETTLE_AT:
+        if row % _SETTLE_AT == _SETTLE_AT - 1:
             self._settle()
 
     def _new_shape(self, kind: str, keys: tuple[str, ...], tag: Any) -> tuple:
