@@ -216,9 +216,8 @@ class Trace:
         table.append((kind, keys, tag))
         if narrowest(code) != self._shapes.typecode:
             self._shapes = array(narrowest(code), self._shapes)
-        blank = array(self._code_type(), [0]) * len(self._times)
         while len(fields) < len(keys):
-            fields.append(blank[:])
+            fields.append(array(self._code_type(), [0]) * len(self._times))
         self._index_shapes()
         return self._shape_of[kind][keys][tag]
 
